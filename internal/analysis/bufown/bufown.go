@@ -379,8 +379,8 @@ func (w *walker) release(own ownership, e env) {
 
 // deferCall handles `defer pool.Put(x)` and defer closures releasing x.
 func (w *walker) deferCall(call *ast.CallExpr, e env) {
-	if w.isPoolPut(call) && len(call.Args) == 1 {
-		if cell := w.cellFor(call.Args[0], e); cell != nil {
+	if arg := w.poolPutArg(call); arg != nil {
+		if cell := w.cellFor(arg, e); cell != nil {
 			if cell.status == released && !cell.deferred {
 				w.pass.Reportf(call.Pos(), "buffer already released; deferred Put is a double release")
 				return
@@ -446,8 +446,8 @@ func (w *walker) evalCall(call *ast.CallExpr, e env, resultUsed bool) ownership 
 		return ownership{fresh: true, pos: call.Pos()}
 	}
 	// pool.Put(x) consumes x.
-	if w.isPoolPut(call) && len(call.Args) == 1 {
-		if cell := w.cellFor(call.Args[0], e); cell != nil {
+	if arg := w.poolPutArg(call); arg != nil {
+		if cell := w.cellFor(arg, e); cell != nil {
 			if cell.status == released {
 				w.pass.Reportf(call.Pos(), "double Put: buffer already released on this path")
 			}
@@ -524,7 +524,7 @@ func (w *walker) evalCall(call *ast.CallExpr, e env, resultUsed bool) ownership 
 func (w *walker) checkUses(expr ast.Expr, e env) {
 	ast.Inspect(expr, func(n ast.Node) bool {
 		// Put's own argument is judged by the double-Put check, not here.
-		if call, ok := n.(*ast.CallExpr); ok && w.isPoolPut(call) {
+		if call, ok := n.(*ast.CallExpr); ok && w.poolPutArg(call) != nil {
 			return false
 		}
 		id, ok := n.(*ast.Ident)
@@ -606,11 +606,22 @@ func (w *walker) cellFor(expr ast.Expr, e env) *buf {
 	return nil
 }
 
-// isPoolGet matches (*bufpool.Pool).Get.
-func (w *walker) isPoolGet(call *ast.CallExpr) bool { return w.isPoolMethod(call, "Get") }
+// isPoolGet matches (*bufpool.Pool).Get and GetSlot.
+func (w *walker) isPoolGet(call *ast.CallExpr) bool {
+	return w.isPoolMethod(call, "Get") || w.isPoolMethod(call, "GetSlot")
+}
 
-// isPoolPut matches (*bufpool.Pool).Put.
-func (w *walker) isPoolPut(call *ast.CallExpr) bool { return w.isPoolMethod(call, "Put") }
+// poolPutArg returns the buffer argument of (*bufpool.Pool).Put(buf) or
+// PutSlot(k, buf), nil for any other call.
+func (w *walker) poolPutArg(call *ast.CallExpr) ast.Expr {
+	switch {
+	case w.isPoolMethod(call, "Put") && len(call.Args) == 1:
+		return call.Args[0]
+	case w.isPoolMethod(call, "PutSlot") && len(call.Args) == 2:
+		return call.Args[1]
+	}
+	return nil
+}
 
 func (w *walker) isPoolMethod(call *ast.CallExpr, name string) bool {
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)

@@ -120,6 +120,20 @@ func doublePut(pool *bufpool.Pool, cond bool) {
 	pool.Put(buf) // want `double Put`
 }
 
+// doublePutSlot: parking a buffer in its role's slot releases it like Put.
+func doublePutSlot(pool *bufpool.Pool) {
+	buf := pool.GetSlot(3)
+	buf = encode(buf, 6)
+	pool.PutSlot(3, buf)
+	pool.Put(buf) // want `double Put`
+}
+
+// leakSlot: a buffer taken from a slot is owned like one from Get.
+func leakSlot(pool *bufpool.Pool) int {
+	buf := pool.GetSlot(3) // want `not Put, transferred or stored on every path`
+	return len(buf)
+}
+
 // useAfterPut: reading a recycled buffer races with its next owner.
 func useAfterPut(pool *bufpool.Pool) byte {
 	buf := pool.Get()

@@ -20,3 +20,7 @@ func (p *Pool) Put(buf []byte) {
 		p.free = append(p.free, buf[:0])
 	}
 }
+
+func (p *Pool) GetSlot(k int) []byte { return p.Get() }
+
+func (p *Pool) PutSlot(k int, buf []byte) { p.Put(buf) }

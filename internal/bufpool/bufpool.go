@@ -4,6 +4,12 @@
 // sender; after a few warm-up supersteps every round runs on recycled
 // buffers and the hot loop stops allocating.
 //
+// Buffers that serve a recurring role (node i's sync traffic to node j) go
+// back to a slot named after the role (PutSlot/GetSlot), so the role finds
+// the buffer it sized itself. The free list alone would hand racing nodes
+// each other's buffers in a different order every round, and a small buffer
+// landing on a large role regrows; a slot's buffer only ever sees one role.
+//
 // A plain mutex-guarded LIFO stack is deliberately used instead of
 // sync.Pool: the engine wants deterministic reuse statistics (the metrics
 // layer reports them) and buffers that survive GC cycles, and []byte values
@@ -31,6 +37,7 @@ func (s Stats) Reused() int64 { return s.Gets - s.Misses }
 type Pool struct {
 	mu    sync.Mutex
 	free  [][]byte
+	slots [][]byte
 	stats Stats
 }
 
@@ -65,6 +72,42 @@ func (p *Pool) Put(buf []byte) {
 	p.mu.Lock()
 	p.stats.Puts++
 	p.free = append(p.free, buf[:0])
+	p.mu.Unlock()
+}
+
+// GetSlot returns the buffer parked in slot k, or falls back to Get when the
+// slot is empty. It counts as one Get either way.
+func (p *Pool) GetSlot(k int) []byte {
+	p.mu.Lock()
+	if k < len(p.slots) && p.slots[k] != nil {
+		buf := p.slots[k]
+		p.slots[k] = nil
+		p.stats.Gets++
+		p.mu.Unlock()
+		return buf
+	}
+	p.mu.Unlock()
+	return p.Get()
+}
+
+// PutSlot parks buf in slot k (k >= 0) for the next GetSlot(k); an occupied
+// slot sends it to the free list instead. The slot table grows to the
+// largest k seen.
+func (p *Pool) PutSlot(k int, buf []byte) {
+	if cap(buf) == 0 {
+		return
+	}
+	p.mu.Lock()
+	if k >= len(p.slots) {
+		p.slots = append(p.slots, make([][]byte, k+1-len(p.slots))...)
+	}
+	if p.slots[k] != nil {
+		p.mu.Unlock()
+		p.Put(buf)
+		return
+	}
+	p.stats.Puts++
+	p.slots[k] = buf[:0]
 	p.mu.Unlock()
 }
 

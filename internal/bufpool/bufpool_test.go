@@ -68,3 +68,31 @@ func TestConcurrentAccess(t *testing.T) {
 		t.Fatalf("stats after concurrent churn = %+v", st)
 	}
 }
+
+func TestSlotKeepsRole(t *testing.T) {
+	p := New()
+	small := make([]byte, 3, 8)
+	big := make([]byte, 5, 1024)
+	p.PutSlot(4, big)
+	p.Put(small)
+	if got := p.GetSlot(4); cap(got) != 1024 || len(got) != 0 {
+		t.Fatalf("GetSlot(4) = len %d cap %d, want the parked 1024-cap buffer, emptied", len(got), cap(got))
+	}
+	if got := p.GetSlot(4); cap(got) != 8 {
+		t.Fatalf("empty slot must fall back to the free list: cap=%d want 8", cap(got))
+	}
+	if got := p.GetSlot(9); got != nil {
+		t.Fatalf("GetSlot past the table on an empty pool = %v, want nil", got)
+	}
+	// An occupied slot overflows into the free list; zero-cap buffers vanish.
+	p.PutSlot(2, big)
+	p.PutSlot(2, small)
+	p.PutSlot(2, nil)
+	if p.Len() != 1 {
+		t.Fatalf("free list depth = %d, want 1 (the overflow)", p.Len())
+	}
+	st := p.Stats()
+	if st.Gets != 3 || st.Misses != 1 || st.Puts != 4 {
+		t.Fatalf("stats = %+v", st)
+	}
+}

@@ -1,10 +1,47 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 
 	"imitator/internal/datasets"
+	"imitator/internal/gen"
 )
+
+// TestLoadAllocBudget pins NewCluster's allocation count on the benchmark
+// graph. Load carves every per-vertex list (local topology, replica
+// positions, mirror full state, mirror ranks) out of a few exactly-sized
+// arenas; what remains (about 140 k) is the presence lists of step 2 and the
+// index maps. One more per-vertex make or append-grown list anywhere in load
+// costs 64 k or more and breaks the budget.
+func TestLoadAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates; counts are meaningless")
+	}
+	if testing.Short() {
+		t.Skip("builds the 923 k-edge benchmark graph")
+	}
+	// The repository benchmark's input (benchmark/README.md).
+	g, err := gen.PowerLaw(gen.PowerLawConfig{
+		NumVertices: 64000, NumEdges: 923000, Alpha: 2.0, SelfishFraction: 0.1, Seed: 1, Workers: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, mode := range []Mode{EdgeCutMode, VertexCutMode} {
+		cfg := DefaultConfig(mode, 8) // Replication K=1, as ec-steady / vc-steady
+		cfg.HostParallelism = 1
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := NewCluster[float64, float64](cfg, g, fakePR{}); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		if n := after.Mallocs - before.Mallocs; n > 300_000 {
+			t.Errorf("%v: NewCluster made %d allocations, budget 300000", mode, n)
+		}
+	}
+}
 
 // TestSteadyStateSuperstepAllocFree is the tentpole regression gate: once
 // the pool, stagers and routing tables are warm, a full superstep

@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"imitator/internal/costmodel"
 	"imitator/internal/graph"
@@ -50,10 +51,10 @@ func (c *Cluster[V, A]) writeCheckpointAt(epoch int, charge bool) {
 		buf := putU32(c.pool.Get(), uint32(epoch))
 		countAt := len(buf)
 		buf = putU32(buf, 0) // patched below
-		chunks, count := c.chunkEncode(len(nd.entries), func(b []byte, lo, hi int) ([]byte, int) {
+		chunks, count := c.chunkEncode(len(nd.hot), func(b []byte, lo, hi int) ([]byte, int) {
 			cnt := 0
 			for i := lo; i < hi; i++ {
-				e := &nd.entries[i]
+				e := &nd.hot[i]
 				if !e.isMaster() {
 					continue
 				}
@@ -155,7 +156,7 @@ func (c *Cluster[V, A]) restoreFromSnapshot(nd *node[V, A], epoch int) (float64,
 		if r.err != nil {
 			return 0, r.err
 		}
-		e := &nd.entries[pos]
+		e := &nd.hot[pos]
 		e.value = val
 		e.active = active
 		e.lastActivate = lastAct
@@ -206,7 +207,7 @@ func (c *Cluster[V, A]) recoverCheckpoint(failed []int) ([]int, error) {
 		c.net.SetEpoch(f, c.coord.Epoch(f)) // fresh incarnation: fence the old life's traffic
 		c.chaosTrack(f)
 		c.rebirthsUsed++
-		rec.RecoveredVertices += len(nd.entries)
+		rec.RecoveredVertices += len(nd.hot)
 		rec.RecoveredEdges += nd.localEdges
 	}
 	c.hook("checkpoint:join")
@@ -264,7 +265,7 @@ func (c *Cluster[V, A]) recoverCheckpoint(failed []int) ([]int, error) {
 	var reconSpan costmodel.Span
 	for _, f := range failed {
 		nd := c.nodes[f]
-		reconSpan.Observe(float64(len(nd.entries))*c.cfg.Cost.ReconstructPerVertex +
+		reconSpan.Observe(float64(len(nd.hot))*c.cfg.Cost.ReconstructPerVertex +
 			float64(nd.localEdges)*c.cfg.Cost.ComputePerEdge)
 	}
 	c.clock.Advance(reconSpan.Max())
@@ -287,9 +288,10 @@ func (c *Cluster[V, A]) recoverCheckpoint(failed []int) ([]int, error) {
 	return nil, nil
 }
 
-// rebuildPristineNode recreates a node's immutable loader state (entries,
-// topology, initial values) from the retained pristine copy. The topology
-// slices are shared with the pristine copy — they are immutable after load.
+// rebuildPristineNode recreates a node's immutable loader state (the three
+// tables with their initial values) from the retained pristine copy. The
+// topology and metadata lists are shared with the pristine copy — they are
+// immutable after load.
 func (c *Cluster[V, A]) rebuildPristineNode(id int) *node[V, A] {
 	if c.pristine == nil || c.pristine[id] == nil {
 		return nil
@@ -300,12 +302,13 @@ func (c *Cluster[V, A]) rebuildPristineNode(id int) *node[V, A] {
 		alive:      true,
 		met:        &c.met.Nodes[id],
 		localEdges: src.localEdges,
-		entries:    make([]vertexEntry[V], len(src.entries)),
+		hot:        slices.Clone(src.hot),
+		topo:       slices.Clone(src.topo),
+		meta:       slices.Clone(src.meta),
+		index:      make(map[graph.VertexID]int32, len(src.hot)),
 	}
-	copy(nd.entries, src.entries)
-	nd.index = make(map[graph.VertexID]int32, len(nd.entries))
-	for i := range nd.entries {
-		nd.index[nd.entries[i].id] = int32(i)
+	for i := range nd.hot {
+		nd.index[nd.hot[i].id] = int32(i)
 	}
 	c.initNodeScratch(nd)
 	return nd
@@ -315,14 +318,15 @@ func (c *Cluster[V, A]) rebuildPristineNode(id int) *node[V, A] {
 // including activity flags; used after snapshot restores.
 func (c *Cluster[V, A]) fullResync() {
 	c.eachAlive(func(nd *node[V, A]) {
-		c.chunked(nd, len(nd.entries), func(st *stager, lo, hi int) {
+		c.chunked(nd, len(nd.hot), func(st *stager, lo, hi int) {
 			for i := lo; i < hi; i++ {
-				e := &nd.entries[i]
+				e := &nd.hot[i]
 				if !e.isMaster() {
 					continue
 				}
-				for ri, rn := range e.replicaNodes {
-					pos := e.replicaPos[ri]
+				rt := &nd.meta[i].replicas
+				for ri, rn := range rt.nodes {
+					pos := rt.pos[ri]
 					before := len(st.send[rn])
 					st.stage(int(rn), func(buf []byte) []byte {
 						buf = putI32(buf, pos)
@@ -354,7 +358,7 @@ func (c *Cluster[V, A]) fullResync() {
 					if r.err != nil {
 						break
 					}
-					e := &nd.entries[pos]
+					e := &nd.hot[pos]
 					e.value = val
 					if !e.isMaster() {
 						e.active = active
@@ -385,6 +389,8 @@ type replayWatch struct {
 
 // pristineNode is a node's immutable post-load state.
 type pristineNode[V any] struct {
-	entries    []vertexEntry[V]
+	hot        []hot[V]
+	topo       []topo
+	meta       []meta
 	localEdges int
 }

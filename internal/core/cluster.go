@@ -35,11 +35,15 @@ type nodeBodies struct {
 
 // node is one simulated machine's runtime state.
 type node[V, A any] struct {
-	id      int
-	alive   bool
-	entries []vertexEntry[V]
-	index   map[graph.VertexID]int32
-	met     *metrics.Node
+	id    int
+	alive bool
+	// hot, topo and meta are the position-parallel vertex tables (entry.go);
+	// index maps a vertex id to its position in them.
+	hot   []hot[V]
+	topo  []topo
+	meta  []meta
+	index map[graph.VertexID]int32
+	met   *metrics.Node
 
 	// localEdges counts edges stored on this node (for cost accounting).
 	localEdges int
@@ -82,11 +86,22 @@ func (n *node[V, A]) pos(id graph.VertexID) (int32, bool) {
 	return p, ok
 }
 
-func (n *node[V, A]) entry(id graph.VertexID) *vertexEntry[V] {
-	if p, ok := n.index[id]; ok {
-		return &n.entries[p]
-	}
-	return nil
+// add appends one slot to the three tables and indexes it.
+func (n *node[V, A]) add(h hot[V]) int32 {
+	pos := int32(len(n.hot))
+	n.hot = append(n.hot, h)
+	n.topo = append(n.topo, topo{})
+	n.meta = append(n.meta, meta{})
+	n.index[h.id] = pos
+	return pos
+}
+
+// attachEdge links the local edge sp -> dp into both endpoints' lists.
+func (n *node[V, A]) attachEdge(sp, dp int32, wt float64) {
+	t := &n.topo[dp]
+	t.inNbr = append(t.inNbr, sp)
+	t.inWt = append(t.inWt, wt)
+	n.topo[sp].outNbr = append(n.topo[sp].outNbr, dp)
 }
 
 // failKey identifies one scheduled failure-injection point.
@@ -156,6 +171,10 @@ type Cluster[V, A any] struct {
 	workBarrier chan *node[V, A]
 	phaseFn     func(*node[V, A])
 	phaseWG     sync.WaitGroup
+	// workersDone counts the live worker goroutines of both pools;
+	// stopWorkers waits on it, so nothing references the cluster from a
+	// goroutine once Run (or NewCluster) has returned.
+	workersDone sync.WaitGroup
 	// chunkSlots caps the goroutines chunked()/chunkEncode() use to execute
 	// one node's WorkersPerNode chunks, sized so phase pool x chunk slots
 	// stays at about HostParallelism. The chunk COUNT (sim semantics, cost
@@ -348,11 +367,11 @@ func (c *Cluster[V, A]) bindPhases() {
 		}
 	}
 	c.fns.commit = func(nd *node[V, A]) {
-		c.chunked(nd, len(nd.entries), nd.bodies.commit)
+		c.chunked(nd, len(nd.hot), nd.bodies.commit)
 	}
 	c.fns.rollback = func(nd *node[V, A]) {
-		for i := range nd.entries {
-			nd.entries[i].clearPending()
+		for i := range nd.hot {
+			nd.hot[i].clearPending()
 		}
 		c.net.Drop(nd.id)
 		for dst, buf := range nd.sendBuf {
@@ -384,6 +403,7 @@ func (c *Cluster[V, A]) initNodeScratch(nd *node[V, A]) {
 	for i := range nd.stagers {
 		nd.stagers[i] = &stager{
 			pool:   c.pool,
+			slot0:  c.wireSlot(nd.id, 0, 0),
 			send:   make([][]byte, width),
 			notice: make([][]byte, width),
 		}
@@ -399,7 +419,7 @@ func (c *Cluster[V, A]) bindNodeBodies(nd *node[V, A]) {
 		iter := int32(c.curIter)
 		always := c.always
 		for i := lo; i < hi; i++ {
-			e := &nd.entries[i]
+			e := &nd.hot[i]
 			if e.hasPending {
 				e.value = e.pendingValue
 				e.lastActivate = e.pendingScatter
@@ -444,9 +464,11 @@ func (c *Cluster[V, A]) ensureWorkers() {
 	//imitator:hotalloc-ok one-time pool spawn, guarded by the c.work nil check above
 	work := make(chan *node[V, A], c.cfg.NumNodes)
 	c.work = work
+	c.workersDone.Add(computeWidth)
 	for i := 0; i < computeWidth; i++ {
 		//imitator:hotalloc-ok one-time pool spawn, guarded by the c.work nil check above
 		go func() {
+			defer c.workersDone.Done()
 			for nd := range work {
 				c.phaseFn(nd)
 				c.phaseWG.Done()
@@ -460,9 +482,11 @@ func (c *Cluster[V, A]) ensureWorkers() {
 	//imitator:hotalloc-ok one-time pool spawn, guarded by the c.work nil check above
 	workBarrier := make(chan *node[V, A], c.cfg.NumNodes)
 	c.workBarrier = workBarrier
+	c.workersDone.Add(c.cfg.NumNodes)
 	for i := 0; i < c.cfg.NumNodes; i++ {
 		//imitator:hotalloc-ok one-time pool spawn, guarded by the c.work nil check above
 		go func() {
+			defer c.workersDone.Done()
 			for nd := range workBarrier {
 				c.phaseFn(nd)
 				c.phaseWG.Done()
@@ -471,8 +495,8 @@ func (c *Cluster[V, A]) ensureWorkers() {
 	}
 }
 
-// stopWorkers shuts the phase workers down; runPhase restarts them on
-// demand.
+// stopWorkers shuts the phase workers down and returns once they have
+// exited; runPhase restarts them on demand.
 func (c *Cluster[V, A]) stopWorkers() {
 	if c.work != nil {
 		if c.workBarrier != nil && c.workBarrier != c.work {
@@ -481,6 +505,7 @@ func (c *Cluster[V, A]) stopWorkers() {
 		close(c.work)
 		c.work = nil
 		c.workBarrier = nil
+		c.workersDone.Wait()
 	}
 }
 

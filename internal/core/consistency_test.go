@@ -27,13 +27,13 @@ func TestReplicaConsistencyInvariant(t *testing.T) {
 			cl.commit(iter)
 			cl.iter++
 			for _, nd := range cl.nodes {
-				for i := range nd.entries {
-					e := &nd.entries[i]
+				for i := range nd.hot {
+					e, rt := &nd.hot[i], &nd.meta[i].replicas
 					if !e.isMaster() {
 						continue
 					}
-					for ri, rn := range e.replicaNodes {
-						re := &cl.nodes[rn].entries[e.replicaPos[ri]]
+					for ri, rn := range rt.nodes {
+						re := &cl.nodes[rn].hot[rt.pos[ri]]
 						if re.value != e.value {
 							t.Fatalf("%v iter %d: replica of %d on node %d holds %v, master %v",
 								mode, iter, e.id, rn, re.value, e.value)
@@ -67,9 +67,9 @@ func TestRollbackRestoresCommittedState(t *testing.T) {
 	cl.iter++
 	snapshot := make(map[int][]float64)
 	for _, nd := range cl.nodes {
-		vals := make([]float64, len(nd.entries))
-		for i := range nd.entries {
-			vals[i] = nd.entries[i].value
+		vals := make([]float64, len(nd.hot))
+		for i := range nd.hot {
+			vals[i] = nd.hot[i].value
 		}
 		snapshot[nd.id] = vals
 	}
@@ -78,8 +78,8 @@ func TestRollbackRestoresCommittedState(t *testing.T) {
 	}
 	cl.rollback()
 	for _, nd := range cl.nodes {
-		for i := range nd.entries {
-			e := &nd.entries[i]
+		for i := range nd.hot {
+			e := &nd.hot[i]
 			if e.hasPending || e.pendingActive || e.pendingScatter {
 				t.Fatalf("node %d entry %d kept staged state after rollback", nd.id, i)
 			}

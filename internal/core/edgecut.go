@@ -44,11 +44,11 @@ func (c *Cluster[V, A]) superstepEdgeCut(iter int) error {
 // fns.syncStage doubles as the vertex-cut R3 encode phase.
 func (c *Cluster[V, A]) bindEdgeCutPhases() {
 	c.fns.ecCompute = func(nd *node[V, A]) {
-		nd.phaseCost = c.chunked(nd, len(nd.entries), nd.bodies.ecCompute)
+		nd.phaseCost = c.chunked(nd, len(nd.hot), nd.bodies.ecCompute)
 	}
 	c.fns.syncStage = func(nd *node[V, A]) {
 		c.routeReady(nd)
-		c.chunked(nd, len(nd.entries), nd.bodies.syncStage)
+		c.chunked(nd, len(nd.hot), nd.bodies.syncStage)
 	}
 	c.fns.ecRecv = func(nd *node[V, A]) {
 		nd.recvMsgs = c.net.Receive(nd.id)
@@ -56,7 +56,7 @@ func (c *Cluster[V, A]) bindEdgeCutPhases() {
 			c.flogCapture(nd)
 		}
 		c.chunked(nd, len(nd.recvMsgs), nd.bodies.ecRecv)
-		c.recycleMsgs(nd.recvMsgs)
+		c.handBack(nd, nd.recvMsgs, slotSend)
 		nd.recvMsgs = nil
 	}
 }
@@ -67,24 +67,12 @@ func (c *Cluster[V, A]) bindEdgeCutBodies(nd *node[V, A]) {
 		iter := c.curIter
 		edges, applies := 0, 0
 		for i := lo; i < hi; i++ {
-			e := &nd.entries[i]
+			e := &nd.hot[i]
 			if !e.isMaster() || !e.active {
 				continue
 			}
-			var acc A
-			has := false
-			for k, src := range e.inNbr {
-				se := &nd.entries[src]
-				contrib := c.prog.Gather(
-					graph.Edge{Src: se.id, Dst: e.id, Weight: e.inWt[k]},
-					se.value, se.info())
-				if has {
-					acc = c.prog.Merge(acc, contrib)
-				} else {
-					acc, has = contrib, true
-				}
-			}
-			edges += len(e.inNbr)
+			acc, has, n := c.gather(nd, i)
+			edges += n
 			newV, scatter := c.prog.Apply(e.id, e.info(), e.value, acc, has, iter)
 			e.pendingValue = newV
 			e.hasPending = true
@@ -92,9 +80,7 @@ func (c *Cluster[V, A]) bindEdgeCutBodies(nd *node[V, A]) {
 			e.pendingScatterI = int32(iter)
 			applies++
 			if scatter {
-				for _, w := range e.outNbr {
-					st.markPendingActive(w)
-				}
+				c.scatterMark(nd, st, int32(i))
 			}
 		}
 		st.busy = float64(edges)*c.cfg.Cost.ComputePerEdge +
@@ -102,7 +88,7 @@ func (c *Cluster[V, A]) bindEdgeCutBodies(nd *node[V, A]) {
 	}
 	nd.bodies.syncStage = func(st *stager, lo, hi int) {
 		for i := lo; i < hi; i++ {
-			e := &nd.entries[i]
+			e := &nd.hot[i]
 			if !e.isMaster() || !e.hasPending {
 				continue
 			}
@@ -114,7 +100,7 @@ func (c *Cluster[V, A]) bindEdgeCutBodies(nd *node[V, A]) {
 			if m.Kind != netsim.KindSync {
 				continue
 			}
-			c.applySyncPayload(nd, st, m.Payload)
+			c.applySync(nd, st, m.Payload)
 		}
 	}
 }
@@ -131,7 +117,7 @@ func (c *Cluster[V, A]) stageSyncRecords(st *stager, nd *node[V, A], i int) {
 	// state) is the scatter flag already in every record, stamped with the
 	// current superstep on receipt. The measurable FT overhead is the sync
 	// records sent to FT-only replicas, which exist purely for recovery.
-	e := &nd.entries[i]
+	e := &nd.hot[i]
 	skipFT := c.selfishOptOn && e.isSelfish()
 	rt := &nd.route
 	for k := rt.start[i]; k < rt.start[i+1]; k++ {
@@ -161,32 +147,69 @@ func (c *Cluster[V, A]) stageSyncRecords(st *stager, nd *node[V, A], i int) {
 	}
 }
 
-// applySyncPayload decodes a batch of sync records into local entries;
-// scatter flags activate the replicas' local out-targets through the
-// worker's activation list.
-func (c *Cluster[V, A]) applySyncPayload(nd *node[V, A], st *stager, buf []byte) {
+// gather folds slot i's local in-edges in list order: Program.Gather per
+// edge, merged left to right. It returns the edge count with the fold.
+func (c *Cluster[V, A]) gather(nd *node[V, A], i int) (acc A, has bool, edges int) {
+	dst, t := nd.hot[i].id, &nd.topo[i]
+	inWt := t.inWt[:len(t.inNbr)]
+	for k, src := range t.inNbr {
+		se := &nd.hot[src]
+		contrib := c.prog.Gather(graph.Edge{Src: se.id, Dst: dst, Weight: inWt[k]}, se.value, se.info())
+		if has {
+			acc = c.prog.Merge(acc, contrib)
+		} else {
+			acc, has = contrib, true
+		}
+	}
+	return acc, has, len(t.inNbr)
+}
+
+// applySync decodes a batch of sync records into local slots, staging each
+// value and scatter flag and activating the scattering replicas' local
+// out-targets. A record cut short ends the batch, as a codec error does.
+func (c *Cluster[V, A]) applySync(nd *node[V, A], st *stager, buf []byte) {
 	iter := int32(c.iter)
-	for len(buf) > 0 {
+	for len(buf) >= 5 {
 		pos := int32(binary.LittleEndian.Uint32(buf))
 		flags := buf[4]
-		var (
-			val V
-			err error
-		)
-		val, buf, err = c.vc.Read(buf[5:])
+		val, rest, err := c.vc.Read(buf[5:])
 		if err != nil {
 			return
 		}
-		e := &nd.entries[pos]
+		buf = rest
+		e := &nd.hot[pos]
 		e.pendingValue = val
 		e.hasPending = true
 		e.pendingScatter = flags&1 != 0
 		e.pendingScatterI = iter
 		if e.pendingScatter {
-			for _, w := range e.outNbr {
-				st.markPendingActive(w)
-			}
+			c.scatterMark(nd, st, pos)
 		}
+	}
+}
+
+// scatterMark activates slot i's local out-targets for the next superstep:
+// masters through the worker's activation list, vertex-cut replicas via an
+// activation notice to their master's node. Commit ORs a master's
+// pendingActive with Program.AlwaysActive, so for an always-active program
+// the host-side list has no reader and is not built; the notices are wire
+// traffic and go out either way.
+func (c *Cluster[V, A]) scatterMark(nd *node[V, A], st *stager, i int32) {
+	if c.always && c.ec != nil {
+		return // an edge lives on its target's master node: no replica targets, no notices
+	}
+	for _, w := range nd.topo[i].outNbr {
+		we := &nd.hot[w]
+		if we.isMaster() {
+			if !c.always {
+				st.pendingActive = append(st.pendingActive, w)
+			}
+			continue
+		}
+		mn := int(we.masterNode)
+		st.notice[mn] = binary.LittleEndian.AppendUint32(st.noticeBuf(mn), uint32(we.masterPos))
+		st.met.ActivationMsgs++
+		st.met.ActivationBytes += 4
 	}
 }
 

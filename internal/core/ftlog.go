@@ -116,10 +116,10 @@ func (c *Cluster[V, A]) flogWrite() {
 	c.eachAlive(func(nd *node[V, A]) {
 		buf := ftlog.AppendFileHeader(c.pool.Get(), uint32(s), kind)
 		buf, recAt := ftlog.AppendCountPlaceholder(buf)
-		chunks, count := c.chunkEncode(len(nd.entries), func(b []byte, lo, hi int) ([]byte, int) {
+		chunks, count := c.chunkEncode(len(nd.hot), func(b []byte, lo, hi int) ([]byte, int) {
 			cnt := 0
 			for i := lo; i < hi; i++ {
-				e := &nd.entries[i]
+				e := &nd.hot[i]
 				if !full && (!e.isMaster() || e.lastTouchedIter != int32(s)) {
 					continue
 				}
@@ -220,7 +220,7 @@ func (c *Cluster[V, A]) recoverLogged(failed []int, iter int) ([]int, error) {
 		c.net.SetEpoch(f, c.coord.Epoch(f)) // fresh incarnation: fence the old life's traffic
 		c.chaosTrack(f)
 		c.rebirthsUsed++
-		rec.RecoveredVertices += len(nd.entries)
+		rec.RecoveredVertices += len(nd.hot)
 		rec.RecoveredEdges += nd.localEdges
 	}
 	c.hook("logged:join")
@@ -315,14 +315,14 @@ func (c *Cluster[V, A]) flogApply(nd *node[V, A], data []byte, s int) (int, erro
 		if !ok {
 			break
 		}
-		if int(r.Pos) >= len(nd.entries) {
+		if int(r.Pos) >= len(nd.hot) {
 			return 0, fmt.Errorf("core: log record position %d outside array", r.Pos)
 		}
 		val, _, err := c.vc.Read(r.Val)
 		if err != nil {
 			return 0, err
 		}
-		e := &nd.entries[r.Pos]
+		e := &nd.hot[r.Pos]
 		e.value = val
 		e.lastActivate = r.Flags&ftlog.FlagLastActivate != 0
 		e.lastActivateIter = r.Stamp
@@ -350,7 +350,7 @@ func (c *Cluster[V, A]) flogApply(nd *node[V, A], data []byte, s int) (int, erro
 }
 
 // flogApplySync replays one logged sync payload: the same record stream
-// applySyncPayload decodes live, installed directly with the commit-time
+// applySync decodes live, installed directly with the commit-time
 // semantics (value, scatter flag, stamp s).
 func (c *Cluster[V, A]) flogApplySync(nd *node[V, A], payload []byte, s int32) (int, error) {
 	installed := 0
@@ -365,10 +365,10 @@ func (c *Cluster[V, A]) flogApplySync(nd *node[V, A], payload []byte, s int32) (
 		if err != nil {
 			return 0, err
 		}
-		if int(pos) >= len(nd.entries) {
+		if int(pos) >= len(nd.hot) {
 			return 0, fmt.Errorf("core: logged sync position %d outside array", pos)
 		}
-		e := &nd.entries[pos]
+		e := &nd.hot[pos]
 		e.value = val
 		e.lastActivate = flags&1 != 0
 		e.lastActivateIter = s

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"encoding/binary"
 	"testing"
 
+	"imitator/internal/datasets"
 	"imitator/internal/graph"
 )
 
@@ -115,4 +117,53 @@ func FuzzReplicaTableRoundTrip(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestSuperstepDecodersStopAtTruncatedRecord feeds the three superstep
+// receive decoders — the sync-record loop under both engines and the
+// vertex-cut partial-accumulator merge — every truncation of a valid
+// two-record payload. A record cut short must end the batch (the same early
+// return a codec error takes), never panic the node's goroutine, and every
+// record that arrived whole must still be applied.
+func TestSuperstepDecodersStopAtTruncatedRecord(t *testing.T) {
+	le := binary.LittleEndian
+	sync := Float64Codec{}.Append(append(le.AppendUint32(nil, 0), 1), 2.5)
+	sync = Float64Codec{}.Append(append(le.AppendUint32(sync, 1), 0), 3.5)
+	gather := Float64Codec{}.Append(le.AppendUint32(nil, 0), 2.5)
+	gather = Float64Codec{}.Append(le.AppendUint32(gather, 1), 3.5)
+	for _, mode := range []Mode{EdgeCutMode, VertexCutMode} {
+		cl, err := NewCluster[float64, float64](DefaultConfig(mode, 3), datasets.Tiny(60, 300, 5), fakePR{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		nd := cl.nodes[0]
+		cases := []struct {
+			name    string
+			payload []byte
+			apply   func([]byte)
+			applied func(pos int) bool
+		}{
+			{"sync", sync,
+				func(b []byte) { cl.applySync(nd, nd.stagers[0], b) },
+				func(pos int) bool { return nd.hot[pos].hasPending }},
+			{"gather", gather,
+				func(b []byte) { cl.vcMergePayload(nd, b) },
+				func(pos int) bool { return nd.mergedPart[pos].has }},
+		}
+		for _, tc := range cases {
+			recLen := len(tc.payload) / 2
+			for cut := 0; cut <= len(tc.payload); cut++ {
+				nd.hot[0].clearPending()
+				nd.hot[1].clearPending()
+				nd.mergedPart = ensurePartials(nd.mergedPart, len(nd.hot))
+				tc.apply(tc.payload[:cut])
+				for pos := 0; pos < 2; pos++ {
+					if want := cut >= (pos+1)*recLen; tc.applied(pos) != want {
+						t.Errorf("%v %s cut at %d/%d: record %d applied = %v, want %v",
+							mode, tc.name, cut, len(tc.payload), pos, !want, want)
+					}
+				}
+			}
+		}
+	}
 }

@@ -39,8 +39,8 @@ func TestRebirthPreservesLayout(t *testing.T) {
 		}
 		before := map[graph.VertexID]int32{}
 		var masters, mirrors int
-		for i := range cl.nodes[1].entries {
-			e := &cl.nodes[1].entries[i]
+		for i := range cl.nodes[1].hot {
+			e := &cl.nodes[1].hot[i]
 			before[e.id] = int32(i)
 			if e.isMaster() {
 				masters++
@@ -53,12 +53,12 @@ func TestRebirthPreservesLayout(t *testing.T) {
 			t.Fatalf("%v: %v", mode, err)
 		}
 		after := cl.nodes[1]
-		if len(after.entries) != len(before) {
-			t.Fatalf("%v: array length changed: %d -> %d", mode, len(before), len(after.entries))
+		if len(after.hot) != len(before) || len(after.topo) != len(before) || len(after.meta) != len(before) {
+			t.Fatalf("%v: table lengths changed: %d -> %d/%d/%d", mode, len(before), len(after.hot), len(after.topo), len(after.meta))
 		}
 		var mastersAfter, mirrorsAfter int
-		for i := range after.entries {
-			e := &after.entries[i]
+		for i := range after.hot {
+			e := &after.hot[i]
 			if before[e.id] != int32(i) {
 				t.Fatalf("%v: vertex %d moved from %d to %d", mode, e.id, before[e.id], i)
 			}
@@ -93,24 +93,24 @@ func TestLoadInvariants(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, nd := range cl.nodes {
-				for i := range nd.entries {
-					e := &nd.entries[i]
+				for i := range nd.hot {
+					e, rt := &nd.hot[i], &nd.meta[i].replicas
 					if !e.isMaster() {
 						continue
 					}
-					if len(e.replicaNodes) < k {
-						t.Fatalf("%v K=%d: vertex %d has %d replicas", mode, k, e.id, len(e.replicaNodes))
+					if len(rt.nodes) < k {
+						t.Fatalf("%v K=%d: vertex %d has %d replicas", mode, k, e.id, len(rt.nodes))
 					}
-					if len(e.mirrorOf) != k {
-						t.Fatalf("%v K=%d: vertex %d has %d mirrors", mode, k, e.id, len(e.mirrorOf))
+					if len(rt.mirrorOf) != k {
+						t.Fatalf("%v K=%d: vertex %d has %d mirrors", mode, k, e.id, len(rt.mirrorOf))
 					}
 					seen := map[int16]bool{int16(nd.id): true}
-					for ri, rn := range e.replicaNodes {
+					for ri, rn := range rt.nodes {
 						if seen[rn] {
 							t.Fatalf("%v: vertex %d replicated twice on node %d", mode, e.id, rn)
 						}
 						seen[rn] = true
-						re := &cl.nodes[rn].entries[e.replicaPos[ri]]
+						re := &cl.nodes[rn].hot[rt.pos[ri]]
 						if re.id != e.id {
 							t.Fatalf("%v: vertex %d replicaPos points at vertex %d", mode, e.id, re.id)
 						}
@@ -120,17 +120,17 @@ func TestLoadInvariants(t *testing.T) {
 						if re.masterNode != int16(nd.id) || re.masterPos != int32(i) {
 							t.Fatalf("%v: replica of %d has wrong master pointer", mode, e.id)
 						}
-						if e.replicaFTOnly[ri] != re.isFTOnly() {
+						if rt.ftOnly[ri] != re.isFTOnly() {
 							t.Fatalf("%v: FT flag mismatch for vertex %d", mode, e.id)
 						}
 					}
 					// Every FT-only replica must be a mirror (§4.2).
-					for ri := range e.replicaNodes {
-						if !e.replicaFTOnly[ri] {
+					for ri := range rt.nodes {
+						if !rt.ftOnly[ri] {
 							continue
 						}
 						isMirror := false
-						for _, idx := range e.mirrorOf {
+						for _, idx := range rt.mirrorOf {
 							if int(idx) == ri {
 								isMirror = true
 							}
@@ -139,12 +139,13 @@ func TestLoadInvariants(t *testing.T) {
 							t.Fatalf("%v: FT replica of vertex %d is not a mirror", mode, e.id)
 						}
 					}
-					for rank, idx := range e.mirrorOf {
-						re := &cl.nodes[e.replicaNodes[idx]].entries[e.replicaPos[idx]]
-						if !re.isMirror() || re.mirrorRank != int16(rank) {
+					for rank, idx := range rt.mirrorOf {
+						rnd := cl.nodes[rt.nodes[idx]]
+						re, rm := &rnd.hot[rt.pos[idx]], &rnd.meta[rt.pos[idx]]
+						if !re.isMirror() || rm.mirrorRank != int16(rank) {
 							t.Fatalf("%v: mirror rank mismatch for vertex %d", mode, e.id)
 						}
-						if len(re.mReplicaN) != len(e.replicaNodes) {
+						if len(rm.mTable.nodes) != len(rt.nodes) {
 							t.Fatalf("%v: mirror of %d has stale table", mode, e.id)
 						}
 					}
@@ -167,8 +168,8 @@ func TestMirrorBalance(t *testing.T) {
 	counts := make([]int, 8)
 	total := 0
 	for _, nd := range cl.nodes {
-		for i := range nd.entries {
-			if nd.entries[i].isMirror() {
+		for i := range nd.hot {
+			if nd.hot[i].isMirror() {
 				counts[nd.id]++
 				total++
 			}

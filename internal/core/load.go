@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"sort"
 
 	"imitator/internal/graph"
 	"imitator/internal/hostpar"
@@ -159,27 +158,31 @@ func (c *Cluster[V, A]) load() error {
 	// ranks go to the replica whose host has the fewest mirrors so far.
 	if c.cfg.FT.Enabled {
 		mirrorCount := make([]int, p)
+		chosen := make([]bool, p) // by replica index; one scratch for every vertex
+		wantTotal := 0
+		for v := range pres {
+			wantTotal += min(c.cfg.FT.K, len(pres[v].nodes))
+		}
+		mirrorArena := make([]int16, wantTotal)
 		for v := 0; v < numV; v++ {
 			pr := &pres[v]
-			want := c.cfg.FT.K
-			if want > len(pr.nodes) {
-				want = len(pr.nodes)
-			}
-			chosen := make(map[int16]bool, want)
+			want := min(c.cfg.FT.K, len(pr.nodes))
+			pr.mirrors = carve(&mirrorArena, want)[:0]
+			clear(chosen[:len(pr.nodes)])
 			for idx, ft := range pr.ftOnly {
 				if len(pr.mirrors) >= want {
 					break
 				}
 				if ft {
 					pr.mirrors = append(pr.mirrors, int16(idx))
-					chosen[int16(idx)] = true
+					chosen[idx] = true
 					mirrorCount[pr.nodes[idx]]++
 				}
 			}
 			for len(pr.mirrors) < want {
 				best := int16(-1)
 				for idx := range pr.nodes {
-					if chosen[int16(idx)] {
+					if chosen[idx] {
 						continue
 					}
 					if c.cfg.FT.MirrorPlacement == MirrorFirst {
@@ -204,7 +207,7 @@ func (c *Cluster[V, A]) load() error {
 		c.totalPresences += len(pres[v].nodes)
 	}
 
-	// 5. Build per-node vertex arrays: masters first (ascending id), then
+	// 5. Build per-node vertex tables: masters first (ascending id), then
 	// replicas (ascending id). Positions are the recovery addresses (§5.1.2).
 	perNodeMasters := make([][]graph.VertexID, p)
 	perNodeReplicas := make([][]graph.VertexID, p)
@@ -216,34 +219,34 @@ func (c *Cluster[V, A]) load() error {
 	}
 	c.nodes = make([]*node[V, A], p)
 	hostpar.For(p, width, func(n int) {
+		slots := len(perNodeMasters[n]) + len(perNodeReplicas[n])
 		nd := &node[V, A]{
 			id:    n,
 			alive: true,
 			met:   &c.met.Nodes[n],
-			index: make(map[graph.VertexID]int32, len(perNodeMasters[n])+len(perNodeReplicas[n])),
+			index: make(map[graph.VertexID]int32, slots),
+			hot:   make([]hot[V], 0, slots),
+			topo:  make([]topo, slots),
+			meta:  make([]meta, slots),
 		}
-		nd.entries = make([]vertexEntry[V], 0, len(perNodeMasters[n])+len(perNodeReplicas[n]))
-		appendEntry := func(v graph.VertexID, master bool) {
-			e := vertexEntry[V]{
+		addSlot := func(v graph.VertexID, flags entryFlags) {
+			if c.g.IsSelfish(v) {
+				flags |= flagSelfish
+			}
+			nd.index[v] = int32(len(nd.hot))
+			nd.hot = append(nd.hot, hot[V]{
 				id:         v,
+				flags:      flags,
 				masterNode: c.masterLoc[v],
 				inDeg:      int32(c.g.InDegree(v)),
 				outDeg:     int32(c.g.OutDegree(v)),
-			}
-			if master {
-				e.flags |= flagMaster
-			}
-			if c.g.IsSelfish(v) {
-				e.flags |= flagSelfish
-			}
-			nd.index[v] = int32(len(nd.entries))
-			nd.entries = append(nd.entries, e)
+			})
 		}
 		for _, v := range perNodeMasters[n] {
-			appendEntry(v, true)
+			addSlot(v, flagMaster)
 		}
 		for _, v := range perNodeReplicas[n] {
-			appendEntry(v, false)
+			addSlot(v, 0)
 		}
 		c.nodes[n] = nd
 	})
@@ -254,36 +257,66 @@ func (c *Cluster[V, A]) load() error {
 	}
 
 	// 6. Fill master positions and replica metadata. Sharded by vertex:
-	// every write lands in vertex v's own entries (master plus replicas),
+	// every write lands in vertex v's own slots (master plus replicas),
 	// which are disjoint across vertices; the index maps are read-only from
-	// here on.
+	// here on. Each block counts what its vertices' position lists and
+	// mirror full states (§4.2: a copy of the master's replica table and, for
+	// edge-cut, its in-edges by global id with each source's master node)
+	// need, allocates one arena per element type and carves every list out
+	// of it with cap == len.
 	hostpar.Blocks(numV, loadMinBlock, width, func(lo, hi int) {
+		var n16, n32, nBool, nEdge int
+		for v := lo; v < hi; v++ {
+			pr, deg := &pres[v], 0
+			if c.ec != nil {
+				deg = c.g.InDegree(graph.VertexID(v))
+			}
+			k := len(pr.mirrors)
+			n32 += (1 + k) * len(pr.nodes)
+			nBool += k * len(pr.nodes)
+			n16 += k * (len(pr.nodes) + k + deg)
+			nEdge += k * deg
+		}
+		a16, a32, aBool := make([]int16, n16), make([]int32, n32), make([]bool, nBool)
+		aSrc, aWt := make([]graph.VertexID, nEdge), make([]float64, nEdge)
 		for v := lo; v < hi; v++ {
 			vid := graph.VertexID(v)
 			mn := c.masterLoc[v]
 			mpos := c.nodes[mn].index[vid]
-			me := &c.nodes[mn].entries[mpos]
-			me.masterPos = mpos
+			c.nodes[mn].hot[mpos].masterPos = mpos
 			pr := &pres[v]
-			me.replicaNodes = pr.nodes
-			me.replicaFTOnly = pr.ftOnly
-			me.mirrorOf = pr.mirrors
-			me.replicaPos = make([]int32, len(pr.nodes))
+			table := replicaTable{nodes: pr.nodes, pos: carve(&a32, len(pr.nodes)), ftOnly: pr.ftOnly, mirrorOf: pr.mirrors}
 			for i, rn := range pr.nodes {
 				rpos := c.nodes[rn].index[vid]
-				me.replicaPos[i] = rpos
-				re := &c.nodes[rn].entries[rpos]
+				table.pos[i] = rpos
+				re := &c.nodes[rn].hot[rpos]
 				re.masterPos = mpos
 				if pr.ftOnly[i] {
 					re.flags |= flagFTOnly
 				}
 			}
+			c.nodes[mn].meta[mpos].replicas = table
 			for rank, idx := range pr.mirrors {
-				rn := pr.nodes[idx]
-				re := &c.nodes[rn].entries[me.replicaPos[idx]]
-				re.flags |= flagMirror
-				re.mirrorRank = int16(rank)
-				c.fillMirrorState(re, me, vid)
+				rn, rpos := pr.nodes[idx], table.pos[idx]
+				c.nodes[rn].hot[rpos].flags |= flagMirror
+				rm := &c.nodes[rn].meta[rpos]
+				rm.mirrorRank = int16(rank)
+				rm.mTable = replicaTable{
+					nodes:    carveCopy(&a16, table.nodes),
+					pos:      carveCopy(&a32, table.pos),
+					ftOnly:   carveCopy(&aBool, table.ftOnly),
+					mirrorOf: carveCopy(&a16, table.mirrorOf),
+				}
+				if c.ec != nil {
+					deg := c.g.InDegree(vid)
+					ed := rawEdges{src: carve(&aSrc, deg)[:0], wt: carve(&aWt, deg)[:0], srcMaster: carve(&a16, deg)[:0]}
+					c.g.InEdges(vid, func(_ int, e graph.Edge) {
+						ed.src = append(ed.src, e.Src)
+						ed.wt = append(ed.wt, e.Weight)
+						ed.srcMaster = append(ed.srcMaster, c.masterLoc[e.Src])
+					})
+					rm.mEdges = ed
+				}
 			}
 		}
 	})
@@ -292,8 +325,11 @@ func (c *Cluster[V, A]) load() error {
 	// indexes by owning node, then each node attaches its own group — in
 	// ascending canonical order, i.e. exactly the order the sequential sweep
 	// used, so the inNbr/inWt append order (and therefore every downstream
-	// floating-point reduction) is bit-identical. Writes stay inside the
-	// owning node's entries.
+	// floating-point reduction) is bit-identical. A node first resolves each
+	// edge's endpoints to local positions (once) and counts every slot's
+	// degrees, then carves the slots' lists out of three exactly-sized arenas
+	// and appends into them in that same order. Writes stay inside the
+	// owning node's tables.
 	{
 		m := c.g.NumEdges()
 		ownerOf := func(i int, e graph.Edge) int32 {
@@ -319,26 +355,36 @@ func (c *Cluster[V, A]) load() error {
 		})
 		hostpar.For(p, width, func(n int) {
 			nd := c.nodes[n]
-			for _, ei := range byNode[nodeOff[n]:nodeOff[n+1]] {
-				e := c.g.Edge(int(ei))
-				wpos := nd.index[e.Dst]
-				upos := nd.index[e.Src]
-				we := &nd.entries[wpos]
-				we.inNbr = append(we.inNbr, upos)
-				we.inWt = append(we.inWt, e.Weight)
-				nd.entries[upos].outNbr = append(nd.entries[upos].outNbr, wpos)
-				nd.localEdges++
+			group := byNode[nodeOff[n]:nodeOff[n+1]]
+			src, dst := make([]int32, len(group)), make([]int32, len(group))
+			inCnt, outCnt := make([]int32, len(nd.hot)), make([]int32, len(nd.hot))
+			for k, ei := range group {
+				src[k], dst[k] = nd.index[c.g.EdgeSrc(int(ei))], nd.index[c.g.EdgeDst(int(ei))]
+				inCnt[dst[k]]++
+				outCnt[src[k]]++
 			}
+			inNbr, inWt, outNbr := make([]int32, len(group)), make([]float64, len(group)), make([]int32, len(group))
+			for i := range nd.topo {
+				in, out := int(inCnt[i]), int(outCnt[i])
+				nd.topo[i] = topo{inNbr: carve(&inNbr, in)[:0], inWt: carve(&inWt, in)[:0], outNbr: carve(&outNbr, out)[:0]}
+			}
+			for k, ei := range group {
+				we, ue := &nd.topo[dst[k]], &nd.topo[src[k]]
+				we.inNbr = append(we.inNbr, src[k])
+				we.inWt = append(we.inWt, c.g.EdgeWeight(int(ei)))
+				ue.outNbr = append(ue.outNbr, dst[k])
+			}
+			nd.localEdges = len(group)
 		})
 	}
 
-	// 8. Initial values and activity (per-node entries are write-disjoint;
+	// 8. Initial values and activity (per-node slots are write-disjoint;
 	// Program.Init is pure by the determinism rules).
 	always := c.prog.AlwaysActive()
 	hostpar.For(p, width, func(n int) {
 		nd := c.nodes[n]
-		for i := range nd.entries {
-			e := &nd.entries[i]
+		for i := range nd.hot {
+			e := &nd.hot[i]
 			val, act := c.prog.Init(e.id, e.info())
 			e.value = val
 			e.active = act || always
@@ -365,7 +411,7 @@ func (c *Cluster[V, A]) load() error {
 	c.refreshMemoryMetrics()
 	c.coord.Set("iter", 0)
 	for _, nd := range c.nodes {
-		c.coord.Set(fmt.Sprintf("arraylen/%d", nd.id), int64(len(nd.entries)))
+		c.coord.Set(fmt.Sprintf("arraylen/%d", nd.id), int64(len(nd.hot)))
 	}
 	return nil
 }
@@ -379,39 +425,18 @@ func (pr *vertexPresence) has(n int16) bool {
 	return false
 }
 
-// sortByNode orders the presence table by host node, keeping the parallel
+// sortByNode orders the presence table by host node (unique, and at most
+// NumNodes-1 of them: an in-place insertion sort), keeping the parallel
 // slices aligned; mirrors are selected afterwards, so only nodes/ftOnly
 // need reordering.
 func (pr *vertexPresence) sortByNode() {
-	idx := make([]int, len(pr.nodes))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool { return pr.nodes[idx[a]] < pr.nodes[idx[b]] })
-	nodes := make([]int16, len(idx))
-	ft := make([]bool, len(idx))
-	for i, j := range idx {
-		nodes[i] = pr.nodes[j]
-		ft[i] = pr.ftOnly[j]
-	}
-	pr.nodes = nodes
-	pr.ftOnly = ft
-}
-
-// fillMirrorState copies the master's full state into a mirror entry:
-// replica location table, mirror ranks and — for edge-cut — the master's
-// in-edges by global id with each source's master node (§4.2, §4.3).
-func (c *Cluster[V, A]) fillMirrorState(re *vertexEntry[V], me *vertexEntry[V], vid graph.VertexID) {
-	re.mReplicaN = append([]int16(nil), me.replicaNodes...)
-	re.mReplicaP = append([]int32(nil), me.replicaPos...)
-	re.mReplicaFT = append([]bool(nil), me.replicaFTOnly...)
-	re.mMirrorOf = append([]int16(nil), me.mirrorOf...)
-	if c.ec != nil {
-		c.g.InEdges(vid, func(_ int, e graph.Edge) {
-			re.mInSrc = append(re.mInSrc, e.Src)
-			re.mInWt = append(re.mInWt, e.Weight)
-			re.mInSrcMaster = append(re.mInSrcMaster, c.masterLoc[e.Src])
-		})
+	for i := 1; i < len(pr.nodes); i++ {
+		n, ft := pr.nodes[i], pr.ftOnly[i]
+		j := i
+		for ; j > 0 && pr.nodes[j-1] > n; j-- {
+			pr.nodes[j], pr.ftOnly[j] = pr.nodes[j-1], pr.ftOnly[j-1]
+		}
+		pr.nodes[j], pr.ftOnly[j] = n, ft
 	}
 }
 
@@ -420,14 +445,16 @@ func (c *Cluster[V, A]) fillMirrorState(re *vertexEntry[V], me *vertexEntry[V], 
 func (c *Cluster[V, A]) writeEdgeCkpts() {
 	for _, nd := range c.nodes {
 		bufs := make([][]byte, c.cfg.NumNodes)
-		for i := range nd.entries {
-			e := &nd.entries[i]
-			for k, src := range e.inNbr {
-				srcID := nd.entries[src].id
-				target := c.edgeCkptTarget(e.id, nd.id)
-				bufs[target] = binary.LittleEndian.AppendUint32(bufs[target], uint32(srcID))
-				bufs[target] = binary.LittleEndian.AppendUint32(bufs[target], uint32(e.id))
-				bufs[target] = binary.LittleEndian.AppendUint64(bufs[target], math.Float64bits(e.inWt[k]))
+		for i := range nd.topo {
+			t, id := &nd.topo[i], nd.hot[i].id
+			if len(t.inNbr) == 0 {
+				continue
+			}
+			target := c.edgeCkptTarget(id, nd.id)
+			for k, src := range t.inNbr {
+				bufs[target] = binary.LittleEndian.AppendUint32(bufs[target], uint32(nd.hot[src].id))
+				bufs[target] = binary.LittleEndian.AppendUint32(bufs[target], uint32(id))
+				bufs[target] = binary.LittleEndian.AppendUint64(bufs[target], math.Float64bits(t.inWt[k]))
 			}
 		}
 		for k, buf := range bufs {
@@ -446,9 +473,10 @@ func (c *Cluster[V, A]) edgeCkptTarget(dst graph.VertexID, on int) int {
 	if mn != on {
 		return mn
 	}
-	me := c.nodes[mn].entry(dst)
-	if me != nil && len(me.mirrorOf) > 0 {
-		return int(me.replicaNodes[me.mirrorOf[0]])
+	if mp, ok := c.nodes[mn].pos(dst); ok {
+		if rt := &c.nodes[mn].meta[mp].replicas; len(rt.mirrorOf) > 0 {
+			return int(rt.nodes[rt.mirrorOf[0]])
+		}
 	}
 	return (on + 1) % c.cfg.NumNodes
 }
@@ -468,17 +496,17 @@ func (c *Cluster[V, A]) dfsWriteCost(nd *node[V, A], path string, data []byte) f
 // entry table (ids, flags, degrees) and local in-edges. Checkpoint recovery
 // reloads this to rebuild a crashed node.
 func (c *Cluster[V, A]) encodeMetadataSnapshot(nd *node[V, A]) []byte {
-	buf := binary.LittleEndian.AppendUint32(nil, uint32(len(nd.entries)))
-	for i := range nd.entries {
-		e := &nd.entries[i]
+	buf := binary.LittleEndian.AppendUint32(nil, uint32(len(nd.hot)))
+	for i := range nd.hot {
+		e, t := &nd.hot[i], &nd.topo[i]
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(e.id))
 		buf = append(buf, byte(e.flags))
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(e.inDeg))
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(e.outDeg))
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(e.inNbr)))
-		for k, p := range e.inNbr {
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(t.inNbr)))
+		for k, p := range t.inNbr {
 			buf = binary.LittleEndian.AppendUint32(buf, uint32(p))
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(e.inWt[k]))
+			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(t.inWt[k]))
 		}
 	}
 	return buf
@@ -491,9 +519,8 @@ func (c *Cluster[V, A]) refreshMemoryMetrics() {
 			continue
 		}
 		var total int64
-		for i := range nd.entries {
-			e := &nd.entries[i]
-			total += e.memoryBytes(c.vc.Size(e.value))
+		for i := range nd.hot {
+			total += nd.memoryBytes(i, c.vc.Size(nd.hot[i].value))
 		}
 		nd.met.MemoryBytes = total
 	}

@@ -31,12 +31,12 @@ func (c *Cluster[V, A]) recoverMigration(failed []int, iter int) ([]int, error) 
 	c.eachAlive(func(nd *node[V, A]) {
 		// Chunk-parallel scan: each chunk flags its own slots; the ordered
 		// list is collected serially so promotion order is chunk-independent.
-		promo := make([]bool, len(nd.entries))
-		c.chunked(nd, len(nd.entries), func(_ *stager, lo, hi int) {
+		promo := make([]bool, len(nd.hot))
+		c.chunked(nd, len(nd.hot), func(_ *stager, lo, hi int) {
 			for i := lo; i < hi; i++ {
-				e := &nd.entries[i]
+				e := &nd.hot[i]
 				if e.isMirror() && failedSet[int(e.masterNode)] &&
-					c.lowestSurvivingMirror(e, failedSet) == nd.id {
+					c.lowestSurvivingMirror(&nd.meta[i].mTable, failedSet) == nd.id {
 					promo[i] = true
 				}
 			}
@@ -78,29 +78,21 @@ func (c *Cluster[V, A]) recoverMigration(failed []int, iter int) ([]int, error) 
 	for n := range promoLists {
 		nd := c.nodes[n]
 		for _, pos := range promoLists[n] {
-			e := &nd.entries[pos]
+			e, m := &nd.hot[pos], &nd.meta[pos]
 			e.flags |= flagMaster
 			e.flags &^= flagMirror | flagFTOnly
 			e.masterNode = int16(nd.id)
 			e.masterPos = pos
 			// Build the new replica table from the mirror's copy, dropping
 			// failed hosts and this node itself.
-			var rn []int16
-			var rp []int32
-			var rf []bool
-			for idx, host := range e.mReplicaN {
+			var t replicaTable
+			for idx, host := range m.mTable.nodes {
 				if failedSet[int(host)] || int(host) == nd.id {
 					continue
 				}
-				rn = append(rn, host)
-				rp = append(rp, e.mReplicaP[idx])
-				rf = append(rf, e.mReplicaFT[idx])
+				t.add(host, m.mTable.pos[idx], m.mTable.ftOnly[idx])
 			}
-			e.replicaNodes = rn
-			e.replicaPos = rp
-			e.replicaFTOnly = rf
-			e.mirrorOf = nil
-			e.mReplicaN, e.mReplicaP, e.mReplicaFT, e.mMirrorOf = nil, nil, nil, nil
+			m.replicas, m.mTable = t, replicaTable{}
 			c.masterLoc[e.id] = int16(nd.id)
 			markPromoted(int16(nd.id), pos)
 			newly[masterKey{int16(nd.id), pos}] = true
@@ -126,36 +118,29 @@ func (c *Cluster[V, A]) recoverMigration(failed []int, iter int) ([]int, error) 
 	}
 	// Surviving masters drop lost replicas from their tables.
 	for _, nd := range c.aliveNodes() {
-		for i := range nd.entries {
-			e := &nd.entries[i]
-			if !e.isMaster() || newly[masterKey{int16(nd.id), int32(i)}] {
+		for i := range nd.hot {
+			if !nd.hot[i].isMaster() || newly[masterKey{int16(nd.id), int32(i)}] {
 				continue
 			}
-			changed := false
-			var rn []int16
-			var rp []int32
-			var rf []bool
+			rt := &nd.meta[i].replicas
+			var t replicaTable
 			keptIdx := make(map[int16]int16) // old index -> new index
-			for idx, host := range e.replicaNodes {
+			for idx, host := range rt.nodes {
 				if failedSet[int(host)] {
-					changed = true
 					continue
 				}
-				keptIdx[int16(idx)] = int16(len(rn))
-				rn = append(rn, host)
-				rp = append(rp, e.replicaPos[idx])
-				rf = append(rf, e.replicaFTOnly[idx])
+				keptIdx[int16(idx)] = int16(len(t.nodes))
+				t.add(host, rt.pos[idx], rt.ftOnly[idx])
 			}
-			if !changed {
+			if len(t.nodes) == len(rt.nodes) {
 				continue
 			}
-			var mo []int16
-			for _, idx := range e.mirrorOf {
+			for _, idx := range rt.mirrorOf {
 				if ni, ok := keptIdx[idx]; ok {
-					mo = append(mo, ni)
+					t.mirrorOf = append(t.mirrorOf, ni)
 				}
 			}
-			e.replicaNodes, e.replicaPos, e.replicaFTOnly, e.mirrorOf = rn, rp, rf, mo
+			*rt = t
 			tableChanged[masterKey{int16(nd.id), int32(i)}] = true
 		}
 	}
@@ -165,9 +150,9 @@ func (c *Cluster[V, A]) recoverMigration(failed []int, iter int) ([]int, error) 
 	// replicas where the master now lives.
 	c.eachAlive(func(nd *node[V, A]) {
 		for _, pos := range sortedPositions(promoted[int16(nd.id)]) {
-			e := &nd.entries[pos]
-			for ri, host := range e.replicaNodes {
-				rpos := e.replicaPos[ri]
+			rt := &nd.meta[pos].replicas
+			for ri, host := range rt.nodes {
+				rpos := rt.pos[ri]
 				mpos := pos
 				before := len(nd.sendBuf[host])
 				nd.stage(int(host), func(buf []byte) []byte {
@@ -192,7 +177,7 @@ func (c *Cluster[V, A]) recoverMigration(failed []int, iter int) ([]int, error) 
 				if r.err != nil {
 					break
 				}
-				e := &nd.entries[pos]
+				e := &nd.hot[pos]
 				e.masterNode = mn
 				e.masterPos = mp
 			}
@@ -210,8 +195,8 @@ func (c *Cluster[V, A]) recoverMigration(failed []int, iter int) ([]int, error) 
 	// extra rounds are empty and cost nothing.
 	if restart {
 		c.eachAlive(func(nd *node[V, A]) {
-			for i := range nd.entries {
-				e := &nd.entries[i]
+			for i := range nd.hot {
+				e := &nd.hot[i]
 				if e.isMaster() || !failedSet[int(e.masterNode)] {
 					continue
 				}
@@ -222,7 +207,7 @@ func (c *Cluster[V, A]) recoverMigration(failed []int, iter int) ([]int, error) 
 				// Stale mirror state is dropped; the new master re-selects
 				// its mirrors during invariant repair.
 				e.flags &^= flagMirror
-				e.mReplicaN, e.mReplicaP, e.mReplicaFT, e.mMirrorOf = nil, nil, nil, nil
+				nd.meta[i].mTable = replicaTable{}
 				e.masterNode = int16(mn)
 				vid := e.id
 				rpos := int32(i)
@@ -254,18 +239,16 @@ func (c *Cluster[V, A]) recoverMigration(failed []int, iter int) ([]int, error) 
 					if !ok {
 						continue
 					}
-					e := &nd.entries[mp]
+					rt := &nd.meta[mp].replicas
 					known := false
-					for idx, host := range e.replicaNodes {
-						if int(host) == m.From && e.replicaPos[idx] == rpos {
+					for idx, host := range rt.nodes {
+						if int(host) == m.From && rt.pos[idx] == rpos {
 							known = true
 							break
 						}
 					}
 					if !known {
-						e.replicaNodes = append(e.replicaNodes, int16(m.From))
-						e.replicaPos = append(e.replicaPos, rpos)
-						e.replicaFTOnly = append(e.replicaFTOnly, ft)
+						rt.add(int16(m.From), rpos, ft)
 						adoptedPerNode[nd.id] = append(adoptedPerNode[nd.id], masterKey{int16(nd.id), int32(mp)})
 					}
 					mpos := int32(mp)
@@ -295,7 +278,7 @@ func (c *Cluster[V, A]) recoverMigration(failed []int, iter int) ([]int, error) 
 					if r.err != nil {
 						break
 					}
-					e := &nd.entries[rpos]
+					e := &nd.hot[rpos]
 					e.masterNode = int16(m.From)
 					e.masterPos = mpos
 				}
@@ -393,11 +376,10 @@ func (c *Cluster[V, A]) recoverMigration(failed []int, iter int) ([]int, error) 
 		// Edge-cut: promoted masters carry their in-edge lists; sources
 		// missing locally need replicas (paper Fig 6's "Replica 6").
 		// (Promotions adopted from an interrupted attempt that already
-		// attached their edges have a nil mInSrc and contribute nothing.)
+		// attached their edges have no mEdges left and contribute nothing.)
 		for _, nd := range c.aliveNodes() {
 			for _, pos := range sortedPositions(promoted[int16(nd.id)]) {
-				e := &nd.entries[pos]
-				for _, src := range e.mInSrc {
+				for _, src := range nd.meta[pos].mEdges.src {
 					if _, ok := nd.pos(src); !ok {
 						needs[nd.id][src] = true
 					}
@@ -442,7 +424,7 @@ func (c *Cluster[V, A]) recoverMigration(failed []int, iter int) ([]int, error) 
 					if !ok {
 						continue
 					}
-					e := &nd.entries[pos]
+					e := &nd.hot[pos]
 					flags := entryFlags(0)
 					if e.isSelfish() {
 						flags |= flagSelfish
@@ -469,20 +451,7 @@ func (c *Cluster[V, A]) recoverMigration(failed []int, iter int) ([]int, error) 
 				if r.err != nil {
 					break
 				}
-				newPos := int32(len(nd.entries))
-				nd.entries = append(nd.entries, vertexEntry[V]{
-					id:               recRec.id,
-					flags:            recRec.flags,
-					masterNode:       recRec.masterNode,
-					masterPos:        recRec.masterPos,
-					inDeg:            recRec.inDeg,
-					outDeg:           recRec.outDeg,
-					value:            recRec.value,
-					lastActivate:     recRec.lastActivate,
-					lastActivateIter: recRec.lastActivateIter,
-					active:           c.prog.AlwaysActive(),
-				})
-				nd.index[recRec.id] = newPos
+				newPos := c.addReplica(nd, &recRec)
 				createdPerNode[nd.id]++
 				// Register the new replica's position with its master.
 				mp := recRec.masterPos
@@ -511,10 +480,7 @@ func (c *Cluster[V, A]) recoverMigration(failed []int, iter int) ([]int, error) 
 				if r.err != nil {
 					break
 				}
-				e := &nd.entries[mp]
-				e.replicaNodes = append(e.replicaNodes, int16(m.From))
-				e.replicaPos = append(e.replicaPos, newPos)
-				e.replicaFTOnly = append(e.replicaFTOnly, false)
+				nd.meta[mp].replicas.add(int16(m.From), newPos, false)
 				registeredPerNode[nd.id] = append(registeredPerNode[nd.id], masterKey{int16(nd.id), mp})
 			}
 		}
@@ -541,10 +507,7 @@ func (c *Cluster[V, A]) recoverMigration(failed []int, iter int) ([]int, error) 
 				if !ok1 || !ok2 {
 					return nil, fmt.Errorf("%w: node %d migrated edge endpoint missing", ErrUnrecoverable, nd.id)
 				}
-				de := &nd.entries[dp]
-				de.inNbr = append(de.inNbr, sp)
-				de.inWt = append(de.inWt, me.wt)
-				nd.entries[sp].outNbr = append(nd.entries[sp].outNbr, dp)
+				nd.attachEdge(sp, dp, me.wt)
 				created++
 			}
 			// Persist the migrated edges into this node's own edge-ckpt
@@ -578,23 +541,23 @@ func (c *Cluster[V, A]) recoverMigration(failed []int, iter int) ([]int, error) 
 			}
 		} else {
 			for _, pos := range sortedPositions(promoted[int16(nd.id)]) {
-				e := &nd.entries[pos]
-				if e.mInSrc == nil && e.inNbr != nil {
+				ed, t := &nd.meta[pos].mEdges, &nd.topo[pos]
+				if ed.src == nil {
 					continue // attached by an interrupted earlier attempt
 				}
-				e.inNbr = make([]int32, len(e.mInSrc))
-				e.inWt = e.mInWt
-				for k, src := range e.mInSrc {
+				t.inNbr = make([]int32, len(ed.src))
+				t.inWt = ed.wt
+				for k, src := range ed.src {
 					sp, ok := nd.pos(src)
 					if !ok {
 						return nil, fmt.Errorf("%w: node %d missing promoted in-neighbor %d",
 							ErrUnrecoverable, nd.id, src)
 					}
-					e.inNbr[k] = sp
-					nd.entries[sp].outNbr = append(nd.entries[sp].outNbr, int32(pos))
+					t.inNbr[k] = sp
+					nd.topo[sp].outNbr = append(nd.topo[sp].outNbr, pos)
 				}
-				created += len(e.mInSrc)
-				e.mInSrc, e.mInWt, e.mInSrcMaster = nil, nil, nil
+				created += len(ed.src)
+				*ed = rawEdges{}
 			}
 		}
 		nd.localEdges += created
@@ -618,17 +581,18 @@ func (c *Cluster[V, A]) recoverMigration(failed []int, iter int) ([]int, error) 
 	// --- Phase 7: replay activation for the promoted masters only
 	// (§5.2.3) and recompute promoted selfish vertices (§4.4).
 	replayStart := c.clock.Now()
-	c.replayActivation(iter, func(mn int16, mp int32) bool {
-		return promoted[mn][mp]
-	})
-	c.recomputeSelfishAt(func(mn int16, mp int32) bool { return promoted[mn][mp] }, iter)
+	isPromoted := func(mn int16, mp int32) bool { return promoted[mn][mp] }
+	c.replayActivation(iter, isPromoted)
+	for _, nd := range c.aliveNodes() {
+		c.recomputeSelfish(nd, isPromoted, iter)
+	}
 	if state := c.barrier(); state.IsFail() {
 		return state.Failed, nil
 	}
 	rec.ReplaySeconds = c.clock.Now() - replayStart
 
 	for _, nd := range c.aliveNodes() {
-		c.coord.Set(fmt.Sprintf("arraylen/%d", nd.id), int64(len(nd.entries)))
+		c.coord.Set(fmt.Sprintf("arraylen/%d", nd.id), int64(len(nd.hot)))
 	}
 	// Promotions, replica-table pruning, cooperative replica creation, and FT
 	// repair all reshape the replica tables (and entry counts) on survivors:
@@ -654,7 +618,7 @@ func (c *Cluster[V, A]) repairFTInvariants(tableChanged map[masterKey]bool) erro
 	alive := c.aliveNodes()
 	load := make(map[int]int, len(alive))
 	for _, nd := range alive {
-		load[nd.id] = len(nd.entries)
+		load[nd.id] = len(nd.hot)
 	}
 	keys := make([]masterKey, 0, len(tableChanged))
 	for k := range tableChanged { //imitator:nondet-ok collected set is sorted before use
@@ -673,11 +637,11 @@ func (c *Cluster[V, A]) repairFTInvariants(tableChanged map[masterKey]bool) erro
 	var creates []ftCreatePlan
 	for _, k := range keys {
 		nd := c.nodes[k.node]
-		e := &nd.entries[k.pos]
-		for len(e.replicaNodes)+countPlanned(creates, k) < c.cfg.FT.K {
+		e, rt := &nd.hot[k.pos], &nd.meta[k.pos].replicas
+		for len(rt.nodes)+countPlanned(creates, k) < c.cfg.FT.K {
 			best := -1
 			for _, cand := range alive {
-				if cand.id == int(k.node) || hostsReplica(e, cand.id) || plannedTo(creates, k, cand.id) {
+				if cand.id == int(k.node) || rt.hosts(cand.id) || plannedTo(creates, k, cand.id) {
 					continue
 				}
 				if best < 0 || load[cand.id] < load[best] {
@@ -698,7 +662,7 @@ func (c *Cluster[V, A]) repairFTInvariants(tableChanged map[masterKey]bool) erro
 	}
 	for _, cr := range creates {
 		nd := c.nodes[cr.from.node]
-		e := &nd.entries[cr.from.pos]
+		e := &nd.hot[cr.from.pos]
 		flags := flagFTOnly
 		if e.isSelfish() {
 			flags |= flagSelfish
@@ -720,20 +684,7 @@ func (c *Cluster[V, A]) repairFTInvariants(tableChanged map[masterKey]bool) erro
 				if r.err != nil {
 					break
 				}
-				newPos := int32(len(nd.entries))
-				nd.entries = append(nd.entries, vertexEntry[V]{
-					id:               recRec.id,
-					flags:            recRec.flags,
-					masterNode:       recRec.masterNode,
-					masterPos:        recRec.masterPos,
-					inDeg:            recRec.inDeg,
-					outDeg:           recRec.outDeg,
-					value:            recRec.value,
-					lastActivate:     recRec.lastActivate,
-					lastActivateIter: recRec.lastActivateIter,
-					active:           c.prog.AlwaysActive(),
-				})
-				nd.index[recRec.id] = newPos
+				newPos := c.addReplica(nd, &recRec)
 				mp := recRec.masterPos
 				nd.stageNotice(int(recRec.masterNode), func(buf []byte) []byte {
 					buf = putI32(buf, mp)
@@ -754,10 +705,7 @@ func (c *Cluster[V, A]) repairFTInvariants(tableChanged map[masterKey]bool) erro
 				if r.err != nil {
 					break
 				}
-				e := &nd.entries[mp]
-				e.replicaNodes = append(e.replicaNodes, int16(m.From))
-				e.replicaPos = append(e.replicaPos, newPos)
-				e.replicaFTOnly = append(e.replicaFTOnly, true)
+				nd.meta[mp].replicas.add(int16(m.From), newPos, true)
 			}
 		}
 		c.recycleMsgs(msgs)
@@ -767,15 +715,12 @@ func (c *Cluster[V, A]) repairFTInvariants(tableChanged map[masterKey]bool) erro
 	// refresh on every mirror of a changed master.
 	for _, k := range keys {
 		nd := c.nodes[k.node]
-		e := &nd.entries[k.pos]
-		want := c.cfg.FT.K
-		if want > len(e.replicaNodes) {
-			want = len(e.replicaNodes)
-		}
+		rt := &nd.meta[k.pos].replicas
+		want := min(c.cfg.FT.K, len(rt.nodes))
 		have := map[int16]bool{}
 		var mo []int16
-		for _, idx := range e.mirrorOf {
-			if int(idx) < len(e.replicaNodes) && !have[idx] {
+		for _, idx := range rt.mirrorOf {
+			if int(idx) < len(rt.nodes) && !have[idx] {
 				mo = append(mo, idx)
 				have[idx] = true
 			}
@@ -786,21 +731,21 @@ func (c *Cluster[V, A]) repairFTInvariants(tableChanged map[masterKey]bool) erro
 		// Prefer FT-only replicas, then fill arbitrarily (deterministic
 		// ascending index).
 		for pass := 0; pass < 2 && len(mo) < want; pass++ {
-			for idx := range e.replicaNodes {
+			for idx := range rt.nodes {
 				if len(mo) >= want {
 					break
 				}
 				if have[int16(idx)] {
 					continue
 				}
-				if pass == 0 && !e.replicaFTOnly[idx] {
+				if pass == 0 && !rt.ftOnly[idx] {
 					continue
 				}
 				mo = append(mo, int16(idx))
 				have[int16(idx)] = true
 			}
 		}
-		e.mirrorOf = mo
+		rt.mirrorOf = mo
 	}
 	// Mirror full-state refresh. Non-selected replicas of a refreshed
 	// master are demoted in the same sweep: an ex-mirror keeping its stale
@@ -809,20 +754,16 @@ func (c *Cluster[V, A]) repairFTInvariants(tableChanged map[masterKey]bool) erro
 	// elect two masters for one vertex (§5.3.2 restart after repair).
 	for _, k := range keys {
 		nd := c.nodes[k.node]
-		e := &nd.entries[k.pos]
-		table := &replicaTable{
-			nodes: e.replicaNodes, pos: e.replicaPos,
-			ftOnly: e.replicaFTOnly, mirrorOf: e.mirrorOf,
-		}
+		e, table := &nd.hot[k.pos], &nd.meta[k.pos].replicas
 		var edges *rawEdges
 		if c.ec != nil {
-			edges = c.masterRawEdges(nd, e)
+			edges = c.masterRawEdges(nd, int(k.pos))
 		}
-		selected := make(map[int16]bool, len(e.mirrorOf))
-		for rank, idx := range e.mirrorOf {
+		selected := make(map[int16]bool, len(table.mirrorOf))
+		for rank, idx := range table.mirrorOf {
 			selected[idx] = true
-			host := e.replicaNodes[idx]
-			rpos := e.replicaPos[idx]
+			host := table.nodes[idx]
+			rpos := table.pos[idx]
 			before := len(nd.sendBuf[host])
 			nd.sendBuf[host] = encodeRecoveryRecord(nd.sendBuf[host], c.vc, roleReplica,
 				rpos, e.id, flagMirror, int16(rank),
@@ -831,11 +772,11 @@ func (c *Cluster[V, A]) repairFTInvariants(tableChanged map[masterKey]bool) erro
 			nd.met.RecoveryMsgs++
 			nd.met.RecoveryBytes += int64(len(nd.sendBuf[host]) - before)
 		}
-		for idx, host := range e.replicaNodes {
+		for idx, host := range table.nodes {
 			if selected[int16(idx)] {
 				continue
 			}
-			rpos := e.replicaPos[idx]
+			rpos := table.pos[idx]
 			nd.stageNotice(int(host), func(buf []byte) []byte {
 				return putI32(buf, rpos)
 			})
@@ -853,19 +794,14 @@ func (c *Cluster[V, A]) repairFTInvariants(tableChanged map[masterKey]bool) erro
 				if r.err != nil {
 					break
 				}
-				e := &nd.entries[recRec.pos]
-				e.flags |= flagMirror
-				e.mirrorRank = recRec.mirrorRank
+				m := &nd.meta[recRec.pos]
+				nd.hot[recRec.pos].flags |= flagMirror
+				m.mirrorRank = recRec.mirrorRank
 				if recRec.table != nil {
-					e.mReplicaN = recRec.table.nodes
-					e.mReplicaP = recRec.table.pos
-					e.mReplicaFT = recRec.table.ftOnly
-					e.mMirrorOf = recRec.table.mirrorOf
+					m.mTable = *recRec.table
 				}
 				if recRec.edges != nil {
-					e.mInSrc = recRec.edges.src
-					e.mInWt = recRec.edges.wt
-					e.mInSrcMaster = recRec.edges.srcMaster
+					m.mEdges = *recRec.edges
 				}
 			}
 		}
@@ -881,9 +817,8 @@ func (c *Cluster[V, A]) repairFTInvariants(tableChanged map[masterKey]bool) erro
 				if r.err != nil {
 					break
 				}
-				e := &nd.entries[rpos]
-				e.flags &^= flagMirror
-				e.mReplicaN, e.mReplicaP, e.mReplicaFT, e.mMirrorOf = nil, nil, nil, nil
+				nd.hot[rpos].flags &^= flagMirror
+				nd.meta[rpos].mTable = replicaTable{}
 			}
 		}
 		c.recycleMsgs(msgs)
@@ -903,14 +838,21 @@ type ftCreatePlan struct {
 	to   int
 }
 
-// hostsReplica reports whether master e already has a replica on node n.
-func hostsReplica[V any](e *vertexEntry[V], n int) bool {
-	for _, host := range e.replicaNodes {
-		if int(host) == n {
-			return true
-		}
-	}
-	return false
+// addReplica creates the local slot a replica recovery record describes
+// (cooperative replica creation, FT repair) and returns its position.
+func (c *Cluster[V, A]) addReplica(nd *node[V, A], rec *recoveryRecord[V]) int32 {
+	return nd.add(hot[V]{
+		id:               rec.id,
+		flags:            rec.flags,
+		masterNode:       rec.masterNode,
+		masterPos:        rec.masterPos,
+		inDeg:            rec.inDeg,
+		outDeg:           rec.outDeg,
+		value:            rec.value,
+		lastActivate:     rec.lastActivate,
+		lastActivateIter: rec.lastActivateIter,
+		active:           c.always,
+	})
 }
 
 func countPlanned(creates []ftCreatePlan, k masterKey) int {
@@ -932,45 +874,29 @@ func plannedTo(creates []ftCreatePlan, k masterKey, to int) bool {
 	return false
 }
 
-// recomputeSelfishAt recomputes the dynamic state of selfish masters
-// selected by the predicate (promoted mirrors hold stale values for selfish
-// vertices under the §4.4 optimization).
-func (c *Cluster[V, A]) recomputeSelfishAt(isTarget func(mn int16, mp int32) bool, iter int) {
-	if !c.selfishOptOn {
+// recomputeSelfish restores the dynamic state of the selfish masters the
+// predicate selects on nd: recovered or promoted without value
+// synchronization under the §4.4 optimization, their value is recomputed from
+// the (already recovered) in-neighbors.
+func (c *Cluster[V, A]) recomputeSelfish(nd *node[V, A], isTarget func(mn int16, mp int32) bool, iter int) {
+	if !c.selfishOptOn || nd == nil || !nd.alive {
 		return
 	}
-	prev := iter - 1
-	if prev < 0 {
-		prev = 0
-	}
-	// Chunk-parallel under the same safety argument as recomputeSelfish:
-	// selfish vertices are never anyone's in-neighbor.
-	for _, nd := range c.aliveNodes() {
-		c.chunked(nd, len(nd.entries), func(_ *stager, lo, hi int) {
-			for i := lo; i < hi; i++ {
-				e := &nd.entries[i]
-				if !e.isMaster() || !e.isSelfish() || !isTarget(int16(nd.id), int32(i)) || len(e.inNbr) == 0 {
-					continue
-				}
-				var acc A
-				has := false
-				for k, src := range e.inNbr {
-					se := &nd.entries[src]
-					contrib := c.prog.Gather(
-						graph.Edge{Src: se.id, Dst: e.id, Weight: e.inWt[k]},
-						se.value, se.info())
-					if has {
-						acc = c.prog.Merge(acc, contrib)
-					} else {
-						acc, has = contrib, true
-					}
-				}
-				initVal, _ := c.prog.Init(e.id, e.info())
-				newV, _ := c.prog.Apply(e.id, e.info(), initVal, acc, has, prev)
-				e.value = newV
+	prev := max(iter-1, 0)
+	// Chunk-parallel: selfish vertices have no out-edges, so they are never
+	// read as another chunk's in-neighbor while being rewritten.
+	c.chunked(nd, len(nd.hot), func(_ *stager, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			e := &nd.hot[i]
+			if !e.isMaster() || !e.isSelfish() || !isTarget(int16(nd.id), int32(i)) || len(nd.topo[i].inNbr) == 0 {
+				continue
 			}
-		})
-	}
+			acc, has, _ := c.gather(nd, i)
+			initVal, _ := c.prog.Init(e.id, e.info())
+			newV, _ := c.prog.Apply(e.id, e.info(), initVal, acc, has, prev)
+			e.value = newV
+		}
+	})
 }
 
 // sortedPositions flattens a promoted-position set into ascending order, so

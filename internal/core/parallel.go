@@ -6,10 +6,11 @@ import (
 
 	"imitator/internal/bufpool"
 	"imitator/internal/metrics"
+	"imitator/internal/netsim"
 )
 
 // This file implements the intra-node worker pool. Each simulated node
-// shards its flat vertex array (or any indexable work list) into
+// shards its flat vertex tables (or any indexable work list) into
 // Config.WorkersPerNode contiguous chunks and processes them concurrently.
 //
 // Determinism argument: every parallelized loop writes either
@@ -24,7 +25,8 @@ import (
 //
 // Allocation discipline: stagers are owned by the node and reused across
 // phases, chunk bounds append into a node-owned scratch slice, and staging
-// buffers cycle through the cluster's buffer pool, so a warm steady-state
+// buffers cycle through the cluster's buffer pool, each back to the wire
+// slot of the role that sized it (wireSlot), so a warm steady-state
 // superstep performs no per-phase allocations.
 
 // appendChunkBounds appends to dst at most p contiguous chunks covering
@@ -65,8 +67,10 @@ func chunkBounds(n, p int) [][2]int {
 // Stagers are retained on the node and reset by the merge, so steady-state
 // phases reuse their slices and buffers instead of reallocating them.
 type stager struct {
-	// pool re-seeds staging buffers after the merge steals them.
-	pool *bufpool.Pool
+	// pool re-seeds staging buffers after the merge steals them; slot0 is
+	// the owning node's first wire slot in it (Cluster.wireSlot).
+	pool  *bufpool.Pool
+	slot0 int
 	// send/notice mirror node.sendBuf/noticeBuf, one buffer per destination.
 	send   [][]byte
 	notice [][]byte
@@ -82,13 +86,47 @@ type stager struct {
 	busy float64
 }
 
+// Wire-slot classes: a node's round traffic (R1, gather, sync) and its
+// out-of-round activation notices to one destination are two buffer roles.
+const (
+	slotSend = iota
+	slotNotice
+	slotClasses
+)
+
+// wireSlot names the pool slot for node from's class traffic to node dst.
+// The receiver parks each decoded superstep payload there (handBack) and the
+// sender's next round of that class takes it back, so a wire buffer keeps
+// the role that sized it however the nodes' phases interleave.
+func (c *Cluster[V, A]) wireSlot(from, dst, class int) int {
+	return (from*c.cfg.NumNodes+dst)*slotClasses + class
+}
+
+// handBack returns a decoded superstep round's payloads to their senders'
+// wire slots. Recovery rounds are one-off roles and use recycleMsgs.
+func (c *Cluster[V, A]) handBack(nd *node[V, A], msgs []netsim.Message, class int) {
+	for i := range msgs {
+		c.pool.PutSlot(c.wireSlot(msgs[i].From, nd.id, class), msgs[i].Payload)
+		msgs[i].Payload = nil
+	}
+}
+
 // buf returns the staging buffer for destination dst, seeding an empty slot
 // from the pool. Callers append records and store the result back with
 // setBuf (or use stage for the closure form).
 func (st *stager) buf(dst int) []byte {
 	b := st.send[dst]
 	if b == nil && st.pool != nil {
-		b = st.pool.Get()
+		b = st.pool.GetSlot(st.slot0 + dst*slotClasses + slotSend)
+	}
+	return b
+}
+
+// noticeBuf is buf for the out-of-round activation notice buffers.
+func (st *stager) noticeBuf(dst int) []byte {
+	b := st.notice[dst]
+	if b == nil && st.pool != nil {
+		b = st.pool.GetSlot(st.slot0 + dst*slotClasses + slotNotice)
 	}
 	return b
 }
@@ -103,19 +141,10 @@ func (st *stager) stage(dst int, encode func(buf []byte) []byte) {
 
 // stageNotice appends to the worker's out-of-round activation notice buffer.
 func (st *stager) stageNotice(dst int, encode func(buf []byte) []byte) {
-	b := st.notice[dst]
-	if b == nil && st.pool != nil {
-		b = st.pool.Get()
-	}
-	st.notice[dst] = encode(b)
+	st.notice[dst] = encode(st.noticeBuf(dst))
 }
 
-// markPendingActive requests entries[pos].pendingActive = true after join.
-func (st *stager) markPendingActive(pos int32) {
-	st.pendingActive = append(st.pendingActive, pos)
-}
-
-// markActive requests entries[pos].active = true after join.
+// markActive requests hot[pos].active = true after join.
 func (st *stager) markActive(pos int32) {
 	st.active = append(st.active, pos)
 }
@@ -239,10 +268,10 @@ func (c *Cluster[V, A]) chunked(nd *node[V, A], n int, body func(st *stager, lo,
 		}
 		nd.met.Add(&st.met)
 		for _, pos := range st.pendingActive {
-			nd.entries[pos].pendingActive = true
+			nd.hot[pos].pendingActive = true
 		}
 		for _, pos := range st.active {
-			nd.entries[pos].active = true
+			nd.hot[pos].active = true
 		}
 		total += st.busy
 		if st.busy > slowest {

@@ -35,14 +35,16 @@ func (c *Cluster[V, A]) recoverRebirth(failed []int, iter int) ([]int, error) {
 			return nil, fmt.Errorf("%w: unknown array length for node %d", ErrUnrecoverable, f)
 		}
 		nd := &node[V, A]{
-			id:      f,
-			alive:   true,
-			met:     &c.met.Nodes[f],
-			entries: make([]vertexEntry[V], arrayLen),
-			index:   make(map[graph.VertexID]int32, arrayLen),
+			id:    f,
+			alive: true,
+			met:   &c.met.Nodes[f],
+			hot:   make([]hot[V], arrayLen),
+			topo:  make([]topo, arrayLen),
+			meta:  make([]meta, arrayLen),
+			index: make(map[graph.VertexID]int32, arrayLen),
 		}
-		for i := range nd.entries {
-			nd.entries[i].masterNode = noNode // "not yet placed" sentinel
+		for i := range nd.hot {
+			nd.hot[i].masterNode = noNode // "not yet placed" sentinel
 		}
 		c.initNodeScratch(nd)
 		c.nodes[f] = nd
@@ -65,27 +67,26 @@ func (c *Cluster[V, A]) recoverRebirth(failed []int, iter int) ([]int, error) {
 		if failedSet[nd.id] {
 			return // newbies have nothing to send
 		}
-		c.chunked(nd, len(nd.entries), func(st *stager, lo, hi int) {
+		c.chunked(nd, len(nd.hot), func(st *stager, lo, hi int) {
 			for i := lo; i < hi; i++ {
-				e := &nd.entries[i]
-				if e.isMaster() {
-					for ri, rn := range e.replicaNodes {
-						if failedSet[int(rn)] {
-							c.stageReplicaRecovery(nd, st, e, ri, int(rn))
-						}
+				e, m := &nd.hot[i], &nd.meta[i]
+				// A master recovers its lost replicas from its own table.
+				// With multiple simultaneous failures, a lost master's
+				// replicas on *other* failed nodes have no master to recover
+				// them; the mirror recovering that master does it from its
+				// full-state copy (§5.3.1).
+				table := &m.replicas
+				if !e.isMaster() {
+					if !e.isMirror() || !failedSet[int(e.masterNode)] ||
+						c.lowestSurvivingMirror(&m.mTable, failedSet) != nd.id {
+						continue
 					}
-				} else if e.isMirror() && failedSet[int(e.masterNode)] {
-					if c.lowestSurvivingMirror(e, failedSet) == nd.id {
-						c.stageMasterRecovery(st, e, int(e.masterNode))
-						// With multiple simultaneous failures, the lost
-						// master's replicas on *other* failed nodes have no
-						// master to recover them; the recovering mirror does
-						// it from its full-state copy (§5.3.1).
-						for ri, rn := range e.mReplicaN {
-							if failedSet[int(rn)] {
-								c.stageReplicaRecoveryFromMirror(st, e, ri, int(rn))
-							}
-						}
+					c.stageMasterRecovery(st, e, m, int(e.masterNode))
+					table = &m.mTable
+				}
+				for ri, rn := range table.nodes {
+					if failedSet[int(rn)] {
+						c.stageReplicaRecovery(nd, st, i, table, ri, int(rn))
 					}
 				}
 			}
@@ -177,13 +178,13 @@ func (c *Cluster[V, A]) recoverRebirth(failed []int, iter int) ([]int, error) {
 			}
 			st.busy = float64(hi-lo) * c.cfg.Cost.ReconstructPerVertex
 		})
-		for i := range nd.entries {
-			nd.index[nd.entries[i].id] = int32(i)
+		for i := range nd.hot {
+			nd.index[nd.hot[i].id] = int32(i)
 		}
 		rec.RecoveredVertices += len(recs)
 		// Every slot must have been recovered.
-		for i := range nd.entries {
-			if nd.entries[i].masterNode == noNode {
+		for i := range nd.hot {
+			if nd.hot[i].masterNode == noNode {
 				return nil, fmt.Errorf("%w: node %d slot %d not recovered (lost beyond K?)",
 					ErrTooManyFailures, f, i)
 			}
@@ -200,16 +201,16 @@ func (c *Cluster[V, A]) recoverRebirth(failed []int, iter int) ([]int, error) {
 		sort.Slice(rawPos, func(a, b int) bool { return rawPos[a] < rawPos[b] })
 		for _, pos := range rawPos {
 			re := raw[pos]
-			e := &nd.entries[pos]
-			e.inNbr = make([]int32, len(re.src))
-			e.inWt = re.wt
+			t := &nd.topo[pos]
+			t.inNbr = make([]int32, len(re.src))
+			t.inWt = re.wt
 			for k, srcID := range re.src {
 				sp, ok := nd.pos(srcID)
 				if !ok {
 					return nil, fmt.Errorf("%w: node %d missing in-neighbor %d", ErrUnrecoverable, f, srcID)
 				}
-				e.inNbr[k] = sp
-				nd.entries[sp].outNbr = append(nd.entries[sp].outNbr, pos)
+				t.inNbr[k] = sp
+				nd.topo[sp].outNbr = append(nd.topo[sp].outNbr, pos)
 			}
 			edges += len(re.src)
 		}
@@ -237,10 +238,11 @@ func (c *Cluster[V, A]) recoverRebirth(failed []int, iter int) ([]int, error) {
 
 	// Replay: re-derive active flags for the recovered masters (§5.1.3).
 	replayStart := c.clock.Now()
-	c.replayActivation(iter, func(masterNode int16, _ int32) bool {
-		return failedSet[int(masterNode)]
-	})
-	c.recomputeSelfish(failed, iter)
+	onReborn := func(masterNode int16, _ int32) bool { return failedSet[int(masterNode)] }
+	c.replayActivation(iter, onReborn)
+	for _, f := range failed {
+		c.recomputeSelfish(c.nodes[f], onReborn, iter)
+	}
 	if state := c.barrier(); state.IsFail() {
 		return state.Failed, nil
 	}
@@ -254,136 +256,93 @@ func (c *Cluster[V, A]) recoverRebirth(failed []int, iter int) ([]int, error) {
 	return nil, nil
 }
 
-// stageReplicaRecovery emits the record recreating master e's replica that
-// lived on failed node rn. If the lost replica was a mirror, the record
-// carries the master's full state so the mirror can be recreated intact.
-func (c *Cluster[V, A]) stageReplicaRecovery(nd *node[V, A], st *stager, e *vertexEntry[V], ri, rn int) {
+// stageReplicaRecovery emits the record recreating the replica that row ri
+// of table placed on failed node rn. table is slot i's view of its vertex's
+// replica table: a master's own, or a recovering mirror's copy. If the lost
+// replica was a mirror, the record carries the full state (table and, for
+// edge-cut, the master's in-edges) so the mirror can be recreated intact.
+func (c *Cluster[V, A]) stageReplicaRecovery(nd *node[V, A], st *stager, i int, table *replicaTable, ri, rn int) {
+	e := &nd.hot[i]
 	flags := entryFlags(0)
-	if e.replicaFTOnly[ri] {
+	if table.ftOnly[ri] {
 		flags |= flagFTOnly
 	}
 	if e.isSelfish() {
 		flags |= flagSelfish
 	}
 	mirrorRank := int16(-1)
-	for rank, idx := range e.mirrorOf {
+	for rank, idx := range table.mirrorOf {
 		if int(idx) == ri {
 			flags |= flagMirror
 			mirrorRank = int16(rank)
 		}
 	}
-	var table *replicaTable
+	var full *replicaTable
 	var edges *rawEdges
 	if flags&flagMirror != 0 {
-		table = &replicaTable{
-			nodes:    e.replicaNodes,
-			pos:      e.replicaPos,
-			ftOnly:   e.replicaFTOnly,
-			mirrorOf: e.mirrorOf,
-		}
+		full = table
 		if c.ec != nil {
-			edges = c.masterRawEdges(nd, e)
+			edges = &nd.meta[i].mEdges
+			if e.isMaster() {
+				edges = c.masterRawEdges(nd, i)
+			}
 		}
 	}
 	before := len(st.send[rn])
 	st.send[rn] = encodeRecoveryRecord(st.send[rn], c.vc, roleReplica,
-		e.replicaPos[ri], e.id, flags, mirrorRank,
-		int16(nd.id), e.masterPos, e.inDeg, e.outDeg,
-		e.value, e.lastActivate, e.lastActivateIter, table, edges)
+		table.pos[ri], e.id, flags, mirrorRank,
+		e.masterNode, e.masterPos, e.inDeg, e.outDeg,
+		e.value, e.lastActivate, e.lastActivateIter, full, edges)
 	st.met.RecoveryMsgs++
 	st.met.RecoveryBytes += int64(len(st.send[rn]) - before)
 }
 
 // stageMasterRecovery emits the record recreating the master that lived on
 // the failed node, from this surviving mirror's full state.
-func (c *Cluster[V, A]) stageMasterRecovery(st *stager, e *vertexEntry[V], dst int) {
+func (c *Cluster[V, A]) stageMasterRecovery(st *stager, e *hot[V], m *meta, dst int) {
 	flags := flagMaster
 	if e.isSelfish() {
 		flags |= flagSelfish
 	}
-	table := &replicaTable{
-		nodes:    e.mReplicaN,
-		pos:      e.mReplicaP,
-		ftOnly:   e.mReplicaFT,
-		mirrorOf: e.mMirrorOf,
-	}
 	var edges *rawEdges
 	if c.ec != nil {
-		edges = &rawEdges{src: e.mInSrc, wt: e.mInWt, srcMaster: e.mInSrcMaster}
+		edges = &m.mEdges
 	}
 	before := len(st.send[dst])
 	st.send[dst] = encodeRecoveryRecord(st.send[dst], c.vc, roleMaster,
 		e.masterPos, e.id, flags, -1,
 		int16(dst), e.masterPos, e.inDeg, e.outDeg,
-		e.value, e.lastActivate, e.lastActivateIter, table, edges)
+		e.value, e.lastActivate, e.lastActivateIter, &m.mTable, edges)
 	st.met.RecoveryMsgs++
 	st.met.RecoveryBytes += int64(len(st.send[dst]) - before)
 }
 
-// stageReplicaRecoveryFromMirror recreates the lost master's replica on
-// failed node rn using the recovering mirror's full state.
-func (c *Cluster[V, A]) stageReplicaRecoveryFromMirror(st *stager, e *vertexEntry[V], ri, rn int) {
-	flags := entryFlags(0)
-	if e.mReplicaFT[ri] {
-		flags |= flagFTOnly
-	}
-	if e.isSelfish() {
-		flags |= flagSelfish
-	}
-	mirrorRank := int16(-1)
-	for rank, idx := range e.mMirrorOf {
-		if int(idx) == ri {
-			flags |= flagMirror
-			mirrorRank = int16(rank)
-		}
-	}
-	var table *replicaTable
-	var edges *rawEdges
-	if flags&flagMirror != 0 {
-		table = &replicaTable{
-			nodes:    e.mReplicaN,
-			pos:      e.mReplicaP,
-			ftOnly:   e.mReplicaFT,
-			mirrorOf: e.mMirrorOf,
-		}
-		if c.ec != nil {
-			edges = &rawEdges{src: e.mInSrc, wt: e.mInWt, srcMaster: e.mInSrcMaster}
-		}
-	}
-	before := len(st.send[rn])
-	st.send[rn] = encodeRecoveryRecord(st.send[rn], c.vc, roleReplica,
-		e.mReplicaP[ri], e.id, flags, mirrorRank,
-		e.masterNode, e.masterPos, e.inDeg, e.outDeg,
-		e.value, e.lastActivate, e.lastActivateIter, table, edges)
-	st.met.RecoveryMsgs++
-	st.met.RecoveryBytes += int64(len(st.send[rn]) - before)
-}
-
-// masterRawEdges converts a master's local in-edge positions into global
-// ids (with each source's master node) for shipping.
-func (c *Cluster[V, A]) masterRawEdges(nd *node[V, A], e *vertexEntry[V]) *rawEdges {
+// masterRawEdges converts master slot i's local in-edge positions into
+// global ids (with each source's master node) for shipping.
+func (c *Cluster[V, A]) masterRawEdges(nd *node[V, A], i int) *rawEdges {
+	t := &nd.topo[i]
 	re := &rawEdges{
-		src:       make([]graph.VertexID, len(e.inNbr)),
-		wt:        e.inWt,
-		srcMaster: make([]int16, len(e.inNbr)),
+		src:       make([]graph.VertexID, len(t.inNbr)),
+		wt:        t.inWt,
+		srcMaster: make([]int16, len(t.inNbr)),
 	}
-	for k, sp := range e.inNbr {
-		se := &nd.entries[sp]
-		re.src[k] = se.id
-		re.srcMaster[k] = int16(c.masterLoc[se.id])
+	for k, sp := range t.inNbr {
+		id := nd.hot[sp].id
+		re.src[k] = id
+		re.srcMaster[k] = c.masterLoc[id]
 	}
 	return re
 }
 
 // placeRecovered materializes one recovery record at its position in the
-// newbie's array. Position-addressed placement is contention-free (§5.1.2),
+// newbie's tables. Position-addressed placement is contention-free (§5.1.2),
 // so records place chunk-parallel; the caller rebuilds the id index after
 // all placements land.
 func (c *Cluster[V, A]) placeRecovered(nd *node[V, A], rec *recoveryRecord[V]) {
-	e := &nd.entries[rec.pos]
+	e, m := &nd.hot[rec.pos], &nd.meta[rec.pos]
 	e.id = rec.id
 	e.flags = rec.flags
-	e.mirrorRank = rec.mirrorRank
+	m.mirrorRank = rec.mirrorRank
 	e.masterNode = rec.masterNode
 	e.masterPos = rec.masterPos
 	e.inDeg = rec.inDeg
@@ -399,20 +358,12 @@ func (c *Cluster[V, A]) placeRecovered(nd *node[V, A], rec *recoveryRecord[V]) {
 		e.masterNode = int16(nd.id)
 		e.masterPos = rec.pos
 		if rec.table != nil {
-			e.replicaNodes = rec.table.nodes
-			e.replicaPos = rec.table.pos
-			e.replicaFTOnly = rec.table.ftOnly
-			e.mirrorOf = rec.table.mirrorOf
+			m.replicas = *rec.table
 		}
 	} else if rec.flags&flagMirror != 0 && rec.table != nil {
-		e.mReplicaN = rec.table.nodes
-		e.mReplicaP = rec.table.pos
-		e.mReplicaFT = rec.table.ftOnly
-		e.mMirrorOf = rec.table.mirrorOf
+		m.mTable = *rec.table
 		if rec.edges != nil {
-			e.mInSrc = rec.edges.src
-			e.mInWt = rec.edges.wt
-			e.mInSrcMaster = rec.edges.srcMaster
+			m.mEdges = *rec.edges
 		}
 	}
 }
@@ -435,10 +386,7 @@ func (c *Cluster[V, A]) attachEdgeCkpt(nd *node[V, A], data []byte) (int, error)
 			return 0, fmt.Errorf("%w: node %d edge-ckpt endpoint missing (%d->%d)",
 				ErrUnrecoverable, nd.id, src, dst)
 		}
-		de := &nd.entries[dp]
-		de.inNbr = append(de.inNbr, sp)
-		de.inWt = append(de.inWt, wt)
-		nd.entries[sp].outNbr = append(nd.entries[sp].outNbr, dp)
+		nd.attachEdge(sp, dp, wt)
 		count++
 	}
 	if r.err != nil {
@@ -448,56 +396,14 @@ func (c *Cluster[V, A]) attachEdgeCkpt(nd *node[V, A], data []byte) (int, error)
 }
 
 // lowestSurvivingMirror returns the node hosting the lowest-ranked
-// surviving mirror recorded in mirror entry e's full state, or -1. Mirrors
-// need no communication to elect the recoverer (§5.3.1).
-func (c *Cluster[V, A]) lowestSurvivingMirror(e *vertexEntry[V], failedSet map[int]bool) int {
-	for _, idx := range e.mMirrorOf {
-		n := int(e.mReplicaN[idx])
+// surviving mirror recorded in a mirror's copy t of the replica table, or
+// -1. Mirrors need no communication to elect the recoverer (§5.3.1).
+func (c *Cluster[V, A]) lowestSurvivingMirror(t *replicaTable, failedSet map[int]bool) int {
+	for _, idx := range t.mirrorOf {
+		n := int(t.nodes[idx])
 		if !failedSet[n] && c.nodes[n] != nil && c.nodes[n].alive {
 			return n
 		}
 	}
 	return -1
-}
-
-// recomputeSelfish restores the dynamic state of selfish vertices recovered
-// without value synchronization (§4.4): their value is recomputed from the
-// (already recovered) in-neighbors.
-func (c *Cluster[V, A]) recomputeSelfish(failed []int, iter int) {
-	if !c.selfishOptOn {
-		return
-	}
-	prev := iter - 1
-	for _, f := range failed {
-		nd := c.nodes[f]
-		if nd == nil || !nd.alive {
-			continue
-		}
-		// Chunk-parallel: selfish vertices have no out-edges, so they are
-		// never read as another chunk's in-neighbor while being rewritten.
-		c.chunked(nd, len(nd.entries), func(_ *stager, lo, hi int) {
-			for i := lo; i < hi; i++ {
-				e := &nd.entries[i]
-				if !e.isMaster() || !e.isSelfish() || len(e.inNbr) == 0 {
-					continue
-				}
-				var acc A
-				has := false
-				for k, src := range e.inNbr {
-					se := &nd.entries[src]
-					contrib := c.prog.Gather(
-						graph.Edge{Src: se.id, Dst: e.id, Weight: e.inWt[k]},
-						se.value, se.info())
-					if has {
-						acc = c.prog.Merge(acc, contrib)
-					} else {
-						acc, has = contrib, true
-					}
-				}
-				initVal, _ := c.prog.Init(e.id, e.info())
-				newV, _ := c.prog.Apply(e.id, e.info(), initVal, acc, has, max(prev, 0))
-				e.value = newV
-			}
-		})
-	}
 }

@@ -20,9 +20,9 @@ func (c *Cluster[V, A]) replayActivation(iter int, isTarget func(masterNode int1
 
 	// Reset the targets to their activation baseline.
 	c.eachAlive(func(nd *node[V, A]) {
-		c.chunked(nd, len(nd.entries), func(st *stager, lo, hi int) {
+		c.chunked(nd, len(nd.hot), func(st *stager, lo, hi int) {
 			for i := lo; i < hi; i++ {
-				e := &nd.entries[i]
+				e := &nd.hot[i]
 				if !e.isMaster() || !isTarget(int16(nd.id), int32(i)) {
 					continue
 				}
@@ -47,14 +47,14 @@ func (c *Cluster[V, A]) replayActivation(iter int, isTarget func(masterNode int1
 	// activations cross chunk boundaries, so they go through the worker's
 	// activation list.
 	c.eachAlive(func(nd *node[V, A]) {
-		c.chunked(nd, len(nd.entries), func(st *stager, lo, hi int) {
+		c.chunked(nd, len(nd.hot), func(st *stager, lo, hi int) {
 			for i := lo; i < hi; i++ {
-				e := &nd.entries[i]
+				e := &nd.hot[i]
 				if !e.lastActivate || e.lastActivateIter != prev {
 					continue
 				}
-				for _, w := range e.outNbr {
-					we := &nd.entries[w]
+				for _, w := range nd.topo[i].outNbr {
+					we := &nd.hot[w]
 					if we.isMaster() {
 						if isTarget(int16(nd.id), int32(w)) {
 							st.markActive(w)
@@ -78,7 +78,7 @@ func (c *Cluster[V, A]) replayActivation(iter int, isTarget func(masterNode int1
 			buf := m.Payload
 			for len(buf) >= 4 {
 				pos := binary.LittleEndian.Uint32(buf)
-				nd.entries[pos].active = true
+				nd.hot[pos].active = true
 				buf = buf[4:]
 			}
 		}

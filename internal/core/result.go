@@ -150,8 +150,8 @@ func (c *Cluster[V, A]) result() *Result[V] {
 		Recoveries:           append([]RecoveryReport(nil), c.recoveries...),
 	}
 	for _, nd := range c.aliveNodes() {
-		for i := range nd.entries {
-			if e := &nd.entries[i]; e.isMaster() {
+		for i := range nd.hot {
+			if e := &nd.hot[i]; e.isMaster() {
 				res.Values[e.id] = e.value
 			}
 		}
@@ -196,11 +196,11 @@ func (c *Cluster[V, A]) MasterValue(v graph.VertexID) (V, error) {
 	if nd == nil || !nd.alive {
 		return zero, fmt.Errorf("core: master node %d of vertex %d is down", mn, v)
 	}
-	e := nd.entry(v)
-	if e == nil || !e.isMaster() {
+	p, ok := nd.pos(v)
+	if !ok || !nd.hot[p].isMaster() {
 		return zero, fmt.Errorf("core: vertex %d has no master entry on node %d", v, mn)
 	}
-	return e.value, nil
+	return nd.hot[p].value, nil
 }
 
 // ReplicationFactor returns total presences divided by vertex count, after

@@ -1,12 +1,12 @@
 package core
 
-// syncRoute is a node's precomputed sync-routing table: the per-entry
-// replica destination lists (replicaNodes/replicaPos/replicaFTOnly)
-// flattened CSR-style into four parallel arrays. Entry i's replicas occupy
-// [start[i], start[i+1]). The flat layout removes the per-superstep
-// pointer-chasing over slice-of-slices in the edge-cut sync and vertex-cut
-// R1/R3 hot loops, and rebuilding it is O(presences), so it is recomputed
-// lazily (routeDirty) whenever recovery reshapes the replica tables.
+// syncRoute is a node's precomputed sync-routing table: the per-slot
+// replica tables of the meta table (nodes/pos/ftOnly) flattened CSR-style
+// into four parallel arrays. Entry i's replicas occupy [start[i],
+// start[i+1]). The flat layout keeps the edge-cut sync and vertex-cut R1/R3
+// hot loops off the meta table, and rebuilding it is O(presences), so it is
+// recomputed lazily (routeDirty) whenever recovery reshapes the replica
+// tables.
 //
 // Build order is entry order then replica-index order — exactly the order
 // the superstep loops used to walk the entry slices — so the emitted byte
@@ -27,14 +27,12 @@ func (c *Cluster[V, A]) rebuildRoute(nd *node[V, A]) {
 	rt.node = rt.node[:0]
 	rt.pos = rt.pos[:0]
 	rt.ftOnly = rt.ftOnly[:0]
-	for i := range nd.entries {
+	for i := range nd.meta {
 		rt.start = append(rt.start, int32(len(rt.node)))
-		e := &nd.entries[i]
-		for ri, rn := range e.replicaNodes {
-			rt.node = append(rt.node, rn)
-			rt.pos = append(rt.pos, e.replicaPos[ri])
-			rt.ftOnly = append(rt.ftOnly, e.replicaFTOnly[ri])
-		}
+		t := &nd.meta[i].replicas
+		rt.node = append(rt.node, t.nodes...)
+		rt.pos = append(rt.pos, t.pos...)
+		rt.ftOnly = append(rt.ftOnly, t.ftOnly...)
 	}
 	rt.start = append(rt.start, int32(len(rt.node)))
 	nd.routeDirty = false

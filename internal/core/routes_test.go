@@ -11,13 +11,13 @@ import (
 // the flat CSR form existed.
 func naiveRoute[V, A any](nd *node[V, A]) syncRoute {
 	var rt syncRoute
-	for i := range nd.entries {
+	for i := range nd.meta {
 		rt.start = append(rt.start, int32(len(rt.node)))
-		e := &nd.entries[i]
-		for ri, rn := range e.replicaNodes {
+		t := &nd.meta[i].replicas
+		for ri, rn := range t.nodes {
 			rt.node = append(rt.node, rn)
-			rt.pos = append(rt.pos, e.replicaPos[ri])
-			rt.ftOnly = append(rt.ftOnly, e.replicaFTOnly[ri])
+			rt.pos = append(rt.pos, t.pos[ri])
+			rt.ftOnly = append(rt.ftOnly, t.ftOnly[ri])
 		}
 	}
 	rt.start = append(rt.start, int32(len(rt.node)))

@@ -253,8 +253,8 @@ func (c *Cluster[V, A]) servePublish(force bool) {
 	}
 	vals := make([]float64, c.g.NumVertices())
 	for _, nd := range c.aliveNodes() {
-		for i := range nd.entries {
-			if e := &nd.entries[i]; e.isMaster() {
+		for i := range nd.hot {
+			if e := &nd.hot[i]; e.isMaster() {
 				vals[e.id] = s.scalar(&e.value)
 			}
 		}
@@ -283,9 +283,9 @@ func (c *Cluster[V, A]) serveRefreshRoute() {
 	nv := c.g.NumVertices()
 	start := make([]int32, nv+1)
 	for _, nd := range c.aliveNodes() {
-		for i := range nd.entries {
-			if e := &nd.entries[i]; e.isMaster() {
-				start[int(e.id)+1] = int32(len(e.replicaNodes))
+		for i := range nd.hot {
+			if e := &nd.hot[i]; e.isMaster() {
+				start[int(e.id)+1] = int32(len(nd.meta[i].replicas.nodes))
 			}
 		}
 	}
@@ -300,14 +300,14 @@ func (c *Cluster[V, A]) serveRefreshRoute() {
 		ftOnly:    make([]bool, total),
 	}
 	for _, nd := range c.aliveNodes() {
-		for i := range nd.entries {
-			e := &nd.entries[i]
+		for i := range nd.hot {
+			e := &nd.hot[i]
 			if !e.isMaster() {
 				continue
 			}
 			base := start[e.id]
-			copy(rv.hosts[base:], e.replicaNodes)
-			copy(rv.ftOnly[base:], e.replicaFTOnly)
+			copy(rv.hosts[base:], nd.meta[i].replicas.nodes)
+			copy(rv.ftOnly[base:], nd.meta[i].replicas.ftOnly)
 		}
 	}
 	s.route.Store(rv)

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // ftStrategy is the pluggable fault-tolerance seam: everything the run loop
@@ -199,9 +200,10 @@ func (c *Cluster[V, A]) retainPristine() {
 	for _, nd := range c.nodes {
 		meta := c.encodeMetadataSnapshot(nd)
 		c.loadSeconds += c.dfsWriteCost(nd, fmt.Sprintf("ckptmeta/%d", nd.id), meta)
-		entries := make([]vertexEntry[V], len(nd.entries))
-		copy(entries, nd.entries)
-		c.pristine[nd.id] = &pristineNode[V]{entries: entries, localEdges: nd.localEdges}
+		c.pristine[nd.id] = &pristineNode[V]{
+			hot: slices.Clone(nd.hot), topo: slices.Clone(nd.topo), meta: slices.Clone(nd.meta),
+			localEdges: nd.localEdges,
+		}
 	}
 }
 

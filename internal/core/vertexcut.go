@@ -3,7 +3,6 @@ package core
 import (
 	"encoding/binary"
 
-	"imitator/internal/graph"
 	"imitator/internal/netsim"
 )
 
@@ -78,30 +77,30 @@ func (c *Cluster[V, A]) superstepVertexCut(iter int) error {
 func (c *Cluster[V, A]) bindVertexCutPhases() {
 	c.fns.vcR1Stage = func(nd *node[V, A]) {
 		c.routeReady(nd)
-		c.chunked(nd, len(nd.entries), nd.bodies.vcR1Stage)
+		c.chunked(nd, len(nd.hot), nd.bodies.vcR1Stage)
 	}
 	c.fns.vcR1Recv = func(nd *node[V, A]) {
-		c.chunked(nd, len(nd.entries), nd.bodies.vcR1Reset)
+		c.chunked(nd, len(nd.hot), nd.bodies.vcR1Reset)
 		msgs := c.net.Receive(nd.id)
 		for _, m := range msgs {
 			buf := m.Payload
 			for len(buf) >= 4 {
 				pos := binary.LittleEndian.Uint32(buf)
-				nd.entries[pos].active = true
+				nd.hot[pos].active = true
 				buf = buf[4:]
 			}
 		}
-		c.recycleMsgs(msgs)
+		c.handBack(nd, msgs, slotSend)
 	}
 	c.fns.vcGather = func(nd *node[V, A]) {
-		nd.localPart = ensurePartials(nd.localPart, len(nd.entries))
-		nd.phaseCost = c.chunked(nd, len(nd.entries), nd.bodies.vcGather)
+		nd.localPart = ensurePartials(nd.localPart, len(nd.hot))
+		nd.phaseCost = c.chunked(nd, len(nd.hot), nd.bodies.vcGather)
 	}
 	c.fns.vcMerge = func(nd *node[V, A]) {
 		// Contributions merge in ascending sender-id order, with the
 		// master's own local partial taking its node's slot, so
 		// floating-point folds are deterministic.
-		nd.mergedPart = ensurePartials(nd.mergedPart, len(nd.entries))
+		nd.mergedPart = ensurePartials(nd.mergedPart, len(nd.hot))
 		msgs := c.net.Receive(nd.id)
 		localMerged := false
 		for _, m := range msgs {
@@ -109,28 +108,16 @@ func (c *Cluster[V, A]) bindVertexCutPhases() {
 				localMerged = true
 				c.vcMergeLocal(nd)
 			}
-			buf := m.Payload
-			for len(buf) > 0 {
-				pos := int32(binary.LittleEndian.Uint32(buf))
-				var (
-					acc A
-					err error
-				)
-				acc, buf, err = c.ac.Read(buf[4:])
-				if err != nil {
-					break
-				}
-				c.vcMergeAt(nd, pos, acc)
-			}
+			c.vcMergePayload(nd, m.Payload)
 		}
 		if !localMerged {
 			c.vcMergeLocal(nd)
 		}
-		c.recycleMsgs(msgs)
+		c.handBack(nd, msgs, slotSend)
 
 		// Apply runs chunk-parallel over the serially merged partials: each
 		// chunk writes only its own masters' staged state.
-		nd.phaseCost = c.chunked(nd, len(nd.entries), nd.bodies.vcApply)
+		nd.phaseCost = c.chunked(nd, len(nd.hot), nd.bodies.vcApply)
 	}
 	c.fns.vcRecv = func(nd *node[V, A]) {
 		nd.recvMsgs = c.net.Receive(nd.id)
@@ -138,20 +125,18 @@ func (c *Cluster[V, A]) bindVertexCutPhases() {
 			c.flogCapture(nd)
 		}
 		c.chunked(nd, len(nd.recvMsgs), nd.bodies.vcRecv)
-		c.recycleMsgs(nd.recvMsgs)
+		c.handBack(nd, nd.recvMsgs, slotSend)
 		nd.recvMsgs = nil
 	}
 	c.fns.vcNotice = func(nd *node[V, A]) {
 		msgs := c.net.Receive(nd.id)
 		for _, m := range msgs {
-			buf := m.Payload
-			for len(buf) >= 4 {
-				pos := binary.LittleEndian.Uint32(buf)
-				nd.entries[pos].pendingActive = true
-				buf = buf[4:]
+			// An always-active program's commit never reads pendingActive.
+			for buf := m.Payload; len(buf) >= 4 && !c.always; buf = buf[4:] {
+				nd.hot[binary.LittleEndian.Uint32(buf)].pendingActive = true
 			}
 		}
-		c.recycleMsgs(msgs)
+		c.handBack(nd, msgs, slotNotice)
 	}
 }
 
@@ -160,7 +145,7 @@ func (c *Cluster[V, A]) bindVertexCutBodies(nd *node[V, A]) {
 	nd.bodies.vcR1Stage = func(st *stager, lo, hi int) {
 		rt := &nd.route
 		for i := lo; i < hi; i++ {
-			e := &nd.entries[i]
+			e := &nd.hot[i]
 			if !e.isMaster() || !e.active {
 				continue
 			}
@@ -177,7 +162,7 @@ func (c *Cluster[V, A]) bindVertexCutBodies(nd *node[V, A]) {
 	}
 	nd.bodies.vcR1Reset = func(_ *stager, lo, hi int) {
 		for i := lo; i < hi; i++ {
-			if e := &nd.entries[i]; !e.isMaster() {
+			if e := &nd.hot[i]; !e.isMaster() {
 				e.active = false
 			}
 		}
@@ -185,24 +170,12 @@ func (c *Cluster[V, A]) bindVertexCutBodies(nd *node[V, A]) {
 	nd.bodies.vcGather = func(st *stager, lo, hi int) {
 		edges := 0
 		for i := lo; i < hi; i++ {
-			e := &nd.entries[i]
-			if !e.active || len(e.inNbr) == 0 {
+			e := &nd.hot[i]
+			if !e.active {
 				continue
 			}
-			var acc A
-			has := false
-			for k, src := range e.inNbr {
-				se := &nd.entries[src]
-				contrib := c.prog.Gather(
-					graph.Edge{Src: se.id, Dst: e.id, Weight: e.inWt[k]},
-					se.value, se.info())
-				if has {
-					acc = c.prog.Merge(acc, contrib)
-				} else {
-					acc, has = contrib, true
-				}
-			}
-			edges += len(e.inNbr)
+			acc, has, n := c.gather(nd, i)
+			edges += n
 			if !has {
 				continue
 			}
@@ -225,7 +198,7 @@ func (c *Cluster[V, A]) bindVertexCutBodies(nd *node[V, A]) {
 		iter := c.curIter
 		applies := 0
 		for i := lo; i < hi; i++ {
-			e := &nd.entries[i]
+			e := &nd.hot[i]
 			if !e.isMaster() || !e.active {
 				continue
 			}
@@ -236,7 +209,7 @@ func (c *Cluster[V, A]) bindVertexCutBodies(nd *node[V, A]) {
 			e.pendingScatterI = int32(iter)
 			applies++
 			if scatter {
-				c.scatterMark(nd, st, e)
+				c.scatterMark(nd, st, int32(i))
 			}
 		}
 		st.busy = float64(applies) * c.cfg.Cost.ComputePerVertex
@@ -246,8 +219,23 @@ func (c *Cluster[V, A]) bindVertexCutBodies(nd *node[V, A]) {
 			if m.Kind != netsim.KindSync {
 				continue
 			}
-			c.applySyncScatter(nd, st, m.Payload)
+			c.applySync(nd, st, m.Payload)
 		}
+	}
+}
+
+// vcMergePayload folds one gather message's (master position, accumulator)
+// records into the merge scratch. A record cut short ends the message, as a
+// codec error does.
+func (c *Cluster[V, A]) vcMergePayload(nd *node[V, A], buf []byte) {
+	for len(buf) >= 4 {
+		pos := int32(binary.LittleEndian.Uint32(buf))
+		acc, rest, err := c.ac.Read(buf[4:])
+		if err != nil {
+			return
+		}
+		buf = rest
+		c.vcMergeAt(nd, pos, acc)
 	}
 }
 
@@ -267,52 +255,5 @@ func (c *Cluster[V, A]) vcMergeLocal(nd *node[V, A]) {
 		if nd.localPart[i].has {
 			c.vcMergeAt(nd, int32(i), nd.localPart[i].acc)
 		}
-	}
-}
-
-// applySyncScatter stages sync records and performs local scatter marking,
-// queueing activation notices for remote masters.
-func (c *Cluster[V, A]) applySyncScatter(nd *node[V, A], st *stager, buf []byte) {
-	iter := int32(c.iter)
-	for len(buf) > 0 {
-		pos := int32(binary.LittleEndian.Uint32(buf))
-		flags := buf[4]
-		var (
-			val V
-			err error
-		)
-		val, buf, err = c.vc.Read(buf[5:])
-		if err != nil {
-			return
-		}
-		e := &nd.entries[pos]
-		e.pendingValue = val
-		e.hasPending = true
-		e.pendingScatter = flags&1 != 0
-		e.pendingScatterI = iter
-		if e.pendingScatter {
-			c.scatterMark(nd, st, e)
-		}
-	}
-}
-
-// scatterMark activates vertex e's local out-targets: masters through the
-// worker's activation list, replicas via an activation notice to their
-// master's node.
-func (c *Cluster[V, A]) scatterMark(nd *node[V, A], st *stager, e *vertexEntry[V]) {
-	for _, w := range e.outNbr {
-		we := &nd.entries[w]
-		if we.isMaster() {
-			st.markPendingActive(w)
-			continue
-		}
-		mn := int(we.masterNode)
-		b := st.notice[mn]
-		if b == nil && st.pool != nil {
-			b = st.pool.Get()
-		}
-		st.notice[mn] = binary.LittleEndian.AppendUint32(b, uint32(we.masterPos))
-		st.met.ActivationMsgs++
-		st.met.ActivationBytes += 4
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"math"
+	"slices"
 
 	"imitator/internal/graph"
 )
@@ -191,6 +192,18 @@ type replicaTable struct {
 	pos      []int32
 	ftOnly   []bool
 	mirrorOf []int16
+}
+
+// add appends one replica row.
+func (t *replicaTable) add(node int16, pos int32, ftOnly bool) {
+	t.nodes = append(t.nodes, node)
+	t.pos = append(t.pos, pos)
+	t.ftOnly = append(t.ftOnly, ftOnly)
+}
+
+// hosts reports whether the table has a replica on node n.
+func (t *replicaTable) hosts(n int) bool {
+	return slices.Contains(t.nodes, int16(n))
 }
 
 func (t *replicaTable) encode(buf []byte) []byte {
