@@ -73,16 +73,13 @@ type benchEntry struct {
 
 	// Scale tier (scale/* entries): the synthetic graph's dimensions,
 	// parallel-generation wall clock keyed by worker count (the graph is
-	// bit-identical across the sweep), and the compact layout's measured
-	// footprint next to what the retired AoS []Edge + CSR layout would have
-	// used for the same graph.
+	// bit-identical across the sweep), and the graph layout's measured
+	// footprint.
 	ScaleVertices         int                `json:"scale_vertices,omitempty"`
 	ScaleEdges            int                `json:"scale_edges,omitempty"`
 	GenWallSeconds        map[string]float64 `json:"gen_wall_seconds,omitempty"`
 	FootprintBytes        int64              `json:"footprint_bytes,omitempty"`
 	FootprintBytesPerEdge float64            `json:"footprint_bytes_per_edge,omitempty"`
-	FootprintLegacyBytes  int64              `json:"footprint_legacy_bytes,omitempty"`
-	FootprintSavedPct     float64            `json:"footprint_saved_pct,omitempty"`
 }
 
 // benchReport is the emitted JSON document.
@@ -197,8 +194,8 @@ func runJSON(opts experiments.Options, fl jsonFlags) error {
 			return err
 		}
 		report.Results = append(report.Results, entry)
-		fmt.Fprintf(os.Stderr, "bench: %s wall=%.2fs footprint=%.1fMB (saved %.1f%%)\n",
-			entry.ID, entry.WallSeconds, float64(entry.FootprintBytes)/(1<<20), entry.FootprintSavedPct)
+		fmt.Fprintf(os.Stderr, "bench: %s wall=%.2fs footprint=%.1fMB\n",
+			entry.ID, entry.WallSeconds, float64(entry.FootprintBytes)/(1<<20))
 	}
 
 	var base *benchReport
@@ -288,8 +285,8 @@ func ftProbe(opts experiments.Options) ([]benchEntry, error) {
 			cfg.WorkersPerNode = opts.Workers
 		}
 		cfg.MaxRebirths = 8
-		cfg.Failures = []core.FailureSpec{
-			{Iteration: crashAt, Phase: core.FailBeforeBarrier, Nodes: []int{1}},
+		cfg.Chaos = []core.ChaosEvent{
+			{Kind: core.ChaosCrash, Iteration: crashAt, Phase: core.FailBeforeBarrier, Nodes: []int{1}},
 		}
 		return cfg
 	}

@@ -112,10 +112,6 @@ func scaleProbe(opts experiments.Options, nVerts, nEdges int) (benchEntry, error
 		return benchEntry{}, fmt.Errorf("%s: %w", id, err)
 	}
 
-	saved := 0.0
-	if fp.LegacyBytes > 0 {
-		saved = 100 * (1 - float64(fp.TotalBytes)/float64(fp.LegacyBytes))
-	}
 	return benchEntry{
 		ID:          id,
 		WallSeconds: longWall,
@@ -133,7 +129,5 @@ func scaleProbe(opts experiments.Options, nVerts, nEdges int) (benchEntry, error
 		GenWallSeconds:        genWall,
 		FootprintBytes:        fp.TotalBytes,
 		FootprintBytesPerEdge: fp.BytesPerEdge,
-		FootprintLegacyBytes:  fp.LegacyBytes,
-		FootprintSavedPct:     saved,
 	}, nil
 }

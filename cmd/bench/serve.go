@@ -41,8 +41,8 @@ func serveProbe(opts experiments.Options) ([]benchEntry, error) {
 		return cfg
 	}
 	failover := mk()
-	failover.Failures = []core.FailureSpec{
-		{Iteration: iters / 2, Phase: core.FailBeforeBarrier, Nodes: []int{1}},
+	failover.Chaos = []core.ChaosEvent{
+		{Kind: core.ChaosCrash, Iteration: iters / 2, Phase: core.FailBeforeBarrier, Nodes: []int{1}},
 	}
 
 	var entries []benchEntry

@@ -77,7 +77,8 @@ func dot(a, b []float64) float64 {
 func rmse(g *imitator.Graph, values [][]float64) float64 {
 	var se float64
 	var n int
-	for _, e := range g.Edges() {
+	for i := range g.NumEdges() {
+		e := g.Edge(i)
 		if int(e.Src) >= numUsers {
 			continue
 		}

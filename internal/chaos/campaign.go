@@ -70,19 +70,6 @@ func applyStrategy(cfg *core.Config, kind core.RecoveryKind) {
 	}
 }
 
-// recoveryLabels are the during-recovery phase labels each strategy can
-// reach; every label is covered by internal/core's crash-during-recovery
-// tests.
-var recoveryLabels = map[core.RecoveryKind][]string{
-	core.RecoverRebirth: {"rebirth:join", "rebirth:reload", "rebirth:reconstruct"},
-	core.RecoverMigration: {
-		"migration:promote", "migration:moved", "migration:edges",
-		"migration:replicas", "migration:repair",
-	},
-	core.RecoverCheckpoint: {"checkpoint:join", "checkpoint:reload"},
-	core.RecoverLogged:     {"logged:join", "logged:replay"},
-}
-
 // Report summarizes a finished campaign.
 type Report struct {
 	Rounds int // rounds requested
@@ -261,7 +248,7 @@ func (c Campaign) runRound(round int, mode core.Mode, g *coreGraph, baseline []f
 		migrationInvolved = cfg.Recovery == core.RecoverMigration
 	case scenarioDuringRecovery:
 		applyStrategy(&cfg, strat)
-		labels := recoveryLabels[cfg.Recovery]
+		labels := core.RecoveryPhaseLabels(cfg.Recovery)
 		sched = append(sched,
 			core.ChaosEvent{
 				Kind: core.ChaosCrash, Iteration: crashIter,

@@ -2,55 +2,13 @@ package core_test
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"imitator/internal/algorithms"
 	"imitator/internal/core"
 	"imitator/internal/datasets"
 )
-
-// crashAt builds a one-event chaos schedule fail-stopping nodes at an
-// iteration boundary.
-func crashAt(iter int, phase core.FailPhase, nodes ...int) []core.ChaosEvent {
-	return []core.ChaosEvent{{Kind: core.ChaosCrash, Iteration: iter, Phase: phase, Nodes: nodes}}
-}
-
-// TestChaosCrashMatchesLegacy: a ChaosCrash detected through the
-// heartbeat monitor must be indistinguishable — values, simulated time,
-// traffic — from the same failure injected through the legacy synchronous
-// Config.Failures path, since both charge the same detection window.
-func TestChaosCrashMatchesLegacy(t *testing.T) {
-	g := datasets.Tiny(600, 3600, 90)
-	for _, tc := range []struct {
-		mode core.Mode
-		rec  core.RecoveryKind
-	}{
-		{core.EdgeCutMode, core.RecoverRebirth},
-		{core.EdgeCutMode, core.RecoverMigration},
-		{core.VertexCutMode, core.RecoverRebirth},
-		{core.VertexCutMode, core.RecoverMigration},
-	} {
-		legacy := ftConfig(tc.mode, 6, 8, 2, tc.rec)
-		legacy.Failures = failAt(3, core.FailBeforeBarrier, 1)
-		want := runPR(t, legacy, g)
-
-		chaos := ftConfig(tc.mode, 6, 8, 2, tc.rec)
-		chaos.Chaos = crashAt(3, core.FailBeforeBarrier, 1)
-		got := runPR(t, chaos, g)
-
-		label := tc.mode.String() + "/" + tc.rec.String()
-		valuesEqual(t, label, got.Values, want.Values, 0)
-		if got.SimSeconds != want.SimSeconds {
-			t.Fatalf("%s: SimSeconds %v != legacy %v", label, got.SimSeconds, want.SimSeconds)
-		}
-		if got.Metrics.TotalBytes() != want.Metrics.TotalBytes() {
-			t.Fatalf("%s: bytes %d != legacy %d", label, got.Metrics.TotalBytes(), want.Metrics.TotalBytes())
-		}
-		if len(got.Recoveries) != len(want.Recoveries) {
-			t.Fatalf("%s: %d recoveries != legacy %d", label, len(got.Recoveries), len(want.Recoveries))
-		}
-	}
-}
 
 // TestChaosCrashDuringRecovery kills a second node when the first recovery
 // reaches a given phase label, for every mode x strategy x phase the
@@ -176,6 +134,65 @@ func TestChaosBeyondK(t *testing.T) {
 	}
 }
 
+// TestChaosEveryNodeCrashes: a schedule that leaves no node alive — at an
+// iteration boundary, or by killing the last survivors while a migration
+// pass runs — ends in the typed error. With nobody left to reach the barrier
+// such runs used to carry on with zero nodes and report success with every
+// value wrong (or divide by zero picking a survivor).
+func TestChaosEveryNodeCrashes(t *testing.T) {
+	g := datasets.Tiny(600, 3600, 94)
+	for _, mode := range []core.Mode{core.EdgeCutMode, core.VertexCutMode} {
+		for _, tc := range []struct {
+			name  string
+			rec   core.RecoveryKind
+			sched []core.ChaosEvent
+		}{
+			{"at the barrier", core.RecoverRebirth, crashAt(3, core.FailBeforeBarrier, 0, 1, 2, 3)},
+			{"during recovery", core.RecoverMigration, append(crashAt(3, core.FailBeforeBarrier, 0),
+				core.ChaosEvent{Kind: core.ChaosCrashDuringRecovery, Nodes: []int{1, 2, 3}})},
+		} {
+			cfg := ftConfig(mode, 4, 8, 1, tc.rec)
+			cfg.Chaos = tc.sched
+			cl, err := core.NewCluster[float64, float64](cfg, g, algorithms.NewPageRank(g.NumVertices()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = cl.Run()
+			if !errors.Is(err, core.ErrTooManyFailures) || !errors.Is(err, core.ErrUnrecoverable) {
+				t.Errorf("%v, %s: err = %v, want ErrTooManyFailures wrapping ErrUnrecoverable", mode, tc.name, err)
+			}
+		}
+	}
+}
+
+// TestRecoveryHookSeesTableLabels: for every mode x strategy, a single-crash
+// run announces exactly its strategy's RecoveryPhaseLabels through
+// SetRecoveryHook — once each, in table order.
+func TestRecoveryHookSeesTableLabels(t *testing.T) {
+	g := datasets.Tiny(600, 3600, 77)
+	for _, mode := range []core.Mode{core.EdgeCutMode, core.VertexCutMode} {
+		for _, rec := range []core.RecoveryKind{core.RecoverRebirth, core.RecoverMigration, core.RecoverCheckpoint, core.RecoverLogged} {
+			cfg := ftConfig(mode, 6, 8, 1, rec)
+			if rec == core.RecoverLogged {
+				cfg = loggedConfig(mode, 6, 8)
+			}
+			cfg.Chaos = crashAt(4, core.FailBeforeBarrier, 2)
+			cl, err := core.NewCluster[float64, float64](cfg, g, algorithms.NewPageRank(g.NumVertices()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var seen []string
+			cl.SetRecoveryHook(func(phase string) { seen = append(seen, phase) })
+			if _, err := cl.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if want := core.RecoveryPhaseLabels(rec); !slices.Equal(seen, want) {
+				t.Errorf("%v/%v: hook saw %q, want %q", mode, rec, seen, want)
+			}
+		}
+	}
+}
+
 // TestChaosDegradationSlowsButPreservesValues: link slowdowns and delay
 // bursts cost simulated time without perturbing a single float of the
 // computation.
@@ -227,6 +244,10 @@ func TestChaosValidate(t *testing.T) {
 			c.Recovery = core.RecoverNone
 			c.FT = core.FTConfig{}
 			c.Chaos = crashAt(2, core.FailBeforeBarrier, 1)
+		}},
+		{"crash during a recovery phase no strategy has", func(c *core.Config) {
+			c.Chaos = append(crashAt(2, core.FailBeforeBarrier, 1),
+				core.ChaosEvent{Kind: core.ChaosCrashDuringRecovery, During: "migraton:repair", Nodes: []int{2}})
 		}},
 	} {
 		cfg := ftConfig(core.EdgeCutMode, 4, 6, 1, core.RecoverRebirth)

@@ -10,18 +10,16 @@ import (
 // only when a schedule is set: every hook in the steady-state loop is
 // gated on a nil check, so fault-free runs pay nothing.
 //
-// Crash events are not applied synchronously the way the legacy
-// Config.Failures path marks nodes failed at the coordinator: the victims
-// merely go silent, and the configured failureDetector (detector.go) —
-// the centralized coord.HeartbeatMonitor by default, SWIM gossip with
-// Config.Membership — detects and announces them. Detection therefore
-// goes through the same machinery a live cluster would use; in
-// centralized mode at the same DetectionTime() cost the legacy path
-// charges, so both paths produce identical results.
+// This is the only way a node fails: nothing marks it failed at the
+// coordinator directly. A crash event's victims merely go silent, and the
+// configured failureDetector (detector.go) — the centralized
+// coord.HeartbeatMonitor by default, SWIM gossip with Config.Membership —
+// detects and announces them, the way the paper's heartbeat master does
+// (§3.2); the failure then surfaces at the next global barrier.
 type chaosRuntime struct {
-	// crashes is consumed by deleting fired keys, like the legacy failure
-	// schedule: an iteration re-executed after rollback does not re-crash.
-	crashes map[failKey][]int
+	// crashes is consumed by deleting fired keys, so an iteration
+	// re-executed after rollback does not re-crash.
+	crashes map[crashKey][]int
 	// recCrashes fire when a recovery pass reaches a matching phase label.
 	recCrashes []recoveryCrash
 	// slow/delays hold degradation events keyed by trigger iteration.
@@ -47,6 +45,12 @@ type chaosRuntime struct {
 	netEvents []func(*netsim.Network)
 }
 
+// crashKey identifies one scheduled crash point.
+type crashKey struct {
+	iter  int
+	phase FailPhase
+}
+
 // recoveryCrash is one pending ChaosCrashDuringRecovery event.
 type recoveryCrash struct {
 	during string // phase-label prefix; "" matches the first phase
@@ -57,7 +61,7 @@ type recoveryCrash struct {
 // newChaosRuntime indexes a validated schedule for the run loop.
 func newChaosRuntime(events []ChaosEvent) *chaosRuntime {
 	ch := &chaosRuntime{
-		crashes: make(map[failKey][]int),
+		crashes: make(map[crashKey][]int),
 		slow:    make(map[int][]ChaosEvent),
 		delays:  make(map[int]float64),
 		faults:  make(map[int][]ChaosEvent),
@@ -67,7 +71,7 @@ func newChaosRuntime(events []ChaosEvent) *chaosRuntime {
 	for _, ev := range events {
 		switch ev.Kind {
 		case ChaosCrash:
-			k := failKey{ev.Iteration, ev.Phase}
+			k := crashKey{ev.Iteration, ev.Phase}
 			ch.crashes[k] = append(ch.crashes[k], ev.Nodes...)
 		case ChaosCrashDuringRecovery:
 			ch.recCrashes = append(ch.recCrashes, recoveryCrash{
@@ -154,7 +158,7 @@ func (c *Cluster[V, A]) chaosCrashAt(iter int, phase FailPhase) {
 	if c.chaos == nil {
 		return
 	}
-	k := failKey{iter, phase}
+	k := crashKey{iter, phase}
 	nodes, ok := c.chaos.crashes[k]
 	if !ok {
 		return

@@ -166,51 +166,33 @@ func (c *Cluster[V, A]) restoreFromSnapshot(nd *node[V, A], epoch int) (float64,
 	return cost, nil
 }
 
-// recoverCheckpoint is the paper's baseline: every node — survivors
-// included — rolls back to the last snapshot; standby newbies rebuild the
-// crashed nodes from the metadata snapshot plus the data snapshot; then the
-// whole cluster replays the lost iterations (§2.2, Fig 2c).
-func (c *Cluster[V, A]) recoverCheckpoint(failed []int) ([]int, error) {
-	if c.rebirthsUsed+len(failed) > c.cfg.MaxRebirths {
-		return nil, fmt.Errorf("%w: %d standby nodes exhausted", ErrNoStandby, c.cfg.MaxRebirths)
+// pristineNewbie builds the standby node that takes over crashed slot f for
+// checkpoint and logged recovery: immutable topology from the pristine loader
+// state (the metadata snapshot's content, whose read it charges), dynamic
+// state left for the strategy's reload or replay.
+func (c *Cluster[V, A]) pristineNewbie(p *recoveryPass[V, A], f int) (*node[V, A], error) {
+	nd := c.rebuildPristineNode(f)
+	if nd == nil {
+		return nil, fmt.Errorf("%w: no pristine state for node %d", ErrUnrecoverable, f)
 	}
-	failedSet := make(map[int]bool, len(failed))
-	for _, f := range failed {
-		failedSet[f] = true
+	meta, cost, err := c.dfs.Read(f, fmt.Sprintf("ckptmeta/%d", f))
+	if err != nil {
+		return nil, fmt.Errorf("core: metadata snapshot: %w", err)
 	}
-	iterAtFailure := c.iter
-	epoch := c.ckptEpoch
-	rec := RecoveryReport{
-		Kind:      "checkpoint",
-		Iteration: epoch,
-		Failed:    append([]int(nil), failed...),
-	}
-	start := c.clock.Now()
-	msgs0, bytes0 := c.met.RecoveryTraffic()
+	nd.met.DFSReadBytes += int64(len(meta))
+	c.clock.Advance(cost)
+	p.rec.RecoveredVertices += len(nd.hot)
+	p.rec.RecoveredEdges += nd.localEdges
+	return nd, nil
+}
 
-	// Newbies take over the failed slots, rebuilding immutable topology
-	// from the pristine loader state (the metadata snapshot's content).
-	for _, f := range failed {
-		nd := c.rebuildPristineNode(f)
-		if nd == nil {
-			return nil, fmt.Errorf("%w: no pristine state for node %d", ErrUnrecoverable, f)
-		}
-		meta, cost, err := c.dfs.Read(f, fmt.Sprintf("ckptmeta/%d", f))
-		if err != nil {
-			return nil, fmt.Errorf("core: metadata snapshot: %w", err)
-		}
-		nd.met.DFSReadBytes += int64(len(meta))
-		c.clock.Advance(cost)
-		c.nodes[f] = nd
-		c.net.SetFailed(f, false)
-		c.coord.Join(f)
-		c.net.SetEpoch(f, c.coord.Epoch(f)) // fresh incarnation: fence the old life's traffic
-		c.chaosTrack(f)
-		c.rebirthsUsed++
-		rec.RecoveredVertices += len(nd.hot)
-		rec.RecoveredEdges += nd.localEdges
-	}
-	c.hook("checkpoint:join")
+// recoverCheckpoint is the paper's baseline: every node — survivors
+// included — rolls back to the last snapshot; the newbies that took over the
+// crashed slots load it too; then the whole cluster replays the lost
+// iterations (§2.2, Fig 2c).
+func (c *Cluster[V, A]) recoverCheckpoint(p *recoveryPass[V, A]) error {
+	epoch := c.ckptEpoch
+	p.hook() // newbies joined
 
 	// Reload: every node — survivors included — re-reads its graph topology
 	// from the metadata snapshot and its state from the data snapshot
@@ -221,7 +203,7 @@ func (c *Cluster[V, A]) recoverCheckpoint(failed []int) ([]int, error) {
 	// scratch to reach a consistent state.
 	chain := c.restoreChain(epoch)
 	if len(chain) == 0 {
-		return nil, fmt.Errorf("%w: no snapshot chain for epoch %d", ErrUnrecoverable, epoch)
+		return fmt.Errorf("%w: no snapshot chain for epoch %d", ErrUnrecoverable, epoch)
 	}
 	// Per-node slots: the reload closures run concurrently.
 	nodeCosts := make([]float64, c.cfg.NumNodes)
@@ -247,45 +229,38 @@ func (c *Cluster[V, A]) recoverCheckpoint(failed []int) ([]int, error) {
 	var span costmodel.Span
 	for i, err := range nodeErrs {
 		if err != nil {
-			return nil, err
+			return err
 		}
 		span.Observe(nodeCosts[i])
 	}
 	c.clock.Advance(span.Max())
-	if state := c.barrier(); state.IsFail() {
-		return state.Failed, nil
+	if err := p.barrier(&p.rec.ReloadSeconds); err != nil {
+		return err
 	}
-	rec.ReloadSeconds = c.clock.Now() - start
-	c.hook("checkpoint:reload")
+	p.hook() // snapshots reloaded
 
 	// Reconstruct: newbies materialize entries; then a full resync restores
 	// every replica from its master (survivors rolled back too, so all
 	// replicas are stale).
-	reconStart := c.clock.Now()
 	var reconSpan costmodel.Span
-	for _, f := range failed {
+	for _, f := range p.failed {
 		nd := c.nodes[f]
 		reconSpan.Observe(float64(len(nd.hot))*c.cfg.Cost.ReconstructPerVertex +
 			float64(nd.localEdges)*c.cfg.Cost.ComputePerEdge)
 	}
 	c.clock.Advance(reconSpan.Max())
 	c.fullResync()
-	if state := c.barrier(); state.IsFail() {
-		return state.Failed, nil
+	if err := p.barrier(&p.rec.ReconstructSeconds); err != nil {
+		return err
 	}
-	rec.ReconstructSeconds = c.clock.Now() - reconStart
 
-	// Replay: the main loop re-executes epochs..iterAtFailure-1.
-	rec.ReplayIters = iterAtFailure - epoch
+	// Replay: the main loop re-executes epoch..p.iter-1; the watch closes the
+	// report this pass is about to append when it gets back to p.iter.
+	p.rec.Iteration, p.rec.ReplayIters = epoch, p.iter-epoch
 	c.iter = epoch
 	c.coord.Set("iter", int64(epoch))
-	msgs1, bytes1 := c.met.RecoveryTraffic()
-	rec.Msgs, rec.Bytes = msgs1-msgs0, bytes1-bytes0
-	c.recoveries = append(c.recoveries, rec)
-	c.watchReplay(len(c.recoveries)-1, iterAtFailure)
-	c.refreshMemoryMetrics()
-	c.trace = append(c.trace, TraceEvent{Iter: iterAtFailure, Kind: "recovery", Start: start, End: c.clock.Now()})
-	return nil, nil
+	c.watchReplay(len(c.recoveries), p.iter)
+	return nil
 }
 
 // rebuildPristineNode recreates a node's immutable loader state (the three

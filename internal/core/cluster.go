@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"imitator/internal/bufpool"
@@ -104,12 +105,6 @@ func (n *node[V, A]) attachEdge(sp, dp int32, wt float64) {
 	n.topo[sp].outNbr = append(n.topo[sp].outNbr, dp)
 }
 
-// failKey identifies one scheduled failure-injection point.
-type failKey struct {
-	iter  int
-	phase FailPhase
-}
-
 // phaseFns holds the cluster-level pre-bound phase functions, built once by
 // bindPhases and handed to runPhase by the superstep drivers. Pre-binding
 // keeps the steady-state loop from allocating a closure per phase, and the
@@ -155,7 +150,7 @@ type Cluster[V, A any] struct {
 	pool *bufpool.Pool
 
 	// aliveList caches the alive nodes; aliveDirty is set whenever
-	// membership changes (failure injection, rebirth, checkpoint rebuild).
+	// membership changes (crash, rebirth, checkpoint rebuild).
 	aliveList  []*node[V, A]
 	aliveDirty bool
 
@@ -248,8 +243,8 @@ type Cluster[V, A any] struct {
 	// run loop publishes committed snapshots into it (serve.go).
 	serve *serveState[V]
 
-	// testHook, when set, runs between recovery phases (failure-injection
-	// tests for §5.3.2).
+	// testHook, when set, observes the recovery phase labels as passes
+	// announce them (SetRecoveryHook).
 	testHook func(phase string)
 }
 
@@ -559,29 +554,15 @@ func (c *Cluster[V, A]) eachAlive(fn func(n *node[V, A])) {
 }
 
 // barrier has every alive node enter the coordination barrier and returns
-// the (shared) barrier state.
-func (c *Cluster[V, A]) barrier() coord.BarrierState {
+// the (shared) barrier state. With no node left alive nobody reaches the
+// barrier to learn of the failures, so the job cannot go on.
+func (c *Cluster[V, A]) barrier() (coord.BarrierState, error) {
 	c.runBarrierPhase(c.fns.barrier)
 	alive := c.aliveNodes()
 	if len(alive) == 0 {
-		return coord.BarrierState{}
+		return coord.BarrierState{}, fmt.Errorf("%w: every node has failed, none is left to reach the barrier", ErrTooManyFailures)
 	}
-	return alive[0].barrierState
-}
-
-// injectFailures kills the given nodes (fail-stop): they stop running,
-// their traffic is dropped, and the coordinator announces them at the next
-// barrier. The simulated clock advances by the heartbeat detection delay.
-func (c *Cluster[V, A]) injectFailures(nodes []int) {
-	for _, id := range nodes {
-		if n := c.nodes[id]; n != nil && n.alive {
-			n.alive = false
-			c.net.SetFailed(id, true)
-			c.coord.MarkFailed(id)
-		}
-	}
-	c.aliveDirty = true
-	c.clock.Advance(c.cfg.Cost.DetectionTime())
+	return alive[0].barrierState, nil
 }
 
 // flushSendRound transmits every node's pending per-destination buffers with
@@ -657,29 +638,11 @@ func (c *Cluster[V, A]) rollback() {
 	c.runPhase(c.fns.rollback)
 }
 
-// Run executes the job to MaxIter supersteps, injecting scheduled failures
+// Run executes the job to MaxIter supersteps, applying the chaos schedule
 // and recovering per the configured strategy.
 func (c *Cluster[V, A]) Run() (*Result[V], error) {
 	defer c.net.Close()
 	defer c.stopWorkers()
-	// The failure schedule is consumed by deleting fired keys, so an
-	// iteration re-executed after rollback does not re-inject.
-	schedule := make(map[failKey][]int, len(c.cfg.Failures))
-	for _, f := range c.cfg.Failures {
-		k := failKey{f.Iteration, f.Phase}
-		schedule[k] = append(schedule[k], f.Nodes...)
-	}
-	maybeInject := func(iter int, phase FailPhase) {
-		k := failKey{iter, phase}
-		nodes, ok := schedule[k]
-		if !ok {
-			return
-		}
-		delete(schedule, k)
-		if len(nodes) > 0 {
-			c.injectFailures(nodes)
-		}
-	}
 	if len(c.cfg.Chaos) > 0 && c.chaos == nil {
 		c.chaos = newChaosRuntime(c.cfg.Chaos)
 	}
@@ -691,7 +654,6 @@ func (c *Cluster[V, A]) Run() (*Result[V], error) {
 		iter := c.iter
 		c.curIter = iter
 		c.serveFrontier(iter + 1)
-		maybeInject(iter, FailBeforeBarrier)
 		c.chaosIterStart(iter)
 
 		start := c.clock.Now()
@@ -702,7 +664,10 @@ func (c *Cluster[V, A]) Run() (*Result[V], error) {
 			return nil, fmt.Errorf("core: transport: %w", err)
 		}
 		c.chaosPartitionSilence()
-		state := c.barrier()
+		state, err := c.barrier()
+		if err != nil {
+			return nil, err
+		}
 		c.clock.Advance(c.cfg.Cost.BarrierOverhead)
 		if state.IsFail() {
 			c.rollback()
@@ -724,9 +689,10 @@ func (c *Cluster[V, A]) Run() (*Result[V], error) {
 
 		c.strat.onSuperstepEnd()
 
-		maybeInject(iter, FailAfterBarrier)
 		c.chaosCrashAt(iter, FailAfterBarrier)
-		state = c.barrier()
+		if state, err = c.barrier(); err != nil {
+			return nil, err
+		}
 		if state.IsFail() {
 			if err := c.recover(state.Failed, c.iter); err != nil {
 				return nil, err
@@ -768,36 +734,15 @@ func (c *Cluster[V, A]) recover(failed []int, iter int) error {
 			c.serveRefreshRoute()
 			return nil
 		}
-		seen := map[int]bool{}
-		for _, n := range pending {
-			seen[n] = true
-		}
 		for _, n := range more {
-			if !seen[n] {
+			if !slices.Contains(pending, n) {
 				pending = append(pending, n)
-				seen[n] = true
 			}
 		}
 	}
 }
 
-// hook runs at recovery phase boundaries: chaos crash-during-recovery
-// events fire first, then the test hook if installed.
-func (c *Cluster[V, A]) hook(phase string) {
-	if c.chaos != nil {
-		c.chaosRecoveryPhase(phase)
-	}
-	if c.testHook != nil {
-		c.testHook(phase)
-	}
-}
-
-// SetRecoveryHook installs a callback invoked between recovery phases with
-// a phase label (e.g. "rebirth:reload"). Failure-injection tests use it to
-// exercise failures during recovery (§5.3.2); the callback may call
-// InjectFailure.
+// SetRecoveryHook installs an observer called with each recovery phase label
+// (RecoveryPhaseLabels) as a pass announces it, after any chaos
+// crash-during-recovery event keyed on the label has fired.
 func (c *Cluster[V, A]) SetRecoveryHook(fn func(phase string)) { c.testHook = fn }
-
-// InjectFailure kills a node immediately (fail-stop). Exposed for failure
-// injection from tests and the CLI chaos mode.
-func (c *Cluster[V, A]) InjectFailure(nodes ...int) { c.injectFailures(nodes) }

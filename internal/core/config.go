@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 
 	"imitator/internal/costmodel"
 	"imitator/internal/hostpar"
@@ -186,30 +187,19 @@ const (
 	FailAfterBarrier
 )
 
-// FailureSpec schedules fail-stop crashes.
-//
-// Deprecated: new code should express failures as ChaosEvent values in
-// Config.Chaos (see pkg/imitator's WithFailures builders). FailureSpec
-// remains as the synchronous-injection path the benchmarks pin down.
-type FailureSpec struct {
-	Iteration int
-	Phase     FailPhase
-	Nodes     []int
-}
-
 // ChaosKind enumerates the typed events of a chaos schedule.
 type ChaosKind int
 
 // Chaos event kinds.
 const (
-	// ChaosCrash fail-stops Nodes at Iteration/Phase. Unlike the legacy
-	// FailureSpec path, detection runs through the coord heartbeat monitor
-	// on the simulated clock; the timing (DetectionTime) and results are
-	// identical.
+	// ChaosCrash fail-stops Nodes at Iteration/Phase: they go silent, the
+	// configured failure detector (Config.Membership) notices on the
+	// simulated clock, and the failure surfaces at the next global barrier.
 	ChaosCrash ChaosKind = iota + 1
 	// ChaosCrashDuringRecovery fail-stops Nodes when a recovery pass
 	// reaches the phase whose label starts with During ("" = the first
-	// phase of whatever recovery runs). Fires at most once.
+	// phase of whatever recovery runs). Fires at most once. During must be
+	// a prefix of some RecoveryPhaseLabels entry.
 	ChaosCrashDuringRecovery
 	// ChaosSlowLink multiplies the From->To link's transfer cost by Factor
 	// from Iteration onwards (netsim degradation).
@@ -398,10 +388,6 @@ type Config struct {
 	Membership MembershipConfig
 
 	Cost costmodel.Params
-	// Failures is the legacy synchronous crash schedule.
-	//
-	// Deprecated: prefer Chaos.
-	Failures []FailureSpec
 	// Chaos is the typed fault schedule the run loop evaluates: crashes
 	// (delivered via heartbeat detection), crashes during recovery,
 	// netsim degradation events and omission faults (drop / duplicate /
@@ -494,17 +480,6 @@ func (c *Config) Validate() error {
 	if c.Membership.Kind == MembershipGossip && c.NumNodes < 2 {
 		return fmt.Errorf("core: gossip membership needs at least 2 nodes, got %d", c.NumNodes)
 	}
-	for _, f := range c.Failures {
-		if f.Iteration < 0 || f.Iteration >= c.MaxIter {
-			return fmt.Errorf("%w: failure iteration %d outside [0, %d)", ErrInvalidSchedule, f.Iteration, c.MaxIter)
-		}
-		if f.Phase != FailBeforeBarrier && f.Phase != FailAfterBarrier {
-			return fmt.Errorf("%w: failure needs a phase", ErrInvalidSchedule)
-		}
-		if err := c.validateNodes(f.Nodes); err != nil {
-			return err
-		}
-	}
 	for _, ev := range c.Chaos {
 		if err := c.validateChaosEvent(ev); err != nil {
 			return err
@@ -567,7 +542,16 @@ func (c *Config) validateChaosEvent(ev ChaosEvent) error {
 		}
 		return c.validateNodes(ev.Nodes)
 	case ChaosCrashDuringRecovery:
-		return c.validateNodes(ev.Nodes)
+		// Any strategy's labels qualify: RebirthFallback reaches migration
+		// labels from a rebirth config.
+		for _, kind := range []RecoveryKind{RecoverRebirth, RecoverMigration, RecoverCheckpoint, RecoverLogged} {
+			for _, label := range RecoveryPhaseLabels(kind) {
+				if strings.HasPrefix(label, ev.During) {
+					return c.validateNodes(ev.Nodes)
+				}
+			}
+		}
+		return fmt.Errorf("%w: crash-during-recovery label %q is a prefix of no recovery phase label, so the event could never fire", ErrInvalidSchedule, ev.During)
 	case ChaosSlowLink:
 		if ev.Iteration < 0 || ev.Iteration >= c.MaxIter {
 			return fmt.Errorf("%w: slow-link iteration %d outside [0, %d)", ErrInvalidSchedule, ev.Iteration, c.MaxIter)

@@ -155,17 +155,6 @@ func newGossipDetector(n int, mc MembershipConfig, seed uint64, h detectorHost) 
 	}
 	d := &gossipDetector{h: h, det: det, m: metrics.Membership{Mode: MembershipGossip.String()}}
 	d.susp = det.SuspicionPeriods()
-	// Nodes already dead when the detector is first built (legacy
-	// schedule crashes) start failed.
-	up := make([]bool, n)
-	for _, id := range h.alive() {
-		up[id] = true
-	}
-	for id := 0; id < n; id++ {
-		if !up[id] {
-			det.Fail(id)
-		}
-	}
 	return d, nil
 }
 

@@ -221,7 +221,8 @@ func TestCDDistributionInvariant(t *testing.T) {
 func alsRMSE(g *graph.Graph, numUsers int, values [][]float64) float64 {
 	var se float64
 	var n int
-	for _, e := range g.Edges() {
+	for i := range g.NumEdges() {
+		e := g.Edge(i)
 		if int(e.Src) >= numUsers { // count each rating once (user->item)
 			continue
 		}
@@ -306,10 +307,10 @@ func TestConfigValidation(t *testing.T) {
 		func(c *core.Config) { c.FT.K = 4 }, // >= NumNodes
 		func(c *core.Config) { c.Recovery = core.RecoverCheckpoint },
 		func(c *core.Config) {
-			c.Failures = []core.FailureSpec{{Iteration: 99, Phase: core.FailBeforeBarrier, Nodes: []int{1}}}
+			c.Chaos = crashAt(99, core.FailBeforeBarrier, 1)
 		},
 		func(c *core.Config) {
-			c.Failures = []core.FailureSpec{{Iteration: 1, Nodes: []int{1}}} // no phase
+			c.Chaos = crashAt(1, 0, 1) // no phase
 		},
 		func(c *core.Config) {
 			c.FT = core.FTConfig{}

@@ -37,7 +37,8 @@ func refCC(g *graph.Graph) []int32 {
 			parent[ra] = rb
 		}
 	}
-	for _, e := range g.Edges() {
+	for i := range g.NumEdges() {
+		e := g.Edge(i)
 		union(int32(e.Src), int32(e.Dst))
 	}
 	out := make([]int32, g.NumVertices())
@@ -77,7 +78,8 @@ func refKCore(g *graph.Graph, k int) []bool {
 func symmetricGraph(n, m int, seed uint64) *graph.Graph {
 	base := datasets.Tiny(n, m, seed)
 	edges := make([]graph.Edge, 0, 2*base.NumEdges())
-	for _, e := range base.Edges() {
+	for i := range base.NumEdges() {
+		e := base.Edge(i)
 		edges = append(edges,
 			graph.Edge{Src: e.Src, Dst: e.Dst, Weight: 1},
 			graph.Edge{Src: e.Dst, Dst: e.Src, Weight: 1})
@@ -142,7 +144,7 @@ func TestCCRecoveryEquivalence(t *testing.T) {
 			cfg.MaxIter = 40
 			cfg.Recovery = rec
 			if fail {
-				cfg.Failures = failAt(3, core.FailBeforeBarrier, 2)
+				cfg.Chaos = crashAt(3, core.FailBeforeBarrier, 2)
 			}
 			cl, err := core.NewCluster[int32, int32](cfg, g, algorithms.NewCC())
 			if err != nil {
@@ -180,7 +182,7 @@ func TestNewPartitionersRunAndRecover(t *testing.T) {
 		cfg.Partitioner = tc.part
 		cfg.MaxIter = 5
 		cfg.Recovery = core.RecoverMigration
-		cfg.Failures = failAt(2, core.FailBeforeBarrier, 1)
+		cfg.Chaos = crashAt(2, core.FailBeforeBarrier, 1)
 		res := runPageRank(t, cfg, g)
 		valuesEqual(t, tc.part.String(), res.Values, want, 1e-9)
 		if len(res.Recoveries) != 1 {

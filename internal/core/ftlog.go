@@ -192,56 +192,28 @@ func (c *Cluster[V, A]) flogWriteCost(nd *node[V, A], path string, data []byte) 
 // recomputation: no rollback beyond the aborted iteration, no snapshot
 // reload, no re-executed supersteps — ReplayIters stays 0 and the cluster
 // iteration counter is untouched.
-func (c *Cluster[V, A]) recoverLogged(failed []int, iter int) ([]int, error) {
-	if c.rebirthsUsed+len(failed) > c.cfg.MaxRebirths {
-		return nil, fmt.Errorf("%w: %d standby nodes exhausted", ErrNoStandby, c.cfg.MaxRebirths)
+func (c *Cluster[V, A]) recoverLogged(p *recoveryPass[V, A]) error {
+	// Join: the newbies entered the membership with the crashed slots'
+	// immutable topology (pristineNewbie). Unlike the other strategies,
+	// logged announces a phase before the barrier that ends it, so a crash
+	// keyed on the label surfaces at that very barrier.
+	p.hook() // newbies joined
+	if err := p.barrier(&p.rec.ReloadSeconds); err != nil {
+		return err
 	}
-	rec := RecoveryReport{Kind: "logged", Iteration: iter, Failed: append([]int(nil), failed...)}
-	start := c.clock.Now()
-	msgs0, bytes0 := c.met.RecoveryTraffic()
-
-	// Join: standby newbies rebuild the crashed slots' immutable topology
-	// from the pristine loader state (the metadata snapshot's content) and
-	// enter the membership under a bumped epoch.
-	for _, f := range failed {
-		nd := c.rebuildPristineNode(f)
-		if nd == nil {
-			return nil, fmt.Errorf("%w: no pristine state for node %d", ErrUnrecoverable, f)
-		}
-		meta, cost, err := c.dfs.Read(f, fmt.Sprintf("ckptmeta/%d", f))
-		if err != nil {
-			return nil, fmt.Errorf("core: metadata snapshot: %w", err)
-		}
-		nd.met.DFSReadBytes += int64(len(meta))
-		c.clock.Advance(cost)
-		c.nodes[f] = nd
-		c.net.SetFailed(f, false)
-		c.coord.Join(f)
-		c.net.SetEpoch(f, c.coord.Epoch(f)) // fresh incarnation: fence the old life's traffic
-		c.chaosTrack(f)
-		c.rebirthsUsed++
-		rec.RecoveredVertices += len(nd.hot)
-		rec.RecoveredEdges += nd.localEdges
-	}
-	c.hook("logged:join")
-	if state := c.barrier(); state.IsFail() {
-		return state.Failed, nil
-	}
-	rec.ReloadSeconds = c.clock.Now() - start
 
 	// Replay: each reborn node alone reads and applies its log chain;
 	// the reborn nodes replay concurrently (span), survivors stay idle.
-	replaySimStart := c.clock.Now()
 	var span costmodel.Span
 	maxSteps := 0
-	for _, f := range failed {
+	for _, f := range p.failed {
 		nd := c.nodes[f]
 		if !nd.alive {
 			continue // killed again mid-recovery; the restart handles it
 		}
-		cost, steps, err := c.flogReplay(nd, iter)
+		cost, steps, err := c.flogReplay(nd, p.iter)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		span.Observe(cost)
 		if steps > maxSteps {
@@ -249,19 +221,9 @@ func (c *Cluster[V, A]) recoverLogged(failed []int, iter int) ([]int, error) {
 		}
 	}
 	c.clock.Advance(span.Max())
-	c.hook("logged:replay")
-	if state := c.barrier(); state.IsFail() {
-		return state.Failed, nil
-	}
-	rec.ReplaySeconds = c.clock.Now() - replaySimStart
-	rec.LogReplaySupersteps = maxSteps
-
-	msgs1, bytes1 := c.met.RecoveryTraffic()
-	rec.Msgs, rec.Bytes = msgs1-msgs0, bytes1-bytes0
-	c.refreshMemoryMetrics()
-	c.recoveries = append(c.recoveries, rec)
-	c.trace = append(c.trace, TraceEvent{Iter: iter, Kind: "recovery", Start: start, End: c.clock.Now()})
-	return nil, nil
+	p.rec.LogReplaySupersteps = maxSteps
+	p.hook() // logs replayed
+	return p.barrier(&p.rec.ReplaySeconds)
 }
 
 // flogReplay applies nd's log chain up to (and including) superstep

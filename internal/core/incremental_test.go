@@ -59,9 +59,7 @@ func TestIncrementalCheckpointRecoveryEquivalence(t *testing.T) {
 		run := func(fail bool) []float64 {
 			cfg := incCfg(12, 2, true)
 			if fail {
-				cfg.Failures = []core.FailureSpec{{
-					Iteration: 9, Phase: core.FailBeforeBarrier, Nodes: []int{2},
-				}}
+				cfg.Chaos = crashAt(9, core.FailBeforeBarrier, 2)
 			}
 			var res *core.Result[float64]
 			var err error
@@ -94,9 +92,7 @@ func TestIncrementalCheckpointRecoveryEquivalence(t *testing.T) {
 func TestIncrementalChainDepthBounded(t *testing.T) {
 	g := datasets.Tiny(400, 2400, 507)
 	cfg := incCfg(14, 1, true) // FullEvery=3: fulls at epochs 0,3,6,9,12
-	cfg.Failures = []core.FailureSpec{{
-		Iteration: 13, Phase: core.FailBeforeBarrier, Nodes: []int{1},
-	}}
+	cfg.Chaos = crashAt(13, core.FailBeforeBarrier, 1)
 	cl, err := core.NewCluster[float64, float64](cfg, g, algorithms.NewPageRank(g.NumVertices()))
 	if err != nil {
 		t.Fatal(err)

@@ -32,7 +32,7 @@ func TestRebirthPreservesLayout(t *testing.T) {
 		g := datasets.Tiny(200, 1000, 99)
 		cfg := DefaultConfig(mode, 3)
 		cfg.MaxIter = 4
-		cfg.Failures = []FailureSpec{{Iteration: 2, Phase: FailBeforeBarrier, Nodes: []int{1}}}
+		cfg.Chaos = []ChaosEvent{{Kind: ChaosCrash, Iteration: 2, Phase: FailBeforeBarrier, Nodes: []int{1}}}
 		cl, err := NewCluster[float64, float64](cfg, g, fakePR{})
 		if err != nil {
 			t.Fatal(err)

@@ -32,7 +32,7 @@ func TestLoggedRecoveryEquivalence(t *testing.T) {
 			base := loggedConfig(mode, 6, 8)
 			want := runPR(t, base, g)
 			withFail := base
-			withFail.Failures = failAt(4, core.FailBeforeBarrier, 2)
+			withFail.Chaos = crashAt(4, core.FailBeforeBarrier, 2)
 			got := runPR(t, withFail, g)
 			valuesEqual(t, mode.String(), got.Values, want.Values, 0)
 			if len(got.Recoveries) != 1 {
@@ -53,7 +53,7 @@ func TestLoggedRecoveryEquivalence(t *testing.T) {
 			base := loggedConfig(mode, 6, 40)
 			want := runSP(t, base, g)
 			withFail := base
-			withFail.Failures = failAt(3, core.FailBeforeBarrier, 1)
+			withFail.Chaos = crashAt(3, core.FailBeforeBarrier, 1)
 			got := runSP(t, withFail, g)
 			valuesEqual(t, mode.String(), got.Values, want.Values, 0)
 		})
@@ -78,7 +78,7 @@ func TestLoggedSurvivorsZeroRecompute(t *testing.T) {
 	}
 
 	cfg := loggedConfig(core.EdgeCutMode, 6, iters)
-	cfg.Failures = failAt(5, core.FailBeforeBarrier, 2)
+	cfg.Chaos = crashAt(5, core.FailBeforeBarrier, 2)
 	logged := runPR(t, cfg, g)
 	r := logged.Recoveries[0]
 	if r.ReplayIters != 0 {
@@ -97,7 +97,7 @@ func TestLoggedSurvivorsZeroRecompute(t *testing.T) {
 
 	ck := ftConfig(core.EdgeCutMode, 6, iters, 1, core.RecoverCheckpoint)
 	ck.Checkpoint.Interval = 3
-	ck.Failures = failAt(5, core.FailBeforeBarrier, 2)
+	ck.Chaos = crashAt(5, core.FailBeforeBarrier, 2)
 	ckres := runPR(t, ck, g)
 	cr := ckres.Recoveries[0]
 	if cr.ReplayIters == 0 {
@@ -117,7 +117,7 @@ func TestLoggedCompaction(t *testing.T) {
 
 	// No compaction: a crash at iteration 7 replays logs 0..6.
 	plain := base
-	plain.Failures = failAt(7, core.FailBeforeBarrier, 1)
+	plain.Chaos = crashAt(7, core.FailBeforeBarrier, 1)
 	got := runPR(t, plain, g)
 	valuesEqual(t, "nocompact", got.Values, want.Values, 0)
 	if got.Recoveries[0].LogReplaySupersteps != 7 {
@@ -128,7 +128,7 @@ func TestLoggedCompaction(t *testing.T) {
 	// for the same crash starts at 5: logs 5, 6.
 	compact := base
 	compact.Logged.CompactEvery = 3
-	compact.Failures = failAt(7, core.FailBeforeBarrier, 1)
+	compact.Chaos = crashAt(7, core.FailBeforeBarrier, 1)
 	gotC := runPR(t, compact, g)
 	valuesEqual(t, "compact", gotC.Values, want.Values, 0)
 	if gotC.Recoveries[0].LogReplaySupersteps != 2 {
@@ -147,26 +147,13 @@ func TestLoggedCrashDuringRecovery(t *testing.T) {
 		phase := phase
 		t.Run(phase, func(t *testing.T) {
 			cfg := base
-			cfg.Failures = failAt(3, core.FailBeforeBarrier, 1)
-			cl, err := core.NewCluster[float64, float64](cfg, g, algorithms.NewPageRank(g.NumVertices()))
-			if err != nil {
-				t.Fatal(err)
-			}
-			injected := false
-			cl.SetRecoveryHook(func(p string) {
-				if p == phase && !injected {
-					injected = true
-					cl.InjectFailure(4)
-				}
-			})
-			res, err := cl.Run()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !injected {
-				t.Fatal("hook never fired")
-			}
+			cfg.Chaos = append(crashAt(3, core.FailBeforeBarrier, 1),
+				core.ChaosEvent{Kind: core.ChaosCrashDuringRecovery, During: phase, Nodes: []int{4}})
+			res := runPR(t, cfg, g)
 			valuesEqual(t, phase, res.Values, want.Values, 0)
+			if last := res.Recoveries[len(res.Recoveries)-1]; len(last.Failed) != 2 {
+				t.Fatalf("final recovery covered %v, want both victims", last.Failed)
+			}
 		})
 	}
 }
@@ -179,14 +166,14 @@ func TestLoggedMultipleAndSequentialFailures(t *testing.T) {
 	want := runPR(t, base, g)
 
 	multi := base
-	multi.Failures = failAt(4, core.FailBeforeBarrier, 1, 4, 6)
+	multi.Chaos = crashAt(4, core.FailBeforeBarrier, 1, 4, 6)
 	got := runPR(t, multi, g)
 	valuesEqual(t, "multi", got.Values, want.Values, 0)
 
 	seq := base
-	seq.Failures = []core.FailureSpec{
-		{Iteration: 3, Phase: core.FailBeforeBarrier, Nodes: []int{1}},
-		{Iteration: 6, Phase: core.FailAfterBarrier, Nodes: []int{4}},
+	seq.Chaos = []core.ChaosEvent{
+		{Kind: core.ChaosCrash, Iteration: 3, Phase: core.FailBeforeBarrier, Nodes: []int{1}},
+		{Kind: core.ChaosCrash, Iteration: 6, Phase: core.FailAfterBarrier, Nodes: []int{4}},
 	}
 	got = runPR(t, seq, g)
 	valuesEqual(t, "sequential", got.Values, want.Values, 0)
@@ -236,7 +223,7 @@ func TestLoggedStandbyExhaustion(t *testing.T) {
 	g := datasets.Tiny(300, 1800, 83)
 	cfg := loggedConfig(core.EdgeCutMode, 4, 6)
 	cfg.MaxRebirths = 0
-	cfg.Failures = failAt(2, core.FailBeforeBarrier, 1)
+	cfg.Chaos = crashAt(2, core.FailBeforeBarrier, 1)
 	cl, err := core.NewCluster[float64, float64](cfg, g, algorithms.NewPageRank(g.NumVertices()))
 	if err != nil {
 		t.Fatal(err)

@@ -15,14 +15,8 @@ import (
 // cooperatively, vertex-cut edges are reloaded from edge-ckpt files, the
 // fault-tolerance invariants (K replicas, K mirrors) are re-established,
 // and finally the activation states of the promoted masters are replayed.
-func (c *Cluster[V, A]) recoverMigration(failed []int, iter int) ([]int, error) {
-	failedSet := make(map[int]bool, len(failed))
-	for _, f := range failed {
-		failedSet[f] = true
-	}
-	rec := RecoveryReport{Kind: "migration", Iteration: iter, Failed: append([]int(nil), failed...)}
-	start := c.clock.Now()
-	msgs0, bytes0 := c.met.RecoveryTraffic()
+func (c *Cluster[V, A]) recoverMigration(p *recoveryPass[V, A]) error {
+	failed, failedSet, rec, iter := p.failed, p.failedSet, &p.rec, p.iter
 
 	// --- Phase 1: promotion (Reloading §5.2.1). Each surviving node scans
 	// its mirrors; the lowest surviving mirror of each lost master promotes
@@ -113,7 +107,7 @@ func (c *Cluster[V, A]) recoverMigration(failed []int, iter int) ([]int, error) 
 	// Unrecoverable check: every vertex must have a live master now.
 	for v, mn := range c.masterLoc {
 		if failedSet[int(mn)] {
-			return nil, fmt.Errorf("%w: vertex %d lost master and all mirrors", ErrTooManyFailures, v)
+			return fmt.Errorf("%w: vertex %d lost master and all mirrors", ErrTooManyFailures, v)
 		}
 	}
 	// Surviving masters drop lost replicas from their tables.
@@ -144,7 +138,7 @@ func (c *Cluster[V, A]) recoverMigration(failed []int, iter int) ([]int, error) 
 			tableChanged[masterKey{int16(nd.id), int32(i)}] = true
 		}
 	}
-	c.hook("migration:promote")
+	p.hook() // mirrors promoted
 
 	// --- Phase 2: move notices. Promoted masters tell their surviving
 	// replicas where the master now lives.
@@ -286,15 +280,13 @@ func (c *Cluster[V, A]) recoverMigration(failed []int, iter int) ([]int, error) 
 			c.recycleMsgs(msgs)
 		})
 	}
-	if state := c.barrier(); state.IsFail() {
-		return state.Failed, nil
+	if err := p.barrier(&rec.ReloadSeconds); err != nil {
+		return err
 	}
-	rec.ReloadSeconds = c.clock.Now() - start
-	c.hook("migration:moved")
+	p.hook() // replicas moved to the new masters
 
 	// --- Phase 3: gather migrated edges and the vertex ids each node now
 	// needs locally.
-	reconStart := c.clock.Now()
 	type migEdge struct {
 		src, dst graph.VertexID
 		wt       float64
@@ -326,7 +318,7 @@ func (c *Cluster[V, A]) recoverMigration(failed []int, iter int) ([]int, error) 
 				}
 				var owner, target int
 				if _, err := fmt.Sscanf(path, "edgeckpt/%d/%d", &owner, &target); err != nil {
-					return nil, fmt.Errorf("core: bad edge-ckpt path %q: %w", path, err)
+					return fmt.Errorf("core: bad edge-ckpt path %q: %w", path, err)
 				}
 				// Files addressed to a dead node (this failure or any
 				// earlier one) are reassigned round-robin over survivors.
@@ -337,7 +329,7 @@ func (c *Cluster[V, A]) recoverMigration(failed []int, iter int) ([]int, error) 
 				}
 				data, cost, err := c.dfs.Read(readerNode, path)
 				if err != nil {
-					return nil, err
+					return err
 				}
 				c.met.Nodes[readerNode].DFSReadBytes += int64(len(data))
 				span.Observe(cost)
@@ -352,7 +344,7 @@ func (c *Cluster[V, A]) recoverMigration(failed []int, iter int) ([]int, error) 
 					migEdges[readerNode] = append(migEdges[readerNode], migEdge{src, dst, wt})
 				}
 				if r.err != nil {
-					return nil, r.err
+					return r.err
 				}
 				readPaths[readerNode] = append(readPaths[readerNode], path)
 			}
@@ -387,7 +379,7 @@ func (c *Cluster[V, A]) recoverMigration(failed []int, iter int) ([]int, error) 
 			}
 		}
 	}
-	c.hook("migration:edges")
+	p.hook() // migrated edges gathered
 
 	// --- Phase 4: cooperative replica creation: request -> reply ->
 	// register (three rounds).
@@ -491,10 +483,10 @@ func (c *Cluster[V, A]) recoverMigration(failed []int, iter int) ([]int, error) 
 			tableChanged[k] = true
 		}
 	}
-	if state := c.barrier(); state.IsFail() {
-		return state.Failed, nil
+	if err := p.barrier(nil); err != nil {
+		return err
 	}
-	c.hook("migration:replicas")
+	p.hook() // missing replicas created
 
 	// --- Phase 5: attach migrated edges to local topology.
 	var reconSpan costmodel.Span
@@ -505,7 +497,7 @@ func (c *Cluster[V, A]) recoverMigration(failed []int, iter int) ([]int, error) 
 				sp, ok1 := nd.pos(me.src)
 				dp, ok2 := nd.pos(me.dst)
 				if !ok1 || !ok2 {
-					return nil, fmt.Errorf("%w: node %d migrated edge endpoint missing", ErrUnrecoverable, nd.id)
+					return fmt.Errorf("%w: node %d migrated edge endpoint missing", ErrUnrecoverable, nd.id)
 				}
 				nd.attachEdge(sp, dp, me.wt)
 				created++
@@ -550,7 +542,7 @@ func (c *Cluster[V, A]) recoverMigration(failed []int, iter int) ([]int, error) 
 				for k, src := range ed.src {
 					sp, ok := nd.pos(src)
 					if !ok {
-						return nil, fmt.Errorf("%w: node %d missing promoted in-neighbor %d",
+						return fmt.Errorf("%w: node %d missing promoted in-neighbor %d",
 							ErrUnrecoverable, nd.id, src)
 					}
 					t.inNbr[k] = sp
@@ -570,26 +562,23 @@ func (c *Cluster[V, A]) recoverMigration(failed []int, iter int) ([]int, error) 
 	// mirrors) for every master whose table changed, then refresh full
 	// state on all mirrors of changed masters.
 	if err := c.repairFTInvariants(tableChanged); err != nil {
-		return nil, err
+		return err
 	}
-	if state := c.barrier(); state.IsFail() {
-		return state.Failed, nil
+	if err := p.barrier(&rec.ReconstructSeconds); err != nil {
+		return err
 	}
-	rec.ReconstructSeconds = c.clock.Now() - reconStart
-	c.hook("migration:repair")
+	p.hook() // FT invariants repaired
 
 	// --- Phase 7: replay activation for the promoted masters only
 	// (§5.2.3) and recompute promoted selfish vertices (§4.4).
-	replayStart := c.clock.Now()
 	isPromoted := func(mn int16, mp int32) bool { return promoted[mn][mp] }
 	c.replayActivation(iter, isPromoted)
 	for _, nd := range c.aliveNodes() {
 		c.recomputeSelfish(nd, isPromoted, iter)
 	}
-	if state := c.barrier(); state.IsFail() {
-		return state.Failed, nil
+	if err := p.barrier(&rec.ReplaySeconds); err != nil {
+		return err
 	}
-	rec.ReplaySeconds = c.clock.Now() - replayStart
 
 	for _, nd := range c.aliveNodes() {
 		c.coord.Set(fmt.Sprintf("arraylen/%d", nd.id), int64(len(nd.hot)))
@@ -600,12 +589,7 @@ func (c *Cluster[V, A]) recoverMigration(failed []int, iter int) ([]int, error) 
 	c.markRoutesDirty()
 	// The pass completed: nothing is pending for a restart to pick up.
 	c.migPromoted, c.migFilesDone = nil, nil
-	msgs1, bytes1 := c.met.RecoveryTraffic()
-	rec.Msgs, rec.Bytes = msgs1-msgs0, bytes1-bytes0
-	c.refreshMemoryMetrics()
-	c.recoveries = append(c.recoveries, rec)
-	c.trace = append(c.trace, TraceEvent{Iter: iter, Kind: "recovery", Start: start, End: c.clock.Now()})
-	return nil, nil
+	return nil
 }
 
 // repairFTInvariants re-establishes >= K replicas and K mirrors for every

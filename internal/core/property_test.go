@@ -57,7 +57,7 @@ func TestRandomizedRecoveryEquivalence(t *testing.T) {
 		if want == nil {
 			return false
 		}
-		cfg.Failures = []core.FailureSpec{{Iteration: failIter, Phase: phase, Nodes: []int{victim}}}
+		cfg.Chaos = crashAt(failIter, phase, victim)
 		got := run(cfg)
 		if got == nil {
 			return false
@@ -98,7 +98,7 @@ func TestMirrorFirstPlacementStillRecovers(t *testing.T) {
 	}
 	want := run(base)
 	withFail := base
-	withFail.Failures = []core.FailureSpec{{Iteration: 3, Phase: core.FailBeforeBarrier, Nodes: []int{2}}}
+	withFail.Chaos = crashAt(3, core.FailBeforeBarrier, 2)
 	got := run(withFail)
 	for v := range want {
 		if got[v] != want[v] {

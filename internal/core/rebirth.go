@@ -9,56 +9,39 @@ import (
 	"imitator/internal/netsim"
 )
 
-// recoverRebirth reconstructs each crashed node's full state on a standby
-// node that assumes the crashed node's logical id (§5.1). Three phases:
-// Reloading (survivors push recovery records derived from their masters and
-// mirrors), Reconstruction (records land at their recorded array positions,
-// then local topology is re-linked), and Replay (activation states are
-// re-derived from committed scatter flags).
-func (c *Cluster[V, A]) recoverRebirth(failed []int, iter int) ([]int, error) {
-	if c.rebirthsUsed+len(failed) > c.cfg.MaxRebirths {
-		return nil, fmt.Errorf("%w: %d standby nodes exhausted", ErrNoStandby, c.cfg.MaxRebirths)
+// rebirthNewbie builds the empty standby node that assumes crashed slot f's
+// logical id, its vertex arrays sized from the coordination service's shared
+// state (§5.1).
+func (c *Cluster[V, A]) rebirthNewbie(_ *recoveryPass[V, A], f int) (*node[V, A], error) {
+	arrayLen, ok := c.coord.Get(fmt.Sprintf("arraylen/%d", f))
+	if !ok {
+		return nil, fmt.Errorf("%w: unknown array length for node %d", ErrUnrecoverable, f)
 	}
-	failedSet := make(map[int]bool, len(failed))
-	for _, f := range failed {
-		failedSet[f] = true
+	nd := &node[V, A]{
+		id:    f,
+		alive: true,
+		met:   &c.met.Nodes[f],
+		hot:   make([]hot[V], arrayLen),
+		topo:  make([]topo, arrayLen),
+		meta:  make([]meta, arrayLen),
+		index: make(map[graph.VertexID]int32, arrayLen),
 	}
-	rec := RecoveryReport{Kind: "rebirth", Iteration: iter, Failed: append([]int(nil), failed...)}
-	start := c.clock.Now()
-	msgs0, bytes0 := c.met.RecoveryTraffic()
+	for i := range nd.hot {
+		nd.hot[i].masterNode = noNode // "not yet placed" sentinel
+	}
+	c.initNodeScratch(nd)
+	return nd, nil
+}
 
-	// Newbies join the membership and size their vertex arrays from the
-	// coordination service's shared state.
-	for _, f := range failed {
-		arrayLen, ok := c.coord.Get(fmt.Sprintf("arraylen/%d", f))
-		if !ok {
-			return nil, fmt.Errorf("%w: unknown array length for node %d", ErrUnrecoverable, f)
-		}
-		nd := &node[V, A]{
-			id:    f,
-			alive: true,
-			met:   &c.met.Nodes[f],
-			hot:   make([]hot[V], arrayLen),
-			topo:  make([]topo, arrayLen),
-			meta:  make([]meta, arrayLen),
-			index: make(map[graph.VertexID]int32, arrayLen),
-		}
-		for i := range nd.hot {
-			nd.hot[i].masterNode = noNode // "not yet placed" sentinel
-		}
-		c.initNodeScratch(nd)
-		c.nodes[f] = nd
-		c.net.SetFailed(f, false)
-		c.coord.Join(f)
-		// The newbie is a fresh incarnation of the slot: stamp its bumped
-		// epoch into the network so traffic of the previous life — e.g. a
-		// partitioned-but-alive predecessor whose frames are still parked
-		// in the cable — is fenced instead of reaching the new state.
-		c.net.SetEpoch(f, c.coord.Epoch(f))
-		c.chaosTrack(f)
-		c.rebirthsUsed++
-	}
-	c.hook("rebirth:join")
+// recoverRebirth reconstructs each crashed node's full state on the newbie
+// that joined under its id (§5.1). Three phases: Reloading (survivors push
+// recovery records derived from their masters and mirrors), Reconstruction
+// (records land at their recorded array positions, then local topology is
+// re-linked), and Replay (activation states are re-derived from committed
+// scatter flags).
+func (c *Cluster[V, A]) recoverRebirth(p *recoveryPass[V, A]) error {
+	failed, failedSet, rec := p.failed, p.failedSet, &p.rec
+	p.hook() // newbies joined
 
 	// Reloading: survivors scan their masters for replicas lost on failed
 	// nodes, and their mirrors for masters lost on failed nodes (the lowest
@@ -108,7 +91,7 @@ func (c *Cluster[V, A]) recoverRebirth(failed []int, iter int) ([]int, error) {
 			for _, path := range c.dfs.List(fmt.Sprintf("edgeckpt/%d/", f)) {
 				data, cost, err := c.dfs.Read(f, path)
 				if err != nil {
-					return nil, err
+					return err
 				}
 				nd.met.DFSReadBytes += int64(len(data))
 				nodeCost += cost
@@ -118,17 +101,15 @@ func (c *Cluster[V, A]) recoverRebirth(failed []int, iter int) ([]int, error) {
 		}
 		c.clock.Advance(span.Max())
 	}
-	if state := c.barrier(); state.IsFail() {
-		return state.Failed, nil
+	if err := p.barrier(&rec.ReloadSeconds); err != nil {
+		return err
 	}
-	rec.ReloadSeconds = c.clock.Now() - start
-	c.hook("rebirth:reload")
+	p.hook() // records reloaded
 
 	// Reconstruction: records land at their positions; then in-edge lists
 	// are resolved by id and out-lists rebuilt by reversal. Every alive
 	// node collects the round (survivors receive nothing, but collecting is
 	// what closes the round on asynchronous transports).
-	reconStart := c.clock.Now()
 	received := make([][]netsim.Message, c.cfg.NumNodes)
 	c.eachAlive(func(nd *node[V, A]) {
 		received[nd.id] = c.net.Receive(nd.id)
@@ -166,7 +147,7 @@ func (c *Cluster[V, A]) recoverRebirth(failed []int, iter int) ([]int, error) {
 				}
 			}
 			if r.err != nil {
-				return nil, fmt.Errorf("core: rebirth decode on node %d: %w", f, r.err)
+				return fmt.Errorf("core: rebirth decode on node %d: %w", f, r.err)
 			}
 		}
 		// Position-addressed placement is contention-free (§5.1.2): every
@@ -185,7 +166,7 @@ func (c *Cluster[V, A]) recoverRebirth(failed []int, iter int) ([]int, error) {
 		// Every slot must have been recovered.
 		for i := range nd.hot {
 			if nd.hot[i].masterNode == noNode {
-				return nil, fmt.Errorf("%w: node %d slot %d not recovered (lost beyond K?)",
+				return fmt.Errorf("%w: node %d slot %d not recovered (lost beyond K?)",
 					ErrTooManyFailures, f, i)
 			}
 		}
@@ -207,7 +188,7 @@ func (c *Cluster[V, A]) recoverRebirth(failed []int, iter int) ([]int, error) {
 			for k, srcID := range re.src {
 				sp, ok := nd.pos(srcID)
 				if !ok {
-					return nil, fmt.Errorf("%w: node %d missing in-neighbor %d", ErrUnrecoverable, f, srcID)
+					return fmt.Errorf("%w: node %d missing in-neighbor %d", ErrUnrecoverable, f, srcID)
 				}
 				t.inNbr[k] = sp
 				nd.topo[sp].outNbr = append(nd.topo[sp].outNbr, pos)
@@ -218,7 +199,7 @@ func (c *Cluster[V, A]) recoverRebirth(failed []int, iter int) ([]int, error) {
 		for _, data := range edgeData[f] {
 			n, err := c.attachEdgeCkpt(nd, data)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			edges += n
 		}
@@ -230,30 +211,18 @@ func (c *Cluster[V, A]) recoverRebirth(failed []int, iter int) ([]int, error) {
 		c.recycleMsgs(msgs)
 	}
 	c.clock.Advance(reconSpan.Max())
-	if state := c.barrier(); state.IsFail() {
-		return state.Failed, nil
+	if err := p.barrier(&rec.ReconstructSeconds); err != nil {
+		return err
 	}
-	rec.ReconstructSeconds = c.clock.Now() - reconStart
-	c.hook("rebirth:reconstruct")
+	p.hook() // state reconstructed
 
 	// Replay: re-derive active flags for the recovered masters (§5.1.3).
-	replayStart := c.clock.Now()
 	onReborn := func(masterNode int16, _ int32) bool { return failedSet[int(masterNode)] }
-	c.replayActivation(iter, onReborn)
+	c.replayActivation(p.iter, onReborn)
 	for _, f := range failed {
-		c.recomputeSelfish(c.nodes[f], onReborn, iter)
+		c.recomputeSelfish(c.nodes[f], onReborn, p.iter)
 	}
-	if state := c.barrier(); state.IsFail() {
-		return state.Failed, nil
-	}
-	rec.ReplaySeconds = c.clock.Now() - replayStart
-
-	msgs1, bytes1 := c.met.RecoveryTraffic()
-	rec.Msgs, rec.Bytes = msgs1-msgs0, bytes1-bytes0
-	c.refreshMemoryMetrics()
-	c.recoveries = append(c.recoveries, rec)
-	c.trace = append(c.trace, TraceEvent{Iter: iter, Kind: "recovery", Start: start, End: c.clock.Now()})
-	return nil, nil
+	return p.barrier(&rec.ReplaySeconds)
 }
 
 // stageReplicaRecovery emits the record recreating the replica that row ri

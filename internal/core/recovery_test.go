@@ -25,8 +25,10 @@ func ftConfig(mode core.Mode, numNodes, iters, k int, recovery core.RecoveryKind
 	return cfg
 }
 
-func failAt(iter int, phase core.FailPhase, nodes ...int) []core.FailureSpec {
-	return []core.FailureSpec{{Iteration: iter, Phase: phase, Nodes: nodes}}
+// crashAt builds a one-event chaos schedule fail-stopping nodes at an
+// iteration boundary.
+func crashAt(iter int, phase core.FailPhase, nodes ...int) []core.ChaosEvent {
+	return []core.ChaosEvent{{Kind: core.ChaosCrash, Iteration: iter, Phase: phase, Nodes: nodes}}
 }
 
 // valuesEqual compares float64 value vectors, exactly or with relative
@@ -105,7 +107,7 @@ func TestRecoveryEquivalence(t *testing.T) {
 			base := ftConfig(tc.mode, 6, 8, 1, tc.recovery)
 			want := runPR(t, base, g)
 			withFail := base
-			withFail.Failures = failAt(4, core.FailBeforeBarrier, 2)
+			withFail.Chaos = crashAt(4, core.FailBeforeBarrier, 2)
 			got := runPR(t, withFail, g)
 			valuesEqual(t, tc.name, got.Values, want.Values, tc.tol)
 			if len(got.Recoveries) != 1 {
@@ -123,7 +125,7 @@ func TestRecoveryEquivalence(t *testing.T) {
 			base := ftConfig(tc.mode, 6, 40, 1, tc.recovery)
 			want := runSP(t, base, g)
 			withFail := base
-			withFail.Failures = failAt(3, core.FailBeforeBarrier, 1)
+			withFail.Chaos = crashAt(3, core.FailBeforeBarrier, 1)
 			got := runSP(t, withFail, g)
 			valuesEqual(t, tc.name, got.Values, want.Values, 0) // min-folds are exact
 		})
@@ -161,7 +163,7 @@ func TestRecoveryEquivalenceCD(t *testing.T) {
 			base := ftConfig(tc.mode, 5, 10, 1, tc.recovery)
 			want := run(base)
 			withFail := base
-			withFail.Failures = failAt(3, core.FailBeforeBarrier, 2)
+			withFail.Chaos = crashAt(3, core.FailBeforeBarrier, 2)
 			got := run(withFail)
 			for v := range want {
 				if got[v] != want[v] {
@@ -204,7 +206,7 @@ func TestRecoveryEquivalenceALS(t *testing.T) {
 			base := ftConfig(tc.mode, 4, 6, 1, tc.recovery)
 			want := run(base)
 			withFail := base
-			withFail.Failures = failAt(2, core.FailBeforeBarrier, 0)
+			withFail.Chaos = crashAt(2, core.FailBeforeBarrier, 0)
 			got := run(withFail)
 			for v := range want {
 				for i := range want[v] {
@@ -224,7 +226,7 @@ func TestFailureAfterBarrier(t *testing.T) {
 		base := ftConfig(core.EdgeCutMode, 5, 8, 1, rec)
 		want := runPR(t, base, g)
 		withFail := base
-		withFail.Failures = failAt(4, core.FailAfterBarrier, 3)
+		withFail.Chaos = crashAt(4, core.FailAfterBarrier, 3)
 		got := runPR(t, withFail, g)
 		valuesEqual(t, rec.String(), got.Values, want.Values, 0)
 	}
@@ -236,7 +238,7 @@ func TestFailureAtIterationZero(t *testing.T) {
 		base := ftConfig(core.VertexCutMode, 4, 6, 1, rec)
 		want := runSP(t, base, g)
 		withFail := base
-		withFail.Failures = failAt(0, core.FailBeforeBarrier, 2)
+		withFail.Chaos = crashAt(0, core.FailBeforeBarrier, 2)
 		got := runSP(t, withFail, g)
 		valuesEqual(t, rec.String(), got.Values, want.Values, 0)
 	}
@@ -257,7 +259,7 @@ func TestMultipleSimultaneousFailures(t *testing.T) {
 		base := ftConfig(tc.mode, 8, 8, 3, tc.rec)
 		want := runPR(t, base, g)
 		withFail := base
-		withFail.Failures = failAt(4, core.FailBeforeBarrier, 1, 4, 6)
+		withFail.Chaos = crashAt(4, core.FailBeforeBarrier, 1, 4, 6)
 		got := runPR(t, withFail, g)
 		valuesEqual(t, tc.mode.String()+"/"+tc.rec.String(), got.Values, want.Values, tc.tol)
 	}
@@ -279,9 +281,9 @@ func TestSequentialFailures(t *testing.T) {
 		base := ftConfig(tc.mode, 6, 10, 1, tc.rec)
 		want := runPR(t, base, g)
 		withFail := base
-		withFail.Failures = []core.FailureSpec{
-			{Iteration: 3, Phase: core.FailBeforeBarrier, Nodes: []int{1}},
-			{Iteration: 7, Phase: core.FailBeforeBarrier, Nodes: []int{4}},
+		withFail.Chaos = []core.ChaosEvent{
+			{Kind: core.ChaosCrash, Iteration: 3, Phase: core.FailBeforeBarrier, Nodes: []int{1}},
+			{Kind: core.ChaosCrash, Iteration: 7, Phase: core.FailBeforeBarrier, Nodes: []int{4}},
 		}
 		got := runPR(t, withFail, g)
 		valuesEqual(t, tc.mode.String()+"/"+tc.rec.String(), got.Values, want.Values, tc.tol)
@@ -294,7 +296,7 @@ func TestSequentialFailures(t *testing.T) {
 func TestUnrecoverableBeyondK(t *testing.T) {
 	g := datasets.Tiny(800, 4800, 82)
 	cfg := ftConfig(core.EdgeCutMode, 6, 6, 1, core.RecoverRebirth)
-	cfg.Failures = failAt(3, core.FailBeforeBarrier, 1, 2) // two failures, K=1
+	cfg.Chaos = crashAt(3, core.FailBeforeBarrier, 1, 2) // two failures, K=1
 	cl, err := core.NewCluster[float64, float64](cfg, g, algorithms.NewPageRank(g.NumVertices()))
 	if err != nil {
 		t.Fatal(err)
@@ -308,7 +310,7 @@ func TestStandbyExhaustion(t *testing.T) {
 	g := datasets.Tiny(300, 1800, 83)
 	cfg := ftConfig(core.EdgeCutMode, 4, 6, 1, core.RecoverRebirth)
 	cfg.MaxRebirths = 0
-	cfg.Failures = failAt(2, core.FailBeforeBarrier, 1)
+	cfg.Chaos = crashAt(2, core.FailBeforeBarrier, 1)
 	cl, err := core.NewCluster[float64, float64](cfg, g, algorithms.NewPageRank(g.NumVertices()))
 	if err != nil {
 		t.Fatal(err)
@@ -326,33 +328,20 @@ func TestFailureDuringRecovery(t *testing.T) {
 	want := runPR(t, base, g)
 
 	cfg := base
-	cfg.Failures = failAt(3, core.FailBeforeBarrier, 1)
-	cl, err := core.NewCluster[float64, float64](cfg, g, algorithms.NewPageRank(g.NumVertices()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	injected := false
-	cl.SetRecoveryHook(func(phase string) {
-		if phase == "rebirth:reload" && !injected {
-			injected = true
-			cl.InjectFailure(4)
-		}
-	})
-	res, err := cl.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !injected {
-		t.Fatal("hook never fired")
-	}
+	cfg.Chaos = append(crashAt(3, core.FailBeforeBarrier, 1),
+		core.ChaosEvent{Kind: core.ChaosCrashDuringRecovery, During: "rebirth:reload", Nodes: []int{4}})
+	res := runPR(t, cfg, g)
 	valuesEqual(t, "during-recovery", res.Values, want.Values, 0)
+	if last := res.Recoveries[len(res.Recoveries)-1]; len(last.Failed) != 2 {
+		t.Fatalf("final recovery covered %v, want both victims", last.Failed)
+	}
 }
 
 func TestCheckpointRecoveryReplays(t *testing.T) {
 	g := datasets.Tiny(500, 3000, 85)
 	cfg := ftConfig(core.EdgeCutMode, 5, 9, 1, core.RecoverCheckpoint)
 	cfg.Checkpoint.Interval = 3
-	cfg.Failures = failAt(7, core.FailBeforeBarrier, 2)
+	cfg.Chaos = crashAt(7, core.FailBeforeBarrier, 2)
 	got := runPR(t, cfg, g)
 	if len(got.Recoveries) != 1 {
 		t.Fatalf("recoveries = %d", len(got.Recoveries))
@@ -366,7 +355,7 @@ func TestCheckpointRecoveryReplays(t *testing.T) {
 		t.Error("replay time not accounted")
 	}
 	base := cfg
-	base.Failures = nil
+	base.Chaos = nil
 	want := runPR(t, base, g)
 	valuesEqual(t, "ckpt", got.Values, want.Values, 0)
 }
@@ -399,10 +388,10 @@ func TestCheckpointOverheadAccounting(t *testing.T) {
 func TestRebirthVsMigrationRecoveredCounts(t *testing.T) {
 	g := datasets.Tiny(600, 3600, 87)
 	cfg := ftConfig(core.EdgeCutMode, 6, 8, 1, core.RecoverRebirth)
-	cfg.Failures = failAt(4, core.FailBeforeBarrier, 2)
+	cfg.Chaos = crashAt(4, core.FailBeforeBarrier, 2)
 	reb := runPR(t, cfg, g)
 	cfgM := ftConfig(core.EdgeCutMode, 6, 8, 1, core.RecoverMigration)
-	cfgM.Failures = failAt(4, core.FailBeforeBarrier, 2)
+	cfgM.Chaos = crashAt(4, core.FailBeforeBarrier, 2)
 	mig := runPR(t, cfgM, g)
 	// Rebirth recovers every entry of the lost node; migration only
 	// promotes masters and creates the replicas it is missing.
@@ -446,7 +435,7 @@ func TestSelfishOptEquivalenceUnderFailure(t *testing.T) {
 		base.Recovery = rec
 		want := runPR(t, base, g)
 		withFail := base
-		withFail.Failures = failAt(3, core.FailBeforeBarrier, 2)
+		withFail.Chaos = crashAt(3, core.FailBeforeBarrier, 2)
 		got := runPR(t, withFail, g)
 		valuesEqual(t, "selfish/"+rec.String(), got.Values, want.Values, 0)
 	}

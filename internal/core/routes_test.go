@@ -63,7 +63,7 @@ func TestSyncRoutesRebuiltAfterRecovery(t *testing.T) {
 			cfg := DefaultConfig(tc.mode, 4)
 			cfg.Recovery = tc.rec
 			cfg.MaxIter = 8
-			cfg.Failures = []FailureSpec{{Iteration: 3, Phase: FailBeforeBarrier, Nodes: []int{1}}}
+			cfg.Chaos = []ChaosEvent{{Kind: ChaosCrash, Iteration: 3, Phase: FailBeforeBarrier, Nodes: []int{1}}}
 			cl, err := NewCluster[float64, float64](cfg, g, fakePR{})
 			if err != nil {
 				t.Fatal(err)

@@ -103,7 +103,7 @@ func TestServeEpochConsistentDuringFailover(t *testing.T) {
 					cfg.Logged = core.LoggedConfig{Enabled: true, CompactEvery: 3}
 				}
 				cfg.Serve = core.ServeConfig{Enabled: true}
-				cfg.Failures = failAt(3, core.FailBeforeBarrier, 1)
+				cfg.Chaos = crashAt(3, core.FailBeforeBarrier, 1)
 				tol := 0.0
 				if mode == core.VertexCutMode && st.rec == core.RecoverMigration {
 					tol = 1e-9 // migration reorders vcut gather partials
@@ -316,7 +316,7 @@ func TestServeIdentityWithServing(t *testing.T) {
 	g := datasets.Tiny(400, 2400, 13)
 	for _, mode := range []core.Mode{core.EdgeCutMode, core.VertexCutMode} {
 		base := ftConfig(mode, 5, 8, 1, core.RecoverRebirth)
-		base.Failures = failAt(3, core.FailBeforeBarrier, 1)
+		base.Chaos = crashAt(3, core.FailBeforeBarrier, 1)
 		plain := runPR(t, base, g)
 
 		served := base

@@ -124,7 +124,7 @@ func TestServeMidRebirthRouting(t *testing.T) {
 	for _, mode := range []Mode{EdgeCutMode, VertexCutMode} {
 		g := datasets.Tiny(400, 2400, 43)
 		cfg := serveFTConfig(mode, 6, 8, 2, RecoverRebirth)
-		cfg.Failures = []FailureSpec{{Iteration: 3, Phase: FailBeforeBarrier, Nodes: []int{1}}}
+		cfg.Chaos = []ChaosEvent{{Kind: ChaosCrash, Iteration: 3, Phase: FailBeforeBarrier, Nodes: []int{1}}}
 		cl := serveTestCluster(t, cfg, g)
 
 		checked := 0
@@ -257,7 +257,7 @@ func TestServeStalenessBound(t *testing.T) {
 	g := datasets.Tiny(300, 1800, 49)
 	cfg := serveFTConfig(EdgeCutMode, 5, 8, 1, RecoverRebirth)
 	cfg.Serve.PublishEvery = 3
-	cfg.Failures = []FailureSpec{{Iteration: 4, Phase: FailBeforeBarrier, Nodes: []int{1}}}
+	cfg.Chaos = []ChaosEvent{{Kind: ChaosCrash, Iteration: 4, Phase: FailBeforeBarrier, Nodes: []int{1}}}
 	cl := serveTestCluster(t, cfg, g)
 
 	sawReject, sawServed := false, false

@@ -24,7 +24,7 @@ import (
 //     persistence staged for the aborted iteration.
 //   - recover handles one recovery pass over the failed set and returns
 //     nodes that failed *during* the pass (the run loop restarts with the
-//     union, §5.3.2).
+//     union, §5.3.2). Every pass runs inside passStrategy.recover's frame.
 type ftStrategy[V, A any] interface {
 	Name() string
 	onLoad()
@@ -37,17 +37,24 @@ type ftStrategy[V, A any] interface {
 // already vetted the combination; the default arm is defensive.
 func newFTStrategy[V, A any](c *Cluster[V, A]) (ftStrategy[V, A], error) {
 	base := stratBase[V, A]{c: c}
+	// Migration promotes mirrors on survivors (§5.2): no standby newbies.
+	migration := passStrategy[V, A]{base, RecoverMigration, nil, c.recoverMigration}
 	switch c.cfg.Recovery {
 	case RecoverNone:
 		return &noneStrategy[V, A]{base}, nil
 	case RecoverCheckpoint:
-		return &checkpointStrategy[V, A]{base}, nil
+		// The paper's CKPT baseline: reload the last snapshot everywhere and
+		// replay the lost supersteps.
+		return &passStrategy[V, A]{base, RecoverCheckpoint, c.pristineNewbie, c.recoverCheckpoint}, nil
 	case RecoverRebirth:
-		return &rebirthStrategy[V, A]{base}, nil
+		return &rebirthStrategy[V, A]{passStrategy[V, A]{base, RecoverRebirth, c.rebirthNewbie, c.recoverRebirth}, migration}, nil
 	case RecoverMigration:
-		return &migrationStrategy[V, A]{base}, nil
+		return &migration, nil
 	case RecoverLogged:
-		return &loggedStrategy[V, A]{base}, nil
+		// Log-based failure-confined recovery (after Yan, Cheng & Yang,
+		// arXiv:1601.06496): superstep-end logs feed a replay that touches
+		// only the reborn nodes, while survivors do zero recomputation.
+		return &passStrategy[V, A]{base, RecoverLogged, c.pristineNewbie, c.recoverLogged}, nil
 	default:
 		return nil, fmt.Errorf("%w: unknown recovery kind %v", ErrInvalidStrategy, c.cfg.Recovery)
 	}
@@ -70,7 +77,7 @@ func validateStrategy(c *Config) error {
 	}
 	switch c.Recovery {
 	case RecoverNone:
-		if len(c.Failures) > 0 || c.chaosHasCrash() {
+		if c.chaosHasCrash() {
 			return fmt.Errorf("%w: failures scheduled but recovery disabled", ErrInvalidSchedule)
 		}
 	case RecoverCheckpoint:
@@ -142,54 +149,170 @@ func (s *noneStrategy[V, A]) recover(failed []int, _ int) ([]int, error) {
 		ErrUnrecoverable, failed)
 }
 
-// checkpointStrategy is the paper's CKPT baseline: reload the last snapshot
-// everywhere and replay the lost supersteps.
-type checkpointStrategy[V, A any] struct{ stratBase[V, A] }
-
-func (s *checkpointStrategy[V, A]) Name() string { return "checkpoint" }
-
-func (s *checkpointStrategy[V, A]) recover(failed []int, _ int) ([]int, error) {
-	return s.c.recoverCheckpoint(failed)
-}
-
 // rebirthStrategy is replication-based rebirth (§5.1), with the optional
 // fall back to migration when the standby pool runs dry.
-type rebirthStrategy[V, A any] struct{ stratBase[V, A] }
-
-func (s *rebirthStrategy[V, A]) Name() string { return "rebirth" }
+type rebirthStrategy[V, A any] struct {
+	passStrategy[V, A]
+	fallback passStrategy[V, A]
+}
 
 func (s *rebirthStrategy[V, A]) recover(failed []int, iter int) ([]int, error) {
-	c := s.c
-	more, err := c.recoverRebirth(failed, iter)
-	if err != nil && c.cfg.RebirthFallback && errors.Is(err, ErrNoStandby) {
+	more, err := s.passStrategy.recover(failed, iter)
+	if s.c.cfg.RebirthFallback && errors.Is(err, ErrNoStandby) {
 		// Standby pool is dry: migrate the lost slots onto the survivors
 		// instead of failing the job (§5.2 as fallback).
-		more, err = c.recoverMigration(failed, iter)
-		if err == nil && len(more) == 0 && len(c.recoveries) > 0 {
-			c.recoveries[len(c.recoveries)-1].Fallback = true
+		more, err = s.fallback.recover(failed, iter)
+		if err == nil && len(more) == 0 {
+			s.c.recoveries[len(s.c.recoveries)-1].Fallback = true
 		}
 	}
 	return more, err
 }
 
-// migrationStrategy promotes mirrors on survivors (§5.2).
-type migrationStrategy[V, A any] struct{ stratBase[V, A] }
-
-func (s *migrationStrategy[V, A]) Name() string { return "migration" }
-
-func (s *migrationStrategy[V, A]) recover(failed []int, iter int) ([]int, error) {
-	return s.c.recoverMigration(failed, iter)
+// RecoveryPhaseLabels returns the phase labels a recovery pass of the given
+// kind announces, in the order it reaches them (nil for kinds that recover
+// nothing). This is the one table of them: a pass reads its labels from here,
+// schedule validation checks ChaosCrashDuringRecovery.During against it, the
+// chaos campaign draws its during-recovery targets from it, and SetRecoveryHook
+// observers see exactly these strings.
+func RecoveryPhaseLabels(kind RecoveryKind) []string {
+	switch kind {
+	case RecoverRebirth:
+		return []string{"rebirth:join", "rebirth:reload", "rebirth:reconstruct"}
+	case RecoverMigration:
+		return []string{"migration:promote", "migration:moved", "migration:edges", "migration:replicas", "migration:repair"}
+	case RecoverCheckpoint:
+		return []string{"checkpoint:join", "checkpoint:reload"}
+	case RecoverLogged:
+		return []string{"logged:join", "logged:replay"}
+	default:
+		return nil
+	}
 }
 
-// loggedStrategy is log-based failure-confined recovery (after Yan, Cheng &
-// Yang, arXiv:1601.06496): superstep-end logs feed a replay that touches
-// only the reborn nodes, while survivors do zero recomputation.
-type loggedStrategy[V, A any] struct{ stratBase[V, A] }
+// passStrategy is a strategy that recovers in passes, and its recover is the
+// one frame around every pass. The frame owns what all of them repeat — the
+// standby pool, the newbie join sequence, the phase boundaries (recoveryPass),
+// the RecoveryReport and its trace span; a strategy contributes its kind, its
+// phase bodies, and — when it rebuilds the failed slots on standby nodes —
+// the builder of slot f's replacement node (nil for migration).
+type passStrategy[V, A any] struct {
+	stratBase[V, A]
+	kind   RecoveryKind
+	newbie func(p *recoveryPass[V, A], f int) (*node[V, A], error)
+	body   func(p *recoveryPass[V, A]) error
+}
 
-func (s *loggedStrategy[V, A]) Name() string { return "logged" }
+func (s *passStrategy[V, A]) Name() string { return s.kind.String() }
 
-func (s *loggedStrategy[V, A]) recover(failed []int, iter int) ([]int, error) {
-	return s.c.recoverLogged(failed, iter)
+// recoveryPass is one attempt to recover a failed set: the state the frame
+// shares with the phase bodies (recoverRebirth, recoverMigration,
+// recoverCheckpoint, recoverLogged), which call hook and barrier where their
+// phases end.
+type recoveryPass[V, A any] struct {
+	c         *Cluster[V, A]
+	iter      int
+	failed    []int
+	failedSet map[int]bool
+	rec       RecoveryReport
+	// labels are the kind's phase labels not yet announced.
+	labels []string
+	// slotStart is when the open RecoveryReport seconds slot began.
+	slotStart float64
+}
+
+// passInterrupted is what recoveryPass.barrier returns to unwind a phase body
+// when more nodes failed during the pass; recover turns it into the restart
+// set and it never leaves the frame.
+type passInterrupted struct{ failed []int }
+
+func (e passInterrupted) Error() string {
+	return fmt.Sprintf("core: recovery pass interrupted by the failure of nodes %v", e.failed)
+}
+
+// recover runs one pass over the failed set. A completed pass appends its
+// RecoveryReport and "recovery" trace span; a pass interrupted by further
+// failures returns them (§5.3.2) and leaves no record.
+func (s *passStrategy[V, A]) recover(failed []int, iter int) ([]int, error) {
+	c := s.c
+	if s.newbie != nil && c.rebirthsUsed+len(failed) > c.cfg.MaxRebirths {
+		return nil, fmt.Errorf("%w: %d standby nodes exhausted", ErrNoStandby, c.cfg.MaxRebirths)
+	}
+	start := c.clock.Now()
+	p := &recoveryPass[V, A]{
+		c: c, iter: iter, failed: failed, failedSet: make(map[int]bool, len(failed)),
+		rec:       RecoveryReport{Kind: s.Name(), Iteration: iter, Failed: append([]int(nil), failed...)},
+		labels:    RecoveryPhaseLabels(s.kind),
+		slotStart: start,
+	}
+	for _, f := range failed {
+		p.failedSet[f] = true
+	}
+	msgs0, bytes0 := c.met.RecoveryTraffic()
+	if s.newbie != nil {
+		for _, f := range failed {
+			nd, err := s.newbie(p, f)
+			if err != nil {
+				return nil, err
+			}
+			c.nodes[f] = nd
+			c.net.SetFailed(f, false)
+			c.coord.Join(f)
+			// The newbie is a fresh incarnation of the slot: stamp its bumped
+			// epoch into the network so traffic of the previous life — e.g. a
+			// partitioned-but-alive predecessor whose frames are still parked
+			// in the cable — is fenced instead of reaching the new state.
+			c.net.SetEpoch(f, c.coord.Epoch(f))
+			c.chaosTrack(f)
+			c.rebirthsUsed++
+		}
+	}
+	if err := s.body(p); err != nil {
+		if stop := (passInterrupted{}); errors.As(err, &stop) {
+			return stop.failed, nil
+		}
+		return nil, err
+	}
+	msgs1, bytes1 := c.met.RecoveryTraffic()
+	p.rec.Msgs, p.rec.Bytes = msgs1-msgs0, bytes1-bytes0
+	c.refreshMemoryMetrics()
+	c.recoveries = append(c.recoveries, p.rec)
+	c.trace = append(c.trace, TraceEvent{Iter: iter, Kind: "recovery", Start: start, End: c.clock.Now()})
+	return nil, nil
+}
+
+// hook announces the pass's next phase label: chaos crash-during-recovery
+// events keyed on it fire first, then the SetRecoveryHook observer.
+func (p *recoveryPass[V, A]) hook() {
+	label := p.labels[0]
+	p.labels = p.labels[1:]
+	if p.c.chaos != nil {
+		p.c.chaosRecoveryPhase(label)
+	}
+	if p.c.testHook != nil {
+		p.c.testHook(label)
+	}
+}
+
+// barrier ends a phase at a global barrier, where nodes that failed during
+// the phase surface: the body unwinds with passInterrupted and recover
+// restarts the pass with the union. Otherwise the simulated time since the
+// open seconds slot began lands in slot and the next slot opens; a boundary
+// that closes no slot passes nil.
+func (p *recoveryPass[V, A]) barrier(slot *float64) error {
+	state, err := p.c.barrier()
+	if err != nil {
+		return err
+	}
+	if state.IsFail() {
+		return passInterrupted{state.Failed}
+	}
+	if slot != nil {
+		now := p.c.clock.Now()
+		*slot = now - p.slotStart
+		p.slotStart = now
+	}
+	return nil
 }
 
 // retainPristine snapshots each node's immutable post-load state and writes

@@ -35,7 +35,7 @@ func suspectEdgeConfig(recovery RecoveryKind) Config {
 	cfg.MaxIter = 6
 	cfg.Recovery = recovery
 	cfg.MaxRebirths = 8
-	cfg.Failures = []FailureSpec{{Iteration: 3, Phase: FailBeforeBarrier, Nodes: []int{1}}}
+	cfg.Chaos = []ChaosEvent{{Kind: ChaosCrash, Iteration: 3, Phase: FailBeforeBarrier, Nodes: []int{1}}}
 	return cfg
 }
 

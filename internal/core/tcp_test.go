@@ -30,7 +30,7 @@ func TestTCPTransportMatchesMemory(t *testing.T) {
 				cfg.Transport = tr
 				cfg.MaxIter = 6
 				cfg.Recovery = tc.rec
-				cfg.Failures = failAt(3, core.FailBeforeBarrier, 2)
+				cfg.Chaos = crashAt(3, core.FailBeforeBarrier, 2)
 				cl, err := core.NewCluster[float64, float64](cfg, g, algorithms.NewPageRank(g.NumVertices()))
 				if err != nil {
 					t.Fatal(err)
@@ -61,7 +61,7 @@ func TestTCPTransportSSSP(t *testing.T) {
 		cfg.Transport = tr
 		cfg.MaxIter = 30
 		cfg.Recovery = core.RecoverMigration
-		cfg.Failures = failAt(2, core.FailAfterBarrier, 1)
+		cfg.Chaos = crashAt(2, core.FailAfterBarrier, 1)
 		cl, err := core.NewCluster[float64, float64](cfg, g, algorithms.NewSSSP(0))
 		if err != nil {
 			t.Fatal(err)

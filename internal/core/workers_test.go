@@ -42,7 +42,7 @@ func TestWorkerCountDeterminism(t *testing.T) {
 			t.Run(al.name+"/"+tc.name, func(t *testing.T) {
 				t.Parallel()
 				base := ftConfig(tc.mode, 6, 8, 1, tc.recovery)
-				base.Failures = failAt(4, core.FailBeforeBarrier, 2)
+				base.Chaos = crashAt(4, core.FailBeforeBarrier, 2)
 
 				var ref *core.Result[float64]
 				for _, workers := range []int{1, 2, 8} {
@@ -142,7 +142,7 @@ func TestHostParallelismInvariance(t *testing.T) {
 			t.Parallel()
 			base := ftConfig(mode, 6, 8, 1, core.RecoverRebirth)
 			base.WorkersPerNode = 4
-			base.Failures = failAt(4, core.FailBeforeBarrier, 2)
+			base.Chaos = crashAt(4, core.FailBeforeBarrier, 2)
 
 			var ref *core.Result[float64]
 			for _, hp := range []int{0, 1, 2, 6, 16} {

@@ -94,7 +94,8 @@ func TestRoadWeightsLogNormal(t *testing.T) {
 		t.Fatal(err)
 	}
 	var sumLog float64
-	for _, e := range g.Edges() {
+	for i := range g.NumEdges() {
+		e := g.Edge(i)
 		if e.Weight <= 0 {
 			t.Fatal("non-positive road weight")
 		}

@@ -35,7 +35,7 @@ func AblationMirrorPlacement(o Options) (*Table, error) {
 			cfg := withREP(baseEdgeCut(o), 1)
 			cfg.FT.MirrorPlacement = p.mp
 			cfg.Recovery = rk
-			cfg.Failures = oneFailure(w.Iters)
+			cfg.Chaos = oneFailure(w.Iters)
 			return cfg
 		}
 		sr, err := RunWorkload(w, mk(core.RecoverRebirth))
@@ -71,7 +71,7 @@ func AblationPositionalRecovery(o Options) (*Table, error) {
 	}
 	w := Workload{Algo: "pagerank", Dataset: ds, Iters: o.Iters}
 	cfg := withREP(baseEdgeCut(o), 1)
-	cfg.Failures = oneFailure(w.Iters)
+	cfg.Chaos = oneFailure(w.Iters)
 	s, err := RunWorkload(w, cfg)
 	if err != nil {
 		return nil, err

@@ -284,16 +284,16 @@ func overhead(base, with float64) float64 {
 func mb(bytes int64) string { return fmt.Sprintf("%.1f MB", float64(bytes)/1e6) }
 
 // oneFailure schedules a single mid-run failure of node 1.
-func oneFailure(iters int) []core.FailureSpec {
+func oneFailure(iters int) []core.ChaosEvent {
 	at := iters / 2
 	if at < 1 {
 		at = 1
 	}
-	return []core.FailureSpec{{Iteration: at, Phase: core.FailBeforeBarrier, Nodes: []int{1}}}
+	return []core.ChaosEvent{{Kind: core.ChaosCrash, Iteration: at, Phase: core.FailBeforeBarrier, Nodes: []int{1}}}
 }
 
 // nFailures schedules n simultaneous failures mid-run.
-func nFailures(iters, n int) []core.FailureSpec {
+func nFailures(iters, n int) []core.ChaosEvent {
 	at := iters / 2
 	if at < 1 {
 		at = 1
@@ -302,7 +302,7 @@ func nFailures(iters, n int) []core.FailureSpec {
 	for i := range nodes {
 		nodes[i] = i + 1
 	}
-	return []core.FailureSpec{{Iteration: at, Phase: core.FailBeforeBarrier, Nodes: nodes}}
+	return []core.ChaosEvent{{Kind: core.ChaosCrash, Iteration: at, Phase: core.FailBeforeBarrier, Nodes: nodes}}
 }
 
 // lastRecovery returns the final recovery's stats or a zero value.

@@ -112,7 +112,7 @@ func Fig2cCheckpointRecovery(o Options) (*Table, error) {
 	}
 	for _, interval := range []int{1, 2, 4} {
 		cfg := withCKPT(baseEdgeCut(o), interval, false)
-		cfg.Failures = oneFailure(w.Iters)
+		cfg.Chaos = oneFailure(w.Iters)
 		s, err := RunWorkload(w, cfg)
 		if err != nil {
 			return nil, err
@@ -249,7 +249,7 @@ func recoveryTimes(o Options, w Workload, mode core.Mode) (ck, reb, mig core.Rec
 		return baseVertexCut(o)
 	}
 	run := func(cfg core.Config) (core.RecoveryReport, error) {
-		cfg.Failures = oneFailure(w.Iters)
+		cfg.Chaos = oneFailure(w.Iters)
 		s, err := RunWorkload(w, cfg)
 		if err != nil {
 			return core.RecoveryReport{}, err
@@ -313,14 +313,14 @@ func Fig9RecoveryScalability(o Options) (*Table, error) {
 		opt.Nodes = n
 		w := Workload{Algo: "pagerank", Dataset: ds, Iters: o.Iters}
 		cfgR := withREP(baseEdgeCut(opt), 1)
-		cfgR.Failures = oneFailure(w.Iters)
+		cfgR.Chaos = oneFailure(w.Iters)
 		sr, err := RunWorkload(w, cfgR)
 		if err != nil {
 			return nil, err
 		}
 		cfgM := withREP(baseEdgeCut(opt), 1)
 		cfgM.Recovery = core.RecoverMigration
-		cfgM.Failures = oneFailure(w.Iters)
+		cfgM.Chaos = oneFailure(w.Iters)
 		sm, err := RunWorkload(w, cfgM)
 		if err != nil {
 			return nil, err
@@ -422,14 +422,14 @@ func multiFailure(o Options, mode core.Mode, id, ds string) (*Table, error) {
 			return nil, err
 		}
 		cfgR := withREP(mk(), k)
-		cfgR.Failures = nFailures(w.Iters, k)
+		cfgR.Chaos = nFailures(w.Iters, k)
 		sr, err := RunWorkload(w, cfgR)
 		if err != nil {
 			return nil, err
 		}
 		cfgM := withREP(mk(), k)
 		cfgM.Recovery = core.RecoverMigration
-		cfgM.Failures = nFailures(w.Iters, k)
+		cfgM.Chaos = nFailures(w.Iters, k)
 		sm, err := RunWorkload(w, cfgM)
 		if err != nil {
 			return nil, err
@@ -530,7 +530,7 @@ func Fig12CaseStudy(o Options) (*Table, error) {
 	}
 	add := func(label string, cfg core.Config, fail bool) error {
 		if fail {
-			cfg.Failures = []core.FailureSpec{{Iteration: failIter, Phase: core.FailAfterBarrier, Nodes: []int{1}}}
+			cfg.Chaos = []core.ChaosEvent{{Kind: core.ChaosCrash, Iteration: failIter, Phase: core.FailAfterBarrier, Nodes: []int{1}}}
 		}
 		s, err := RunWorkload(w, cfg)
 		if err != nil {
@@ -683,14 +683,14 @@ func Fig14PartitioningVertexCut(o Options) (*Table, error) {
 			return nil, err
 		}
 		cfgR := withREP(mk(), 1)
-		cfgR.Failures = oneFailure(w.Iters)
+		cfgR.Chaos = oneFailure(w.Iters)
 		sr, err := RunWorkload(w, cfgR)
 		if err != nil {
 			return nil, err
 		}
 		cfgM := withREP(mk(), 1)
 		cfgM.Recovery = core.RecoverMigration
-		cfgM.Failures = oneFailure(w.Iters)
+		cfgM.Chaos = oneFailure(w.Iters)
 		sm, err := RunWorkload(w, cfgM)
 		if err != nil {
 			return nil, err
@@ -784,7 +784,7 @@ func YoungModelEfficiency(o Options) (*Table, error) {
 	}
 	_ = migRec
 	ckFail := withCKPT(baseVertexCut(o), 1, false)
-	ckFail.Failures = oneFailure(w.Iters)
+	ckFail.Chaos = oneFailure(w.Iters)
 	ckFailRun, err := RunWorkload(w, ckFail)
 	if err != nil {
 		return nil, err

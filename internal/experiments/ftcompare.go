@@ -45,7 +45,7 @@ func FTCompare(o Options) (*Table, error) {
 	}
 	for _, c := range configs {
 		cfg := c.cfg
-		cfg.Failures = oneFailure(w.Iters)
+		cfg.Chaos = oneFailure(w.Iters)
 		s, err := RunWorkload(w, cfg)
 		if err != nil {
 			return nil, err

@@ -16,7 +16,8 @@ func TestPowerLawBasics(t *testing.T) {
 	if g.NumEdges() != 10000 {
 		t.Errorf("NumEdges = %d", g.NumEdges())
 	}
-	for _, e := range g.Edges() {
+	for i := range g.NumEdges() {
+		e := g.Edge(i)
 		if e.Src == e.Dst {
 			t.Fatal("self-loop generated")
 		}
@@ -27,16 +28,16 @@ func TestPowerLawDeterministic(t *testing.T) {
 	cfg := PowerLawConfig{NumVertices: 500, NumEdges: 2000, Alpha: 2.0, Seed: 7}
 	a, _ := PowerLaw(cfg)
 	b, _ := PowerLaw(cfg)
-	for i := range a.Edges() {
-		if a.Edges()[i] != b.Edges()[i] {
+	for i := range a.NumEdges() {
+		if a.Edge(i) != b.Edge(i) {
 			t.Fatalf("edge %d differs between identical seeds", i)
 		}
 	}
 	cfg.Seed = 8
 	c, _ := PowerLaw(cfg)
 	diff := 0
-	for i := range a.Edges() {
-		if a.Edges()[i] != c.Edges()[i] {
+	for i := range a.NumEdges() {
+		if a.Edge(i) != c.Edge(i) {
 			diff++
 		}
 	}
@@ -149,7 +150,8 @@ func TestBipartite(t *testing.T) {
 	if g.NumEdges() != 1000 {
 		t.Errorf("NumEdges = %d, want 1000 (bidirectional)", g.NumEdges())
 	}
-	for _, e := range g.Edges() {
+	for i := range g.NumEdges() {
+		e := g.Edge(i)
 		uSide := e.Src < 100
 		iSide := e.Dst >= 100
 		if uSide != iSide && (e.Src >= 100) == (e.Dst >= 100) {
@@ -211,7 +213,8 @@ func TestWithLogNormalWeights(t *testing.T) {
 		t.Fatal("topology changed")
 	}
 	varied := false
-	for i, e := range w.Edges() {
+	for i := range w.NumEdges() {
+		e := w.Edge(i)
 		if e.Src != g.Edge(i).Src || e.Dst != g.Edge(i).Dst {
 			t.Fatal("edge endpoints changed")
 		}

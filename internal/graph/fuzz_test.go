@@ -19,7 +19,8 @@ func FuzzReadEdgeList(f *testing.F) {
 		if err != nil {
 			return
 		}
-		for _, e := range g.Edges() {
+		for i := range g.NumEdges() {
+			e := g.Edge(i)
 			if int(e.Src) >= g.NumVertices() || int(e.Dst) >= g.NumVertices() {
 				t.Fatalf("edge endpoint out of range: %+v with %d vertices", e, g.NumVertices())
 			}

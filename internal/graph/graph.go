@@ -12,8 +12,8 @@
 // Memory layout: endpoints live in structure-of-arrays form, width-reduced
 // to uint16 when the vertex count permits; weights are elided entirely for
 // unweighted graphs; and both compressed adjacencies (CSR by destination and
-// by source) index back into the canonical arrays. The legacy []Edge view is
-// materialized only on demand (Edges) — the engine paths never need it.
+// by source) index back into the canonical arrays. There is no flat []Edge
+// list: callers traverse with EachEdge or index with Edge(i).
 package graph
 
 import (
@@ -21,7 +21,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 
 	"imitator/internal/hostpar"
 )
@@ -55,12 +54,6 @@ type Graph struct {
 
 	inCSR  csr // edges grouped by Dst
 	outCSR csr // edges grouped by Src
-
-	// edgesView is the legacy []Edge materialization, built lazily by
-	// Edges() for callers that want a flat slice; engine paths use EachEdge
-	// and the indexed accessors instead, so large graphs never pay for it.
-	edgesOnce sync.Once
-	edgesView []Edge
 }
 
 // csr is a compressed adjacency: offsets[v]..offsets[v+1] index into edgeIdx,
@@ -377,20 +370,6 @@ func (g *Graph) EachEdgeRange(lo, hi int, fn func(i int, e Edge)) {
 	}
 }
 
-// Edges returns a flat []Edge view of the graph, materializing (and caching)
-// it on first call. The engine never calls this; it exists for tests, small
-// examples and external tooling. Callers must not mutate the result. Prefer
-// EachEdge: on a large graph this view costs 16 bytes per edge on top of
-// the compact layout, and MemoryFootprint reports it separately.
-func (g *Graph) Edges() []Edge {
-	g.edgesOnce.Do(func() {
-		view := make([]Edge, g.numEdges)
-		g.EachEdge(func(i int, e Edge) { view[i] = e })
-		g.edgesView = view
-	})
-	return g.edgesView
-}
-
 // InDegree returns the in-degree of v.
 func (g *Graph) InDegree(v VertexID) int {
 	return int(g.inCSR.offsets[v+1] - g.inCSR.offsets[v])
@@ -495,42 +474,26 @@ func (g *Graph) ComputeStats() Stats {
 	return s
 }
 
-// Footprint itemizes the graph's resident bytes. LegacyBytes reconstructs
-// what the pre-compaction layout ([]Edge list + dual CSR edge indexes +
-// offset and degree arrays) would occupy for the same graph, so reports can
-// state the reduction without holding both layouts in memory.
+// Footprint itemizes the graph's resident bytes.
 type Footprint struct {
 	EndpointBytes int64 // canonical src/dst arrays (2 or 4 bytes per endpoint)
 	WeightBytes   int64 // per-edge weights; 0 for unweighted graphs
 	CSRBytes      int64 // both adjacencies: offsets + edge indexes
-	EdgeViewBytes int64 // lazily materialized []Edge view; 0 until Edges()
 	TotalBytes    int64
 	BytesPerEdge  float64
-	LegacyBytes   int64
 }
 
 // MemoryFootprint accounts the graph's memory layout byte-exactly from the
-// slice shapes (not the Go allocator's view). Call it after construction;
-// it is not synchronized with a concurrent first Edges() call.
+// slice shapes (not the Go allocator's view).
 func (g *Graph) MemoryFootprint() Footprint {
 	var f Footprint
-	const (
-		idxSize    = 4 // int32 CSR entries
-		edgeSize   = 16
-		vertexSize = 4
-	)
+	const idxSize = 4 // int32 CSR entries
 	f.EndpointBytes = int64(len(g.src16)+len(g.dst16))*2 + int64(len(g.src32)+len(g.dst32))*4
 	f.WeightBytes = int64(len(g.wt)) * 8
 	f.CSRBytes = int64(len(g.inCSR.offsets)+len(g.outCSR.offsets)+len(g.inCSR.edgeIdx)+len(g.outCSR.edgeIdx)) * idxSize
-	f.EdgeViewBytes = int64(len(g.edgesView)) * edgeSize
-	f.TotalBytes = f.EndpointBytes + f.WeightBytes + f.CSRBytes + f.EdgeViewBytes
+	f.TotalBytes = f.EndpointBytes + f.WeightBytes + f.CSRBytes
 	if g.numEdges > 0 {
 		f.BytesPerEdge = float64(f.TotalBytes) / float64(g.numEdges)
 	}
-	// Legacy layout: []Edge (16 B/edge, weights always resident), the same
-	// two CSRs, plus the separate int32 in/out degree arrays it kept.
-	m := int64(g.numEdges)
-	n := int64(g.numVertices)
-	f.LegacyBytes = m*edgeSize + f.CSRBytes + 2*n*vertexSize
 	return f
 }

@@ -156,7 +156,8 @@ func TestGridVertexCutConstraint(t *testing.T) {
 		h := int(hashVertex(v) % uint64(p))
 		return h / cols, h % cols
 	}
-	for i, e := range g.Edges() {
+	for i := range g.NumEdges() {
+		e := g.Edge(i)
 		o := int(vc.EdgeOwner[i])
 		or, oc := o/cols, o%cols
 		sr, sc := cell(e.Src)
@@ -227,7 +228,8 @@ func TestVertexCutMasksContainMasterAndEdges(t *testing.T) {
 			t.Fatalf("vertex %d mask misses master node", v)
 		}
 	}
-	for i, e := range g.Edges() {
+	for i := range g.NumEdges() {
+		e := g.Edge(i)
 		bit := uint64(1) << uint(vc.EdgeOwner[i])
 		if masks[e.Src]&bit == 0 || masks[e.Dst]&bit == 0 {
 			t.Fatalf("edge %d endpoints not present on owning node", i)

@@ -17,8 +17,9 @@ type FailureEvent = core.ChaosEvent
 type FailureSchedule = chaos.Schedule
 
 // Crash schedules a fail-stop of the given nodes at iteration iter in the
-// given phase. Detection runs through the simulated heartbeat monitor at
-// the configured detection cost.
+// given phase. The nodes go silent and the configured failure detector
+// (WithMembership; the centralized heartbeat monitor by default) notices
+// at its detection cost — this is the only way a node fails.
 func Crash(iter int, phase FailPhase, nodes ...int) FailureEvent {
 	return core.ChaosEvent{Kind: core.ChaosCrash, Iteration: iter, Phase: phase, Nodes: nodes}
 }
@@ -33,7 +34,8 @@ func CrashDuringRecovery(nodes ...int) FailureEvent {
 
 // CrashDuringRecoveryAt is CrashDuringRecovery pinned to a recovery phase
 // label prefix, e.g. "migration:repair" or "rebirth:reload" (or just
-// "migration:" for the first migration phase reached).
+// "migration:" for the first migration phase reached). A label that is a
+// prefix of no recovery phase is rejected with ErrInvalidSchedule.
 func CrashDuringRecoveryAt(label string, nodes ...int) FailureEvent {
 	return core.ChaosEvent{Kind: core.ChaosCrashDuringRecovery, During: label, Nodes: nodes}
 }

@@ -113,13 +113,9 @@ func TestOmissionBuilders(t *testing.T) {
 	}
 }
 
-// TestCrashRidesChaosPath: Crash events land in the chaos schedule, never
-// the legacy Failures list (removed from the option surface in v1).
+// TestCrashRidesChaosPath: Crash events land in the chaos schedule.
 func TestCrashRidesChaosPath(t *testing.T) {
 	cfg := imitator.New(imitator.WithFailures(imitator.Crash(4, imitator.FailAfterBarrier, 2)))
-	if len(cfg.Failures) != 0 {
-		t.Fatalf("Crash filled the legacy schedule: %+v", cfg.Failures)
-	}
 	if len(cfg.Chaos) != 1 || cfg.Chaos[0].Iteration != 4 {
 		t.Fatalf("Crash chaos event wrong: %+v", cfg.Chaos)
 	}
@@ -151,6 +147,17 @@ func TestTypedErrors(t *testing.T) {
 	_, err = imitator.Run(beyondK, g, imitator.NewPageRank(g.NumVertices()))
 	if !errors.Is(err, imitator.ErrTooManyFailures) || !imitator.IsUnrecoverable(err) {
 		t.Fatalf("beyond-K err = %v, want ErrTooManyFailures wrapping ErrUnrecoverable", err)
+	}
+
+	everyNode := imitator.New(
+		imitator.WithNodes(4),
+		imitator.WithIterations(6),
+		imitator.WithFTStrategy(imitator.Replication(imitator.ReplicationK(1))),
+		imitator.WithFailures(imitator.Crash(2, imitator.FailBeforeBarrier, 0, 1, 2, 3)),
+	)
+	_, err = imitator.Run(everyNode, g, imitator.NewPageRank(g.NumVertices()))
+	if !errors.Is(err, imitator.ErrTooManyFailures) || !imitator.IsUnrecoverable(err) {
+		t.Fatalf("every-node crash err = %v, want ErrTooManyFailures wrapping ErrUnrecoverable", err)
 	}
 
 	invalid := imitator.New(
@@ -203,5 +210,32 @@ func TestScheduleGrammarFacade(t *testing.T) {
 	}
 	if _, err := imitator.ParseFailureSchedule("crash@3=1"); !errors.Is(err, imitator.ErrInvalidSchedule) {
 		t.Fatalf("bad grammar err = %v, want ErrInvalidSchedule", err)
+	}
+}
+
+// TestCrashDuringRecoveryLabelValidated: a crashrec label that is a prefix
+// of no recovery phase parses (the grammar cannot know the labels) but is
+// rejected by Validate — the event could never fire, and the run would
+// report success as if the schedule had been exercised. The empty label and
+// strategy prefixes stay legal.
+func TestCrashDuringRecoveryLabelValidated(t *testing.T) {
+	for text, ok := range map[string]bool{
+		"crash@3b=1|crashrec@migraton:repair=4":  false,
+		"crash@3b=1|crashrec@migration:repair=4": true,
+		"crash@3b=1|crashrec@migration:=4":       true,
+		"crash@3b=1|crashrec=4":                  true,
+	} {
+		sched, err := imitator.ParseFailureSchedule(text)
+		if err != nil {
+			t.Fatalf("%q: %v", text, err)
+		}
+		cfg := imitator.New(imitator.WithNodes(6), imitator.WithFailures(sched...))
+		err = cfg.Validate()
+		if ok && err != nil {
+			t.Errorf("%q: Validate = %v, want nil", text, err)
+		}
+		if !ok && !errors.Is(err, imitator.ErrInvalidSchedule) {
+			t.Errorf("%q: Validate = %v, want ErrInvalidSchedule", text, err)
+		}
 	}
 }

@@ -130,9 +130,6 @@ const (
 	FailAfterBarrier  = core.FailAfterBarrier
 )
 
-// FailureSpec schedules a crash of Nodes at Iteration/Phase.
-type FailureSpec = core.FailureSpec
-
 // Transports.
 type Transport = core.TransportKind
 

@@ -31,10 +31,6 @@ func ring(t *testing.T, n int) *imitator.Graph {
 func TestNewDefaults(t *testing.T) {
 	got := imitator.New()
 	want := core.DefaultConfig(core.EdgeCutMode, 8)
-	if len(got.Failures) != 0 {
-		t.Errorf("New() schedules failures: %+v", got.Failures)
-	}
-	got.Failures, want.Failures = nil, nil
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("New() = %+v, want DefaultConfig = %+v", got, want)
 	}
