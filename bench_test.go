@@ -8,7 +8,6 @@ package imitator_test
 // heavy ones) and see cmd/bench for the rendered tables.
 
 import (
-	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -17,10 +16,10 @@ import (
 )
 
 func benchOptions() experiments.Options {
+	// Defaults keeps the simulated width at 1 so the reported metrics do not
+	// depend on the host; -cpu still scales real wall clock through
+	// Config.HostParallelism.
 	o := experiments.Defaults()
-	// Results are worker-count invariant, so benchmarks always use the
-	// full machine; -cpu therefore scales real wall clock, not output.
-	o.Workers = runtime.GOMAXPROCS(0)
 	if testing.Short() {
 		o.Small = true
 		o.Nodes = 4

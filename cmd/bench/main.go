@@ -1,180 +1,93 @@
 // Command bench regenerates the paper's evaluation tables and figures on
-// the simulated cluster and prints them as text tables.
+// the simulated cluster and prints them as text tables. Everything it prints
+// is a deterministic simulation output: the same flags give the same bytes
+// on every host. Host wall clock, allocations and latency percentiles are
+// measured by benchmark/ (bash benchmark/run.sh); to profile a figure use
+// go test -bench=BenchmarkFig7 -cpuprofile.
 //
 // Examples:
 //
-//	bench -all                # every table and figure (several minutes)
-//	bench -figure 7           # Fig 7: runtime overhead, edge-cut
-//	bench -table 2            # Table 2: recovery times, edge-cut
-//	bench -figure 2a -small   # quick scaled-down run
+//	bench -all                     # every experiment (several minutes)
+//	bench -figure 7                # Fig 7: runtime overhead, edge-cut
+//	bench -table 2                 # Table 2: recovery times, edge-cut
+//	bench -table membership        # ids without a fig/table prefix work under either flag
+//	bench -figure 2a -small        # quick scaled-down run
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"runtime"
-	"runtime/pprof"
-	"strconv"
 	"strings"
-	"time"
 
 	"imitator/internal/experiments"
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "bench:", err)
 		os.Exit(1)
 	}
 }
 
-// jsonFlags bundles the -json mode knobs threaded into runJSON.
-type jsonFlags struct {
-	path, basePath  string
-	probesOnly      bool
-	serve           bool
-	membership      bool
-	membershipSizes []int
-	scale           bool
-	scaleVertices   int
-	scaleEdges      int
-	maxWallRegress  float64
-	checkIdentity   bool
-}
-
-// parseSizes parses the -membership-sizes list ("8,128,1024").
-func parseSizes(s string) ([]int, error) {
-	var sizes []int
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		n, err := strconv.Atoi(part)
-		if err != nil || n < 4 {
-			return nil, fmt.Errorf("membership-sizes: bad cluster size %q", part)
-		}
-		sizes = append(sizes, n)
-	}
-	if len(sizes) == 0 {
-		return nil, fmt.Errorf("membership-sizes: empty list")
-	}
-	return sizes, nil
-}
-
-func run(args []string) error {
+func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("bench", flag.ContinueOnError)
 	var (
-		all      = fs.Bool("all", false, "run every experiment")
-		figure   = fs.String("figure", "", "figure id to regenerate (2a, 2b, 2c, 3, 7, 8, 9, 10, 11, 12, 13, 14, 15)")
-		table    = fs.String("table", "", "table id to regenerate (1, 2, 3, 5, 6, 7, young, ftcompare)")
-		nodes    = fs.Int("nodes", 8, "simulated cluster size")
-		iters    = fs.Int("iters", 10, "PageRank iterations")
-		workers  = fs.Int("workers", runtime.GOMAXPROCS(0), "intra-node worker-pool width (identical results, less wall clock)")
-		small    = fs.Bool("small", false, "shrink datasets and sweeps for a quick pass")
-		jsonPath = fs.String("json", "", "write a wall-clock + allocations report (e.g. BENCH_PR2.json) instead of tables")
-		basePath = fs.String("baseline", "", "embed a previous -json report for side-by-side comparison")
-
-		probesOnly = fs.Bool("probes-only", false, "-json mode: skip the fig7/fig13 workloads, keep the probes (CI smoke)")
-		serve      = fs.Bool("serve", false, "-json mode: add the serve-mode latency probe (fault-free vs mid-run crash failover)")
-		membership = fs.Bool("membership", false, "-json mode: add the detector-only membership probe (gossip vs centralized detection latency and false suspicions)")
-		memSizes   = fs.String("membership-sizes", "8,128,1024", "-membership: comma-separated simulated cluster sizes")
-		scale      = fs.Bool("scale", false, "-json mode: add the paper-scale tier (parallel generation + compact-layout footprint + PageRank probe)")
-		scaleVerts = fs.Int("scale-vertices", 640_000, "scale tier |V|")
-		scaleEdges = fs.Int("scale-edges", 22_400_000, "scale tier |E| (default 10x the largest catalog graph)")
-		maxRegress = fs.Float64("max-wall-regress", 1.8, "with -baseline: exit non-zero when an entry's wall clock exceeds baseline by this factor (0 disables)")
-		checkIdent = fs.Bool("check-identity", false, "with -baseline: exit non-zero when sim_seconds/msg_bytes differ from baseline on any shared entry")
-		cpuProfile = fs.String("cpuprofile", "", "write a CPU profile to this file")
-		memProfile = fs.String("memprofile", "", "write a heap profile to this file on exit")
+		all     = fs.Bool("all", false, "run every experiment")
+		figure  = fs.String("figure", "", "figure to regenerate (2a, 2b, 2c, 3, 7, 8, 9, 10, 11, 12, 13, 14, 15) or any experiment id")
+		table   = fs.String("table", "", "table to regenerate (1, 2, 3, 5, 6, 7, young, ftcompare, ablation-mirror, ablation-positional, membership, scale)")
+		nodes   = fs.Int("nodes", 8, "simulated cluster size")
+		iters   = fs.Int("iters", 10, "PageRank iterations")
+		workers = fs.Int("workers", 1, "simulated intra-node worker-pool width (vertex values are identical for any value; simulated seconds shrink with it)")
+		small   = fs.Bool("small", false, "shrink datasets and sweeps for a quick pass")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	opts := experiments.Options{Nodes: *nodes, Iters: *iters, Workers: *workers, Small: *small}
 
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
-		if err != nil {
-			return fmt.Errorf("cpuprofile: %w", err)
+	exps := experiments.All()
+	if !*all {
+		prefix, id := "fig", *figure
+		if id == "" {
+			prefix, id = "table", *table
 		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			return fmt.Errorf("cpuprofile: %w", err)
+		if id == "" {
+			fs.Usage()
+			return fmt.Errorf("pass -all, -figure or -table")
 		}
-		defer pprof.StopCPUProfile()
-	}
-	if *memProfile != "" {
-		defer func() {
-			f, err := os.Create(*memProfile)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "bench: memprofile:", err)
-				return
+		// The prefixed id first ("7" -> "fig7"), then the id verbatim
+		// ("young", "ablation-mirror", "fig7").
+		sel := find(exps, prefix+id)
+		if sel == nil {
+			sel = find(exps, id)
+		}
+		if sel == nil {
+			var known []string
+			for _, e := range exps {
+				known = append(known, e.ID)
 			}
-			defer f.Close()
-			runtime.GC()
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, "bench: memprofile:", err)
-			}
-		}()
+			return fmt.Errorf("unknown experiment %q (known: %s)", id, strings.Join(known, " "))
+		}
+		exps = sel
 	}
-
-	if *jsonPath != "" {
-		sizes, err := parseSizes(*memSizes)
+	for _, e := range exps {
+		t, err := e.Run(opts)
 		if err != nil {
-			return err
+			return fmt.Errorf("%s: %w", e.ID, err)
 		}
-		return runJSON(opts, jsonFlags{
-			path:            *jsonPath,
-			basePath:        *basePath,
-			probesOnly:      *probesOnly,
-			serve:           *serve,
-			membership:      *membership,
-			membershipSizes: sizes,
-			scale:           *scale,
-			scaleVertices:   *scaleVerts,
-			scaleEdges:      *scaleEdges,
-			maxWallRegress:  *maxRegress,
-			checkIdentity:   *checkIdent,
-		})
+		t.Render(out)
 	}
+	return nil
+}
 
-	var ids []string
-	switch {
-	case *all:
-		for _, e := range experiments.All() {
-			ids = append(ids, e.ID)
+// find returns the one-element slice of exps holding the experiment id, or nil.
+func find(exps []experiments.Experiment, id string) []experiments.Experiment {
+	for i, e := range exps {
+		if e.ID == id {
+			return exps[i : i+1]
 		}
-	case *figure != "":
-		ids = []string{"fig" + *figure}
-	case *table != "":
-		switch *table {
-		case "young", "ftcompare":
-			ids = []string{*table}
-		default:
-			ids = []string{"table" + *table}
-		}
-	default:
-		fs.Usage()
-		return fmt.Errorf("pass -all, -figure or -table")
-	}
-
-	index := map[string]func(experiments.Options) (*experiments.Table, error){}
-	for _, e := range experiments.All() {
-		index[e.ID] = e.Run
-	}
-	for _, id := range ids {
-		runFn, ok := index[id]
-		if !ok {
-			return fmt.Errorf("unknown experiment %q", id)
-		}
-		start := time.Now()
-		t, err := runFn(opts)
-		if err != nil {
-			return fmt.Errorf("%s: %w", id, err)
-		}
-		t.Render(os.Stdout)
-		fmt.Printf("(regenerated in %.1fs wall clock)\n\n", time.Since(start).Seconds())
 	}
 	return nil
 }

@@ -43,7 +43,7 @@ func run(args []string) error {
 		partitioner = fs.String("partitioner", "", "hash|fennel (edge-cut), random|grid|hybrid (vertex-cut); empty = mode default")
 		nodes       = fs.Int("nodes", 8, "number of simulated nodes")
 		iters       = fs.Int("iters", 10, "supersteps to run")
-		workers     = fs.Int("workers", 1, "intra-node worker-pool width (results are identical for any value)")
+		workers     = fs.Int("workers", 1, "simulated intra-node worker-pool width (vertex values are identical for any value; simulated seconds shrink with it)")
 		ftMode      = fs.String("ft", "replication", "fault-tolerance strategy: replication (rebirth), migration, checkpoint, logged, none")
 		k           = fs.Int("k", 1, "replication/migration: number of simultaneous failures to tolerate")
 		selfish     = fs.Bool("selfish-opt", true, "replication/migration: enable the selfish-vertex optimization")

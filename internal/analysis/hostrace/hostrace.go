@@ -1,8 +1,8 @@
 // Package hostrace flags unsynchronized writes to shared state from
 // closures that run in parallel: the bodies passed to hostpar.For /
 // hostpar.Blocks and to the core phase pools (runPhase, runBarrierPhase,
-// eachAlive, runChunks, chunked, chunkEncode). go test -race only catches
-// these when the schedule cooperates; the lint catches them statically.
+// runChunks, chunked, chunkEncode). go test -race only catches these when
+// the schedule cooperates; the lint catches them statically.
 //
 // The contract a parallel body must follow is the one hostpar documents:
 // write only state owned by the invocation. Ownership is derived from the
@@ -44,7 +44,6 @@ import (
 var executorMethods = map[string]bool{
 	"runPhase":        true,
 	"runBarrierPhase": true,
-	"eachAlive":       true,
 	"runChunks":       true,
 	"chunked":         true,
 	"chunkEncode":     true,

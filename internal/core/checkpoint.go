@@ -47,7 +47,7 @@ func (c *Cluster[V, A]) writeCheckpointAt(epoch int, charge bool) {
 	// snapshot bytes match the sequential encoder's for any worker count.
 	nodeCosts := make([]float64, c.cfg.NumNodes)
 	nodeBytes := make([]int64, c.cfg.NumNodes)
-	c.eachAlive(func(nd *node[V, A]) {
+	c.runPhase(func(nd *node[V, A]) {
 		buf := putU32(c.pool.Get(), uint32(epoch))
 		countAt := len(buf)
 		buf = putU32(buf, 0) // patched below
@@ -208,7 +208,7 @@ func (c *Cluster[V, A]) recoverCheckpoint(p *recoveryPass[V, A]) error {
 	// Per-node slots: the reload closures run concurrently.
 	nodeCosts := make([]float64, c.cfg.NumNodes)
 	nodeErrs := make([]error, c.cfg.NumNodes)
-	c.eachAlive(func(nd *node[V, A]) {
+	c.runPhase(func(nd *node[V, A]) {
 		metaSize, err := c.dfs.Size(fmt.Sprintf("ckptmeta/%d", nd.id))
 		if err != nil {
 			nodeErrs[nd.id] = err
@@ -292,7 +292,7 @@ func (c *Cluster[V, A]) rebuildPristineNode(id int) *node[V, A] {
 // fullResync pushes every master's committed state to all of its replicas,
 // including activity flags; used after snapshot restores.
 func (c *Cluster[V, A]) fullResync() {
-	c.eachAlive(func(nd *node[V, A]) {
+	c.runPhase(func(nd *node[V, A]) {
 		c.chunked(nd, len(nd.hot), func(st *stager, lo, hi int) {
 			for i := lo; i < hi; i++ {
 				e := &nd.hot[i]
@@ -319,7 +319,7 @@ func (c *Cluster[V, A]) fullResync() {
 	c.flushSendRound(netsim.KindRecovery)
 	// Decode parallelizes over messages: each replica position is pushed by
 	// exactly one master, so writes are position-disjoint.
-	c.eachAlive(func(nd *node[V, A]) {
+	c.runPhase(func(nd *node[V, A]) {
 		msgs := c.net.Receive(nd.id)
 		c.chunked(nd, len(msgs), func(_ *stager, lo, hi int) {
 			for _, m := range msgs[lo:hi] {

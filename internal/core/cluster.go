@@ -505,6 +505,7 @@ func (c *Cluster[V, A]) stopWorkers() {
 }
 
 // runPhase runs fn once per alive node on the persistent workers and waits.
+// Cold paths pass closure literals; hot paths pass the pre-bound fns fields.
 // phaseFn is written while all workers are parked (the previous phase's
 // Wait returned), and the channel sends publish it.
 func (c *Cluster[V, A]) runPhase(fn func(n *node[V, A])) {
@@ -545,12 +546,6 @@ func (c *Cluster[V, A]) aliveNodes() []*node[V, A] {
 		c.aliveDirty = false
 	}
 	return c.aliveList
-}
-
-// eachAlive runs fn concurrently for every alive node and waits. Cold paths
-// pass closure literals; hot paths pass the pre-bound fns fields.
-func (c *Cluster[V, A]) eachAlive(fn func(n *node[V, A])) {
-	c.runPhase(fn)
 }
 
 // barrier has every alive node enter the coordination barrier and returns

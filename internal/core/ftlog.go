@@ -113,7 +113,7 @@ func (c *Cluster[V, A]) flogWrite() {
 		kind = ftlog.KindFull
 	}
 	start := c.clock.Now()
-	c.eachAlive(func(nd *node[V, A]) {
+	c.runPhase(func(nd *node[V, A]) {
 		buf := ftlog.AppendFileHeader(c.pool.Get(), uint32(s), kind)
 		buf, recAt := ftlog.AppendCountPlaceholder(buf)
 		chunks, count := c.chunkEncode(len(nd.hot), func(b []byte, lo, hi int) ([]byte, int) {

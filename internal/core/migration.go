@@ -22,7 +22,7 @@ func (c *Cluster[V, A]) recoverMigration(p *recoveryPass[V, A]) error {
 	// its mirrors; the lowest surviving mirror of each lost master promotes
 	// itself. Scans run in parallel; promotions apply deterministically.
 	promoLists := make([][]int32, c.cfg.NumNodes)
-	c.eachAlive(func(nd *node[V, A]) {
+	c.runPhase(func(nd *node[V, A]) {
 		// Chunk-parallel scan: each chunk flags its own slots; the ordered
 		// list is collected serially so promotion order is chunk-independent.
 		promo := make([]bool, len(nd.hot))
@@ -142,7 +142,7 @@ func (c *Cluster[V, A]) recoverMigration(p *recoveryPass[V, A]) error {
 
 	// --- Phase 2: move notices. Promoted masters tell their surviving
 	// replicas where the master now lives.
-	c.eachAlive(func(nd *node[V, A]) {
+	c.runPhase(func(nd *node[V, A]) {
 		for _, pos := range sortedPositions(promoted[int16(nd.id)]) {
 			rt := &nd.meta[pos].replicas
 			for ri, host := range rt.nodes {
@@ -160,7 +160,7 @@ func (c *Cluster[V, A]) recoverMigration(p *recoveryPass[V, A]) error {
 		}
 	})
 	c.flushSendRound(netsim.KindRecovery)
-	c.eachAlive(func(nd *node[V, A]) {
+	c.runPhase(func(nd *node[V, A]) {
 		msgs := c.net.Receive(nd.id)
 		for _, m := range msgs {
 			r := &reader{buf: m.Payload}
@@ -188,7 +188,7 @@ func (c *Cluster[V, A]) recoverMigration(p *recoveryPass[V, A]) error {
 	// attempt has no orphans — mirror tables are authoritative — so the
 	// extra rounds are empty and cost nothing.
 	if restart {
-		c.eachAlive(func(nd *node[V, A]) {
+		c.runPhase(func(nd *node[V, A]) {
 			for i := range nd.hot {
 				e := &nd.hot[i]
 				if e.isMaster() || !failedSet[int(e.masterNode)] {
@@ -218,7 +218,7 @@ func (c *Cluster[V, A]) recoverMigration(p *recoveryPass[V, A]) error {
 		})
 		c.flushSendRound(netsim.KindRecovery)
 		adoptedPerNode := make([][]masterKey, c.cfg.NumNodes)
-		c.eachAlive(func(nd *node[V, A]) {
+		c.runPhase(func(nd *node[V, A]) {
 			msgs := c.net.Receive(nd.id)
 			for _, m := range msgs {
 				r := &reader{buf: m.Payload}
@@ -262,7 +262,7 @@ func (c *Cluster[V, A]) recoverMigration(p *recoveryPass[V, A]) error {
 			}
 		}
 		c.flushNoticeRound()
-		c.eachAlive(func(nd *node[V, A]) {
+		c.runPhase(func(nd *node[V, A]) {
 			msgs := c.net.Receive(nd.id)
 			for _, m := range msgs {
 				r := &reader{buf: m.Payload}
@@ -383,7 +383,7 @@ func (c *Cluster[V, A]) recoverMigration(p *recoveryPass[V, A]) error {
 
 	// --- Phase 4: cooperative replica creation: request -> reply ->
 	// register (three rounds).
-	c.eachAlive(func(nd *node[V, A]) {
+	c.runPhase(func(nd *node[V, A]) {
 		ids := make([]graph.VertexID, 0, len(needs[nd.id]))
 		for id := range needs[nd.id] { //imitator:nondet-ok collected set is sorted before use
 			ids = append(ids, id)
@@ -405,7 +405,7 @@ func (c *Cluster[V, A]) recoverMigration(p *recoveryPass[V, A]) error {
 	c.flushSendRound(netsim.KindRecovery)
 	// Replies encode in parallel across request messages (one per requester,
 	// so per-destination reply streams never interleave within a chunk merge).
-	c.eachAlive(func(nd *node[V, A]) {
+	c.runPhase(func(nd *node[V, A]) {
 		msgs := c.net.Receive(nd.id)
 		c.chunked(nd, len(msgs), func(st *stager, lo, hi int) {
 			for _, m := range msgs[lo:hi] {
@@ -434,7 +434,7 @@ func (c *Cluster[V, A]) recoverMigration(p *recoveryPass[V, A]) error {
 	})
 	c.flushSendRound(netsim.KindRecovery)
 	createdPerNode := make([]int, c.cfg.NumNodes)
-	c.eachAlive(func(nd *node[V, A]) {
+	c.runPhase(func(nd *node[V, A]) {
 		msgs := c.net.Receive(nd.id)
 		for _, m := range msgs {
 			r := &reader{buf: m.Payload}
@@ -462,7 +462,7 @@ func (c *Cluster[V, A]) recoverMigration(p *recoveryPass[V, A]) error {
 	}
 	c.flushNoticeRound()
 	registeredPerNode := make([][]masterKey, c.cfg.NumNodes)
-	c.eachAlive(func(nd *node[V, A]) {
+	c.runPhase(func(nd *node[V, A]) {
 		msgs := c.net.Receive(nd.id)
 		for _, m := range msgs {
 			r := &reader{buf: m.Payload}
@@ -659,7 +659,7 @@ func (c *Cluster[V, A]) repairFTInvariants(tableChanged map[masterKey]bool) erro
 		nd.met.RecoveryBytes += int64(len(nd.sendBuf[cr.to]) - before)
 	}
 	c.flushSendRound(netsim.KindRecovery)
-	c.eachAlive(func(nd *node[V, A]) {
+	c.runPhase(func(nd *node[V, A]) {
 		msgs := c.net.Receive(nd.id)
 		for _, m := range msgs {
 			r := &reader{buf: m.Payload}
@@ -679,7 +679,7 @@ func (c *Cluster[V, A]) repairFTInvariants(tableChanged map[masterKey]bool) erro
 		c.recycleMsgs(msgs)
 	})
 	c.flushNoticeRound()
-	c.eachAlive(func(nd *node[V, A]) {
+	c.runPhase(func(nd *node[V, A]) {
 		msgs := c.net.Receive(nd.id)
 		for _, m := range msgs {
 			r := &reader{buf: m.Payload}
@@ -769,7 +769,7 @@ func (c *Cluster[V, A]) repairFTInvariants(tableChanged map[masterKey]bool) erro
 		}
 	}
 	c.flushSendRound(netsim.KindRecovery)
-	c.eachAlive(func(nd *node[V, A]) {
+	c.runPhase(func(nd *node[V, A]) {
 		msgs := c.net.Receive(nd.id)
 		for _, m := range msgs {
 			r := &reader{buf: m.Payload}
@@ -792,7 +792,7 @@ func (c *Cluster[V, A]) repairFTInvariants(tableChanged map[masterKey]bool) erro
 		c.recycleMsgs(msgs)
 	})
 	c.flushNoticeRound()
-	c.eachAlive(func(nd *node[V, A]) {
+	c.runPhase(func(nd *node[V, A]) {
 		msgs := c.net.Receive(nd.id)
 		for _, m := range msgs {
 			r := &reader{buf: m.Payload}

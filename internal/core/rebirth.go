@@ -46,7 +46,7 @@ func (c *Cluster[V, A]) recoverRebirth(p *recoveryPass[V, A]) error {
 	// Reloading: survivors scan their masters for replicas lost on failed
 	// nodes, and their mirrors for masters lost on failed nodes (the lowest
 	// surviving mirror recovers each master).
-	c.eachAlive(func(nd *node[V, A]) {
+	c.runPhase(func(nd *node[V, A]) {
 		if failedSet[nd.id] {
 			return // newbies have nothing to send
 		}
@@ -111,7 +111,7 @@ func (c *Cluster[V, A]) recoverRebirth(p *recoveryPass[V, A]) error {
 	// node collects the round (survivors receive nothing, but collecting is
 	// what closes the round on asynchronous transports).
 	received := make([][]netsim.Message, c.cfg.NumNodes)
-	c.eachAlive(func(nd *node[V, A]) {
+	c.runPhase(func(nd *node[V, A]) {
 		received[nd.id] = c.net.Receive(nd.id)
 	})
 	var reconSpan costmodel.Span

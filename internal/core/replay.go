@@ -19,7 +19,7 @@ func (c *Cluster[V, A]) replayActivation(iter int, isTarget func(masterNode int1
 	always := c.prog.AlwaysActive()
 
 	// Reset the targets to their activation baseline.
-	c.eachAlive(func(nd *node[V, A]) {
+	c.runPhase(func(nd *node[V, A]) {
 		c.chunked(nd, len(nd.hot), func(st *stager, lo, hi int) {
 			for i := lo; i < hi; i++ {
 				e := &nd.hot[i]
@@ -46,7 +46,7 @@ func (c *Cluster[V, A]) replayActivation(iter int, isTarget func(masterNode int1
 	// Regenerate activation operations aimed at the targets. Local-master
 	// activations cross chunk boundaries, so they go through the worker's
 	// activation list.
-	c.eachAlive(func(nd *node[V, A]) {
+	c.runPhase(func(nd *node[V, A]) {
 		c.chunked(nd, len(nd.hot), func(st *stager, lo, hi int) {
 			for i := lo; i < hi; i++ {
 				e := &nd.hot[i]
@@ -72,7 +72,7 @@ func (c *Cluster[V, A]) replayActivation(iter int, isTarget func(masterNode int1
 		})
 	})
 	c.flushNoticeRound()
-	c.eachAlive(func(nd *node[V, A]) {
+	c.runPhase(func(nd *node[V, A]) {
 		msgs := c.net.Receive(nd.id)
 		for _, m := range msgs {
 			buf := m.Payload

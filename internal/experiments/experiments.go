@@ -24,9 +24,10 @@ type Options struct {
 	Nodes int
 	// Iters is the PageRank superstep count (the paper uses 20).
 	Iters int
-	// Workers is the intra-node worker-pool width (Config.WorkersPerNode).
-	// Results are bit-for-bit independent of it; it only shortens wall
-	// clock (and simulated compute via the cost model). 0 means 1.
+	// Workers is the simulated intra-node worker-pool width
+	// (Config.WorkersPerNode). Vertex values and message bytes are
+	// bit-for-bit independent of it; simulated seconds are not, because the
+	// cost model's Amdahl term takes this width. 0 means 1.
 	Workers int
 	// Small shrinks datasets and sweeps for unit tests.
 	Small bool

@@ -1,9 +1,16 @@
 package experiments
 
 import (
+	"flag"
+	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
+
+	"imitator/internal/algorithms"
+	"imitator/internal/core"
+	"imitator/internal/datasets"
 )
 
 func small() Options {
@@ -34,13 +41,41 @@ func parseF(t *testing.T, s string) float64 {
 	return v
 }
 
+var update = flag.Bool("update", false, "rewrite testdata/all_small.golden from this run")
+
+const goldenPath = "testdata/all_small.golden"
+
+// TestAllExperimentsRunSmall runs every experiment at the small() profile
+// and compares the rendered tables, byte for byte, to the checked-in golden:
+// every figure is a deterministic simulator output, so any drift is a
+// semantic change. After an intended change (a new experiment, a cost-model
+// fix) regenerate with
+//
+//	go test ./internal/experiments/ -run TestAllExperimentsRunSmall -update
+//
+// and review the diff; never to make an engine refactor pass.
 func TestAllExperimentsRunSmall(t *testing.T) {
+	data, err := os.ReadFile(goldenPath)
+	if err != nil && !*update {
+		t.Fatal(err)
+	}
+	// Render ends every table with a blank line and prints none inside one.
+	golden := map[string]string{}
+	for _, block := range strings.SplitAfter(string(data), "\n\n") {
+		if id, _, ok := strings.Cut(strings.TrimPrefix(block, "== "), ":"); ok {
+			golden[id] = block
+		}
+	}
+	var all strings.Builder
+	ran := 0
 	for _, e := range All() {
-		e := e
 		t.Run(e.ID, func(t *testing.T) {
 			tab, err := e.Run(small())
 			if err != nil {
 				t.Fatal(err)
+			}
+			if tab.ID != e.ID {
+				t.Errorf("table id %q under experiment id %q", tab.ID, e.ID)
 			}
 			if len(tab.Rows) == 0 {
 				t.Fatal("no rows")
@@ -52,10 +87,62 @@ func TestAllExperimentsRunSmall(t *testing.T) {
 			}
 			var sb strings.Builder
 			tab.Render(&sb)
-			if !strings.Contains(sb.String(), tab.ID) {
-				t.Error("render missing id")
+			all.WriteString(sb.String())
+			ran++
+			if !*update && sb.String() != golden[e.ID] {
+				t.Errorf("drifted from %s (rerun with -update only if the change is intended)\n--- golden\n%s--- got\n%s",
+					goldenPath, golden[e.ID], sb.String())
 			}
 		})
+	}
+	switch {
+	case ran != len(All()):
+		// A -run filter selected some subtests; the file-level checks need all.
+	case *update:
+		if err := os.WriteFile(goldenPath, []byte(all.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	case len(golden) != ran:
+		t.Errorf("%s holds %d tables, All() has %d: stale entries", goldenPath, len(golden), ran)
+	}
+}
+
+// TestWorkersMoveSimSecondsNotValues pins what Options.Workers documents:
+// two Options differing only in Workers compute bit-identical vertex values
+// and send the same bytes, but the wider one reports fewer simulated seconds
+// (the cost model's Amdahl term takes the simulated width). The figures are
+// therefore only comparable at one width, and cmd/bench defaults to 1.
+func TestWorkersMoveSimSecondsNotValues(t *testing.T) {
+	g, err := datasets.Load("gweb")
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(workers int) *core.Result[float64] {
+		o := small()
+		o.Workers = workers
+		cfg := withREP(baseEdgeCut(o), 1)
+		cfg.MaxIter = o.Iters
+		cfg.Chaos = oneFailure(o.Iters)
+		cl, err := core.NewCluster(cfg, g, algorithms.NewPageRank(g.NumVertices()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := cl.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	one, two := run(1), run(2)
+	if !slices.Equal(one.Values, two.Values) {
+		t.Error("vertex values depend on Options.Workers")
+	}
+	if a, b := one.Metrics.TotalBytes(), two.Metrics.TotalBytes(); a != b {
+		t.Errorf("message bytes depend on Options.Workers: %d vs %d", a, b)
+	}
+	if two.SimSeconds >= one.SimSeconds {
+		t.Errorf("SimSeconds %v at 2 workers, %v at 1: if the width has become time-neutral, "+
+			"say so in the Options.Workers comment and the -workers flag help", two.SimSeconds, one.SimSeconds)
 	}
 }
 

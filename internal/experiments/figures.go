@@ -811,15 +811,15 @@ func YoungModelEfficiency(o Options) (*Table, error) {
 	return t, nil
 }
 
-// All returns every experiment keyed by id, in presentation order.
-func All() []struct {
+// Experiment is one regenerable table or figure.
+type Experiment struct {
 	ID  string
 	Run func(Options) (*Table, error)
-} {
-	return []struct {
-		ID  string
-		Run func(Options) (*Table, error)
-	}{
+}
+
+// All returns every experiment in presentation order.
+func All() []Experiment {
+	return []Experiment{
 		{"table1", Table1Datasets},
 		{"fig2a", Fig2aCheckpointCost},
 		{"fig2b", Fig2bCheckpointIntervals},
@@ -843,5 +843,7 @@ func All() []struct {
 		{"ftcompare", FTCompare},
 		{"ablation-mirror", AblationMirrorPlacement},
 		{"ablation-positional", AblationPositionalRecovery},
+		{"membership", Membership},
+		{"scale", Scale},
 	}
 }

@@ -238,8 +238,7 @@ func TestLossyPartitionParkAndFence(t *testing.T) {
 }
 
 // TestLossyZeroOverheadWhenDisabled: without EnableOmission the network
-// must not charge a single extra byte — the acceptance criterion behind
-// the BENCH_PR5 bit-identity check.
+// must not charge a single extra byte, or every simulated figure moves.
 func TestLossyZeroOverheadWhenDisabled(t *testing.T) {
 	plain := newNet(t, 2)
 	plain.Send(0, 1, KindSync, []byte("abc"))

@@ -63,7 +63,8 @@ func WithIterations(n int) Option {
 
 // WithWorkers sets the intra-node worker-pool width: each node shards its
 // vertex array into n contiguous chunks per phase and reduces them in
-// chunk order, so results are bit-for-bit identical for every n >= 1.
+// chunk order, so vertex values are bit-for-bit identical for every n >= 1.
+// Simulated seconds are not: the cost model's Amdahl term takes this width.
 func WithWorkers(n int) Option {
 	return func(c *Config) { c.WorkersPerNode = n }
 }
