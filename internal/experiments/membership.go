@@ -160,17 +160,20 @@ func centralCell(c memCell, apply memFault) (memCell, error) {
 	misses := make([]int, n)
 	suspected := make([]bool, n)
 	confirmed := make([]bool, n)
-	beat := make([]byte, beatBytes)
 	for period := 0; period < memMaxPeriods; period++ {
 		apply(net, n, period)
 		if period == memCrashPeriod {
 			up[victim] = false
 			net.SetFailed(victim, true)
 		}
+		// The network keeps each payload until it is delivered, so every beat
+		// gets bytes of its own, carved from one slab per period.
+		slab := make([]byte, n*beatBytes)
 		for i := 1; i < n; i++ {
 			if !up[i] {
 				continue
 			}
+			beat := slab[i*beatBytes:][:beatBytes:beatBytes]
 			binary.LittleEndian.PutUint32(beat, uint32(i))
 			binary.LittleEndian.PutUint64(beat[4:], uint64(period))
 			net.Send(i, 0, netsim.KindControl, beat)

@@ -25,7 +25,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sort"
+	"slices"
 
 	"imitator/internal/costmodel"
 	"imitator/internal/netsim"
@@ -94,25 +94,49 @@ type queued struct {
 	left int
 }
 
-// outMsg is a message staged for the next sub-round flush.
+// Initial per-member capacities (see New). With loss around 32 of 1024
+// members a queue peaks at 29 entries and a suspect list at 8.
+const (
+	queueSlots   = 32
+	suspectSlots = 8
+)
+
+// outMsg is a datagram staged for the next sub-round flush: the encoded
+// bytes stageBuf[off:end].
 type outMsg struct {
-	to  int
-	msg Message
+	from, to, off, end int
 }
+
+func bySender(a, b outMsg) int { return a.from - b.from }
 
 // node is the per-process protocol state.
 type node struct {
-	id      int
-	src     *rng.Source
-	view    []member
-	order   []int // shuffled probe schedule; reshuffled on wraparound
-	next    int
-	selfInc uint32
-	queue   []queued
-	target  int  // this period's direct-probe target, -1 if none
-	isFinal bool // target is a confirm-before-kill probe of a suspect
-	gotAck  bool
-	outbox  []outMsg
+	id       int
+	src      *rng.Source
+	view     []member
+	suspects []int // ids this view holds in UpdSuspect, ascending; see setStatus
+	order    []int // shuffled probe schedule; reshuffled on wraparound
+	next     int
+	selfInc  uint32
+	queue    []queued
+	target   int  // this period's direct-probe target, -1 if none
+	isFinal  bool // target is a confirm-before-kill probe of a suspect
+	gotAck   bool
+}
+
+// setStatus changes how nd classifies j and keeps nd.suspects in step, so
+// the per-period suspicion scans touch suspects only.
+func (nd *node) setStatus(j int, status UpdateKind) {
+	mv := &nd.view[j]
+	if was, is := mv.status == UpdSuspect, status == UpdSuspect; was != is {
+		i, _ := slices.BinarySearch(nd.suspects, j)
+		if is {
+			nd.suspects = slices.Insert(nd.suspects, i, j)
+		} else {
+			nd.suspects = slices.Delete(nd.suspects, i, i+1)
+		}
+	}
+	mv.status = status
 }
 
 // Stats summarizes detector activity since construction.
@@ -148,7 +172,20 @@ type Detector struct {
 
 	falseSuspicions int
 	messages        int64
-	wireErr         error
+	wireErr         error // first undecodable datagram, received by wireErrNode
+	wireErrNode     int
+
+	// outbox is every member's staged datagrams and stageBuf their encoded
+	// bytes. A datagram is delivered in the sub-round it is flushed in or
+	// never (lost ones are not parked), so flush swaps the two buffers and
+	// wireBuf — the one flushed a sub-round ago — is free to stage into again.
+	outbox            []outMsg
+	stageBuf, wireBuf []byte
+
+	// Per-call scratch, retained so a steady period allocates nothing.
+	rx    Message  // deliver's decoded datagram
+	upd   []Update // stage's piggyback selection
+	cands []int    // stagePingReqs' helper candidates
 }
 
 // New builds a detector for n members, all initially alive, over a fresh
@@ -175,12 +212,18 @@ func New(n int, p Params) (*Detector, error) {
 		everSuspected: make([]bool, n),
 		everConfirmed: make([]bool, n),
 	}
+	// Every member's dissemination queue and suspect list start with room
+	// for a busy period, carved from two slabs, so a run grows few of them.
+	queues := make([]queued, n*queueSlots)
+	suspects := make([]int, n*suspectSlots)
 	for id := 0; id < n; id++ {
 		nd := &node{
-			id:     id,
-			src:    rng.New(p.Seed ^ rng.Hash2(uint64(id)+1, 0x5157494d)),
-			view:   make([]member, n),
-			target: -1,
+			id:       id,
+			src:      rng.New(p.Seed ^ rng.Hash2(uint64(id)+1, 0x5157494d)),
+			view:     make([]member, n),
+			queue:    queues[id*queueSlots:][:0:queueSlots],
+			suspects: suspects[id*suspectSlots:][:0:suspectSlots],
+			target:   -1,
 		}
 		for j := range nd.view {
 			nd.view[j] = member{status: UpdAlive}
@@ -236,6 +279,7 @@ func (d *Detector) Revive(id int) {
 	}
 	inc := maxInc + 1
 	for _, nd := range d.nodes {
+		nd.setStatus(id, UpdAlive)
 		nd.view[id] = member{status: UpdAlive, inc: inc, since: d.period}
 		q := nd.queue[:0]
 		for _, e := range nd.queue {
@@ -260,7 +304,7 @@ func (d *Detector) ForceConfirm(id int) {
 			continue
 		}
 		if nd.view[id].status != UpdConfirm {
-			nd.view[id].status = UpdConfirm
+			nd.setStatus(id, UpdConfirm)
 			nd.view[id].since = d.period
 		}
 	}
@@ -312,7 +356,10 @@ func (d *Detector) Err() error {
 	if err := d.net.Err(); err != nil {
 		return err
 	}
-	return d.wireErr
+	if d.wireErr != nil {
+		return fmt.Errorf("gossip: node %d: %w", d.wireErrNode, d.wireErr)
+	}
+	return nil
 }
 
 // Close releases the underlying network.
@@ -322,7 +369,11 @@ func (d *Detector) Close() error { return d.net.Close() }
 // direct probe, escalating to ping-req(k) indirect probing on silence,
 // across six lockstep sub-rounds (ping, ack, ping-req, indirect ping,
 // indirect ack, forwarded ack); then probe outcomes and suspicion
-// timeouts are folded into each local view.
+// timeouts are folded into each local view. No step walks the n² view rows or
+// links: a period costs O(n + suspects), O(queue) per datagram and O(n) per
+// unanswered probe, and once its buffers have grown it allocates nothing.
+//
+//imitator:hotpath
 func (d *Detector) RunPeriod() {
 	d.startPeriod()
 	for sub := 0; sub < 6; sub++ {
@@ -348,7 +399,7 @@ func (d *Detector) startPeriod() {
 		if !d.up[id] {
 			continue
 		}
-		t := nd.pickFinal(d.n)
+		t := nd.pickFinal()
 		if t < 0 {
 			t = nd.pickTarget(d.n)
 		} else {
@@ -365,14 +416,11 @@ func (d *Detector) startPeriod() {
 // pickFinal selects the most overdue expired suspicion owed a
 // confirm-before-kill probe: lowest since, then lowest id — one per
 // period, so simultaneous timeouts drain deterministically.
-func (nd *node) pickFinal(n int) int {
+func (nd *node) pickFinal() int {
 	best := -1
-	for j := 0; j < n; j++ {
-		if j == nd.id {
-			continue
-		}
+	for _, j := range nd.suspects {
 		mv := &nd.view[j]
-		if mv.status != UpdSuspect || !mv.final {
+		if !mv.final {
 			continue
 		}
 		if best < 0 || mv.since < nd.view[best].since {
@@ -387,7 +435,10 @@ func (nd *node) pickFinal(n int) int {
 func (nd *node) pickTarget(n int) int {
 	for tries := 0; tries < n; tries++ {
 		if nd.next >= len(nd.order) {
-			nd.order = nd.src.Perm(n)
+			for i := range nd.order {
+				nd.order[i] = i
+			}
+			nd.src.Shuffle(nd.order)
 			nd.next = 0
 		}
 		t := nd.order[nd.next]
@@ -399,7 +450,9 @@ func (nd *node) pickTarget(n int) int {
 	return -1
 }
 
-// stagePingReqs fans each unanswered probe out to k indirect helpers.
+// stagePingReqs fans each unanswered probe out to k indirect helpers: the
+// first k of a full shuffle of the candidates, which is what the node's RNG
+// stream has always been charged for.
 func (d *Detector) stagePingReqs() {
 	k := d.p.IndirectProbes
 	for id := 0; id < d.n; id++ {
@@ -407,15 +460,16 @@ func (d *Detector) stagePingReqs() {
 		if !d.up[id] || nd.target < 0 || nd.gotAck {
 			continue
 		}
-		var cands []int
+		cands := d.cands[:0]
 		for j := 0; j < d.n; j++ {
 			if j != id && j != nd.target && nd.view[j].status != UpdConfirm {
 				cands = append(cands, j)
 			}
 		}
-		perm := nd.src.Perm(len(cands))
-		for i := 0; i < len(perm) && i < k; i++ {
-			d.stage(nd, cands[perm[i]], MsgPingReq, int32(nd.target))
+		d.cands = cands
+		nd.src.Shuffle(cands)
+		for i := 0; i < len(cands) && i < k; i++ {
+			d.stage(nd, cands[i], MsgPingReq, int32(nd.target))
 		}
 	}
 }
@@ -424,23 +478,30 @@ func (d *Detector) stagePingReqs() {
 // MaxPiggyback updates from the dissemination queue and retiring entries
 // whose transmission budget is spent.
 func (d *Detector) stage(nd *node, to int, kind MsgKind, about int32) {
-	m := Message{Kind: kind, From: int32(nd.id), About: about}
 	// Least-transmitted first (SWIM §4.1): fresh updates — new suspicions
 	// and, critically, refutations — outrank rumors that have already had
 	// their airtime, so they never starve behind a long queue. The sort is
-	// stable, so equal budgets keep queue order and stay deterministic.
-	sort.SliceStable(nd.queue, func(i, j int) bool {
-		return nd.queue[i].left > nd.queue[j].left
-	})
+	// stable, so equal budgets keep queue order and stay deterministic; it is
+	// an insertion sort because the last stage left the queue sorted but for
+	// the few entries it sent and any update queued since.
+	for i := 1; i < len(nd.queue); i++ {
+		e, j := nd.queue[i], i
+		for ; j > 0 && nd.queue[j-1].left < e.left; j-- {
+			nd.queue[j] = nd.queue[j-1]
+		}
+		nd.queue[j] = e
+	}
+	upd := d.upd[:0]
 	for i := range nd.queue {
-		if len(m.Updates) >= d.p.MaxPiggyback {
+		if len(upd) >= d.p.MaxPiggyback {
 			break
 		}
 		if nd.queue[i].left > 0 {
-			m.Updates = append(m.Updates, nd.queue[i].upd)
+			upd = append(upd, nd.queue[i].upd)
 			nd.queue[i].left--
 		}
 	}
+	d.upd = upd
 	q := nd.queue[:0]
 	for _, e := range nd.queue {
 		if e.left > 0 {
@@ -448,20 +509,21 @@ func (d *Detector) stage(nd *node, to int, kind MsgKind, about int32) {
 		}
 	}
 	nd.queue = q
-	nd.outbox = append(nd.outbox, outMsg{to: to, msg: m})
+	off := len(d.stageBuf)
+	d.stageBuf = AppendMessage(d.stageBuf, &Message{Kind: kind, From: int32(nd.id), About: about, Updates: upd})
+	d.outbox = append(d.outbox, outMsg{from: nd.id, to: to, off: off, end: len(d.stageBuf)})
 }
 
-// flush sends every staged message in ascending node order.
+// flush sends every staged message in ascending node order, each member's
+// in the order it staged them.
 func (d *Detector) flush() {
-	for id := 0; id < d.n; id++ {
-		nd := d.nodes[id]
-		for i := range nd.outbox {
-			om := &nd.outbox[i]
-			d.net.Send(id, om.to, netsim.KindControl, AppendMessage(nil, &om.msg))
-			d.messages++
-		}
-		nd.outbox = nd.outbox[:0]
+	slices.SortStableFunc(d.outbox, bySender)
+	for _, om := range d.outbox {
+		d.net.Send(om.from, om.to, netsim.KindControl, d.stageBuf[om.off:om.end])
 	}
+	d.messages += int64(len(d.outbox))
+	d.outbox = d.outbox[:0]
+	d.stageBuf, d.wireBuf = d.wireBuf[:0], d.stageBuf
 }
 
 // deliver drains every inbox in ascending node order, folds piggybacked
@@ -477,15 +539,14 @@ func (d *Detector) deliver() {
 			if raw.Kind != netsim.KindControl {
 				continue
 			}
-			m, err := DecodeMessage(raw.Payload)
-			if err != nil {
+			if err := d.rx.decode(raw.Payload); err != nil {
 				if d.wireErr == nil {
-					d.wireErr = fmt.Errorf("gossip: node %d: %w", id, err)
+					d.wireErr, d.wireErrNode = err, id
 				}
 				continue
 			}
-			d.applyUpdates(nd, &m)
-			d.handle(nd, &m)
+			d.applyUpdates(nd, &d.rx)
+			d.handle(nd, &d.rx)
 		}
 	}
 }
@@ -554,9 +615,9 @@ func (d *Detector) endPeriod() {
 		// confirm-before-kill probe (Lifeguard's final check), which a
 		// live suspect survives even when its refutation rumor lost the
 		// dissemination race.
-		for j := 0; j < d.n; j++ {
+		for _, j := range nd.suspects {
 			mv := &nd.view[j]
-			if mv.status == UpdSuspect && !mv.final && d.period-mv.since >= d.p.SuspicionPeriods {
+			if !mv.final && d.period-mv.since >= d.p.SuspicionPeriods {
 				mv.final = true
 			}
 		}
@@ -610,7 +671,7 @@ func (d *Detector) transition(nd *node, u Update, originated bool) {
 	switch u.Kind {
 	case UpdAlive:
 		if mv.status != UpdConfirm && u.Inc > mv.inc {
-			mv.status = UpdAlive
+			nd.setStatus(j, UpdAlive)
 			mv.inc = u.Inc
 			mv.since = d.period
 			mv.final = false
@@ -619,7 +680,7 @@ func (d *Detector) transition(nd *node, u Update, originated bool) {
 	case UpdSuspect:
 		if mv.status != UpdConfirm &&
 			(u.Inc > mv.inc || (u.Inc == mv.inc && mv.status == UpdAlive)) {
-			mv.status = UpdSuspect
+			nd.setStatus(j, UpdSuspect)
 			mv.inc = u.Inc
 			mv.since = d.period
 			mv.final = false
@@ -634,7 +695,7 @@ func (d *Detector) transition(nd *node, u Update, originated bool) {
 		}
 	case UpdConfirm:
 		if mv.status != UpdConfirm && u.Inc >= mv.inc {
-			mv.status = UpdConfirm
+			nd.setStatus(j, UpdConfirm)
 			mv.since = d.period
 			mv.final = false
 			changed = true

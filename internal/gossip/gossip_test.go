@@ -4,11 +4,11 @@ import (
 	"testing"
 )
 
-func newDetector(t *testing.T, n int, p Params) *Detector {
-	t.Helper()
+func newDetector(tb testing.TB, n int, p Params) *Detector {
+	tb.Helper()
 	d, err := New(n, p)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	return d
 }
@@ -178,25 +178,8 @@ func TestForceConfirm(t *testing.T) {
 	}
 }
 
-// viewFingerprint folds every view's status and incarnation into a
-// comparable value.
-func viewFingerprint(d *Detector) uint64 {
-	var h uint64 = 1469598103934665603
-	mix := func(v uint64) {
-		h ^= v
-		h *= 1099511628211
-	}
-	for _, nd := range d.nodes {
-		for j := range nd.view {
-			mix(uint64(nd.view[j].status))
-			mix(uint64(nd.view[j].inc))
-		}
-	}
-	return h
-}
-
 func TestDeterministicReplay(t *testing.T) {
-	run := func() (Stats, uint64) {
+	run := func() (Stats, fnv) {
 		d, err := New(24, Params{Seed: 42})
 		if err != nil {
 			t.Fatal(err)
@@ -226,7 +209,9 @@ func TestDeterministicReplay(t *testing.T) {
 			d.RunPeriod()
 		}
 		checkClean(t, d)
-		return d.Stats(), viewFingerprint(d)
+		h := fnvOffset
+		foldState(&h, d)
+		return d.Stats(), h
 	}
 	s1, f1 := run()
 	s2, f2 := run()
@@ -242,7 +227,7 @@ func TestDeterministicReplay(t *testing.T) {
 }
 
 func TestLargeClusterDetects(t *testing.T) {
-	const n = 300
+	const n = 1024
 	d := newDetector(t, n, Params{Seed: 6})
 	defer d.Close()
 	for i := 0; i < n; i++ {
@@ -254,8 +239,8 @@ func TestLargeClusterDetects(t *testing.T) {
 	}
 	d.Fail(17)
 	d.Fail(170)
-	d.Fail(299)
-	at := runUntilConfirmed(t, d, []int{17, 170, 299}, 120)
+	d.Fail(1023)
+	at := runUntilConfirmed(t, d, []int{17, 170, 1023}, 120)
 	for id, p := range at {
 		t.Logf("node %d confirmed at period %d", id, p)
 	}

@@ -31,8 +31,16 @@ const updateWireBytes = 9
 // anything above it before sizing buffers.
 const maxWireUpdates = 1024
 
-// errMalformed reports a truncated or inconsistent gossip payload.
-var errMalformed = errors.New("gossip: malformed payload")
+// errMalformed reports a truncated or inconsistent gossip payload; the
+// specific causes wrap it. They are built once so the detector's per-datagram
+// decode formats nothing.
+var (
+	errMalformed = errors.New("gossip: malformed payload")
+	errVersion   = fmt.Errorf("%w: wire version is not %d", errMalformed, wireVersion)
+	errMsgKind   = fmt.Errorf("%w: unknown message kind", errMalformed)
+	errUpdKind   = fmt.Errorf("%w: unknown update kind", errMalformed)
+	errTrailing  = fmt.Errorf("%w: trailing bytes", errMalformed)
+)
 
 // MsgKind enumerates the SWIM probe messages.
 type MsgKind uint8
@@ -143,39 +151,43 @@ func (r *reader) remaining() int { return len(r.buf) }
 // DecodeMessage parses one gossip datagram. The returned message's
 // Updates slice is freshly allocated; data is not retained.
 func DecodeMessage(data []byte) (Message, error) {
-	r := &reader{buf: data}
 	var m Message
+	if err := m.decode(data); err != nil {
+		return Message{}, err
+	}
+	return m, nil
+}
+
+// decode parses one gossip datagram into m, reusing m.Updates' capacity;
+// data is not retained. On error m is unspecified.
+func (m *Message) decode(data []byte) error {
+	r := &reader{buf: data}
 	if v := r.u8(); r.err == nil && v != wireVersion {
-		return Message{}, fmt.Errorf("%w: version %d, want %d", errMalformed, v, wireVersion)
+		return errVersion
 	}
 	m.Kind = MsgKind(r.u8())
 	if r.err == nil && (m.Kind == 0 || m.Kind >= msgKindEnd) {
-		return Message{}, fmt.Errorf("%w: message kind %d", errMalformed, m.Kind)
+		return errMsgKind
 	}
 	m.From = int32(r.u32())
 	m.About = int32(r.u32())
+	m.Updates = m.Updates[:0]
 	n := int(r.u16())
 	if n > maxWireUpdates || n*updateWireBytes > r.remaining() {
-		// sanity bound: each update is exactly 9 bytes
-		r.fail()
+		return errMalformed // each update is exactly 9 bytes
 	}
-	if r.err == nil && n > 0 {
-		m.Updates = make([]Update, n) //imitator:wirebounds-ok n is checked against maxWireUpdates and remaining() above; r.err gates this branch
-		for i := 0; i < n; i++ {
-			u := &m.Updates[i]
-			u.Kind = UpdateKind(r.u8())
-			u.Node = int32(r.u32())
-			u.Inc = r.u32()
-			if r.err == nil && (u.Kind == 0 || u.Kind >= updKindEnd) {
-				return Message{}, fmt.Errorf("%w: update kind %d", errMalformed, u.Kind)
-			}
+	for i := 0; i < n; i++ {
+		u := Update{Kind: UpdateKind(r.u8()), Node: int32(r.u32()), Inc: r.u32()}
+		if u.Kind == 0 || u.Kind >= updKindEnd {
+			return errUpdKind
 		}
+		m.Updates = append(m.Updates, u)
 	}
 	if r.err != nil {
-		return Message{}, r.err
+		return r.err
 	}
 	if r.remaining() != 0 {
-		return Message{}, fmt.Errorf("%w: %d trailing bytes", errMalformed, r.remaining())
+		return errTrailing
 	}
-	return m, nil
+	return nil
 }

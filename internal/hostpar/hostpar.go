@@ -82,7 +82,7 @@ func Blocks(n, minBlock, width int, fn func(lo, hi int)) {
 	if minBlock < 1 {
 		minBlock = 1
 	}
-	width = clampWidth(width, (n+minBlock-1)/minBlock)
+	width = clampWidth(width, n/minBlock) // rounding down keeps every block at minBlock or more
 	base, rem := n/width, n%width
 	lo := 0
 	bounds := make([][2]int, width)

@@ -21,8 +21,9 @@
 package netsim
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"sync/atomic"
 
 	"imitator/internal/rng"
@@ -79,11 +80,15 @@ type linkFaults struct {
 
 func (f linkFaults) none() bool { return f.drop == 0 && f.dup == 0 && f.reorder == 0 }
 
-// lossyFrame is one enveloped frame queued on a sender-side link.
+// lossyFrame is one enveloped frame queued at its sender for the link to
+// `to`.
 type lossyFrame struct {
+	to   int
 	kind Kind
 	buf  []byte // envelope + payload copy, owned by the layer until delivery
 }
+
+func byDest(a, b lossyFrame) int { return a.to - b.to }
 
 // parkedFrame is a frame caught in the cable by a partition.
 type parkedFrame struct {
@@ -144,7 +149,7 @@ type lossyBackend struct {
 	seed  uint64
 
 	faults map[[2]int]linkFaults
-	rngs   map[[2]int]*rng.Source
+	rngs   map[[2]int]rng.Source
 	cut    map[[2]int]bool
 
 	// epochs mirrors the coordinator's membership incarnations; frames
@@ -158,13 +163,15 @@ type lossyBackend struct {
 	// to delay detection, which the reliable protocol would mask.
 	datagram Kind
 
-	nextSeq  []uint32       // [from*n+to] next sequence to stamp
-	recvNext []uint32       // [from*n+to] next sequence to deliver
-	out      [][]lossyFrame // [from*n+to] frames queued this round
+	// Per-link state exists only for links that carried a reliable frame
+	// (sequence numbers) or a frame this round (out), so a round costs
+	// O(frames) and an idle link costs nothing.
+	nextSeq  []map[int]uint32 // [from][to] next sequence to stamp
+	recvNext []map[int]uint32 // [to][from] next sequence to deliver
+	out      [][]lossyFrame   // [from] frames queued this round, in send order
 	parked   []parkedFrame
 
 	delay  []float64   // per-sender backoff seconds, drained by FinishRound
-	colOut [][]Message // per-receiver Collect scratch
 	colEnt [][]rxEntry // per-receiver parse scratch
 
 	stats lossyStats
@@ -178,32 +185,34 @@ func newLossyBackend(inner Backend, net *Network, seed uint64) *lossyBackend {
 		n:        n,
 		seed:     seed,
 		faults:   make(map[[2]int]linkFaults),
-		rngs:     make(map[[2]int]*rng.Source),
+		rngs:     make(map[[2]int]rng.Source),
 		cut:      make(map[[2]int]bool),
 		epochs:   make([]uint32, n),
-		nextSeq:  make([]uint32, n*n),
-		recvNext: make([]uint32, n*n),
-		out:      make([][]lossyFrame, n*n),
+		nextSeq:  make([]map[int]uint32, n),
+		recvNext: make([]map[int]uint32, n),
+		out:      make([][]lossyFrame, n),
 		delay:    make([]float64, n),
-		colOut:   make([][]Message, n),
 		colEnt:   make([][]rxEntry, n),
 	}
+	slab := make([]lossyFrame, queueSlots*n)
 	for i := range b.epochs {
 		b.epochs[i] = 1
+		b.nextSeq[i] = make(map[int]uint32)
+		b.recvNext[i] = make(map[int]uint32)
+		b.out[i] = slab[queueSlots*i:][:0:queueSlots]
 	}
 	return b
 }
 
 // linkRNG returns the per-link fate stream, created on first use from
 // the chaos seed and the link endpoints so every link draws an
-// independent deterministic sequence.
-func (b *lossyBackend) linkRNG(link [2]int) *rng.Source {
+// independent deterministic sequence. The caller stores the advanced
+// state back; the map holds values so a new link costs no allocation.
+func (b *lossyBackend) linkRNG(link [2]int) rng.Source {
 	if src, ok := b.rngs[link]; ok {
 		return src
 	}
-	src := rng.New(b.seed ^ rng.Hash2(uint64(link[0])+1, uint64(link[1])+1))
-	b.rngs[link] = src
-	return src
+	return *rng.New(b.seed ^ rng.Hash2(uint64(link[0])+1, uint64(link[1])+1))
 }
 
 // Send implements Backend: the payload is copied behind an envelope and
@@ -214,23 +223,22 @@ func (b *lossyBackend) Send(from, to int, kind Kind, payload []byte) error {
 	if from == to {
 		return b.inner.Send(from, to, kind, payload)
 	}
-	idx := from*b.n + to
 	if kind != 0 && kind == b.datagram {
 		// Best-effort frames skip the envelope and the sequence space: they
 		// are allowed to vanish, so the receiver must not see a gap.
-		b.out[idx] = append(b.out[idx], lossyFrame{kind: kind, buf: payload})
+		b.out[from] = append(b.out[from], lossyFrame{to: to, kind: kind, buf: payload})
 		return nil
 	}
 	env := transport.Envelope{
-		Seq:         b.nextSeq[idx],
+		Seq:         b.nextSeq[from][to],
 		SenderEpoch: b.epochs[from],
 		RecvEpoch:   b.epochs[to],
 	}
-	b.nextSeq[idx]++
+	b.nextSeq[from][to] = env.Seq + 1
 	buf := make([]byte, 0, transport.EnvelopeLen+len(payload))
 	buf = transport.AppendEnvelope(buf, env)
 	buf = append(buf, payload...)
-	b.out[idx] = append(b.out[idx], lossyFrame{kind: kind, buf: buf})
+	b.out[from] = append(b.out[from], lossyFrame{to: to, kind: kind, buf: buf})
 	b.net.bytesOut[from].Add(transport.EnvelopeLen)
 	b.net.bytesIn[to].Add(transport.EnvelopeLen)
 	b.net.totalOut[from].Add(transport.EnvelopeLen)
@@ -241,16 +249,22 @@ func (b *lossyBackend) Send(from, to int, kind Kind, payload []byte) error {
 // `from` meets its channel fate here — parked behind a partition,
 // dropped and retransmitted with backoff, duplicated, or held back one
 // slot — before the inner round closes. Runs serially per sender (the
-// Network's FinishRound loop), which makes the RNG draw order, and with
-// it every retransmit count, deterministic.
+// Network's FinishRound loop) and per link in ascending receiver order,
+// which makes the RNG draw order, the order backoff seconds are summed in,
+// and with them every retransmit count and cost, deterministic.
 func (b *lossyBackend) EndRound(from int, aliveTo []bool) error {
-	for to := 0; to < b.n; to++ {
-		idx := from*b.n + to
-		if len(b.out[idx]) > 0 {
-			b.flushLink(from, to, aliveTo[to], b.out[idx])
-			b.out[idx] = b.out[idx][:0]
+	q := b.out[from]
+	slices.SortStableFunc(q, byDest) // stable: every link keeps its send order
+	for i := 0; i < len(q); {
+		to, j := q[i].to, i+1
+		for j < len(q) && q[j].to == to {
+			j++
 		}
+		b.flushLink(from, to, aliveTo[to], q[i:j])
+		i = j
 	}
+	clear(q) // the frames are on the wire, parked or lost: drop the buffers
+	b.out[from] = q[:0]
 	return b.inner.EndRound(from, aliveTo)
 }
 
@@ -279,7 +293,8 @@ func (b *lossyBackend) flushLink(from, to int, alive bool, q []lossyFrame) {
 	f := b.faults[link]
 	var src *rng.Source
 	if !f.none() {
-		src = b.linkRNG(link)
+		fates := b.linkRNG(link)
+		src = &fates
 	}
 	retx := false
 	var held *lossyFrame
@@ -313,6 +328,9 @@ func (b *lossyBackend) flushLink(from, to int, alive bool, q []lossyFrame) {
 		b.net.bytesIn[from].Add(ackSize)
 		b.net.totalOut[to].Add(ackSize)
 		b.stats.ackBytes.Add(ackSize)
+	}
+	if src != nil {
+		b.rngs[link] = *src
 	}
 }
 
@@ -370,14 +388,17 @@ func (b *lossyBackend) transmit(from, to int, fr *lossyFrame, f linkFaults, src 
 }
 
 // Collect implements Backend: parse envelopes, fence stale incarnations,
-// deduplicate, and restore per-link FIFO order. Safe for one concurrent
-// call per receiver: all state touched is indexed by `to`.
+// deduplicate, and restore per-link FIFO order. Every arrival yields at most
+// one delivery and a sender's deliveries are emitted only once its whole run
+// has been read, so the result is compacted into the inner backend's slice.
+// Safe for one concurrent call per receiver: all state touched is indexed by
+// `to`.
 func (b *lossyBackend) Collect(to int, expectFrom []bool) ([]Message, error) {
 	raw, err := b.inner.Collect(to, expectFrom)
 	if err != nil {
 		return nil, err
 	}
-	out := b.colOut[to][:0]
+	out := raw[:0]
 	for i := 0; i < len(raw); {
 		from := raw[i].From
 		j := i
@@ -391,7 +412,7 @@ func (b *lossyBackend) Collect(to int, expectFrom []bool) ([]Message, error) {
 		}
 		i = j
 	}
-	b.colOut[to] = out
+	clear(raw[len(out):])
 	return out, nil
 }
 
@@ -421,8 +442,8 @@ func (b *lossyBackend) deliverRun(to, from int, run []Message, out []Message) []
 	// Restore send order: the channel only displaces frames, it never
 	// re-stamps them, so sorting by sequence undoes any reordering. The
 	// sort is stable so a duplicate lands right after its original.
-	sort.SliceStable(entries, func(i, j int) bool { return entries[i].env.Seq < entries[j].env.Seq })
-	next := &b.recvNext[from*b.n+to]
+	slices.SortStableFunc(entries, bySeq)
+	next := b.recvNext[to][from]
 	for i := range entries {
 		e := &entries[i]
 		// Split-brain fence: a frame from a slot that is currently
@@ -435,23 +456,29 @@ func (b *lossyBackend) deliverRun(to, from int, run []Message, out []Message) []
 			continue
 		}
 		switch {
-		case e.env.Seq < *next:
+		case e.env.Seq < next:
 			b.stats.dupDropped.Add(1)
-		case e.env.Seq == *next:
-			*next++
+		case e.env.Seq == next:
+			next++
 			out = append(out, Message{From: from, Kind: e.kind, Payload: e.payload})
 		default:
 			// A hole in the sequence space cannot happen under the
 			// round-synchronous protocol; deliver anyway but surface the
 			// protocol violation.
-			b.net.recordErr(fmt.Errorf("netsim: link %d->%d sequence gap: got %d want %d", from, to, e.env.Seq, *next))
-			*next = e.env.Seq + 1
+			b.net.recordErr(fmt.Errorf("netsim: link %d->%d sequence gap: got %d want %d", from, to, e.env.Seq, next))
+			next = e.env.Seq + 1
 			out = append(out, Message{From: from, Kind: e.kind, Payload: e.payload})
 		}
 	}
+	if len(entries) > 0 {
+		b.recvNext[to][from] = next
+	}
+	clear(entries)
 	b.colEnt[to] = entries[:0]
 	return out
 }
+
+func bySeq(a, b rxEntry) int { return cmp.Compare(a.env.Seq, b.env.Seq) }
 
 // Drain implements Backend (rollback discarding a receiver's round).
 // Parked frames are deliberately untouched: they are in the cable, out
@@ -464,9 +491,8 @@ func (b *lossyBackend) Drain(to int) {
 // state of its previous life and are discarded with the inner backend's
 // pending traffic.
 func (b *lossyBackend) DrainFrom(from int) {
-	for to := 0; to < b.n; to++ {
-		b.out[from*b.n+to] = b.out[from*b.n+to][:0]
-	}
+	clear(b.out[from])
+	b.out[from] = b.out[from][:0]
 	b.inner.DrainFrom(from)
 }
 
@@ -481,13 +507,14 @@ func (b *lossyBackend) Close() error { return b.inner.Close() }
 // the epoch fence disposes of them when they finally arrive.
 func (b *lossyBackend) setEpoch(node int, epoch uint64) {
 	b.epochs[node] = uint32(epoch)
+	clear(b.nextSeq[node])
+	clear(b.recvNext[node])
+	clear(b.out[node])
+	b.out[node] = b.out[node][:0]
 	for p := 0; p < b.n; p++ {
-		b.nextSeq[node*b.n+p] = 0
-		b.nextSeq[p*b.n+node] = 0
-		b.recvNext[node*b.n+p] = 0
-		b.recvNext[p*b.n+node] = 0
-		b.out[node*b.n+p] = b.out[node*b.n+p][:0]
-		b.out[p*b.n+node] = b.out[p*b.n+node][:0]
+		delete(b.nextSeq[p], node)
+		delete(b.recvNext[p], node)
+		b.out[p] = slices.DeleteFunc(b.out[p], func(fr lossyFrame) bool { return fr.to == node })
 		delete(b.cut, [2]int{node, p})
 		delete(b.cut, [2]int{p, node})
 	}

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"bytes"
 	"testing"
 
 	"imitator/internal/costmodel"
@@ -268,5 +269,67 @@ func init() {
 	// Guard against accidental params drift in these tests.
 	if costmodel.Default().NetLatency <= 0 {
 		panic("netsim tests assume positive latency")
+	}
+}
+
+// retained lists every payload still referenced from the backends' queues,
+// looking past each queue's length to the end of its backing array.
+func retained(net *Network) [][]byte {
+	var all [][]byte
+	mem := net.backend
+	if net.omission != nil {
+		mem = net.omission.inner
+		for _, q := range net.omission.out {
+			for _, fr := range q[:cap(q)] {
+				all = append(all, fr.buf)
+			}
+		}
+		for _, q := range net.omission.colEnt {
+			for _, e := range q[:cap(q)] {
+				all = append(all, e.payload)
+			}
+		}
+	}
+	for i := range mem.(*memBackend).boxes {
+		box := &mem.(*memBackend).boxes[i]
+		for _, q := range [][]Message{box.in, box.out} {
+			for _, m := range q[:cap(q)] {
+				all = append(all, m.Payload)
+			}
+		}
+	}
+	return all
+}
+
+// TestDeliveredPayloadsAreReleased: Receive hands payload ownership to the
+// caller, so once the receiver has collected its next round no queue may still
+// reference an earlier round's payloads — a recovery payload of many MB would
+// otherwise stay pinned for as long as a later round happens to be shorter.
+func TestDeliveredPayloadsAreReleased(t *testing.T) {
+	for _, omission := range []bool{false, true} {
+		net := newNet(t, 3)
+		if omission {
+			net.EnableOmission(9)
+			net.SetDupRate(2, 1, 1)
+		}
+		for i := 0; i < 3; i++ {
+			net.Send(0, 1, KindRecovery, []byte("stale payload"))
+			net.Send(2, 1, KindSync, []byte("stale payload"))
+		}
+		net.FinishRound()
+		if got := len(net.Receive(1)); got != 6 {
+			t.Fatalf("omission=%v: first round delivered %d messages, want 6", omission, got)
+		}
+		net.Send(0, 1, KindSync, []byte("live"))
+		net.FinishRound()
+		if got := len(net.Receive(1)); got != 1 {
+			t.Fatalf("omission=%v: second round delivered %d messages, want 1", omission, got)
+		}
+		for _, p := range retained(net) {
+			if bytes.Contains(p, []byte("stale")) {
+				t.Fatalf("omission=%v: a delivered payload is still referenced after the next round: %q", omission, p)
+			}
+		}
+		checkErr(t, net)
 	}
 }

@@ -4,7 +4,7 @@
 // bandwidth, per-round latency, and a shared-fabric bisection term).
 //
 // Delivery is pluggable: the default in-memory backend moves payloads
-// through per-(sender, receiver) mailboxes; the TCP backend
+// through per-receiver mailboxes; the TCP backend
 // (internal/transport) streams the same frames over loopback sockets, so
 // the whole BSP protocol can run against the operating system's network
 // stack. Cost accounting is identical either way — the simulated clock
@@ -18,6 +18,7 @@ package netsim
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -184,6 +185,8 @@ func (n *Network) recordErr(err error) {
 // Send enqueues payload from one node to another. Messages to or from
 // failed nodes are silently dropped (fail-stop). The payload is retained;
 // callers must not reuse the slice.
+//
+//imitator:hotpath
 func (n *Network) Send(from, to int, kind Kind, payload []byte) {
 	if n.failed[from] || n.failed[to] {
 		return
@@ -243,6 +246,8 @@ const headerBytes = 16
 // duration is the larger of the slowest node and the fabric term, so even
 // well-spread extra traffic (like fault-tolerance sync records) costs time.
 // The returned costs slice is reused by the next FinishRound call.
+//
+//imitator:hotpath
 func (n *Network) FinishRound() (costs []float64, fabric float64) {
 	for from := 0; from < n.numNodes; from++ {
 		if n.aliveMask[from] {
@@ -294,6 +299,8 @@ func (n *Network) FinishRound() (costs []float64, fabric float64) {
 // Receive drains node `to`'s round in deterministic sender order. The
 // returned slice is valid until the same node's next Receive; payload
 // ownership transfers to the caller (the engine recycles them).
+//
+//imitator:hotpath
 func (n *Network) Receive(to int) []Message {
 	msgs, err := n.backend.Collect(to, n.aliveMask)
 	n.recordErr(err)
@@ -321,56 +328,87 @@ func (n *Network) TotalBytes() int64 {
 	return t
 }
 
-// memBackend delivers through per-(receiver, sender) mailboxes. Rounds
-// need no markers: the caller's barrier separates send and collect.
-// Mailboxes and the per-receiver Collect output truncate instead of
-// re-allocating, so steady-state rounds reuse their slice capacity.
+// memBackend delivers through one mailbox per receiver, so a round costs
+// O(messages) time and the backend holds no per-link state. Rounds need no
+// markers: the caller's barrier separates send and collect.
 type memBackend struct {
-	boxes [][][]Message // boxes[to][from]
-	out   [][]Message   // per-receiver Collect scratch
+	boxes []mailbox
 }
+
+// mailbox is one receiver's pending messages, in arrival order. Concurrent
+// senders interleave under mu; each sender's own messages stay in its send
+// order, which is all Collect needs to restore (sender, FIFO) order.
+type mailbox struct {
+	mu  sync.Mutex
+	in  []Message
+	out []Message // the previous Collect's result, recycled by the next
+}
+
+// queueSlots is the capacity every per-node message queue starts with,
+// carved from one slab per backend: more than a gossip member or a node of an
+// 8-node engine handles in a round, so most queues never grow.
+const queueSlots = 8
 
 func newMemBackend(numNodes int) *memBackend {
-	boxes := make([][][]Message, numNodes)
-	for to := range boxes {
-		boxes[to] = make([][]Message, numNodes)
+	b := &memBackend{boxes: make([]mailbox, numNodes)}
+	slab := make([]Message, 2*queueSlots*numNodes)
+	for i := range b.boxes {
+		b.boxes[i].in = slab[2*queueSlots*i:][:0:queueSlots]
+		b.boxes[i].out = slab[(2*i+1)*queueSlots:][:0:queueSlots]
 	}
-	return &memBackend{boxes: boxes, out: make([][]Message, numNodes)}
+	return b
 }
 
-// Send implements Backend. Only the goroutine driving `from` appends to
-// boxes[*][from], so no locking is needed within a round.
+// Send implements Backend.
+//
+//imitator:hotpath
 func (b *memBackend) Send(from, to int, kind Kind, payload []byte) error {
-	b.boxes[to][from] = append(b.boxes[to][from], Message{From: from, Kind: kind, Payload: payload})
+	box := &b.boxes[to]
+	box.mu.Lock()
+	box.in = append(box.in, Message{From: from, Kind: kind, Payload: payload})
+	box.mu.Unlock()
 	return nil
 }
 
 // EndRound implements Backend (no-op: the barrier is the round boundary).
 func (b *memBackend) EndRound(int, []bool) error { return nil }
 
-// Collect implements Backend. The returned slice is scratch reused by the
-// same receiver's next Collect.
+// Collect implements Backend. The returned slice is reused by the same
+// receiver's Collect after next; its payload references are dropped at the
+// next one, since delivery handed the payloads to the caller.
+//
+//imitator:hotpath
 func (b *memBackend) Collect(to int, _ []bool) ([]Message, error) {
-	out := b.out[to][:0]
-	for from := range b.boxes[to] {
-		out = append(out, b.boxes[to][from]...)
-		b.boxes[to][from] = b.boxes[to][from][:0]
-	}
-	b.out[to] = out
-	return out, nil
+	box := &b.boxes[to]
+	box.mu.Lock()
+	msgs := box.in
+	clear(box.out)
+	box.in, box.out = box.out[:0], msgs
+	box.mu.Unlock()
+	// Ascending sender order; stable, so every link stays FIFO. Serial senders
+	// (the omission layer's EndRound loop) arrive in order and cost one pass.
+	slices.SortStableFunc(msgs, bySender)
+	return msgs, nil
 }
+
+func bySender(a, b Message) int { return a.From - b.From }
 
 // Drain implements Backend.
 func (b *memBackend) Drain(to int) {
-	for from := range b.boxes[to] {
-		b.boxes[to][from] = b.boxes[to][from][:0]
-	}
+	box := &b.boxes[to]
+	box.mu.Lock()
+	clear(box.in)
+	box.in = box.in[:0]
+	box.mu.Unlock()
 }
 
 // DrainFrom implements Backend.
 func (b *memBackend) DrainFrom(from int) {
 	for to := range b.boxes {
-		b.boxes[to][from] = b.boxes[to][from][:0]
+		box := &b.boxes[to]
+		box.mu.Lock()
+		box.in = slices.DeleteFunc(box.in, func(m Message) bool { return m.From == from })
+		box.mu.Unlock()
 	}
 }
 

@@ -152,11 +152,17 @@ func (r *Source) Perm(n int) []int {
 	for i := range p {
 		p[i] = i
 	}
-	for i := n - 1; i > 0; i-- {
+	r.Shuffle(p)
+	return p
+}
+
+// Shuffle permutes p in place (Fisher-Yates), drawing exactly what Perm
+// draws for len(p): shuffling the identity is Perm.
+func (r *Source) Shuffle(p []int) {
+	for i := len(p) - 1; i > 0; i-- {
 		j := r.Intn(i + 1)
 		p[i], p[j] = p[j], p[i]
 	}
-	return p
 }
 
 // Hash64 is a stateless mix of a 64-bit value (splitmix64 finalizer). It is
