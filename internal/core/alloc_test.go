@@ -6,7 +6,33 @@ import (
 
 	"imitator/internal/datasets"
 	"imitator/internal/gen"
+	"imitator/internal/graph"
 )
+
+// benchmarkGraph is the repository benchmark's input (benchmark/README.md).
+func benchmarkGraph(tb testing.TB) *graph.Graph {
+	g, err := gen.PowerLaw(gen.PowerLawConfig{
+		NumVertices: 64000, NumEdges: 923000, Alpha: 2.0, SelfishFraction: 0.1, Seed: 1, Workers: 1,
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return g
+}
+
+// manualStep returns a function that runs the next superstep + barrier +
+// commit of cl by hand, numbering supersteps from 0.
+func manualStep[V, A any](tb testing.TB, cl *Cluster[V, A]) func() {
+	iter := 0
+	return func() {
+		if err := cl.superstep(iter); err != nil {
+			tb.Fatal(err)
+		}
+		cl.barrier()
+		cl.commit(iter)
+		iter++
+	}
+}
 
 // TestLoadAllocBudget pins NewCluster's allocation count on the benchmark
 // graph. Load carves every per-vertex list (local topology, replica
@@ -21,13 +47,7 @@ func TestLoadAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds the 923 k-edge benchmark graph")
 	}
-	// The repository benchmark's input (benchmark/README.md).
-	g, err := gen.PowerLaw(gen.PowerLawConfig{
-		NumVertices: 64000, NumEdges: 923000, Alpha: 2.0, SelfishFraction: 0.1, Seed: 1, Workers: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := benchmarkGraph(t)
 	for _, mode := range []Mode{EdgeCutMode, VertexCutMode} {
 		cfg := DefaultConfig(mode, 8) // Replication K=1, as ec-steady / vc-steady
 		cfg.HostParallelism = 1
@@ -62,21 +82,42 @@ func TestSteadyStateSuperstepAllocFree(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer cl.stopWorkers()
-			iter := 0
-			step := func() {
-				if err := cl.superstep(iter); err != nil {
-					t.Fatal(err)
-				}
-				cl.barrier()
-				cl.commit(iter)
-				iter++
-			}
+			step := manualStep(t, cl)
 			// Warm the pool, stagers, mailboxes and routing tables.
 			for i := 0; i < 3; i++ {
 				step()
 			}
 			if avg := testing.AllocsPerRun(5, step); avg != 0 {
 				t.Errorf("%v steady-state superstep allocates %.1f times per iteration, want 0", mode, avg)
+			}
+		})
+	}
+}
+
+// BenchmarkSuperstep times one warm superstep + barrier + commit on the
+// benchmark graph as ec-steady / vc-steady configure it (8 nodes, Replication
+// K=1, host parallelism 1), so the steady loop profiles with one command:
+//
+//	go test -run '^$' -bench Superstep/vertex-cut -cpuprofile cpu.prof ./internal/core
+func BenchmarkSuperstep(b *testing.B) {
+	g := benchmarkGraph(b)
+	for _, mode := range []Mode{EdgeCutMode, VertexCutMode} {
+		b.Run(mode.String(), func(b *testing.B) {
+			cfg := DefaultConfig(mode, 8)
+			cfg.HostParallelism = 1
+			cfg.MaxIter = 1 // stepped manually below
+			cl, err := NewCluster[float64, float64](cfg, g, fakePR{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer cl.stopWorkers()
+			step := manualStep(b, cl)
+			for i := 0; i < 3; i++ {
+				step() // warm the pool, stagers, mailboxes and routing tables
+			}
+			b.ReportAllocs()
+			for b.Loop() {
+				step()
 			}
 		})
 	}

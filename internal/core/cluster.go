@@ -71,9 +71,11 @@ type node[V, A any] struct {
 	recvMsgs []netsim.Message
 
 	// route is the precomputed flat sync-routing table (master -> replica
-	// destinations in entry order); routeDirty forces a rebuild before the
-	// next phase that consults it (recovery reshapes the tables).
+	// destinations in entry order), scatter the vertex-cut scatter table (slot
+	// -> its out-targets' masters); routeDirty forces a rebuild of both before
+	// the next phase that consults one (recovery reshapes the tables).
 	route      syncRoute
+	scatter    scatterRoute
 	routeDirty bool
 
 	// localPart/mergedPart are the vertex-cut gather scratch, retained
@@ -99,6 +101,7 @@ func (n *node[V, A]) add(h hot[V]) int32 {
 
 // attachEdge links the local edge sp -> dp into both endpoints' lists.
 func (n *node[V, A]) attachEdge(sp, dp int32, wt float64) {
+	n.routeDirty = true // the scatter route flattens outNbr
 	t := &n.topo[dp]
 	t.inNbr = append(t.inNbr, sp)
 	t.inWt = append(t.inWt, wt)

@@ -89,3 +89,43 @@ func TestRollbackRestoresCommittedState(t *testing.T) {
 		}
 	}
 }
+
+// TestReplicaScatterStampFollowsSteppedIter drives supersteps by hand without
+// advancing cl.iter, as the allocation gate does: the superstep number is the
+// phase parameter, so a replica must commit the same lastActivateIter stamp
+// as its master — replay re-derives activation from those stamps (§5.1.3).
+func TestReplicaScatterStampFollowsSteppedIter(t *testing.T) {
+	for _, mode := range []Mode{EdgeCutMode, VertexCutMode} {
+		cfg := DefaultConfig(mode, 4)
+		cfg.MaxIter = 1 // stepped manually below
+		cl, err := NewCluster[float64, float64](cfg, datasets.Tiny(300, 1800, 779), fakePR{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cl.stopWorkers()
+		for iter := 0; iter < 3; iter++ {
+			if err := cl.superstep(iter); err != nil {
+				t.Fatal(err)
+			}
+			cl.barrier()
+			cl.commit(iter)
+			for _, nd := range cl.nodes {
+				for i := range nd.hot {
+					e, rt := &nd.hot[i], &nd.meta[i].replicas
+					if !e.isMaster() {
+						continue
+					}
+					if e.lastActivateIter != int32(iter) {
+						t.Fatalf("%v iter %d: master of %d stamped %d", mode, iter, e.id, e.lastActivateIter)
+					}
+					for ri, rn := range rt.nodes {
+						if re := &cl.nodes[rn].hot[rt.pos[ri]]; re.lastActivateIter != e.lastActivateIter {
+							t.Fatalf("%v iter %d: replica of %d on node %d stamped %d, master %d",
+								mode, iter, e.id, rn, re.lastActivateIter, e.lastActivateIter)
+						}
+					}
+				}
+			}
+		}
+	}
+}

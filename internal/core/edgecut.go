@@ -168,7 +168,7 @@ func (c *Cluster[V, A]) gather(nd *node[V, A], i int) (acc A, has bool, edges in
 // value and scatter flag and activating the scattering replicas' local
 // out-targets. A record cut short ends the batch, as a codec error does.
 func (c *Cluster[V, A]) applySync(nd *node[V, A], st *stager, buf []byte) {
-	iter := int32(c.iter)
+	iter := int32(c.curIter)
 	for len(buf) >= 5 {
 		pos := int32(binary.LittleEndian.Uint32(buf))
 		flags := buf[4]
@@ -190,27 +190,31 @@ func (c *Cluster[V, A]) applySync(nd *node[V, A], st *stager, buf []byte) {
 
 // scatterMark activates slot i's local out-targets for the next superstep:
 // masters through the worker's activation list, vertex-cut replicas via an
-// activation notice to their master's node. Commit ORs a master's
+// activation notice to their master's node, both streamed from the node's
+// precomputed scatter route in outNbr order. Commit ORs a master's
 // pendingActive with Program.AlwaysActive, so for an always-active program
 // the host-side list has no reader and is not built; the notices are wire
 // traffic and go out either way.
 func (c *Cluster[V, A]) scatterMark(nd *node[V, A], st *stager, i int32) {
-	if c.always && c.ec != nil {
-		return // an edge lives on its target's master node: no replica targets, no notices
+	if c.ec != nil {
+		// An edge lives on its target's master node: all masters, no notices.
+		if !c.always {
+			st.pendingActive = append(st.pendingActive, nd.topo[i].outNbr...)
+		}
+		return
 	}
-	for _, w := range nd.topo[i].outNbr {
-		we := &nd.hot[w]
-		if we.isMaster() {
-			if !c.always {
-				st.pendingActive = append(st.pendingActive, w)
-			}
+	rt, self, notices := &nd.scatter, int16(nd.id), int64(0)
+	for k := rt.start[i]; k < rt.start[i+1]; k++ {
+		if rt.node[k] == self {
+			st.pendingActive = append(st.pendingActive, rt.pos[k])
 			continue
 		}
-		mn := int(we.masterNode)
-		st.notice[mn] = binary.LittleEndian.AppendUint32(st.noticeBuf(mn), uint32(we.masterPos))
-		st.met.ActivationMsgs++
-		st.met.ActivationBytes += 4
+		mn := int(rt.node[k])
+		st.notice[mn] = binary.LittleEndian.AppendUint32(st.noticeBuf(mn), uint32(rt.pos[k]))
+		notices++
 	}
+	st.met.ActivationMsgs += notices
+	st.met.ActivationBytes += 4 * notices
 }
 
 // advanceComputeSpan advances the simulated clock by the slowest node's

@@ -137,6 +137,7 @@ func TestSuperstepDecodersStopAtTruncatedRecord(t *testing.T) {
 			t.Fatal(err)
 		}
 		nd := cl.nodes[0]
+		cl.routeReady(nd) // the receive phases' prologue: applySync scatters through the route
 		cases := []struct {
 			name    string
 			payload []byte

@@ -441,21 +441,30 @@ func (pr *vertexPresence) sortByNode() {
 }
 
 // writeEdgeCkpts stores each node's local edges into per-recovery-node DFS
-// files.
+// files. A slot's in-edges all go to one file at 16 bytes an edge, so a count
+// pass sizes every file's buffer exactly before the fill.
 func (c *Cluster[V, A]) writeEdgeCkpts() {
 	for _, nd := range c.nodes {
-		bufs := make([][]byte, c.cfg.NumNodes)
+		target := make([]int, len(nd.topo))
+		size := make([]int, c.cfg.NumNodes)
 		for i := range nd.topo {
-			t, id := &nd.topo[i], nd.hot[i].id
-			if len(t.inNbr) == 0 {
-				continue
+			if n := len(nd.topo[i].inNbr); n > 0 {
+				target[i] = c.edgeCkptTarget(nd.hot[i].id, nd.id)
+				size[target[i]] += n * 16
 			}
-			target := c.edgeCkptTarget(id, nd.id)
+		}
+		bufs := make([][]byte, c.cfg.NumNodes)
+		for k, n := range size {
+			bufs[k] = make([]byte, 0, n)
+		}
+		for i := range nd.topo {
+			t, id, buf := &nd.topo[i], nd.hot[i].id, bufs[target[i]]
 			for k, src := range t.inNbr {
-				bufs[target] = binary.LittleEndian.AppendUint32(bufs[target], uint32(nd.hot[src].id))
-				bufs[target] = binary.LittleEndian.AppendUint32(bufs[target], uint32(id))
-				bufs[target] = binary.LittleEndian.AppendUint64(bufs[target], math.Float64bits(t.inWt[k]))
+				buf = binary.LittleEndian.AppendUint32(buf, uint32(nd.hot[src].id))
+				buf = binary.LittleEndian.AppendUint32(buf, uint32(id))
+				buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(t.inWt[k]))
 			}
+			bufs[target[i]] = buf
 		}
 		for k, buf := range bufs {
 			if len(buf) > 0 {

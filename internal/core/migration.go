@@ -548,6 +548,7 @@ func (c *Cluster[V, A]) recoverMigration(p *recoveryPass[V, A]) error {
 					t.inNbr[k] = sp
 					nd.topo[sp].outNbr = append(nd.topo[sp].outNbr, pos)
 				}
+				nd.routeDirty = true // outNbr changed
 				created += len(ed.src)
 				*ed = rawEdges{}
 			}
@@ -583,9 +584,9 @@ func (c *Cluster[V, A]) recoverMigration(p *recoveryPass[V, A]) error {
 	for _, nd := range c.aliveNodes() {
 		c.coord.Set(fmt.Sprintf("arraylen/%d", nd.id), int64(len(nd.hot)))
 	}
-	// Promotions, replica-table pruning, cooperative replica creation, and FT
-	// repair all reshape the replica tables (and entry counts) on survivors:
-	// every precomputed sync route is stale now.
+	// Promotions, move notices, replica-table pruning, cooperative replica
+	// creation, and FT repair all reshape the replica tables, master locations
+	// (and entry counts) on survivors: every precomputed route is stale now.
 	c.markRoutesDirty()
 	// The pass completed: nothing is pending for a restart to pick up.
 	c.migPromoted, c.migFilesDone = nil, nil

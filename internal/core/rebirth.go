@@ -193,6 +193,7 @@ func (c *Cluster[V, A]) recoverRebirth(p *recoveryPass[V, A]) error {
 				t.inNbr[k] = sp
 				nd.topo[sp].outNbr = append(nd.topo[sp].outNbr, pos)
 			}
+			nd.routeDirty = true // outNbr changed
 			edges += len(re.src)
 		}
 		// Vertex-cut: attach edges from the edge-ckpt files.

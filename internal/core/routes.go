@@ -18,36 +18,96 @@ type syncRoute struct {
 	ftOnly []bool
 }
 
-// rebuildRoute derives nd.route from the entry replica tables and clears
-// routeDirty. Callers on the phase path invoke it from the per-node phase
-// prologue, so each node's rebuild runs on the goroutine that owns it.
-func (c *Cluster[V, A]) rebuildRoute(nd *node[V, A]) {
-	rt := &nd.route
-	rt.start = rt.start[:0]
-	rt.node = rt.node[:0]
-	rt.pos = rt.pos[:0]
-	rt.ftOnly = rt.ftOnly[:0]
-	for i := range nd.meta {
-		rt.start = append(rt.start, int32(len(rt.node)))
-		t := &nd.meta[i].replicas
-		rt.node = append(rt.node, t.nodes...)
-		rt.pos = append(rt.pos, t.pos...)
-		rt.ftOnly = append(rt.ftOnly, t.ftOnly...)
+// scatterRoute is a vertex-cut node's precomputed scatter table, a CSR over
+// slots beside syncRoute with the same lifecycle. Row i lists, in
+// topo[i].outNbr order, the (masterNode, masterPos) of slot i's out-targets,
+// so scatterMark streams the row without reading the targets' hot slots: a
+// replica target's record is its activation notice (destination and payload),
+// a master target's names this node and its own position (the pendingActive
+// entry). Master targets are listed only for programs that are not
+// always-active: commit never reads pendingActive otherwise. Edge-cut builds
+// no scatter route: an edge lives on its target's master node, so every
+// out-target is a master and outNbr itself is the list.
+type scatterRoute struct {
+	start []int32
+	node  []int16
+	pos   []int32
+}
+
+// sized returns s with length n, reallocating exactly — no append doubling —
+// when its capacity falls short.
+func sized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		//imitator:hotalloc-ok route tables are rebuilt only after load or a recovery, then reused every superstep
+		return make([]T, n)
 	}
-	rt.start = append(rt.start, int32(len(rt.node)))
+	return s[:n]
+}
+
+// rebuildRoute derives nd.route (and, under vertex-cut, nd.scatter) from the
+// entry tables and clears routeDirty: a count pass sizes every array, a
+// second pass fills them. Callers on the phase path invoke it from the
+// per-node phase prologue, so each node's rebuild runs on the goroutine that
+// owns it.
+func (c *Cluster[V, A]) rebuildRoute(nd *node[V, A]) {
+	n, total := len(nd.meta), 0
+	for i := range nd.meta {
+		total += len(nd.meta[i].replicas.nodes)
+	}
+	rt := &nd.route
+	rt.start, rt.node = sized(rt.start, n+1), sized(rt.node, total)
+	rt.pos, rt.ftOnly = sized(rt.pos, total), sized(rt.ftOnly, total)
+	k := 0
+	for i := range nd.meta {
+		rt.start[i] = int32(k)
+		t := &nd.meta[i].replicas
+		copy(rt.pos[k:], t.pos)
+		copy(rt.ftOnly[k:], t.ftOnly)
+		k += copy(rt.node[k:], t.nodes)
+	}
+	rt.start[n] = int32(k)
+	if c.vcut != nil {
+		c.rebuildScatter(nd)
+	}
 	nd.routeDirty = false
 }
 
-// routeReady rebuilds the routing table if a recovery invalidated it.
+// rebuildScatter derives nd.scatter from outNbr and the targets' hot slots.
+func (c *Cluster[V, A]) rebuildScatter(nd *node[V, A]) {
+	n, total := len(nd.topo), 0
+	for i := range nd.topo {
+		for _, w := range nd.topo[i].outNbr {
+			if !c.always || !nd.hot[w].isMaster() {
+				total++
+			}
+		}
+	}
+	sr := &nd.scatter
+	sr.start, sr.node, sr.pos = sized(sr.start, n+1), sized(sr.node, total), sized(sr.pos, total)
+	k := 0
+	for i := range nd.topo {
+		sr.start[i] = int32(k)
+		for _, w := range nd.topo[i].outNbr {
+			if we := &nd.hot[w]; !c.always || !we.isMaster() {
+				sr.node[k], sr.pos[k] = we.masterNode, we.masterPos
+				k++
+			}
+		}
+	}
+	sr.start[n] = int32(k)
+}
+
+// routeReady rebuilds the routing tables if load or a recovery invalidated
+// them. Every phase that consults a route calls it in its prologue.
 func (c *Cluster[V, A]) routeReady(nd *node[V, A]) {
 	if nd.routeDirty {
 		c.rebuildRoute(nd)
 	}
 }
 
-// markRoutesDirty invalidates every alive node's routing table (used after
-// recoveries that may touch any replica table, like Migration's promotion,
-// pruning and FT-invariant repair).
+// markRoutesDirty invalidates every alive node's routing tables (used by
+// recoveries that may touch any replica table, master location or master
+// flag, like Migration's promotion, pruning and FT-invariant repair).
 func (c *Cluster[V, A]) markRoutesDirty() {
 	for _, n := range c.nodes {
 		if n != nil && n.alive {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"imitator/internal/datasets"
@@ -42,10 +43,15 @@ func routesEqual(a, b *syncRoute) bool {
 }
 
 // TestSyncRoutesRebuiltAfterRecovery: Rebirth and Migration reshape replica
-// tables (and append entries) on the nodes they touch. Every precomputed
-// routing table in use after the run must match the from-scratch per-entry
+// tables, master locations and out-lists (and append entries) on the nodes
+// they touch; checkpoint and logged recovery rebuild the crashed node. Every
+// precomputed routing table in use after the run must match the from-scratch
 // derivation — i.e. recovery must have invalidated stale tables and the
-// subsequent supersteps must have rebuilt them.
+// subsequent supersteps must have rebuilt them: the sync route against the
+// per-entry walk of the replica tables, the scatter route against the
+// per-edge reference walk (scatter_ref_test.go), after load and after the
+// crash, for an always-active program and one with inactive vertices, at one
+// and four workers a node.
 func TestSyncRoutesRebuiltAfterRecovery(t *testing.T) {
 	cases := []struct {
 		name string
@@ -56,32 +62,57 @@ func TestSyncRoutesRebuiltAfterRecovery(t *testing.T) {
 		{"rebirth-vertexcut", VertexCutMode, RecoverRebirth},
 		{"migration-edgecut", EdgeCutMode, RecoverMigration},
 		{"migration-vertexcut", VertexCutMode, RecoverMigration},
+		{"checkpoint-edgecut", EdgeCutMode, RecoverCheckpoint},
+		{"checkpoint-vertexcut", VertexCutMode, RecoverCheckpoint},
+		{"logged-edgecut", EdgeCutMode, RecoverLogged},
+		{"logged-vertexcut", VertexCutMode, RecoverLogged},
 	}
+	g := datasets.Tiny(300, 1800, 909)
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			g := datasets.Tiny(300, 1800, 909)
-			cfg := DefaultConfig(tc.mode, 4)
-			cfg.Recovery = tc.rec
-			cfg.MaxIter = 8
-			cfg.Chaos = []ChaosEvent{{Kind: ChaosCrash, Iteration: 3, Phase: FailBeforeBarrier, Nodes: []int{1}}}
-			cl, err := NewCluster[float64, float64](cfg, g, fakePR{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := cl.Run(); err != nil {
-				t.Fatal(err)
-			}
-			if len(cl.recoveries) == 0 {
-				t.Fatal("no recovery happened; the test exercised nothing")
-			}
-			for _, nd := range cl.aliveNodes() {
-				if nd.routeDirty {
-					t.Errorf("node %d: routing table still dirty after post-recovery supersteps", nd.id)
-					continue
-				}
-				want := naiveRoute(nd)
-				if !routesEqual(&nd.route, &want) {
-					t.Errorf("node %d: precomputed routing table diverged from per-entry derivation", nd.id)
+			for _, prog := range []Program[float64, float64]{fakePR{}, fakeSSSP{}} {
+				for _, workers := range []int{1, 4} {
+					cfg := DefaultConfig(tc.mode, 4)
+					cfg.Recovery = tc.rec
+					cfg.MaxIter = 8
+					cfg.WorkersPerNode = workers
+					switch tc.rec {
+					case RecoverCheckpoint:
+						cfg.FT = FTConfig{}
+						cfg.Checkpoint = CheckpointConfig{Enabled: true, Interval: 2}
+					case RecoverLogged:
+						cfg.FT = FTConfig{}
+						cfg.Logged = LoggedConfig{Enabled: true}
+					}
+					when := fmt.Sprintf("%s workers=%d", prog.Name(), workers)
+					fresh, err := NewCluster(cfg, g, prog)
+					if err != nil {
+						t.Fatal(err)
+					}
+					checkScatterRoutes(t, fresh, when+" after load")
+
+					cfg.Chaos = []ChaosEvent{{Kind: ChaosCrash, Iteration: 3, Phase: FailBeforeBarrier, Nodes: []int{1}}}
+					cl, err := NewCluster(cfg, g, prog)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if _, err := cl.Run(); err != nil {
+						t.Fatal(err)
+					}
+					if len(cl.recoveries) == 0 {
+						t.Fatal("no recovery happened; the test exercised nothing")
+					}
+					for _, nd := range cl.aliveNodes() {
+						if nd.routeDirty {
+							t.Errorf("%s: node %d: routing table still dirty after post-recovery supersteps", when, nd.id)
+							continue
+						}
+						want := naiveRoute(nd)
+						if !routesEqual(&nd.route, &want) {
+							t.Errorf("%s: node %d: precomputed routing table diverged from per-entry derivation", when, nd.id)
+						}
+					}
+					checkScatterRoutes(t, cl, when+" after recovery")
 				}
 			}
 		})

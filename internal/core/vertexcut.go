@@ -100,6 +100,7 @@ func (c *Cluster[V, A]) bindVertexCutPhases() {
 		// Contributions merge in ascending sender-id order, with the
 		// master's own local partial taking its node's slot, so
 		// floating-point folds are deterministic.
+		c.routeReady(nd) // vcApply scatters
 		nd.mergedPart = ensurePartials(nd.mergedPart, len(nd.hot))
 		msgs := c.net.Receive(nd.id)
 		localMerged := false
@@ -120,6 +121,7 @@ func (c *Cluster[V, A]) bindVertexCutPhases() {
 		nd.phaseCost = c.chunked(nd, len(nd.hot), nd.bodies.vcApply)
 	}
 	c.fns.vcRecv = func(nd *node[V, A]) {
+		c.routeReady(nd)
 		nd.recvMsgs = c.net.Receive(nd.id)
 		if c.flog != nil {
 			c.flogCapture(nd)
