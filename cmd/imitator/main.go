@@ -57,7 +57,6 @@ func run(args []string) error {
 		gspFanout   = fs.Int("gossip-fanout", 3, "gossip: indirect ping-req helpers per unanswered probe")
 		gspSusp     = fs.Int("gossip-suspicion", 3, "gossip: protocol periods a suspect may refute before confirmation")
 		input       = fs.String("input", "", "edge-list file to load instead of -dataset (src dst [weight] per line)")
-		tcp         = fs.Bool("tcp", false, "run the protocol over a loopback TCP mesh instead of in-memory delivery")
 		serve       = fs.Bool("serve", false, "serve mode: run with the live-query layer attached and drive a seeded query load while the job executes")
 		queries     = fs.Int("queries", 1024, "serve: number of load-generator queries to issue")
 		querySeed   = fs.Uint64("query-seed", 1, "serve: seed of the deterministic query stream")
@@ -104,9 +103,6 @@ func run(args []string) error {
 		return err
 	}
 	opts = append(opts, imitator.WithFTStrategy(strat))
-	if *tcp {
-		opts = append(opts, imitator.WithTransport(imitator.TransportTCP))
-	}
 	if *serve {
 		opts = append(opts, imitator.WithServe(imitator.ServeStalenessBound(*staleness)))
 	}

@@ -123,13 +123,3 @@ func TestInputFile(t *testing.T) {
 		t.Error("missing input accepted")
 	}
 }
-
-func TestTCPFlag(t *testing.T) {
-	err := run([]string{
-		"-dataset", "dblp", "-algo", "pagerank", "-nodes", "3", "-iters", "2",
-		"-tcp", "-ft", "rebirth", "-fail-iter", "1",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}

@@ -6,8 +6,9 @@
 // Diagnostic) closely enough that the suite can be ported to the real
 // framework by swapping import paths if x/tools ever becomes available.
 //
-// The suite's three analyzers — determinism, bufown and wirebounds — live in
-// subpackages and are wired together by cmd/imitatorvet. See DESIGN.md
+// The suite's six analyzers — determinism, bufown, wirebounds, hotalloc,
+// hostrace and narrowing — live in subpackages and are wired together by
+// cmd/imitatorvet. See DESIGN.md
 // ("Static invariants") for the contracts they enforce.
 package analysis
 

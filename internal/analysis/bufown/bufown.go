@@ -652,7 +652,6 @@ func (w *walker) isPoolMethod(call *ast.CallExpr, name string) bool {
 // the receiver, which recycles it after decode.
 var transferSinks = [...][2]string{
 	{"netsim", "Send"},
-	{"transport", "Send"},
 }
 
 func (w *walker) isTransferCall(call *ast.CallExpr) bool {

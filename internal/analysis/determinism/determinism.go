@@ -34,7 +34,6 @@ var DefaultSimPackages = []string{
 	"imitator/internal/chaos",
 	"imitator/internal/core",
 	"imitator/internal/netsim",
-	"imitator/internal/transport",
 	"imitator/internal/coord",
 	"imitator/internal/costmodel",
 	"imitator/internal/dfs",

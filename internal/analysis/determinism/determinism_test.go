@@ -20,7 +20,6 @@ func TestDefaultScope(t *testing.T) {
 		"imitator/internal/chaos":     true,
 		"imitator/internal/core":      true,
 		"imitator/internal/netsim":    true,
-		"imitator/internal/transport": true,
 		"imitator/internal/coord":     true,
 		"imitator/internal/costmodel": true,
 		"imitator/internal/dfs":       true,

@@ -130,32 +130,6 @@ func TestChaosOmissionDeterministic(t *testing.T) {
 	valuesEqual(t, "other-seed", c.Values, a.Values, 0)
 }
 
-// TestChaosOmissionOverTCP runs the lossy partition schedule over the
-// loopback TCP mesh: the envelope is real wire framing, so the protocol
-// must behave identically when frames travel through the OS stack.
-func TestChaosOmissionOverTCP(t *testing.T) {
-	g := datasets.Tiny(300, 1800, 102)
-	run := func(transport core.TransportKind) *core.Result[float64] {
-		cfg := ftConfig(core.EdgeCutMode, 4, 6, 2, core.RecoverRebirth)
-		cfg.Transport = transport
-		cfg.Chaos = []core.ChaosEvent{
-			{Kind: core.ChaosDrop, Iteration: 1, From: 0, To: 2, Prob: 0.3},
-			{Kind: core.ChaosReorder, Iteration: 1, From: 1, To: 3, Prob: 0.4},
-			{Kind: core.ChaosPartition, Iteration: 2, HealIter: 4, Nodes: []int{1}},
-		}
-		cfg.ChaosSeed = 5
-		return runPR(t, cfg, g)
-	}
-	mem, tcp := run(core.TransportMem), run(core.TransportTCP)
-	valuesEqual(t, "tcp-vs-mem", tcp.Values, mem.Values, 0)
-	if *tcp.Omission != *mem.Omission {
-		t.Fatalf("omission stats diverged across transports:\nmem: %+v\ntcp: %+v", *mem.Omission, *tcp.Omission)
-	}
-	if tcp.SimSeconds != mem.SimSeconds {
-		t.Fatalf("SimSeconds diverged across transports: %v != %v", mem.SimSeconds, tcp.SimSeconds)
-	}
-}
-
 // TestChaosOmissionZeroCostWhenDisabled: a schedule without omission
 // events must not install the layer at all.
 func TestChaosOmissionZeroCostWhenDisabled(t *testing.T) {

@@ -26,12 +26,11 @@ type nodeBodies struct {
 	commit    func(st *stager, lo, hi int)
 	ecCompute func(st *stager, lo, hi int)
 	syncStage func(st *stager, lo, hi int)
-	ecRecv    func(st *stager, lo, hi int)
+	syncRecv  func(st *stager, lo, hi int)
 	vcR1Stage func(st *stager, lo, hi int)
 	vcR1Reset func(st *stager, lo, hi int)
 	vcGather  func(st *stager, lo, hi int)
 	vcApply   func(st *stager, lo, hi int)
-	vcRecv    func(st *stager, lo, hi int)
 }
 
 // node is one simulated machine's runtime state.
@@ -108,6 +107,27 @@ func (n *node[V, A]) attachEdge(sp, dp int32, wt float64) {
 	n.topo[sp].outNbr = append(n.topo[sp].outNbr, dp)
 }
 
+// linkInEdges resolves a recovered slot's raw in-edge list into local
+// positions and appends the reverse outNbr entries. Recovery calls it in
+// ascending position order: a source shared by several slots collects
+// outNbr entries in call order, and scatter replays outNbr order onto the
+// wire.
+func (n *node[V, A]) linkInEdges(pos int32, re *rawEdges) error {
+	n.routeDirty = true // the scatter route flattens outNbr
+	t := &n.topo[pos]
+	t.inNbr = make([]int32, len(re.src))
+	t.inWt = re.wt
+	for k, srcID := range re.src {
+		sp, ok := n.pos(srcID)
+		if !ok {
+			return fmt.Errorf("%w: node %d missing in-neighbor %d", ErrUnrecoverable, n.id, srcID)
+		}
+		t.inNbr[k] = sp
+		n.topo[sp].outNbr = append(n.topo[sp].outNbr, pos)
+	}
+	return nil
+}
+
 // phaseFns holds the cluster-level pre-bound phase functions, built once by
 // bindPhases and handed to runPhase by the superstep drivers. Pre-binding
 // keeps the steady-state loop from allocating a closure per phase, and the
@@ -122,13 +142,12 @@ type phaseFns[V, A any] struct {
 	commit      func(*node[V, A])
 	rollback    func(*node[V, A])
 	ecCompute   func(*node[V, A])
-	syncStage   func(*node[V, A]) // doubles as the vertex-cut R3 encode phase
-	ecRecv      func(*node[V, A])
+	syncStage   func(*node[V, A]) // syncStage/syncRecv double as the vertex-cut R3 phases
+	syncRecv    func(*node[V, A])
 	vcR1Stage   func(*node[V, A])
 	vcR1Recv    func(*node[V, A])
 	vcGather    func(*node[V, A])
 	vcMerge     func(*node[V, A])
-	vcRecv      func(*node[V, A])
 	vcNotice    func(*node[V, A])
 }
 
@@ -260,13 +279,7 @@ func NewCluster[V, A any](cfg Config, g *graph.Graph, prog Program[V, A]) (*Clus
 	if cfg.FT.Enabled && cfg.FT.SelfishOpt && prog.CanRecomputeSelfish() && !prog.AlwaysActive() {
 		return nil, fmt.Errorf("core: selfish recomputation requires an always-active program")
 	}
-	var net *netsim.Network
-	var err error
-	if cfg.Transport == TransportTCP {
-		net, err = netsim.NewTCP(cfg.NumNodes, cfg.Cost)
-	} else {
-		net, err = netsim.New(cfg.NumNodes, cfg.Cost)
-	}
+	net, err := netsim.New(cfg.NumNodes, cfg.Cost)
 	if err != nil {
 		return nil, err
 	}
@@ -639,7 +652,6 @@ func (c *Cluster[V, A]) rollback() {
 // Run executes the job to MaxIter supersteps, applying the chaos schedule
 // and recovering per the configured strategy.
 func (c *Cluster[V, A]) Run() (*Result[V], error) {
-	defer c.net.Close()
 	defer c.stopWorkers()
 	if len(c.cfg.Chaos) > 0 && c.chaos == nil {
 		c.chaos = newChaosRuntime(c.cfg.Chaos)

@@ -316,24 +316,10 @@ type MembershipConfig struct {
 	PeriodSeconds float64
 }
 
-// TransportKind selects how messages travel between the simulated nodes.
-type TransportKind int
-
-// Transports.
-const (
-	// TransportMem (default) delivers through in-memory mailboxes.
-	TransportMem TransportKind = iota
-	// TransportTCP streams every message over a loopback TCP mesh — the
-	// full protocol exercises the operating system's network stack. Costs
-	// still come from the simulated model.
-	TransportTCP
-)
-
 // Config describes one job.
 type Config struct {
 	NumNodes    int
 	Mode        Mode
-	Transport   TransportKind
 	Partitioner PartitionerKind
 	// Fennel and Hybrid carry partitioner-specific tuning; zero values use
 	// the package defaults.
@@ -424,11 +410,6 @@ func (c *Config) Validate() error {
 	}
 	if c.MaxRebirths < 0 {
 		return fmt.Errorf("core: MaxRebirths must be >= 0, got %d", c.MaxRebirths)
-	}
-	switch c.Transport {
-	case TransportMem, TransportTCP:
-	default:
-		return fmt.Errorf("core: unknown transport %d (use TransportMem or TransportTCP)", int(c.Transport))
 	}
 	switch c.Mode {
 	case EdgeCutMode:

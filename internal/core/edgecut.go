@@ -36,12 +36,12 @@ func (c *Cluster[V, A]) superstepEdgeCut(iter int) error {
 	// activation to their local out-targets. Messages decode in parallel —
 	// every replica position is synced by exactly one master, so the staged
 	// writes are position-disjoint across messages.
-	c.runPhase(c.fns.ecRecv)
+	c.runPhase(c.fns.syncRecv)
 	return nil
 }
 
 // bindEdgeCutPhases builds the cluster-level edge-cut phase functions.
-// fns.syncStage doubles as the vertex-cut R3 encode phase.
+// fns.syncStage and fns.syncRecv double as the vertex-cut R3 phases.
 func (c *Cluster[V, A]) bindEdgeCutPhases() {
 	c.fns.ecCompute = func(nd *node[V, A]) {
 		nd.phaseCost = c.chunked(nd, len(nd.hot), nd.bodies.ecCompute)
@@ -50,12 +50,15 @@ func (c *Cluster[V, A]) bindEdgeCutPhases() {
 		c.routeReady(nd)
 		c.chunked(nd, len(nd.hot), nd.bodies.syncStage)
 	}
-	c.fns.ecRecv = func(nd *node[V, A]) {
+	c.fns.syncRecv = func(nd *node[V, A]) {
+		// Vertex-cut applySync scatters through the route. syncStage readied
+		// it this superstep, so this only keeps the phase self-contained.
+		c.routeReady(nd)
 		nd.recvMsgs = c.net.Receive(nd.id)
 		if c.flog != nil {
 			c.flogCapture(nd)
 		}
-		c.chunked(nd, len(nd.recvMsgs), nd.bodies.ecRecv)
+		c.chunked(nd, len(nd.recvMsgs), nd.bodies.syncRecv)
 		c.handBack(nd, nd.recvMsgs, slotSend)
 		nd.recvMsgs = nil
 	}
@@ -95,7 +98,7 @@ func (c *Cluster[V, A]) bindEdgeCutBodies(nd *node[V, A]) {
 			c.stageSyncRecords(st, nd, i)
 		}
 	}
-	nd.bodies.ecRecv = func(st *stager, lo, hi int) {
+	nd.bodies.syncRecv = func(st *stager, lo, hi int) {
 		for _, m := range nd.recvMsgs[lo:hi] {
 			if m.Kind != netsim.KindSync {
 				continue

@@ -533,22 +533,13 @@ func (c *Cluster[V, A]) recoverMigration(p *recoveryPass[V, A]) error {
 			}
 		} else {
 			for _, pos := range sortedPositions(promoted[int16(nd.id)]) {
-				ed, t := &nd.meta[pos].mEdges, &nd.topo[pos]
+				ed := &nd.meta[pos].mEdges
 				if ed.src == nil {
 					continue // attached by an interrupted earlier attempt
 				}
-				t.inNbr = make([]int32, len(ed.src))
-				t.inWt = ed.wt
-				for k, src := range ed.src {
-					sp, ok := nd.pos(src)
-					if !ok {
-						return fmt.Errorf("%w: node %d missing promoted in-neighbor %d",
-							ErrUnrecoverable, nd.id, src)
-					}
-					t.inNbr[k] = sp
-					nd.topo[sp].outNbr = append(nd.topo[sp].outNbr, pos)
+				if err := nd.linkInEdges(pos, ed); err != nil {
+					return err
 				}
-				nd.routeDirty = true // outNbr changed
 				created += len(ed.src)
 				*ed = rawEdges{}
 			}

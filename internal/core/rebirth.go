@@ -108,8 +108,8 @@ func (c *Cluster[V, A]) recoverRebirth(p *recoveryPass[V, A]) error {
 
 	// Reconstruction: records land at their positions; then in-edge lists
 	// are resolved by id and out-lists rebuilt by reversal. Every alive
-	// node collects the round (survivors receive nothing, but collecting is
-	// what closes the round on asynchronous transports).
+	// node collects the round; survivors receive nothing, and collecting
+	// leaves no mailbox holding a stale round.
 	received := make([][]netsim.Message, c.cfg.NumNodes)
 	c.runPhase(func(nd *node[V, A]) {
 		received[nd.id] = c.net.Receive(nd.id)
@@ -171,9 +171,7 @@ func (c *Cluster[V, A]) recoverRebirth(p *recoveryPass[V, A]) error {
 			}
 		}
 		// Edge-cut: resolve raw in-edge lists into local positions, in
-		// ascending position order: a source shared by several recovered
-		// masters collects outNbr entries in iteration order, and scatter
-		// replays outNbr order onto the wire.
+		// ascending position order (linkInEdges).
 		edges := 0
 		rawPos := make([]int32, 0, len(raw))
 		for pos := range raw { //imitator:nondet-ok collected set is sorted before use
@@ -181,20 +179,10 @@ func (c *Cluster[V, A]) recoverRebirth(p *recoveryPass[V, A]) error {
 		}
 		sort.Slice(rawPos, func(a, b int) bool { return rawPos[a] < rawPos[b] })
 		for _, pos := range rawPos {
-			re := raw[pos]
-			t := &nd.topo[pos]
-			t.inNbr = make([]int32, len(re.src))
-			t.inWt = re.wt
-			for k, srcID := range re.src {
-				sp, ok := nd.pos(srcID)
-				if !ok {
-					return fmt.Errorf("%w: node %d missing in-neighbor %d", ErrUnrecoverable, f, srcID)
-				}
-				t.inNbr[k] = sp
-				nd.topo[sp].outNbr = append(nd.topo[sp].outNbr, pos)
+			if err := nd.linkInEdges(pos, raw[pos]); err != nil {
+				return err
 			}
-			nd.routeDirty = true // outNbr changed
-			edges += len(re.src)
+			edges += len(raw[pos].src)
 		}
 		// Vertex-cut: attach edges from the edge-ckpt files.
 		for _, data := range edgeData[f] {

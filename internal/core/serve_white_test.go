@@ -40,7 +40,6 @@ func serveFTConfig(mode Mode, numNodes, iters, k int, recovery RecoveryKind) Con
 func TestServeRoutesAwaySuspected(t *testing.T) {
 	g := datasets.Tiny(300, 1800, 41)
 	cl := serveTestCluster(t, serveFTConfig(EdgeCutMode, 5, 4, 1, RecoverRebirth), g)
-	defer cl.net.Close()
 
 	// Pick a non-selfish vertex (it has computation replicas to fall back to).
 	var v graph.VertexID
@@ -89,7 +88,6 @@ func TestServeSelfishUnavailable(t *testing.T) {
 	}
 	cfg := serveFTConfig(EdgeCutMode, 5, 4, 1, RecoverRebirth)
 	cl := serveTestCluster(t, cfg, g)
-	defer cl.net.Close()
 	if !cl.selfishOptOn {
 		t.Fatal("selfish optimization should be on")
 	}
@@ -104,7 +102,6 @@ func TestServeSelfishUnavailable(t *testing.T) {
 	cfg2 := cfg
 	cfg2.FT.SelfishOpt = false
 	cl2 := serveTestCluster(t, cfg2, g)
-	defer cl2.net.Close()
 	mn2 := int(cl2.masterLoc[selfish])
 	cl2.coord.Suspect(mn2)
 	ans, err := cl2.Query(Query{Kind: QueryValue, Vertex: selfish})

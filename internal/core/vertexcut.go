@@ -65,7 +65,7 @@ func (c *Cluster[V, A]) superstepVertexCut(iter int) error {
 	// are disjoint across senders).
 	c.runPhase(c.fns.syncStage)
 	c.flushSendRound(netsim.KindSync)
-	c.runPhase(c.fns.vcRecv)
+	c.runPhase(c.fns.syncRecv)
 
 	// R4 activation notices to the masters of activated vertices.
 	c.flushNoticeRound()
@@ -119,16 +119,6 @@ func (c *Cluster[V, A]) bindVertexCutPhases() {
 		// Apply runs chunk-parallel over the serially merged partials: each
 		// chunk writes only its own masters' staged state.
 		nd.phaseCost = c.chunked(nd, len(nd.hot), nd.bodies.vcApply)
-	}
-	c.fns.vcRecv = func(nd *node[V, A]) {
-		c.routeReady(nd)
-		nd.recvMsgs = c.net.Receive(nd.id)
-		if c.flog != nil {
-			c.flogCapture(nd)
-		}
-		c.chunked(nd, len(nd.recvMsgs), nd.bodies.vcRecv)
-		c.handBack(nd, nd.recvMsgs, slotSend)
-		nd.recvMsgs = nil
 	}
 	c.fns.vcNotice = func(nd *node[V, A]) {
 		msgs := c.net.Receive(nd.id)
@@ -215,14 +205,6 @@ func (c *Cluster[V, A]) bindVertexCutBodies(nd *node[V, A]) {
 			}
 		}
 		st.busy = float64(applies) * c.cfg.Cost.ComputePerVertex
-	}
-	nd.bodies.vcRecv = func(st *stager, lo, hi int) {
-		for _, m := range nd.recvMsgs[lo:hi] {
-			if m.Kind != netsim.KindSync {
-				continue
-			}
-			c.applySync(nd, st, m.Payload)
-		}
 	}
 }
 

@@ -362,8 +362,9 @@ func (d *Detector) Err() error {
 	return nil
 }
 
-// Close releases the underlying network.
-func (d *Detector) Close() error { return d.net.Close() }
+// Close is a no-op kept for callers that release detectors explicitly; the
+// in-memory network holds nothing to release.
+func (d *Detector) Close() error { return nil }
 
 // RunPeriod advances the protocol by one period: every up node runs one
 // direct probe, escalating to ping-req(k) indirect probing on silence,

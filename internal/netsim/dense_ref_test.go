@@ -33,21 +33,20 @@ func newDenseMemBackend(numNodes int) *denseMemBackend {
 	return &denseMemBackend{boxes: boxes, out: make([][]Message, numNodes)}
 }
 
-func (b *denseMemBackend) Send(from, to int, kind Kind, payload []byte) error {
+func (b *denseMemBackend) Send(from, to int, kind Kind, payload []byte) {
 	b.boxes[to][from] = append(b.boxes[to][from], Message{From: from, Kind: kind, Payload: payload})
-	return nil
 }
 
-func (b *denseMemBackend) EndRound(int, []bool) error { return nil }
+func (b *denseMemBackend) EndRound(int, []bool) {}
 
-func (b *denseMemBackend) Collect(to int, _ []bool) ([]Message, error) {
+func (b *denseMemBackend) Collect(to int) []Message {
 	out := b.out[to][:0]
 	for from := range b.boxes[to] {
 		out = append(out, b.boxes[to][from]...)
 		b.boxes[to][from] = b.boxes[to][from][:0]
 	}
 	b.out[to] = out
-	return out, nil
+	return out
 }
 
 func (b *denseMemBackend) Drain(to int) {
@@ -62,12 +61,10 @@ func (b *denseMemBackend) DrainFrom(from int) {
 	}
 }
 
-func (b *denseMemBackend) Close() error { return nil }
-
 // denseRounds is a lossyBackend whose EndRound is the old dense loop.
 type denseRounds struct{ *lossyBackend }
 
-func (d denseRounds) EndRound(from int, aliveTo []bool) error {
+func (d denseRounds) EndRound(from int, aliveTo []bool) {
 	b := d.lossyBackend
 	links := make([][]lossyFrame, b.n) // the sender's row of the old out[from*n+to]
 	for _, fr := range b.out[from] {
@@ -79,7 +76,7 @@ func (d denseRounds) EndRound(from int, aliveTo []bool) error {
 		}
 	}
 	b.out[from] = b.out[from][:0]
-	return b.inner.EndRound(from, aliveTo)
+	b.inner.EndRound(from, aliveTo)
 }
 
 // diffNets builds the pair under test: the real backends and the dense
@@ -183,8 +180,6 @@ func diffSchedule(t *testing.T, n int, omission bool) {
 	const rounds = 80
 	seed := uint64(1000*n) + 7
 	sparse, dense := diffNets(t, n, seed, omission)
-	defer sparse.Close()
-	defer dense.Close()
 	both := func(op func(net *Network)) {
 		op(sparse)
 		op(dense)

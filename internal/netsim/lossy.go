@@ -10,7 +10,7 @@
 // streams.
 //
 // Reliability is sender-driven and round-synchronous, matching the BSP
-// shape of the engine: frames carry a transport.Envelope (per-link
+// shape of the engine: frames carry an envelope (envelope.go: per-link
 // sequence number plus sender/receiver membership epochs), the sender
 // retransmits a dropped frame until it traverses — charging every retry
 // and a bounded exponential backoff through the cost model — and the
@@ -27,13 +27,12 @@ import (
 	"sync/atomic"
 
 	"imitator/internal/rng"
-	"imitator/internal/transport"
 )
 
 // maxRetxAttempts bounds the per-frame retransmission loop. With the
 // validated drop-rate ceiling (0.9) the chance of hitting it is
-// negligible; reaching it means a modeling bug, reported as a backend
-// error rather than an infinite loop.
+// negligible; reaching it means a modeling bug, reported through
+// Network.Err rather than an infinite loop.
 const maxRetxAttempts = 10000
 
 // OmissionStats counts the omission layer's wire-level activity. All
@@ -99,7 +98,7 @@ type parkedFrame struct {
 
 // rxEntry is Collect's per-frame parse scratch.
 type rxEntry struct {
-	env     transport.Envelope
+	env     envelope
 	kind    Kind
 	payload []byte
 }
@@ -219,30 +218,30 @@ func (b *lossyBackend) linkRNG(link [2]int) rng.Source {
 // queued on the sender-side link; the envelope's wire overhead is
 // charged immediately (the base payload was charged by Network.Send).
 // Self-sends bypass the protocol: a node cannot lose a frame to itself.
-func (b *lossyBackend) Send(from, to int, kind Kind, payload []byte) error {
+func (b *lossyBackend) Send(from, to int, kind Kind, payload []byte) {
 	if from == to {
-		return b.inner.Send(from, to, kind, payload)
+		b.inner.Send(from, to, kind, payload)
+		return
 	}
 	if kind != 0 && kind == b.datagram {
 		// Best-effort frames skip the envelope and the sequence space: they
 		// are allowed to vanish, so the receiver must not see a gap.
 		b.out[from] = append(b.out[from], lossyFrame{to: to, kind: kind, buf: payload})
-		return nil
+		return
 	}
-	env := transport.Envelope{
-		Seq:         b.nextSeq[from][to],
-		SenderEpoch: b.epochs[from],
-		RecvEpoch:   b.epochs[to],
+	env := envelope{
+		seq:         b.nextSeq[from][to],
+		senderEpoch: b.epochs[from],
+		recvEpoch:   b.epochs[to],
 	}
-	b.nextSeq[from][to] = env.Seq + 1
-	buf := make([]byte, 0, transport.EnvelopeLen+len(payload))
-	buf = transport.AppendEnvelope(buf, env)
+	b.nextSeq[from][to] = env.seq + 1
+	buf := make([]byte, 0, envelopeLen+len(payload))
+	buf = appendEnvelope(buf, env)
 	buf = append(buf, payload...)
 	b.out[from] = append(b.out[from], lossyFrame{to: to, kind: kind, buf: buf})
-	b.net.bytesOut[from].Add(transport.EnvelopeLen)
-	b.net.bytesIn[to].Add(transport.EnvelopeLen)
-	b.net.totalOut[from].Add(transport.EnvelopeLen)
-	return nil
+	b.net.bytesOut[from].Add(envelopeLen)
+	b.net.bytesIn[to].Add(envelopeLen)
+	b.net.totalOut[from].Add(envelopeLen)
 }
 
 // EndRound implements Backend: every queued frame of every link from
@@ -252,7 +251,7 @@ func (b *lossyBackend) Send(from, to int, kind Kind, payload []byte) error {
 // Network's FinishRound loop) and per link in ascending receiver order,
 // which makes the RNG draw order, the order backoff seconds are summed in,
 // and with them every retransmit count and cost, deterministic.
-func (b *lossyBackend) EndRound(from int, aliveTo []bool) error {
+func (b *lossyBackend) EndRound(from int, aliveTo []bool) {
 	q := b.out[from]
 	slices.SortStableFunc(q, byDest) // stable: every link keeps its send order
 	for i := 0; i < len(q); {
@@ -265,7 +264,7 @@ func (b *lossyBackend) EndRound(from int, aliveTo []bool) error {
 	}
 	clear(q) // the frames are on the wire, parked or lost: drop the buffers
 	b.out[from] = q[:0]
-	return b.inner.EndRound(from, aliveTo)
+	b.inner.EndRound(from, aliveTo)
 }
 
 // flushLink transmits one link's round of frames in order.
@@ -323,7 +322,7 @@ func (b *lossyBackend) flushLink(from, to int, alive bool, q []lossyFrame) {
 	if retx {
 		// One cumulative ack frame back to the sender closes the round's
 		// retransmission window; loss-free rounds piggyback their acks.
-		const ackSize = int64(headerBytes + transport.EnvelopeLen)
+		const ackSize = int64(headerBytes + envelopeLen)
 		b.net.bytesOut[to].Add(ackSize)
 		b.net.bytesIn[from].Add(ackSize)
 		b.net.totalOut[to].Add(ackSize)
@@ -347,13 +346,13 @@ func (b *lossyBackend) transmit(from, to int, fr *lossyFrame, f linkFaults, src 
 			b.stats.datagramsLost.Add(1)
 			return false
 		}
-		b.net.recordErr(b.inner.Send(from, to, fr.kind, fr.buf))
+		b.inner.Send(from, to, fr.kind, fr.buf)
 		if src != nil && f.dup > 0 && src.Float64() < f.dup {
 			b.stats.dupDelivered.Add(1)
 			b.net.bytesOut[from].Add(size)
 			b.net.bytesIn[to].Add(size)
 			b.net.totalOut[from].Add(size)
-			b.net.recordErr(b.inner.Send(from, to, fr.kind, fr.buf))
+			b.inner.Send(from, to, fr.kind, fr.buf)
 		}
 		return false
 	}
@@ -376,13 +375,13 @@ func (b *lossyBackend) transmit(from, to int, fr *lossyFrame, f linkFaults, src 
 			b.stats.backoffSecond += d
 		}
 	}
-	b.net.recordErr(b.inner.Send(from, to, fr.kind, fr.buf))
+	b.inner.Send(from, to, fr.kind, fr.buf)
 	if src != nil && f.dup > 0 && src.Float64() < f.dup {
 		b.stats.dupDelivered.Add(1)
 		b.net.bytesOut[from].Add(size)
 		b.net.bytesIn[to].Add(size)
 		b.net.totalOut[from].Add(size)
-		b.net.recordErr(b.inner.Send(from, to, fr.kind, fr.buf))
+		b.inner.Send(from, to, fr.kind, fr.buf)
 	}
 	return retx
 }
@@ -393,11 +392,8 @@ func (b *lossyBackend) transmit(from, to int, fr *lossyFrame, f linkFaults, src 
 // has been read, so the result is compacted into the inner backend's slice.
 // Safe for one concurrent call per receiver: all state touched is indexed by
 // `to`.
-func (b *lossyBackend) Collect(to int, expectFrom []bool) ([]Message, error) {
-	raw, err := b.inner.Collect(to, expectFrom)
-	if err != nil {
-		return nil, err
-	}
+func (b *lossyBackend) Collect(to int) []Message {
+	raw := b.inner.Collect(to)
 	out := raw[:0]
 	for i := 0; i < len(raw); {
 		from := raw[i].From
@@ -413,7 +409,7 @@ func (b *lossyBackend) Collect(to int, expectFrom []bool) ([]Message, error) {
 		i = j
 	}
 	clear(raw[len(out):])
-	return out, nil
+	return out
 }
 
 // deliverRun processes one sender's arrivals for receiver `to`.
@@ -432,9 +428,9 @@ func (b *lossyBackend) deliverRun(to, from int, run []Message, out []Message) []
 			out = append(out, m)
 			continue
 		}
-		env, payload, err := transport.ParseEnvelope(m.Payload)
+		env, payload, err := parseEnvelope(m.Payload)
 		if err != nil {
-			b.net.recordErr(err)
+			b.net.recordRecvErr(to, err)
 			continue
 		}
 		entries = append(entries, rxEntry{env: env, kind: m.Kind, payload: payload})
@@ -451,22 +447,22 @@ func (b *lossyBackend) deliverRun(to, from int, run []Message, out []Message) []
 		// addressed to a previous life of this receiver is counted and
 		// dropped. This is what protects a role rebuilt by Rebirth from
 		// a partitioned-but-alive predecessor.
-		if b.net.failed[from] || e.env.SenderEpoch != b.epochs[from] || e.env.RecvEpoch != b.epochs[to] {
+		if b.net.failed[from] || e.env.senderEpoch != b.epochs[from] || e.env.recvEpoch != b.epochs[to] {
 			b.stats.fenced.Add(1)
 			continue
 		}
 		switch {
-		case e.env.Seq < next:
+		case e.env.seq < next:
 			b.stats.dupDropped.Add(1)
-		case e.env.Seq == next:
+		case e.env.seq == next:
 			next++
 			out = append(out, Message{From: from, Kind: e.kind, Payload: e.payload})
 		default:
 			// A hole in the sequence space cannot happen under the
 			// round-synchronous protocol; deliver anyway but surface the
 			// protocol violation.
-			b.net.recordErr(fmt.Errorf("netsim: link %d->%d sequence gap: got %d want %d", from, to, e.env.Seq, next))
-			next = e.env.Seq + 1
+			b.net.recordRecvErr(to, fmt.Errorf("netsim: link %d->%d sequence gap: got %d want %d", from, to, e.env.seq, next))
+			next = e.env.seq + 1
 			out = append(out, Message{From: from, Kind: e.kind, Payload: e.payload})
 		}
 	}
@@ -478,7 +474,7 @@ func (b *lossyBackend) deliverRun(to, from int, run []Message, out []Message) []
 	return out
 }
 
-func bySeq(a, b rxEntry) int { return cmp.Compare(a.env.Seq, b.env.Seq) }
+func bySeq(a, b rxEntry) int { return cmp.Compare(a.env.seq, b.env.seq) }
 
 // Drain implements Backend (rollback discarding a receiver's round).
 // Parked frames are deliberately untouched: they are in the cable, out
@@ -495,9 +491,6 @@ func (b *lossyBackend) DrainFrom(from int) {
 	b.out[from] = b.out[from][:0]
 	b.inner.DrainFrom(from)
 }
-
-// Close implements Backend.
-func (b *lossyBackend) Close() error { return b.inner.Close() }
 
 // setEpoch installs a slot's new membership incarnation: sequence state
 // on every link touching the slot restarts (the new incarnation opens
@@ -567,7 +560,7 @@ func (b *lossyBackend) heal(nodes []int) {
 			b.stats.droppedDead.Add(1)
 			continue
 		}
-		b.net.recordErr(b.inner.Send(pf.from, pf.to, pf.kind, pf.buf))
+		b.inner.Send(pf.from, pf.to, pf.kind, pf.buf)
 	}
 	b.parked = kept
 }

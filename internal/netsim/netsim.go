@@ -3,12 +3,10 @@
 // converts them into simulated seconds using the cost model (per-node
 // bandwidth, per-round latency, and a shared-fabric bisection term).
 //
-// Delivery is pluggable: the default in-memory backend moves payloads
-// through per-receiver mailboxes; the TCP backend
-// (internal/transport) streams the same frames over loopback sockets, so
-// the whole BSP protocol can run against the operating system's network
-// stack. Cost accounting is identical either way — the simulated clock
-// models the paper's testbed, not the host machine.
+// Payloads move through one in-memory mailbox per receiver; the omission
+// layer (lossy.go) decorates that delivery when a chaos schedule asks for
+// lost, duplicated or reordered frames. The simulated clock models the
+// paper's testbed, not the host machine.
 //
 // Concurrency contract: within one round, each sender goroutine may call
 // Send concurrently with other senders; FinishRound and Receive must be
@@ -23,7 +21,6 @@ import (
 	"sync/atomic"
 
 	"imitator/internal/costmodel"
-	"imitator/internal/transport"
 )
 
 // Kind labels a message's purpose, for dispatch and accounting.
@@ -50,21 +47,18 @@ type Message struct {
 // stream in FIFO order.
 type Backend interface {
 	// Send enqueues one payload.
-	Send(from, to int, kind Kind, payload []byte) error
+	Send(from, to int, kind Kind, payload []byte)
 	// EndRound marks the end of from's sends for this round, to every node
 	// enabled in aliveTo.
-	EndRound(from int, aliveTo []bool) error
+	EndRound(from int, aliveTo []bool)
 	// Collect returns the round's messages for `to` in ascending sender
-	// order, waiting (if the transport is asynchronous) for the round-end
-	// marks of every sender enabled in expectFrom.
-	Collect(to int, expectFrom []bool) ([]Message, error)
+	// order.
+	Collect(to int) []Message
 	// Drain discards anything pending for `to`.
 	Drain(to int)
 	// DrainFrom discards anything pending from `from` at every receiver
 	// (stale state when a failed slot is revived).
 	DrainFrom(from int)
-	// Close releases transport resources.
-	Close() error
 }
 
 // Network connects numNodes simulated nodes.
@@ -103,22 +97,20 @@ type Network struct {
 	// unless EnableOmission installed it; when set it aliases backend.
 	omission *lossyBackend
 
+	// Protocol errors of the omission layer. Serial paths (FinishRound,
+	// Heal) record into firstErr, first wins; concurrent Receives record
+	// per receiver into recvErr, and FinishRound settles a receive phase by
+	// lowest receiver id, so the reported error never depends on goroutine
+	// scheduling.
 	errMu    sync.Mutex
 	firstErr error
+	recvErr  []error
+	recvErrs bool // some recvErr slot is set
 }
 
 // New creates a network of numNodes nodes with in-memory delivery.
 func New(numNodes int, params costmodel.Params) (*Network, error) {
 	return NewWithBackend(numNodes, params, newMemBackend(numNodes))
-}
-
-// NewTCP creates a network whose payloads travel over a loopback TCP mesh.
-func NewTCP(numNodes int, params costmodel.Params) (*Network, error) {
-	mesh, err := transport.NewMesh(numNodes)
-	if err != nil {
-		return nil, err
-	}
-	return NewWithBackend(numNodes, params, &tcpBackend{mesh: mesh, out: make([][]Message, numNodes)})
 }
 
 // NewWithBackend creates a network over a custom delivery backend.
@@ -139,6 +131,7 @@ func NewWithBackend(numNodes int, params costmodel.Params, backend Backend) (*Ne
 		totalOut:  make([]atomic.Int64, numNodes),
 		aliveMask: make([]bool, numNodes),
 		costs:     make([]float64, numNodes),
+		recvErr:   make([]error, numNodes),
 	}
 	for i := range n.aliveMask {
 		n.aliveMask[i] = true
@@ -164,22 +157,58 @@ func (n *Network) SetFailed(node int, failed bool) {
 // Failed reports whether a node is marked failed.
 func (n *Network) Failed(node int) bool { return n.failed[node] }
 
-// Err returns the first backend error, if any.
+// Err returns the first protocol error of the omission layer, if any. An
+// unsettled receive phase reports its lowest-numbered receiver's error.
 func (n *Network) Err() error {
 	n.errMu.Lock()
 	defer n.errMu.Unlock()
+	if n.firstErr == nil && n.recvErrs {
+		return n.lowestRecvErr()
+	}
 	return n.firstErr
 }
 
+// recordErr keeps the first error of a serial path.
 func (n *Network) recordErr(err error) {
-	if err == nil {
-		return
-	}
 	n.errMu.Lock()
 	defer n.errMu.Unlock()
 	if n.firstErr == nil {
 		n.firstErr = err
 	}
+}
+
+// recordRecvErr keeps the first error of one receiver's Collect.
+func (n *Network) recordRecvErr(to int, err error) {
+	n.errMu.Lock()
+	defer n.errMu.Unlock()
+	if n.recvErr[to] == nil {
+		n.recvErr[to] = err
+		n.recvErrs = true
+	}
+}
+
+// settleRecvErrs closes a receive phase: its lowest-numbered receiver's
+// error becomes the first error unless an earlier one was already kept.
+func (n *Network) settleRecvErrs() {
+	n.errMu.Lock()
+	defer n.errMu.Unlock()
+	if !n.recvErrs {
+		return
+	}
+	if n.firstErr == nil {
+		n.firstErr = n.lowestRecvErr()
+	}
+	clear(n.recvErr)
+	n.recvErrs = false
+}
+
+func (n *Network) lowestRecvErr() error {
+	for _, err := range n.recvErr {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Send enqueues payload from one node to another. Messages to or from
@@ -202,7 +231,7 @@ func (n *Network) Send(from, to int, kind Kind, payload []byte) {
 			n.penaltyIn[to].Add(extra)
 		}
 	}
-	n.recordErr(n.backend.Send(from, to, kind, payload))
+	n.backend.Send(from, to, kind, payload)
 }
 
 // DegradeLink slows the directed link from->to: bytes sent across it count
@@ -249,9 +278,10 @@ const headerBytes = 16
 //
 //imitator:hotpath
 func (n *Network) FinishRound() (costs []float64, fabric float64) {
+	n.settleRecvErrs()
 	for from := 0; from < n.numNodes; from++ {
 		if n.aliveMask[from] {
-			n.recordErr(n.backend.EndRound(from, n.aliveMask))
+			n.backend.EndRound(from, n.aliveMask)
 		}
 	}
 	costs = n.costs
@@ -302,9 +332,7 @@ func (n *Network) FinishRound() (costs []float64, fabric float64) {
 //
 //imitator:hotpath
 func (n *Network) Receive(to int) []Message {
-	msgs, err := n.backend.Collect(to, n.aliveMask)
-	n.recordErr(err)
-	return msgs
+	return n.backend.Collect(to)
 }
 
 // Drop discards all pending messages for a node; used when rolling back an
@@ -313,8 +341,9 @@ func (n *Network) Drop(to int) {
 	n.backend.Drain(to)
 }
 
-// Close releases the delivery backend.
-func (n *Network) Close() error { return n.backend.Close() }
+// Close is a no-op kept for callers that release networks explicitly;
+// in-memory delivery holds nothing to release.
+func (n *Network) Close() error { return nil }
 
 // TotalOutBytes returns cumulative egress bytes for a node.
 func (n *Network) TotalOutBytes(node int) int64 { return n.totalOut[node].Load() }
@@ -362,23 +391,22 @@ func newMemBackend(numNodes int) *memBackend {
 // Send implements Backend.
 //
 //imitator:hotpath
-func (b *memBackend) Send(from, to int, kind Kind, payload []byte) error {
+func (b *memBackend) Send(from, to int, kind Kind, payload []byte) {
 	box := &b.boxes[to]
 	box.mu.Lock()
 	box.in = append(box.in, Message{From: from, Kind: kind, Payload: payload})
 	box.mu.Unlock()
-	return nil
 }
 
 // EndRound implements Backend (no-op: the barrier is the round boundary).
-func (b *memBackend) EndRound(int, []bool) error { return nil }
+func (b *memBackend) EndRound(int, []bool) {}
 
 // Collect implements Backend. The returned slice is reused by the same
 // receiver's Collect after next; its payload references are dropped at the
 // next one, since delivery handed the payloads to the caller.
 //
 //imitator:hotpath
-func (b *memBackend) Collect(to int, _ []bool) ([]Message, error) {
+func (b *memBackend) Collect(to int) []Message {
 	box := &b.boxes[to]
 	box.mu.Lock()
 	msgs := box.in
@@ -388,7 +416,7 @@ func (b *memBackend) Collect(to int, _ []bool) ([]Message, error) {
 	// Ascending sender order; stable, so every link stays FIFO. Serial senders
 	// (the omission layer's EndRound loop) arrive in order and cost one pass.
 	slices.SortStableFunc(msgs, bySender)
-	return msgs, nil
+	return msgs
 }
 
 func bySender(a, b Message) int { return a.From - b.From }
@@ -412,43 +440,4 @@ func (b *memBackend) DrainFrom(from int) {
 	}
 }
 
-// Close implements Backend.
-func (b *memBackend) Close() error { return nil }
-
-// tcpBackend adapts the loopback TCP mesh.
-type tcpBackend struct {
-	mesh *transport.Mesh
-	out  [][]Message // per-receiver Collect scratch
-}
-
-func (b *tcpBackend) Send(from, to int, kind Kind, payload []byte) error {
-	return b.mesh.Send(from, to, byte(kind), payload)
-}
-
-func (b *tcpBackend) EndRound(from int, aliveTo []bool) error {
-	return b.mesh.EndRound(from, aliveTo)
-}
-
-func (b *tcpBackend) Collect(to int, expectFrom []bool) ([]Message, error) {
-	raw, err := b.mesh.Collect(to, expectFrom)
-	if err != nil {
-		return nil, err
-	}
-	out := b.out[to][:0]
-	for _, m := range raw {
-		out = append(out, Message{From: m.From, Kind: Kind(m.Kind), Payload: m.Payload})
-	}
-	b.out[to] = out
-	return out, nil
-}
-
-func (b *tcpBackend) Drain(to int) { b.mesh.Drain(to) }
-
-func (b *tcpBackend) DrainFrom(from int) { b.mesh.DrainFrom(from) }
-
-func (b *tcpBackend) Close() error { return b.mesh.Close() }
-
-var (
-	_ Backend = (*memBackend)(nil)
-	_ Backend = (*tcpBackend)(nil)
-)
+var _ Backend = (*memBackend)(nil)

@@ -198,72 +198,6 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
-func TestTCPBackendRoundTrip(t *testing.T) {
-	net, err := NewTCP(3, costmodel.Default())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer net.Close()
-	if net.NumNodes() != 3 {
-		t.Errorf("NumNodes = %d", net.NumNodes())
-	}
-	net.Send(0, 2, KindSync, []byte("over-tcp"))
-	net.Send(1, 2, KindGather, []byte("also"))
-	net.FinishRound()
-	for to := 0; to < 3; to++ {
-		msgs := net.Receive(to)
-		if to != 2 {
-			if len(msgs) != 0 {
-				t.Errorf("node %d got %d unexpected messages", to, len(msgs))
-			}
-			continue
-		}
-		if len(msgs) != 2 {
-			t.Fatalf("node 2 got %d messages, want 2", len(msgs))
-		}
-		if msgs[0].From != 0 || msgs[0].Kind != KindSync || string(msgs[0].Payload) != "over-tcp" {
-			t.Errorf("msg0 = %+v", msgs[0])
-		}
-	}
-	if err := net.Err(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestTCPBackendFailureAndRevival(t *testing.T) {
-	net, err := NewTCP(3, costmodel.Default())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer net.Close()
-	net.SetFailed(1, true)
-	if !net.Failed(1) {
-		t.Fatal("Failed(1) should be true")
-	}
-	net.Send(0, 1, KindSync, []byte("dropped"))
-	net.Send(0, 2, KindSync, []byte("kept"))
-	net.FinishRound()
-	for _, to := range []int{0, 2} {
-		msgs := net.Receive(to)
-		if to == 2 && len(msgs) != 1 {
-			t.Fatalf("node 2 got %d messages", len(msgs))
-		}
-	}
-	// Revive node 1 (stale state drained) and verify traffic flows again.
-	net.SetFailed(1, false)
-	net.Send(0, 1, KindSync, []byte("hello-again"))
-	net.FinishRound()
-	for to := 0; to < 3; to++ {
-		msgs := net.Receive(to)
-		if to == 1 && (len(msgs) != 1 || string(msgs[0].Payload) != "hello-again") {
-			t.Fatalf("revived node got %v", msgs)
-		}
-	}
-	if err := net.Err(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestMemDrainFrom(t *testing.T) {
 	net := newNet(t, 3)
 	net.Send(0, 1, KindSync, []byte("a"))

@@ -130,14 +130,6 @@ const (
 	FailAfterBarrier  = core.FailAfterBarrier
 )
 
-// Transports.
-type Transport = core.TransportKind
-
-const (
-	TransportMem = core.TransportMem
-	TransportTCP = core.TransportTCP
-)
-
 // Membership selects the failure-detection protocol (see WithMembership).
 type Membership = core.MembershipKind
 

@@ -4,11 +4,11 @@ import "imitator/internal/core"
 
 // Option mutates a job configuration being assembled by New.
 //
-// The option set is grouped into four families:
+// The option set is grouped into five families:
 //
 //   - Engine options shape the simulated cluster and execution engine:
 //     WithMode, WithNodes, WithIterations, WithWorkers,
-//     WithHostParallelism, WithPartitioner, WithTransport.
+//     WithHostParallelism, WithPartitioner.
 //   - FT options pin the fault-tolerance story: WithFTStrategy with the
 //     typed constructors (Replication, Migration, Checkpoint,
 //     LoggedRecovery, NoRecovery), plus WithMaxRebirths and
@@ -80,12 +80,6 @@ func WithHostParallelism(n int) Option {
 // WithPartitioner overrides the mode's default graph partitioner.
 func WithPartitioner(p Partitioner) Option {
 	return func(c *Config) { c.Partitioner = p }
-}
-
-// WithTransport selects message delivery: in-memory (default) or a
-// loopback TCP mesh.
-func WithTransport(t Transport) Option {
-	return func(c *Config) { c.Transport = t }
 }
 
 // ---- FT options -------------------------------------------------------
