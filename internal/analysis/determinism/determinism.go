@@ -122,7 +122,7 @@ func checkCall(pass *analysis.Pass, call *ast.CallExpr) {
 	case "time":
 		if wallClockFuncs[fn.Name()] {
 			pass.Reportf(call.Pos(),
-				"time.%s reads the wall clock in a simulation package; inject a Clock (see internal/coord) or derive time from the simulated clock", fn.Name())
+				"time.%s reads the wall clock in a simulation package; derive time from the simulated clock (costmodel.Clock)", fn.Name())
 		}
 	case "math/rand", "math/rand/v2":
 		if !seededConstructors[fn.Name()] {

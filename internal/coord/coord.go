@@ -1,7 +1,8 @@
 // Package coord provides the coordination service the paper inherits from
 // Apache Hama: barrier-based synchronization, shared global state, cluster
-// membership and failure announcement (a Zookeeper stand-in, §3.2), plus a
-// real-time heartbeat failure detector.
+// membership and failure announcement (a Zookeeper stand-in, §3.2).
+// Failure detection itself lives with the simulation's clock, in
+// internal/core's failureDetector.
 //
 // The barrier is reusable and failure-aware: when a node is marked failed
 // while others compute, every surviving node learns about it in the
@@ -13,7 +14,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"time"
 )
 
 // BarrierState is what a node learns when a barrier releases.
@@ -192,22 +192,8 @@ func (c *Coordinator) Alive(node int) bool {
 	return c.alive[node]
 }
 
-// AliveNodes returns the sorted list of alive nodes.
-func (c *Coordinator) AliveNodes() []int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var out []int
-	for n, a := range c.alive { //imitator:nondet-ok collected set is sorted before use
-		if a {
-			out = append(out, n)
-		}
-	}
-	sort.Ints(out)
-	return out
-}
-
-// Set stores a shared global value (e.g., the current iteration, so a
-// newbie can resume at the right superstep).
+// Set stores a shared global value (e.g., a node's vertex-array length,
+// so a rebirth newbie can size its arrays before reloading them).
 func (c *Coordinator) Set(key string, value int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -220,183 +206,4 @@ func (c *Coordinator) Get(key string) (int64, bool) {
 	defer c.mu.Unlock()
 	v, ok := c.kv[key]
 	return v, ok
-}
-
-// HeartbeatMonitor detects crashed nodes from missed heartbeats, as the
-// paper's central master does with a conservative 500 ms interval. Time
-// comes from an injected Clock: WallClock in the live CLI mode, FakeClock
-// in tests; the deterministic benchmark driver injects failures directly
-// and charges the detection delay from the cost model instead.
-type HeartbeatMonitor struct {
-	clock    Clock
-	interval time.Duration
-	misses   int
-	onFail   func(node int)
-
-	mu       sync.Mutex
-	lastBeat map[int]time.Time
-	failed   map[int]bool
-	// suspectMisses (0 = disabled) is the earlier suspicion threshold:
-	// after suspectMisses missed intervals a node is reported by
-	// PollSuspects, distinct from the confirmed failure at `misses`.
-	suspectMisses int
-	suspected     map[int]bool
-
-	stop chan struct{}
-	done chan struct{}
-}
-
-// NewHeartbeatMonitor creates a wall-clock monitor declaring a node failed
-// after `misses` consecutive missed intervals. onFail runs once per failure
-// on the monitor goroutine.
-func NewHeartbeatMonitor(interval time.Duration, misses int, onFail func(node int)) (*HeartbeatMonitor, error) {
-	return NewHeartbeatMonitorWithClock(WallClock{}, interval, misses, onFail)
-}
-
-// NewHeartbeatMonitorWithClock creates a monitor on an explicit clock.
-func NewHeartbeatMonitorWithClock(clock Clock, interval time.Duration, misses int, onFail func(node int)) (*HeartbeatMonitor, error) {
-	if interval <= 0 || misses < 1 {
-		return nil, fmt.Errorf("coord: bad heartbeat config interval=%v misses=%d", interval, misses)
-	}
-	return &HeartbeatMonitor{
-		clock:    clock,
-		interval: interval,
-		misses:   misses,
-		onFail:    onFail,
-		lastBeat:  make(map[int]time.Time),
-		failed:    make(map[int]bool),
-		suspected: make(map[int]bool),
-		stop:      make(chan struct{}),
-		done:      make(chan struct{}),
-	}, nil
-}
-
-// SetSuspectMisses enables the suspicion stage: a node is reported by
-// PollSuspects after k consecutive missed intervals (0 disables). k must
-// not exceed the confirmation threshold.
-func (m *HeartbeatMonitor) SetSuspectMisses(k int) error {
-	if k < 0 || k > m.misses {
-		return fmt.Errorf("coord: suspect threshold %d outside [0, %d]", k, m.misses)
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.suspectMisses = k
-	return nil
-}
-
-// Deadline returns the confirmation deadline as exact integer duration
-// arithmetic: misses * interval, with no float rounding anywhere.
-func (m *HeartbeatMonitor) Deadline() time.Duration {
-	return time.Duration(m.misses) * m.interval
-}
-
-// SuspectDeadline returns the suspicion deadline (zero when disabled).
-func (m *HeartbeatMonitor) SuspectDeadline() time.Duration {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return time.Duration(m.suspectMisses) * m.interval
-}
-
-// Track registers a node with a fresh heartbeat.
-func (m *HeartbeatMonitor) Track(node int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.lastBeat[node] = m.clock.Now()
-	delete(m.failed, node)
-	delete(m.suspected, node)
-}
-
-// Beat records a heartbeat from node. Beats from untracked or failed nodes
-// are ignored.
-func (m *HeartbeatMonitor) Beat(node int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if _, ok := m.lastBeat[node]; ok && !m.failed[node] {
-		m.lastBeat[node] = m.clock.Now()
-		delete(m.suspected, node)
-	}
-}
-
-// Start launches the monitor goroutine. Stop must be called to shut it down.
-func (m *HeartbeatMonitor) Start() {
-	// Register the ticker before returning so callers advancing a FakeClock
-	// right after Start cannot race the goroutine's startup.
-	tick, stopTicker := m.clock.NewTicker(m.interval)
-	go func() {
-		defer close(m.done)
-		defer stopTicker()
-		for {
-			select {
-			case <-m.stop:
-				return
-			case now := <-tick:
-				m.sweep(now)
-			}
-		}
-	}()
-}
-
-func (m *HeartbeatMonitor) sweep(now time.Time) {
-	newlyFailed := m.expire(now)
-	if m.onFail != nil {
-		for _, n := range newlyFailed {
-			m.onFail(n)
-		}
-	}
-}
-
-// Poll synchronously sweeps for missed heartbeats at `now` and returns the
-// newly failed nodes in ascending order, without invoking the onFail
-// callback. It lets a deterministic driver — the simulated cluster's chaos
-// engine — run failure detection on simulated time instead of the ticker
-// goroutine: silence the victims, advance the injected FakeClock past the
-// detection deadline, Beat the survivors, then Poll.
-func (m *HeartbeatMonitor) Poll(now time.Time) []int {
-	return m.expire(now)
-}
-
-// PollSuspects returns, in ascending order, the tracked nodes whose last
-// beat is at least the suspicion deadline old but which are not yet
-// confirmed failed, reporting each suspicion once (a Beat clears it).
-// Returns nil when the suspicion stage is disabled.
-func (m *HeartbeatMonitor) PollSuspects(now time.Time) []int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.suspectMisses == 0 {
-		return nil
-	}
-	deadline := time.Duration(m.suspectMisses) * m.interval
-	var suspects []int
-	for node, last := range m.lastBeat { //imitator:nondet-ok suspects is sorted before use
-		if !m.failed[node] && !m.suspected[node] && now.Sub(last) >= deadline {
-			m.suspected[node] = true
-			suspects = append(suspects, node)
-		}
-	}
-	sort.Ints(suspects)
-	return suspects
-}
-
-// expire marks every tracked node whose last beat is older than the
-// detection deadline as failed, returning them sorted.
-func (m *HeartbeatMonitor) expire(now time.Time) []int {
-	deadline := time.Duration(m.misses) * m.interval
-	var newlyFailed []int
-	m.mu.Lock()
-	for node, last := range m.lastBeat { //imitator:nondet-ok newlyFailed is sorted before use
-		if !m.failed[node] && now.Sub(last) >= deadline {
-			m.failed[node] = true
-			delete(m.suspected, node)
-			newlyFailed = append(newlyFailed, node)
-		}
-	}
-	m.mu.Unlock()
-	sort.Ints(newlyFailed)
-	return newlyFailed
-}
-
-// Stop terminates the monitor goroutine and waits for it to exit.
-func (m *HeartbeatMonitor) Stop() {
-	close(m.stop)
-	<-m.done
 }

@@ -1,9 +1,6 @@
 package coord
 
-import (
-	"testing"
-	"time"
-)
+import "testing"
 
 func TestCoordinatorSuspicionLifecycle(t *testing.T) {
 	c, err := New(3)
@@ -63,102 +60,5 @@ func TestCoordinatorEpochBumpsOnJoin(t *testing.T) {
 	// Untouched slots never move.
 	if c.Epoch(0) != 1 || c.Epoch(1) != 1 {
 		t.Fatal("Join bumped an unrelated slot's epoch")
-	}
-}
-
-// TestMonitorSuspicionPrecedesConfirmation drives the two-stage detector
-// on a fake clock: the victim crosses the suspicion deadline first, is
-// reported exactly once by PollSuspects, and only crosses into Poll's
-// confirmed set at the full deadline.
-func TestMonitorSuspicionPrecedesConfirmation(t *testing.T) {
-	clock := NewFakeClock(time.Unix(0, 0))
-	m, err := NewHeartbeatMonitorWithClock(clock, time.Second, 3, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.SetSuspectMisses(2); err != nil {
-		t.Fatal(err)
-	}
-	if m.Deadline() != 3*time.Second || m.SuspectDeadline() != 2*time.Second {
-		t.Fatalf("deadlines: %v / %v", m.Deadline(), m.SuspectDeadline())
-	}
-	m.Track(0)
-	m.Track(1)
-
-	clock.Advance(m.SuspectDeadline())
-	m.Beat(0) // survivor keeps beating; victim 1 stays silent
-	if got := m.PollSuspects(clock.Now()); len(got) != 1 || got[0] != 1 {
-		t.Fatalf("PollSuspects = %v, want [1]", got)
-	}
-	// Each suspicion is reported once.
-	if got := m.PollSuspects(clock.Now()); got != nil {
-		t.Fatalf("suspicion re-reported: %v", got)
-	}
-	// Not yet confirmed.
-	if got := m.Poll(clock.Now()); got != nil {
-		t.Fatalf("confirmed before the full deadline: %v", got)
-	}
-
-	clock.Advance(m.Deadline() - m.SuspectDeadline())
-	m.Beat(0)
-	if got := m.Poll(clock.Now()); len(got) != 1 || got[0] != 1 {
-		t.Fatalf("Poll = %v, want [1]", got)
-	}
-	// A confirmed node leaves the suspected set for good.
-	if got := m.PollSuspects(clock.Now()); got != nil {
-		t.Fatalf("confirmed node still suspected: %v", got)
-	}
-}
-
-// TestMonitorBeatClearsSuspicion: a suspected node that resumes beating
-// (a transient partition healing before confirmation) is re-reported only
-// if it goes silent for a full suspicion window again.
-func TestMonitorBeatClearsSuspicion(t *testing.T) {
-	clock := NewFakeClock(time.Unix(0, 0))
-	m, err := NewHeartbeatMonitorWithClock(clock, time.Second, 4, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.SetSuspectMisses(2); err != nil {
-		t.Fatal(err)
-	}
-	m.Track(0)
-
-	clock.Advance(2 * time.Second)
-	if got := m.PollSuspects(clock.Now()); len(got) != 1 {
-		t.Fatalf("PollSuspects = %v, want [0]", got)
-	}
-	m.Beat(0) // the node comes back
-	if got := m.PollSuspects(clock.Now()); got != nil {
-		t.Fatalf("beating node still suspected: %v", got)
-	}
-	clock.Advance(2 * time.Second)
-	if got := m.PollSuspects(clock.Now()); len(got) != 1 {
-		t.Fatalf("second silence not re-reported: %v", got)
-	}
-	// The earlier beat pushed the confirmation deadline out too.
-	if got := m.Poll(clock.Now()); got != nil {
-		t.Fatalf("confirmed too early: %v", got)
-	}
-}
-
-func TestMonitorSuspectMissesValidation(t *testing.T) {
-	m, err := NewHeartbeatMonitor(time.Second, 3, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.SetSuspectMisses(-1); err == nil {
-		t.Fatal("negative threshold accepted")
-	}
-	if err := m.SetSuspectMisses(4); err == nil {
-		t.Fatal("threshold above confirmation accepted")
-	}
-	if err := m.SetSuspectMisses(0); err != nil {
-		t.Fatal(err)
-	}
-	// Disabled stage never reports.
-	m.Track(0)
-	if got := m.PollSuspects(time.Now().Add(time.Hour)); got != nil {
-		t.Fatalf("disabled suspicion stage reported %v", got)
 	}
 }

@@ -2,7 +2,6 @@ package core_test
 
 import (
 	"testing"
-	"time"
 
 	"imitator/internal/core"
 	"imitator/internal/datasets"
@@ -139,32 +138,5 @@ func TestChaosOmissionZeroCostWhenDisabled(t *testing.T) {
 	res := runPR(t, cfg, g)
 	if res.Omission != nil {
 		t.Fatalf("crash-only schedule installed the omission layer: %+v", *res.Omission)
-	}
-}
-
-// TestChaosHeartbeatExactDeadline is the regression test for the PR 4
-// "+1ms overshoot" float-truncation workaround. With a 0.7s heartbeat
-// interval, DetectionTime() = 2.0999999999999996 sim-seconds truncates
-// to one nanosecond short of the monitor's integer 2.1s deadline; the
-// old float-derived advance then never expired the victims and the run
-// deadlocked in the barrier. The exact integer-tick arithmetic must
-// detect the crash and finish.
-func TestChaosHeartbeatExactDeadline(t *testing.T) {
-	g := datasets.Tiny(300, 1800, 101)
-	done := make(chan *core.Result[float64], 1)
-	go func() {
-		cfg := ftConfig(core.EdgeCutMode, 6, 6, 2, core.RecoverRebirth)
-		cfg.Cost.HeartbeatInterval = 0.7
-		cfg.Cost.DetectMissedBeats = 3
-		cfg.Chaos = crashAt(2, core.FailBeforeBarrier, 1)
-		done <- runPR(t, cfg, g)
-	}()
-	select {
-	case res := <-done:
-		if len(res.Recoveries) != 1 {
-			t.Fatalf("expected one recovery, got %d", len(res.Recoveries))
-		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("crash detection deadlocked: heartbeat deadline never expired (float truncation regression)")
 	}
 }

@@ -12,10 +12,10 @@ import (
 //
 // This is the only way a node fails: nothing marks it failed at the
 // coordinator directly. A crash event's victims merely go silent, and the
-// configured failureDetector (detector.go) — the centralized
-// coord.HeartbeatMonitor by default, SWIM gossip with Config.Membership —
-// detects and announces them, the way the paper's heartbeat master does
-// (§3.2); the failure then surfaces at the next global barrier.
+// configured failureDetector (detector.go) — the centralized heartbeat
+// master by default, SWIM gossip with Config.Membership — detects and
+// announces them (§3.2); the failure then surfaces at the next global
+// barrier.
 type chaosRuntime struct {
 	// crashes is consumed by deleting fired keys, so an iteration
 	// re-executed after rollback does not re-crash.

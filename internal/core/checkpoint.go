@@ -258,7 +258,6 @@ func (c *Cluster[V, A]) recoverCheckpoint(p *recoveryPass[V, A]) error {
 	// report this pass is about to append when it gets back to p.iter.
 	p.rec.Iteration, p.rec.ReplayIters = epoch, p.iter-epoch
 	c.iter = epoch
-	c.coord.Set("iter", int64(epoch))
 	c.watchReplay(len(c.recoveries), p.iter)
 	return nil
 }

@@ -691,7 +691,6 @@ func (c *Cluster[V, A]) Run() (*Result[V], error) {
 		c.trace = append(c.trace, TraceEvent{Iter: iter, Kind: "iteration", Start: start, End: c.clock.Now()})
 		c.iter++
 		c.servePublish(false)
-		c.coord.Set("iter", int64(c.iter))
 		if c.replayWatch != nil && c.iter >= c.replayWatch.target {
 			c.recoveries[c.replayWatch.recIdx].ReplaySeconds = c.clock.Now() - c.replayWatch.start
 			c.replayWatch = nil

@@ -274,11 +274,10 @@ type MembershipKind int
 
 // Membership protocols.
 const (
-	// MembershipCentralized (default) detects failures with the coord
-	// HeartbeatMonitor: every node beats to a central master, which
-	// suspects after SuspectBeats missed intervals and confirms after
-	// DetectMissedBeats. This reproduces the paper's Zookeeper-style
-	// master and is the bit-identical baseline.
+	// MembershipCentralized (default) models the paper's Zookeeper-style
+	// heartbeat master: every survivor beats each Cost.HeartbeatInterval,
+	// so a crashed node is suspected after SuspectBeats missed intervals
+	// and confirmed after DetectMissedBeats (Cost.DetectionTime()).
 	MembershipCentralized MembershipKind = iota
 	// MembershipGossip detects failures with the decentralized SWIM
 	// protocol in internal/gossip: randomized ping / ping-req(k) probing
@@ -311,9 +310,6 @@ type MembershipConfig struct {
 	// SuspicionPeriods is how many gossip protocol periods a suspected
 	// member has to refute before it is confirmed failed. 0 means 3.
 	SuspicionPeriods int
-	// PeriodSeconds is the simulated length of one gossip protocol
-	// period. 0 means Cost.HeartbeatInterval.
-	PeriodSeconds float64
 }
 
 // Config describes one job.
@@ -454,9 +450,6 @@ func (c *Config) Validate() error {
 	}
 	if c.Membership.SuspicionPeriods < 0 {
 		return fmt.Errorf("core: Membership.SuspicionPeriods must be >= 0, got %d (0 uses the default of 3)", c.Membership.SuspicionPeriods)
-	}
-	if c.Membership.PeriodSeconds < 0 {
-		return fmt.Errorf("core: Membership.PeriodSeconds must be >= 0, got %g (0 uses Cost.HeartbeatInterval)", c.Membership.PeriodSeconds)
 	}
 	if c.Membership.Kind == MembershipGossip && c.NumNodes < 2 {
 		return fmt.Errorf("core: gossip membership needs at least 2 nodes, got %d", c.NumNodes)

@@ -1,9 +1,8 @@
 package core
 
 import (
-	"time"
+	"slices"
 
-	"imitator/internal/coord"
 	"imitator/internal/costmodel"
 	"imitator/internal/gossip"
 	"imitator/internal/metrics"
@@ -26,7 +25,7 @@ type failureDetector interface {
 	// membership reports the detector's accumulated metrics.
 	membership() *metrics.Membership
 	// net exposes the detector's own network for chaos mirroring; nil
-	// for the centralized monitor, whose beats are cost-model only.
+	// for the centralized detector, whose beats are cost-model only.
 	net() *netsim.Network
 }
 
@@ -41,81 +40,34 @@ type detectorHost struct {
 	confirm func(id int)
 }
 
-// centralDetector wraps the coord.HeartbeatMonitor on a FakeClock pinned
-// to the simulated timeline — the paper's Zookeeper-style master. Its
-// detect sequence is the exact integer tick arithmetic the chaos runtime
-// has always used, so centralized-mode results stay bit-identical.
+// centralDetector is the paper's Zookeeper-style master (§3.2): every
+// survivor beats at every interval and the victims are exactly the silent
+// nodes, so each victim is suspected after SuspectBeats missed intervals
+// and confirmed after DetectMissedBeats, i.e. after Cost.DetectionTime().
 type centralDetector struct {
-	h     detectorHost
-	mon   *coord.HeartbeatMonitor
-	fc    *coord.FakeClock
-	monAt float64 // sim-second already applied to fc
-	m     metrics.Membership
+	h detectorHost
+	m metrics.Membership
 }
 
 func newCentralDetector(h detectorHost) *centralDetector {
-	d := &centralDetector{h: h, m: metrics.Membership{Mode: MembershipCentralized.String()}}
-	d.fc = coord.NewFakeClock(time.Unix(0, 0))
-	d.monAt = 0
-	d.sync()
-	interval := time.Duration(h.cost.HeartbeatInterval * float64(time.Second))
-	mon, err := coord.NewHeartbeatMonitorWithClock(d.fc, interval, h.cost.DetectMissedBeats, nil)
-	if err != nil {
-		// Cost params are validated with the config; this cannot fire.
-		panic(err)
-	}
-	if err := mon.SetSuspectMisses(h.cost.SuspectBeats()); err != nil {
-		panic(err) // SuspectBeats is clamped to [1, DetectMissedBeats]
-	}
-	d.mon = mon
-	for _, id := range h.alive() {
-		mon.Track(id)
-	}
-	return d
+	return &centralDetector{h: h, m: metrics.Membership{Mode: MembershipCentralized.String()}}
 }
 
-// sync advances the monitor's FakeClock to the current sim-second.
-func (d *centralDetector) sync() {
-	if delta := d.h.clock.Now() - d.monAt; delta > 0 {
-		d.fc.Advance(time.Duration(delta * float64(time.Second)))
-		d.monAt = d.h.clock.Now()
-	}
-}
+// track is a no-op: a rejoined slot beats like every other survivor.
+func (d *centralDetector) track(int) {}
 
-func (d *centralDetector) track(id int) {
-	d.sync()
-	d.mon.Track(id)
-}
-
-// detect lets the heartbeat monitor notice the silence: the simulated
-// clock advances by the detection window, the survivors' beats land at
-// the advanced instants, and the monitor first suspects and then confirms
-// exactly the silent nodes.
-func (d *centralDetector) detect([]int) {
-	d.h.clock.Advance(d.h.cost.DetectionTime())
-	d.sync()
-	// Two-stage detection in exact integer tick arithmetic. sync's float
-	// sim-second -> Duration conversion truncates, so the fake clock may
-	// sit a nanosecond short of where float math says it should; the
-	// deadlines below are advanced as exact Duration multiples of the
-	// monitor's interval on top of that, so the victims' silence crosses
-	// each threshold precisely — no overshoot fudge needed. The fake
-	// clock drives only the monitor, never the simulated timeline.
-	suspectAfter := d.mon.SuspectDeadline()
-	d.fc.Advance(suspectAfter)
-	for _, id := range d.h.alive() {
-		d.mon.Beat(id)
-	}
-	for _, id := range d.mon.PollSuspects(d.fc.Now()) {
+// detect advances the simulated clock by the detection window, then
+// announces the two stages for every victim in ascending id order.
+func (d *centralDetector) detect(victims []int) {
+	dt := d.h.cost.DetectionTime()
+	d.h.clock.Advance(dt)
+	ids := slices.Sorted(slices.Values(victims))
+	for _, id := range ids {
 		d.h.suspect(id)
 	}
-	d.fc.Advance(d.mon.Deadline() - suspectAfter)
-	for _, id := range d.h.alive() {
-		d.mon.Beat(id)
-	}
-	for _, id := range d.mon.Poll(d.fc.Now()) {
+	for _, id := range ids {
 		d.h.confirm(id)
-		d.m.DetectionSeconds = append(d.m.DetectionSeconds, d.h.cost.DetectionTime())
+		d.m.DetectionSeconds = append(d.m.DetectionSeconds, dt)
 	}
 }
 
@@ -138,15 +90,11 @@ type gossipDetector struct {
 }
 
 func newGossipDetector(n int, mc MembershipConfig, seed uint64, h detectorHost) (*gossipDetector, error) {
-	period := mc.PeriodSeconds
-	if period <= 0 {
-		period = h.cost.HeartbeatInterval
-	}
 	det, err := gossip.New(n, gossip.Params{
 		// Decorrelate from the engine net's per-link fate RNGs, which
 		// are seeded from the same ChaosSeed.
 		Seed:             seed ^ 0x676f737369703130,
-		PeriodSeconds:    period,
+		PeriodSeconds:    h.cost.HeartbeatInterval,
 		IndirectProbes:   mc.GossipFanout,
 		SuspicionPeriods: mc.SuspicionPeriods,
 	})
@@ -218,8 +166,7 @@ func (d *gossipDetector) detect(victims []int) {
 	d.det.TakeConfirms()
 	if err := d.det.Err(); err != nil {
 		// The closed simulation cannot produce malformed frames or
-		// backend faults; any error here is a bug, like the panics in
-		// newCentralDetector.
+		// backend faults; any error here is a bug.
 		panic(err)
 	}
 }

@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"container/heap"
+	"errors"
 	"math"
 	"testing"
 
@@ -367,5 +368,8 @@ func TestMasterValueInspection(t *testing.T) {
 	}
 	if _, err := cl.MasterValue(0); err != nil {
 		t.Fatal(err)
+	}
+	if _, err := cl.MasterValue(graph.VertexID(g.NumVertices())); !errors.Is(err, core.ErrUnknownVertex) {
+		t.Fatalf("out-of-range MasterValue err = %v, want ErrUnknownVertex", err)
 	}
 }

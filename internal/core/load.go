@@ -409,7 +409,6 @@ func (c *Cluster[V, A]) load() error {
 
 	// 11. Memory accounting.
 	c.refreshMemoryMetrics()
-	c.coord.Set("iter", 0)
 	for _, nd := range c.nodes {
 		c.coord.Set(fmt.Sprintf("arraylen/%d", nd.id), int64(len(nd.hot)))
 	}

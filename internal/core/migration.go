@@ -306,7 +306,7 @@ func (c *Cluster[V, A]) recoverMigration(p *recoveryPass[V, A]) error {
 	if c.vcut != nil {
 		// Each survivor reads its own file of every failed node; files
 		// addressed to other failed nodes are reassigned round-robin.
-		alive := c.coord.AliveNodes()
+		alive := c.aliveNodes()
 		orphanIdx := 0
 		var span costmodel.Span
 		for _, f := range failed {
@@ -324,7 +324,7 @@ func (c *Cluster[V, A]) recoverMigration(p *recoveryPass[V, A]) error {
 				// earlier one) are reassigned round-robin over survivors.
 				readerNode := target
 				if failedSet[target] || c.nodes[target] == nil || !c.nodes[target].alive {
-					readerNode = alive[orphanIdx%len(alive)]
+					readerNode = alive[orphanIdx%len(alive)].id
 					orphanIdx++
 				}
 				data, cost, err := c.dfs.Read(readerNode, path)

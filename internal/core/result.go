@@ -191,6 +191,9 @@ func (c *Cluster[V, A]) result() *Result[V] {
 // exported for tests and examples that inspect mid-run state.
 func (c *Cluster[V, A]) MasterValue(v graph.VertexID) (V, error) {
 	var zero V
+	if int(v) >= len(c.masterLoc) {
+		return zero, fmt.Errorf("%w: vertex %d outside [0, %d)", ErrUnknownVertex, v, len(c.masterLoc))
+	}
 	mn := c.masterLoc[v]
 	nd := c.nodes[mn]
 	if nd == nil || !nd.alive {

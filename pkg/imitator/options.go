@@ -18,7 +18,7 @@ import "imitator/internal/core"
 //     Reorder, Partition) and WithChaosSeed.
 //   - Membership options pick the failure detector chaos crashes are
 //     delivered through: WithMembership(Centralized|Gossip) with
-//     GossipFanout, GossipSuspicionPeriods and GossipPeriodSeconds.
+//     GossipFanout and GossipSuspicionPeriods.
 //   - Serve options turn the run into a long-lived queryable service:
 //     WithServe and its sub-options (see serve.go).
 type Option func(*Config)
@@ -125,10 +125,4 @@ func GossipFanout(k int) MembershipOption {
 // member has to refute before it is confirmed failed (default 3).
 func GossipSuspicionPeriods(n int) MembershipOption {
 	return func(m *core.MembershipConfig) { m.SuspicionPeriods = n }
-}
-
-// GossipPeriodSeconds sets the simulated length of one protocol period
-// (default: the cost model's heartbeat interval).
-func GossipPeriodSeconds(s float64) MembershipOption {
-	return func(m *core.MembershipConfig) { m.PeriodSeconds = s }
 }
