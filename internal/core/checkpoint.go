@@ -6,7 +6,6 @@ import (
 	"slices"
 
 	"imitator/internal/costmodel"
-	"imitator/internal/graph"
 	"imitator/internal/netsim"
 )
 
@@ -263,9 +262,9 @@ func (c *Cluster[V, A]) recoverCheckpoint(p *recoveryPass[V, A]) error {
 }
 
 // rebuildPristineNode recreates a node's immutable loader state (the three
-// tables with their initial values) from the retained pristine copy. The
-// topology and metadata lists are shared with the pristine copy — they are
-// immutable after load.
+// tables and the role slabs, with their initial values) from the retained
+// pristine copy. The topology and metadata lists are shared with the
+// pristine copy — they are immutable after load.
 func (c *Cluster[V, A]) rebuildPristineNode(id int) *node[V, A] {
 	if c.pristine == nil || c.pristine[id] == nil {
 		return nil
@@ -278,8 +277,10 @@ func (c *Cluster[V, A]) rebuildPristineNode(id int) *node[V, A] {
 		localEdges: src.localEdges,
 		hot:        slices.Clone(src.hot),
 		topo:       slices.Clone(src.topo),
-		meta:       slices.Clone(src.meta),
-		index:      make(map[graph.VertexID]int32, len(src.hot)),
+		ref:        slices.Clone(src.ref),
+		masters:    slices.Clone(src.masters),
+		mirrors:    slices.Clone(src.mirrors),
+		index:      newIndex(c.g.NumVertices()),
 	}
 	for i := range nd.hot {
 		nd.index[nd.hot[i].id] = int32(i)
@@ -298,7 +299,7 @@ func (c *Cluster[V, A]) fullResync() {
 				if !e.isMaster() {
 					continue
 				}
-				rt := &nd.meta[i].replicas
+				rt := nd.replicas(int32(i))
 				for ri, rn := range rt.nodes {
 					pos := rt.pos[ri]
 					before := len(st.send[rn])
@@ -365,6 +366,8 @@ type replayWatch struct {
 type pristineNode[V any] struct {
 	hot        []hot[V]
 	topo       []topo
-	meta       []meta
+	ref        []slabRef
+	masters    []replicaTable
+	mirrors    []mirrorState
 	localEdges int
 }

@@ -37,13 +37,17 @@ type nodeBodies struct {
 type node[V, A any] struct {
 	id    int
 	alive bool
-	// hot, topo and meta are the position-parallel vertex tables (entry.go);
-	// index maps a vertex id to its position in them.
-	hot   []hot[V]
-	topo  []topo
-	meta  []meta
-	index map[graph.VertexID]int32
-	met   *metrics.Node
+	// hot, topo and ref are the position-parallel vertex tables (entry.go);
+	// ref's handles index the role slabs masters (one replica table per
+	// master slot) and mirrors (one full state per mirror slot). index maps
+	// every vertex id of the graph to its position here, noPos if absent.
+	hot     []hot[V]
+	topo    []topo
+	ref     []slabRef
+	masters []replicaTable
+	mirrors []mirrorState
+	index   []int32
+	met     *metrics.Node
 
 	// localEdges counts edges stored on this node (for cost accounting).
 	localEdges int
@@ -84,16 +88,19 @@ type node[V, A any] struct {
 }
 
 func (n *node[V, A]) pos(id graph.VertexID) (int32, bool) {
-	p, ok := n.index[id]
-	return p, ok
+	if int(id) >= len(n.index) {
+		return noPos, false
+	}
+	p := n.index[id]
+	return p, p != noPos
 }
 
-// add appends one slot to the three tables and indexes it.
+// add appends one role-less slot to the three tables and indexes it.
 func (n *node[V, A]) add(h hot[V]) int32 {
 	pos := int32(len(n.hot))
 	n.hot = append(n.hot, h)
 	n.topo = append(n.topo, topo{})
-	n.meta = append(n.meta, meta{})
+	n.ref = append(n.ref, slabRef{master: noSlab, mirror: noSlab})
 	n.index[h.id] = pos
 	return pos
 }

@@ -28,10 +28,11 @@ func TestReplicaConsistencyInvariant(t *testing.T) {
 			cl.iter++
 			for _, nd := range cl.nodes {
 				for i := range nd.hot {
-					e, rt := &nd.hot[i], &nd.meta[i].replicas
+					e := &nd.hot[i]
 					if !e.isMaster() {
 						continue
 					}
+					rt := nd.replicas(int32(i))
 					for ri, rn := range rt.nodes {
 						re := &cl.nodes[rn].hot[rt.pos[ri]]
 						if re.value != e.value {
@@ -111,10 +112,11 @@ func TestReplicaScatterStampFollowsSteppedIter(t *testing.T) {
 			cl.commit(iter)
 			for _, nd := range cl.nodes {
 				for i := range nd.hot {
-					e, rt := &nd.hot[i], &nd.meta[i].replicas
+					e := &nd.hot[i]
 					if !e.isMaster() {
 						continue
 					}
+					rt := nd.replicas(int32(i))
 					if e.lastActivateIter != int32(iter) {
 						t.Fatalf("%v iter %d: master of %d stamped %d", mode, iter, e.id, e.lastActivateIter)
 					}

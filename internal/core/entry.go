@@ -17,6 +17,13 @@ const (
 // noNode marks an unset node reference.
 const noNode int16 = -1
 
+// noPos marks a vertex absent from a node's id index; noSlab a role a slot
+// does not have.
+const (
+	noPos  int32 = -1
+	noSlab int32 = -1
+)
+
 // A node's vertex array (§5.1.2) is three position-parallel tables. Masters
 // hold the authoritative state; replicas provide local reads; mirrors
 // additionally hold the master's full state so they can recover it (§4.2).
@@ -29,8 +36,8 @@ const noNode int16 = -1
 // A gather's random read of a neighbour touches the slot's first 20 bytes,
 // one 64-byte line for six slots in eight (at a 56-byte stride the other two
 // straddle a boundary), and the per-phase walks stream a dense array. The
-// replication metadata lives in meta, which a failure-free superstep never
-// touches.
+// replication metadata lives in the node's role slabs behind ref, which a
+// failure-free superstep never touches.
 type hot[V any] struct {
 	// Gather reads a neighbour's value, id and degrees: the first 20 bytes.
 	value V
@@ -83,20 +90,30 @@ type topo struct {
 	outNbr []int32
 }
 
-// meta is a slot's replication metadata, read only when a replica table is
+// slabRef is a slot's replication metadata: handles into its node's role
+// slabs (noSlab = the slot lacks the role). Only a master has a replica table
+// and only a mirror a copy of its master's full state, so a plain replica
+// pays 8 bytes here. The slabs are read only when a replica table is
 // flattened into a sync route, by FT persistence and by recovery.
-type meta struct {
-	// replicas (masters only): where the replicas live and at which
-	// positions, which exist only for fault tolerance, and which of them are
-	// mirrors (in rank order).
-	replicas replicaTable
+type slabRef struct {
+	// master indexes node.masters: where the vertex's replicas live and at
+	// which positions, which exist only for fault tolerance, and which of
+	// them are mirrors (in rank order).
+	master int32
+	// mirror indexes node.mirrors.
+	mirror int32
+}
 
-	// Mirror-only full state: a copy of the master's replica table and, for
-	// edge-cut, the master's in-edges by global id with each source's master
-	// node (vertex-cut recovers edges from edge-ckpt files).
-	mTable     replicaTable
-	mEdges     rawEdges
-	mirrorRank int16 // this mirror's rank; lowest surviving rank recovers
+// mirrorState is a mirror's full state (§4.2): a copy of the master's replica
+// table and, for edge-cut, the master's in-edges by global id with each
+// source's master node (vertex-cut recovers edges from edge-ckpt files).
+type mirrorState struct {
+	mTable replicaTable
+	mEdges rawEdges
+	rank   int16 // this mirror's rank; lowest surviving rank recovers
+	// slot is the position whose ref.mirror names this entry, so dropMirror
+	// can move the slab's last entry into the hole it leaves.
+	slot int32
 }
 
 func (e *hot[V]) isMaster() bool  { return e.flags&flagMaster != 0 }
@@ -139,12 +156,100 @@ const entryFixedBytes = 96
 // memoryBytes returns the byte-exact modelled footprint of slot i given the
 // encoded value size.
 func (n *node[V, A]) memoryBytes(i, valueSize int) int64 {
-	t, m := &n.topo[i], &n.meta[i]
+	t, r := &n.topo[i], n.ref[i]
 	b := int64(entryFixedBytes) + 2*int64(valueSize) // value + pending
 	b += int64(len(t.inNbr))*12 + int64(len(t.outNbr))*4
-	b += int64(len(m.replicas.nodes)) * 7 // node + pos + ftOnly
-	b += int64(len(m.replicas.mirrorOf)) * 2
-	b += int64(len(m.mEdges.src)) * 14 // src id + weight + src master
-	b += int64(len(m.mTable.nodes))*7 + int64(len(m.mTable.mirrorOf))*2
+	if r.master != noSlab {
+		rt := &n.masters[r.master]
+		b += int64(len(rt.nodes))*7 + int64(len(rt.mirrorOf))*2 // node + pos + ftOnly; mirror index
+	}
+	if r.mirror != noSlab {
+		m := &n.mirrors[r.mirror]
+		b += int64(len(m.mEdges.src)) * 14 // src id + weight + src master
+		b += int64(len(m.mTable.nodes))*7 + int64(len(m.mTable.mirrorOf))*2
+	}
 	return b
+}
+
+// newIndex returns an id→position index over numV vertices, all absent.
+func newIndex(numV int) []int32 {
+	index := make([]int32, numV)
+	for v := range index {
+		index[v] = noPos
+	}
+	return index
+}
+
+// replicas returns master slot i's replica table. The pointer is valid until
+// the next addMaster.
+func (n *node[V, A]) replicas(i int32) *replicaTable { return &n.masters[n.ref[i].master] }
+
+// mirror returns slot i's mirror state, or nil when the slot is no mirror.
+// The pointer is valid until the next ensureMirror or dropMirror.
+func (n *node[V, A]) mirror(i int32) *mirrorState {
+	if h := n.ref[i].mirror; h != noSlab {
+		return &n.mirrors[h]
+	}
+	return nil
+}
+
+// addMaster gives slot i (a promoted or recovered master) the replica table t.
+func (n *node[V, A]) addMaster(i int32, t replicaTable) {
+	n.ref[i].master = int32(len(n.masters))
+	n.masters = append(n.masters, t)
+}
+
+// ensureMirror returns slot i's mirror state, creating an empty one for a
+// replica that has just been selected as a mirror.
+func (n *node[V, A]) ensureMirror(i int32) *mirrorState {
+	if m := n.mirror(i); m != nil {
+		return m
+	}
+	n.ref[i].mirror = int32(len(n.mirrors))
+	n.mirrors = append(n.mirrors, mirrorState{slot: i})
+	return &n.mirrors[len(n.mirrors)-1]
+}
+
+// dropMirror releases slot i's mirror state (demotion, or a promoted master
+// whose in-edges are attached). The slab's last entry moves into the hole, so
+// the slab never holds an entry no slot names.
+func (n *node[V, A]) dropMirror(i int32) {
+	h := n.ref[i].mirror
+	if h == noSlab {
+		return
+	}
+	last := int32(len(n.mirrors) - 1)
+	if h != last {
+		n.mirrors[h] = n.mirrors[last]
+		n.ref[n.mirrors[h].slot].mirror = h
+	}
+	n.mirrors[last] = mirrorState{}
+	n.mirrors = n.mirrors[:last]
+	n.ref[i].mirror = noSlab
+}
+
+// allocSlabs numbers, in slot order, a master-slab entry for every slot
+// flagged master and a mirror-slab entry for every slot flagged mirror, and
+// sizes both slabs exactly. Load and Rebirth call it once the role flags are
+// final and before a parallel fill writes the entries, so the fill never
+// grows a slab.
+func (n *node[V, A]) allocSlabs() {
+	var masters, mirrors int32
+	for i := range n.hot {
+		r := slabRef{master: noSlab, mirror: noSlab}
+		if n.hot[i].isMaster() {
+			r.master, masters = masters, masters+1
+		}
+		if n.hot[i].isMirror() {
+			r.mirror, mirrors = mirrors, mirrors+1
+		}
+		n.ref[i] = r
+	}
+	n.masters = make([]replicaTable, masters)
+	n.mirrors = make([]mirrorState, mirrors)
+	for i := range n.ref {
+		if h := n.ref[i].mirror; h != noSlab {
+			n.mirrors[h].slot = int32(i)
+		}
+	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"imitator/internal/datasets"
@@ -53,8 +54,8 @@ func TestRebirthPreservesLayout(t *testing.T) {
 			t.Fatalf("%v: %v", mode, err)
 		}
 		after := cl.nodes[1]
-		if len(after.hot) != len(before) || len(after.topo) != len(before) || len(after.meta) != len(before) {
-			t.Fatalf("%v: table lengths changed: %d -> %d/%d/%d", mode, len(before), len(after.hot), len(after.topo), len(after.meta))
+		if len(after.hot) != len(before) || len(after.topo) != len(before) || len(after.ref) != len(before) {
+			t.Fatalf("%v: table lengths changed: %d -> %d/%d/%d", mode, len(before), len(after.hot), len(after.topo), len(after.ref))
 		}
 		var mastersAfter, mirrorsAfter int
 		for i := range after.hot {
@@ -94,10 +95,11 @@ func TestLoadInvariants(t *testing.T) {
 			}
 			for _, nd := range cl.nodes {
 				for i := range nd.hot {
-					e, rt := &nd.hot[i], &nd.meta[i].replicas
+					e := &nd.hot[i]
 					if !e.isMaster() {
 						continue
 					}
+					rt := nd.replicas(int32(i))
 					if len(rt.nodes) < k {
 						t.Fatalf("%v K=%d: vertex %d has %d replicas", mode, k, e.id, len(rt.nodes))
 					}
@@ -141,8 +143,8 @@ func TestLoadInvariants(t *testing.T) {
 					}
 					for rank, idx := range rt.mirrorOf {
 						rnd := cl.nodes[rt.nodes[idx]]
-						re, rm := &rnd.hot[rt.pos[idx]], &rnd.meta[rt.pos[idx]]
-						if !re.isMirror() || rm.mirrorRank != int16(rank) {
+						re, rm := &rnd.hot[rt.pos[idx]], rnd.mirror(rt.pos[idx])
+						if !re.isMirror() || rm == nil || rm.rank != int16(rank) {
 							t.Fatalf("%v: mirror rank mismatch for vertex %d", mode, e.id)
 						}
 						if len(rm.mTable.nodes) != len(rt.nodes) {
@@ -179,6 +181,140 @@ func TestMirrorBalance(t *testing.T) {
 	for n, cnt := range counts {
 		if cnt > 2*mean || cnt < mean/2 {
 			t.Errorf("node %d holds %d mirrors, mean %d: unbalanced", n, cnt, mean)
+		}
+	}
+}
+
+// checkVertexTables asserts the vertex-table invariants on every alive node:
+// hot, topo and ref are position-parallel; a slot has a master-slab handle
+// iff it is a master and a mirror-slab handle iff it is a mirror; every slab
+// entry is named by exactly one slot (a mirror entry by the slot it points
+// back at), so none is orphaned; and the dense id index is the exact inverse
+// of hot[i].id.
+func checkVertexTables[V, A any](t *testing.T, cl *Cluster[V, A], when string) {
+	t.Helper()
+	claim := func(owner []int32, h int32, slot int) bool {
+		if h < 0 || int(h) >= len(owner) || owner[h] != noSlab {
+			return false
+		}
+		owner[h] = int32(slot)
+		return true
+	}
+	for _, nd := range cl.aliveNodes() {
+		if len(nd.topo) != len(nd.hot) || len(nd.ref) != len(nd.hot) {
+			t.Fatalf("%s: node %d: hot/topo/ref lengths %d/%d/%d", when, nd.id, len(nd.hot), len(nd.topo), len(nd.ref))
+		}
+		if len(nd.index) != cl.g.NumVertices() {
+			t.Fatalf("%s: node %d: index covers %d vertices, graph has %d", when, nd.id, len(nd.index), cl.g.NumVertices())
+		}
+		masterOwner, mirrorOwner := make([]int32, len(nd.masters)), make([]int32, len(nd.mirrors))
+		for _, owner := range [][]int32{masterOwner, mirrorOwner} {
+			for h := range owner {
+				owner[h] = noSlab
+			}
+		}
+		for i := range nd.hot {
+			e, r := &nd.hot[i], nd.ref[i]
+			if (r.master != noSlab) != e.isMaster() {
+				t.Fatalf("%s: node %d slot %d (vertex %d): master %v, master handle %d", when, nd.id, i, e.id, e.isMaster(), r.master)
+			}
+			if (r.mirror != noSlab) != e.isMirror() {
+				t.Fatalf("%s: node %d slot %d (vertex %d): mirror %v, mirror handle %d", when, nd.id, i, e.id, e.isMirror(), r.mirror)
+			}
+			if r.master != noSlab && !claim(masterOwner, r.master, i) {
+				t.Fatalf("%s: node %d slot %d: master handle %d out of range or shared", when, nd.id, i, r.master)
+			}
+			if r.mirror != noSlab {
+				if !claim(mirrorOwner, r.mirror, i) {
+					t.Fatalf("%s: node %d slot %d: mirror handle %d out of range or shared", when, nd.id, i, r.mirror)
+				}
+				if back := nd.mirrors[r.mirror].slot; back != int32(i) {
+					t.Fatalf("%s: node %d slot %d: its mirror entry points back at slot %d", when, nd.id, i, back)
+				}
+			}
+			if p := nd.index[e.id]; p != int32(i) {
+				t.Fatalf("%s: node %d: index maps vertex %d to %d, it sits at %d", when, nd.id, e.id, p, i)
+			}
+		}
+		for _, owner := range [][]int32{masterOwner, mirrorOwner} {
+			for h, slot := range owner {
+				if slot == noSlab {
+					t.Fatalf("%s: node %d: slab entry %d of %d is named by no slot", when, nd.id, h, len(owner))
+				}
+			}
+		}
+		present := 0
+		for _, p := range nd.index {
+			if p != noPos {
+				present++
+			}
+		}
+		if present != len(nd.hot) {
+			t.Fatalf("%s: node %d: index names %d vertices, the node holds %d", when, nd.id, present, len(nd.hot))
+		}
+	}
+}
+
+// TestVertexTableInvariants checks the vertex tables after load and after a
+// crash under every strategy and both engines; Rebirth and Migration also run
+// at K=2 with a second crash mid-recovery, where Migration restarts, promotes
+// and re-selects mirrors, demoting some.
+func TestVertexTableInvariants(t *testing.T) {
+	g := datasets.Tiny(300, 1800, 910)
+	crash := ChaosEvent{Kind: ChaosCrash, Iteration: 3, Phase: FailBeforeBarrier, Nodes: []int{1}}
+	for _, mode := range []Mode{EdgeCutMode, VertexCutMode} {
+		for _, tc := range []struct {
+			rec    RecoveryKind
+			k      int
+			during string
+		}{
+			{RecoverRebirth, 1, ""},
+			{RecoverRebirth, 2, "rebirth:reload"},
+			{RecoverMigration, 1, ""},
+			{RecoverMigration, 2, "migration:edges"},
+			{RecoverCheckpoint, 0, ""},
+			{RecoverLogged, 0, ""},
+		} {
+			name := fmt.Sprintf("%v/%v/K=%d", mode, tc.rec, tc.k)
+			if tc.during != "" {
+				name += "/" + tc.during
+			}
+			t.Run(name, func(t *testing.T) {
+				cfg := DefaultConfig(mode, 6)
+				cfg.Recovery = tc.rec
+				cfg.MaxIter = 6
+				cfg.WorkersPerNode = 4 // Rebirth places records chunk-parallel into the slabs
+				switch tc.rec {
+				case RecoverCheckpoint:
+					cfg.FT = FTConfig{}
+					cfg.Checkpoint = CheckpointConfig{Enabled: true, Interval: 2}
+				case RecoverLogged:
+					cfg.FT = FTConfig{}
+					cfg.Logged = LoggedConfig{Enabled: true}
+				default:
+					cfg.FT.K = tc.k
+				}
+				fresh, err := NewCluster[float64, float64](cfg, g, fakePR{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				checkVertexTables(t, fresh, "after load")
+				cfg.Chaos = []ChaosEvent{crash}
+				if tc.during != "" {
+					cfg.Chaos = append(cfg.Chaos, ChaosEvent{Kind: ChaosCrashDuringRecovery, During: tc.during, Nodes: []int{4}})
+				}
+				cl, err := NewCluster[float64, float64](cfg, g, fakePR{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := cl.Run(); err != nil {
+					t.Fatal(err)
+				}
+				if len(cl.recoveries) == 0 {
+					t.Fatal("no recovery happened; the test exercised nothing")
+				}
+				checkVertexTables(t, cl, "after the crash")
+			})
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"slices"
 	"testing"
 	"unsafe"
@@ -16,11 +17,11 @@ func TestHotSlotFitsACacheLine(t *testing.T) {
 	}
 }
 
-// TestSuperstepNeverTouchesMeta is the point of the hot/meta split: once the
-// sync routes are flattened, a failure-free superstep (compute, sync stage,
-// receive, barrier, commit — both engines, replication on) reads no field of
-// the meta table. The test takes the table away; any access would index a
-// nil slice and panic.
+// TestSuperstepNeverTouchesMeta is the point of the hot/metadata split: once
+// the sync routes are flattened, a failure-free superstep (compute, sync
+// stage, receive, barrier, commit — both engines, replication on) reads no
+// slab handle and no role slab. The test takes them away; any access would
+// index a nil slice and panic.
 func TestSuperstepNeverTouchesMeta(t *testing.T) {
 	for _, mode := range []Mode{EdgeCutMode, VertexCutMode} {
 		g := datasets.Tiny(400, 2400, 4242)
@@ -39,16 +40,18 @@ func TestSuperstepNeverTouchesMeta(t *testing.T) {
 			cl.commit(iter)
 			cl.iter++
 			for _, nd := range cl.nodes {
-				nd.meta = nil // the first superstep built the routes from it
+				// The first superstep built the routes from them.
+				nd.ref, nd.masters, nd.mirrors = nil, nil, nil
 			}
 		}
 	}
 }
 
-// TestLoadCarvesListsWithoutSlack: every list load carves out of an arena
-// has cap == len, so appending to any slot's lists — as migration and
-// rebirth do when they attach edges and register replicas — copies the list
-// out and leaves every other slot's lists bit-identical.
+// TestLoadCarvesListsWithoutSlack: every list load carves out of an arena —
+// the presence lists a master's replica table adopts included — has cap ==
+// len, so appending to any slot's lists, as migration and rebirth do when
+// they attach edges and register replicas, copies the list out and leaves
+// every other slot's lists bit-identical.
 func TestLoadCarvesListsWithoutSlack(t *testing.T) {
 	for _, mode := range []Mode{EdgeCutMode, VertexCutMode} {
 		g := datasets.Tiny(400, 2400, 4242)
@@ -60,16 +63,22 @@ func TestLoadCarvesListsWithoutSlack(t *testing.T) {
 		}
 		for _, nd := range cl.nodes {
 			want := make([]topo, len(nd.topo))
+			tableSlack := func(rt *replicaTable) int {
+				return cap(rt.nodes) - len(rt.nodes) + cap(rt.pos) - len(rt.pos) +
+					cap(rt.ftOnly) - len(rt.ftOnly) + cap(rt.mirrorOf) - len(rt.mirrorOf)
+			}
 			for i := range nd.topo {
-				tp, m := &nd.topo[i], &nd.meta[i]
+				tp := &nd.topo[i]
 				want[i] = topo{slices.Clone(tp.inNbr), slices.Clone(tp.inWt), slices.Clone(tp.outNbr)}
 				slack := cap(tp.inNbr) - len(tp.inNbr) + cap(tp.inWt) - len(tp.inWt) + cap(tp.outNbr) - len(tp.outNbr)
-				for _, rt := range []*replicaTable{&m.replicas, &m.mTable} {
-					slack += cap(rt.pos) - len(rt.pos) + cap(rt.mirrorOf) - len(rt.mirrorOf)
+				if nd.hot[i].isMaster() {
+					slack += tableSlack(nd.replicas(int32(i)))
 				}
-				slack += cap(m.mTable.nodes) - len(m.mTable.nodes) + cap(m.mTable.ftOnly) - len(m.mTable.ftOnly)
-				slack += cap(m.mEdges.src) - len(m.mEdges.src) + cap(m.mEdges.wt) - len(m.mEdges.wt)
-				slack += cap(m.mEdges.srcMaster) - len(m.mEdges.srcMaster)
+				if m := nd.mirror(int32(i)); m != nil {
+					slack += tableSlack(&m.mTable)
+					slack += cap(m.mEdges.src) - len(m.mEdges.src) + cap(m.mEdges.wt) - len(m.mEdges.wt)
+					slack += cap(m.mEdges.srcMaster) - len(m.mEdges.srcMaster)
+				}
 				if slack != 0 {
 					t.Fatalf("%v node %d slot %d: carved lists have %d elements of slack", mode, nd.id, i, slack)
 				}
@@ -83,6 +92,45 @@ func TestLoadCarvesListsWithoutSlack(t *testing.T) {
 					!slices.Equal(tp.outNbr[:len(want[i].outNbr)], want[i].outNbr) {
 					t.Fatalf("%v node %d slot %d: a neighbour's append overwrote its lists", mode, nd.id, i)
 				}
+			}
+		}
+	}
+}
+
+// grownMetadataSnapshot is the metadata snapshot encoded by appending to a
+// nil buffer, as before its count pass existed.
+func grownMetadataSnapshot[V, A any](nd *node[V, A]) []byte {
+	buf := putU32(nil, uint32(len(nd.hot)))
+	for i := range nd.hot {
+		e, t := &nd.hot[i], &nd.topo[i]
+		buf = putU32(buf, uint32(e.id))
+		buf = putU8(buf, uint8(e.flags))
+		buf = putI32(buf, e.inDeg)
+		buf = putI32(buf, e.outDeg)
+		buf = putU32(buf, uint32(len(t.inNbr)))
+		for k, p := range t.inNbr {
+			buf = putI32(buf, p)
+			buf = putF64(buf, t.inWt[k])
+		}
+	}
+	return buf
+}
+
+// TestMetadataSnapshotSizedExactly: encodeMetadataSnapshot's count pass sizes
+// its buffer to the byte, and the bytes equal the append-grown encoding.
+func TestMetadataSnapshotSizedExactly(t *testing.T) {
+	for _, mode := range []Mode{EdgeCutMode, VertexCutMode} {
+		cl, err := NewCluster[float64, float64](DefaultConfig(mode, 4), datasets.Tiny(400, 2400, 4243), fakePR{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, nd := range cl.nodes {
+			got := cl.encodeMetadataSnapshot(nd)
+			if len(got) != cap(got) {
+				t.Errorf("%v node %d: snapshot is %d bytes in a %d-byte buffer", mode, nd.id, len(got), cap(got))
+			}
+			if !bytes.Equal(got, grownMetadataSnapshot(nd)) {
+				t.Errorf("%v node %d: snapshot differs from the append-grown encoding", mode, nd.id)
 			}
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 
 	"imitator/internal/graph"
 	"imitator/internal/hostpar"
@@ -74,50 +75,49 @@ func (c *Cluster[V, A]) load() error {
 		}
 	})
 
-	// 2. Computation-replica presence per vertex. Sharded over the vertex
-	// that OWNS the presence list: every append below goes to pres[v] for a
-	// v inside the worker's block, so blocks are write-disjoint. Per-vertex
-	// append order differs from the sequential edge sweep, but sortByNode
-	// canonicalizes the lists (hosts are deduplicated, hence unique), so the
-	// post-sort presence tables are identical for any worker count.
+	// 2. Computation-replica presence per vertex: the distinct hosts of its
+	// edges other than its master. Sharded over the vertex that OWNS the
+	// presence list, so blocks are write-disjoint. A count pass sizes every
+	// list — its distinct hosts plus the FT replicas step 3 adds, which bring
+	// it to min(K, p-1) — and a fill pass carves the lists out of one arena
+	// per element type with cap == len. Per-vertex fill order differs from
+	// the sequential edge sweep, but sortByNode canonicalizes the lists
+	// (hosts are unique), so the post-sort presence tables are identical for
+	// any worker count.
 	pres := make([]vertexPresence, numV)
-	addPresence := func(v graph.VertexID, n int16) {
-		if n == c.masterLoc[v] {
-			return
-		}
-		pr := &pres[v]
-		for _, have := range pr.nodes {
-			if have == n {
-				return
-			}
-		}
-		pr.nodes = append(pr.nodes, n)
-		pr.ftOnly = append(pr.ftOnly, false)
-	}
+	end := make([]int32, numV+1) // list v is arena[end[v]:end[v+1]]
 	hostpar.Blocks(numV, loadMinBlock, width, func(lo, hi int) {
+		seen := make([]int32, p)
 		for v := lo; v < hi; v++ {
-			vid := graph.VertexID(v)
-			if c.ec != nil {
-				// An out-edge replicates its source onto the node owning the
-				// destination's master.
-				c.g.OutEdges(vid, func(_ int, e graph.Edge) {
-					addPresence(vid, int16(c.ec.Owner[e.Dst]))
-				})
-			} else {
-				// Vertex-cut: both endpoints are present wherever the edge
-				// lives.
-				c.g.OutEdges(vid, func(i int, _ graph.Edge) {
-					addPresence(vid, int16(c.vcut.EdgeOwner[i]))
-				})
-				c.g.InEdges(vid, func(i int, _ graph.Edge) {
-					addPresence(vid, int16(c.vcut.EdgeOwner[i]))
-				})
+			n := 0
+			c.eachPresence(v, seen, func(int16) { n++ })
+			if c.cfg.FT.Enabled {
+				n = max(n, min(c.cfg.FT.K, p-1))
 			}
+			end[v+1] = int32(n)
+		}
+	})
+	for v := 0; v < numV; v++ {
+		end[v+1] += end[v]
+	}
+	hostArena, ftArena := make([]int16, end[numV]), make([]bool, end[numV])
+	hostpar.Blocks(numV, loadMinBlock, width, func(lo, hi int) {
+		seen := make([]int32, p)
+		for v := lo; v < hi; v++ {
+			pr := &pres[v]
+			pr.nodes = hostArena[end[v]:end[v]:end[v+1]]
+			pr.ftOnly = ftArena[end[v]:end[v]:end[v+1]]
+			c.eachPresence(v, seen, func(h int16) {
+				pr.nodes = append(pr.nodes, h)
+				pr.ftOnly = append(pr.ftOnly, false)
+			})
 		}
 	})
 
 	// 3. Fault-tolerant replicas (§4.1): guarantee >= K replicas per vertex,
-	// placed greedily on the nodes with the fewest replicas so far.
+	// placed greedily on the nodes with the fewest replicas so far. Every
+	// list reaches exactly the length step 2 reserved: a list shorter than
+	// p-1 always has a candidate host.
 	replicaLoad := make([]int, p)
 	for v := range pres {
 		for _, n := range pres[v].nodes {
@@ -209,6 +209,8 @@ func (c *Cluster[V, A]) load() error {
 
 	// 5. Build per-node vertex tables: masters first (ascending id), then
 	// replicas (ascending id). Positions are the recovery addresses (§5.1.2).
+	// Every slot gets its final role flags here, so each node can size its
+	// role slabs before step 6 fills them in parallel.
 	perNodeMasters := make([][]graph.VertexID, p)
 	perNodeReplicas := make([][]graph.VertexID, p)
 	for v := 0; v < numV; v++ {
@@ -224,10 +226,10 @@ func (c *Cluster[V, A]) load() error {
 			id:    n,
 			alive: true,
 			met:   &c.met.Nodes[n],
-			index: make(map[graph.VertexID]int32, slots),
+			index: newIndex(numV),
 			hot:   make([]hot[V], 0, slots),
 			topo:  make([]topo, slots),
-			meta:  make([]meta, slots),
+			ref:   make([]slabRef, slots),
 		}
 		addSlot := func(v graph.VertexID, flags entryFlags) {
 			if c.g.IsSelfish(v) {
@@ -246,8 +248,9 @@ func (c *Cluster[V, A]) load() error {
 			addSlot(v, flagMaster)
 		}
 		for _, v := range perNodeReplicas[n] {
-			addSlot(v, 0)
+			addSlot(v, pres[v].rolesOn(int16(n)))
 		}
+		nd.allocSlabs()
 		c.nodes[n] = nd
 	})
 	for _, nd := range c.nodes {
@@ -256,14 +259,14 @@ func (c *Cluster[V, A]) load() error {
 		c.initNodeScratch(nd)
 	}
 
-	// 6. Fill master positions and replica metadata. Sharded by vertex:
-	// every write lands in vertex v's own slots (master plus replicas),
-	// which are disjoint across vertices; the index maps are read-only from
-	// here on. Each block counts what its vertices' position lists and
-	// mirror full states (§4.2: a copy of the master's replica table and, for
-	// edge-cut, its in-edges by global id with each source's master node)
-	// need, allocates one arena per element type and carves every list out
-	// of it with cap == len.
+	// 6. Fill master positions and the role slabs. Sharded by vertex: every
+	// write lands in vertex v's own slots and their slab entries (master
+	// plus mirrors), which are disjoint across vertices; the indexes and slab
+	// handles are read-only from here on. Each block counts what its
+	// vertices' position lists and mirror full states (§4.2: a copy of the
+	// master's replica table and, for edge-cut, its in-edges by global id
+	// with each source's master node) need, allocates one arena per element
+	// type and carves every list out of it with cap == len.
 	hostpar.Blocks(numV, loadMinBlock, width, func(lo, hi int) {
 		var n16, n32, nBool, nEdge int
 		for v := lo; v < hi; v++ {
@@ -281,26 +284,20 @@ func (c *Cluster[V, A]) load() error {
 		aSrc, aWt := make([]graph.VertexID, nEdge), make([]float64, nEdge)
 		for v := lo; v < hi; v++ {
 			vid := graph.VertexID(v)
-			mn := c.masterLoc[v]
-			mpos := c.nodes[mn].index[vid]
-			c.nodes[mn].hot[mpos].masterPos = mpos
+			mnd := c.nodes[c.masterLoc[v]]
+			mpos := mnd.index[vid]
+			mnd.hot[mpos].masterPos = mpos
 			pr := &pres[v]
 			table := replicaTable{nodes: pr.nodes, pos: carve(&a32, len(pr.nodes)), ftOnly: pr.ftOnly, mirrorOf: pr.mirrors}
 			for i, rn := range pr.nodes {
 				rpos := c.nodes[rn].index[vid]
 				table.pos[i] = rpos
-				re := &c.nodes[rn].hot[rpos]
-				re.masterPos = mpos
-				if pr.ftOnly[i] {
-					re.flags |= flagFTOnly
-				}
+				c.nodes[rn].hot[rpos].masterPos = mpos
 			}
-			c.nodes[mn].meta[mpos].replicas = table
+			*mnd.replicas(mpos) = table
 			for rank, idx := range pr.mirrors {
-				rn, rpos := pr.nodes[idx], table.pos[idx]
-				c.nodes[rn].hot[rpos].flags |= flagMirror
-				rm := &c.nodes[rn].meta[rpos]
-				rm.mirrorRank = int16(rank)
+				rm := c.nodes[pr.nodes[idx]].mirror(table.pos[idx])
+				rm.rank = int16(rank)
 				rm.mTable = replicaTable{
 					nodes:    carveCopy(&a16, table.nodes),
 					pos:      carveCopy(&a32, table.pos),
@@ -415,6 +412,28 @@ func (c *Cluster[V, A]) load() error {
 	return nil
 }
 
+// eachPresence calls fn once for each distinct node other than vertex v's
+// master that holds one of v's edges: under edge-cut an out-edge replicates
+// its source onto the node owning the destination's master; under vertex-cut
+// both endpoints are present wherever the edge lives. seen is the calling
+// goroutine's scratch of NumNodes stamps; v's stamp is v+1.
+func (c *Cluster[V, A]) eachPresence(v int, seen []int32, fn func(n int16)) {
+	stamp, vid := int32(v)+1, graph.VertexID(v)
+	seen[c.masterLoc[v]] = stamp
+	visit := func(n int16) {
+		if seen[n] != stamp {
+			seen[n] = stamp
+			fn(n)
+		}
+	}
+	if c.ec != nil {
+		c.g.OutEdges(vid, func(_ int, e graph.Edge) { visit(int16(c.ec.Owner[e.Dst])) })
+		return
+	}
+	c.g.OutEdges(vid, func(i int, _ graph.Edge) { visit(int16(c.vcut.EdgeOwner[i])) })
+	c.g.InEdges(vid, func(i int, _ graph.Edge) { visit(int16(c.vcut.EdgeOwner[i])) })
+}
+
 func (pr *vertexPresence) has(n int16) bool {
 	for _, have := range pr.nodes {
 		if have == n {
@@ -422,6 +441,24 @@ func (pr *vertexPresence) has(n int16) bool {
 		}
 	}
 	return false
+}
+
+// rolesOn returns the FT-only and mirror flags of the replica on host n.
+func (pr *vertexPresence) rolesOn(n int16) entryFlags {
+	var f entryFlags
+	for idx, have := range pr.nodes {
+		if have != n {
+			continue
+		}
+		if pr.ftOnly[idx] {
+			f |= flagFTOnly
+		}
+		if slices.Contains(pr.mirrors, int16(idx)) {
+			f |= flagMirror
+		}
+		break
+	}
+	return f
 }
 
 // sortByNode orders the presence table by host node (unique, and at most
@@ -482,7 +519,7 @@ func (c *Cluster[V, A]) edgeCkptTarget(dst graph.VertexID, on int) int {
 		return mn
 	}
 	if mp, ok := c.nodes[mn].pos(dst); ok {
-		if rt := &c.nodes[mn].meta[mp].replicas; len(rt.mirrorOf) > 0 {
+		if rt := c.nodes[mn].replicas(mp); len(rt.mirrorOf) > 0 {
 			return int(rt.nodes[rt.mirrorOf[0]])
 		}
 	}
@@ -502,9 +539,14 @@ func (c *Cluster[V, A]) dfsWriteCost(nd *node[V, A], path string, data []byte) f
 
 // encodeMetadataSnapshot serializes a node's immutable graph topology: the
 // entry table (ids, flags, degrees) and local in-edges. Checkpoint recovery
-// reloads this to rebuild a crashed node.
+// reloads this to rebuild a crashed node. A count pass sizes the buffer
+// exactly: 17 bytes a slot and 12 an in-edge after the 4-byte slot count.
 func (c *Cluster[V, A]) encodeMetadataSnapshot(nd *node[V, A]) []byte {
-	buf := binary.LittleEndian.AppendUint32(nil, uint32(len(nd.hot)))
+	size := 4 + 17*len(nd.hot)
+	for i := range nd.topo {
+		size += 12 * len(nd.topo[i].inNbr)
+	}
+	buf := binary.LittleEndian.AppendUint32(make([]byte, 0, size), uint32(len(nd.hot)))
 	for i := range nd.hot {
 		e, t := &nd.hot[i], &nd.topo[i]
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(e.id))

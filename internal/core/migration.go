@@ -30,7 +30,7 @@ func (c *Cluster[V, A]) recoverMigration(p *recoveryPass[V, A]) error {
 			for i := lo; i < hi; i++ {
 				e := &nd.hot[i]
 				if e.isMirror() && failedSet[int(e.masterNode)] &&
-					c.lowestSurvivingMirror(&nd.meta[i].mTable, failedSet) == nd.id {
+					c.lowestSurvivingMirror(&nd.mirror(int32(i)).mTable, failedSet) == nd.id {
 					promo[i] = true
 				}
 			}
@@ -72,7 +72,7 @@ func (c *Cluster[V, A]) recoverMigration(p *recoveryPass[V, A]) error {
 	for n := range promoLists {
 		nd := c.nodes[n]
 		for _, pos := range promoLists[n] {
-			e, m := &nd.hot[pos], &nd.meta[pos]
+			e, m := &nd.hot[pos], nd.mirror(pos)
 			e.flags |= flagMaster
 			e.flags &^= flagMirror | flagFTOnly
 			e.masterNode = int16(nd.id)
@@ -86,7 +86,13 @@ func (c *Cluster[V, A]) recoverMigration(p *recoveryPass[V, A]) error {
 				}
 				t.add(host, m.mTable.pos[idx], m.mTable.ftOnly[idx])
 			}
-			m.replicas, m.mTable = t, replicaTable{}
+			nd.addMaster(pos, t)
+			// An edge-cut mirror's in-edges stay until Phase 5 attaches
+			// them; a vertex-cut mirror holds none, so nothing is left.
+			m.mTable = replicaTable{}
+			if c.vcut != nil {
+				nd.dropMirror(pos)
+			}
 			c.masterLoc[e.id] = int16(nd.id)
 			markPromoted(int16(nd.id), pos)
 			newly[masterKey{int16(nd.id), pos}] = true
@@ -116,7 +122,7 @@ func (c *Cluster[V, A]) recoverMigration(p *recoveryPass[V, A]) error {
 			if !nd.hot[i].isMaster() || newly[masterKey{int16(nd.id), int32(i)}] {
 				continue
 			}
-			rt := &nd.meta[i].replicas
+			rt := nd.replicas(int32(i))
 			var t replicaTable
 			keptIdx := make(map[int16]int16) // old index -> new index
 			for idx, host := range rt.nodes {
@@ -144,7 +150,7 @@ func (c *Cluster[V, A]) recoverMigration(p *recoveryPass[V, A]) error {
 	// replicas where the master now lives.
 	c.runPhase(func(nd *node[V, A]) {
 		for _, pos := range sortedPositions(promoted[int16(nd.id)]) {
-			rt := &nd.meta[pos].replicas
+			rt := nd.replicas(pos)
 			for ri, host := range rt.nodes {
 				rpos := rt.pos[ri]
 				mpos := pos
@@ -201,7 +207,7 @@ func (c *Cluster[V, A]) recoverMigration(p *recoveryPass[V, A]) error {
 				// Stale mirror state is dropped; the new master re-selects
 				// its mirrors during invariant repair.
 				e.flags &^= flagMirror
-				nd.meta[i].mTable = replicaTable{}
+				nd.dropMirror(int32(i))
 				e.masterNode = int16(mn)
 				vid := e.id
 				rpos := int32(i)
@@ -233,7 +239,7 @@ func (c *Cluster[V, A]) recoverMigration(p *recoveryPass[V, A]) error {
 					if !ok {
 						continue
 					}
-					rt := &nd.meta[mp].replicas
+					rt := nd.replicas(mp)
 					known := false
 					for idx, host := range rt.nodes {
 						if int(host) == m.From && rt.pos[idx] == rpos {
@@ -368,10 +374,15 @@ func (c *Cluster[V, A]) recoverMigration(p *recoveryPass[V, A]) error {
 		// Edge-cut: promoted masters carry their in-edge lists; sources
 		// missing locally need replicas (paper Fig 6's "Replica 6").
 		// (Promotions adopted from an interrupted attempt that already
-		// attached their edges have no mEdges left and contribute nothing.)
+		// attached their edges have no mirror state left and contribute
+		// nothing.)
 		for _, nd := range c.aliveNodes() {
 			for _, pos := range sortedPositions(promoted[int16(nd.id)]) {
-				for _, src := range nd.meta[pos].mEdges.src {
+				m := nd.mirror(pos)
+				if m == nil {
+					continue
+				}
+				for _, src := range m.mEdges.src {
 					if _, ok := nd.pos(src); !ok {
 						needs[nd.id][src] = true
 					}
@@ -472,7 +483,7 @@ func (c *Cluster[V, A]) recoverMigration(p *recoveryPass[V, A]) error {
 				if r.err != nil {
 					break
 				}
-				nd.meta[mp].replicas.add(int16(m.From), newPos, false)
+				nd.replicas(mp).add(int16(m.From), newPos, false)
 				registeredPerNode[nd.id] = append(registeredPerNode[nd.id], masterKey{int16(nd.id), mp})
 			}
 		}
@@ -533,15 +544,16 @@ func (c *Cluster[V, A]) recoverMigration(p *recoveryPass[V, A]) error {
 			}
 		} else {
 			for _, pos := range sortedPositions(promoted[int16(nd.id)]) {
-				ed := &nd.meta[pos].mEdges
-				if ed.src == nil {
+				m := nd.mirror(pos)
+				if m == nil {
 					continue // attached by an interrupted earlier attempt
 				}
-				if err := nd.linkInEdges(pos, ed); err != nil {
+				ed := m.mEdges
+				nd.dropMirror(pos)
+				if err := nd.linkInEdges(pos, &ed); err != nil {
 					return err
 				}
 				created += len(ed.src)
-				*ed = rawEdges{}
 			}
 		}
 		nd.localEdges += created
@@ -613,7 +625,7 @@ func (c *Cluster[V, A]) repairFTInvariants(tableChanged map[masterKey]bool) erro
 	var creates []ftCreatePlan
 	for _, k := range keys {
 		nd := c.nodes[k.node]
-		e, rt := &nd.hot[k.pos], &nd.meta[k.pos].replicas
+		e, rt := &nd.hot[k.pos], nd.replicas(k.pos)
 		for len(rt.nodes)+countPlanned(creates, k) < c.cfg.FT.K {
 			best := -1
 			for _, cand := range alive {
@@ -681,7 +693,7 @@ func (c *Cluster[V, A]) repairFTInvariants(tableChanged map[masterKey]bool) erro
 				if r.err != nil {
 					break
 				}
-				nd.meta[mp].replicas.add(int16(m.From), newPos, true)
+				nd.replicas(mp).add(int16(m.From), newPos, true)
 			}
 		}
 		c.recycleMsgs(msgs)
@@ -691,7 +703,7 @@ func (c *Cluster[V, A]) repairFTInvariants(tableChanged map[masterKey]bool) erro
 	// refresh on every mirror of a changed master.
 	for _, k := range keys {
 		nd := c.nodes[k.node]
-		rt := &nd.meta[k.pos].replicas
+		rt := nd.replicas(k.pos)
 		want := min(c.cfg.FT.K, len(rt.nodes))
 		have := map[int16]bool{}
 		var mo []int16
@@ -730,7 +742,7 @@ func (c *Cluster[V, A]) repairFTInvariants(tableChanged map[masterKey]bool) erro
 	// elect two masters for one vertex (§5.3.2 restart after repair).
 	for _, k := range keys {
 		nd := c.nodes[k.node]
-		e, table := &nd.hot[k.pos], &nd.meta[k.pos].replicas
+		e, table := &nd.hot[k.pos], nd.replicas(k.pos)
 		var edges *rawEdges
 		if c.ec != nil {
 			edges = c.masterRawEdges(nd, int(k.pos))
@@ -770,9 +782,9 @@ func (c *Cluster[V, A]) repairFTInvariants(tableChanged map[masterKey]bool) erro
 				if r.err != nil {
 					break
 				}
-				m := &nd.meta[recRec.pos]
+				m := nd.ensureMirror(recRec.pos)
 				nd.hot[recRec.pos].flags |= flagMirror
-				m.mirrorRank = recRec.mirrorRank
+				m.rank = recRec.mirrorRank
 				if recRec.table != nil {
 					m.mTable = *recRec.table
 				}
@@ -794,7 +806,7 @@ func (c *Cluster[V, A]) repairFTInvariants(tableChanged map[masterKey]bool) erro
 					break
 				}
 				nd.hot[rpos].flags &^= flagMirror
-				nd.meta[rpos].mTable = replicaTable{}
+				nd.dropMirror(rpos)
 			}
 		}
 		c.recycleMsgs(msgs)

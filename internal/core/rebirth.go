@@ -23,8 +23,8 @@ func (c *Cluster[V, A]) rebirthNewbie(_ *recoveryPass[V, A], f int) (*node[V, A]
 		met:   &c.met.Nodes[f],
 		hot:   make([]hot[V], arrayLen),
 		topo:  make([]topo, arrayLen),
-		meta:  make([]meta, arrayLen),
-		index: make(map[graph.VertexID]int32, arrayLen),
+		ref:   make([]slabRef, arrayLen),
+		index: newIndex(c.g.NumVertices()),
 	}
 	for i := range nd.hot {
 		nd.hot[i].masterNode = noNode // "not yet placed" sentinel
@@ -52,16 +52,21 @@ func (c *Cluster[V, A]) recoverRebirth(p *recoveryPass[V, A]) error {
 		}
 		c.chunked(nd, len(nd.hot), func(st *stager, lo, hi int) {
 			for i := lo; i < hi; i++ {
-				e, m := &nd.hot[i], &nd.meta[i]
+				e := &nd.hot[i]
 				// A master recovers its lost replicas from its own table.
 				// With multiple simultaneous failures, a lost master's
 				// replicas on *other* failed nodes have no master to recover
 				// them; the mirror recovering that master does it from its
 				// full-state copy (§5.3.1).
-				table := &m.replicas
-				if !e.isMaster() {
-					if !e.isMirror() || !failedSet[int(e.masterNode)] ||
-						c.lowestSurvivingMirror(&m.mTable, failedSet) != nd.id {
+				var table *replicaTable
+				if e.isMaster() {
+					table = nd.replicas(int32(i))
+				} else {
+					if !e.isMirror() || !failedSet[int(e.masterNode)] {
+						continue
+					}
+					m := nd.mirror(int32(i))
+					if c.lowestSurvivingMirror(&m.mTable, failedSet) != nd.id {
 						continue
 					}
 					c.stageMasterRecovery(st, e, m, int(e.masterNode))
@@ -152,7 +157,12 @@ func (c *Cluster[V, A]) recoverRebirth(p *recoveryPass[V, A]) error {
 		}
 		// Position-addressed placement is contention-free (§5.1.2): every
 		// record targets a distinct slot, so records place in parallel. The
-		// id index rebuilds serially afterwards (map writes don't share).
+		// records' role flags first size the role slabs, so placement writes
+		// only its own slot's entries; the id index rebuilds afterwards.
+		for k := range recs {
+			nd.hot[recs[k].pos].flags = recs[k].flags
+		}
+		nd.allocSlabs()
 		placeCost := c.chunked(nd, len(recs), func(st *stager, lo, hi int) {
 			for k := lo; k < hi; k++ {
 				c.placeRecovered(nd, &recs[k])
@@ -240,9 +250,10 @@ func (c *Cluster[V, A]) stageReplicaRecovery(nd *node[V, A], st *stager, i int, 
 	if flags&flagMirror != 0 {
 		full = table
 		if c.ec != nil {
-			edges = &nd.meta[i].mEdges
 			if e.isMaster() {
 				edges = c.masterRawEdges(nd, i)
+			} else {
+				edges = &nd.mirror(int32(i)).mEdges
 			}
 		}
 	}
@@ -257,7 +268,7 @@ func (c *Cluster[V, A]) stageReplicaRecovery(nd *node[V, A], st *stager, i int, 
 
 // stageMasterRecovery emits the record recreating the master that lived on
 // the failed node, from this surviving mirror's full state.
-func (c *Cluster[V, A]) stageMasterRecovery(st *stager, e *hot[V], m *meta, dst int) {
+func (c *Cluster[V, A]) stageMasterRecovery(st *stager, e *hot[V], m *mirrorState, dst int) {
 	flags := flagMaster
 	if e.isSelfish() {
 		flags |= flagSelfish
@@ -294,13 +305,12 @@ func (c *Cluster[V, A]) masterRawEdges(nd *node[V, A], i int) *rawEdges {
 
 // placeRecovered materializes one recovery record at its position in the
 // newbie's tables. Position-addressed placement is contention-free (§5.1.2),
-// so records place chunk-parallel; the caller rebuilds the id index after
-// all placements land.
+// so records place chunk-parallel; the caller stamps every record's role
+// flags and sizes the role slabs before, and rebuilds the id index after all
+// placements land.
 func (c *Cluster[V, A]) placeRecovered(nd *node[V, A], rec *recoveryRecord[V]) {
-	e, m := &nd.hot[rec.pos], &nd.meta[rec.pos]
+	e := &nd.hot[rec.pos]
 	e.id = rec.id
-	e.flags = rec.flags
-	m.mirrorRank = rec.mirrorRank
 	e.masterNode = rec.masterNode
 	e.masterPos = rec.masterPos
 	e.inDeg = rec.inDeg
@@ -316,12 +326,15 @@ func (c *Cluster[V, A]) placeRecovered(nd *node[V, A], rec *recoveryRecord[V]) {
 		e.masterNode = int16(nd.id)
 		e.masterPos = rec.pos
 		if rec.table != nil {
-			m.replicas = *rec.table
+			*nd.replicas(rec.pos) = *rec.table
 		}
-	} else if rec.flags&flagMirror != 0 && rec.table != nil {
-		m.mTable = *rec.table
-		if rec.edges != nil {
-			m.mEdges = *rec.edges
+	} else if m := nd.mirror(rec.pos); m != nil {
+		m.rank = rec.mirrorRank
+		if rec.table != nil {
+			m.mTable = *rec.table
+			if rec.edges != nil {
+				m.mEdges = *rec.edges
+			}
 		}
 	}
 }

@@ -1,10 +1,10 @@
 package core
 
-// syncRoute is a node's precomputed sync-routing table: the per-slot
-// replica tables of the meta table (nodes/pos/ftOnly) flattened CSR-style
-// into four parallel arrays. Entry i's replicas occupy [start[i],
-// start[i+1]). The flat layout keeps the edge-cut sync and vertex-cut R1/R3
-// hot loops off the meta table, and rebuilding it is O(presences), so it is
+// syncRoute is a node's precomputed sync-routing table: the master slots'
+// replica tables (nodes/pos/ftOnly) flattened CSR-style into four parallel
+// arrays. Entry i's replicas occupy [start[i], start[i+1]), empty for a
+// non-master. The flat layout keeps the edge-cut sync and vertex-cut R1/R3
+// hot loops off the role slabs, and rebuilding it is O(presences), so it is
 // recomputed lazily (routeDirty) whenever recovery reshapes the replica
 // tables.
 //
@@ -50,20 +50,22 @@ func sized[T any](s []T, n int) []T {
 // per-node phase prologue, so each node's rebuild runs on the goroutine that
 // owns it.
 func (c *Cluster[V, A]) rebuildRoute(nd *node[V, A]) {
-	n, total := len(nd.meta), 0
-	for i := range nd.meta {
-		total += len(nd.meta[i].replicas.nodes)
+	n, total := len(nd.ref), 0
+	for i := range nd.masters {
+		total += len(nd.masters[i].nodes)
 	}
 	rt := &nd.route
 	rt.start, rt.node = sized(rt.start, n+1), sized(rt.node, total)
 	rt.pos, rt.ftOnly = sized(rt.pos, total), sized(rt.ftOnly, total)
 	k := 0
-	for i := range nd.meta {
+	for i := range nd.ref {
 		rt.start[i] = int32(k)
-		t := &nd.meta[i].replicas
-		copy(rt.pos[k:], t.pos)
-		copy(rt.ftOnly[k:], t.ftOnly)
-		k += copy(rt.node[k:], t.nodes)
+		if h := nd.ref[i].master; h != noSlab {
+			t := &nd.masters[h]
+			copy(rt.pos[k:], t.pos)
+			copy(rt.ftOnly[k:], t.ftOnly)
+			k += copy(rt.node[k:], t.nodes)
+		}
 	}
 	rt.start[n] = int32(k)
 	if c.vcut != nil {

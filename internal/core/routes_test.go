@@ -7,14 +7,17 @@ import (
 	"imitator/internal/datasets"
 )
 
-// naiveRoute derives a node's sync-routing table directly from the entry
-// replica tables — the per-entry walk the superstep loops performed before
-// the flat CSR form existed.
+// naiveRoute derives a node's sync-routing table directly from the master
+// slots' replica tables — the per-entry walk the superstep loops performed
+// before the flat CSR form existed.
 func naiveRoute[V, A any](nd *node[V, A]) syncRoute {
 	var rt syncRoute
-	for i := range nd.meta {
+	for i := range nd.hot {
 		rt.start = append(rt.start, int32(len(rt.node)))
-		t := &nd.meta[i].replicas
+		if !nd.hot[i].isMaster() {
+			continue
+		}
+		t := nd.replicas(int32(i))
 		for ri, rn := range t.nodes {
 			rt.node = append(rt.node, rn)
 			rt.pos = append(rt.pos, t.pos[ri])

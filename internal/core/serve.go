@@ -285,7 +285,7 @@ func (c *Cluster[V, A]) serveRefreshRoute() {
 	for _, nd := range c.aliveNodes() {
 		for i := range nd.hot {
 			if e := &nd.hot[i]; e.isMaster() {
-				start[int(e.id)+1] = int32(len(nd.meta[i].replicas.nodes))
+				start[int(e.id)+1] = int32(len(nd.replicas(int32(i)).nodes))
 			}
 		}
 	}
@@ -305,9 +305,9 @@ func (c *Cluster[V, A]) serveRefreshRoute() {
 			if !e.isMaster() {
 				continue
 			}
-			base := start[e.id]
-			copy(rv.hosts[base:], nd.meta[i].replicas.nodes)
-			copy(rv.ftOnly[base:], nd.meta[i].replicas.ftOnly)
+			base, rt := start[e.id], nd.replicas(int32(i))
+			copy(rv.hosts[base:], rt.nodes)
+			copy(rv.ftOnly[base:], rt.ftOnly)
 		}
 	}
 	s.route.Store(rv)

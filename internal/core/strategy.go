@@ -324,7 +324,8 @@ func (c *Cluster[V, A]) retainPristine() {
 		meta := c.encodeMetadataSnapshot(nd)
 		c.loadSeconds += c.dfsWriteCost(nd, fmt.Sprintf("ckptmeta/%d", nd.id), meta)
 		c.pristine[nd.id] = &pristineNode[V]{
-			hot: slices.Clone(nd.hot), topo: slices.Clone(nd.topo), meta: slices.Clone(nd.meta),
+			hot: slices.Clone(nd.hot), topo: slices.Clone(nd.topo), ref: slices.Clone(nd.ref),
+			masters: slices.Clone(nd.masters), mirrors: slices.Clone(nd.mirrors),
 			localEdges: nd.localEdges,
 		}
 	}
