@@ -1,6 +1,8 @@
 // Command imitatorvet runs the repository's custom static analyzers —
-// determinism, bufown, wirebounds, hotalloc, hostrace and narrowing (see
-// DESIGN.md "Static invariants") — over Go packages. It supports two modes:
+// determinism, bufown, wirebounds, hotalloc, hostrace and narrowing, where
+// wirebounds and narrowing are two rules of one taint engine in
+// internal/analysis/bounds (see DESIGN.md "Static invariants") — over Go
+// packages. It supports two modes:
 //
 // Standalone (what CI runs; loads and type-checks packages itself):
 //
@@ -31,22 +33,21 @@ import (
 	"strings"
 
 	"imitator/internal/analysis"
+	"imitator/internal/analysis/bounds"
 	"imitator/internal/analysis/bufown"
 	"imitator/internal/analysis/determinism"
 	"imitator/internal/analysis/hostrace"
 	"imitator/internal/analysis/hotalloc"
-	"imitator/internal/analysis/narrowing"
-	"imitator/internal/analysis/wirebounds"
 )
 
 func analyzers() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		determinism.New(determinism.DefaultSimPackages),
 		bufown.New(),
-		wirebounds.New(),
+		bounds.Wirebounds(),
 		hotalloc.New(),
 		hostrace.New(),
-		narrowing.New(nil),
+		bounds.Narrowing(),
 	}
 }
 

@@ -6,10 +6,12 @@
 // Diagnostic) closely enough that the suite can be ported to the real
 // framework by swapping import paths if x/tools ever becomes available.
 //
-// The suite's six analyzers — determinism, bufown, wirebounds, hotalloc,
-// hostrace and narrowing — live in subpackages and are wired together by
-// cmd/imitatorvet. See DESIGN.md
-// ("Static invariants") for the contracts they enforce.
+// The suite's six analyzers live in subpackages and are wired together by
+// cmd/imitatorvet: determinism, bufown, hotalloc and hostrace each in its
+// own, and wirebounds and narrowing as two rules of one bound-check taint
+// engine in bounds. Helpers they share (InPackages, ObjectOf, CalleeFunc,
+// Diverges) live here. See DESIGN.md ("Static invariants") for the
+// contracts they enforce.
 package analysis
 
 import (

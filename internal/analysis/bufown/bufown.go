@@ -350,7 +350,7 @@ func (w *walker) bindIdent(id *ast.Ident, own ownership, e env) {
 		}
 		return
 	}
-	obj := w.objectOf(id)
+	obj := analysis.ObjectOf(w.pass.TypesInfo, id)
 	if obj == nil {
 		return
 	}
@@ -400,7 +400,7 @@ func (w *walker) deferCall(call *ast.CallExpr, e env) {
 func (w *walker) enterFuncLit(lit *ast.FuncLit, e env) {
 	ast.Inspect(lit.Body, func(n ast.Node) bool {
 		if id, ok := n.(*ast.Ident); ok {
-			if obj := w.objectOf(id); obj != nil {
+			if obj := analysis.ObjectOf(w.pass.TypesInfo, id); obj != nil {
 				if cell, ok := e[obj]; ok {
 					cell.status = released
 					cell.deferred = true
@@ -423,7 +423,7 @@ func (w *walker) evalExpr(expr ast.Expr, e env, resultUsed bool) ownership {
 	switch x := expr.(type) {
 	case *ast.Ident:
 		if cell := w.cellForIdent(x, e); cell != nil {
-			return ownership{cell: cell, obj: w.objectOf(x), pos: x.Pos()}
+			return ownership{cell: cell, obj: analysis.ObjectOf(w.pass.TypesInfo, x), pos: x.Pos()}
 		}
 	case *ast.SliceExpr:
 		return w.evalExpr(x.X, e, resultUsed)
@@ -531,7 +531,7 @@ func (w *walker) checkUses(expr ast.Expr, e env) {
 		if !ok {
 			return true
 		}
-		obj := w.objectOf(id)
+		obj := analysis.ObjectOf(w.pass.TypesInfo, id)
 		if obj == nil {
 			return true
 		}
@@ -574,18 +574,8 @@ func (w *walker) reportLeakAt(cell *buf, pos token.Pos, msg string) {
 
 // --- type plumbing ---
 
-func (w *walker) objectOf(id *ast.Ident) *types.Var {
-	if obj, ok := w.pass.TypesInfo.Uses[id].(*types.Var); ok {
-		return obj
-	}
-	if obj, ok := w.pass.TypesInfo.Defs[id].(*types.Var); ok {
-		return obj
-	}
-	return nil
-}
-
 func (w *walker) cellForIdent(id *ast.Ident, e env) *buf {
-	if obj := w.objectOf(id); obj != nil {
+	if obj := analysis.ObjectOf(w.pass.TypesInfo, id); obj != nil {
 		if cell, ok := e[obj]; ok {
 			return cell
 		}
@@ -655,7 +645,7 @@ var transferSinks = [...][2]string{
 }
 
 func (w *walker) isTransferCall(call *ast.CallExpr) bool {
-	fn := calleeFunc(w.pass.TypesInfo, call)
+	fn := analysis.CalleeFunc(w.pass.TypesInfo, call)
 	if fn == nil || fn.Pkg() == nil {
 		return false
 	}
@@ -665,20 +655,6 @@ func (w *walker) isTransferCall(call *ast.CallExpr) bool {
 		}
 	}
 	return false
-}
-
-func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
-	var id *ast.Ident
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		id = fun
-	case *ast.SelectorExpr:
-		id = fun.Sel
-	default:
-		return nil
-	}
-	fn, _ := info.Uses[id].(*types.Func)
-	return fn
 }
 
 // resultIsByteSlice reports whether the call has exactly one result of type

@@ -22,7 +22,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 
 	"imitator/internal/analysis"
 )
@@ -56,7 +55,7 @@ var DefaultSimPackages = []string{
 }
 
 // New returns the determinism analyzer scoped to the given package paths
-// (exact or suffix match).
+// (matched by analysis.InPackages).
 func New(simPackages []string) *analysis.Analyzer {
 	a := &analysis.Analyzer{
 		Name:      "determinism",
@@ -65,7 +64,7 @@ func New(simPackages []string) *analysis.Analyzer {
 			"iteration in simulation packages",
 	}
 	a.Run = func(pass *analysis.Pass) error {
-		if !matches(pass.Pkg.Path(), simPackages) {
+		if !analysis.InPackages(pass.Pkg.Path(), simPackages) {
 			return nil
 		}
 		for _, f := range pass.Files {
@@ -82,15 +81,6 @@ func New(simPackages []string) *analysis.Analyzer {
 		return nil
 	}
 	return a
-}
-
-func matches(path string, patterns []string) bool {
-	for _, p := range patterns {
-		if path == p || strings.HasSuffix(path, p) {
-			return true
-		}
-	}
-	return false
 }
 
 // wallClockFuncs are the time package reads that observe the host clock.
@@ -110,7 +100,7 @@ var seededConstructors = map[string]bool{
 // explicitly seeded *rand.Rand are fine; the package-level convenience
 // functions share hidden global state and are not.
 func checkCall(pass *analysis.Pass, call *ast.CallExpr) {
-	fn := calleeFunc(pass.TypesInfo, call)
+	fn := analysis.CalleeFunc(pass.TypesInfo, call)
 	if fn == nil || fn.Pkg() == nil {
 		return
 	}
@@ -130,21 +120,6 @@ func checkCall(pass *analysis.Pass, call *ast.CallExpr) {
 				"rand.%s uses the global generator; use internal/rng or an explicitly seeded *rand.Rand so runs replay bit-for-bit", fn.Name())
 		}
 	}
-}
-
-// calleeFunc resolves a call's static callee, or nil for dynamic calls.
-func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
-	var id *ast.Ident
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		id = fun
-	case *ast.SelectorExpr:
-		id = fun.Sel
-	default:
-		return nil
-	}
-	fn, _ := info.Uses[id].(*types.Func)
-	return fn
 }
 
 // checkRange flags `range m` over a map unless the body provably aggregates

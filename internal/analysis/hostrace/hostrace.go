@@ -128,7 +128,7 @@ func localFuncLits(pass *analysis.Pass, body *ast.BlockStmt) map[*types.Var]*ast
 				continue
 			}
 			if id, ok := ast.Unparen(lhs).(*ast.Ident); ok {
-				if v := objectOf(pass.TypesInfo, id); v != nil {
+				if v := analysis.ObjectOf(pass.TypesInfo, id); v != nil {
 					out[v] = lit
 				}
 			}
@@ -328,7 +328,7 @@ func (w *walker) setClass(id *ast.Ident, cls class) {
 	if id == nil || id.Name == "_" {
 		return
 	}
-	v := objectOf(w.pass.TypesInfo, id)
+	v := analysis.ObjectOf(w.pass.TypesInfo, id)
 	if v == nil || w.capturedVar(v) {
 		return // assignments to captured vars are handled by checkWrite
 	}
@@ -393,7 +393,7 @@ func (w *walker) walkExpr(e ast.Expr) {
 				}
 				_ = fun
 			case *ast.Ident:
-				if v := objectOf(w.pass.TypesInfo, fun); v != nil {
+				if v := analysis.ObjectOf(w.pass.TypesInfo, fun); v != nil {
 					if lit, ok := w.locals[v]; ok {
 						// A helper closure from the enclosing function:
 						// its body runs here. Parameters inherit
@@ -460,7 +460,7 @@ loop:
 	if !ok || id.Name == "_" {
 		return
 	}
-	v := objectOf(w.pass.TypesInfo, id)
+	v := analysis.ObjectOf(w.pass.TypesInfo, id)
 	if v == nil {
 		return
 	}
@@ -497,7 +497,7 @@ func (w *walker) referencesOwned(e ast.Expr) bool {
 	found := false
 	ast.Inspect(e, func(n ast.Node) bool {
 		if id, ok := n.(*ast.Ident); ok {
-			if v := objectOf(w.pass.TypesInfo, id); v != nil && w.owned[v] {
+			if v := analysis.ObjectOf(w.pass.TypesInfo, id); v != nil && w.owned[v] {
 				found = true
 			}
 		}
@@ -511,7 +511,7 @@ func (w *walker) capturedRoot(e ast.Expr) bool {
 	for {
 		switch x := ast.Unparen(e).(type) {
 		case *ast.Ident:
-			v := objectOf(w.pass.TypesInfo, x)
+			v := analysis.ObjectOf(w.pass.TypesInfo, x)
 			return v != nil && w.capturedVar(v)
 		case *ast.SelectorExpr:
 			e = x.X
@@ -574,14 +574,4 @@ func isLockCall(call *ast.CallExpr, names ...string) bool {
 		}
 	}
 	return false
-}
-
-func objectOf(info *types.Info, id *ast.Ident) *types.Var {
-	if obj, ok := info.Uses[id].(*types.Var); ok {
-		return obj
-	}
-	if obj, ok := info.Defs[id].(*types.Var); ok {
-		return obj
-	}
-	return nil
 }
