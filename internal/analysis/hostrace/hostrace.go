@@ -1,8 +1,9 @@
 // Package hostrace flags unsynchronized writes to shared state from
 // closures that run in parallel: the bodies passed to hostpar.For /
 // hostpar.Blocks and to the core phase pools (runPhase, runBarrierPhase,
-// runChunks, chunked, chunkEncode). go test -race only catches these when
-// the schedule cooperates; the lint catches them statically.
+// runChunks, chunked, chunkEncode, and exchange, whose record callback runs
+// once per receiving node). go test -race only catches these when the
+// schedule cooperates; the lint catches them statically.
 //
 // The contract a parallel body must follow is the one hostpar documents:
 // write only state owned by the invocation. Ownership is derived from the
@@ -47,6 +48,7 @@ var executorMethods = map[string]bool{
 	"runChunks":       true,
 	"chunked":         true,
 	"chunkEncode":     true,
+	"exchange":        true,
 }
 
 // New returns the hostrace analyzer.

@@ -97,6 +97,23 @@ func (c *cluster) phasePool() {
 	})
 }
 
+type node struct{ id int }
+
+// exchange mimics the core recovery round: its record callback runs once per
+// receiving node, in parallel.
+func (c *cluster) exchange(notice bool, apply func(nd *node, from int, r []byte)) error {
+	apply(&node{}, 0, nil)
+	return nil
+}
+
+func (c *cluster) recoveryRound(n int) error {
+	perNode := make([]int, n)
+	return c.exchange(false, func(nd *node, from int, r []byte) {
+		perNode[nd.id] = from // disjoint slot: fine
+		c.total = from        // want `writes a captured variable \(total\)`
+	})
+}
+
 // helper closures defined in the enclosing function are followed.
 func (c *cluster) localHelper(n int) {
 	bump := func(v int) {

@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"errors"
+	"math"
 	"slices"
 	"testing"
 
@@ -10,10 +11,46 @@ import (
 	"imitator/internal/datasets"
 )
 
+// restartGolden is one crash-during-recovery job's outcome: the final
+// RecoveryReport's traffic and phase seconds (float bits), the simulated
+// clock's bits, total wire bytes and a hash of the value bits.
+type restartGolden struct {
+	values, sim                 uint64
+	reload, reconstruct, replay uint64
+	msgs, bytes, wire           int64
+}
+
+// restartGoldens were recorded on the commit before the recovery rounds moved
+// into one exchange helper. They pin the paths the single-crash goldens never
+// run: migration's restart reconciliation, a restarted fullResync (checkpoint)
+// and a restarted log replay.
+var restartGoldens = map[string]restartGolden{
+	"edge-cut/rebirth/rebirth:join":           {0x2e3dd72f54759d42, 0x4009ba1ed9c7fe60, 0x3fa8785e27445940, 0x3f6bb45bbcbf3800, 0x0, 745, 110754, 352281},
+	"edge-cut/rebirth/rebirth:reload":         {0x2e3dd72f54759d42, 0x4009c32987a0ea1e, 0x3fa8785e27445940, 0x3f60989ec7d6c400, 0x0, 745, 110754, 356759},
+	"edge-cut/rebirth/rebirth:reconstruct":    {0x2e3dd72f54759d42, 0x4009c32987a0ea1f, 0x3fa8785e27445940, 0x3f60989ec7d6c400, 0x0, 745, 110754, 356759},
+	"edge-cut/migration/migration:promote":    {0x2e3dd72f54759d42, 0x4009b52c45d92821, 0x3f602f9f71918400, 0x3fb49f757bad1f80, 0x0, 2076, 174119, 349196},
+	"edge-cut/migration/migration:moved":      {0x2e3dd72f54759d42, 0x4009b565f1cc6091, 0x3f60c42bccc5d000, 0x3fb35940e3f5de20, 0x0, 1797, 162343, 341806},
+	"edge-cut/migration/migration:edges":      {0x2e3dd72f54759d42, 0x4009b565f1cc6091, 0x3f60c42bccc5d000, 0x3fb35940e3f5de20, 0x0, 1797, 162343, 341806},
+	"edge-cut/migration/migration:replicas":   {0x2e3dd72f54759d42, 0x400a18a475dd4380, 0x3f7298191f442000, 0x3fb33b8dbc5d5aa0, 0x0, 1801, 162995, 472014},
+	"edge-cut/migration/migration:repair":     {0x2e3dd72f54759d42, 0x400a278e4ca61294, 0x3f63a22c9e7ce800, 0x3fb48c4bd33d2940, 0x0, 1901, 174899, 491524},
+	"edge-cut/checkpoint/checkpoint:reload":   {0x2e3dd72f54759d42, 0x400cb43e75afb415, 0x3fc0ffa01102efe0, 0x3f821b5a402f0c00, 0x3f88518d914d9a00, 1194, 21492, 192236},
+	"edge-cut/logged/logged:replay":           {0x2e3dd72f54759d42, 0x400bca170b0c3140, 0x3fb0190777fa5a60, 0x0, 0x3fb45eae146408e0, 0, 0, 136916},
+	"vertex-cut/rebirth/rebirth:join":         {0x63b2e88882c22ab, 0x400baa3c94877e5a, 0x3fc14c47e7f00660, 0x3f6e353f7ced9000, 0x0, 812, 51017, 437005},
+	"vertex-cut/rebirth/rebirth:reload":       {0x63b2e88882c22ab, 0x400bb17335bca612, 0x3fc14c47e7f00660, 0x3f61f3e89a88ac00, 0x0, 812, 51017, 440381},
+	"vertex-cut/rebirth/rebirth:reconstruct":  {0x63b2e88882c22ab, 0x400bb17335bca611, 0x3fc14c47e7f00660, 0x3f61f3e89a88ac00, 0x0, 812, 51017, 440381},
+	"vertex-cut/migration/migration:promote":  {0xe4d74453e8e17df8, 0x400a99b46513eaab, 0x3f601e2584f4c800, 0x3fc046fa7bc4d7e0, 0x0, 2267, 92131, 403747},
+	"vertex-cut/migration/migration:moved":    {0xe4d74453e8e17df8, 0x400aceeefe424780, 0x3f60a137f38c5400, 0x3fbfa1513c75b9a0, 0x0, 1961, 83615, 400249},
+	"vertex-cut/migration/migration:edges":    {0xe4d74453e8e17df8, 0x400acf5ed75fcc3c, 0x3f60987afd3df400, 0x3fbfb84143037260, 0x0, 1987, 84445, 400713},
+	"vertex-cut/migration/migration:replicas": {0xe4d74453e8e17df8, 0x400b6e576f941bcd, 0x3f73142dfc036200, 0x3fbe72558c8382e0, 0x0, 1952, 81854, 467676},
+	"vertex-cut/migration/migration:repair":   {0xc8043589ea2734a, 0x400b789b7d6893c1, 0x3f653420e091ec00, 0x3fbf3e369aee59c0, 0x0, 2030, 86335, 476333},
+	"vertex-cut/checkpoint/checkpoint:reload": {0x63b2e88882c22ab, 0x400d37be2434ef96, 0x3fc035e4953bdcd0, 0x3f8359e8f1375700, 0x3f9450e56c2fbc00, 1288, 23184, 400125},
+	"vertex-cut/logged/logged:replay":         {0x63b2e88882c22ab, 0x400c499d6aa91f92, 0x3fb13f85da2004c0, 0x0, 0x3fb5257696a3dbe0, 0, 0, 320227},
+}
+
 // TestChaosCrashDuringRecovery kills a second node when the first recovery
 // reaches a given phase label, for every mode x strategy x phase the
 // campaign generator draws from; the restarted recovery must still converge
-// to the fault-free answer (§5.3.2).
+// to the fault-free answer (§5.3.2) and reproduce its golden bit for bit.
 func TestChaosCrashDuringRecovery(t *testing.T) {
 	g := datasets.Tiny(700, 4200, 91)
 	for _, tc := range []struct {
@@ -30,6 +67,8 @@ func TestChaosCrashDuringRecovery(t *testing.T) {
 		{core.EdgeCutMode, core.RecoverMigration, "migration:edges", 0},
 		{core.EdgeCutMode, core.RecoverMigration, "migration:replicas", 0},
 		{core.EdgeCutMode, core.RecoverMigration, "migration:repair", 0},
+		{core.EdgeCutMode, core.RecoverCheckpoint, "checkpoint:reload", 0},
+		{core.EdgeCutMode, core.RecoverLogged, "logged:replay", 0},
 		{core.VertexCutMode, core.RecoverRebirth, "rebirth:join", 0},
 		{core.VertexCutMode, core.RecoverRebirth, "rebirth:reload", 0},
 		{core.VertexCutMode, core.RecoverRebirth, "rebirth:reconstruct", 0},
@@ -38,9 +77,14 @@ func TestChaosCrashDuringRecovery(t *testing.T) {
 		{core.VertexCutMode, core.RecoverMigration, "migration:edges", 1e-9},
 		{core.VertexCutMode, core.RecoverMigration, "migration:replicas", 1e-9},
 		{core.VertexCutMode, core.RecoverMigration, "migration:repair", 1e-9},
+		{core.VertexCutMode, core.RecoverCheckpoint, "checkpoint:reload", 0},
+		{core.VertexCutMode, core.RecoverLogged, "logged:replay", 0},
 	} {
 		label := tc.mode.String() + "/" + tc.rec.String() + "/" + tc.during
 		base := ftConfig(tc.mode, 6, 8, 2, tc.rec)
+		if tc.rec == core.RecoverLogged {
+			base = loggedConfig(tc.mode, 6, 8)
+		}
 		want := runPR(t, base, g)
 
 		cfg := base
@@ -57,8 +101,19 @@ func TestChaosCrashDuringRecovery(t *testing.T) {
 		if len(last.Failed) != 2 {
 			t.Fatalf("%s: final recovery covered %v, want both victims", label, last.Failed)
 		}
-		if last.Bytes <= 0 {
+		if last.Bytes <= 0 && tc.rec != core.RecoverLogged {
 			t.Fatalf("%s: final recovery moved no bytes", label)
+		}
+		gotPin := restartGolden{
+			values: hashBits(got.Values), sim: math.Float64bits(got.SimSeconds),
+			reload: math.Float64bits(last.ReloadSeconds), reconstruct: math.Float64bits(last.ReconstructSeconds),
+			replay: math.Float64bits(last.ReplaySeconds),
+			msgs:   last.Msgs, bytes: last.Bytes, wire: got.Metrics.TotalBytes(),
+		}
+		if wantPin, ok := restartGoldens[label]; !ok || gotPin != wantPin {
+			t.Errorf("%q: {%#x, %#x, %#x, %#x, %#x, %d, %d, %d}, // got; want %+v", label,
+				gotPin.values, gotPin.sim, gotPin.reload, gotPin.reconstruct, gotPin.replay,
+				gotPin.msgs, gotPin.bytes, gotPin.wire, wantPin)
 		}
 	}
 }

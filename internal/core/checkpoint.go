@@ -6,7 +6,6 @@ import (
 	"slices"
 
 	"imitator/internal/costmodel"
-	"imitator/internal/netsim"
 )
 
 // ckptPath names the data snapshot of one node at one epoch.
@@ -248,7 +247,9 @@ func (c *Cluster[V, A]) recoverCheckpoint(p *recoveryPass[V, A]) error {
 			float64(nd.localEdges)*c.cfg.Cost.ComputePerEdge)
 	}
 	c.clock.Advance(reconSpan.Max())
-	c.fullResync()
+	if err := c.fullResync(); err != nil {
+		return err
+	}
 	if err := p.barrier(&p.rec.ReconstructSeconds); err != nil {
 		return err
 	}
@@ -291,7 +292,7 @@ func (c *Cluster[V, A]) rebuildPristineNode(id int) *node[V, A] {
 
 // fullResync pushes every master's committed state to all of its replicas,
 // including activity flags; used after snapshot restores.
-func (c *Cluster[V, A]) fullResync() {
+func (c *Cluster[V, A]) fullResync() error {
 	c.runPhase(func(nd *node[V, A]) {
 		c.chunked(nd, len(nd.hot), func(st *stager, lo, hi int) {
 			for i := lo; i < hi; i++ {
@@ -302,49 +303,34 @@ func (c *Cluster[V, A]) fullResync() {
 				rt := nd.replicas(int32(i))
 				for ri, rn := range rt.nodes {
 					pos := rt.pos[ri]
-					before := len(st.send[rn])
-					st.stage(int(rn), func(buf []byte) []byte {
+					c.stageRecovery(&st.send[rn], &st.met, func(buf []byte) []byte {
 						buf = putI32(buf, pos)
 						buf = c.vc.Append(buf, e.value)
 						buf = putBool(buf, e.active)
 						buf = putBool(buf, e.lastActivate)
 						return putI32(buf, e.lastActivateIter)
 					})
-					st.met.RecoveryMsgs++
-					st.met.RecoveryBytes += int64(len(st.send[rn]) - before)
 				}
 			}
 		})
 	})
-	c.flushSendRound(netsim.KindRecovery)
-	// Decode parallelizes over messages: each replica position is pushed by
-	// exactly one master, so writes are position-disjoint.
-	c.runPhase(func(nd *node[V, A]) {
-		msgs := c.net.Receive(nd.id)
-		c.chunked(nd, len(msgs), func(_ *stager, lo, hi int) {
-			for _, m := range msgs[lo:hi] {
-				r := &reader{buf: m.Payload}
-				for r.remaining() > 0 && r.err == nil {
-					pos := r.i32()
-					val := readValue(r, c.vc)
-					active := r.bool()
-					lastAct := r.bool()
-					stamp := r.i32()
-					if r.err != nil {
-						break
-					}
-					e := &nd.hot[pos]
-					e.value = val
-					if !e.isMaster() {
-						e.active = active
-					}
-					e.lastActivate = lastAct
-					e.lastActivateIter = stamp
-					e.clearPending()
-				}
-			}
-		})
-		c.recycleMsgs(msgs)
+	return c.exchange(false, func(nd *node[V, A], _ int, r *reader) {
+		pos := r.i32()
+		val := readValue(r, c.vc)
+		active := r.bool()
+		lastAct := r.bool()
+		stamp := r.i32()
+		if r.err != nil {
+			return
+		}
+		e := &nd.hot[pos]
+		e.value = val
+		if !e.isMaster() {
+			e.active = active
+		}
+		e.lastActivate = lastAct
+		e.lastActivateIter = stamp
+		e.clearPending()
 	})
 }
 

@@ -623,23 +623,53 @@ func (c *Cluster[V, A]) recycleMsgs(msgs []netsim.Message) {
 	}
 }
 
-// stage appends encoded bytes to n's buffer for destination dst, seeding
-// empty slots from the pool.
-func (n *node[V, A]) stage(dst int, encode func(buf []byte) []byte) {
-	buf := n.sendBuf[dst]
-	if buf == nil && n.pool != nil {
-		buf = n.pool.Get()
+// stageRecovery appends one recovery record to the staging buffer *slot
+// (a node's or a stager's send or notice buffer, seeded from the pool when
+// empty) and counts it in met as recovery traffic.
+func (c *Cluster[V, A]) stageRecovery(slot *[]byte, met *metrics.Node, encode func(buf []byte) []byte) {
+	buf := *slot
+	if buf == nil {
+		buf = c.pool.Get()
 	}
-	n.sendBuf[dst] = encode(buf)
+	before := len(buf)
+	*slot = encode(buf)
+	met.RecoveryMsgs++
+	met.RecoveryBytes += int64(len(*slot) - before)
 }
 
-// stageNotice appends to the out-of-round activation notice buffer.
-func (n *node[V, A]) stageNotice(dst int, encode func(buf []byte) []byte) {
-	buf := n.noticeBuf[dst]
-	if buf == nil && n.pool != nil {
-		buf = n.pool.Get()
+// exchange completes one recovery round. It flushes the staged round (the
+// notice buffers when notice is set), has every alive node receive its
+// messages and decode them record by record with apply, and recycles the
+// payloads. apply reads one whole record from r and changes nothing once
+// r.err is set. A truncated or malformed payload ends its receiver's decode
+// and fails the round: exchange returns the lowest receiving node's error.
+func (c *Cluster[V, A]) exchange(notice bool, apply func(nd *node[V, A], from int, r *reader)) error {
+	if notice {
+		c.flushNoticeRound()
+	} else {
+		c.flushSendRound(netsim.KindRecovery)
 	}
-	n.noticeBuf[dst] = encode(buf)
+	errs := make([]error, c.cfg.NumNodes)
+	c.runPhase(func(nd *node[V, A]) {
+		msgs := c.net.Receive(nd.id)
+		for _, m := range msgs {
+			r := &reader{buf: m.Payload}
+			for r.remaining() > 0 && r.err == nil {
+				apply(nd, m.From, r)
+			}
+			if r.err != nil {
+				errs[nd.id] = fmt.Errorf("core: recovery decode on node %d: %w", nd.id, r.err)
+				break
+			}
+		}
+		c.recycleMsgs(msgs)
+	})
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // commit installs all staged state on every alive node: pending values,

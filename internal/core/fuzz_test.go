@@ -2,28 +2,65 @@ package core
 
 import (
 	"encoding/binary"
+	"errors"
+	"math"
+	"slices"
 	"testing"
 
 	"imitator/internal/datasets"
 	"imitator/internal/graph"
+	"imitator/internal/netsim"
 )
 
-// FuzzSyncPayloadDecode hardens the sync-record decoder against arbitrary
-// bytes: it must never panic or read out of bounds (positions are attacker-
-// controlled in the fuzz sense, so we bound-check before indexing like the
-// receive path does via trusted senders; the fuzz target exercises the
-// decode loop itself on a scratch node).
-func FuzzSyncPayloadDecode(f *testing.F) {
+// FuzzRecoveryRecordDecode hardens the recovery-record decoder against
+// arbitrary bytes: decoding a payload record by record must never panic or
+// allocate beyond the payload's sanity bounds, and every record that decodes
+// cleanly must survive an encode/decode round trip. Records are compared, not
+// bytes: bool() reads any non-zero byte as true, so the re-encoding of a
+// valid record need not equal its input.
+func FuzzRecoveryRecordDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0})
 	f.Add([]byte{1, 2, 3})
+	f.Add(encodeRecoveryRecord(nil, Float64Codec{}, roleMaster, 3, 7, flagMaster|flagSelfish, -1, 2, 3, 4, 5, 0.25, true, 6,
+		&replicaTable{nodes: []int16{1}, pos: []int32{9}, ftOnly: []bool{true}, mirrorOf: []int16{0}},
+		&rawEdges{src: []graph.VertexID{4}, wt: []float64{1.5}, srcMaster: []int16{1}}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := &reader{buf: data}
 		for r.remaining() > 0 && r.err == nil {
 			rec := decodeRecoveryRecord(r, Float64Codec{})
-			_ = rec
+			if r.err != nil {
+				return
+			}
+			back := &reader{buf: encodeRecoveryRecord(nil, Float64Codec{}, rec.role, rec.pos, rec.id, rec.flags,
+				rec.mirrorRank, rec.masterNode, rec.masterPos, rec.inDeg, rec.outDeg,
+				rec.value, rec.lastActivate, rec.lastActivateIter, rec.table, rec.edges)}
+			if got := decodeRecoveryRecord(back, Float64Codec{}); back.err != nil || back.remaining() != 0 || !sameRecord(got, rec) {
+				t.Fatalf("round trip: %+v (err %v, %d bytes left), want %+v", got, back.err, back.remaining(), rec)
+			}
 		}
 	})
+}
+
+// sameRecord compares two decoded recovery records field by field, floats by
+// their bits.
+func sameRecord(a, b recoveryRecord[float64]) bool {
+	if a.role != b.role || a.pos != b.pos || a.id != b.id || a.flags != b.flags ||
+		a.mirrorRank != b.mirrorRank || a.masterNode != b.masterNode || a.masterPos != b.masterPos ||
+		a.inDeg != b.inDeg || a.outDeg != b.outDeg || math.Float64bits(a.value) != math.Float64bits(b.value) ||
+		a.lastActivate != b.lastActivate || a.lastActivateIter != b.lastActivateIter ||
+		(a.table == nil) != (b.table == nil) || (a.edges == nil) != (b.edges == nil) {
+		return false
+	}
+	if a.table != nil && (!slices.Equal(a.table.nodes, b.table.nodes) || !slices.Equal(a.table.pos, b.table.pos) ||
+		!slices.Equal(a.table.ftOnly, b.table.ftOnly) || !slices.Equal(a.table.mirrorOf, b.table.mirrorOf)) {
+		return false
+	}
+	if a.edges != nil && (!slices.Equal(a.edges.src, b.edges.src) || !slices.Equal(a.edges.srcMaster, b.edges.srcMaster) ||
+		!slices.EqualFunc(a.edges.wt, b.edges.wt, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })) {
+		return false
+	}
+	return true
 }
 
 // FuzzRawEdgesDecode hardens the raw in-edge-list decoder against arbitrary
@@ -164,6 +201,46 @@ func TestSuperstepDecodersStopAtTruncatedRecord(t *testing.T) {
 							mode, tc.name, cut, len(tc.payload), pos, !want, want)
 					}
 				}
+			}
+		}
+	}
+}
+
+// TestExchangeFailsOnTruncatedRecord sends every truncation of a two-record
+// move-notice payload through exchange. A payload cut inside a record must
+// fail the round with the truncation error; every record that arrived whole
+// must still be applied, and nothing of the cut one.
+func TestExchangeFailsOnTruncatedRecord(t *testing.T) {
+	cl, err := NewCluster[float64, float64](DefaultConfig(EdgeCutMode, 3), datasets.Tiny(60, 300, 5), fakePR{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.stopWorkers()
+	nd := cl.nodes[0]
+	var payload []byte
+	for pos := int32(0); pos < 2; pos++ {
+		payload = putI32(payload, pos)
+		payload = putI16(payload, 7)
+		payload = putI32(payload, 100+pos)
+	}
+	recLen := len(payload) / 2
+	orig := [2]hot[float64]{nd.hot[0], nd.hot[1]}
+	for cut := 0; cut <= len(payload); cut++ {
+		nd.hot[0], nd.hot[1] = orig[0], orig[1]
+		cl.net.Send(1, 0, netsim.KindRecovery, append([]byte(nil), payload[:cut]...))
+		err := cl.exchange(false, func(nd *node[float64, float64], _ int, r *reader) {
+			pos, mn, mp := r.i32(), r.i16(), r.i32()
+			if r.err == nil {
+				nd.hot[pos].masterNode, nd.hot[pos].masterPos = mn, mp
+			}
+		})
+		if whole := cut%recLen == 0; whole != (err == nil) || !whole && !errors.Is(err, errTruncated) {
+			t.Errorf("cut at %d/%d: err = %v", cut, len(payload), err)
+		}
+		for pos := 0; pos < 2; pos++ {
+			want := cut >= (pos+1)*recLen
+			if got := nd.hot[pos].masterNode == 7 && nd.hot[pos].masterPos == 100+int32(pos); got != want {
+				t.Errorf("cut at %d/%d: record %d applied = %v, want %v", cut, len(payload), pos, got, want)
 			}
 		}
 	}

@@ -6,7 +6,6 @@ import (
 
 	"imitator/internal/costmodel"
 	"imitator/internal/graph"
-	"imitator/internal/netsim"
 )
 
 // recoverMigration scatters the crashed nodes' workload over the survivors
@@ -153,37 +152,23 @@ func (c *Cluster[V, A]) recoverMigration(p *recoveryPass[V, A]) error {
 			rt := nd.replicas(pos)
 			for ri, host := range rt.nodes {
 				rpos := rt.pos[ri]
-				mpos := pos
-				before := len(nd.sendBuf[host])
-				nd.stage(int(host), func(buf []byte) []byte {
+				c.stageRecovery(&nd.sendBuf[host], nd.met, func(buf []byte) []byte {
 					buf = putI32(buf, rpos)
 					buf = putI16(buf, int16(nd.id))
-					return putI32(buf, mpos)
+					return putI32(buf, pos)
 				})
-				nd.met.RecoveryMsgs++
-				nd.met.RecoveryBytes += int64(len(nd.sendBuf[host]) - before)
 			}
 		}
 	})
-	c.flushSendRound(netsim.KindRecovery)
-	c.runPhase(func(nd *node[V, A]) {
-		msgs := c.net.Receive(nd.id)
-		for _, m := range msgs {
-			r := &reader{buf: m.Payload}
-			for r.remaining() > 0 && r.err == nil {
-				pos := r.i32()
-				mn := r.i16()
-				mp := r.i32()
-				if r.err != nil {
-					break
-				}
-				e := &nd.hot[pos]
-				e.masterNode = mn
-				e.masterPos = mp
-			}
+	if err := c.exchange(false, func(nd *node[V, A], _ int, r *reader) {
+		pos, mn, mp := r.i32(), r.i16(), r.i32()
+		if r.err == nil {
+			e := &nd.hot[pos]
+			e.masterNode, e.masterPos = mn, mp
 		}
-		c.recycleMsgs(msgs)
-	})
+	}); err != nil {
+		return err
+	}
 	// Reconciliation (restart attempts only). A replica whose master died
 	// mid-incident can be missing from the re-promoted master's adopted
 	// table: it registered with the old master after the mirror copies were
@@ -209,82 +194,57 @@ func (c *Cluster[V, A]) recoverMigration(p *recoveryPass[V, A]) error {
 				e.flags &^= flagMirror
 				nd.dropMirror(int32(i))
 				e.masterNode = int16(mn)
-				vid := e.id
-				rpos := int32(i)
-				ft := e.isFTOnly()
-				before := len(nd.sendBuf[mn])
-				nd.stage(mn, func(buf []byte) []byte {
+				vid, rpos, ft := e.id, int32(i), e.isFTOnly()
+				c.stageRecovery(&nd.sendBuf[mn], nd.met, func(buf []byte) []byte {
 					buf = putU32(buf, uint32(vid))
 					buf = putI32(buf, rpos)
 					return putBool(buf, ft)
 				})
-				nd.met.RecoveryMsgs++
-				nd.met.RecoveryBytes += int64(len(nd.sendBuf[mn]) - before)
 			}
 		})
-		c.flushSendRound(netsim.KindRecovery)
 		adoptedPerNode := make([][]masterKey, c.cfg.NumNodes)
-		c.runPhase(func(nd *node[V, A]) {
-			msgs := c.net.Receive(nd.id)
-			for _, m := range msgs {
-				r := &reader{buf: m.Payload}
-				for r.remaining() > 0 && r.err == nil {
-					vid := graph.VertexID(r.u32())
-					rpos := r.i32()
-					ft := r.bool()
-					if r.err != nil {
-						break
-					}
-					mp, ok := nd.pos(vid)
-					if !ok {
-						continue
-					}
-					rt := nd.replicas(mp)
-					known := false
-					for idx, host := range rt.nodes {
-						if int(host) == m.From && rt.pos[idx] == rpos {
-							known = true
-							break
-						}
-					}
-					if !known {
-						rt.add(int16(m.From), rpos, ft)
-						adoptedPerNode[nd.id] = append(adoptedPerNode[nd.id], masterKey{int16(nd.id), int32(mp)})
-					}
-					mpos := int32(mp)
-					nd.stageNotice(m.From, func(buf []byte) []byte {
-						buf = putI32(buf, rpos)
-						return putI32(buf, mpos)
-					})
-					nd.met.RecoveryMsgs++
-					nd.met.RecoveryBytes += 8
+		if err := c.exchange(false, func(nd *node[V, A], from int, r *reader) {
+			vid, rpos, ft := graph.VertexID(r.u32()), r.i32(), r.bool()
+			if r.err != nil {
+				return
+			}
+			mp, ok := nd.pos(vid)
+			if !ok {
+				return
+			}
+			rt := nd.replicas(mp)
+			known := false
+			for idx, host := range rt.nodes {
+				if int(host) == from && rt.pos[idx] == rpos {
+					known = true
+					break
 				}
 			}
-			c.recycleMsgs(msgs)
-		})
+			if !known {
+				rt.add(int16(from), rpos, ft)
+				adoptedPerNode[nd.id] = append(adoptedPerNode[nd.id], masterKey{int16(nd.id), mp})
+			}
+			c.stageRecovery(&nd.noticeBuf[from], nd.met, func(buf []byte) []byte {
+				buf = putI32(buf, rpos)
+				return putI32(buf, mp)
+			})
+		}); err != nil {
+			return err
+		}
 		for _, keys := range adoptedPerNode {
 			for _, k := range keys {
 				tableChanged[k] = true
 			}
 		}
-		c.flushNoticeRound()
-		c.runPhase(func(nd *node[V, A]) {
-			msgs := c.net.Receive(nd.id)
-			for _, m := range msgs {
-				r := &reader{buf: m.Payload}
-				for r.remaining() > 0 && r.err == nil {
-					rpos := r.i32()
-					mpos := r.i32()
-					if r.err != nil {
-						break
-					}
-					e := &nd.hot[rpos]
-					e.masterNode = int16(m.From)
-					e.masterPos = mpos
-				}
+		if err := c.exchange(true, func(nd *node[V, A], from int, r *reader) {
+			rpos, mpos := r.i32(), r.i32()
+			if r.err == nil {
+				e := &nd.hot[rpos]
+				e.masterNode, e.masterPos = int16(from), mpos
 			}
-			c.recycleMsgs(msgs)
-		})
+		}); err != nil {
+			return err
+		}
 	}
 	if err := p.barrier(&rec.ReloadSeconds); err != nil {
 		return err
@@ -402,98 +362,28 @@ func (c *Cluster[V, A]) recoverMigration(p *recoveryPass[V, A]) error {
 		sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
 		c.chunked(nd, len(ids), func(st *stager, lo, hi int) {
 			for _, id := range ids[lo:hi] {
-				mn := int(c.masterLoc[id])
-				vid := id
-				before := len(st.send[mn])
-				st.stage(mn, func(buf []byte) []byte {
-					return putU32(buf, uint32(vid))
+				c.stageRecovery(&st.send[c.masterLoc[id]], &st.met, func(buf []byte) []byte {
+					return putU32(buf, uint32(id))
 				})
-				st.met.RecoveryMsgs++
-				st.met.RecoveryBytes += int64(len(st.send[mn]) - before)
 			}
 		})
 	})
-	c.flushSendRound(netsim.KindRecovery)
-	// Replies encode in parallel across request messages (one per requester,
-	// so per-destination reply streams never interleave within a chunk merge).
-	c.runPhase(func(nd *node[V, A]) {
-		msgs := c.net.Receive(nd.id)
-		c.chunked(nd, len(msgs), func(st *stager, lo, hi int) {
-			for _, m := range msgs[lo:hi] {
-				r := &reader{buf: m.Payload}
-				for r.remaining() >= 4 && r.err == nil {
-					id := graph.VertexID(r.u32())
-					pos, ok := nd.pos(id)
-					if !ok {
-						continue
-					}
-					e := &nd.hot[pos]
-					flags := entryFlags(0)
-					if e.isSelfish() {
-						flags |= flagSelfish
-					}
-					before := len(st.send[m.From])
-					st.send[m.From] = encodeRecoveryRecord(st.send[m.From], c.vc, roleReplica,
-						-1, id, flags, -1, int16(nd.id), pos, e.inDeg, e.outDeg,
-						e.value, e.lastActivate, e.lastActivateIter, nil, nil)
-					st.met.RecoveryMsgs++
-					st.met.RecoveryBytes += int64(len(st.send[m.From]) - before)
-				}
-			}
-		})
-		c.recycleMsgs(msgs)
-	})
-	c.flushSendRound(netsim.KindRecovery)
-	createdPerNode := make([]int, c.cfg.NumNodes)
-	c.runPhase(func(nd *node[V, A]) {
-		msgs := c.net.Receive(nd.id)
-		for _, m := range msgs {
-			r := &reader{buf: m.Payload}
-			for r.remaining() > 0 && r.err == nil {
-				recRec := decodeRecoveryRecord(r, c.vc)
-				if r.err != nil {
-					break
-				}
-				newPos := c.addReplica(nd, &recRec)
-				createdPerNode[nd.id]++
-				// Register the new replica's position with its master.
-				mp := recRec.masterPos
-				nd.stageNotice(int(recRec.masterNode), func(buf []byte) []byte {
-					buf = putI32(buf, mp)
-					return putI32(buf, newPos)
-				})
-				nd.met.RecoveryMsgs++
-				nd.met.RecoveryBytes += 8
-			}
+	if err := c.exchange(false, func(nd *node[V, A], from int, r *reader) {
+		id := graph.VertexID(r.u32())
+		if r.err != nil {
+			return
 		}
-		c.recycleMsgs(msgs)
-	})
-	for _, n := range createdPerNode {
-		rec.RecoveredVertices += n
+		if pos, ok := nd.pos(id); ok {
+			c.stageReplicaOf(nd, pos, from, 0)
+		}
+	}); err != nil {
+		return err
 	}
-	c.flushNoticeRound()
-	registeredPerNode := make([][]masterKey, c.cfg.NumNodes)
-	c.runPhase(func(nd *node[V, A]) {
-		msgs := c.net.Receive(nd.id)
-		for _, m := range msgs {
-			r := &reader{buf: m.Payload}
-			for r.remaining() > 0 && r.err == nil {
-				mp := r.i32()
-				newPos := r.i32()
-				if r.err != nil {
-					break
-				}
-				nd.replicas(mp).add(int16(m.From), newPos, false)
-				registeredPerNode[nd.id] = append(registeredPerNode[nd.id], masterKey{int16(nd.id), mp})
-			}
-		}
-		c.recycleMsgs(msgs)
-	})
-	for _, keys := range registeredPerNode {
-		for _, k := range keys {
-			tableChanged[k] = true
-		}
+	created, err := c.createReplicas(false, true, tableChanged)
+	if err != nil {
+		return err
 	}
+	rec.RecoveredVertices += created
 	if err := p.barrier(nil); err != nil {
 		return err
 	}
@@ -576,7 +466,9 @@ func (c *Cluster[V, A]) recoverMigration(p *recoveryPass[V, A]) error {
 	// --- Phase 7: replay activation for the promoted masters only
 	// (§5.2.3) and recompute promoted selfish vertices (§4.4).
 	isPromoted := func(mn int16, mp int32) bool { return promoted[mn][mp] }
-	c.replayActivation(iter, isPromoted)
+	if err := c.replayActivation(iter, isPromoted); err != nil {
+		return err
+	}
 	for _, nd := range c.aliveNodes() {
 		c.recomputeSelfish(nd, isPromoted, iter)
 	}
@@ -649,55 +541,12 @@ func (c *Cluster[V, A]) repairFTInvariants(tableChanged map[masterKey]bool) erro
 		}
 	}
 	for _, cr := range creates {
-		nd := c.nodes[cr.from.node]
-		e := &nd.hot[cr.from.pos]
-		flags := flagFTOnly
-		if e.isSelfish() {
-			flags |= flagSelfish
-		}
-		before := len(nd.sendBuf[cr.to])
-		nd.sendBuf[cr.to] = encodeRecoveryRecord(nd.sendBuf[cr.to], c.vc, roleReplica,
-			-1, e.id, flags, -1, int16(nd.id), cr.from.pos, e.inDeg, e.outDeg,
-			e.value, e.lastActivate, e.lastActivateIter, nil, nil)
-		nd.met.RecoveryMsgs++
-		nd.met.RecoveryBytes += int64(len(nd.sendBuf[cr.to]) - before)
+		c.stageReplicaOf(c.nodes[cr.from.node], cr.from.pos, cr.to, flagFTOnly)
 	}
-	c.flushSendRound(netsim.KindRecovery)
-	c.runPhase(func(nd *node[V, A]) {
-		msgs := c.net.Receive(nd.id)
-		for _, m := range msgs {
-			r := &reader{buf: m.Payload}
-			for r.remaining() > 0 && r.err == nil {
-				recRec := decodeRecoveryRecord(r, c.vc)
-				if r.err != nil {
-					break
-				}
-				newPos := c.addReplica(nd, &recRec)
-				mp := recRec.masterPos
-				nd.stageNotice(int(recRec.masterNode), func(buf []byte) []byte {
-					buf = putI32(buf, mp)
-					return putI32(buf, newPos)
-				})
-			}
-		}
-		c.recycleMsgs(msgs)
-	})
-	c.flushNoticeRound()
-	c.runPhase(func(nd *node[V, A]) {
-		msgs := c.net.Receive(nd.id)
-		for _, m := range msgs {
-			r := &reader{buf: m.Payload}
-			for r.remaining() > 0 && r.err == nil {
-				mp := r.i32()
-				newPos := r.i32()
-				if r.err != nil {
-					break
-				}
-				nd.replicas(mp).add(int16(m.From), newPos, true)
-			}
-		}
-		c.recycleMsgs(msgs)
-	})
+	// Uncounted registrations: the migration goldens pin recovery traffic without them.
+	if _, err := c.createReplicas(true, false, nil); err != nil {
+		return err
+	}
 
 	// Pass 2: mirror re-selection for changed masters, then full-state
 	// refresh on every mirror of a changed master.
@@ -750,68 +599,47 @@ func (c *Cluster[V, A]) repairFTInvariants(tableChanged map[masterKey]bool) erro
 		selected := make(map[int16]bool, len(table.mirrorOf))
 		for rank, idx := range table.mirrorOf {
 			selected[idx] = true
-			host := table.nodes[idx]
-			rpos := table.pos[idx]
-			before := len(nd.sendBuf[host])
-			nd.sendBuf[host] = encodeRecoveryRecord(nd.sendBuf[host], c.vc, roleReplica,
-				rpos, e.id, flagMirror, int16(rank),
-				int16(nd.id), k.pos, e.inDeg, e.outDeg,
-				e.value, e.lastActivate, e.lastActivateIter, table, edges)
-			nd.met.RecoveryMsgs++
-			nd.met.RecoveryBytes += int64(len(nd.sendBuf[host]) - before)
+			host, rpos := table.nodes[idx], table.pos[idx]
+			c.stageRecovery(&nd.sendBuf[host], nd.met, func(buf []byte) []byte {
+				return encodeRecoveryRecord(buf, c.vc, roleReplica,
+					rpos, e.id, flagMirror, int16(rank),
+					int16(nd.id), k.pos, e.inDeg, e.outDeg,
+					e.value, e.lastActivate, e.lastActivateIter, table, edges)
+			})
 		}
 		for idx, host := range table.nodes {
 			if selected[int16(idx)] {
 				continue
 			}
 			rpos := table.pos[idx]
-			nd.stageNotice(int(host), func(buf []byte) []byte {
+			c.stageRecovery(&nd.noticeBuf[host], nd.met, func(buf []byte) []byte {
 				return putI32(buf, rpos)
 			})
-			nd.met.RecoveryMsgs++
-			nd.met.RecoveryBytes += 4
 		}
 	}
-	c.flushSendRound(netsim.KindRecovery)
-	c.runPhase(func(nd *node[V, A]) {
-		msgs := c.net.Receive(nd.id)
-		for _, m := range msgs {
-			r := &reader{buf: m.Payload}
-			for r.remaining() > 0 && r.err == nil {
-				recRec := decodeRecoveryRecord(r, c.vc)
-				if r.err != nil {
-					break
-				}
-				m := nd.ensureMirror(recRec.pos)
-				nd.hot[recRec.pos].flags |= flagMirror
-				m.rank = recRec.mirrorRank
-				if recRec.table != nil {
-					m.mTable = *recRec.table
-				}
-				if recRec.edges != nil {
-					m.mEdges = *recRec.edges
-				}
-			}
+	if err := c.exchange(false, func(nd *node[V, A], _ int, r *reader) {
+		rec := decodeRecoveryRecord(r, c.vc)
+		if r.err != nil {
+			return
 		}
-		c.recycleMsgs(msgs)
-	})
-	c.flushNoticeRound()
-	c.runPhase(func(nd *node[V, A]) {
-		msgs := c.net.Receive(nd.id)
-		for _, m := range msgs {
-			r := &reader{buf: m.Payload}
-			for r.remaining() > 0 && r.err == nil {
-				rpos := r.i32()
-				if r.err != nil {
-					break
-				}
-				nd.hot[rpos].flags &^= flagMirror
-				nd.dropMirror(rpos)
-			}
+		m := nd.ensureMirror(rec.pos)
+		nd.hot[rec.pos].flags |= flagMirror
+		m.rank = rec.mirrorRank
+		if rec.table != nil {
+			m.mTable = *rec.table
 		}
-		c.recycleMsgs(msgs)
+		if rec.edges != nil {
+			m.mEdges = *rec.edges
+		}
+	}); err != nil {
+		return err
+	}
+	return c.exchange(true, func(nd *node[V, A], _ int, r *reader) {
+		if rpos := r.i32(); r.err == nil {
+			nd.hot[rpos].flags &^= flagMirror
+			nd.dropMirror(rpos)
+		}
 	})
-	return nil
 }
 
 // masterKey identifies a master entry by (node, position).
@@ -824,6 +652,67 @@ type masterKey struct {
 type ftCreatePlan struct {
 	from masterKey
 	to   int
+}
+
+// createReplicas runs the two rounds that land the replica records staged
+// for them (cooperative replica creation, FT repair): each receiver adds the
+// replica and registers its position with the master, which adds the row to
+// its replica table with ftOnly. count decides whether the registration
+// notices count as recovery traffic; registered, when non-nil, collects the
+// masters whose tables grew. It returns how many replicas were created.
+func (c *Cluster[V, A]) createReplicas(ftOnly, count bool, registered map[masterKey]bool) (int, error) {
+	createdPerNode := make([]int, c.cfg.NumNodes)
+	if err := c.exchange(false, func(nd *node[V, A], _ int, r *reader) {
+		rec := decodeRecoveryRecord(r, c.vc)
+		if r.err != nil {
+			return
+		}
+		newPos := c.addReplica(nd, &rec)
+		createdPerNode[nd.id]++
+		mn, mp := int(rec.masterNode), rec.masterPos
+		register := func(buf []byte) []byte { return putI32(putI32(buf, mp), newPos) }
+		if count {
+			c.stageRecovery(&nd.noticeBuf[mn], nd.met, register)
+		} else {
+			nd.noticeBuf[mn] = register(nd.noticeBuf[mn])
+		}
+	}); err != nil {
+		return 0, err
+	}
+	registeredPerNode := make([][]masterKey, c.cfg.NumNodes)
+	if err := c.exchange(true, func(nd *node[V, A], from int, r *reader) {
+		mp, newPos := r.i32(), r.i32()
+		if r.err != nil {
+			return
+		}
+		nd.replicas(mp).add(int16(from), newPos, ftOnly)
+		registeredPerNode[nd.id] = append(registeredPerNode[nd.id], masterKey{int16(nd.id), mp})
+	}); err != nil {
+		return 0, err
+	}
+	created := 0
+	for n, keys := range registeredPerNode {
+		created += createdPerNode[n]
+		for _, k := range keys {
+			if registered != nil {
+				registered[k] = true
+			}
+		}
+	}
+	return created, nil
+}
+
+// stageReplicaOf stages on nd the record creating a plain replica of its
+// master at pos on node dst.
+func (c *Cluster[V, A]) stageReplicaOf(nd *node[V, A], pos int32, dst int, flags entryFlags) {
+	e := &nd.hot[pos]
+	if e.isSelfish() {
+		flags |= flagSelfish
+	}
+	c.stageRecovery(&nd.sendBuf[dst], nd.met, func(buf []byte) []byte {
+		return encodeRecoveryRecord(buf, c.vc, roleReplica, -1, e.id, flags, -1, int16(nd.id), pos,
+			e.inDeg, e.outDeg, e.value, e.lastActivate, e.lastActivateIter, nil, nil)
+	})
 }
 
 // addReplica creates the local slot a replica recovery record describes

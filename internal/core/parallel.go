@@ -113,7 +113,7 @@ func (c *Cluster[V, A]) handBack(nd *node[V, A], msgs []netsim.Message, class in
 
 // buf returns the staging buffer for destination dst, seeding an empty slot
 // from the pool. Callers append records and store the result back with
-// setBuf (or use stage for the closure form).
+// setBuf.
 func (st *stager) buf(dst int) []byte {
 	b := st.send[dst]
 	if b == nil && st.pool != nil {
@@ -133,16 +133,6 @@ func (st *stager) noticeBuf(dst int) []byte {
 
 // setBuf stores an appended-to staging buffer back into its slot.
 func (st *stager) setBuf(dst int, b []byte) { st.send[dst] = b }
-
-// stage appends encoded bytes to the worker's buffer for destination dst.
-func (st *stager) stage(dst int, encode func(buf []byte) []byte) {
-	st.send[dst] = encode(st.buf(dst))
-}
-
-// stageNotice appends to the worker's out-of-round activation notice buffer.
-func (st *stager) stageNotice(dst int, encode func(buf []byte) []byte) {
-	st.notice[dst] = encode(st.noticeBuf(dst))
-}
 
 // markActive requests hot[pos].active = true after join.
 func (st *stager) markActive(pos int32) {

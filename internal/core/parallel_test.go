@@ -149,9 +149,7 @@ func TestChunkedReductionProperty(t *testing.T) {
 		c.chunked(nd, n, func(st *stager, lo, hi int) {
 			for i := lo; i < hi; i++ {
 				dst := i % numDst
-				st.stage(dst, func(buf []byte) []byte {
-					return append(buf, byte(i), payload[i])
-				})
+				st.setBuf(dst, append(st.buf(dst), byte(i), payload[i]))
 				st.met.SyncMsgs++
 			}
 		})

@@ -217,7 +217,9 @@ func (c *Cluster[V, A]) recoverRebirth(p *recoveryPass[V, A]) error {
 
 	// Replay: re-derive active flags for the recovered masters (§5.1.3).
 	onReborn := func(masterNode int16, _ int32) bool { return failedSet[int(masterNode)] }
-	c.replayActivation(p.iter, onReborn)
+	if err := c.replayActivation(p.iter, onReborn); err != nil {
+		return err
+	}
 	for _, f := range failed {
 		c.recomputeSelfish(c.nodes[f], onReborn, p.iter)
 	}
@@ -257,13 +259,12 @@ func (c *Cluster[V, A]) stageReplicaRecovery(nd *node[V, A], st *stager, i int, 
 			}
 		}
 	}
-	before := len(st.send[rn])
-	st.send[rn] = encodeRecoveryRecord(st.send[rn], c.vc, roleReplica,
-		table.pos[ri], e.id, flags, mirrorRank,
-		e.masterNode, e.masterPos, e.inDeg, e.outDeg,
-		e.value, e.lastActivate, e.lastActivateIter, full, edges)
-	st.met.RecoveryMsgs++
-	st.met.RecoveryBytes += int64(len(st.send[rn]) - before)
+	c.stageRecovery(&st.send[rn], &st.met, func(buf []byte) []byte {
+		return encodeRecoveryRecord(buf, c.vc, roleReplica,
+			table.pos[ri], e.id, flags, mirrorRank,
+			e.masterNode, e.masterPos, e.inDeg, e.outDeg,
+			e.value, e.lastActivate, e.lastActivateIter, full, edges)
+	})
 }
 
 // stageMasterRecovery emits the record recreating the master that lived on
@@ -277,13 +278,12 @@ func (c *Cluster[V, A]) stageMasterRecovery(st *stager, e *hot[V], m *mirrorStat
 	if c.ec != nil {
 		edges = &m.mEdges
 	}
-	before := len(st.send[dst])
-	st.send[dst] = encodeRecoveryRecord(st.send[dst], c.vc, roleMaster,
-		e.masterPos, e.id, flags, -1,
-		int16(dst), e.masterPos, e.inDeg, e.outDeg,
-		e.value, e.lastActivate, e.lastActivateIter, &m.mTable, edges)
-	st.met.RecoveryMsgs++
-	st.met.RecoveryBytes += int64(len(st.send[dst]) - before)
+	c.stageRecovery(&st.send[dst], &st.met, func(buf []byte) []byte {
+		return encodeRecoveryRecord(buf, c.vc, roleMaster,
+			e.masterPos, e.id, flags, -1,
+			int16(dst), e.masterPos, e.inDeg, e.outDeg,
+			e.value, e.lastActivate, e.lastActivateIter, &m.mTable, edges)
+	})
 }
 
 // masterRawEdges converts master slot i's local in-edge positions into

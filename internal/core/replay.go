@@ -1,9 +1,5 @@
 package core
 
-import (
-	"encoding/binary"
-)
-
 // replayActivation re-derives the active flags of recovered (or promoted)
 // masters for the superstep about to (re-)execute (§5.1.3, §5.2.3).
 //
@@ -15,7 +11,7 @@ import (
 // activation notices. isTarget selects which masters need fixing: all
 // masters on reborn nodes for Rebirth, only newly promoted masters for
 // Migration.
-func (c *Cluster[V, A]) replayActivation(iter int, isTarget func(masterNode int16, masterPos int32) bool) {
+func (c *Cluster[V, A]) replayActivation(iter int, isTarget func(masterNode int16, masterPos int32) bool) error {
 	always := c.prog.AlwaysActive()
 
 	// Reset the targets to their activation baseline.
@@ -39,7 +35,7 @@ func (c *Cluster[V, A]) replayActivation(iter int, isTarget func(masterNode int1
 		})
 	})
 	if always || iter == 0 {
-		return
+		return nil
 	}
 	prev := int32(iter - 1)
 
@@ -61,27 +57,17 @@ func (c *Cluster[V, A]) replayActivation(iter int, isTarget func(masterNode int1
 						}
 					} else if isTarget(we.masterNode, we.masterPos) {
 						mpos := we.masterPos
-						st.stageNotice(int(we.masterNode), func(buf []byte) []byte {
-							return binary.LittleEndian.AppendUint32(buf, uint32(mpos))
+						c.stageRecovery(&st.notice[we.masterNode], &st.met, func(buf []byte) []byte {
+							return putI32(buf, mpos)
 						})
-						st.met.RecoveryMsgs++
-						st.met.RecoveryBytes += 4
 					}
 				}
 			}
 		})
 	})
-	c.flushNoticeRound()
-	c.runPhase(func(nd *node[V, A]) {
-		msgs := c.net.Receive(nd.id)
-		for _, m := range msgs {
-			buf := m.Payload
-			for len(buf) >= 4 {
-				pos := binary.LittleEndian.Uint32(buf)
-				nd.hot[pos].active = true
-				buf = buf[4:]
-			}
+	return c.exchange(true, func(nd *node[V, A], _ int, r *reader) {
+		if pos := r.u32(); r.err == nil {
+			nd.hot[pos].active = true
 		}
-		c.recycleMsgs(msgs)
 	})
 }
