@@ -40,7 +40,7 @@ func run(args []string) error {
 		dataset     = fs.String("dataset", "ljournal", "dataset name (see -list)")
 		algo        = fs.String("algo", "pagerank", "algorithm: pagerank, sssp, cd, als")
 		mode        = fs.String("mode", "edgecut", "engine mode: edgecut or vertexcut")
-		partitioner = fs.String("partitioner", "", "hash|fennel (edge-cut), random|grid|hybrid (vertex-cut); empty = mode default")
+		partitioner = fs.String("partitioner", "", "hash|fennel|ldg (edge-cut), random|grid|hybrid|oblivious (vertex-cut); empty = mode default")
 		nodes       = fs.Int("nodes", 8, "number of simulated nodes")
 		iters       = fs.Int("iters", 10, "supersteps to run")
 		workers     = fs.Int("workers", 1, "simulated intra-node worker-pool width (vertex values are identical for any value; simulated seconds shrink with it)")
@@ -283,9 +283,6 @@ func report(w imitator.Workload, cfg imitator.Config, s imitator.RunSummary, loa
 		float64(s.MaxMemory)/1e6, float64(s.TotalMemory)/1e6)
 	if b := s.Buffers; b.Gets > 0 {
 		fmt.Printf("buffers: %d gets, %d misses (reuse %.3f)\n", b.Gets, b.Misses, b.ReuseFraction())
-	}
-	if s.CheckpointCount > 0 {
-		fmt.Printf("checkpoints: %d written, %.3f s total\n", s.CheckpointCount, s.CheckpointSeconds)
 	}
 	if st := s.Strategy; st.PersistCount > 0 || st.Recoveries > 0 {
 		fmt.Printf("ft: %s strategy, %d persists (%.2f MB, %.3f s, %d log records), %d recoveries (%.3f s)\n",

@@ -64,8 +64,8 @@ func main() {
 		for _, r := range res.Recoveries {
 			recovery += r.TotalSeconds()
 		}
-		fmt.Printf("%-26s total %7.3f s   recovery %6.3f s   checkpoints %5.3f s\n",
-			c.label, res.SimSeconds, recovery, res.CheckpointSeconds)
+		fmt.Printf("%-26s total %7.3f s   recovery %6.3f s   persist %5.3f s\n",
+			c.label, res.SimSeconds, recovery, res.Strategy.PersistSeconds)
 		if o := res.Omission; o != nil {
 			fmt.Printf("%-26s %d retransmits, %d frames re-sequenced\n", "", o.Retransmits, o.Reordered)
 		}

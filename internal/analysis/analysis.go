@@ -74,20 +74,10 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 
 // Run executes the analyzers over one loaded package, applies suppression
 // directives, and returns the surviving diagnostics sorted by position.
-// Malformed directives (missing reason) are themselves reported.
-//
-// _test.go files are excluded by policy: the invariants gate production
-// code, while tests deliberately exercise violations (leaking a pool buffer
-// to assert allocation behavior, wall-clock watchdog timeouts). This also
-// keeps standalone mode and `go vet -vettool` mode — which feeds the test
-// variant of each package — in agreement.
+// Malformed directives (missing reason) are themselves reported. Load never
+// reads _test.go files: the invariants gate production code.
 func Run(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
-	files := make([]*ast.File, 0, len(pkg.Files))
-	for _, f := range pkg.Files {
-		if !strings.HasSuffix(pkg.Fset.Position(f.Pos()).Filename, "_test.go") {
-			files = append(files, f)
-		}
-	}
+	files := pkg.Files
 	dirs := collectDirectives(pkg.Fset, files)
 	var out []Diagnostic
 	for _, d := range dirs {

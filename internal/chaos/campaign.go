@@ -56,17 +56,15 @@ var campaignStrategies = []core.RecoveryKind{
 }
 
 // applyStrategy reconfigures the round's job for one recovery strategy,
-// mirroring the pkg/imitator typed constructors: the checkpoint and logged
-// baselines run without replication FT.
+// mirroring the pkg/imitator typed constructors: the strategy plus its own
+// parameters.
 func applyStrategy(cfg *core.Config, kind core.RecoveryKind) {
 	cfg.Recovery = kind
 	switch kind {
 	case core.RecoverCheckpoint:
-		cfg.FT = core.FTConfig{}
-		cfg.Checkpoint = core.CheckpointConfig{Enabled: true, Interval: 2}
+		cfg.Checkpoint = core.CheckpointConfig{Interval: 2}
 	case core.RecoverLogged:
-		cfg.FT = core.FTConfig{}
-		cfg.Logged = core.LoggedConfig{Enabled: true, CompactEvery: 3}
+		cfg.Logged = core.LoggedConfig{CompactEvery: 3}
 	}
 }
 
@@ -141,7 +139,7 @@ func (c Campaign) normalized() Campaign {
 func (c Campaign) baseConfig(mode core.Mode) core.Config {
 	cfg := core.DefaultConfig(mode, c.Nodes)
 	cfg.MaxIter = c.Iters
-	cfg.FT = core.FTConfig{Enabled: true, K: c.K, SelfishOpt: true}
+	cfg.FT = core.FTConfig{K: c.K, SelfishOpt: true}
 	cfg.MaxRebirths = 8
 	return cfg
 }
@@ -324,8 +322,9 @@ func (c Campaign) runRound(round int, mode core.Mode, g *coreGraph, baseline []f
 	cfg.Serve = core.ServeConfig{Enabled: true}
 	// Odd rounds disable the selfish-vertices optimization so FT replicas
 	// stay synced: recovery-window reads on a dead master's vertices are
-	// then served from replicas instead of honestly refused.
-	if cfg.FT.Enabled && round%2 == 1 {
+	// then served from replicas instead of honestly refused. Strategies
+	// without replicas never read the switch.
+	if round%2 == 1 {
 		cfg.FT.SelfishOpt = false
 	}
 	// Draw the query seeds after the schedule is complete so the schedule

@@ -297,7 +297,6 @@ func TestChaosValidate(t *testing.T) {
 		}},
 		{"crash without recovery", func(c *core.Config) {
 			c.Recovery = core.RecoverNone
-			c.FT = core.FTConfig{}
 			c.Chaos = crashAt(2, core.FailBeforeBarrier, 1)
 		}},
 		{"crash during a recovery phase no strategy has", func(c *core.Config) {

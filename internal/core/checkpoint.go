@@ -91,10 +91,10 @@ func (c *Cluster[V, A]) writeCheckpointAt(epoch int, charge bool) {
 	}
 	if charge {
 		c.clock.Advance(span.Max())
-		c.ckptSeconds += span.Max()
-		c.ckptCount++
+		c.persistSeconds += span.Max()
+		c.persistCount++
 		for _, b := range nodeBytes {
-			c.ckptBytes += b
+			c.persistBytes += b
 		}
 	} else {
 		c.loadSeconds += span.Max()

@@ -225,11 +225,11 @@ type Cluster[V, A any] struct {
 	// Config.Recovery itself.
 	strat ftStrategy[V, A]
 
-	// flog is the superstep-log runtime, nil unless Config.Logged.Enabled.
+	// flog is the superstep-log runtime, nil unless Recovery is Logged.
 	flog *flogState
 
-	// pristine retains each node's post-load state when checkpointing or
-	// logging is enabled, so a standby newbie can rebuild a crashed node's
+	// pristine retains each node's post-load state under checkpoint and
+	// logged recovery, so a standby newbie can rebuild a crashed node's
 	// immutable topology (the metadata snapshot's content).
 	pristine []*pristineNode[V]
 	// replayWatch accounts checkpoint-recovery replay time.
@@ -258,9 +258,9 @@ type Cluster[V, A any] struct {
 	extraReplicasSelfish int // of which belong to selfish vertices (§4.4)
 	totalPresences       int // all vertex presences after FT extension
 	loadSeconds          float64
-	ckptSeconds          float64
-	ckptCount            int
-	ckptBytes            int64
+	persistSeconds       float64 // superstep-end snapshot or log writes
+	persistCount         int
+	persistBytes         int64
 	trace                []TraceEvent
 	recoveries           []RecoveryReport
 
@@ -283,7 +283,7 @@ func NewCluster[V, A any](cfg Config, g *graph.Graph, prog Program[V, A]) (*Clus
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.FT.Enabled && cfg.FT.SelfishOpt && prog.CanRecomputeSelfish() && !prog.AlwaysActive() {
+	if cfg.replicates() && cfg.FT.SelfishOpt && prog.CanRecomputeSelfish() && !prog.AlwaysActive() {
 		return nil, fmt.Errorf("core: selfish recomputation requires an always-active program")
 	}
 	net, err := netsim.New(cfg.NumNodes, cfg.Cost)
@@ -315,7 +315,7 @@ func NewCluster[V, A any](cfg Config, g *graph.Graph, prog Program[V, A]) (*Clus
 		met:    metrics.NewCluster(cfg.NumNodes),
 		pool:   bufpool.New(),
 		always: prog.AlwaysActive(),
-		selfishOptOn: cfg.FT.Enabled && cfg.FT.SelfishOpt &&
+		selfishOptOn: cfg.replicates() && cfg.FT.SelfishOpt &&
 			prog.CanRecomputeSelfish() && prog.AlwaysActive(),
 	}
 	c.strat, err = newFTStrategy(c)

@@ -87,7 +87,7 @@ const (
 	// & Yang, arXiv:1601.06496): every node logs its touched-vertex deltas
 	// and received sync payloads at superstep end, and on failure only the
 	// reborn nodes replay their own log chains — survivors perform zero
-	// recomputation. Requires Logged.Enabled.
+	// recomputation.
 	RecoverLogged
 )
 
@@ -124,10 +124,9 @@ const (
 	MirrorFirst
 )
 
-// FTConfig controls the replication-based fault-tolerance layer.
+// FTConfig tunes the replication-based fault-tolerance layer, which exists
+// only under RecoverRebirth and RecoverMigration.
 type FTConfig struct {
-	// Enabled turns on FT replicas, mirrors and full-state sync.
-	Enabled bool
 	// K is the number of simultaneous machine failures to tolerate; every
 	// vertex gets at least K replicas and K mirrors (§5.3.1).
 	K int
@@ -138,10 +137,9 @@ type FTConfig struct {
 	MirrorPlacement MirrorPlacement
 }
 
-// CheckpointConfig controls the checkpoint baseline (Imitator-CKPT).
+// CheckpointConfig tunes the periodic DFS snapshots of the checkpoint
+// baseline (Imitator-CKPT, RecoverCheckpoint).
 type CheckpointConfig struct {
-	// Enabled turns on periodic snapshots to the DFS.
-	Enabled bool
 	// Interval is the number of iterations between snapshots (>= 1).
 	Interval int
 	// InMemory models checkpointing to a memory-backed HDFS: storage
@@ -158,11 +156,9 @@ type CheckpointConfig struct {
 	FullEvery int
 }
 
-// LoggedConfig controls the superstep-log layer behind RecoverLogged.
+// LoggedConfig tunes the superstep-end logs behind RecoverLogged: per-node
+// touched-master deltas plus received sync payloads, persisted to the DFS.
 type LoggedConfig struct {
-	// Enabled turns on superstep-end logging: per-node touched-master deltas
-	// plus received sync payloads, persisted to the DFS.
-	Enabled bool
 	// CompactEvery writes a full snapshot record every N supersteps in place
 	// of the delta log, bounding a reborn node's replay chain at N files.
 	// 0 never compacts (chains grow with the run).
@@ -317,15 +313,14 @@ type Config struct {
 	NumNodes    int
 	Mode        Mode
 	Partitioner PartitionerKind
-	// Fennel and Hybrid carry partitioner-specific tuning; zero values use
-	// the package defaults.
-	Fennel partition.FennelConfig
-	Hybrid partition.HybridCutConfig
 
+	// Recovery is the one fault-tolerance switch: it selects the recovery
+	// pass and the state that feeds it. FT is read only under Rebirth and
+	// Migration, Checkpoint only under Checkpoint, Logged only under Logged.
+	Recovery   RecoveryKind
 	FT         FTConfig
 	Checkpoint CheckpointConfig
 	Logged     LoggedConfig
-	Recovery   RecoveryKind
 
 	// MaxIter is the number of supersteps to run.
 	MaxIter int
@@ -333,8 +328,8 @@ type Config struct {
 	MaxRebirths int
 	// RebirthFallback lets a Rebirth recovery that exhausts the standby
 	// pool fall back to Migration (scattering the lost slots over the
-	// survivors) instead of failing the job with ErrNoStandby. Requires
-	// FT.Enabled.
+	// survivors) instead of failing the job with ErrNoStandby. Requires a
+	// replicating Recovery.
 	RebirthFallback bool
 	// WorkersPerNode is the width of each node's intra-node worker pool in
 	// the SIMULATION: compute phases (gather/apply, sync encode, recovery
@@ -422,14 +417,6 @@ func (c *Config) Validate() error {
 		}
 	default:
 		return fmt.Errorf("core: unknown mode %v", c.Mode)
-	}
-	if c.FT.Enabled {
-		if c.FT.K < 1 {
-			return fmt.Errorf("core: FT.K must be >= 1, got %d", c.FT.K)
-		}
-		if c.FT.K >= c.NumNodes {
-			return fmt.Errorf("core: FT.K %d must be below NumNodes %d", c.FT.K, c.NumNodes)
-		}
 	}
 	if err := validateStrategy(c); err != nil {
 		return err
@@ -599,8 +586,8 @@ func DefaultConfig(mode Mode, numNodes int) Config {
 	cfg := Config{
 		NumNodes:       numNodes,
 		Mode:           mode,
-		FT:             FTConfig{Enabled: true, K: 1, SelfishOpt: true},
 		Recovery:       RecoverRebirth,
+		FT:             FTConfig{K: 1, SelfishOpt: true},
 		MaxIter:        10,
 		MaxRebirths:    4,
 		WorkersPerNode: 1,
@@ -610,8 +597,6 @@ func DefaultConfig(mode Mode, numNodes int) Config {
 		cfg.Partitioner = PartHash
 	} else {
 		cfg.Partitioner = PartHybrid
-		cfg.Hybrid = partition.DefaultHybridCutConfig()
 	}
-	cfg.Fennel = partition.DefaultFennelConfig()
 	return cfg
 }

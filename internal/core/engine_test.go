@@ -76,7 +76,6 @@ func (h *distHeap) Pop() any          { old := *h; x := old[len(old)-1]; *h = ol
 // baseConfig returns an FT-less configuration for correctness baselines.
 func baseConfig(mode core.Mode, numNodes, iters int) core.Config {
 	cfg := core.DefaultConfig(mode, numNodes)
-	cfg.FT = core.FTConfig{}
 	cfg.Recovery = core.RecoverNone
 	cfg.MaxIter = iters
 	return cfg

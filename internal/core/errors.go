@@ -30,8 +30,7 @@ var (
 	ErrInvalidSchedule = errors.New("core: invalid failure schedule")
 
 	// ErrInvalidStrategy reports an FT-strategy configuration the strategy
-	// seam rejected (unknown recovery kind, or a strategy missing the
-	// machinery it depends on, e.g. checkpoint recovery without
-	// Checkpoint.Enabled).
+	// seam rejected (unknown recovery kind, or an out-of-range parameter of
+	// the selected strategy, e.g. a checkpoint interval below 1).
 	ErrInvalidStrategy = errors.New("core: invalid FT-strategy configuration")
 )

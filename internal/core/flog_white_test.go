@@ -17,8 +17,7 @@ func TestLogWriteDeterminism(t *testing.T) {
 		logBytes := func(workers int) map[string][]byte {
 			cfg := DefaultConfig(mode, 4)
 			cfg.MaxIter = 6
-			cfg.FT = FTConfig{}
-			cfg.Logged = LoggedConfig{Enabled: true, CompactEvery: 3}
+			cfg.Logged = LoggedConfig{CompactEvery: 3}
 			cfg.Recovery = RecoverLogged
 			cfg.WorkersPerNode = workers
 			cl, err := NewCluster[float64, float64](cfg, g, fakePR{})

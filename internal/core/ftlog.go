@@ -27,7 +27,7 @@ import (
 // flogPath names one node's log file for one committed superstep.
 func flogPath(node, superstep int) string { return fmt.Sprintf("ftlog/%d/%d", node, superstep) }
 
-// flogState is the per-run log runtime, nil unless Config.Logged.Enabled —
+// flogState is the per-run log runtime, nil unless Recovery is Logged —
 // the capture hook in the receive phases is a nil check away from the
 // fault-free hot path, which stays bit-identical.
 type flogState struct {
@@ -46,14 +46,11 @@ type flogState struct {
 	nodeRecs  []int
 	nodeBytes []int64
 
-	// Accounting for StrategyStats.
-	writeSeconds float64
-	bytes        int64
-	records      int64
-	writes       int
+	// records counts the persisted delta and message records (StrategyStats).
+	records int64
 }
 
-// flogInit builds the log runtime (load step 10, Logged.Enabled only).
+// flogInit builds the log runtime (load step 10, logged recovery only).
 func (c *Cluster[V, A]) flogInit() {
 	n := c.cfg.NumNodes
 	c.flog = &flogState{
@@ -164,12 +161,12 @@ func (c *Cluster[V, A]) flogWrite() {
 	for _, nd := range c.aliveNodes() {
 		span.Observe(f.nodeCosts[nd.id])
 		f.records += int64(f.nodeRecs[nd.id])
-		f.bytes += f.nodeBytes[nd.id]
+		c.persistBytes += f.nodeBytes[nd.id]
 		f.nodeCosts[nd.id], f.nodeRecs[nd.id], f.nodeBytes[nd.id] = 0, 0, 0
 	}
 	c.clock.Advance(span.Max())
-	f.writeSeconds += span.Max()
-	f.writes++
+	c.persistSeconds += span.Max()
+	c.persistCount++
 	if full {
 		f.fullEpochs = append(f.fullEpochs, s)
 	}

@@ -13,12 +13,8 @@ import (
 func incCfg(iters, interval int, incremental bool) core.Config {
 	cfg := core.DefaultConfig(core.EdgeCutMode, 5)
 	cfg.MaxIter = iters
-	cfg.FT = core.FTConfig{}
 	cfg.Recovery = core.RecoverCheckpoint
-	cfg.Checkpoint = core.CheckpointConfig{
-		Enabled: true, Interval: interval,
-		Incremental: incremental, FullEvery: 3,
-	}
+	cfg.Checkpoint = core.CheckpointConfig{Interval: interval, Incremental: incremental, FullEvery: 3}
 	cfg.MaxRebirths = 4
 	return cfg
 }
@@ -45,9 +41,9 @@ func TestIncrementalCheckpointCheaperForSparseUpdates(t *testing.T) {
 		t.Errorf("incremental wrote %d bytes, full wrote %d — no saving",
 			inc.Metrics.DFSWriteBytes, full.Metrics.DFSWriteBytes)
 	}
-	if inc.CheckpointSeconds >= full.CheckpointSeconds {
+	if inc.Strategy.PersistSeconds >= full.Strategy.PersistSeconds {
 		t.Errorf("incremental checkpointing %.3fs not below full %.3fs",
-			inc.CheckpointSeconds, full.CheckpointSeconds)
+			inc.Strategy.PersistSeconds, full.Strategy.PersistSeconds)
 	}
 }
 

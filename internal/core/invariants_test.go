@@ -284,16 +284,8 @@ func TestVertexTableInvariants(t *testing.T) {
 				cfg.Recovery = tc.rec
 				cfg.MaxIter = 6
 				cfg.WorkersPerNode = 4 // Rebirth places records chunk-parallel into the slabs
-				switch tc.rec {
-				case RecoverCheckpoint:
-					cfg.FT = FTConfig{}
-					cfg.Checkpoint = CheckpointConfig{Enabled: true, Interval: 2}
-				case RecoverLogged:
-					cfg.FT = FTConfig{}
-					cfg.Logged = LoggedConfig{Enabled: true}
-				default:
-					cfg.FT.K = tc.k
-				}
+				cfg.FT.K = tc.k        // unread by checkpoint and logged
+				cfg.Checkpoint = CheckpointConfig{Interval: 2}
 				fresh, err := NewCluster[float64, float64](cfg, g, fakePR{})
 				if err != nil {
 					t.Fatal(err)

@@ -39,11 +39,7 @@ func (c *Cluster[V, A]) load() error {
 	case PartHash:
 		c.ec, err = partition.HashEdgeCut(c.g, p)
 	case PartFennel:
-		fc := c.cfg.Fennel
-		if fc.Gamma == 0 {
-			fc = partition.DefaultFennelConfig()
-		}
-		c.ec, err = partition.FennelEdgeCut(c.g, p, fc)
+		c.ec, err = partition.FennelEdgeCut(c.g, p, partition.DefaultFennelConfig())
 	case PartLDG:
 		c.ec, err = partition.LDGEdgeCut(c.g, p, partition.DefaultLDGConfig())
 	case PartOblivious:
@@ -53,11 +49,7 @@ func (c *Cluster[V, A]) load() error {
 	case PartGrid:
 		c.vcut, err = partition.GridVertexCut(c.g, p)
 	case PartHybrid:
-		hc := c.cfg.Hybrid
-		if hc.Threshold == 0 {
-			hc = partition.DefaultHybridCutConfig()
-		}
-		c.vcut, err = partition.HybridVertexCut(c.g, p, hc)
+		c.vcut, err = partition.HybridVertexCut(c.g, p, partition.DefaultHybridCutConfig())
 	default:
 		return fmt.Errorf("core: unknown partitioner %v", c.cfg.Partitioner)
 	}
@@ -91,7 +83,7 @@ func (c *Cluster[V, A]) load() error {
 		for v := lo; v < hi; v++ {
 			n := 0
 			c.eachPresence(v, seen, func(int16) { n++ })
-			if c.cfg.FT.Enabled {
+			if c.cfg.replicates() {
 				n = max(n, min(c.cfg.FT.K, p-1))
 			}
 			end[v+1] = int32(n)
@@ -124,7 +116,7 @@ func (c *Cluster[V, A]) load() error {
 			replicaLoad[n]++
 		}
 	}
-	if c.cfg.FT.Enabled {
+	if c.cfg.replicates() {
 		for v := 0; v < numV; v++ {
 			pr := &pres[v]
 			for len(pr.nodes) < c.cfg.FT.K && len(pr.nodes) < p-1 {
@@ -156,7 +148,7 @@ func (c *Cluster[V, A]) load() error {
 
 	// 4. Mirror selection (§4.2): FT replicas are always mirrors; remaining
 	// ranks go to the replica whose host has the fewest mirrors so far.
-	if c.cfg.FT.Enabled {
+	if c.cfg.replicates() {
 		mirrorCount := make([]int, p)
 		chosen := make([]bool, p) // by replica index; one scratch for every vertex
 		wantTotal := 0
@@ -395,7 +387,7 @@ func (c *Cluster[V, A]) load() error {
 	// node hosting the target's master (or its first mirror when the master
 	// is local). Overlapped with loading in the paper; we account the cost
 	// into loadSeconds.
-	if c.vcut != nil && c.cfg.FT.Enabled {
+	if c.vcut != nil && c.cfg.replicates() {
 		c.writeEdgeCkpts()
 	}
 
@@ -496,9 +488,7 @@ func (c *Cluster[V, A]) writeEdgeCkpts() {
 		for i := range nd.topo {
 			t, id, buf := &nd.topo[i], nd.hot[i].id, bufs[target[i]]
 			for k, src := range t.inNbr {
-				buf = binary.LittleEndian.AppendUint32(buf, uint32(nd.hot[src].id))
-				buf = binary.LittleEndian.AppendUint32(buf, uint32(id))
-				buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(t.inWt[k]))
+				buf = appendEdgeCkpt(buf, nd.hot[src].id, id, t.inWt[k])
 			}
 			bufs[target[i]] = buf
 		}

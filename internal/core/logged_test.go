@@ -15,8 +15,6 @@ import (
 func loggedConfig(mode core.Mode, numNodes, iters int) core.Config {
 	cfg := core.DefaultConfig(mode, numNodes)
 	cfg.MaxIter = iters
-	cfg.FT = core.FTConfig{}
-	cfg.Logged = core.LoggedConfig{Enabled: true}
 	cfg.Recovery = core.RecoverLogged
 	cfg.MaxRebirths = 8
 	return cfg
@@ -193,7 +191,6 @@ func TestLoggedStats(t *testing.T) {
 	g := datasets.Tiny(500, 3000, 86)
 	plainCfg := core.DefaultConfig(core.EdgeCutMode, 5)
 	plainCfg.MaxIter = 8
-	plainCfg.FT = core.FTConfig{}
 	plainCfg.Recovery = core.RecoverNone
 	plain := runPR(t, plainCfg, g)
 	if plain.Strategy.Kind != "none" || plain.Strategy.PersistCount != 0 {
@@ -237,18 +234,16 @@ func TestLoggedStandbyExhaustion(t *testing.T) {
 // seam with the typed error.
 func TestStrategyValidation(t *testing.T) {
 	for name, mutate := range map[string]func(*core.Config){
-		"logged-without-enabled":     func(c *core.Config) { c.Recovery = core.RecoverLogged },
-		"checkpoint-without-enabled": func(c *core.Config) { c.FT = core.FTConfig{}; c.Recovery = core.RecoverCheckpoint },
-		"rebirth-without-ft":         func(c *core.Config) { c.FT = core.FTConfig{} },
 		"bad-ckpt-interval": func(c *core.Config) {
-			c.Checkpoint = core.CheckpointConfig{Enabled: true, Interval: 0}
+			c.Recovery = core.RecoverCheckpoint
+			c.Checkpoint = core.CheckpointConfig{Interval: 0}
 		},
 		"bad-compact-every": func(c *core.Config) {
-			c.Logged = core.LoggedConfig{Enabled: true, CompactEvery: -1}
+			c.Recovery = core.RecoverLogged
+			c.Logged = core.LoggedConfig{CompactEvery: -1}
 		},
-		"fallback-without-ft": func(c *core.Config) {
-			c.FT = core.FTConfig{}
-			c.Checkpoint = core.CheckpointConfig{Enabled: true, Interval: 1}
+		"fallback-without-replicas": func(c *core.Config) {
+			c.Checkpoint = core.CheckpointConfig{Interval: 1}
 			c.Recovery = core.RecoverCheckpoint
 			c.RebirthFallback = true
 		},

@@ -299,18 +299,11 @@ func (c *Cluster[V, A]) recoverMigration(p *recoveryPass[V, A]) error {
 				}
 				c.met.Nodes[readerNode].DFSReadBytes += int64(len(data))
 				span.Observe(cost)
-				r := &reader{buf: data}
-				for r.remaining() > 0 && r.err == nil {
-					src := graph.VertexID(r.u32())
-					dst := graph.VertexID(r.u32())
-					wt := r.f64()
-					if r.err != nil {
-						break
-					}
+				if err := eachEdgeCkpt(data, func(src, dst graph.VertexID, wt float64) error {
 					migEdges[readerNode] = append(migEdges[readerNode], migEdge{src, dst, wt})
-				}
-				if r.err != nil {
-					return r.err
+					return nil
+				}); err != nil {
+					return err
 				}
 				readPaths[readerNode] = append(readPaths[readerNode], path)
 			}
@@ -405,15 +398,11 @@ func (c *Cluster[V, A]) recoverMigration(p *recoveryPass[V, A]) error {
 			}
 			// Persist the migrated edges into this node's own edge-ckpt
 			// files so a future failure can still recover them.
-			if created > 0 && c.cfg.FT.Enabled {
+			if created > 0 {
 				bufs := make(map[int][]byte)
 				for _, me := range migEdges[nd.id] {
 					t := c.edgeCkptTarget(me.dst, nd.id)
-					buf := bufs[t]
-					buf = putU32(buf, uint32(me.src))
-					buf = putU32(buf, uint32(me.dst))
-					buf = putF64(buf, me.wt)
-					bufs[t] = buf
+					bufs[t] = appendEdgeCkpt(bufs[t], me.src, me.dst, me.wt)
 				}
 				targets := make([]int, 0, len(bufs))
 				for t := range bufs { //imitator:nondet-ok collected set is sorted before use
@@ -492,9 +481,6 @@ func (c *Cluster[V, A]) recoverMigration(p *recoveryPass[V, A]) error {
 // master whose replica table changed, creating FT replicas on the least
 // loaded nodes and pushing refreshed full state to all mirrors.
 func (c *Cluster[V, A]) repairFTInvariants(tableChanged map[masterKey]bool) error {
-	if !c.cfg.FT.Enabled {
-		return nil
-	}
 	alive := c.aliveNodes()
 	load := make(map[int]int, len(alive))
 	for _, nd := range alive {

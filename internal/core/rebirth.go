@@ -342,28 +342,19 @@ func (c *Cluster[V, A]) placeRecovered(nd *node[V, A], rec *recoveryRecord[V]) {
 // attachEdgeCkpt links the (src, dst, weight) triples of one edge-ckpt file
 // into the node's local topology, returning the edge count.
 func (c *Cluster[V, A]) attachEdgeCkpt(nd *node[V, A], data []byte) (int, error) {
-	r := &reader{buf: data}
 	count := 0
-	for r.remaining() > 0 && r.err == nil {
-		src := graph.VertexID(r.u32())
-		dst := graph.VertexID(r.u32())
-		wt := r.f64()
-		if r.err != nil {
-			break
-		}
+	err := eachEdgeCkpt(data, func(src, dst graph.VertexID, wt float64) error {
 		sp, ok1 := nd.pos(src)
 		dp, ok2 := nd.pos(dst)
 		if !ok1 || !ok2 {
-			return 0, fmt.Errorf("%w: node %d edge-ckpt endpoint missing (%d->%d)",
+			return fmt.Errorf("%w: node %d edge-ckpt endpoint missing (%d->%d)",
 				ErrUnrecoverable, nd.id, src, dst)
 		}
 		nd.attachEdge(sp, dp, wt)
 		count++
-	}
-	if r.err != nil {
-		return 0, r.err
-	}
-	return count, nil
+		return nil
+	})
+	return count, err
 }
 
 // lowestSurvivingMirror returns the node hosting the lowest-ranked

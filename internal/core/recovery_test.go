@@ -11,17 +11,15 @@ import (
 	"imitator/internal/graph"
 )
 
-// ftConfig builds a config with FT enabled and the given recovery strategy.
+// ftConfig builds a config for the given recovery strategy with its
+// parameters: K replicas, or snapshots every two supersteps.
 func ftConfig(mode core.Mode, numNodes, iters, k int, recovery core.RecoveryKind) core.Config {
 	cfg := core.DefaultConfig(mode, numNodes)
 	cfg.MaxIter = iters
 	cfg.FT.K = k
 	cfg.Recovery = recovery
 	cfg.MaxRebirths = 8
-	if recovery == core.RecoverCheckpoint {
-		cfg.FT = core.FTConfig{}
-		cfg.Checkpoint = core.CheckpointConfig{Enabled: true, Interval: 2}
-	}
+	cfg.Checkpoint = core.CheckpointConfig{Interval: 2}
 	return cfg
 }
 
@@ -364,12 +362,13 @@ func TestCheckpointOverheadAccounting(t *testing.T) {
 	g := datasets.Tiny(500, 3000, 86)
 	plain := runPR(t, baseConfig(core.EdgeCutMode, 5, 8), g)
 	cfg := baseConfig(core.EdgeCutMode, 5, 8)
-	cfg.Checkpoint = core.CheckpointConfig{Enabled: true, Interval: 1}
+	cfg.Recovery = core.RecoverCheckpoint
+	cfg.Checkpoint = core.CheckpointConfig{Interval: 1}
 	ck := runPR(t, cfg, g)
-	if ck.CheckpointCount != 8 {
-		t.Errorf("CheckpointCount = %d, want 8", ck.CheckpointCount)
+	if ck.Strategy.PersistCount != 8 {
+		t.Errorf("PersistCount = %d, want 8", ck.Strategy.PersistCount)
 	}
-	if ck.CheckpointSeconds <= 0 {
+	if ck.Strategy.PersistSeconds <= 0 {
 		t.Error("checkpoint time not accounted")
 	}
 	if ck.SimSeconds <= plain.SimSeconds {
@@ -379,9 +378,9 @@ func TestCheckpointOverheadAccounting(t *testing.T) {
 	cfgMem := cfg
 	cfgMem.Checkpoint.InMemory = true
 	mem := runPR(t, cfgMem, g)
-	if mem.CheckpointSeconds >= ck.CheckpointSeconds {
+	if mem.Strategy.PersistSeconds >= ck.Strategy.PersistSeconds {
 		t.Errorf("in-memory checkpoint %.4fs not below disk %.4fs",
-			mem.CheckpointSeconds, ck.CheckpointSeconds)
+			mem.Strategy.PersistSeconds, ck.Strategy.PersistSeconds)
 	}
 }
 

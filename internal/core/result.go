@@ -11,7 +11,7 @@ import (
 // TraceEvent is one timeline entry in simulated seconds (Fig 12's x-axis).
 type TraceEvent struct {
 	Iter  int
-	Kind  string // "iteration", "checkpoint", "recovery"
+	Kind  string // "iteration", "checkpoint", "ftlog", "recovery"
 	Start float64
 	End   float64
 }
@@ -23,7 +23,7 @@ func (e TraceEvent) Duration() float64 { return e.End - e.Start }
 // what kind of recovery ran, what triggered it, how long each phase took
 // in simulated seconds, and how much state moved to repair the cluster.
 type RecoveryReport struct {
-	Kind      string // "checkpoint", "rebirth", "migration"
+	Kind      string // "checkpoint", "rebirth", "migration", "logged"
 	Iteration int    // superstep being (re-)executed after recovery
 	Failed    []int
 
@@ -83,10 +83,6 @@ type Result[V any] struct {
 	AvgIterSeconds float64
 	LoadSeconds    float64
 
-	// Checkpointing totals.
-	CheckpointSeconds float64
-	CheckpointCount   int
-
 	// Strategy is the configured FT strategy's uniform accounting:
 	// superstep-end persistence work and completed recovery passes.
 	Strategy StrategyStats
@@ -140,8 +136,6 @@ func (c *Cluster[V, A]) result() *Result[V] {
 		Iterations:           c.iter,
 		SimSeconds:           c.clock.Now(),
 		LoadSeconds:          c.loadSeconds,
-		CheckpointSeconds:    c.ckptSeconds,
-		CheckpointCount:      c.ckptCount,
 		Strategy:             c.strategyStats(),
 		ExtraReplicas:        c.extraReplicas,
 		ExtraReplicasSelfish: c.extraReplicasSelfish,

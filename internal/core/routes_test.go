@@ -79,14 +79,7 @@ func TestSyncRoutesRebuiltAfterRecovery(t *testing.T) {
 					cfg.Recovery = tc.rec
 					cfg.MaxIter = 8
 					cfg.WorkersPerNode = workers
-					switch tc.rec {
-					case RecoverCheckpoint:
-						cfg.FT = FTConfig{}
-						cfg.Checkpoint = CheckpointConfig{Enabled: true, Interval: 2}
-					case RecoverLogged:
-						cfg.FT = FTConfig{}
-						cfg.Logged = LoggedConfig{Enabled: true}
-					}
+					cfg.Checkpoint = CheckpointConfig{Interval: 2}
 					when := fmt.Sprintf("%s workers=%d", prog.Name(), workers)
 					fresh, err := NewCluster(cfg, g, prog)
 					if err != nil {

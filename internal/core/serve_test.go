@@ -99,9 +99,7 @@ func TestServeEpochConsistentDuringFailover(t *testing.T) {
 		for _, st := range strategies {
 			t.Run(mode.String()+"/"+st.name, func(t *testing.T) {
 				cfg := ftConfig(mode, 6, iters, 2, st.rec)
-				if st.rec == core.RecoverLogged {
-					cfg.Logged = core.LoggedConfig{Enabled: true, CompactEvery: 3}
-				}
+				cfg.Logged = core.LoggedConfig{CompactEvery: 3}
 				cfg.Serve = core.ServeConfig{Enabled: true}
 				cfg.Chaos = crashAt(3, core.FailBeforeBarrier, 1)
 				tol := 0.0

@@ -60,81 +60,80 @@ func newFTStrategy[V, A any](c *Cluster[V, A]) (ftStrategy[V, A], error) {
 	}
 }
 
-// validateStrategy is the one seam where FT-strategy combinations are
-// vetted (Config.Validate calls it). Every rejection wraps
+// validateStrategy is the one seam where the FT strategy is vetted
+// (Config.Validate calls it): only the selected strategy's parameters are
+// read. Every rejection but the crash-without-recovery schedule wraps
 // ErrInvalidStrategy so callers branch on the class, not the message.
 func validateStrategy(c *Config) error {
-	if c.Checkpoint.Enabled {
-		if c.Checkpoint.Interval < 1 {
-			return fmt.Errorf("%w: checkpoint interval must be >= 1, got %d", ErrInvalidStrategy, c.Checkpoint.Interval)
-		}
-		if c.Checkpoint.FullEvery < 0 {
-			return fmt.Errorf("%w: Checkpoint.FullEvery must be >= 0, got %d (0 means the default of 4)", ErrInvalidStrategy, c.Checkpoint.FullEvery)
-		}
-	}
-	if c.Logged.Enabled && c.Logged.CompactEvery < 0 {
-		return fmt.Errorf("%w: Logged.CompactEvery must be >= 0, got %d (0 never compacts)", ErrInvalidStrategy, c.Logged.CompactEvery)
-	}
 	switch c.Recovery {
 	case RecoverNone:
 		if c.chaosHasCrash() {
 			return fmt.Errorf("%w: failures scheduled but recovery disabled", ErrInvalidSchedule)
 		}
 	case RecoverCheckpoint:
-		if !c.Checkpoint.Enabled {
-			return fmt.Errorf("%w: checkpoint recovery needs Checkpoint.Enabled", ErrInvalidStrategy)
+		if c.Checkpoint.Interval < 1 {
+			return fmt.Errorf("%w: checkpoint interval must be >= 1, got %d", ErrInvalidStrategy, c.Checkpoint.Interval)
+		}
+		if c.Checkpoint.FullEvery < 0 {
+			return fmt.Errorf("%w: Checkpoint.FullEvery must be >= 0, got %d (0 means the default of 4)", ErrInvalidStrategy, c.Checkpoint.FullEvery)
 		}
 	case RecoverRebirth, RecoverMigration:
-		if !c.FT.Enabled {
-			return fmt.Errorf("%w: %v recovery needs FT.Enabled", ErrInvalidStrategy, c.Recovery)
+		if c.FT.K < 1 || c.FT.K >= c.NumNodes {
+			return fmt.Errorf("%w: FT.K must be in [1, NumNodes %d), got %d", ErrInvalidStrategy, c.NumNodes, c.FT.K)
 		}
 	case RecoverLogged:
-		if !c.Logged.Enabled {
-			return fmt.Errorf("%w: logged recovery needs Logged.Enabled", ErrInvalidStrategy)
+		if c.Logged.CompactEvery < 0 {
+			return fmt.Errorf("%w: Logged.CompactEvery must be >= 0, got %d (0 never compacts)", ErrInvalidStrategy, c.Logged.CompactEvery)
 		}
 	default:
 		return fmt.Errorf("%w: unknown recovery kind %v", ErrInvalidStrategy, c.Recovery)
 	}
-	if c.RebirthFallback && !c.FT.Enabled {
-		return fmt.Errorf("%w: RebirthFallback needs FT.Enabled (migration promotes mirrors)", ErrInvalidStrategy)
+	if c.RebirthFallback && !c.replicates() {
+		return fmt.Errorf("%w: RebirthFallback needs rebirth or migration recovery (migration promotes mirrors)", ErrInvalidStrategy)
 	}
 	return nil
 }
 
-// stratBase carries the persistence hooks shared by every strategy: the
-// periodic-checkpoint writer is keyed on Config.Checkpoint (snapshots can
-// ride along with any recovery strategy, exactly as before the seam), and
-// the superstep-log writer on Config.Logged.
+// replicates reports whether the run keeps replication state — FT replicas,
+// mirrors, vertex-cut edge-ckpt files and the selfish optimization — which
+// only the replication recoveries read.
+func (c *Config) replicates() bool {
+	return c.Recovery == RecoverRebirth || c.Recovery == RecoverMigration
+}
+
+// stratBase carries the persistence hooks shared by every strategy. Each
+// persists only what its own recovery reads: snapshots under Checkpoint,
+// superstep logs under Logged, nothing here for the others.
 type stratBase[V, A any] struct {
 	c *Cluster[V, A]
 }
 
 func (s *stratBase[V, A]) onLoad() {
 	c := s.c
-	if c.cfg.Checkpoint.Enabled {
+	switch c.cfg.Recovery {
+	case RecoverCheckpoint:
 		c.retainPristine()
 		c.writeCheckpointAt(0, false)
-	}
-	if c.cfg.Logged.Enabled {
-		if c.pristine == nil {
-			c.retainPristine()
-		}
+	case RecoverLogged:
+		c.retainPristine()
 		c.flogInit()
 	}
 }
 
 func (s *stratBase[V, A]) onSuperstepEnd() {
 	c := s.c
-	if c.cfg.Checkpoint.Enabled && c.iter%c.cfg.Checkpoint.Interval == 0 {
-		c.writeCheckpoint()
-	}
-	if c.flog != nil {
+	switch c.cfg.Recovery {
+	case RecoverCheckpoint:
+		if c.iter%c.cfg.Checkpoint.Interval == 0 {
+			c.writeCheckpoint()
+		}
+	case RecoverLogged:
 		c.flogWrite()
 	}
 }
 
 func (s *stratBase[V, A]) onRollback() {
-	if s.c.flog != nil {
+	if s.c.cfg.Recovery == RecoverLogged {
 		s.c.flogRollback()
 	}
 }
@@ -339,7 +338,7 @@ type StrategyStats struct {
 	// "migration", "logged").
 	Kind string
 	// PersistSeconds/PersistCount/PersistedBytes total the superstep-end
-	// persistence work: checkpoint snapshots and/or superstep logs.
+	// persistence work: checkpoint snapshots or superstep logs.
 	PersistSeconds float64
 	PersistCount   int
 	PersistedBytes int64
@@ -355,14 +354,11 @@ type StrategyStats struct {
 func (c *Cluster[V, A]) strategyStats() StrategyStats {
 	st := StrategyStats{
 		Kind:           c.strat.Name(),
-		PersistSeconds: c.ckptSeconds,
-		PersistCount:   c.ckptCount,
-		PersistedBytes: c.ckptBytes,
+		PersistSeconds: c.persistSeconds,
+		PersistCount:   c.persistCount,
+		PersistedBytes: c.persistBytes,
 	}
 	if c.flog != nil {
-		st.PersistSeconds += c.flog.writeSeconds
-		st.PersistCount += c.flog.writes
-		st.PersistedBytes += c.flog.bytes
 		st.LogRecords = c.flog.records
 	}
 	for _, rec := range c.recoveries {

@@ -103,6 +103,28 @@ func readValue[V any](r *reader, c Codec[V]) V {
 
 func (r *reader) remaining() int { return len(r.buf) }
 
+// An edge-ckpt file (§4.3) is a run of 16-byte (src u32, dst u32, weight
+// f64) records; appendEdgeCkpt writes one and eachEdgeCkpt reads them back.
+func appendEdgeCkpt(buf []byte, src, dst graph.VertexID, wt float64) []byte {
+	return putF64(putU32(putU32(buf, uint32(src)), uint32(dst)), wt)
+}
+
+// eachEdgeCkpt calls fn on every record of an edge-ckpt file in order,
+// stopping at fn's first error; a truncated record is errTruncated.
+func eachEdgeCkpt(data []byte, fn func(src, dst graph.VertexID, wt float64) error) error {
+	r := &reader{buf: data}
+	for r.remaining() > 0 {
+		src, dst, wt := graph.VertexID(r.u32()), graph.VertexID(r.u32()), r.f64()
+		if r.err != nil {
+			return r.err
+		}
+		if err := fn(src, dst, wt); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // Recovery record roles.
 const (
 	roleReplica uint8 = iota

@@ -94,8 +94,6 @@ func (t *Table) Render(w io.Writer) {
 type RunSummary struct {
 	SimSeconds           float64
 	AvgIterSeconds       float64
-	CheckpointSeconds    float64
-	CheckpointCount      int
 	ExtraReplicas        int
 	ExtraReplicasSelfish int
 	TotalPresences       int
@@ -125,8 +123,6 @@ func summarize[V any](res *core.Result[V], rf float64, g *graph.Graph) RunSummar
 	return RunSummary{
 		SimSeconds:           res.SimSeconds,
 		AvgIterSeconds:       res.AvgIterSeconds,
-		CheckpointSeconds:    res.CheckpointSeconds,
-		CheckpointCount:      res.CheckpointCount,
 		ExtraReplicas:        res.ExtraReplicas,
 		ExtraReplicasSelfish: res.ExtraReplicasSelfish,
 		TotalPresences:       res.TotalPresences,
@@ -226,7 +222,6 @@ func RunWorkloadOn(w Workload, g *graph.Graph, cfg core.Config) (RunSummary, err
 
 func baseEdgeCut(o Options) core.Config {
 	cfg := core.DefaultConfig(core.EdgeCutMode, o.Nodes)
-	cfg.FT = core.FTConfig{}
 	cfg.Recovery = core.RecoverNone
 	cfg.WorkersPerNode = workersOf(o)
 	return cfg
@@ -234,7 +229,6 @@ func baseEdgeCut(o Options) core.Config {
 
 func baseVertexCut(o Options) core.Config {
 	cfg := core.DefaultConfig(core.VertexCutMode, o.Nodes)
-	cfg.FT = core.FTConfig{}
 	cfg.Recovery = core.RecoverNone
 	cfg.WorkersPerNode = workersOf(o)
 	return cfg
@@ -250,21 +244,21 @@ func workersOf(o Options) int {
 }
 
 func withREP(cfg core.Config, k int) core.Config {
-	cfg.FT = core.FTConfig{Enabled: true, K: k, SelfishOpt: true}
+	cfg.FT = core.FTConfig{K: k, SelfishOpt: true}
 	cfg.Recovery = core.RecoverRebirth
 	cfg.MaxRebirths = 8
 	return cfg
 }
 
 func withCKPT(cfg core.Config, interval int, inMemory bool) core.Config {
-	cfg.Checkpoint = core.CheckpointConfig{Enabled: true, Interval: interval, InMemory: inMemory}
+	cfg.Checkpoint = core.CheckpointConfig{Interval: interval, InMemory: inMemory}
 	cfg.Recovery = core.RecoverCheckpoint
 	cfg.MaxRebirths = 8
 	return cfg
 }
 
 func withLogged(cfg core.Config, compactEvery int) core.Config {
-	cfg.Logged = core.LoggedConfig{Enabled: true, CompactEvery: compactEvery}
+	cfg.Logged = core.LoggedConfig{CompactEvery: compactEvery}
 	cfg.Recovery = core.RecoverLogged
 	cfg.MaxRebirths = 8
 	return cfg

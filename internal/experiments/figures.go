@@ -51,8 +51,8 @@ func Fig2aCheckpointCost(o Options) (*Table, error) {
 			return nil, err
 		}
 		ckptOnce := 0.0
-		if s.CheckpointCount > 0 {
-			ckptOnce = s.CheckpointSeconds / float64(s.CheckpointCount)
+		if st := s.Strategy; st.PersistCount > 0 {
+			ckptOnce = st.PersistSeconds / float64(st.PersistCount)
 		}
 		ratio := 0.0
 		if s.AvgIterSeconds > 0 {
@@ -770,8 +770,8 @@ func YoungModelEfficiency(o Options) (*Table, error) {
 		return nil, err
 	}
 	ckCost := 0.0
-	if ck.CheckpointCount > 0 {
-		ckCost = ck.CheckpointSeconds / float64(ck.CheckpointCount)
+	if st := ck.Strategy; st.PersistCount > 0 {
+		ckCost = st.PersistSeconds / float64(st.PersistCount)
 	}
 	repCost := (rep.SimSeconds - base.SimSeconds) / float64(o.Iters)
 	if repCost <= 0 {

@@ -120,12 +120,6 @@ func WithFailures(events ...FailureEvent) Option {
 	return func(c *Config) { c.Chaos = append(c.Chaos, events...) }
 }
 
-// WithRebirthFallback lets a Rebirth recovery that finds the standby pool
-// exhausted fall back to Migration instead of failing with ErrNoStandby.
-func WithRebirthFallback() Option {
-	return func(c *Config) { c.RebirthFallback = true }
-}
-
 // ParseFailureSchedule parses the compact one-line schedule grammar
 // ("crash@3b=1|crashrec@migration:repair=4|slow@2=0>3x8|delay@4=0.25");
 // see FormatFailureSchedule for the inverse. Errors match
@@ -156,7 +150,7 @@ var (
 	// recover from.
 	ErrUnrecoverable = core.ErrUnrecoverable
 	// ErrNoStandby reports an exhausted standby pool during a Rebirth or
-	// Checkpoint recovery (see WithMaxRebirths and WithRebirthFallback).
+	// Checkpoint recovery (see WithMaxRebirths and ReplicationFallback).
 	ErrNoStandby = core.ErrNoStandby
 	// ErrTooManyFailures reports more simultaneous node losses than the
 	// replication factor K tolerates.

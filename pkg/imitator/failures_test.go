@@ -177,9 +177,8 @@ func TestRebirthFallbackOption(t *testing.T) {
 	cfg := imitator.New(
 		imitator.WithNodes(5),
 		imitator.WithIterations(6),
-		imitator.WithFTStrategy(imitator.Replication(imitator.ReplicationK(1))),
+		imitator.WithFTStrategy(imitator.Replication(imitator.ReplicationK(1), imitator.ReplicationFallback())),
 		imitator.WithMaxRebirths(0),
-		imitator.WithRebirthFallback(),
 		imitator.WithFailures(imitator.Crash(2, imitator.FailBeforeBarrier, 1)),
 	)
 	res, err := imitator.Run(cfg, g, imitator.NewPageRank(g.NumVertices()))

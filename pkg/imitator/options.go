@@ -11,8 +11,8 @@ import "imitator/internal/core"
 //     WithHostParallelism, WithPartitioner.
 //   - FT options pin the fault-tolerance story: WithFTStrategy with the
 //     typed constructors (Replication, Migration, Checkpoint,
-//     LoggedRecovery, NoRecovery), plus WithMaxRebirths and
-//     WithRebirthFallback.
+//     LoggedRecovery, NoRecovery) and their sub-options, plus
+//     WithMaxRebirths.
 //   - Chaos options inject faults: WithFailures with the event builders
 //     (Crash, CrashDuringRecovery, SlowLink, DelayBurst, Drop, Duplicate,
 //     Reorder, Partition) and WithChaosSeed.

@@ -5,9 +5,9 @@ import "imitator/internal/core"
 // FTStrategy is a fault-tolerance strategy selection for WithFTStrategy.
 // Build one with the typed constructors — Replication, Migration,
 // Checkpoint, LoggedRecovery, NoRecovery — and refine it with their
-// functional sub-options. A strategy configures the recovery mode *and* the
-// persistence machinery it depends on, so one option pins the whole
-// fault-tolerance story of a run.
+// functional sub-options. The strategy alone decides what the run persists:
+// replicas under Replication and Migration, snapshots under Checkpoint, logs
+// under LoggedRecovery, nothing under NoRecovery.
 type FTStrategy func(*Config)
 
 // WithFTStrategy selects how the cluster persists state and recovers from
@@ -31,28 +31,19 @@ type ReplicationOption func(*Config)
 // (§5.1): vertex replicas double as hot state, and a crashed node is rebuilt
 // on a standby from the replicas scattered across the survivors.
 func Replication(opts ...ReplicationOption) FTStrategy {
-	return func(c *Config) {
-		c.FT.Enabled = true
-		if c.FT.K < 1 {
-			c.FT.K = 1
-		}
-		c.Recovery = core.RecoverRebirth
-		for _, o := range opts {
-			o(c)
-		}
-	}
+	return replication(core.RecoverRebirth, opts)
 }
 
 // Migration is replication-based FT with Migration recovery (§5.2): mirrors
 // on the survivors are promoted to masters and the crashed node's workload
 // scatters across the cluster — no standby machines needed.
 func Migration(opts ...ReplicationOption) FTStrategy {
+	return replication(core.RecoverMigration, opts)
+}
+
+func replication(kind core.RecoveryKind, opts []ReplicationOption) FTStrategy {
 	return func(c *Config) {
-		c.FT.Enabled = true
-		if c.FT.K < 1 {
-			c.FT.K = 1
-		}
-		c.Recovery = core.RecoverMigration
+		c.Recovery = kind
 		for _, o := range opts {
 			o(c)
 		}
@@ -80,13 +71,12 @@ type CheckpointOption func(*Config)
 
 // Checkpoint is the checkpoint baseline (Imitator-CKPT): periodic snapshots
 // to the DFS every interval iterations, and on failure the whole cluster
-// reloads the last snapshot and re-executes the lost supersteps.
-// Replication FT is turned off; the checkpoint baseline runs replica-free.
+// reloads the last snapshot and re-executes the lost supersteps. The
+// baseline runs replica-free.
 func Checkpoint(interval int, opts ...CheckpointOption) FTStrategy {
 	return func(c *Config) {
-		c.Checkpoint = core.CheckpointConfig{Enabled: true, Interval: interval}
+		c.Checkpoint = core.CheckpointConfig{Interval: interval}
 		c.Recovery = core.RecoverCheckpoint
-		c.FT = core.FTConfig{}
 		for _, o := range opts {
 			o(c)
 		}
@@ -114,13 +104,11 @@ type LoggedOption func(*Config)
 // Yang, arXiv:1601.06496): every node logs its vertex-state deltas and
 // received sync payloads at superstep end, and on failure only the reborn
 // nodes replay their own log chains — survivors perform zero recomputation.
-// Needs neither replicas nor cluster-wide snapshots; replication FT is
-// turned off, so reborn nodes rebuild purely from their own log chains.
+// Needs neither replicas nor cluster-wide snapshots, so it keeps neither.
 func LoggedRecovery(opts ...LoggedOption) FTStrategy {
 	return func(c *Config) {
-		c.Logged = core.LoggedConfig{Enabled: true}
+		c.Logged = core.LoggedConfig{}
 		c.Recovery = core.RecoverLogged
-		c.FT = core.FTConfig{}
 		for _, o := range opts {
 			o(c)
 		}
@@ -137,30 +125,5 @@ func LoggedCompactEvery(n int) LoggedOption {
 // NoRecovery turns fault tolerance off entirely: no replicas, no snapshots,
 // no logs, and any failure aborts the job (baseline runs).
 func NoRecovery() FTStrategy {
-	return func(c *Config) {
-		c.Recovery = core.RecoverNone
-		c.FT = core.FTConfig{}
-		c.Checkpoint = core.CheckpointConfig{}
-		c.Logged = core.LoggedConfig{}
-	}
-}
-
-// FTStrategyByName resolves a strategy from its command-line name:
-// "replication" (or "rebirth"), "migration", "checkpoint", "logged",
-// "none". Unknown names return false.
-func FTStrategyByName(name string) (FTStrategy, bool) {
-	switch name {
-	case "replication", "rebirth":
-		return Replication(), true
-	case "migration":
-		return Migration(), true
-	case "checkpoint":
-		return Checkpoint(1), true
-	case "logged":
-		return LoggedRecovery(), true
-	case "none":
-		return NoRecovery(), true
-	default:
-		return nil, false
-	}
+	return func(c *Config) { c.Recovery = core.RecoverNone }
 }

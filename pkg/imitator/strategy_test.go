@@ -18,7 +18,7 @@ func TestFTStrategyMapping(t *testing.T) {
 		"replication": {
 			imitator.Replication(imitator.ReplicationK(2), imitator.ReplicationSelfish(false)),
 			func(t *testing.T, c imitator.Config) {
-				if c.Recovery != imitator.RecoverRebirth || !c.FT.Enabled || c.FT.K != 2 || c.FT.SelfishOpt {
+				if c.Recovery != imitator.RecoverRebirth || c.FT.K != 2 || c.FT.SelfishOpt {
 					t.Errorf("replication config wrong: %+v", c)
 				}
 			},
@@ -34,7 +34,7 @@ func TestFTStrategyMapping(t *testing.T) {
 		"migration": {
 			imitator.Migration(),
 			func(t *testing.T, c imitator.Config) {
-				if c.Recovery != imitator.RecoverMigration || !c.FT.Enabled {
+				if c.Recovery != imitator.RecoverMigration || c.FT.K != 1 {
 					t.Errorf("migration config wrong: %+v", c)
 				}
 			},
@@ -43,8 +43,8 @@ func TestFTStrategyMapping(t *testing.T) {
 			imitator.Checkpoint(3, imitator.CheckpointInMemory(), imitator.CheckpointIncremental(5)),
 			func(t *testing.T, c imitator.Config) {
 				ck := c.Checkpoint
-				if c.Recovery != imitator.RecoverCheckpoint || !ck.Enabled || ck.Interval != 3 ||
-					!ck.InMemory || !ck.Incremental || ck.FullEvery != 5 || c.FT.Enabled {
+				if c.Recovery != imitator.RecoverCheckpoint || ck.Interval != 3 ||
+					!ck.InMemory || !ck.Incremental || ck.FullEvery != 5 {
 					t.Errorf("checkpoint config wrong: %+v", c)
 				}
 			},
@@ -52,8 +52,7 @@ func TestFTStrategyMapping(t *testing.T) {
 		"logged": {
 			imitator.LoggedRecovery(imitator.LoggedCompactEvery(4)),
 			func(t *testing.T, c imitator.Config) {
-				if c.Recovery != imitator.RecoverLogged || !c.Logged.Enabled ||
-					c.Logged.CompactEvery != 4 || c.FT.Enabled || c.Checkpoint.Enabled {
+				if c.Recovery != imitator.RecoverLogged || c.Logged.CompactEvery != 4 {
 					t.Errorf("logged config wrong: %+v", c)
 				}
 			},
@@ -61,7 +60,7 @@ func TestFTStrategyMapping(t *testing.T) {
 		"none": {
 			imitator.NoRecovery(),
 			func(t *testing.T, c imitator.Config) {
-				if c.Recovery != imitator.RecoverNone || c.FT.Enabled || c.Checkpoint.Enabled || c.Logged.Enabled {
+				if c.Recovery != imitator.RecoverNone {
 					t.Errorf("none config wrong: %+v", c)
 				}
 			},
@@ -76,29 +75,6 @@ func TestFTStrategyMapping(t *testing.T) {
 				t.Errorf("strategy config does not validate: %v", err)
 			}
 		})
-	}
-}
-
-// TestFTStrategyByName: the CLI name registry matches the constructors.
-func TestFTStrategyByName(t *testing.T) {
-	for name, wantKind := range map[string]imitator.Recovery{
-		"replication": imitator.RecoverRebirth,
-		"rebirth":     imitator.RecoverRebirth,
-		"migration":   imitator.RecoverMigration,
-		"checkpoint":  imitator.RecoverCheckpoint,
-		"logged":      imitator.RecoverLogged,
-		"none":        imitator.RecoverNone,
-	} {
-		s, ok := imitator.FTStrategyByName(name)
-		if !ok {
-			t.Fatalf("%s: not registered", name)
-		}
-		if cfg := imitator.New(imitator.WithFTStrategy(s)); cfg.Recovery != wantKind {
-			t.Errorf("%s -> %v, want %v", name, cfg.Recovery, wantKind)
-		}
-	}
-	if _, ok := imitator.FTStrategyByName("raid"); ok {
-		t.Error("unknown name accepted")
 	}
 }
 
