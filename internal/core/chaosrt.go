@@ -164,7 +164,7 @@ func (c *Cluster[V, A]) chaosCrashAt(iter int, phase FailPhase) {
 		return
 	}
 	delete(c.chaos.crashes, k)
-	c.crashViaHeartbeat(nodes)
+	c.crash(nodes)
 }
 
 // chaosRecoveryPhase fires pending crash-during-recovery events whose
@@ -176,7 +176,7 @@ func (c *Cluster[V, A]) chaosRecoveryPhase(phase string) {
 			continue
 		}
 		rc.fired = true
-		c.crashViaHeartbeat(rc.nodes)
+		c.crash(rc.nodes)
 	}
 }
 
@@ -193,16 +193,16 @@ func (c *Cluster[V, A]) chaosPartitionSilence() {
 	}
 	nodes := c.chaos.pendingPart
 	c.chaos.pendingPart = c.chaos.pendingPart[:0]
-	c.crashViaHeartbeat(nodes)
+	c.crash(nodes)
 }
 
-// crashViaHeartbeat fail-stops the given nodes and lets the configured
-// failure detector notice: the victims go silent and the detector — the
-// centralized heartbeat monitor or SWIM gossip, per Config.Membership —
+// crash fail-stops the given nodes and lets the configured failure
+// detector notice: the victims go silent and the detector — centralized or
+// SWIM gossip, per Config.Membership —
 // advances the simulated clock by its detection delay and announces first
 // suspicion and then confirmation to the coordinator (surfacing in the
 // next barrier state).
-func (c *Cluster[V, A]) crashViaHeartbeat(nodes []int) {
+func (c *Cluster[V, A]) crash(nodes []int) {
 	c.ensureDetector()
 	var victims []int
 	for _, id := range nodes {

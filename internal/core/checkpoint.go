@@ -19,27 +19,10 @@ func (c *Cluster[V, A]) writeCheckpoint() {
 	c.trace = append(c.trace, TraceEvent{Iter: c.iter, Kind: "checkpoint", Start: start, End: c.clock.Now()})
 }
 
-// ckptRecord tracks one snapshot in the history.
-type ckptRecord struct {
-	epoch int
-	full  bool
-}
-
-// writeCheckpointAt writes the epoch snapshot; when charge is set the cost
-// advances the simulated clock (barrier-synchronous checkpointing), else it
-// accrues to load time (the initial epoch-0 snapshot). Incremental
-// snapshots include only masters touched since the previous epoch, with a
-// full snapshot every FullEvery to bound the recovery chain.
+// writeCheckpointAt writes the full epoch snapshot; when charge is set the
+// cost advances the simulated clock (barrier-synchronous checkpointing), else
+// it accrues to load time (the initial epoch-0 snapshot).
 func (c *Cluster[V, A]) writeCheckpointAt(epoch int, charge bool) {
-	fullEvery := c.cfg.Checkpoint.FullEvery
-	if fullEvery < 1 {
-		fullEvery = 4
-	}
-	full := !c.cfg.Checkpoint.Incremental || len(c.ckptHistory)%fullEvery == 0
-	since := int32(0)
-	if !full {
-		since = int32(c.ckptHistory[len(c.ckptHistory)-1].epoch)
-	}
 	// Nodes snapshot concurrently (they do on a real cluster); each node's
 	// records encode chunk-parallel and concatenate in chunk order, so the
 	// snapshot bytes match the sequential encoder's for any worker count.
@@ -56,14 +39,7 @@ func (c *Cluster[V, A]) writeCheckpointAt(epoch int, charge bool) {
 				if !e.isMaster() {
 					continue
 				}
-				if !full && e.lastTouchedIter < since {
-					continue
-				}
-				b = putI32(b, int32(i))
-				b = c.vc.Append(b, e.value)
-				b = putBool(b, e.active)
-				b = putBool(b, e.lastActivate)
-				b = putI32(b, e.lastActivateIter)
+				b = appendSlotState(b, c.vc, int32(i), e)
 				cnt++
 			}
 			return b, cnt
@@ -100,36 +76,44 @@ func (c *Cluster[V, A]) writeCheckpointAt(epoch int, charge bool) {
 		c.loadSeconds += span.Max()
 	}
 	c.ckptEpoch = epoch
-	if n := len(c.ckptHistory); n > 0 && c.ckptHistory[n-1].epoch == epoch {
-		c.ckptHistory[n-1].full = full // re-written after a replay
-	} else {
-		c.ckptHistory = append(c.ckptHistory, ckptRecord{epoch: epoch, full: full})
-	}
 }
 
-// restoreChain returns the snapshot epochs needed to restore state at
-// `epoch`: the latest full snapshot at or before it plus every later delta.
-func (c *Cluster[V, A]) restoreChain(epoch int) []int {
-	lastFull := -1
-	for i, rec := range c.ckptHistory {
-		if rec.epoch > epoch {
-			break
-		}
-		if rec.full {
-			lastFull = i
-		}
+// appendSlotState encodes one slot's committed state, the record both data
+// snapshots and fullResync carry:
+// i32 pos | value | bool active | bool lastActivate | i32 lastActivateIter.
+func appendSlotState[V any](b []byte, vc Codec[V], pos int32, e *hot[V]) []byte {
+	b = putI32(b, pos)
+	b = vc.Append(b, e.value)
+	b = putBool(b, e.active)
+	b = putBool(b, e.lastActivate)
+	return putI32(b, e.lastActivateIter)
+}
+
+// readSlotState decodes one appendSlotState record into its slot of slots
+// and drops the slot's pending update. A master keeps its own active flag
+// unless masterActive is set: a snapshot restores masters, a resync only
+// mirrors their flags onto replicas. A short record or an out-of-range
+// position leaves r.err set and slots untouched.
+func readSlotState[V any](r *reader, vc Codec[V], slots []hot[V], masterActive bool) {
+	pos := r.i32()
+	value := readValue(r, vc)
+	active := r.bool()
+	lastActivate := r.bool()
+	stamp := r.i32()
+	if r.err == nil && (pos < 0 || int(pos) >= len(slots)) {
+		r.fail()
 	}
-	if lastFull < 0 {
-		return nil
+	if r.err != nil {
+		return
 	}
-	var chain []int
-	for _, rec := range c.ckptHistory[lastFull:] {
-		if rec.epoch > epoch {
-			break
-		}
-		chain = append(chain, rec.epoch)
+	e := &slots[pos]
+	e.value = value
+	if masterActive || !e.isMaster() {
+		e.active = active
 	}
-	return chain
+	e.lastActivate = lastActivate
+	e.lastActivateIter = stamp
+	e.clearPending()
 }
 
 // restoreFromSnapshot loads a node's snapshot at epoch into its entries.
@@ -146,20 +130,10 @@ func (c *Cluster[V, A]) restoreFromSnapshot(nd *node[V, A], epoch int) (float64,
 	}
 	count := int(r.u32())
 	for k := 0; k < count; k++ {
-		pos := r.i32()
-		val := readValue(r, c.vc)
-		active := r.bool()
-		lastAct := r.bool()
-		stamp := r.i32()
+		readSlotState(r, c.vc, nd.hot, true)
 		if r.err != nil {
 			return 0, r.err
 		}
-		e := &nd.hot[pos]
-		e.value = val
-		e.active = active
-		e.lastActivate = lastAct
-		e.lastActivateIter = stamp
-		e.clearPending()
 	}
 	return cost, nil
 }
@@ -199,10 +173,6 @@ func (c *Cluster[V, A]) recoverCheckpoint(p *recoveryPass[V, A]) error {
 	// in-memory topology happens to be intact, so the metadata read is a
 	// pure cost charge mirroring the paper's systems, which rebuild from
 	// scratch to reach a consistent state.
-	chain := c.restoreChain(epoch)
-	if len(chain) == 0 {
-		return fmt.Errorf("%w: no snapshot chain for epoch %d", ErrUnrecoverable, epoch)
-	}
 	// Per-node slots: the reload closures run concurrently.
 	nodeCosts := make([]float64, c.cfg.NumNodes)
 	nodeErrs := make([]error, c.cfg.NumNodes)
@@ -213,16 +183,12 @@ func (c *Cluster[V, A]) recoverCheckpoint(p *recoveryPass[V, A]) error {
 			return
 		}
 		nd.met.DFSReadBytes += metaSize
-		cost := c.cfg.Cost.DFSRead(metaSize)
-		for _, ep := range chain {
-			dataCost, err := c.restoreFromSnapshot(nd, ep)
-			if err != nil {
-				nodeErrs[nd.id] = err
-				return
-			}
-			cost += dataCost
+		dataCost, err := c.restoreFromSnapshot(nd, epoch)
+		if err != nil {
+			nodeErrs[nd.id] = err
+			return
 		}
-		nodeCosts[nd.id] = cost
+		nodeCosts[nd.id] = c.cfg.Cost.DFSRead(metaSize) + dataCost
 	})
 	var span costmodel.Span
 	for i, err := range nodeErrs {
@@ -304,33 +270,14 @@ func (c *Cluster[V, A]) fullResync() error {
 				for ri, rn := range rt.nodes {
 					pos := rt.pos[ri]
 					c.stageRecovery(&st.send[rn], &st.met, func(buf []byte) []byte {
-						buf = putI32(buf, pos)
-						buf = c.vc.Append(buf, e.value)
-						buf = putBool(buf, e.active)
-						buf = putBool(buf, e.lastActivate)
-						return putI32(buf, e.lastActivateIter)
+						return appendSlotState(buf, c.vc, pos, e)
 					})
 				}
 			}
 		})
 	})
 	return c.exchange(false, func(nd *node[V, A], _ int, r *reader) {
-		pos := r.i32()
-		val := readValue(r, c.vc)
-		active := r.bool()
-		lastAct := r.bool()
-		stamp := r.i32()
-		if r.err != nil {
-			return
-		}
-		e := &nd.hot[pos]
-		e.value = val
-		if !e.isMaster() {
-			e.active = active
-		}
-		e.lastActivate = lastAct
-		e.lastActivateIter = stamp
-		e.clearPending()
+		readSlotState(r, c.vc, nd.hot, false)
 	})
 }
 

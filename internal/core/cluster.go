@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"sync"
@@ -220,11 +221,6 @@ type Cluster[V, A any] struct {
 	ec   *partition.EdgeCut
 	vcut *partition.VertexCut
 
-	// strat is the configured fault-tolerance strategy: the run loop talks
-	// to it through the ftStrategy hooks and never branches on
-	// Config.Recovery itself.
-	strat ftStrategy[V, A]
-
 	// flog is the superstep-log runtime, nil unless Recovery is Logged.
 	flog *flogState
 
@@ -237,8 +233,7 @@ type Cluster[V, A any] struct {
 
 	iter         int
 	rebirthsUsed int
-	ckptEpoch    int          // iteration captured by the last completed checkpoint
-	ckptHistory  []ckptRecord // snapshot chain (epoch, full/incremental)
+	ckptEpoch    int // iteration captured by the last completed checkpoint
 
 	// Migration-restart bookkeeping (§5.3.2): when a second failure aborts a
 	// migration pass mid-flight, the next attempt must finish what the
@@ -317,10 +312,6 @@ func NewCluster[V, A any](cfg Config, g *graph.Graph, prog Program[V, A]) (*Clus
 		always: prog.AlwaysActive(),
 		selfishOptOn: cfg.replicates() && cfg.FT.SelfishOpt &&
 			prog.CanRecomputeSelfish() && prog.AlwaysActive(),
-	}
-	c.strat, err = newFTStrategy(c)
-	if err != nil {
-		return nil, err
 	}
 	// Divide the host budget between the phase pool (one goroutine per node,
 	// capped) and each node's chunk execution: with more nodes than cores
@@ -681,9 +672,12 @@ func (c *Cluster[V, A]) commit(iter int) {
 
 // rollback discards staged state and undelivered messages on every alive
 // node (Algorithm 1 line 9: the iteration will re-execute). Staged buffers
-// go back to the pool.
+// go back to the pool, and so do the superstep log's captured messages.
 func (c *Cluster[V, A]) rollback() {
 	c.runPhase(c.fns.rollback)
+	if c.flog != nil {
+		c.flogRollback()
+	}
 }
 
 // Run executes the job to MaxIter supersteps, applying the chaos schedule
@@ -718,7 +712,6 @@ func (c *Cluster[V, A]) Run() (*Result[V], error) {
 		c.clock.Advance(c.cfg.Cost.BarrierOverhead)
 		if state.IsFail() {
 			c.rollback()
-			c.strat.onRollback()
 			if err := c.recover(state.Failed, iter); err != nil {
 				return nil, err
 			}
@@ -733,7 +726,7 @@ func (c *Cluster[V, A]) Run() (*Result[V], error) {
 			c.replayWatch = nil
 		}
 
-		c.strat.onSuperstepEnd()
+		c.persistSuperstep()
 
 		c.chaosCrashAt(iter, FailAfterBarrier)
 		if state, err = c.barrier(); err != nil {
@@ -761,15 +754,23 @@ func (c *Cluster[V, A]) superstep(iter int) error {
 	}
 }
 
-// recover hands the failed set to the configured strategy, restarting when
-// additional failures strike during recovery (§5.3.2).
+// recover runs recovery passes of the configured kind over the failed set,
+// restarting when additional failures strike during recovery (§5.3.2).
 func (c *Cluster[V, A]) recover(failed []int, iter int) error {
 	pending := append([]int(nil), failed...)
 	for attempt := 0; ; attempt++ {
 		if attempt > 2*c.cfg.NumNodes {
 			return fmt.Errorf("%w: recovery restarted too many times", ErrTooManyFailures)
 		}
-		more, err := c.strat.recover(pending, iter)
+		more, err := c.recoverPass(c.cfg.Recovery, pending, iter)
+		if c.cfg.RebirthFallback && errors.Is(err, ErrNoStandby) {
+			// Standby pool is dry: migrate the lost slots onto the survivors
+			// instead of failing the job (§5.2 as fallback).
+			more, err = c.recoverPass(RecoverMigration, pending, iter)
+			if err == nil && len(more) == 0 {
+				c.recoveries[len(c.recoveries)-1].Fallback = true
+			}
+		}
 		if err != nil {
 			return err
 		}

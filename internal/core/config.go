@@ -146,14 +146,6 @@ type CheckpointConfig struct {
 	// bandwidth becomes the network bandwidth instead of disk (Fig 7's
 	// CKPT-mem variant).
 	InMemory bool
-	// Incremental writes only the vertices that changed since the previous
-	// snapshot (§2.3: Imitator-CKPT "can periodically launch checkpoint to
-	// create an incremental snapshot"). Recovery then replays the snapshot
-	// chain from the last full one.
-	Incremental bool
-	// FullEvery forces a full snapshot every N snapshots when Incremental
-	// is set (bounds the recovery chain). Defaults to 4.
-	FullEvery int
 }
 
 // LoggedConfig tunes the superstep-end logs behind RecoverLogged: per-node

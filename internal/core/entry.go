@@ -54,8 +54,8 @@ type hot[V any] struct {
 	// lastActivate records whether this vertex signaled scatter activation
 	// in the superstep lastActivateIter; recovery replays activation from
 	// these flags (§5.1.3). lastTouchedIter is the superstep whose commit
-	// last changed this master's value or activity; incremental checkpoints
-	// and log deltas persist only masters touched since the previous epoch.
+	// last changed this master's value or activity; log deltas persist only
+	// masters touched in the logged superstep.
 	// Commit writes all three every superstep, which is why they sit here
 	// and not in meta.
 	lastActivateIter int32

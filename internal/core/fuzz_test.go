@@ -12,6 +12,51 @@ import (
 	"imitator/internal/netsim"
 )
 
+// FuzzSlotStateDecode hardens the slot-state codec that data snapshots and
+// fullResync share: decoding arbitrary bytes never panics, input shorter than
+// one record or naming a position outside the slot table is an error, and a
+// record that decodes survives an appendSlotState round trip (slots compared,
+// not bytes: bool() reads any non-zero byte as true).
+func FuzzSlotStateDecode(f *testing.F) {
+	const slots = 8
+	f.Add([]byte{})
+	f.Add([]byte{1, 2, 3})
+	f.Add(appendSlotState(nil, Float64Codec{}, 3, &hot[float64]{value: 0.25, active: true, lastActivateIter: -1}))
+	f.Add(appendSlotState(nil, Float64Codec{}, slots, &hot[float64]{value: 1}))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		const width = 4 + 8 + 1 + 1 + 4 // pos | float64 | active | lastActivate | stamp
+		got := make([]hot[float64], slots)
+		r := &reader{buf: data}
+		readSlotState(r, Float64Codec{}, got, true)
+		if len(data) < width {
+			if r.err == nil {
+				t.Fatalf("%d-byte input decoded", len(data))
+			}
+			return
+		}
+		pos := int32(binary.LittleEndian.Uint32(data))
+		if pos < 0 || pos >= slots {
+			if r.err == nil {
+				t.Fatalf("position %d outside %d slots decoded", pos, slots)
+			}
+			return
+		}
+		if r.err != nil || r.remaining() != len(data)-width {
+			t.Fatalf("decode: err %v, %d of %d bytes left", r.err, r.remaining(), len(data))
+		}
+		back := &reader{buf: appendSlotState(nil, Float64Codec{}, pos, &got[pos])}
+		again := make([]hot[float64], slots)
+		readSlotState(back, Float64Codec{}, again, true)
+		a, b := again[pos], got[pos]
+		if back.err != nil || back.remaining() != 0 || math.Float64bits(a.value) != math.Float64bits(b.value) {
+			t.Fatalf("round trip: %+v (err %v, %d bytes left), want %+v", a, back.err, back.remaining(), b)
+		}
+		if a.value, b.value = 0, 0; a != b {
+			t.Fatalf("round trip: %+v, want %+v", a, b)
+		}
+	})
+}
+
 // FuzzRecoveryRecordDecode hardens the recovery-record decoder against
 // arbitrary bytes: decoding a payload record by record must never panic or
 // allocate beyond the payload's sanity bounds, and every record that decodes

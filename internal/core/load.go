@@ -378,7 +378,7 @@ func (c *Cluster[V, A]) load() error {
 			e.value = val
 			e.active = act || always
 			e.lastActivateIter = -1
-			e.lastTouchedIter = -1 // untouched; epoch-0 snapshot is full anyway
+			e.lastTouchedIter = -1 // untouched: no logged delta carries it yet
 		}
 	})
 
@@ -391,10 +391,10 @@ func (c *Cluster[V, A]) load() error {
 		c.writeEdgeCkpts()
 	}
 
-	// 10. Strategy persistence setup: metadata snapshots + pristine
-	// retention, the epoch-0 data snapshot (checkpointing), the log runtime
-	// (logged recovery).
-	c.strat.onLoad()
+	// 10. Persistence setup: metadata snapshots + pristine retention, the
+	// epoch-0 data snapshot (checkpointing), the log runtime (logged
+	// recovery).
+	c.persistLoad()
 
 	// 11. Memory accounting.
 	c.refreshMemoryMetrics()

@@ -6,57 +6,32 @@ import (
 	"slices"
 )
 
-// ftStrategy is the pluggable fault-tolerance seam: everything the run loop
-// needs from a recovery strategy, so cluster.go stays strategy-agnostic.
-// One strategy is constructed per cluster (newFTStrategy) from
-// Config.Recovery; all of them hold the cluster and drive the shared
-// machinery (checkpoint writer, rebirth/migration passes, ftlog runtime)
-// through it.
-//
-// Hook contract, in run-loop order:
-//
-//   - onLoad runs once at the end of load (step 10): persistence setup —
-//     metadata snapshots, pristine retention, the epoch-0 data snapshot,
-//     the log runtime.
-//   - onSuperstepEnd runs after each commit with c.iter already advanced:
-//     superstep-end persistence (periodic snapshots, superstep logs).
-//   - onRollback runs after a failed iteration's rollback: discard any
-//     persistence staged for the aborted iteration.
-//   - recover handles one recovery pass over the failed set and returns
-//     nodes that failed *during* the pass (the run loop restarts with the
-//     union, §5.3.2). Every pass runs inside passStrategy.recover's frame.
-type ftStrategy[V, A any] interface {
-	Name() string
-	onLoad()
-	onSuperstepEnd()
-	onRollback()
-	recover(failed []int, iter int) ([]int, error)
+// persistLoad is load step 10, the persistence setup of the configured
+// recovery: metadata snapshots, pristine retention and the epoch-0 data
+// snapshot under Checkpoint, the log runtime under Logged. Each recovery
+// persists only what its own pass reads; the replication recoveries persist
+// nothing here.
+func (c *Cluster[V, A]) persistLoad() {
+	switch c.cfg.Recovery {
+	case RecoverCheckpoint:
+		c.retainPristine()
+		c.writeCheckpointAt(0, false)
+	case RecoverLogged:
+		c.retainPristine()
+		c.flogInit()
+	}
 }
 
-// newFTStrategy builds the strategy selected by cfg.Recovery. Validate has
-// already vetted the combination; the default arm is defensive.
-func newFTStrategy[V, A any](c *Cluster[V, A]) (ftStrategy[V, A], error) {
-	base := stratBase[V, A]{c: c}
-	// Migration promotes mirrors on survivors (§5.2): no standby newbies.
-	migration := passStrategy[V, A]{base, RecoverMigration, nil, c.recoverMigration}
+// persistSuperstep runs after each commit with c.iter already advanced:
+// periodic snapshots under Checkpoint, the superstep log under Logged.
+func (c *Cluster[V, A]) persistSuperstep() {
 	switch c.cfg.Recovery {
-	case RecoverNone:
-		return &noneStrategy[V, A]{base}, nil
 	case RecoverCheckpoint:
-		// The paper's CKPT baseline: reload the last snapshot everywhere and
-		// replay the lost supersteps.
-		return &passStrategy[V, A]{base, RecoverCheckpoint, c.pristineNewbie, c.recoverCheckpoint}, nil
-	case RecoverRebirth:
-		return &rebirthStrategy[V, A]{passStrategy[V, A]{base, RecoverRebirth, c.rebirthNewbie, c.recoverRebirth}, migration}, nil
-	case RecoverMigration:
-		return &migration, nil
+		if c.iter%c.cfg.Checkpoint.Interval == 0 {
+			c.writeCheckpoint()
+		}
 	case RecoverLogged:
-		// Log-based failure-confined recovery (after Yan, Cheng & Yang,
-		// arXiv:1601.06496): superstep-end logs feed a replay that touches
-		// only the reborn nodes, while survivors do zero recomputation.
-		return &passStrategy[V, A]{base, RecoverLogged, c.pristineNewbie, c.recoverLogged}, nil
-	default:
-		return nil, fmt.Errorf("%w: unknown recovery kind %v", ErrInvalidStrategy, c.cfg.Recovery)
+		c.flogWrite()
 	}
 }
 
@@ -73,9 +48,6 @@ func validateStrategy(c *Config) error {
 	case RecoverCheckpoint:
 		if c.Checkpoint.Interval < 1 {
 			return fmt.Errorf("%w: checkpoint interval must be >= 1, got %d", ErrInvalidStrategy, c.Checkpoint.Interval)
-		}
-		if c.Checkpoint.FullEvery < 0 {
-			return fmt.Errorf("%w: Checkpoint.FullEvery must be >= 0, got %d (0 means the default of 4)", ErrInvalidStrategy, c.Checkpoint.FullEvery)
 		}
 	case RecoverRebirth, RecoverMigration:
 		if c.FT.K < 1 || c.FT.K >= c.NumNodes {
@@ -101,73 +73,6 @@ func (c *Config) replicates() bool {
 	return c.Recovery == RecoverRebirth || c.Recovery == RecoverMigration
 }
 
-// stratBase carries the persistence hooks shared by every strategy. Each
-// persists only what its own recovery reads: snapshots under Checkpoint,
-// superstep logs under Logged, nothing here for the others.
-type stratBase[V, A any] struct {
-	c *Cluster[V, A]
-}
-
-func (s *stratBase[V, A]) onLoad() {
-	c := s.c
-	switch c.cfg.Recovery {
-	case RecoverCheckpoint:
-		c.retainPristine()
-		c.writeCheckpointAt(0, false)
-	case RecoverLogged:
-		c.retainPristine()
-		c.flogInit()
-	}
-}
-
-func (s *stratBase[V, A]) onSuperstepEnd() {
-	c := s.c
-	switch c.cfg.Recovery {
-	case RecoverCheckpoint:
-		if c.iter%c.cfg.Checkpoint.Interval == 0 {
-			c.writeCheckpoint()
-		}
-	case RecoverLogged:
-		c.flogWrite()
-	}
-}
-
-func (s *stratBase[V, A]) onRollback() {
-	if s.c.cfg.Recovery == RecoverLogged {
-		s.c.flogRollback()
-	}
-}
-
-// noneStrategy aborts the job on failure (baseline without FT).
-type noneStrategy[V, A any] struct{ stratBase[V, A] }
-
-func (s *noneStrategy[V, A]) Name() string { return "none" }
-
-func (s *noneStrategy[V, A]) recover(failed []int, _ int) ([]int, error) {
-	return nil, fmt.Errorf("%w: no recovery strategy configured (failed nodes %v)",
-		ErrUnrecoverable, failed)
-}
-
-// rebirthStrategy is replication-based rebirth (§5.1), with the optional
-// fall back to migration when the standby pool runs dry.
-type rebirthStrategy[V, A any] struct {
-	passStrategy[V, A]
-	fallback passStrategy[V, A]
-}
-
-func (s *rebirthStrategy[V, A]) recover(failed []int, iter int) ([]int, error) {
-	more, err := s.passStrategy.recover(failed, iter)
-	if s.c.cfg.RebirthFallback && errors.Is(err, ErrNoStandby) {
-		// Standby pool is dry: migrate the lost slots onto the survivors
-		// instead of failing the job (§5.2 as fallback).
-		more, err = s.fallback.recover(failed, iter)
-		if err == nil && len(more) == 0 {
-			s.c.recoveries[len(s.c.recoveries)-1].Fallback = true
-		}
-	}
-	return more, err
-}
-
 // RecoveryPhaseLabels returns the phase labels a recovery pass of the given
 // kind announces, in the order it reaches them (nil for kinds that recover
 // nothing). This is the one table of them: a pass reads its labels from here,
@@ -189,21 +94,6 @@ func RecoveryPhaseLabels(kind RecoveryKind) []string {
 	}
 }
 
-// passStrategy is a strategy that recovers in passes, and its recover is the
-// one frame around every pass. The frame owns what all of them repeat — the
-// standby pool, the newbie join sequence, the phase boundaries (recoveryPass),
-// the RecoveryReport and its trace span; a strategy contributes its kind, its
-// phase bodies, and — when it rebuilds the failed slots on standby nodes —
-// the builder of slot f's replacement node (nil for migration).
-type passStrategy[V, A any] struct {
-	stratBase[V, A]
-	kind   RecoveryKind
-	newbie func(p *recoveryPass[V, A], f int) (*node[V, A], error)
-	body   func(p *recoveryPass[V, A]) error
-}
-
-func (s *passStrategy[V, A]) Name() string { return s.kind.String() }
-
 // recoveryPass is one attempt to recover a failed set: the state the frame
 // shares with the phase bodies (recoverRebirth, recoverMigration,
 // recoverCheckpoint, recoverLogged), which call hook and barrier where their
@@ -221,7 +111,7 @@ type recoveryPass[V, A any] struct {
 }
 
 // passInterrupted is what recoveryPass.barrier returns to unwind a phase body
-// when more nodes failed during the pass; recover turns it into the restart
+// when more nodes failed during the pass; recoverPass turns it into the restart
 // set and it never leaves the frame.
 type passInterrupted struct{ failed []int }
 
@@ -229,28 +119,53 @@ func (e passInterrupted) Error() string {
 	return fmt.Sprintf("core: recovery pass interrupted by the failure of nodes %v", e.failed)
 }
 
-// recover runs one pass over the failed set. A completed pass appends its
-// RecoveryReport and "recovery" trace span; a pass interrupted by further
-// failures returns them (§5.3.2) and leaves no record.
-func (s *passStrategy[V, A]) recover(failed []int, iter int) ([]int, error) {
-	c := s.c
-	if s.newbie != nil && c.rebirthsUsed+len(failed) > c.cfg.MaxRebirths {
+// recoverPass is the one frame around every recovery pass: it runs one pass
+// of kind over the failed set. The frame owns what all kinds repeat — the
+// standby pool, the newbie join sequence, the phase boundaries (recoveryPass),
+// the RecoveryReport and its trace span; a kind contributes its phase bodies
+// and, when it rebuilds the failed slots on standby nodes, the builder of
+// slot f's replacement node (none for migration, which promotes mirrors on
+// survivors, §5.2). A completed pass appends its RecoveryReport and
+// "recovery" trace span; a pass interrupted by further failures returns them
+// (§5.3.2) and leaves no record.
+func (c *Cluster[V, A]) recoverPass(kind RecoveryKind, failed []int, iter int) ([]int, error) {
+	var newbie func(p *recoveryPass[V, A], f int) (*node[V, A], error)
+	var body func(p *recoveryPass[V, A]) error
+	switch kind {
+	case RecoverCheckpoint:
+		// The paper's CKPT baseline: reload the last snapshot everywhere and
+		// replay the lost supersteps.
+		newbie, body = c.pristineNewbie, c.recoverCheckpoint
+	case RecoverRebirth:
+		newbie, body = c.rebirthNewbie, c.recoverRebirth
+	case RecoverMigration:
+		body = c.recoverMigration
+	case RecoverLogged:
+		// Log-based failure-confined recovery (after Yan, Cheng & Yang,
+		// arXiv:1601.06496): superstep-end logs feed a replay that touches
+		// only the reborn nodes, while survivors do zero recomputation.
+		newbie, body = c.pristineNewbie, c.recoverLogged
+	default:
+		return nil, fmt.Errorf("%w: no recovery strategy configured (failed nodes %v)",
+			ErrUnrecoverable, failed)
+	}
+	if newbie != nil && c.rebirthsUsed+len(failed) > c.cfg.MaxRebirths {
 		return nil, fmt.Errorf("%w: %d standby nodes exhausted", ErrNoStandby, c.cfg.MaxRebirths)
 	}
 	start := c.clock.Now()
 	p := &recoveryPass[V, A]{
 		c: c, iter: iter, failed: failed, failedSet: make(map[int]bool, len(failed)),
-		rec:       RecoveryReport{Kind: s.Name(), Iteration: iter, Failed: append([]int(nil), failed...)},
-		labels:    RecoveryPhaseLabels(s.kind),
+		rec:       RecoveryReport{Kind: kind.String(), Iteration: iter, Failed: append([]int(nil), failed...)},
+		labels:    RecoveryPhaseLabels(kind),
 		slotStart: start,
 	}
 	for _, f := range failed {
 		p.failedSet[f] = true
 	}
 	msgs0, bytes0 := c.met.RecoveryTraffic()
-	if s.newbie != nil {
+	if newbie != nil {
 		for _, f := range failed {
-			nd, err := s.newbie(p, f)
+			nd, err := newbie(p, f)
 			if err != nil {
 				return nil, err
 			}
@@ -266,7 +181,7 @@ func (s *passStrategy[V, A]) recover(failed []int, iter int) ([]int, error) {
 			c.rebirthsUsed++
 		}
 	}
-	if err := s.body(p); err != nil {
+	if err := body(p); err != nil {
 		if stop := (passInterrupted{}); errors.As(err, &stop) {
 			return stop.failed, nil
 		}
@@ -294,7 +209,7 @@ func (p *recoveryPass[V, A]) hook() {
 }
 
 // barrier ends a phase at a global barrier, where nodes that failed during
-// the phase surface: the body unwinds with passInterrupted and recover
+// the phase surface: the body unwinds with passInterrupted and recoverPass
 // restarts the pass with the union. Otherwise the simulated time since the
 // open seconds slot began lands in slot and the next slot opens; a boundary
 // that closes no slot passes nil.
@@ -353,7 +268,7 @@ type StrategyStats struct {
 // strategyStats assembles the uniform stats from cluster state.
 func (c *Cluster[V, A]) strategyStats() StrategyStats {
 	st := StrategyStats{
-		Kind:           c.strat.Name(),
+		Kind:           c.cfg.Recovery.String(),
 		PersistSeconds: c.persistSeconds,
 		PersistCount:   c.persistCount,
 		PersistedBytes: c.persistBytes,

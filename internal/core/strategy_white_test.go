@@ -12,8 +12,9 @@ import (
 
 // TestStrategyDecidesPersistence: Config.Recovery is the one fault-tolerance
 // switch. After a fault-free run the DFS holds exactly the files the selected
-// strategy's recovery reads, and Validate checks only that strategy's
-// parameters: the others may be out of range because nothing reads them.
+// strategy's recovery reads, Result.Strategy names it, and Validate checks
+// only that strategy's parameters: the others may be out of range because
+// nothing reads them.
 func TestStrategyDecidesPersistence(t *testing.T) {
 	g := datasets.Tiny(300, 1800, 912)
 	for _, tc := range []struct {
@@ -50,8 +51,12 @@ func TestStrategyDecidesPersistence(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if _, err := cl.Run(); err != nil {
+				res, err := cl.Run()
+				if err != nil {
 					t.Fatal(err)
+				}
+				if res.Strategy.Kind != tc.rec.String() {
+					t.Errorf("Strategy.Kind = %q, want %q", res.Strategy.Kind, tc.rec.String())
 				}
 				var got []string
 				for _, path := range cl.dfs.List("") {

@@ -10,7 +10,6 @@ import (
 	"io"
 	"strings"
 
-	"imitator/internal/algorithms"
 	"imitator/internal/core"
 	"imitator/internal/datasets"
 	"imitator/internal/graph"
@@ -142,18 +141,6 @@ func summarize[V any](res *core.Result[V], rf float64, g *graph.Graph) RunSummar
 	}
 }
 
-func runTyped[V, A any](cfg core.Config, g *graph.Graph, prog core.Program[V, A]) (RunSummary, error) {
-	cl, err := core.NewCluster[V, A](cfg, g, prog)
-	if err != nil {
-		return RunSummary{}, err
-	}
-	res, err := cl.Run()
-	if err != nil {
-		return RunSummary{}, err
-	}
-	return summarize(res, cl.ReplicationFactor(), g), nil
-}
-
 // Workload pairs an algorithm with its dataset, mirroring Table 1.
 type Workload struct {
 	Algo    string
@@ -202,20 +189,11 @@ func RunWorkload(w Workload, cfg core.Config) (RunSummary, error) {
 // RunWorkloadOn executes one workload under cfg on an explicit graph (e.g.
 // one loaded from a file).
 func RunWorkloadOn(w Workload, g *graph.Graph, cfg core.Config) (RunSummary, error) {
-	cfg.MaxIter = w.Iters
-	switch w.Algo {
-	case "pagerank":
-		return runTyped(cfg, g, algorithms.NewPageRank(g.NumVertices()))
-	case "sssp":
-		return runTyped(cfg, g, algorithms.NewSSSP(3))
-	case "cd":
-		return runTyped(cfg, g, algorithms.NewCD())
-	case "als":
-		// syn-gl has 7000 users (see datasets catalog).
-		return runTyped(cfg, g, algorithms.NewALS(7000, 8, 0.05))
-	default:
-		return RunSummary{}, fmt.Errorf("experiments: unknown algorithm %q", w.Algo)
+	h, err := start(w, g, cfg)
+	if err != nil {
+		return RunSummary{}, err
 	}
+	return h.Wait()
 }
 
 // Base configurations.

@@ -65,8 +65,15 @@ func StartWorkload(w Workload, cfg core.Config) (*Handle, error) {
 
 // StartWorkloadOn is StartWorkload on an explicit graph.
 func StartWorkloadOn(w Workload, g *graph.Graph, cfg core.Config) (*Handle, error) {
-	cfg.MaxIter = w.Iters
 	cfg.Serve.Enabled = true
+	return start(w, g, cfg)
+}
+
+// start is the one workload dispatch: it instantiates w's program and runs
+// it under cfg on g in the background. RunWorkloadOn waits on the handle;
+// StartWorkloadOn hands it to the caller for live queries.
+func start(w Workload, g *graph.Graph, cfg core.Config) (*Handle, error) {
+	cfg.MaxIter = w.Iters
 	switch w.Algo {
 	case "pagerank":
 		return startTyped(cfg, g, algorithms.NewPageRank(g.NumVertices()))
@@ -75,8 +82,9 @@ func StartWorkloadOn(w Workload, g *graph.Graph, cfg core.Config) (*Handle, erro
 	case "cd":
 		return startTyped(cfg, g, algorithms.NewCD())
 	case "als":
-		// ALS vertex values are vectors; the serving layer indexes scalar
-		// values only, so serving ALS is rejected by NewCluster.
+		// syn-gl has 7000 users (see datasets catalog). ALS vertex values
+		// are vectors; the serving layer indexes scalar values only, so
+		// serving ALS is rejected by NewCluster.
 		return startTyped(cfg, g, algorithms.NewALS(7000, 8, 0.05))
 	default:
 		return nil, fmt.Errorf("experiments: unknown algorithm %q", w.Algo)

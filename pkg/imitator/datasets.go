@@ -32,8 +32,3 @@ func ReadEdgeList(r io.Reader, numVertices int) (*Graph, error) {
 func NewGraph(numVertices int, edges []Edge) (*Graph, error) {
 	return graph.New(numVertices, edges)
 }
-
-// MustNewGraph is NewGraph, panicking on invalid input.
-func MustNewGraph(numVertices int, edges []Edge) *Graph {
-	return graph.MustNew(numVertices, edges)
-}

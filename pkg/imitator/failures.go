@@ -1,8 +1,6 @@
 package imitator
 
 import (
-	"errors"
-
 	"imitator/internal/chaos"
 	"imitator/internal/core"
 )
@@ -122,16 +120,10 @@ func WithFailures(events ...FailureEvent) Option {
 
 // ParseFailureSchedule parses the compact one-line schedule grammar
 // ("crash@3b=1|crashrec@migration:repair=4|slow@2=0>3x8|delay@4=0.25");
-// see FormatFailureSchedule for the inverse. Errors match
+// FailureSchedule.String is the inverse. Errors match
 // ErrInvalidSchedule.
 func ParseFailureSchedule(s string) (FailureSchedule, error) {
 	return chaos.ParseEvents(s)
-}
-
-// FormatFailureSchedule renders a schedule in the grammar accepted by
-// ParseFailureSchedule.
-func FormatFailureSchedule(events FailureSchedule) string {
-	return chaos.FormatEvents(events)
 }
 
 // ChaosCampaign is a seeded randomized fault-injection campaign: every
@@ -159,7 +151,3 @@ var (
 	// referencing iterations/nodes outside the job.
 	ErrInvalidSchedule = core.ErrInvalidSchedule
 )
-
-// IsUnrecoverable reports whether err represents a failure the run could
-// not recover from (convenience for errors.Is(err, ErrUnrecoverable)).
-func IsUnrecoverable(err error) bool { return errors.Is(err, ErrUnrecoverable) }

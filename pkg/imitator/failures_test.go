@@ -134,7 +134,7 @@ func TestTypedErrors(t *testing.T) {
 		imitator.WithFailures(imitator.Crash(2, imitator.FailBeforeBarrier, 1)),
 	)
 	_, err := imitator.Run(exhausted, g, imitator.NewPageRank(g.NumVertices()))
-	if !errors.Is(err, imitator.ErrNoStandby) || !imitator.IsUnrecoverable(err) {
+	if !errors.Is(err, imitator.ErrNoStandby) || !errors.Is(err, imitator.ErrUnrecoverable) {
 		t.Fatalf("exhaustion err = %v, want ErrNoStandby wrapping ErrUnrecoverable", err)
 	}
 
@@ -145,7 +145,7 @@ func TestTypedErrors(t *testing.T) {
 		imitator.WithFailures(imitator.Crash(2, imitator.FailBeforeBarrier, 1, 2)),
 	)
 	_, err = imitator.Run(beyondK, g, imitator.NewPageRank(g.NumVertices()))
-	if !errors.Is(err, imitator.ErrTooManyFailures) || !imitator.IsUnrecoverable(err) {
+	if !errors.Is(err, imitator.ErrTooManyFailures) || !errors.Is(err, imitator.ErrUnrecoverable) {
 		t.Fatalf("beyond-K err = %v, want ErrTooManyFailures wrapping ErrUnrecoverable", err)
 	}
 
@@ -156,7 +156,7 @@ func TestTypedErrors(t *testing.T) {
 		imitator.WithFailures(imitator.Crash(2, imitator.FailBeforeBarrier, 0, 1, 2, 3)),
 	)
 	_, err = imitator.Run(everyNode, g, imitator.NewPageRank(g.NumVertices()))
-	if !errors.Is(err, imitator.ErrTooManyFailures) || !imitator.IsUnrecoverable(err) {
+	if !errors.Is(err, imitator.ErrTooManyFailures) || !errors.Is(err, imitator.ErrUnrecoverable) {
 		t.Fatalf("every-node crash err = %v, want ErrTooManyFailures wrapping ErrUnrecoverable", err)
 	}
 
@@ -199,13 +199,13 @@ func TestScheduleGrammarFacade(t *testing.T) {
 		imitator.SlowLink(2, 0, 3, 8),
 		imitator.DelayBurst(4, 0.25),
 	}
-	text := imitator.FormatFailureSchedule(sched)
+	text := sched.String()
 	back, err := imitator.ParseFailureSchedule(text)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if imitator.FormatFailureSchedule(back) != text {
-		t.Fatalf("round trip: %q != %q", imitator.FormatFailureSchedule(back), text)
+	if back.String() != text {
+		t.Fatalf("round trip: %q != %q", back.String(), text)
 	}
 	if _, err := imitator.ParseFailureSchedule("crash@3=1"); !errors.Is(err, imitator.ErrInvalidSchedule) {
 		t.Fatalf("bad grammar err = %v, want ErrInvalidSchedule", err)

@@ -153,11 +153,6 @@ type (
 	LabelCountCodec = core.LabelCountCodec
 )
 
-// MergeLabelCounts merges two sorted label-count accumulators.
-func MergeLabelCounts(a, b []LabelCount) []LabelCount {
-	return core.MergeLabelCounts(a, b)
-}
-
 // NewCluster builds a simulated cluster for one job: it validates cfg,
 // partitions g across the nodes, extends replication for fault tolerance,
 // and instantiates prog on every node.

@@ -175,7 +175,11 @@ func TestWorkloadAndTimeline(t *testing.T) {
 		imitator.WithIterations(3),
 		imitator.WithFailures(imitator.Crash(1, imitator.FailBeforeBarrier, 1)),
 	)
-	s, err := imitator.RunWorkload(imitator.Workload{Algo: "cd", Dataset: "dblp", Iters: 3}, cfg)
+	g, err := imitator.LoadDataset("dblp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := imitator.RunWorkloadOn(imitator.Workload{Algo: "cd", Dataset: "dblp", Iters: 3}, g, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +194,7 @@ func TestWorkloadAndTimeline(t *testing.T) {
 	if imitator.TimelineSummary(s.Trace) == "" {
 		t.Error("empty timeline summary")
 	}
-	if _, err := imitator.RunWorkload(imitator.Workload{Algo: "sort", Dataset: "dblp"}, cfg); err == nil {
+	if _, err := imitator.RunWorkloadOn(imitator.Workload{Algo: "sort", Dataset: "dblp"}, g, cfg); err == nil {
 		t.Error("unknown algorithm accepted")
 	}
 }

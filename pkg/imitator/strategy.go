@@ -88,15 +88,6 @@ func CheckpointInMemory() CheckpointOption {
 	return func(c *Config) { c.Checkpoint.InMemory = true }
 }
 
-// CheckpointIncremental writes delta snapshots with a full one every
-// fullEvery snapshots (0 = the default of 4) to bound the recovery chain.
-func CheckpointIncremental(fullEvery int) CheckpointOption {
-	return func(c *Config) {
-		c.Checkpoint.Incremental = true
-		c.Checkpoint.FullEvery = fullEvery
-	}
-}
-
 // LoggedOption refines LoggedRecovery.
 type LoggedOption func(*Config)
 

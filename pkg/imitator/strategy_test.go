@@ -12,7 +12,7 @@ import (
 // produces.
 func TestFTStrategyMapping(t *testing.T) {
 	cases := map[string]struct {
-		strat imitator.FTStrategy
+		ft    imitator.FTStrategy
 		check func(t *testing.T, c imitator.Config)
 	}{
 		"replication": {
@@ -40,11 +40,10 @@ func TestFTStrategyMapping(t *testing.T) {
 			},
 		},
 		"checkpoint": {
-			imitator.Checkpoint(3, imitator.CheckpointInMemory(), imitator.CheckpointIncremental(5)),
+			imitator.Checkpoint(3, imitator.CheckpointInMemory()),
 			func(t *testing.T, c imitator.Config) {
 				ck := c.Checkpoint
-				if c.Recovery != imitator.RecoverCheckpoint || ck.Interval != 3 ||
-					!ck.InMemory || !ck.Incremental || ck.FullEvery != 5 {
+				if c.Recovery != imitator.RecoverCheckpoint || ck.Interval != 3 || !ck.InMemory {
 					t.Errorf("checkpoint config wrong: %+v", c)
 				}
 			},
@@ -69,7 +68,7 @@ func TestFTStrategyMapping(t *testing.T) {
 	for name, tc := range cases {
 		tc := tc
 		t.Run(name, func(t *testing.T) {
-			cfg := imitator.New(imitator.WithFTStrategy(tc.strat))
+			cfg := imitator.New(imitator.WithFTStrategy(tc.ft))
 			tc.check(t, cfg)
 			if err := cfg.Validate(); err != nil {
 				t.Errorf("strategy config does not validate: %v", err)

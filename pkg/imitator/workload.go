@@ -16,11 +16,6 @@ type Workload = experiments.Workload
 // typed vertex values.
 type RunSummary = experiments.RunSummary
 
-// RunWorkload executes one named workload under cfg on its catalog dataset.
-func RunWorkload(w Workload, cfg Config) (RunSummary, error) {
-	return experiments.RunWorkload(w, cfg)
-}
-
 // RunWorkloadOn executes one named workload under cfg on an explicit graph.
 func RunWorkloadOn(w Workload, g *Graph, cfg Config) (RunSummary, error) {
 	return experiments.RunWorkloadOn(w, g, cfg)
