@@ -39,11 +39,12 @@ func manualStep[V, A any](tb testing.TB, cl *Cluster[V, A]) func() {
 // local topology, replica positions, mirror full state) by a count pass and
 // carves it out of a few exactly-sized arenas, and every per-slot table
 // (hot, topo, slab handles, role slabs, id index) is made once at its final
-// size, so a load makes a few hundred allocations: 625 edge-cut and 826
+// size, so a load makes a few hundred allocations: 297 edge-cut and 508
 // vertex-cut when the budgets were set, each budget about 10 % above. One
 // per-vertex make or append-grown list anywhere in load costs 64 k
-// allocations and breaks the count; a per-slot table that regrows by append
-// costs more than 10 % in bytes and breaks the byte budget.
+// allocations and breaks the count; a per-slot table that regrows by append,
+// or a stored list of the unweighted graph's unit weights, costs more than
+// 10 % in bytes and breaks the byte budget.
 func TestLoadAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; counts are meaningless")
@@ -55,10 +56,10 @@ func TestLoadAllocBudget(t *testing.T) {
 	for _, tc := range []struct {
 		mode    Mode
 		mallocs uint64
-		mb      uint64 // measured 105.4 / 120.7 MB
+		mb      uint64 // measured 74.5 / 98.1 MB
 	}{
-		{EdgeCutMode, 700, 116},
-		{VertexCutMode, 910, 133},
+		{EdgeCutMode, 330, 82},
+		{VertexCutMode, 560, 108},
 	} {
 		cfg := DefaultConfig(tc.mode, 8) // Replication K=1, as ec-steady / vc-steady
 		cfg.HostParallelism = 1
@@ -132,6 +133,54 @@ func BenchmarkSuperstep(b *testing.B) {
 			b.ReportAllocs()
 			for b.Loop() {
 				step()
+			}
+		})
+	}
+}
+
+// BenchmarkRecovery times one recovery per strategy on the benchmark graph as
+// failover-matrix configures it (8 nodes, edge-cut, Replication K=1,
+// checkpoints every two supersteps, logs compacted every four, host
+// parallelism 1): node 1 crashes before the barrier of superstep 4. Load and
+// the supersteps before the crash are untimed; the timer runs from the pass's
+// first phase label to the end of the job, i.e. the recovery plus the
+// re-executed superstep (checkpoint: every superstep since the snapshot). So a
+// recovery profiles with one command:
+//
+//	go test -run '^$' -bench Recovery/migration -cpuprofile cpu.prof ./internal/core
+func BenchmarkRecovery(b *testing.B) {
+	g := benchmarkGraph(b)
+	for _, kind := range []RecoveryKind{RecoverRebirth, RecoverMigration, RecoverCheckpoint, RecoverLogged} {
+		b.Run(kind.String(), func(b *testing.B) {
+			cfg := DefaultConfig(EdgeCutMode, 8)
+			cfg.HostParallelism = 1
+			cfg.MaxIter = 5
+			cfg.Recovery = kind
+			cfg.Checkpoint = CheckpointConfig{Interval: 2}
+			cfg.Logged = LoggedConfig{CompactEvery: 4}
+			cfg.Chaos = []ChaosEvent{{Kind: ChaosCrash, Iteration: 4, Phase: FailBeforeBarrier, Nodes: []int{1}}}
+			b.ReportAllocs()
+			for range b.N {
+				b.StopTimer()
+				cl, err := NewCluster[float64, float64](cfg, g, fakePR{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				started := false
+				cl.SetRecoveryHook(func(string) {
+					if !started {
+						started = true
+						b.StartTimer()
+					}
+				})
+				res, err := cl.Run()
+				b.StopTimer()
+				if err != nil {
+					b.Fatal(err)
+				}
+				if len(res.Recoveries) != 1 {
+					b.Fatalf("%d recoveries, want 1", len(res.Recoveries))
+				}
 			}
 		})
 	}

@@ -110,8 +110,8 @@ func (n *node[V, A]) add(h hot[V]) int32 {
 func (n *node[V, A]) attachEdge(sp, dp int32, wt float64) {
 	n.routeDirty = true // the scatter route flattens outNbr
 	t := &n.topo[dp]
+	t.inWt = t.inWt.add(len(t.inNbr), wt)
 	t.inNbr = append(t.inNbr, sp)
-	t.inWt = append(t.inWt, wt)
 	n.topo[sp].outNbr = append(n.topo[sp].outNbr, dp)
 }
 

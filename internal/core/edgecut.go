@@ -154,10 +154,9 @@ func (c *Cluster[V, A]) stageSyncRecords(st *stager, nd *node[V, A], i int) {
 // edge, merged left to right. It returns the edge count with the fold.
 func (c *Cluster[V, A]) gather(nd *node[V, A], i int) (acc A, has bool, edges int) {
 	dst, t := nd.hot[i].id, &nd.topo[i]
-	inWt := t.inWt[:len(t.inNbr)]
 	for k, src := range t.inNbr {
 		se := &nd.hot[src]
-		contrib := c.prog.Gather(graph.Edge{Src: se.id, Dst: dst, Weight: inWt[k]}, se.value, se.info())
+		contrib := c.prog.Gather(graph.Edge{Src: se.id, Dst: dst, Weight: t.inWt.at(k)}, se.value, se.info())
 		if has {
 			acc = c.prog.Merge(acc, contrib)
 		} else {

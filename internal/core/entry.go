@@ -83,11 +83,41 @@ type hot[V any] struct {
 // to, for scatter activation; it is the reverse of inNbr. Load carves all
 // three out of per-node arenas with cap == len, so the gather loop streams
 // the arenas in entry order and an append (migration, rebirth) copies the
-// list out instead of growing into the next entry's.
+// list out instead of growing into the next entry's. An unweighted graph
+// stores no inWt (weights).
 type topo struct {
 	inNbr  []int32
-	inWt   []float64
+	inWt   weights
 	outNbr []int32
+}
+
+// weights is an edge-weight list parallel to an edge list, where nil means
+// every weight is 1: the rule graph.NewFromSOA applies, so an unweighted
+// graph's in-edge lists store no weights. Every writer still emits all the
+// weights (at), so encodings do not depend on which form a list has.
+type weights []float64
+
+// at returns the weight of edge k.
+func (w weights) at(k int) float64 {
+	if w == nil {
+		return 1
+	}
+	return w[k]
+}
+
+// add appends x as the weight of edge n (the list covers edges [0, n)),
+// materialising the implicit unit weights only when x is not 1.
+func (w weights) add(n int, x float64) weights {
+	if w == nil {
+		if x == 1 {
+			return nil
+		}
+		w = make(weights, n, n+1)
+		for k := range w {
+			w[k] = 1
+		}
+	}
+	return append(w, x)
 }
 
 // slabRef is a slot's replication metadata: handles into its node's role

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"math"
@@ -110,8 +111,9 @@ func sameRecord(a, b recoveryRecord[float64]) bool {
 
 // FuzzRawEdgesDecode hardens the raw in-edge-list decoder against arbitrary
 // bytes: it must never panic or allocate beyond the payload's sanity bound,
-// and a successful decode must keep the parallel slices in lockstep and
-// survive an encode/decode round trip.
+// and a successful decode must keep the parallel slices in lockstep (a nil
+// weight list stands for all ones, and a decode keeps one only if some weight
+// is not 1) and encode back to exactly the bytes it consumed.
 func FuzzRawEdgesDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 0})
@@ -121,23 +123,29 @@ func FuzzRawEdgesDecode(f *testing.F) {
 		wt:        []float64{0.5, 2},
 		srcMaster: []int16{1, -1},
 	}).encode(nil))
+	f.Add((&rawEdges{ // all unit weights: decodes to a nil list
+		src:       []graph.VertexID{3, 5, 8},
+		srcMaster: []int16{0, 2, 1},
+	}).encode(nil))
+	f.Add((&rawEdges{ // mixed: the list materialises at the third edge
+		src:       []graph.VertexID{3, 5, 8, 13},
+		wt:        []float64{1, 1, 2.5, 1},
+		srcMaster: []int16{0, 2, 1, 0},
+	}).encode(nil))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := &reader{buf: data}
 		e := decodeRawEdges(r)
-		if len(e.src) != len(e.wt) || len(e.src) != len(e.srcMaster) {
+		if (e.wt != nil && len(e.wt) != len(e.src)) || len(e.src) != len(e.srcMaster) {
 			t.Fatalf("parallel slices diverged: %d/%d/%d", len(e.src), len(e.wt), len(e.srcMaster))
 		}
 		if r.err != nil {
 			return
 		}
-		rt := decodeRawEdges(&reader{buf: e.encode(nil)})
-		if len(rt.src) != len(e.src) {
-			t.Fatalf("round trip length %d, want %d", len(rt.src), len(e.src))
+		if e.wt != nil && !slices.ContainsFunc(e.wt, func(w float64) bool { return w != 1 }) {
+			t.Fatalf("decode stored %d unit weights", len(e.wt))
 		}
-		for i := range e.src {
-			if rt.src[i] != e.src[i] || rt.srcMaster[i] != e.srcMaster[i] {
-				t.Fatalf("round trip entry %d mismatch", i)
-			}
+		if got, want := e.encode(nil), data[:len(data)-r.remaining()]; !bytes.Equal(got, want) {
+			t.Fatalf("re-encoding gave %x, want the consumed input %x", got, want)
 		}
 	})
 }

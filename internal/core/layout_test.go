@@ -51,7 +51,9 @@ func TestSuperstepNeverTouchesMeta(t *testing.T) {
 // the presence lists a master's replica table adopts included — has cap ==
 // len, so appending to any slot's lists, as migration and rebirth do when
 // they attach edges and register replicas, copies the list out and leaves
-// every other slot's lists bit-identical.
+// every other slot's lists bit-identical. The graph is unweighted, so load
+// stores no weight list at all, and the first non-unit weight appended
+// materialises one with the implicit ones in front.
 func TestLoadCarvesListsWithoutSlack(t *testing.T) {
 	for _, mode := range []Mode{EdgeCutMode, VertexCutMode} {
 		g := datasets.Tiny(400, 2400, 4242)
@@ -69,18 +71,23 @@ func TestLoadCarvesListsWithoutSlack(t *testing.T) {
 			}
 			for i := range nd.topo {
 				tp := &nd.topo[i]
-				want[i] = topo{slices.Clone(tp.inNbr), slices.Clone(tp.inWt), slices.Clone(tp.outNbr)}
-				slack := cap(tp.inNbr) - len(tp.inNbr) + cap(tp.inWt) - len(tp.inWt) + cap(tp.outNbr) - len(tp.outNbr)
+				want[i] = topo{inNbr: slices.Clone(tp.inNbr), outNbr: slices.Clone(tp.outNbr)}
+				slack := cap(tp.inNbr) - len(tp.inNbr) + cap(tp.outNbr) - len(tp.outNbr)
 				if nd.hot[i].isMaster() {
 					slack += tableSlack(nd.replicas(int32(i)))
 				}
 				if m := nd.mirror(int32(i)); m != nil {
 					slack += tableSlack(&m.mTable)
-					slack += cap(m.mEdges.src) - len(m.mEdges.src) + cap(m.mEdges.wt) - len(m.mEdges.wt)
-					slack += cap(m.mEdges.srcMaster) - len(m.mEdges.srcMaster)
+					slack += cap(m.mEdges.src) - len(m.mEdges.src) + cap(m.mEdges.srcMaster) - len(m.mEdges.srcMaster)
+					if m.mEdges.wt != nil {
+						t.Fatalf("%v node %d slot %d: mirror stores %d unit weights", mode, nd.id, i, len(m.mEdges.wt))
+					}
 				}
 				if slack != 0 {
 					t.Fatalf("%v node %d slot %d: carved lists have %d elements of slack", mode, nd.id, i, slack)
+				}
+				if tp.inWt != nil {
+					t.Fatalf("%v node %d slot %d: topology stores %d unit weights", mode, nd.id, i, len(tp.inWt))
 				}
 			}
 			for i := range nd.topo {
@@ -88,9 +95,11 @@ func TestLoadCarvesListsWithoutSlack(t *testing.T) {
 			}
 			for i := range nd.topo {
 				tp, n := &nd.topo[i], len(want[i].inNbr)
-				if !slices.Equal(tp.inNbr[:n], want[i].inNbr) || !slices.Equal(tp.inWt[:n], want[i].inWt) ||
-					!slices.Equal(tp.outNbr[:len(want[i].outNbr)], want[i].outNbr) {
+				if !slices.Equal(tp.inNbr[:n], want[i].inNbr) || !slices.Equal(tp.outNbr[:len(want[i].outNbr)], want[i].outNbr) {
 					t.Fatalf("%v node %d slot %d: a neighbour's append overwrote its lists", mode, nd.id, i)
+				}
+				if len(tp.inWt) != n+1 || tp.inWt[n] != -1 || slices.ContainsFunc(tp.inWt[:n], func(w float64) bool { return w != 1 }) {
+					t.Fatalf("%v node %d slot %d: weights after a -1 append are %v, want %d ones then -1", mode, nd.id, i, tp.inWt, n)
 				}
 			}
 		}
@@ -110,7 +119,7 @@ func grownMetadataSnapshot[V, A any](nd *node[V, A]) []byte {
 		buf = putU32(buf, uint32(len(t.inNbr)))
 		for k, p := range t.inNbr {
 			buf = putI32(buf, p)
-			buf = putF64(buf, t.inWt[k])
+			buf = putF64(buf, t.inWt.at(k))
 		}
 	}
 	return buf

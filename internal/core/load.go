@@ -25,6 +25,28 @@ type vertexPresence struct {
 	mirrors []int16
 }
 
+// presences holds every vertex's vertexPresence in one arena per field:
+// vertex v's lists are nodes[end[v]:end[v+1]] (ftOnly alike) and
+// mirrors[mEnd[v]:mEnd[v+1]]. Master replica tables adopt these lists.
+type presences struct {
+	end, mEnd []int32
+	nodes     []int16
+	ftOnly    []bool
+	mirrors   []int16
+}
+
+// of returns vertex v's lists, each with cap == len; mirrors is nil until
+// mirror selection has sized it.
+func (ps *presences) of(v int) vertexPresence {
+	lo, hi := ps.end[v], ps.end[v+1]
+	pr := vertexPresence{nodes: ps.nodes[lo:hi:hi], ftOnly: ps.ftOnly[lo:hi:hi]}
+	if ps.mEnd != nil {
+		lo, hi = ps.mEnd[v], ps.mEnd[v+1]
+		pr.mirrors = ps.mirrors[lo:hi:hi]
+	}
+	return pr
+}
+
 // load partitions the graph, extends replication for fault tolerance (§4.1),
 // selects mirrors (§4.2), builds every node's vertex array and topology,
 // initializes values, and writes edge-ckpt files and checkpoint metadata.
@@ -71,13 +93,12 @@ func (c *Cluster[V, A]) load() error {
 	// edges other than its master. Sharded over the vertex that OWNS the
 	// presence list, so blocks are write-disjoint. A count pass sizes every
 	// list — its distinct hosts plus the FT replicas step 3 adds, which bring
-	// it to min(K, p-1) — and a fill pass carves the lists out of one arena
-	// per element type with cap == len. Per-vertex fill order differs from
-	// the sequential edge sweep, but sortByNode canonicalizes the lists
+	// it to min(K, p-1) — and a fill pass writes the hosts into one arena per
+	// element type, leaving the FT slots noNode. Per-vertex fill order differs
+	// from the sequential edge sweep, but sortByNode canonicalizes the lists
 	// (hosts are unique), so the post-sort presence tables are identical for
 	// any worker count.
-	pres := make([]vertexPresence, numV)
-	end := make([]int32, numV+1) // list v is arena[end[v]:end[v+1]]
+	ps := &presences{end: make([]int32, numV+1)}
 	hostpar.Blocks(numV, loadMinBlock, width, func(lo, hi int) {
 		seen := make([]int32, p)
 		for v := lo; v < hi; v++ {
@@ -86,92 +107,87 @@ func (c *Cluster[V, A]) load() error {
 			if c.cfg.replicates() {
 				n = max(n, min(c.cfg.FT.K, p-1))
 			}
-			end[v+1] = int32(n)
+			ps.end[v+1] = int32(n)
 		}
 	})
 	for v := 0; v < numV; v++ {
-		end[v+1] += end[v]
+		ps.end[v+1] += ps.end[v]
 	}
-	hostArena, ftArena := make([]int16, end[numV]), make([]bool, end[numV])
+	ps.nodes, ps.ftOnly = make([]int16, ps.end[numV]), make([]bool, ps.end[numV])
 	hostpar.Blocks(numV, loadMinBlock, width, func(lo, hi int) {
 		seen := make([]int32, p)
 		for v := lo; v < hi; v++ {
-			pr := &pres[v]
-			pr.nodes = hostArena[end[v]:end[v]:end[v+1]]
-			pr.ftOnly = ftArena[end[v]:end[v]:end[v+1]]
+			nodes, k := ps.of(v).nodes, 0
 			c.eachPresence(v, seen, func(h int16) {
-				pr.nodes = append(pr.nodes, h)
-				pr.ftOnly = append(pr.ftOnly, false)
+				nodes[k] = h
+				k++
 			})
+			for ; k < len(nodes); k++ {
+				nodes[k] = noNode
+			}
 		}
 	})
 
 	// 3. Fault-tolerant replicas (§4.1): guarantee >= K replicas per vertex,
 	// placed greedily on the nodes with the fewest replicas so far. Every
-	// list reaches exactly the length step 2 reserved: a list shorter than
-	// p-1 always has a candidate host.
+	// slot step 2 left noNode gets a host: a list shorter than p-1 always has
+	// a candidate.
 	replicaLoad := make([]int, p)
-	for v := range pres {
-		for _, n := range pres[v].nodes {
+	for _, n := range ps.nodes {
+		if n != noNode {
 			replicaLoad[n]++
 		}
 	}
-	if c.cfg.replicates() {
-		for v := 0; v < numV; v++ {
-			pr := &pres[v]
-			for len(pr.nodes) < c.cfg.FT.K && len(pr.nodes) < p-1 {
-				best := -1
-				for n := 0; n < p; n++ {
-					if int16(n) == c.masterLoc[v] || pr.has(int16(n)) {
-						continue
-					}
-					if best < 0 || replicaLoad[n] < replicaLoad[best] {
-						best = n
-					}
+	for v := 0; v < numV; v++ {
+		pr := ps.of(v)
+		for j := range pr.nodes {
+			if pr.nodes[j] != noNode {
+				continue
+			}
+			best := -1
+			for n := 0; n < p; n++ {
+				if int16(n) == c.masterLoc[v] || pr.has(int16(n)) {
+					continue
 				}
-				if best < 0 {
-					break
-				}
-				pr.nodes = append(pr.nodes, int16(best))
-				pr.ftOnly = append(pr.ftOnly, true)
-				replicaLoad[best]++
-				c.extraReplicas++
-				if c.g.IsSelfish(graph.VertexID(v)) {
-					c.extraReplicasSelfish++
+				if best < 0 || replicaLoad[n] < replicaLoad[best] {
+					best = n
 				}
 			}
+			pr.nodes[j], pr.ftOnly[j] = int16(best), true
+			replicaLoad[best]++
+			c.extraReplicas++
+			if c.g.IsSelfish(graph.VertexID(v)) {
+				c.extraReplicasSelfish++
+			}
 		}
-	}
-	for v := range pres {
-		pres[v].sortByNode()
+		pr.sortByNode()
 	}
 
 	// 4. Mirror selection (§4.2): FT replicas are always mirrors; remaining
 	// ranks go to the replica whose host has the fewest mirrors so far.
 	if c.cfg.replicates() {
+		ps.mEnd = make([]int32, numV+1)
+		for v := 0; v < numV; v++ {
+			ps.mEnd[v+1] = ps.mEnd[v] + min(int32(c.cfg.FT.K), ps.end[v+1]-ps.end[v])
+		}
+		ps.mirrors = make([]int16, ps.mEnd[numV])
 		mirrorCount := make([]int, p)
 		chosen := make([]bool, p) // by replica index; one scratch for every vertex
-		wantTotal := 0
-		for v := range pres {
-			wantTotal += min(c.cfg.FT.K, len(pres[v].nodes))
-		}
-		mirrorArena := make([]int16, wantTotal)
 		for v := 0; v < numV; v++ {
-			pr := &pres[v]
-			want := min(c.cfg.FT.K, len(pr.nodes))
-			pr.mirrors = carve(&mirrorArena, want)[:0]
+			pr := ps.of(v)
+			mirrors := pr.mirrors[:0]
 			clear(chosen[:len(pr.nodes)])
 			for idx, ft := range pr.ftOnly {
-				if len(pr.mirrors) >= want {
+				if len(mirrors) == cap(mirrors) {
 					break
 				}
 				if ft {
-					pr.mirrors = append(pr.mirrors, int16(idx))
+					mirrors = append(mirrors, int16(idx))
 					chosen[idx] = true
 					mirrorCount[pr.nodes[idx]]++
 				}
 			}
-			for len(pr.mirrors) < want {
+			for len(mirrors) < cap(mirrors) {
 				best := int16(-1)
 				for idx := range pr.nodes {
 					if chosen[idx] {
@@ -185,65 +201,66 @@ func (c *Cluster[V, A]) load() error {
 						best = int16(idx)
 					}
 				}
-				if best < 0 {
-					break
-				}
-				pr.mirrors = append(pr.mirrors, best)
+				mirrors = append(mirrors, best)
 				chosen[best] = true
 				mirrorCount[pr.nodes[best]]++
 			}
 		}
 	}
-	c.totalPresences = numV
-	for v := range pres {
-		c.totalPresences += len(pres[v].nodes)
-	}
+	c.totalPresences = numV + len(ps.nodes)
 
 	// 5. Build per-node vertex tables: masters first (ascending id), then
 	// replicas (ascending id). Positions are the recovery addresses (§5.1.2).
 	// Every slot gets its final role flags here, so each node can size its
-	// role slabs before step 6 fills them in parallel.
-	perNodeMasters := make([][]graph.VertexID, p)
-	perNodeReplicas := make([][]graph.VertexID, p)
+	// role slabs before step 6 fills them in parallel. A count pass sizes the
+	// tables; one sweep in ascending id then writes each slot's id and roles
+	// through per-node cursors (next[n] for masters, next[p+n] for replicas),
+	// and each node fills in the rest of its slots.
+	next := make([]int32, 2*p)
 	for v := 0; v < numV; v++ {
-		perNodeMasters[c.masterLoc[v]] = append(perNodeMasters[c.masterLoc[v]], graph.VertexID(v))
-		for _, n := range pres[v].nodes {
-			perNodeReplicas[n] = append(perNodeReplicas[n], graph.VertexID(v))
-		}
+		next[c.masterLoc[v]]++
+	}
+	for _, n := range ps.nodes {
+		next[p+int(n)]++
 	}
 	c.nodes = make([]*node[V, A], p)
 	hostpar.For(p, width, func(n int) {
-		slots := len(perNodeMasters[n]) + len(perNodeReplicas[n])
-		nd := &node[V, A]{
+		slots := next[n] + next[p+n]
+		c.nodes[n] = &node[V, A]{
 			id:    n,
 			alive: true,
 			met:   &c.met.Nodes[n],
 			index: newIndex(numV),
-			hot:   make([]hot[V], 0, slots),
+			hot:   make([]hot[V], slots),
 			topo:  make([]topo, slots),
 			ref:   make([]slabRef, slots),
 		}
-		addSlot := func(v graph.VertexID, flags entryFlags) {
-			if c.g.IsSelfish(v) {
-				flags |= flagSelfish
+	})
+	for n := 0; n < p; n++ {
+		next[p+n], next[n] = next[n], 0
+	}
+	for v := 0; v < numV; v++ {
+		mn := c.masterLoc[v]
+		c.nodes[mn].hot[next[mn]] = hot[V]{id: graph.VertexID(v), flags: flagMaster}
+		next[mn]++
+		pr := ps.of(v)
+		for idx, n := range pr.nodes {
+			c.nodes[n].hot[next[p+int(n)]] = hot[V]{id: graph.VertexID(v), flags: pr.rolesAt(idx)}
+			next[p+int(n)]++
+		}
+	}
+	hostpar.For(p, width, func(n int) {
+		nd := c.nodes[n]
+		for i := range nd.hot {
+			e := &nd.hot[i]
+			if c.g.IsSelfish(e.id) {
+				e.flags |= flagSelfish
 			}
-			nd.index[v] = int32(len(nd.hot))
-			nd.hot = append(nd.hot, hot[V]{
-				id:         v,
-				flags:      flags,
-				masterNode: c.masterLoc[v],
-				inDeg:      int32(c.g.InDegree(v)),
-				outDeg:     int32(c.g.OutDegree(v)),
-			})
-		}
-		for _, v := range perNodeMasters[n] {
-			addSlot(v, flagMaster)
-		}
-		for _, v := range perNodeReplicas[n] {
-			addSlot(v, pres[v].rolesOn(int16(n)))
+			e.masterNode = c.masterLoc[e.id]
+			e.inDeg, e.outDeg = int32(c.g.InDegree(e.id)), int32(c.g.OutDegree(e.id))
+			nd.index[e.id] = int32(i)
 		}
 		nd.allocSlabs()
-		c.nodes[n] = nd
 	})
 	for _, nd := range c.nodes {
 		// initNodeScratch touches cluster-wide state (aliveDirty), so it
@@ -258,11 +275,13 @@ func (c *Cluster[V, A]) load() error {
 	// vertices' position lists and mirror full states (§4.2: a copy of the
 	// master's replica table and, for edge-cut, its in-edges by global id
 	// with each source's master node) need, allocates one arena per element
-	// type and carves every list out of it with cap == len.
+	// type and carves every list out of it with cap == len. An unweighted
+	// graph gets no weights arena here or in step 7: its lists stay nil.
+	weighted := c.g.Weighted()
 	hostpar.Blocks(numV, loadMinBlock, width, func(lo, hi int) {
 		var n16, n32, nBool, nEdge int
 		for v := lo; v < hi; v++ {
-			pr, deg := &pres[v], 0
+			pr, deg := ps.of(v), 0
 			if c.ec != nil {
 				deg = c.g.InDegree(graph.VertexID(v))
 			}
@@ -273,13 +292,17 @@ func (c *Cluster[V, A]) load() error {
 			nEdge += k * deg
 		}
 		a16, a32, aBool := make([]int16, n16), make([]int32, n32), make([]bool, nBool)
-		aSrc, aWt := make([]graph.VertexID, nEdge), make([]float64, nEdge)
+		aSrc := make([]graph.VertexID, nEdge)
+		var aWt []float64
+		if weighted {
+			aWt = make([]float64, nEdge)
+		}
 		for v := lo; v < hi; v++ {
 			vid := graph.VertexID(v)
 			mnd := c.nodes[c.masterLoc[v]]
 			mpos := mnd.index[vid]
 			mnd.hot[mpos].masterPos = mpos
-			pr := &pres[v]
+			pr := ps.of(v)
 			table := replicaTable{nodes: pr.nodes, pos: carve(&a32, len(pr.nodes)), ftOnly: pr.ftOnly, mirrorOf: pr.mirrors}
 			for i, rn := range pr.nodes {
 				rpos := c.nodes[rn].index[vid]
@@ -298,10 +321,15 @@ func (c *Cluster[V, A]) load() error {
 				}
 				if c.ec != nil {
 					deg := c.g.InDegree(vid)
-					ed := rawEdges{src: carve(&aSrc, deg)[:0], wt: carve(&aWt, deg)[:0], srcMaster: carve(&a16, deg)[:0]}
+					ed := rawEdges{src: carve(&aSrc, deg)[:0], srcMaster: carve(&a16, deg)[:0]}
+					if weighted {
+						ed.wt = carve(&aWt, deg)[:0]
+					}
 					c.g.InEdges(vid, func(_ int, e graph.Edge) {
 						ed.src = append(ed.src, e.Src)
-						ed.wt = append(ed.wt, e.Weight)
+						if weighted {
+							ed.wt = append(ed.wt, e.Weight)
+						}
 						ed.srcMaster = append(ed.srcMaster, c.masterLoc[e.Src])
 					})
 					rm.mEdges = ed
@@ -314,11 +342,11 @@ func (c *Cluster[V, A]) load() error {
 	// indexes by owning node, then each node attaches its own group — in
 	// ascending canonical order, i.e. exactly the order the sequential sweep
 	// used, so the inNbr/inWt append order (and therefore every downstream
-	// floating-point reduction) is bit-identical. A node first resolves each
-	// edge's endpoints to local positions (once) and counts every slot's
-	// degrees, then carves the slots' lists out of three exactly-sized arenas
-	// and appends into them in that same order. Writes stay inside the
-	// owning node's tables.
+	// floating-point reduction) is bit-identical. A node first counts every
+	// slot's degrees, then carves the slots' lists out of exactly-sized arenas
+	// (no weights arena for an unweighted graph) and appends into them in that
+	// same order, resolving each edge's endpoints to local positions on both
+	// passes. Writes stay inside the owning node's tables.
 	{
 		m := c.g.NumEdges()
 		ownerOf := func(i int, e graph.Edge) int32 {
@@ -345,23 +373,31 @@ func (c *Cluster[V, A]) load() error {
 		hostpar.For(p, width, func(n int) {
 			nd := c.nodes[n]
 			group := byNode[nodeOff[n]:nodeOff[n+1]]
-			src, dst := make([]int32, len(group)), make([]int32, len(group))
 			inCnt, outCnt := make([]int32, len(nd.hot)), make([]int32, len(nd.hot))
-			for k, ei := range group {
-				src[k], dst[k] = nd.index[c.g.EdgeSrc(int(ei))], nd.index[c.g.EdgeDst(int(ei))]
-				inCnt[dst[k]]++
-				outCnt[src[k]]++
+			for _, ei := range group {
+				inCnt[nd.index[c.g.EdgeDst(int(ei))]]++
+				outCnt[nd.index[c.g.EdgeSrc(int(ei))]]++
 			}
-			inNbr, inWt, outNbr := make([]int32, len(group)), make([]float64, len(group)), make([]int32, len(group))
+			inNbr, outNbr := make([]int32, len(group)), make([]int32, len(group))
+			var inWt []float64
+			if weighted {
+				inWt = make([]float64, len(group))
+			}
 			for i := range nd.topo {
 				in, out := int(inCnt[i]), int(outCnt[i])
-				nd.topo[i] = topo{inNbr: carve(&inNbr, in)[:0], inWt: carve(&inWt, in)[:0], outNbr: carve(&outNbr, out)[:0]}
+				nd.topo[i] = topo{inNbr: carve(&inNbr, in)[:0], outNbr: carve(&outNbr, out)[:0]}
+				if weighted {
+					nd.topo[i].inWt = carve(&inWt, in)[:0]
+				}
 			}
-			for k, ei := range group {
-				we, ue := &nd.topo[dst[k]], &nd.topo[src[k]]
-				we.inNbr = append(we.inNbr, src[k])
-				we.inWt = append(we.inWt, c.g.EdgeWeight(int(ei)))
-				ue.outNbr = append(ue.outNbr, dst[k])
+			for _, ei := range group {
+				src, dst := nd.index[c.g.EdgeSrc(int(ei))], nd.index[c.g.EdgeDst(int(ei))]
+				we, ue := &nd.topo[dst], &nd.topo[src]
+				we.inNbr = append(we.inNbr, src)
+				if weighted {
+					we.inWt = append(we.inWt, c.g.EdgeWeight(int(ei)))
+				}
+				ue.outNbr = append(ue.outNbr, dst)
 			}
 			nd.localEdges = len(group)
 		})
@@ -435,20 +471,14 @@ func (pr *vertexPresence) has(n int16) bool {
 	return false
 }
 
-// rolesOn returns the FT-only and mirror flags of the replica on host n.
-func (pr *vertexPresence) rolesOn(n int16) entryFlags {
+// rolesAt returns the FT-only and mirror flags of replica idx.
+func (pr *vertexPresence) rolesAt(idx int) entryFlags {
 	var f entryFlags
-	for idx, have := range pr.nodes {
-		if have != n {
-			continue
-		}
-		if pr.ftOnly[idx] {
-			f |= flagFTOnly
-		}
-		if slices.Contains(pr.mirrors, int16(idx)) {
-			f |= flagMirror
-		}
-		break
+	if pr.ftOnly[idx] {
+		f |= flagFTOnly
+	}
+	if slices.Contains(pr.mirrors, int16(idx)) {
+		f |= flagMirror
 	}
 	return f
 }
@@ -488,7 +518,7 @@ func (c *Cluster[V, A]) writeEdgeCkpts() {
 		for i := range nd.topo {
 			t, id, buf := &nd.topo[i], nd.hot[i].id, bufs[target[i]]
 			for k, src := range t.inNbr {
-				buf = appendEdgeCkpt(buf, nd.hot[src].id, id, t.inWt[k])
+				buf = appendEdgeCkpt(buf, nd.hot[src].id, id, t.inWt.at(k))
 			}
 			bufs[target[i]] = buf
 		}
@@ -546,7 +576,7 @@ func (c *Cluster[V, A]) encodeMetadataSnapshot(nd *node[V, A]) []byte {
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(t.inNbr)))
 		for k, p := range t.inNbr {
 			buf = binary.LittleEndian.AppendUint32(buf, uint32(p))
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(t.inWt[k]))
+			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(t.inWt.at(k)))
 		}
 	}
 	return buf

@@ -500,14 +500,17 @@ func (c *Cluster[V, A]) repairFTInvariants(tableChanged map[masterKey]bool) erro
 	// Pass 1: plan and execute FT replica creation (driver-sequential for
 	// determinism; the records still flow through the network for cost
 	// accounting).
+	// Each key's plan rows are appended one after another, so its planned
+	// creates are exactly creates[start:].
 	var creates []ftCreatePlan
 	for _, k := range keys {
 		nd := c.nodes[k.node]
 		e, rt := &nd.hot[k.pos], nd.replicas(k.pos)
-		for len(rt.nodes)+countPlanned(creates, k) < c.cfg.FT.K {
+		start := len(creates)
+		for len(rt.nodes)+len(creates)-start < c.cfg.FT.K {
 			best := -1
 			for _, cand := range alive {
-				if cand.id == int(k.node) || rt.hosts(cand.id) || plannedTo(creates, k, cand.id) {
+				if cand.id == int(k.node) || rt.hosts(cand.id) || plannedTo(creates[start:], cand.id) {
 					continue
 				}
 				if best < 0 || load[cand.id] < load[best] {
@@ -718,19 +721,10 @@ func (c *Cluster[V, A]) addReplica(nd *node[V, A], rec *recoveryRecord[V]) int32
 	})
 }
 
-func countPlanned(creates []ftCreatePlan, k masterKey) int {
-	n := 0
+// plannedTo reports whether one master's plan rows create a replica on to.
+func plannedTo(creates []ftCreatePlan, to int) bool {
 	for _, cr := range creates {
-		if cr.from == k {
-			n++
-		}
-	}
-	return n
-}
-
-func plannedTo(creates []ftCreatePlan, k masterKey, to int) bool {
-	for _, cr := range creates {
-		if cr.from == k && cr.to == to {
+		if cr.to == to {
 			return true
 		}
 	}

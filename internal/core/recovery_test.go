@@ -8,6 +8,7 @@ import (
 	"imitator/internal/algorithms"
 	"imitator/internal/core"
 	"imitator/internal/datasets"
+	"imitator/internal/gen"
 	"imitator/internal/graph"
 )
 
@@ -83,9 +84,11 @@ func runSP(t *testing.T, cfg core.Config, g *graph.Graph) *core.Result[float64] 
 
 // TestRecoveryEquivalence is the paper's core claim: a failure plus
 // recovery yields the same answer as a failure-free run, for every engine
-// mode x recovery strategy x algorithm style.
+// mode x recovery strategy x algorithm style. SSSP also runs on a weighted
+// input, since every other graph here has unit weights.
 func TestRecoveryEquivalence(t *testing.T) {
 	g := datasets.Tiny(600, 3600, 77)
+	road := mixedWeightRoad(t)
 	cases := []struct {
 		name     string
 		mode     core.Mode
@@ -119,15 +122,40 @@ func TestRecoveryEquivalence(t *testing.T) {
 				t.Error("recovery accounted no simulated time")
 			}
 		})
-		t.Run("sssp/"+tc.name, func(t *testing.T) {
-			base := ftConfig(tc.mode, 6, 40, 1, tc.recovery)
-			want := runSP(t, base, g)
-			withFail := base
-			withFail.Chaos = crashAt(3, core.FailBeforeBarrier, 1)
-			got := runSP(t, withFail, g)
-			valuesEqual(t, tc.name, got.Values, want.Values, 0) // min-folds are exact
-		})
+		for _, in := range []struct {
+			name string
+			g    *graph.Graph
+		}{{"sssp/", g}, {"sssp-weighted/", road}} {
+			t.Run(in.name+tc.name, func(t *testing.T) {
+				base := ftConfig(tc.mode, 6, 40, 1, tc.recovery)
+				want := runSP(t, base, in.g)
+				withFail := base
+				withFail.Chaos = crashAt(3, core.FailBeforeBarrier, 1)
+				got := runSP(t, withFail, in.g)
+				valuesEqual(t, tc.name, got.Values, want.Values, 0) // min-folds are exact
+			})
+		}
 	}
+}
+
+// mixedWeightRoad is a small log-normally weighted road network in which the
+// in-edges of every fourth vertex and every third edge weigh exactly 1, so
+// in-edge lists come all-unit, mixed and unit-free: recovery must carry each
+// kind bit for bit.
+func mixedWeightRoad(t *testing.T) *graph.Graph {
+	t.Helper()
+	base, err := gen.Road(gen.RoadConfig{Width: 25, Height: 24, ShortcutFrac: 0.1, WeightMu: 0.4, WeightSigma: 1.2, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	edges := make([]graph.Edge, 0, base.NumEdges())
+	base.EachEdge(func(i int, e graph.Edge) {
+		if e.Dst%4 == 0 || i%3 == 0 {
+			e.Weight = 1
+		}
+		edges = append(edges, e)
+	})
+	return graph.MustNew(base.NumVertices(), edges)
 }
 
 func TestRecoveryEquivalenceCD(t *testing.T) {

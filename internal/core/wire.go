@@ -271,10 +271,11 @@ func decodeReplicaTable(r *reader) *replicaTable {
 }
 
 // rawEdges is an in-edge list by global vertex id, with each source's
-// master node (needed to request replica creation during Migration).
+// master node (needed to request replica creation during Migration). wt is
+// nil when every weight is 1.
 type rawEdges struct {
 	src       []graph.VertexID
-	wt        []float64
+	wt        weights
 	srcMaster []int16
 }
 
@@ -282,12 +283,14 @@ func (e *rawEdges) encode(buf []byte) []byte {
 	buf = putU32(buf, uint32(len(e.src)))
 	for i := range e.src {
 		buf = putU32(buf, uint32(e.src[i]))
-		buf = putF64(buf, e.wt[i])
+		buf = putF64(buf, e.wt.at(i))
 		buf = putI16(buf, e.srcMaster[i])
 	}
 	return buf
 }
 
+// decodeRawEdges reads an encoded list, leaving wt nil when every decoded
+// weight is 1.
 func decodeRawEdges(r *reader) *rawEdges {
 	n := int(r.u32())
 	if n*14 > r.remaining() { // sanity bound: each edge is >= 14 bytes
@@ -296,13 +299,13 @@ func decodeRawEdges(r *reader) *rawEdges {
 	}
 	e := &rawEdges{
 		src:       make([]graph.VertexID, n),
-		wt:        make([]float64, n),
 		srcMaster: make([]int16, n),
 	}
 	for i := 0; i < n; i++ {
 		e.src[i] = graph.VertexID(r.u32())
-		e.wt[i] = r.f64()
+		e.wt = e.wt.add(i, r.f64())
 		e.srcMaster[i] = r.i16()
 	}
+	e.wt = slices.Clip(e.wt) // cap == len, as load carves its lists
 	return e
 }
