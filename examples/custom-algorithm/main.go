@@ -16,7 +16,7 @@ import (
 )
 
 // influence is the custom vertex program. V = float64 (current influence
-// score), A = [2]float64 flattened as []float64{below, total}.
+// score), A = []float64{sum of in-neighbor scores, in-neighbor count}.
 type influence struct {
 	maxDeg float64
 }
@@ -31,12 +31,15 @@ func (p *influence) Init(_ imitator.VertexID, info imitator.VertexInfo) (float64
 	return float64(info.InDeg) / p.maxDeg, true
 }
 
-// Gather: contribute (1 if src's score is below an implicit threshold,
-// carried as raw score so Apply can compare, 1 total). To keep the
-// accumulator associative we ship (sum of src scores, count) and compare
-// against the mean in Apply.
-func (p *influence) Gather(_ imitator.Edge, src float64, _ imitator.VertexInfo) []float64 {
-	return []float64{src, 1}
+// Gather folds the vertex's local in-edges, edge 0 first. Vertex-cut Merges
+// per-node folds, so a fold must equal Merge applied edge by edge, as these
+// two left-to-right sums do. Apply compares the score against the mean.
+func (p *influence) Gather(_ imitator.VertexID, in imitator.InEdges[float64]) []float64 {
+	sum := in.Value(0)
+	for k := 1; k < in.Len(); k++ {
+		sum += in.Value(k)
+	}
+	return []float64{sum, float64(in.Len())}
 }
 
 func (p *influence) Merge(a, b []float64) []float64 {

@@ -5,6 +5,8 @@ package algorithms
 
 import (
 	"math"
+	"slices"
+	"sort"
 
 	"imitator/internal/core"
 	"imitator/internal/graph"
@@ -39,18 +41,26 @@ func (p *PageRank) CanRecomputeSelfish() bool { return true }
 // Init implements core.Program.
 func (p *PageRank) Init(graph.VertexID, core.VertexInfo) (float64, bool) { return 1.0, true }
 
-// Gather implements core.Program: src contributes rank/out-degree.
-func (p *PageRank) Gather(_ graph.Edge, src float64, srcInfo core.VertexInfo) float64 {
-	if srcInfo.OutDeg == 0 {
-		return 0
+// Gather implements core.Program: each source's rank over its out-degree,
+// summed in edge order (a rank is never -0, so skipping a 0 adds no bit).
+//
+//imitator:hotpath
+func (p *PageRank) Gather(_ graph.VertexID, in core.InEdges[float64]) float64 {
+	sum := 0.0
+	for k := 0; k < in.Len(); k++ {
+		if d := in.Info(k).OutDeg; d != 0 {
+			sum += in.Value(k) / float64(d)
+		}
 	}
-	return src / float64(srcInfo.OutDeg)
+	return sum
 }
 
 // Merge implements core.Program.
 func (p *PageRank) Merge(a, b float64) float64 { return a + b }
 
 // Apply implements core.Program.
+//
+//imitator:hotpath
 func (p *PageRank) Apply(_ graph.VertexID, _ core.VertexInfo, _ float64, acc float64, hasAcc bool, _ int) (float64, bool) {
 	sum := 0.0
 	if hasAcc {
@@ -96,15 +106,23 @@ func (s *SSSP) Init(v graph.VertexID, _ core.VertexInfo) (float64, bool) {
 	return math.Inf(1), true
 }
 
-// Gather implements core.Program: candidate distance through this in-edge.
-func (s *SSSP) Gather(e graph.Edge, src float64, _ core.VertexInfo) float64 {
-	return src + e.Weight
+// Gather implements core.Program: the least source distance + edge weight.
+//
+//imitator:hotpath
+func (s *SSSP) Gather(_ graph.VertexID, in core.InEdges[float64]) float64 {
+	best := in.Value(0) + in.Weight(0)
+	for k := 1; k < in.Len(); k++ {
+		best = s.Merge(best, in.Value(k)+in.Weight(k))
+	}
+	return best
 }
 
 // Merge implements core.Program.
 func (s *SSSP) Merge(a, b float64) float64 { return math.Min(a, b) }
 
 // Apply implements core.Program: relax; scatter only on improvement.
+//
+//imitator:hotpath
 func (s *SSSP) Apply(_ graph.VertexID, _ core.VertexInfo, old float64, acc float64, hasAcc bool, _ int) (float64, bool) {
 	if !hasAcc || acc >= old {
 		return old, false
@@ -141,9 +159,19 @@ func (c *CD) CanRecomputeSelfish() bool { return false }
 // Init implements core.Program: every vertex starts in its own community.
 func (c *CD) Init(v graph.VertexID, _ core.VertexInfo) (int32, bool) { return int32(v), true }
 
-// Gather implements core.Program.
-func (c *CD) Gather(e graph.Edge, src int32, _ core.VertexInfo) []core.LabelCount {
-	return []core.LabelCount{{Label: src, Count: e.Weight}}
+// Gather implements core.Program: in-edge weight per source label, by label.
+func (c *CD) Gather(_ graph.VertexID, in core.InEdges[int32]) []core.LabelCount {
+	acc := make([]core.LabelCount, 0, in.Len())
+	for k := 0; k < in.Len(); k++ {
+		label, w := in.Value(k), in.Weight(k)
+		i := sort.Search(len(acc), func(j int) bool { return acc[j].Label >= label })
+		if i < len(acc) && acc[i].Label == label {
+			acc[i].Count += w
+		} else {
+			acc = slices.Insert(acc, i, core.LabelCount{Label: label, Count: w})
+		}
+	}
+	return acc
 }
 
 // Merge implements core.Program.
@@ -217,19 +245,24 @@ func (a *ALS) Init(v graph.VertexID, _ core.VertexInfo) ([]float64, bool) {
 func (a *ALS) accLen() int { return a.Dim*a.Dim + a.Dim + 1 }
 
 // Gather implements core.Program: accumulate q qᵀ, r·q and the rating
-// count for the ridge term.
-func (a *ALS) Gather(e graph.Edge, src []float64, _ core.VertexInfo) []float64 {
+// count for the ridge term. Sums start at -0 (-0 + x is x) and products are
+// rounded before they are added, so no fused multiply-add moves a bit.
+func (a *ALS) Gather(_ graph.VertexID, in core.InEdges[[]float64]) []float64 {
 	d := a.Dim
 	acc := make([]float64, a.accLen())
-	for i := 0; i < d; i++ {
-		for j := 0; j < d; j++ {
-			acc[i*d+j] = src[i] * src[j]
+	for i := range acc {
+		acc[i] = math.Copysign(0, -1)
+	}
+	for k := 0; k < in.Len(); k++ {
+		q, r := in.Value(k), in.Weight(k)
+		for i := 0; i < d; i++ {
+			for j := 0; j < d; j++ {
+				acc[i*d+j] += float64(q[i] * q[j])
+			}
+			acc[d*d+i] += float64(r * q[i])
 		}
+		acc[d*d+d]++
 	}
-	for i := 0; i < d; i++ {
-		acc[d*d+i] = e.Weight * src[i]
-	}
-	acc[d*d+d] = 1
 	return acc
 }
 

@@ -9,14 +9,20 @@ import (
 	"imitator/internal/graph"
 )
 
+// oneEdge is a one-edge in-list from a source with value v, degrees info
+// and weight w.
+func oneEdge[V any](v V, info core.VertexInfo, w float64) core.InEdges[V] {
+	return core.NewInEdges([]graph.VertexID{1}, []V{v}, []core.VertexInfo{info}, []float64{w})
+}
+
 func TestPageRankGather(t *testing.T) {
 	p := NewPageRank(100)
 	src, deg := 0.6, float64(3) // runtime division, matching Gather exactly
-	got := p.Gather(graph.Edge{Src: 1, Dst: 2}, src, core.VertexInfo{OutDeg: 3})
+	got := p.Gather(2, oneEdge(src, core.VertexInfo{OutDeg: 3}, 1))
 	if got != src/deg {
 		t.Errorf("Gather = %v, want %v", got, src/deg)
 	}
-	if p.Gather(graph.Edge{}, 0.6, core.VertexInfo{OutDeg: 0}) != 0 {
+	if p.Gather(2, oneEdge(0.6, core.VertexInfo{OutDeg: 0}, 1)) != 0 {
 		t.Error("zero out-degree source should contribute 0")
 	}
 }
@@ -73,7 +79,7 @@ func TestSSSPApplyRelaxation(t *testing.T) {
 
 func TestSSSPGatherMerge(t *testing.T) {
 	s := NewSSSP(0)
-	if got := s.Gather(graph.Edge{Weight: 2.5}, 1.5, core.VertexInfo{}); got != 4 {
+	if got := s.Gather(2, oneEdge(1.5, core.VertexInfo{}, 2.5)); got != 4 {
 		t.Errorf("Gather = %v, want 4", got)
 	}
 	if s.Merge(3, 2) != 2 {
@@ -106,7 +112,7 @@ func TestCDApplyPicksMode(t *testing.T) {
 
 func TestCDGather(t *testing.T) {
 	c := NewCD()
-	got := c.Gather(graph.Edge{Weight: 2}, 9, core.VertexInfo{})
+	got := c.Gather(2, oneEdge(int32(9), core.VertexInfo{}, 2))
 	if !reflect.DeepEqual(got, []core.LabelCount{{Label: 9, Count: 2}}) {
 		t.Errorf("Gather = %v", got)
 	}
@@ -136,7 +142,7 @@ func TestALSInitDeterministicAndSpread(t *testing.T) {
 func TestALSGatherAccumulates(t *testing.T) {
 	a := NewALS(10, 2, 0.1)
 	q := []float64{2, 3}
-	acc := a.Gather(graph.Edge{Weight: 4}, q, core.VertexInfo{})
+	acc := a.Gather(2, oneEdge(q, core.VertexInfo{}, 4))
 	// q q^T = [4 6; 6 9]; b = 4*q = [8, 12]; count 1.
 	want := []float64{4, 6, 6, 9, 8, 12, 1}
 	if !reflect.DeepEqual(acc, want) {
@@ -151,7 +157,7 @@ func TestALSGatherAccumulates(t *testing.T) {
 func TestALSApplyAlternates(t *testing.T) {
 	a := NewALS(10, 2, 0.1)
 	old := []float64{0.5, 0.5}
-	acc := a.Gather(graph.Edge{Weight: 4}, []float64{2, 3}, core.VertexInfo{})
+	acc := a.Gather(2, oneEdge([]float64{2, 3}, core.VertexInfo{}, 4))
 	// Vertex 3 is a user; users move on even iterations.
 	moved, act := a.Apply(3, core.VertexInfo{}, old, acc, true, 0)
 	if !act {
@@ -176,7 +182,7 @@ func TestALSApplySolvesNormalEquations(t *testing.T) {
 	// Single rating r=4 against q=(1,0): solution should satisfy x[0]=4
 	// (with lambda 0, x[1] unconstrained -> singular; expect fallback to
 	// keep old).
-	acc := a.Gather(graph.Edge{Weight: 4}, []float64{1, 0}, core.VertexInfo{})
+	acc := a.Gather(2, oneEdge([]float64{1, 0}, core.VertexInfo{}, 4))
 	old := []float64{0.1, 0.2}
 	got, _ := a.Apply(0, core.VertexInfo{}, old, acc, true, 0)
 	if !reflect.DeepEqual(got, old) {
@@ -205,7 +211,7 @@ func TestCodecsMatchPrograms(t *testing.T) {
 	if err != nil || len(rest) != 0 || !reflect.DeepEqual(got, v) {
 		t.Error("ALS value codec round-trip failed")
 	}
-	acc := a.Gather(graph.Edge{Weight: 1}, v, core.VertexInfo{})
+	acc := a.Gather(2, oneEdge(v, core.VertexInfo{}, 1))
 	buf = a.AccCodec().Append(nil, acc)
 	gotAcc, _, err := a.AccCodec().Read(buf)
 	if err != nil || !reflect.DeepEqual(gotAcc, acc) {

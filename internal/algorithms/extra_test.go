@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"imitator/internal/core"
-	"imitator/internal/graph"
 )
 
 func TestCCApply(t *testing.T) {
@@ -52,10 +51,10 @@ func TestKCoreLifecycle(t *testing.T) {
 
 func TestKCoreGather(t *testing.T) {
 	p := NewKCore(2)
-	if p.Gather(graph.Edge{}, Dead, core.VertexInfo{}) != 0 {
+	if p.Gather(2, oneEdge(Dead, core.VertexInfo{}, 1)) != 0 {
 		t.Error("dead neighbor should contribute 0")
 	}
-	if p.Gather(graph.Edge{}, 7, core.VertexInfo{}) != 1 {
+	if p.Gather(2, oneEdge(int32(7), core.VertexInfo{}, 1)) != 1 {
 		t.Error("live neighbor should contribute 1")
 	}
 }

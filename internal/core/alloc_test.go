@@ -82,32 +82,123 @@ func TestLoadAllocBudget(t *testing.T) {
 // the pool, stagers and routing tables are warm, a full superstep
 // (compute + sync + receive + barrier + commit) performs zero heap
 // allocations at WorkersPerNode=1. Any new per-round make/append-to-nil on
-// the hot path shows up here as a non-zero count.
+// the hot path shows up here as a non-zero count. Besides fakePR it runs an
+// int32 program (the engine's go.shape.int32 instantiation) and a float64
+// program that reads edge weights and source ids on a weighted graph.
 func TestSteadyStateSuperstepAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; counts are meaningless")
 	}
+	road, err := gen.Road(gen.RoadConfig{Width: 20, Height: 20, ShortcutFrac: 0.1, WeightMu: 0.4, WeightSigma: 1.2, Seed: 1, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, mode := range []Mode{EdgeCutMode, VertexCutMode} {
 		t.Run(mode.String(), func(t *testing.T) {
-			g := datasets.Tiny(400, 2400, 4242)
-			cfg := DefaultConfig(mode, 4)
-			cfg.MaxIter = 1 // stepped manually below
-			cl, err := NewCluster[float64, float64](cfg, g, fakePR{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer cl.stopWorkers()
-			step := manualStep(t, cl)
-			// Warm the pool, stagers, mailboxes and routing tables.
-			for i := 0; i < 3; i++ {
-				step()
-			}
-			if avg := testing.AllocsPerRun(5, step); avg != 0 {
-				t.Errorf("%v steady-state superstep allocates %.1f times per iteration, want 0", mode, avg)
-			}
+			tiny := datasets.Tiny(400, 2400, 4242)
+			checkSteadyAllocFree(t, mode, tiny, Program[float64, float64](fakePR{}))
+			checkSteadyAllocFree(t, mode, tiny, Program[int32, int32](fakeMin{}))
+			checkSteadyAllocFree(t, mode, road, Program[float64, float64](&fakeWeighted{}))
 		})
 	}
 }
+
+// checkSteadyAllocFree fails t if a warm superstep of prog on g allocates.
+func checkSteadyAllocFree[V, A any](t *testing.T, mode Mode, g *graph.Graph, prog Program[V, A]) {
+	t.Helper()
+	cfg := DefaultConfig(mode, 4)
+	cfg.MaxIter = 1 // stepped manually below
+	cl, err := NewCluster(cfg, g, prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.stopWorkers()
+	step := manualStep(t, cl)
+	// Warm the pool, stagers, mailboxes and routing tables.
+	for i := 0; i < 3; i++ {
+		step()
+	}
+	if avg := testing.AllocsPerRun(5, step); avg != 0 {
+		t.Errorf("%v %s steady-state superstep allocates %.1f times per iteration, want 0", mode, prog.Name(), avg)
+	}
+}
+
+// fakeMin is an always-active min-label program over int32.
+type fakeMin struct{}
+
+func (fakeMin) Name() string              { return "fake-min" }
+func (fakeMin) AlwaysActive() bool        { return true }
+func (fakeMin) CanRecomputeSelfish() bool { return false }
+func (fakeMin) Init(id graph.VertexID, _ VertexInfo) (int32, bool) {
+	return int32(id), true
+}
+func (fakeMin) Gather(_ graph.VertexID, in InEdges[int32]) int32 {
+	low := in.Value(0)
+	for k := 1; k < in.Len(); k++ {
+		low = min(low, in.Value(k))
+	}
+	return low
+}
+func (fakeMin) Merge(a, b int32) int32 { return min(a, b) }
+func (fakeMin) Apply(_ graph.VertexID, _ VertexInfo, old, acc int32, has bool, _ int) (int32, bool) {
+	if has {
+		return min(old, acc), true
+	}
+	return old, true
+}
+func (fakeMin) ValueCodec() Codec[int32] { return Int32Codec{} }
+func (fakeMin) AccCodec() Codec[int32]   { return Int32Codec{} }
+
+// fakeWeighted folds weight × value plus a term in the source id, so it
+// reads every per-edge accessor but Info.
+type fakeWeighted struct{}
+
+func (*fakeWeighted) Name() string              { return "fake-weighted" }
+func (*fakeWeighted) AlwaysActive() bool        { return true }
+func (*fakeWeighted) CanRecomputeSelfish() bool { return false }
+func (*fakeWeighted) Init(graph.VertexID, VertexInfo) (float64, bool) {
+	return 1, true
+}
+func (*fakeWeighted) Gather(_ graph.VertexID, in InEdges[float64]) float64 {
+	sum := 0.0
+	for k := 0; k < in.Len(); k++ {
+		sum += float64(in.Weight(k)*in.Value(k)) + float64(in.Src(k)%7)
+	}
+	return sum
+}
+func (*fakeWeighted) Merge(a, b float64) float64 { return a + b }
+func (*fakeWeighted) Apply(_ graph.VertexID, _ VertexInfo, _, acc float64, _ bool, _ int) (float64, bool) {
+	return 1 / (1 + acc), true
+}
+func (*fakeWeighted) ValueCodec() Codec[float64] { return Float64Codec{} }
+func (*fakeWeighted) AccCodec() Codec[float64]   { return Float64Codec{} }
+
+// benchPR is PageRank-shaped with a pointer receiver, as every shipped
+// program has (a value receiver adds a wrapper call per interface call):
+// Gather sums each source's value over its out-degree.
+type benchPR struct{}
+
+func (*benchPR) Name() string              { return "bench-pagerank" }
+func (*benchPR) AlwaysActive() bool        { return true }
+func (*benchPR) CanRecomputeSelfish() bool { return true }
+func (*benchPR) Init(graph.VertexID, VertexInfo) (float64, bool) {
+	return 1, true
+}
+func (*benchPR) Gather(_ graph.VertexID, in InEdges[float64]) float64 {
+	sum := 0.0
+	for k := 0; k < in.Len(); k++ {
+		if d := in.Info(k).OutDeg; d != 0 {
+			sum += in.Value(k) / float64(d)
+		}
+	}
+	return sum
+}
+func (*benchPR) Merge(a, b float64) float64 { return a + b }
+func (*benchPR) Apply(_ graph.VertexID, _ VertexInfo, _, acc float64, _ bool, _ int) (float64, bool) {
+	return 0.15 + 0.85*acc, true
+}
+func (*benchPR) ValueCodec() Codec[float64] { return Float64Codec{} }
+func (*benchPR) AccCodec() Codec[float64]   { return Float64Codec{} }
 
 // BenchmarkSuperstep times one warm superstep + barrier + commit on the
 // benchmark graph as ec-steady / vc-steady configure it (8 nodes, Replication
@@ -121,7 +212,7 @@ func BenchmarkSuperstep(b *testing.B) {
 			cfg := DefaultConfig(mode, 8)
 			cfg.HostParallelism = 1
 			cfg.MaxIter = 1 // stepped manually below
-			cl, err := NewCluster[float64, float64](cfg, g, fakePR{})
+			cl, err := NewCluster[float64, float64](cfg, g, &benchPR{})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -162,7 +253,7 @@ func BenchmarkRecovery(b *testing.B) {
 			b.ReportAllocs()
 			for range b.N {
 				b.StopTimer()
-				cl, err := NewCluster[float64, float64](cfg, g, fakePR{})
+				cl, err := NewCluster[float64, float64](cfg, g, &benchPR{})
 				if err != nil {
 					b.Fatal(err)
 				}

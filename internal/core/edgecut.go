@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 
 	"imitator/internal/costmodel"
-	"imitator/internal/graph"
 	"imitator/internal/netsim"
 )
 
@@ -150,20 +149,14 @@ func (c *Cluster[V, A]) stageSyncRecords(st *stager, nd *node[V, A], i int) {
 	}
 }
 
-// gather folds slot i's local in-edges in list order: Program.Gather per
-// edge, merged left to right. It returns the edge count with the fold.
+// gather folds slot i's local in-edges with one Program.Gather call and
+// returns the edge count with the fold; a slot without any has no fold.
 func (c *Cluster[V, A]) gather(nd *node[V, A], i int) (acc A, has bool, edges int) {
-	dst, t := nd.hot[i].id, &nd.topo[i]
-	for k, src := range t.inNbr {
-		se := &nd.hot[src]
-		contrib := c.prog.Gather(graph.Edge{Src: se.id, Dst: dst, Weight: t.inWt.at(k)}, se.value, se.info())
-		if has {
-			acc = c.prog.Merge(acc, contrib)
-		} else {
-			acc, has = contrib, true
-		}
+	t := &nd.topo[i]
+	if len(t.inNbr) == 0 {
+		return acc, false, 0
 	}
-	return acc, has, len(t.inNbr)
+	return c.prog.Gather(nd.hot[i].id, InEdges[V]{hot: nd.hot, nbr: t.inNbr, wt: t.inWt}), true, len(t.inNbr)
 }
 
 // applySync decodes a batch of sync records into local slots, staging each

@@ -39,7 +39,8 @@ const (
 // replication metadata lives in the node's role slabs behind ref, which a
 // failure-free superstep never touches.
 type hot[V any] struct {
-	// Gather reads a neighbour's value, id and degrees: the first 20 bytes.
+	// Gather reads a neighbour's value and degrees, and its id only when a
+	// program calls InEdges.Src: all within the first 20 bytes.
 	value V
 	id    graph.VertexID
 	// Static global degrees, replicated so gather can run anywhere.

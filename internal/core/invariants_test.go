@@ -17,8 +17,14 @@ func (fakePR) CanRecomputeSelfish() bool { return false }
 func (fakePR) Init(graph.VertexID, VertexInfo) (float64, bool) {
 	return 1, true
 }
-func (fakePR) Gather(e graph.Edge, src float64, _ VertexInfo) float64 { return src }
-func (fakePR) Merge(a, b float64) float64                             { return a + b }
+func (fakePR) Gather(_ graph.VertexID, in InEdges[float64]) float64 {
+	sum := in.Value(0)
+	for k := 1; k < in.Len(); k++ {
+		sum += in.Value(k)
+	}
+	return sum
+}
+func (fakePR) Merge(a, b float64) float64 { return a + b }
 func (fakePR) Apply(_ graph.VertexID, _ VertexInfo, _ float64, acc float64, _ bool, _ int) (float64, bool) {
 	return acc + 1, true
 }

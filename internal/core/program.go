@@ -35,10 +35,11 @@ type Program[V, A any] interface {
 	CanRecomputeSelfish() bool
 	// Init returns a vertex's initial value and whether it starts active.
 	Init(v graph.VertexID, info VertexInfo) (V, bool)
-	// Gather returns the contribution of in-edge e (e.Dst is the vertex
-	// being computed) given the source's current value.
-	Gather(e graph.Edge, src V, srcInfo VertexInfo) A
-	// Merge combines two gather contributions (must be commutative and
+	// Gather folds vertex dst's local in-edges, edge 0 first, when there are
+	// any. It must equal Merge applied left to right over one-edge Gathers,
+	// bit for bit: vertex-cut Merges the per-node folds.
+	Gather(dst graph.VertexID, in InEdges[V]) A
+	// Merge combines two gather accumulators (must be commutative and
 	// associative up to float rounding; engines fix the fold order).
 	Merge(a, b A) A
 	// Apply produces the new value from the merged contributions and
@@ -49,6 +50,35 @@ type Program[V, A any] interface {
 	// AccCodec encodes A for vertex-cut partial-gather messages.
 	AccCodec() Codec[A]
 }
+
+// InEdges is one vertex's local in-edges, read in place in the node's table.
+// Gather takes it by value; its accessors have pointer receivers, so a fold
+// copies nothing per edge.
+type InEdges[V any] struct {
+	hot []hot[V]
+	nbr []int32
+	wt  weights
+}
+
+// NewInEdges returns the in-edge list whose edge k has source src[k], source
+// value val[k], source degrees info[k] and weight wt[k] (wt nil: every weight
+// is 1), for testing a Program's Gather outside an engine.
+func NewInEdges[V any](src []graph.VertexID, val []V, info []VertexInfo, wt []float64) InEdges[V] {
+	in := InEdges[V]{hot: make([]hot[V], len(src)), nbr: make([]int32, len(src)), wt: wt}
+	for k, id := range src {
+		in.hot[k] = hot[V]{value: val[k], id: id, inDeg: info[k].InDeg, outDeg: info[k].OutDeg}
+		in.nbr[k] = int32(k)
+	}
+	return in
+}
+
+// Len, Value, Info, Src and Weight read the list: its edge count, and edge
+// k's source value, source degrees, source id and weight.
+func (in *InEdges[V]) Len() int                 { return len(in.nbr) }
+func (in *InEdges[V]) Value(k int) V            { return in.hot[in.nbr[k]].value }
+func (in *InEdges[V]) Info(k int) VertexInfo    { return in.hot[in.nbr[k]].info() }
+func (in *InEdges[V]) Src(k int) graph.VertexID { return in.hot[in.nbr[k]].id }
+func (in *InEdges[V]) Weight(k int) float64     { return in.wt.at(k) }
 
 // Codec serializes values of type T for the wire and for snapshots.
 type Codec[T any] interface {

@@ -73,8 +73,14 @@ func (fakeSSSP) Init(id graph.VertexID, _ VertexInfo) (float64, bool) {
 	}
 	return math.Inf(1), false
 }
-func (fakeSSSP) Gather(e graph.Edge, src float64, _ VertexInfo) float64 { return src + e.Weight }
-func (fakeSSSP) Merge(a, b float64) float64                             { return min(a, b) }
+func (fakeSSSP) Gather(_ graph.VertexID, in InEdges[float64]) float64 {
+	best := in.Value(0) + in.Weight(0)
+	for k := 1; k < in.Len(); k++ {
+		best = min(best, in.Value(k)+in.Weight(k))
+	}
+	return best
+}
+func (fakeSSSP) Merge(a, b float64) float64 { return min(a, b) }
 func (fakeSSSP) Apply(_ graph.VertexID, _ VertexInfo, old, acc float64, has bool, _ int) (float64, bool) {
 	if has && acc < old {
 		return acc, true

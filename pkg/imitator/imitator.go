@@ -54,6 +54,9 @@ type Edge = graph.Edge
 // value type, A the accumulator type exchanged between presences.
 type Program[V, A any] = core.Program[V, A]
 
+// InEdges is the in-edge list that Program.Gather folds.
+type InEdges[V any] = core.InEdges[V]
+
 // Codec serializes values of type T onto the simulated wire.
 type Codec[T any] = core.Codec[T]
 
