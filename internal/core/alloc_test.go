@@ -229,51 +229,104 @@ func BenchmarkSuperstep(b *testing.B) {
 	}
 }
 
-// BenchmarkRecovery times one recovery per strategy on the benchmark graph as
-// failover-matrix configures it (8 nodes, edge-cut, Replication K=1,
+// recoveryConfig configures one recovery of the given kind on the benchmark
+// graph as failover-matrix does (8 nodes, edge-cut, Replication K=1,
 // checkpoints every two supersteps, logs compacted every four, host
-// parallelism 1): node 1 crashes before the barrier of superstep 4. Load and
-// the supersteps before the crash are untimed; the timer runs from the pass's
-// first phase label to the end of the job, i.e. the recovery plus the
-// re-executed superstep (checkpoint: every superstep since the snapshot). So a
-// recovery profiles with one command:
+// parallelism 1): node 1 crashes before the barrier of superstep 4.
+func recoveryConfig(kind RecoveryKind) Config {
+	cfg := DefaultConfig(EdgeCutMode, 8)
+	cfg.HostParallelism = 1
+	cfg.MaxIter = 5
+	cfg.Recovery = kind
+	cfg.Checkpoint = CheckpointConfig{Interval: 2}
+	cfg.Logged = LoggedConfig{CompactEvery: 4}
+	cfg.Chaos = []ChaosEvent{{Kind: ChaosCrash, Iteration: 4, Phase: FailBeforeBarrier, Nodes: []int{1}}}
+	return cfg
+}
+
+// runRecovery loads g under recoveryConfig(kind) and runs the job, calling
+// start at the recovery pass's first phase label. It fails tb unless exactly
+// one recovery ran.
+func runRecovery(tb testing.TB, g *graph.Graph, kind RecoveryKind, start func()) {
+	tb.Helper()
+	cl, err := NewCluster[float64, float64](recoveryConfig(kind), g, &benchPR{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	started := false
+	cl.SetRecoveryHook(func(string) {
+		if !started {
+			started = true
+			start()
+		}
+	})
+	res, err := cl.Run()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if len(res.Recoveries) != 1 {
+		tb.Fatalf("%d recoveries, want 1", len(res.Recoveries))
+	}
+}
+
+// BenchmarkRecovery times one recovery per strategy on the benchmark graph
+// (recoveryConfig). Load and the supersteps before the crash are untimed; the
+// timer runs from the pass's first phase label to the end of the job, i.e.
+// the recovery plus the re-executed superstep (checkpoint: every superstep
+// since the snapshot). So a recovery profiles with one command:
 //
 //	go test -run '^$' -bench Recovery/migration -cpuprofile cpu.prof ./internal/core
 func BenchmarkRecovery(b *testing.B) {
 	g := benchmarkGraph(b)
 	for _, kind := range []RecoveryKind{RecoverRebirth, RecoverMigration, RecoverCheckpoint, RecoverLogged} {
 		b.Run(kind.String(), func(b *testing.B) {
-			cfg := DefaultConfig(EdgeCutMode, 8)
-			cfg.HostParallelism = 1
-			cfg.MaxIter = 5
-			cfg.Recovery = kind
-			cfg.Checkpoint = CheckpointConfig{Interval: 2}
-			cfg.Logged = LoggedConfig{CompactEvery: 4}
-			cfg.Chaos = []ChaosEvent{{Kind: ChaosCrash, Iteration: 4, Phase: FailBeforeBarrier, Nodes: []int{1}}}
 			b.ReportAllocs()
 			for range b.N {
 				b.StopTimer()
-				cl, err := NewCluster[float64, float64](cfg, g, &benchPR{})
-				if err != nil {
-					b.Fatal(err)
-				}
-				started := false
-				cl.SetRecoveryHook(func(string) {
-					if !started {
-						started = true
-						b.StartTimer()
-					}
-				})
-				res, err := cl.Run()
+				runRecovery(b, g, kind, b.StartTimer)
 				b.StopTimer()
-				if err != nil {
-					b.Fatal(err)
-				}
-				if len(res.Recoveries) != 1 {
-					b.Fatalf("%d recoveries, want 1", len(res.Recoveries))
-				}
 			}
 		})
+	}
+}
+
+// TestRecoveryAllocBudget pins what one recovery allocates on the benchmark
+// graph, in count and in bytes, over BenchmarkRecovery's timed span (the pass
+// and the re-executed supersteps). Every recovery staging loop sizes each
+// destination buffer by a count pass, a round's records decode into one
+// exactly-sized arena, and linking, adoption and pruning grow each table at
+// most once, so Rebirth makes tens of allocations and Migration about 14 k
+// (71 and 13.9 k when the budgets were set, at 16.9 and 85.5 MB). A staging
+// buffer that regrows by append costs about 1.25 times its size again and
+// breaks the byte budget; a per-record decode or per-master map costs tens
+// of thousands of allocations and breaks the count.
+func TestRecoveryAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates; counts are meaningless")
+	}
+	if testing.Short() {
+		t.Skip("builds the 923 k-edge benchmark graph")
+	}
+	g := benchmarkGraph(t)
+	for _, tc := range []struct {
+		kind    RecoveryKind
+		mallocs uint64
+		mb      float64 // measured 16.9 / 85.5 / 4.9 / 5.1 MB
+	}{
+		{RecoverRebirth, 100, 19},
+		{RecoverMigration, 16000, 90},
+		{RecoverCheckpoint, 250, 5.5},
+		{RecoverLogged, 100, 5.6},
+	} {
+		var before, after runtime.MemStats
+		runRecovery(t, g, tc.kind, func() { runtime.ReadMemStats(&before) })
+		runtime.ReadMemStats(&after)
+		if n := after.Mallocs - before.Mallocs; n > tc.mallocs {
+			t.Errorf("%v: recovery made %d allocations, budget %d", tc.kind, n, tc.mallocs)
+		}
+		if b := float64(after.TotalAlloc - before.TotalAlloc); b > tc.mb*1e6 {
+			t.Errorf("%v: recovery allocated %.1f MB, budget %.1f MB", tc.kind, b/1e6, tc.mb)
+		}
 	}
 }
 

@@ -89,6 +89,9 @@ func appendSlotState[V any](b []byte, vc Codec[V], pos int32, e *hot[V]) []byte 
 	return putI32(b, e.lastActivateIter)
 }
 
+// slotStateSize is the length appendSlotState writes for slot e.
+func slotStateSize[V any](vc Codec[V], e *hot[V]) int { return 10 + vc.Size(e.value) }
+
 // readSlotState decodes one appendSlotState record into its slot of slots
 // and drops the slot's pending update. A master keeps its own active flag
 // unless masterActive is set: a snapshot restores masters, a resync only
@@ -140,19 +143,19 @@ func (c *Cluster[V, A]) restoreFromSnapshot(nd *node[V, A], epoch int) (float64,
 
 // pristineNewbie builds the standby node that takes over crashed slot f for
 // checkpoint and logged recovery: immutable topology from the pristine loader
-// state (the metadata snapshot's content, whose read it charges), dynamic
-// state left for the strategy's reload or replay.
+// state (the metadata snapshot's content, whose read it charges by size),
+// dynamic state left for the strategy's reload or replay.
 func (c *Cluster[V, A]) pristineNewbie(p *recoveryPass[V, A], f int) (*node[V, A], error) {
 	nd := c.rebuildPristineNode(f)
 	if nd == nil {
 		return nil, fmt.Errorf("%w: no pristine state for node %d", ErrUnrecoverable, f)
 	}
-	meta, cost, err := c.dfs.Read(f, fmt.Sprintf("ckptmeta/%d", f))
+	metaSize, err := c.dfs.Size(fmt.Sprintf("ckptmeta/%d", f))
 	if err != nil {
 		return nil, fmt.Errorf("core: metadata snapshot: %w", err)
 	}
-	nd.met.DFSReadBytes += int64(len(meta))
-	c.clock.Advance(cost)
+	nd.met.DFSReadBytes += metaSize
+	c.clock.Advance(c.cfg.Cost.DFSRead(metaSize))
 	p.rec.RecoveredVertices += len(nd.hot)
 	p.rec.RecoveredEdges += nd.localEdges
 	return nd, nil
@@ -228,10 +231,9 @@ func (c *Cluster[V, A]) recoverCheckpoint(p *recoveryPass[V, A]) error {
 	return nil
 }
 
-// rebuildPristineNode recreates a node's immutable loader state (the three
-// tables and the role slabs, with their initial values) from the retained
-// pristine copy. The topology and metadata lists are shared with the
-// pristine copy — they are immutable after load.
+// rebuildPristineNode recreates a node's loader state from the retained
+// pristine copy: a copy of its initial hot slots, and the topology, slab
+// handles and role slabs themselves, which stay shared (pristineNode).
 func (c *Cluster[V, A]) rebuildPristineNode(id int) *node[V, A] {
 	if c.pristine == nil || c.pristine[id] == nil {
 		return nil
@@ -243,10 +245,10 @@ func (c *Cluster[V, A]) rebuildPristineNode(id int) *node[V, A] {
 		met:        &c.met.Nodes[id],
 		localEdges: src.localEdges,
 		hot:        slices.Clone(src.hot),
-		topo:       slices.Clone(src.topo),
-		ref:        slices.Clone(src.ref),
-		masters:    slices.Clone(src.masters),
-		mirrors:    slices.Clone(src.mirrors),
+		topo:       src.topo,
+		ref:        src.ref,
+		masters:    src.masters,
+		mirrors:    src.mirrors,
 		index:      newIndex(c.g.NumVertices()),
 	}
 	for i := range nd.hot {
@@ -261,19 +263,22 @@ func (c *Cluster[V, A]) rebuildPristineNode(id int) *node[V, A] {
 func (c *Cluster[V, A]) fullResync() error {
 	c.runPhase(func(nd *node[V, A]) {
 		c.chunked(nd, len(nd.hot), func(st *stager, lo, hi int) {
-			for i := lo; i < hi; i++ {
-				e := &nd.hot[i]
-				if !e.isMaster() {
-					continue
+			c.stageExact(st.send, &st.met, func(s *recSink) {
+				for i := lo; i < hi; i++ {
+					e := &nd.hot[i]
+					if !e.isMaster() {
+						continue
+					}
+					rt := nd.replicas(int32(i))
+					size := slotStateSize(c.vc, e)
+					for ri, rn := range rt.nodes {
+						pos := rt.pos[ri]
+						s.put(int(rn), size, func(buf []byte) []byte {
+							return appendSlotState(buf, c.vc, pos, e)
+						})
+					}
 				}
-				rt := nd.replicas(int32(i))
-				for ri, rn := range rt.nodes {
-					pos := rt.pos[ri]
-					c.stageRecovery(&st.send[rn], &st.met, func(buf []byte) []byte {
-						return appendSlotState(buf, c.vc, pos, e)
-					})
-				}
-			}
+			})
 		})
 	})
 	return c.exchange(false, func(nd *node[V, A], _ int, r *reader) {
@@ -295,7 +300,11 @@ type replayWatch struct {
 	start  float64
 }
 
-// pristineNode is a node's immutable post-load state.
+// pristineNode is a node's post-load state. Under checkpoint and logged
+// recovery nothing changes topo, ref or the role slabs after load (only the
+// replication recoveries reshape them), so these are the live node's own
+// tables, shared by every node rebuilt from them; hot is a copy, since
+// supersteps write it.
 type pristineNode[V any] struct {
 	hot        []hot[V]
 	topo       []topo

@@ -106,6 +106,13 @@ func (n *node[V, A]) add(h hot[V]) int32 {
 	return pos
 }
 
+// reserve grows the three tables once so that the next k adds fit.
+func (n *node[V, A]) reserve(k int) {
+	n.hot = slices.Grow(n.hot, k)
+	n.topo = slices.Grow(n.topo, k)
+	n.ref = slices.Grow(n.ref, k)
+}
+
 // attachEdge links the local edge sp -> dp into both endpoints' lists.
 func (n *node[V, A]) attachEdge(sp, dp int32, wt float64) {
 	n.routeDirty = true // the scatter route flattens outNbr
@@ -115,23 +122,59 @@ func (n *node[V, A]) attachEdge(sp, dp int32, wt float64) {
 	n.topo[sp].outNbr = append(n.topo[sp].outNbr, dp)
 }
 
-// linkInEdges resolves a recovered slot's raw in-edge list into local
-// positions and appends the reverse outNbr entries. Recovery calls it in
-// ascending position order: a source shared by several slots collects
-// outNbr entries in call order, and scatter replays outNbr order onto the
-// wire.
-func (n *node[V, A]) linkInEdges(pos int32, re *rawEdges) error {
+// posEdges is a recovered slot's raw in-edge list.
+type posEdges struct {
+	pos   int32
+	edges rawEdges
+}
+
+// linkInEdges resolves recovered slots' raw in-edge lists into local
+// positions and appends the reverse outNbr entries. Recovery passes the
+// lists in ascending position order: a source shared by several slots
+// collects outNbr entries in list order, and scatter replays outNbr order
+// onto the wire. A count pass sizes one inNbr arena and grows each source's
+// outNbr once, into a second arena.
+func (n *node[V, A]) linkInEdges(lists []posEdges) error {
+	if len(lists) == 0 {
+		return nil
+	}
 	n.routeDirty = true // the scatter route flattens outNbr
-	t := &n.topo[pos]
-	t.inNbr = make([]int32, len(re.src))
-	t.inWt = re.wt
-	for k, srcID := range re.src {
-		sp, ok := n.pos(srcID)
-		if !ok {
-			return fmt.Errorf("%w: node %d missing in-neighbor %d", ErrUnrecoverable, n.id, srcID)
+	total := 0
+	for _, l := range lists {
+		total += len(l.edges.src)
+	}
+	in, added := make([]int32, total), make([]int32, len(n.topo))
+	for _, l := range lists {
+		nbr := carve(&in, len(l.edges.src))
+		for k, srcID := range l.edges.src {
+			sp, ok := n.pos(srcID)
+			if !ok {
+				return fmt.Errorf("%w: node %d missing in-neighbor %d", ErrUnrecoverable, n.id, srcID)
+			}
+			nbr[k] = sp
+			added[sp]++
 		}
-		t.inNbr[k] = sp
-		n.topo[sp].outNbr = append(n.topo[sp].outNbr, pos)
+		n.topo[l.pos].inNbr, n.topo[l.pos].inWt = nbr, l.edges.wt
+	}
+	total = 0
+	for sp, k := range added {
+		if k > 0 {
+			total += len(n.topo[sp].outNbr) + int(k)
+		}
+	}
+	out := make([]int32, total)
+	for sp, k := range added {
+		if k > 0 {
+			old := n.topo[sp].outNbr
+			grown := carve(&out, len(old)+int(k))
+			copy(grown, old)
+			n.topo[sp].outNbr = grown[:len(old)] // the appends below fill it
+		}
+	}
+	for _, l := range lists {
+		for _, sp := range n.topo[l.pos].inNbr {
+			n.topo[sp].outNbr = append(n.topo[sp].outNbr, l.pos)
+		}
 	}
 	return nil
 }
@@ -628,6 +671,53 @@ func (c *Cluster[V, A]) stageRecovery(slot *[]byte, met *metrics.Node, encode fu
 	met.RecoveryBytes += int64(len(*slot) - before)
 }
 
+// recSink is where one staging loop's recovery records go: bufs are the
+// per-destination buffers (a node's send or notice buffers, or a stager's),
+// and met counts the records as recovery traffic unless it is nil.
+// stageExact runs a loop over it twice.
+type recSink struct {
+	bufs [][]byte
+	met  *metrics.Node
+	// need sums each destination's bytes on the count pass; nil on the fill
+	// pass.
+	need []int
+}
+
+// put stages one record of size bytes for dst: the count pass adds size,
+// the fill pass appends the record with encode.
+func (s *recSink) put(dst, size int, encode func(buf []byte) []byte) {
+	if s.need != nil {
+		s.need[dst] += size
+		return
+	}
+	before := len(s.bufs[dst])
+	s.bufs[dst] = encode(s.bufs[dst])
+	if s.met != nil {
+		s.met.RecoveryMsgs++
+		s.met.RecoveryBytes += int64(len(s.bufs[dst]) - before)
+	}
+}
+
+// stageExact runs the staging loop stage twice over bufs: a count pass that
+// only sums each destination's bytes, then, every destination buffer grown
+// once to fit (seeded from the pool when empty), the pass that appends the
+// records. So a staging buffer is allocated once, at its final size, instead
+// of regrowing as records land. stage must put the same records both times.
+func (c *Cluster[V, A]) stageExact(bufs [][]byte, met *metrics.Node, stage func(s *recSink)) {
+	s := &recSink{bufs: bufs, met: met, need: make([]int, len(bufs))}
+	stage(s)
+	for dst, n := range s.need {
+		if n > 0 {
+			if bufs[dst] == nil {
+				bufs[dst] = c.pool.Get()
+			}
+			bufs[dst] = slices.Grow(bufs[dst], n)
+		}
+	}
+	s.need = nil
+	stage(s)
+}
+
 // exchange completes one recovery round. It flushes the staged round (the
 // notice buffers when notice is set), has every alive node receive its
 // messages and decode them record by record with apply, and recycles the
@@ -635,6 +725,38 @@ func (c *Cluster[V, A]) stageRecovery(slot *[]byte, met *metrics.Node, encode fu
 // r.err is set. A truncated or malformed payload ends its receiver's decode
 // and fails the round: exchange returns the lowest receiving node's error.
 func (c *Cluster[V, A]) exchange(notice bool, apply func(nd *node[V, A], from int, r *reader)) error {
+	return c.receiveRound(notice, func(nd *node[V, A], msgs []netsim.Message) error {
+		for _, m := range msgs {
+			r := &reader{buf: m.Payload}
+			for r.remaining() > 0 && r.err == nil {
+				apply(nd, m.From, r)
+			}
+			if r.err != nil {
+				return r.err
+			}
+		}
+		return nil
+	})
+}
+
+// exchangeRecords is exchange for a round of recovery records: every
+// receiver decodes its whole round at once (decodeRecords), so it can size
+// what the records add before apply places them. A malformed payload fails
+// the round with no record applied on its receiver.
+func (c *Cluster[V, A]) exchangeRecords(apply func(nd *node[V, A], recs []recoveryRecord[V])) error {
+	return c.receiveRound(false, func(nd *node[V, A], msgs []netsim.Message) error {
+		recs, err := decodeRecords(msgs, c.vc)
+		if err == nil {
+			apply(nd, recs)
+		}
+		return err
+	})
+}
+
+// receiveRound is the frame of exchange and exchangeRecords: flush the
+// round, hand each alive node its messages, recycle the payloads and return
+// the lowest receiving node's decode error.
+func (c *Cluster[V, A]) receiveRound(notice bool, recv func(nd *node[V, A], msgs []netsim.Message) error) error {
 	if notice {
 		c.flushNoticeRound()
 	} else {
@@ -643,15 +765,8 @@ func (c *Cluster[V, A]) exchange(notice bool, apply func(nd *node[V, A], from in
 	errs := make([]error, c.cfg.NumNodes)
 	c.runPhase(func(nd *node[V, A]) {
 		msgs := c.net.Receive(nd.id)
-		for _, m := range msgs {
-			r := &reader{buf: m.Payload}
-			for r.remaining() > 0 && r.err == nil {
-				apply(nd, m.From, r)
-			}
-			if r.err != nil {
-				errs[nd.id] = fmt.Errorf("core: recovery decode on node %d: %w", nd.id, r.err)
-				break
-			}
+		if err := recv(nd, msgs); err != nil {
+			errs[nd.id] = fmt.Errorf("core: recovery decode on node %d: %w", nd.id, err)
 		}
 		c.recycleMsgs(msgs)
 	})

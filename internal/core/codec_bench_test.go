@@ -72,9 +72,8 @@ func BenchmarkRecoveryRecordDecode(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r := &reader{buf: buf}
-		rec := decodeRecoveryRecord(r, Float64Codec{})
-		if r.err != nil || rec.id != 42 {
+		recs, err := decodeRecordsOf(buf, Float64Codec{})
+		if err != nil || recs[0].id != 42 {
 			b.Fatal("decode failed")
 		}
 	}

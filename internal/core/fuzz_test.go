@@ -59,11 +59,11 @@ func FuzzSlotStateDecode(f *testing.F) {
 }
 
 // FuzzRecoveryRecordDecode hardens the recovery-record decoder against
-// arbitrary bytes: decoding a payload record by record must never panic or
-// allocate beyond the payload's sanity bounds, and every record that decodes
-// cleanly must survive an encode/decode round trip. Records are compared, not
-// bytes: bool() reads any non-zero byte as true, so the re-encoding of a
-// valid record need not equal its input.
+// arbitrary bytes: decoding a payload (both passes of decodeRecords) must
+// never panic or allocate beyond the payload's sanity bounds, and the records
+// of a payload that decodes cleanly must survive an encode/decode round trip.
+// Records are compared, not bytes: bool() reads any non-zero byte as true, so
+// the re-encoding of a valid record need not equal its input.
 func FuzzRecoveryRecordDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0})
@@ -72,20 +72,46 @@ func FuzzRecoveryRecordDecode(f *testing.F) {
 		&replicaTable{nodes: []int16{1}, pos: []int32{9}, ftOnly: []bool{true}, mirrorOf: []int16{0}},
 		&rawEdges{src: []graph.VertexID{4}, wt: []float64{1.5}, srcMaster: []int16{1}}))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		r := &reader{buf: data}
-		for r.remaining() > 0 && r.err == nil {
-			rec := decodeRecoveryRecord(r, Float64Codec{})
-			if r.err != nil {
-				return
-			}
-			back := &reader{buf: encodeRecoveryRecord(nil, Float64Codec{}, rec.role, rec.pos, rec.id, rec.flags,
+		recs, err := decodeRecordsOf(data, Float64Codec{})
+		if err != nil {
+			return
+		}
+		var back []byte
+		for _, rec := range recs {
+			back = encodeRecoveryRecord(back, Float64Codec{}, rec.role, rec.pos, rec.id, rec.flags,
 				rec.mirrorRank, rec.masterNode, rec.masterPos, rec.inDeg, rec.outDeg,
-				rec.value, rec.lastActivate, rec.lastActivateIter, rec.table, rec.edges)}
-			if got := decodeRecoveryRecord(back, Float64Codec{}); back.err != nil || back.remaining() != 0 || !sameRecord(got, rec) {
-				t.Fatalf("round trip: %+v (err %v, %d bytes left), want %+v", got, back.err, back.remaining(), rec)
+				rec.value, rec.lastActivate, rec.lastActivateIter, rec.table, rec.edges)
+		}
+		got, err := decodeRecordsOf(back, Float64Codec{})
+		if err != nil || len(got) != len(recs) {
+			t.Fatalf("round trip: %d records (err %v), want %d", len(got), err, len(recs))
+		}
+		for k := range recs {
+			if !sameRecord(got[k], recs[k]) {
+				t.Fatalf("round trip of record %d: %+v, want %+v", k, got[k], recs[k])
 			}
 		}
 	})
+}
+
+// decodeRecordsOf decodes buf as one round's recovery payload.
+func decodeRecordsOf[V any](buf []byte, vc Codec[V]) ([]recoveryRecord[V], error) {
+	return decodeRecords([]netsim.Message{{Kind: netsim.KindRecovery, Payload: buf}}, vc)
+}
+
+// decodeTwice runs decode over data as decodeRecords does: a count pass,
+// then, if that succeeds, the fill pass on an arena it sized. It returns the
+// last pass's result and reader.
+func decodeTwice[T any](data []byte, decode func(r *reader, a *recArena) T) (T, *reader) {
+	a := &recArena{}
+	r := &reader{buf: data}
+	got := decode(r, a)
+	if r.err != nil {
+		return got, r
+	}
+	a.alloc()
+	r = &reader{buf: data}
+	return decode(r, a), r
 }
 
 // sameRecord compares two decoded recovery records field by field, floats by
@@ -133,13 +159,12 @@ func FuzzRawEdgesDecode(f *testing.F) {
 		srcMaster: []int16{0, 2, 1, 0},
 	}).encode(nil))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		r := &reader{buf: data}
-		e := decodeRawEdges(r)
-		if (e.wt != nil && len(e.wt) != len(e.src)) || len(e.src) != len(e.srcMaster) {
-			t.Fatalf("parallel slices diverged: %d/%d/%d", len(e.src), len(e.wt), len(e.srcMaster))
-		}
+		e, r := decodeTwice(data, decodeRawEdges)
 		if r.err != nil {
 			return
+		}
+		if (e.wt != nil && len(e.wt) != len(e.src)) || len(e.src) != len(e.srcMaster) {
+			t.Fatalf("parallel slices diverged: %d/%d/%d", len(e.src), len(e.wt), len(e.srcMaster))
 		}
 		if e.wt != nil && !slices.ContainsFunc(e.wt, func(w float64) bool { return w != 1 }) {
 			t.Fatalf("decode stored %d unit weights", len(e.wt))
@@ -159,15 +184,14 @@ func FuzzReplicaTableDecode(f *testing.F) {
 	f.Add([]byte{255, 255, 9})
 	f.Add([]byte{1, 0, 2, 0, 5, 0, 0, 0, 1, 1, 0, 3, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		r := &reader{buf: data}
-		tab := decodeReplicaTable(r)
-		if len(tab.nodes) != len(tab.pos) || len(tab.nodes) != len(tab.ftOnly) {
-			t.Fatalf("parallel slices diverged: %d/%d/%d", len(tab.nodes), len(tab.pos), len(tab.ftOnly))
-		}
+		tab, r := decodeTwice(data, decodeReplicaTable)
 		if r.err != nil {
 			return
 		}
-		rt := decodeReplicaTable(&reader{buf: tab.encode(nil)})
+		if len(tab.nodes) != len(tab.pos) || len(tab.nodes) != len(tab.ftOnly) {
+			t.Fatalf("parallel slices diverged: %d/%d/%d", len(tab.nodes), len(tab.pos), len(tab.ftOnly))
+		}
+		rt, _ := decodeTwice(tab.encode(nil), decodeReplicaTable)
 		if len(rt.nodes) != len(tab.nodes) || len(rt.mirrorOf) != len(tab.mirrorOf) {
 			t.Fatalf("round trip lengths %d/%d, want %d/%d",
 				len(rt.nodes), len(rt.mirrorOf), len(tab.nodes), len(tab.mirrorOf))
@@ -192,9 +216,7 @@ func FuzzReplicaTableRoundTrip(f *testing.F) {
 			table.pos[i] = int32(i * 7)
 			table.ftOnly[i] = i%3 == 0
 		}
-		buf := table.encode(nil)
-		r := &reader{buf: buf}
-		got := decodeReplicaTable(r)
+		got, r := decodeTwice(table.encode(nil), decodeReplicaTable)
 		if r.err != nil {
 			t.Fatalf("decode error: %v", r.err)
 		}

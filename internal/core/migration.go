@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"imitator/internal/costmodel"
@@ -68,23 +69,25 @@ func (c *Cluster[V, A]) recoverMigration(p *recoveryPass[V, A]) error {
 	// recovery; their mirrors get refreshed full state at the end.
 	tableChanged := make(map[masterKey]bool)
 
-	for n := range promoLists {
+	survives := func(host int16) bool { return !failedSet[int(host)] }
+	for n, list := range promoLists {
+		if len(list) == 0 {
+			continue
+		}
 		nd := c.nodes[n]
-		for _, pos := range promoLists[n] {
+		nd.masters = slices.Grow(nd.masters, len(list))
+		for _, pos := range list {
 			e, m := &nd.hot[pos], nd.mirror(pos)
 			e.flags |= flagMaster
 			e.flags &^= flagMirror | flagFTOnly
 			e.masterNode = int16(nd.id)
 			e.masterPos = pos
-			// Build the new replica table from the mirror's copy, dropping
-			// failed hosts and this node itself.
-			var t replicaTable
-			for idx, host := range m.mTable.nodes {
-				if failedSet[int(host)] || int(host) == nd.id {
-					continue
-				}
-				t.add(host, m.mTable.pos[idx], m.mTable.ftOnly[idx])
-			}
+			// The mirror's copy of the replica table, less failed hosts and
+			// this node itself, becomes the new master's table in place; its
+			// mirrors are re-selected by FT repair.
+			t := m.mTable
+			t.mirrorOf = nil
+			t.retain(func(host int16) bool { return survives(host) && int(host) != nd.id })
 			nd.addMaster(pos, t)
 			// An edge-cut mirror's in-edges stay until Phase 5 attaches
 			// them; a vertex-cut mirror holds none, so nothing is left.
@@ -115,32 +118,15 @@ func (c *Cluster[V, A]) recoverMigration(p *recoveryPass[V, A]) error {
 			return fmt.Errorf("%w: vertex %d lost master and all mirrors", ErrTooManyFailures, v)
 		}
 	}
-	// Surviving masters drop lost replicas from their tables.
+	// Surviving masters drop lost replicas from their tables, in place.
 	for _, nd := range c.aliveNodes() {
 		for i := range nd.hot {
 			if !nd.hot[i].isMaster() || newly[masterKey{int16(nd.id), int32(i)}] {
 				continue
 			}
-			rt := nd.replicas(int32(i))
-			var t replicaTable
-			keptIdx := make(map[int16]int16) // old index -> new index
-			for idx, host := range rt.nodes {
-				if failedSet[int(host)] {
-					continue
-				}
-				keptIdx[int16(idx)] = int16(len(t.nodes))
-				t.add(host, rt.pos[idx], rt.ftOnly[idx])
+			if nd.replicas(int32(i)).retain(survives) {
+				tableChanged[masterKey{int16(nd.id), int32(i)}] = true
 			}
-			if len(t.nodes) == len(rt.nodes) {
-				continue
-			}
-			for _, idx := range rt.mirrorOf {
-				if ni, ok := keptIdx[idx]; ok {
-					t.mirrorOf = append(t.mirrorOf, ni)
-				}
-			}
-			*rt = t
-			tableChanged[masterKey{int16(nd.id), int32(i)}] = true
 		}
 	}
 	p.hook() // mirrors promoted
@@ -148,17 +134,20 @@ func (c *Cluster[V, A]) recoverMigration(p *recoveryPass[V, A]) error {
 	// --- Phase 2: move notices. Promoted masters tell their surviving
 	// replicas where the master now lives.
 	c.runPhase(func(nd *node[V, A]) {
-		for _, pos := range sortedPositions(promoted[int16(nd.id)]) {
-			rt := nd.replicas(pos)
-			for ri, host := range rt.nodes {
-				rpos := rt.pos[ri]
-				c.stageRecovery(&nd.sendBuf[host], nd.met, func(buf []byte) []byte {
-					buf = putI32(buf, rpos)
-					buf = putI16(buf, int16(nd.id))
-					return putI32(buf, pos)
-				})
+		positions := sortedPositions(promoted[int16(nd.id)])
+		c.stageExact(nd.sendBuf, nd.met, func(s *recSink) {
+			for _, pos := range positions {
+				rt := nd.replicas(pos)
+				for ri, host := range rt.nodes {
+					rpos := rt.pos[ri]
+					s.put(int(host), 10, func(buf []byte) []byte {
+						buf = putI32(buf, rpos)
+						buf = putI16(buf, int16(nd.id))
+						return putI32(buf, pos)
+					})
+				}
 			}
-		}
+		})
 	})
 	if err := c.exchange(false, func(nd *node[V, A], _ int, r *reader) {
 		pos, mn, mp := r.i32(), r.i16(), r.i32()
@@ -354,24 +343,35 @@ func (c *Cluster[V, A]) recoverMigration(p *recoveryPass[V, A]) error {
 		}
 		sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
 		c.chunked(nd, len(ids), func(st *stager, lo, hi int) {
-			for _, id := range ids[lo:hi] {
-				c.stageRecovery(&st.send[c.masterLoc[id]], &st.met, func(buf []byte) []byte {
-					return putU32(buf, uint32(id))
-				})
-			}
+			c.stageExact(st.send, &st.met, func(s *recSink) {
+				for _, id := range ids[lo:hi] {
+					s.put(int(c.masterLoc[id]), 4, func(buf []byte) []byte {
+						return putU32(buf, uint32(id))
+					})
+				}
+			})
 		})
 	})
+	// Masters answer in request order, once the whole round is in.
+	requests := make([][]replicaRequest, c.cfg.NumNodes)
 	if err := c.exchange(false, func(nd *node[V, A], from int, r *reader) {
 		id := graph.VertexID(r.u32())
 		if r.err != nil {
 			return
 		}
 		if pos, ok := nd.pos(id); ok {
-			c.stageReplicaOf(nd, pos, from, 0)
+			requests[nd.id] = append(requests[nd.id], replicaRequest{pos, from})
 		}
 	}); err != nil {
 		return err
 	}
+	c.runPhase(func(nd *node[V, A]) {
+		c.stageExact(nd.sendBuf, nd.met, func(s *recSink) {
+			for _, q := range requests[nd.id] {
+				c.stageReplicaOf(s, nd, q.pos, q.from, 0)
+			}
+		})
+	})
 	created, err := c.createReplicas(false, true, tableChanged)
 	if err != nil {
 		return err
@@ -422,17 +422,19 @@ func (c *Cluster[V, A]) recoverMigration(p *recoveryPass[V, A]) error {
 				c.migFilesDone[p] = true
 			}
 		} else {
-			for _, pos := range sortedPositions(promoted[int16(nd.id)]) {
-				m := nd.mirror(pos)
-				if m == nil {
-					continue // attached by an interrupted earlier attempt
+			// The promoted masters' in-edges leave their mirror state and
+			// link in ascending position order.
+			positions := sortedPositions(promoted[int16(nd.id)])
+			lists := make([]posEdges, 0, len(positions))
+			for _, pos := range positions {
+				if m := nd.mirror(pos); m != nil { // nil: attached by an interrupted earlier attempt
+					lists = append(lists, posEdges{pos, m.mEdges})
+					created += len(m.mEdges.src)
+					nd.dropMirror(pos)
 				}
-				ed := m.mEdges
-				nd.dropMirror(pos)
-				if err := nd.linkInEdges(pos, &ed); err != nil {
-					return err
-				}
-				created += len(ed.src)
+			}
+			if err := nd.linkInEdges(lists); err != nil {
+				return err
 			}
 		}
 		nd.localEdges += created
@@ -529,8 +531,19 @@ func (c *Cluster[V, A]) repairFTInvariants(tableChanged map[masterKey]bool) erro
 			c.totalPresences++
 		}
 	}
-	for _, cr := range creates {
-		c.stageReplicaOf(c.nodes[cr.from.node], cr.from.pos, cr.to, flagFTOnly)
+	// Staging walks every node the plan names, alive or not: a node killed
+	// since the pass began still stages, and the next barrier reports it.
+	for _, nd := range c.nodes {
+		if nd == nil {
+			continue
+		}
+		c.stageExact(nd.sendBuf, nd.met, func(s *recSink) {
+			for _, cr := range creates {
+				if int(cr.from.node) == nd.id {
+					c.stageReplicaOf(s, nd, cr.from.pos, cr.to, flagFTOnly)
+				}
+			}
+		})
 	}
 	// Uncounted registrations: the migration goldens pin recovery traffic without them.
 	if _, err := c.createReplicas(true, false, nil); err != nil {
@@ -538,20 +551,18 @@ func (c *Cluster[V, A]) repairFTInvariants(tableChanged map[masterKey]bool) erro
 	}
 
 	// Pass 2: mirror re-selection for changed masters, then full-state
-	// refresh on every mirror of a changed master.
+	// refresh on every mirror of a changed master. The selection reuses the
+	// table's mirrorOf in place: it is read ahead of every write.
 	for _, k := range keys {
-		nd := c.nodes[k.node]
-		rt := nd.replicas(k.pos)
+		rt := c.nodes[k.node].replicas(k.pos)
 		want := min(c.cfg.FT.K, len(rt.nodes))
-		have := map[int16]bool{}
-		var mo []int16
+		mo := rt.mirrorOf[:0]
 		for _, idx := range rt.mirrorOf {
-			if int(idx) < len(rt.nodes) && !have[idx] {
-				mo = append(mo, idx)
-				have[idx] = true
-			}
 			if len(mo) >= want {
 				break
+			}
+			if int(idx) < len(rt.nodes) && !slices.Contains(mo, idx) {
+				mo = append(mo, idx)
 			}
 		}
 		// Prefer FT-only replicas, then fill arbitrarily (deterministic
@@ -561,14 +572,10 @@ func (c *Cluster[V, A]) repairFTInvariants(tableChanged map[masterKey]bool) erro
 				if len(mo) >= want {
 					break
 				}
-				if have[int16(idx)] {
-					continue
-				}
-				if pass == 0 && !rt.ftOnly[idx] {
+				if slices.Contains(mo, int16(idx)) || (pass == 0 && !rt.ftOnly[idx]) {
 					continue
 				}
 				mo = append(mo, int16(idx))
-				have[int16(idx)] = true
 			}
 		}
 		rt.mirrorOf = mo
@@ -578,47 +585,56 @@ func (c *Cluster[V, A]) repairFTInvariants(tableChanged map[masterKey]bool) erro
 	// flag and table would vote in a later promotion scan against a
 	// different table than the fresh mirrors, and an inconsistent vote can
 	// elect two masters for one vertex (§5.3.2 restart after repair).
-	for _, k := range keys {
-		nd := c.nodes[k.node]
-		e, table := &nd.hot[k.pos], nd.replicas(k.pos)
-		var edges *rawEdges
-		if c.ec != nil {
-			edges = c.masterRawEdges(nd, int(k.pos))
+	for _, nd := range c.nodes {
+		if nd == nil {
+			continue
 		}
-		selected := make(map[int16]bool, len(table.mirrorOf))
-		for rank, idx := range table.mirrorOf {
-			selected[idx] = true
-			host, rpos := table.nodes[idx], table.pos[idx]
-			c.stageRecovery(&nd.sendBuf[host], nd.met, func(buf []byte) []byte {
-				return encodeRecoveryRecord(buf, c.vc, roleReplica,
-					rpos, e.id, flagMirror, int16(rank),
-					int16(nd.id), k.pos, e.inDeg, e.outDeg,
-					e.value, e.lastActivate, e.lastActivateIter, table, edges)
-			})
-		}
-		for idx, host := range table.nodes {
-			if selected[int16(idx)] {
-				continue
+		c.stageExact(nd.sendBuf, nd.met, func(s *recSink) {
+			for _, k := range keys {
+				if int(k.node) != nd.id {
+					continue
+				}
+				table := nd.replicas(k.pos)
+				for rank, idx := range table.mirrorOf {
+					c.putMirrorRecord(s, nd, k.pos, int(table.nodes[idx]), table.pos[idx], flagMirror, int16(rank))
+				}
 			}
-			rpos := table.pos[idx]
-			c.stageRecovery(&nd.noticeBuf[host], nd.met, func(buf []byte) []byte {
-				return putI32(buf, rpos)
-			})
-		}
+		})
+		c.stageExact(nd.noticeBuf, nd.met, func(s *recSink) {
+			for _, k := range keys {
+				if int(k.node) != nd.id {
+					continue
+				}
+				table := nd.replicas(k.pos)
+				for idx, host := range table.nodes {
+					if slices.Contains(table.mirrorOf, int16(idx)) {
+						continue
+					}
+					rpos := table.pos[idx]
+					s.put(int(host), 4, func(buf []byte) []byte { return putI32(buf, rpos) })
+				}
+			}
+		})
 	}
-	if err := c.exchange(false, func(nd *node[V, A], _ int, r *reader) {
-		rec := decodeRecoveryRecord(r, c.vc)
-		if r.err != nil {
-			return
+	if err := c.exchangeRecords(func(nd *node[V, A], recs []recoveryRecord[V]) {
+		fresh := 0
+		for k := range recs {
+			if nd.mirror(recs[k].pos) == nil {
+				fresh++
+			}
 		}
-		m := nd.ensureMirror(rec.pos)
-		nd.hot[rec.pos].flags |= flagMirror
-		m.rank = rec.mirrorRank
-		if rec.table != nil {
-			m.mTable = *rec.table
-		}
-		if rec.edges != nil {
-			m.mEdges = *rec.edges
+		nd.mirrors = slices.Grow(nd.mirrors, fresh)
+		for k := range recs {
+			rec := &recs[k]
+			m := nd.ensureMirror(rec.pos)
+			nd.hot[rec.pos].flags |= flagMirror
+			m.rank = rec.mirrorRank
+			if rec.table != nil {
+				m.mTable = *rec.table
+			}
+			if rec.edges != nil {
+				m.mEdges = *rec.edges
+			}
 		}
 	}); err != nil {
 		return err
@@ -651,20 +667,23 @@ type ftCreatePlan struct {
 // masters whose tables grew. It returns how many replicas were created.
 func (c *Cluster[V, A]) createReplicas(ftOnly, count bool, registered map[masterKey]bool) (int, error) {
 	createdPerNode := make([]int, c.cfg.NumNodes)
-	if err := c.exchange(false, func(nd *node[V, A], _ int, r *reader) {
-		rec := decodeRecoveryRecord(r, c.vc)
-		if r.err != nil {
-			return
+	if err := c.exchangeRecords(func(nd *node[V, A], recs []recoveryRecord[V]) {
+		nd.reserve(len(recs))
+		newPos := make([]int32, len(recs))
+		for k := range recs {
+			newPos[k] = c.addReplica(nd, &recs[k])
 		}
-		newPos := c.addReplica(nd, &rec)
-		createdPerNode[nd.id]++
-		mn, mp := int(rec.masterNode), rec.masterPos
-		register := func(buf []byte) []byte { return putI32(putI32(buf, mp), newPos) }
-		if count {
-			c.stageRecovery(&nd.noticeBuf[mn], nd.met, register)
-		} else {
-			nd.noticeBuf[mn] = register(nd.noticeBuf[mn])
+		createdPerNode[nd.id] = len(recs)
+		met := nd.met
+		if !count {
+			met = nil
 		}
+		c.stageExact(nd.noticeBuf, met, func(s *recSink) {
+			for k := range recs {
+				mp, np := recs[k].masterPos, newPos[k]
+				s.put(int(recs[k].masterNode), 8, func(buf []byte) []byte { return putI32(putI32(buf, mp), np) })
+			}
+		})
 	}); err != nil {
 		return 0, err
 	}
@@ -691,14 +710,21 @@ func (c *Cluster[V, A]) createReplicas(ftOnly, count bool, registered map[master
 	return created, nil
 }
 
+// replicaRequest is a node's request, in cooperative replica creation, for a
+// replica of the master at pos.
+type replicaRequest struct {
+	pos  int32
+	from int
+}
+
 // stageReplicaOf stages on nd the record creating a plain replica of its
 // master at pos on node dst.
-func (c *Cluster[V, A]) stageReplicaOf(nd *node[V, A], pos int32, dst int, flags entryFlags) {
+func (c *Cluster[V, A]) stageReplicaOf(s *recSink, nd *node[V, A], pos int32, dst int, flags entryFlags) {
 	e := &nd.hot[pos]
 	if e.isSelfish() {
 		flags |= flagSelfish
 	}
-	c.stageRecovery(&nd.sendBuf[dst], nd.met, func(buf []byte) []byte {
+	s.put(dst, recoveryRecordSize(c.vc, e.value, nil, nil), func(buf []byte) []byte {
 		return encodeRecoveryRecord(buf, c.vc, roleReplica, -1, e.id, flags, -1, int16(nd.id), pos,
 			e.inDeg, e.outDeg, e.value, e.lastActivate, e.lastActivateIter, nil, nil)
 	})

@@ -1,11 +1,14 @@
 package core
 
 import (
+	"bytes"
 	"math"
 	"reflect"
 	"testing"
 	"testing/quick"
 
+	"imitator/internal/datasets"
+	"imitator/internal/gen"
 	"imitator/internal/graph"
 )
 
@@ -162,11 +165,14 @@ func TestWireRoundTrip(t *testing.T) {
 	vc := Float64Codec{}
 	buf := encodeRecoveryRecord(nil, vc, roleMaster, 7, 42, flagMaster|flagSelfish, 2,
 		3, 7, 5, 0, 3.14, true, 9, table, edges)
-	r := &reader{buf: buf}
-	rec := decodeRecoveryRecord(r, vc)
-	if r.err != nil {
-		t.Fatal(r.err)
+	recs, err := decodeRecordsOf(buf, vc)
+	if err != nil {
+		t.Fatal(err)
 	}
+	if len(recs) != 1 {
+		t.Fatalf("%d records decoded, want 1", len(recs))
+	}
+	rec := recs[0]
 	if rec.role != roleMaster || rec.pos != 7 || rec.id != 42 ||
 		rec.flags != flagMaster|flagSelfish || rec.mirrorRank != 2 ||
 		rec.masterNode != 3 || rec.masterPos != 7 ||
@@ -180,21 +186,73 @@ func TestWireRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(rec.edges, edges) {
 		t.Errorf("edges = %+v", rec.edges)
 	}
-	if r.remaining() != 0 {
-		t.Errorf("%d bytes left over", r.remaining())
-	}
 }
 
 func TestWireTruncated(t *testing.T) {
 	vc := Float64Codec{}
 	buf := encodeRecoveryRecord(nil, vc, roleReplica, 1, 2, 0, -1, 0, 0, 0, 0, 1.0, false, 0, nil, nil)
 	for cut := 1; cut < len(buf); cut++ {
-		r := &reader{buf: buf[:cut]}
-		decodeRecoveryRecord(r, vc)
-		if r.err == nil && r.remaining() == 0 {
-			// Some prefixes decode fully by accident only if they are the
-			// whole record, which cut < len(buf) excludes.
+		if _, err := decodeRecordsOf(buf[:cut], vc); err == nil {
 			t.Errorf("cut at %d decoded without error", cut)
+		}
+	}
+}
+
+// TestRecoveryRecordSize: the count pass of every staging loop sums
+// recoveryRecordSize, so it must equal the length encodeRecoveryRecord writes
+// for every shape of record: with and without a table and an edge list,
+// unweighted and weighted edges, for a float64 and an int32 value codec.
+func TestRecoveryRecordSize(t *testing.T) {
+	table := &replicaTable{nodes: []int16{1, 3, 4}, pos: []int32{10, 20, 30}, ftOnly: []bool{false, true, false}, mirrorOf: []int16{1, 2}}
+	unweighted := &rawEdges{src: []graph.VertexID{5, 6}, srcMaster: []int16{0, 1}}
+	weighted := &rawEdges{src: []graph.VertexID{5, 6, 7}, wt: []float64{1, 0.5, 2}, srcMaster: []int16{0, 1, 2}}
+	for _, tab := range []*replicaTable{nil, {}, table} {
+		for _, edges := range []*rawEdges{nil, {}, unweighted, weighted} {
+			f := encodeRecoveryRecord(nil, Float64Codec{}, roleMaster, 7, 42, flagMaster, -1, 3, 7, 5, 2, 0.25, true, 9, tab, edges)
+			if got := recoveryRecordSize[float64](Float64Codec{}, 0.25, tab, edges); got != len(f) {
+				t.Errorf("float64, table %v, edges %v: size %d, encoding %d bytes", tab, edges, got, len(f))
+			}
+			i := encodeRecoveryRecord(nil, Int32Codec{}, roleReplica, 7, 42, 0, 0, 3, 7, 5, 2, int32(-4), false, 9, tab, edges)
+			if got := recoveryRecordSize[int32](Int32Codec{}, -4, tab, edges); got != len(i) {
+				t.Errorf("int32, table %v, edges %v: size %d, encoding %d bytes", tab, edges, got, len(i))
+			}
+		}
+	}
+}
+
+// TestAppendTopoEdges: a master's in-edges, encoded straight from its
+// topology, are the bytes of the rawEdges list of its sources' ids, weights
+// and masters, and edgeListSize plus the flag byte is their length.
+func TestAppendTopoEdges(t *testing.T) {
+	road, err := gen.Road(gen.RoadConfig{Width: 12, Height: 12, ShortcutFrac: 0.1, WeightMu: 0.4, WeightSigma: 1.2, Seed: 3, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range []*graph.Graph{datasets.Tiny(300, 1800, 5), road} {
+		cl, err := NewCluster[float64, float64](DefaultConfig(EdgeCutMode, 4), g, fakePR{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, nd := range cl.nodes {
+			for i := range nd.hot {
+				if !nd.hot[i].isMaster() {
+					continue
+				}
+				tp := &nd.topo[i]
+				re := &rawEdges{wt: tp.inWt}
+				for _, sp := range tp.inNbr {
+					id := nd.hot[sp].id
+					re.src = append(re.src, id)
+					re.srcMaster = append(re.srcMaster, cl.masterLoc[id])
+				}
+				got := cl.appendTopoEdges(nil, nd, int32(i))
+				if want := re.encode([]byte{1}); !bytes.Equal(got, want) {
+					t.Fatalf("node %d slot %d: topology encoding differs from its rawEdges", nd.id, i)
+				}
+				if len(got) != 1+edgeListSize(len(tp.inNbr)) {
+					t.Fatalf("node %d slot %d: %d bytes, edgeListSize says %d", nd.id, i, len(got), 1+edgeListSize(len(tp.inNbr)))
+				}
+			}
 		}
 	}
 }

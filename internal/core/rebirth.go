@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"imitator/internal/costmodel"
 	"imitator/internal/graph"
@@ -51,33 +50,35 @@ func (c *Cluster[V, A]) recoverRebirth(p *recoveryPass[V, A]) error {
 			return // newbies have nothing to send
 		}
 		c.chunked(nd, len(nd.hot), func(st *stager, lo, hi int) {
-			for i := lo; i < hi; i++ {
-				e := &nd.hot[i]
-				// A master recovers its lost replicas from its own table.
-				// With multiple simultaneous failures, a lost master's
-				// replicas on *other* failed nodes have no master to recover
-				// them; the mirror recovering that master does it from its
-				// full-state copy (§5.3.1).
-				var table *replicaTable
-				if e.isMaster() {
-					table = nd.replicas(int32(i))
-				} else {
-					if !e.isMirror() || !failedSet[int(e.masterNode)] {
-						continue
+			c.stageExact(st.send, &st.met, func(s *recSink) {
+				for i := lo; i < hi; i++ {
+					e := &nd.hot[i]
+					// A master recovers its lost replicas from its own
+					// table. With multiple simultaneous failures, a lost
+					// master's replicas on *other* failed nodes have no
+					// master to recover them; the mirror recovering that
+					// master does it from its full-state copy (§5.3.1).
+					var table *replicaTable
+					if e.isMaster() {
+						table = nd.replicas(int32(i))
+					} else {
+						if !e.isMirror() || !failedSet[int(e.masterNode)] {
+							continue
+						}
+						m := nd.mirror(int32(i))
+						if c.lowestSurvivingMirror(&m.mTable, failedSet) != nd.id {
+							continue
+						}
+						c.stageMasterRecovery(s, e, m, int(e.masterNode))
+						table = &m.mTable
 					}
-					m := nd.mirror(int32(i))
-					if c.lowestSurvivingMirror(&m.mTable, failedSet) != nd.id {
-						continue
+					for ri, rn := range table.nodes {
+						if failedSet[int(rn)] {
+							c.stageReplicaRecovery(nd, s, i, table, ri, int(rn))
+						}
 					}
-					c.stageMasterRecovery(st, e, m, int(e.masterNode))
-					table = &m.mTable
 				}
-				for ri, rn := range table.nodes {
-					if failedSet[int(rn)] {
-						c.stageReplicaRecovery(nd, st, i, table, ri, int(rn))
-					}
-				}
-			}
+			})
 		})
 	})
 	c.flushSendRound(netsim.KindRecovery)
@@ -129,38 +130,24 @@ func (c *Cluster[V, A]) recoverRebirth(p *recoveryPass[V, A]) error {
 			// restarts with the union.
 			continue
 		}
-		raw := make(map[int32]*rawEdges)
-		// Decode serially (the streams are sequential), collecting records so
-		// placement can run on the worker pool.
-		var recs []recoveryRecord[V]
-		for _, m := range received[f] {
-			if m.Kind != netsim.KindRecovery {
-				continue
-			}
-			r := &reader{buf: m.Payload}
-			for r.remaining() > 0 && r.err == nil {
-				recRec := decodeRecoveryRecord(r, c.vc)
-				if r.err != nil {
-					break
-				}
-				recs = append(recs, recRec)
-				// Only master records carry local in-edges; a recovered
-				// mirror's edge list is part of its full state (mInSrc),
-				// not this node's topology.
-				if recRec.role == roleMaster && recRec.edges != nil {
-					raw[recRec.pos] = recRec.edges
-				}
-			}
-			if r.err != nil {
-				return fmt.Errorf("core: rebirth decode on node %d: %w", f, r.err)
-			}
+		recs, err := decodeRecords(received[f], c.vc)
+		if err != nil {
+			return fmt.Errorf("core: rebirth decode on node %d: %w", f, err)
 		}
 		// Position-addressed placement is contention-free (§5.1.2): every
 		// record targets a distinct slot, so records place in parallel. The
 		// records' role flags first size the role slabs, so placement writes
 		// only its own slot's entries; the id index rebuilds afterwards.
+		// at[pos] is the record placed at pos, for the walk in position
+		// order below.
+		at := make([]int32, len(nd.hot))
+		linked := 0
 		for k := range recs {
 			nd.hot[recs[k].pos].flags = recs[k].flags
+			at[recs[k].pos] = int32(k)
+			if recs[k].role == roleMaster && recs[k].edges != nil {
+				linked++
+			}
 		}
 		nd.allocSlabs()
 		placeCost := c.chunked(nd, len(recs), func(st *stager, lo, hi int) {
@@ -180,19 +167,22 @@ func (c *Cluster[V, A]) recoverRebirth(p *recoveryPass[V, A]) error {
 					ErrTooManyFailures, f, i)
 			}
 		}
-		// Edge-cut: resolve raw in-edge lists into local positions, in
-		// ascending position order (linkInEdges).
-		edges := 0
-		rawPos := make([]int32, 0, len(raw))
-		for pos := range raw { //imitator:nondet-ok collected set is sorted before use
-			rawPos = append(rawPos, pos)
-		}
-		sort.Slice(rawPos, func(a, b int) bool { return rawPos[a] < rawPos[b] })
-		for _, pos := range rawPos {
-			if err := nd.linkInEdges(pos, raw[pos]); err != nil {
-				return err
+		// Edge-cut: resolve the master records' raw in-edge lists into local
+		// positions, in ascending position order (linkInEdges). Only master
+		// records carry local in-edges; a recovered mirror's edge list is
+		// part of its full state (mEdges), not this node's topology.
+		lists := make([]posEdges, 0, linked)
+		for pos, k := range at {
+			if r := &recs[k]; r.role == roleMaster && r.edges != nil {
+				lists = append(lists, posEdges{int32(pos), *r.edges})
 			}
-			edges += len(raw[pos].src)
+		}
+		if err := nd.linkInEdges(lists); err != nil {
+			return err
+		}
+		edges := 0
+		for _, l := range lists {
+			edges += len(l.edges.src)
 		}
 		// Vertex-cut: attach edges from the edge-ckpt files.
 		for _, data := range edgeData[f] {
@@ -231,7 +221,7 @@ func (c *Cluster[V, A]) recoverRebirth(p *recoveryPass[V, A]) error {
 // replica table: a master's own, or a recovering mirror's copy. If the lost
 // replica was a mirror, the record carries the full state (table and, for
 // edge-cut, the master's in-edges) so the mirror can be recreated intact.
-func (c *Cluster[V, A]) stageReplicaRecovery(nd *node[V, A], st *stager, i int, table *replicaTable, ri, rn int) {
+func (c *Cluster[V, A]) stageReplicaRecovery(nd *node[V, A], s *recSink, i int, table *replicaTable, ri, rn int) {
 	e := &nd.hot[i]
 	flags := entryFlags(0)
 	if table.ftOnly[ri] {
@@ -247,19 +237,19 @@ func (c *Cluster[V, A]) stageReplicaRecovery(nd *node[V, A], st *stager, i int, 
 			mirrorRank = int16(rank)
 		}
 	}
+	if flags&flagMirror != 0 && e.isMaster() {
+		c.putMirrorRecord(s, nd, int32(i), rn, table.pos[ri], flags, mirrorRank)
+		return
+	}
 	var full *replicaTable
 	var edges *rawEdges
 	if flags&flagMirror != 0 {
 		full = table
 		if c.ec != nil {
-			if e.isMaster() {
-				edges = c.masterRawEdges(nd, i)
-			} else {
-				edges = &nd.mirror(int32(i)).mEdges
-			}
+			edges = &nd.mirror(int32(i)).mEdges
 		}
 	}
-	c.stageRecovery(&st.send[rn], &st.met, func(buf []byte) []byte {
+	s.put(rn, recoveryRecordSize(c.vc, e.value, full, edges), func(buf []byte) []byte {
 		return encodeRecoveryRecord(buf, c.vc, roleReplica,
 			table.pos[ri], e.id, flags, mirrorRank,
 			e.masterNode, e.masterPos, e.inDeg, e.outDeg,
@@ -267,9 +257,29 @@ func (c *Cluster[V, A]) stageReplicaRecovery(nd *node[V, A], st *stager, i int, 
 	})
 }
 
+// putMirrorRecord stages for dst the record that makes the replica at rpos
+// a mirror of master slot pos: the master's state, its replica table and,
+// for edge-cut, its in-edges encoded straight from its topology.
+func (c *Cluster[V, A]) putMirrorRecord(s *recSink, nd *node[V, A], pos int32, dst int, rpos int32, flags entryFlags, rank int16) {
+	e, table := &nd.hot[pos], nd.replicas(pos)
+	size := recoveryRecordSize(c.vc, e.value, table, nil)
+	if c.ec != nil {
+		size += edgeListSize(len(nd.topo[pos].inNbr))
+	}
+	s.put(dst, size, func(buf []byte) []byte {
+		buf = encodeRecordHead(buf, c.vc, roleReplica, rpos, e.id, flags, rank,
+			e.masterNode, e.masterPos, e.inDeg, e.outDeg,
+			e.value, e.lastActivate, e.lastActivateIter, table)
+		if c.ec == nil {
+			return putU8(buf, 0)
+		}
+		return c.appendTopoEdges(buf, nd, pos)
+	})
+}
+
 // stageMasterRecovery emits the record recreating the master that lived on
 // the failed node, from this surviving mirror's full state.
-func (c *Cluster[V, A]) stageMasterRecovery(st *stager, e *hot[V], m *mirrorState, dst int) {
+func (c *Cluster[V, A]) stageMasterRecovery(s *recSink, e *hot[V], m *mirrorState, dst int) {
 	flags := flagMaster
 	if e.isSelfish() {
 		flags |= flagSelfish
@@ -278,7 +288,7 @@ func (c *Cluster[V, A]) stageMasterRecovery(st *stager, e *hot[V], m *mirrorStat
 	if c.ec != nil {
 		edges = &m.mEdges
 	}
-	c.stageRecovery(&st.send[dst], &st.met, func(buf []byte) []byte {
+	s.put(dst, recoveryRecordSize(c.vc, e.value, &m.mTable, edges), func(buf []byte) []byte {
 		return encodeRecoveryRecord(buf, c.vc, roleMaster,
 			e.masterPos, e.id, flags, -1,
 			int16(dst), e.masterPos, e.inDeg, e.outDeg,
@@ -286,21 +296,17 @@ func (c *Cluster[V, A]) stageMasterRecovery(st *stager, e *hot[V], m *mirrorStat
 	})
 }
 
-// masterRawEdges converts master slot i's local in-edge positions into
-// global ids (with each source's master node) for shipping.
-func (c *Cluster[V, A]) masterRawEdges(nd *node[V, A], i int) *rawEdges {
+// appendTopoEdges appends master slot i's in-edge list with its presence
+// flag, in rawEdges' encoding, straight from the slot's local topology: each
+// source's global id, the edge weight and the source's master node.
+func (c *Cluster[V, A]) appendTopoEdges(buf []byte, nd *node[V, A], i int32) []byte {
 	t := &nd.topo[i]
-	re := &rawEdges{
-		src:       make([]graph.VertexID, len(t.inNbr)),
-		wt:        t.inWt,
-		srcMaster: make([]int16, len(t.inNbr)),
-	}
+	buf = putU32(putU8(buf, 1), uint32(len(t.inNbr)))
 	for k, sp := range t.inNbr {
 		id := nd.hot[sp].id
-		re.src[k] = id
-		re.srcMaster[k] = c.masterLoc[id]
+		buf = putI16(putF64(putU32(buf, uint32(id)), t.inWt.at(k)), c.masterLoc[id])
 	}
-	return re
+	return buf
 }
 
 // placeRecovered materializes one recovery record at its position in the

@@ -229,17 +229,18 @@ func (p *recoveryPass[V, A]) barrier(slot *float64) error {
 	return nil
 }
 
-// retainPristine snapshots each node's immutable post-load state and writes
-// the per-node metadata snapshots; rebuilt newbies (checkpoint and logged
-// recovery) start from these.
+// retainPristine keeps each node's post-load state and writes the per-node
+// metadata snapshots; rebuilt newbies (checkpoint and logged recovery) start
+// from these. Only hot is copied: the other tables are immutable from here
+// on under these two recoveries (pristineNode) and are kept by reference.
 func (c *Cluster[V, A]) retainPristine() {
 	c.pristine = make([]*pristineNode[V], c.cfg.NumNodes)
 	for _, nd := range c.nodes {
 		meta := c.encodeMetadataSnapshot(nd)
 		c.loadSeconds += c.dfsWriteCost(nd, fmt.Sprintf("ckptmeta/%d", nd.id), meta)
 		c.pristine[nd.id] = &pristineNode[V]{
-			hot: slices.Clone(nd.hot), topo: slices.Clone(nd.topo), ref: slices.Clone(nd.ref),
-			masters: slices.Clone(nd.masters), mirrors: slices.Clone(nd.mirrors),
+			hot: slices.Clone(nd.hot), topo: nd.topo, ref: nd.ref,
+			masters: nd.masters, mirrors: nd.mirrors,
 			localEdges: nd.localEdges,
 		}
 	}

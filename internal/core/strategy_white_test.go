@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -81,4 +82,81 @@ func TestStrategyDecidesPersistence(t *testing.T) {
 			})
 		}
 	}
+}
+
+// TestPristineTablesImmutable: checkpoint and logged recovery keep every
+// node's topology, slab handles and role slabs by reference (retainPristine)
+// and share them with each newbie rebuilt from them, which is sound only
+// while nothing writes them. A deep copy taken right after load must still
+// equal the retained tables after a crash and after a second crash of the
+// rebuilt newbie, and the newbie must run on the retained tables themselves.
+func TestPristineTablesImmutable(t *testing.T) {
+	g := datasets.Tiny(500, 3000, 93)
+	for _, rec := range []RecoveryKind{RecoverCheckpoint, RecoverLogged} {
+		for _, mode := range []Mode{EdgeCutMode, VertexCutMode} {
+			t.Run(fmt.Sprintf("%v/%v", mode, rec), func(t *testing.T) {
+				cfg := DefaultConfig(mode, 5)
+				cfg.MaxIter = 8
+				cfg.Recovery = rec
+				cfg.Checkpoint = CheckpointConfig{Interval: 2}
+				cfg.MaxRebirths = 4
+				cfg.Chaos = []ChaosEvent{
+					{Kind: ChaosCrash, Iteration: 3, Phase: FailBeforeBarrier, Nodes: []int{1}},
+					{Kind: ChaosCrash, Iteration: 6, Phase: FailBeforeBarrier, Nodes: []int{1}},
+				}
+				cl, err := NewCluster[float64, float64](cfg, g, fakePR{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := make([]nodeTables, len(cl.nodes))
+				for i, nd := range cl.nodes {
+					want[i] = deepCopyTables(nodeTables{nd.topo, nd.ref, nd.masters, nd.mirrors})
+				}
+				res, err := cl.Run()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(res.Recoveries) != 2 {
+					t.Fatalf("%d recoveries, want 2", len(res.Recoveries))
+				}
+				for i, p := range cl.pristine {
+					if got := (nodeTables{p.topo, p.ref, p.masters, p.mirrors}); !reflect.DeepEqual(got, want[i]) {
+						t.Errorf("node %d: retained pristine tables changed after load", i)
+					}
+				}
+				if &cl.nodes[1].topo[0] != &cl.pristine[1].topo[0] || &cl.nodes[1].ref[0] != &cl.pristine[1].ref[0] {
+					t.Error("rebuilt node 1 does not share the retained tables")
+				}
+			})
+		}
+	}
+}
+
+// nodeTables is a node's load-built tables besides hot.
+type nodeTables struct {
+	topo    []topo
+	ref     []slabRef
+	masters []replicaTable
+	mirrors []mirrorState
+}
+
+// deepCopyTables copies n down to every list it holds.
+func deepCopyTables(n nodeTables) nodeTables {
+	cloneTable := func(t replicaTable) replicaTable {
+		return replicaTable{slices.Clone(t.nodes), slices.Clone(t.pos), slices.Clone(t.ftOnly), slices.Clone(t.mirrorOf)}
+	}
+	out := nodeTables{slices.Clone(n.topo), slices.Clone(n.ref), slices.Clone(n.masters), slices.Clone(n.mirrors)}
+	for i := range out.topo {
+		tp := &out.topo[i]
+		tp.inNbr, tp.inWt, tp.outNbr = slices.Clone(tp.inNbr), slices.Clone(tp.inWt), slices.Clone(tp.outNbr)
+	}
+	for i := range out.masters {
+		out.masters[i] = cloneTable(out.masters[i])
+	}
+	for i := range out.mirrors {
+		m := &out.mirrors[i]
+		m.mTable = cloneTable(m.mTable)
+		m.mEdges = rawEdges{slices.Clone(m.mEdges.src), slices.Clone(m.mEdges.wt), slices.Clone(m.mEdges.srcMaster)}
+	}
+	return out
 }

@@ -7,6 +7,7 @@ import (
 	"slices"
 
 	"imitator/internal/graph"
+	"imitator/internal/netsim"
 )
 
 // errTruncated reports a malformed recovery or checkpoint payload.
@@ -140,6 +141,20 @@ func encodeRecoveryRecord[V any](buf []byte, vc Codec[V], role uint8, pos int32,
 	masterNode int16, masterPos int32, inDeg, outDeg int32,
 	value V, lastActivate bool, lastActivateIter int32,
 	table *replicaTable, edges *rawEdges) []byte {
+	buf = encodeRecordHead(buf, vc, role, pos, id, flags, mirrorRank, masterNode, masterPos,
+		inDeg, outDeg, value, lastActivate, lastActivateIter, table)
+	if edges == nil {
+		return putU8(buf, 0)
+	}
+	return edges.encode(putU8(buf, 1))
+}
+
+// encodeRecordHead is encodeRecoveryRecord up to the edge-list flag, for a
+// record whose list the caller appends itself (putMirrorRecord).
+func encodeRecordHead[V any](buf []byte, vc Codec[V], role uint8, pos int32,
+	id graph.VertexID, flags entryFlags, mirrorRank int16,
+	masterNode int16, masterPos int32, inDeg, outDeg int32,
+	value V, lastActivate bool, lastActivateIter int32, table *replicaTable) []byte {
 	buf = putU8(buf, role)
 	buf = putI32(buf, pos)
 	buf = putU32(buf, uint32(id))
@@ -152,20 +167,31 @@ func encodeRecoveryRecord[V any](buf []byte, vc Codec[V], role uint8, pos int32,
 	buf = vc.Append(buf, value)
 	buf = putBool(buf, lastActivate)
 	buf = putI32(buf, lastActivateIter)
+	if table == nil {
+		return putU8(buf, 0)
+	}
+	return table.encode(putU8(buf, 1))
+}
+
+// recordFixedBytes is a recovery record's length without its value, table
+// and edge list: the fixed fields and the two presence flags.
+const recordFixedBytes = 1 + 4 + 4 + 1 + 2 + 2 + 4 + 4 + 4 + 1 + 4 + 1 + 1
+
+// recoveryRecordSize is the length encodeRecoveryRecord writes for a record
+// with this value, table and edge list; a staging loop's count pass sums it.
+func recoveryRecordSize[V any](vc Codec[V], value V, table *replicaTable, edges *rawEdges) int {
+	n := recordFixedBytes + vc.Size(value)
 	if table != nil {
-		buf = putU8(buf, 1)
-		buf = table.encode(buf)
-	} else {
-		buf = putU8(buf, 0)
+		n += 4 + 7*len(table.nodes) + 2*len(table.mirrorOf)
 	}
 	if edges != nil {
-		buf = putU8(buf, 1)
-		buf = edges.encode(buf)
-	} else {
-		buf = putU8(buf, 0)
+		n += edgeListSize(len(edges.src))
 	}
-	return buf
+	return n
 }
+
+// edgeListSize is the encoded length of an n-edge rawEdges list.
+func edgeListSize(n int) int { return 4 + 14*n }
 
 // recoveryRecord is the decoded form.
 type recoveryRecord[V any] struct {
@@ -184,7 +210,9 @@ type recoveryRecord[V any] struct {
 	edges            *rawEdges
 }
 
-func decodeRecoveryRecord[V any](r *reader, vc Codec[V]) recoveryRecord[V] {
+// decodeRecoveryRecord reads one record, carving its table and edge list off
+// a (on a's count pass it only sums what they need).
+func decodeRecoveryRecord[V any](r *reader, vc Codec[V], a *recArena) recoveryRecord[V] {
 	var rec recoveryRecord[V]
 	rec.role = r.u8()
 	rec.pos = r.i32()
@@ -199,12 +227,93 @@ func decodeRecoveryRecord[V any](r *reader, vc Codec[V]) recoveryRecord[V] {
 	rec.lastActivate = r.bool()
 	rec.lastActivateIter = r.i32()
 	if r.bool() {
-		rec.table = decodeReplicaTable(r)
+		rec.table = decodeReplicaTable(r, a)
 	}
 	if r.bool() {
-		rec.edges = decodeRawEdges(r)
+		rec.edges = decodeRawEdges(r, a)
 	}
 	return rec
+}
+
+// decodeRecords decodes one round of recovery records, the payloads of msgs'
+// KindRecovery messages, in two passes over the same bytes: a count pass sums
+// the records and what their tables and edge lists need, then the fill pass
+// decodes into a record list and a recArena of exactly that size. Everything
+// is copied out of the payloads, so the caller may recycle them. A malformed
+// payload fails the count pass, and no record is returned.
+func decodeRecords[V any](msgs []netsim.Message, vc Codec[V]) ([]recoveryRecord[V], error) {
+	a := &recArena{}
+	var recs []recoveryRecord[V]
+	for {
+		for _, m := range msgs {
+			if m.Kind != netsim.KindRecovery {
+				continue
+			}
+			r := &reader{buf: m.Payload}
+			for r.remaining() > 0 {
+				rec := decodeRecoveryRecord(r, vc, a)
+				if r.err != nil {
+					return nil, r.err
+				}
+				if a.fill {
+					recs = append(recs, rec)
+				} else {
+					a.recs++
+				}
+			}
+		}
+		if a.fill {
+			return recs, nil
+		}
+		a.alloc()
+		recs = make([]recoveryRecord[V], 0, a.recs)
+	}
+}
+
+// recArena holds the replica tables and in-edge lists of one round of
+// recovery records (decodeRecords) in flat arrays, one per element type,
+// carving each list off with cap == len: a round costs a few allocations
+// however many records it carries. On the count pass (fill unset) take only
+// sums what each array must hold; alloc then sizes them for the fill pass.
+type recArena struct {
+	fill   bool
+	recs   int
+	tables arenaOf[replicaTable]
+	edges  arenaOf[rawEdges]
+	i16    arenaOf[int16] // table hosts and mirror indexes, source masters
+	i32    arenaOf[int32]
+	bools  arenaOf[bool]
+	src    arenaOf[graph.VertexID]
+	wt     arenaOf[float64]
+}
+
+// arenaOf is one element type's array in a recArena, and on the count pass
+// the number of elements it must hold.
+type arenaOf[T any] struct {
+	buf  []T
+	need int
+}
+
+// take returns the next n elements of s on the fill pass; the count pass
+// adds n to what s must hold and returns nil.
+func take[T any](fill bool, s *arenaOf[T], n int) []T {
+	if !fill {
+		s.need += n
+		return nil
+	}
+	return carve(&s.buf, n)
+}
+
+// alloc ends the count pass: every array is made at its counted size.
+func (a *recArena) alloc() {
+	a.tables.buf = make([]replicaTable, a.tables.need)
+	a.edges.buf = make([]rawEdges, a.edges.need)
+	a.i16.buf = make([]int16, a.i16.need)
+	a.i32.buf = make([]int32, a.i32.need)
+	a.bools.buf = make([]bool, a.bools.need)
+	a.src.buf = make([]graph.VertexID, a.src.need)
+	a.wt.buf = make([]float64, a.wt.need)
+	a.fill = true
 }
 
 // replicaTable is a master's replica location table (§5: a master knows its
@@ -228,6 +337,37 @@ func (t *replicaTable) hosts(n int) bool {
 	return slices.Contains(t.nodes, int16(n))
 }
 
+// retain keeps, in place, the rows whose host keep accepts, and remaps
+// mirrorOf onto them: a mirror index whose row goes (or that names no row)
+// goes too. It reports whether any row went; if none did, t is untouched.
+func (t *replicaTable) retain(keep func(host int16) bool) bool {
+	if !slices.ContainsFunc(t.nodes, func(host int16) bool { return !keep(host) }) {
+		return false
+	}
+	mo := t.mirrorOf[:0]
+	for _, idx := range t.mirrorOf {
+		if idx < 0 || int(idx) >= len(t.nodes) || !keep(t.nodes[idx]) {
+			continue
+		}
+		kept := 0
+		for _, host := range t.nodes[:idx] {
+			if keep(host) {
+				kept++
+			}
+		}
+		mo = append(mo, int16(kept))
+	}
+	w := 0
+	for i, host := range t.nodes {
+		if keep(host) {
+			t.nodes[w], t.pos[w], t.ftOnly[w] = host, t.pos[i], t.ftOnly[i]
+			w++
+		}
+	}
+	t.nodes, t.pos, t.ftOnly, t.mirrorOf = t.nodes[:w], t.pos[:w], t.ftOnly[:w], mo
+	return true
+}
+
 func (t *replicaTable) encode(buf []byte) []byte {
 	buf = putU16(buf, uint16(len(t.nodes)))
 	for i := range t.nodes {
@@ -242,30 +382,38 @@ func (t *replicaTable) encode(buf []byte) []byte {
 	return buf
 }
 
-func decodeReplicaTable(r *reader) *replicaTable {
+// decodeReplicaTable reads an encoded table into a's arrays; on a's count
+// pass it returns nil.
+func decodeReplicaTable(r *reader, a *recArena) *replicaTable {
 	n := int(r.u16())
 	if n*7 > r.remaining() { // sanity bound: each replica row is 7 bytes
 		r.fail()
-		return &replicaTable{}
+		return nil
 	}
-	t := &replicaTable{
-		nodes:  make([]int16, n),
-		pos:    make([]int32, n),
-		ftOnly: make([]bool, n),
+	var t *replicaTable
+	if ts := take(a.fill, &a.tables, 1); ts != nil {
+		t = &ts[0]
 	}
+	nodes, pos, ftOnly := take(a.fill, &a.i16, n), take(a.fill, &a.i32, n), take(a.fill, &a.bools, n)
 	for i := 0; i < n; i++ {
-		t.nodes[i] = r.i16()
-		t.pos[i] = r.i32()
-		t.ftOnly[i] = r.bool()
+		host, p, ft := r.i16(), r.i32(), r.bool()
+		if t != nil {
+			nodes[i], pos[i], ftOnly[i] = host, p, ft
+		}
 	}
 	m := int(r.u16())
 	if m*2 > r.remaining() { // sanity bound: each mirror index is 2 bytes
 		r.fail()
-		return t
+		return nil
 	}
-	t.mirrorOf = make([]int16, m)
+	mirrorOf := take(a.fill, &a.i16, m)
 	for i := 0; i < m; i++ {
-		t.mirrorOf[i] = r.i16()
+		if idx := r.i16(); t != nil {
+			mirrorOf[i] = idx
+		}
+	}
+	if t != nil {
+		*t = replicaTable{nodes: nodes, pos: pos, ftOnly: ftOnly, mirrorOf: mirrorOf}
 	}
 	return t
 }
@@ -289,23 +437,39 @@ func (e *rawEdges) encode(buf []byte) []byte {
 	return buf
 }
 
-// decodeRawEdges reads an encoded list, leaving wt nil when every decoded
-// weight is 1.
-func decodeRawEdges(r *reader) *rawEdges {
+// decodeRawEdges reads an encoded list into a's arrays, keeping weights only
+// when one is not 1 (wt stays nil otherwise); on a's count pass it returns
+// nil.
+func decodeRawEdges(r *reader, a *recArena) *rawEdges {
 	n := int(r.u32())
-	if n*14 > r.remaining() { // sanity bound: each edge is >= 14 bytes
+	if n*14 > r.remaining() { // sanity bound: each edge is 14 bytes
 		r.fail()
-		return &rawEdges{}
+		return nil
 	}
-	e := &rawEdges{
-		src:       make([]graph.VertexID, n),
-		srcMaster: make([]int16, n),
+	weighted := false // an edge's weight is its bytes 4..12
+	for k := 0; k < n && !weighted; k++ {
+		weighted = math.Float64frombits(binary.LittleEndian.Uint64(r.buf[14*k+4:])) != 1
 	}
-	for i := 0; i < n; i++ {
-		e.src[i] = graph.VertexID(r.u32())
-		e.wt = e.wt.add(i, r.f64())
-		e.srcMaster[i] = r.i16()
+	var e *rawEdges
+	if es := take(a.fill, &a.edges, 1); es != nil {
+		e = &es[0]
 	}
-	e.wt = slices.Clip(e.wt) // cap == len, as load carves its lists
+	src, srcMaster := take(a.fill, &a.src, n), take(a.fill, &a.i16, n)
+	var wt weights
+	if weighted {
+		wt = take(a.fill, &a.wt, n)
+	}
+	for k := 0; k < n; k++ {
+		id, w, m := graph.VertexID(r.u32()), r.f64(), r.i16()
+		if e != nil {
+			src[k], srcMaster[k] = id, m
+			if wt != nil {
+				wt[k] = w
+			}
+		}
+	}
+	if e != nil {
+		*e = rawEdges{src: src, wt: wt, srcMaster: srcMaster}
+	}
 	return e
 }

@@ -45,7 +45,7 @@ func TestWorkerCountDeterminism(t *testing.T) {
 				base.Chaos = crashAt(4, core.FailBeforeBarrier, 2)
 
 				var ref *core.Result[float64]
-				for _, workers := range []int{1, 2, 8} {
+				for _, workers := range []int{1, 2, 3, 8} {
 					cfg := base
 					cfg.WorkersPerNode = workers
 					res := al.run(t, cfg, g)
