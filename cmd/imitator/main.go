@@ -54,8 +54,6 @@ func run(args []string) error {
 		chaosSched  = fs.String("chaos", "", "failure schedule: crash@<iter><b|a>=<nodes>, crashrec[@label]=<nodes>, slow@<iter>=<from>><to>x<factor>, delay@<iter>=<seconds>, drop@<iter>=<from>><to>x<prob>, dup@<iter>=<from>><to>x<prob>, reorder@<iter>=<from>><to>x<prob>, part@<iter>~<heal>=<nodes>, joined by '|'")
 		chaosSeed   = fs.Uint64("chaos-seed", 0, "seed for the deterministic per-link omission-fault generators (drop/dup/reorder)")
 		membership  = fs.String("membership", "centralized", "failure detector for chaos crashes: centralized (heartbeat monitor) or gossip (SWIM probing over lossy datagrams)")
-		gspFanout   = fs.Int("gossip-fanout", 3, "gossip: indirect ping-req helpers per unanswered probe")
-		gspSusp     = fs.Int("gossip-suspicion", 3, "gossip: protocol periods a suspect may refute before confirmation")
 		input       = fs.String("input", "", "edge-list file to load instead of -dataset (src dst [weight] per line)")
 		serve       = fs.Bool("serve", false, "serve mode: run with the live-query layer attached and drive a seeded query load while the job executes")
 		queries     = fs.Int("queries", 1024, "serve: number of load-generator queries to issue")
@@ -130,9 +128,7 @@ func run(args []string) error {
 	switch *membership {
 	case "centralized":
 	case "gossip":
-		opts = append(opts, imitator.WithMembership(imitator.Gossip,
-			imitator.GossipFanout(*gspFanout),
-			imitator.GossipSuspicionPeriods(*gspSusp)))
+		opts = append(opts, imitator.WithMembership(imitator.Gossip))
 	default:
 		return fmt.Errorf("unknown membership %q (use centralized or gossip)", *membership)
 	}
@@ -190,7 +186,7 @@ func run(args []string) error {
 	report(w, cfg, s, load)
 	if *timeline {
 		fmt.Println("timeline:")
-		imitator.RenderTimeline(os.Stdout, s.Trace, imitator.TimelineOptions{})
+		imitator.RenderTimeline(os.Stdout, s.Trace)
 		fmt.Println(imitator.TimelineSummary(s.Trace))
 	}
 	return nil

@@ -577,7 +577,7 @@ func runBaseline(cfg core.Config, g *coreGraph) ([]float64, map[int][]float64, e
 
 // checkLiveAnswer validates one mid-run answer against the fault-free
 // trajectory at the epoch the answer declares: the snapshot must be a
-// committed superstep (never a torn one), at most PublishEvery behind the
+// committed superstep (never a torn one), at most one epoch behind the
 // frontier, and its values must match the baseline's at that epoch.
 func checkLiveAnswer(ans core.Answer, truth map[int][]float64, tol float64) error {
 	if s := ans.Staleness(); s < 0 || s > 1 {

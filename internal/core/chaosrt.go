@@ -254,7 +254,7 @@ func (c *Cluster[V, A]) ensureDetector() {
 		confirm: func(id int) { c.coord.MarkFailed(id) },
 	}
 	if c.cfg.Membership.Kind == MembershipGossip {
-		det, err := newGossipDetector(len(c.nodes), c.cfg.Membership, c.cfg.ChaosSeed, host)
+		det, err := newGossipDetector(len(c.nodes), c.cfg.ChaosSeed, host)
 		if err != nil {
 			// Membership and NumNodes are validated together; this
 			// cannot fire.

@@ -657,38 +657,30 @@ func (c *Cluster[V, A]) recycleMsgs(msgs []netsim.Message) {
 	}
 }
 
-// stageRecovery appends one recovery record to the staging buffer *slot
-// (a node's or a stager's send or notice buffer, seeded from the pool when
-// empty) and counts it in met as recovery traffic.
-func (c *Cluster[V, A]) stageRecovery(slot *[]byte, met *metrics.Node, encode func(buf []byte) []byte) {
-	buf := *slot
-	if buf == nil {
-		buf = c.pool.Get()
-	}
-	before := len(buf)
-	*slot = encode(buf)
-	met.RecoveryMsgs++
-	met.RecoveryBytes += int64(len(*slot) - before)
-}
-
 // recSink is where one staging loop's recovery records go: bufs are the
 // per-destination buffers (a node's send or notice buffers, or a stager's),
 // and met counts the records as recovery traffic unless it is nil.
-// stageExact runs a loop over it twice.
+// stageExact runs a loop over it twice; a loop that changes state as it
+// stages, and so cannot run twice, fills a sink from stageFill once.
 type recSink struct {
 	bufs [][]byte
 	met  *metrics.Node
+	pool *bufpool.Pool
 	// need sums each destination's bytes on the count pass; nil on the fill
 	// pass.
 	need []int
 }
 
 // put stages one record of size bytes for dst: the count pass adds size,
-// the fill pass appends the record with encode.
+// the fill pass appends the record with encode to dst's buffer, seeded
+// from the pool when empty.
 func (s *recSink) put(dst, size int, encode func(buf []byte) []byte) {
 	if s.need != nil {
 		s.need[dst] += size
 		return
+	}
+	if s.bufs[dst] == nil {
+		s.bufs[dst] = s.pool.Get()
 	}
 	before := len(s.bufs[dst])
 	s.bufs[dst] = encode(s.bufs[dst])
@@ -704,7 +696,7 @@ func (s *recSink) put(dst, size int, encode func(buf []byte) []byte) {
 // records. So a staging buffer is allocated once, at its final size, instead
 // of regrowing as records land. stage must put the same records both times.
 func (c *Cluster[V, A]) stageExact(bufs [][]byte, met *metrics.Node, stage func(s *recSink)) {
-	s := &recSink{bufs: bufs, met: met, need: make([]int, len(bufs))}
+	s := &recSink{bufs: bufs, met: met, pool: c.pool, need: make([]int, len(bufs))}
 	stage(s)
 	for dst, n := range s.need {
 		if n > 0 {
@@ -716,6 +708,12 @@ func (c *Cluster[V, A]) stageExact(bufs [][]byte, met *metrics.Node, stage func(
 	}
 	s.need = nil
 	stage(s)
+}
+
+// stageFill returns a fill-only sink over bufs: each put appends its record
+// at once, for staging loops that cannot run twice.
+func (c *Cluster[V, A]) stageFill(bufs [][]byte, met *metrics.Node) *recSink {
+	return &recSink{bufs: bufs, met: met, pool: c.pool}
 }
 
 // exchange completes one recovery round. It flushes the staged round (the
@@ -835,7 +833,7 @@ func (c *Cluster[V, A]) Run() (*Result[V], error) {
 		c.commit(iter)
 		c.trace = append(c.trace, TraceEvent{Iter: iter, Kind: "iteration", Start: start, End: c.clock.Now()})
 		c.iter++
-		c.servePublish(false)
+		c.servePublish()
 		if c.replayWatch != nil && c.iter >= c.replayWatch.target {
 			c.recoveries[c.replayWatch.recIdx].ReplaySeconds = c.clock.Now() - c.replayWatch.start
 			c.replayWatch = nil
@@ -853,7 +851,6 @@ func (c *Cluster[V, A]) Run() (*Result[V], error) {
 			}
 		}
 	}
-	c.servePublish(true)
 	return c.result(), nil
 }
 

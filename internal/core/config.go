@@ -287,17 +287,12 @@ func (m MembershipKind) String() string {
 	}
 }
 
-// MembershipConfig selects and tunes the failure detector. The zero value
-// is the centralized heartbeat monitor with default timing.
+// MembershipConfig selects the failure detector. The zero value is the
+// centralized heartbeat monitor. Gossip runs SWIM with k = 3 indirect
+// probes and a suspicion timeout of ceil(4*log10(n+1)) periods, at least 3.
 type MembershipConfig struct {
 	// Kind picks the protocol.
 	Kind MembershipKind
-	// GossipFanout is SWIM's k: the number of indirect ping-req helpers
-	// asked when a direct probe goes unanswered. 0 means 3.
-	GossipFanout int
-	// SuspicionPeriods is how many gossip protocol periods a suspected
-	// member has to refute before it is confirmed failed. 0 means 3.
-	SuspicionPeriods int
 }
 
 // Config describes one job.
@@ -413,9 +408,6 @@ func (c *Config) Validate() error {
 	if err := validateStrategy(c); err != nil {
 		return err
 	}
-	if c.Serve.PublishEvery < 0 {
-		return fmt.Errorf("core: Serve.PublishEvery must be >= 0, got %d (0 publishes every superstep)", c.Serve.PublishEvery)
-	}
 	if c.Serve.StalenessBound < 0 {
 		return fmt.Errorf("core: Serve.StalenessBound must be >= 0, got %d (0 is unbounded)", c.Serve.StalenessBound)
 	}
@@ -423,12 +415,6 @@ func (c *Config) Validate() error {
 	case MembershipCentralized, MembershipGossip:
 	default:
 		return fmt.Errorf("core: unknown membership kind %d (use MembershipCentralized or MembershipGossip)", int(c.Membership.Kind))
-	}
-	if c.Membership.GossipFanout < 0 {
-		return fmt.Errorf("core: Membership.GossipFanout must be >= 0, got %d (0 uses the default of 3)", c.Membership.GossipFanout)
-	}
-	if c.Membership.SuspicionPeriods < 0 {
-		return fmt.Errorf("core: Membership.SuspicionPeriods must be >= 0, got %d (0 uses the default of 3)", c.Membership.SuspicionPeriods)
 	}
 	if c.Membership.Kind == MembershipGossip && c.NumNodes < 2 {
 		return fmt.Errorf("core: gossip membership needs at least 2 nodes, got %d", c.NumNodes)

@@ -89,14 +89,12 @@ type gossipDetector struct {
 	m    metrics.Membership
 }
 
-func newGossipDetector(n int, mc MembershipConfig, seed uint64, h detectorHost) (*gossipDetector, error) {
+func newGossipDetector(n int, seed uint64, h detectorHost) (*gossipDetector, error) {
 	det, err := gossip.New(n, gossip.Params{
 		// Decorrelate from the engine net's per-link fate RNGs, which
 		// are seeded from the same ChaosSeed.
-		Seed:             seed ^ 0x676f737369703130,
-		PeriodSeconds:    h.cost.HeartbeatInterval,
-		IndirectProbes:   mc.GossipFanout,
-		SuspicionPeriods: mc.SuspicionPeriods,
+		Seed:          seed ^ 0x676f737369703130,
+		PeriodSeconds: h.cost.HeartbeatInterval,
 	})
 	if err != nil {
 		return nil, err
@@ -160,9 +158,8 @@ func (d *gossipDetector) detect(victims []int) {
 		d.m.DetectionSeconds = append(d.m.DetectionSeconds,
 			float64(d.det.Period()-failPeriod)*d.det.PeriodSeconds())
 	}
-	// Global first-observer events exist for detector-only probes; the
+	// Global first-confirm events exist for detector-only probes; the
 	// engine path polls the observer's view instead. Drain them.
-	d.det.TakeSuspects()
 	d.det.TakeConfirms()
 	if err := d.det.Err(); err != nil {
 		// The closed simulation cannot produce malformed frames or

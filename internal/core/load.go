@@ -61,9 +61,9 @@ func (c *Cluster[V, A]) load() error {
 	case PartHash:
 		c.ec, err = partition.HashEdgeCut(c.g, p)
 	case PartFennel:
-		c.ec, err = partition.FennelEdgeCut(c.g, p, partition.DefaultFennelConfig())
+		c.ec, err = partition.FennelEdgeCut(c.g, p)
 	case PartLDG:
-		c.ec, err = partition.LDGEdgeCut(c.g, p, partition.DefaultLDGConfig())
+		c.ec, err = partition.LDGEdgeCut(c.g, p)
 	case PartOblivious:
 		c.vcut, err = partition.ObliviousVertexCut(c.g, p)
 	case PartRandom:

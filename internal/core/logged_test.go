@@ -242,6 +242,14 @@ func TestStrategyValidation(t *testing.T) {
 			c.Recovery = core.RecoverLogged
 			c.Logged = core.LoggedConfig{CompactEvery: -1}
 		},
+		"unknown-mirror-placement-rebirth": func(c *core.Config) {
+			c.Recovery = core.RecoverRebirth
+			c.FT.MirrorPlacement = core.MirrorFirst + 1
+		},
+		"unknown-mirror-placement-migration": func(c *core.Config) {
+			c.Recovery = core.RecoverMigration
+			c.FT.MirrorPlacement = -1
+		},
 		"fallback-without-replicas": func(c *core.Config) {
 			c.Checkpoint = core.CheckpointConfig{Interval: 1}
 			c.Recovery = core.RecoverCheckpoint

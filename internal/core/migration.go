@@ -169,6 +169,7 @@ func (c *Cluster[V, A]) recoverMigration(p *recoveryPass[V, A]) error {
 	// extra rounds are empty and cost nothing.
 	if restart {
 		c.runPhase(func(nd *node[V, A]) {
+			s := c.stageFill(nd.sendBuf, nd.met)
 			for i := range nd.hot {
 				e := &nd.hot[i]
 				if e.isMaster() || !failedSet[int(e.masterNode)] {
@@ -184,7 +185,7 @@ func (c *Cluster[V, A]) recoverMigration(p *recoveryPass[V, A]) error {
 				nd.dropMirror(int32(i))
 				e.masterNode = int16(mn)
 				vid, rpos, ft := e.id, int32(i), e.isFTOnly()
-				c.stageRecovery(&nd.sendBuf[mn], nd.met, func(buf []byte) []byte {
+				s.put(mn, 9, func(buf []byte) []byte {
 					buf = putU32(buf, uint32(vid))
 					buf = putI32(buf, rpos)
 					return putBool(buf, ft)
@@ -213,7 +214,7 @@ func (c *Cluster[V, A]) recoverMigration(p *recoveryPass[V, A]) error {
 				rt.add(int16(from), rpos, ft)
 				adoptedPerNode[nd.id] = append(adoptedPerNode[nd.id], masterKey{int16(nd.id), mp})
 			}
-			c.stageRecovery(&nd.noticeBuf[from], nd.met, func(buf []byte) []byte {
+			c.stageFill(nd.noticeBuf, nd.met).put(from, 8, func(buf []byte) []byte {
 				buf = putI32(buf, rpos)
 				return putI32(buf, mp)
 			})

@@ -225,7 +225,7 @@ func (c *Cluster[V, A]) chunked(nd *node[V, A], n int, body func(st *stager, lo,
 	}
 
 	var total, slowest float64
-	for w, st := range sts {
+	for _, st := range sts {
 		for dst, buf := range st.send {
 			if len(buf) == 0 {
 				continue
@@ -267,9 +267,6 @@ func (c *Cluster[V, A]) chunked(nd *node[V, A], n int, body func(st *stager, lo,
 		if st.busy > slowest {
 			slowest = st.busy
 		}
-		if st.busy > 0 {
-			c.met.Workers[nd.id].Observe(w, st.busy)
-		}
 		st.reset()
 	}
 	if total == 0 {
@@ -277,7 +274,6 @@ func (c *Cluster[V, A]) chunked(nd *node[V, A], n int, body func(st *stager, lo,
 	}
 	t := c.cfg.Cost.ComputeTime(total, slowest)
 	nd.met.ComputeSeconds += t
-	nd.met.ComputeWorkSeconds += total
 	return t
 }
 

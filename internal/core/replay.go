@@ -41,28 +41,30 @@ func (c *Cluster[V, A]) replayActivation(iter int, isTarget func(masterNode int1
 
 	// Regenerate activation operations aimed at the targets. Local-master
 	// activations cross chunk boundaries, so they go through the worker's
-	// activation list.
+	// activation list, once: on the fill pass.
 	c.runPhase(func(nd *node[V, A]) {
 		c.chunked(nd, len(nd.hot), func(st *stager, lo, hi int) {
-			for i := lo; i < hi; i++ {
-				e := &nd.hot[i]
-				if !e.lastActivate || e.lastActivateIter != prev {
-					continue
-				}
-				for _, w := range nd.topo[i].outNbr {
-					we := &nd.hot[w]
-					if we.isMaster() {
-						if isTarget(int16(nd.id), int32(w)) {
-							st.markActive(w)
+			c.stageExact(st.notice, &st.met, func(s *recSink) {
+				for i := lo; i < hi; i++ {
+					e := &nd.hot[i]
+					if !e.lastActivate || e.lastActivateIter != prev {
+						continue
+					}
+					for _, w := range nd.topo[i].outNbr {
+						we := &nd.hot[w]
+						if we.isMaster() {
+							if s.need == nil && isTarget(int16(nd.id), int32(w)) {
+								st.markActive(w)
+							}
+						} else if isTarget(we.masterNode, we.masterPos) {
+							mpos := we.masterPos
+							s.put(int(we.masterNode), 4, func(buf []byte) []byte {
+								return putI32(buf, mpos)
+							})
 						}
-					} else if isTarget(we.masterNode, we.masterPos) {
-						mpos := we.masterPos
-						c.stageRecovery(&st.notice[we.masterNode], &st.met, func(buf []byte) []byte {
-							return putI32(buf, mpos)
-						})
 					}
 				}
-			}
+			})
 		})
 	})
 	return c.exchange(true, func(nd *node[V, A], _ int, r *reader) {

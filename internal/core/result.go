@@ -93,17 +93,12 @@ type Result[V any] struct {
 	TotalPresences       int // masters + all replicas after FT extension
 
 	Metrics     metrics.Node // cluster-wide totals
-	PerNode     []metrics.Node
-	MaxMemory   int64 // largest per-node footprint, bytes
+	MaxMemory   int64        // largest per-node footprint, bytes
 	TotalMemory int64
 
 	// Buffers is the wire-buffer pool traffic for the whole run: a reuse
 	// fraction near 1 means the steady-state loop ran allocation-free.
 	Buffers metrics.Buffers
-
-	// Workers holds per-node, per-worker busy seconds when WorkersPerNode
-	// > 1 (empty entries otherwise): the intra-node load-balance picture.
-	Workers []metrics.WorkerTimes
 
 	Trace []TraceEvent
 	// Recoveries reports every completed recovery, in order; chaos
@@ -155,8 +150,6 @@ func (c *Cluster[V, A]) result() *Result[V] {
 	c.met.Buffers = metrics.Buffers{Gets: ps.Gets, Misses: ps.Misses, Puts: ps.Puts}
 	res.Buffers = c.met.Buffers
 	res.Metrics = c.met.Total()
-	res.PerNode = append([]metrics.Node(nil), c.met.Nodes...)
-	res.Workers = append([]metrics.WorkerTimes(nil), c.met.Workers...)
 	res.MaxMemory = c.met.MaxMemoryNode()
 	res.TotalMemory = res.Metrics.MemoryBytes
 

@@ -22,10 +22,10 @@ import (
 // Staleness contract: the frontier is the superstep the engine is currently
 // executing (in epochs, where epoch N = "N supersteps committed"). An
 // answer's staleness is frontier - Epoch: 0 when the engine is idle or
-// converged, and at most ServeConfig.PublishEvery while a superstep or a
-// recovery pass is in flight — recovery re-executes the in-flight superstep,
-// so the frontier does not advance during rebirth/migration and serving
-// continues from the last committed epoch instead of blocking.
+// converged, and at most 1 while a superstep or a recovery pass is in
+// flight — recovery re-executes the in-flight superstep, so the frontier
+// does not advance during rebirth/migration and serving continues from the
+// last committed epoch instead of blocking.
 
 // ServeConfig controls the live-query serving layer (Config.Serve).
 type ServeConfig struct {
@@ -34,10 +34,6 @@ type ServeConfig struct {
 	// value is float64 or int32 (PageRank, SSSP, CD). Serving is host-side
 	// only: simulated time and message bytes are unchanged.
 	Enabled bool
-	// PublishEvery publishes a fresh snapshot every N committed supersteps
-	// (plus once after load and once at run end). Larger values trade
-	// staleness for publish work. 0 means 1.
-	PublishEvery int
 	// StalenessBound is the default per-query bound on frontier - epoch;
 	// queries whose snapshot lags further return ErrStaleRead. 0 means
 	// unbounded (answers always carry their actual staleness).
@@ -214,10 +210,7 @@ func (c *Cluster[V, A]) serveInit() error {
 		return fmt.Errorf("core: Serve.Enabled requires a float64 or int32 vertex value, got %T", z)
 	}
 	c.serve = &serveState[V]{cfg: c.cfg.Serve, scalar: scalar}
-	if c.serve.cfg.PublishEvery < 1 {
-		c.serve.cfg.PublishEvery = 1
-	}
-	c.servePublish(true)
+	c.servePublish()
 	c.serveRefreshRoute()
 	return nil
 }
@@ -235,16 +228,12 @@ func (c *Cluster[V, A]) serveFrontier(f int) {
 }
 
 // servePublish snapshots the committed master values at the current epoch
-// (c.iter = supersteps committed). Publishes are monotonic in epoch — a
-// checkpoint-recovery replay re-commits earlier iterations without
-// regressing the served view — and skipped off the PublishEvery grid
-// unless forced (load, run end).
-func (c *Cluster[V, A]) servePublish(force bool) {
+// (c.iter = supersteps committed), after load and after every commit.
+// Publishes are monotonic in epoch: a checkpoint-recovery replay
+// re-commits earlier iterations without regressing the served view.
+func (c *Cluster[V, A]) servePublish() {
 	s := c.serve
 	if s == nil {
-		return
-	}
-	if !force && c.iter%s.cfg.PublishEvery != 0 {
 		return
 	}
 	epoch := int64(c.iter)

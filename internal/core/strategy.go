@@ -53,6 +53,9 @@ func validateStrategy(c *Config) error {
 		if c.FT.K < 1 || c.FT.K >= c.NumNodes {
 			return fmt.Errorf("%w: FT.K must be in [1, NumNodes %d), got %d", ErrInvalidStrategy, c.NumNodes, c.FT.K)
 		}
+		if c.FT.MirrorPlacement != MirrorBalanced && c.FT.MirrorPlacement != MirrorFirst {
+			return fmt.Errorf("%w: unknown mirror placement %d", ErrInvalidStrategy, int(c.FT.MirrorPlacement))
+		}
 	case RecoverLogged:
 		if c.Logged.CompactEvery < 0 {
 			return fmt.Errorf("%w: Logged.CompactEvery must be >= 0, got %d (0 never compacts)", ErrInvalidStrategy, c.Logged.CompactEvery)

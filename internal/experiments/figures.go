@@ -357,7 +357,7 @@ func Fig10Fennel(o Options) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		fenEC, err := partition.FennelEdgeCut(g, o.Nodes, partition.DefaultFennelConfig())
+		fenEC, err := partition.FennelEdgeCut(g, o.Nodes)
 		if err != nil {
 			return nil, err
 		}

@@ -41,37 +41,23 @@ type Params struct {
 	// PeriodSeconds is the simulated duration of one protocol period.
 	// Default 0.5 (the cost model's heartbeat interval).
 	PeriodSeconds float64
-	// IndirectProbes is k, the number of ping-req helpers asked to probe
-	// an unresponsive target indirectly. Default 3.
-	IndirectProbes int
-	// SuspicionPeriods is how many full periods a member stays suspected
-	// before the suspicion is locally confirmed as a failure. The default
-	// (0) scales with the cluster so a refutation rumor can make the
-	// round trip before the timeout: ceil(4*log10(n+1)) periods — the
-	// suspicion multiplier used by production SWIM implementations.
-	SuspicionPeriods int
-	// MaxPiggyback caps the membership updates piggybacked on one
-	// datagram. Default 8.
-	MaxPiggyback int
 }
 
-func (p Params) withDefaults(n int) Params {
-	if p.PeriodSeconds <= 0 {
-		p.PeriodSeconds = 0.5
-	}
-	if p.IndirectProbes <= 0 {
-		p.IndirectProbes = 3
-	}
-	if p.SuspicionPeriods <= 0 {
-		p.SuspicionPeriods = int(math.Ceil(4 * math.Log10(float64(n)+1)))
-		if p.SuspicionPeriods < 3 {
-			p.SuspicionPeriods = 3
-		}
-	}
-	if p.MaxPiggyback <= 0 {
-		p.MaxPiggyback = 8
-	}
-	return p
+// Protocol constants: indirectProbes is SWIM's k, the ping-req helpers
+// asked to probe an unresponsive target indirectly; maxPiggyback caps the
+// membership updates piggybacked on one datagram.
+const (
+	indirectProbes = 3
+	maxPiggyback   = 8
+)
+
+// suspicionPeriods is how many full periods a member stays suspected
+// before the suspicion is locally confirmed as a failure. It scales with
+// the cluster so a refutation rumor can make the round trip before the
+// timeout: ceil(4*log10(n+1)) periods, at least 3 — the suspicion
+// multiplier used by production SWIM implementations.
+func suspicionPeriods(n int) int {
+	return max(3, int(math.Ceil(4*math.Log10(float64(n)+1))))
 }
 
 // member is one row of a node's local membership view.
@@ -161,13 +147,11 @@ type Detector struct {
 	up     []bool // ground truth
 	period int
 	budget int // per-update transmission budget: 3*ceil(log2(n+1))
+	susp   int // suspicion timeout in periods, suspicionPeriods(n)
 
-	// First-observer transition tracking: a node id is appended exactly
-	// once per life (reset by Revive) when any view first suspects or
-	// first confirms it.
-	everSuspected []bool
+	// First-observer confirm tracking: a node id is appended exactly once
+	// per life (reset by Revive) when any view first confirms it.
 	everConfirmed []bool
-	suspects      []int
 	confirms      []int
 
 	falseSuspicions int
@@ -195,7 +179,9 @@ func New(n int, p Params) (*Detector, error) {
 	if n < 2 {
 		return nil, fmt.Errorf("gossip: need at least 2 nodes, got %d", n)
 	}
-	p = p.withDefaults(n)
+	if p.PeriodSeconds <= 0 {
+		p.PeriodSeconds = 0.5
+	}
 	net, err := netsim.New(n, costmodel.Default())
 	if err != nil {
 		return nil, err
@@ -209,7 +195,7 @@ func New(n int, p Params) (*Detector, error) {
 		nodes:         make([]*node, n),
 		up:            make([]bool, n),
 		budget:        3 * (bits.Len(uint(n)) + 1),
-		everSuspected: make([]bool, n),
+		susp:          suspicionPeriods(n),
 		everConfirmed: make([]bool, n),
 	}
 	// Every member's dissemination queue and suspect list start with room
@@ -242,9 +228,8 @@ func (d *Detector) Net() *netsim.Network { return d.net }
 // PeriodSeconds reports the simulated duration of one protocol period.
 func (d *Detector) PeriodSeconds() float64 { return d.p.PeriodSeconds }
 
-// SuspicionPeriods reports the resolved suspicion timeout in periods
-// (cluster-size-scaled when the Params field was left zero).
-func (d *Detector) SuspicionPeriods() int { return d.p.SuspicionPeriods }
+// SuspicionPeriods reports the suspicion timeout in periods.
+func (d *Detector) SuspicionPeriods() int { return d.susp }
 
 // Period reports the number of completed protocol periods.
 func (d *Detector) Period() int { return d.period }
@@ -290,7 +275,6 @@ func (d *Detector) Revive(id int) {
 		nd.queue = q
 	}
 	d.nodes[id].selfInc = inc
-	d.everSuspected[id] = false
 	d.everConfirmed[id] = false
 }
 
@@ -321,14 +305,6 @@ func (d *Detector) StatusAt(observer, id int) UpdateKind {
 		return UpdAlive
 	}
 	return d.nodes[observer].view[id].status
-}
-
-// TakeSuspects drains the ids whose first suspicion (by any view, this
-// life) happened since the last call.
-func (d *Detector) TakeSuspects() []int {
-	s := d.suspects
-	d.suspects = nil
-	return s
 }
 
 // TakeConfirms drains the ids whose first confirmation (by any view,
@@ -455,7 +431,6 @@ func (nd *node) pickTarget(n int) int {
 // first k of a full shuffle of the candidates, which is what the node's RNG
 // stream has always been charged for.
 func (d *Detector) stagePingReqs() {
-	k := d.p.IndirectProbes
 	for id := 0; id < d.n; id++ {
 		nd := d.nodes[id]
 		if !d.up[id] || nd.target < 0 || nd.gotAck {
@@ -469,14 +444,14 @@ func (d *Detector) stagePingReqs() {
 		}
 		d.cands = cands
 		nd.src.Shuffle(cands)
-		for i := 0; i < len(cands) && i < k; i++ {
+		for i := 0; i < len(cands) && i < indirectProbes; i++ {
 			d.stage(nd, cands[i], MsgPingReq, int32(nd.target))
 		}
 	}
 }
 
 // stage queues a message from nd for the next flush, attaching up to
-// MaxPiggyback updates from the dissemination queue and retiring entries
+// maxPiggyback updates from the dissemination queue and retiring entries
 // whose transmission budget is spent.
 func (d *Detector) stage(nd *node, to int, kind MsgKind, about int32) {
 	// Least-transmitted first (SWIM §4.1): fresh updates — new suspicions
@@ -494,7 +469,7 @@ func (d *Detector) stage(nd *node, to int, kind MsgKind, about int32) {
 	}
 	upd := d.upd[:0]
 	for i := range nd.queue {
-		if len(upd) >= d.p.MaxPiggyback {
+		if len(upd) >= maxPiggyback {
 			break
 		}
 		if nd.queue[i].left > 0 {
@@ -618,7 +593,7 @@ func (d *Detector) endPeriod() {
 		// dissemination race.
 		for _, j := range nd.suspects {
 			mv := &nd.view[j]
-			if !mv.final && d.period-mv.since >= d.p.SuspicionPeriods {
+			if !mv.final && d.period-mv.since >= d.susp {
 				mv.final = true
 			}
 		}
@@ -686,10 +661,6 @@ func (d *Detector) transition(nd *node, u Update, originated bool) {
 			mv.since = d.period
 			mv.final = false
 			changed = true
-			if !d.everSuspected[j] {
-				d.everSuspected[j] = true
-				d.suspects = append(d.suspects, j)
-			}
 			if originated && d.up[j] {
 				d.falseSuspicions++
 			}

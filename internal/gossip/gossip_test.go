@@ -51,15 +51,14 @@ func TestDetectSingleFailure(t *testing.T) {
 	defer d.Close()
 	d.RunPeriod()
 	d.RunPeriod()
-	d.TakeSuspects()
 	d.TakeConfirms()
 	d.Fail(3)
 	failPeriod := d.Period()
 	at := runUntilConfirmed(t, d, []int{3}, 40)
 	// Lower bound: a confirm can only follow a full suspicion timeout.
-	if lat := at[3] - failPeriod; lat < d.p.SuspicionPeriods {
+	if lat := at[3] - failPeriod; lat < d.SuspicionPeriods() {
 		t.Fatalf("confirmed after %d periods, below the suspicion timeout %d",
-			lat, d.p.SuspicionPeriods)
+			lat, d.SuspicionPeriods())
 	}
 	if st := d.Stats(); st.FalseSuspicions != 0 {
 		t.Fatalf("lossless run originated %d false suspicions", st.FalseSuspicions)
@@ -96,16 +95,19 @@ func TestDetectUnderDrop(t *testing.T) {
 }
 
 func TestRefutationClearsFalseSuspicion(t *testing.T) {
-	d := newDetector(t, 6, Params{Seed: 3, SuspicionPeriods: 4})
+	d := newDetector(t, 6, Params{Seed: 3})
 	defer d.Close()
+	if got := d.SuspicionPeriods(); got != 4 {
+		t.Fatalf("suspicion timeout at 6 members = %d, want 4", got)
+	}
 	// Isolate a live node for two periods: probes into the partition are
 	// lost datagrams, so someone suspects it.
 	d.Net().Partition([]int{4})
 	d.RunPeriod()
 	d.RunPeriod()
 	suspected := false
-	for _, id := range d.TakeSuspects() {
-		if id == 4 {
+	for v := 0; v < 6; v++ {
+		if v != 4 && d.StatusAt(v, 4) == UpdSuspect {
 			suspected = true
 		}
 	}

@@ -27,7 +27,7 @@ const wireVersion = 1
 const updateWireBytes = 9
 
 // maxWireUpdates bounds the update count a single datagram may carry;
-// encoders stay far below it (Params.MaxPiggyback), decoders reject
+// encoders stay far below it (maxPiggyback), decoders reject
 // anything above it before sizing buffers.
 const maxWireUpdates = 1024
 

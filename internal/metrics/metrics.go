@@ -35,10 +35,6 @@ type Node struct {
 	// phases (gather/apply, sync encode, recovery reconstruction), after
 	// the intra-node worker pool's speedup has been applied.
 	ComputeSeconds float64
-	// ComputeWorkSeconds is the raw single-core cost of the same phases;
-	// the ratio ComputeWorkSeconds/ComputeSeconds is the achieved intra-node
-	// parallel speedup.
-	ComputeWorkSeconds float64
 }
 
 // Add merges other into n.
@@ -57,7 +53,6 @@ func (n *Node) Add(other *Node) {
 	n.DFSWriteBytes += other.DFSWriteBytes
 	n.MemoryBytes += other.MemoryBytes
 	n.ComputeSeconds += other.ComputeSeconds
-	n.ComputeWorkSeconds += other.ComputeWorkSeconds
 }
 
 // TotalMsgs returns all messages sent.
@@ -85,53 +80,6 @@ func (n *Node) String() string {
 	return fmt.Sprintf("msgs=%d bytes=%d ft=%d/%d dfs=r%d/w%d mem=%d",
 		n.TotalMsgs(), n.TotalBytes(), n.FTMsgs, n.FTBytes,
 		n.DFSReadBytes, n.DFSWriteBytes, n.MemoryBytes)
-}
-
-// WorkerTimes records per-worker raw busy seconds on one node across all
-// compute phases — the load-balance diagnostic for the intra-node pool.
-type WorkerTimes struct {
-	Busy []float64
-}
-
-// Observe adds sec to worker w's busy time, growing the slice as needed.
-func (t *WorkerTimes) Observe(w int, sec float64) {
-	for len(t.Busy) <= w {
-		t.Busy = append(t.Busy, 0)
-	}
-	t.Busy[w] += sec
-}
-
-// Max returns the busiest worker's seconds.
-func (t *WorkerTimes) Max() float64 {
-	var m float64
-	for _, b := range t.Busy {
-		if b > m {
-			m = b
-		}
-	}
-	return m
-}
-
-// Total returns the summed busy seconds over all workers.
-func (t *WorkerTimes) Total() float64 {
-	var s float64
-	for _, b := range t.Busy {
-		s += b
-	}
-	return s
-}
-
-// Imbalance returns max/mean busy time (1.0 = perfectly balanced chunks);
-// 0 when no work was recorded.
-func (t *WorkerTimes) Imbalance() float64 {
-	if len(t.Busy) == 0 {
-		return 0
-	}
-	mean := t.Total() / float64(len(t.Busy))
-	if mean == 0 {
-		return 0
-	}
-	return t.Max() / mean
 }
 
 // Buffers reports wire-buffer pool traffic: how often the engine's send,
@@ -196,19 +144,13 @@ type Membership struct {
 // Cluster aggregates per-node metrics.
 type Cluster struct {
 	Nodes []Node
-	// Workers tracks per-node, per-worker busy time when the engine runs
-	// with an intra-node worker pool.
-	Workers []WorkerTimes
 	// Buffers is the cluster-wide wire-buffer pool traffic.
 	Buffers Buffers
 }
 
 // NewCluster returns metrics storage for numNodes nodes.
 func NewCluster(numNodes int) *Cluster {
-	return &Cluster{
-		Nodes:   make([]Node, numNodes),
-		Workers: make([]WorkerTimes, numNodes),
-	}
+	return &Cluster{Nodes: make([]Node, numNodes)}
 }
 
 // Total returns the sum over all nodes.

@@ -597,9 +597,6 @@ func (n *Network) EnableOmission(seed uint64) {
 	n.backend = n.omission
 }
 
-// OmissionEnabled reports whether the omission layer is installed.
-func (n *Network) OmissionEnabled() bool { return n.omission != nil }
-
 // OmissionStats snapshots the omission layer's counters; ok is false
 // when the layer is not installed.
 func (n *Network) OmissionStats() (stats OmissionStats, ok bool) {

@@ -26,7 +26,7 @@ func BenchmarkFennelEdgeCut(b *testing.B) {
 	g := benchGraph(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := FennelEdgeCut(g, 16, DefaultFennelConfig()); err != nil {
+		if _, err := FennelEdgeCut(g, 16); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -36,7 +36,7 @@ func BenchmarkLDGEdgeCut(b *testing.B) {
 	g := benchGraph(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := LDGEdgeCut(g, 16, DefaultLDGConfig()); err != nil {
+		if _, err := LDGEdgeCut(g, 16); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -62,34 +62,27 @@ func HashEdgeCut(g *graph.Graph, numNodes int) (*EdgeCut, error) {
 	return &EdgeCut{NumNodes: numNodes, Owner: owner}, nil
 }
 
-// FennelConfig tunes the Fennel streaming partitioner (Tsourakakis et al.,
-// WSDM'14), the heuristic evaluated in §6.6.
-type FennelConfig struct {
-	Gamma float64 // cost exponent; 1.5 in the paper
-	Nu    float64 // balance slack: per-node capacity = Nu * |V|/p
-	Seed  uint64  // stream order shuffle
-}
-
-// DefaultFennelConfig matches the published defaults.
-func DefaultFennelConfig() FennelConfig {
-	return FennelConfig{Gamma: 1.5, Nu: 1.1, Seed: 1}
-}
+// Fennel's published parameters (Tsourakakis et al., WSDM'14, the
+// heuristic evaluated in §6.6): cost exponent gamma, balance slack nu
+// (per-node capacity = nu * |V|/p) and the stream-order shuffle seed.
+const (
+	fennelGamma = 1.5
+	fennelNu    = 1.1
+	fennelSeed  = 1
+)
 
 // FennelEdgeCut streams vertices in random order and greedily assigns each
 // to the node maximizing |N(v) ∩ P_i| - alpha*gamma*|P_i|^(gamma-1),
 // subject to a capacity cap.
-func FennelEdgeCut(g *graph.Graph, numNodes int, cfg FennelConfig) (*EdgeCut, error) {
+func FennelEdgeCut(g *graph.Graph, numNodes int) (*EdgeCut, error) {
 	if err := checkNodes(numNodes); err != nil {
 		return nil, err
-	}
-	if cfg.Gamma <= 1 {
-		return nil, fmt.Errorf("partition: fennel gamma must exceed 1, got %v", cfg.Gamma)
 	}
 	n := g.NumVertices()
 	m := g.NumEdges()
 	p := numNodes
-	alpha := float64(m) * math.Pow(float64(p), cfg.Gamma-1) / math.Pow(float64(n), cfg.Gamma)
-	capacity := int(cfg.Nu * float64(n) / float64(p))
+	alpha := float64(m) * math.Pow(float64(p), fennelGamma-1) / math.Pow(float64(n), fennelGamma)
+	capacity := int(fennelNu * float64(n) / float64(p))
 	if capacity < 1 {
 		capacity = 1
 	}
@@ -101,7 +94,7 @@ func FennelEdgeCut(g *graph.Graph, numNodes int, cfg FennelConfig) (*EdgeCut, er
 	sizes := make([]int, p)
 	neighborCount := make([]float64, p)
 
-	order := rng.New(cfg.Seed).Perm(n)
+	order := rng.New(fennelSeed).Perm(n)
 	for _, vi := range order {
 		v := graph.VertexID(vi)
 		for i := range neighborCount {
@@ -120,7 +113,7 @@ func FennelEdgeCut(g *graph.Graph, numNodes int, cfg FennelConfig) (*EdgeCut, er
 			if sizes[i] >= capacity {
 				continue
 			}
-			score := neighborCount[i] - alpha*cfg.Gamma*math.Pow(float64(sizes[i]), cfg.Gamma-1)
+			score := neighborCount[i] - alpha*fennelGamma*math.Pow(float64(sizes[i]), fennelGamma-1)
 			if score > bestScore {
 				best, bestScore = i, score
 			}

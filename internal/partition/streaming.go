@@ -1,38 +1,30 @@
 package partition
 
 import (
-	"fmt"
 	"math"
 
 	"imitator/internal/graph"
 	"imitator/internal/rng"
 )
 
-// LDGConfig tunes the Linear Deterministic Greedy streaming edge-cut
-// partitioner (Stanton & Kliot, KDD'12 — the paper's reference [19]).
-type LDGConfig struct {
-	// Nu is the balance slack: per-node capacity = Nu * |V|/p.
-	Nu float64
-	// Seed shuffles the stream order.
-	Seed uint64
-}
-
-// DefaultLDGConfig matches the published defaults.
-func DefaultLDGConfig() LDGConfig { return LDGConfig{Nu: 1.1, Seed: 1} }
+// LDG's published parameters (Stanton & Kliot, KDD'12 — the paper's
+// reference [19]): balance slack nu (per-node capacity = nu * |V|/p) and
+// the stream-order shuffle seed.
+const (
+	ldgNu   = 1.1
+	ldgSeed = 1
+)
 
 // LDGEdgeCut streams vertices and assigns each to the partition holding the
 // most neighbors, weighted by the partition's remaining capacity:
 // score_i = |N(v) ∩ P_i| * (1 - |P_i|/C).
-func LDGEdgeCut(g *graph.Graph, numNodes int, cfg LDGConfig) (*EdgeCut, error) {
+func LDGEdgeCut(g *graph.Graph, numNodes int) (*EdgeCut, error) {
 	if err := checkNodes(numNodes); err != nil {
 		return nil, err
 	}
-	if cfg.Nu <= 0 {
-		return nil, fmt.Errorf("partition: LDG balance slack must be positive, got %v", cfg.Nu)
-	}
 	n := g.NumVertices()
 	p := numNodes
-	capacity := cfg.Nu * float64(n) / float64(p)
+	capacity := ldgNu * float64(n) / float64(p)
 	if capacity < 1 {
 		capacity = 1
 	}
@@ -44,7 +36,7 @@ func LDGEdgeCut(g *graph.Graph, numNodes int, cfg LDGConfig) (*EdgeCut, error) {
 	sizes := make([]int, p)
 	neighborCount := make([]float64, p)
 
-	order := rng.New(cfg.Seed).Perm(n)
+	order := rng.New(ldgSeed).Perm(n)
 	for _, vi := range order {
 		v := graph.VertexID(vi)
 		for i := range neighborCount {

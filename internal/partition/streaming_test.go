@@ -18,7 +18,7 @@ func TestLDGBeatsHashOnCommunities(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ldg, err := LDGEdgeCut(g, 8, DefaultLDGConfig())
+	ldg, err := LDGEdgeCut(g, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,8 +30,7 @@ func TestLDGBeatsHashOnCommunities(t *testing.T) {
 
 func TestLDGBalance(t *testing.T) {
 	g := datasets.Tiny(2000, 12000, 71)
-	cfg := DefaultLDGConfig()
-	ec, err := LDGEdgeCut(g, 8, cfg)
+	ec, err := LDGEdgeCut(g, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +41,7 @@ func TestLDGBalance(t *testing.T) {
 		}
 		sizes[o]++
 	}
-	limit := int(cfg.Nu*float64(g.NumVertices())/8) + 1
+	limit := int(ldgNu*float64(g.NumVertices())/8) + 1
 	for i, s := range sizes {
 		if s > limit {
 			t.Errorf("node %d holds %d masters, above soft capacity %d", i, s, limit)
@@ -52,10 +51,7 @@ func TestLDGBalance(t *testing.T) {
 
 func TestLDGValidation(t *testing.T) {
 	g := datasets.Tiny(100, 400, 72)
-	if _, err := LDGEdgeCut(g, 4, LDGConfig{Nu: 0}); err == nil {
-		t.Error("zero slack accepted")
-	}
-	if _, err := LDGEdgeCut(g, 0, DefaultLDGConfig()); err == nil {
+	if _, err := LDGEdgeCut(g, 0); err == nil {
 		t.Error("zero nodes accepted")
 	}
 }

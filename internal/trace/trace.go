@@ -11,35 +11,27 @@ import (
 	"imitator/internal/core"
 )
 
-// Options controls rendering.
-type Options struct {
-	// Width is the bar area width in characters (default 60).
-	Width int
-	// MinLabelEvery suppresses per-event rows beyond this many events by
-	// aggregating consecutive same-kind iterations (default 40).
-	MinLabelEvery int
-}
+// Rendering constants: the bar area is width characters wide, and a
+// trace longer than coalesceOver events merges consecutive iteration rows.
+const (
+	width        = 60
+	coalesceOver = 40
+)
 
 // Render writes an ASCII Gantt of the events.
-func Render(w io.Writer, events []core.TraceEvent, opts Options) {
+func Render(w io.Writer, events []core.TraceEvent) {
 	if len(events) == 0 {
 		fmt.Fprintln(w, "(no events)")
 		return
-	}
-	if opts.Width <= 0 {
-		opts.Width = 60
-	}
-	if opts.MinLabelEvery <= 0 {
-		opts.MinLabelEvery = 40
 	}
 	end := events[len(events)-1].End
 	if end <= 0 {
 		end = 1
 	}
-	scale := float64(opts.Width) / end
+	scale := float64(width) / end
 
 	rows := events
-	if len(rows) > opts.MinLabelEvery {
+	if len(rows) > coalesceOver {
 		rows = coalesce(rows)
 	}
 	for _, ev := range rows {
@@ -48,8 +40,8 @@ func Render(w io.Writer, events []core.TraceEvent, opts Options) {
 		if length < 1 {
 			length = 1
 		}
-		if startCol+length > opts.Width {
-			length = opts.Width - startCol
+		if startCol+length > width {
+			length = width - startCol
 			if length < 1 {
 				length = 1
 			}

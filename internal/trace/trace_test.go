@@ -19,7 +19,7 @@ func sampleEvents() []core.TraceEvent {
 
 func TestRenderMarksKinds(t *testing.T) {
 	var sb strings.Builder
-	Render(&sb, sampleEvents(), Options{Width: 50})
+	Render(&sb, sampleEvents())
 	out := sb.String()
 	if !strings.Contains(out, "C") || !strings.Contains(out, "R") || !strings.Contains(out, "#") {
 		t.Errorf("missing kind markers:\n%s", out)
@@ -35,7 +35,7 @@ func TestRenderMarksKinds(t *testing.T) {
 
 func TestRenderEmpty(t *testing.T) {
 	var sb strings.Builder
-	Render(&sb, nil, Options{})
+	Render(&sb, nil)
 	if !strings.Contains(sb.String(), "no events") {
 		t.Error("empty trace should say so")
 	}
@@ -50,7 +50,7 @@ func TestRenderCoalescesLongRuns(t *testing.T) {
 	}
 	events = append(events, core.TraceEvent{Iter: 100, Kind: "recovery", Start: 100, End: 105})
 	var sb strings.Builder
-	Render(&sb, events, Options{Width: 40})
+	Render(&sb, events)
 	lines := strings.Split(strings.TrimSpace(sb.String()), "\n")
 	if len(lines) > 5 {
 		t.Errorf("coalescing failed: %d lines", len(lines))

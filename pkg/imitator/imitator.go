@@ -81,9 +81,6 @@ type TraceEvent = core.TraceEvent
 // reports are in Result.Recoveries.
 type RecoveryReport = core.RecoveryReport
 
-// WorkerTimes holds one node's per-worker busy seconds (intra-node pool).
-type WorkerTimes = metrics.WorkerTimes
-
 // NodeMetrics is one node's (or the cluster-total) traffic/compute counters.
 type NodeMetrics = metrics.Node
 

@@ -187,7 +187,7 @@ func TestWorkloadAndTimeline(t *testing.T) {
 		t.Fatalf("empty summary: %+v", s)
 	}
 	var sb strings.Builder
-	imitator.RenderTimeline(&sb, s.Trace, imitator.TimelineOptions{})
+	imitator.RenderTimeline(&sb, s.Trace)
 	if !strings.Contains(sb.String(), "recovery") {
 		t.Errorf("timeline missing recovery lane:\n%s", sb.String())
 	}

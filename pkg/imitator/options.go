@@ -17,8 +17,7 @@ import "imitator/internal/core"
 //     (Crash, CrashDuringRecovery, SlowLink, DelayBurst, Drop, Duplicate,
 //     Reorder, Partition) and WithChaosSeed.
 //   - Membership options pick the failure detector chaos crashes are
-//     delivered through: WithMembership(Centralized|Gossip) with
-//     GossipFanout and GossipSuspicionPeriods.
+//     delivered through: WithMembership(Centralized|Gossip).
 //   - Serve options turn the run into a long-lived queryable service:
 //     WithServe and its sub-options (see serve.go).
 type Option func(*Config)
@@ -97,32 +96,14 @@ func WithMaxRebirths(n int) Option {
 
 // ---- Membership options ------------------------------------------------
 
-// MembershipOption tunes the failure detector selected by WithMembership.
-type MembershipOption func(*core.MembershipConfig)
-
 // WithMembership selects the failure-detection protocol that delivers
 // chaos crashes to the coordinator: Centralized (the default heartbeat
 // monitor, bit-identical to prior releases) or Gossip (decentralized
 // SWIM probing over a lossy datagram network that inherits the run's
 // drop/partition chaos). Both feed the identical Suspect/MarkFailed
-// path into rebirth, migration and serve-mode routing.
-func WithMembership(m Membership, opts ...MembershipOption) Option {
-	return func(c *Config) {
-		c.Membership = core.MembershipConfig{Kind: m}
-		for _, o := range opts {
-			o(&c.Membership)
-		}
-	}
-}
-
-// GossipFanout sets SWIM's k: the indirect ping-req helpers recruited
-// when a direct probe goes unanswered (default 3).
-func GossipFanout(k int) MembershipOption {
-	return func(m *core.MembershipConfig) { m.GossipFanout = k }
-}
-
-// GossipSuspicionPeriods sets how many protocol periods a suspected
-// member has to refute before it is confirmed failed (default 3).
-func GossipSuspicionPeriods(n int) MembershipOption {
-	return func(m *core.MembershipConfig) { m.SuspicionPeriods = n }
+// path into rebirth, migration and serve-mode routing. Gossip probes
+// through 3 indirect helpers and confirms a suspect after
+// ceil(4*log10(n+1)) periods, at least 3.
+func WithMembership(m Membership) Option {
+	return func(c *Config) { c.Membership = core.MembershipConfig{Kind: m} }
 }

@@ -31,12 +31,6 @@ func WithServe(opts ...ServeOption) Option {
 	}
 }
 
-// ServePublishEvery publishes a fresh snapshot every n committed supersteps
-// (default 1). Larger intervals trade staleness for snapshot-copy work.
-func ServePublishEvery(n int) ServeOption {
-	return func(s *core.ServeConfig) { s.PublishEvery = n }
-}
-
 // ServeStalenessBound rejects queries whose snapshot would lag the frontier
 // by more than n epochs with ErrStaleRead (0 = unbounded). Per-query
 // Query.StalenessBound overrides it.

@@ -21,12 +21,9 @@ func RunWorkloadOn(w Workload, g *Graph, cfg Config) (RunSummary, error) {
 	return experiments.RunWorkloadOn(w, g, cfg)
 }
 
-// TimelineOptions configures RenderTimeline.
-type TimelineOptions = trace.Options
-
 // RenderTimeline writes an ASCII execution timeline of a run's TraceEvents.
-func RenderTimeline(w io.Writer, events []TraceEvent, opts TimelineOptions) {
-	trace.Render(w, events, opts)
+func RenderTimeline(w io.Writer, events []TraceEvent) {
+	trace.Render(w, events)
 }
 
 // TimelineSummary returns a one-line accounting of a run's TraceEvents.
