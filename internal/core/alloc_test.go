@@ -39,12 +39,13 @@ func manualStep[V, A any](tb testing.TB, cl *Cluster[V, A]) func() {
 // local topology, replica positions, mirror full state) by a count pass and
 // carves it out of a few exactly-sized arenas, and every per-slot table
 // (hot, topo, slab handles, role slabs, id index) is made once at its final
-// size, so a load makes a few hundred allocations: 297 edge-cut and 508
-// vertex-cut when the budgets were set, each budget about 10 % above. One
-// per-vertex make or append-grown list anywhere in load costs 64 k
-// allocations and breaks the count; a per-slot table that regrows by append,
-// or a stored list of the unweighted graph's unit weights, costs more than
-// 10 % in bytes and breaks the byte budget.
+// size, so a load makes a few hundred allocations: 297 edge-cut, 508
+// vertex-cut and 439 checkpoint when the budgets were set, each budget about
+// 10 % above. One per-vertex make or append-grown list anywhere in load costs
+// 64 k allocations and breaks the count; a per-slot table that regrows by
+// append, a stored list of the unweighted graph's unit weights, or a fresh
+// metadata-snapshot buffer per node (the DFS copies what it stores; 10.7 MB
+// at checkpoint) costs more than 10 % in bytes and breaks the byte budget.
 func TestLoadAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; counts are meaningless")
@@ -53,27 +54,31 @@ func TestLoadAllocBudget(t *testing.T) {
 		t.Skip("builds the 923 k-edge benchmark graph")
 	}
 	g := benchmarkGraph(t)
+	checkpoint := DefaultConfig(EdgeCutMode, 8) // as failover-matrix's checkpoint cell
+	checkpoint.Recovery, checkpoint.Checkpoint = RecoverCheckpoint, CheckpointConfig{Interval: 2}
 	for _, tc := range []struct {
-		mode    Mode
+		name    string
+		cfg     Config
 		mallocs uint64
-		mb      uint64 // measured 74.5 / 98.1 MB
+		mb      uint64 // measured 74.5 / 88.7 / 89.3 MB
 	}{
-		{EdgeCutMode, 330, 82},
-		{VertexCutMode, 560, 108},
+		// Replication K=1, as ec-steady / vc-steady.
+		{"edge-cut", DefaultConfig(EdgeCutMode, 8), 330, 82},
+		{"vertex-cut", DefaultConfig(VertexCutMode, 8), 560, 98},
+		{"checkpoint", checkpoint, 490, 98},
 	} {
-		cfg := DefaultConfig(tc.mode, 8) // Replication K=1, as ec-steady / vc-steady
-		cfg.HostParallelism = 1
+		tc.cfg.HostParallelism = 1
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		if _, err := NewCluster[float64, float64](cfg, g, fakePR{}); err != nil {
+		if _, err := NewCluster[float64, float64](tc.cfg, g, fakePR{}); err != nil {
 			t.Fatal(err)
 		}
 		runtime.ReadMemStats(&after)
 		if n := after.Mallocs - before.Mallocs; n > tc.mallocs {
-			t.Errorf("%v: NewCluster made %d allocations, budget %d", tc.mode, n, tc.mallocs)
+			t.Errorf("%s: NewCluster made %d allocations, budget %d", tc.name, n, tc.mallocs)
 		}
 		if b := after.TotalAlloc - before.TotalAlloc; b > tc.mb*1e6 {
-			t.Errorf("%v: NewCluster allocated %.1f MB, budget %d MB", tc.mode, float64(b)/1e6, tc.mb)
+			t.Errorf("%s: NewCluster allocated %.1f MB, budget %d MB", tc.name, float64(b)/1e6, tc.mb)
 		}
 	}
 }
@@ -224,6 +229,38 @@ func BenchmarkSuperstep(b *testing.B) {
 			b.ReportAllocs()
 			for b.Loop() {
 				step()
+			}
+		})
+	}
+}
+
+// BenchmarkLoad times NewCluster on the benchmark graph — partition, replica
+// creation, mirrors, local topology, edge checkpoints: the core.load layer of
+// setup_s — in the load shapes of the benchmark's workloads, all on 8 nodes at
+// host parallelism 1: ec-steady's edge-cut and vc-steady's vertex-cut at
+// Replication K=1, and serve-failover's edge-cut at K=2 with no selfish
+// optimization and serving on. A shape profiles with one command:
+//
+//	go test -run '^$' -bench Load/vertex-cut -cpuprofile cpu.prof ./internal/core
+func BenchmarkLoad(b *testing.B) {
+	g := benchmarkGraph(b)
+	serve := DefaultConfig(EdgeCutMode, 8)
+	serve.FT, serve.Serve.Enabled = FTConfig{K: 2}, true
+	for _, sh := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"edge-cut", DefaultConfig(EdgeCutMode, 8)},
+		{"vertex-cut", DefaultConfig(VertexCutMode, 8)},
+		{"edge-cut-k2-serve", serve},
+	} {
+		sh.cfg.HostParallelism = 1
+		b.Run(sh.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, err := NewCluster[float64, float64](sh.cfg, g, &benchPR{}); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}

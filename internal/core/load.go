@@ -303,36 +303,32 @@ func (c *Cluster[V, A]) load() error {
 			mpos := mnd.index[vid]
 			mnd.hot[mpos].masterPos = mpos
 			pr := ps.of(v)
-			table := replicaTable{nodes: pr.nodes, pos: carve(&a32, len(pr.nodes)), ftOnly: pr.ftOnly, mirrorOf: pr.mirrors}
+			table := mnd.replicas(mpos)
+			table.nodes, table.pos, table.ftOnly, table.mirrorOf = pr.nodes, carve(&a32, len(pr.nodes)), pr.ftOnly, pr.mirrors
 			for i, rn := range pr.nodes {
 				rpos := c.nodes[rn].index[vid]
 				table.pos[i] = rpos
 				c.nodes[rn].hot[rpos].masterPos = mpos
 			}
-			*mnd.replicas(mpos) = table
 			for rank, idx := range pr.mirrors {
 				rm := c.nodes[pr.nodes[idx]].mirror(table.pos[idx])
 				rm.rank = int16(rank)
-				rm.mTable = replicaTable{
-					nodes:    carveCopy(&a16, table.nodes),
-					pos:      carveCopy(&a32, table.pos),
-					ftOnly:   carveCopy(&aBool, table.ftOnly),
-					mirrorOf: carveCopy(&a16, table.mirrorOf),
-				}
+				mt := &rm.mTable
+				mt.nodes, mt.pos = carveCopy(&a16, table.nodes), carveCopy(&a32, table.pos)
+				mt.ftOnly, mt.mirrorOf = carveCopy(&aBool, table.ftOnly), carveCopy(&a16, table.mirrorOf)
 				if c.ec != nil {
-					deg := c.g.InDegree(vid)
-					ed := rawEdges{src: carve(&aSrc, deg)[:0], srcMaster: carve(&a16, deg)[:0]}
+					ed, in := &rm.mEdges, c.g.InEdgeIndexes(vid)
+					ed.src, ed.srcMaster = carve(&aSrc, len(in)), carve(&a16, len(in))
 					if weighted {
-						ed.wt = carve(&aWt, deg)[:0]
+						ed.wt = carve(&aWt, len(in))
 					}
-					c.g.InEdges(vid, func(_ int, e graph.Edge) {
-						ed.src = append(ed.src, e.Src)
+					for k, ei := range in {
+						src := c.g.EdgeSrc(int(ei))
+						ed.src[k], ed.srcMaster[k] = src, c.masterLoc[src]
 						if weighted {
-							ed.wt = append(ed.wt, e.Weight)
+							ed.wt[k] = c.g.EdgeWeight(int(ei))
 						}
-						ed.srcMaster = append(ed.srcMaster, c.masterLoc[e.Src])
-					})
-					rm.mEdges = ed
+					}
 				}
 			}
 		}
@@ -349,27 +345,21 @@ func (c *Cluster[V, A]) load() error {
 	// passes. Writes stay inside the owning node's tables.
 	{
 		m := c.g.NumEdges()
-		ownerOf := func(i int, e graph.Edge) int32 {
-			if c.ec != nil {
-				return c.ec.Owner[e.Dst]
-			}
-			return c.vcut.EdgeOwner[i]
-		}
 		nodeOff := make([]int32, p+1)
-		c.g.EachEdge(func(i int, e graph.Edge) {
-			nodeOff[ownerOf(i, e)+1]++
-		})
+		for i := range m {
+			nodeOff[c.edgeOwner(i)+1]++
+		}
 		for n := 0; n < p; n++ {
 			nodeOff[n+1] += nodeOff[n]
 		}
 		byNode := make([]int32, m)
 		cursor := make([]int32, p)
 		copy(cursor, nodeOff[:p])
-		c.g.EachEdge(func(i int, e graph.Edge) {
-			o := ownerOf(i, e)
+		for i := range m {
+			o := c.edgeOwner(i)
 			byNode[cursor[o]] = int32(i)
 			cursor[o]++
-		})
+		}
 		hostpar.For(p, width, func(n int) {
 			nd := c.nodes[n]
 			group := byNode[nodeOff[n]:nodeOff[n+1]]
@@ -454,12 +444,23 @@ func (c *Cluster[V, A]) eachPresence(v int, seen []int32, fn func(n int16)) {
 			fn(n)
 		}
 	}
-	if c.ec != nil {
-		c.g.OutEdges(vid, func(_ int, e graph.Edge) { visit(int16(c.ec.Owner[e.Dst])) })
-		return
+	for _, ei := range c.g.OutEdgeIndexes(vid) {
+		visit(int16(c.edgeOwner(int(ei))))
 	}
-	c.g.OutEdges(vid, func(i int, _ graph.Edge) { visit(int16(c.vcut.EdgeOwner[i])) })
-	c.g.InEdges(vid, func(i int, _ graph.Edge) { visit(int16(c.vcut.EdgeOwner[i])) })
+	if c.vcut != nil {
+		for _, ei := range c.g.InEdgeIndexes(vid) {
+			visit(int16(c.vcut.EdgeOwner[ei]))
+		}
+	}
+}
+
+// edgeOwner returns the node that stores edge i: under edge-cut the owner of
+// its destination, under vertex-cut the partitioner's choice.
+func (c *Cluster[V, A]) edgeOwner(i int) int32 {
+	if c.ec != nil {
+		return c.ec.Owner[c.g.EdgeDst(i)]
+	}
+	return c.vcut.EdgeOwner[i]
 }
 
 func (pr *vertexPresence) has(n int16) bool {
@@ -500,27 +501,31 @@ func (pr *vertexPresence) sortByNode() {
 
 // writeEdgeCkpts stores each node's local edges into per-recovery-node DFS
 // files. A slot's in-edges all go to one file at 16 bytes an edge, so a count
-// pass sizes every file's buffer exactly before the fill.
+// pass sizes every file's buffer before the fill. The DFS copies what it
+// stores, so the buffers carry over from node to node, grown only when short.
 func (c *Cluster[V, A]) writeEdgeCkpts() {
+	size := make([]int, c.cfg.NumNodes)
+	bufs := make([][]byte, c.cfg.NumNodes)
 	for _, nd := range c.nodes {
-		target := make([]int, len(nd.topo))
-		size := make([]int, c.cfg.NumNodes)
+		clear(size)
 		for i := range nd.topo {
 			if n := len(nd.topo[i].inNbr); n > 0 {
-				target[i] = c.edgeCkptTarget(nd.hot[i].id, nd.id)
-				size[target[i]] += n * 16
+				size[c.edgeCkptTarget(nd.hot[i].id, nd.id)] += n * 16
 			}
 		}
-		bufs := make([][]byte, c.cfg.NumNodes)
 		for k, n := range size {
-			bufs[k] = make([]byte, 0, n)
+			if cap(bufs[k]) < n {
+				bufs[k] = make([]byte, 0, n)
+			}
+			bufs[k] = bufs[k][:0]
 		}
 		for i := range nd.topo {
-			t, id, buf := &nd.topo[i], nd.hot[i].id, bufs[target[i]]
-			for k, src := range t.inNbr {
-				buf = appendEdgeCkpt(buf, nd.hot[src].id, id, t.inWt.at(k))
+			if t, id := &nd.topo[i], nd.hot[i].id; len(t.inNbr) > 0 {
+				k := c.edgeCkptTarget(id, nd.id)
+				for j, src := range t.inNbr {
+					bufs[k] = appendEdgeCkpt(bufs[k], nd.hot[src].id, id, t.inWt.at(j))
+				}
 			}
-			bufs[target[i]] = buf
 		}
 		for k, buf := range bufs {
 			if len(buf) > 0 {
@@ -557,16 +562,21 @@ func (c *Cluster[V, A]) dfsWriteCost(nd *node[V, A], path string, data []byte) f
 	return cost
 }
 
-// encodeMetadataSnapshot serializes a node's immutable graph topology: the
-// entry table (ids, flags, degrees) and local in-edges. Checkpoint recovery
-// reloads this to rebuild a crashed node. A count pass sizes the buffer
-// exactly: 17 bytes a slot and 12 an in-edge after the 4-byte slot count.
-func (c *Cluster[V, A]) encodeMetadataSnapshot(nd *node[V, A]) []byte {
+// encodeMetadataSnapshot serializes a node's immutable graph topology into
+// dst, overwriting it: the entry table (ids, flags, degrees) and local
+// in-edges. Checkpoint recovery reloads this to rebuild a crashed node. A
+// count pass sizes the buffer: 17 bytes a slot and 12 an in-edge after the
+// 4-byte slot count. dst is reused when it has the capacity, else replaced
+// by an exactly-sized one.
+func (c *Cluster[V, A]) encodeMetadataSnapshot(dst []byte, nd *node[V, A]) []byte {
 	size := 4 + 17*len(nd.hot)
 	for i := range nd.topo {
 		size += 12 * len(nd.topo[i].inNbr)
 	}
-	buf := binary.LittleEndian.AppendUint32(make([]byte, 0, size), uint32(len(nd.hot)))
+	if cap(dst) < size {
+		dst = make([]byte, 0, size)
+	}
+	buf := binary.LittleEndian.AppendUint32(dst[:0], uint32(len(nd.hot)))
 	for i := range nd.hot {
 		e, t := &nd.hot[i], &nd.topo[i]
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(e.id))

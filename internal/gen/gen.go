@@ -46,10 +46,15 @@ func PowerLaw(cfg PowerLawConfig) (*graph.Graph, error) {
 	if cfg.NumVertices <= 1 {
 		return nil, fmt.Errorf("gen: power-law needs >= 2 vertices, got %d", cfg.NumVertices)
 	}
-	if cfg.Alpha <= 1 {
+	if cfg.NumEdges < 0 {
+		return nil, fmt.Errorf("gen: negative edge target %d", cfg.NumEdges)
+	}
+	// Negated so that NaN fails too: the sampler needs a finite, positive
+	// weight total.
+	if !(cfg.Alpha > 1) {
 		return nil, fmt.Errorf("gen: alpha must exceed 1, got %v", cfg.Alpha)
 	}
-	if cfg.SelfishFraction < 0 || cfg.SelfishFraction >= 1 {
+	if !(cfg.SelfishFraction >= 0 && cfg.SelfishFraction < 1) {
 		return nil, fmt.Errorf("gen: selfish fraction %v outside [0,1)", cfg.SelfishFraction)
 	}
 	if cfg.Workers != 0 {
@@ -57,71 +62,15 @@ func PowerLaw(cfg PowerLawConfig) (*graph.Graph, error) {
 	}
 	r := rng.New(cfg.Seed)
 	n := cfg.NumVertices
-
-	// Vertices in the top SelfishFraction of a random permutation become
-	// sinks: they receive edges but emit none.
-	sink := make([]bool, n)
-	numSinks := int(cfg.SelfishFraction * float64(n))
-	perm := r.Perm(n)
-	for _, v := range perm[:numSinks] {
-		sink[v] = true
-	}
-
-	// A degree distribution P(d) ~ d^-alpha corresponds, in rank space, to
-	// Zipf's law with exponent s = 1/(alpha-1): the vertex of rank i has
-	// weight ~ (i+1)^-s. A smaller alpha therefore yields a steeper rank
-	// curve — bigger hubs — exactly as in the paper's Table 4 sweep. Hub
-	// ranks are assigned via random permutations so hubs are spread across
-	// the id space (and across hash partitions), as in crawled datasets.
-	s := 1 / (cfg.Alpha - 1)
-	zipfWeight := func(rank int) float64 { return math.Pow(float64(rank+1), -s) }
-
-	// Out-degree sequence over non-sink vertices.
-	outRank := r.Perm(n)
-	outDeg := make([]float64, n)
-	sum := 0.0
-	for v := 0; v < n; v++ {
-		if sink[v] {
-			continue
-		}
-		outDeg[v] = zipfWeight(outRank[v])
-		sum += outDeg[v]
-	}
-	scale := float64(3*n) / sum // default |E| ~ 3|V| when no target given
-	if cfg.NumEdges > 0 {
-		scale = float64(cfg.NumEdges) / sum
-	}
-
-	// In-degree attractiveness: an independent rank assignment, sampled via
-	// binary search over the prefix-sum table.
-	inRank := r.Perm(n)
-	prefix := make([]float64, n+1)
-	for v := 0; v < n; v++ {
-		prefix[v+1] = prefix[v] + zipfWeight(inRank[v])
-	}
-	total := prefix[n]
-	sampleDst := func() graph.VertexID {
-		x := r.Float64() * total
-		lo, hi := 0, n
-		for lo < hi {
-			mid := (lo + hi) / 2
-			if prefix[mid+1] < x {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		return graph.VertexID(lo)
-	}
-
+	sink, deg, dsts := powerLawPlan(cfg, r)
 	capHint := cfg.NumEdges
 	if capHint == 0 {
-		capHint = int(sum * scale)
+		capHint = 3 * n
 	}
 	edges := make([]graph.Edge, 0, capHint)
 	emit := func(src graph.VertexID) bool {
 		for tries := 0; tries < 16; tries++ {
-			if dst := sampleDst(); dst != src {
+			if dst := dsts.sample(r); dst != src {
 				edges = append(edges, graph.Edge{Src: src, Dst: dst, Weight: 1})
 				return true
 			}
@@ -132,7 +81,7 @@ func PowerLaw(cfg PowerLawConfig) (*graph.Graph, error) {
 		if sink[v] {
 			continue
 		}
-		d := outDeg[v] * scale
+		d := deg[v]
 		di := int(d)
 		if r.Float64() < d-float64(di) {
 			di++
@@ -155,6 +104,118 @@ func PowerLaw(cfg PowerLawConfig) (*graph.Graph, error) {
 		}
 	}
 	return graph.New(n, edges)
+}
+
+// powerLawPlan makes the draws both power-law paths share, in this order
+// from r: the sinks, the out-degree ranks and the in-degree ranks. It returns
+// the sink flags, each vertex's expected out-degree (scaled to the edge
+// target, or to 3|V| without one; 0 for sinks) and the destination table.
+func powerLawPlan(cfg PowerLawConfig, r *rng.Source) (sink []bool, deg []float64, dsts *zipfTable) {
+	n := cfg.NumVertices
+	// Vertices in the top SelfishFraction of a random permutation become
+	// sinks: they receive edges but emit none.
+	sink = make([]bool, n)
+	for _, v := range r.Perm(n)[:int(cfg.SelfishFraction*float64(n))] {
+		sink[v] = true
+	}
+
+	// A degree distribution P(d) ~ d^-alpha corresponds, in rank space, to
+	// Zipf's law with exponent s = 1/(alpha-1): the vertex of rank i has
+	// weight ~ (i+1)^-s. A smaller alpha therefore yields a steeper rank
+	// curve — bigger hubs — exactly as in the paper's Table 4 sweep. Hub
+	// ranks are assigned via random permutations so hubs are spread across
+	// the id space (and across hash partitions), as in crawled datasets.
+	s := 1 / (cfg.Alpha - 1)
+	outRank := r.Perm(n)
+	deg = make([]float64, n)
+	sum := 0.0
+	for v := range n {
+		if !sink[v] {
+			deg[v] = math.Pow(float64(outRank[v]+1), -s)
+			sum += deg[v]
+		}
+	}
+	scale := float64(3*n) / sum
+	if cfg.NumEdges > 0 {
+		scale = float64(cfg.NumEdges) / sum
+	}
+	for v := range deg {
+		deg[v] *= scale
+	}
+	// In-degree attractiveness: an independent rank assignment.
+	prefix := make([]float64, n+1)
+	for v, rk := range r.Perm(n) {
+		prefix[v+1] = prefix[v] + math.Pow(float64(rk+1), -s)
+	}
+	return sink, deg, newZipfTable(prefix)
+}
+
+// zipfTable samples vertex v with probability proportional to its Zipf
+// weight, answering a uniform draw x in [0, total] exactly as a plain binary
+// search does: the smallest v with prefix[v+1] >= x. So the graphs are the
+// ones that search built, but a draw searches one guide bucket, not all n
+// vertices. guide[b] is the answer for threshold(b); the answer is monotone
+// in x, so a draw in bucket b has it in [guide[b], guide[b+1]].
+type zipfTable struct {
+	prefix []float64 // n+1 prefix sums, prefix[0] = 0
+	guide  []int32   // n+1 bucket starts
+	total  float64   // prefix[n]: finite, and >= 1 (rank 0 weighs 1)
+	step   float64   // total / n
+}
+
+// newZipfTable builds the guide over prefix, the n+1 ascending weight prefix
+// sums from prefix[0] = 0, and keeps prefix.
+func newZipfTable(prefix []float64) *zipfTable {
+	n := len(prefix) - 1
+	z := &zipfTable{prefix: prefix, guide: make([]int32, n+1), total: prefix[n]}
+	z.step = z.total / float64(n)
+	// One merge walk: thresholds and prefix sums both ascend.
+	j := 0
+	for b := range z.guide {
+		t := z.threshold(b)
+		for j < n && z.prefix[j+1] < t {
+			j++
+		}
+		z.guide[b] = int32(j)
+	}
+	return z
+}
+
+// threshold is bucket b's lower edge; the last edge is total itself, so
+// every draw x <= total has a bucket.
+func (z *zipfTable) threshold(b int) float64 {
+	if b == len(z.guide)-1 {
+		return z.total
+	}
+	return float64(b) * z.step
+}
+
+// lowerBound returns the smallest v with prefix[v+1] >= x, for x in
+// [0, total]. The bucket estimate x/step is never too low: threshold(b+1) is
+// the float nearest (b+1)·step, so a float above it is at least (b+1)·step
+// and its quotient rounds to b+1 or more. Rounding can make the estimate one
+// too high; the comparison against threshold(b) corrects that.
+func (z *zipfTable) lowerBound(x float64) int {
+	n := len(z.guide) - 1
+	b := min(int(x/z.step), n-1)
+	for b > 0 && x < z.threshold(b) {
+		b--
+	}
+	lo, hi := int(z.guide[b]), int(z.guide[b+1])
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if z.prefix[mid+1] < x {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// sample draws one vertex, consuming one Float64 of r.
+func (z *zipfTable) sample(r *rng.Source) graph.VertexID {
+	return graph.VertexID(z.lowerBound(r.Float64() * z.total))
 }
 
 // RoadConfig parameterizes a road-like network: a 2D lattice with a few

@@ -3,6 +3,8 @@ package gen
 import (
 	"math"
 	"testing"
+
+	"imitator/internal/rng"
 )
 
 func TestPowerLawBasics(t *testing.T) {
@@ -93,6 +95,88 @@ func TestPowerLawValidation(t *testing.T) {
 	}
 	if _, err := PowerLaw(PowerLawConfig{NumVertices: 10, NumEdges: 5, Alpha: 2, SelfishFraction: 1.0}); err == nil {
 		t.Error("expected error for selfish=1.0")
+	}
+	for _, workers := range []int{0, 1} {
+		for _, tc := range []struct {
+			name string
+			cfg  PowerLawConfig
+		}{
+			{"selfish=NaN", PowerLawConfig{NumVertices: 100, NumEdges: 300, Alpha: 2, SelfishFraction: math.NaN()}},
+			{"alpha=NaN", PowerLawConfig{NumVertices: 100, NumEdges: 300, Alpha: math.NaN()}},
+			{"edges=-1", PowerLawConfig{NumVertices: 100, NumEdges: -1, Alpha: 2}},
+		} {
+			tc.cfg.Workers = workers
+			if _, err := PowerLaw(tc.cfg); err == nil {
+				t.Errorf("workers=%d: expected error for %s", workers, tc.name)
+			}
+		}
+	}
+}
+
+// lowerBound is the plain binary search the guide table stands in for: the
+// smallest v with prefix[v+1] >= x.
+func lowerBound(prefix []float64, x float64) int {
+	lo, hi := 0, len(prefix)-1
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if prefix[mid+1] < x {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// TestZipfTableMatchesBinarySearch: the guide table answers every draw with
+// the plain lower bound. Tables come from Zipf weights at exponents from flat
+// to so steep that most weights underflow to zero (runs of equal prefix
+// sums), and from prefix sums placed on, or one ulp below, bucket thresholds,
+// where a bucket estimate one off would miss the answer. Draws are random,
+// 0, total, and every threshold and prefix sum and their neighbouring floats.
+func TestZipfTableMatchesBinarySearch(t *testing.T) {
+	r := rng.New(5)
+	for trial := 0; trial < 400; trial++ {
+		n := 2 + r.Intn(300)
+		prefix := make([]float64, n+1)
+		if trial%2 == 0 {
+			s := []float64{0, 0.5, 1, 1.25, 3, 50, 400}[trial/2%7]
+			for v, rk := range r.Perm(n) {
+				prefix[v+1] = prefix[v] + math.Pow(float64(rk+1), -s)
+			}
+		} else {
+			// Snap each sum to a threshold of the final total, or one ulp
+			// below it: step is fixed by the total, set up front.
+			total := 1 + r.Float64()*float64(n)
+			step := total / float64(n)
+			for v := 1; v < n; v++ {
+				x := float64(r.Intn(n)) * step
+				if r.Intn(2) == 0 {
+					x = math.Nextafter(x, 0)
+				}
+				prefix[v] = max(prefix[v-1], min(x, total))
+			}
+			prefix[n] = total
+		}
+		z := newZipfTable(prefix)
+		xs := []float64{0, z.total}
+		for b := 0; b <= n; b++ {
+			xs = append(xs, z.threshold(b))
+		}
+		xs = append(xs, z.prefix...)
+		for k := 0; k < 200; k++ {
+			xs = append(xs, r.Float64()*z.total)
+		}
+		for _, x0 := range xs {
+			for _, x := range []float64{x0, math.Nextafter(x0, 0), math.Nextafter(x0, math.Inf(1))} {
+				if x < 0 || x > z.total {
+					continue
+				}
+				if got, want := z.lowerBound(x), lowerBound(z.prefix, x); got != want {
+					t.Fatalf("trial %d n=%d x=%v: guide table gives %d, binary search %d", trial, n, x, got, want)
+				}
+			}
+		}
 	}
 }
 

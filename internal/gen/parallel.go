@@ -25,8 +25,6 @@ package gen
 // paths coexist behind the config switch.
 
 import (
-	"math"
-
 	"imitator/internal/graph"
 	"imitator/internal/hostpar"
 	"imitator/internal/rng"
@@ -69,38 +67,7 @@ func numShards(n, width int) int { return (n + width - 1) / width }
 func powerLawParallel(cfg PowerLawConfig) (*graph.Graph, error) {
 	n := cfg.NumVertices
 	planR := rng.New(rng.Hash2(cfg.Seed, tagPlan))
-
-	sink := make([]bool, n)
-	numSinks := int(cfg.SelfishFraction * float64(n))
-	perm := planR.Perm(n)
-	for _, v := range perm[:numSinks] {
-		sink[v] = true
-	}
-
-	s := 1 / (cfg.Alpha - 1)
-	zipfWeight := func(rank int) float64 { return math.Pow(float64(rank+1), -s) }
-
-	outRank := planR.Perm(n)
-	outDeg := make([]float64, n)
-	sum := 0.0
-	for v := 0; v < n; v++ {
-		if sink[v] {
-			continue
-		}
-		outDeg[v] = zipfWeight(outRank[v])
-		sum += outDeg[v]
-	}
-	scale := float64(3*n) / sum
-	if cfg.NumEdges > 0 {
-		scale = float64(cfg.NumEdges) / sum
-	}
-
-	inRank := planR.Perm(n)
-	prefix := make([]float64, n+1)
-	for v := 0; v < n; v++ {
-		prefix[v+1] = prefix[v] + zipfWeight(inRank[v])
-	}
-	total := prefix[n]
+	sink, deg, dsts := powerLawPlan(cfg, planR)
 
 	// Per-vertex quotas: floor plus an independent hashed coin for the
 	// fraction (so rounding needs no shared stream), with the legacy
@@ -111,7 +78,7 @@ func powerLawParallel(cfg PowerLawConfig) (*graph.Graph, error) {
 		if sink[v] {
 			continue
 		}
-		d := outDeg[v] * scale
+		d := deg[v]
 		di := int(d)
 		if hashUnit(cfg.Seed, tagQuota, uint64(v)) < d-float64(di) {
 			di++
@@ -179,7 +146,7 @@ func powerLawParallel(cfg PowerLawConfig) (*graph.Graph, error) {
 			}
 			base := off[v]
 			for k := 0; k < q; k++ {
-				d := sampleZipfDst(r, prefix, total, n, graph.VertexID(v))
+				d := sampleZipfDst(r, dsts, n, graph.VertexID(v))
 				src[base+k] = graph.VertexID(v)
 				dst[base+k] = d
 			}
@@ -188,22 +155,12 @@ func powerLawParallel(cfg PowerLawConfig) (*graph.Graph, error) {
 	return graph.NewFromSOA(n, src, dst, nil)
 }
 
-// sampleZipfDst draws a destination from the rank-weighted prefix table,
-// rejecting self-loops for up to 16 tries like the sequential path; the
-// deterministic fallback (the next vertex) keeps quotas exact.
-func sampleZipfDst(r *rng.Source, prefix []float64, total float64, n int, src graph.VertexID) graph.VertexID {
+// sampleZipfDst draws a destination from the rank-weighted table, rejecting
+// self-loops for up to 16 tries like the sequential path; the deterministic
+// fallback (the next vertex) keeps quotas exact.
+func sampleZipfDst(r *rng.Source, dsts *zipfTable, n int, src graph.VertexID) graph.VertexID {
 	for tries := 0; tries < 16; tries++ {
-		x := r.Float64() * total
-		lo, hi := 0, n
-		for lo < hi {
-			mid := (lo + hi) / 2
-			if prefix[mid+1] < x {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		if d := graph.VertexID(lo); d != src {
+		if d := dsts.sample(r); d != src {
 			return d
 		}
 	}

@@ -184,3 +184,54 @@ func TestParallelPowerLawQuotaSqueeze(t *testing.T) {
 		t.Fatalf("got %d edges, want exactly %d", g.NumEdges(), cfg.NumEdges)
 	}
 }
+
+// TestPowerLawPinned pins the exact edges PowerLaw emits, on both paths: the
+// repository benchmark's graph and one emergent-edge config, at Workers 0
+// (sequential) and 1 and 3 (sharded). A sampler change that moves a single
+// draw changes a fingerprint. The literals were recorded with the plain
+// binary search over the prefix table.
+func TestPowerLawPinned(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds the 923 k-edge benchmark graph")
+	}
+	bench := PowerLawConfig{NumVertices: 64000, NumEdges: 923000, Alpha: 2.0, SelfishFraction: 0.1, Seed: 1}
+	emergent := PowerLawConfig{NumVertices: 5000, Alpha: 1.8, SelfishFraction: 0.2, Seed: 11}
+	for _, tc := range []struct {
+		name    string
+		cfg     PowerLawConfig
+		workers int
+		edges   int
+		fp      uint64
+	}{
+		{"bench/w0", bench, 0, 923000, 0x674656f7cd69282c},
+		{"bench/w1", bench, 1, 923000, 0xbadf83eb7928c651},
+		{"bench/w3", bench, 3, 923000, 0xbadf83eb7928c651},
+		{"emergent/w0", emergent, 0, 17386, 0xe36b99e3220f1a56},
+		{"emergent/w1", emergent, 1, 17087, 0x1db8532f56931933},
+		{"emergent/w3", emergent, 3, 17087, 0x1db8532f56931933},
+	} {
+		tc.cfg.Workers = tc.workers
+		g, err := PowerLaw(tc.cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if g.NumEdges() != tc.edges || fingerprint(g) != tc.fp {
+			t.Errorf("%s: %d edges, fingerprint %#x; want %d, %#x", tc.name, g.NumEdges(), fingerprint(g), tc.edges, tc.fp)
+		}
+	}
+}
+
+// BenchmarkPowerLaw times PowerLaw on the repository benchmark's graph
+// (64 k vertices, 923 k edges, sharded path at one worker), the gen.powerlaw
+// layer of setup_s. It profiles with one command:
+//
+//	go test -run '^$' -bench PowerLaw -cpuprofile cpu.prof ./internal/gen
+func BenchmarkPowerLaw(b *testing.B) {
+	cfg := PowerLawConfig{NumVertices: 64000, NumEdges: 923000, Alpha: 2.0, SelfishFraction: 0.1, Seed: 1, Workers: 1}
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := PowerLaw(cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

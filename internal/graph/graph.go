@@ -398,6 +398,18 @@ func (g *Graph) OutEdges(v VertexID, fn func(edgeIndex int, e Edge)) {
 	}
 }
 
+// InEdgeIndexes returns the canonical indexes of v's in-edges, ascending:
+// the order InEdges visits. The slice aliases the graph; do not modify it.
+func (g *Graph) InEdgeIndexes(v VertexID) []int32 {
+	return g.inCSR.edgeIdx[g.inCSR.offsets[v]:g.inCSR.offsets[v+1]]
+}
+
+// OutEdgeIndexes returns the canonical indexes of v's out-edges, ascending:
+// the order OutEdges visits. The slice aliases the graph; do not modify it.
+func (g *Graph) OutEdgeIndexes(v VertexID) []int32 {
+	return g.outCSR.edgeIdx[g.outCSR.offsets[v]:g.outCSR.offsets[v+1]]
+}
+
 // IsSelfish reports whether v has no out-edges. The paper calls such
 // vertices "selfish": their value has no consumer, so Imitator never
 // synchronizes their FT replicas during normal execution (§4.4).

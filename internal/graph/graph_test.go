@@ -2,6 +2,7 @@ package graph
 
 import (
 	"errors"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -59,6 +60,13 @@ func TestInEdges(t *testing.T) {
 	if sum != 2+3+5 {
 		t.Errorf("in-edge weight sum = %v, want 10", sum)
 	}
+	for v := range VertexID(g.NumVertices()) {
+		var visited []int32
+		g.InEdges(v, func(i int, _ Edge) { visited = append(visited, int32(i)) })
+		if got := g.InEdgeIndexes(v); !slices.Equal(got, visited) {
+			t.Errorf("InEdgeIndexes(%d) = %v, InEdges visits %v", v, got, visited)
+		}
+	}
 }
 
 func TestOutEdges(t *testing.T) {
@@ -72,6 +80,13 @@ func TestOutEdges(t *testing.T) {
 	})
 	if count != 2 {
 		t.Errorf("OutEdges(1) yielded %d edges, want 2", count)
+	}
+	for v := range VertexID(g.NumVertices()) {
+		var visited []int32
+		g.OutEdges(v, func(i int, _ Edge) { visited = append(visited, int32(i)) })
+		if got := g.OutEdgeIndexes(v); !slices.Equal(got, visited) {
+			t.Errorf("OutEdgeIndexes(%d) = %v, OutEdges visits %v", v, got, visited)
+		}
 	}
 }
 
