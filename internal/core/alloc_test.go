@@ -38,14 +38,16 @@ func manualStep[V, A any](tb testing.TB, cl *Cluster[V, A]) func() {
 // in count and in bytes. Load sizes every per-vertex list (presence lists,
 // local topology, replica positions, mirror full state) by a count pass and
 // carves it out of a few exactly-sized arenas, and every per-slot table
-// (hot, topo, slab handles, role slabs, id index) is made once at its final
-// size, so a load makes a few hundred allocations: 297 edge-cut, 508
-// vertex-cut and 439 checkpoint when the budgets were set, each budget about
-// 10 % above. One per-vertex make or append-grown list anywhere in load costs
-// 64 k allocations and breaks the count; a per-slot table that regrows by
-// append, a stored list of the unweighted graph's unit weights, or a fresh
-// metadata-snapshot buffer per node (the DFS copies what it stores; 10.7 MB
-// at checkpoint) costs more than 10 % in bytes and breaks the byte budget.
+// (hot, topology offsets, slab handles, role slabs, id index) is made once at
+// its final size, so a load makes a few hundred allocations: 288 edge-cut,
+// 446 vertex-cut, 429 checkpoint and 300 edge-cut-k2-serve when the budgets
+// were set, each budget about 10 % above. One per-vertex make or
+// append-grown list anywhere in load costs 64 k allocations and breaks the
+// count; a per-slot table that regrows by append, a per-slot slice header (a
+// topology of three per slot was 17 MB on edge-cut), a stored list of the
+// unweighted graph's unit weights, or a fresh metadata-snapshot buffer per
+// node (the DFS copies what it stores; 10.7 MB at checkpoint) costs more than
+// 10 % in bytes and breaks the byte budget.
 func TestLoadAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; counts are meaningless")
@@ -60,12 +62,13 @@ func TestLoadAllocBudget(t *testing.T) {
 		name    string
 		cfg     Config
 		mallocs uint64
-		mb      uint64 // measured 74.5 / 88.7 / 89.3 MB
+		mb      uint64 // measured 57.2 / 73.9 / 72.6 / 79.0 MB
 	}{
 		// Replication K=1, as ec-steady / vc-steady.
-		{"edge-cut", DefaultConfig(EdgeCutMode, 8), 330, 82},
-		{"vertex-cut", DefaultConfig(VertexCutMode, 8), 560, 98},
-		{"checkpoint", checkpoint, 490, 98},
+		{"edge-cut", DefaultConfig(EdgeCutMode, 8), 320, 63},
+		{"vertex-cut", DefaultConfig(VertexCutMode, 8), 490, 81},
+		{"checkpoint", checkpoint, 470, 80},
+		{"edge-cut-k2-serve", serveLoadConfig(), 330, 87},
 	} {
 		tc.cfg.HostParallelism = 1
 		var before, after runtime.MemStats
@@ -244,15 +247,13 @@ func BenchmarkSuperstep(b *testing.B) {
 //	go test -run '^$' -bench Load/vertex-cut -cpuprofile cpu.prof ./internal/core
 func BenchmarkLoad(b *testing.B) {
 	g := benchmarkGraph(b)
-	serve := DefaultConfig(EdgeCutMode, 8)
-	serve.FT, serve.Serve.Enabled = FTConfig{K: 2}, true
 	for _, sh := range []struct {
 		name string
 		cfg  Config
 	}{
 		{"edge-cut", DefaultConfig(EdgeCutMode, 8)},
 		{"vertex-cut", DefaultConfig(VertexCutMode, 8)},
-		{"edge-cut-k2-serve", serve},
+		{"edge-cut-k2-serve", serveLoadConfig()},
 	} {
 		sh.cfg.HostParallelism = 1
 		b.Run(sh.name, func(b *testing.B) {
@@ -264,6 +265,14 @@ func BenchmarkLoad(b *testing.B) {
 			}
 		})
 	}
+}
+
+// serveLoadConfig is serve-failover's load shape: edge-cut on 8 nodes at
+// Replication K=2, no selfish optimization, serving on.
+func serveLoadConfig() Config {
+	cfg := DefaultConfig(EdgeCutMode, 8)
+	cfg.FT, cfg.Serve.Enabled = FTConfig{K: 2}, true
+	return cfg
 }
 
 // recoveryConfig configures one recovery of the given kind on the benchmark
@@ -331,9 +340,10 @@ func BenchmarkRecovery(b *testing.B) {
 // graph, in count and in bytes, over BenchmarkRecovery's timed span (the pass
 // and the re-executed supersteps). Every recovery staging loop sizes each
 // destination buffer by a count pass, a round's records decode into one
-// exactly-sized arena, and linking, adoption and pruning grow each table at
-// most once, so Rebirth makes tens of allocations and Migration about 14 k
-// (71 and 13.9 k when the budgets were set, at 16.9 and 85.5 MB). A staging
+// exactly-sized arena, edges attach in one batched topology rebuild, and
+// adoption and pruning grow each table at most once, so Rebirth makes tens
+// of allocations and Migration about 14 k (71 and 13.9 k when the budgets
+// were set, at 16.9 and 85.5 MB; now 18.2 and 75.1 MB). A staging
 // buffer that regrows by append costs about 1.25 times its size again and
 // breaks the byte budget; a per-record decode or per-master map costs tens
 // of thousands of allocations and breaks the count.
@@ -348,10 +358,10 @@ func TestRecoveryAllocBudget(t *testing.T) {
 	for _, tc := range []struct {
 		kind    RecoveryKind
 		mallocs uint64
-		mb      float64 // measured 16.9 / 85.5 / 4.9 / 5.1 MB
+		mb      float64 // measured 18.2 / 75.1 / 4.9 / 5.1 MB
 	}{
 		{RecoverRebirth, 100, 19},
-		{RecoverMigration, 16000, 90},
+		{RecoverMigration, 16000, 83},
 		{RecoverCheckpoint, 250, 5.5},
 		{RecoverLogged, 100, 5.6},
 	} {

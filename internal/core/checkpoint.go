@@ -245,7 +245,7 @@ func (c *Cluster[V, A]) rebuildPristineNode(id int) *node[V, A] {
 		met:        &c.met.Nodes[id],
 		localEdges: src.localEdges,
 		hot:        slices.Clone(src.hot),
-		topo:       src.topo,
+		csr:        src.csr,
 		ref:        src.ref,
 		masters:    src.masters,
 		mirrors:    src.mirrors,
@@ -301,13 +301,13 @@ type replayWatch struct {
 }
 
 // pristineNode is a node's post-load state. Under checkpoint and logged
-// recovery nothing changes topo, ref or the role slabs after load (only the
-// replication recoveries reshape them), so these are the live node's own
-// tables, shared by every node rebuilt from them; hot is a copy, since
-// supersteps write it.
+// recovery nothing changes the topology, ref or the role slabs after load
+// (only the replication recoveries reshape them), so these are the live
+// node's own tables, shared by every node rebuilt from them; hot is a copy,
+// since supersteps write it.
 type pristineNode[V any] struct {
 	hot        []hot[V]
-	topo       []topo
+	csr        csr
 	ref        []slabRef
 	masters    []replicaTable
 	mirrors    []mirrorState

@@ -38,12 +38,13 @@ type nodeBodies struct {
 type node[V, A any] struct {
 	id    int
 	alive bool
-	// hot, topo and ref are the position-parallel vertex tables (entry.go);
-	// ref's handles index the role slabs masters (one replica table per
-	// master slot) and mirrors (one full state per mirror slot). index maps
-	// every vertex id of the graph to its position here, noPos if absent.
-	hot     []hot[V]
-	topo    []topo
+	// hot and ref are the position-parallel vertex tables (entry.go), csr
+	// the local topology by the same positions; ref's handles index the role
+	// slabs masters (one replica table per master slot) and mirrors (one full
+	// state per mirror slot). index maps every vertex id of the graph to its
+	// position here, noPos if absent.
+	hot []hot[V]
+	csr
 	ref     []slabRef
 	masters []replicaTable
 	mirrors []mirrorState
@@ -96,84 +97,42 @@ func (n *node[V, A]) pos(id graph.VertexID) (int32, bool) {
 	return p, p != noPos
 }
 
-// add appends one role-less slot to the three tables and indexes it.
+// add appends one role-less slot, with no edges, to the tables and indexes
+// it.
 func (n *node[V, A]) add(h hot[V]) int32 {
 	pos := int32(len(n.hot))
 	n.hot = append(n.hot, h)
-	n.topo = append(n.topo, topo{})
 	n.ref = append(n.ref, slabRef{master: noSlab, mirror: noSlab})
+	n.inStart = append(n.inStart, n.inStart[pos])
+	n.outStart = append(n.outStart, n.outStart[pos])
 	n.index[h.id] = pos
 	return pos
 }
 
-// reserve grows the three tables once so that the next k adds fit.
+// reserve grows the tables once so that the next k adds fit.
 func (n *node[V, A]) reserve(k int) {
 	n.hot = slices.Grow(n.hot, k)
-	n.topo = slices.Grow(n.topo, k)
 	n.ref = slices.Grow(n.ref, k)
+	n.inStart = slices.Grow(n.inStart, k)
+	n.outStart = slices.Grow(n.outStart, k)
 }
 
-// attachEdge links the local edge sp -> dp into both endpoints' lists.
-func (n *node[V, A]) attachEdge(sp, dp int32, wt float64) {
-	n.routeDirty = true // the scatter route flattens outNbr
-	t := &n.topo[dp]
-	t.inWt = t.inWt.add(len(t.inNbr), wt)
-	t.inNbr = append(t.inNbr, sp)
-	n.topo[sp].outNbr = append(n.topo[sp].outNbr, dp)
+// batchEdge adds the edge src -> dst to b by its endpoints' local positions.
+func (n *node[V, A]) batchEdge(b *edgeBatch, src, dst graph.VertexID, wt float64) error {
+	sp, ok1 := n.pos(src)
+	dp, ok2 := n.pos(dst)
+	if !ok1 || !ok2 {
+		return fmt.Errorf("%w: node %d edge endpoint missing (%d->%d)", ErrUnrecoverable, n.id, src, dst)
+	}
+	b.add(sp, dp, wt)
+	return nil
 }
 
-// posEdges is a recovered slot's raw in-edge list.
-type posEdges struct {
-	pos   int32
-	edges rawEdges
-}
-
-// linkInEdges resolves recovered slots' raw in-edge lists into local
-// positions and appends the reverse outNbr entries. Recovery passes the
-// lists in ascending position order: a source shared by several slots
-// collects outNbr entries in list order, and scatter replays outNbr order
-// onto the wire. A count pass sizes one inNbr arena and grows each source's
-// outNbr once, into a second arena.
-func (n *node[V, A]) linkInEdges(lists []posEdges) error {
-	if len(lists) == 0 {
-		return nil
-	}
-	n.routeDirty = true // the scatter route flattens outNbr
-	total := 0
-	for _, l := range lists {
-		total += len(l.edges.src)
-	}
-	in, added := make([]int32, total), make([]int32, len(n.topo))
-	for _, l := range lists {
-		nbr := carve(&in, len(l.edges.src))
-		for k, srcID := range l.edges.src {
-			sp, ok := n.pos(srcID)
-			if !ok {
-				return fmt.Errorf("%w: node %d missing in-neighbor %d", ErrUnrecoverable, n.id, srcID)
-			}
-			nbr[k] = sp
-			added[sp]++
-		}
-		n.topo[l.pos].inNbr, n.topo[l.pos].inWt = nbr, l.edges.wt
-	}
-	total = 0
-	for sp, k := range added {
-		if k > 0 {
-			total += len(n.topo[sp].outNbr) + int(k)
-		}
-	}
-	out := make([]int32, total)
-	for sp, k := range added {
-		if k > 0 {
-			old := n.topo[sp].outNbr
-			grown := carve(&out, len(old)+int(k))
-			copy(grown, old)
-			n.topo[sp].outNbr = grown[:len(old)] // the appends below fill it
-		}
-	}
-	for _, l := range lists {
-		for _, sp := range n.topo[l.pos].inNbr {
-			n.topo[sp].outNbr = append(n.topo[sp].outNbr, l.pos)
+// batchInEdges adds slot dp's raw in-edge list to b.
+func (n *node[V, A]) batchInEdges(b *edgeBatch, dp int32, re *rawEdges) error {
+	for k, src := range re.src {
+		if err := n.batchEdge(b, src, n.hot[dp].id, re.wt.at(k)); err != nil {
+			return err
 		}
 	}
 	return nil

@@ -152,11 +152,11 @@ func (c *Cluster[V, A]) stageSyncRecords(st *stager, nd *node[V, A], i int) {
 // gather folds slot i's local in-edges with one Program.Gather call and
 // returns the edge count with the fold; a slot without any has no fold.
 func (c *Cluster[V, A]) gather(nd *node[V, A], i int) (acc A, has bool, edges int) {
-	t := &nd.topo[i]
-	if len(t.inNbr) == 0 {
+	nbr, wt := nd.in(i)
+	if len(nbr) == 0 {
 		return acc, false, 0
 	}
-	return c.prog.Gather(nd.hot[i].id, InEdges[V]{hot: nd.hot, nbr: t.inNbr, wt: t.inWt}), true, len(t.inNbr)
+	return c.prog.Gather(nd.hot[i].id, InEdges[V]{hot: nd.hot, nbr: nbr, wt: wt}), true, len(nbr)
 }
 
 // applySync decodes a batch of sync records into local slots, staging each
@@ -186,7 +186,7 @@ func (c *Cluster[V, A]) applySync(nd *node[V, A], st *stager, buf []byte) {
 // scatterMark activates slot i's local out-targets for the next superstep:
 // masters through the worker's activation list, vertex-cut replicas via an
 // activation notice to their master's node, both streamed from the node's
-// precomputed scatter route in outNbr order. Commit ORs a master's
+// precomputed scatter route in out-list order. Commit ORs a master's
 // pendingActive with Program.AlwaysActive, so for an always-active program
 // the host-side list has no reader and is not built; the notices are wire
 // traffic and go out either way.
@@ -194,7 +194,7 @@ func (c *Cluster[V, A]) scatterMark(nd *node[V, A], st *stager, i int32) {
 	if c.ec != nil {
 		// An edge lives on its target's master node: all masters, no notices.
 		if !c.always {
-			st.pendingActive = append(st.pendingActive, nd.topo[i].outNbr...)
+			st.pendingActive = append(st.pendingActive, nd.out(int(i))...)
 		}
 		return
 	}

@@ -231,6 +231,64 @@ func FuzzReplicaTableRoundTrip(f *testing.F) {
 	})
 }
 
+// FuzzEdgeCkptDecode hardens the edge-ckpt codec Rebirth and Migration read
+// DFS files through: fuzzer-chosen (src, dst, weight) triples survive
+// appendEdgeCkpt then eachEdgeCkpt bit for bit, and arbitrary bytes never
+// panic the decoder: a payload of whole 16-byte records decodes and
+// re-encodes to itself, any other length is errTruncated, and fn's first
+// error stops the walk.
+func FuzzEdgeCkptDecode(f *testing.F) {
+	f.Add(uint32(7), uint32(9), 0.5, []byte{})
+	f.Add(uint32(0), uint32(math.MaxUint32), math.Inf(-1), make([]byte, 16))
+	f.Add(uint32(3), uint32(3), 1.0, make([]byte, 33))
+	f.Add(uint32(1), uint32(2), math.NaN(), appendEdgeCkpt(appendEdgeCkpt(nil, 4, 5, 1), 6, 7, -2))
+	f.Fuzz(func(t *testing.T, src, dst uint32, wt float64, data []byte) {
+		enc := appendEdgeCkpt(appendEdgeCkpt(nil, graph.VertexID(src), graph.VertexID(dst), wt), graph.VertexID(dst), graph.VertexID(src), -wt)
+		var got [][3]uint64
+		if err := eachEdgeCkpt(enc, func(s, d graph.VertexID, w float64) error {
+			got = append(got, [3]uint64{uint64(s), uint64(d), math.Float64bits(w)})
+			return nil
+		}); err != nil {
+			t.Fatalf("decoding two encoded triples: %v", err)
+		}
+		want := [][3]uint64{
+			{uint64(src), uint64(dst), math.Float64bits(wt)},
+			{uint64(dst), uint64(src), math.Float64bits(-wt)},
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("round trip gave %v, want %v", got, want)
+		}
+
+		var re []byte
+		err := eachEdgeCkpt(data, func(s, d graph.VertexID, w float64) error {
+			re = appendEdgeCkpt(re, s, d, w)
+			return nil
+		})
+		if len(data)%16 != 0 {
+			if !errors.Is(err, errTruncated) {
+				t.Fatalf("%d-byte payload: error %v, want errTruncated", len(data), err)
+			}
+			return
+		}
+		if err != nil {
+			t.Fatalf("%d-byte payload: %v", len(data), err)
+		}
+		if !bytes.Equal(re, data) {
+			t.Fatalf("re-encoding gave %x, want the input %x", re, data)
+		}
+		if len(data) == 0 {
+			return
+		}
+		stop, calls := errors.New("stop"), 0
+		if err := eachEdgeCkpt(data, func(graph.VertexID, graph.VertexID, float64) error {
+			calls++
+			return stop
+		}); err != stop || calls != 1 {
+			t.Fatalf("fn's error: walk returned %v after %d calls, want it after 1", err, calls)
+		}
+	})
+}
+
 // TestSuperstepDecodersStopAtTruncatedRecord feeds the three superstep
 // receive decoders — the sync-record loop under both engines and the
 // vertex-cut partial-accumulator merge — every truncation of a valid

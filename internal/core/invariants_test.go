@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"imitator/internal/datasets"
@@ -60,8 +61,8 @@ func TestRebirthPreservesLayout(t *testing.T) {
 			t.Fatalf("%v: %v", mode, err)
 		}
 		after := cl.nodes[1]
-		if len(after.hot) != len(before) || len(after.topo) != len(before) || len(after.ref) != len(before) {
-			t.Fatalf("%v: table lengths changed: %d -> %d/%d/%d", mode, len(before), len(after.hot), len(after.topo), len(after.ref))
+		if len(after.hot) != len(before) || len(after.inStart) != len(before)+1 || len(after.ref) != len(before) {
+			t.Fatalf("%v: table lengths changed: %d -> %d/%d/%d", mode, len(before), len(after.hot), len(after.inStart)-1, len(after.ref))
 		}
 		var mastersAfter, mirrorsAfter int
 		for i := range after.hot {
@@ -192,7 +193,8 @@ func TestMirrorBalance(t *testing.T) {
 }
 
 // checkVertexTables asserts the vertex-table invariants on every alive node:
-// hot, topo and ref are position-parallel; a slot has a master-slab handle
+// hot and ref are position-parallel and the topology is a CSR over the same
+// slots (checkCSR); a slot has a master-slab handle
 // iff it is a master and a mirror-slab handle iff it is a mirror; every slab
 // entry is named by exactly one slot (a mirror entry by the slot it points
 // back at), so none is orphaned; and the dense id index is the exact inverse
@@ -207,9 +209,10 @@ func checkVertexTables[V, A any](t *testing.T, cl *Cluster[V, A], when string) {
 		return true
 	}
 	for _, nd := range cl.aliveNodes() {
-		if len(nd.topo) != len(nd.hot) || len(nd.ref) != len(nd.hot) {
-			t.Fatalf("%s: node %d: hot/topo/ref lengths %d/%d/%d", when, nd.id, len(nd.hot), len(nd.topo), len(nd.ref))
+		if len(nd.ref) != len(nd.hot) {
+			t.Fatalf("%s: node %d: hot/ref lengths %d/%d", when, nd.id, len(nd.hot), len(nd.ref))
 		}
+		checkCSR(t, nd, when)
 		if len(nd.index) != cl.g.NumVertices() {
 			t.Fatalf("%s: node %d: index covers %d vertices, graph has %d", when, nd.id, len(nd.index), cl.g.NumVertices())
 		}
@@ -258,6 +261,53 @@ func checkVertexTables[V, A any](t *testing.T, cl *Cluster[V, A], when string) {
 		if present != len(nd.hot) {
 			t.Fatalf("%s: node %d: index names %d vertices, the node holds %d", when, nd.id, present, len(nd.hot))
 		}
+	}
+}
+
+// checkCSR asserts a node's topology is well-formed: both offset arrays have
+// one entry per slot plus one, start at 0 and never decrease, and end at
+// their arena's length; inWt is nil or parallel to inNbr; the out-lists hold
+// exactly the reversed in-edges, with multiplicity; and localEdges counts
+// the in-edges.
+func checkCSR[V, A any](t *testing.T, nd *node[V, A], when string) {
+	t.Helper()
+	for _, l := range []struct {
+		name         string
+		start, arena []int32
+	}{{"in", nd.inStart, nd.inNbr}, {"out", nd.outStart, nd.outNbr}} {
+		if len(l.start) != len(nd.hot)+1 || l.start[0] != 0 {
+			t.Fatalf("%s: node %d: %s offsets have %d entries starting at %v, want %d starting at 0", when, nd.id, l.name, len(l.start), l.start[:min(1, len(l.start))], len(nd.hot)+1)
+		}
+		for i := 1; i < len(l.start); i++ {
+			if l.start[i] < l.start[i-1] {
+				t.Fatalf("%s: node %d: %s offset %d decreases %d -> %d", when, nd.id, l.name, i, l.start[i-1], l.start[i])
+			}
+		}
+		if last := l.start[len(l.start)-1]; int(last) != len(l.arena) {
+			t.Fatalf("%s: node %d: %s offsets end at %d, the arena holds %d", when, nd.id, l.name, last, len(l.arena))
+		}
+	}
+	if nd.inWt != nil && len(nd.inWt) != len(nd.inNbr) {
+		t.Fatalf("%s: node %d: %d weights for %d in-edges", when, nd.id, len(nd.inWt), len(nd.inNbr))
+	}
+	if nd.localEdges != len(nd.inNbr) {
+		t.Fatalf("%s: node %d: localEdges %d, the topology holds %d", when, nd.id, nd.localEdges, len(nd.inNbr))
+	}
+	var in, out [][2]int32
+	for i := range nd.hot {
+		nbr, _ := nd.in(i)
+		for _, sp := range nbr {
+			in = append(in, [2]int32{sp, int32(i)})
+		}
+		for _, dp := range nd.out(i) {
+			out = append(out, [2]int32{int32(i), dp})
+		}
+	}
+	cmp := func(a, b [2]int32) int { return slices.Compare(a[:], b[:]) }
+	slices.SortFunc(in, cmp)
+	slices.SortFunc(out, cmp)
+	if !slices.Equal(in, out) {
+		t.Fatalf("%s: node %d: the out-lists are not the reversed in-lists", when, nd.id)
 	}
 }
 

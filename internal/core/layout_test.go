@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"reflect"
 	"slices"
 	"testing"
 	"unsafe"
@@ -50,10 +51,9 @@ func TestSuperstepNeverTouchesMeta(t *testing.T) {
 // TestLoadCarvesListsWithoutSlack: every list load carves out of an arena —
 // the presence lists a master's replica table adopts included — has cap ==
 // len, so appending to any slot's lists, as migration and rebirth do when
-// they attach edges and register replicas, copies the list out and leaves
-// every other slot's lists bit-identical. The graph is unweighted, so load
-// stores no weight list at all, and the first non-unit weight appended
-// materialises one with the implicit ones in front.
+// they register replicas, copies the list out and leaves every other slot's
+// lists bit-identical. The graph is unweighted, so load stores no weight list
+// at all, neither in the topology nor in a mirror's edges.
 func TestLoadCarvesListsWithoutSlack(t *testing.T) {
 	for _, mode := range []Mode{EdgeCutMode, VertexCutMode} {
 		g := datasets.Tiny(400, 2400, 4242)
@@ -64,15 +64,15 @@ func TestLoadCarvesListsWithoutSlack(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, nd := range cl.nodes {
-			want := make([]topo, len(nd.topo))
 			tableSlack := func(rt *replicaTable) int {
 				return cap(rt.nodes) - len(rt.nodes) + cap(rt.pos) - len(rt.pos) +
 					cap(rt.ftOnly) - len(rt.ftOnly) + cap(rt.mirrorOf) - len(rt.mirrorOf)
 			}
-			for i := range nd.topo {
-				tp := &nd.topo[i]
-				want[i] = topo{inNbr: slices.Clone(tp.inNbr), outNbr: slices.Clone(tp.outNbr)}
-				slack := cap(tp.inNbr) - len(tp.inNbr) + cap(tp.outNbr) - len(tp.outNbr)
+			if nd.inWt != nil {
+				t.Fatalf("%v node %d: topology stores %d unit weights", mode, nd.id, len(nd.inWt))
+			}
+			for i := range nd.hot {
+				slack := 0
 				if nd.hot[i].isMaster() {
 					slack += tableSlack(nd.replicas(int32(i)))
 				}
@@ -86,23 +86,71 @@ func TestLoadCarvesListsWithoutSlack(t *testing.T) {
 				if slack != 0 {
 					t.Fatalf("%v node %d slot %d: carved lists have %d elements of slack", mode, nd.id, i, slack)
 				}
-				if tp.inWt != nil {
-					t.Fatalf("%v node %d slot %d: topology stores %d unit weights", mode, nd.id, i, len(tp.inWt))
-				}
-			}
-			for i := range nd.topo {
-				nd.attachEdge(int32(i), int32(i), -1)
-			}
-			for i := range nd.topo {
-				tp, n := &nd.topo[i], len(want[i].inNbr)
-				if !slices.Equal(tp.inNbr[:n], want[i].inNbr) || !slices.Equal(tp.outNbr[:len(want[i].outNbr)], want[i].outNbr) {
-					t.Fatalf("%v node %d slot %d: a neighbour's append overwrote its lists", mode, nd.id, i)
-				}
-				if len(tp.inWt) != n+1 || tp.inWt[n] != -1 || slices.ContainsFunc(tp.inWt[:n], func(w float64) bool { return w != 1 }) {
-					t.Fatalf("%v node %d slot %d: weights after a -1 append are %v, want %d ones then -1", mode, nd.id, i, tp.inWt, n)
-				}
 			}
 		}
+	}
+}
+
+// TestAppendEdges: one appendEdges call gives every slot the lists one
+// append per batch edge would — its old in- and out-lists as a prefix, then
+// its batch edges in batch order — into fresh arrays, leaving the replaced
+// ones (which checkpoint's pristine copy may share) untouched. On the
+// unweighted graph a batch of unit weights stores none, and a single -1
+// materialises the weights with ones at every other edge.
+func TestAppendEdges(t *testing.T) {
+	for _, mode := range []Mode{EdgeCutMode, VertexCutMode} {
+		g := datasets.Tiny(400, 2400, 4242)
+		cfg := DefaultConfig(mode, 4)
+		cfg.FT.K = 2
+		cl, err := NewCluster[float64, float64](cfg, g, fakePR{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, nd := range cl.nodes {
+			for _, neg := range []int{-1, len(nd.hot) / 2} {
+				n := len(nd.hot)
+				// The oracle: per-slot lists grown one edge at a time.
+				in, wts, out := make([][]int32, n), make([][]float64, n), make([][]int32, n)
+				for i := range n {
+					nbr, wt := nd.in(i)
+					in[i], out[i] = slices.Clone(nbr), slices.Clone(nd.out(i))
+					for k := range nbr {
+						wts[i] = append(wts[i], wt.at(k))
+					}
+				}
+				old := nd.csr
+				oldCopy := csr{slices.Clone(old.inStart), slices.Clone(old.outStart), slices.Clone(old.inNbr), slices.Clone(old.outNbr), slices.Clone(old.inWt)}
+				b := newEdgeBatch(2 * n)
+				for i := range 2 * n {
+					sp, dp, wt := int32(i%n), int32((i*7+3)%n), 1.0
+					if i == neg {
+						wt = -1
+					}
+					b.add(sp, dp, wt)
+					in[dp], wts[dp], out[sp] = append(in[dp], sp), append(wts[dp], wt), append(out[sp], dp)
+				}
+				nd.appendEdges(&b)
+				if !reflect.DeepEqual(old, oldCopy) {
+					t.Fatalf("%v node %d: appendEdges wrote into the arrays it replaced", mode, nd.id)
+				}
+				if (nd.inWt != nil) != (neg >= 0) {
+					t.Fatalf("%v node %d: weights stored %v, a -1 appended %v", mode, nd.id, nd.inWt != nil, neg >= 0)
+				}
+				for i := range n {
+					nbr, wt := nd.in(i)
+					if !slices.Equal(nbr, in[i]) || !slices.Equal(nd.out(i), out[i]) {
+						t.Fatalf("%v node %d slot %d: lists differ from one append per edge", mode, nd.id, i)
+					}
+					for k := range nbr {
+						if wt.at(k) != wts[i][k] {
+							t.Fatalf("%v node %d slot %d: weight %d is %v, want %v", mode, nd.id, i, k, wt.at(k), wts[i][k])
+						}
+					}
+				}
+				nd.localEdges += len(b.src)
+			}
+		}
+		checkVertexTables(t, cl, mode.String()+" after appendEdges")
 	}
 }
 
@@ -111,15 +159,16 @@ func TestLoadCarvesListsWithoutSlack(t *testing.T) {
 func grownMetadataSnapshot[V, A any](nd *node[V, A]) []byte {
 	buf := putU32(nil, uint32(len(nd.hot)))
 	for i := range nd.hot {
-		e, t := &nd.hot[i], &nd.topo[i]
+		e := &nd.hot[i]
+		nbr, wt := nd.in(i)
 		buf = putU32(buf, uint32(e.id))
 		buf = putU8(buf, uint8(e.flags))
 		buf = putI32(buf, e.inDeg)
 		buf = putI32(buf, e.outDeg)
-		buf = putU32(buf, uint32(len(t.inNbr)))
-		for k, p := range t.inNbr {
+		buf = putU32(buf, uint32(len(nbr)))
+		for k, p := range nbr {
 			buf = putI32(buf, p)
-			buf = putF64(buf, t.inWt.at(k))
+			buf = putF64(buf, wt.at(k))
 		}
 	}
 	return buf

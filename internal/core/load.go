@@ -232,7 +232,6 @@ func (c *Cluster[V, A]) load() error {
 			met:   &c.met.Nodes[n],
 			index: newIndex(numV),
 			hot:   make([]hot[V], slots),
-			topo:  make([]topo, slots),
 			ref:   make([]slabRef, slots),
 		}
 	})
@@ -335,14 +334,12 @@ func (c *Cluster[V, A]) load() error {
 	})
 
 	// 7. Local topology. A stable counting sort groups the canonical edge
-	// indexes by owning node, then each node attaches its own group — in
-	// ascending canonical order, i.e. exactly the order the sequential sweep
-	// used, so the inNbr/inWt append order (and therefore every downstream
-	// floating-point reduction) is bit-identical. A node first counts every
-	// slot's degrees, then carves the slots' lists out of exactly-sized arenas
-	// (no weights arena for an unweighted graph) and appends into them in that
-	// same order, resolving each edge's endpoints to local positions on both
-	// passes. Writes stay inside the owning node's tables.
+	// indexes by owning node, then each node builds its CSR from its own
+	// group: it counts every slot's degrees straight into the offsets, then
+	// fills the arrays (no weights for an unweighted graph) in ascending
+	// canonical order, i.e. exactly the order the sequential sweep used, so
+	// every downstream floating-point reduction is bit-identical. Writes stay
+	// inside the owning node's tables.
 	{
 		m := c.g.NumEdges()
 		nodeOff := make([]int32, p+1)
@@ -363,33 +360,15 @@ func (c *Cluster[V, A]) load() error {
 		hostpar.For(p, width, func(n int) {
 			nd := c.nodes[n]
 			group := byNode[nodeOff[n]:nodeOff[n+1]]
-			inCnt, outCnt := make([]int32, len(nd.hot)), make([]int32, len(nd.hot))
+			bd := newCSRBuilder(len(nd.hot), len(group), weighted)
 			for _, ei := range group {
-				inCnt[nd.index[c.g.EdgeDst(int(ei))]]++
-				outCnt[nd.index[c.g.EdgeSrc(int(ei))]]++
+				bd.count(nd.index[c.g.EdgeSrc(int(ei))], nd.index[c.g.EdgeDst(int(ei))])
 			}
-			inNbr, outNbr := make([]int32, len(group)), make([]int32, len(group))
-			var inWt []float64
-			if weighted {
-				inWt = make([]float64, len(group))
-			}
-			for i := range nd.topo {
-				in, out := int(inCnt[i]), int(outCnt[i])
-				nd.topo[i] = topo{inNbr: carve(&inNbr, in)[:0], outNbr: carve(&outNbr, out)[:0]}
-				if weighted {
-					nd.topo[i].inWt = carve(&inWt, in)[:0]
-				}
-			}
+			bd.open()
 			for _, ei := range group {
-				src, dst := nd.index[c.g.EdgeSrc(int(ei))], nd.index[c.g.EdgeDst(int(ei))]
-				we, ue := &nd.topo[dst], &nd.topo[src]
-				we.inNbr = append(we.inNbr, src)
-				if weighted {
-					we.inWt = append(we.inWt, c.g.EdgeWeight(int(ei)))
-				}
-				ue.outNbr = append(ue.outNbr, dst)
+				bd.put(nd.index[c.g.EdgeSrc(int(ei))], nd.index[c.g.EdgeDst(int(ei))], c.g.EdgeWeight(int(ei)))
 			}
-			nd.localEdges = len(group)
+			nd.csr, nd.localEdges = bd.done(), len(group)
 		})
 	}
 
@@ -508,8 +487,8 @@ func (c *Cluster[V, A]) writeEdgeCkpts() {
 	bufs := make([][]byte, c.cfg.NumNodes)
 	for _, nd := range c.nodes {
 		clear(size)
-		for i := range nd.topo {
-			if n := len(nd.topo[i].inNbr); n > 0 {
+		for i := range nd.hot {
+			if n := nd.inLen(i); n > 0 {
 				size[c.edgeCkptTarget(nd.hot[i].id, nd.id)] += n * 16
 			}
 		}
@@ -519,11 +498,12 @@ func (c *Cluster[V, A]) writeEdgeCkpts() {
 			}
 			bufs[k] = bufs[k][:0]
 		}
-		for i := range nd.topo {
-			if t, id := &nd.topo[i], nd.hot[i].id; len(t.inNbr) > 0 {
+		for i := range nd.hot {
+			if nbr, wt := nd.in(i); len(nbr) > 0 {
+				id := nd.hot[i].id
 				k := c.edgeCkptTarget(id, nd.id)
-				for j, src := range t.inNbr {
-					bufs[k] = appendEdgeCkpt(bufs[k], nd.hot[src].id, id, t.inWt.at(j))
+				for j, src := range nbr {
+					bufs[k] = appendEdgeCkpt(bufs[k], nd.hot[src].id, id, wt.at(j))
 				}
 			}
 		}
@@ -569,24 +549,22 @@ func (c *Cluster[V, A]) dfsWriteCost(nd *node[V, A], path string, data []byte) f
 // 4-byte slot count. dst is reused when it has the capacity, else replaced
 // by an exactly-sized one.
 func (c *Cluster[V, A]) encodeMetadataSnapshot(dst []byte, nd *node[V, A]) []byte {
-	size := 4 + 17*len(nd.hot)
-	for i := range nd.topo {
-		size += 12 * len(nd.topo[i].inNbr)
-	}
+	size := 4 + 17*len(nd.hot) + 12*len(nd.inNbr)
 	if cap(dst) < size {
 		dst = make([]byte, 0, size)
 	}
 	buf := binary.LittleEndian.AppendUint32(dst[:0], uint32(len(nd.hot)))
 	for i := range nd.hot {
-		e, t := &nd.hot[i], &nd.topo[i]
+		e := &nd.hot[i]
+		nbr, wt := nd.in(i)
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(e.id))
 		buf = append(buf, byte(e.flags))
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(e.inDeg))
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(e.outDeg))
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(t.inNbr)))
-		for k, p := range t.inNbr {
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(nbr)))
+		for k, p := range nbr {
 			buf = binary.LittleEndian.AppendUint32(buf, uint32(p))
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(t.inWt.at(k)))
+			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(wt.at(k)))
 		}
 	}
 	return buf

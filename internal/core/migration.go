@@ -386,32 +386,23 @@ func (c *Cluster[V, A]) recoverMigration(p *recoveryPass[V, A]) error {
 	// --- Phase 5: attach migrated edges to local topology.
 	var reconSpan costmodel.Span
 	for _, nd := range c.aliveNodes() {
-		created := 0
+		var batch edgeBatch
 		if c.vcut != nil {
+			batch = newEdgeBatch(len(migEdges[nd.id]))
 			for _, me := range migEdges[nd.id] {
-				sp, ok1 := nd.pos(me.src)
-				dp, ok2 := nd.pos(me.dst)
-				if !ok1 || !ok2 {
-					return fmt.Errorf("%w: node %d migrated edge endpoint missing", ErrUnrecoverable, nd.id)
+				if err := nd.batchEdge(&batch, me.src, me.dst, me.wt); err != nil {
+					return err
 				}
-				nd.attachEdge(sp, dp, me.wt)
-				created++
 			}
 			// Persist the migrated edges into this node's own edge-ckpt
 			// files so a future failure can still recover them.
-			if created > 0 {
-				bufs := make(map[int][]byte)
-				for _, me := range migEdges[nd.id] {
-					t := c.edgeCkptTarget(me.dst, nd.id)
-					bufs[t] = appendEdgeCkpt(bufs[t], me.src, me.dst, me.wt)
-				}
-				targets := make([]int, 0, len(bufs))
-				for t := range bufs { //imitator:nondet-ok collected set is sorted before use
-					targets = append(targets, t)
-				}
-				sort.Ints(targets)
-				for _, t := range targets {
-					buf := bufs[t]
+			bufs := make([][]byte, c.cfg.NumNodes)
+			for _, me := range migEdges[nd.id] {
+				t := c.edgeCkptTarget(me.dst, nd.id)
+				bufs[t] = appendEdgeCkpt(bufs[t], me.src, me.dst, me.wt)
+			}
+			for t, buf := range bufs {
+				if len(buf) > 0 {
 					cost := c.dfs.Append(nd.id, edgeCkptPath(nd.id, t), buf)
 					nd.met.DFSWriteBytes += int64(len(buf))
 					reconSpan.Observe(cost)
@@ -424,20 +415,25 @@ func (c *Cluster[V, A]) recoverMigration(p *recoveryPass[V, A]) error {
 			}
 		} else {
 			// The promoted masters' in-edges leave their mirror state and
-			// link in ascending position order.
-			positions := sortedPositions(promoted[int16(nd.id)])
-			lists := make([]posEdges, 0, len(positions))
+			// attach in ascending position order.
+			positions, n := sortedPositions(promoted[int16(nd.id)]), 0
 			for _, pos := range positions {
 				if m := nd.mirror(pos); m != nil { // nil: attached by an interrupted earlier attempt
-					lists = append(lists, posEdges{pos, m.mEdges})
-					created += len(m.mEdges.src)
+					n += len(m.mEdges.src)
+				}
+			}
+			batch = newEdgeBatch(n)
+			for _, pos := range positions {
+				if m := nd.mirror(pos); m != nil {
+					if err := nd.batchInEdges(&batch, pos, &m.mEdges); err != nil {
+						return err
+					}
 					nd.dropMirror(pos)
 				}
 			}
-			if err := nd.linkInEdges(lists); err != nil {
-				return err
-			}
 		}
+		nd.appendEdges(&batch)
+		created := len(batch.src)
 		nd.localEdges += created
 		rec.RecoveredEdges += created
 		reconSpan.Observe(float64(created) * c.cfg.Cost.ComputePerEdge)
@@ -772,7 +768,7 @@ func (c *Cluster[V, A]) recomputeSelfish(nd *node[V, A], isTarget func(mn int16,
 	c.chunked(nd, len(nd.hot), func(_ *stager, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			e := &nd.hot[i]
-			if !e.isMaster() || !e.isSelfish() || !isTarget(int16(nd.id), int32(i)) || len(nd.topo[i].inNbr) == 0 {
+			if !e.isMaster() || !e.isSelfish() || !isTarget(int16(nd.id), int32(i)) || nd.inLen(i) == 0 {
 				continue
 			}
 			acc, has, _ := c.gather(nd, i)

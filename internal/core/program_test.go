@@ -238,9 +238,9 @@ func TestAppendTopoEdges(t *testing.T) {
 				if !nd.hot[i].isMaster() {
 					continue
 				}
-				tp := &nd.topo[i]
-				re := &rawEdges{wt: tp.inWt}
-				for _, sp := range tp.inNbr {
+				nbr, wt := nd.in(i)
+				re := &rawEdges{wt: wt}
+				for _, sp := range nbr {
 					id := nd.hot[sp].id
 					re.src = append(re.src, id)
 					re.srcMaster = append(re.srcMaster, cl.masterLoc[id])
@@ -249,8 +249,8 @@ func TestAppendTopoEdges(t *testing.T) {
 				if want := re.encode([]byte{1}); !bytes.Equal(got, want) {
 					t.Fatalf("node %d slot %d: topology encoding differs from its rawEdges", nd.id, i)
 				}
-				if len(got) != 1+edgeListSize(len(tp.inNbr)) {
-					t.Fatalf("node %d slot %d: %d bytes, edgeListSize says %d", nd.id, i, len(got), 1+edgeListSize(len(tp.inNbr)))
+				if len(got) != 1+edgeListSize(len(nbr)) {
+					t.Fatalf("node %d slot %d: %d bytes, edgeListSize says %d", nd.id, i, len(got), 1+edgeListSize(len(nbr)))
 				}
 			}
 		}

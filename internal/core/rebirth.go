@@ -21,7 +21,7 @@ func (c *Cluster[V, A]) rebirthNewbie(_ *recoveryPass[V, A], f int) (*node[V, A]
 		alive: true,
 		met:   &c.met.Nodes[f],
 		hot:   make([]hot[V], arrayLen),
-		topo:  make([]topo, arrayLen),
+		csr:   csr{inStart: make([]int32, arrayLen+1), outStart: make([]int32, arrayLen+1)},
 		ref:   make([]slabRef, arrayLen),
 		index: newIndex(c.g.NumVertices()),
 	}
@@ -138,16 +138,12 @@ func (c *Cluster[V, A]) recoverRebirth(p *recoveryPass[V, A]) error {
 		// record targets a distinct slot, so records place in parallel. The
 		// records' role flags first size the role slabs, so placement writes
 		// only its own slot's entries; the id index rebuilds afterwards.
-		// at[pos] is the record placed at pos, for the walk in position
+		// at[pos] is the last record placed at pos, for the walks in position
 		// order below.
 		at := make([]int32, len(nd.hot))
-		linked := 0
 		for k := range recs {
 			nd.hot[recs[k].pos].flags = recs[k].flags
 			at[recs[k].pos] = int32(k)
-			if recs[k].role == roleMaster && recs[k].edges != nil {
-				linked++
-			}
 		}
 		nd.allocSlabs()
 		placeCost := c.chunked(nd, len(recs), func(st *stager, lo, hi int) {
@@ -167,31 +163,37 @@ func (c *Cluster[V, A]) recoverRebirth(p *recoveryPass[V, A]) error {
 					ErrTooManyFailures, f, i)
 			}
 		}
-		// Edge-cut: resolve the master records' raw in-edge lists into local
-		// positions, in ascending position order (linkInEdges). Only master
-		// records carry local in-edges; a recovered mirror's edge list is
-		// part of its full state (mEdges), not this node's topology.
-		lists := make([]posEdges, 0, linked)
+		// The local edges attach in one batch, resolved to local positions:
+		// under edge-cut the master records' raw in-edge lists in ascending
+		// position order, under vertex-cut the edge-ckpt files' edges in file
+		// order. Only master records carry local in-edges; a recovered
+		// mirror's edge list is part of its full state (mEdges), not this
+		// node's topology.
+		edges := 0
+		for _, k := range at {
+			if r := &recs[k]; r.role == roleMaster && r.edges != nil {
+				edges += len(r.edges.src)
+			}
+		}
+		for _, data := range edgeData[f] {
+			edges += len(data) / 16
+		}
+		batch := newEdgeBatch(edges)
 		for pos, k := range at {
 			if r := &recs[k]; r.role == roleMaster && r.edges != nil {
-				lists = append(lists, posEdges{int32(pos), *r.edges})
+				if err := nd.batchInEdges(&batch, int32(pos), r.edges); err != nil {
+					return err
+				}
 			}
 		}
-		if err := nd.linkInEdges(lists); err != nil {
-			return err
-		}
-		edges := 0
-		for _, l := range lists {
-			edges += len(l.edges.src)
-		}
-		// Vertex-cut: attach edges from the edge-ckpt files.
 		for _, data := range edgeData[f] {
-			n, err := c.attachEdgeCkpt(nd, data)
-			if err != nil {
+			if err := eachEdgeCkpt(data, func(src, dst graph.VertexID, wt float64) error {
+				return nd.batchEdge(&batch, src, dst, wt)
+			}); err != nil {
 				return err
 			}
-			edges += n
 		}
+		nd.appendEdges(&batch)
 		nd.localEdges = edges
 		rec.RecoveredEdges += edges
 		reconSpan.Observe(placeCost + float64(edges)*c.cfg.Cost.ComputePerEdge)
@@ -264,7 +266,7 @@ func (c *Cluster[V, A]) putMirrorRecord(s *recSink, nd *node[V, A], pos int32, d
 	e, table := &nd.hot[pos], nd.replicas(pos)
 	size := recoveryRecordSize(c.vc, e.value, table, nil)
 	if c.ec != nil {
-		size += edgeListSize(len(nd.topo[pos].inNbr))
+		size += edgeListSize(nd.inLen(int(pos)))
 	}
 	s.put(dst, size, func(buf []byte) []byte {
 		buf = encodeRecordHead(buf, c.vc, roleReplica, rpos, e.id, flags, rank,
@@ -300,11 +302,11 @@ func (c *Cluster[V, A]) stageMasterRecovery(s *recSink, e *hot[V], m *mirrorStat
 // flag, in rawEdges' encoding, straight from the slot's local topology: each
 // source's global id, the edge weight and the source's master node.
 func (c *Cluster[V, A]) appendTopoEdges(buf []byte, nd *node[V, A], i int32) []byte {
-	t := &nd.topo[i]
-	buf = putU32(putU8(buf, 1), uint32(len(t.inNbr)))
-	for k, sp := range t.inNbr {
+	nbr, wt := nd.in(int(i))
+	buf = putU32(putU8(buf, 1), uint32(len(nbr)))
+	for k, sp := range nbr {
 		id := nd.hot[sp].id
-		buf = putI16(putF64(putU32(buf, uint32(id)), t.inWt.at(k)), c.masterLoc[id])
+		buf = putI16(putF64(putU32(buf, uint32(id)), wt.at(k)), c.masterLoc[id])
 	}
 	return buf
 }
@@ -343,24 +345,6 @@ func (c *Cluster[V, A]) placeRecovered(nd *node[V, A], rec *recoveryRecord[V]) {
 			}
 		}
 	}
-}
-
-// attachEdgeCkpt links the (src, dst, weight) triples of one edge-ckpt file
-// into the node's local topology, returning the edge count.
-func (c *Cluster[V, A]) attachEdgeCkpt(nd *node[V, A], data []byte) (int, error) {
-	count := 0
-	err := eachEdgeCkpt(data, func(src, dst graph.VertexID, wt float64) error {
-		sp, ok1 := nd.pos(src)
-		dp, ok2 := nd.pos(dst)
-		if !ok1 || !ok2 {
-			return fmt.Errorf("%w: node %d edge-ckpt endpoint missing (%d->%d)",
-				ErrUnrecoverable, nd.id, src, dst)
-		}
-		nd.attachEdge(sp, dp, wt)
-		count++
-		return nil
-	})
-	return count, err
 }
 
 // lowestSurvivingMirror returns the node hosting the lowest-ranked

@@ -50,7 +50,7 @@ func (c *Cluster[V, A]) replayActivation(iter int, isTarget func(masterNode int1
 					if !e.lastActivate || e.lastActivateIter != prev {
 						continue
 					}
-					for _, w := range nd.topo[i].outNbr {
+					for _, w := range nd.out(i) {
 						we := &nd.hot[w]
 						if we.isMaster() {
 							if s.need == nil && isTarget(int16(nd.id), int32(w)) {

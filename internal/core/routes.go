@@ -20,14 +20,14 @@ type syncRoute struct {
 
 // scatterRoute is a vertex-cut node's precomputed scatter table, a CSR over
 // slots beside syncRoute with the same lifecycle. Row i lists, in
-// topo[i].outNbr order, the (masterNode, masterPos) of slot i's out-targets,
+// slot i's out-list order, the (masterNode, masterPos) of slot i's out-targets,
 // so scatterMark streams the row without reading the targets' hot slots: a
 // replica target's record is its activation notice (destination and payload),
 // a master target's names this node and its own position (the pendingActive
 // entry). Master targets are listed only for programs that are not
 // always-active: commit never reads pendingActive otherwise. Edge-cut builds
 // no scatter route: an edge lives on its target's master node, so every
-// out-target is a master and outNbr itself is the list.
+// out-target is a master and the out-list itself is the list.
 type scatterRoute struct {
 	start []int32
 	node  []int16
@@ -74,22 +74,21 @@ func (c *Cluster[V, A]) rebuildRoute(nd *node[V, A]) {
 	nd.routeDirty = false
 }
 
-// rebuildScatter derives nd.scatter from outNbr and the targets' hot slots.
+// rebuildScatter derives nd.scatter from the out-lists and the targets' hot
+// slots.
 func (c *Cluster[V, A]) rebuildScatter(nd *node[V, A]) {
-	n, total := len(nd.topo), 0
-	for i := range nd.topo {
-		for _, w := range nd.topo[i].outNbr {
-			if !c.always || !nd.hot[w].isMaster() {
-				total++
-			}
+	n, total := len(nd.hot), 0
+	for _, w := range nd.outNbr {
+		if !c.always || !nd.hot[w].isMaster() {
+			total++
 		}
 	}
 	sr := &nd.scatter
 	sr.start, sr.node, sr.pos = sized(sr.start, n+1), sized(sr.node, total), sized(sr.pos, total)
 	k := 0
-	for i := range nd.topo {
+	for i := range n {
 		sr.start[i] = int32(k)
-		for _, w := range nd.topo[i].outNbr {
+		for _, w := range nd.out(i) {
 			if we := &nd.hot[w]; !c.always || !we.isMaster() {
 				sr.node[k], sr.pos[k] = we.masterNode, we.masterPos
 				k++

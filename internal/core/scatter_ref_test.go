@@ -15,7 +15,7 @@ import (
 // (activation list) from replicas (a notice to the master's node). It is the
 // oracle the route is checked against.
 func refScatterMark[V, A any](c *Cluster[V, A], nd *node[V, A], st *stager, i int32) {
-	for _, w := range nd.topo[i].outNbr {
+	for _, w := range nd.out(int(i)) {
 		we := &nd.hot[w]
 		if we.isMaster() {
 			if !c.always {

@@ -243,7 +243,7 @@ func (c *Cluster[V, A]) retainPristine() {
 		meta = c.encodeMetadataSnapshot(meta, nd)
 		c.loadSeconds += c.dfsWriteCost(nd, fmt.Sprintf("ckptmeta/%d", nd.id), meta)
 		c.pristine[nd.id] = &pristineNode[V]{
-			hot: slices.Clone(nd.hot), topo: nd.topo, ref: nd.ref,
+			hot: slices.Clone(nd.hot), csr: nd.csr, ref: nd.ref,
 			masters: nd.masters, mirrors: nd.mirrors,
 			localEdges: nd.localEdges,
 		}

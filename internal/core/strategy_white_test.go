@@ -110,7 +110,7 @@ func TestPristineTablesImmutable(t *testing.T) {
 				}
 				want := make([]nodeTables, len(cl.nodes))
 				for i, nd := range cl.nodes {
-					want[i] = deepCopyTables(nodeTables{nd.topo, nd.ref, nd.masters, nd.mirrors})
+					want[i] = deepCopyTables(nodeTables{nd.csr, nd.ref, nd.masters, nd.mirrors})
 				}
 				res, err := cl.Run()
 				if err != nil {
@@ -120,11 +120,11 @@ func TestPristineTablesImmutable(t *testing.T) {
 					t.Fatalf("%d recoveries, want 2", len(res.Recoveries))
 				}
 				for i, p := range cl.pristine {
-					if got := (nodeTables{p.topo, p.ref, p.masters, p.mirrors}); !reflect.DeepEqual(got, want[i]) {
+					if got := (nodeTables{p.csr, p.ref, p.masters, p.mirrors}); !reflect.DeepEqual(got, want[i]) {
 						t.Errorf("node %d: retained pristine tables changed after load", i)
 					}
 				}
-				if &cl.nodes[1].topo[0] != &cl.pristine[1].topo[0] || &cl.nodes[1].ref[0] != &cl.pristine[1].ref[0] {
+				if &cl.nodes[1].inStart[0] != &cl.pristine[1].csr.inStart[0] || &cl.nodes[1].ref[0] != &cl.pristine[1].ref[0] {
 					t.Error("rebuilt node 1 does not share the retained tables")
 				}
 			})
@@ -134,7 +134,7 @@ func TestPristineTablesImmutable(t *testing.T) {
 
 // nodeTables is a node's load-built tables besides hot.
 type nodeTables struct {
-	topo    []topo
+	csr     csr
 	ref     []slabRef
 	masters []replicaTable
 	mirrors []mirrorState
@@ -145,10 +145,10 @@ func deepCopyTables(n nodeTables) nodeTables {
 	cloneTable := func(t replicaTable) replicaTable {
 		return replicaTable{slices.Clone(t.nodes), slices.Clone(t.pos), slices.Clone(t.ftOnly), slices.Clone(t.mirrorOf)}
 	}
-	out := nodeTables{slices.Clone(n.topo), slices.Clone(n.ref), slices.Clone(n.masters), slices.Clone(n.mirrors)}
-	for i := range out.topo {
-		tp := &out.topo[i]
-		tp.inNbr, tp.inWt, tp.outNbr = slices.Clone(tp.inNbr), slices.Clone(tp.inWt), slices.Clone(tp.outNbr)
+	t := &n.csr
+	out := nodeTables{
+		csr{slices.Clone(t.inStart), slices.Clone(t.outStart), slices.Clone(t.inNbr), slices.Clone(t.outNbr), slices.Clone(t.inWt)},
+		slices.Clone(n.ref), slices.Clone(n.masters), slices.Clone(n.mirrors),
 	}
 	for i := range out.masters {
 		out.masters[i] = cloneTable(out.masters[i])
