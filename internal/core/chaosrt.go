@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"strings"
 
 	"imitator/internal/netsim"
@@ -17,20 +18,12 @@ import (
 // announces them (§3.2); the failure then surfaces at the next global
 // barrier.
 type chaosRuntime struct {
-	// crashes is consumed by deleting fired keys, so an iteration
-	// re-executed after rollback does not re-crash.
-	crashes map[crashKey][]int
-	// recCrashes fire when a recovery pass reaches a matching phase label.
-	recCrashes []recoveryCrash
-	// slow/delays hold degradation events keyed by trigger iteration.
-	slow   map[int][]ChaosEvent
-	delays map[int]float64
-	// faults holds omission events (drop/duplicate/reorder) keyed by
-	// trigger iteration; parts holds partitions by start iteration and
-	// heals the node sets to reconnect, keyed by heal iteration.
-	faults map[int][]ChaosEvent
-	parts  map[int][]ChaosEvent
-	heals  map[int][][]int
+	// events is the validated schedule. fired[i] marks event i applied
+	// (crashed, installed or, for a delay burst, spent) and healed[i] a
+	// partition's heal, so an iteration re-executed after rollback applies
+	// nothing twice.
+	events        []ChaosEvent
+	fired, healed []bool
 	// pendingPart collects nodes isolated at the current iteration's
 	// start; after the superstep they go silent and the detector
 	// suspects, then confirms them (chaosPartitionSilence).
@@ -45,51 +38,21 @@ type chaosRuntime struct {
 	netEvents []func(*netsim.Network)
 }
 
-// crashKey identifies one scheduled crash point.
-type crashKey struct {
-	iter  int
-	phase FailPhase
-}
-
-// recoveryCrash is one pending ChaosCrashDuringRecovery event.
-type recoveryCrash struct {
-	during string // phase-label prefix; "" matches the first phase
-	nodes  []int
-	fired  bool
-}
-
-// newChaosRuntime indexes a validated schedule for the run loop.
+// newChaosRuntime takes a copy of a validated schedule for the run loop.
 func newChaosRuntime(events []ChaosEvent) *chaosRuntime {
-	ch := &chaosRuntime{
-		crashes: make(map[crashKey][]int),
-		slow:    make(map[int][]ChaosEvent),
-		delays:  make(map[int]float64),
-		faults:  make(map[int][]ChaosEvent),
-		parts:   make(map[int][]ChaosEvent),
-		heals:   make(map[int][][]int),
-	}
-	for _, ev := range events {
-		switch ev.Kind {
-		case ChaosCrash:
-			k := crashKey{ev.Iteration, ev.Phase}
-			ch.crashes[k] = append(ch.crashes[k], ev.Nodes...)
-		case ChaosCrashDuringRecovery:
-			ch.recCrashes = append(ch.recCrashes, recoveryCrash{
-				during: ev.During,
-				nodes:  append([]int(nil), ev.Nodes...),
-			})
-		case ChaosSlowLink:
-			ch.slow[ev.Iteration] = append(ch.slow[ev.Iteration], ev)
-		case ChaosDelayBurst:
-			ch.delays[ev.Iteration] += ev.Seconds
-		case ChaosDrop, ChaosDuplicate, ChaosReorder:
-			ch.faults[ev.Iteration] = append(ch.faults[ev.Iteration], ev)
-		case ChaosPartition:
-			ch.parts[ev.Iteration] = append(ch.parts[ev.Iteration], ev)
-			ch.heals[ev.HealIter] = append(ch.heals[ev.HealIter], append([]int(nil), ev.Nodes...))
+	n := len(events)
+	return &chaosRuntime{events: slices.Clone(events), fired: make([]bool, n), healed: make([]bool, n)}
+}
+
+// fire applies, in schedule order, every event that match selects and done
+// does not yet mark, marking it first.
+func (ch *chaosRuntime) fire(done []bool, match func(ev *ChaosEvent) bool, apply func(ev *ChaosEvent)) {
+	for i := range ch.events {
+		if ev := &ch.events[i]; !done[i] && match(ev) {
+			done[i] = true
+			apply(ev)
 		}
 	}
-	return ch
 }
 
 // chaosIterStart applies the chaos events due at the top of an iteration:
@@ -98,86 +61,70 @@ func newChaosRuntime(events []ChaosEvent) *chaosRuntime {
 // before-barrier crashes. Degradations persist; a delay burst covers one
 // execution attempt of its iteration.
 func (c *Cluster[V, A]) chaosIterStart(iter int) {
-	if c.chaos == nil {
+	ch := c.chaos
+	if ch == nil {
 		return
+	}
+	due := func(kinds ...ChaosKind) func(ev *ChaosEvent) bool {
+		return func(ev *ChaosEvent) bool { return ev.Iteration == iter && slices.Contains(kinds, ev.Kind) }
 	}
 	// Heals run first: a partition scheduled to end here releases its
 	// parked frames before this iteration's traffic (they face the epoch
 	// fence at the receivers' next Collect).
-	if sets, ok := c.chaos.heals[iter]; ok {
-		delete(c.chaos.heals, iter)
-		for _, nodes := range sets {
-			c.net.Heal(nodes)
-			c.chaosMirror(func(n *netsim.Network) { n.Heal(nodes) })
+	healDue := func(ev *ChaosEvent) bool { return ev.Kind == ChaosPartition && ev.HealIter == iter }
+	ch.fire(ch.healed, healDue, func(ev *ChaosEvent) {
+		c.net.Heal(ev.Nodes)
+		c.chaosMirror(func(n *netsim.Network) { n.Heal(ev.Nodes) })
+	})
+	ch.fire(ch.fired, due(ChaosDrop, ChaosDuplicate, ChaosReorder), func(ev *ChaosEvent) {
+		switch ev.Kind {
+		case ChaosDrop:
+			c.net.SetDropRate(ev.From, ev.To, ev.Prob)
+			c.chaosMirror(func(n *netsim.Network) { n.SetDropRate(ev.From, ev.To, ev.Prob) })
+		case ChaosDuplicate:
+			c.net.SetDupRate(ev.From, ev.To, ev.Prob)
+			c.chaosMirror(func(n *netsim.Network) { n.SetDupRate(ev.From, ev.To, ev.Prob) })
+		case ChaosReorder:
+			c.net.SetReorderRate(ev.From, ev.To, ev.Prob)
+			c.chaosMirror(func(n *netsim.Network) { n.SetReorderRate(ev.From, ev.To, ev.Prob) })
 		}
-	}
-	if evs, ok := c.chaos.faults[iter]; ok {
-		delete(c.chaos.faults, iter)
-		for _, ev := range evs {
-			switch ev.Kind {
-			case ChaosDrop:
-				c.net.SetDropRate(ev.From, ev.To, ev.Prob)
-				c.chaosMirror(func(n *netsim.Network) { n.SetDropRate(ev.From, ev.To, ev.Prob) })
-			case ChaosDuplicate:
-				c.net.SetDupRate(ev.From, ev.To, ev.Prob)
-				c.chaosMirror(func(n *netsim.Network) { n.SetDupRate(ev.From, ev.To, ev.Prob) })
-			case ChaosReorder:
-				c.net.SetReorderRate(ev.From, ev.To, ev.Prob)
-				c.chaosMirror(func(n *netsim.Network) { n.SetReorderRate(ev.From, ev.To, ev.Prob) })
-			}
-		}
-	}
-	if evs, ok := c.chaos.parts[iter]; ok {
-		delete(c.chaos.parts, iter)
-		for _, ev := range evs {
-			// The cut lands before the superstep: the isolated nodes
-			// still compute and send, so their frames park in the cable
-			// — the stale traffic the epoch fence must later reject.
-			c.net.Partition(ev.Nodes)
-			c.chaosMirror(func(n *netsim.Network) { n.Partition(ev.Nodes) })
-			c.chaos.pendingPart = append(c.chaos.pendingPart, ev.Nodes...)
-		}
-	}
-	if evs, ok := c.chaos.slow[iter]; ok {
-		delete(c.chaos.slow, iter)
-		for _, ev := range evs {
-			c.net.DegradeLink(ev.From, ev.To, ev.Factor)
-		}
-	}
-	if d, ok := c.chaos.delays[iter]; ok {
-		delete(c.chaos.delays, iter)
-		c.net.SetRoundDelay(d)
-	} else {
-		c.net.SetRoundDelay(0)
-	}
+	})
+	ch.fire(ch.fired, due(ChaosPartition), func(ev *ChaosEvent) {
+		// The cut lands before the superstep: the isolated nodes still
+		// compute and send, so their frames park in the cable — the stale
+		// traffic the epoch fence must later reject.
+		c.net.Partition(ev.Nodes)
+		c.chaosMirror(func(n *netsim.Network) { n.Partition(ev.Nodes) })
+		ch.pendingPart = append(ch.pendingPart, ev.Nodes...)
+	})
+	ch.fire(ch.fired, due(ChaosSlowLink), func(ev *ChaosEvent) { c.net.DegradeLink(ev.From, ev.To, ev.Factor) })
+	delay := 0.0
+	ch.fire(ch.fired, due(ChaosDelayBurst), func(ev *ChaosEvent) { delay += ev.Seconds })
+	c.net.SetRoundDelay(delay)
 	c.chaosCrashAt(iter, FailBeforeBarrier)
 }
 
-// chaosCrashAt fires the crash events scheduled for (iter, phase), once.
+// chaosCrashAt fires the crash events scheduled for (iter, phase), once,
+// as one victim set.
 func (c *Cluster[V, A]) chaosCrashAt(iter int, phase FailPhase) {
 	if c.chaos == nil {
 		return
 	}
-	k := crashKey{iter, phase}
-	nodes, ok := c.chaos.crashes[k]
-	if !ok {
-		return
+	var nodes []int
+	c.chaos.fire(c.chaos.fired, func(ev *ChaosEvent) bool {
+		return ev.Kind == ChaosCrash && ev.Iteration == iter && ev.Phase == phase
+	}, func(ev *ChaosEvent) { nodes = append(nodes, ev.Nodes...) })
+	if len(nodes) > 0 {
+		c.crash(nodes)
 	}
-	delete(c.chaos.crashes, k)
-	c.crash(nodes)
 }
 
 // chaosRecoveryPhase fires pending crash-during-recovery events whose
 // label prefix matches the recovery phase just reached.
 func (c *Cluster[V, A]) chaosRecoveryPhase(phase string) {
-	for i := range c.chaos.recCrashes {
-		rc := &c.chaos.recCrashes[i]
-		if rc.fired || !strings.HasPrefix(phase, rc.during) {
-			continue
-		}
-		rc.fired = true
-		c.crash(rc.nodes)
-	}
+	c.chaos.fire(c.chaos.fired, func(ev *ChaosEvent) bool {
+		return ev.Kind == ChaosCrashDuringRecovery && strings.HasPrefix(phase, ev.During)
+	}, func(ev *ChaosEvent) { c.crash(ev.Nodes) })
 }
 
 // chaosPartitionSilence runs after the superstep of an iteration that

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"slices"
-	"sort"
 
 	"imitator/internal/costmodel"
 	"imitator/internal/graph"
@@ -43,39 +42,47 @@ func (c *Cluster[V, A]) recoverMigration(p *recoveryPass[V, A]) error {
 		}
 		promoLists[nd.id] = list
 	})
-	// promoted[(node)][pos] marks the masters this pass must finish setting
-	// up (move notices, edge attach, FT repair, activation replay). It holds
-	// this attempt's promotions plus any from an interrupted earlier attempt
-	// of the same incident (c.migPromoted); newly tracks only the former,
-	// whose replica tables were just rebuilt against the current failed set.
-	if c.migPromoted == nil {
-		c.migPromoted = make(map[masterKey]bool)
+	// Bookkeeping is per node, by slot position, so walking nodes and then
+	// positions visits it in (node, pos) order. tableChanged marks masters
+	// whose replica tables mutate during this recovery: FT repair re-checks
+	// them and refreshes their mirrors at the end. Its rows cover the nodes
+	// alive now; a node killed later in the pass keeps its row, which repair
+	// still walks.
+	tableChanged := make([][]bool, c.cfg.NumNodes)
+	for _, nd := range c.aliveNodes() {
+		tableChanged[nd.id] = make([]bool, len(nd.hot))
 	}
-	// restart marks a re-attempt after a failure interrupted this incident's
-	// earlier migration pass; some invariants (mirror tables mirroring the
-	// master's, every replica known to its master) may then be broken and
-	// need the reconciliation round below.
-	restart := len(c.migPromoted) > 0
-	promoted := make(map[int16]map[int32]bool)
-	newly := make(map[masterKey]bool)
-	markPromoted := func(n int16, pos int32) {
-		if promoted[n] == nil {
-			promoted[n] = make(map[int32]bool)
+	survives := func(host int16) bool { return !failedSet[host] }
+	// Surviving masters drop lost replicas from their tables, in place. The
+	// mirrors this attempt promotes below are not masters yet; their tables
+	// are built against the failed set as they are promoted.
+	for _, nd := range c.aliveNodes() {
+		for i := range nd.hot {
+			if nd.hot[i].isMaster() && nd.replicas(int32(i)).retain(survives) {
+				tableChanged[nd.id][i] = true
+			}
 		}
-		promoted[n][pos] = true
-		c.migPromoted[masterKey{n, pos}] = true
 	}
-	// tableChanged tracks masters whose replica tables mutate during this
-	// recovery; their mirrors get refreshed full state at the end.
-	tableChanged := make(map[masterKey]bool)
-
-	survives := func(host int16) bool { return !failedSet[int(host)] }
+	// c.migPromoted[node][pos] marks the masters promoted in this incident
+	// whose setup (move notices, edge attach, FT repair, activation replay)
+	// may still be pending. It outlives an attempt that a failure
+	// interrupts; a restart is an attempt that finds a promotion recorded.
+	// Some invariants (mirror tables mirroring the master's, every replica
+	// known to its master) may then be broken and need the reconciliation
+	// round below.
+	if c.migPromoted == nil {
+		c.migPromoted = make([][]bool, c.cfg.NumNodes)
+	}
+	restart := slices.ContainsFunc(c.migPromoted, func(row []bool) bool { return slices.Contains(row, true) })
 	for n, list := range promoLists {
 		if len(list) == 0 {
 			continue
 		}
 		nd := c.nodes[n]
 		nd.masters = slices.Grow(nd.masters, len(list))
+		if row := c.migPromoted[n]; len(row) < len(nd.hot) {
+			c.migPromoted[n] = append(row, make([]bool, len(nd.hot)-len(row))...)
+		}
 		for _, pos := range list {
 			e, m := &nd.hot[pos], nd.mirror(pos)
 			e.flags |= flagMaster
@@ -96,20 +103,18 @@ func (c *Cluster[V, A]) recoverMigration(p *recoveryPass[V, A]) error {
 				nd.dropMirror(pos)
 			}
 			c.masterLoc[e.id] = int16(nd.id)
-			markPromoted(int16(nd.id), pos)
-			newly[masterKey{int16(nd.id), pos}] = true
-			tableChanged[masterKey{int16(nd.id), pos}] = true
+			c.migPromoted[n][pos] = true
 			rec.RecoveredVertices++
 		}
 	}
-	// Adopt surviving promotions from an interrupted earlier attempt: they
-	// are masters already (skipped by the scan above) but their remaining
-	// setup must re-run, and their tables must be re-checked against the
-	// enlarged failed set.
-	for k := range c.migPromoted { //imitator:nondet-ok merged into maps whose consumers sort
-		if nd := c.nodes[k.node]; nd != nil && nd.alive {
-			markPromoted(k.node, k.pos)
-			tableChanged[k] = true
+	// promoted holds the surviving nodes' rows: this attempt's promotions
+	// and those of an interrupted earlier one, masters already whose tables
+	// are re-checked against the enlarged failed set.
+	promoted := make([][]bool, c.cfg.NumNodes)
+	for _, nd := range c.aliveNodes() {
+		promoted[nd.id] = c.migPromoted[nd.id]
+		for pos := range marked(promoted[nd.id]) {
+			tableChanged[nd.id][pos] = true
 		}
 	}
 	// Unrecoverable check: every vertex must have a live master now.
@@ -118,25 +123,13 @@ func (c *Cluster[V, A]) recoverMigration(p *recoveryPass[V, A]) error {
 			return fmt.Errorf("%w: vertex %d lost master and all mirrors", ErrTooManyFailures, v)
 		}
 	}
-	// Surviving masters drop lost replicas from their tables, in place.
-	for _, nd := range c.aliveNodes() {
-		for i := range nd.hot {
-			if !nd.hot[i].isMaster() || newly[masterKey{int16(nd.id), int32(i)}] {
-				continue
-			}
-			if nd.replicas(int32(i)).retain(survives) {
-				tableChanged[masterKey{int16(nd.id), int32(i)}] = true
-			}
-		}
-	}
 	p.hook() // mirrors promoted
 
 	// --- Phase 2: move notices. Promoted masters tell their surviving
 	// replicas where the master now lives.
 	c.runPhase(func(nd *node[V, A]) {
-		positions := sortedPositions(promoted[int16(nd.id)])
 		c.stageExact(nd.sendBuf, nd.met, func(s *recSink) {
-			for _, pos := range positions {
+			for pos := range marked(promoted[nd.id]) {
 				rt := nd.replicas(pos)
 				for ri, host := range rt.nodes {
 					rpos := rt.pos[ri]
@@ -192,7 +185,6 @@ func (c *Cluster[V, A]) recoverMigration(p *recoveryPass[V, A]) error {
 				})
 			}
 		})
-		adoptedPerNode := make([][]masterKey, c.cfg.NumNodes)
 		if err := c.exchange(false, func(nd *node[V, A], from int, r *reader) {
 			vid, rpos, ft := graph.VertexID(r.u32()), r.i32(), r.bool()
 			if r.err != nil {
@@ -212,7 +204,7 @@ func (c *Cluster[V, A]) recoverMigration(p *recoveryPass[V, A]) error {
 			}
 			if !known {
 				rt.add(int16(from), rpos, ft)
-				adoptedPerNode[nd.id] = append(adoptedPerNode[nd.id], masterKey{int16(nd.id), mp})
+				tableChanged[nd.id][mp] = true
 			}
 			c.stageFill(nd.noticeBuf, nd.met).put(from, 8, func(buf []byte) []byte {
 				buf = putI32(buf, rpos)
@@ -220,11 +212,6 @@ func (c *Cluster[V, A]) recoverMigration(p *recoveryPass[V, A]) error {
 			})
 		}); err != nil {
 			return err
-		}
-		for _, keys := range adoptedPerNode {
-			for _, k := range keys {
-				tableChanged[k] = true
-			}
 		}
 		if err := c.exchange(true, func(nd *node[V, A], from int, r *reader) {
 			rpos, mpos := r.i32(), r.i32()
@@ -252,10 +239,7 @@ func (c *Cluster[V, A]) recoverMigration(p *recoveryPass[V, A]) error {
 	// are marked done (c.migFilesDone) only once n attaches their edges, so
 	// a restart re-reads exactly the files whose reader died in between.
 	readPaths := make([][]string, c.cfg.NumNodes)
-	needs := make([]map[graph.VertexID]bool, c.cfg.NumNodes)
-	for n := range needs {
-		needs[n] = make(map[graph.VertexID]bool)
-	}
+	needs := make([][]graph.VertexID, c.cfg.NumNodes)
 	if c.migFilesDone == nil {
 		c.migFilesDone = make(map[string]bool)
 	}
@@ -306,10 +290,10 @@ func (c *Cluster[V, A]) recoverMigration(p *recoveryPass[V, A]) error {
 			}
 			for _, e := range edges {
 				if _, ok := nd.pos(e.src); !ok {
-					needs[n][e.src] = true
+					needs[n] = append(needs[n], e.src)
 				}
 				if _, ok := nd.pos(e.dst); !ok {
-					needs[n][e.dst] = true
+					needs[n] = append(needs[n], e.dst)
 				}
 			}
 		}
@@ -320,14 +304,14 @@ func (c *Cluster[V, A]) recoverMigration(p *recoveryPass[V, A]) error {
 		// attached their edges have no mirror state left and contribute
 		// nothing.)
 		for _, nd := range c.aliveNodes() {
-			for _, pos := range sortedPositions(promoted[int16(nd.id)]) {
+			for pos := range marked(promoted[nd.id]) {
 				m := nd.mirror(pos)
 				if m == nil {
 					continue
 				}
 				for _, src := range m.mEdges.src {
 					if _, ok := nd.pos(src); !ok {
-						needs[nd.id][src] = true
+						needs[nd.id] = append(needs[nd.id], src)
 					}
 				}
 			}
@@ -338,11 +322,8 @@ func (c *Cluster[V, A]) recoverMigration(p *recoveryPass[V, A]) error {
 	// --- Phase 4: cooperative replica creation: request -> reply ->
 	// register (three rounds).
 	c.runPhase(func(nd *node[V, A]) {
-		ids := make([]graph.VertexID, 0, len(needs[nd.id]))
-		for id := range needs[nd.id] { //imitator:nondet-ok collected set is sorted before use
-			ids = append(ids, id)
-		}
-		sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
+		slices.Sort(needs[nd.id])
+		ids := slices.Compact(needs[nd.id])
 		c.chunked(nd, len(ids), func(st *stager, lo, hi int) {
 			c.stageExact(st.send, &st.met, func(s *recSink) {
 				for _, id := range ids[lo:hi] {
@@ -416,14 +397,14 @@ func (c *Cluster[V, A]) recoverMigration(p *recoveryPass[V, A]) error {
 		} else {
 			// The promoted masters' in-edges leave their mirror state and
 			// attach in ascending position order.
-			positions, n := sortedPositions(promoted[int16(nd.id)]), 0
-			for _, pos := range positions {
+			n := 0
+			for pos := range marked(promoted[nd.id]) {
 				if m := nd.mirror(pos); m != nil { // nil: attached by an interrupted earlier attempt
 					n += len(m.mEdges.src)
 				}
 			}
 			batch = newEdgeBatch(n)
-			for _, pos := range positions {
+			for pos := range marked(promoted[nd.id]) {
 				if m := nd.mirror(pos); m != nil {
 					if err := nd.batchInEdges(&batch, pos, &m.mEdges); err != nil {
 						return err
@@ -453,7 +434,7 @@ func (c *Cluster[V, A]) recoverMigration(p *recoveryPass[V, A]) error {
 
 	// --- Phase 7: replay activation for the promoted masters only
 	// (§5.2.3) and recompute promoted selfish vertices (§4.4).
-	isPromoted := func(mn int16, mp int32) bool { return promoted[mn][mp] }
+	isPromoted := func(mn int16, mp int32) bool { return int(mp) < len(promoted[mn]) && promoted[mn][mp] }
 	if err := c.replayActivation(iter, isPromoted); err != nil {
 		return err
 	}
@@ -477,55 +458,48 @@ func (c *Cluster[V, A]) recoverMigration(p *recoveryPass[V, A]) error {
 }
 
 // repairFTInvariants re-establishes >= K replicas and K mirrors for every
-// master whose replica table changed, creating FT replicas on the least
-// loaded nodes and pushing refreshed full state to all mirrors.
-func (c *Cluster[V, A]) repairFTInvariants(tableChanged map[masterKey]bool) error {
+// master whose replica table changed (tableChanged rows by node, by slot
+// position), creating FT replicas on the least loaded nodes and pushing
+// refreshed full state to all mirrors.
+func (c *Cluster[V, A]) repairFTInvariants(tableChanged [][]bool) error {
 	alive := c.aliveNodes()
-	load := make(map[int]int, len(alive))
+	load := make([]int, c.cfg.NumNodes)
 	for _, nd := range alive {
 		load[nd.id] = len(nd.hot)
 	}
-	keys := make([]masterKey, 0, len(tableChanged))
-	for k := range tableChanged { //imitator:nondet-ok collected set is sorted before use
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(a, b int) bool {
-		if keys[a].node != keys[b].node {
-			return keys[a].node < keys[b].node
-		}
-		return keys[a].pos < keys[b].pos
-	})
 
 	// Pass 1: plan and execute FT replica creation (driver-sequential for
 	// determinism; the records still flow through the network for cost
-	// accounting).
-	// Each key's plan rows are appended one after another, so its planned
-	// creates are exactly creates[start:].
-	var creates []ftCreatePlan
-	for _, k := range keys {
-		nd := c.nodes[k.node]
-		e, rt := &nd.hot[k.pos], nd.replicas(k.pos)
-		start := len(creates)
-		for len(rt.nodes)+len(creates)-start < c.cfg.FT.K {
-			best := -1
-			for _, cand := range alive {
-				if cand.id == int(k.node) || rt.hosts(cand.id) || plannedTo(creates[start:], cand.id) {
-					continue
+	// accounting). creates[n] is node n's plan, in position order; each
+	// master's rows are appended one after another, so its planned creates
+	// are exactly creates[n][start:].
+	creates := make([][]ftCreatePlan, c.cfg.NumNodes)
+	for n, row := range tableChanged {
+		nd := c.nodes[n]
+		for pos := range marked(row) {
+			e, rt := &nd.hot[pos], nd.replicas(pos)
+			start := len(creates[n])
+			for len(rt.nodes)+len(creates[n])-start < c.cfg.FT.K {
+				best := -1
+				for _, cand := range alive {
+					if cand.id == n || rt.hosts(cand.id) || plannedTo(creates[n][start:], cand.id) {
+						continue
+					}
+					if best < 0 || load[cand.id] < load[best] {
+						best = cand.id
+					}
 				}
-				if best < 0 || load[cand.id] < load[best] {
-					best = cand.id
+				if best < 0 {
+					break
 				}
+				creates[n] = append(creates[n], ftCreatePlan{pos: pos, to: best})
+				load[best]++
+				c.extraReplicas++
+				if e.isSelfish() {
+					c.extraReplicasSelfish++
+				}
+				c.totalPresences++
 			}
-			if best < 0 {
-				break
-			}
-			creates = append(creates, ftCreatePlan{from: k, to: best})
-			load[best]++
-			c.extraReplicas++
-			if e.isSelfish() {
-				c.extraReplicasSelfish++
-			}
-			c.totalPresences++
 		}
 	}
 	// Staging walks every node the plan names, alive or not: a node killed
@@ -535,10 +509,8 @@ func (c *Cluster[V, A]) repairFTInvariants(tableChanged map[masterKey]bool) erro
 			continue
 		}
 		c.stageExact(nd.sendBuf, nd.met, func(s *recSink) {
-			for _, cr := range creates {
-				if int(cr.from.node) == nd.id {
-					c.stageReplicaOf(s, nd, cr.from.pos, cr.to, flagFTOnly)
-				}
+			for _, cr := range creates[nd.id] {
+				c.stageReplicaOf(s, nd, cr.pos, cr.to, flagFTOnly)
 			}
 		})
 	}
@@ -550,32 +522,34 @@ func (c *Cluster[V, A]) repairFTInvariants(tableChanged map[masterKey]bool) erro
 	// Pass 2: mirror re-selection for changed masters, then full-state
 	// refresh on every mirror of a changed master. The selection reuses the
 	// table's mirrorOf in place: it is read ahead of every write.
-	for _, k := range keys {
-		rt := c.nodes[k.node].replicas(k.pos)
-		want := min(c.cfg.FT.K, len(rt.nodes))
-		mo := rt.mirrorOf[:0]
-		for _, idx := range rt.mirrorOf {
-			if len(mo) >= want {
-				break
-			}
-			if int(idx) < len(rt.nodes) && !slices.Contains(mo, idx) {
-				mo = append(mo, idx)
-			}
-		}
-		// Prefer FT-only replicas, then fill arbitrarily (deterministic
-		// ascending index).
-		for pass := 0; pass < 2 && len(mo) < want; pass++ {
-			for idx := range rt.nodes {
+	for n, row := range tableChanged {
+		for pos := range marked(row) {
+			rt := c.nodes[n].replicas(pos)
+			want := min(c.cfg.FT.K, len(rt.nodes))
+			mo := rt.mirrorOf[:0]
+			for _, idx := range rt.mirrorOf {
 				if len(mo) >= want {
 					break
 				}
-				if slices.Contains(mo, int16(idx)) || (pass == 0 && !rt.ftOnly[idx]) {
-					continue
+				if int(idx) < len(rt.nodes) && !slices.Contains(mo, idx) {
+					mo = append(mo, idx)
 				}
-				mo = append(mo, int16(idx))
 			}
+			// Prefer FT-only replicas, then fill arbitrarily (deterministic
+			// ascending index).
+			for pass := 0; pass < 2 && len(mo) < want; pass++ {
+				for idx := range rt.nodes {
+					if len(mo) >= want {
+						break
+					}
+					if slices.Contains(mo, int16(idx)) || (pass == 0 && !rt.ftOnly[idx]) {
+						continue
+					}
+					mo = append(mo, int16(idx))
+				}
+			}
+			rt.mirrorOf = mo
 		}
-		rt.mirrorOf = mo
 	}
 	// Mirror full-state refresh. Non-selected replicas of a refreshed
 	// master are demoted in the same sweep: an ex-mirror keeping its stale
@@ -587,22 +561,16 @@ func (c *Cluster[V, A]) repairFTInvariants(tableChanged map[masterKey]bool) erro
 			continue
 		}
 		c.stageExact(nd.sendBuf, nd.met, func(s *recSink) {
-			for _, k := range keys {
-				if int(k.node) != nd.id {
-					continue
-				}
-				table := nd.replicas(k.pos)
+			for pos := range marked(tableChanged[nd.id]) {
+				table := nd.replicas(pos)
 				for rank, idx := range table.mirrorOf {
-					c.putMirrorRecord(s, nd, k.pos, int(table.nodes[idx]), table.pos[idx], flagMirror, int16(rank))
+					c.putMirrorRecord(s, nd, pos, int(table.nodes[idx]), table.pos[idx], flagMirror, int16(rank))
 				}
 			}
 		})
 		c.stageExact(nd.noticeBuf, nd.met, func(s *recSink) {
-			for _, k := range keys {
-				if int(k.node) != nd.id {
-					continue
-				}
-				table := nd.replicas(k.pos)
+			for pos := range marked(tableChanged[nd.id]) {
+				table := nd.replicas(pos)
 				for idx, host := range table.nodes {
 					if slices.Contains(table.mirrorOf, int16(idx)) {
 						continue
@@ -644,25 +612,21 @@ func (c *Cluster[V, A]) repairFTInvariants(tableChanged map[masterKey]bool) erro
 	})
 }
 
-// masterKey identifies a master entry by (node, position).
-type masterKey struct {
-	node int16
-	pos  int32
-}
-
-// ftCreatePlan schedules one FT replica creation during invariant repair.
+// ftCreatePlan schedules, during invariant repair, one FT replica of the
+// planning node's master at pos on node to.
 type ftCreatePlan struct {
-	from masterKey
-	to   int
+	pos int32
+	to  int
 }
 
 // createReplicas runs the two rounds that land the replica records staged
 // for them (cooperative replica creation, FT repair): each receiver adds the
 // replica and registers its position with the master, which adds the row to
 // its replica table with ftOnly. count decides whether the registration
-// notices count as recovery traffic; registered, when non-nil, collects the
-// masters whose tables grew. It returns how many replicas were created.
-func (c *Cluster[V, A]) createReplicas(ftOnly, count bool, registered map[masterKey]bool) (int, error) {
+// notices count as recovery traffic; registered, when non-nil, marks in each
+// master node's own row the masters whose tables grew. It returns how many
+// replicas were created.
+func (c *Cluster[V, A]) createReplicas(ftOnly, count bool, registered [][]bool) (int, error) {
 	createdPerNode := make([]int, c.cfg.NumNodes)
 	if err := c.exchangeRecords(func(nd *node[V, A], recs []recoveryRecord[V]) {
 		nd.reserve(len(recs))
@@ -684,25 +648,21 @@ func (c *Cluster[V, A]) createReplicas(ftOnly, count bool, registered map[master
 	}); err != nil {
 		return 0, err
 	}
-	registeredPerNode := make([][]masterKey, c.cfg.NumNodes)
 	if err := c.exchange(true, func(nd *node[V, A], from int, r *reader) {
 		mp, newPos := r.i32(), r.i32()
 		if r.err != nil {
 			return
 		}
 		nd.replicas(mp).add(int16(from), newPos, ftOnly)
-		registeredPerNode[nd.id] = append(registeredPerNode[nd.id], masterKey{int16(nd.id), mp})
+		if registered != nil {
+			registered[nd.id][mp] = true
+		}
 	}); err != nil {
 		return 0, err
 	}
 	created := 0
-	for n, keys := range registeredPerNode {
-		created += createdPerNode[n]
-		for _, k := range keys {
-			if registered != nil {
-				registered[k] = true
-			}
-		}
+	for _, n := range createdPerNode {
+		created += n
 	}
 	return created, nil
 }
@@ -779,14 +739,13 @@ func (c *Cluster[V, A]) recomputeSelfish(nd *node[V, A], isTarget func(mn int16,
 	})
 }
 
-// sortedPositions flattens a promoted-position set into ascending order, so
-// every loop that stages wire bytes or links adjacency for promoted masters
-// walks them deterministically.
-func sortedPositions(set map[int32]bool) []int32 {
-	out := make([]int32, 0, len(set))
-	for pos := range set { //imitator:nondet-ok collected set is sorted before use
-		out = append(out, pos)
+// marked ranges over the slot positions a bookkeeping row marks, ascending.
+func marked(row []bool) func(yield func(int32) bool) {
+	return func(yield func(int32) bool) {
+		for i, ok := range row {
+			if ok && !yield(int32(i)) {
+				return
+			}
+		}
 	}
-	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
-	return out
 }

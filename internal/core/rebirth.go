@@ -85,7 +85,7 @@ func (c *Cluster[V, A]) recoverRebirth(p *recoveryPass[V, A]) error {
 
 	// Vertex-cut: newbies reload their slots' edge-ckpt files in parallel,
 	// overlapping with the vertex reloading above (§5.1.1).
-	edgeData := make(map[int][][]byte)
+	edgeData := make([][][]byte, c.cfg.NumNodes)
 	if c.vcut != nil {
 		var span costmodel.Span
 		for _, f := range failed {
@@ -350,7 +350,7 @@ func (c *Cluster[V, A]) placeRecovered(nd *node[V, A], rec *recoveryRecord[V]) {
 // lowestSurvivingMirror returns the node hosting the lowest-ranked
 // surviving mirror recorded in a mirror's copy t of the replica table, or
 // -1. Mirrors need no communication to elect the recoverer (§5.3.1).
-func (c *Cluster[V, A]) lowestSurvivingMirror(t *replicaTable, failedSet map[int]bool) int {
+func (c *Cluster[V, A]) lowestSurvivingMirror(t *replicaTable, failedSet []bool) int {
 	for _, idx := range t.mirrorOf {
 		n := int(t.nodes[idx])
 		if !failedSet[n] && c.nodes[n] != nil && c.nodes[n].alive {

@@ -105,7 +105,7 @@ type recoveryPass[V, A any] struct {
 	c         *Cluster[V, A]
 	iter      int
 	failed    []int
-	failedSet map[int]bool
+	failedSet []bool // by node id
 	rec       RecoveryReport
 	// labels are the kind's phase labels not yet announced.
 	labels []string
@@ -157,7 +157,7 @@ func (c *Cluster[V, A]) recoverPass(kind RecoveryKind, failed []int, iter int) (
 	}
 	start := c.clock.Now()
 	p := &recoveryPass[V, A]{
-		c: c, iter: iter, failed: failed, failedSet: make(map[int]bool, len(failed)),
+		c: c, iter: iter, failed: failed, failedSet: make([]bool, c.cfg.NumNodes),
 		rec:       RecoveryReport{Kind: kind.String(), Iteration: iter, Failed: append([]int(nil), failed...)},
 		labels:    RecoveryPhaseLabels(kind),
 		slotStart: start,
