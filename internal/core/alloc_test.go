@@ -36,18 +36,19 @@ func manualStep[V, A any](tb testing.TB, cl *Cluster[V, A]) func() {
 
 // TestLoadAllocBudget pins what NewCluster allocates on the benchmark graph,
 // in count and in bytes. Load sizes every per-vertex list (presence lists,
-// local topology, replica positions, mirror full state) by a count pass and
-// carves it out of a few exactly-sized arenas, and every per-slot table
-// (hot, topology offsets, slab handles, role slabs, id index) is made once at
-// its final size, so a load makes a few hundred allocations: 288 edge-cut,
-// 446 vertex-cut, 429 checkpoint and 300 edge-cut-k2-serve when the budgets
-// were set, each budget about 10 % above. One per-vertex make or
-// append-grown list anywhere in load costs 64 k allocations and breaks the
-// count; a per-slot table that regrows by append, a per-slot slice header (a
-// topology of three per slot was 17 MB on edge-cut), a stored list of the
-// unweighted graph's unit weights, or a fresh metadata-snapshot buffer per
-// node (the DFS copies what it stores; 10.7 MB at checkpoint) costs more than
-// 10 % in bytes and breaks the byte budget.
+// local topology, replica tables, mirror full state) by a count pass and
+// writes it into a few exactly-sized arrays (the per-node topology CSR and
+// table and edge arenas), and every per-slot table (hot, topology offsets,
+// slab handles, role slabs, id index) is made once at its final size, so a
+// load makes a few hundred allocations: 332 edge-cut, 471 vertex-cut, 461
+// checkpoint and 345 edge-cut-k2-serve when the budgets were set, each
+// budget about 10 % above. One per-vertex make or append-grown list anywhere
+// in load costs 64 k allocations and breaks the count; a per-slot table that
+// regrows by append, a per-slot slice header (a topology of three per slot
+// was 17 MB on edge-cut, the replica tables' and mirror states' seven 14 MB),
+// a stored list of the unweighted graph's unit weights, or a fresh
+// metadata-snapshot buffer per node (the DFS copies what it stores; 10.7 MB
+// at checkpoint) costs more than 10 % in bytes and breaks the byte budget.
 func TestLoadAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; counts are meaningless")
@@ -62,13 +63,13 @@ func TestLoadAllocBudget(t *testing.T) {
 		name    string
 		cfg     Config
 		mallocs uint64
-		mb      uint64 // measured 57.2 / 73.9 / 72.6 / 79.0 MB
+		mb      uint64 // measured 43.2 / 59.6 / 67.9 / 55.3 MB
 	}{
 		// Replication K=1, as ec-steady / vc-steady.
-		{"edge-cut", DefaultConfig(EdgeCutMode, 8), 320, 63},
-		{"vertex-cut", DefaultConfig(VertexCutMode, 8), 490, 81},
-		{"checkpoint", checkpoint, 470, 80},
-		{"edge-cut-k2-serve", serveLoadConfig(), 330, 87},
+		{"edge-cut", DefaultConfig(EdgeCutMode, 8), 365, 48},
+		{"vertex-cut", DefaultConfig(VertexCutMode, 8), 520, 66},
+		{"checkpoint", checkpoint, 510, 75},
+		{"edge-cut-k2-serve", serveLoadConfig(), 380, 61},
 	} {
 		tc.cfg.HostParallelism = 1
 		var before, after runtime.MemStats
@@ -340,10 +341,11 @@ func BenchmarkRecovery(b *testing.B) {
 // graph, in count and in bytes, over BenchmarkRecovery's timed span (the pass
 // and the re-executed supersteps). Every recovery staging loop sizes each
 // destination buffer by a count pass, a round's records decode into one
-// exactly-sized arena, edges attach in one batched topology rebuild,
-// adoption and pruning grow each table at most once, and Migration keeps its
-// bookkeeping in per-node rows indexed by slot position. So Rebirth makes
-// tens of allocations and Migration about 13.6 k (18.2 and 73.8 MB). A
+// exactly-sized arena, edges attach in one batched topology rebuild, replica
+// tables and mirror edge lists live in per-node arenas that grow at most once
+// per round of records, and Migration keeps its bookkeeping in per-node rows
+// indexed by slot position. So Rebirth makes tens of allocations and
+// Migration about 1.1 k (17.3 and 74.5 MB). A
 // staging buffer that regrows by append costs about 1.25 times its size
 // again and breaks the byte budget; a per-record decode costs tens of
 // thousands of allocations and breaks the count.
@@ -358,10 +360,10 @@ func TestRecoveryAllocBudget(t *testing.T) {
 	for _, tc := range []struct {
 		kind    RecoveryKind
 		mallocs uint64
-		mb      float64 // measured 18.2 / 73.8 / 4.9 / 5.1 MB
+		mb      float64 // measured 17.3 / 74.5 / 4.9 / 5.1 MB
 	}{
 		{RecoverRebirth, 100, 19},
-		{RecoverMigration, 15600, 83},
+		{RecoverMigration, 1200, 83},
 		{RecoverCheckpoint, 250, 5.5},
 		{RecoverLogged, 100, 5.6},
 	} {

@@ -233,7 +233,8 @@ func (c *Cluster[V, A]) recoverCheckpoint(p *recoveryPass[V, A]) error {
 
 // rebuildPristineNode recreates a node's loader state from the retained
 // pristine copy: a copy of its initial hot slots, and the topology, slab
-// handles and role slabs themselves, which stay shared (pristineNode).
+// handles, role slabs and arenas themselves, which stay shared
+// (pristineNode).
 func (c *Cluster[V, A]) rebuildPristineNode(id int) *node[V, A] {
 	if c.pristine == nil || c.pristine[id] == nil {
 		return nil
@@ -249,6 +250,8 @@ func (c *Cluster[V, A]) rebuildPristineNode(id int) *node[V, A] {
 		ref:        src.ref,
 		masters:    src.masters,
 		mirrors:    src.mirrors,
+		tables:     src.tables,
+		edges:      src.edges,
 		index:      newIndex(c.g.NumVertices()),
 	}
 	for i := range nd.hot {
@@ -301,15 +304,17 @@ type replayWatch struct {
 }
 
 // pristineNode is a node's post-load state. Under checkpoint and logged
-// recovery nothing changes the topology, ref or the role slabs after load
-// (only the replication recoveries reshape them), so these are the live
-// node's own tables, shared by every node rebuilt from them; hot is a copy,
-// since supersteps write it.
+// recovery nothing changes the topology, ref, the role slabs or the arenas
+// after load (only the replication recoveries reshape them), so these are
+// the live node's own tables, shared by every node rebuilt from them; hot is
+// a copy, since supersteps write it.
 type pristineNode[V any] struct {
 	hot        []hot[V]
 	csr        csr
 	ref        []slabRef
-	masters    []replicaTable
+	masters    []tableRef
 	mirrors    []mirrorState
+	tables     replicaTable
+	edges      rawEdges
 	localEdges int
 }

@@ -41,13 +41,18 @@ type node[V, A any] struct {
 	// hot and ref are the position-parallel vertex tables (entry.go), csr
 	// the local topology by the same positions; ref's handles index the role
 	// slabs masters (one replica table per master slot) and mirrors (one full
-	// state per mirror slot). index maps every vertex id of the graph to its
-	// position here, noPos if absent.
+	// state per mirror slot), whose entries are in turn handles into the
+	// arenas: tables holds every replica table's rows (and, parallel to
+	// them, its mirror indexes), edges every mirror's in-edge list, with
+	// weights exactly when the graph is weighted. index maps every vertex id
+	// of the graph to its position here, noPos if absent.
 	hot []hot[V]
 	csr
 	ref     []slabRef
-	masters []replicaTable
+	masters []tableRef
 	mirrors []mirrorState
+	tables  replicaTable
+	edges   rawEdges
 	index   []int32
 	met     *metrics.Node
 

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"imitator/internal/graph"
 )
 
@@ -248,16 +250,31 @@ type slabRef struct {
 	mirror int32
 }
 
-// mirrorState is a mirror's full state (§4.2): a copy of the master's replica
-// table and, for edge-cut, the master's in-edges by global id with each
-// source's master node (vertex-cut recovers edges from edge-ckpt files).
+// tableRef is a master-slab entry, and a mirror's copy of its master's: the
+// replica table whose rows are rows elements of the node's table arena from
+// off, its mirror indexes mirrors elements of the arena's mirrorOf from the
+// same offset. A table never has more mirrors than rows, so its range is
+// [off, off+rows) in all four arrays.
+type tableRef struct {
+	off           int32
+	rows, mirrors uint16
+}
+
+// edgeRef names a mirror's in-edge list: n elements of the node's edge arena
+// from off.
+type edgeRef struct{ off, n int32 }
+
+// mirrorState is a mirror-slab entry, a mirror's full state (§4.2) by handle:
+// a copy of the master's replica table and, for edge-cut, the master's
+// in-edges by global id with each source's master node (vertex-cut recovers
+// edges from edge-ckpt files).
 type mirrorState struct {
-	mTable replicaTable
-	mEdges rawEdges
-	rank   int16 // this mirror's rank; lowest surviving rank recovers
+	table tableRef
+	edges edgeRef
 	// slot is the position whose ref.mirror names this entry, so dropMirror
 	// can move the slab's last entry into the hole it leaves.
 	slot int32
+	rank int16 // this mirror's rank; lowest surviving rank recovers
 }
 
 func (e *hot[V]) isMaster() bool  { return e.flags&flagMaster != 0 }
@@ -279,20 +296,6 @@ func (e *hot[V]) clearPending() {
 	e.pendingScatterI = 0
 }
 
-// carve cuts the next n elements off *arena with cap == len.
-func carve[T any](arena *[]T, n int) []T {
-	s := (*arena)[:n:n]
-	*arena = (*arena)[n:]
-	return s
-}
-
-// carveCopy carves a copy of src.
-func carveCopy[T any](arena *[]T, src []T) []T {
-	s := carve(arena, len(src))
-	copy(s, src)
-	return s
-}
-
 // entryFixedBytes approximates the in-memory cost of one entry excluding
 // its slices and the value payload; used for the paper's memory tables.
 const entryFixedBytes = 96
@@ -304,13 +307,13 @@ func (n *node[V, A]) memoryBytes(i, valueSize int) int64 {
 	b := int64(entryFixedBytes) + 2*int64(valueSize) // value + pending
 	b += int64(n.inLen(i))*12 + int64(len(n.out(i)))*4
 	if r.master != noSlab {
-		rt := &n.masters[r.master]
-		b += int64(len(rt.nodes))*7 + int64(len(rt.mirrorOf))*2 // node + pos + ftOnly; mirror index
+		h := n.masters[r.master]
+		b += int64(h.rows)*7 + int64(h.mirrors)*2 // node + pos + ftOnly; mirror index
 	}
 	if r.mirror != noSlab {
 		m := &n.mirrors[r.mirror]
-		b += int64(len(m.mEdges.src)) * 14 // src id + weight + src master
-		b += int64(len(m.mTable.nodes))*7 + int64(len(m.mTable.mirrorOf))*2
+		b += int64(m.edges.n) * 14 // src id + weight + src master
+		b += int64(m.table.rows)*7 + int64(m.table.mirrors)*2
 	}
 	return b
 }
@@ -324,9 +327,9 @@ func newIndex(numV int) []int32 {
 	return index
 }
 
-// replicas returns master slot i's replica table. The pointer is valid until
-// the next addMaster.
-func (n *node[V, A]) replicas(i int32) *replicaTable { return &n.masters[n.ref[i].master] }
+// replicas returns master slot i's replica table, a view into the table
+// arena valid until the next arena write.
+func (n *node[V, A]) replicas(i int32) replicaTable { return n.tables.at(n.masters[n.ref[i].master]) }
 
 // mirror returns slot i's mirror state, or nil when the slot is no mirror.
 // The pointer is valid until the next ensureMirror or dropMirror.
@@ -337,10 +340,168 @@ func (n *node[V, A]) mirror(i int32) *mirrorState {
 	return nil
 }
 
-// addMaster gives slot i (a promoted or recovered master) the replica table t.
-func (n *node[V, A]) addMaster(i int32, t replicaTable) {
+// at returns the table h names in the table arena t, with cap == len.
+func (t *replicaTable) at(h tableRef) replicaTable {
+	lo, hi, m := h.off, h.off+int32(h.rows), h.off+int32(h.mirrors)
+	return replicaTable{t.nodes[lo:hi:hi], t.pos[lo:hi:hi], t.ftOnly[lo:hi:hi], t.mirrorOf[lo:m:m]}
+}
+
+// at returns the list h names in the edge arena e, with cap == len.
+func (e *rawEdges) at(h edgeRef) rawEdges {
+	lo, hi := h.off, h.off+h.n
+	l := rawEdges{src: e.src[lo:hi:hi], srcMaster: e.srcMaster[lo:hi:hi]}
+	if e.wt != nil {
+		l.wt = e.wt[lo:hi:hi]
+	}
+	return l
+}
+
+// extend returns s grown by n elements, reallocating only when its capacity
+// falls short.
+func extend[T any](s []T, n int) []T { return slices.Grow(s, n)[:len(s)+n] }
+
+// growArenas makes room, at once, for rows more table rows and edges more
+// in-edges at the arenas' tails.
+func (n *node[V, A]) growArenas(rows, edges int) {
+	t, e := &n.tables, &n.edges
+	t.nodes, t.pos = slices.Grow(t.nodes, rows), slices.Grow(t.pos, rows)
+	t.ftOnly, t.mirrorOf = slices.Grow(t.ftOnly, rows), slices.Grow(t.mirrorOf, rows)
+	e.src, e.srcMaster = slices.Grow(e.src, edges), slices.Grow(e.srcMaster, edges)
+	if e.wt != nil {
+		e.wt = slices.Grow(e.wt, edges)
+	}
+}
+
+// writeTable stores a copy of t under handle h and returns the new handle:
+// over h's own range when t fits in it, else at the arena's tail, leaving
+// the old range dead.
+func (n *node[V, A]) writeTable(h tableRef, t *replicaTable) tableRef {
+	a := &n.tables
+	if w := len(t.nodes); w > int(h.rows) {
+		h.off = int32(len(a.nodes))
+		a.nodes, a.pos, a.ftOnly, a.mirrorOf = extend(a.nodes, w), extend(a.pos, w), extend(a.ftOnly, w), extend(a.mirrorOf, w)
+	}
+	copy(a.nodes[h.off:], t.nodes)
+	copy(a.pos[h.off:], t.pos)
+	copy(a.ftOnly[h.off:], t.ftOnly)
+	copy(a.mirrorOf[h.off:], t.mirrorOf)
+	return tableRef{off: h.off, rows: uint16(len(t.nodes)), mirrors: uint16(len(t.mirrorOf))}
+}
+
+// writeEdges stores a copy of l under handle h as writeTable does: in place
+// when it fits, else at the edge arena's tail.
+func (n *node[V, A]) writeEdges(h edgeRef, l *rawEdges) edgeRef {
+	a := &n.edges
+	if len(l.src) > int(h.n) {
+		h.off = int32(len(a.src))
+		a.src, a.srcMaster = extend(a.src, len(l.src)), extend(a.srcMaster, len(l.src))
+		if a.wt != nil {
+			a.wt = extend(a.wt, len(l.src))
+		}
+	}
+	h.n = int32(len(l.src))
+	copy(a.src[h.off:], l.src)
+	copy(a.srcMaster[h.off:], l.srcMaster)
+	if a.wt != nil {
+		for k := range l.src {
+			a.wt[int(h.off)+k] = l.wt.at(k)
+		}
+	}
+	return h
+}
+
+// retainReplicas keeps, in place, the rows of master slot i's table whose
+// host keep accepts (replicaTable.retain) and stores the new counts in its
+// handle. It reports whether any row went.
+func (n *node[V, A]) retainReplicas(i int32, keep func(host int16) bool) bool {
+	h := &n.masters[n.ref[i].master]
+	t := n.tables.at(*h)
+	if !t.retain(keep) {
+		return false
+	}
+	h.rows, h.mirrors = uint16(len(t.nodes)), uint16(len(t.mirrorOf))
+	return true
+}
+
+// addRow appends one replica row to master slot i's table. A table that
+// does not end at the arena's tail is first copied there, its old range left
+// dead; one that does grows in place.
+func (n *node[V, A]) addRow(i int32, host int16, pos int32, ftOnly bool) {
+	h := &n.masters[n.ref[i].master]
+	a := &n.tables
+	if tail := len(a.nodes); int(h.off)+int(h.rows) != tail {
+		t := a.at(*h)
+		*h = n.writeTable(tableRef{off: int32(tail)}, &t)
+	}
+	a.nodes, a.pos, a.ftOnly, a.mirrorOf = extend(a.nodes, 1), extend(a.pos, 1), extend(a.ftOnly, 1), extend(a.mirrorOf, 1)
+	at := h.off + int32(h.rows)
+	a.nodes[at], a.pos[at], a.ftOnly[at] = host, pos, ftOnly
+	h.rows++
+}
+
+// setMirrors replaces master slot i's mirror indexes with mo, which may
+// name at most as many as the table has rows, in place.
+func (n *node[V, A]) setMirrors(i int32, mo []int16) {
+	h := &n.masters[n.ref[i].master]
+	copy(n.tables.mirrorOf[h.off:h.off+int32(h.rows)], mo)
+	h.mirrors = uint16(len(mo))
+}
+
+// promoteTable gives mirror slot i, promoted to master, its copy of the
+// replica table as its own by moving the handle: the rows stay where they
+// are. The mirror indexes go (FT repair re-selects them), and so do the
+// rows keep rejects.
+func (n *node[V, A]) promoteTable(i int32, keep func(host int16) bool) {
+	m := n.mirror(i)
+	h := m.table
+	h.mirrors = 0
+	m.table = tableRef{}
 	n.ref[i].master = int32(len(n.masters))
-	n.masters = append(n.masters, t)
+	n.masters = append(n.masters, h)
+	n.retainReplicas(i, keep)
+}
+
+// landRecords stores one round of recovery records' replica tables (a
+// master's own, a mirror's copy) and mirror in-edge lists in the arenas
+// under their slots' handles (writeTable, writeEdges). A count pass sums
+// what does not fit in place, so each arena grows at most once. Every
+// record's slot must already have its role-slab entries; a master record's
+// in-edges are topology, which the caller attaches.
+func (n *node[V, A]) landRecords(recs []recoveryRecord[V]) {
+	rows, edges := 0, 0
+	for k := range recs {
+		r := &recs[k]
+		th, eh := n.handles(r)
+		if th != nil && r.table != nil && len(r.table.nodes) > int(th.rows) {
+			rows += len(r.table.nodes)
+		}
+		if eh != nil && r.edges != nil && len(r.edges.src) > int(eh.n) {
+			edges += len(r.edges.src)
+		}
+	}
+	n.growArenas(rows, edges)
+	for k := range recs {
+		r := &recs[k]
+		th, eh := n.handles(r)
+		if th != nil && r.table != nil {
+			*th = n.writeTable(*th, r.table)
+		}
+		if eh != nil && r.edges != nil {
+			*eh = n.writeEdges(*eh, r.edges)
+		}
+	}
+}
+
+// handles returns the arena handles record r's slot keeps: a master's table,
+// a mirror's copy of it and its in-edges; nil for what the slot lacks.
+func (n *node[V, A]) handles(r *recoveryRecord[V]) (*tableRef, *edgeRef) {
+	if r.role == roleMaster {
+		return &n.masters[n.ref[r.pos].master], nil
+	}
+	if m := n.mirror(r.pos); m != nil {
+		return &m.table, &m.edges
+	}
+	return nil, nil
 }
 
 // ensureMirror returns slot i's mirror state, creating an empty one for a
@@ -389,7 +550,7 @@ func (n *node[V, A]) allocSlabs() {
 		}
 		n.ref[i] = r
 	}
-	n.masters = make([]replicaTable, masters)
+	n.masters = make([]tableRef, masters)
 	n.mirrors = make([]mirrorState, mirrors)
 	for i := range n.ref {
 		if h := n.ref[i].mirror; h != noSlab {

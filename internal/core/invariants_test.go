@@ -154,7 +154,7 @@ func TestLoadInvariants(t *testing.T) {
 						if !re.isMirror() || rm == nil || rm.rank != int16(rank) {
 							t.Fatalf("%v: mirror rank mismatch for vertex %d", mode, e.id)
 						}
-						if len(rm.mTable.nodes) != len(rt.nodes) {
+						if len(rnd.tables.at(rm.table).nodes) != len(rt.nodes) {
 							t.Fatalf("%v: mirror of %d has stale table", mode, e.id)
 						}
 					}
@@ -193,8 +193,9 @@ func TestMirrorBalance(t *testing.T) {
 }
 
 // checkVertexTables asserts the vertex-table invariants on every alive node:
-// hot and ref are position-parallel and the topology is a CSR over the same
-// slots (checkCSR); a slot has a master-slab handle
+// hot and ref are position-parallel, the topology is a CSR over the same
+// slots (checkCSR) and the role slabs' handles are sound (checkArenas); a
+// slot has a master-slab handle
 // iff it is a master and a mirror-slab handle iff it is a mirror; every slab
 // entry is named by exactly one slot (a mirror entry by the slot it points
 // back at), so none is orphaned; and the dense id index is the exact inverse
@@ -213,6 +214,7 @@ func checkVertexTables[V, A any](t *testing.T, cl *Cluster[V, A], when string) {
 			t.Fatalf("%s: node %d: hot/ref lengths %d/%d", when, nd.id, len(nd.hot), len(nd.ref))
 		}
 		checkCSR(t, nd, when)
+		checkArenas(t, nd, when)
 		if len(nd.index) != cl.g.NumVertices() {
 			t.Fatalf("%s: node %d: index covers %d vertices, graph has %d", when, nd.id, len(nd.index), cl.g.NumVertices())
 		}
@@ -308,6 +310,64 @@ func checkCSR[V, A any](t *testing.T, nd *node[V, A], when string) {
 	slices.SortFunc(out, cmp)
 	if !slices.Equal(in, out) {
 		t.Fatalf("%s: node %d: the out-lists are not the reversed in-lists", when, nd.id)
+	}
+}
+
+// checkArenas asserts a node's arenas are sound: each arena's arrays are
+// parallel (the edge weights nil or as long as the sources); every master
+// handle and every mirror's table and edge handle lies inside its arena and
+// names a table with no more mirror indexes than rows; every view it yields
+// has cap == len; and no two handles' ranges overlap.
+func checkArenas[V, A any](t *testing.T, nd *node[V, A], when string) {
+	t.Helper()
+	tb, eb := &nd.tables, &nd.edges
+	if rows := len(tb.nodes); len(tb.pos) != rows || len(tb.ftOnly) != rows || len(tb.mirrorOf) != rows {
+		t.Fatalf("%s: node %d: table arena arrays %d/%d/%d/%d long", when, nd.id, rows, len(tb.pos), len(tb.ftOnly), len(tb.mirrorOf))
+	}
+	if len(eb.srcMaster) != len(eb.src) || eb.wt != nil && len(eb.wt) != len(eb.src) {
+		t.Fatalf("%s: node %d: edge arena arrays %d/%d/%d long", when, nd.id, len(eb.src), len(eb.srcMaster), len(eb.wt))
+	}
+	var tables, edges [][2]int // live [lo, hi) ranges
+	table := func(h tableRef, who string) {
+		lo, hi := int(h.off), int(h.off)+int(h.rows)
+		if lo < 0 || hi > len(tb.nodes) || h.mirrors > h.rows {
+			t.Fatalf("%s: node %d: %s table %+v outside the %d-row arena or with more mirrors than rows", when, nd.id, who, h, len(tb.nodes))
+		}
+		v := tb.at(h)
+		if cap(v.nodes) != len(v.nodes) || cap(v.pos) != len(v.pos) || cap(v.ftOnly) != len(v.ftOnly) || cap(v.mirrorOf) != len(v.mirrorOf) {
+			t.Fatalf("%s: node %d: %s table view has slack", when, nd.id, who)
+		}
+		if hi > lo {
+			tables = append(tables, [2]int{lo, hi})
+		}
+	}
+	for i, r := range nd.ref {
+		if r.master != noSlab {
+			table(nd.masters[r.master], fmt.Sprintf("slot %d's", i))
+		}
+	}
+	for _, m := range nd.mirrors {
+		who := fmt.Sprintf("mirror slot %d's", m.slot)
+		table(m.table, who)
+		lo, hi := int(m.edges.off), int(m.edges.off+m.edges.n)
+		if lo < 0 || hi < lo || hi > len(eb.src) {
+			t.Fatalf("%s: node %d: %s edges %+v outside the %d-edge arena", when, nd.id, who, m.edges, len(eb.src))
+		}
+		v := eb.at(m.edges)
+		if cap(v.src) != len(v.src) || cap(v.srcMaster) != len(v.srcMaster) || cap(v.wt) != len(v.wt) {
+			t.Fatalf("%s: node %d: %s edge view has slack", when, nd.id, who)
+		}
+		if hi > lo {
+			edges = append(edges, [2]int{lo, hi})
+		}
+	}
+	for _, ranges := range [][][2]int{tables, edges} {
+		slices.SortFunc(ranges, func(a, b [2]int) int { return a[0] - b[0] })
+		for k := 1; k < len(ranges); k++ {
+			if ranges[k][0] < ranges[k-1][1] {
+				t.Fatalf("%s: node %d: arena ranges %v and %v overlap", when, nd.id, ranges[k-1], ranges[k])
+			}
+		}
 	}
 }
 

@@ -3,11 +3,13 @@ package core
 import (
 	"bytes"
 	"reflect"
+	"runtime"
 	"slices"
 	"testing"
 	"unsafe"
 
 	"imitator/internal/datasets"
+	"imitator/internal/graph"
 )
 
 // TestHotSlotFitsACacheLine pins the hot table's element size: a gather's
@@ -21,8 +23,8 @@ func TestHotSlotFitsACacheLine(t *testing.T) {
 // TestSuperstepNeverTouchesMeta is the point of the hot/metadata split: once
 // the sync routes are flattened, a failure-free superstep (compute, sync
 // stage, receive, barrier, commit — both engines, replication on) reads no
-// slab handle and no role slab. The test takes them away; any access would
-// index a nil slice and panic.
+// slab handle, no role slab and no arena. The test takes them away; any
+// access would index a nil slice and panic.
 func TestSuperstepNeverTouchesMeta(t *testing.T) {
 	for _, mode := range []Mode{EdgeCutMode, VertexCutMode} {
 		g := datasets.Tiny(400, 2400, 4242)
@@ -43,17 +45,18 @@ func TestSuperstepNeverTouchesMeta(t *testing.T) {
 			for _, nd := range cl.nodes {
 				// The first superstep built the routes from them.
 				nd.ref, nd.masters, nd.mirrors = nil, nil, nil
+				nd.tables, nd.edges = replicaTable{}, rawEdges{}
 			}
 		}
 	}
 }
 
-// TestLoadCarvesListsWithoutSlack: every list load carves out of an arena —
-// the presence lists a master's replica table adopts included — has cap ==
-// len, so appending to any slot's lists, as migration and rebirth do when
-// they register replicas, copies the list out and leaves every other slot's
-// lists bit-identical. The graph is unweighted, so load stores no weight list
-// at all, neither in the topology nor in a mirror's edges.
+// TestLoadCarvesListsWithoutSlack: every list view load leaves in the
+// arenas — a master's replica table, a mirror's copy of it and its in-edges —
+// has cap == len, so an append through a view copies the list out and leaves
+// every other slot's lists bit-identical. The graph is unweighted, so load
+// stores no weight list at all, neither in the topology nor in a mirror's
+// edges.
 func TestLoadCarvesListsWithoutSlack(t *testing.T) {
 	for _, mode := range []Mode{EdgeCutMode, VertexCutMode} {
 		g := datasets.Tiny(400, 2400, 4242)
@@ -74,21 +77,168 @@ func TestLoadCarvesListsWithoutSlack(t *testing.T) {
 			for i := range nd.hot {
 				slack := 0
 				if nd.hot[i].isMaster() {
-					slack += tableSlack(nd.replicas(int32(i)))
+					rt := nd.replicas(int32(i))
+					slack += tableSlack(&rt)
 				}
 				if m := nd.mirror(int32(i)); m != nil {
-					slack += tableSlack(&m.mTable)
-					slack += cap(m.mEdges.src) - len(m.mEdges.src) + cap(m.mEdges.srcMaster) - len(m.mEdges.srcMaster)
-					if m.mEdges.wt != nil {
-						t.Fatalf("%v node %d slot %d: mirror stores %d unit weights", mode, nd.id, i, len(m.mEdges.wt))
+					mt, me := nd.tables.at(m.table), nd.edges.at(m.edges)
+					slack += tableSlack(&mt)
+					slack += cap(me.src) - len(me.src) + cap(me.srcMaster) - len(me.srcMaster)
+					if me.wt != nil {
+						t.Fatalf("%v node %d slot %d: mirror stores %d unit weights", mode, nd.id, i, len(me.wt))
 					}
 				}
 				if slack != 0 {
-					t.Fatalf("%v node %d slot %d: carved lists have %d elements of slack", mode, nd.id, i, slack)
+					t.Fatalf("%v node %d slot %d: list views have %d elements of slack", mode, nd.id, i, slack)
 				}
 			}
 		}
 	}
+}
+
+// TestReplicaTableArena drives the node methods that write the arenas on a
+// loaded node (edge-cut, K=2): shrinking a table keeps it in place; growing
+// one copies it to the arena's tail and grows it there in place the next
+// time; both leave every other slot's lists bit-identical. Promotion moves a
+// mirror's table handle without copying a row, and landing a round of
+// records grows each arena at most once. The handle sizes are pinned, so a
+// slice header added back to either role slab fails here.
+func TestReplicaTableArena(t *testing.T) {
+	if sz := unsafe.Sizeof(tableRef{}); sz > 8 {
+		t.Errorf("tableRef is %d bytes, want <= 8", sz)
+	}
+	if sz := unsafe.Sizeof(mirrorState{}); sz > 24 {
+		t.Errorf("mirrorState is %d bytes, want <= 24", sz)
+	}
+	g := datasets.Tiny(400, 2400, 4242)
+	cfg := DefaultConfig(EdgeCutMode, 4)
+	cfg.FT.K = 2
+	cl, err := NewCluster[float64, float64](cfg, g, fakePR{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nd := cl.nodes[0]
+	clone := func(v replicaTable) replicaTable {
+		return replicaTable{slices.Clone(v.nodes), slices.Clone(v.pos), slices.Clone(v.ftOnly), slices.Clone(v.mirrorOf)}
+	}
+	// lists deep-copies every slot's table (a master's own, a mirror's copy)
+	// and mirror in-edges.
+	type lists struct {
+		t replicaTable
+		e rawEdges
+	}
+	snapshot := func() []lists {
+		out := make([]lists, len(nd.hot))
+		for i := range nd.hot {
+			if nd.hot[i].isMaster() {
+				out[i].t = clone(nd.replicas(int32(i)))
+			} else if m := nd.mirror(int32(i)); m != nil {
+				e := nd.edges.at(m.edges)
+				out[i] = lists{clone(nd.tables.at(m.table)), rawEdges{slices.Clone(e.src), slices.Clone(e.wt), slices.Clone(e.srcMaster)}}
+			}
+		}
+		return out
+	}
+	unchanged := func(what string, before []lists, skip ...int) {
+		t.Helper()
+		for i, l := range snapshot() {
+			if !slices.Contains(skip, i) && !reflect.DeepEqual(l, before[i]) {
+				t.Fatalf("%s: slot %d's lists changed", what, i)
+			}
+		}
+	}
+	var mirrors []int
+	shrink, grow := -1, -1
+	for i := range nd.hot {
+		switch {
+		case nd.mirror(int32(i)) != nil:
+			mirrors = append(mirrors, i)
+		case !nd.hot[i].isMaster():
+		case shrink < 0 && nd.masters[nd.ref[i].master].rows >= 2:
+			shrink = i
+		case grow < 0:
+			grow = i
+		}
+	}
+	if shrink < 0 || grow < 0 || len(mirrors) < 2 {
+		t.Fatalf("node 0 has no master with two replicas, no other master or under two mirrors")
+	}
+
+	// Shrink in place: the first row goes.
+	before, h := snapshot(), nd.masters[nd.ref[shrink].master]
+	gone := before[shrink].t.nodes[0]
+	if !nd.retainReplicas(int32(shrink), func(host int16) bool { return host != gone }) {
+		t.Fatal("retainReplicas dropped no row")
+	}
+	if got := nd.replicas(int32(shrink)); &got.nodes[0] != &nd.tables.nodes[h.off] ||
+		!slices.Equal(got.nodes, before[shrink].t.nodes[1:]) || !slices.Equal(got.pos, before[shrink].t.pos[1:]) {
+		t.Fatalf("shrunk table %+v: %v, want %v in place", nd.masters[nd.ref[shrink].master], got.nodes, before[shrink].t.nodes[1:])
+	}
+	unchanged("shrink", before, shrink)
+
+	// Grow: to the tail, then in place there.
+	before, tail := snapshot(), len(nd.tables.nodes)
+	nd.addRow(int32(grow), 3, 77, true)
+	if h := nd.masters[nd.ref[grow].master]; int(h.off) != tail {
+		t.Fatalf("grown table %+v does not start at the arena's old tail %d", h, tail)
+	}
+	nd.addRow(int32(grow), 2, 78, false)
+	want := before[grow].t
+	want.nodes, want.pos, want.ftOnly = append(want.nodes, 3, 2), append(want.pos, 77, 78), append(want.ftOnly, true, false)
+	if h, got := nd.masters[nd.ref[grow].master], nd.replicas(int32(grow)); int(h.off) != tail || !reflect.DeepEqual(clone(got), want) {
+		t.Fatalf("table grown twice: %+v %+v, want %+v at %d", h, got, want, tail)
+	}
+	unchanged("grow", before, grow)
+
+	// Promotion moves the handle.
+	before, tail = snapshot(), len(nd.tables.nodes)
+	p := int32(mirrors[0])
+	old := nd.mirror(p).table
+	nd.promoteTable(p, func(int16) bool { return true })
+	if h := nd.masters[nd.ref[p].master]; h.off != old.off || h.rows != old.rows || h.mirrors != 0 || len(nd.tables.nodes) != tail {
+		t.Fatalf("promoted table %+v from mirror copy %+v, arena %d -> %d rows", h, old, tail, len(nd.tables.nodes))
+	}
+	if nd.mirror(p).table != (tableRef{}) {
+		t.Fatalf("the promoted slot's mirror entry still names table %+v", nd.mirror(p).table)
+	}
+	unchanged("promote", before, int(p))
+
+	// A round of records, each mirror's table and edge list 40 entries
+	// longer than it holds (the round outgrows both arenas several times
+	// over, so growth by doubling would reallocate repeatedly), lands at the
+	// tail of arenas grown once.
+	var buf []byte
+	for _, i := range mirrors[1:] {
+		e, m := &nd.hot[i], nd.mirror(int32(i))
+		rt, ed := clone(nd.tables.at(m.table)), nd.edges.at(m.edges)
+		for k := range 40 {
+			rt.nodes, rt.pos, rt.ftOnly = append(rt.nodes, 3), append(rt.pos, int32(k)), append(rt.ftOnly, true)
+			ed.src, ed.srcMaster = append(ed.src, graph.VertexID(k)), append(ed.srcMaster, 1)
+		}
+		buf = encodeRecoveryRecord(buf, Float64Codec{}, roleReplica, int32(i), e.id, e.flags, m.rank,
+			e.masterNode, e.masterPos, e.inDeg, e.outDeg, e.value, false, 0, &rt, &ed)
+	}
+	recs, err := decodeRecordsOf(buf, Float64Codec{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before = snapshot()
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	nd.landRecords(recs)
+	runtime.ReadMemStats(&m1)
+	if n := m1.Mallocs - m0.Mallocs; !raceEnabled && n > 6 {
+		t.Errorf("landing %d records made %d allocations, want at most one per arena array (6)", len(recs), n)
+	}
+	for k, i := range mirrors[1:] {
+		m := nd.mirror(int32(i))
+		if got, e := clone(nd.tables.at(m.table)), nd.edges.at(m.edges); !reflect.DeepEqual(got, *recs[k].table) ||
+			!slices.Equal(e.src, recs[k].edges.src) || !slices.Equal(e.srcMaster, recs[k].edges.srcMaster) {
+			t.Fatalf("mirror slot %d: landed %+v, want %+v", i, got, *recs[k].table)
+		}
+	}
+	unchanged("land", before, mirrors[1:]...)
+	checkArenas(t, nd, "after the arena writes")
 }
 
 // TestAppendEdges: one appendEdges call gives every slot the lists one

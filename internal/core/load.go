@@ -27,7 +27,8 @@ type vertexPresence struct {
 
 // presences holds every vertex's vertexPresence in one arena per field:
 // vertex v's lists are nodes[end[v]:end[v+1]] (ftOnly alike) and
-// mirrors[mEnd[v]:mEnd[v+1]]. Master replica tables adopt these lists.
+// mirrors[mEnd[v]:mEnd[v+1]]. Load copies them into the replica tables in
+// the nodes' table arenas and then drops them.
 type presences struct {
 	end, mEnd []int32
 	nodes     []int16
@@ -212,10 +213,10 @@ func (c *Cluster[V, A]) load() error {
 	// 5. Build per-node vertex tables: masters first (ascending id), then
 	// replicas (ascending id). Positions are the recovery addresses (§5.1.2).
 	// Every slot gets its final role flags here, so each node can size its
-	// role slabs before step 6 fills them in parallel. A count pass sizes the
-	// tables; one sweep in ascending id then writes each slot's id and roles
-	// through per-node cursors (next[n] for masters, next[p+n] for replicas),
-	// and each node fills in the rest of its slots.
+	// role slabs and arenas before step 6 fills them in parallel. A count
+	// pass sizes the tables; one sweep in ascending id then writes each
+	// slot's id and roles through per-node cursors (next[n] for masters,
+	// next[p+n] for replicas), and each node fills in the rest of its slots.
 	next := make([]int32, 2*p)
 	for v := 0; v < numV; v++ {
 		next[c.masterLoc[v]]++
@@ -260,6 +261,7 @@ func (c *Cluster[V, A]) load() error {
 			nd.index[e.id] = int32(i)
 		}
 		nd.allocSlabs()
+		c.layoutArenas(nd, ps)
 	})
 	for _, nd := range c.nodes {
 		// initNodeScratch touches cluster-wide state (aliveDirty), so it
@@ -267,35 +269,13 @@ func (c *Cluster[V, A]) load() error {
 		c.initNodeScratch(nd)
 	}
 
-	// 6. Fill master positions and the role slabs. Sharded by vertex: every
-	// write lands in vertex v's own slots and their slab entries (master
-	// plus mirrors), which are disjoint across vertices; the indexes and slab
-	// handles are read-only from here on. Each block counts what its
-	// vertices' position lists and mirror full states (§4.2: a copy of the
-	// master's replica table and, for edge-cut, its in-edges by global id
-	// with each source's master node) need, allocates one arena per element
-	// type and carves every list out of it with cap == len. An unweighted
-	// graph gets no weights arena here or in step 7: its lists stay nil.
+	// 6. Fill master positions and the arenas. Sharded by vertex: every
+	// write lands in vertex v's own slots and their arena ranges (its master
+	// table, and each mirror's copy of it and, for edge-cut, of its in-edges
+	// by global id with each source's master node, §4.2), which are disjoint
+	// across vertices; the indexes and handles are read-only from here on.
 	weighted := c.g.Weighted()
 	hostpar.Blocks(numV, loadMinBlock, width, func(lo, hi int) {
-		var n16, n32, nBool, nEdge int
-		for v := lo; v < hi; v++ {
-			pr, deg := ps.of(v), 0
-			if c.ec != nil {
-				deg = c.g.InDegree(graph.VertexID(v))
-			}
-			k := len(pr.mirrors)
-			n32 += (1 + k) * len(pr.nodes)
-			nBool += k * len(pr.nodes)
-			n16 += k * (len(pr.nodes) + k + deg)
-			nEdge += k * deg
-		}
-		a16, a32, aBool := make([]int16, n16), make([]int32, n32), make([]bool, nBool)
-		aSrc := make([]graph.VertexID, nEdge)
-		var aWt []float64
-		if weighted {
-			aWt = make([]float64, nEdge)
-		}
 		for v := lo; v < hi; v++ {
 			vid := graph.VertexID(v)
 			mnd := c.nodes[c.masterLoc[v]]
@@ -303,25 +283,26 @@ func (c *Cluster[V, A]) load() error {
 			mnd.hot[mpos].masterPos = mpos
 			pr := ps.of(v)
 			table := mnd.replicas(mpos)
-			table.nodes, table.pos, table.ftOnly, table.mirrorOf = pr.nodes, carve(&a32, len(pr.nodes)), pr.ftOnly, pr.mirrors
+			copy(table.nodes, pr.nodes)
+			copy(table.ftOnly, pr.ftOnly)
+			copy(table.mirrorOf, pr.mirrors)
 			for i, rn := range pr.nodes {
 				rpos := c.nodes[rn].index[vid]
 				table.pos[i] = rpos
 				c.nodes[rn].hot[rpos].masterPos = mpos
 			}
 			for rank, idx := range pr.mirrors {
-				rm := c.nodes[pr.nodes[idx]].mirror(table.pos[idx])
+				rnd := c.nodes[pr.nodes[idx]]
+				rm := rnd.mirror(table.pos[idx])
 				rm.rank = int16(rank)
-				mt := &rm.mTable
-				mt.nodes, mt.pos = carveCopy(&a16, table.nodes), carveCopy(&a32, table.pos)
-				mt.ftOnly, mt.mirrorOf = carveCopy(&aBool, table.ftOnly), carveCopy(&a16, table.mirrorOf)
+				mt := rnd.tables.at(rm.table)
+				copy(mt.nodes, table.nodes)
+				copy(mt.pos, table.pos)
+				copy(mt.ftOnly, table.ftOnly)
+				copy(mt.mirrorOf, table.mirrorOf)
 				if c.ec != nil {
-					ed, in := &rm.mEdges, c.g.InEdgeIndexes(vid)
-					ed.src, ed.srcMaster = carve(&aSrc, len(in)), carve(&a16, len(in))
-					if weighted {
-						ed.wt = carve(&aWt, len(in))
-					}
-					for k, ei := range in {
+					ed := rnd.edges.at(rm.edges)
+					for k, ei := range c.g.InEdgeIndexes(vid) {
 						src := c.g.EdgeSrc(int(ei))
 						ed.src[k], ed.srcMaster[k] = src, c.masterLoc[src]
 						if weighted {
@@ -407,6 +388,41 @@ func (c *Cluster[V, A]) load() error {
 		c.coord.Set(fmt.Sprintf("arraylen/%d", nd.id), int64(len(nd.hot)))
 	}
 	return nil
+}
+
+// layoutArenas points nd's role-slab entries at their ranges in the arenas,
+// laid out in slot order, and makes both arenas at their exact size: a
+// vertex's replica table has a row per replica and a mirror index per
+// mirror, and a mirror's copy of its master's in-edges (edge-cut) an entry
+// per in-edge. An unweighted graph's edge arena stores no weights.
+func (c *Cluster[V, A]) layoutArenas(nd *node[V, A], ps *presences) {
+	var rows, edges int32
+	for i, r := range nd.ref {
+		if r.master == noSlab && r.mirror == noSlab {
+			continue
+		}
+		v := nd.hot[i].id
+		h := tableRef{off: rows, rows: uint16(ps.end[v+1] - ps.end[v])}
+		if ps.mEnd != nil {
+			h.mirrors = uint16(ps.mEnd[v+1] - ps.mEnd[v])
+		}
+		rows += int32(h.rows)
+		if r.master != noSlab {
+			nd.masters[r.master] = h
+			continue
+		}
+		m := &nd.mirrors[r.mirror]
+		m.table = h
+		if c.ec != nil {
+			m.edges = edgeRef{off: edges, n: int32(c.g.InDegree(v))}
+			edges += m.edges.n
+		}
+	}
+	nd.tables = replicaTable{make([]int16, rows), make([]int32, rows), make([]bool, rows), make([]int16, rows)}
+	nd.edges = rawEdges{src: make([]graph.VertexID, edges), srcMaster: make([]int16, edges)}
+	if c.g.Weighted() {
+		nd.edges.wt = make(weights, edges)
+	}
 }
 
 // eachPresence calls fn once for each distinct node other than vertex v's

@@ -28,8 +28,10 @@ func (c *Cluster[V, A]) recoverMigration(p *recoveryPass[V, A]) error {
 		c.chunked(nd, len(nd.hot), func(_ *stager, lo, hi int) {
 			for i := lo; i < hi; i++ {
 				e := &nd.hot[i]
-				if e.isMirror() && failedSet[int(e.masterNode)] &&
-					c.lowestSurvivingMirror(&nd.mirror(int32(i)).mTable, failedSet) == nd.id {
+				if !e.isMirror() || !failedSet[int(e.masterNode)] {
+					continue
+				}
+				if mt := nd.tables.at(nd.mirror(int32(i)).table); c.lowestSurvivingMirror(&mt, failedSet) == nd.id {
 					promo[i] = true
 				}
 			}
@@ -58,7 +60,7 @@ func (c *Cluster[V, A]) recoverMigration(p *recoveryPass[V, A]) error {
 	// are built against the failed set as they are promoted.
 	for _, nd := range c.aliveNodes() {
 		for i := range nd.hot {
-			if nd.hot[i].isMaster() && nd.replicas(int32(i)).retain(survives) {
+			if nd.hot[i].isMaster() && nd.retainReplicas(int32(i), survives) {
 				tableChanged[nd.id][i] = true
 			}
 		}
@@ -84,7 +86,7 @@ func (c *Cluster[V, A]) recoverMigration(p *recoveryPass[V, A]) error {
 			c.migPromoted[n] = append(row, make([]bool, len(nd.hot)-len(row))...)
 		}
 		for _, pos := range list {
-			e, m := &nd.hot[pos], nd.mirror(pos)
+			e := &nd.hot[pos]
 			e.flags |= flagMaster
 			e.flags &^= flagMirror | flagFTOnly
 			e.masterNode = int16(nd.id)
@@ -92,13 +94,9 @@ func (c *Cluster[V, A]) recoverMigration(p *recoveryPass[V, A]) error {
 			// The mirror's copy of the replica table, less failed hosts and
 			// this node itself, becomes the new master's table in place; its
 			// mirrors are re-selected by FT repair.
-			t := m.mTable
-			t.mirrorOf = nil
-			t.retain(func(host int16) bool { return survives(host) && int(host) != nd.id })
-			nd.addMaster(pos, t)
+			nd.promoteTable(pos, func(host int16) bool { return survives(host) && int(host) != nd.id })
 			// An edge-cut mirror's in-edges stay until Phase 5 attaches
 			// them; a vertex-cut mirror holds none, so nothing is left.
-			m.mTable = replicaTable{}
 			if c.vcut != nil {
 				nd.dropMirror(pos)
 			}
@@ -203,7 +201,7 @@ func (c *Cluster[V, A]) recoverMigration(p *recoveryPass[V, A]) error {
 				}
 			}
 			if !known {
-				rt.add(int16(from), rpos, ft)
+				nd.addRow(mp, int16(from), rpos, ft)
 				tableChanged[nd.id][mp] = true
 			}
 			c.stageFill(nd.noticeBuf, nd.met).put(from, 8, func(buf []byte) []byte {
@@ -309,7 +307,7 @@ func (c *Cluster[V, A]) recoverMigration(p *recoveryPass[V, A]) error {
 				if m == nil {
 					continue
 				}
-				for _, src := range m.mEdges.src {
+				for _, src := range nd.edges.at(m.edges).src {
 					if _, ok := nd.pos(src); !ok {
 						needs[nd.id] = append(needs[nd.id], src)
 					}
@@ -400,13 +398,14 @@ func (c *Cluster[V, A]) recoverMigration(p *recoveryPass[V, A]) error {
 			n := 0
 			for pos := range marked(promoted[nd.id]) {
 				if m := nd.mirror(pos); m != nil { // nil: attached by an interrupted earlier attempt
-					n += len(m.mEdges.src)
+					n += int(m.edges.n)
 				}
 			}
 			batch = newEdgeBatch(n)
 			for pos := range marked(promoted[nd.id]) {
 				if m := nd.mirror(pos); m != nil {
-					if err := nd.batchInEdges(&batch, pos, &m.mEdges); err != nil {
+					ed := nd.edges.at(m.edges)
+					if err := nd.batchInEdges(&batch, pos, &ed); err != nil {
 						return err
 					}
 					nd.dropMirror(pos)
@@ -520,13 +519,14 @@ func (c *Cluster[V, A]) repairFTInvariants(tableChanged [][]bool) error {
 	}
 
 	// Pass 2: mirror re-selection for changed masters, then full-state
-	// refresh on every mirror of a changed master. The selection reuses the
-	// table's mirrorOf in place: it is read ahead of every write.
+	// refresh on every mirror of a changed master. mo is one scratch list
+	// for every selection; setMirrors stores it in the table in place.
+	var mo []int16
 	for n, row := range tableChanged {
 		for pos := range marked(row) {
 			rt := c.nodes[n].replicas(pos)
 			want := min(c.cfg.FT.K, len(rt.nodes))
-			mo := rt.mirrorOf[:0]
+			mo = mo[:0]
 			for _, idx := range rt.mirrorOf {
 				if len(mo) >= want {
 					break
@@ -548,7 +548,7 @@ func (c *Cluster[V, A]) repairFTInvariants(tableChanged [][]bool) error {
 					mo = append(mo, int16(idx))
 				}
 			}
-			rt.mirrorOf = mo
+			c.nodes[n].setMirrors(pos, mo)
 		}
 	}
 	// Mirror full-state refresh. Non-selected replicas of a refreshed
@@ -591,16 +591,10 @@ func (c *Cluster[V, A]) repairFTInvariants(tableChanged [][]bool) error {
 		nd.mirrors = slices.Grow(nd.mirrors, fresh)
 		for k := range recs {
 			rec := &recs[k]
-			m := nd.ensureMirror(rec.pos)
+			nd.ensureMirror(rec.pos).rank = rec.mirrorRank
 			nd.hot[rec.pos].flags |= flagMirror
-			m.rank = rec.mirrorRank
-			if rec.table != nil {
-				m.mTable = *rec.table
-			}
-			if rec.edges != nil {
-				m.mEdges = *rec.edges
-			}
 		}
+		nd.landRecords(recs)
 	}); err != nil {
 		return err
 	}
@@ -653,7 +647,7 @@ func (c *Cluster[V, A]) createReplicas(ftOnly, count bool, registered [][]bool) 
 		if r.err != nil {
 			return
 		}
-		nd.replicas(mp).add(int16(from), newPos, ftOnly)
+		nd.addRow(mp, int16(from), newPos, ftOnly)
 		if registered != nil {
 			registered[nd.id][mp] = true
 		}

@@ -28,6 +28,9 @@ func (c *Cluster[V, A]) rebirthNewbie(_ *recoveryPass[V, A], f int) (*node[V, A]
 	for i := range nd.hot {
 		nd.hot[i].masterNode = noNode // "not yet placed" sentinel
 	}
+	if c.g.Weighted() {
+		nd.edges.wt = weights{} // as load's: a weighted graph's edge arena stores weights
+	}
 	c.initNodeScratch(nd)
 	return nd, nil
 }
@@ -58,7 +61,7 @@ func (c *Cluster[V, A]) recoverRebirth(p *recoveryPass[V, A]) error {
 					// master's replicas on *other* failed nodes have no
 					// master to recover them; the mirror recovering that
 					// master does it from its full-state copy (§5.3.1).
-					var table *replicaTable
+					var table replicaTable
 					if e.isMaster() {
 						table = nd.replicas(int32(i))
 					} else {
@@ -66,15 +69,14 @@ func (c *Cluster[V, A]) recoverRebirth(p *recoveryPass[V, A]) error {
 							continue
 						}
 						m := nd.mirror(int32(i))
-						if c.lowestSurvivingMirror(&m.mTable, failedSet) != nd.id {
+						if table = nd.tables.at(m.table); c.lowestSurvivingMirror(&table, failedSet) != nd.id {
 							continue
 						}
-						c.stageMasterRecovery(s, e, m, int(e.masterNode))
-						table = &m.mTable
+						c.stageMasterRecovery(s, nd, e, m, int(e.masterNode))
 					}
 					for ri, rn := range table.nodes {
 						if failedSet[int(rn)] {
-							c.stageReplicaRecovery(nd, s, i, table, ri, int(rn))
+							c.stageReplicaRecovery(nd, s, i, &table, ri, int(rn))
 						}
 					}
 				}
@@ -136,16 +138,18 @@ func (c *Cluster[V, A]) recoverRebirth(p *recoveryPass[V, A]) error {
 		}
 		// Position-addressed placement is contention-free (§5.1.2): every
 		// record targets a distinct slot, so records place in parallel. The
-		// records' role flags first size the role slabs, so placement writes
-		// only its own slot's entries; the id index rebuilds afterwards.
-		// at[pos] is the last record placed at pos, for the walks in position
-		// order below.
+		// records' role flags first size the role slabs, and their tables
+		// and mirror edge lists land in the arenas, so placement writes only
+		// its own slot's entries; the id index rebuilds afterwards. at[pos]
+		// is the last record placed at pos, for the walks in position order
+		// below.
 		at := make([]int32, len(nd.hot))
 		for k := range recs {
 			nd.hot[recs[k].pos].flags = recs[k].flags
 			at[recs[k].pos] = int32(k)
 		}
 		nd.allocSlabs()
+		nd.landRecords(recs)
 		placeCost := c.chunked(nd, len(recs), func(st *stager, lo, hi int) {
 			for k := lo; k < hi; k++ {
 				c.placeRecovered(nd, &recs[k])
@@ -167,8 +171,8 @@ func (c *Cluster[V, A]) recoverRebirth(p *recoveryPass[V, A]) error {
 		// under edge-cut the master records' raw in-edge lists in ascending
 		// position order, under vertex-cut the edge-ckpt files' edges in file
 		// order. Only master records carry local in-edges; a recovered
-		// mirror's edge list is part of its full state (mEdges), not this
-		// node's topology.
+		// mirror's edge list is part of its full state (in the edge arena),
+		// not this node's topology.
 		edges := 0
 		for _, k := range at {
 			if r := &recs[k]; r.role == roleMaster && r.edges != nil {
@@ -248,7 +252,8 @@ func (c *Cluster[V, A]) stageReplicaRecovery(nd *node[V, A], s *recSink, i int, 
 	if flags&flagMirror != 0 {
 		full = table
 		if c.ec != nil {
-			edges = &nd.mirror(int32(i)).mEdges
+			ed := nd.edges.at(nd.mirror(int32(i)).edges)
+			edges = &ed
 		}
 	}
 	s.put(rn, recoveryRecordSize(c.vc, e.value, full, edges), func(buf []byte) []byte {
@@ -264,14 +269,14 @@ func (c *Cluster[V, A]) stageReplicaRecovery(nd *node[V, A], s *recSink, i int, 
 // for edge-cut, its in-edges encoded straight from its topology.
 func (c *Cluster[V, A]) putMirrorRecord(s *recSink, nd *node[V, A], pos int32, dst int, rpos int32, flags entryFlags, rank int16) {
 	e, table := &nd.hot[pos], nd.replicas(pos)
-	size := recoveryRecordSize(c.vc, e.value, table, nil)
+	size := recoveryRecordSize(c.vc, e.value, &table, nil)
 	if c.ec != nil {
 		size += edgeListSize(nd.inLen(int(pos)))
 	}
 	s.put(dst, size, func(buf []byte) []byte {
 		buf = encodeRecordHead(buf, c.vc, roleReplica, rpos, e.id, flags, rank,
 			e.masterNode, e.masterPos, e.inDeg, e.outDeg,
-			e.value, e.lastActivate, e.lastActivateIter, table)
+			e.value, e.lastActivate, e.lastActivateIter, &table)
 		if c.ec == nil {
 			return putU8(buf, 0)
 		}
@@ -280,21 +285,23 @@ func (c *Cluster[V, A]) putMirrorRecord(s *recSink, nd *node[V, A], pos int32, d
 }
 
 // stageMasterRecovery emits the record recreating the master that lived on
-// the failed node, from this surviving mirror's full state.
-func (c *Cluster[V, A]) stageMasterRecovery(s *recSink, e *hot[V], m *mirrorState, dst int) {
+// the failed node, from the full state m of this surviving mirror on nd.
+func (c *Cluster[V, A]) stageMasterRecovery(s *recSink, nd *node[V, A], e *hot[V], m *mirrorState, dst int) {
 	flags := flagMaster
 	if e.isSelfish() {
 		flags |= flagSelfish
 	}
+	table := nd.tables.at(m.table)
 	var edges *rawEdges
 	if c.ec != nil {
-		edges = &m.mEdges
+		ed := nd.edges.at(m.edges)
+		edges = &ed
 	}
-	s.put(dst, recoveryRecordSize(c.vc, e.value, &m.mTable, edges), func(buf []byte) []byte {
+	s.put(dst, recoveryRecordSize(c.vc, e.value, &table, edges), func(buf []byte) []byte {
 		return encodeRecoveryRecord(buf, c.vc, roleMaster,
 			e.masterPos, e.id, flags, -1,
 			int16(dst), e.masterPos, e.inDeg, e.outDeg,
-			e.value, e.lastActivate, e.lastActivateIter, &m.mTable, edges)
+			e.value, e.lastActivate, e.lastActivateIter, &table, edges)
 	})
 }
 
@@ -314,8 +321,8 @@ func (c *Cluster[V, A]) appendTopoEdges(buf []byte, nd *node[V, A], i int32) []b
 // placeRecovered materializes one recovery record at its position in the
 // newbie's tables. Position-addressed placement is contention-free (§5.1.2),
 // so records place chunk-parallel; the caller stamps every record's role
-// flags and sizes the role slabs before, and rebuilds the id index after all
-// placements land.
+// flags, sizes the role slabs and lands the records' tables and edge lists
+// before, and rebuilds the id index after all placements land.
 func (c *Cluster[V, A]) placeRecovered(nd *node[V, A], rec *recoveryRecord[V]) {
 	e := &nd.hot[rec.pos]
 	e.id = rec.id
@@ -333,17 +340,8 @@ func (c *Cluster[V, A]) placeRecovered(nd *node[V, A], rec *recoveryRecord[V]) {
 	if rec.role == roleMaster {
 		e.masterNode = int16(nd.id)
 		e.masterPos = rec.pos
-		if rec.table != nil {
-			*nd.replicas(rec.pos) = *rec.table
-		}
 	} else if m := nd.mirror(rec.pos); m != nil {
 		m.rank = rec.mirrorRank
-		if rec.table != nil {
-			m.mTable = *rec.table
-			if rec.edges != nil {
-				m.mEdges = *rec.edges
-			}
-		}
 	}
 }
 

@@ -51,8 +51,8 @@ func sized[T any](s []T, n int) []T {
 // owns it.
 func (c *Cluster[V, A]) rebuildRoute(nd *node[V, A]) {
 	n, total := len(nd.ref), 0
-	for i := range nd.masters {
-		total += len(nd.masters[i].nodes)
+	for _, h := range nd.masters {
+		total += int(h.rows)
 	}
 	rt := &nd.route
 	rt.start, rt.node = sized(rt.start, n+1), sized(rt.node, total)
@@ -61,7 +61,7 @@ func (c *Cluster[V, A]) rebuildRoute(nd *node[V, A]) {
 	for i := range nd.ref {
 		rt.start[i] = int32(k)
 		if h := nd.ref[i].master; h != noSlab {
-			t := &nd.masters[h]
+			t := nd.tables.at(nd.masters[h])
 			copy(rt.pos[k:], t.pos)
 			copy(rt.ftOnly[k:], t.ftOnly)
 			k += copy(rt.node[k:], t.nodes)

@@ -244,7 +244,7 @@ func (c *Cluster[V, A]) retainPristine() {
 		c.loadSeconds += c.dfsWriteCost(nd, fmt.Sprintf("ckptmeta/%d", nd.id), meta)
 		c.pristine[nd.id] = &pristineNode[V]{
 			hot: slices.Clone(nd.hot), csr: nd.csr, ref: nd.ref,
-			masters: nd.masters, mirrors: nd.mirrors,
+			masters: nd.masters, mirrors: nd.mirrors, tables: nd.tables, edges: nd.edges,
 			localEdges: nd.localEdges,
 		}
 	}

@@ -85,7 +85,7 @@ func TestStrategyDecidesPersistence(t *testing.T) {
 }
 
 // TestPristineTablesImmutable: checkpoint and logged recovery keep every
-// node's topology, slab handles and role slabs by reference (retainPristine)
+// node's topology, slab handles, role slabs and arenas by reference (retainPristine)
 // and share them with each newbie rebuilt from them, which is sound only
 // while nothing writes them. A deep copy taken right after load must still
 // equal the retained tables after a crash and after a second crash of the
@@ -110,7 +110,7 @@ func TestPristineTablesImmutable(t *testing.T) {
 				}
 				want := make([]nodeTables, len(cl.nodes))
 				for i, nd := range cl.nodes {
-					want[i] = deepCopyTables(nodeTables{nd.csr, nd.ref, nd.masters, nd.mirrors})
+					want[i] = deepCopyTables(nodeTables{nd.csr, nd.ref, nd.masters, nd.mirrors, nd.tables, nd.edges})
 				}
 				res, err := cl.Run()
 				if err != nil {
@@ -120,11 +120,12 @@ func TestPristineTablesImmutable(t *testing.T) {
 					t.Fatalf("%d recoveries, want 2", len(res.Recoveries))
 				}
 				for i, p := range cl.pristine {
-					if got := (nodeTables{p.csr, p.ref, p.masters, p.mirrors}); !reflect.DeepEqual(got, want[i]) {
+					if got := (nodeTables{p.csr, p.ref, p.masters, p.mirrors, p.tables, p.edges}); !reflect.DeepEqual(got, want[i]) {
 						t.Errorf("node %d: retained pristine tables changed after load", i)
 					}
 				}
-				if &cl.nodes[1].inStart[0] != &cl.pristine[1].csr.inStart[0] || &cl.nodes[1].ref[0] != &cl.pristine[1].ref[0] {
+				if &cl.nodes[1].inStart[0] != &cl.pristine[1].csr.inStart[0] || &cl.nodes[1].ref[0] != &cl.pristine[1].ref[0] ||
+					&cl.nodes[1].tables.nodes[0] != &cl.pristine[1].tables.nodes[0] {
 					t.Error("rebuilt node 1 does not share the retained tables")
 				}
 			})
@@ -136,27 +137,19 @@ func TestPristineTablesImmutable(t *testing.T) {
 type nodeTables struct {
 	csr     csr
 	ref     []slabRef
-	masters []replicaTable
+	masters []tableRef
 	mirrors []mirrorState
+	tables  replicaTable
+	edges   rawEdges
 }
 
 // deepCopyTables copies n down to every list it holds.
 func deepCopyTables(n nodeTables) nodeTables {
-	cloneTable := func(t replicaTable) replicaTable {
-		return replicaTable{slices.Clone(t.nodes), slices.Clone(t.pos), slices.Clone(t.ftOnly), slices.Clone(t.mirrorOf)}
-	}
-	t := &n.csr
-	out := nodeTables{
+	t, a, e := &n.csr, &n.tables, &n.edges
+	return nodeTables{
 		csr{slices.Clone(t.inStart), slices.Clone(t.outStart), slices.Clone(t.inNbr), slices.Clone(t.outNbr), slices.Clone(t.inWt)},
 		slices.Clone(n.ref), slices.Clone(n.masters), slices.Clone(n.mirrors),
+		replicaTable{slices.Clone(a.nodes), slices.Clone(a.pos), slices.Clone(a.ftOnly), slices.Clone(a.mirrorOf)},
+		rawEdges{slices.Clone(e.src), slices.Clone(e.wt), slices.Clone(e.srcMaster)},
 	}
-	for i := range out.masters {
-		out.masters[i] = cloneTable(out.masters[i])
-	}
-	for i := range out.mirrors {
-		m := &out.mirrors[i]
-		m.mTable = cloneTable(m.mTable)
-		m.mEdges = rawEdges{slices.Clone(m.mEdges.src), slices.Clone(m.mEdges.wt), slices.Clone(m.mEdges.srcMaster)}
-	}
-	return out
 }

@@ -294,14 +294,16 @@ type arenaOf[T any] struct {
 	need int
 }
 
-// take returns the next n elements of s on the fill pass; the count pass
-// adds n to what s must hold and returns nil.
+// take returns the next n elements of s, with cap == len, on the fill pass;
+// the count pass adds n to what s must hold and returns nil.
 func take[T any](fill bool, s *arenaOf[T], n int) []T {
 	if !fill {
 		s.need += n
 		return nil
 	}
-	return carve(&s.buf, n)
+	out := s.buf[:n:n]
+	s.buf = s.buf[n:]
+	return out
 }
 
 // alloc ends the count pass: every array is made at its counted size.
@@ -323,13 +325,6 @@ type replicaTable struct {
 	pos      []int32
 	ftOnly   []bool
 	mirrorOf []int16
-}
-
-// add appends one replica row.
-func (t *replicaTable) add(node int16, pos int32, ftOnly bool) {
-	t.nodes = append(t.nodes, node)
-	t.pos = append(t.pos, pos)
-	t.ftOnly = append(t.ftOnly, ftOnly)
 }
 
 // hosts reports whether the table has a replica on node n.
