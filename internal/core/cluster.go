@@ -80,11 +80,10 @@ type node[V, A any] struct {
 	// recvMsgs passes the current round's messages into pre-bound bodies.
 	recvMsgs []netsim.Message
 
-	// route is the precomputed flat sync-routing table (master -> replica
-	// destinations in entry order), scatter the vertex-cut scatter table (slot
-	// -> its out-targets' masters); routeDirty forces a rebuild of both before
-	// the next phase that consults one (recovery reshapes the tables).
-	route      syncRoute
+	// scatter is the vertex-cut scatter route (slot -> its out-targets'
+	// masters); routeDirty forces a rebuild before the next phase that
+	// scatters (load and recovery reshape the out-lists and move masters).
+	// Edge-cut builds no route and never sets routeDirty.
 	scatter    scatterRoute
 	routeDirty bool
 
@@ -425,7 +424,7 @@ func (c *Cluster[V, A]) initNodeScratch(nd *node[V, A]) {
 			notice: make([][]byte, width),
 		}
 	}
-	nd.routeDirty = true
+	nd.routeDirty = c.vcut != nil
 	c.bindNodeBodies(nd)
 	c.aliveDirty = true
 }

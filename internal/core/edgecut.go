@@ -46,13 +46,10 @@ func (c *Cluster[V, A]) bindEdgeCutPhases() {
 		nd.phaseCost = c.chunked(nd, len(nd.hot), nd.bodies.ecCompute)
 	}
 	c.fns.syncStage = func(nd *node[V, A]) {
-		c.routeReady(nd)
 		c.chunked(nd, len(nd.hot), nd.bodies.syncStage)
 	}
 	c.fns.syncRecv = func(nd *node[V, A]) {
-		// Vertex-cut applySync scatters through the route. syncStage readied
-		// it this superstep, so this only keeps the phase self-contained.
-		c.routeReady(nd)
+		c.routeReady(nd) // vertex-cut applySync scatters through the route
 		nd.recvMsgs = c.net.Receive(nd.id)
 		if c.flog != nil {
 			c.flogCapture(nd)
@@ -110,9 +107,9 @@ func (c *Cluster[V, A]) bindEdgeCutBodies(nd *node[V, A]) {
 // stageSyncRecords appends one sync record per replica of master entry i to
 // the worker's per-destination buffers, honoring the selfish-vertex
 // optimization and keeping the FT/normal message accounting the figures
-// need. Destinations come from the node's precomputed routing table, which
-// preserves the entry-order/replica-order walk of the old slice-of-slices
-// form, so the byte streams are unchanged.
+// need. Destinations are the rows of i's replica table, walked in place in
+// the table arena through its master handle; the mirror indexes are never
+// read.
 func (c *Cluster[V, A]) stageSyncRecords(st *stager, nd *node[V, A], i int) {
 	// The mirror's "full state" needs no extra bytes during normal sync:
 	// the dynamic extension the paper describes (the activation/scatter
@@ -121,16 +118,16 @@ func (c *Cluster[V, A]) stageSyncRecords(st *stager, nd *node[V, A], i int) {
 	// records sent to FT-only replicas, which exist purely for recovery.
 	e := &nd.hot[i]
 	skipFT := c.selfishOptOn && e.isSelfish()
-	rt := &nd.route
-	for k := rt.start[i]; k < rt.start[i+1]; k++ {
-		ftOnly := rt.ftOnly[k]
+	h, tb := nd.masters[nd.ref[i].master], &nd.tables
+	for k := h.off; k < h.off+int32(h.rows); k++ {
+		ftOnly := tb.ftOnly[k]
 		if ftOnly && skipFT {
 			continue
 		}
-		rn := int(rt.node[k])
+		rn := int(tb.nodes[k])
 		buf := st.buf(rn)
 		before := len(buf)
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(rt.pos[k]))
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(tb.pos[k]))
 		var flags byte
 		if e.pendingScatter {
 			flags |= 1

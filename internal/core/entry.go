@@ -39,8 +39,9 @@ const (
 // A gather's random read of a neighbour touches the slot's first 20 bytes,
 // one 64-byte line for six slots in eight (at a 56-byte stride the other two
 // straddle a boundary), and the per-phase walks stream a dense array. The
-// replication metadata lives in the node's role slabs behind ref, which a
-// failure-free superstep never touches.
+// replication metadata lives in the node's role slabs behind ref. A
+// failure-free superstep reads only a master's own table handle and rows,
+// its sync destinations; it never reads mirror state.
 type hot[V any] struct {
 	// Gather reads a neighbour's value and degrees, and its id only when a
 	// program calls InEdges.Src: all within the first 20 bytes.
@@ -198,7 +199,6 @@ func (n *node[V, A]) appendEdges(b *edgeBatch) {
 	if len(b.src) == 0 {
 		return
 	}
-	n.routeDirty = true // the scatter route flattens the out-lists
 	old := &n.csr
 	bd := newCSRBuilder(len(n.hot), len(old.inNbr)+len(b.src), old.inWt != nil || b.wt != nil)
 	for i := range n.hot {
@@ -239,8 +239,8 @@ func (w weights) at(k int) float64 {
 // slabRef is a slot's replication metadata: handles into its node's role
 // slabs (noSlab = the slot lacks the role). Only a master has a replica table
 // and only a mirror a copy of its master's full state, so a plain replica
-// pays 8 bytes here. The slabs are read only when a replica table is
-// flattened into a sync route, by FT persistence and by recovery.
+// pays 8 bytes here. The sync stages read a master's table rows; mirror
+// state is read only by FT persistence and by recovery.
 type slabRef struct {
 	// master indexes node.masters: where the vertex's replicas live and at
 	// which positions, which exist only for fault tolerance, and which of

@@ -199,7 +199,8 @@ func TestMirrorBalance(t *testing.T) {
 // iff it is a master and a mirror-slab handle iff it is a mirror; every slab
 // entry is named by exactly one slot (a mirror entry by the slot it points
 // back at), so none is orphaned; and the dense id index is the exact inverse
-// of hot[i].id.
+// of hot[i].id. Across nodes, the replica tables are the sync routes
+// (checkReplicaRows).
 func checkVertexTables[V, A any](t *testing.T, cl *Cluster[V, A], when string) {
 	t.Helper()
 	claim := func(owner []int32, h int32, slot int) bool {
@@ -262,6 +263,52 @@ func checkVertexTables[V, A any](t *testing.T, cl *Cluster[V, A], when string) {
 		}
 		if present != len(nd.hot) {
 			t.Fatalf("%s: node %d: index names %d vertices, the node holds %d", when, nd.id, present, len(nd.hot))
+		}
+	}
+	checkReplicaRows(t, cl, when)
+}
+
+// checkReplicaRows asserts that the master tables, which the sync stages
+// walk as their destination lists, match the slots they name: every row
+// (node, pos) names a live slot that holds the same vertex, is not a master,
+// points back at the master through masterNode/masterPos and has the row's
+// FT-only flag; and every replica slot is named by exactly one row.
+func checkReplicaRows[V, A any](t *testing.T, cl *Cluster[V, A], when string) {
+	t.Helper()
+	named := make([][]int, len(cl.nodes)) // rows naming each slot, nil for a dead node
+	for _, nd := range cl.aliveNodes() {
+		named[nd.id] = make([]int, len(nd.hot))
+	}
+	for _, nd := range cl.aliveNodes() {
+		for i := range nd.hot {
+			if !nd.hot[i].isMaster() {
+				continue
+			}
+			id, rt := nd.hot[i].id, nd.replicas(int32(i))
+			for k, rn := range rt.nodes {
+				p := rt.pos[k]
+				if rn < 0 || int(rn) >= len(named) || p < 0 || int(p) >= len(named[rn]) {
+					t.Fatalf("%s: node %d slot %d (vertex %d): row %d names node %d pos %d, no live slot", when, nd.id, i, id, k, rn, p)
+				}
+				r := &cl.nodes[rn].hot[p]
+				if r.id != id || r.isMaster() {
+					t.Fatalf("%s: node %d slot %d (vertex %d): row %d names node %d pos %d, which holds vertex %d (master %v)", when, nd.id, i, id, k, rn, p, r.id, r.isMaster())
+				}
+				if int(r.masterNode) != nd.id || r.masterPos != int32(i) {
+					t.Fatalf("%s: node %d slot %d (vertex %d): replica at node %d pos %d points back at node %d pos %d", when, nd.id, i, id, rn, p, r.masterNode, r.masterPos)
+				}
+				if r.isFTOnly() != rt.ftOnly[k] {
+					t.Fatalf("%s: node %d slot %d (vertex %d): row %d is FT-only %v, the replica at node %d pos %d %v", when, nd.id, i, id, k, rt.ftOnly[k], rn, p, r.isFTOnly())
+				}
+				named[rn][p]++
+			}
+		}
+	}
+	for _, nd := range cl.aliveNodes() {
+		for i, n := range named[nd.id] {
+			if !nd.hot[i].isMaster() && n != 1 {
+				t.Fatalf("%s: node %d slot %d (vertex %d): replica named by %d table rows, want 1", when, nd.id, i, nd.hot[i].id, n)
+			}
 		}
 	}
 }

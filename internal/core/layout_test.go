@@ -20,11 +20,12 @@ func TestHotSlotFitsACacheLine(t *testing.T) {
 	}
 }
 
-// TestSuperstepNeverTouchesMeta is the point of the hot/metadata split: once
-// the sync routes are flattened, a failure-free superstep (compute, sync
-// stage, receive, barrier, commit — both engines, replication on) reads no
-// slab handle, no role slab and no arena. The test takes them away; any
-// access would index a nil slice and panic.
+// TestSuperstepNeverTouchesMeta is the point of the hot/metadata split: a
+// failure-free superstep (compute, sync stage, receive, barrier, commit —
+// both engines, replication on) reads a master's own table handle and rows,
+// its sync destinations, but no mirror state: not the mirror slab, not the
+// table arena's mirror indexes and not the edge arena. The test takes those
+// away; any access would index a nil slice and panic.
 func TestSuperstepNeverTouchesMeta(t *testing.T) {
 	for _, mode := range []Mode{EdgeCutMode, VertexCutMode} {
 		g := datasets.Tiny(400, 2400, 4242)
@@ -35,6 +36,9 @@ func TestSuperstepNeverTouchesMeta(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer cl.stopWorkers()
+		for _, nd := range cl.nodes {
+			nd.mirrors, nd.tables.mirrorOf, nd.edges = nil, nil, rawEdges{}
+		}
 		for iter := 0; iter < 4; iter++ {
 			if err := cl.superstep(iter); err != nil {
 				t.Fatal(err)
@@ -42,11 +46,6 @@ func TestSuperstepNeverTouchesMeta(t *testing.T) {
 			cl.barrier()
 			cl.commit(iter)
 			cl.iter++
-			for _, nd := range cl.nodes {
-				// The first superstep built the routes from them.
-				nd.ref, nd.masters, nd.mirrors = nil, nil, nil
-				nd.tables, nd.edges = replicaTable{}, rawEdges{}
-			}
 		}
 	}
 }

@@ -1,33 +1,20 @@
 package core
 
-// syncRoute is a node's precomputed sync-routing table: the master slots'
-// replica tables (nodes/pos/ftOnly) flattened CSR-style into four parallel
-// arrays. Entry i's replicas occupy [start[i], start[i+1]), empty for a
-// non-master. The flat layout keeps the edge-cut sync and vertex-cut R1/R3
-// hot loops off the role slabs, and rebuilding it is O(presences), so it is
-// recomputed lazily (routeDirty) whenever recovery reshapes the replica
-// tables.
-//
-// Build order is entry order then replica-index order — exactly the order
-// the superstep loops used to walk the entry slices — so the emitted byte
-// streams are bit-for-bit unchanged.
-type syncRoute struct {
-	start  []int32
-	node   []int16
-	pos    []int32
-	ftOnly []bool
-}
+// A master's sync destinations need no route: they are the rows of its own
+// replica table in the node's table arena, which stageSyncRecords and the
+// vertex-cut R1 stage walk in place. The one derived route is vertex-cut's
+// scatter route below.
 
 // scatterRoute is a vertex-cut node's precomputed scatter table, a CSR over
-// slots beside syncRoute with the same lifecycle. Row i lists, in
-// slot i's out-list order, the (masterNode, masterPos) of slot i's out-targets,
-// so scatterMark streams the row without reading the targets' hot slots: a
-// replica target's record is its activation notice (destination and payload),
-// a master target's names this node and its own position (the pendingActive
-// entry). Master targets are listed only for programs that are not
-// always-active: commit never reads pendingActive otherwise. Edge-cut builds
-// no scatter route: an edge lives on its target's master node, so every
-// out-target is a master and the out-list itself is the list.
+// slots. Row i lists, in slot i's out-list order, the (masterNode, masterPos)
+// of slot i's out-targets, so scatterMark streams the row without reading the
+// targets' hot slots: a replica target's record is its activation notice
+// (destination and payload), a master target's names this node and its own
+// position (the pendingActive entry). Master targets are listed only for
+// programs that are not always-active: commit never reads pendingActive
+// otherwise. Edge-cut builds no scatter route: an edge lives on its target's
+// master node, so every out-target is a master and the out-list itself is the
+// list.
 type scatterRoute struct {
 	start []int32
 	node  []int16
@@ -44,38 +31,9 @@ func sized[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// rebuildRoute derives nd.route (and, under vertex-cut, nd.scatter) from the
-// entry tables and clears routeDirty: a count pass sizes every array, a
-// second pass fills them. Callers on the phase path invoke it from the
-// per-node phase prologue, so each node's rebuild runs on the goroutine that
-// owns it.
-func (c *Cluster[V, A]) rebuildRoute(nd *node[V, A]) {
-	n, total := len(nd.ref), 0
-	for _, h := range nd.masters {
-		total += int(h.rows)
-	}
-	rt := &nd.route
-	rt.start, rt.node = sized(rt.start, n+1), sized(rt.node, total)
-	rt.pos, rt.ftOnly = sized(rt.pos, total), sized(rt.ftOnly, total)
-	k := 0
-	for i := range nd.ref {
-		rt.start[i] = int32(k)
-		if h := nd.ref[i].master; h != noSlab {
-			t := nd.tables.at(nd.masters[h])
-			copy(rt.pos[k:], t.pos)
-			copy(rt.ftOnly[k:], t.ftOnly)
-			k += copy(rt.node[k:], t.nodes)
-		}
-	}
-	rt.start[n] = int32(k)
-	if c.vcut != nil {
-		c.rebuildScatter(nd)
-	}
-	nd.routeDirty = false
-}
-
 // rebuildScatter derives nd.scatter from the out-lists and the targets' hot
-// slots.
+// slots and clears routeDirty: a count pass sizes every array, a second pass
+// fills them.
 func (c *Cluster[V, A]) rebuildScatter(nd *node[V, A]) {
 	n, total := len(nd.hot), 0
 	for _, w := range nd.outNbr {
@@ -96,23 +54,27 @@ func (c *Cluster[V, A]) rebuildScatter(nd *node[V, A]) {
 		}
 	}
 	sr.start[n] = int32(k)
+	nd.routeDirty = false
 }
 
-// routeReady rebuilds the routing tables if load or a recovery invalidated
-// them. Every phase that consults a route calls it in its prologue.
+// routeReady rebuilds the scatter route if load or a recovery invalidated
+// it. The two phases that scatter through it, syncRecv (applySync) and
+// vcMerge (vcApply), call it in their per-node prologue, so each node's
+// rebuild runs on the goroutine that owns it.
 func (c *Cluster[V, A]) routeReady(nd *node[V, A]) {
 	if nd.routeDirty {
-		c.rebuildRoute(nd)
+		c.rebuildScatter(nd)
 	}
 }
 
-// markRoutesDirty invalidates every alive node's routing tables (used by
-// recoveries that may touch any replica table, master location or master
-// flag, like Migration's promotion, pruning and FT-invariant repair).
+// markRoutesDirty invalidates every alive vertex-cut node's scatter route
+// (used by recoveries that may move masters, add slots or add out-edges on
+// any node, like Migration's promotion, replica creation and edge
+// attachment). Edge-cut has no route to invalidate.
 func (c *Cluster[V, A]) markRoutesDirty() {
 	for _, n := range c.nodes {
 		if n != nil && n.alive {
-			n.routeDirty = true
+			n.routeDirty = c.vcut != nil
 		}
 	}
 }

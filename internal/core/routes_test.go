@@ -7,55 +7,16 @@ import (
 	"imitator/internal/datasets"
 )
 
-// naiveRoute derives a node's sync-routing table directly from the master
-// slots' replica tables — the per-entry walk the superstep loops performed
-// before the flat CSR form existed.
-func naiveRoute[V, A any](nd *node[V, A]) syncRoute {
-	var rt syncRoute
-	for i := range nd.hot {
-		rt.start = append(rt.start, int32(len(rt.node)))
-		if !nd.hot[i].isMaster() {
-			continue
-		}
-		t := nd.replicas(int32(i))
-		for ri, rn := range t.nodes {
-			rt.node = append(rt.node, rn)
-			rt.pos = append(rt.pos, t.pos[ri])
-			rt.ftOnly = append(rt.ftOnly, t.ftOnly[ri])
-		}
-	}
-	rt.start = append(rt.start, int32(len(rt.node)))
-	return rt
-}
-
-func routesEqual(a, b *syncRoute) bool {
-	if len(a.start) != len(b.start) || len(a.node) != len(b.node) {
-		return false
-	}
-	for i := range a.start {
-		if a.start[i] != b.start[i] {
-			return false
-		}
-	}
-	for i := range a.node {
-		if a.node[i] != b.node[i] || a.pos[i] != b.pos[i] || a.ftOnly[i] != b.ftOnly[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// TestSyncRoutesRebuiltAfterRecovery: Rebirth and Migration reshape replica
-// tables, master locations and out-lists (and append entries) on the nodes
-// they touch; checkpoint and logged recovery rebuild the crashed node. Every
-// precomputed routing table in use after the run must match the from-scratch
-// derivation — i.e. recovery must have invalidated stale tables and the
-// subsequent supersteps must have rebuilt them: the sync route against the
-// per-entry walk of the replica tables, the scatter route against the
-// per-edge reference walk (scatter_ref_test.go), after load and after the
-// crash, for an always-active program and one with inactive vertices, at one
-// and four workers a node.
-func TestSyncRoutesRebuiltAfterRecovery(t *testing.T) {
+// TestRoutesAfterRecovery: Rebirth and Migration reshape replica tables,
+// master locations and out-lists (and append entries) on the nodes they
+// touch; checkpoint and logged recovery rebuild the crashed node. After load
+// and after the run with its crash, for an always-active program and one
+// with inactive vertices, at one and four workers a node: the replica tables
+// the sync stages walk must still name exactly the replica slots that point
+// back at their masters (checkVertexTables), and the vertex-cut scatter
+// route must have been rebuilt to match the per-edge reference walk
+// (scatter_ref_test.go). Edge-cut must never build or invalidate a route.
+func TestRoutesAfterRecovery(t *testing.T) {
 	cases := []struct {
 		name string
 		mode Mode
@@ -85,6 +46,7 @@ func TestSyncRoutesRebuiltAfterRecovery(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
+					checkVertexTables(t, fresh, when+" after load")
 					checkScatterRoutes(t, fresh, when+" after load")
 
 					cfg.Chaos = []ChaosEvent{{Kind: ChaosCrash, Iteration: 3, Phase: FailBeforeBarrier, Nodes: []int{1}}}
@@ -100,14 +62,13 @@ func TestSyncRoutesRebuiltAfterRecovery(t *testing.T) {
 					}
 					for _, nd := range cl.aliveNodes() {
 						if nd.routeDirty {
-							t.Errorf("%s: node %d: routing table still dirty after post-recovery supersteps", when, nd.id)
-							continue
+							t.Errorf("%s: node %d: scatter route still dirty after post-recovery supersteps", when, nd.id)
 						}
-						want := naiveRoute(nd)
-						if !routesEqual(&nd.route, &want) {
-							t.Errorf("%s: node %d: precomputed routing table diverged from per-entry derivation", when, nd.id)
+						if tc.mode == EdgeCutMode && nd.scatter.start != nil {
+							t.Errorf("%s: node %d: edge-cut built a scatter route", when, nd.id)
 						}
 					}
+					checkVertexTables(t, cl, when+" after recovery")
 					checkScatterRoutes(t, cl, when+" after recovery")
 				}
 			}

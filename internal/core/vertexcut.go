@@ -76,7 +76,6 @@ func (c *Cluster[V, A]) superstepVertexCut(iter int) error {
 // bindVertexCutPhases builds the cluster-level vertex-cut phase functions.
 func (c *Cluster[V, A]) bindVertexCutPhases() {
 	c.fns.vcR1Stage = func(nd *node[V, A]) {
-		c.routeReady(nd)
 		c.chunked(nd, len(nd.hot), nd.bodies.vcR1Stage)
 	}
 	c.fns.vcR1Recv = func(nd *node[V, A]) {
@@ -135,18 +134,19 @@ func (c *Cluster[V, A]) bindVertexCutPhases() {
 // bindVertexCutBodies builds nd's pre-bound vertex-cut chunked bodies.
 func (c *Cluster[V, A]) bindVertexCutBodies(nd *node[V, A]) {
 	nd.bodies.vcR1Stage = func(st *stager, lo, hi int) {
-		rt := &nd.route
+		tb := &nd.tables
 		for i := lo; i < hi; i++ {
 			e := &nd.hot[i]
 			if !e.isMaster() || !e.active {
 				continue
 			}
-			for k := rt.start[i]; k < rt.start[i+1]; k++ {
-				if rt.ftOnly[k] {
+			h := nd.masters[nd.ref[i].master]
+			for k := h.off; k < h.off+int32(h.rows); k++ {
+				if tb.ftOnly[k] {
 					continue // FT replicas hold no edges: nothing to gather
 				}
-				rn := int(rt.node[k])
-				st.setBuf(rn, binary.LittleEndian.AppendUint32(st.buf(rn), uint32(rt.pos[k])))
+				rn := int(tb.nodes[k])
+				st.setBuf(rn, binary.LittleEndian.AppendUint32(st.buf(rn), uint32(tb.pos[k])))
 				st.met.ActivationMsgs++
 				st.met.ActivationBytes += 4
 			}
