@@ -1,9 +1,9 @@
 // Package hostrace flags unsynchronized writes to shared state from
 // closures that run in parallel: the bodies passed to hostpar.For /
-// hostpar.Blocks and to the core phase pools (runPhase, runBarrierPhase,
-// runChunks, chunked, chunkEncode, and exchange, whose record callback runs
-// once per receiving node). go test -race only catches these when the
-// schedule cooperates; the lint catches them statically.
+// hostpar.Blocks and to the core phase pools (runPhase, chunked,
+// chunkEncode, and exchange, whose record callback runs once per receiving
+// node). go test -race only catches these when the schedule cooperates;
+// the lint catches them statically.
 //
 // The contract a parallel body must follow is the one hostpar documents:
 // write only state owned by the invocation. Ownership is derived from the
@@ -43,12 +43,10 @@ import (
 // executorMethods are the core phase-pool entry points whose func-literal
 // arguments run concurrently.
 var executorMethods = map[string]bool{
-	"runPhase":        true,
-	"runBarrierPhase": true,
-	"runChunks":       true,
-	"chunked":         true,
-	"chunkEncode":     true,
-	"exchange":        true,
+	"runPhase":    true,
+	"chunked":     true,
+	"chunkEncode": true,
+	"exchange":    true,
 }
 
 // New returns the hostrace analyzer.

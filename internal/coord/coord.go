@@ -7,7 +7,9 @@
 // The barrier is reusable and failure-aware: when a node is marked failed
 // while others compute, every surviving node learns about it in the
 // BarrierState returned from its next EnterBarrier call — exactly the
-// enter_barrier()/leave_barrier() state checks of Algorithm 1.
+// enter_barrier()/leave_barrier() state checks of Algorithm 1. A driver
+// that runs every node itself, and so knows they have all arrived, passes
+// the same barrier with one Release call.
 package coord
 
 import (
@@ -46,11 +48,11 @@ type Coordinator struct {
 	// the confirmation deadline: the cluster treats them as possibly dead
 	// (stops waiting on them) without announcing a failure.
 	suspected map[int]bool
-	// states is a two-slot ring: states[g%2] = state of generation g's
-	// release. Two slots suffice because a straggler of generation g must
-	// return from EnterBarrier(g) — and read its slot — before it can enter
-	// barrier g+1, so slot g%2 is never overwritten (by g+2) while a reader
-	// still needs it.
+	// states is a two-slot ring serving EnterBarrier: states[g%2] = state
+	// of generation g's release. Two slots suffice because a straggler of
+	// generation g must return from EnterBarrier(g) — and read its slot —
+	// before it can enter barrier g+1, so slot g%2 is never overwritten (by
+	// g+2) while a reader still needs it.
 	states [2]BarrierState
 
 	kv map[string]int64
@@ -96,6 +98,18 @@ func (c *Coordinator) EnterBarrier(node int) BarrierState {
 		}
 	}
 	return c.states[myGen%2]
+}
+
+// Release passes the barrier for every alive node at once: it publishes
+// the pending failures and returns the state each EnterBarrier caller
+// would have seen. For a driver that runs all nodes and so knows they
+// have arrived.
+func (c *Coordinator) Release() BarrierState {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	g := c.generation
+	c.releaseLocked()
+	return c.states[g%2]
 }
 
 // allArrivedLocked reports whether every alive node has arrived.
@@ -168,7 +182,7 @@ func (c *Coordinator) Suspected(node int) bool {
 // Join adds a node to the membership (a rebirth newbie taking over; §5.1)
 // and bumps the slot's epoch: the newbie is a fresh incarnation, and any
 // in-flight traffic stamped with the previous epoch is fenced on arrival.
-// The node must then call EnterBarrier to synchronize with survivors.
+// The node then synchronizes with the survivors at the next barrier.
 func (c *Coordinator) Join(node int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

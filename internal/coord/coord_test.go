@@ -1,6 +1,8 @@
 package coord
 
 import (
+	"reflect"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -170,5 +172,67 @@ func TestKV(t *testing.T) {
 func TestNewValidation(t *testing.T) {
 	if _, err := New(0); err == nil {
 		t.Error("expected error for zero nodes")
+	}
+}
+
+// TestReleaseMatchesEnterBarrier runs the same rounds twice — once with one
+// goroutine per alive node in EnterBarrier, once with a single Release —
+// and requires the same generation and ascending Failed list every round.
+func TestReleaseMatchesEnterBarrier(t *testing.T) {
+	const numNodes = 5
+	// Before each round, fail is marked failed in that order, then join
+	// rejoins (a rebirth newbie, which must then arrive too).
+	rounds := []struct{ fail, join []int }{
+		{}, {fail: []int{3}}, {}, {fail: []int{4, 1}, join: []int{3}}, {}, {fail: []int{2, 0}}, {},
+	}
+	run := func(pass func(c *Coordinator) BarrierState) []BarrierState {
+		c, _ := New(numNodes)
+		var states []BarrierState
+		for _, r := range rounds {
+			for _, n := range r.fail {
+				c.MarkFailed(n)
+			}
+			for _, n := range r.join {
+				c.Join(n)
+			}
+			states = append(states, pass(c))
+		}
+		return states
+	}
+	entered := run(func(c *Coordinator) BarrierState {
+		var wg sync.WaitGroup
+		states := make([]BarrierState, numNodes)
+		var alive []int
+		for n := 0; n < numNodes; n++ {
+			if c.Alive(n) {
+				alive = append(alive, n)
+			}
+		}
+		for _, n := range alive {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				states[n] = c.EnterBarrier(n)
+			}()
+		}
+		wg.Wait()
+		for _, n := range alive[1:] {
+			if !reflect.DeepEqual(states[n], states[alive[0]]) {
+				t.Fatalf("nodes %d and %d left one barrier with %+v and %+v", alive[0], n, states[alive[0]], states[n])
+			}
+		}
+		return states[alive[0]]
+	})
+	released := run((*Coordinator).Release)
+	if !reflect.DeepEqual(released, entered) {
+		t.Fatalf("Release states %+v, EnterBarrier states %+v", released, entered)
+	}
+	for r, s := range released {
+		if s.Generation != r || !sort.IntsAreSorted(s.Failed) {
+			t.Errorf("round %d: state %+v, want generation %d and ascending Failed", r, s, r)
+		}
+	}
+	if got := released[3].Failed; !reflect.DeepEqual(got, []int{1, 4}) {
+		t.Errorf("round 3 Failed = %v, want [1 4]", got)
 	}
 }

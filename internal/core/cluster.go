@@ -75,8 +75,6 @@ type node[V, A any] struct {
 	bounds  [][2]int
 	// bodies are the pre-bound chunked phase bodies.
 	bodies nodeBodies
-	// barrierState receives this node's EnterBarrier result each phase.
-	barrierState coord.BarrierState
 	// recvMsgs passes the current round's messages into pre-bound bodies.
 	recvMsgs []netsim.Message
 
@@ -150,7 +148,6 @@ func (n *node[V, A]) batchInEdges(b *edgeBatch, dp int32, re *rawEdges) error {
 //
 //imitator:hotpath
 type phaseFns[V, A any] struct {
-	barrier     func(*node[V, A])
 	flushSend   func(*node[V, A])
 	flushNotice func(*node[V, A])
 	commit      func(*node[V, A])
@@ -190,21 +187,17 @@ type Cluster[V, A any] struct {
 	aliveList  []*node[V, A]
 	aliveDirty bool
 
-	// Persistent phase workers, two pools sharing phaseFn/phaseWG:
-	// work is the COMPUTE pool, capped at min(NumNodes, HostParallelism)
-	// goroutines — compute phases never block across nodes, so a 64-node
-	// simulation on an 8-core host runs 8 phase goroutines instead of
-	// thrashing the scheduler with 64. workBarrier is the full-width pool
-	// (NumNodes goroutines) reserved for barrier phases, which need every
-	// alive node blocked in coord.EnterBarrier concurrently; when the cap
-	// doesn't bite, both fields alias one pool.
-	work        chan *node[V, A]
-	workBarrier chan *node[V, A]
-	phaseFn     func(*node[V, A])
-	phaseWG     sync.WaitGroup
-	// workersDone counts the live worker goroutines of both pools;
-	// stopWorkers waits on it, so nothing references the cluster from a
-	// goroutine once Run (or NewCluster) has returned.
+	// Persistent phase workers: work feeds phaseWidth =
+	// min(NumNodes, HostParallelism) goroutines. No phase body blocks
+	// across nodes, so a 64-node simulation on an 8-core host runs 8 phase
+	// goroutines instead of thrashing the scheduler with 64.
+	work       chan *node[V, A]
+	phaseWidth int
+	phaseFn    func(*node[V, A])
+	phaseWG    sync.WaitGroup
+	// workersDone counts the live worker goroutines; stopWorkers waits on
+	// it, so nothing references the cluster from a goroutine once Run (or
+	// NewCluster) has returned.
 	workersDone sync.WaitGroup
 	// chunkSlots caps the goroutines chunked()/chunkEncode() use to execute
 	// one node's WorkersPerNode chunks, sized so phase pool x chunk slots
@@ -325,14 +318,8 @@ func NewCluster[V, A any](cfg Config, g *graph.Graph, prog Program[V, A]) (*Clus
 	// the node-level parallelism already saturates the host, so chunks run
 	// inline; with few nodes, leftover cores go to intra-node chunk slots.
 	hostWidth := cfg.hostParallelism()
-	computeWidth := hostWidth
-	if computeWidth > cfg.NumNodes {
-		computeWidth = cfg.NumNodes
-	}
-	c.chunkSlots = hostWidth / computeWidth
-	if c.chunkSlots < 1 {
-		c.chunkSlots = 1
-	}
+	c.phaseWidth = min(hostWidth, cfg.NumNodes)
+	c.chunkSlots = hostWidth / c.phaseWidth
 	c.bindPhases()
 	if err := c.load(); err != nil {
 		c.stopWorkers()
@@ -352,9 +339,6 @@ func NewCluster[V, A any](cfg Config, g *graph.Graph, prog Program[V, A]) (*Clus
 
 // bindPhases builds the cluster-level pre-bound phase functions once.
 func (c *Cluster[V, A]) bindPhases() {
-	c.fns.barrier = func(nd *node[V, A]) {
-		nd.barrierState = c.coord.EnterBarrier(nd.id)
-	}
 	c.fns.flushSend = func(nd *node[V, A]) {
 		for dst, buf := range nd.sendBuf {
 			if len(buf) == 0 {
@@ -458,21 +442,12 @@ func (c *Cluster[V, A]) bindNodeBodies(nd *node[V, A]) {
 	c.bindVertexCutBodies(nd)
 }
 
-// ensureWorkers lazily spawns the persistent phase workers: a compute pool
-// of min(NumNodes, HostParallelism) goroutines for ordinary phases, plus —
-// only when that cap bites — a full NumNodes-wide pool reserved for barrier
-// phases, which block every alive node in coord.EnterBarrier concurrently
-// and would deadlock on a narrower pool. Every other phase body is
-// non-blocking across nodes (compute, flush into netsim buffers, coord KV
-// ops), so the capped pool cannot deadlock and stops oversubscribing the
-// host when NumNodes >> cores.
+// ensureWorkers lazily spawns the persistent phase workers. Every phase
+// body is non-blocking across nodes (compute, flush into netsim buffers,
+// coord KV ops), so the capped pool cannot deadlock.
 func (c *Cluster[V, A]) ensureWorkers() {
 	if c.work != nil {
 		return
-	}
-	computeWidth := c.cfg.hostParallelism()
-	if computeWidth > c.cfg.NumNodes {
-		computeWidth = c.cfg.NumNodes
 	}
 	// Workers range over a captured local, never the c.work field: a worker
 	// that received no work before stopWorkers nils the field would otherwise
@@ -480,30 +455,12 @@ func (c *Cluster[V, A]) ensureWorkers() {
 	//imitator:hotalloc-ok one-time pool spawn, guarded by the c.work nil check above
 	work := make(chan *node[V, A], c.cfg.NumNodes)
 	c.work = work
-	c.workersDone.Add(computeWidth)
-	for i := 0; i < computeWidth; i++ {
+	c.workersDone.Add(c.phaseWidth)
+	for i := 0; i < c.phaseWidth; i++ {
 		//imitator:hotalloc-ok one-time pool spawn, guarded by the c.work nil check above
 		go func() {
 			defer c.workersDone.Done()
 			for nd := range work {
-				c.phaseFn(nd)
-				c.phaseWG.Done()
-			}
-		}()
-	}
-	if computeWidth == c.cfg.NumNodes {
-		c.workBarrier = work
-		return
-	}
-	//imitator:hotalloc-ok one-time pool spawn, guarded by the c.work nil check above
-	workBarrier := make(chan *node[V, A], c.cfg.NumNodes)
-	c.workBarrier = workBarrier
-	c.workersDone.Add(c.cfg.NumNodes)
-	for i := 0; i < c.cfg.NumNodes; i++ {
-		//imitator:hotalloc-ok one-time pool spawn, guarded by the c.work nil check above
-		go func() {
-			defer c.workersDone.Done()
-			for nd := range workBarrier {
 				c.phaseFn(nd)
 				c.phaseWG.Done()
 			}
@@ -515,12 +472,8 @@ func (c *Cluster[V, A]) ensureWorkers() {
 // exited; runPhase restarts them on demand.
 func (c *Cluster[V, A]) stopWorkers() {
 	if c.work != nil {
-		if c.workBarrier != nil && c.workBarrier != c.work {
-			close(c.workBarrier)
-		}
 		close(c.work)
 		c.work = nil
-		c.workBarrier = nil
 		c.workersDone.Wait()
 	}
 }
@@ -530,26 +483,12 @@ func (c *Cluster[V, A]) stopWorkers() {
 // phaseFn is written while all workers are parked (the previous phase's
 // Wait returned), and the channel sends publish it.
 func (c *Cluster[V, A]) runPhase(fn func(n *node[V, A])) {
-	c.runPhaseOn(fn, false)
-}
-
-// runBarrierPhase is runPhase on the full-width pool; only phases that
-// block until every alive node arrives (coord.EnterBarrier) may need it.
-func (c *Cluster[V, A]) runBarrierPhase(fn func(n *node[V, A])) {
-	c.runPhaseOn(fn, true)
-}
-
-func (c *Cluster[V, A]) runPhaseOn(fn func(n *node[V, A]), barrier bool) {
 	c.ensureWorkers()
 	alive := c.aliveNodes()
 	c.phaseFn = fn
 	c.phaseWG.Add(len(alive))
-	pool := c.work
-	if barrier {
-		pool = c.workBarrier
-	}
 	for _, n := range alive {
-		pool <- n
+		c.work <- n
 	}
 	c.phaseWG.Wait()
 }
@@ -569,16 +508,17 @@ func (c *Cluster[V, A]) aliveNodes() []*node[V, A] {
 	return c.aliveList
 }
 
-// barrier has every alive node enter the coordination barrier and returns
-// the (shared) barrier state. With no node left alive nobody reaches the
-// barrier to learn of the failures, so the job cannot go on.
+// barrier passes the coordination barrier for every alive node and returns
+// the barrier state they share. The driver runs every node, so it knows
+// they have all arrived; failures were confirmed to the coordinator on this
+// goroutine (crash -> detector -> MarkFailed) and surface here. With no
+// node left alive nobody reaches the barrier to learn of the failures, so
+// the job cannot go on.
 func (c *Cluster[V, A]) barrier() (coord.BarrierState, error) {
-	c.runBarrierPhase(c.fns.barrier)
-	alive := c.aliveNodes()
-	if len(alive) == 0 {
+	if len(c.aliveNodes()) == 0 {
 		return coord.BarrierState{}, fmt.Errorf("%w: every node has failed, none is left to reach the barrier", ErrTooManyFailures)
 	}
-	return alive[0].barrierState, nil
+	return c.coord.Release(), nil
 }
 
 // flushSendRound transmits every node's pending per-destination buffers with

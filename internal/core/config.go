@@ -337,8 +337,7 @@ type Config struct {
 	// the node-level phase pool and the intra-node chunk execution slots.
 	// 0 (the default) means runtime.GOMAXPROCS(0). It has no effect on any
 	// simulated result: sim_seconds and every byte stream are identical for
-	// all values. Barrier phases are exempt from the cap, because every
-	// alive node must block in the coordination barrier concurrently.
+	// all values.
 	HostParallelism int
 
 	// Serve enables the epoch-consistent live-query layer (see serve.go):

@@ -1,10 +1,8 @@
 package core
 
 import (
-	"sync"
-	"sync/atomic"
-
 	"imitator/internal/bufpool"
+	"imitator/internal/hostpar"
 	"imitator/internal/metrics"
 	"imitator/internal/netsim"
 )
@@ -147,52 +145,6 @@ func (st *stager) reset() {
 	st.busy = 0
 }
 
-// runChunks executes run(0..k-1) on at most c.chunkSlots goroutine slots.
-// WorkersPerNode chunks are the SIMULATED intra-node width (each chunk has
-// its own stager and busy-time accounting, and the cost model sees all of
-// them), but the host has no obligation to run them on that many OS
-// threads: slots pull chunk indexes from a shared atomic counter, so a
-// 16-chunk node on a 1-slot budget runs all 16 chunks sequentially on the
-// calling goroutine with identical per-chunk results. Chunk-order merging
-// downstream keeps the output bit-identical for any slot count.
-func (c *Cluster[V, A]) runChunks(k int, run func(w int)) {
-	slots := c.chunkSlots
-	if slots > k {
-		slots = k
-	}
-	if slots <= 1 {
-		for w := 0; w < k; w++ {
-			run(w)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(slots - 1)
-	for s := 1; s < slots; s++ {
-		//imitator:hotalloc-ok multi-slot path only; the capped steady state (slots <= 1) runs chunks inline above
-		go func() {
-			defer wg.Done()
-			for {
-				w := int(next.Add(1)) - 1
-				if w >= k {
-					return
-				}
-				run(w)
-			}
-		}()
-	}
-	// The calling goroutine is slot 0.
-	for {
-		w := int(next.Add(1)) - 1
-		if w >= k {
-			break
-		}
-		run(w)
-	}
-	wg.Wait()
-}
-
 // chunked shards [0, n) across nd's worker pool and runs body on every
 // chunk, giving each worker a private stager. After all workers join it
 // merges the stagers in chunk order into nd's shared buffers, applies the
@@ -219,7 +171,7 @@ func (c *Cluster[V, A]) chunked(nd *node[V, A], n int, body func(st *stager, lo,
 		body(sts[0], bounds[0][0], bounds[0][1])
 	} else {
 		//imitator:hotalloc-ok multi-chunk path only; the single-chunk steady state takes the inline branch above
-		c.runChunks(len(bounds), func(w int) {
+		hostpar.For(len(bounds), c.chunkSlots, func(w int) {
 			body(sts[w], bounds[w][0], bounds[w][1])
 		})
 	}
@@ -295,7 +247,7 @@ func (c *Cluster[V, A]) chunkEncode(n int, body func(buf []byte, lo, hi int) ([]
 	if len(bounds) == 1 {
 		bufs[0], counts[0] = body(bufs[0], bounds[0][0], bounds[0][1])
 	} else {
-		c.runChunks(len(bounds), func(w int) {
+		hostpar.For(len(bounds), c.chunkSlots, func(w int) {
 			bufs[w], counts[w] = body(bufs[w], bounds[w][0], bounds[w][1])
 		})
 	}

@@ -89,24 +89,6 @@ func TestChunkBoundsEdgeCases(t *testing.T) {
 	}
 }
 
-// TestRunChunksSlotInvariance checks that the slot cap is pure host
-// scheduling: every chunk runs exactly once with its own index for any
-// chunkSlots setting, including slots > chunks and slots = 0.
-func TestRunChunksSlotInvariance(t *testing.T) {
-	for _, slots := range []int{0, 1, 2, 3, 8, 64} {
-		for _, k := range []int{0, 1, 2, 7, 32} {
-			c := &Cluster[int32, int32]{chunkSlots: slots}
-			ran := make([]int32, k)
-			c.runChunks(k, func(w int) { ran[w]++ })
-			for w, cnt := range ran {
-				if cnt != 1 {
-					t.Fatalf("slots=%d k=%d: chunk %d ran %d times", slots, k, w, cnt)
-				}
-			}
-		}
-	}
-}
-
 // TestChunkedReductionProperty is the determinism argument in miniature:
 // for any entry count, worker count and per-entry destination assignment,
 // running the staged encoding through the pool and merging in chunk order

@@ -116,10 +116,15 @@ func TestServeEpochConsistentDuringFailover(t *testing.T) {
 				var mu sync.Mutex
 				var qerr error
 				answered, unavailable := 0, 0
+				// Each hammer signals ready after its first query, and Run
+				// starts only then, so Result.Serve counts at least two
+				// queries however fast the run finishes.
+				ready := make(chan struct{}, 2)
 				hammer := func(seed uint64) {
 					defer wg.Done()
 					r := rng.New(seed)
 					lastEpoch := -1
+					first := true
 					for {
 						select {
 						case <-stop:
@@ -134,6 +139,10 @@ func TestServeEpochConsistentDuringFailover(t *testing.T) {
 							q = core.Query{Kind: core.QueryTopK, K: 1 + r.Intn(8)}
 						}
 						ans, err := cl.Query(q)
+						if first {
+							ready <- struct{}{}
+							first = false
+						}
 						if err != nil {
 							if errors.Is(err, core.ErrVertexUnavailable) {
 								mu.Lock()
@@ -172,6 +181,8 @@ func TestServeEpochConsistentDuringFailover(t *testing.T) {
 				wg.Add(2)
 				go hammer(101)
 				go hammer(202)
+				<-ready
+				<-ready
 
 				res, err := cl.Run()
 				close(stop)

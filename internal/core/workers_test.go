@@ -104,9 +104,8 @@ func TestWorkerCostModel(t *testing.T) {
 // TestHostParallelismInvariance is the host-scheduling counterpart of
 // TestWorkerCountDeterminism: HostParallelism caps real goroutines (phase
 // pool + chunk slots) and must never change a simulated number. The sweep
-// covers a pool narrower than the cluster (1 < 6 nodes, which also splits
-// the barrier pool from the compute pool), equal, and wider, under a
-// mid-run crash so the recovery paths run on the capped pool too.
+// covers a pool narrower than the cluster (1 < 6 nodes), equal, and wider,
+// under a mid-run crash so the recovery paths run on the capped pool too.
 func TestHostParallelismInvariance(t *testing.T) {
 	g := datasets.Tiny(600, 3600, 77)
 	for _, mode := range []core.Mode{core.EdgeCutMode, core.VertexCutMode} {

@@ -7,10 +7,10 @@
 // random numbers are involved, derives one rng stream per fixed-size shard
 // rather than per worker.
 //
-// This is deliberately separate from internal/core's chunked() machinery:
-// chunked() shards by Config.WorkersPerNode because the chunk count feeds
-// the simulated cost model (costmodel.ComputeTime), whereas hostpar's width
-// is pure host scheduling and must never leak into simulated results.
+// internal/core's chunked() shards by Config.WorkersPerNode because the
+// chunk count feeds the simulated cost model (costmodel.ComputeTime); it
+// uses For only to dispatch those chunks. hostpar's width is pure host
+// scheduling and must never leak into simulated results.
 package hostpar
 
 import (
