@@ -561,7 +561,7 @@ func (w *walker) reportLeak(pos token.Pos) {
 		return
 	}
 	w.leaked[pos] = true
-	w.pass.Reportf(pos, "buffer from bufpool Get is not Put, transferred or stored on every path (leaks; see the seed → steal → transfer → recycle chain in DESIGN.md)")
+	w.pass.Reportf(pos, "buffer from bufpool Get is not Put, transferred or stored on every path (leaks; see the seed → transfer → recycle chain in DESIGN.md)")
 }
 
 func (w *walker) reportLeakAt(cell *buf, pos token.Pos, msg string) {

@@ -1,6 +1,6 @@
 // Package bufowntest exercises the bufown analyzer against the PR 2 buffer
-// lifecycle: stager seed → chunk-merge steal → net transfer → receiver
-// recycle, plus the failure modes (leak, double Put, use after Put).
+// lifecycle: wire-slot seed → store or append-and-recycle → net transfer →
+// receiver recycle, plus the failure modes (leak, double Put, use after Put).
 package bufowntest
 
 import (
@@ -16,7 +16,7 @@ type node struct {
 
 // --- clean lifecycle cases ---
 
-// seed: a stager slot is seeded from the pool and returned to the caller
+// seed: an empty buffer slot is seeded from the pool and returned to the caller
 // (ownership flows out through the return value).
 func seed(pool *bufpool.Pool, slot []byte) []byte {
 	b := slot
@@ -40,8 +40,8 @@ func flowThrough(pool *bufpool.Pool, v byte) []byte {
 
 func encode(buf []byte, v byte) []byte { return append(buf, v) }
 
-// steal: the chunk merge either steals the worker's buffer into the node
-// slot or copies and recycles it — released on both paths.
+// steal: a staged buffer is either stored into an empty node slot or
+// appended to the slot's buffer and recycled — released on both paths.
 func steal(nd *node, dst int, buf []byte, pool *bufpool.Pool) {
 	staged := pool.Get()
 	staged = encode(staged, 1)

@@ -1,13 +1,12 @@
 // Package hostrace flags unsynchronized writes to shared state from
 // closures that run in parallel: the bodies passed to hostpar.For /
-// hostpar.Blocks and to the core phase pools (runPhase, chunked,
-// chunkEncode, and exchange, whose record callback runs once per receiving
-// node). go test -race only catches these when the schedule cooperates;
+// hostpar.Blocks and to the core phase pool (runPhase, and exchange, whose
+// record callback runs once per receiving node). go test -race only catches these when the schedule cooperates;
 // the lint catches them statically.
 //
 // The contract a parallel body must follow is the one hostpar documents:
 // write only state owned by the invocation. Ownership is derived from the
-// body's parameters (the shard/chunk/node index and anything computed from
+// body's parameters (the shard or node index and anything computed from
 // it). A write to a captured variable is reported unless it is
 //
 //   - index-disjoint: the access path indexes a slice/array with an
@@ -43,10 +42,8 @@ import (
 // executorMethods are the core phase-pool entry points whose func-literal
 // arguments run concurrently.
 var executorMethods = map[string]bool{
-	"runPhase":    true,
-	"chunked":     true,
-	"chunkEncode": true,
-	"exchange":    true,
+	"runPhase": true,
+	"exchange": true,
 }
 
 // New returns the hostrace analyzer.

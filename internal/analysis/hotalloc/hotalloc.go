@@ -6,8 +6,8 @@
 //	func (c *Cluster[V, A]) superstepEdgeCut() error { ... }
 //
 // on a function, or on a struct type whose func-typed fields hold the
-// pre-bound phase bodies (nodeBodies, phaseFns): every func literal
-// assigned to a field of an annotated struct is a hot root. From the roots
+// pre-bound phase functions (phaseFns): every func literal assigned to a
+// field of an annotated struct is a hot root. From the roots
 // the analyzer walks the package-local static call graph; inside any hot
 // function it reports the allocation shapes that defeat the PR-2 zero-alloc
 // discipline:

@@ -88,10 +88,11 @@ func TestLoadAllocBudget(t *testing.T) {
 }
 
 // TestSteadyStateSuperstepAllocFree is the tentpole regression gate: once
-// the pool, stagers and routing tables are warm, a full superstep
+// the pool, mailboxes and routing tables are warm, a full superstep
 // (compute + sync + receive + barrier + commit) performs zero heap
-// allocations at WorkersPerNode=1. Any new per-round make/append-to-nil on
-// the hot path shows up here as a non-zero count. Besides fakePR it runs an
+// allocations, at WorkersPerNode 1 and at 3, where the cost-bearing phases
+// walk several chunks. Any new per-round make/append-to-nil on the hot path
+// shows up here as a non-zero count. Besides fakePR it runs an
 // int32 program (the engine's go.shape.int32 instantiation) and a float64
 // program that reads edge weights and source ids on a weighted graph.
 func TestSteadyStateSuperstepAllocFree(t *testing.T) {
@@ -105,30 +106,34 @@ func TestSteadyStateSuperstepAllocFree(t *testing.T) {
 	for _, mode := range []Mode{EdgeCutMode, VertexCutMode} {
 		t.Run(mode.String(), func(t *testing.T) {
 			tiny := datasets.Tiny(400, 2400, 4242)
-			checkSteadyAllocFree(t, mode, tiny, Program[float64, float64](fakePR{}))
-			checkSteadyAllocFree(t, mode, tiny, Program[int32, int32](fakeMin{}))
-			checkSteadyAllocFree(t, mode, road, Program[float64, float64](&fakeWeighted{}))
+			for _, workers := range []int{1, 3} {
+				checkSteadyAllocFree(t, mode, workers, tiny, Program[float64, float64](fakePR{}))
+				checkSteadyAllocFree(t, mode, workers, tiny, Program[int32, int32](fakeMin{}))
+				checkSteadyAllocFree(t, mode, workers, road, Program[float64, float64](&fakeWeighted{}))
+			}
 		})
 	}
 }
 
-// checkSteadyAllocFree fails t if a warm superstep of prog on g allocates.
-func checkSteadyAllocFree[V, A any](t *testing.T, mode Mode, g *graph.Graph, prog Program[V, A]) {
+// checkSteadyAllocFree fails t if a warm superstep of prog on g allocates
+// with the given WorkersPerNode.
+func checkSteadyAllocFree[V, A any](t *testing.T, mode Mode, workers int, g *graph.Graph, prog Program[V, A]) {
 	t.Helper()
 	cfg := DefaultConfig(mode, 4)
 	cfg.MaxIter = 1 // stepped manually below
+	cfg.WorkersPerNode = workers
 	cl, err := NewCluster(cfg, g, prog)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cl.stopWorkers()
 	step := manualStep(t, cl)
-	// Warm the pool, stagers, mailboxes and routing tables.
+	// Warm the pool, mailboxes and routing tables.
 	for i := 0; i < 3; i++ {
 		step()
 	}
 	if avg := testing.AllocsPerRun(5, step); avg != 0 {
-		t.Errorf("%v %s steady-state superstep allocates %.1f times per iteration, want 0", mode, prog.Name(), avg)
+		t.Errorf("%v %s workers=%d steady-state superstep allocates %.1f times per iteration, want 0", mode, prog.Name(), workers, avg)
 	}
 }
 
@@ -228,7 +233,7 @@ func BenchmarkSuperstep(b *testing.B) {
 			defer cl.stopWorkers()
 			step := manualStep(b, cl)
 			for i := 0; i < 3; i++ {
-				step() // warm the pool, stagers, mailboxes and routing tables
+				step() // warm the pool, mailboxes and routing tables
 			}
 			b.ReportAllocs()
 			for b.Loop() {

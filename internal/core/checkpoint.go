@@ -23,30 +23,19 @@ func (c *Cluster[V, A]) writeCheckpoint() {
 // cost advances the simulated clock (barrier-synchronous checkpointing), else
 // it accrues to load time (the initial epoch-0 snapshot).
 func (c *Cluster[V, A]) writeCheckpointAt(epoch int, charge bool) {
-	// Nodes snapshot concurrently (they do on a real cluster); each node's
-	// records encode chunk-parallel and concatenate in chunk order, so the
-	// snapshot bytes match the sequential encoder's for any worker count.
+	// Nodes snapshot concurrently (they do on a real cluster).
 	nodeCosts := make([]float64, c.cfg.NumNodes)
 	nodeBytes := make([]int64, c.cfg.NumNodes)
 	c.runPhase(func(nd *node[V, A]) {
 		buf := putU32(c.pool.Get(), uint32(epoch))
 		countAt := len(buf)
 		buf = putU32(buf, 0) // patched below
-		chunks, count := c.chunkEncode(len(nd.hot), func(b []byte, lo, hi int) ([]byte, int) {
-			cnt := 0
-			for i := lo; i < hi; i++ {
-				e := &nd.hot[i]
-				if !e.isMaster() {
-					continue
-				}
-				b = appendSlotState(b, c.vc, int32(i), e)
-				cnt++
+		count := 0
+		for i := range nd.hot {
+			if e := &nd.hot[i]; e.isMaster() {
+				buf = appendSlotState(buf, c.vc, int32(i), e)
+				count++
 			}
-			return b, cnt
-		})
-		for _, cb := range chunks {
-			buf = append(buf, cb...)
-			c.pool.Put(cb)
 		}
 		binary.LittleEndian.PutUint32(buf[countAt:countAt+4], uint32(count))
 		// The DFS copies data on Write, so the encode buffer is recyclable
@@ -265,23 +254,21 @@ func (c *Cluster[V, A]) rebuildPristineNode(id int) *node[V, A] {
 // including activity flags; used after snapshot restores.
 func (c *Cluster[V, A]) fullResync() error {
 	c.runPhase(func(nd *node[V, A]) {
-		c.chunked(nd, len(nd.hot), func(st *stager, lo, hi int) {
-			c.stageExact(st.send, &st.met, func(s *recSink) {
-				for i := lo; i < hi; i++ {
-					e := &nd.hot[i]
-					if !e.isMaster() {
-						continue
-					}
-					rt := nd.replicas(int32(i))
-					size := slotStateSize(c.vc, e)
-					for ri, rn := range rt.nodes {
-						pos := rt.pos[ri]
-						s.put(int(rn), size, func(buf []byte) []byte {
-							return appendSlotState(buf, c.vc, pos, e)
-						})
-					}
+		c.stageExact(nd.sendBuf, nd.met, func(s *recSink) {
+			for i := range nd.hot {
+				e := &nd.hot[i]
+				if !e.isMaster() {
+					continue
 				}
-			})
+				rt := nd.replicas(int32(i))
+				size := slotStateSize(c.vc, e)
+				for ri, rn := range rt.nodes {
+					pos := rt.pos[ri]
+					s.put(int(rn), size, func(buf []byte) []byte {
+						return appendSlotState(buf, c.vc, pos, e)
+					})
+				}
+			}
 		})
 	})
 	return c.exchange(false, func(nd *node[V, A], _ int, r *reader) {

@@ -16,24 +16,6 @@ import (
 	"imitator/internal/partition"
 )
 
-// nodeBodies holds a node's pre-bound chunked phase bodies. They are built
-// once per node (initNodeScratch): a closure literal passed to chunked
-// escapes — the multi-worker path hands the body to goroutines — so literals
-// at the superstep call sites would heap-allocate every phase. The
-// annotation makes every literal bound to these fields a hotalloc root.
-//
-//imitator:hotpath
-type nodeBodies struct {
-	commit    func(st *stager, lo, hi int)
-	ecCompute func(st *stager, lo, hi int)
-	syncStage func(st *stager, lo, hi int)
-	syncRecv  func(st *stager, lo, hi int)
-	vcR1Stage func(st *stager, lo, hi int)
-	vcR1Reset func(st *stager, lo, hi int)
-	vcGather  func(st *stager, lo, hi int)
-	vcApply   func(st *stager, lo, hi int)
-}
-
 // node is one simulated machine's runtime state.
 type node[V, A any] struct {
 	id    int
@@ -67,16 +49,8 @@ type node[V, A any] struct {
 	// scratch: per-superstep compute cost in simulated seconds.
 	phaseCost float64
 
-	// pool is the cluster's shared wire-buffer pool (for lazy staging).
-	pool *bufpool.Pool
-	// stagers are the retained per-worker staging areas (width
-	// Config.WorkersPerNode); bounds is chunked's reusable chunk list.
-	stagers []*stager
-	bounds  [][2]int
-	// bodies are the pre-bound chunked phase bodies.
-	bodies nodeBodies
-	// recvMsgs passes the current round's messages into pre-bound bodies.
-	recvMsgs []netsim.Message
+	// bounds is the reusable chunk list of the cost-bearing phases.
+	bounds [][2]int
 
 	// scatter is the vertex-cut scatter route (slot -> its out-targets'
 	// masters); routeDirty forces a rebuild before the next phase that
@@ -199,11 +173,6 @@ type Cluster[V, A any] struct {
 	// it, so nothing references the cluster from a goroutine once Run (or
 	// NewCluster) has returned.
 	workersDone sync.WaitGroup
-	// chunkSlots caps the goroutines chunked()/chunkEncode() use to execute
-	// one node's WorkersPerNode chunks, sized so phase pool x chunk slots
-	// stays at about HostParallelism. The chunk COUNT (sim semantics, cost
-	// model) is untouched — this is pure host scheduling.
-	chunkSlots int
 
 	// fns are the pre-bound phase functions (built once by bindPhases);
 	// flushKind/curIter/always are the per-phase parameters they read.
@@ -313,13 +282,7 @@ func NewCluster[V, A any](cfg Config, g *graph.Graph, prog Program[V, A]) (*Clus
 		selfishOptOn: cfg.replicates() && cfg.FT.SelfishOpt &&
 			prog.CanRecomputeSelfish() && prog.AlwaysActive(),
 	}
-	// Divide the host budget between the phase pool (one goroutine per node,
-	// capped) and each node's chunk execution: with more nodes than cores
-	// the node-level parallelism already saturates the host, so chunks run
-	// inline; with few nodes, leftover cores go to intra-node chunk slots.
-	hostWidth := cfg.hostParallelism()
-	c.phaseWidth = min(hostWidth, cfg.NumNodes)
-	c.chunkSlots = hostWidth / c.phaseWidth
+	c.phaseWidth = min(cfg.hostParallelism(), cfg.NumNodes)
 	c.bindPhases()
 	if err := c.load(); err != nil {
 		c.stopWorkers()
@@ -367,7 +330,27 @@ func (c *Cluster[V, A]) bindPhases() {
 		}
 	}
 	c.fns.commit = func(nd *node[V, A]) {
-		c.chunked(nd, len(nd.hot), nd.bodies.commit)
+		iter := int32(c.curIter)
+		always := c.always
+		for i := range nd.hot {
+			e := &nd.hot[i]
+			if e.hasPending {
+				e.value = e.pendingValue
+				e.lastActivate = e.pendingScatter
+				e.lastActivateIter = e.pendingScatterI
+				e.hasPending = false
+				e.lastTouchedIter = iter
+			}
+			if e.isMaster() {
+				newActive := e.pendingActive || always
+				if newActive != e.active {
+					e.lastTouchedIter = iter
+				}
+				e.active = newActive
+			}
+			e.pendingActive = false
+			e.pendingScatter = false
+		}
 	}
 	c.fns.rollback = func(nd *node[V, A]) {
 		for i := range nd.hot {
@@ -392,54 +375,14 @@ func (c *Cluster[V, A]) bindPhases() {
 }
 
 // initNodeScratch wires a freshly constructed node into the cluster's
-// buffer, stager and routing machinery. Every node-creation site (load,
+// buffer and routing machinery. Every node-creation site (load,
 // rebirth, checkpoint rebuild) must call it.
 func (c *Cluster[V, A]) initNodeScratch(nd *node[V, A]) {
 	width := c.cfg.NumNodes
-	nd.pool = c.pool
 	nd.sendBuf = make([][]byte, width)
 	nd.noticeBuf = make([][]byte, width)
-	nd.stagers = make([]*stager, c.cfg.WorkersPerNode)
-	for i := range nd.stagers {
-		nd.stagers[i] = &stager{
-			pool:   c.pool,
-			slot0:  c.wireSlot(nd.id, 0, 0),
-			send:   make([][]byte, width),
-			notice: make([][]byte, width),
-		}
-	}
 	nd.routeDirty = c.vcut != nil
-	c.bindNodeBodies(nd)
 	c.aliveDirty = true
-}
-
-// bindNodeBodies builds nd's pre-bound chunked bodies.
-func (c *Cluster[V, A]) bindNodeBodies(nd *node[V, A]) {
-	nd.bodies.commit = func(_ *stager, lo, hi int) {
-		iter := int32(c.curIter)
-		always := c.always
-		for i := lo; i < hi; i++ {
-			e := &nd.hot[i]
-			if e.hasPending {
-				e.value = e.pendingValue
-				e.lastActivate = e.pendingScatter
-				e.lastActivateIter = e.pendingScatterI
-				e.hasPending = false
-				e.lastTouchedIter = iter
-			}
-			if e.isMaster() {
-				newActive := e.pendingActive || always
-				if newActive != e.active {
-					e.lastTouchedIter = iter
-				}
-				e.active = newActive
-			}
-			e.pendingActive = false
-			e.pendingScatter = false
-		}
-	}
-	c.bindEdgeCutBodies(nd)
-	c.bindVertexCutBodies(nd)
 }
 
 // ensureWorkers lazily spawns the persistent phase workers. Every phase
@@ -562,7 +505,7 @@ func (c *Cluster[V, A]) recycleMsgs(msgs []netsim.Message) {
 }
 
 // recSink is where one staging loop's recovery records go: bufs are the
-// per-destination buffers (a node's send or notice buffers, or a stager's),
+// per-destination buffers (a node's send or notice buffers),
 // and met counts the records as recovery traffic unless it is nil.
 // stageExact runs a loop over it twice; a loop that changes state as it
 // stages, and so cannot run twice, fills a sink from stageFill once.

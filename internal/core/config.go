@@ -318,26 +318,21 @@ type Config struct {
 	// survivors) instead of failing the job with ErrNoStandby. Requires a
 	// replicating Recovery.
 	RebirthFallback bool
-	// WorkersPerNode is the width of each node's intra-node worker pool in
-	// the SIMULATION: compute phases (gather/apply, sync encode, recovery
-	// reconstruction, checkpoint encode) shard the node's vertex array into
-	// this many contiguous chunks, and the chunk count feeds the cost model
-	// (costmodel.ComputeTime), so it changes simulated seconds. Results are
-	// reduced in chunk order, so every byte stream and vertex value is
-	// identical for any pool width. Must be >= 1; DefaultConfig sets 1 (the
-	// paper's serial engine).
-	//
-	// WorkersPerNode does NOT control how many goroutines actually run:
-	// that is HostParallelism. A 64-node job with WorkersPerNode=8 simulates
-	// 512 workers but executes on min(64, HostParallelism) phase goroutines,
-	// each running its node's 8 chunks on at most HostParallelism chunk
-	// slots.
+	// WorkersPerNode is the width of each node's simulated worker pool, a
+	// cost-model input only: the compute phases (edge-cut compute,
+	// vertex-cut gather and apply, Rebirth placement) count their work in
+	// this many contiguous chunks of the node's work list, and
+	// costmodel.ComputeTime charges the phase by the total and the busiest
+	// chunk, so it changes simulated seconds. The chunks run in order on the
+	// node's own goroutine, so every byte stream and vertex value is
+	// identical for any width, and no width adds a goroutine. Must be >= 1;
+	// DefaultConfig sets 1 (the paper's serial engine).
 	WorkersPerNode int
-	// HostParallelism caps the real goroutines the engine uses per phase —
-	// the node-level phase pool and the intra-node chunk execution slots.
-	// 0 (the default) means runtime.GOMAXPROCS(0). It has no effect on any
-	// simulated result: sim_seconds and every byte stream are identical for
-	// all values.
+	// HostParallelism caps the real goroutines the engine uses: the
+	// node-level phase pool runs min(NumNodes, HostParallelism) of them, and
+	// loading shards by it. 0 (the default) means runtime.GOMAXPROCS(0). It
+	// has no effect on any simulated result: sim_seconds and every byte
+	// stream are identical for all values.
 	HostParallelism int
 
 	// Serve enables the epoch-consistent live-query layer (see serve.go):
@@ -371,19 +366,17 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("core: MaxIter must be >= 1, got %d", c.MaxIter)
 	}
 	if c.WorkersPerNode < 1 {
-		return fmt.Errorf("core: WorkersPerNode must be >= 1, got %d (set it to 1 for the serial engine, or runtime.GOMAXPROCS(0) to use every core)", c.WorkersPerNode)
+		return fmt.Errorf("core: WorkersPerNode must be >= 1, got %d (1 is the paper's serial engine)", c.WorkersPerNode)
 	}
 	if c.HostParallelism < 0 {
 		return fmt.Errorf("core: HostParallelism must be >= 0, got %d (0 uses GOMAXPROCS)", c.HostParallelism)
 	}
-	// NumNodes*WorkersPerNode is the simulated task count per phase, not a
-	// goroutine count — execution is capped at HostParallelism — but an
-	// absurd product still costs NumNodes*WorkersPerNode stager structures
-	// and per-chunk merge work, so reject configurations that oversubscribe
-	// the simulation beyond any plausible host.
+	// NumNodes*WorkersPerNode is the simulated worker count per phase, not
+	// a goroutine count; a product beyond any plausible cluster is almost
+	// certainly a mistake, so reject it.
 	if c.NumNodes*c.WorkersPerNode > maxSimTasks {
-		return fmt.Errorf("core: NumNodes (%d) x WorkersPerNode (%d) = %d simulated tasks per phase exceeds %d; this oversubscription is almost certainly a mistake — the host executes at most HostParallelism (%d resolved) goroutines regardless",
-			c.NumNodes, c.WorkersPerNode, c.NumNodes*c.WorkersPerNode, maxSimTasks, c.hostParallelism())
+		return fmt.Errorf("core: NumNodes (%d) x WorkersPerNode (%d) = %d simulated workers per phase exceeds %d; this is almost certainly a mistake",
+			c.NumNodes, c.WorkersPerNode, c.NumNodes*c.WorkersPerNode, maxSimTasks)
 	}
 	if c.MaxRebirths < 0 {
 		return fmt.Errorf("core: MaxRebirths must be >= 0, got %d", c.MaxRebirths)
@@ -545,9 +538,9 @@ func (c *Config) validateChaosEvent(ev ChaosEvent) error {
 	}
 }
 
-// maxSimTasks bounds NumNodes*WorkersPerNode. 16384 comfortably covers the
-// paper's 50-node cluster at hundreds of simulated workers per node while
-// catching runaway configurations.
+// maxSimTasks bounds NumNodes*WorkersPerNode, the simulated worker count.
+// 16384 comfortably covers the paper's 50-node cluster at hundreds of
+// simulated workers per node while catching runaway configurations.
 const maxSimTasks = 16384
 
 // hostParallelism resolves the effective host goroutine cap.

@@ -13,28 +13,23 @@ import (
 // Activation propagates locally on every node that holds the scattering
 // vertex (master or replica), so no extra messaging round is needed.
 //
-// All phases run through pre-bound functions and bodies (bindEdgeCutPhases,
-// bindEdgeCutBodies) so the steady-state loop allocates nothing.
+// All phases run through pre-bound functions (bindEdgeCutPhases) so the
+// steady-state loop allocates nothing.
 //
 //imitator:hotpath
 func (c *Cluster[V, A]) superstepEdgeCut(iter int) error {
 	c.curIter = iter
 
-	// Compute phase (Algorithm 1 line 5). Each chunk writes only the staged
-	// fields of its own masters; cross-chunk scatter activation goes through
-	// the stager's position list.
+	// Compute phase (Algorithm 1 line 5).
 	c.runPhase(c.fns.ecCompute)
 	c.advanceComputeSpan()
 
-	// Send phase (line 6): one sync record per (computed master, replica),
-	// encoded chunk-parallel and merged in chunk order.
+	// Send phase (line 6): one sync record per (computed master, replica).
 	c.runPhase(c.fns.syncStage)
 	c.flushSendRound(netsim.KindSync)
 
 	// Receive phase: replicas stage the new value and propagate scatter
-	// activation to their local out-targets. Messages decode in parallel —
-	// every replica position is synced by exactly one master, so the staged
-	// writes are position-disjoint across messages.
+	// activation to their local out-targets.
 	c.runPhase(c.fns.syncRecv)
 	return nil
 }
@@ -43,74 +38,61 @@ func (c *Cluster[V, A]) superstepEdgeCut(iter int) error {
 // fns.syncStage and fns.syncRecv double as the vertex-cut R3 phases.
 func (c *Cluster[V, A]) bindEdgeCutPhases() {
 	c.fns.ecCompute = func(nd *node[V, A]) {
-		nd.phaseCost = c.chunked(nd, len(nd.hot), nd.bodies.ecCompute)
+		iter := c.curIter
+		var busy busySpan
+		for _, b := range c.chunks(nd, len(nd.hot)) {
+			edges, applies := 0, 0
+			for i := b[0]; i < b[1]; i++ {
+				e := &nd.hot[i]
+				if !e.isMaster() || !e.active {
+					continue
+				}
+				acc, has, n := c.gather(nd, i)
+				edges += n
+				newV, scatter := c.prog.Apply(e.id, e.info(), e.value, acc, has, iter)
+				e.pendingValue = newV
+				e.hasPending = true
+				e.pendingScatter = scatter
+				e.pendingScatterI = int32(iter)
+				applies++
+				if scatter {
+					c.scatterMark(nd, int32(i))
+				}
+			}
+			busy.add(float64(edges)*c.cfg.Cost.ComputePerEdge +
+				float64(applies)*c.cfg.Cost.ComputePerVertex)
+		}
+		nd.phaseCost = c.charge(nd, busy)
 	}
 	c.fns.syncStage = func(nd *node[V, A]) {
-		c.chunked(nd, len(nd.hot), nd.bodies.syncStage)
+		for i := range nd.hot {
+			if e := &nd.hot[i]; e.isMaster() && e.hasPending {
+				c.stageSyncRecords(nd, i)
+			}
+		}
 	}
 	c.fns.syncRecv = func(nd *node[V, A]) {
 		c.routeReady(nd) // vertex-cut applySync scatters through the route
-		nd.recvMsgs = c.net.Receive(nd.id)
+		msgs := c.net.Receive(nd.id)
 		if c.flog != nil {
-			c.flogCapture(nd)
+			c.flogCapture(nd, msgs)
 		}
-		c.chunked(nd, len(nd.recvMsgs), nd.bodies.syncRecv)
-		c.handBack(nd, nd.recvMsgs, slotSend)
-		nd.recvMsgs = nil
-	}
-}
-
-// bindEdgeCutBodies builds nd's pre-bound edge-cut chunked bodies.
-func (c *Cluster[V, A]) bindEdgeCutBodies(nd *node[V, A]) {
-	nd.bodies.ecCompute = func(st *stager, lo, hi int) {
-		iter := c.curIter
-		edges, applies := 0, 0
-		for i := lo; i < hi; i++ {
-			e := &nd.hot[i]
-			if !e.isMaster() || !e.active {
-				continue
-			}
-			acc, has, n := c.gather(nd, i)
-			edges += n
-			newV, scatter := c.prog.Apply(e.id, e.info(), e.value, acc, has, iter)
-			e.pendingValue = newV
-			e.hasPending = true
-			e.pendingScatter = scatter
-			e.pendingScatterI = int32(iter)
-			applies++
-			if scatter {
-				c.scatterMark(nd, st, int32(i))
+		for _, m := range msgs {
+			if m.Kind == netsim.KindSync {
+				c.applySync(nd, m.Payload)
 			}
 		}
-		st.busy = float64(edges)*c.cfg.Cost.ComputePerEdge +
-			float64(applies)*c.cfg.Cost.ComputePerVertex
-	}
-	nd.bodies.syncStage = func(st *stager, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			e := &nd.hot[i]
-			if !e.isMaster() || !e.hasPending {
-				continue
-			}
-			c.stageSyncRecords(st, nd, i)
-		}
-	}
-	nd.bodies.syncRecv = func(st *stager, lo, hi int) {
-		for _, m := range nd.recvMsgs[lo:hi] {
-			if m.Kind != netsim.KindSync {
-				continue
-			}
-			c.applySync(nd, st, m.Payload)
-		}
+		c.handBack(nd, msgs, slotSend)
 	}
 }
 
 // stageSyncRecords appends one sync record per replica of master entry i to
-// the worker's per-destination buffers, honoring the selfish-vertex
+// the node's per-destination send buffers, honoring the selfish-vertex
 // optimization and keeping the FT/normal message accounting the figures
 // need. Destinations are the rows of i's replica table, walked in place in
 // the table arena through its master handle; the mirror indexes are never
 // read.
-func (c *Cluster[V, A]) stageSyncRecords(st *stager, nd *node[V, A], i int) {
+func (c *Cluster[V, A]) stageSyncRecords(nd *node[V, A], i int) {
 	// The mirror's "full state" needs no extra bytes during normal sync:
 	// the dynamic extension the paper describes (the activation/scatter
 	// state) is the scatter flag already in every record, stamped with the
@@ -125,7 +107,7 @@ func (c *Cluster[V, A]) stageSyncRecords(st *stager, nd *node[V, A], i int) {
 			continue
 		}
 		rn := int(tb.nodes[k])
-		buf := st.buf(rn)
+		buf := c.wireBuf(nd, rn, slotSend)
 		before := len(buf)
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(tb.pos[k]))
 		var flags byte
@@ -134,14 +116,14 @@ func (c *Cluster[V, A]) stageSyncRecords(st *stager, nd *node[V, A], i int) {
 		}
 		buf = append(buf, flags)
 		buf = c.vc.Append(buf, e.pendingValue)
-		st.setBuf(rn, buf)
+		nd.sendBuf[rn] = buf
 		size := int64(len(buf) - before)
 		if ftOnly {
-			st.met.FTMsgs++
-			st.met.FTBytes += size
+			nd.met.FTMsgs++
+			nd.met.FTBytes += size
 		} else {
-			st.met.SyncMsgs++
-			st.met.SyncBytes += size
+			nd.met.SyncMsgs++
+			nd.met.SyncBytes += size
 		}
 	}
 }
@@ -159,7 +141,7 @@ func (c *Cluster[V, A]) gather(nd *node[V, A], i int) (acc A, has bool, edges in
 // applySync decodes a batch of sync records into local slots, staging each
 // value and scatter flag and activating the scattering replicas' local
 // out-targets. A record cut short ends the batch, as a codec error does.
-func (c *Cluster[V, A]) applySync(nd *node[V, A], st *stager, buf []byte) {
+func (c *Cluster[V, A]) applySync(nd *node[V, A], buf []byte) {
 	iter := int32(c.curIter)
 	for len(buf) >= 5 {
 		pos := int32(binary.LittleEndian.Uint32(buf))
@@ -175,38 +157,40 @@ func (c *Cluster[V, A]) applySync(nd *node[V, A], st *stager, buf []byte) {
 		e.pendingScatter = flags&1 != 0
 		e.pendingScatterI = iter
 		if e.pendingScatter {
-			c.scatterMark(nd, st, pos)
+			c.scatterMark(nd, pos)
 		}
 	}
 }
 
 // scatterMark activates slot i's local out-targets for the next superstep:
-// masters through the worker's activation list, vertex-cut replicas via an
+// masters by their pendingActive flag, vertex-cut replicas via an
 // activation notice to their master's node, both streamed from the node's
 // precomputed scatter route in out-list order. Commit ORs a master's
 // pendingActive with Program.AlwaysActive, so for an always-active program
-// the host-side list has no reader and is not built; the notices are wire
-// traffic and go out either way.
-func (c *Cluster[V, A]) scatterMark(nd *node[V, A], st *stager, i int32) {
+// the flags have no reader and are not set; the notices are wire traffic
+// and go out either way.
+func (c *Cluster[V, A]) scatterMark(nd *node[V, A], i int32) {
 	if c.ec != nil {
 		// An edge lives on its target's master node: all masters, no notices.
 		if !c.always {
-			st.pendingActive = append(st.pendingActive, nd.out(int(i))...)
+			for _, w := range nd.out(int(i)) {
+				nd.hot[w].pendingActive = true
+			}
 		}
 		return
 	}
 	rt, self, notices := &nd.scatter, int16(nd.id), int64(0)
 	for k := rt.start[i]; k < rt.start[i+1]; k++ {
 		if rt.node[k] == self {
-			st.pendingActive = append(st.pendingActive, rt.pos[k])
+			nd.hot[rt.pos[k]].pendingActive = true
 			continue
 		}
 		mn := int(rt.node[k])
-		st.notice[mn] = binary.LittleEndian.AppendUint32(st.noticeBuf(mn), uint32(rt.pos[k]))
+		nd.noticeBuf[mn] = binary.LittleEndian.AppendUint32(c.wireBuf(nd, mn, slotNotice), uint32(rt.pos[k]))
 		notices++
 	}
-	st.met.ActivationMsgs += notices
-	st.met.ActivationBytes += 4 * notices
+	nd.met.ActivationMsgs += notices
+	nd.met.ActivationBytes += 4 * notices
 }
 
 // advanceComputeSpan advances the simulated clock by the slowest node's

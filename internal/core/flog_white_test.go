@@ -8,9 +8,8 @@ import (
 )
 
 // TestLogWriteDeterminism is the log layer's determinism contract: the
-// superstep-log bytes every node persists are identical for any intra-node
-// worker-pool width (chunk-parallel encodes concatenate in chunk order) and
-// across repeated runs.
+// superstep-log bytes every node persists are identical for any simulated
+// worker-pool width and across repeated runs.
 func TestLogWriteDeterminism(t *testing.T) {
 	for _, mode := range []Mode{EdgeCutMode, VertexCutMode} {
 		g := datasets.Tiny(400, 2400, 55)

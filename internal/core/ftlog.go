@@ -65,17 +65,17 @@ func (c *Cluster[V, A]) flogInit() {
 // flogCapture copies the receive round's sync payloads into the node's
 // message log scratch, in receive order. Payload buffers recycle after
 // decode, so the log keeps its own framed copy.
-func (c *Cluster[V, A]) flogCapture(nd *node[V, A]) {
+func (c *Cluster[V, A]) flogCapture(nd *node[V, A], msgs []netsim.Message) {
 	f := c.flog
 	buf := f.msgScratch[nd.id]
-	for i := range nd.recvMsgs {
-		if nd.recvMsgs[i].Kind != netsim.KindSync {
+	for i := range msgs {
+		if msgs[i].Kind != netsim.KindSync {
 			continue
 		}
 		if buf == nil {
 			buf = c.pool.Get()
 		}
-		buf = ftlog.AppendMessage(buf, nd.recvMsgs[i].Payload)
+		buf = ftlog.AppendMessage(buf, msgs[i].Payload)
 		f.msgCount[nd.id]++
 	}
 	f.msgScratch[nd.id] = buf
@@ -97,9 +97,7 @@ func (c *Cluster[V, A]) flogRollback() {
 // flogWrite persists superstep c.iter-1's log file on every alive node:
 // touched-master deltas plus the captured sync payloads, or a full
 // snapshot record of every entry on compaction supersteps. Nodes write
-// concurrently; each node's records encode chunk-parallel and concatenate
-// in chunk order, so the log bytes match the sequential encoder's for any
-// worker count.
+// concurrently.
 func (c *Cluster[V, A]) flogWrite() {
 	f := c.flog
 	s := c.iter - 1
@@ -113,31 +111,24 @@ func (c *Cluster[V, A]) flogWrite() {
 	c.runPhase(func(nd *node[V, A]) {
 		buf := ftlog.AppendFileHeader(c.pool.Get(), uint32(s), kind)
 		buf, recAt := ftlog.AppendCountPlaceholder(buf)
-		chunks, count := c.chunkEncode(len(nd.hot), func(b []byte, lo, hi int) ([]byte, int) {
-			cnt := 0
-			for i := lo; i < hi; i++ {
-				e := &nd.hot[i]
-				if !full && (!e.isMaster() || e.lastTouchedIter != int32(s)) {
-					continue
-				}
-				var flags byte
-				if e.active {
-					flags |= ftlog.FlagActive
-				}
-				if e.lastActivate {
-					flags |= ftlog.FlagLastActivate
-				}
-				var vAt int
-				b, vAt = ftlog.AppendRecordPrefix(b, uint32(i), flags, e.lastActivateIter)
-				b = c.vc.Append(b, e.value)
-				ftlog.PatchValLen(b, vAt)
-				cnt++
+		count := 0
+		for i := range nd.hot {
+			e := &nd.hot[i]
+			if !full && (!e.isMaster() || e.lastTouchedIter != int32(s)) {
+				continue
 			}
-			return b, cnt
-		})
-		for _, cb := range chunks {
-			buf = append(buf, cb...)
-			c.pool.Put(cb)
+			var flags byte
+			if e.active {
+				flags |= ftlog.FlagActive
+			}
+			if e.lastActivate {
+				flags |= ftlog.FlagLastActivate
+			}
+			var vAt int
+			buf, vAt = ftlog.AppendRecordPrefix(buf, uint32(i), flags, e.lastActivateIter)
+			buf = c.vc.Append(buf, e.value)
+			ftlog.PatchValLen(buf, vAt)
+			count++
 		}
 		ftlog.PatchCount(buf, recAt, count)
 		buf, msgAt := ftlog.AppendCountPlaceholder(buf)

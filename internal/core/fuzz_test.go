@@ -315,7 +315,7 @@ func TestSuperstepDecodersStopAtTruncatedRecord(t *testing.T) {
 			applied func(pos int) bool
 		}{
 			{"sync", sync,
-				func(b []byte) { cl.applySync(nd, nd.stagers[0], b) },
+				func(b []byte) { cl.applySync(nd, b) },
 				func(pos int) bool { return nd.hot[pos].hasPending }},
 			{"gather", gather,
 				func(b []byte) { cl.vcMergePayload(nd, b) },

@@ -19,30 +19,19 @@ func (c *Cluster[V, A]) recoverMigration(p *recoveryPass[V, A]) error {
 
 	// --- Phase 1: promotion (Reloading §5.2.1). Each surviving node scans
 	// its mirrors; the lowest surviving mirror of each lost master promotes
-	// itself. Scans run in parallel; promotions apply deterministically.
+	// itself. Nodes scan in parallel, each listing its promotions in
+	// position order; promotions apply deterministically.
 	promoLists := make([][]int32, c.cfg.NumNodes)
 	c.runPhase(func(nd *node[V, A]) {
-		// Chunk-parallel scan: each chunk flags its own slots; the ordered
-		// list is collected serially so promotion order is chunk-independent.
-		promo := make([]bool, len(nd.hot))
-		c.chunked(nd, len(nd.hot), func(_ *stager, lo, hi int) {
-			for i := lo; i < hi; i++ {
-				e := &nd.hot[i]
-				if !e.isMirror() || !failedSet[int(e.masterNode)] {
-					continue
-				}
-				if mt := nd.tables.at(nd.mirror(int32(i)).table); c.lowestSurvivingMirror(&mt, failedSet) == nd.id {
-					promo[i] = true
-				}
+		for i := range nd.hot {
+			e := &nd.hot[i]
+			if !e.isMirror() || !failedSet[int(e.masterNode)] {
+				continue
 			}
-		})
-		var list []int32
-		for i, p := range promo {
-			if p {
-				list = append(list, int32(i))
+			if mt := nd.tables.at(nd.mirror(int32(i)).table); c.lowestSurvivingMirror(&mt, failedSet) == nd.id {
+				promoLists[nd.id] = append(promoLists[nd.id], int32(i))
 			}
 		}
-		promoLists[nd.id] = list
 	})
 	// Bookkeeping is per node, by slot position, so walking nodes and then
 	// positions visits it in (node, pos) order. tableChanged marks masters
@@ -322,14 +311,12 @@ func (c *Cluster[V, A]) recoverMigration(p *recoveryPass[V, A]) error {
 	c.runPhase(func(nd *node[V, A]) {
 		slices.Sort(needs[nd.id])
 		ids := slices.Compact(needs[nd.id])
-		c.chunked(nd, len(ids), func(st *stager, lo, hi int) {
-			c.stageExact(st.send, &st.met, func(s *recSink) {
-				for _, id := range ids[lo:hi] {
-					s.put(int(c.masterLoc[id]), 4, func(buf []byte) []byte {
-						return putU32(buf, uint32(id))
-					})
-				}
-			})
+		c.stageExact(nd.sendBuf, nd.met, func(s *recSink) {
+			for _, id := range ids {
+				s.put(int(c.masterLoc[id]), 4, func(buf []byte) []byte {
+					return putU32(buf, uint32(id))
+				})
+			}
 		})
 	})
 	// Masters answer in request order, once the whole round is in.
@@ -717,20 +704,16 @@ func (c *Cluster[V, A]) recomputeSelfish(nd *node[V, A], isTarget func(mn int16,
 		return
 	}
 	prev := max(iter-1, 0)
-	// Chunk-parallel: selfish vertices have no out-edges, so they are never
-	// read as another chunk's in-neighbor while being rewritten.
-	c.chunked(nd, len(nd.hot), func(_ *stager, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			e := &nd.hot[i]
-			if !e.isMaster() || !e.isSelfish() || !isTarget(int16(nd.id), int32(i)) || nd.inLen(i) == 0 {
-				continue
-			}
-			acc, has, _ := c.gather(nd, i)
-			initVal, _ := c.prog.Init(e.id, e.info())
-			newV, _ := c.prog.Apply(e.id, e.info(), initVal, acc, has, prev)
-			e.value = newV
+	for i := range nd.hot {
+		e := &nd.hot[i]
+		if !e.isMaster() || !e.isSelfish() || !isTarget(int16(nd.id), int32(i)) || nd.inLen(i) == 0 {
+			continue
 		}
-	})
+		acc, has, _ := c.gather(nd, i)
+		initVal, _ := c.prog.Init(e.id, e.info())
+		newV, _ := c.prog.Apply(e.id, e.info(), initVal, acc, has, prev)
+		e.value = newV
+	}
 }
 
 // marked ranges over the slot positions a bookkeeping row marks, ascending.

@@ -1,12 +1,8 @@
 package core
 
 import (
-	"bytes"
 	"testing"
 	"testing/quick"
-
-	"imitator/internal/bufpool"
-	"imitator/internal/metrics"
 )
 
 // TestChunkBoundsProperty checks the chunking invariants with testing/quick:
@@ -15,7 +11,7 @@ import (
 func TestChunkBoundsProperty(t *testing.T) {
 	prop := func(n16 uint16, p8 int8) bool {
 		n, p := int(n16)%5000, int(p8)
-		bounds := chunkBounds(n, p)
+		bounds := appendChunkBounds(nil, n, p)
 		if n == 0 {
 			return len(bounds) == 0
 		}
@@ -69,7 +65,7 @@ func TestChunkBoundsEdgeCases(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			got := chunkBounds(tc.n, tc.p)
+			got := appendChunkBounds(nil, tc.n, tc.p)
 			if len(got) != len(tc.want) {
 				t.Fatalf("chunkBounds(%d, %d) = %v, want %v", tc.n, tc.p, got, tc.want)
 			}
@@ -86,63 +82,5 @@ func TestChunkBoundsEdgeCases(t *testing.T) {
 	out := appendChunkBounds(scratch, 10, 4)
 	if len(out) != 4 || &out[0] != &scratch[:1][0] {
 		t.Fatalf("appendChunkBounds did not reuse the scratch slice")
-	}
-}
-
-// TestChunkedReductionProperty is the determinism argument in miniature:
-// for any entry count, worker count and per-entry destination assignment,
-// running the staged encoding through the pool and merging in chunk order
-// yields exactly the bytes (and metric sums) the sequential loop produces.
-func TestChunkedReductionProperty(t *testing.T) {
-	const numDst = 4
-	const maxWorkers = 8
-	c := &Cluster[int32, int32]{met: metrics.NewCluster(1), pool: bufpool.New()}
-	prop := func(payload []byte, p8 uint8) bool {
-		n := len(payload)
-		c.cfg.WorkersPerNode = int(p8)%maxWorkers + 1
-		// Vary the host slot cap independently of the chunk count: the
-		// merged output must not depend on it.
-		c.chunkSlots = int(p8)/maxWorkers%4 + 1
-
-		// Sequential reference: entry i emits one record to dst i%numDst.
-		want := make([][]byte, numDst)
-		var wantMsgs int64
-		for i := 0; i < n; i++ {
-			dst := i % numDst
-			want[dst] = append(want[dst], byte(i), payload[i])
-			wantMsgs++
-		}
-
-		nd := &node[int32, int32]{
-			id:        0,
-			met:       &c.met.Nodes[0],
-			sendBuf:   make([][]byte, numDst),
-			noticeBuf: make([][]byte, numDst),
-			stagers:   make([]*stager, maxWorkers),
-		}
-		for w := range nd.stagers {
-			nd.stagers[w] = &stager{
-				pool:   c.pool,
-				send:   make([][]byte, numDst),
-				notice: make([][]byte, numDst),
-			}
-		}
-		before := nd.met.SyncMsgs
-		c.chunked(nd, n, func(st *stager, lo, hi int) {
-			for i := lo; i < hi; i++ {
-				dst := i % numDst
-				st.setBuf(dst, append(st.buf(dst), byte(i), payload[i]))
-				st.met.SyncMsgs++
-			}
-		})
-		for dst := 0; dst < numDst; dst++ {
-			if !bytes.Equal(nd.sendBuf[dst], want[dst]) {
-				return false
-			}
-		}
-		return nd.met.SyncMsgs-before == wantMsgs
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 500}); err != nil {
-		t.Error(err)
 	}
 }

@@ -52,35 +52,33 @@ func (c *Cluster[V, A]) recoverRebirth(p *recoveryPass[V, A]) error {
 		if failedSet[nd.id] {
 			return // newbies have nothing to send
 		}
-		c.chunked(nd, len(nd.hot), func(st *stager, lo, hi int) {
-			c.stageExact(st.send, &st.met, func(s *recSink) {
-				for i := lo; i < hi; i++ {
-					e := &nd.hot[i]
-					// A master recovers its lost replicas from its own
-					// table. With multiple simultaneous failures, a lost
-					// master's replicas on *other* failed nodes have no
-					// master to recover them; the mirror recovering that
-					// master does it from its full-state copy (§5.3.1).
-					var table replicaTable
-					if e.isMaster() {
-						table = nd.replicas(int32(i))
-					} else {
-						if !e.isMirror() || !failedSet[int(e.masterNode)] {
-							continue
-						}
-						m := nd.mirror(int32(i))
-						if table = nd.tables.at(m.table); c.lowestSurvivingMirror(&table, failedSet) != nd.id {
-							continue
-						}
-						c.stageMasterRecovery(s, nd, e, m, int(e.masterNode))
+		c.stageExact(nd.sendBuf, nd.met, func(s *recSink) {
+			for i := range nd.hot {
+				e := &nd.hot[i]
+				// A master recovers its lost replicas from its own
+				// table. With multiple simultaneous failures, a lost
+				// master's replicas on *other* failed nodes have no
+				// master to recover them; the mirror recovering that
+				// master does it from its full-state copy (§5.3.1).
+				var table replicaTable
+				if e.isMaster() {
+					table = nd.replicas(int32(i))
+				} else {
+					if !e.isMirror() || !failedSet[int(e.masterNode)] {
+						continue
 					}
-					for ri, rn := range table.nodes {
-						if failedSet[int(rn)] {
-							c.stageReplicaRecovery(nd, s, i, &table, ri, int(rn))
-						}
+					m := nd.mirror(int32(i))
+					if table = nd.tables.at(m.table); c.lowestSurvivingMirror(&table, failedSet) != nd.id {
+						continue
+					}
+					c.stageMasterRecovery(s, nd, e, m, int(e.masterNode))
+				}
+				for ri, rn := range table.nodes {
+					if failedSet[int(rn)] {
+						c.stageReplicaRecovery(nd, s, i, &table, ri, int(rn))
 					}
 				}
-			})
+			}
 		})
 	})
 	c.flushSendRound(netsim.KindRecovery)
@@ -137,8 +135,8 @@ func (c *Cluster[V, A]) recoverRebirth(p *recoveryPass[V, A]) error {
 			return fmt.Errorf("core: rebirth decode on node %d: %w", f, err)
 		}
 		// Position-addressed placement is contention-free (§5.1.2): every
-		// record targets a distinct slot, so records place in parallel. The
-		// records' role flags first size the role slabs, and their tables
+		// record targets a distinct slot, so it is charged as the simulated
+		// workers' chunks placing in parallel. The records' role flags first size the role slabs, and their tables
 		// and mirror edge lists land in the arenas, so placement writes only
 		// its own slot's entries; the id index rebuilds afterwards. at[pos]
 		// is the last record placed at pos, for the walks in position order
@@ -150,12 +148,14 @@ func (c *Cluster[V, A]) recoverRebirth(p *recoveryPass[V, A]) error {
 		}
 		nd.allocSlabs()
 		nd.landRecords(recs)
-		placeCost := c.chunked(nd, len(recs), func(st *stager, lo, hi int) {
-			for k := lo; k < hi; k++ {
+		var busy busySpan
+		for _, b := range c.chunks(nd, len(recs)) {
+			for k := b[0]; k < b[1]; k++ {
 				c.placeRecovered(nd, &recs[k])
 			}
-			st.busy = float64(hi-lo) * c.cfg.Cost.ReconstructPerVertex
-		})
+			busy.add(float64(b[1]-b[0]) * c.cfg.Cost.ReconstructPerVertex)
+		}
+		placeCost := c.charge(nd, busy)
 		for i := range nd.hot {
 			nd.index[nd.hot[i].id] = int32(i)
 		}
@@ -319,10 +319,9 @@ func (c *Cluster[V, A]) appendTopoEdges(buf []byte, nd *node[V, A], i int32) []b
 }
 
 // placeRecovered materializes one recovery record at its position in the
-// newbie's tables. Position-addressed placement is contention-free (§5.1.2),
-// so records place chunk-parallel; the caller stamps every record's role
-// flags, sizes the role slabs and lands the records' tables and edge lists
-// before, and rebuilds the id index after all placements land.
+// newbie's tables. The caller stamps every record's role flags, sizes the
+// role slabs and lands the records' tables and edge lists before, and
+// rebuilds the id index after all placements land.
 func (c *Cluster[V, A]) placeRecovered(nd *node[V, A], rec *recoveryRecord[V]) {
 	e := &nd.hot[rec.pos]
 	e.id = rec.id

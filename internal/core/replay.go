@@ -16,55 +16,50 @@ func (c *Cluster[V, A]) replayActivation(iter int, isTarget func(masterNode int1
 
 	// Reset the targets to their activation baseline.
 	c.runPhase(func(nd *node[V, A]) {
-		c.chunked(nd, len(nd.hot), func(st *stager, lo, hi int) {
-			for i := lo; i < hi; i++ {
-				e := &nd.hot[i]
-				if !e.isMaster() || !isTarget(int16(nd.id), int32(i)) {
-					continue
-				}
-				switch {
-				case always:
-					e.active = true
-				case iter == 0:
-					_, act := c.prog.Init(e.id, e.info())
-					e.active = act
-				default:
-					e.active = false
-				}
+		for i := range nd.hot {
+			e := &nd.hot[i]
+			if !e.isMaster() || !isTarget(int16(nd.id), int32(i)) {
+				continue
 			}
-		})
+			switch {
+			case always:
+				e.active = true
+			case iter == 0:
+				_, act := c.prog.Init(e.id, e.info())
+				e.active = act
+			default:
+				e.active = false
+			}
+		}
 	})
 	if always || iter == 0 {
 		return nil
 	}
 	prev := int32(iter - 1)
 
-	// Regenerate activation operations aimed at the targets. Local-master
-	// activations cross chunk boundaries, so they go through the worker's
-	// activation list, once: on the fill pass.
+	// Regenerate activation operations aimed at the targets: local masters
+	// directly, remote ones by a notice to their node.
 	c.runPhase(func(nd *node[V, A]) {
-		c.chunked(nd, len(nd.hot), func(st *stager, lo, hi int) {
-			c.stageExact(st.notice, &st.met, func(s *recSink) {
-				for i := lo; i < hi; i++ {
-					e := &nd.hot[i]
-					if !e.lastActivate || e.lastActivateIter != prev {
-						continue
-					}
-					for _, w := range nd.out(i) {
-						we := &nd.hot[w]
-						if we.isMaster() {
-							if s.need == nil && isTarget(int16(nd.id), int32(w)) {
-								st.markActive(w)
-							}
-						} else if isTarget(we.masterNode, we.masterPos) {
-							mpos := we.masterPos
-							s.put(int(we.masterNode), 4, func(buf []byte) []byte {
-								return putI32(buf, mpos)
-							})
+		c.stageExact(nd.noticeBuf, nd.met, func(s *recSink) {
+			for i := range nd.hot {
+				e := &nd.hot[i]
+				if !e.lastActivate || e.lastActivateIter != prev {
+					continue
+				}
+				for _, w := range nd.out(i) {
+					we := &nd.hot[w]
+					if we.isMaster() {
+						if isTarget(int16(nd.id), w) {
+							we.active = true
 						}
+					} else if isTarget(we.masterNode, we.masterPos) {
+						mpos := we.masterPos
+						s.put(int(we.masterNode), 4, func(buf []byte) []byte {
+							return putI32(buf, mpos)
+						})
 					}
 				}
-			})
+			}
 		})
 	})
 	return c.exchange(true, func(nd *node[V, A], _ int, r *reader) {

@@ -4,58 +4,69 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math"
-	"slices"
 	"testing"
 
 	"imitator/internal/graph"
+	"imitator/internal/metrics"
 )
 
 // refScatterMark is the per-edge walk scatterMark performed before the
 // scatter route existed: every out-target's hot slot is read to tell masters
-// (activation list) from replicas (a notice to the master's node). It is the
-// oracle the route is checked against.
-func refScatterMark[V, A any](c *Cluster[V, A], nd *node[V, A], st *stager, i int32) {
+// (an activation flag in active) from replicas (a notice to the master's
+// node). It is the oracle the route is checked against.
+func refScatterMark[V, A any](c *Cluster[V, A], nd *node[V, A], active []bool, notice [][]byte, met *metrics.Node, i int32) {
 	for _, w := range nd.out(int(i)) {
 		we := &nd.hot[w]
 		if we.isMaster() {
 			if !c.always {
-				st.pendingActive = append(st.pendingActive, w)
+				active[w] = true
 			}
 			continue
 		}
 		mn := int(we.masterNode)
-		st.notice[mn] = binary.LittleEndian.AppendUint32(st.noticeBuf(mn), uint32(we.masterPos))
-		st.met.ActivationMsgs++
-		st.met.ActivationBytes += 4
+		notice[mn] = binary.LittleEndian.AppendUint32(notice[mn], uint32(we.masterPos))
+		met.ActivationMsgs++
+		met.ActivationBytes += 4
 	}
 }
 
 // checkScatterRoutes scatters every slot of every alive node once through
 // scatterMark and once through the reference walk, and requires the same
-// per-destination notice bytes, activation list and activation metrics.
+// per-destination notice bytes, activation flags and activation metrics.
+// scatterMark writes into the node itself, so the cluster is not run
+// afterwards.
 func checkScatterRoutes[V, A any](t *testing.T, cl *Cluster[V, A], when string) {
 	t.Helper()
 	for _, nd := range cl.aliveNodes() {
 		cl.routeReady(nd)
-		var got, want stager
-		got.notice, want.notice = make([][]byte, cl.cfg.NumNodes), make([][]byte, cl.cfg.NumNodes)
+		wantActive := make([]bool, len(nd.hot))
+		wantNotice := make([][]byte, cl.cfg.NumNodes)
+		var wantMet metrics.Node
 		for i := range nd.hot {
-			cl.scatterMark(nd, &got, int32(i))
-			refScatterMark(cl, nd, &want, int32(i))
+			nd.hot[i].pendingActive = false
+			refScatterMark(cl, nd, wantActive, wantNotice, &wantMet, int32(i))
 		}
-		for dst := range want.notice {
-			if !bytes.Equal(got.notice[dst], want.notice[dst]) {
+		clear(nd.noticeBuf)
+		*nd.met = metrics.Node{}
+		for i := range nd.hot {
+			cl.scatterMark(nd, int32(i))
+		}
+		for dst := range wantNotice {
+			if !bytes.Equal(nd.noticeBuf[dst], wantNotice[dst]) {
 				t.Errorf("%s: node %d -> %d: notice bytes differ from the per-edge walk (%d vs %d bytes)",
-					when, nd.id, dst, len(got.notice[dst]), len(want.notice[dst]))
+					when, nd.id, dst, len(nd.noticeBuf[dst]), len(wantNotice[dst]))
 			}
 		}
-		if !slices.Equal(got.pendingActive, want.pendingActive) {
-			t.Errorf("%s: node %d: activation list differs from the per-edge walk (%d vs %d entries)",
-				when, nd.id, len(got.pendingActive), len(want.pendingActive))
+		for i := range nd.hot {
+			if nd.hot[i].pendingActive != wantActive[i] {
+				t.Errorf("%s: node %d: activation flag of slot %d is %v, per-edge walk %v",
+					when, nd.id, i, nd.hot[i].pendingActive, wantActive[i])
+				break
+			}
 		}
-		if got.met != want.met {
+		if *nd.met != wantMet {
 			t.Errorf("%s: node %d: activation metrics %d msgs / %d bytes, per-edge walk %d / %d", when, nd.id,
-				got.met.ActivationMsgs, got.met.ActivationBytes, want.met.ActivationMsgs, want.met.ActivationBytes)
+				nd.met.ActivationMsgs, nd.met.ActivationBytes, wantMet.ActivationMsgs, wantMet.ActivationBytes)
 		}
 	}
 }

@@ -36,8 +36,8 @@ func ensurePartials[A any](p []gatherPartial[A], n int) []gatherPartial[A] {
 //	R4  activation notices: nodes forward scatter activations to the
 //	    masters of the activated vertices.
 //
-// All phases run through pre-bound functions and bodies so the steady-state
-// loop allocates nothing; the gather scratch (localPart/mergedPart) is
+// All phases run through pre-bound functions so the steady-state loop
+// allocates nothing; the gather scratch (localPart/mergedPart) is
 // retained on the node and cleared per superstep.
 //
 //imitator:hotpath
@@ -60,9 +60,7 @@ func (c *Cluster[V, A]) superstepVertexCut(iter int) error {
 	c.runPhase(c.fns.vcMerge)
 	c.advanceComputeSpan()
 
-	// R3 sync: masters broadcast new values + scatter bits. Encode is
-	// chunk-parallel; decode parallelizes over messages (replica positions
-	// are disjoint across senders).
+	// R3 sync: masters broadcast new values + scatter bits.
 	c.runPhase(c.fns.syncStage)
 	c.flushSendRound(netsim.KindSync)
 	c.runPhase(c.fns.syncRecv)
@@ -76,10 +74,30 @@ func (c *Cluster[V, A]) superstepVertexCut(iter int) error {
 // bindVertexCutPhases builds the cluster-level vertex-cut phase functions.
 func (c *Cluster[V, A]) bindVertexCutPhases() {
 	c.fns.vcR1Stage = func(nd *node[V, A]) {
-		c.chunked(nd, len(nd.hot), nd.bodies.vcR1Stage)
+		tb := &nd.tables
+		for i := range nd.hot {
+			e := &nd.hot[i]
+			if !e.isMaster() || !e.active {
+				continue
+			}
+			h := nd.masters[nd.ref[i].master]
+			for k := h.off; k < h.off+int32(h.rows); k++ {
+				if tb.ftOnly[k] {
+					continue // FT replicas hold no edges: nothing to gather
+				}
+				rn := int(tb.nodes[k])
+				nd.sendBuf[rn] = binary.LittleEndian.AppendUint32(c.wireBuf(nd, rn, slotSend), uint32(tb.pos[k]))
+				nd.met.ActivationMsgs++
+				nd.met.ActivationBytes += 4
+			}
+		}
 	}
 	c.fns.vcR1Recv = func(nd *node[V, A]) {
-		c.chunked(nd, len(nd.hot), nd.bodies.vcR1Reset)
+		for i := range nd.hot {
+			if e := &nd.hot[i]; !e.isMaster() {
+				e.active = false
+			}
+		}
 		msgs := c.net.Receive(nd.id)
 		for _, m := range msgs {
 			buf := m.Payload
@@ -93,13 +111,41 @@ func (c *Cluster[V, A]) bindVertexCutPhases() {
 	}
 	c.fns.vcGather = func(nd *node[V, A]) {
 		nd.localPart = ensurePartials(nd.localPart, len(nd.hot))
-		nd.phaseCost = c.chunked(nd, len(nd.hot), nd.bodies.vcGather)
+		var busy busySpan
+		for _, b := range c.chunks(nd, len(nd.hot)) {
+			edges := 0
+			for i := b[0]; i < b[1]; i++ {
+				e := &nd.hot[i]
+				if !e.active {
+					continue
+				}
+				acc, has, n := c.gather(nd, i)
+				edges += n
+				if !has {
+					continue
+				}
+				if e.isMaster() {
+					nd.localPart[i] = gatherPartial[A]{acc: acc, has: true}
+				} else {
+					mn := int(e.masterNode)
+					buf := c.wireBuf(nd, mn, slotSend)
+					before := len(buf)
+					buf = binary.LittleEndian.AppendUint32(buf, uint32(e.masterPos))
+					buf = c.ac.Append(buf, acc)
+					nd.sendBuf[mn] = buf
+					nd.met.GatherMsgs++
+					nd.met.GatherBytes += int64(len(buf) - before)
+				}
+			}
+			busy.add(float64(edges) * c.cfg.Cost.ComputePerEdge)
+		}
+		nd.phaseCost = c.charge(nd, busy)
 	}
 	c.fns.vcMerge = func(nd *node[V, A]) {
 		// Contributions merge in ascending sender-id order, with the
 		// master's own local partial taking its node's slot, so
 		// floating-point folds are deterministic.
-		c.routeReady(nd) // vcApply scatters
+		c.routeReady(nd) // apply scatters
 		nd.mergedPart = ensurePartials(nd.mergedPart, len(nd.hot))
 		msgs := c.net.Receive(nd.id)
 		localMerged := false
@@ -115,9 +161,29 @@ func (c *Cluster[V, A]) bindVertexCutPhases() {
 		}
 		c.handBack(nd, msgs, slotSend)
 
-		// Apply runs chunk-parallel over the serially merged partials: each
-		// chunk writes only its own masters' staged state.
-		nd.phaseCost = c.chunked(nd, len(nd.hot), nd.bodies.vcApply)
+		// Apply over the merged partials.
+		iter := c.curIter
+		var busy busySpan
+		for _, b := range c.chunks(nd, len(nd.hot)) {
+			applies := 0
+			for i := b[0]; i < b[1]; i++ {
+				e := &nd.hot[i]
+				if !e.isMaster() || !e.active {
+					continue
+				}
+				newV, scatter := c.prog.Apply(e.id, e.info(), e.value, nd.mergedPart[i].acc, nd.mergedPart[i].has, iter)
+				e.pendingValue = newV
+				e.hasPending = true
+				e.pendingScatter = scatter
+				e.pendingScatterI = int32(iter)
+				applies++
+				if scatter {
+					c.scatterMark(nd, int32(i))
+				}
+			}
+			busy.add(float64(applies) * c.cfg.Cost.ComputePerVertex)
+		}
+		nd.phaseCost = c.charge(nd, busy)
 	}
 	c.fns.vcNotice = func(nd *node[V, A]) {
 		msgs := c.net.Receive(nd.id)
@@ -128,83 +194,6 @@ func (c *Cluster[V, A]) bindVertexCutPhases() {
 			}
 		}
 		c.handBack(nd, msgs, slotNotice)
-	}
-}
-
-// bindVertexCutBodies builds nd's pre-bound vertex-cut chunked bodies.
-func (c *Cluster[V, A]) bindVertexCutBodies(nd *node[V, A]) {
-	nd.bodies.vcR1Stage = func(st *stager, lo, hi int) {
-		tb := &nd.tables
-		for i := lo; i < hi; i++ {
-			e := &nd.hot[i]
-			if !e.isMaster() || !e.active {
-				continue
-			}
-			h := nd.masters[nd.ref[i].master]
-			for k := h.off; k < h.off+int32(h.rows); k++ {
-				if tb.ftOnly[k] {
-					continue // FT replicas hold no edges: nothing to gather
-				}
-				rn := int(tb.nodes[k])
-				st.setBuf(rn, binary.LittleEndian.AppendUint32(st.buf(rn), uint32(tb.pos[k])))
-				st.met.ActivationMsgs++
-				st.met.ActivationBytes += 4
-			}
-		}
-	}
-	nd.bodies.vcR1Reset = func(_ *stager, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			if e := &nd.hot[i]; !e.isMaster() {
-				e.active = false
-			}
-		}
-	}
-	nd.bodies.vcGather = func(st *stager, lo, hi int) {
-		edges := 0
-		for i := lo; i < hi; i++ {
-			e := &nd.hot[i]
-			if !e.active {
-				continue
-			}
-			acc, has, n := c.gather(nd, i)
-			edges += n
-			if !has {
-				continue
-			}
-			if e.isMaster() {
-				nd.localPart[i] = gatherPartial[A]{acc: acc, has: true}
-			} else {
-				mn := int(e.masterNode)
-				buf := st.buf(mn)
-				before := len(buf)
-				buf = binary.LittleEndian.AppendUint32(buf, uint32(e.masterPos))
-				buf = c.ac.Append(buf, acc)
-				st.setBuf(mn, buf)
-				st.met.GatherMsgs++
-				st.met.GatherBytes += int64(len(buf) - before)
-			}
-		}
-		st.busy = float64(edges) * c.cfg.Cost.ComputePerEdge
-	}
-	nd.bodies.vcApply = func(st *stager, lo, hi int) {
-		iter := c.curIter
-		applies := 0
-		for i := lo; i < hi; i++ {
-			e := &nd.hot[i]
-			if !e.isMaster() || !e.active {
-				continue
-			}
-			newV, scatter := c.prog.Apply(e.id, e.info(), e.value, nd.mergedPart[i].acc, nd.mergedPart[i].has, iter)
-			e.pendingValue = newV
-			e.hasPending = true
-			e.pendingScatter = scatter
-			e.pendingScatterI = int32(iter)
-			applies++
-			if scatter {
-				c.scatterMark(nd, st, int32(i))
-			}
-		}
-		st.busy = float64(applies) * c.cfg.Cost.ComputePerVertex
 	}
 }
 

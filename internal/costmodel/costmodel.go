@@ -59,9 +59,10 @@ type Params struct {
 	// exceed DetectMissedBeats.
 	SuspectMissedBeats int
 	// ComputeSerialFrac is the fraction of each compute phase that cannot
-	// parallelize across a node's cores (dispatch, cache contention,
-	// reduction). The rest runs on the per-node worker pool and is bounded
-	// by the slowest worker; see ComputeTime. Irrelevant with one worker.
+	// parallelize across a node's simulated cores (dispatch, cache
+	// contention, reduction). The rest is charged as if it ran on the
+	// per-node worker pool, bounded by the slowest worker; see ComputeTime.
+	// Irrelevant with one worker.
 	ComputeSerialFrac float64
 }
 
@@ -131,10 +132,9 @@ func (p Params) SuspectBeats() int {
 // explicit load imbalance). With one worker slowest == total and the result
 // is exactly `total`, so single-worker figures match the paper's model.
 //
-// Both inputs are SIMULATED widths: they come from Config.WorkersPerNode
-// chunking, never from how many host goroutines actually executed the
-// chunks (Config.HostParallelism), so host scheduling cannot perturb the
-// simulated clock.
+// Both inputs come from the simulated Config.WorkersPerNode chunks, which
+// the host walks in order on one goroutine, so host scheduling cannot
+// perturb the simulated clock.
 func (p Params) ComputeTime(total, slowest float64) float64 {
 	if slowest >= total {
 		return total

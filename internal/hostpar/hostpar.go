@@ -7,10 +7,9 @@
 // random numbers are involved, derives one rng stream per fixed-size shard
 // rather than per worker.
 //
-// internal/core's chunked() shards by Config.WorkersPerNode because the
-// chunk count feeds the simulated cost model (costmodel.ComputeTime); it
-// uses For only to dispatch those chunks. hostpar's width is pure host
-// scheduling and must never leak into simulated results.
+// hostpar's width is pure host scheduling and must never leak into
+// simulated results; internal/core's Config.WorkersPerNode chunks are a
+// cost-model input and run on no hostpar worker.
 package hostpar
 
 import (

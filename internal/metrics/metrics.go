@@ -32,8 +32,8 @@ type Node struct {
 	// values, edges, replica metadata), maintained by the engine.
 	MemoryBytes int64
 	// ComputeSeconds is the simulated time this node spent in compute
-	// phases (gather/apply, sync encode, recovery reconstruction), after
-	// the intra-node worker pool's speedup has been applied.
+	// phases (gather/apply, Rebirth placement), after the simulated worker
+	// pool's speedup (Config.WorkersPerNode) has been applied.
 	ComputeSeconds float64
 }
 

@@ -60,18 +60,19 @@ func WithIterations(n int) Option {
 	return func(c *Config) { c.MaxIter = n }
 }
 
-// WithWorkers sets the intra-node worker-pool width: each node shards its
-// vertex array into n contiguous chunks per phase and reduces them in
-// chunk order, so vertex values are bit-for-bit identical for every n >= 1.
-// Simulated seconds are not: the cost model's Amdahl term takes this width.
+// WithWorkers sets the simulated worker-pool width of each node: a compute
+// phase is charged as if its work ran on n workers (the cost model's Amdahl
+// term), so simulated seconds change with n. It runs no extra goroutine, and
+// vertex values and bytes are bit-for-bit identical for every n >= 1.
 func WithWorkers(n int) Option {
 	return func(c *Config) { c.WorkersPerNode = n }
 }
 
 // WithHostParallelism caps the real goroutines the engine uses to execute a
-// run at n (0 = GOMAXPROCS). This is pure host scheduling: unlike
-// WithWorkers it never changes simulated widths, costs or results — the
-// same run produces bit-identical output at every setting.
+// run at n (0 = GOMAXPROCS); nodes run in parallel on at most n of them.
+// This is pure host scheduling: unlike WithWorkers it never changes
+// simulated widths, costs or results — the same run produces bit-identical
+// output at every setting.
 func WithHostParallelism(n int) Option {
 	return func(c *Config) { c.HostParallelism = n }
 }
