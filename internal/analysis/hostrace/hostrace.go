@@ -1,8 +1,11 @@
 // Package hostrace flags unsynchronized writes to shared state from
 // closures that run in parallel: the bodies passed to hostpar.For /
 // hostpar.Blocks and to the core phase pool (runPhase, and exchange, whose
-// record callback runs once per receiving node). go test -race only catches these when the schedule cooperates;
-// the lint catches them statically.
+// record callback runs once per receiving node). An argument that names a
+// struct field (runPhase(c.fns.commit), a pre-bound phase) stands for every
+// func literal the package assigns to that field. go test -race only
+// catches these when the schedule cooperates; the lint catches them
+// statically.
 //
 // The contract a parallel body must follow is the one hostpar documents:
 // write only state owned by the invocation. Ownership is derived from the
@@ -58,6 +61,9 @@ func New() *analysis.Analyzer {
 }
 
 func run(pass *analysis.Pass) error {
+	var bodies []parBody
+	bound := map[*types.Var][]parBody{} // the func literals assigned to each struct field
+	var handed []*types.Var             // struct fields passed to an executor
 	for _, f := range pass.Files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
@@ -68,27 +74,71 @@ func run(pass *analysis.Pass) error {
 			// follow calls to them.
 			locals := localFuncLits(pass, fd.Body)
 			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok || !isExecutor(pass, call) {
-					return true
-				}
-				for _, arg := range call.Args {
-					if lit, ok := ast.Unparen(arg).(*ast.FuncLit); ok {
-						w := &walker{
-							pass:    pass,
-							owned:   map[*types.Var]bool{},
-							aliases: map[*types.Var]bool{},
-							locals:  locals,
-							visited: map[*ast.FuncLit]bool{},
+				switch n := n.(type) {
+				case *ast.AssignStmt:
+					for i, lhs := range n.Lhs {
+						sel, ok := ast.Unparen(lhs).(*ast.SelectorExpr)
+						if !ok || i >= len(n.Rhs) {
+							continue
 						}
-						w.analyzeBody(lit, true)
+						lit, ok := n.Rhs[i].(*ast.FuncLit)
+						if field := fieldOf(pass, sel); ok && field != nil {
+							bound[field] = append(bound[field], parBody{lit, locals})
+						}
+					}
+				case *ast.CallExpr:
+					if !isExecutor(pass, n) {
+						return true
+					}
+					for _, arg := range n.Args {
+						switch arg := ast.Unparen(arg).(type) {
+						case *ast.FuncLit:
+							bodies = append(bodies, parBody{arg, locals})
+						case *ast.SelectorExpr:
+							handed = append(handed, fieldOf(pass, arg))
+						}
 					}
 				}
 				return true
 			})
 		}
 	}
+	for _, field := range handed {
+		bodies = append(bodies, bound[field]...)
+		delete(bound, field) // a body handed over twice is checked once
+	}
+	for _, b := range bodies {
+		w := &walker{
+			pass:    pass,
+			owned:   map[*types.Var]bool{},
+			aliases: map[*types.Var]bool{},
+			locals:  b.locals,
+			visited: map[*ast.FuncLit]bool{},
+		}
+		w.analyzeBody(b.lit, true)
+	}
 	return nil
+}
+
+// parBody is a parallel body with the closures of the function that
+// defines it.
+type parBody struct {
+	lit    *ast.FuncLit
+	locals map[*types.Var]*ast.FuncLit
+}
+
+// fieldOf resolves a selector to the struct field it names, as declared
+// (the generic origin, so every instantiation maps to one field), or nil.
+func fieldOf(pass *analysis.Pass, sel *ast.SelectorExpr) *types.Var {
+	s, ok := pass.TypesInfo.Selections[sel]
+	if !ok || s.Kind() != types.FieldVal {
+		return nil
+	}
+	v, _ := s.Obj().(*types.Var)
+	if v == nil {
+		return nil
+	}
+	return v.Origin()
 }
 
 // isExecutor recognizes hostpar.For/Blocks and the phase-pool methods.

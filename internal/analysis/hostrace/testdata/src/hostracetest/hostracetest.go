@@ -9,11 +9,13 @@ import (
 )
 
 type cluster struct {
-	nodes  []int
-	counts []int
-	total  int
-	byKey  map[int]int
-	mu     sync.Mutex
+	nodes     []int
+	counts    []int
+	total     int
+	byKey     map[int]int
+	mu        sync.Mutex
+	fns       phaseFns
+	flushKind int
 }
 
 func (c *cluster) sharedCounter(n int) {
@@ -31,8 +33,8 @@ func (c *cluster) indexDisjoint(n int) {
 func (c *cluster) derivedOwnership(n int) {
 	hostpar.Blocks(n, 1, 4, func(lo, hi int) {
 		for v := lo; v < hi; v++ {
-			slot := v % len(c.counts)    // derived from an owned value: owned
-			c.counts[slot] = c.nodes[v]  // fine
+			slot := v % len(c.counts)   // derived from an owned value: owned
+			c.counts[slot] = c.nodes[v] // fine
 		}
 	})
 }
@@ -95,6 +97,34 @@ func (c *cluster) phasePool() {
 		c.nodes[n] = n // disjoint slot: fine
 		c.total = n    // want `writes a captured variable \(total\)`
 	})
+}
+
+// phaseFns mimics the core's pre-bound phase bodies: literals bound to its
+// fields once, then handed to the phase pool by field.
+type phaseFns struct {
+	compute func(n int)
+	commit  func(n int)
+	serial  func(n int)
+}
+
+func (c *cluster) bindPhases() {
+	c.fns.compute = func(n int) {
+		c.nodes[n] = n  // disjoint slot: fine
+		c.flushKind = 0 // want `writes a captured variable \(flushKind\)`
+	}
+	c.fns.commit = func(n int) {
+		c.counts[n] = 0 // disjoint slot: fine
+	}
+	c.fns.serial = func(n int) {
+		c.total = n // never handed to the pool: fine
+	}
+}
+
+func (c *cluster) superstep() {
+	c.runPhase(c.fns.compute)
+	c.runPhase(c.fns.commit)
+	c.runPhase(c.fns.compute) // a body run twice is reported once
+	c.fns.serial(0)
 }
 
 type node struct{ id int }

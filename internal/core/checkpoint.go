@@ -38,9 +38,9 @@ func (c *Cluster[V, A]) writeCheckpointAt(epoch int, charge bool) {
 			}
 		}
 		binary.LittleEndian.PutUint32(buf[countAt:countAt+4], uint32(count))
-		// The DFS copies data on Write, so the encode buffer is recyclable
-		// as soon as the write returns.
-		cost := c.dfsWriteCost(nd, ckptPath(epoch, nd.id), buf)
+		// The DFS keeps what it is given, so it gets a copy and the encode
+		// buffer goes back to the pool.
+		cost := c.dfsWriteCost(nd, ckptPath(epoch, nd.id), slices.Clone(buf))
 		if c.cfg.Checkpoint.InMemory {
 			// Memory-backed HDFS: bandwidth is the network, not disk, and
 			// the paper notes triple replication still crosses machines.

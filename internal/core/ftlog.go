@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"imitator/internal/costmodel"
 	"imitator/internal/ftlog"
@@ -170,7 +171,7 @@ func (c *Cluster[V, A]) flogWrite() {
 // log files append to a pre-opened pipeline, skipping the per-operation
 // namenode round-trips DFSWrite pays.
 func (c *Cluster[V, A]) flogWriteCost(nd *node[V, A], path string, data []byte) float64 {
-	c.dfs.Write(nd.id, path, data)
+	c.dfs.Write(nd.id, path, slices.Clone(data)) // data is the caller's pooled encode buffer
 	nd.met.DFSWriteBytes += int64(len(data))
 	return c.cfg.Cost.LogWrite(int64(len(data)))
 }

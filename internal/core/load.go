@@ -496,34 +496,40 @@ func (pr *vertexPresence) sortByNode() {
 
 // writeEdgeCkpts stores each node's local edges into per-recovery-node DFS
 // files. A slot's in-edges all go to one file at 16 bytes an edge, so a count
-// pass sizes every file's buffer before the fill. The DFS copies what it
-// stores, so the buffers carry over from node to node, grown only when short.
+// pass over every node sizes each (owner, target) file. The files are filled
+// into capped sub-slices of one exact arena and handed to the DFS, which
+// keeps them without a copy; the caps make a later Append (Migration's
+// re-persist) reallocate instead of writing into the next file.
 func (c *Cluster[V, A]) writeEdgeCkpts() {
-	size := make([]int, c.cfg.NumNodes)
-	bufs := make([][]byte, c.cfg.NumNodes)
+	width := c.cfg.NumNodes
+	size := make([]int, len(c.nodes)*width) // file (owner, target) at owner*width+target
+	total := 0
 	for _, nd := range c.nodes {
-		clear(size)
 		for i := range nd.hot {
 			if n := nd.inLen(i); n > 0 {
-				size[c.edgeCkptTarget(nd.hot[i].id, nd.id)] += n * 16
+				size[nd.id*width+c.edgeCkptTarget(nd.hot[i].id, nd.id)] += n * 16
+				total += n * 16
 			}
 		}
-		for k, n := range size {
-			if cap(bufs[k]) < n {
-				bufs[k] = make([]byte, 0, n)
-			}
-			bufs[k] = bufs[k][:0]
-		}
+	}
+	arena, files := make([]byte, total), make([][]byte, len(size))
+	lo := 0
+	for f, n := range size {
+		files[f] = arena[lo : lo : lo+n]
+		lo += n
+	}
+	for _, nd := range c.nodes {
+		own := files[nd.id*width : (nd.id+1)*width]
 		for i := range nd.hot {
 			if nbr, wt := nd.in(i); len(nbr) > 0 {
 				id := nd.hot[i].id
 				k := c.edgeCkptTarget(id, nd.id)
 				for j, src := range nbr {
-					bufs[k] = appendEdgeCkpt(bufs[k], nd.hot[src].id, id, wt.at(j))
+					own[k] = appendEdgeCkpt(own[k], nd.hot[src].id, id, wt.at(j))
 				}
 			}
 		}
-		for k, buf := range bufs {
+		for k, buf := range own {
 			if len(buf) > 0 {
 				c.loadSeconds += c.dfsWriteCost(nd, edgeCkptPath(nd.id, k), buf)
 			}
@@ -551,7 +557,8 @@ func edgeCkptPath(owner, target int) string {
 	return fmt.Sprintf("edgeckpt/%d/%d", owner, target)
 }
 
-// dfsWriteCost writes and returns simulated seconds, tracking metrics.
+// dfsWriteCost writes data, which the DFS keeps, and returns simulated
+// seconds, tracking metrics.
 func (c *Cluster[V, A]) dfsWriteCost(nd *node[V, A], path string, data []byte) float64 {
 	cost := c.dfs.Write(nd.id, path, data)
 	nd.met.DFSWriteBytes += int64(len(data))
@@ -559,17 +566,13 @@ func (c *Cluster[V, A]) dfsWriteCost(nd *node[V, A], path string, data []byte) f
 }
 
 // encodeMetadataSnapshot serializes a node's immutable graph topology into
-// dst, overwriting it: the entry table (ids, flags, degrees) and local
-// in-edges. Checkpoint recovery reloads this to rebuild a crashed node. A
-// count pass sizes the buffer: 17 bytes a slot and 12 an in-edge after the
-// 4-byte slot count. dst is reused when it has the capacity, else replaced
-// by an exactly-sized one.
-func (c *Cluster[V, A]) encodeMetadataSnapshot(dst []byte, nd *node[V, A]) []byte {
-	size := 4 + 17*len(nd.hot) + 12*len(nd.inNbr)
-	if cap(dst) < size {
-		dst = make([]byte, 0, size)
-	}
-	buf := binary.LittleEndian.AppendUint32(dst[:0], uint32(len(nd.hot)))
+// a fresh buffer: the entry table (ids, flags, degrees) and local in-edges.
+// Checkpoint recovery reloads this to rebuild a crashed node. A count pass
+// sizes the buffer exactly: 17 bytes a slot and 12 an in-edge after the
+// 4-byte slot count.
+func (c *Cluster[V, A]) encodeMetadataSnapshot(nd *node[V, A]) []byte {
+	buf := make([]byte, 0, 4+17*len(nd.hot)+12*len(nd.inNbr))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(nd.hot)))
 	for i := range nd.hot {
 		e := &nd.hot[i]
 		nbr, wt := nd.in(i)

@@ -19,6 +19,9 @@ type scatterRoute struct {
 	start []int32
 	node  []int16
 	pos   []int32
+	// notices counts, per node, the entries naming a master there: the most
+	// activation notices one superstep can send that node.
+	notices []int32
 }
 
 // sized returns s with length n, reallocating exactly — no append doubling —
@@ -32,16 +35,21 @@ func sized[T any](s []T, n int) []T {
 }
 
 // rebuildScatter derives nd.scatter from the out-lists and the targets' hot
-// slots and clears routeDirty: a count pass sizes every array, a second pass
-// fills them.
+// slots and clears routeDirty: a count pass sizes every array and counts
+// each node's notices, a second pass fills them.
 func (c *Cluster[V, A]) rebuildScatter(nd *node[V, A]) {
+	sr := &nd.scatter
+	sr.notices = sized(sr.notices, c.cfg.NumNodes)
+	clear(sr.notices)
 	n, total := len(nd.hot), 0
 	for _, w := range nd.outNbr {
-		if !c.always || !nd.hot[w].isMaster() {
+		if we := &nd.hot[w]; !c.always || !we.isMaster() {
 			total++
+			if int(we.masterNode) != nd.id {
+				sr.notices[we.masterNode]++
+			}
 		}
 	}
-	sr := &nd.scatter
 	sr.start, sr.node, sr.pos = sized(sr.start, n+1), sized(sr.node, total), sized(sr.pos, total)
 	k := 0
 	for i := range n {
@@ -57,13 +65,34 @@ func (c *Cluster[V, A]) rebuildScatter(nd *node[V, A]) {
 	nd.routeDirty = false
 }
 
-// routeReady rebuilds the scatter route if load or a recovery invalidated
-// it. The two phases that scatter through it, syncRecv (applySync) and
-// vcMerge (vcApply), call it in their per-node prologue, so each node's
-// rebuild runs on the goroutine that owns it.
+// routeReady rebuilds the scatter route, and reserves the notice buffers it
+// sizes, if load or a recovery invalidated it. The two phases that scatter
+// through it, syncRecv (applySync) and vcMerge (vcApply), call it in their
+// per-node prologue, before any notice of the superstep is staged, so each
+// node's rebuild runs on the goroutine that owns it.
 func (c *Cluster[V, A]) routeReady(nd *node[V, A]) {
 	if nd.routeDirty {
 		c.rebuildScatter(nd)
+		c.reserveNotices(nd)
+	}
+}
+
+// reserveNotices gives nd's notice buffer to each node room for the most
+// notices the scatter route can send it in one superstep, 4 bytes each, so
+// the buffer goes around its wire slot at its final size from the first
+// superstep instead of doubling through it. A shorter slot buffer goes back
+// to the pool.
+func (c *Cluster[V, A]) reserveNotices(nd *node[V, A]) {
+	for dst, n := range nd.scatter.notices {
+		if n == 0 {
+			continue
+		}
+		buf := c.wireBuf(nd, dst, slotNotice)
+		if need := 4 * int(n); cap(buf) < need {
+			c.pool.Put(buf)
+			buf = sized[byte](nil, need)[:0]
+		}
+		nd.noticeBuf[dst] = buf
 	}
 }
 

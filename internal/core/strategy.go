@@ -238,9 +238,8 @@ func (p *recoveryPass[V, A]) barrier(slot *float64) error {
 // on under these two recoveries (pristineNode) and are kept by reference.
 func (c *Cluster[V, A]) retainPristine() {
 	c.pristine = make([]*pristineNode[V], c.cfg.NumNodes)
-	var meta []byte // one buffer for every node: the DFS copies what it stores
 	for _, nd := range c.nodes {
-		meta = c.encodeMetadataSnapshot(meta, nd)
+		meta := c.encodeMetadataSnapshot(nd) // exactly sized; the DFS keeps it
 		c.loadSeconds += c.dfsWriteCost(nd, fmt.Sprintf("ckptmeta/%d", nd.id), meta)
 		c.pristine[nd.id] = &pristineNode[V]{
 			hot: slices.Clone(nd.hot), csr: nd.csr, ref: nd.ref,

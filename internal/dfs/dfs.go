@@ -3,6 +3,14 @@
 // byte-for-byte in memory; every read and write returns its simulated cost
 // (disk bandwidth, pipelined 3-way replication) from the cost model, and
 // per-node traffic counters feed the checkpoint-overhead figures.
+//
+// Write keeps the slice it is given, capped at its length, instead of
+// copying it: the writer hands the bytes over and must not touch them
+// again. So a vertex-cut load encodes all its edge-ckpt files into one
+// exactly-sized arena, each file a capped sub-slice of it, and stores them
+// without a copy; an Append onto such a file reallocates rather than write
+// into its neighbour. Writers that reuse an encode buffer pass a clone.
+// Read returns a copy, so stored bytes are never aliased by a reader.
 package dfs
 
 import (
@@ -46,11 +54,14 @@ func New(numNodes int, params costmodel.Params) (*DFS, error) {
 }
 
 // Write stores data at path (replacing any previous content) on behalf of
-// node, returning the simulated seconds the write took. The data is copied.
+// node, returning the simulated seconds the write took. The DFS takes
+// ownership of data: it stores the slice itself, capped at its length (so a
+// later Append reallocates and never writes past it), and the caller must
+// not modify data afterwards.
 func (d *DFS) Write(node int, path string, data []byte) float64 {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.files[path] = append([]byte(nil), data...)
+	d.files[path] = data[:len(data):len(data)]
 	d.writeBytes[node] += int64(len(data))
 	return d.params.DFSWrite(int64(len(data)))
 }

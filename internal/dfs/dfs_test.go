@@ -75,14 +75,45 @@ func TestReadReturnsCopy(t *testing.T) {
 	}
 }
 
-func TestWriteCopiesInput(t *testing.T) {
+// TestWriteKeepsInput: Write takes ownership of the slice it is given and
+// stores it without a copy, capped at its length.
+func TestWriteKeepsInput(t *testing.T) {
 	d := newDFS(t)
-	buf := []byte("abc")
+	buf := make([]byte, 3, 8)
+	copy(buf, "abc")
 	d.Write(0, "f", buf)
-	buf[0] = 'z'
-	data, _, _ := d.Read(0, "f")
-	if string(data) != "abc" {
-		t.Error("Write retained caller's slice")
+	stored := d.files["f"]
+	if &stored[0] != &buf[0] {
+		t.Error("Write copied the caller's slice")
+	}
+	if cap(stored) != len(buf) {
+		t.Errorf("stored cap = %d, want %d (capped at the length)", cap(stored), len(buf))
+	}
+}
+
+// TestAppendLeavesArenaNeighbour: two files written as adjacent capped
+// sub-slices of one arena (as load writes a node's edge-ckpt files) stay
+// apart when the first is appended to, as Migration does when it re-persists
+// migrated edges.
+func TestAppendLeavesArenaNeighbour(t *testing.T) {
+	d := newDFS(t)
+	arena := []byte("aaaabbbb")
+	d.Write(0, "first", arena[0:4:4])
+	d.Write(0, "second", arena[4:8:8])
+	d.Append(0, "first", []byte("cccc"))
+	first, _, _ := d.Read(0, "first")
+	second, _, _ := d.Read(0, "second")
+	if string(first) != "aaaacccc" {
+		t.Errorf("first = %q, want %q", first, "aaaacccc")
+	}
+	if string(second) != "bbbb" || string(arena[4:]) != "bbbb" {
+		t.Errorf("second = %q, arena tail = %q: Append wrote into the neighbour file", second, arena[4:])
+	}
+	// Write caps what it stores even when the caller did not.
+	d.Write(0, "loose", arena[0:2])
+	d.Append(0, "loose", []byte("zz"))
+	if string(arena[:4]) != "aaaa" {
+		t.Errorf("arena head = %q: Append wrote past an uncapped file", arena[:4])
 	}
 }
 
