@@ -203,16 +203,6 @@ type Cluster[V, A any] struct {
 	rebirthsUsed int
 	ckptEpoch    int // iteration captured by the last completed checkpoint
 
-	// Migration-restart bookkeeping (§5.3.2): when a second failure aborts a
-	// migration pass mid-flight, the next attempt must finish what the
-	// interrupted one started. migPromoted marks, per node by slot position,
-	// promotions whose edges, FT repair or activation replay may still be
-	// pending; migFilesDone lists edge-ckpt files whose edges are already
-	// attached on a survivor. Both are cleared when a migration pass
-	// completes.
-	migPromoted  [][]bool
-	migFilesDone map[string]bool
-
 	// selfishOptOn is the effective §4.4 switch (configured AND supported
 	// by the program).
 	selfishOptOn bool

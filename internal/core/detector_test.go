@@ -41,9 +41,11 @@ func TestCentralDetectorContract(t *testing.T) {
 		{"crashrec-rebirth-reload", RecoverRebirth, 2, 0,
 			[]ChaosEvent{crash(2, FailBeforeBarrier, 1), during("rebirth:reload", 3)}, []int{1, 3},
 			[2]uint64{0x4008e40b159622a8, 0x400aa86aafed69bd}},
+		// Re-recorded when the restarted pass began to repair the masters
+		// its interrupted attempt had pruned (restartGoldens).
 		{"crashrec-migration-promote", RecoverMigration, 2, 0,
 			[]ChaosEvent{crash(2, FailBeforeBarrier, 1), during("migration:promote", 3)}, []int{1, 3},
-			[2]uint64{0x4008e86027880444, 0x4009a07cfaaaa14c}},
+			[2]uint64{0x4008f0470843e2f6, 0x4009a6ff1f6bda20}},
 		{"partition", RecoverRebirth, 1, 0,
 			[]ChaosEvent{{Kind: ChaosPartition, Iteration: 2, HealIter: 4, Nodes: []int{2}}}, []int{2},
 			[2]uint64{0x3ff94186b30d0825, 0x3ffb75ad490a1610}},

@@ -6,7 +6,8 @@ import (
 	"imitator/internal/graph"
 )
 
-// entryFlags packs a local vertex entry's roles.
+// entryFlags packs a local vertex entry's roles and the Migration work
+// pending on it.
 type entryFlags uint8
 
 const (
@@ -14,6 +15,10 @@ const (
 	flagMirror                         // full-state replica (§4.2)
 	flagFTOnly                         // exists only for fault tolerance (§4.1)
 	flagSelfish                        // vertex has no out-edges anywhere (§4.4)
+	// The recovery-work flags live only on a node's own slots: records and
+	// snapshots build their flags from the roles above, never copy these.
+	flagStale    // master whose table changed since its mirrors last received it
+	flagPromoted // master promoted in the incident Migration has not completed
 )
 
 // noNode marks an unset node reference.
@@ -412,7 +417,7 @@ func (n *node[V, A]) writeEdges(h edgeRef, l *rawEdges) edgeRef {
 
 // retainReplicas keeps, in place, the rows of master slot i's table whose
 // host keep accepts (replicaTable.retain) and stores the new counts in its
-// handle. It reports whether any row went.
+// handle. It reports whether any row went, and marks the slot stale if so.
 func (n *node[V, A]) retainReplicas(i int32, keep func(host int16) bool) bool {
 	h := &n.masters[n.ref[i].master]
 	t := n.tables.at(*h)
@@ -420,13 +425,15 @@ func (n *node[V, A]) retainReplicas(i int32, keep func(host int16) bool) bool {
 		return false
 	}
 	h.rows, h.mirrors = uint16(len(t.nodes)), uint16(len(t.mirrorOf))
+	n.hot[i].flags |= flagStale
 	return true
 }
 
-// addRow appends one replica row to master slot i's table. A table that
-// does not end at the arena's tail is first copied there, its old range left
-// dead; one that does grows in place.
+// addRow appends one replica row to master slot i's table and marks the slot
+// stale. A table that does not end at the arena's tail is first copied
+// there, its old range left dead; one that does grows in place.
 func (n *node[V, A]) addRow(i int32, host int16, pos int32, ftOnly bool) {
+	n.hot[i].flags |= flagStale
 	h := &n.masters[n.ref[i].master]
 	a := &n.tables
 	if tail := len(a.nodes); int(h.off)+int(h.rows) != tail {
@@ -502,6 +509,25 @@ func (n *node[V, A]) handles(r *recoveryRecord[V]) (*tableRef, *edgeRef) {
 		return &m.table, &m.edges
 	}
 	return nil, nil
+}
+
+// flagged ranges over the positions of the slots that carry flag f,
+// ascending.
+func (n *node[V, A]) flagged(f entryFlags) func(yield func(int32) bool) {
+	return func(yield func(int32) bool) {
+		for i := range n.hot {
+			if n.hot[i].flags&f != 0 && !yield(int32(i)) {
+				return
+			}
+		}
+	}
+}
+
+// clearFlag takes flag f off every slot.
+func (n *node[V, A]) clearFlag(f entryFlags) {
+	for i := range n.hot {
+		n.hot[i].flags &^= f
+	}
 }
 
 // ensureMirror returns slot i's mirror state, creating an empty one for a

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"testing"
 
@@ -200,7 +201,8 @@ func TestMirrorBalance(t *testing.T) {
 // entry is named by exactly one slot (a mirror entry by the slot it points
 // back at), so none is orphaned; and the dense id index is the exact inverse
 // of hot[i].id. Across nodes, the replica tables are the sync routes
-// (checkReplicaRows).
+// (checkReplicaRows), and under the replicating recoveries they meet the FT
+// invariants (checkFTInvariants).
 func checkVertexTables[V, A any](t *testing.T, cl *Cluster[V, A], when string) {
 	t.Helper()
 	claim := func(owner []int32, h int32, slot int) bool {
@@ -266,6 +268,34 @@ func checkVertexTables[V, A any](t *testing.T, cl *Cluster[V, A], when string) {
 		}
 	}
 	checkReplicaRows(t, cl, when)
+	if cl.cfg.Recovery == RecoverRebirth || cl.cfg.Recovery == RecoverMigration {
+		checkFTInvariants(t, cl, when)
+	}
+}
+
+// checkFTInvariants asserts what load leaves and every completed incident
+// restores (§4.1, §4.2): each master on an alive node, selfish or not, has
+// at least min(K, alive-1) replica rows and exactly that many mirrors, and
+// no slot carries recovery work (flagStale, flagPromoted).
+func checkFTInvariants[V, A any](t *testing.T, cl *Cluster[V, A], when string) {
+	t.Helper()
+	alive := cl.aliveNodes()
+	want := min(cl.cfg.FT.K, len(alive)-1)
+	for _, nd := range alive {
+		for i := range nd.hot {
+			e := &nd.hot[i]
+			if work := e.flags & (flagStale | flagPromoted); work != 0 {
+				t.Fatalf("%s: node %d slot %d (vertex %d): recovery flags %#x left set", when, nd.id, i, e.id, work)
+			}
+			if !e.isMaster() {
+				continue
+			}
+			if rt := nd.replicas(int32(i)); len(rt.nodes) < want || len(rt.mirrorOf) != want {
+				t.Fatalf("%s: node %d slot %d (vertex %d): %d replicas and %d mirrors, want at least %d and exactly %d",
+					when, nd.id, i, e.id, len(rt.nodes), len(rt.mirrorOf), want, want)
+			}
+		}
+	}
 }
 
 // checkReplicaRows asserts that the master tables, which the sync stages
@@ -472,4 +502,64 @@ func TestVertexTableInvariants(t *testing.T) {
 			})
 		}
 	}
+}
+
+// TestChaosInterruptMatrix interrupts the recovery of node 1's crash at
+// iteration 3 by a second crash at every phase label of Rebirth and
+// Migration, of every surviving node, in both modes (80 cells). Each
+// restarted pass must complete to vertex tables that satisfy the FT
+// invariants again (checkVertexTables, checkFTInvariants) and to the
+// fault-free values.
+func TestChaosInterruptMatrix(t *testing.T) {
+	g := datasets.Tiny(700, 4200, 91)
+	const nodes = 6
+	for _, mode := range []Mode{EdgeCutMode, VertexCutMode} {
+		for _, rec := range []RecoveryKind{RecoverRebirth, RecoverMigration} {
+			cfg := DefaultConfig(mode, nodes)
+			cfg.Recovery = rec
+			cfg.MaxIter = 6
+			cfg.FT.K = 2
+			cfg.MaxRebirths = 8
+			want := runFake(t, cfg, g)
+			for _, label := range RecoveryPhaseLabels(rec) {
+				for victim := range nodes {
+					if victim == 1 {
+						continue
+					}
+					name := fmt.Sprintf("%v/%v/%s/%d", mode, rec, label, victim)
+					t.Run(name, func(t *testing.T) {
+						cfg := cfg
+						cfg.Chaos = []ChaosEvent{
+							{Kind: ChaosCrash, Iteration: 3, Phase: FailBeforeBarrier, Nodes: []int{1}},
+							{Kind: ChaosCrashDuringRecovery, During: label, Nodes: []int{victim}},
+						}
+						got := runFake(t, cfg, g)
+						if n := len(got.Recoveries); n == 0 || len(got.Recoveries[n-1].Failed) != 2 {
+							t.Fatalf("recoveries %+v: the last one must cover both victims", got.Recoveries)
+						}
+						for v := range want.Values {
+							if d := math.Abs(got.Values[v] - want.Values[v]); d > 1e-9*math.Max(1, math.Abs(want.Values[v])) {
+								t.Fatalf("vertex %d: %v, fault-free %v", v, got.Values[v], want.Values[v])
+							}
+						}
+					})
+				}
+			}
+		}
+	}
+}
+
+// runFake runs fakePR under cfg and checks the vertex tables it leaves.
+func runFake(t *testing.T, cfg Config, g *graph.Graph) *Result[float64] {
+	t.Helper()
+	cl, err := NewCluster[float64, float64](cfg, g, fakePR{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := cl.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkVertexTables(t, cl, "after the run")
+	return res
 }

@@ -33,50 +33,49 @@ func (c *Cluster[V, A]) recoverMigration(p *recoveryPass[V, A]) error {
 			}
 		}
 	})
-	// Bookkeeping is per node, by slot position, so walking nodes and then
-	// positions visits it in (node, pos) order. tableChanged marks masters
-	// whose replica tables mutate during this recovery: FT repair re-checks
-	// them and refreshes their mirrors at the end. Its rows cover the nodes
-	// alive now; a node killed later in the pass keeps its row, which repair
-	// still walks.
-	tableChanged := make([][]bool, c.cfg.NumNodes)
-	for _, nd := range c.aliveNodes() {
-		tableChanged[nd.id] = make([]bool, len(nd.hot))
-	}
+	// The work a pass does is slot state (hot.flags), so an attempt that a
+	// further failure interrupts leaves it where the restart finds it:
+	// flagStale marks masters whose mirrors hold an outdated table, which FT
+	// repair refreshes; flagPromoted the masters promoted in this incident,
+	// whose move notices, edges and activation replay may still be pending.
+	// The walks below cover the nodes alive now; a node killed later in the
+	// pass is still walked by FT repair.
+	started := slices.Clone(c.aliveNodes())
+	// A restart is an attempt that finds a promotion, on any node: some
+	// invariants (mirror tables mirroring the master's, every replica known
+	// to its master) may then be broken and need the reconciliation round
+	// below.
+	restart := slices.ContainsFunc(c.nodes, func(nd *node[V, A]) bool {
+		for range nd.flagged(flagPromoted) {
+			return true
+		}
+		return false
+	})
 	survives := func(host int16) bool { return !failedSet[host] }
-	// Surviving masters drop lost replicas from their tables, in place. The
-	// mirrors this attempt promotes below are not masters yet; their tables
-	// are built against the failed set as they are promoted.
-	for _, nd := range c.aliveNodes() {
+	// Surviving masters drop lost replicas from their tables, in place, and
+	// those promoted by an interrupted attempt are re-checked against the
+	// enlarged failed set. The mirrors this attempt promotes below are not
+	// masters yet; their tables are built against the failed set as they are
+	// promoted.
+	for _, nd := range started {
 		for i := range nd.hot {
-			if nd.hot[i].isMaster() && nd.retainReplicas(int32(i), survives) {
-				tableChanged[nd.id][i] = true
+			if e := &nd.hot[i]; e.isMaster() {
+				nd.retainReplicas(int32(i), survives)
+				if e.flags&flagPromoted != 0 {
+					e.flags |= flagStale
+				}
 			}
 		}
 	}
-	// c.migPromoted[node][pos] marks the masters promoted in this incident
-	// whose setup (move notices, edge attach, FT repair, activation replay)
-	// may still be pending. It outlives an attempt that a failure
-	// interrupts; a restart is an attempt that finds a promotion recorded.
-	// Some invariants (mirror tables mirroring the master's, every replica
-	// known to its master) may then be broken and need the reconciliation
-	// round below.
-	if c.migPromoted == nil {
-		c.migPromoted = make([][]bool, c.cfg.NumNodes)
-	}
-	restart := slices.ContainsFunc(c.migPromoted, func(row []bool) bool { return slices.Contains(row, true) })
 	for n, list := range promoLists {
 		if len(list) == 0 {
 			continue
 		}
 		nd := c.nodes[n]
 		nd.masters = slices.Grow(nd.masters, len(list))
-		if row := c.migPromoted[n]; len(row) < len(nd.hot) {
-			c.migPromoted[n] = append(row, make([]bool, len(nd.hot)-len(row))...)
-		}
 		for _, pos := range list {
 			e := &nd.hot[pos]
-			e.flags |= flagMaster
+			e.flags |= flagMaster | flagPromoted | flagStale
 			e.flags &^= flagMirror | flagFTOnly
 			e.masterNode = int16(nd.id)
 			e.masterPos = pos
@@ -90,18 +89,7 @@ func (c *Cluster[V, A]) recoverMigration(p *recoveryPass[V, A]) error {
 				nd.dropMirror(pos)
 			}
 			c.masterLoc[e.id] = int16(nd.id)
-			c.migPromoted[n][pos] = true
 			rec.RecoveredVertices++
-		}
-	}
-	// promoted holds the surviving nodes' rows: this attempt's promotions
-	// and those of an interrupted earlier one, masters already whose tables
-	// are re-checked against the enlarged failed set.
-	promoted := make([][]bool, c.cfg.NumNodes)
-	for _, nd := range c.aliveNodes() {
-		promoted[nd.id] = c.migPromoted[nd.id]
-		for pos := range marked(promoted[nd.id]) {
-			tableChanged[nd.id][pos] = true
 		}
 	}
 	// Unrecoverable check: every vertex must have a live master now.
@@ -116,7 +104,7 @@ func (c *Cluster[V, A]) recoverMigration(p *recoveryPass[V, A]) error {
 	// replicas where the master now lives.
 	c.runPhase(func(nd *node[V, A]) {
 		c.stageExact(nd.sendBuf, nd.met, func(s *recSink) {
-			for pos := range marked(promoted[nd.id]) {
+			for pos := range nd.flagged(flagPromoted) {
 				rt := nd.replicas(pos)
 				for ri, host := range rt.nodes {
 					rpos := rt.pos[ri]
@@ -191,7 +179,6 @@ func (c *Cluster[V, A]) recoverMigration(p *recoveryPass[V, A]) error {
 			}
 			if !known {
 				nd.addRow(mp, int16(from), rpos, ft)
-				tableChanged[nd.id][mp] = true
 			}
 			c.stageFill(nd.noticeBuf, nd.met).put(from, 8, func(buf []byte) []byte {
 				buf = putI32(buf, rpos)
@@ -222,14 +209,11 @@ func (c *Cluster[V, A]) recoverMigration(p *recoveryPass[V, A]) error {
 		wt       float64
 	}
 	migEdges := make([][]migEdge, c.cfg.NumNodes)
-	// readPaths[n] lists the edge-ckpt files node n read this attempt; they
-	// are marked done (c.migFilesDone) only once n attaches their edges, so
-	// a restart re-reads exactly the files whose reader died in between.
+	// readPaths[n] lists the edge-ckpt files node n read this attempt; n
+	// deletes them only once it attaches their edges, so a restart re-reads
+	// exactly the files whose reader died in between.
 	readPaths := make([][]string, c.cfg.NumNodes)
 	needs := make([][]graph.VertexID, c.cfg.NumNodes)
-	if c.migFilesDone == nil {
-		c.migFilesDone = make(map[string]bool)
-	}
 	if c.vcut != nil {
 		// Each survivor reads its own file of every failed node; files
 		// addressed to other failed nodes are reassigned round-robin.
@@ -238,11 +222,6 @@ func (c *Cluster[V, A]) recoverMigration(p *recoveryPass[V, A]) error {
 		var span costmodel.Span
 		for _, f := range failed {
 			for _, path := range c.dfs.List(fmt.Sprintf("edgeckpt/%d/", f)) {
-				if c.migFilesDone[path] {
-					// Attached by an interrupted earlier attempt; the edges
-					// live on a survivor (and in its own edge-ckpt files).
-					continue
-				}
 				var owner, target int
 				if _, err := fmt.Sscanf(path, "edgeckpt/%d/%d", &owner, &target); err != nil {
 					return fmt.Errorf("core: bad edge-ckpt path %q: %w", path, err)
@@ -287,11 +266,10 @@ func (c *Cluster[V, A]) recoverMigration(p *recoveryPass[V, A]) error {
 	} else {
 		// Edge-cut: promoted masters carry their in-edge lists; sources
 		// missing locally need replicas (paper Fig 6's "Replica 6").
-		// (Promotions adopted from an interrupted attempt that already
-		// attached their edges have no mirror state left and contribute
-		// nothing.)
+		// (Promotions of an interrupted attempt that already attached
+		// their edges have no mirror state left and contribute nothing.)
 		for _, nd := range c.aliveNodes() {
-			for pos := range marked(promoted[nd.id]) {
+			for pos := range nd.flagged(flagPromoted) {
 				m := nd.mirror(pos)
 				if m == nil {
 					continue
@@ -339,7 +317,7 @@ func (c *Cluster[V, A]) recoverMigration(p *recoveryPass[V, A]) error {
 			}
 		})
 	})
-	created, err := c.createReplicas(false, true, tableChanged)
+	created, err := c.createReplicas(false, true)
 	if err != nil {
 		return err
 	}
@@ -377,19 +355,19 @@ func (c *Cluster[V, A]) recoverMigration(p *recoveryPass[V, A]) error {
 			// Attached and re-persisted: a restart must not read these
 			// files again.
 			for _, p := range readPaths[nd.id] {
-				c.migFilesDone[p] = true
+				c.dfs.Delete(p)
 			}
 		} else {
 			// The promoted masters' in-edges leave their mirror state and
 			// attach in ascending position order.
 			n := 0
-			for pos := range marked(promoted[nd.id]) {
+			for pos := range nd.flagged(flagPromoted) {
 				if m := nd.mirror(pos); m != nil { // nil: attached by an interrupted earlier attempt
 					n += int(m.edges.n)
 				}
 			}
 			batch = newEdgeBatch(n)
-			for pos := range marked(promoted[nd.id]) {
+			for pos := range nd.flagged(flagPromoted) {
 				if m := nd.mirror(pos); m != nil {
 					ed := nd.edges.at(m.edges)
 					if err := nd.batchInEdges(&batch, pos, &ed); err != nil {
@@ -408,9 +386,9 @@ func (c *Cluster[V, A]) recoverMigration(p *recoveryPass[V, A]) error {
 	c.clock.Advance(reconSpan.Max())
 
 	// --- Phase 6: restore fault-tolerance invariants (K replicas, K
-	// mirrors) for every master whose table changed, then refresh full
-	// state on all mirrors of changed masters.
-	if err := c.repairFTInvariants(tableChanged); err != nil {
+	// mirrors) for every stale master, then refresh full state on all its
+	// mirrors.
+	if err := c.repairFTInvariants(started); err != nil {
 		return err
 	}
 	if err := p.barrier(&rec.ReconstructSeconds); err != nil {
@@ -420,7 +398,7 @@ func (c *Cluster[V, A]) recoverMigration(p *recoveryPass[V, A]) error {
 
 	// --- Phase 7: replay activation for the promoted masters only
 	// (§5.2.3) and recompute promoted selfish vertices (§4.4).
-	isPromoted := func(mn int16, mp int32) bool { return int(mp) < len(promoted[mn]) && promoted[mn][mp] }
+	isPromoted := func(mn int16, mp int32) bool { return c.nodes[mn].hot[mp].flags&flagPromoted != 0 }
 	if err := c.replayActivation(iter, isPromoted); err != nil {
 		return err
 	}
@@ -438,16 +416,17 @@ func (c *Cluster[V, A]) recoverMigration(p *recoveryPass[V, A]) error {
 	// creation, and FT repair all reshape the replica tables, master locations
 	// (and entry counts) on survivors: every precomputed route is stale now.
 	c.markRoutesDirty()
-	// The pass completed: nothing is pending for a restart to pick up.
-	c.migPromoted, c.migFilesDone = nil, nil
+	// The pass completed: no promotion is pending, on any node.
+	for _, nd := range c.nodes {
+		nd.clearFlag(flagPromoted)
+	}
 	return nil
 }
 
 // repairFTInvariants re-establishes >= K replicas and K mirrors for every
-// master whose replica table changed (tableChanged rows by node, by slot
-// position), creating FT replicas on the least loaded nodes and pushing
-// refreshed full state to all mirrors.
-func (c *Cluster[V, A]) repairFTInvariants(tableChanged [][]bool) error {
+// stale master on nodes, creating FT replicas on the least loaded nodes and
+// pushing refreshed full state to all its mirrors, which clears the flag.
+func (c *Cluster[V, A]) repairFTInvariants(nodes []*node[V, A]) error {
 	alive := c.aliveNodes()
 	load := make([]int, c.cfg.NumNodes)
 	for _, nd := range alive {
@@ -460,9 +439,9 @@ func (c *Cluster[V, A]) repairFTInvariants(tableChanged [][]bool) error {
 	// master's rows are appended one after another, so its planned creates
 	// are exactly creates[n][start:].
 	creates := make([][]ftCreatePlan, c.cfg.NumNodes)
-	for n, row := range tableChanged {
-		nd := c.nodes[n]
-		for pos := range marked(row) {
+	for _, nd := range nodes {
+		n := nd.id
+		for pos := range nd.flagged(flagStale) {
 			e, rt := &nd.hot[pos], nd.replicas(pos)
 			start := len(creates[n])
 			for len(rt.nodes)+len(creates[n])-start < c.cfg.FT.K {
@@ -490,10 +469,7 @@ func (c *Cluster[V, A]) repairFTInvariants(tableChanged [][]bool) error {
 	}
 	// Staging walks every node the plan names, alive or not: a node killed
 	// since the pass began still stages, and the next barrier reports it.
-	for _, nd := range c.nodes {
-		if nd == nil {
-			continue
-		}
+	for _, nd := range nodes {
 		c.stageExact(nd.sendBuf, nd.met, func(s *recSink) {
 			for _, cr := range creates[nd.id] {
 				c.stageReplicaOf(s, nd, cr.pos, cr.to, flagFTOnly)
@@ -501,17 +477,17 @@ func (c *Cluster[V, A]) repairFTInvariants(tableChanged [][]bool) error {
 		})
 	}
 	// Uncounted registrations: the migration goldens pin recovery traffic without them.
-	if _, err := c.createReplicas(true, false, nil); err != nil {
+	if _, err := c.createReplicas(true, false); err != nil {
 		return err
 	}
 
-	// Pass 2: mirror re-selection for changed masters, then full-state
-	// refresh on every mirror of a changed master. mo is one scratch list
-	// for every selection; setMirrors stores it in the table in place.
+	// Pass 2: mirror re-selection for stale masters, then full-state
+	// refresh on every mirror of a stale master. mo is one scratch list for
+	// every selection; setMirrors stores it in the table in place.
 	var mo []int16
-	for n, row := range tableChanged {
-		for pos := range marked(row) {
-			rt := c.nodes[n].replicas(pos)
+	for _, nd := range nodes {
+		for pos := range nd.flagged(flagStale) {
+			rt := nd.replicas(pos)
 			want := min(c.cfg.FT.K, len(rt.nodes))
 			mo = mo[:0]
 			for _, idx := range rt.mirrorOf {
@@ -535,7 +511,7 @@ func (c *Cluster[V, A]) repairFTInvariants(tableChanged [][]bool) error {
 					mo = append(mo, int16(idx))
 				}
 			}
-			c.nodes[n].setMirrors(pos, mo)
+			nd.setMirrors(pos, mo)
 		}
 	}
 	// Mirror full-state refresh. Non-selected replicas of a refreshed
@@ -543,12 +519,9 @@ func (c *Cluster[V, A]) repairFTInvariants(tableChanged [][]bool) error {
 	// flag and table would vote in a later promotion scan against a
 	// different table than the fresh mirrors, and an inconsistent vote can
 	// elect two masters for one vertex (§5.3.2 restart after repair).
-	for _, nd := range c.nodes {
-		if nd == nil {
-			continue
-		}
+	for _, nd := range nodes {
 		c.stageExact(nd.sendBuf, nd.met, func(s *recSink) {
-			for pos := range marked(tableChanged[nd.id]) {
+			for pos := range nd.flagged(flagStale) {
 				table := nd.replicas(pos)
 				for rank, idx := range table.mirrorOf {
 					c.putMirrorRecord(s, nd, pos, int(table.nodes[idx]), table.pos[idx], flagMirror, int16(rank))
@@ -556,7 +529,7 @@ func (c *Cluster[V, A]) repairFTInvariants(tableChanged [][]bool) error {
 			}
 		})
 		c.stageExact(nd.noticeBuf, nd.met, func(s *recSink) {
-			for pos := range marked(tableChanged[nd.id]) {
+			for pos := range nd.flagged(flagStale) {
 				table := nd.replicas(pos)
 				for idx, host := range table.nodes {
 					if slices.Contains(table.mirrorOf, int16(idx)) {
@@ -567,6 +540,7 @@ func (c *Cluster[V, A]) repairFTInvariants(tableChanged [][]bool) error {
 				}
 			}
 		})
+		nd.clearFlag(flagStale)
 	}
 	if err := c.exchangeRecords(func(nd *node[V, A], recs []recoveryRecord[V]) {
 		fresh := 0
@@ -603,11 +577,10 @@ type ftCreatePlan struct {
 // createReplicas runs the two rounds that land the replica records staged
 // for them (cooperative replica creation, FT repair): each receiver adds the
 // replica and registers its position with the master, which adds the row to
-// its replica table with ftOnly. count decides whether the registration
-// notices count as recovery traffic; registered, when non-nil, marks in each
-// master node's own row the masters whose tables grew. It returns how many
-// replicas were created.
-func (c *Cluster[V, A]) createReplicas(ftOnly, count bool, registered [][]bool) (int, error) {
+// its replica table with ftOnly (addRow, which marks the master stale).
+// count decides whether the registration notices count as recovery traffic.
+// It returns how many replicas were created.
+func (c *Cluster[V, A]) createReplicas(ftOnly, count bool) (int, error) {
 	createdPerNode := make([]int, c.cfg.NumNodes)
 	if err := c.exchangeRecords(func(nd *node[V, A], recs []recoveryRecord[V]) {
 		nd.reserve(len(recs))
@@ -635,9 +608,6 @@ func (c *Cluster[V, A]) createReplicas(ftOnly, count bool, registered [][]bool) 
 			return
 		}
 		nd.addRow(mp, int16(from), newPos, ftOnly)
-		if registered != nil {
-			registered[nd.id][mp] = true
-		}
 	}); err != nil {
 		return 0, err
 	}
@@ -713,16 +683,5 @@ func (c *Cluster[V, A]) recomputeSelfish(nd *node[V, A], isTarget func(mn int16,
 		initVal, _ := c.prog.Init(e.id, e.info())
 		newV, _ := c.prog.Apply(e.id, e.info(), initVal, acc, has, prev)
 		e.value = newV
-	}
-}
-
-// marked ranges over the slot positions a bookkeeping row marks, ascending.
-func marked(row []bool) func(yield func(int32) bool) {
-	return func(yield func(int32) bool) {
-		for i, ok := range row {
-			if ok && !yield(int32(i)) {
-				return
-			}
-		}
 	}
 }

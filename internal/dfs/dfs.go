@@ -1,8 +1,9 @@
 // Package dfs simulates the HDFS-like distributed file system the paper
 // uses for checkpoints and edge-ckpt files. Contents are stored
 // byte-for-byte in memory; every read and write returns its simulated cost
-// (disk bandwidth, pipelined 3-way replication) from the cost model, and
-// per-node traffic counters feed the checkpoint-overhead figures.
+// (disk bandwidth, pipelined 3-way replication) from the cost model. The
+// engine counts the bytes each node reads and writes itself
+// (metrics.Node.DFSReadBytes, DFSWriteBytes).
 //
 // Write keeps the slice it is given, capped at its length, instead of
 // copying it: the writer hands the bytes over and must not touch them
@@ -26,15 +27,14 @@ import (
 // ErrNotFound reports a missing path.
 var ErrNotFound = errors.New("dfs: file not found")
 
-// DFS is a simulated distributed file system shared by all nodes.
+// DFS is a simulated distributed file system shared by all nodes. Write,
+// Append and Read name the node they act for, but the store keeps no
+// per-node state: costs depend on the bytes alone.
 type DFS struct {
 	params costmodel.Params
 
 	mu    sync.Mutex
 	files map[string][]byte
-	// Per-node cumulative traffic (indexed by node id).
-	readBytes  []int64
-	writeBytes []int64
 }
 
 // New creates a DFS for a cluster of numNodes nodes.
@@ -45,12 +45,7 @@ func New(numNodes int, params costmodel.Params) (*DFS, error) {
 	if err := params.Validate(); err != nil {
 		return nil, err
 	}
-	return &DFS{
-		params:     params,
-		files:      make(map[string][]byte),
-		readBytes:  make([]int64, numNodes),
-		writeBytes: make([]int64, numNodes),
-	}, nil
+	return &DFS{params: params, files: make(map[string][]byte)}, nil
 }
 
 // Write stores data at path (replacing any previous content) on behalf of
@@ -62,7 +57,6 @@ func (d *DFS) Write(node int, path string, data []byte) float64 {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.files[path] = data[:len(data):len(data)]
-	d.writeBytes[node] += int64(len(data))
 	return d.params.DFSWrite(int64(len(data)))
 }
 
@@ -72,7 +66,6 @@ func (d *DFS) Append(node int, path string, data []byte) float64 {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.files[path] = append(d.files[path], data...)
-	d.writeBytes[node] += int64(len(data))
 	return d.params.DFSWrite(int64(len(data)))
 }
 
@@ -85,16 +78,7 @@ func (d *DFS) Read(node int, path string) ([]byte, float64, error) {
 	if !ok {
 		return nil, 0, fmt.Errorf("%w: %s", ErrNotFound, path)
 	}
-	d.readBytes[node] += int64(len(data))
 	return append([]byte(nil), data...), d.params.DFSRead(int64(len(data))), nil
-}
-
-// Exists reports whether path exists.
-func (d *DFS) Exists(path string) bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	_, ok := d.files[path]
-	return ok
 }
 
 // Size returns the size of the file at path, or an error when missing.
@@ -127,23 +111,4 @@ func (d *DFS) List(prefix string) []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// NodeTraffic returns cumulative (read, written) bytes for a node.
-func (d *DFS) NodeTraffic(node int) (read, written int64) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.readBytes[node], d.writeBytes[node]
-}
-
-// TotalStored returns the total bytes currently stored (before the DFS's
-// own replication factor, which multiplies real capacity use).
-func (d *DFS) TotalStored() int64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	var t int64
-	for _, f := range d.files {
-		t += int64(len(f))
-	}
-	return t
 }

@@ -120,15 +120,15 @@ func TestAppendLeavesArenaNeighbour(t *testing.T) {
 func TestExistsSizeDelete(t *testing.T) {
 	d := newDFS(t)
 	d.Write(0, "f", []byte("abcd"))
-	if !d.Exists("f") {
-		t.Error("Exists false")
-	}
 	if sz, err := d.Size("f"); err != nil || sz != 4 {
 		t.Errorf("Size = %d, %v", sz, err)
 	}
 	d.Delete("f")
-	if d.Exists("f") {
-		t.Error("Delete failed")
+	if _, _, err := d.Read(0, "f"); !errors.Is(err, ErrNotFound) {
+		t.Error("Read after delete should be ErrNotFound")
+	}
+	if got := d.List("f"); len(got) != 0 {
+		t.Errorf("List after delete = %v", got)
 	}
 	if _, err := d.Size("f"); !errors.Is(err, ErrNotFound) {
 		t.Error("Size after delete should be ErrNotFound")
@@ -144,22 +144,6 @@ func TestList(t *testing.T) {
 	got := d.List("edges/2/")
 	if len(got) != 2 || got[0] != "edges/2/file0" || got[1] != "edges/2/file1" {
 		t.Errorf("List = %v", got)
-	}
-}
-
-func TestTrafficCounters(t *testing.T) {
-	d := newDFS(t)
-	d.Write(2, "f", make([]byte, 100))
-	d.Read(3, "f")
-	d.Read(3, "f")
-	if _, w := d.NodeTraffic(2); w != 100 {
-		t.Errorf("node2 written = %d", w)
-	}
-	if r, _ := d.NodeTraffic(3); r != 200 {
-		t.Errorf("node3 read = %d", r)
-	}
-	if d.TotalStored() != 100 {
-		t.Errorf("TotalStored = %d", d.TotalStored())
 	}
 }
 
