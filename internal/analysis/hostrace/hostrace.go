@@ -15,7 +15,7 @@
 //   - index-disjoint: the access path indexes a slice/array with an
 //     owned-derived expression (counts[s] = cnt; c.nodes[n] = nd), or the
 //     root local was itself derived from an owned value (nd := c.nodes[n];
-//     nd.localEdges++), or
+//     nd.phaseCost = cost), or
 //   - mutex-guarded: it executes between x.Lock() and x.Unlock() (a
 //     deferred Unlock guards to the end of the body), or
 //   - invisible to assignment syntax entirely — sync/atomic calls mutate

@@ -146,7 +146,7 @@ func (c *Cluster[V, A]) pristineNewbie(p *recoveryPass[V, A], f int) (*node[V, A
 	nd.met.DFSReadBytes += metaSize
 	c.clock.Advance(c.cfg.Cost.DFSRead(metaSize))
 	p.rec.RecoveredVertices += len(nd.hot)
-	p.rec.RecoveredEdges += nd.localEdges
+	p.rec.RecoveredEdges += len(nd.inNbr)
 	return nd, nil
 }
 
@@ -202,7 +202,7 @@ func (c *Cluster[V, A]) recoverCheckpoint(p *recoveryPass[V, A]) error {
 	for _, f := range p.failed {
 		nd := c.nodes[f]
 		reconSpan.Observe(float64(len(nd.hot))*c.cfg.Cost.ReconstructPerVertex +
-			float64(nd.localEdges)*c.cfg.Cost.ComputePerEdge)
+			float64(len(nd.inNbr))*c.cfg.Cost.ComputePerEdge)
 	}
 	c.clock.Advance(reconSpan.Max())
 	if err := c.fullResync(); err != nil {
@@ -230,18 +230,17 @@ func (c *Cluster[V, A]) rebuildPristineNode(id int) *node[V, A] {
 	}
 	src := c.pristine[id]
 	nd := &node[V, A]{
-		id:         id,
-		alive:      true,
-		met:        &c.met.Nodes[id],
-		localEdges: src.localEdges,
-		hot:        slices.Clone(src.hot),
-		csr:        src.csr,
-		ref:        src.ref,
-		masters:    src.masters,
-		mirrors:    src.mirrors,
-		tables:     src.tables,
-		edges:      src.edges,
-		index:      newIndex(c.g.NumVertices()),
+		id:      id,
+		alive:   true,
+		met:     &c.met.Nodes[id],
+		hot:     slices.Clone(src.hot),
+		csr:     src.csr,
+		ref:     src.ref,
+		masters: src.masters,
+		mirrors: src.mirrors,
+		tables:  src.tables,
+		edges:   src.edges,
+		index:   newIndex(c.g.NumVertices()),
 	}
 	for i := range nd.hot {
 		nd.index[nd.hot[i].id] = int32(i)
@@ -296,12 +295,11 @@ type replayWatch struct {
 // the live node's own tables, shared by every node rebuilt from them; hot is
 // a copy, since supersteps write it.
 type pristineNode[V any] struct {
-	hot        []hot[V]
-	csr        csr
-	ref        []slabRef
-	masters    []tableRef
-	mirrors    []mirrorState
-	tables     replicaTable
-	edges      rawEdges
-	localEdges int
+	hot     []hot[V]
+	csr     csr
+	ref     []slabRef
+	masters []tableRef
+	mirrors []mirrorState
+	tables  replicaTable
+	edges   rawEdges
 }

@@ -38,9 +38,6 @@ type node[V, A any] struct {
 	index   []int32
 	met     *metrics.Node
 
-	// localEdges counts edges stored on this node (for cost accounting).
-	localEdges int
-
 	// scratch: per-destination send buffers, reused across rounds.
 	sendBuf [][]byte
 	// scratch: activation notices staged out-of-round (vertex-cut scatter),
@@ -237,7 +234,9 @@ func NewCluster[V, A any](cfg Config, g *graph.Graph, prog Program[V, A]) (*Clus
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.replicates() && cfg.FT.SelfishOpt && prog.CanRecomputeSelfish() && !prog.AlwaysActive() {
+	always := prog.AlwaysActive()
+	selfish := cfg.replicates() && cfg.FT.SelfishOpt && prog.CanRecomputeSelfish()
+	if selfish && !always {
 		return nil, fmt.Errorf("core: selfish recomputation requires an always-active program")
 	}
 	net, err := netsim.New(cfg.NumNodes, cfg.Cost)
@@ -258,19 +257,18 @@ func NewCluster[V, A any](cfg Config, g *graph.Graph, prog Program[V, A]) (*Clus
 		return nil, err
 	}
 	c := &Cluster[V, A]{
-		cfg:    cfg,
-		g:      g,
-		prog:   prog,
-		vc:     prog.ValueCodec(),
-		ac:     prog.AccCodec(),
-		net:    net,
-		dfs:    d,
-		coord:  co,
-		met:    metrics.NewCluster(cfg.NumNodes),
-		pool:   bufpool.New(),
-		always: prog.AlwaysActive(),
-		selfishOptOn: cfg.replicates() && cfg.FT.SelfishOpt &&
-			prog.CanRecomputeSelfish() && prog.AlwaysActive(),
+		cfg:          cfg,
+		g:            g,
+		prog:         prog,
+		vc:           prog.ValueCodec(),
+		ac:           prog.AccCodec(),
+		net:          net,
+		dfs:          d,
+		coord:        co,
+		met:          metrics.NewCluster(cfg.NumNodes),
+		pool:         bufpool.New(),
+		always:       always,
+		selfishOptOn: selfish,
 	}
 	c.phaseWidth = min(cfg.hostParallelism(), cfg.NumNodes)
 	c.bindPhases()
@@ -327,7 +325,7 @@ func (c *Cluster[V, A]) bindPhases() {
 			if e.hasPending {
 				e.value = e.pendingValue
 				e.lastActivate = e.pendingScatter
-				e.lastActivateIter = e.pendingScatterI
+				e.lastActivateIter = iter
 				e.hasPending = false
 				e.lastTouchedIter = iter
 			}

@@ -55,8 +55,8 @@ func BenchmarkRecoveryRecordEncode(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		buf = encodeRecoveryRecord(buf[:0], Float64Codec{}, roleMaster, 7, 42,
-			flagMaster, -1, 3, 7, 5, 2, 3.14, true, 9, table, nil)
+		buf = encodeRecoveryRecord(buf[:0], Float64Codec{}, 7, 42,
+			flagMaster, 3, 7, 5, 2, 3.14, true, 9, table, nil)
 	}
 }
 
@@ -67,8 +67,8 @@ func BenchmarkRecoveryRecordDecode(b *testing.B) {
 		ftOnly:   []bool{false, false, true},
 		mirrorOf: []int16{2},
 	}
-	buf := encodeRecoveryRecord(nil, Float64Codec{}, roleMaster, 7, 42,
-		flagMaster, -1, 3, 7, 5, 2, 3.14, true, 9, table, nil)
+	buf := encodeRecoveryRecord(nil, Float64Codec{}, 7, 42,
+		flagMaster, 3, 7, 5, 2, 3.14, true, 9, table, nil)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

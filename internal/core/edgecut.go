@@ -53,7 +53,6 @@ func (c *Cluster[V, A]) bindEdgeCutPhases() {
 				e.pendingValue = newV
 				e.hasPending = true
 				e.pendingScatter = scatter
-				e.pendingScatterI = int32(iter)
 				applies++
 				if scatter {
 					c.scatterMark(nd, int32(i))
@@ -142,7 +141,6 @@ func (c *Cluster[V, A]) gather(nd *node[V, A], i int) (acc A, has bool, edges in
 // value and scatter flag and activating the scattering replicas' local
 // out-targets. A record cut short ends the batch, as a codec error does.
 func (c *Cluster[V, A]) applySync(nd *node[V, A], buf []byte) {
-	iter := int32(c.curIter)
 	for len(buf) >= 5 {
 		pos := int32(binary.LittleEndian.Uint32(buf))
 		flags := buf[4]
@@ -155,7 +153,6 @@ func (c *Cluster[V, A]) applySync(nd *node[V, A], buf []byte) {
 		e.pendingValue = val
 		e.hasPending = true
 		e.pendingScatter = flags&1 != 0
-		e.pendingScatterI = iter
 		if e.pendingScatter {
 			c.scatterMark(nd, pos)
 		}

@@ -40,10 +40,10 @@ const (
 // and one position names the same vertex in every table.
 //
 // hot is the slot the superstep phases (compute, sync stage, receive,
-// commit) read and write: every fixed-size field, 56 bytes for V = float64.
+// commit) read and write: every fixed-size field, 48 bytes for V = float64.
 // A gather's random read of a neighbour touches the slot's first 20 bytes,
-// one 64-byte line for six slots in eight (at a 56-byte stride the other two
-// straddle a boundary), and the per-phase walks stream a dense array. The
+// one 64-byte line for three slots in four (at a 48-byte stride the fourth
+// straddles a boundary), and the per-phase walks stream a dense array. The
 // replication metadata lives in the node's role slabs behind ref. A
 // failure-free superstep reads only a master's own table handle and rows,
 // its sync destinations; it never reads mirror state.
@@ -59,15 +59,14 @@ type hot[V any] struct {
 	// point at the entry itself.
 	masterPos int32
 
-	// pendingScatterI stamps the staged scatter flag with its superstep.
-	pendingScatterI int32
 	// lastActivate records whether this vertex signaled scatter activation
 	// in the superstep lastActivateIter; recovery replays activation from
-	// these flags (§5.1.3). lastTouchedIter is the superstep whose commit
-	// last changed this master's value or activity; log deltas persist only
-	// masters touched in the logged superstep.
-	// Commit writes all three every superstep, which is why they sit here
-	// and not in meta.
+	// these flags (§5.1.3). A scatter flag is staged and committed in the
+	// same superstep, so commit stamps lastActivateIter itself.
+	// lastTouchedIter is the superstep whose commit last changed this
+	// master's value or activity; log deltas persist only masters touched in
+	// the logged superstep. Commit writes all three every superstep, which
+	// is why they sit here and not in meta.
 	lastActivateIter int32
 	lastTouchedIter  int32
 
@@ -269,17 +268,17 @@ type tableRef struct {
 // from off.
 type edgeRef struct{ off, n int32 }
 
-// mirrorState is a mirror-slab entry, a mirror's full state (§4.2) by handle:
-// a copy of the master's replica table and, for edge-cut, the master's
-// in-edges by global id with each source's master node (vertex-cut recovers
-// edges from edge-ckpt files).
+// mirrorState is a mirror-slab entry, a mirror's full state (§4.2) by handle,
+// 20 bytes: a copy of the master's replica table and, for edge-cut, the
+// master's in-edges by global id (vertex-cut recovers edges from edge-ckpt
+// files). A mirror's rank is its place in the table copy's mirror indexes,
+// where lowestSurvivingMirror reads it.
 type mirrorState struct {
 	table tableRef
 	edges edgeRef
 	// slot is the position whose ref.mirror names this entry, so dropMirror
 	// can move the slab's last entry into the hole it leaves.
 	slot int32
-	rank int16 // this mirror's rank; lowest surviving rank recovers
 }
 
 func (e *hot[V]) isMaster() bool  { return e.flags&flagMaster != 0 }
@@ -298,7 +297,6 @@ func (e *hot[V]) clearPending() {
 	e.hasPending = false
 	e.pendingActive = false
 	e.pendingScatter = false
-	e.pendingScatterI = 0
 }
 
 // entryFixedBytes approximates the in-memory cost of one entry excluding
@@ -354,7 +352,7 @@ func (t *replicaTable) at(h tableRef) replicaTable {
 // at returns the list h names in the edge arena e, with cap == len.
 func (e *rawEdges) at(h edgeRef) rawEdges {
 	lo, hi := h.off, h.off+h.n
-	l := rawEdges{src: e.src[lo:hi:hi], srcMaster: e.srcMaster[lo:hi:hi]}
+	l := rawEdges{src: e.src[lo:hi:hi]}
 	if e.wt != nil {
 		l.wt = e.wt[lo:hi:hi]
 	}
@@ -371,7 +369,7 @@ func (n *node[V, A]) growArenas(rows, edges int) {
 	t, e := &n.tables, &n.edges
 	t.nodes, t.pos = slices.Grow(t.nodes, rows), slices.Grow(t.pos, rows)
 	t.ftOnly, t.mirrorOf = slices.Grow(t.ftOnly, rows), slices.Grow(t.mirrorOf, rows)
-	e.src, e.srcMaster = slices.Grow(e.src, edges), slices.Grow(e.srcMaster, edges)
+	e.src = slices.Grow(e.src, edges)
 	if e.wt != nil {
 		e.wt = slices.Grow(e.wt, edges)
 	}
@@ -399,14 +397,13 @@ func (n *node[V, A]) writeEdges(h edgeRef, l *rawEdges) edgeRef {
 	a := &n.edges
 	if len(l.src) > int(h.n) {
 		h.off = int32(len(a.src))
-		a.src, a.srcMaster = extend(a.src, len(l.src)), extend(a.srcMaster, len(l.src))
+		a.src = extend(a.src, len(l.src))
 		if a.wt != nil {
 			a.wt = extend(a.wt, len(l.src))
 		}
 	}
 	h.n = int32(len(l.src))
 	copy(a.src[h.off:], l.src)
-	copy(a.srcMaster[h.off:], l.srcMaster)
 	if a.wt != nil {
 		for k := range l.src {
 			a.wt[int(h.off)+k] = l.wt.at(k)
@@ -502,7 +499,7 @@ func (n *node[V, A]) landRecords(recs []recoveryRecord[V]) {
 // handles returns the arena handles record r's slot keeps: a master's table,
 // a mirror's copy of it and its in-edges; nil for what the slot lacks.
 func (n *node[V, A]) handles(r *recoveryRecord[V]) (*tableRef, *edgeRef) {
-	if r.role == roleMaster {
+	if r.flags&flagMaster != 0 {
 		return &n.masters[n.ref[r.pos].master], nil
 	}
 	if m := n.mirror(r.pos); m != nil {

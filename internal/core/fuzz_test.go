@@ -68,9 +68,9 @@ func FuzzRecoveryRecordDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0})
 	f.Add([]byte{1, 2, 3})
-	f.Add(encodeRecoveryRecord(nil, Float64Codec{}, roleMaster, 3, 7, flagMaster|flagSelfish, -1, 2, 3, 4, 5, 0.25, true, 6,
+	f.Add(encodeRecoveryRecord(nil, Float64Codec{}, 3, 7, flagMaster|flagSelfish, 2, 3, 4, 5, 0.25, true, 6,
 		&replicaTable{nodes: []int16{1}, pos: []int32{9}, ftOnly: []bool{true}, mirrorOf: []int16{0}},
-		&rawEdges{src: []graph.VertexID{4}, wt: []float64{1.5}, srcMaster: []int16{1}}))
+		&rawEdges{src: []graph.VertexID{4}, wt: []float64{1.5}}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		recs, err := decodeRecordsOf(data, Float64Codec{})
 		if err != nil {
@@ -78,8 +78,8 @@ func FuzzRecoveryRecordDecode(f *testing.F) {
 		}
 		var back []byte
 		for _, rec := range recs {
-			back = encodeRecoveryRecord(back, Float64Codec{}, rec.role, rec.pos, rec.id, rec.flags,
-				rec.mirrorRank, rec.masterNode, rec.masterPos, rec.inDeg, rec.outDeg,
+			back = encodeRecoveryRecord(back, Float64Codec{}, rec.pos, rec.id, rec.flags,
+				rec.masterNode, rec.masterPos, rec.inDeg, rec.outDeg,
 				rec.value, rec.lastActivate, rec.lastActivateIter, rec.table, rec.edges)
 		}
 		got, err := decodeRecordsOf(back, Float64Codec{})
@@ -117,8 +117,8 @@ func decodeTwice[T any](data []byte, decode func(r *reader, a *recArena) T) (T, 
 // sameRecord compares two decoded recovery records field by field, floats by
 // their bits.
 func sameRecord(a, b recoveryRecord[float64]) bool {
-	if a.role != b.role || a.pos != b.pos || a.id != b.id || a.flags != b.flags ||
-		a.mirrorRank != b.mirrorRank || a.masterNode != b.masterNode || a.masterPos != b.masterPos ||
+	if a.pos != b.pos || a.id != b.id || a.flags != b.flags ||
+		a.masterNode != b.masterNode || a.masterPos != b.masterPos ||
 		a.inDeg != b.inDeg || a.outDeg != b.outDeg || math.Float64bits(a.value) != math.Float64bits(b.value) ||
 		a.lastActivate != b.lastActivate || a.lastActivateIter != b.lastActivateIter ||
 		(a.table == nil) != (b.table == nil) || (a.edges == nil) != (b.edges == nil) {
@@ -128,7 +128,7 @@ func sameRecord(a, b recoveryRecord[float64]) bool {
 		!slices.Equal(a.table.ftOnly, b.table.ftOnly) || !slices.Equal(a.table.mirrorOf, b.table.mirrorOf)) {
 		return false
 	}
-	if a.edges != nil && (!slices.Equal(a.edges.src, b.edges.src) || !slices.Equal(a.edges.srcMaster, b.edges.srcMaster) ||
+	if a.edges != nil && (!slices.Equal(a.edges.src, b.edges.src) ||
 		!slices.EqualFunc(a.edges.wt, b.edges.wt, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })) {
 		return false
 	}
@@ -139,38 +139,41 @@ func sameRecord(a, b recoveryRecord[float64]) bool {
 // bytes: it must never panic or allocate beyond the payload's sanity bound,
 // and a successful decode must keep the parallel slices in lockstep (a nil
 // weight list stands for all ones, and a decode keeps one only if some weight
-// is not 1) and encode back to exactly the bytes it consumed.
+// is not 1) and encode back to exactly the bytes it consumed, each edge's
+// unread master slot set to noNode.
 func FuzzRawEdgesDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 0})
 	f.Add([]byte{255, 255, 255, 255, 1, 2, 3})
 	f.Add((&rawEdges{
-		src:       []graph.VertexID{7, 9},
-		wt:        []float64{0.5, 2},
-		srcMaster: []int16{1, -1},
+		src: []graph.VertexID{7, 9},
+		wt:  []float64{0.5, 2},
 	}).encode(nil))
 	f.Add((&rawEdges{ // all unit weights: decodes to a nil list
-		src:       []graph.VertexID{3, 5, 8},
-		srcMaster: []int16{0, 2, 1},
+		src: []graph.VertexID{3, 5, 8},
 	}).encode(nil))
 	f.Add((&rawEdges{ // mixed: the list materialises at the third edge
-		src:       []graph.VertexID{3, 5, 8, 13},
-		wt:        []float64{1, 1, 2.5, 1},
-		srcMaster: []int16{0, 2, 1, 0},
+		src: []graph.VertexID{3, 5, 8, 13},
+		wt:  []float64{1, 1, 2.5, 1},
 	}).encode(nil))
+	f.Add([]byte{1, 0, 0, 0, 4, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0xf0, 0x3f, 2, 0}) // a set master slot
 	f.Fuzz(func(t *testing.T, data []byte) {
 		e, r := decodeTwice(data, decodeRawEdges)
 		if r.err != nil {
 			return
 		}
-		if (e.wt != nil && len(e.wt) != len(e.src)) || len(e.src) != len(e.srcMaster) {
-			t.Fatalf("parallel slices diverged: %d/%d/%d", len(e.src), len(e.wt), len(e.srcMaster))
+		if e.wt != nil && len(e.wt) != len(e.src) {
+			t.Fatalf("parallel slices diverged: %d/%d", len(e.src), len(e.wt))
 		}
 		if e.wt != nil && !slices.ContainsFunc(e.wt, func(w float64) bool { return w != 1 }) {
 			t.Fatalf("decode stored %d unit weights", len(e.wt))
 		}
-		if got, want := e.encode(nil), data[:len(data)-r.remaining()]; !bytes.Equal(got, want) {
-			t.Fatalf("re-encoding gave %x, want the consumed input %x", got, want)
+		want := slices.Clone(data[:len(data)-r.remaining()])
+		for k := range e.src {
+			copy(want[4+14*k+12:], putI16(nil, noNode))
+		}
+		if got := e.encode(nil); !bytes.Equal(got, want) {
+			t.Fatalf("re-encoding gave %x, want the consumed input %x with master slots noNode", got, want)
 		}
 	})
 }

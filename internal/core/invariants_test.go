@@ -149,11 +149,11 @@ func TestLoadInvariants(t *testing.T) {
 							t.Fatalf("%v: FT replica of vertex %d is not a mirror", mode, e.id)
 						}
 					}
-					for rank, idx := range rt.mirrorOf {
+					for _, idx := range rt.mirrorOf {
 						rnd := cl.nodes[rt.nodes[idx]]
 						re, rm := &rnd.hot[rt.pos[idx]], rnd.mirror(rt.pos[idx])
-						if !re.isMirror() || rm == nil || rm.rank != int16(rank) {
-							t.Fatalf("%v: mirror rank mismatch for vertex %d", mode, e.id)
+						if !re.isMirror() || rm == nil {
+							t.Fatalf("%v: mirror of vertex %d holds no mirror state", mode, e.id)
 						}
 						if len(rnd.tables.at(rm.table).nodes) != len(rt.nodes) {
 							t.Fatalf("%v: mirror of %d has stale table", mode, e.id)
@@ -346,8 +346,7 @@ func checkReplicaRows[V, A any](t *testing.T, cl *Cluster[V, A], when string) {
 // checkCSR asserts a node's topology is well-formed: both offset arrays have
 // one entry per slot plus one, start at 0 and never decrease, and end at
 // their arena's length; inWt is nil or parallel to inNbr; the out-lists hold
-// exactly the reversed in-edges, with multiplicity; and localEdges counts
-// the in-edges.
+// exactly the reversed in-edges, with multiplicity.
 func checkCSR[V, A any](t *testing.T, nd *node[V, A], when string) {
 	t.Helper()
 	for _, l := range []struct {
@@ -368,9 +367,6 @@ func checkCSR[V, A any](t *testing.T, nd *node[V, A], when string) {
 	}
 	if nd.inWt != nil && len(nd.inWt) != len(nd.inNbr) {
 		t.Fatalf("%s: node %d: %d weights for %d in-edges", when, nd.id, len(nd.inWt), len(nd.inNbr))
-	}
-	if nd.localEdges != len(nd.inNbr) {
-		t.Fatalf("%s: node %d: localEdges %d, the topology holds %d", when, nd.id, nd.localEdges, len(nd.inNbr))
 	}
 	var in, out [][2]int32
 	for i := range nd.hot {
@@ -401,8 +397,8 @@ func checkArenas[V, A any](t *testing.T, nd *node[V, A], when string) {
 	if rows := len(tb.nodes); len(tb.pos) != rows || len(tb.ftOnly) != rows || len(tb.mirrorOf) != rows {
 		t.Fatalf("%s: node %d: table arena arrays %d/%d/%d/%d long", when, nd.id, rows, len(tb.pos), len(tb.ftOnly), len(tb.mirrorOf))
 	}
-	if len(eb.srcMaster) != len(eb.src) || eb.wt != nil && len(eb.wt) != len(eb.src) {
-		t.Fatalf("%s: node %d: edge arena arrays %d/%d/%d long", when, nd.id, len(eb.src), len(eb.srcMaster), len(eb.wt))
+	if eb.wt != nil && len(eb.wt) != len(eb.src) {
+		t.Fatalf("%s: node %d: edge arena arrays %d/%d long", when, nd.id, len(eb.src), len(eb.wt))
 	}
 	var tables, edges [][2]int // live [lo, hi) ranges
 	table := func(h tableRef, who string) {
@@ -431,7 +427,7 @@ func checkArenas[V, A any](t *testing.T, nd *node[V, A], when string) {
 			t.Fatalf("%s: node %d: %s edges %+v outside the %d-edge arena", when, nd.id, who, m.edges, len(eb.src))
 		}
 		v := eb.at(m.edges)
-		if cap(v.src) != len(v.src) || cap(v.srcMaster) != len(v.srcMaster) || cap(v.wt) != len(v.wt) {
+		if cap(v.src) != len(v.src) || cap(v.wt) != len(v.wt) {
 			t.Fatalf("%s: node %d: %s edge view has slack", when, nd.id, who)
 		}
 		if hi > lo {

@@ -272,8 +272,8 @@ func (c *Cluster[V, A]) load() error {
 	// 6. Fill master positions and the arenas. Sharded by vertex: every
 	// write lands in vertex v's own slots and their arena ranges (its master
 	// table, and each mirror's copy of it and, for edge-cut, of its in-edges
-	// by global id with each source's master node, §4.2), which are disjoint
-	// across vertices; the indexes and handles are read-only from here on.
+	// by global id, §4.2), which are disjoint across vertices; the indexes
+	// and handles are read-only from here on.
 	weighted := c.g.Weighted()
 	hostpar.Blocks(numV, loadMinBlock, width, func(lo, hi int) {
 		for v := lo; v < hi; v++ {
@@ -291,10 +291,9 @@ func (c *Cluster[V, A]) load() error {
 				table.pos[i] = rpos
 				c.nodes[rn].hot[rpos].masterPos = mpos
 			}
-			for rank, idx := range pr.mirrors {
+			for _, idx := range pr.mirrors {
 				rnd := c.nodes[pr.nodes[idx]]
 				rm := rnd.mirror(table.pos[idx])
-				rm.rank = int16(rank)
 				mt := rnd.tables.at(rm.table)
 				copy(mt.nodes, table.nodes)
 				copy(mt.pos, table.pos)
@@ -303,8 +302,7 @@ func (c *Cluster[V, A]) load() error {
 				if c.ec != nil {
 					ed := rnd.edges.at(rm.edges)
 					for k, ei := range c.g.InEdgeIndexes(vid) {
-						src := c.g.EdgeSrc(int(ei))
-						ed.src[k], ed.srcMaster[k] = src, c.masterLoc[src]
+						ed.src[k] = c.g.EdgeSrc(int(ei))
 						if weighted {
 							ed.wt[k] = c.g.EdgeWeight(int(ei))
 						}
@@ -349,20 +347,19 @@ func (c *Cluster[V, A]) load() error {
 			for _, ei := range group {
 				bd.put(nd.index[c.g.EdgeSrc(int(ei))], nd.index[c.g.EdgeDst(int(ei))], c.g.EdgeWeight(int(ei)))
 			}
-			nd.csr, nd.localEdges = bd.done(), len(group)
+			nd.csr = bd.done()
 		})
 	}
 
 	// 8. Initial values and activity (per-node slots are write-disjoint;
 	// Program.Init is pure by the determinism rules).
-	always := c.prog.AlwaysActive()
 	hostpar.For(p, width, func(n int) {
 		nd := c.nodes[n]
 		for i := range nd.hot {
 			e := &nd.hot[i]
 			val, act := c.prog.Init(e.id, e.info())
 			e.value = val
-			e.active = act || always
+			e.active = act || c.always
 			e.lastActivateIter = -1
 			e.lastTouchedIter = -1 // untouched: no logged delta carries it yet
 		}
@@ -419,7 +416,7 @@ func (c *Cluster[V, A]) layoutArenas(nd *node[V, A], ps *presences) {
 		}
 	}
 	nd.tables = replicaTable{make([]int16, rows), make([]int32, rows), make([]bool, rows), make([]int16, rows)}
-	nd.edges = rawEdges{src: make([]graph.VertexID, edges), srcMaster: make([]int16, edges)}
+	nd.edges = rawEdges{src: make([]graph.VertexID, edges)}
 	if c.g.Weighted() {
 		nd.edges.wt = make(weights, edges)
 	}

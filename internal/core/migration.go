@@ -379,7 +379,6 @@ func (c *Cluster[V, A]) recoverMigration(p *recoveryPass[V, A]) error {
 		}
 		nd.appendEdges(&batch)
 		created := len(batch.src)
-		nd.localEdges += created
 		rec.RecoveredEdges += created
 		reconSpan.Observe(float64(created) * c.cfg.Cost.ComputePerEdge)
 	}
@@ -523,8 +522,8 @@ func (c *Cluster[V, A]) repairFTInvariants(nodes []*node[V, A]) error {
 		c.stageExact(nd.sendBuf, nd.met, func(s *recSink) {
 			for pos := range nd.flagged(flagStale) {
 				table := nd.replicas(pos)
-				for rank, idx := range table.mirrorOf {
-					c.putMirrorRecord(s, nd, pos, int(table.nodes[idx]), table.pos[idx], flagMirror, int16(rank))
+				for _, idx := range table.mirrorOf {
+					c.putMirrorRecord(s, nd, pos, int(table.nodes[idx]), table.pos[idx], flagMirror)
 				}
 			}
 		})
@@ -552,7 +551,7 @@ func (c *Cluster[V, A]) repairFTInvariants(nodes []*node[V, A]) error {
 		nd.mirrors = slices.Grow(nd.mirrors, fresh)
 		for k := range recs {
 			rec := &recs[k]
-			nd.ensureMirror(rec.pos).rank = rec.mirrorRank
+			nd.ensureMirror(rec.pos)
 			nd.hot[rec.pos].flags |= flagMirror
 		}
 		nd.landRecords(recs)
@@ -633,7 +632,7 @@ func (c *Cluster[V, A]) stageReplicaOf(s *recSink, nd *node[V, A], pos int32, ds
 		flags |= flagSelfish
 	}
 	s.put(dst, recoveryRecordSize(c.vc, e.value, nil, nil), func(buf []byte) []byte {
-		return encodeRecoveryRecord(buf, c.vc, roleReplica, -1, e.id, flags, -1, int16(nd.id), pos,
+		return encodeRecoveryRecord(buf, c.vc, -1, e.id, flags, int16(nd.id), pos,
 			e.inDeg, e.outDeg, e.value, e.lastActivate, e.lastActivateIter, nil, nil)
 	})
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"reflect"
 	"testing"
@@ -158,13 +159,16 @@ func TestWireRoundTrip(t *testing.T) {
 		mirrorOf: []int16{1},
 	}
 	edges := &rawEdges{
-		src:       []graph.VertexID{5, 6, 7},
-		wt:        []float64{0.5, 1.5, 2.5},
-		srcMaster: []int16{0, 1, 2},
+		src: []graph.VertexID{5, 6, 7},
+		wt:  []float64{0.5, 1.5, 2.5},
 	}
 	vc := Float64Codec{}
-	buf := encodeRecoveryRecord(nil, vc, roleMaster, 7, 42, flagMaster|flagSelfish, 2,
+	buf := encodeRecoveryRecord(nil, vc, 7, 42, flagMaster|flagSelfish,
 		3, 7, 5, 0, 3.14, true, 9, table, edges)
+	// The role byte repeats the master flag; the rank slot holds noNode.
+	if buf[0] != 1 || int16(binary.LittleEndian.Uint16(buf[10:])) != noNode {
+		t.Errorf("role byte %d, rank slot %x; want 1 and noNode", buf[0], buf[10:12])
+	}
 	recs, err := decodeRecordsOf(buf, vc)
 	if err != nil {
 		t.Fatal(err)
@@ -173,8 +177,8 @@ func TestWireRoundTrip(t *testing.T) {
 		t.Fatalf("%d records decoded, want 1", len(recs))
 	}
 	rec := recs[0]
-	if rec.role != roleMaster || rec.pos != 7 || rec.id != 42 ||
-		rec.flags != flagMaster|flagSelfish || rec.mirrorRank != 2 ||
+	if rec.pos != 7 || rec.id != 42 ||
+		rec.flags != flagMaster|flagSelfish ||
 		rec.masterNode != 3 || rec.masterPos != 7 ||
 		rec.inDeg != 5 || rec.outDeg != 0 ||
 		rec.value != 3.14 || !rec.lastActivate || rec.lastActivateIter != 9 {
@@ -190,7 +194,7 @@ func TestWireRoundTrip(t *testing.T) {
 
 func TestWireTruncated(t *testing.T) {
 	vc := Float64Codec{}
-	buf := encodeRecoveryRecord(nil, vc, roleReplica, 1, 2, 0, -1, 0, 0, 0, 0, 1.0, false, 0, nil, nil)
+	buf := encodeRecoveryRecord(nil, vc, 1, 2, 0, 0, 0, 0, 0, 1.0, false, 0, nil, nil)
 	for cut := 1; cut < len(buf); cut++ {
 		if _, err := decodeRecordsOf(buf[:cut], vc); err == nil {
 			t.Errorf("cut at %d decoded without error", cut)
@@ -204,15 +208,15 @@ func TestWireTruncated(t *testing.T) {
 // unweighted and weighted edges, for a float64 and an int32 value codec.
 func TestRecoveryRecordSize(t *testing.T) {
 	table := &replicaTable{nodes: []int16{1, 3, 4}, pos: []int32{10, 20, 30}, ftOnly: []bool{false, true, false}, mirrorOf: []int16{1, 2}}
-	unweighted := &rawEdges{src: []graph.VertexID{5, 6}, srcMaster: []int16{0, 1}}
-	weighted := &rawEdges{src: []graph.VertexID{5, 6, 7}, wt: []float64{1, 0.5, 2}, srcMaster: []int16{0, 1, 2}}
+	unweighted := &rawEdges{src: []graph.VertexID{5, 6}}
+	weighted := &rawEdges{src: []graph.VertexID{5, 6, 7}, wt: []float64{1, 0.5, 2}}
 	for _, tab := range []*replicaTable{nil, {}, table} {
 		for _, edges := range []*rawEdges{nil, {}, unweighted, weighted} {
-			f := encodeRecoveryRecord(nil, Float64Codec{}, roleMaster, 7, 42, flagMaster, -1, 3, 7, 5, 2, 0.25, true, 9, tab, edges)
+			f := encodeRecoveryRecord(nil, Float64Codec{}, 7, 42, flagMaster, 3, 7, 5, 2, 0.25, true, 9, tab, edges)
 			if got := recoveryRecordSize[float64](Float64Codec{}, 0.25, tab, edges); got != len(f) {
 				t.Errorf("float64, table %v, edges %v: size %d, encoding %d bytes", tab, edges, got, len(f))
 			}
-			i := encodeRecoveryRecord(nil, Int32Codec{}, roleReplica, 7, 42, 0, 0, 3, 7, 5, 2, int32(-4), false, 9, tab, edges)
+			i := encodeRecoveryRecord(nil, Int32Codec{}, 7, 42, 0, 3, 7, 5, 2, int32(-4), false, 9, tab, edges)
 			if got := recoveryRecordSize[int32](Int32Codec{}, -4, tab, edges); got != len(i) {
 				t.Errorf("int32, table %v, edges %v: size %d, encoding %d bytes", tab, edges, got, len(i))
 			}
@@ -221,8 +225,8 @@ func TestRecoveryRecordSize(t *testing.T) {
 }
 
 // TestAppendTopoEdges: a master's in-edges, encoded straight from its
-// topology, are the bytes of the rawEdges list of its sources' ids, weights
-// and masters, and edgeListSize plus the flag byte is their length.
+// topology, are the bytes of the rawEdges list of its sources' ids and
+// weights, and edgeListSize plus the flag byte is their length.
 func TestAppendTopoEdges(t *testing.T) {
 	road, err := gen.Road(gen.RoadConfig{Width: 12, Height: 12, ShortcutFrac: 0.1, WeightMu: 0.4, WeightSigma: 1.2, Seed: 3, Workers: 1})
 	if err != nil {
@@ -241,11 +245,9 @@ func TestAppendTopoEdges(t *testing.T) {
 				nbr, wt := nd.in(i)
 				re := &rawEdges{wt: wt}
 				for _, sp := range nbr {
-					id := nd.hot[sp].id
-					re.src = append(re.src, id)
-					re.srcMaster = append(re.srcMaster, cl.masterLoc[id])
+					re.src = append(re.src, nd.hot[sp].id)
 				}
-				got := cl.appendTopoEdges(nil, nd, int32(i))
+				got := nd.appendTopoEdges(nil, int32(i))
 				if want := re.encode([]byte{1}); !bytes.Equal(got, want) {
 					t.Fatalf("node %d slot %d: topology encoding differs from its rawEdges", nd.id, i)
 				}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"imitator/internal/costmodel"
 	"imitator/internal/graph"
@@ -175,7 +176,7 @@ func (c *Cluster[V, A]) recoverRebirth(p *recoveryPass[V, A]) error {
 		// not this node's topology.
 		edges := 0
 		for _, k := range at {
-			if r := &recs[k]; r.role == roleMaster && r.edges != nil {
+			if r := &recs[k]; r.flags&flagMaster != 0 && r.edges != nil {
 				edges += len(r.edges.src)
 			}
 		}
@@ -184,7 +185,7 @@ func (c *Cluster[V, A]) recoverRebirth(p *recoveryPass[V, A]) error {
 		}
 		batch := newEdgeBatch(edges)
 		for pos, k := range at {
-			if r := &recs[k]; r.role == roleMaster && r.edges != nil {
+			if r := &recs[k]; r.flags&flagMaster != 0 && r.edges != nil {
 				if err := nd.batchInEdges(&batch, int32(pos), r.edges); err != nil {
 					return err
 				}
@@ -198,7 +199,6 @@ func (c *Cluster[V, A]) recoverRebirth(p *recoveryPass[V, A]) error {
 			}
 		}
 		nd.appendEdges(&batch)
-		nd.localEdges = edges
 		rec.RecoveredEdges += edges
 		reconSpan.Observe(placeCost + float64(edges)*c.cfg.Cost.ComputePerEdge)
 	}
@@ -236,15 +236,11 @@ func (c *Cluster[V, A]) stageReplicaRecovery(nd *node[V, A], s *recSink, i int, 
 	if e.isSelfish() {
 		flags |= flagSelfish
 	}
-	mirrorRank := int16(-1)
-	for rank, idx := range table.mirrorOf {
-		if int(idx) == ri {
-			flags |= flagMirror
-			mirrorRank = int16(rank)
-		}
+	if slices.Contains(table.mirrorOf, int16(ri)) {
+		flags |= flagMirror
 	}
 	if flags&flagMirror != 0 && e.isMaster() {
-		c.putMirrorRecord(s, nd, int32(i), rn, table.pos[ri], flags, mirrorRank)
+		c.putMirrorRecord(s, nd, int32(i), rn, table.pos[ri], flags)
 		return
 	}
 	var full *replicaTable
@@ -257,8 +253,7 @@ func (c *Cluster[V, A]) stageReplicaRecovery(nd *node[V, A], s *recSink, i int, 
 		}
 	}
 	s.put(rn, recoveryRecordSize(c.vc, e.value, full, edges), func(buf []byte) []byte {
-		return encodeRecoveryRecord(buf, c.vc, roleReplica,
-			table.pos[ri], e.id, flags, mirrorRank,
+		return encodeRecoveryRecord(buf, c.vc, table.pos[ri], e.id, flags,
 			e.masterNode, e.masterPos, e.inDeg, e.outDeg,
 			e.value, e.lastActivate, e.lastActivateIter, full, edges)
 	})
@@ -267,20 +262,20 @@ func (c *Cluster[V, A]) stageReplicaRecovery(nd *node[V, A], s *recSink, i int, 
 // putMirrorRecord stages for dst the record that makes the replica at rpos
 // a mirror of master slot pos: the master's state, its replica table and,
 // for edge-cut, its in-edges encoded straight from its topology.
-func (c *Cluster[V, A]) putMirrorRecord(s *recSink, nd *node[V, A], pos int32, dst int, rpos int32, flags entryFlags, rank int16) {
+func (c *Cluster[V, A]) putMirrorRecord(s *recSink, nd *node[V, A], pos int32, dst int, rpos int32, flags entryFlags) {
 	e, table := &nd.hot[pos], nd.replicas(pos)
 	size := recoveryRecordSize(c.vc, e.value, &table, nil)
 	if c.ec != nil {
 		size += edgeListSize(nd.inLen(int(pos)))
 	}
 	s.put(dst, size, func(buf []byte) []byte {
-		buf = encodeRecordHead(buf, c.vc, roleReplica, rpos, e.id, flags, rank,
+		buf = encodeRecordHead(buf, c.vc, rpos, e.id, flags,
 			e.masterNode, e.masterPos, e.inDeg, e.outDeg,
 			e.value, e.lastActivate, e.lastActivateIter, &table)
 		if c.ec == nil {
 			return putU8(buf, 0)
 		}
-		return c.appendTopoEdges(buf, nd, pos)
+		return nd.appendTopoEdges(buf, pos)
 	})
 }
 
@@ -298,8 +293,7 @@ func (c *Cluster[V, A]) stageMasterRecovery(s *recSink, nd *node[V, A], e *hot[V
 		edges = &ed
 	}
 	s.put(dst, recoveryRecordSize(c.vc, e.value, &table, edges), func(buf []byte) []byte {
-		return encodeRecoveryRecord(buf, c.vc, roleMaster,
-			e.masterPos, e.id, flags, -1,
+		return encodeRecoveryRecord(buf, c.vc, e.masterPos, e.id, flags,
 			int16(dst), e.masterPos, e.inDeg, e.outDeg,
 			e.value, e.lastActivate, e.lastActivateIter, &table, edges)
 	})
@@ -307,13 +301,12 @@ func (c *Cluster[V, A]) stageMasterRecovery(s *recSink, nd *node[V, A], e *hot[V
 
 // appendTopoEdges appends master slot i's in-edge list with its presence
 // flag, in rawEdges' encoding, straight from the slot's local topology: each
-// source's global id, the edge weight and the source's master node.
-func (c *Cluster[V, A]) appendTopoEdges(buf []byte, nd *node[V, A], i int32) []byte {
-	nbr, wt := nd.in(int(i))
+// source's global id and the edge weight (and the unread master slot).
+func (n *node[V, A]) appendTopoEdges(buf []byte, i int32) []byte {
+	nbr, wt := n.in(int(i))
 	buf = putU32(putU8(buf, 1), uint32(len(nbr)))
 	for k, sp := range nbr {
-		id := nd.hot[sp].id
-		buf = putI16(putF64(putU32(buf, uint32(id)), wt.at(k)), c.masterLoc[id])
+		buf = appendRawEdge(buf, n.hot[sp].id, wt.at(k))
 	}
 	return buf
 }
@@ -335,12 +328,10 @@ func (c *Cluster[V, A]) placeRecovered(nd *node[V, A], rec *recoveryRecord[V]) {
 	// Masters: replay re-derives activity. Replicas: the next superstep's
 	// activation broadcast refreshes them, except under always-active
 	// programs, which never broadcast.
-	e.active = c.prog.AlwaysActive()
-	if rec.role == roleMaster {
+	e.active = c.always
+	if rec.flags&flagMaster != 0 {
 		e.masterNode = int16(nd.id)
 		e.masterPos = rec.pos
-	} else if m := nd.mirror(rec.pos); m != nil {
-		m.rank = rec.mirrorRank
 	}
 }
 

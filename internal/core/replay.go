@@ -12,7 +12,7 @@ package core
 // masters on reborn nodes for Rebirth, only newly promoted masters for
 // Migration.
 func (c *Cluster[V, A]) replayActivation(iter int, isTarget func(masterNode int16, masterPos int32) bool) error {
-	always := c.prog.AlwaysActive()
+	always := c.always
 
 	// Reset the targets to their activation baseline.
 	c.runPhase(func(nd *node[V, A]) {

@@ -147,8 +147,7 @@ func (c *Cluster[V, A]) result() *Result[V] {
 	}
 	c.refreshMemoryMetrics()
 	ps := c.pool.Stats()
-	c.met.Buffers = metrics.Buffers{Gets: ps.Gets, Misses: ps.Misses, Puts: ps.Puts}
-	res.Buffers = c.met.Buffers
+	res.Buffers = metrics.Buffers{Gets: ps.Gets, Misses: ps.Misses, Puts: ps.Puts}
 	res.Metrics = c.met.Total()
 	res.MaxMemory = c.met.MaxMemoryNode()
 	res.TotalMemory = res.Metrics.MemoryBytes

@@ -244,7 +244,6 @@ func (c *Cluster[V, A]) retainPristine() {
 		c.pristine[nd.id] = &pristineNode[V]{
 			hot: slices.Clone(nd.hot), csr: nd.csr, ref: nd.ref,
 			masters: nd.masters, mirrors: nd.mirrors, tables: nd.tables, edges: nd.edges,
-			localEdges: nd.localEdges,
 		}
 	}
 }

@@ -150,6 +150,6 @@ func deepCopyTables(n nodeTables) nodeTables {
 		csr{slices.Clone(t.inStart), slices.Clone(t.outStart), slices.Clone(t.inNbr), slices.Clone(t.outNbr), slices.Clone(t.inWt)},
 		slices.Clone(n.ref), slices.Clone(n.masters), slices.Clone(n.mirrors),
 		replicaTable{slices.Clone(a.nodes), slices.Clone(a.pos), slices.Clone(a.ftOnly), slices.Clone(a.mirrorOf)},
-		rawEdges{slices.Clone(e.src), slices.Clone(e.wt), slices.Clone(e.srcMaster)},
+		rawEdges{slices.Clone(e.src), slices.Clone(e.wt)},
 	}
 }

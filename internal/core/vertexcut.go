@@ -175,7 +175,6 @@ func (c *Cluster[V, A]) bindVertexCutPhases() {
 				e.pendingValue = newV
 				e.hasPending = true
 				e.pendingScatter = scatter
-				e.pendingScatterI = int32(iter)
 				applies++
 				if scatter {
 					c.scatterMark(nd, int32(i))

@@ -126,22 +126,16 @@ func eachEdgeCkpt(data []byte, fn func(src, dst graph.VertexID, wt float64) erro
 	return nil
 }
 
-// Recovery record roles.
-const (
-	roleReplica uint8 = iota
-	roleMaster
-)
-
 // encodeRecoveryRecord serializes one recovery record. A record recreates
 // one vertex entry on the recovering node: its identity, dynamic state,
 // and — when the entry is a master or mirror — the replica location table
 // and (edge-cut) the raw in-edge list.
-func encodeRecoveryRecord[V any](buf []byte, vc Codec[V], role uint8, pos int32,
-	id graph.VertexID, flags entryFlags, mirrorRank int16,
+func encodeRecoveryRecord[V any](buf []byte, vc Codec[V], pos int32,
+	id graph.VertexID, flags entryFlags,
 	masterNode int16, masterPos int32, inDeg, outDeg int32,
 	value V, lastActivate bool, lastActivateIter int32,
 	table *replicaTable, edges *rawEdges) []byte {
-	buf = encodeRecordHead(buf, vc, role, pos, id, flags, mirrorRank, masterNode, masterPos,
+	buf = encodeRecordHead(buf, vc, pos, id, flags, masterNode, masterPos,
 		inDeg, outDeg, value, lastActivate, lastActivateIter, table)
 	if edges == nil {
 		return putU8(buf, 0)
@@ -150,16 +144,18 @@ func encodeRecoveryRecord[V any](buf []byte, vc Codec[V], role uint8, pos int32,
 }
 
 // encodeRecordHead is encodeRecoveryRecord up to the edge-list flag, for a
-// record whose list the caller appends itself (putMirrorRecord).
-func encodeRecordHead[V any](buf []byte, vc Codec[V], role uint8, pos int32,
-	id graph.VertexID, flags entryFlags, mirrorRank int16,
+// record whose list the caller appends itself (putMirrorRecord). The role
+// byte repeats the flags' master bit and the rank slot holds noNode; no
+// decoder reads either, and both stay only to keep the record's length.
+func encodeRecordHead[V any](buf []byte, vc Codec[V], pos int32,
+	id graph.VertexID, flags entryFlags,
 	masterNode int16, masterPos int32, inDeg, outDeg int32,
 	value V, lastActivate bool, lastActivateIter int32, table *replicaTable) []byte {
-	buf = putU8(buf, role)
+	buf = putU8(buf, uint8(flags&flagMaster))
 	buf = putI32(buf, pos)
 	buf = putU32(buf, uint32(id))
 	buf = putU8(buf, uint8(flags))
-	buf = putI16(buf, mirrorRank)
+	buf = putI16(buf, noNode)
 	buf = putI16(buf, masterNode)
 	buf = putI32(buf, masterPos)
 	buf = putI32(buf, inDeg)
@@ -193,13 +189,12 @@ func recoveryRecordSize[V any](vc Codec[V], value V, table *replicaTable, edges 
 // edgeListSize is the encoded length of an n-edge rawEdges list.
 func edgeListSize(n int) int { return 4 + 14*n }
 
-// recoveryRecord is the decoded form.
+// recoveryRecord is the decoded form. A record recreates a master exactly
+// when its flags carry flagMaster.
 type recoveryRecord[V any] struct {
-	role             uint8
 	pos              int32
 	id               graph.VertexID
 	flags            entryFlags
-	mirrorRank       int16
 	masterNode       int16
 	masterPos        int32
 	inDeg, outDeg    int32
@@ -214,11 +209,11 @@ type recoveryRecord[V any] struct {
 // a (on a's count pass it only sums what they need).
 func decodeRecoveryRecord[V any](r *reader, vc Codec[V], a *recArena) recoveryRecord[V] {
 	var rec recoveryRecord[V]
-	rec.role = r.u8()
+	r.u8() // role byte
 	rec.pos = r.i32()
 	rec.id = graph.VertexID(r.u32())
 	rec.flags = entryFlags(r.u8())
-	rec.mirrorRank = r.i16()
+	r.i16() // rank slot
 	rec.masterNode = r.i16()
 	rec.masterPos = r.i32()
 	rec.inDeg = r.i32()
@@ -280,7 +275,7 @@ type recArena struct {
 	recs   int
 	tables arenaOf[replicaTable]
 	edges  arenaOf[rawEdges]
-	i16    arenaOf[int16] // table hosts and mirror indexes, source masters
+	i16    arenaOf[int16] // table hosts and mirror indexes
 	i32    arenaOf[int32]
 	bools  arenaOf[bool]
 	src    arenaOf[graph.VertexID]
@@ -413,23 +408,26 @@ func decodeReplicaTable(r *reader, a *recArena) *replicaTable {
 	return t
 }
 
-// rawEdges is an in-edge list by global vertex id, with each source's
-// master node (needed to request replica creation during Migration). wt is
-// nil when every weight is 1.
+// rawEdges is an in-edge list by global vertex id. wt is nil when every
+// weight is 1.
 type rawEdges struct {
-	src       []graph.VertexID
-	wt        weights
-	srcMaster []int16
+	src []graph.VertexID
+	wt  weights
 }
 
 func (e *rawEdges) encode(buf []byte) []byte {
 	buf = putU32(buf, uint32(len(e.src)))
 	for i := range e.src {
-		buf = putU32(buf, uint32(e.src[i]))
-		buf = putF64(buf, e.wt.at(i))
-		buf = putI16(buf, e.srcMaster[i])
+		buf = appendRawEdge(buf, e.src[i], e.wt.at(i))
 	}
 	return buf
+}
+
+// appendRawEdge appends one edge of an encoded rawEdges list: the source's
+// global id, the weight, and a 2-byte slot that holds noNode. No decoder
+// reads the slot; it stays only to keep the list's length.
+func appendRawEdge(buf []byte, src graph.VertexID, wt float64) []byte {
+	return putI16(putF64(putU32(buf, uint32(src)), wt), noNode)
 }
 
 // decodeRawEdges reads an encoded list into a's arrays, keeping weights only
@@ -449,22 +447,23 @@ func decodeRawEdges(r *reader, a *recArena) *rawEdges {
 	if es := take(a.fill, &a.edges, 1); es != nil {
 		e = &es[0]
 	}
-	src, srcMaster := take(a.fill, &a.src, n), take(a.fill, &a.i16, n)
+	src := take(a.fill, &a.src, n)
 	var wt weights
 	if weighted {
 		wt = take(a.fill, &a.wt, n)
 	}
 	for k := 0; k < n; k++ {
-		id, w, m := graph.VertexID(r.u32()), r.f64(), r.i16()
+		id, w := graph.VertexID(r.u32()), r.f64()
+		r.i16() // master slot
 		if e != nil {
-			src[k], srcMaster[k] = id, m
+			src[k] = id
 			if wt != nil {
 				wt[k] = w
 			}
 		}
 	}
 	if e != nil {
-		*e = rawEdges{src: src, wt: wt, srcMaster: srcMaster}
+		*e = rawEdges{src: src, wt: wt}
 	}
 	return e
 }

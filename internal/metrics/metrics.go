@@ -144,8 +144,6 @@ type Membership struct {
 // Cluster aggregates per-node metrics.
 type Cluster struct {
 	Nodes []Node
-	// Buffers is the cluster-wide wire-buffer pool traffic.
-	Buffers Buffers
 }
 
 // NewCluster returns metrics storage for numNodes nodes.

@@ -64,7 +64,7 @@ func (b *denseMemBackend) DrainFrom(from int) {
 // denseRounds is a lossyBackend whose EndRound is the old dense loop.
 type denseRounds struct{ *lossyBackend }
 
-func (d denseRounds) EndRound(from int, aliveTo []bool) {
+func (d denseRounds) EndRound(from int, failed []bool) {
 	b := d.lossyBackend
 	links := make([][]lossyFrame, b.n) // the sender's row of the old out[from*n+to]
 	for _, fr := range b.out[from] {
@@ -72,11 +72,11 @@ func (d denseRounds) EndRound(from int, aliveTo []bool) {
 	}
 	for to := 0; to < b.n; to++ {
 		if len(links[to]) > 0 {
-			b.flushLink(from, to, aliveTo[to], links[to])
+			b.flushLink(from, to, !failed[to], links[to])
 		}
 	}
 	b.out[from] = b.out[from][:0]
-	b.inner.EndRound(from, aliveTo)
+	b.inner.EndRound(from, failed)
 }
 
 // diffNets builds the pair under test: the real backends and the dense

@@ -251,7 +251,7 @@ func (b *lossyBackend) Send(from, to int, kind Kind, payload []byte) {
 // Network's FinishRound loop) and per link in ascending receiver order,
 // which makes the RNG draw order, the order backoff seconds are summed in,
 // and with them every retransmit count and cost, deterministic.
-func (b *lossyBackend) EndRound(from int, aliveTo []bool) {
+func (b *lossyBackend) EndRound(from int, failed []bool) {
 	q := b.out[from]
 	slices.SortStableFunc(q, byDest) // stable: every link keeps its send order
 	for i := 0; i < len(q); {
@@ -259,12 +259,12 @@ func (b *lossyBackend) EndRound(from int, aliveTo []bool) {
 		for j < len(q) && q[j].to == to {
 			j++
 		}
-		b.flushLink(from, to, aliveTo[to], q[i:j])
+		b.flushLink(from, to, !failed[to], q[i:j])
 		i = j
 	}
 	clear(q) // the frames are on the wire, parked or lost: drop the buffers
 	b.out[from] = q[:0]
-	b.inner.EndRound(from, aliveTo)
+	b.inner.EndRound(from, failed)
 }
 
 // flushLink transmits one link's round of frames in order.

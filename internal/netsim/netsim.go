@@ -49,8 +49,8 @@ type Backend interface {
 	// Send enqueues one payload.
 	Send(from, to int, kind Kind, payload []byte)
 	// EndRound marks the end of from's sends for this round, to every node
-	// enabled in aliveTo.
-	EndRound(from int, aliveTo []bool)
+	// not marked in failed.
+	EndRound(from int, failed []bool)
 	// Collect returns the round's messages for `to` in ascending sender
 	// order.
 	Collect(to int) []Message
@@ -76,10 +76,8 @@ type Network struct {
 	// Cumulative per-node egress bytes, for Table 6.
 	totalOut []atomic.Int64
 
-	// aliveMask caches !failed[i]; rebuilt on SetFailed so the per-round
-	// paths stop allocating. costs is FinishRound's reusable result slice.
-	aliveMask []bool
-	costs     []float64
+	// costs is FinishRound's reusable result slice.
+	costs []float64
 
 	// Chaos degradation state, nil/zero unless a schedule installs it so the
 	// fault-free fast path does no extra work (and no extra float math).
@@ -122,19 +120,15 @@ func NewWithBackend(numNodes int, params costmodel.Params, backend Backend) (*Ne
 		return nil, err
 	}
 	n := &Network{
-		numNodes:  numNodes,
-		params:    params,
-		backend:   backend,
-		bytesOut:  make([]atomic.Int64, numNodes),
-		bytesIn:   make([]atomic.Int64, numNodes),
-		failed:    make([]bool, numNodes),
-		totalOut:  make([]atomic.Int64, numNodes),
-		aliveMask: make([]bool, numNodes),
-		costs:     make([]float64, numNodes),
-		recvErr:   make([]error, numNodes),
-	}
-	for i := range n.aliveMask {
-		n.aliveMask[i] = true
+		numNodes: numNodes,
+		params:   params,
+		backend:  backend,
+		bytesOut: make([]atomic.Int64, numNodes),
+		bytesIn:  make([]atomic.Int64, numNodes),
+		failed:   make([]bool, numNodes),
+		totalOut: make([]atomic.Int64, numNodes),
+		costs:    make([]float64, numNodes),
+		recvErr:  make([]error, numNodes),
 	}
 	return n, nil
 }
@@ -151,7 +145,6 @@ func (n *Network) SetFailed(node int, failed bool) {
 		n.backend.Drain(node)
 	}
 	n.failed[node] = failed
-	n.aliveMask[node] = !failed
 }
 
 // Failed reports whether a node is marked failed.
@@ -280,8 +273,8 @@ const headerBytes = 16
 func (n *Network) FinishRound() (costs []float64, fabric float64) {
 	n.settleRecvErrs()
 	for from := 0; from < n.numNodes; from++ {
-		if n.aliveMask[from] {
-			n.backend.EndRound(from, n.aliveMask)
+		if !n.failed[from] {
+			n.backend.EndRound(from, n.failed)
 		}
 	}
 	costs = n.costs
