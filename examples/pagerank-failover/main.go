@@ -10,6 +10,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"os"
 
 	"imitator/pkg/imitator"
 )
@@ -70,7 +71,8 @@ func main() {
 			fmt.Printf("%-26s %d retransmits, %d frames re-sequenced\n", "", o.Retransmits, o.Reordered)
 		}
 		if c.fail {
-			printTimeline(res)
+			imitator.RenderTimeline(os.Stdout, res.Trace)
+			fmt.Println()
 		}
 	}
 }
@@ -92,27 +94,4 @@ func run(g *imitator.Graph, cfg imitator.Config) *imitator.Result[float64] {
 		log.Fatal(err)
 	}
 	return res
-}
-
-func printTimeline(res *imitator.Result[float64]) {
-	fmt.Println("  timeline (simulated seconds):")
-	for _, ev := range res.Trace {
-		bar := int(ev.Duration() * 400)
-		if bar > 60 {
-			bar = 60
-		}
-		if bar < 1 {
-			bar = 1
-		}
-		fmt.Printf("    %8.3f  %-10s iter %2d  %s\n", ev.Start, ev.Kind, ev.Iter, bars(bar))
-	}
-	fmt.Println()
-}
-
-func bars(n int) string {
-	out := make([]byte, n)
-	for i := range out {
-		out[i] = '#'
-	}
-	return string(out)
 }

@@ -221,27 +221,18 @@ func (c *Cluster[V, A]) recoverCheckpoint(p *recoveryPass[V, A]) error {
 }
 
 // rebuildPristineNode recreates a node's loader state from the retained
-// pristine copy: a copy of its initial hot slots, and the topology, slab
-// handles, role slabs and arenas themselves, which stay shared
-// (pristineNode).
+// pristine node: a copy of its initial hot slots and a fresh id index, and
+// the topology, slab handles, role slabs and arenas themselves, which stay
+// shared (retainPristine).
 func (c *Cluster[V, A]) rebuildPristineNode(id int) *node[V, A] {
 	if c.pristine == nil || c.pristine[id] == nil {
 		return nil
 	}
-	src := c.pristine[id]
-	nd := &node[V, A]{
-		id:      id,
-		alive:   true,
-		met:     &c.met.Nodes[id],
-		hot:     slices.Clone(src.hot),
-		csr:     src.csr,
-		ref:     src.ref,
-		masters: src.masters,
-		mirrors: src.mirrors,
-		tables:  src.tables,
-		edges:   src.edges,
-		index:   newIndex(c.g.NumVertices()),
-	}
+	nd := new(node[V, A])
+	*nd = *c.pristine[id]
+	nd.alive, nd.met = true, &c.met.Nodes[id]
+	nd.hot = slices.Clone(nd.hot)
+	nd.index = newIndex(c.g.NumVertices())
 	for i := range nd.hot {
 		nd.index[nd.hot[i].id] = int32(i)
 	}
@@ -287,19 +278,4 @@ type replayWatch struct {
 	recIdx int
 	target int
 	start  float64
-}
-
-// pristineNode is a node's post-load state. Under checkpoint and logged
-// recovery nothing changes the topology, ref, the role slabs or the arenas
-// after load (only the replication recoveries reshape them), so these are
-// the live node's own tables, shared by every node rebuilt from them; hot is
-// a copy, since supersteps write it.
-type pristineNode[V any] struct {
-	hot     []hot[V]
-	csr     csr
-	ref     []slabRef
-	masters []tableRef
-	mirrors []mirrorState
-	tables  replicaTable
-	edges   rawEdges
 }

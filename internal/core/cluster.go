@@ -189,10 +189,11 @@ type Cluster[V, A any] struct {
 	// flog is the superstep-log runtime, nil unless Recovery is Logged.
 	flog *flogState
 
-	// pristine retains each node's post-load state under checkpoint and
-	// logged recovery, so a standby newbie can rebuild a crashed node's
-	// immutable topology (the metadata snapshot's content).
-	pristine []*pristineNode[V]
+	// pristine retains each node's post-load state, as a node holding no
+	// scratch, under checkpoint and logged recovery, so a standby newbie can
+	// rebuild a crashed node's immutable topology (the metadata snapshot's
+	// content).
+	pristine []*node[V, A]
 	// replayWatch accounts checkpoint-recovery replay time.
 	replayWatch *replayWatch
 

@@ -52,11 +52,12 @@ func BenchmarkRecoveryRecordEncode(b *testing.B) {
 		mirrorOf: []int16{2},
 	}
 	buf := make([]byte, 0, 256)
+	s := &hot[float64]{id: 42, flags: flagMaster, masterNode: 3, masterPos: 7, inDeg: 5, outDeg: 2,
+		value: 3.14, lastActivate: true, lastActivateIter: 9}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		buf = encodeRecoveryRecord(buf[:0], Float64Codec{}, 7, 42,
-			flagMaster, 3, 7, 5, 2, 3.14, true, 9, table, nil)
+		buf = encodeRecoveryRecord(buf[:0], Float64Codec{}, 7, s, table, nil)
 	}
 }
 
@@ -67,13 +68,13 @@ func BenchmarkRecoveryRecordDecode(b *testing.B) {
 		ftOnly:   []bool{false, false, true},
 		mirrorOf: []int16{2},
 	}
-	buf := encodeRecoveryRecord(nil, Float64Codec{}, 7, 42,
-		flagMaster, 3, 7, 5, 2, 3.14, true, 9, table, nil)
+	buf := encodeRecoveryRecord(nil, Float64Codec{}, 7, &hot[float64]{id: 42, flags: flagMaster,
+		masterNode: 3, masterPos: 7, inDeg: 5, outDeg: 2, value: 3.14, lastActivate: true, lastActivateIter: 9}, table, nil)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		recs, err := decodeRecordsOf(buf, Float64Codec{})
-		if err != nil || recs[0].id != 42 {
+		if err != nil || recs[0].slot.id != 42 {
 			b.Fatal("decode failed")
 		}
 	}

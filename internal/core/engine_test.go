@@ -2,7 +2,6 @@ package core_test
 
 import (
 	"container/heap"
-	"errors"
 	"math"
 	"testing"
 
@@ -337,38 +336,5 @@ func TestSelfishOptRequiresAlwaysActive(t *testing.T) {
 	cfg.MaxIter = 3
 	if _, err := core.NewCluster[float64, float64](cfg, g, algorithms.NewSSSP(0)); err != nil {
 		t.Fatalf("SSSP with selfish opt configured should load (opt ignored): %v", err)
-	}
-}
-
-// TestMasterValueInspection covers the mid-run inspection API.
-func TestMasterValueInspection(t *testing.T) {
-	g := datasets.Tiny(100, 500, 911)
-	cfg := core.DefaultConfig(core.EdgeCutMode, 3)
-	cfg.MaxIter = 3
-	cl, err := core.NewCluster[float64, float64](cfg, g, algorithms.NewPageRank(g.NumVertices()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rf := cl.ReplicationFactor(); rf < 1 {
-		t.Errorf("ReplicationFactor = %v", rf)
-	}
-	res, err := cl.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for v := 0; v < g.NumVertices(); v += 17 {
-		got, err := cl.MasterValue(graph.VertexID(v))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != res.Values[v] {
-			t.Errorf("vertex %d: MasterValue %v != result %v", v, got, res.Values[v])
-		}
-	}
-	if _, err := cl.MasterValue(0); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cl.MasterValue(graph.VertexID(g.NumVertices())); !errors.Is(err, core.ErrUnknownVertex) {
-		t.Fatalf("out-of-range MasterValue err = %v, want ErrUnknownVertex", err)
 	}
 }

@@ -499,7 +499,7 @@ func (n *node[V, A]) landRecords(recs []recoveryRecord[V]) {
 // handles returns the arena handles record r's slot keeps: a master's table,
 // a mirror's copy of it and its in-edges; nil for what the slot lacks.
 func (n *node[V, A]) handles(r *recoveryRecord[V]) (*tableRef, *edgeRef) {
-	if r.flags&flagMaster != 0 {
+	if r.slot.isMaster() {
 		return &n.masters[n.ref[r.pos].master], nil
 	}
 	if m := n.mirror(r.pos); m != nil {

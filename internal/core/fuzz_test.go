@@ -68,7 +68,8 @@ func FuzzRecoveryRecordDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0})
 	f.Add([]byte{1, 2, 3})
-	f.Add(encodeRecoveryRecord(nil, Float64Codec{}, 3, 7, flagMaster|flagSelfish, 2, 3, 4, 5, 0.25, true, 6,
+	f.Add(encodeRecoveryRecord(nil, Float64Codec{}, 3, &hot[float64]{id: 7, flags: flagMaster | flagSelfish,
+		masterNode: 2, masterPos: 3, inDeg: 4, outDeg: 5, value: 0.25, lastActivate: true, lastActivateIter: 6},
 		&replicaTable{nodes: []int16{1}, pos: []int32{9}, ftOnly: []bool{true}, mirrorOf: []int16{0}},
 		&rawEdges{src: []graph.VertexID{4}, wt: []float64{1.5}}))
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -78,9 +79,7 @@ func FuzzRecoveryRecordDecode(f *testing.F) {
 		}
 		var back []byte
 		for _, rec := range recs {
-			back = encodeRecoveryRecord(back, Float64Codec{}, rec.pos, rec.id, rec.flags,
-				rec.masterNode, rec.masterPos, rec.inDeg, rec.outDeg,
-				rec.value, rec.lastActivate, rec.lastActivateIter, rec.table, rec.edges)
+			back = encodeRecoveryRecord(back, Float64Codec{}, rec.pos, &rec.slot, rec.table, rec.edges)
 		}
 		got, err := decodeRecordsOf(back, Float64Codec{})
 		if err != nil || len(got) != len(recs) {
@@ -114,13 +113,12 @@ func decodeTwice[T any](data []byte, decode func(r *reader, a *recArena) T) (T, 
 	return decode(r, a), r
 }
 
-// sameRecord compares two decoded recovery records field by field, floats by
-// their bits.
+// sameRecord compares two decoded recovery records: their slots by value,
+// the slots' values by their bits.
 func sameRecord(a, b recoveryRecord[float64]) bool {
-	if a.pos != b.pos || a.id != b.id || a.flags != b.flags ||
-		a.masterNode != b.masterNode || a.masterPos != b.masterPos ||
-		a.inDeg != b.inDeg || a.outDeg != b.outDeg || math.Float64bits(a.value) != math.Float64bits(b.value) ||
-		a.lastActivate != b.lastActivate || a.lastActivateIter != b.lastActivateIter ||
+	as, bs := a.slot, b.slot
+	as.value, bs.value = 0, 0
+	if a.pos != b.pos || as != bs || math.Float64bits(a.slot.value) != math.Float64bits(b.slot.value) ||
 		(a.table == nil) != (b.table == nil) || (a.edges == nil) != (b.edges == nil) {
 		return false
 	}

@@ -87,6 +87,57 @@ func TestRebirthPreservesLayout(t *testing.T) {
 	}
 }
 
+// TestRebirthRestoresSlots: Rebirth recreates each of the crashed node's
+// slots at its position (§5.1.2) as the fault-free run holds it there, so
+// after the job every slot on the reborn node equals the fault-free run's
+// slot, under an always-active program and under one whose activity replay
+// rebuilds (§5.1.3). Only lastTouchedIter (read by logged recovery alone)
+// and the staged fields, which commit does not clear, are left out.
+func TestRebirthRestoresSlots(t *testing.T) {
+	g := datasets.Tiny(300, 1500, 7)
+	for _, prog := range []Program[float64, float64]{fakePR{}, fakeSSSP{}} {
+		for _, mode := range []Mode{EdgeCutMode, VertexCutMode} {
+			for _, k := range []int{1, 2} {
+				name := fmt.Sprintf("%s/%v/K=%d", prog.Name(), mode, k)
+				slots := func(crash bool) []hot[float64] {
+					cfg := DefaultConfig(mode, 4)
+					cfg.FT.K = k
+					cfg.MaxIter = 3
+					if crash {
+						cfg.Chaos = []ChaosEvent{{Kind: ChaosCrash, Iteration: 2, Phase: FailAfterBarrier, Nodes: []int{1}}}
+					}
+					cl, err := NewCluster(cfg, g, prog)
+					if err != nil {
+						t.Fatal(err)
+					}
+					res, err := cl.Run()
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					if crash && len(res.Recoveries) != 1 {
+						t.Fatalf("%s: %d recoveries, want 1", name, len(res.Recoveries))
+					}
+					s := slices.Clone(cl.nodes[1].hot)
+					for i := range s {
+						s[i].lastTouchedIter = 0
+						s[i].hasPending, s[i].pendingActive, s[i].pendingScatter, s[i].pendingValue = false, false, false, 0
+					}
+					return s
+				}
+				want, got := slots(false), slots(true)
+				if len(got) != len(want) {
+					t.Fatalf("%s: %d slots, want %d", name, len(got), len(want))
+				}
+				for i := range want {
+					if got[i] != want[i] {
+						t.Errorf("%s: slot %d = %+v, want %+v", name, i, got[i], want[i])
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestLoadInvariants checks the FT construction rules of §4: at least K
 // replicas per vertex, FT replicas are mirrors, and masters know their
 // replicas' exact positions.
@@ -100,6 +151,13 @@ func TestLoadInvariants(t *testing.T) {
 			cl, err := NewCluster[float64, float64](cfg, g, fakePR{})
 			if err != nil {
 				t.Fatal(err)
+			}
+			presences := 0
+			for _, nd := range cl.nodes {
+				presences += len(nd.hot)
+			}
+			if rf, want := cl.ReplicationFactor(), float64(presences)/float64(g.NumVertices()); rf != want || rf < float64(1+k) {
+				t.Fatalf("%v K=%d: ReplicationFactor %v, want %v (at least %d)", mode, k, rf, want, 1+k)
 			}
 			for _, nd := range cl.nodes {
 				for i := range nd.hot {

@@ -218,8 +218,8 @@ func TestReplicaTableArena(t *testing.T) {
 			rt.nodes, rt.pos, rt.ftOnly = append(rt.nodes, 3), append(rt.pos, int32(k)), append(rt.ftOnly, true)
 			ed.src = append(ed.src, graph.VertexID(k))
 		}
-		buf = encodeRecoveryRecord(buf, Float64Codec{}, int32(i), e.id, e.flags,
-			e.masterNode, e.masterPos, e.inDeg, e.outDeg, e.value, false, 0, &rt, &ed)
+		buf = encodeRecoveryRecord(buf, Float64Codec{}, int32(i), &hot[float64]{id: e.id, flags: e.flags,
+			masterNode: e.masterNode, masterPos: e.masterPos, inDeg: e.inDeg, outDeg: e.outDeg, value: e.value}, &rt, &ed)
 	}
 	recs, err := decodeRecordsOf(buf, Float64Codec{})
 	if err != nil {

@@ -594,8 +594,8 @@ func (c *Cluster[V, A]) createReplicas(ftOnly, count bool) (int, error) {
 		}
 		c.stageExact(nd.noticeBuf, met, func(s *recSink) {
 			for k := range recs {
-				mp, np := recs[k].masterPos, newPos[k]
-				s.put(int(recs[k].masterNode), 8, func(buf []byte) []byte { return putI32(putI32(buf, mp), np) })
+				mp, np := recs[k].slot.masterPos, newPos[k]
+				s.put(int(recs[k].slot.masterNode), 8, func(buf []byte) []byte { return putI32(putI32(buf, mp), np) })
 			}
 		})
 	}); err != nil {
@@ -627,31 +627,18 @@ type replicaRequest struct {
 // stageReplicaOf stages on nd the record creating a plain replica of its
 // master at pos on node dst.
 func (c *Cluster[V, A]) stageReplicaOf(s *recSink, nd *node[V, A], pos int32, dst int, flags entryFlags) {
-	e := &nd.hot[pos]
-	if e.isSelfish() {
-		flags |= flagSelfish
-	}
-	s.put(dst, recoveryRecordSize(c.vc, e.value, nil, nil), func(buf []byte) []byte {
-		return encodeRecoveryRecord(buf, c.vc, -1, e.id, flags, int16(nd.id), pos,
-			e.inDeg, e.outDeg, e.value, e.lastActivate, e.lastActivateIter, nil, nil)
-	})
+	r := nd.hot[pos]
+	r.flags = flags | r.flags&flagSelfish
+	r.masterNode, r.masterPos = int16(nd.id), pos
+	c.putRecord(s, dst, -1, &r, nil, nil)
 }
 
 // addReplica creates the local slot a replica recovery record describes
 // (cooperative replica creation, FT repair) and returns its position.
 func (c *Cluster[V, A]) addReplica(nd *node[V, A], rec *recoveryRecord[V]) int32 {
-	return nd.add(hot[V]{
-		id:               rec.id,
-		flags:            rec.flags,
-		masterNode:       rec.masterNode,
-		masterPos:        rec.masterPos,
-		inDeg:            rec.inDeg,
-		outDeg:           rec.outDeg,
-		value:            rec.value,
-		lastActivate:     rec.lastActivate,
-		lastActivateIter: rec.lastActivateIter,
-		active:           c.always,
-	})
+	s := rec.slot
+	s.active = c.always
+	return nd.add(s)
 }
 
 // plannedTo reports whether one master's plan rows create a replica on to.

@@ -163,8 +163,9 @@ func TestWireRoundTrip(t *testing.T) {
 		wt:  []float64{0.5, 1.5, 2.5},
 	}
 	vc := Float64Codec{}
-	buf := encodeRecoveryRecord(nil, vc, 7, 42, flagMaster|flagSelfish,
-		3, 7, 5, 0, 3.14, true, 9, table, edges)
+	want := hot[float64]{id: 42, flags: flagMaster | flagSelfish, masterNode: 3, masterPos: 7,
+		inDeg: 5, outDeg: 0, value: 3.14, lastActivate: true, lastActivateIter: 9}
+	buf := encodeRecoveryRecord(nil, vc, 7, &want, table, edges)
 	// The role byte repeats the master flag; the rank slot holds noNode.
 	if buf[0] != 1 || int16(binary.LittleEndian.Uint16(buf[10:])) != noNode {
 		t.Errorf("role byte %d, rank slot %x; want 1 and noNode", buf[0], buf[10:12])
@@ -177,11 +178,7 @@ func TestWireRoundTrip(t *testing.T) {
 		t.Fatalf("%d records decoded, want 1", len(recs))
 	}
 	rec := recs[0]
-	if rec.pos != 7 || rec.id != 42 ||
-		rec.flags != flagMaster|flagSelfish ||
-		rec.masterNode != 3 || rec.masterPos != 7 ||
-		rec.inDeg != 5 || rec.outDeg != 0 ||
-		rec.value != 3.14 || !rec.lastActivate || rec.lastActivateIter != 9 {
+	if rec.pos != 7 || rec.slot != want {
 		t.Errorf("rec = %+v", rec)
 	}
 	if !reflect.DeepEqual(rec.table, table) {
@@ -194,7 +191,7 @@ func TestWireRoundTrip(t *testing.T) {
 
 func TestWireTruncated(t *testing.T) {
 	vc := Float64Codec{}
-	buf := encodeRecoveryRecord(nil, vc, 1, 2, 0, 0, 0, 0, 0, 1.0, false, 0, nil, nil)
+	buf := encodeRecoveryRecord(nil, vc, 1, &hot[float64]{id: 2, value: 1.0}, nil, nil)
 	for cut := 1; cut < len(buf); cut++ {
 		if _, err := decodeRecordsOf(buf[:cut], vc); err == nil {
 			t.Errorf("cut at %d decoded without error", cut)
@@ -212,11 +209,13 @@ func TestRecoveryRecordSize(t *testing.T) {
 	weighted := &rawEdges{src: []graph.VertexID{5, 6, 7}, wt: []float64{1, 0.5, 2}}
 	for _, tab := range []*replicaTable{nil, {}, table} {
 		for _, edges := range []*rawEdges{nil, {}, unweighted, weighted} {
-			f := encodeRecoveryRecord(nil, Float64Codec{}, 7, 42, flagMaster, 3, 7, 5, 2, 0.25, true, 9, tab, edges)
+			f := encodeRecoveryRecord(nil, Float64Codec{}, 7, &hot[float64]{id: 42, flags: flagMaster, masterNode: 3,
+				masterPos: 7, inDeg: 5, outDeg: 2, value: 0.25, lastActivate: true, lastActivateIter: 9}, tab, edges)
 			if got := recoveryRecordSize[float64](Float64Codec{}, 0.25, tab, edges); got != len(f) {
 				t.Errorf("float64, table %v, edges %v: size %d, encoding %d bytes", tab, edges, got, len(f))
 			}
-			i := encodeRecoveryRecord(nil, Int32Codec{}, 7, 42, 0, 3, 7, 5, 2, int32(-4), false, 9, tab, edges)
+			i := encodeRecoveryRecord(nil, Int32Codec{}, 7, &hot[int32]{id: 42, masterNode: 3, masterPos: 7,
+				inDeg: 5, outDeg: 2, value: -4, lastActivateIter: 9}, tab, edges)
 			if got := recoveryRecordSize[int32](Int32Codec{}, -4, tab, edges); got != len(i) {
 				t.Errorf("int32, table %v, edges %v: size %d, encoding %d bytes", tab, edges, got, len(i))
 			}

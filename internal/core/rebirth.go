@@ -144,7 +144,7 @@ func (c *Cluster[V, A]) recoverRebirth(p *recoveryPass[V, A]) error {
 		// below.
 		at := make([]int32, len(nd.hot))
 		for k := range recs {
-			nd.hot[recs[k].pos].flags = recs[k].flags
+			nd.hot[recs[k].pos].flags = recs[k].slot.flags
 			at[recs[k].pos] = int32(k)
 		}
 		nd.allocSlabs()
@@ -176,7 +176,7 @@ func (c *Cluster[V, A]) recoverRebirth(p *recoveryPass[V, A]) error {
 		// not this node's topology.
 		edges := 0
 		for _, k := range at {
-			if r := &recs[k]; r.flags&flagMaster != 0 && r.edges != nil {
+			if r := &recs[k]; r.slot.isMaster() && r.edges != nil {
 				edges += len(r.edges.src)
 			}
 		}
@@ -185,7 +185,7 @@ func (c *Cluster[V, A]) recoverRebirth(p *recoveryPass[V, A]) error {
 		}
 		batch := newEdgeBatch(edges)
 		for pos, k := range at {
-			if r := &recs[k]; r.flags&flagMaster != 0 && r.edges != nil {
+			if r := &recs[k]; r.slot.isMaster() && r.edges != nil {
 				if err := nd.batchInEdges(&batch, int32(pos), r.edges); err != nil {
 					return err
 				}
@@ -228,34 +228,33 @@ func (c *Cluster[V, A]) recoverRebirth(p *recoveryPass[V, A]) error {
 // replica was a mirror, the record carries the full state (table and, for
 // edge-cut, the master's in-edges) so the mirror can be recreated intact.
 func (c *Cluster[V, A]) stageReplicaRecovery(nd *node[V, A], s *recSink, i int, table *replicaTable, ri, rn int) {
-	e := &nd.hot[i]
-	flags := entryFlags(0)
+	r := nd.hot[i]
+	r.flags &= flagSelfish
 	if table.ftOnly[ri] {
-		flags |= flagFTOnly
+		r.flags |= flagFTOnly
 	}
-	if e.isSelfish() {
-		flags |= flagSelfish
-	}
-	if slices.Contains(table.mirrorOf, int16(ri)) {
-		flags |= flagMirror
-	}
-	if flags&flagMirror != 0 && e.isMaster() {
-		c.putMirrorRecord(s, nd, int32(i), rn, table.pos[ri], flags)
+	if !slices.Contains(table.mirrorOf, int16(ri)) {
+		c.putRecord(s, rn, table.pos[ri], &r, nil, nil)
 		return
 	}
-	var full *replicaTable
-	var edges *rawEdges
-	if flags&flagMirror != 0 {
-		full = table
-		if c.ec != nil {
-			ed := nd.edges.at(nd.mirror(int32(i)).edges)
-			edges = &ed
-		}
+	r.flags |= flagMirror
+	if nd.hot[i].isMaster() {
+		c.putMirrorRecord(s, nd, int32(i), rn, table.pos[ri], r.flags)
+		return
 	}
-	s.put(rn, recoveryRecordSize(c.vc, e.value, full, edges), func(buf []byte) []byte {
-		return encodeRecoveryRecord(buf, c.vc, table.pos[ri], e.id, flags,
-			e.masterNode, e.masterPos, e.inDeg, e.outDeg,
-			e.value, e.lastActivate, e.lastActivateIter, full, edges)
+	var edges *rawEdges
+	if c.ec != nil {
+		ed := nd.edges.at(nd.mirror(int32(i)).edges)
+		edges = &ed
+	}
+	c.putRecord(s, rn, table.pos[ri], &r, table, edges)
+}
+
+// putRecord stages for dst the record that recreates slot r at pos, with
+// the table and edge list it keeps (nil when it keeps none).
+func (c *Cluster[V, A]) putRecord(s *recSink, dst int, pos int32, r *hot[V], table *replicaTable, edges *rawEdges) {
+	s.put(dst, recoveryRecordSize(c.vc, r.value, table, edges), func(buf []byte) []byte {
+		return encodeRecoveryRecord(buf, c.vc, pos, r, table, edges)
 	})
 }
 
@@ -263,15 +262,14 @@ func (c *Cluster[V, A]) stageReplicaRecovery(nd *node[V, A], s *recSink, i int, 
 // a mirror of master slot pos: the master's state, its replica table and,
 // for edge-cut, its in-edges encoded straight from its topology.
 func (c *Cluster[V, A]) putMirrorRecord(s *recSink, nd *node[V, A], pos int32, dst int, rpos int32, flags entryFlags) {
-	e, table := &nd.hot[pos], nd.replicas(pos)
-	size := recoveryRecordSize(c.vc, e.value, &table, nil)
+	r, table := nd.hot[pos], nd.replicas(pos)
+	r.flags = flags
+	size := recoveryRecordSize(c.vc, r.value, &table, nil)
 	if c.ec != nil {
 		size += edgeListSize(nd.inLen(int(pos)))
 	}
 	s.put(dst, size, func(buf []byte) []byte {
-		buf = encodeRecordHead(buf, c.vc, rpos, e.id, flags,
-			e.masterNode, e.masterPos, e.inDeg, e.outDeg,
-			e.value, e.lastActivate, e.lastActivateIter, &table)
+		buf = encodeRecordHead(buf, c.vc, rpos, &r, &table)
 		if c.ec == nil {
 			return putU8(buf, 0)
 		}
@@ -282,21 +280,15 @@ func (c *Cluster[V, A]) putMirrorRecord(s *recSink, nd *node[V, A], pos int32, d
 // stageMasterRecovery emits the record recreating the master that lived on
 // the failed node, from the full state m of this surviving mirror on nd.
 func (c *Cluster[V, A]) stageMasterRecovery(s *recSink, nd *node[V, A], e *hot[V], m *mirrorState, dst int) {
-	flags := flagMaster
-	if e.isSelfish() {
-		flags |= flagSelfish
-	}
+	r := *e
+	r.flags = flagMaster | e.flags&flagSelfish
 	table := nd.tables.at(m.table)
 	var edges *rawEdges
 	if c.ec != nil {
 		ed := nd.edges.at(m.edges)
 		edges = &ed
 	}
-	s.put(dst, recoveryRecordSize(c.vc, e.value, &table, edges), func(buf []byte) []byte {
-		return encodeRecoveryRecord(buf, c.vc, e.masterPos, e.id, flags,
-			int16(dst), e.masterPos, e.inDeg, e.outDeg,
-			e.value, e.lastActivate, e.lastActivateIter, &table, edges)
-	})
+	c.putRecord(s, dst, e.masterPos, &r, &table, edges)
 }
 
 // appendTopoEdges appends master slot i's in-edge list with its presence
@@ -316,23 +308,15 @@ func (n *node[V, A]) appendTopoEdges(buf []byte, i int32) []byte {
 // role slabs and lands the records' tables and edge lists before, and
 // rebuilds the id index after all placements land.
 func (c *Cluster[V, A]) placeRecovered(nd *node[V, A], rec *recoveryRecord[V]) {
-	e := &nd.hot[rec.pos]
-	e.id = rec.id
-	e.masterNode = rec.masterNode
-	e.masterPos = rec.masterPos
-	e.inDeg = rec.inDeg
-	e.outDeg = rec.outDeg
-	e.value = rec.value
-	e.lastActivate = rec.lastActivate
-	e.lastActivateIter = rec.lastActivateIter
+	s := rec.slot
 	// Masters: replay re-derives activity. Replicas: the next superstep's
 	// activation broadcast refreshes them, except under always-active
 	// programs, which never broadcast.
-	e.active = c.always
-	if rec.flags&flagMaster != 0 {
-		e.masterNode = int16(nd.id)
-		e.masterPos = rec.pos
+	s.active = c.always
+	if s.isMaster() {
+		s.masterNode, s.masterPos = int16(nd.id), rec.pos
 	}
+	nd.hot[rec.pos] = s
 }
 
 // lowestSurvivingMirror returns the node hosting the lowest-ranked

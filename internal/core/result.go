@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"imitator/internal/graph"
 	"imitator/internal/metrics"
 	"imitator/internal/netsim"
 )
@@ -171,25 +170,6 @@ func (c *Cluster[V, A]) result() *Result[V] {
 		res.Membership = c.chaos.det.membership()
 	}
 	return res
-}
-
-// MasterValue returns the committed value of a vertex's current master;
-// exported for tests and examples that inspect mid-run state.
-func (c *Cluster[V, A]) MasterValue(v graph.VertexID) (V, error) {
-	var zero V
-	if int(v) >= len(c.masterLoc) {
-		return zero, fmt.Errorf("%w: vertex %d outside [0, %d)", ErrUnknownVertex, v, len(c.masterLoc))
-	}
-	mn := c.masterLoc[v]
-	nd := c.nodes[mn]
-	if nd == nil || !nd.alive {
-		return zero, fmt.Errorf("core: master node %d of vertex %d is down", mn, v)
-	}
-	p, ok := nd.pos(v)
-	if !ok || !nd.hot[p].isMaster() {
-		return zero, fmt.Errorf("core: vertex %d has no master entry on node %d", v, mn)
-	}
-	return nd.hot[p].value, nil
 }
 
 // ReplicationFactor returns total presences divided by vertex count, after

@@ -234,15 +234,17 @@ func (p *recoveryPass[V, A]) barrier(slot *float64) error {
 
 // retainPristine keeps each node's post-load state and writes the per-node
 // metadata snapshots; rebuilt newbies (checkpoint and logged recovery) start
-// from these. Only hot is copied: the other tables are immutable from here
-// on under these two recoveries (pristineNode) and are kept by reference.
+// from these. The pristine node holds a copy of hot, which supersteps write,
+// and shares the rest: under these two recoveries nothing changes the
+// topology, ref, the role slabs or the arenas after load (only the
+// replication recoveries reshape them).
 func (c *Cluster[V, A]) retainPristine() {
-	c.pristine = make([]*pristineNode[V], c.cfg.NumNodes)
+	c.pristine = make([]*node[V, A], c.cfg.NumNodes)
 	for _, nd := range c.nodes {
 		meta := c.encodeMetadataSnapshot(nd) // exactly sized; the DFS keeps it
 		c.loadSeconds += c.dfsWriteCost(nd, fmt.Sprintf("ckptmeta/%d", nd.id), meta)
-		c.pristine[nd.id] = &pristineNode[V]{
-			hot: slices.Clone(nd.hot), csr: nd.csr, ref: nd.ref,
+		c.pristine[nd.id] = &node[V, A]{
+			id: nd.id, hot: slices.Clone(nd.hot), csr: nd.csr, ref: nd.ref,
 			masters: nd.masters, mirrors: nd.mirrors, tables: nd.tables, edges: nd.edges,
 		}
 	}

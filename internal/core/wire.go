@@ -127,16 +127,11 @@ func eachEdgeCkpt(data []byte, fn func(src, dst graph.VertexID, wt float64) erro
 }
 
 // encodeRecoveryRecord serializes one recovery record. A record recreates
-// one vertex entry on the recovering node: its identity, dynamic state,
-// and — when the entry is a master or mirror — the replica location table
-// and (edge-cut) the raw in-edge list.
-func encodeRecoveryRecord[V any](buf []byte, vc Codec[V], pos int32,
-	id graph.VertexID, flags entryFlags,
-	masterNode int16, masterPos int32, inDeg, outDeg int32,
-	value V, lastActivate bool, lastActivateIter int32,
-	table *replicaTable, edges *rawEdges) []byte {
-	buf = encodeRecordHead(buf, vc, pos, id, flags, masterNode, masterPos,
-		inDeg, outDeg, value, lastActivate, lastActivateIter, table)
+// one vertex slot s at position pos on the recovering node: the slot's
+// identity and dynamic state, and — when the slot is a master or mirror —
+// the replica location table and (edge-cut) the raw in-edge list.
+func encodeRecoveryRecord[V any](buf []byte, vc Codec[V], pos int32, s *hot[V], table *replicaTable, edges *rawEdges) []byte {
+	buf = encodeRecordHead(buf, vc, pos, s, table)
 	if edges == nil {
 		return putU8(buf, 0)
 	}
@@ -147,22 +142,21 @@ func encodeRecoveryRecord[V any](buf []byte, vc Codec[V], pos int32,
 // record whose list the caller appends itself (putMirrorRecord). The role
 // byte repeats the flags' master bit and the rank slot holds noNode; no
 // decoder reads either, and both stay only to keep the record's length.
-func encodeRecordHead[V any](buf []byte, vc Codec[V], pos int32,
-	id graph.VertexID, flags entryFlags,
-	masterNode int16, masterPos int32, inDeg, outDeg int32,
-	value V, lastActivate bool, lastActivateIter int32, table *replicaTable) []byte {
-	buf = putU8(buf, uint8(flags&flagMaster))
+// s's flags travel whole, so a stager passes a copy of its slot with flags
+// built from the roles: the recovery-work flags stay home (entry.go).
+func encodeRecordHead[V any](buf []byte, vc Codec[V], pos int32, s *hot[V], table *replicaTable) []byte {
+	buf = putU8(buf, uint8(s.flags&flagMaster))
 	buf = putI32(buf, pos)
-	buf = putU32(buf, uint32(id))
-	buf = putU8(buf, uint8(flags))
+	buf = putU32(buf, uint32(s.id))
+	buf = putU8(buf, uint8(s.flags))
 	buf = putI16(buf, noNode)
-	buf = putI16(buf, masterNode)
-	buf = putI32(buf, masterPos)
-	buf = putI32(buf, inDeg)
-	buf = putI32(buf, outDeg)
-	buf = vc.Append(buf, value)
-	buf = putBool(buf, lastActivate)
-	buf = putI32(buf, lastActivateIter)
+	buf = putI16(buf, s.masterNode)
+	buf = putI32(buf, s.masterPos)
+	buf = putI32(buf, s.inDeg)
+	buf = putI32(buf, s.outDeg)
+	buf = vc.Append(buf, s.value)
+	buf = putBool(buf, s.lastActivate)
+	buf = putI32(buf, s.lastActivateIter)
 	if table == nil {
 		return putU8(buf, 0)
 	}
@@ -189,38 +183,33 @@ func recoveryRecordSize[V any](vc Codec[V], value V, table *replicaTable, edges 
 // edgeListSize is the encoded length of an n-edge rawEdges list.
 func edgeListSize(n int) int { return 4 + 14*n }
 
-// recoveryRecord is the decoded form. A record recreates a master exactly
-// when its flags carry flagMaster.
+// recoveryRecord is the decoded form: the slot it recreates at pos, with
+// the table and edge list that slot keeps. A record recreates a master
+// exactly when the slot's flags carry flagMaster.
 type recoveryRecord[V any] struct {
-	pos              int32
-	id               graph.VertexID
-	flags            entryFlags
-	masterNode       int16
-	masterPos        int32
-	inDeg, outDeg    int32
-	value            V
-	lastActivate     bool
-	lastActivateIter int32
-	table            *replicaTable
-	edges            *rawEdges
+	pos   int32
+	slot  hot[V]
+	table *replicaTable
+	edges *rawEdges
 }
 
 // decodeRecoveryRecord reads one record, carving its table and edge list off
 // a (on a's count pass it only sums what they need).
 func decodeRecoveryRecord[V any](r *reader, vc Codec[V], a *recArena) recoveryRecord[V] {
 	var rec recoveryRecord[V]
+	s := &rec.slot
 	r.u8() // role byte
 	rec.pos = r.i32()
-	rec.id = graph.VertexID(r.u32())
-	rec.flags = entryFlags(r.u8())
+	s.id = graph.VertexID(r.u32())
+	s.flags = entryFlags(r.u8())
 	r.i16() // rank slot
-	rec.masterNode = r.i16()
-	rec.masterPos = r.i32()
-	rec.inDeg = r.i32()
-	rec.outDeg = r.i32()
-	rec.value = readValue(r, vc)
-	rec.lastActivate = r.bool()
-	rec.lastActivateIter = r.i32()
+	s.masterNode = r.i16()
+	s.masterPos = r.i32()
+	s.inDeg = r.i32()
+	s.outDeg = r.i32()
+	s.value = readValue(r, vc)
+	s.lastActivate = r.bool()
+	s.lastActivateIter = r.i32()
 	if r.bool() {
 		rec.table = decodeReplicaTable(r, a)
 	}
