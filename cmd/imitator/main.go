@@ -5,10 +5,10 @@
 // Examples:
 //
 //	imitator -dataset ljournal -algo pagerank -nodes 8 -iters 10
-//	imitator -dataset wiki -algo pagerank -ft migration -fail-iter 5 -fail-nodes 2,3
+//	imitator -dataset wiki -algo pagerank -ft migration -chaos 'crash@5b=2,3'
 //	imitator -dataset roadca -algo sssp -mode vertexcut -partitioner hybrid
-//	imitator -dataset ljournal -algo pagerank -ft checkpoint -ckpt-interval 2 -fail-iter 5 -fail-nodes 1
-//	imitator -dataset wiki -algo pagerank -ft logged -compact-every 4 -fail-iter 5
+//	imitator -dataset ljournal -algo pagerank -ft checkpoint -ckpt-interval 2 -chaos 'crash@5b=1'
+//	imitator -dataset wiki -algo pagerank -ft logged -compact-every 4 -chaos 'crash@5b=1'
 //	imitator -dataset wiki -algo pagerank -ft migration -chaos 'crash@3b=1|crashrec@migration:repair=4|slow@2=0>3x8'
 //	imitator -dataset wiki -algo pagerank -chaos 'drop@1=0>2x0.3|part@2~5=1' -chaos-seed 42
 //	imitator -dataset gweb -algo pagerank -serve -queries 2000 -chaos 'crash@3b=1'
@@ -20,8 +20,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
-	"strings"
 
 	"imitator/internal/serveload"
 	"imitator/pkg/imitator"
@@ -49,8 +47,6 @@ func run(args []string) error {
 		selfish     = fs.Bool("selfish-opt", true, "replication/migration: enable the selfish-vertex optimization")
 		ckptIvl     = fs.Int("ckpt-interval", 1, "checkpoint: snapshot interval in iterations")
 		compactIvl  = fs.Int("compact-every", 0, "logged: write a full log record every n supersteps to bound replay (0 = never)")
-		failIter    = fs.Int("fail-iter", -1, "iteration at which to crash nodes (-1 = no failure)")
-		failNodes   = fs.String("fail-nodes", "1", "comma-separated node ids to crash")
 		chaosSched  = fs.String("chaos", "", "failure schedule: crash@<iter><b|a>=<nodes>, crashrec[@label]=<nodes>, slow@<iter>=<from>><to>x<factor>, delay@<iter>=<seconds>, drop@<iter>=<from>><to>x<prob>, dup@<iter>=<from>><to>x<prob>, reorder@<iter>=<from>><to>x<prob>, part@<iter>~<heal>=<nodes>, joined by '|'")
 		chaosSeed   = fs.Uint64("chaos-seed", 0, "seed for the deterministic per-link omission-fault generators (drop/dup/reorder)")
 		membership  = fs.String("membership", "centralized", "failure detector for chaos crashes: centralized (heartbeat monitor) or gossip (SWIM probing over lossy datagrams)")
@@ -103,17 +99,6 @@ func run(args []string) error {
 	opts = append(opts, imitator.WithFTStrategy(strat))
 	if *serve {
 		opts = append(opts, imitator.WithServe(imitator.ServeStalenessBound(*staleness)))
-	}
-	if *failIter >= 0 {
-		var crash []int
-		for _, tok := range strings.Split(*failNodes, ",") {
-			n, err := strconv.Atoi(strings.TrimSpace(tok))
-			if err != nil {
-				return fmt.Errorf("bad -fail-nodes: %w", err)
-			}
-			crash = append(crash, n)
-		}
-		opts = append(opts, imitator.WithFailures(imitator.Crash(*failIter, imitator.FailBeforeBarrier, crash...)))
 	}
 	if *chaosSched != "" {
 		sched, err := imitator.ParseFailureSchedule(*chaosSched)

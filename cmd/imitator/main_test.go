@@ -14,7 +14,7 @@ func TestListFlag(t *testing.T) {
 func TestSmallJob(t *testing.T) {
 	err := run([]string{
 		"-dataset", "dblp", "-algo", "cd", "-nodes", "4", "-iters", "3",
-		"-ft", "migration", "-fail-iter", "1",
+		"-ft", "migration", "-chaos", "crash@1b=1",
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -34,7 +34,7 @@ func TestVertexCutJob(t *testing.T) {
 func TestCheckpointJob(t *testing.T) {
 	err := run([]string{
 		"-dataset", "dblp", "-algo", "pagerank", "-nodes", "4", "-iters", "4",
-		"-ft", "checkpoint", "-ckpt-interval", "2", "-fail-iter", "3",
+		"-ft", "checkpoint", "-ckpt-interval", "2", "-chaos", "crash@3b=1",
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -44,7 +44,7 @@ func TestCheckpointJob(t *testing.T) {
 func TestLoggedJob(t *testing.T) {
 	err := run([]string{
 		"-dataset", "dblp", "-algo", "pagerank", "-nodes", "4", "-iters", "5",
-		"-ft", "logged", "-compact-every", "2", "-fail-iter", "3",
+		"-ft", "logged", "-compact-every", "2", "-chaos", "crash@3b=1",
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -68,7 +68,6 @@ func TestBadFlags(t *testing.T) {
 		{"-ft", "prayer"},
 		{"-partitioner", "vibes"},
 		{"-dataset", "nope", "-iters", "1"},
-		{"-fail-iter", "1", "-fail-nodes", "x"},
 		{"-algo", "sort", "-iters", "1"},
 		{"-chaos", "crash@2=1"},
 		{"-chaos", "boom@2b=1", "-iters", "1"},

@@ -211,6 +211,8 @@ func TestChaosEveryNodeCrashes(t *testing.T) {
 			{"at the barrier", core.RecoverRebirth, crashAt(3, core.FailBeforeBarrier, 0, 1, 2, 3)},
 			{"during recovery", core.RecoverMigration, append(crashAt(3, core.FailBeforeBarrier, 0),
 				core.ChaosEvent{Kind: core.ChaosCrashDuringRecovery, Nodes: []int{1, 2, 3}})},
+			{"after the moves", core.RecoverMigration, append(crashAt(3, core.FailBeforeBarrier, 0),
+				core.ChaosEvent{Kind: core.ChaosCrashDuringRecovery, During: "migration:moved", Nodes: []int{1, 2, 3}})},
 		} {
 			cfg := ftConfig(mode, 4, 8, 1, tc.rec)
 			cfg.Chaos = tc.sched

@@ -218,6 +218,12 @@ func (c *Cluster[V, A]) recoverMigration(p *recoveryPass[V, A]) error {
 		// Each survivor reads its own file of every failed node; files
 		// addressed to other failed nodes are reassigned round-robin.
 		alive := c.aliveNodes()
+		if len(alive) == 0 {
+			// The last survivors died after the moves: nobody can read the
+			// files, and the barrier reports the job lost.
+			_, err := c.barrier()
+			return err
+		}
 		orphanIdx := 0
 		var span costmodel.Span
 		for _, f := range failed {

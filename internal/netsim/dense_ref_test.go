@@ -33,8 +33,8 @@ func newDenseMemBackend(numNodes int) *denseMemBackend {
 	return &denseMemBackend{boxes: boxes, out: make([][]Message, numNodes)}
 }
 
-func (b *denseMemBackend) Send(from, to int, kind Kind, payload []byte) {
-	b.boxes[to][from] = append(b.boxes[to][from], Message{From: from, Kind: kind, Payload: payload})
+func (b *denseMemBackend) Send(to int, m Message) {
+	b.boxes[to][m.From] = append(b.boxes[to][m.From], m)
 }
 
 func (b *denseMemBackend) EndRound(int, []bool) {}

@@ -11,7 +11,8 @@
 //
 // Reliability is sender-driven and round-synchronous, matching the BSP
 // shape of the engine: frames carry an envelope (envelope.go: per-link
-// sequence number plus sender/receiver membership epochs), the sender
+// sequence number plus sender/receiver membership epochs, held in the
+// Message and charged as wire bytes), the sender
 // retransmits a dropped frame until it traverses — charging every retry
 // and a bounded exponential backoff through the cost model — and the
 // receiver deduplicates by sequence number, restores FIFO order, and
@@ -79,29 +80,14 @@ type linkFaults struct {
 
 func (f linkFaults) none() bool { return f.drop == 0 && f.dup == 0 && f.reorder == 0 }
 
-// lossyFrame is one enveloped frame queued at its sender for the link to
-// `to`.
+// lossyFrame is one frame on the link m.From -> to: queued at its sender
+// for the round, or parked in the cable by a partition.
 type lossyFrame struct {
-	to   int
-	kind Kind
-	buf  []byte // envelope + payload copy, owned by the layer until delivery
+	to int
+	m  Message
 }
 
 func byDest(a, b lossyFrame) int { return a.to - b.to }
-
-// parkedFrame is a frame caught in the cable by a partition.
-type parkedFrame struct {
-	from, to int
-	kind     Kind
-	buf      []byte
-}
-
-// rxEntry is Collect's per-frame parse scratch.
-type rxEntry struct {
-	env     envelope
-	kind    Kind
-	payload []byte
-}
 
 // lossyStats is the internal, concurrency-safe form of OmissionStats.
 // Collect runs concurrently across receivers, so counters it touches are
@@ -168,10 +154,9 @@ type lossyBackend struct {
 	nextSeq  []map[int]uint32 // [from][to] next sequence to stamp
 	recvNext []map[int]uint32 // [to][from] next sequence to deliver
 	out      [][]lossyFrame   // [from] frames queued this round, in send order
-	parked   []parkedFrame
+	parked   []lossyFrame
 
-	delay  []float64   // per-sender backoff seconds, drained by FinishRound
-	colEnt [][]rxEntry // per-receiver parse scratch
+	delay []float64 // per-sender backoff seconds, drained by FinishRound
 
 	stats lossyStats
 }
@@ -191,7 +176,6 @@ func newLossyBackend(inner Backend, net *Network, seed uint64) *lossyBackend {
 		recvNext: make([]map[int]uint32, n),
 		out:      make([][]lossyFrame, n),
 		delay:    make([]float64, n),
-		colEnt:   make([][]rxEntry, n),
 	}
 	slab := make([]lossyFrame, queueSlots*n)
 	for i := range b.epochs {
@@ -214,34 +198,33 @@ func (b *lossyBackend) linkRNG(link [2]int) rng.Source {
 	return *rng.New(b.seed ^ rng.Hash2(uint64(link[0])+1, uint64(link[1])+1))
 }
 
-// Send implements Backend: the payload is copied behind an envelope and
-// queued on the sender-side link; the envelope's wire overhead is
+// isDatagram reports whether frames of kind k are best-effort.
+func (b *lossyBackend) isDatagram(k Kind) bool { return k != 0 && k == b.datagram }
+
+// Send implements Backend: a reliable message is stamped with its envelope
+// and queued on the sender-side link; the envelope's wire overhead is
 // charged immediately (the base payload was charged by Network.Send).
 // Self-sends bypass the protocol: a node cannot lose a frame to itself.
-func (b *lossyBackend) Send(from, to int, kind Kind, payload []byte) {
+func (b *lossyBackend) Send(to int, m Message) {
+	from := m.From
 	if from == to {
-		b.inner.Send(from, to, kind, payload)
+		b.inner.Send(to, m)
 		return
 	}
-	if kind != 0 && kind == b.datagram {
-		// Best-effort frames skip the envelope and the sequence space: they
-		// are allowed to vanish, so the receiver must not see a gap.
-		b.out[from] = append(b.out[from], lossyFrame{to: to, kind: kind, buf: payload})
-		return
+	// Best-effort frames skip the envelope and the sequence space: they are
+	// allowed to vanish, so the receiver must not see a gap.
+	if !b.isDatagram(m.Kind) {
+		m.env = envelope{
+			seq:         b.nextSeq[from][to],
+			senderEpoch: b.epochs[from],
+			recvEpoch:   b.epochs[to],
+		}
+		b.nextSeq[from][to] = m.env.seq + 1
+		b.net.bytesOut[from].Add(envelopeLen)
+		b.net.bytesIn[to].Add(envelopeLen)
+		b.net.totalOut[from].Add(envelopeLen)
 	}
-	env := envelope{
-		seq:         b.nextSeq[from][to],
-		senderEpoch: b.epochs[from],
-		recvEpoch:   b.epochs[to],
-	}
-	b.nextSeq[from][to] = env.seq + 1
-	buf := make([]byte, 0, envelopeLen+len(payload))
-	buf = appendEnvelope(buf, env)
-	buf = append(buf, payload...)
-	b.out[from] = append(b.out[from], lossyFrame{to: to, kind: kind, buf: buf})
-	b.net.bytesOut[from].Add(envelopeLen)
-	b.net.bytesIn[to].Add(envelopeLen)
-	b.net.totalOut[from].Add(envelopeLen)
+	b.out[from] = append(b.out[from], lossyFrame{to: to, m: m})
 }
 
 // EndRound implements Backend: every queued frame of every link from
@@ -272,13 +255,13 @@ func (b *lossyBackend) flushLink(from, to int, alive bool, q []lossyFrame) {
 	link := [2]int{from, to}
 	if b.cut[link] {
 		for i := range q {
-			if q[i].kind != 0 && q[i].kind == b.datagram {
+			if b.isDatagram(q[i].m.Kind) {
 				// A datagram in a cut cable is simply gone; parking and
 				// re-releasing stale probes on heal would model TCP, not UDP.
 				b.stats.datagramsLost.Add(1)
 				continue
 			}
-			b.parked = append(b.parked, parkedFrame{from: from, to: to, kind: q[i].kind, buf: q[i].buf})
+			b.parked = append(b.parked, q[i])
 			b.stats.parked.Add(1)
 		}
 		return
@@ -304,18 +287,18 @@ func (b *lossyBackend) flushLink(from, to int, alive bool, q []lossyFrame) {
 			b.stats.reordered.Add(1)
 			continue
 		}
-		if b.transmit(from, to, fr, f, src) {
+		if b.transmit(fr, f, src) {
 			retx = true
 		}
 		if held != nil {
-			if b.transmit(from, to, held, f, src) {
+			if b.transmit(held, f, src) {
 				retx = true
 			}
 			held = nil
 		}
 	}
 	if held != nil {
-		if b.transmit(from, to, held, f, src) {
+		if b.transmit(held, f, src) {
 			retx = true
 		}
 	}
@@ -333,65 +316,62 @@ func (b *lossyBackend) flushLink(from, to int, alive bool, q []lossyFrame) {
 	}
 }
 
-// transmit pushes one frame across the wire, retransmitting after every
-// loss with bounded exponential backoff. Each retry re-charges the frame
-// bytes; the first traversal was charged at Network.Send. Reports
-// whether any retransmission happened.
-func (b *lossyBackend) transmit(from, to int, fr *lossyFrame, f linkFaults, src *rng.Source) (retx bool) {
-	size := int64(len(fr.buf)) + headerBytes
-	if fr.kind != 0 && fr.kind == b.datagram {
-		// Best-effort: one drop fate loses the frame outright — no
-		// retransmission, no backoff. Duplication still applies below.
-		if src != nil && f.drop > 0 && src.Float64() < f.drop {
-			b.stats.datagramsLost.Add(1)
-			return false
-		}
-		b.inner.Send(from, to, fr.kind, fr.buf)
-		if src != nil && f.dup > 0 && src.Float64() < f.dup {
-			b.stats.dupDelivered.Add(1)
-			b.net.bytesOut[from].Add(size)
-			b.net.bytesIn[to].Add(size)
-			b.net.totalOut[from].Add(size)
-			b.inner.Send(from, to, fr.kind, fr.buf)
-		}
-		return false
+// transmit pushes one frame across the wire, retransmitting a reliable
+// frame after every loss with bounded exponential backoff; a datagram's
+// first loss is final. Each retry re-charges the frame bytes; the first
+// traversal was charged at Send. Reports whether any retransmission
+// happened.
+func (b *lossyBackend) transmit(fr *lossyFrame, f linkFaults, src *rng.Source) (retx bool) {
+	from, to := fr.m.From, fr.to
+	datagram := b.isDatagram(fr.m.Kind)
+	size := int64(len(fr.m.Payload)) + headerBytes
+	if !datagram {
+		size += envelopeLen
 	}
 	if src != nil && f.drop > 0 {
-		attempt := 1
-		for src.Float64() < f.drop {
-			attempt++
-			if attempt > maxRetxAttempts {
-				b.net.recordErr(fmt.Errorf("netsim: link %d->%d lost a frame %d times in a row; drop rate too high", from, to, maxRetxAttempts))
-				return retx
+		if datagram {
+			if src.Float64() < f.drop {
+				b.stats.datagramsLost.Add(1)
+				return false
 			}
-			retx = true
-			b.stats.retransmits.Add(1)
-			b.stats.retxBytes.Add(size)
-			b.net.bytesOut[from].Add(size)
-			b.net.bytesIn[to].Add(size)
-			b.net.totalOut[from].Add(size)
-			d := b.net.params.RetxBackoff(attempt - 1)
-			b.delay[from] += d
-			b.stats.backoffSecond += d
+		} else {
+			attempt := 1
+			for src.Float64() < f.drop {
+				attempt++
+				if attempt > maxRetxAttempts {
+					if b.net.err == nil {
+						b.net.err = fmt.Errorf("netsim: link %d->%d lost a frame %d times in a row; drop rate too high", from, to, maxRetxAttempts)
+					}
+					return retx
+				}
+				retx = true
+				b.stats.retransmits.Add(1)
+				b.stats.retxBytes.Add(size)
+				b.net.bytesOut[from].Add(size)
+				b.net.bytesIn[to].Add(size)
+				b.net.totalOut[from].Add(size)
+				d := b.net.params.RetxBackoff(attempt - 1)
+				b.delay[from] += d
+				b.stats.backoffSecond += d
+			}
 		}
 	}
-	b.inner.Send(from, to, fr.kind, fr.buf)
+	b.inner.Send(to, fr.m)
 	if src != nil && f.dup > 0 && src.Float64() < f.dup {
 		b.stats.dupDelivered.Add(1)
 		b.net.bytesOut[from].Add(size)
 		b.net.bytesIn[to].Add(size)
 		b.net.totalOut[from].Add(size)
-		b.inner.Send(from, to, fr.kind, fr.buf)
+		b.inner.Send(to, fr.m)
 	}
 	return retx
 }
 
-// Collect implements Backend: parse envelopes, fence stale incarnations,
-// deduplicate, and restore per-link FIFO order. Every arrival yields at most
-// one delivery and a sender's deliveries are emitted only once its whole run
-// has been read, so the result is compacted into the inner backend's slice.
-// Safe for one concurrent call per receiver: all state touched is indexed by
-// `to`.
+// Collect implements Backend: fence stale incarnations, deduplicate, and
+// restore per-link FIFO order. Every arrival yields at most one delivery, in
+// the order it is read, so the result is compacted into the inner backend's
+// slice. Safe for one concurrent call per receiver: all state touched is
+// indexed by `to`.
 func (b *lossyBackend) Collect(to int) []Message {
 	raw := b.inner.Collect(to)
 	out := raw[:0]
@@ -414,73 +394,64 @@ func (b *lossyBackend) Collect(to int) []Message {
 
 // deliverRun processes one sender's arrivals for receiver `to`.
 func (b *lossyBackend) deliverRun(to, from int, run []Message, out []Message) []Message {
-	entries := b.colEnt[to][:0]
-	for _, m := range run {
-		if m.Kind != 0 && m.Kind == b.datagram {
-			// Datagrams carry no envelope: no fencing, no dedup, no FIFO
-			// restore — they deliver in arrival order, ahead of the run's
-			// (sequence-sorted) reliable frames. A currently-failed sender
-			// is still fenced, matching fail-stop semantics.
-			if b.net.failed[from] {
-				b.stats.fenced.Add(1)
-				continue
+	if b.net.failed[from] {
+		// Fail-stop: a currently failed sender's frames are all fenced.
+		b.stats.fenced.Add(int64(len(run)))
+		return out
+	}
+	// Datagrams carry no envelope and deliver first, in arrival order. The
+	// reliable frames follow in send order: the channel only displaces
+	// frames, it never re-stamps them, so sorting by sequence undoes any
+	// reordering, and the sort is stable so a duplicate lands right after
+	// its original.
+	slices.SortStableFunc(run, func(x, y Message) int {
+		if dx, dy := b.isDatagram(x.Kind), b.isDatagram(y.Kind); dx != dy {
+			if dx {
+				return -1
 			}
+			return 1
+		}
+		return cmp.Compare(x.env.seq, y.env.seq)
+	})
+	first := b.recvNext[to][from]
+	next := first
+	for _, m := range run {
+		if b.isDatagram(m.Kind) {
 			out = append(out, m)
 			continue
 		}
-		env, payload, err := parseEnvelope(m.Payload)
-		if err != nil {
-			b.net.recordRecvErr(to, err)
-			continue
-		}
-		entries = append(entries, rxEntry{env: env, kind: m.Kind, payload: payload})
-	}
-	// Restore send order: the channel only displaces frames, it never
-	// re-stamps them, so sorting by sequence undoes any reordering. The
-	// sort is stable so a duplicate lands right after its original.
-	slices.SortStableFunc(entries, bySeq)
-	next := b.recvNext[to][from]
-	for i := range entries {
-		e := &entries[i]
-		// Split-brain fence: a frame from a slot that is currently
-		// failed, stamped by a superseded incarnation of the sender, or
-		// addressed to a previous life of this receiver is counted and
-		// dropped. This is what protects a role rebuilt by Rebirth from
-		// a partitioned-but-alive predecessor.
-		if b.net.failed[from] || e.env.senderEpoch != b.epochs[from] || e.env.recvEpoch != b.epochs[to] {
+		// Split-brain fence: a frame stamped by a superseded incarnation of
+		// the sender, or addressed to a previous life of this receiver, is
+		// counted and dropped. This is what protects a role rebuilt by
+		// Rebirth from a partitioned-but-alive predecessor.
+		if m.env.senderEpoch != b.epochs[from] || m.env.recvEpoch != b.epochs[to] {
 			b.stats.fenced.Add(1)
 			continue
 		}
-		switch {
-		case e.env.seq < next:
+		if m.env.seq < next {
 			b.stats.dupDropped.Add(1)
-		case e.env.seq == next:
-			next++
-			out = append(out, Message{From: from, Kind: e.kind, Payload: e.payload})
-		default:
-			// A hole in the sequence space cannot happen under the
-			// round-synchronous protocol; deliver anyway but surface the
-			// protocol violation.
-			b.net.recordRecvErr(to, fmt.Errorf("netsim: link %d->%d sequence gap: got %d want %d", from, to, e.env.seq, next))
-			next = e.env.seq + 1
-			out = append(out, Message{From: from, Kind: e.kind, Payload: e.payload})
+			continue
 		}
+		// Each sequence number a link stamps reaches this loop (Drain
+		// collects too), or is lost with a slot whose new incarnation
+		// setEpoch restarts the link for, or was abandoned by transmit,
+		// which reports it through Err. So seq == next but for that error.
+		next = m.env.seq + 1
+		out = append(out, m)
 	}
-	if len(entries) > 0 {
+	if next != first {
 		b.recvNext[to][from] = next
 	}
-	clear(entries)
-	b.colEnt[to] = entries[:0]
 	return out
 }
 
-func bySeq(a, b rxEntry) int { return cmp.Compare(a.env.seq, b.env.seq) }
-
-// Drain implements Backend (rollback discarding a receiver's round).
-// Parked frames are deliberately untouched: they are in the cable, out
-// of anyone's reach, which is exactly why the epoch fence exists.
+// Drain implements Backend (rollback discarding a receiver's round): the
+// round is collected and thrown away, so its sequence numbers are consumed
+// and the link's next round follows on without a hole. Parked frames are
+// deliberately untouched: they are in the cable, out of anyone's reach,
+// which is exactly why the epoch fence exists.
 func (b *lossyBackend) Drain(to int) {
-	b.inner.Drain(to)
+	clear(b.Collect(to))
 }
 
 // DrainFrom implements Backend: a revived slot's unsent queues are stale
@@ -551,7 +522,7 @@ func (b *lossyBackend) heal(nodes []int) {
 	}
 	kept := b.parked[:0]
 	for _, pf := range b.parked {
-		if b.cut[[2]int{pf.from, pf.to}] {
+		if b.cut[[2]int{pf.m.From, pf.to}] {
 			kept = append(kept, pf)
 			continue
 		}
@@ -560,7 +531,7 @@ func (b *lossyBackend) heal(nodes []int) {
 			b.stats.droppedDead.Add(1)
 			continue
 		}
-		b.inner.Send(pf.from, pf.to, pf.kind, pf.buf)
+		b.inner.Send(pf.to, pf.m)
 	}
 	b.parked = kept
 }

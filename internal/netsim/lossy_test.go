@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"imitator/internal/costmodel"
@@ -177,16 +178,47 @@ func TestLossyNetworkDropDiscardsRound(t *testing.T) {
 	if msgs := net.Receive(1); len(msgs) != 0 {
 		t.Fatalf("dropped round still delivered %d frames", len(msgs))
 	}
-	// The receiver never consumed those sequence numbers, so a fresh
-	// incarnation handshake is NOT required: the next round's frames are
-	// new sequences after the dropped ones and must still deliver.
-	net.SetEpoch(1, 2)
-	net.SetEpoch(1, 2) // idempotent re-stamp must not corrupt state
+	// Drop consumed those sequence numbers, so no fresh incarnation
+	// handshake is required: the next round's frames are new sequences
+	// after the dropped ones and must deliver with no hole to report.
 	sendRound(net, 2)
 	if msgs := net.Receive(1); len(msgs) != 2 {
 		t.Fatalf("post-drop round delivered %d frames, want 2", len(msgs))
 	}
 	checkErr(t, net)
+	net.SetEpoch(1, 2)
+	net.SetEpoch(1, 2) // idempotent re-stamp must not corrupt state
+	sendRound(net, 2)
+	if msgs := net.Receive(1); len(msgs) != 2 {
+		t.Fatalf("post-epoch round delivered %d frames, want 2", len(msgs))
+	}
+	checkErr(t, net)
+}
+
+// TestLossyRetransmitLimitReachesErr: a link that loses every frame gives
+// up after maxRetxAttempts tries, leaves the frame undelivered and reports
+// it through Err, which keeps the transmit loop's first such error.
+func TestLossyRetransmitLimitReachesErr(t *testing.T) {
+	net := newLossyNet(t, 3, 10)
+	net.SetDropRate(0, 1, 1)
+	net.SetDropRate(2, 1, 1)
+	net.Send(0, 1, KindSync, []byte("lost"))
+	net.Send(0, 2, KindSync, []byte("fine"))
+	net.Send(2, 1, KindSync, []byte("lost too"))
+	net.FinishRound()
+	if msgs := net.Receive(1); len(msgs) != 0 {
+		t.Fatalf("a frame lost %d times was delivered: %v", maxRetxAttempts, msgs)
+	}
+	if msgs := net.Receive(2); len(msgs) != 1 || string(msgs[0].Payload) != "fine" {
+		t.Fatalf("healthy link delivered %v", msgs)
+	}
+	err := net.Err()
+	if err == nil || !strings.Contains(err.Error(), "link 0->1 lost a frame") {
+		t.Fatalf("Err() = %v, want the 0->1 retransmission limit", err)
+	}
+	if st, _ := net.OmissionStats(); st.Retransmits != 2*(maxRetxAttempts-1) {
+		t.Fatalf("retransmits = %d, want %d", st.Retransmits, 2*(maxRetxAttempts-1))
+	}
 }
 
 // TestLossyPartitionParkAndFence: frames crossing a cut park in the
@@ -281,12 +313,7 @@ func retained(net *Network) [][]byte {
 		mem = net.omission.inner
 		for _, q := range net.omission.out {
 			for _, fr := range q[:cap(q)] {
-				all = append(all, fr.buf)
-			}
-		}
-		for _, q := range net.omission.colEnt {
-			for _, e := range q[:cap(q)] {
-				all = append(all, e.payload)
+				all = append(all, fr.m.Payload)
 			}
 		}
 	}

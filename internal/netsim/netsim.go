@@ -5,8 +5,11 @@
 //
 // Payloads move through one in-memory mailbox per receiver; the omission
 // layer (lossy.go) decorates that delivery when a chaos schedule asks for
-// lost, duplicated or reordered frames. The simulated clock models the
-// paper's testbed, not the host machine.
+// lost, duplicated or reordered frames. Its envelope (envelope.go) is frame
+// metadata carried in the Message and charged as 12 wire bytes; Drop
+// consumes the discarded round's sequence numbers, so no receive can fail,
+// and Err is the first error of FinishRound's serial transmit loop. The
+// simulated clock models the paper's testbed, not the host machine.
 //
 // Concurrency contract: within one round, each sender goroutine may call
 // Send concurrently with other senders; FinishRound and Receive must be
@@ -37,17 +40,20 @@ const (
 
 // Message is one delivered payload.
 type Message struct {
-	From    int
-	Kind    Kind
+	From int
+	Kind Kind
+	// env is the omission layer's reliable-delivery metadata (envelope.go),
+	// stamped on a reliable frame by its Send and read by its Collect.
+	env     envelope
 	Payload []byte
 }
 
 // Backend moves payloads between nodes. Implementations must support one
-// concurrent sender goroutine per `from` and deliver each (from, to)
+// concurrent sender goroutine per m.From and deliver each (from, to)
 // stream in FIFO order.
 type Backend interface {
-	// Send enqueues one payload.
-	Send(from, to int, kind Kind, payload []byte)
+	// Send enqueues one message for `to`.
+	Send(to int, m Message)
 	// EndRound marks the end of from's sends for this round, to every node
 	// not marked in failed.
 	EndRound(from int, failed []bool)
@@ -95,15 +101,9 @@ type Network struct {
 	// unless EnableOmission installed it; when set it aliases backend.
 	omission *lossyBackend
 
-	// Protocol errors of the omission layer. Serial paths (FinishRound,
-	// Heal) record into firstErr, first wins; concurrent Receives record
-	// per receiver into recvErr, and FinishRound settles a receive phase by
-	// lowest receiver id, so the reported error never depends on goroutine
-	// scheduling.
-	errMu    sync.Mutex
-	firstErr error
-	recvErr  []error
-	recvErrs bool // some recvErr slot is set
+	// err is the omission layer's first error. Only FinishRound's serial
+	// transmit loop records one, so it needs no lock.
+	err error
 }
 
 // New creates a network of numNodes nodes with in-memory delivery.
@@ -128,7 +128,6 @@ func NewWithBackend(numNodes int, params costmodel.Params, backend Backend) (*Ne
 		failed:   make([]bool, numNodes),
 		totalOut: make([]atomic.Int64, numNodes),
 		costs:    make([]float64, numNodes),
-		recvErr:  make([]error, numNodes),
 	}
 	return n, nil
 }
@@ -150,59 +149,9 @@ func (n *Network) SetFailed(node int, failed bool) {
 // Failed reports whether a node is marked failed.
 func (n *Network) Failed(node int) bool { return n.failed[node] }
 
-// Err returns the first protocol error of the omission layer, if any. An
-// unsettled receive phase reports its lowest-numbered receiver's error.
-func (n *Network) Err() error {
-	n.errMu.Lock()
-	defer n.errMu.Unlock()
-	if n.firstErr == nil && n.recvErrs {
-		return n.lowestRecvErr()
-	}
-	return n.firstErr
-}
-
-// recordErr keeps the first error of a serial path.
-func (n *Network) recordErr(err error) {
-	n.errMu.Lock()
-	defer n.errMu.Unlock()
-	if n.firstErr == nil {
-		n.firstErr = err
-	}
-}
-
-// recordRecvErr keeps the first error of one receiver's Collect.
-func (n *Network) recordRecvErr(to int, err error) {
-	n.errMu.Lock()
-	defer n.errMu.Unlock()
-	if n.recvErr[to] == nil {
-		n.recvErr[to] = err
-		n.recvErrs = true
-	}
-}
-
-// settleRecvErrs closes a receive phase: its lowest-numbered receiver's
-// error becomes the first error unless an earlier one was already kept.
-func (n *Network) settleRecvErrs() {
-	n.errMu.Lock()
-	defer n.errMu.Unlock()
-	if !n.recvErrs {
-		return
-	}
-	if n.firstErr == nil {
-		n.firstErr = n.lowestRecvErr()
-	}
-	clear(n.recvErr)
-	n.recvErrs = false
-}
-
-func (n *Network) lowestRecvErr() error {
-	for _, err := range n.recvErr {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
+// Err returns the omission layer's first error: a frame that the transmit
+// loop could not get across its link. Receives cannot fail.
+func (n *Network) Err() error { return n.err }
 
 // Send enqueues payload from one node to another. Messages to or from
 // failed nodes are silently dropped (fail-stop). The payload is retained;
@@ -224,7 +173,7 @@ func (n *Network) Send(from, to int, kind Kind, payload []byte) {
 			n.penaltyIn[to].Add(extra)
 		}
 	}
-	n.backend.Send(from, to, kind, payload)
+	n.backend.Send(to, Message{From: from, Kind: kind, Payload: payload})
 }
 
 // DegradeLink slows the directed link from->to: bytes sent across it count
@@ -271,7 +220,6 @@ const headerBytes = 16
 //
 //imitator:hotpath
 func (n *Network) FinishRound() (costs []float64, fabric float64) {
-	n.settleRecvErrs()
 	for from := 0; from < n.numNodes; from++ {
 		if !n.failed[from] {
 			n.backend.EndRound(from, n.failed)
@@ -329,7 +277,8 @@ func (n *Network) Receive(to int) []Message {
 }
 
 // Drop discards all pending messages for a node; used when rolling back an
-// iteration interrupted by a failure.
+// iteration interrupted by a failure. Under the omission layer the
+// discarded frames' sequence numbers count as consumed.
 func (n *Network) Drop(to int) {
 	n.backend.Drain(to)
 }
@@ -384,10 +333,10 @@ func newMemBackend(numNodes int) *memBackend {
 // Send implements Backend.
 //
 //imitator:hotpath
-func (b *memBackend) Send(from, to int, kind Kind, payload []byte) {
+func (b *memBackend) Send(to int, m Message) {
 	box := &b.boxes[to]
 	box.mu.Lock()
-	box.in = append(box.in, Message{From: from, Kind: kind, Payload: payload})
+	box.in = append(box.in, m)
 	box.mu.Unlock()
 }
 
