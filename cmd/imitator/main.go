@@ -55,7 +55,6 @@ func run(args []string) error {
 		queries     = fs.Int("queries", 1024, "serve: number of load-generator queries to issue")
 		querySeed   = fs.Uint64("query-seed", 1, "serve: seed of the deterministic query stream")
 		topk        = fs.Int("topk", 10, "serve: K for top-K queries in the load mix")
-		staleness   = fs.Int("staleness", 0, "serve: bound answers to at most this many epochs behind the frontier (0 = unbounded)")
 		jsonOut     = fs.Bool("json", false, "emit the report as JSON instead of text")
 		timeline    = fs.Bool("timeline", false, "render the execution timeline")
 		list        = fs.Bool("list", false, "list datasets and exit")
@@ -98,7 +97,7 @@ func run(args []string) error {
 	}
 	opts = append(opts, imitator.WithFTStrategy(strat))
 	if *serve {
-		opts = append(opts, imitator.WithServe(imitator.ServeStalenessBound(*staleness)))
+		opts = append(opts, imitator.WithServe())
 	}
 	if *chaosSched != "" {
 		sched, err := imitator.ParseFailureSchedule(*chaosSched)
@@ -147,12 +146,11 @@ func run(args []string) error {
 			return err
 		}
 		st, err := serveload.Run(serveload.Config{
-			Queries:        *queries,
-			Seed:           *querySeed,
-			NumVertices:    g.NumVertices(),
-			TopK:           *topk,
-			StalenessBound: *staleness,
-			Done:           srv.Done(),
+			Queries:     *queries,
+			Seed:        *querySeed,
+			NumVertices: g.NumVertices(),
+			TopK:        *topk,
+			Done:        srv.Done(),
 		}, srv.Query)
 		if err != nil {
 			return err
@@ -288,8 +286,8 @@ func report(w imitator.Workload, cfg imitator.Config, s imitator.RunSummary, loa
 			float64(m.GossipBytes)/1e3, m.GossipPeriods)
 	}
 	if sv := s.Serve; sv != nil {
-		fmt.Printf("serve: %d queries (%d from replicas, %d stale-rejected, %d unavailable), max staleness %d\n",
-			sv.Queries, sv.FromReplica, sv.StaleRejected, sv.Unavailable, sv.MaxStaleness)
+		fmt.Printf("serve: %d queries (%d from replicas, %d unavailable), max staleness %d\n",
+			sv.Queries, sv.FromReplica, sv.Unavailable, sv.MaxStaleness)
 	}
 	if load != nil {
 		fmt.Printf("load: %d issued, %d answered at %.0f qps; latency p50 %.3f ms, p95 %.3f ms, p99 %.3f ms, max %.3f ms\n",

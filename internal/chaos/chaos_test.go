@@ -128,10 +128,13 @@ func TestCampaign(t *testing.T) {
 			}
 		}
 	}
+	// The summary is a function of the seed; how many live reads a replica
+	// served depends on host timing, so it gets its own line.
 	t.Logf("campaign: %d runs, %d during-recovery, %d exhaustion, %d lossy, %d fenced, "+
-		"%d live queries (%d from replicas), memberships %v, 0 failures",
+		"%d live queries, memberships %v, 0 failures",
 		rep.Runs, rep.DuringRecovery, rep.Exhaustion, rep.Lossy, rep.Fenced,
-		rep.Queries, rep.ReplicaReads, rep.Memberships)
+		rep.Queries, rep.Memberships)
+	t.Logf("campaign (host-timed): %d live queries served from replicas", rep.ReplicaReads)
 }
 
 // TestCampaignStrategyMatrix: one full cycle of scenarios x FT strategies,

@@ -7,8 +7,10 @@ import (
 	"testing"
 
 	"imitator/internal/algorithms"
+	"imitator/internal/chaos"
 	"imitator/internal/core"
 	"imitator/internal/datasets"
+	"imitator/internal/graph"
 )
 
 // restartGolden is one crash-during-recovery job's outcome: the final
@@ -419,4 +421,51 @@ func TestChaosSameKeyCrashesFailTogether(t *testing.T) {
 				want.Recoveries, want.SimSeconds, want.Metrics.TotalBytes())
 		}
 	}
+}
+
+// TestChaosRebirthFallbackInheritsNewbie: Rebirth with one standby places a
+// newbie in slot 3; a crash of node 5 during the join exhausts the pool, so
+// the restarted pass falls back to Migration over {3, 5}. The fallback must
+// treat slot 3 as lost, not migrate from the half-built newbie it inherits,
+// and converge to the fault-free labels in both modes.
+func TestChaosRebirthFallbackInheritsNewbie(t *testing.T) {
+	g := symmetricGraph(400, 600, 63)
+	sched, err := chaos.ParseEvents("crash@4a=3|crashrec@rebirth:join=5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, mode := range []core.Mode{core.EdgeCutMode, core.VertexCutMode} {
+		cfg := core.DefaultConfig(mode, 8)
+		cfg.MaxIter = 22
+		if mode == core.VertexCutMode {
+			cfg.Partitioner = core.PartRandom
+		}
+		want := runCC(t, cfg, g)
+
+		cfg.Recovery = core.RecoverRebirth
+		cfg.FT = core.FTConfig{K: 2, SelfishOpt: true}
+		cfg.MaxRebirths = 1
+		cfg.RebirthFallback = true
+		cfg.Chaos = sched
+		got := runCC(t, cfg, g)
+		if !slices.Equal(got.Values, want.Values) {
+			t.Fatalf("%s: labels differ from the fault-free run", mode)
+		}
+		if n := len(got.Recoveries); n == 0 || !got.Recoveries[n-1].Fallback {
+			t.Fatalf("%s: recoveries %v, want a final fallback Migration", mode, got.Recoveries)
+		}
+	}
+}
+
+func runCC(t *testing.T, cfg core.Config, g *graph.Graph) *core.Result[int32] {
+	t.Helper()
+	cl, err := core.NewCluster[int32, int32](cfg, g, algorithms.NewCC())
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := cl.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
 }

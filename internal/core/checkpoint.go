@@ -16,7 +16,7 @@ func ckptPath(epoch, node int) string { return fmt.Sprintf("ckpt/%d/node%d", epo
 func (c *Cluster[V, A]) writeCheckpoint() {
 	start := c.clock.Now()
 	c.writeCheckpointAt(c.iter, true)
-	c.trace = append(c.trace, TraceEvent{Iter: c.iter, Kind: "checkpoint", Start: start, End: c.clock.Now()})
+	c.emit(TraceCheckpoint, c.iter, start)
 }
 
 // writeCheckpointAt writes the full epoch snapshot; when charge is set the
@@ -57,7 +57,6 @@ func (c *Cluster[V, A]) writeCheckpointAt(epoch int, charge bool) {
 	if charge {
 		c.clock.Advance(span.Max())
 		c.persistSeconds += span.Max()
-		c.persistCount++
 		for _, b := range nodeBytes {
 			c.persistBytes += b
 		}
@@ -212,11 +211,10 @@ func (c *Cluster[V, A]) recoverCheckpoint(p *recoveryPass[V, A]) error {
 		return err
 	}
 
-	// Replay: the main loop re-executes epoch..p.iter-1; the watch closes the
-	// report this pass is about to append when it gets back to p.iter.
+	// Replay: the main loop re-executes epoch..p.iter-1; the report's
+	// ReplaySeconds is folded from the timeline when the run ends.
 	p.rec.Iteration, p.rec.ReplayIters = epoch, p.iter-epoch
 	c.iter = epoch
-	c.watchReplay(len(c.recoveries), p.iter)
 	return nil
 }
 
@@ -264,18 +262,4 @@ func (c *Cluster[V, A]) fullResync() error {
 	return c.exchange(false, func(nd *node[V, A], _ int, r *reader) {
 		readSlotState(r, c.vc, nd.hot, false)
 	})
-}
-
-// watchReplay arms replay-time accounting: when the main loop reaches
-// targetIter again, the elapsed simulated time lands in the recovery's
-// ReplaySeconds.
-func (c *Cluster[V, A]) watchReplay(recIdx, targetIter int) {
-	c.replayWatch = &replayWatch{recIdx: recIdx, target: targetIter, start: c.clock.Now()}
-}
-
-// replayWatch tracks checkpoint-recovery replay progress.
-type replayWatch struct {
-	recIdx int
-	target int
-	start  float64
 }

@@ -194,8 +194,6 @@ type Cluster[V, A any] struct {
 	// rebuild a crashed node's immutable topology (the metadata snapshot's
 	// content).
 	pristine []*node[V, A]
-	// replayWatch accounts checkpoint-recovery replay time.
-	replayWatch *replayWatch
 
 	iter         int
 	rebirthsUsed int
@@ -211,7 +209,6 @@ type Cluster[V, A any] struct {
 	totalPresences       int // all vertex presences after FT extension
 	loadSeconds          float64
 	persistSeconds       float64 // superstep-end snapshot or log writes
-	persistCount         int
 	persistBytes         int64
 	trace                []TraceEvent
 	recoveries           []RecoveryReport
@@ -667,13 +664,9 @@ func (c *Cluster[V, A]) Run() (*Result[V], error) {
 			continue // re-execute the iteration
 		}
 		c.commit(iter)
-		c.trace = append(c.trace, TraceEvent{Iter: iter, Kind: "iteration", Start: start, End: c.clock.Now()})
+		c.emit(TraceIteration, iter, start)
 		c.iter++
 		c.servePublish()
-		if c.replayWatch != nil && c.iter >= c.replayWatch.target {
-			c.recoveries[c.replayWatch.recIdx].ReplaySeconds = c.clock.Now() - c.replayWatch.start
-			c.replayWatch = nil
-		}
 
 		c.persistSuperstep()
 
@@ -713,7 +706,17 @@ func (c *Cluster[V, A]) recover(failed []int, iter int) error {
 		more, err := c.recoverPass(c.cfg.Recovery, pending, iter)
 		if c.cfg.RebirthFallback && errors.Is(err, ErrNoStandby) {
 			// Standby pool is dry: migrate the lost slots onto the survivors
-			// instead of failing the job (§5.2 as fallback).
+			// instead of failing the job (§5.2 as fallback). A slot holding
+			// the newbie of an interrupted Rebirth is lost too: Migration
+			// promotes the survivors' mirrors of its vertices, so the slot
+			// must be dead and empty, not half-built.
+			for _, f := range pending {
+				if c.nodes[f].alive {
+					c.nodes[f] = &node[V, A]{id: f, met: &c.met.Nodes[f]}
+					c.net.SetFailed(f, true)
+					c.aliveDirty = true
+				}
+			}
 			more, err = c.recoverPass(RecoverMigration, pending, iter)
 			if err == nil && len(more) == 0 {
 				c.recoveries[len(c.recoveries)-1].Fallback = true

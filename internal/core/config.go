@@ -400,9 +400,6 @@ func (c *Config) Validate() error {
 	if err := validateStrategy(c); err != nil {
 		return err
 	}
-	if c.Serve.StalenessBound < 0 {
-		return fmt.Errorf("core: Serve.StalenessBound must be >= 0, got %d (0 is unbounded)", c.Serve.StalenessBound)
-	}
 	switch c.Membership.Kind {
 	case MembershipCentralized, MembershipGossip:
 	default:

@@ -158,11 +158,10 @@ func (c *Cluster[V, A]) flogWrite() {
 	}
 	c.clock.Advance(span.Max())
 	c.persistSeconds += span.Max()
-	c.persistCount++
 	if full {
 		f.fullEpochs = append(f.fullEpochs, s)
 	}
-	c.trace = append(c.trace, TraceEvent{Iter: s, Kind: "ftlog", Start: start, End: c.clock.Now()})
+	c.emit(TraceFTLog, s, start)
 }
 
 // flogWriteCost stores the log file and returns its simulated cost. The

@@ -134,7 +134,7 @@ func layoutRun[V float64 | int32, A any](t *testing.T, cfg core.Config, g *graph
 	}
 	spans := 0
 	for _, ev := range res.Trace {
-		if ev.Kind == "recovery" {
+		if ev.Kind == core.TraceRecovery {
 			rec.spanStart, rec.spanEnd = math.Float64bits(ev.Start), math.Float64bits(ev.End)
 			spans++
 		}

@@ -68,7 +68,7 @@ func TestLoggedSurvivorsZeroRecompute(t *testing.T) {
 	countIterations := func(res *core.Result[float64]) int {
 		n := 0
 		for _, ev := range res.Trace {
-			if ev.Kind == "iteration" {
+			if ev.Kind == core.TraceIteration {
 				n++
 			}
 		}

@@ -34,10 +34,6 @@ type ServeConfig struct {
 	// value is float64 or int32 (PageRank, SSSP, CD). Serving is host-side
 	// only: simulated time and message bytes are unchanged.
 	Enabled bool
-	// StalenessBound is the default per-query bound on frontier - epoch;
-	// queries whose snapshot lags further return ErrStaleRead. 0 means
-	// unbounded (answers always carry their actual staleness).
-	StalenessBound int
 	// KeepHistory retains every published value snapshot, indexed by epoch
 	// (EpochValues). Validation harnesses use it as per-epoch ground truth;
 	// costs one []float64 per published epoch.
@@ -80,10 +76,6 @@ type Query struct {
 	// K is the result-size parameter: required >= 1 for QueryTopK, and an
 	// optional cap for QueryNeighbors (0 = full neighborhood).
 	K int
-	// StalenessBound bounds frontier - epoch for this query: 0 inherits
-	// ServeConfig.StalenessBound, > 0 overrides it, < 0 is explicitly
-	// unbounded.
-	StalenessBound int
 }
 
 // RankEntry is one QueryTopK result row.
@@ -110,9 +102,6 @@ type Answer struct {
 	// answer was read. Frontier - Epoch is the answer's staleness.
 	Epoch    int
 	Frontier int
-	// StalenessBound is the bound this answer was admitted under (0 =
-	// unbounded); Staleness() never exceeds it when it is positive.
-	StalenessBound int
 
 	// Node is the simulated node that served the read: the vertex's master,
 	// or — when the master is dead or suspected — a surviving replica host
@@ -133,9 +122,10 @@ var (
 	ErrBadQuery = errors.New("core: bad query")
 	// ErrUnknownVertex reports a vertex id outside the loaded graph.
 	ErrUnknownVertex = errors.New("core: unknown vertex")
-	// ErrStaleRead reports a snapshot lagging past the query's staleness
-	// bound (the engine is mid-superstep or mid-recovery and the caller
-	// asked for fresher state than the last committed publish).
+	// ErrStaleRead is never returned: a snapshot is published after every
+	// commit, so no answer lags the frontier by more than one epoch, and
+	// there is no staleness bound left to refuse against. It stays so
+	// callers that match on it keep compiling.
 	ErrStaleRead = errors.New("core: stale read")
 	// ErrVertexUnavailable reports that no live, unsuspected node holds
 	// synced state for the vertex — its master is down and its surviving
@@ -175,11 +165,10 @@ type serveState[V any] struct {
 	route    atomic.Pointer[serveRoute]
 	frontier atomic.Int64
 
-	queries       atomic.Int64
-	fromReplica   atomic.Int64
-	staleRejected atomic.Int64
-	unavailable   atomic.Int64
-	maxStaleness  atomic.Int64
+	queries      atomic.Int64
+	fromReplica  atomic.Int64
+	unavailable  atomic.Int64
+	maxStaleness atomic.Int64
 
 	// mu guards the KeepHistory trajectory (engine appends, harnesses read).
 	mu         sync.Mutex
@@ -355,13 +344,6 @@ func (c *Cluster[V, A]) Query(q Query) (Answer, error) {
 	}
 	s.queries.Add(1)
 
-	bound := q.StalenessBound
-	if bound == 0 {
-		bound = s.cfg.StalenessBound
-	}
-	if bound < 0 {
-		bound = 0 // explicitly unbounded
-	}
 	if frontier < snap.epoch {
 		frontier = snap.epoch
 	}
@@ -372,19 +354,13 @@ func (c *Cluster[V, A]) Query(q Query) (Answer, error) {
 			break
 		}
 	}
-	if bound > 0 && stale > int64(bound) {
-		s.staleRejected.Add(1)
-		return Answer{}, fmt.Errorf("%w: staleness %d exceeds bound %d (epoch %d, frontier %d)",
-			ErrStaleRead, stale, bound, snap.epoch, frontier)
-	}
 
 	ans := Answer{
-		Kind:           q.Kind,
-		Vertex:         q.Vertex,
-		Epoch:          int(snap.epoch),
-		Frontier:       int(frontier),
-		StalenessBound: bound,
-		Node:           -1,
+		Kind:     q.Kind,
+		Vertex:   q.Vertex,
+		Epoch:    int(snap.epoch),
+		Frontier: int(frontier),
+		Node:     -1,
 	}
 	switch q.Kind {
 	case QueryValue, QueryNeighbors:
@@ -465,11 +441,10 @@ func (c *Cluster[V, A]) ServeStats() *metrics.Serve {
 		return nil
 	}
 	return &metrics.Serve{
-		Queries:       s.queries.Load(),
-		FromReplica:   s.fromReplica.Load(),
-		StaleRejected: s.staleRejected.Load(),
-		Unavailable:   s.unavailable.Load(),
-		MaxStaleness:  s.maxStaleness.Load(),
+		Queries:      s.queries.Load(),
+		FromReplica:  s.fromReplica.Load(),
+		Unavailable:  s.unavailable.Load(),
+		MaxStaleness: s.maxStaleness.Load(),
 	}
 }
 

@@ -16,9 +16,7 @@ import (
 func EncodeQuery(buf []byte, q Query) []byte {
 	buf = putU8(buf, uint8(q.Kind))
 	buf = putU32(buf, uint32(q.Vertex))
-	buf = putI32(buf, int32(q.K))
-	buf = putI32(buf, int32(q.StalenessBound))
-	return buf
+	return putI32(buf, int32(q.K))
 }
 
 // DecodeQuery parses one wire-encoded query; trailing bytes are an error.
@@ -29,7 +27,6 @@ func DecodeQuery(buf []byte) (Query, error) {
 		Vertex: graph.VertexID(r.u32()),
 	}
 	q.K = int(r.i32())
-	q.StalenessBound = int(r.i32())
 	if r.err != nil {
 		return Query{}, r.err
 	}
@@ -46,7 +43,6 @@ func EncodeAnswer(buf []byte, a Answer) []byte {
 	buf = putF64(buf, a.Value)
 	buf = putI32(buf, int32(a.Epoch))
 	buf = putI32(buf, int32(a.Frontier))
-	buf = putI32(buf, int32(a.StalenessBound))
 	buf = putI16(buf, int16(a.Node))
 	buf = putBool(buf, a.FromReplica)
 	buf = putU32(buf, uint32(len(a.TopK)))
@@ -71,7 +67,6 @@ func DecodeAnswer(buf []byte) (Answer, error) {
 	}
 	a.Epoch = int(r.i32())
 	a.Frontier = int(r.i32())
-	a.StalenessBound = int(r.i32())
 	a.Node = int(r.i16())
 	a.FromReplica = r.bool()
 	n := int(r.u32())

@@ -10,8 +10,8 @@ import (
 func TestServeWireQueryRoundTrip(t *testing.T) {
 	cases := []Query{
 		{Kind: QueryValue, Vertex: 0},
-		{Kind: QueryValue, Vertex: 1<<31 - 1, StalenessBound: -1},
-		{Kind: QueryTopK, Vertex: 0, K: 10, StalenessBound: 3},
+		{Kind: QueryValue, Vertex: 1<<31 - 1},
+		{Kind: QueryTopK, Vertex: 0, K: 10},
 		{Kind: QueryNeighbors, Vertex: 42, K: 7},
 	}
 	for _, q := range cases {
@@ -29,7 +29,7 @@ func TestServeWireQueryRoundTrip(t *testing.T) {
 func TestServeWireAnswerRoundTrip(t *testing.T) {
 	cases := []Answer{
 		{Kind: QueryValue, Vertex: 3, Value: 0.25, Epoch: 4, Frontier: 5, Node: 2},
-		{Kind: QueryValue, Vertex: 3, Value: math.Inf(1), Epoch: 0, Frontier: 0, StalenessBound: -1, Node: 0, FromReplica: true},
+		{Kind: QueryValue, Vertex: 3, Value: math.Inf(1), Epoch: 0, Frontier: 0, Node: 0, FromReplica: true},
 		{
 			Kind: QueryTopK, Epoch: 9, Frontier: 9, Node: 1,
 			TopK: []RankEntry{{Vertex: 7, Value: 3.5}, {Vertex: 1, Value: 3.5}, {Vertex: 9, Value: 0.1}},
@@ -47,8 +47,7 @@ func TestServeWireAnswerRoundTrip(t *testing.T) {
 		}
 		if got.Kind != a.Kind || got.Vertex != a.Vertex || got.Value != a.Value ||
 			got.Epoch != a.Epoch || got.Frontier != a.Frontier ||
-			got.StalenessBound != a.StalenessBound || got.Node != a.Node ||
-			got.FromReplica != a.FromReplica {
+			got.Node != a.Node || got.FromReplica != a.FromReplica {
 			t.Fatalf("round trip scalar fields: got %+v, want %+v", got, a)
 		}
 		if len(got.TopK) != len(a.TopK) || len(got.Neighbors) != len(a.Neighbors) {
@@ -90,7 +89,7 @@ func TestServeWireRejectsTrailingAndTruncated(t *testing.T) {
 func FuzzQueryDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(EncodeQuery(nil, Query{Kind: QueryValue, Vertex: 9}))
-	f.Add(EncodeQuery(nil, Query{Kind: QueryTopK, K: 3, StalenessBound: 1}))
+	f.Add(EncodeQuery(nil, Query{Kind: QueryNeighbors, Vertex: 1<<31 - 1, K: 3}))
 	f.Add([]byte{255, 255, 255})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		q, err := DecodeQuery(data)
@@ -110,7 +109,9 @@ func FuzzAnswerDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(EncodeAnswer(nil, Answer{Kind: QueryValue, Value: 0.5, Epoch: 3, Frontier: 4, Node: 1}))
 	f.Add(EncodeAnswer(nil, Answer{Kind: QueryTopK, TopK: []RankEntry{{Vertex: 2, Value: 1}}}))
-	f.Add([]byte{1, 0, 0, 0, 0, 255, 255, 255, 255})
+	// A whole answer header followed by a rank count far past the payload.
+	hdr := EncodeAnswer(nil, Answer{Kind: QueryTopK})
+	f.Add(append(hdr[:len(hdr)-8:len(hdr)-8], 255, 255, 255, 255))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		a, err := DecodeAnswer(data)
 		if err != nil {

@@ -194,7 +194,7 @@ func (c *Cluster[V, A]) recoverPass(kind RecoveryKind, failed []int, iter int) (
 	p.rec.Msgs, p.rec.Bytes = msgs1-msgs0, bytes1-bytes0
 	c.refreshMemoryMetrics()
 	c.recoveries = append(c.recoveries, p.rec)
-	c.trace = append(c.trace, TraceEvent{Iter: iter, Kind: "recovery", Start: start, End: c.clock.Now()})
+	c.emit(TraceRecovery, iter, start)
 	return nil, nil
 }
 
@@ -268,22 +268,4 @@ type StrategyStats struct {
 	// Recoveries/RecoverySeconds total the completed recovery passes.
 	Recoveries      int
 	RecoverySeconds float64
-}
-
-// strategyStats assembles the uniform stats from cluster state.
-func (c *Cluster[V, A]) strategyStats() StrategyStats {
-	st := StrategyStats{
-		Kind:           c.cfg.Recovery.String(),
-		PersistSeconds: c.persistSeconds,
-		PersistCount:   c.persistCount,
-		PersistedBytes: c.persistBytes,
-	}
-	if c.flog != nil {
-		st.LogRecords = c.flog.records
-	}
-	for _, rec := range c.recoveries {
-		st.Recoveries++
-		st.RecoverySeconds += rec.TotalSeconds()
-	}
-	return st
 }

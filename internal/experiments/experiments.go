@@ -13,7 +13,6 @@ import (
 	"imitator/internal/core"
 	"imitator/internal/datasets"
 	"imitator/internal/graph"
-	"imitator/internal/metrics"
 )
 
 // Options scales the experiment suite.
@@ -89,58 +88,6 @@ func (t *Table) Render(w io.Writer) {
 	fmt.Fprintln(w)
 }
 
-// RunSummary is the algorithm-agnostic result of one job.
-type RunSummary struct {
-	SimSeconds           float64
-	AvgIterSeconds       float64
-	ExtraReplicas        int
-	ExtraReplicasSelfish int
-	TotalPresences       int
-	ReplicationFactor    float64
-	MaxMemory            int64
-	TotalMemory          int64
-	Metrics              metrics.Node
-	Strategy             core.StrategyStats
-	Recoveries           []core.RecoveryReport
-	Trace                []core.TraceEvent
-	NumVertices          int
-	NumEdges             int
-	// Buffers is the wire-buffer pool accounting for the whole run.
-	Buffers metrics.Buffers
-	// Omission is the reliable-delivery layer's wire accounting, nil for
-	// runs whose failure schedule had no omission events.
-	Omission *core.OmissionStats
-	// Serve is the live-query layer's accounting, nil unless the run had
-	// Config.Serve.Enabled.
-	Serve *metrics.Serve
-	// Membership is the failure detector's accounting, nil for runs that
-	// never exercised the detector.
-	Membership *metrics.Membership
-}
-
-func summarize[V any](res *core.Result[V], rf float64, g *graph.Graph) RunSummary {
-	return RunSummary{
-		SimSeconds:           res.SimSeconds,
-		AvgIterSeconds:       res.AvgIterSeconds,
-		ExtraReplicas:        res.ExtraReplicas,
-		ExtraReplicasSelfish: res.ExtraReplicasSelfish,
-		TotalPresences:       res.TotalPresences,
-		ReplicationFactor:    rf,
-		MaxMemory:            res.MaxMemory,
-		TotalMemory:          res.TotalMemory,
-		Metrics:              res.Metrics,
-		Strategy:             res.Strategy,
-		Recoveries:           res.Recoveries,
-		Trace:                res.Trace,
-		NumVertices:          g.NumVertices(),
-		NumEdges:             g.NumEdges(),
-		Buffers:              res.Buffers,
-		Omission:             res.Omission,
-		Serve:                res.Serve,
-		Membership:           res.Membership,
-	}
-}
-
 // Workload pairs an algorithm with its dataset, mirroring Table 1.
 type Workload struct {
 	Algo    string
@@ -178,20 +125,20 @@ func VertexCutDatasets(o Options) []string {
 }
 
 // RunWorkload executes one workload under cfg on its catalog dataset.
-func RunWorkload(w Workload, cfg core.Config) (RunSummary, error) {
+func RunWorkload(w Workload, cfg core.Config) (core.RunSummary, error) {
 	g, err := datasets.Load(w.Dataset)
 	if err != nil {
-		return RunSummary{}, err
+		return core.RunSummary{}, err
 	}
 	return RunWorkloadOn(w, g, cfg)
 }
 
 // RunWorkloadOn executes one workload under cfg on an explicit graph (e.g.
 // one loaded from a file).
-func RunWorkloadOn(w Workload, g *graph.Graph, cfg core.Config) (RunSummary, error) {
+func RunWorkloadOn(w Workload, g *graph.Graph, cfg core.Config) (core.RunSummary, error) {
 	h, err := start(w, g, cfg)
 	if err != nil {
-		return RunSummary{}, err
+		return core.RunSummary{}, err
 	}
 	return h.Wait()
 }
@@ -279,7 +226,7 @@ func nFailures(iters, n int) []core.ChaosEvent {
 }
 
 // lastRecovery returns the final recovery's stats or a zero value.
-func lastRecovery(s RunSummary) core.RecoveryReport {
+func lastRecovery(s core.RunSummary) core.RecoveryReport {
 	if len(s.Recoveries) == 0 {
 		return core.RecoveryReport{}
 	}

@@ -542,7 +542,7 @@ func Fig12CaseStudy(o Options) (*Table, error) {
 		}
 		iterCount := 0
 		for _, ev := range s.Trace {
-			if ev.Kind == "iteration" {
+			if ev.Kind == core.TraceIteration {
 				iterCount++
 			}
 		}

@@ -83,23 +83,23 @@ func TestIdentityJobs(t *testing.T) {
 // (2000 seeded Zipf reads, paced through the whole run, crash window
 // included) reads it through the wire codec. Serving charges no simulated
 // time, which is what the serve/* rows pin.
-func runServed(w Workload, cfg core.Config) (RunSummary, error) {
+func runServed(w Workload, cfg core.Config) (core.RunSummary, error) {
 	g, err := datasets.Load(w.Dataset)
 	if err != nil {
-		return RunSummary{}, err
+		return core.RunSummary{}, err
 	}
 	h, err := StartWorkloadOn(w, g, cfg)
 	if err != nil {
-		return RunSummary{}, err
+		return core.RunSummary{}, err
 	}
 	load, err := serveload.Run(serveload.Config{
 		Queries: 2000, Seed: 1, NumVertices: g.NumVertices(), TopK: 10, Done: h.Done(),
 	}, h.Query)
 	if err != nil {
-		return RunSummary{}, fmt.Errorf("load: %w", err)
+		return core.RunSummary{}, fmt.Errorf("load: %w", err)
 	}
 	if load.Answered == 0 {
-		return RunSummary{}, fmt.Errorf("load: none of %d queries was answered", load.Issued)
+		return core.RunSummary{}, fmt.Errorf("load: none of %d queries was answered", load.Issued)
 	}
 	return h.Wait()
 }

@@ -17,7 +17,7 @@ type Handle struct {
 	done  chan struct{}
 
 	// set by the run goroutine before closing done
-	summary RunSummary
+	summary core.RunSummary
 	err     error
 }
 
@@ -29,7 +29,7 @@ func (h *Handle) Query(q core.Query) (core.Answer, error) { return h.query(q) }
 func (h *Handle) Done() <-chan struct{} { return h.done }
 
 // Wait blocks until the run completes and returns its summary.
-func (h *Handle) Wait() (RunSummary, error) {
+func (h *Handle) Wait() (core.RunSummary, error) {
 	<-h.done
 	return h.summary, h.err
 }
@@ -47,7 +47,7 @@ func startTyped[V, A any](cfg core.Config, g *graph.Graph, prog core.Program[V, 
 			h.err = err
 			return
 		}
-		h.summary = summarize(res, cl.ReplicationFactor(), g)
+		h.summary = res.RunSummary
 	}()
 	return h, nil
 }

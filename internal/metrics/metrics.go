@@ -111,8 +111,8 @@ type Serve struct {
 	// FromReplica counts answers served by a replica host because the
 	// vertex's master was dead or suspected.
 	FromReplica int64
-	// StaleRejected counts queries refused because the snapshot lagged
-	// past their staleness bound.
+	// StaleRejected is always 0: serving has no staleness bound to refuse
+	// against (core.ErrStaleRead). It stays for readers of the field.
 	StaleRejected int64
 	// Unavailable counts queries refused because no live, unsuspected node
 	// held synced state for the vertex.

@@ -36,8 +36,6 @@ type Config struct {
 	NumVertices int
 	// TopK is the K used for top-K queries (default 10).
 	TopK int
-	// StalenessBound is passed through on every query (0 = config default).
-	StalenessBound int
 	// ValueFrac / TopKFrac split the stream: ValueFrac of the queries are
 	// point reads, TopKFrac are top-K, the remainder neighborhoods.
 	// Zero-valued defaults are 0.8 and 0.1.
@@ -73,7 +71,6 @@ type Stats struct {
 	Issued      int
 	Answered    int
 	Unavailable int // ErrVertexUnavailable (honest refusals)
-	Stale       int // ErrStaleRead rejections
 	FromReplica int
 
 	P50, P95, P99, Max float64
@@ -106,7 +103,7 @@ func NewGen(cfg Config) (*Gen, error) {
 
 // Next returns the i-th query of the stream.
 func (g *Gen) Next() core.Query {
-	q := core.Query{StalenessBound: g.cfg.StalenessBound}
+	var q core.Query
 	switch p := g.src.Float64(); {
 	case p < g.cfg.ValueFrac:
 		q.Kind = core.QueryValue
@@ -161,17 +158,12 @@ func Run(cfg Config, src Source) (Stats, error) {
 		t0 := time.Now()
 		ans, err := src(wq)
 		lat := time.Since(t0)
+		if errors.Is(err, core.ErrVertexUnavailable) {
+			st.Unavailable++
+			continue
+		}
 		if err != nil {
-			switch {
-			case errors.Is(err, core.ErrVertexUnavailable):
-				st.Unavailable++
-				continue
-			case errors.Is(err, core.ErrStaleRead):
-				st.Stale++
-				continue
-			default:
-				return st, err
-			}
+			return st, err
 		}
 		buf = core.EncodeAnswer(buf[:0], ans)
 		if ans, err = core.DecodeAnswer(buf); err != nil {

@@ -28,7 +28,7 @@
 // while the engine executes and recovers:
 //
 //	srv, err := imitator.Serve(imitator.Workload{Algo: "pagerank", Dataset: "gweb", Iters: 10},
-//		imitator.New(imitator.WithServe(imitator.ServeStalenessBound(2))))
+//		imitator.New(imitator.WithServe()))
 //	ans, err := srv.Query(imitator.Query{Kind: imitator.QueryTopK, K: 10})
 //
 // Everything reachable from this package is supported API; callers never
@@ -66,7 +66,8 @@ type VertexInfo = core.VertexInfo
 // Cluster is a configured simulated cluster ready to Run one job.
 type Cluster[V, A any] = core.Cluster[V, A]
 
-// Result is a finished job's output and accounting.
+// Result is a finished job's output: its typed vertex Values plus an
+// embedded RunSummary, whose fields read as Result's own.
 type Result[V any] = core.Result[V]
 
 // Config is a fully-resolved job configuration. Build one with New; the

@@ -31,13 +31,6 @@ func WithServe(opts ...ServeOption) Option {
 	}
 }
 
-// ServeStalenessBound rejects queries whose snapshot would lag the frontier
-// by more than n epochs with ErrStaleRead (0 = unbounded). Per-query
-// Query.StalenessBound overrides it.
-func ServeStalenessBound(n int) ServeOption {
-	return func(s *core.ServeConfig) { s.StalenessBound = n }
-}
-
 // ServeKeepHistory retains every published snapshot for the run's lifetime
 // (ground-truth validation and time-travel reads; memory grows with the
 // iteration count).
@@ -81,7 +74,9 @@ var (
 	ErrBadQuery = core.ErrBadQuery
 	// ErrUnknownVertex reports a vertex id outside the graph.
 	ErrUnknownVertex = core.ErrUnknownVertex
-	// ErrStaleRead reports a snapshot older than the staleness bound.
+	// ErrStaleRead is never returned: every commit publishes, so an
+	// answer lags the frontier by at most one epoch. It stays so callers
+	// that match on it keep compiling.
 	ErrStaleRead = core.ErrStaleRead
 	// ErrVertexUnavailable reports a vertex whose master is down and whose
 	// replicas cannot serve (e.g. a selfish vertex under §4.4).

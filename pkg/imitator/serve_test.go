@@ -16,9 +16,9 @@ func TestServeFacade(t *testing.T) {
 		imitator.WithIterations(6),
 		imitator.WithFTStrategy(imitator.Replication(imitator.ReplicationK(1))),
 		imitator.WithFailures(imitator.Crash(3, imitator.FailBeforeBarrier, 2)),
-		imitator.WithServe(imitator.ServeStalenessBound(2), imitator.ServeKeepHistory()),
+		imitator.WithServe(imitator.ServeKeepHistory()),
 	)
-	if !cfg.Serve.Enabled || cfg.Serve.StalenessBound != 2 || !cfg.Serve.KeepHistory {
+	if !cfg.Serve.Enabled || !cfg.Serve.KeepHistory {
 		t.Fatalf("serve options not applied: %+v", cfg.Serve)
 	}
 
