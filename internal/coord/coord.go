@@ -191,6 +191,19 @@ func (c *Coordinator) Join(node int) {
 	c.epochs[node]++
 }
 
+// Leave drops a node from the membership without announcing a failure: for
+// a slot whose failure was already handled, as when a rebirth newbie is
+// abandoned because its recovery fell back to migration. Nothing surfaces
+// at the next barrier and the epoch stays. Like Join, it is for a driver
+// between barriers: it does not release one that others are waiting in.
+func (c *Coordinator) Leave(node int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.alive[node] = false
+	delete(c.arrived, node)
+	delete(c.suspected, node)
+}
+
 // Epoch returns a node's current membership incarnation (1 at job start,
 // +1 per Join). Epoch 0 is never issued, so it can stamp "no epoch".
 func (c *Coordinator) Epoch(node int) uint64 {

@@ -137,6 +137,25 @@ func TestJoinNewbie(t *testing.T) {
 	}
 }
 
+// TestLeaveAnnouncesNothing: a newbie that leaves stops being a member and
+// holding up barriers, but no barrier reports it failed and its epoch stays.
+func TestLeaveAnnouncesNothing(t *testing.T) {
+	c, _ := New(2)
+	c.MarkFailed(1)
+	c.EnterBarrier(0) // consume failure
+	c.Join(1)
+	c.Leave(1)
+	if c.Alive(1) {
+		t.Error("a node that left is still a member")
+	}
+	if s := c.EnterBarrier(0); s.IsFail() {
+		t.Errorf("barrier after Leave announced %v", s.Failed)
+	}
+	if e := c.Epoch(1); e != 2 {
+		t.Errorf("Epoch(1) = %d after Join and Leave, want 2", e)
+	}
+}
+
 func TestMarkFailedIdempotent(t *testing.T) {
 	c, _ := New(2)
 	c.MarkFailed(1)

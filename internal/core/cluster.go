@@ -709,11 +709,13 @@ func (c *Cluster[V, A]) recover(failed []int, iter int) error {
 			// instead of failing the job (§5.2 as fallback). A slot holding
 			// the newbie of an interrupted Rebirth is lost too: Migration
 			// promotes the survivors' mirrors of its vertices, so the slot
-			// must be dead and empty, not half-built.
+			// must be dead and empty, not half-built, and no member: its
+			// failure is this recovery's, so it leaves without a new one.
 			for _, f := range pending {
 				if c.nodes[f].alive {
 					c.nodes[f] = &node[V, A]{id: f, met: &c.met.Nodes[f]}
 					c.net.SetFailed(f, true)
+					c.coord.Leave(f)
 					c.aliveDirty = true
 				}
 			}

@@ -153,3 +153,43 @@ func deepCopyTables(n nodeTables) nodeTables {
 		rawEdges{slices.Clone(e.src), slices.Clone(e.wt)},
 	}
 }
+
+// TestRebirthFallbackDropsNewbieSlot is the white-box twin of
+// TestChaosRebirthFallbackInheritsNewbie: after the Rebirth whose newbie had
+// joined slot 3 falls back to Migration, slot 3 is dead and empty, so the
+// coordinator must not count it as a member either (serve routing reads
+// coord.Alive). It leaves without a fresh failure: the fallback stays the
+// run's last recovery.
+func TestRebirthFallbackDropsNewbieSlot(t *testing.T) {
+	g := datasets.Tiny(400, 2400, 63)
+	for _, mode := range []Mode{EdgeCutMode, VertexCutMode} {
+		cfg := DefaultConfig(mode, 8)
+		cfg.MaxIter = 12
+		cfg.Recovery = RecoverRebirth
+		cfg.FT = FTConfig{K: 2}
+		cfg.MaxRebirths = 1
+		cfg.RebirthFallback = true
+		cfg.Chaos = []ChaosEvent{
+			{Kind: ChaosCrash, Iteration: 4, Phase: FailAfterBarrier, Nodes: []int{3}},
+			{Kind: ChaosCrashDuringRecovery, During: "rebirth:join", Nodes: []int{5}},
+		}
+		cl, err := NewCluster[float64, float64](cfg, g, fakePR{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := cl.Run()
+		if err != nil {
+			t.Fatalf("%v: %v", mode, err)
+		}
+		if n := len(res.Recoveries); n == 0 || !res.Recoveries[n-1].Fallback {
+			t.Fatalf("%v: recoveries %v, want a final fallback Migration", mode, res.Recoveries)
+		}
+		for id := range cfg.NumNodes {
+			want := id != 3 && id != 5
+			if got := cl.coord.Alive(id); got != want || cl.nodes[id].alive != want {
+				t.Errorf("%v: slot %d is a member %v with a live node %v after Run, want %v",
+					mode, id, got, cl.nodes[id].alive, want)
+			}
+		}
+	}
+}

@@ -3,7 +3,37 @@ package gossip
 import (
 	"fmt"
 	"testing"
+	"unsafe"
 )
+
+// TestMemberRowSize: a detector holds n² view rows, so the row's size is the
+// detector's memory at scale: 12 MB of rows at n = 1024.
+func TestMemberRowSize(t *testing.T) {
+	if sz := unsafe.Sizeof(member{}); sz > 12 {
+		t.Errorf("a view row takes %d bytes, want at most 12", sz)
+	}
+}
+
+// TestNewAllocBudget: New carves every per-member structure from a fixed set
+// of slabs, so building a detector costs the same number of allocations
+// whatever its size. maxNewAllocs covers the slabs plus the network's own
+// (27 in all when this was written).
+func TestNewAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates; counts are meaningless")
+	}
+	const maxNewAllocs = 30
+	allocs := func(n int) float64 {
+		return testing.AllocsPerRun(2, func() { newDetector(t, n, Params{Seed: 3}) })
+	}
+	small, large := allocs(16), allocs(1024)
+	if large != small {
+		t.Errorf("New(1024) allocates %.0f times and New(16) %.0f: the count grows with n", large, small)
+	}
+	if large > maxNewAllocs {
+		t.Errorf("New(1024) allocates %.0f times, want at most %d", large, maxNewAllocs)
+	}
+}
 
 // lossyDetector builds an n-member detector whose first `lossy` members drop
 // 20% of the datagrams on every link touching them — the benchmark's

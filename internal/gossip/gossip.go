@@ -60,11 +60,12 @@ func suspicionPeriods(n int) int {
 	return max(3, int(math.Ceil(4*math.Log10(float64(n)+1))))
 }
 
-// member is one row of a node's local membership view.
+// member is one row of a node's local membership view: 12 bytes, and a
+// detector holds n² of them.
 type member struct {
-	status UpdateKind // UpdAlive, UpdSuspect, or UpdConfirm
 	inc    uint32
-	since  int // period of the last status change (suspicion timer base)
+	since  int32      // period of the last status change (suspicion timer base)
+	status UpdateKind // UpdAlive, UpdSuspect, or UpdConfirm
 	// final marks an expired suspicion awaiting its confirm-before-kill
 	// probe: the owner must get one dedicated direct/indirect probe of
 	// this member before the suspicion may be confirmed. A first-hand ack
@@ -95,13 +96,14 @@ type outMsg struct {
 
 func bySender(a, b outMsg) int { return a.from - b.from }
 
-// node is the per-process protocol state.
+// node is the per-process protocol state. Member ids are int32, the width
+// the wire carries them at.
 type node struct {
 	id       int
-	src      *rng.Source
+	src      rng.Source
 	view     []member
-	suspects []int // ids this view holds in UpdSuspect, ascending; see setStatus
-	order    []int // shuffled probe schedule; reshuffled on wraparound
+	suspects []int32 // ids this view holds in UpdSuspect, ascending; see setStatus
+	order    []int32 // shuffled probe schedule; reshuffled on wraparound
 	next     int
 	selfInc  uint32
 	queue    []queued
@@ -115,9 +117,9 @@ type node struct {
 func (nd *node) setStatus(j int, status UpdateKind) {
 	mv := &nd.view[j]
 	if was, is := mv.status == UpdSuspect, status == UpdSuspect; was != is {
-		i, _ := slices.BinarySearch(nd.suspects, j)
+		i, _ := slices.BinarySearch(nd.suspects, int32(j))
 		if is {
-			nd.suspects = slices.Insert(nd.suspects, i, j)
+			nd.suspects = slices.Insert(nd.suspects, i, int32(j))
 		} else {
 			nd.suspects = slices.Delete(nd.suspects, i, i+1)
 		}
@@ -143,7 +145,7 @@ type Detector struct {
 	n      int
 	p      Params
 	net    *netsim.Network
-	nodes  []*node
+	nodes  []node
 	up     []bool // ground truth
 	period int
 	budget int // per-update transmission budget: 3*ceil(log2(n+1))
@@ -169,12 +171,17 @@ type Detector struct {
 	// Per-call scratch, retained so a steady period allocates nothing.
 	rx    Message  // deliver's decoded datagram
 	upd   []Update // stage's piggyback selection
-	cands []int    // stagePingReqs' helper candidates
+	cands []int32  // stagePingReqs' helper candidates
 }
 
 // New builds a detector for n members, all initially alive, over a fresh
 // lossy netsim network (omission enabled, control frames in datagram
 // mode). Chaos — drop rates, partitions — is injected through Net.
+//
+// The state is a fixed number of slabs whatever n: the n² view rows at 12
+// bytes each, the n² probe-schedule ids at 4 bytes each, the nodes with
+// their RNG sources, and the queue and suspect-list room below, so New's
+// allocation count does not grow with n and its bytes grow as 16·n².
 func New(n int, p Params) (*Detector, error) {
 	if n < 2 {
 		return nil, fmt.Errorf("gossip: need at least 2 nodes, got %d", n)
@@ -192,30 +199,34 @@ func New(n int, p Params) (*Detector, error) {
 		n:             n,
 		p:             p,
 		net:           net,
-		nodes:         make([]*node, n),
+		nodes:         make([]node, n),
 		up:            make([]bool, n),
 		budget:        3 * (bits.Len(uint(n)) + 1),
 		susp:          suspicionPeriods(n),
 		everConfirmed: make([]bool, n),
 	}
-	// Every member's dissemination queue and suspect list start with room
-	// for a busy period, carved from two slabs, so a run grows few of them.
+	// Every member's view and probe schedule are rows of two n×n slabs; its
+	// dissemination queue and suspect list start with room for a busy period,
+	// carved from two more, so a run grows few of them.
+	views := make([]member, n*n)
+	orders := make([]int32, n*n)
 	queues := make([]queued, n*queueSlots)
-	suspects := make([]int, n*suspectSlots)
-	for id := 0; id < n; id++ {
-		nd := &node{
+	suspects := make([]int32, n*suspectSlots)
+	for i := range views {
+		views[i].status = UpdAlive
+	}
+	for id := range d.nodes {
+		nd := &d.nodes[id]
+		*nd = node{
 			id:       id,
-			src:      rng.New(p.Seed ^ rng.Hash2(uint64(id)+1, 0x5157494d)),
-			view:     make([]member, n),
+			src:      *rng.New(p.Seed ^ rng.Hash2(uint64(id)+1, 0x5157494d)),
+			view:     views[id*n:][:n:n],
+			order:    orders[id*n:][:n:n],
 			queue:    queues[id*queueSlots:][:0:queueSlots],
 			suspects: suspects[id*suspectSlots:][:0:suspectSlots],
 			target:   -1,
 		}
-		for j := range nd.view {
-			nd.view[j] = member{status: UpdAlive}
-		}
-		nd.order = nd.src.Perm(n)
-		d.nodes[id] = nd
+		nd.resetOrder()
 		d.up[id] = true
 	}
 	return d, nil
@@ -254,18 +265,14 @@ func (d *Detector) Revive(id int) {
 	d.up[id] = true
 	d.net.SetFailed(id, false)
 	var maxInc uint32
-	for _, nd := range d.nodes {
-		if nd.view[id].inc > maxInc {
-			maxInc = nd.view[id].inc
-		}
+	for i := range d.nodes {
+		maxInc = max(maxInc, d.nodes[i].view[id].inc)
 	}
-	if d.nodes[id].selfInc > maxInc {
-		maxInc = d.nodes[id].selfInc
-	}
-	inc := maxInc + 1
-	for _, nd := range d.nodes {
+	inc := max(maxInc, d.nodes[id].selfInc) + 1
+	for i := range d.nodes {
+		nd := &d.nodes[i]
 		nd.setStatus(id, UpdAlive)
-		nd.view[id] = member{status: UpdAlive, inc: inc, since: d.period}
+		nd.view[id] = member{status: UpdAlive, inc: inc, since: int32(d.period)}
 		q := nd.queue[:0]
 		for _, e := range nd.queue {
 			if int(e.upd.Node) != id {
@@ -283,13 +290,14 @@ func (d *Detector) Revive(id int) {
 // chaos (e.g. a full partition) keeps gossip from converging in bounded
 // periods.
 func (d *Detector) ForceConfirm(id int) {
-	for _, nd := range d.nodes {
-		if nd.id == id {
+	for i := range d.nodes {
+		nd := &d.nodes[i]
+		if i == id {
 			continue
 		}
 		if nd.view[id].status != UpdConfirm {
 			nd.setStatus(id, UpdConfirm)
-			nd.view[id].since = d.period
+			nd.view[id].since = int32(d.period)
 		}
 	}
 	if !d.everConfirmed[id] {
@@ -348,7 +356,9 @@ func (d *Detector) Close() error { return nil }
 // indirect ack, forwarded ack); then probe outcomes and suspicion
 // timeouts are folded into each local view. No step walks the n² view rows or
 // links: a period costs O(n + suspects), O(queue) per datagram and O(n) per
-// unanswered probe, and once its buffers have grown it allocates nothing.
+// unanswered probe or probe-schedule wraparound. Once its buffers have grown
+// it allocates nothing but the omission layer's entries for lossy links that
+// carry their first datagram.
 //
 //imitator:hotpath
 func (d *Detector) RunPeriod() {
@@ -369,7 +379,7 @@ func (d *Detector) RunPeriod() {
 // startPeriod picks each up node's probe target and stages the ping.
 func (d *Detector) startPeriod() {
 	for id := 0; id < d.n; id++ {
-		nd := d.nodes[id]
+		nd := &d.nodes[id]
 		nd.target = -1
 		nd.isFinal = false
 		nd.gotAck = false
@@ -401,10 +411,20 @@ func (nd *node) pickFinal() int {
 			continue
 		}
 		if best < 0 || mv.since < nd.view[best].since {
-			best = j
+			best = int(j)
 		}
 	}
 	return best
+}
+
+// resetOrder refills the probe schedule with every id and shuffles it,
+// drawing what rng.Source.Perm(n) draws.
+func (nd *node) resetOrder() {
+	for i := range nd.order {
+		nd.order[i] = int32(i)
+	}
+	rng.Shuffle(&nd.src, nd.order)
+	nd.next = 0
 }
 
 // pickTarget advances the shuffled round-robin schedule past self and
@@ -412,13 +432,9 @@ func (nd *node) pickFinal() int {
 func (nd *node) pickTarget(n int) int {
 	for tries := 0; tries < n; tries++ {
 		if nd.next >= len(nd.order) {
-			for i := range nd.order {
-				nd.order[i] = i
-			}
-			nd.src.Shuffle(nd.order)
-			nd.next = 0
+			nd.resetOrder()
 		}
-		t := nd.order[nd.next]
+		t := int(nd.order[nd.next])
 		nd.next++
 		if t != nd.id && nd.view[t].status != UpdConfirm {
 			return t
@@ -432,20 +448,20 @@ func (nd *node) pickTarget(n int) int {
 // stream has always been charged for.
 func (d *Detector) stagePingReqs() {
 	for id := 0; id < d.n; id++ {
-		nd := d.nodes[id]
+		nd := &d.nodes[id]
 		if !d.up[id] || nd.target < 0 || nd.gotAck {
 			continue
 		}
 		cands := d.cands[:0]
 		for j := 0; j < d.n; j++ {
 			if j != id && j != nd.target && nd.view[j].status != UpdConfirm {
-				cands = append(cands, j)
+				cands = append(cands, int32(j))
 			}
 		}
 		d.cands = cands
-		nd.src.Shuffle(cands)
+		rng.Shuffle(&nd.src, cands)
 		for i := 0; i < len(cands) && i < indirectProbes; i++ {
-			d.stage(nd, cands[i], MsgPingReq, int32(nd.target))
+			d.stage(nd, int(cands[i]), MsgPingReq, int32(nd.target))
 		}
 	}
 }
@@ -510,7 +526,7 @@ func (d *Detector) deliver() {
 		if !d.up[id] {
 			continue
 		}
-		nd := d.nodes[id]
+		nd := &d.nodes[id]
 		for _, raw := range msgs {
 			if raw.Kind != netsim.KindControl {
 				continue
@@ -566,7 +582,7 @@ func (nd *node) stageReply(d *Detector, to int, kind MsgKind, about int32) {
 // into confirmations.
 func (d *Detector) endPeriod() {
 	for id := 0; id < d.n; id++ {
-		nd := d.nodes[id]
+		nd := &d.nodes[id]
 		if !d.up[id] {
 			continue
 		}
@@ -581,7 +597,7 @@ func (d *Detector) endPeriod() {
 		if t := nd.target; t >= 0 && nd.isFinal && nd.view[t].status == UpdSuspect {
 			mv := &nd.view[t]
 			if nd.gotAck {
-				mv.since = d.period
+				mv.since = int32(d.period)
 				mv.final = false
 			} else {
 				d.transition(nd, Update{Kind: UpdConfirm, Node: int32(t), Inc: mv.inc}, false)
@@ -593,7 +609,7 @@ func (d *Detector) endPeriod() {
 		// dissemination race.
 		for _, j := range nd.suspects {
 			mv := &nd.view[j]
-			if !mv.final && d.period-mv.since >= d.susp {
+			if !mv.final && d.period-int(mv.since) >= d.susp {
 				mv.final = true
 			}
 		}
@@ -649,7 +665,7 @@ func (d *Detector) transition(nd *node, u Update, originated bool) {
 		if mv.status != UpdConfirm && u.Inc > mv.inc {
 			nd.setStatus(j, UpdAlive)
 			mv.inc = u.Inc
-			mv.since = d.period
+			mv.since = int32(d.period)
 			mv.final = false
 			changed = true
 		}
@@ -658,7 +674,7 @@ func (d *Detector) transition(nd *node, u Update, originated bool) {
 			(u.Inc > mv.inc || (u.Inc == mv.inc && mv.status == UpdAlive)) {
 			nd.setStatus(j, UpdSuspect)
 			mv.inc = u.Inc
-			mv.since = d.period
+			mv.since = int32(d.period)
 			mv.final = false
 			changed = true
 			if originated && d.up[j] {
@@ -668,7 +684,7 @@ func (d *Detector) transition(nd *node, u Update, originated bool) {
 	case UpdConfirm:
 		if mv.status != UpdConfirm && u.Inc >= mv.inc {
 			nd.setStatus(j, UpdConfirm)
-			mv.since = d.period
+			mv.since = int32(d.period)
 			mv.final = false
 			changed = true
 			if !d.everConfirmed[j] {

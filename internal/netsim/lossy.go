@@ -133,9 +133,12 @@ type lossyBackend struct {
 	n     int
 	seed  uint64
 
-	faults map[[2]int]linkFaults
-	rngs   map[[2]int]rng.Source
-	cut    map[[2]int]bool
+	// Per-link state, keyed by linkKey. The fate streams are kept apart from
+	// the fault probabilities: a link's stream outlives clearing and
+	// reinstalling its faults, and the fault map stays small.
+	faults map[uint64]linkFaults
+	rngs   map[uint64]rng.Source
+	cut    map[uint64]bool
 
 	// epochs mirrors the coordinator's membership incarnations; frames
 	// are stamped at Send and fenced at Collect against these.
@@ -150,7 +153,8 @@ type lossyBackend struct {
 
 	// Per-link state exists only for links that carried a reliable frame
 	// (sequence numbers) or a frame this round (out), so a round costs
-	// O(frames) and an idle link costs nothing.
+	// O(frames) and an idle link costs nothing. A node's sequence map is made
+	// when its first reliable frame is stamped or delivered.
 	nextSeq  []map[int]uint32 // [from][to] next sequence to stamp
 	recvNext []map[int]uint32 // [to][from] next sequence to deliver
 	out      [][]lossyFrame   // [from] frames queued this round, in send order
@@ -168,9 +172,9 @@ func newLossyBackend(inner Backend, net *Network, seed uint64) *lossyBackend {
 		net:      net,
 		n:        n,
 		seed:     seed,
-		faults:   make(map[[2]int]linkFaults),
-		rngs:     make(map[[2]int]rng.Source),
-		cut:      make(map[[2]int]bool),
+		faults:   make(map[uint64]linkFaults),
+		rngs:     make(map[uint64]rng.Source),
+		cut:      make(map[uint64]bool),
 		epochs:   make([]uint32, n),
 		nextSeq:  make([]map[int]uint32, n),
 		recvNext: make([]map[int]uint32, n),
@@ -180,22 +184,33 @@ func newLossyBackend(inner Backend, net *Network, seed uint64) *lossyBackend {
 	slab := make([]lossyFrame, queueSlots*n)
 	for i := range b.epochs {
 		b.epochs[i] = 1
-		b.nextSeq[i] = make(map[int]uint32)
-		b.recvNext[i] = make(map[int]uint32)
 		b.out[i] = slab[queueSlots*i:][:0:queueSlots]
 	}
 	return b
 }
 
+// linkKey packs the directed link from->to into one word, so the per-link
+// maps take Go's 8-byte-key fast path.
+func linkKey(from, to int) uint64 { return uint64(from)<<32 | uint64(uint32(to)) }
+
 // linkRNG returns the per-link fate stream, created on first use from
 // the chaos seed and the link endpoints so every link draws an
 // independent deterministic sequence. The caller stores the advanced
 // state back; the map holds values so a new link costs no allocation.
-func (b *lossyBackend) linkRNG(link [2]int) rng.Source {
+func (b *lossyBackend) linkRNG(link uint64) rng.Source {
 	if src, ok := b.rngs[link]; ok {
 		return src
 	}
-	return *rng.New(b.seed ^ rng.Hash2(uint64(link[0])+1, uint64(link[1])+1))
+	from, to := link>>32, uint64(uint32(link))
+	return *rng.New(b.seed ^ rng.Hash2(from+1, to+1))
+}
+
+// seqMap returns m[node], making it on first use.
+func seqMap(m []map[int]uint32, node int) map[int]uint32 {
+	if m[node] == nil {
+		m[node] = make(map[int]uint32)
+	}
+	return m[node]
 }
 
 // isDatagram reports whether frames of kind k are best-effort.
@@ -219,7 +234,7 @@ func (b *lossyBackend) Send(to int, m Message) {
 			senderEpoch: b.epochs[from],
 			recvEpoch:   b.epochs[to],
 		}
-		b.nextSeq[from][to] = m.env.seq + 1
+		seqMap(b.nextSeq, from)[to] = m.env.seq + 1
 		b.net.bytesOut[from].Add(envelopeLen)
 		b.net.bytesIn[to].Add(envelopeLen)
 		b.net.totalOut[from].Add(envelopeLen)
@@ -252,7 +267,7 @@ func (b *lossyBackend) EndRound(from int, failed []bool) {
 
 // flushLink transmits one link's round of frames in order.
 func (b *lossyBackend) flushLink(from, to int, alive bool, q []lossyFrame) {
-	link := [2]int{from, to}
+	link := linkKey(from, to)
 	if b.cut[link] {
 		for i := range q {
 			if b.isDatagram(q[i].m.Kind) {
@@ -440,7 +455,7 @@ func (b *lossyBackend) deliverRun(to, from int, run []Message, out []Message) []
 		out = append(out, m)
 	}
 	if next != first {
-		b.recvNext[to][from] = next
+		seqMap(b.recvNext, to)[from] = next
 	}
 	return out
 }
@@ -479,8 +494,8 @@ func (b *lossyBackend) setEpoch(node int, epoch uint64) {
 		delete(b.nextSeq[p], node)
 		delete(b.recvNext[p], node)
 		b.out[p] = slices.DeleteFunc(b.out[p], func(fr lossyFrame) bool { return fr.to == node })
-		delete(b.cut, [2]int{node, p})
-		delete(b.cut, [2]int{p, node})
+		delete(b.cut, linkKey(node, p))
+		delete(b.cut, linkKey(p, node))
 	}
 }
 
@@ -496,8 +511,8 @@ func (b *lossyBackend) partition(nodes []int) {
 			if inSet[t] {
 				continue
 			}
-			b.cut[[2]int{s, t}] = true
-			b.cut[[2]int{t, s}] = true
+			b.cut[linkKey(s, t)] = true
+			b.cut[linkKey(t, s)] = true
 		}
 	}
 }
@@ -516,13 +531,13 @@ func (b *lossyBackend) heal(nodes []int) {
 			if inSet[t] {
 				continue
 			}
-			delete(b.cut, [2]int{s, t})
-			delete(b.cut, [2]int{t, s})
+			delete(b.cut, linkKey(s, t))
+			delete(b.cut, linkKey(t, s))
 		}
 	}
 	kept := b.parked[:0]
 	for _, pf := range b.parked {
-		if b.cut[[2]int{pf.m.From, pf.to}] {
+		if b.cut[linkKey(pf.m.From, pf.to)] {
 			kept = append(kept, pf)
 			continue
 		}
@@ -545,7 +560,7 @@ func (b *lossyBackend) takeDelay(node int) float64 {
 
 // setFault updates one probability field of a link's fault config.
 func (b *lossyBackend) setFault(from, to int, update func(*linkFaults)) {
-	link := [2]int{from, to}
+	link := linkKey(from, to)
 	f := b.faults[link]
 	update(&f)
 	if f.none() {

@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 
@@ -121,6 +122,61 @@ func TestLossyDeterministicReplay(t *testing.T) {
 	if c := run(8); c == a {
 		t.Fatalf("different seed replayed identical fates: %+v", a)
 	}
+}
+
+// TestLossyFateStreamNeverReseeded: a link draws its fates from one stream
+// for the whole run. Clearing and reinstalling its drop rate, or cutting and
+// healing it, draws nothing and restarts nothing, so the fates of the lossy
+// rounds match a run that only ever sent those rounds. Datagrams make each
+// frame's fate visible: one draw each, delivered or gone for good.
+func TestLossyFateStreamNeverReseeded(t *testing.T) {
+	const frames, seed, p = 16, 12, 0.5
+	// fates sends one round of datagrams 0->1 and reports which arrived.
+	fates := func(net *Network) []bool {
+		for i := 0; i < frames; i++ {
+			net.Send(0, 1, KindControl, []byte{byte(i)})
+		}
+		net.FinishRound()
+		got := make([]bool, frames)
+		for _, m := range net.Receive(1) {
+			got[m.Payload[0]] = true
+		}
+		return got
+	}
+	newNet := func() *Network {
+		net := newLossyNet(t, 3, seed)
+		net.SetDatagramKind(KindControl)
+		net.SetDropRate(0, 1, p)
+		return net
+	}
+
+	ref := newNet()
+	var want [3][]bool
+	for r := range want {
+		want[r] = fates(ref)
+	}
+	if slices.Equal(want[0], want[1]) || slices.Equal(want[0], want[2]) {
+		t.Fatalf("seed %d repeats a round's fates %v, so a re-seeded stream would not show", seed, want)
+	}
+
+	net := newNet()
+	got := [3][]bool{fates(net)}
+	net.SetDropRate(0, 1, 0)
+	if lost := slices.Index(fates(net), false); lost >= 0 {
+		t.Fatalf("frame %d lost on a link whose drop rate was cleared", lost)
+	}
+	net.SetDropRate(0, 1, p)
+	got[1] = fates(net)
+	net.Partition([]int{1})
+	fates(net) // lost in the cut cable without a draw
+	net.Heal([]int{1})
+	got[2] = fates(net)
+	for r := range got {
+		if !slices.Equal(got[r], want[r]) {
+			t.Errorf("lossy round %d: fates %v, want %v", r, got[r], want[r])
+		}
+	}
+	checkErr(t, net)
 }
 
 // TestLossyDrainSemantics is the SetFailed/Drop satellite: with

@@ -158,7 +158,12 @@ func (r *Source) Perm(n int) []int {
 
 // Shuffle permutes p in place (Fisher-Yates), drawing exactly what Perm
 // draws for len(p): shuffling the identity is Perm.
-func (r *Source) Shuffle(p []int) {
+func (r *Source) Shuffle(p []int) { Shuffle(r, p) }
+
+// Shuffle is Source.Shuffle for any element type: it makes the same draws
+// for a slice of the same length, so a schedule of 4-byte ids is permuted
+// exactly like one of ints.
+func Shuffle[E any](r *Source, p []E) {
 	for i := len(p) - 1; i > 0; i-- {
 		j := r.Intn(i + 1)
 		p[i], p[j] = p[j], p[i]

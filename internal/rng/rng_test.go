@@ -2,6 +2,7 @@ package rng
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -156,6 +157,47 @@ func TestPermIsPermutation(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestShuffleDrawsPinned: the generic Shuffle permutes a []int32 exactly as
+// Source.Shuffle permutes a []int of the same length, and leaves the source
+// at the same point of its stream. The permutations and the next draw were
+// recorded before Source.Shuffle delegated to the generic loop, so a change
+// to either that moves one draw fails here.
+func TestShuffleDrawsPinned(t *testing.T) {
+	for _, c := range []struct {
+		perm []int
+		next uint64
+	}{
+		{[]int{6, 10, 7, 3, 4, 11, 2, 8, 1, 9, 5, 0}, 0x6a133aa54593c70a},
+		{[]int{20, 19, 33, 3, 25, 4, 10, 34, 18, 12, 26, 23, 0, 1, 9, 28, 5, 16, 21,
+			22, 15, 32, 13, 2, 31, 29, 8, 7, 6, 17, 35, 36, 27, 30, 11, 24, 14}, 0x84c8f1e94c39e6d},
+	} {
+		n := len(c.perm)
+		seed := 0x5157494d + uint64(n)
+		ints, ids := make([]int, n), make([]int32, n)
+		for i := range ints {
+			ints[i], ids[i] = i, int32(i)
+		}
+		r := New(seed)
+		r.Shuffle(ints)
+		if !slices.Equal(ints, c.perm) {
+			t.Errorf("n=%d: Source.Shuffle gave %v, want %v", n, ints, c.perm)
+		}
+		if next := r.Uint64(); next != c.next {
+			t.Errorf("n=%d: Source.Shuffle left the stream at %#x, want %#x", n, next, c.next)
+		}
+		r = New(seed)
+		Shuffle(r, ids)
+		for i, v := range ids {
+			if int(v) != c.perm[i] {
+				t.Fatalf("n=%d: Shuffle on []int32 gave %v, want %v", n, ids, c.perm)
+			}
+		}
+		if next := r.Uint64(); next != c.next {
+			t.Errorf("n=%d: Shuffle on []int32 left the stream at %#x, want %#x", n, next, c.next)
+		}
 	}
 }
 
