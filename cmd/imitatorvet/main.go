@@ -1,8 +1,8 @@
 // Command imitatorvet runs the repository's custom static analyzers —
-// determinism, bufown, wirebounds, hotalloc, hostrace and narrowing, where
-// wirebounds and narrowing are two rules of one taint engine in
-// internal/analysis/bounds (see DESIGN.md "Static invariants") — over Go
-// packages, which it loads and type-checks itself:
+// hostrace, wirebounds and narrowing, where wirebounds and narrowing are two
+// rules of one taint engine in internal/analysis/bounds (see DESIGN.md
+// "Static invariants") — over Go packages, which it loads and type-checks
+// itself:
 //
 //	go run ./cmd/imitatorvet ./...
 //	imitatorvet -json ./...
@@ -21,19 +21,13 @@ import (
 
 	"imitator/internal/analysis"
 	"imitator/internal/analysis/bounds"
-	"imitator/internal/analysis/bufown"
-	"imitator/internal/analysis/determinism"
 	"imitator/internal/analysis/hostrace"
-	"imitator/internal/analysis/hotalloc"
 )
 
 func analyzers() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
-		determinism.New(determinism.DefaultSimPackages),
-		bufown.New(),
-		bounds.Wirebounds(),
-		hotalloc.New(),
 		hostrace.New(),
+		bounds.Wirebounds(),
 		bounds.Narrowing(),
 	}
 }

@@ -10,7 +10,7 @@ import (
 // TestJSONOutputShape pins the -json schema: map of package ID to map of
 // analyzer name to diagnostics, each with a file:line:col position string
 // and a message. The fixture package under testdata carries exactly one
-// deliberate hotalloc violation.
+// deliberate wirebounds violation.
 func TestJSONOutputShape(t *testing.T) {
 	var out bytes.Buffer
 	code := run([]string{"-json", "./testdata/jsonpkg"}, &out)
@@ -29,12 +29,12 @@ func TestJSONOutputShape(t *testing.T) {
 		if !strings.HasSuffix(pkgID, "testdata/jsonpkg") {
 			t.Errorf("package key %q does not end in testdata/jsonpkg", pkgID)
 		}
-		diags, ok := byAnalyzer["hotalloc"]
+		diags, ok := byAnalyzer["wirebounds"]
 		if !ok {
-			t.Fatalf("no hotalloc entry for %s: %v", pkgID, byAnalyzer)
+			t.Fatalf("no wirebounds entry for %s: %v", pkgID, byAnalyzer)
 		}
 		if len(diags) != 1 {
-			t.Fatalf("got %d hotalloc diagnostics, want 1: %v", len(diags), diags)
+			t.Fatalf("got %d wirebounds diagnostics, want 1: %v", len(diags), diags)
 		}
 		d := diags[0]
 		if !strings.Contains(d.Posn, "jsonpkg.go:") {
@@ -44,8 +44,8 @@ func TestJSONOutputShape(t *testing.T) {
 		if parts := strings.Split(d.Posn, ":"); len(parts) < 3 {
 			t.Errorf("Posn %q is not file:line:col", d.Posn)
 		}
-		if !strings.Contains(d.Message, "make allocates") {
-			t.Errorf("Message %q does not describe the make allocation", d.Message)
+		if !strings.Contains(d.Message, "no dominating bound check") {
+			t.Errorf("Message %q does not describe the unbounded make", d.Message)
 		}
 	}
 }

@@ -43,8 +43,6 @@ func (p *PageRank) Init(graph.VertexID, core.VertexInfo) (float64, bool) { retur
 
 // Gather implements core.Program: each source's rank over its out-degree,
 // summed in edge order (a rank is never -0, so skipping a 0 adds no bit).
-//
-//imitator:hotpath
 func (p *PageRank) Gather(_ graph.VertexID, in core.InEdges[float64]) float64 {
 	sum := 0.0
 	for k := 0; k < in.Len(); k++ {
@@ -59,8 +57,6 @@ func (p *PageRank) Gather(_ graph.VertexID, in core.InEdges[float64]) float64 {
 func (p *PageRank) Merge(a, b float64) float64 { return a + b }
 
 // Apply implements core.Program.
-//
-//imitator:hotpath
 func (p *PageRank) Apply(_ graph.VertexID, _ core.VertexInfo, _ float64, acc float64, hasAcc bool, _ int) (float64, bool) {
 	sum := 0.0
 	if hasAcc {
@@ -107,8 +103,6 @@ func (s *SSSP) Init(v graph.VertexID, _ core.VertexInfo) (float64, bool) {
 }
 
 // Gather implements core.Program: the least source distance + edge weight.
-//
-//imitator:hotpath
 func (s *SSSP) Gather(_ graph.VertexID, in core.InEdges[float64]) float64 {
 	best := in.Value(0) + in.Weight(0)
 	for k := 1; k < in.Len(); k++ {
@@ -121,8 +115,6 @@ func (s *SSSP) Gather(_ graph.VertexID, in core.InEdges[float64]) float64 {
 func (s *SSSP) Merge(a, b float64) float64 { return math.Min(a, b) }
 
 // Apply implements core.Program: relax; scatter only on improvement.
-//
-//imitator:hotpath
 func (s *SSSP) Apply(_ graph.VertexID, _ core.VertexInfo, old float64, acc float64, hasAcc bool, _ int) (float64, bool) {
 	if !hasAcc || acc >= old {
 		return old, false

@@ -218,3 +218,30 @@ func TestCodecsMatchPrograms(t *testing.T) {
 		t.Error("ALS acc codec round-trip failed")
 	}
 }
+
+// TestProgramsAllocFree: Gather and Apply run once per active vertex per
+// superstep, so a shipped program must not allocate in them. The engine's
+// zero-alloc superstep gate in core runs test doubles, not these programs.
+func TestProgramsAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates; counts are meaningless")
+	}
+	src := []graph.VertexID{1, 2, 3}
+	info := []core.VertexInfo{{InDeg: 1, OutDeg: 2}, {InDeg: 2, OutDeg: 0}, {InDeg: 3, OutDeg: 3}}
+	wt := []float64{1, 0.5, 2}
+	checkAllocFree(t, NewPageRank(100), core.NewInEdges(src, []float64{0.5, 1, 2}, info, wt), 1)
+	checkAllocFree(t, NewSSSP(0), core.NewInEdges(src, []float64{0, 3, math.Inf(1)}, info, wt), math.Inf(1))
+	checkAllocFree(t, NewCC(), core.NewInEdges(src, []int32{4, 2, 9}, info, nil), 5)
+	checkAllocFree(t, NewKCore(2), core.NewInEdges(src, []int32{2, Dead, 1}, info, nil), 3)
+}
+
+// checkAllocFree fails t if p's Gather over in followed by its Apply
+// allocates.
+func checkAllocFree[V any](t *testing.T, p core.Program[V, V], in core.InEdges[V], old V) {
+	t.Helper()
+	if avg := testing.AllocsPerRun(100, func() {
+		p.Apply(7, core.VertexInfo{InDeg: 3, OutDeg: 1}, old, p.Gather(7, in), true, 1)
+	}); avg != 0 {
+		t.Errorf("%s: Gather+Apply allocates %.1f times per vertex, want 0", p.Name(), avg)
+	}
+}

@@ -30,8 +30,6 @@ func (c *CC) CanRecomputeSelfish() bool { return false }
 func (c *CC) Init(v graph.VertexID, _ core.VertexInfo) (int32, bool) { return int32(v), true }
 
 // Gather implements core.Program: the smallest source label.
-//
-//imitator:hotpath
 func (c *CC) Gather(_ graph.VertexID, in core.InEdges[int32]) int32 {
 	low := in.Value(0)
 	for k := 1; k < in.Len(); k++ {
@@ -49,8 +47,6 @@ func (c *CC) Merge(a, b int32) int32 {
 }
 
 // Apply implements core.Program.
-//
-//imitator:hotpath
 func (c *CC) Apply(_ graph.VertexID, _ core.VertexInfo, old int32, acc int32, hasAcc bool, _ int) (int32, bool) {
 	if !hasAcc || acc >= old {
 		return old, false
@@ -96,8 +92,6 @@ func (p *KCore) Init(_ graph.VertexID, info core.VertexInfo) (int32, bool) {
 }
 
 // Gather implements core.Program: the number of live in-neighbors.
-//
-//imitator:hotpath
 func (p *KCore) Gather(_ graph.VertexID, in core.InEdges[int32]) int32 {
 	live := int32(0)
 	for k := 0; k < in.Len(); k++ {
@@ -113,8 +107,6 @@ func (p *KCore) Merge(a, b int32) int32 { return a + b }
 
 // Apply implements core.Program: die (and scatter) when support drops
 // below K.
-//
-//imitator:hotpath
 func (p *KCore) Apply(_ graph.VertexID, _ core.VertexInfo, old int32, acc int32, hasAcc bool, _ int) (int32, bool) {
 	if old == Dead {
 		return Dead, false

@@ -6,12 +6,11 @@
 // Diagnostic) closely enough that the suite can be ported to the real
 // framework by swapping import paths if x/tools ever becomes available.
 //
-// The suite's six analyzers live in subpackages and are wired together by
-// cmd/imitatorvet: determinism, bufown, hotalloc and hostrace each in its
-// own, and wirebounds and narrowing as two rules of one bound-check taint
-// engine in bounds. Helpers they share (InPackages, ObjectOf, CalleeFunc,
-// Diverges) live here. See DESIGN.md ("Static invariants") for the
-// contracts they enforce.
+// The suite's three analyzers live in subpackages and are wired together by
+// cmd/imitatorvet: hostrace in its own, and wirebounds and narrowing as two
+// rules of one bound-check taint engine in bounds. Helpers they share
+// (InPackages, ObjectOf, Diverges) live here. See DESIGN.md ("Static
+// invariants") for the contracts they enforce.
 package analysis
 
 import (
@@ -25,7 +24,7 @@ import (
 
 // Analyzer describes one static check.
 type Analyzer struct {
-	// Name identifies the analyzer in diagnostics ("determinism").
+	// Name identifies the analyzer in diagnostics ("hostrace").
 	Name string
 	// Doc is the analyzer's one-paragraph contract.
 	Doc string
@@ -36,11 +35,6 @@ type Analyzer struct {
 	// on (or immediately above) a flagged line suppresses this analyzer's
 	// diagnostics there. Empty means the analyzer cannot be suppressed.
 	Directive string
-	// Annotations lists additional bare //imitator:<key> comment keys the
-	// analyzer consumes that are not suppressions (hotalloc's "hotpath"
-	// scope marker). Run treats them as known when flagging misspelled
-	// directives.
-	Annotations []string
 	// Run performs the check on one package, reporting via pass.Reportf.
 	Run func(pass *Pass) error
 }
@@ -117,21 +111,17 @@ func Run(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 	return out, nil
 }
 
-// checkUnknownKeys flags //imitator: comments whose key is neither a
-// suppression key of a running analyzer nor a declared bare annotation: a
-// typo like //imitator:hotalloc-okay or //imitator:hotpaths would otherwise
-// silently suppress nothing (or scope nothing) and rot in place.
+// checkUnknownKeys flags //imitator: comments whose key is not a
+// suppression key of a running analyzer: a typo like
+// //imitator:hostrace-okay would otherwise silently suppress nothing and rot
+// in place.
 func checkUnknownKeys(fset *token.FileSet, files []*ast.File, analyzers []*Analyzer) []Diagnostic {
 	known := map[string]bool{}
-	names := make([]string, 0, len(analyzers)*2)
+	names := make([]string, 0, len(analyzers))
 	for _, a := range analyzers {
 		if a.Directive != "" {
 			known[a.Directive+"-ok"] = true
 			names = append(names, a.Directive+"-ok")
-		}
-		for _, k := range a.Annotations {
-			known[k] = true
-			names = append(names, k)
 		}
 	}
 	sort.Strings(names)

@@ -11,8 +11,7 @@ import (
 )
 
 // fixtureSrc exercises the directive grammar end to end: end-of-line and
-// own-line suppression, missing-reason rejection, a known bare annotation,
-// and an unknown key.
+// own-line suppression, missing-reason rejection and an unknown key.
 const fixtureSrc = `package fixture
 
 func boom() {}
@@ -34,21 +33,17 @@ func unsuppressed() {
 	boom()
 }
 
-//imitator:dummymark
-func marked() {}
-
 //imitator:mystery some words
 func typo() {}
 `
 
 // dummyAnalyzer flags every call to boom; its directive grammar mirrors the
-// real analyzers (suppression key "dummy", bare annotation "dummymark").
+// real analyzers (suppression key "dummy").
 func dummyAnalyzer() *analysis.Analyzer {
 	return &analysis.Analyzer{
-		Name:        "dummy",
-		Directive:   "dummy",
-		Annotations: []string{"dummymark"},
-		Doc:         "flags calls to boom (directive-grammar test analyzer)",
+		Name:      "dummy",
+		Directive: "dummy",
+		Doc:       "flags calls to boom (directive-grammar test analyzer)",
 		Run: func(p *analysis.Pass) error {
 			for _, f := range p.Files {
 				ast.Inspect(f, func(n ast.Node) bool {
@@ -97,12 +92,12 @@ func TestDirectiveGrammar(t *testing.T) {
 
 	// Line numbers refer to fixtureSrc: the reasonless directive sits on
 	// line 15 and fails to suppress the boom on the same line; the plain
-	// boom is on line 19; the unknown key on line 25.
+	// boom is on line 19; the unknown key on line 22.
 	want := []finding{
 		{"dummy", 15},     // reasonless directive suppresses nothing
 		{"directive", 15}, // ... and is itself flagged for the missing reason
 		{"dummy", 19},     // unsuppressed call survives
-		{"directive", 25}, // unknown key "mystery"
+		{"directive", 22}, // unknown key "mystery"
 	}
 	if len(got) != len(want) {
 		t.Fatalf("got %d diagnostics %v, want %d %v", len(got), got, len(want), want)
@@ -152,10 +147,8 @@ func TestUnknownKeyListsKnownKeys(t *testing.T) {
 		found = true
 		// The message must name the valid vocabulary so a typo is fixable
 		// from the diagnostic alone.
-		for _, key := range []string{"dummy-ok", "dummymark"} {
-			if !strings.Contains(d.Message, key) {
-				t.Errorf("unknown-key message %q does not list %q", d.Message, key)
-			}
+		if !strings.Contains(d.Message, "dummy-ok") {
+			t.Errorf("unknown-key message %q does not list dummy-ok", d.Message)
 		}
 	}
 	if !found {
@@ -163,9 +156,8 @@ func TestUnknownKeyListsKnownKeys(t *testing.T) {
 	}
 }
 
-// TestInPackages covers the pattern shapes the scoped analyzers use: full
-// import paths (determinism and narrowing defaults) and fixture short names
-// (determinism's detsim).
+// TestInPackages covers the pattern shapes a scoped analyzer uses: full
+// import paths (narrowing's defaults) and fixture short names.
 func TestInPackages(t *testing.T) {
 	defaults := []string{"imitator/internal/core", "imitator/internal/graph"}
 	for _, tc := range []struct {
@@ -185,19 +177,6 @@ func TestInPackages(t *testing.T) {
 	} {
 		if got := analysis.InPackages(tc.path, tc.pkgs); got != tc.want {
 			t.Errorf("InPackages(%q, %q) = %v, want %v", tc.path, tc.pkgs, got, tc.want)
-		}
-	}
-}
-
-func TestKnownAnnotationNotFlagged(t *testing.T) {
-	pkg := loadFixture(t)
-	diags, err := analysis.Run(pkg, []*analysis.Analyzer{dummyAnalyzer()})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	for _, d := range diags {
-		if strings.HasPrefix(d.Message, "unknown directive imitator:dummymark") {
-			t.Errorf("declared annotation flagged as unknown: %s", d.Message)
 		}
 	}
 }

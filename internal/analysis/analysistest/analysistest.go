@@ -5,12 +5,12 @@
 // Layout: <testdata>/src/<importpath>/*.go, exactly like the upstream
 // convention. Imports are resolved from the testdata tree first (so a test
 // package may import a stub with a real-looking path such as
-// imitator/internal/bufpool), then from the standard library.
+// imitator/internal/hostpar), then from the standard library.
 //
 // Expectations are written on the offending line:
 //
-//	buf := pool.Get() // want `leaks`
-//	n := r.u32()      // want "tainted" "unbounded"
+//	c.total += i           // want `writes a captured variable`
+//	out := make([]byte, n) // want "no dominating bound check"
 //
 // Each quoted string is a regexp that must match one diagnostic reported on
 // that line; diagnostics with no matching want, and wants with no matching

@@ -28,21 +28,6 @@ func ObjectOf(info *types.Info, id *ast.Ident) *types.Var {
 	return obj
 }
 
-// CalleeFunc resolves a call's static callee, or nil for dynamic calls.
-func CalleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
-	var id *ast.Ident
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		id = fun
-	case *ast.SelectorExpr:
-		id = fun.Sel
-	default:
-		return nil
-	}
-	fn, _ := info.Uses[id].(*types.Func)
-	return fn
-}
-
 // Diverges reports whether a block leaves normal control flow: it returns,
 // breaks, continues, jumps or panics somewhere inside.
 func Diverges(b *ast.BlockStmt) bool {

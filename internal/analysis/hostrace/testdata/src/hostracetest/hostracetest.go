@@ -39,6 +39,18 @@ func (c *cluster) derivedOwnership(n int) {
 	})
 }
 
+// blocksScratch is a partitioner-shaped Blocks body whose scratch value
+// lives outside it: every block writes the one captured variable.
+func (c *cluster) blocksScratch(n int) {
+	var h int
+	hostpar.Blocks(n, 1, 4, func(lo, hi int) {
+		for v := lo; v < hi; v++ {
+			h = v * 7 // want `writes a captured variable \(h\)`
+			c.counts[v] = h
+		}
+	})
+}
+
 func (c *cluster) mapWrite(n int) {
 	hostpar.For(n, 4, func(i int) {
 		c.byKey[i] = i // want `a captured map`

@@ -3,6 +3,7 @@ package chaos
 import (
 	"errors"
 	"flag"
+	"fmt"
 	"testing"
 
 	"imitator/internal/core"
@@ -128,12 +129,19 @@ func TestCampaign(t *testing.T) {
 			}
 		}
 	}
-	// The summary is a function of the seed; how many live reads a replica
-	// served depends on host timing, so it gets its own line.
-	t.Logf("campaign: %d runs, %d during-recovery, %d exhaustion, %d lossy, %d fenced, "+
+	// The summary is a function of the seed, pinned for the default one so
+	// a round drawn from anything but the seed fails here; how many live
+	// reads a replica served depends on host timing, so it gets its own line.
+	summary := fmt.Sprintf("%d runs, %d during-recovery, %d exhaustion, %d lossy, %d fenced, "+
 		"%d live queries, memberships %v, 0 failures",
 		rep.Runs, rep.DuringRecovery, rep.Exhaustion, rep.Lossy, rep.Fenced,
 		rep.Queries, rep.Memberships)
+	t.Logf("campaign: %s", summary)
+	const want = "100 runs, 20 during-recovery, 20 exhaustion, 20 lossy, 20 fenced, " +
+		"5218 live queries, memberships map[centralized:50 gossip:50], 0 failures"
+	if *campaignSeed == 1 && *campaignRounds == 50 && summary != want {
+		t.Errorf("campaign summary for the default seed is\n  %s\nwant\n  %s", summary, want)
+	}
 	t.Logf("campaign (host-timed): %d live queries served from replicas", rep.ReplicaReads)
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"imitator/internal/datasets"
@@ -127,8 +128,10 @@ func TestFirstSuperstepAllocBudget(t *testing.T) {
 // allocations, at WorkersPerNode 1 and at 3, where the cost-bearing phases
 // walk several chunks. Any new per-round make/append-to-nil on the hot path
 // shows up here as a non-zero count. Besides fakePR it runs an
-// int32 program (the engine's go.shape.int32 instantiation) and a float64
-// program that reads edge weights and source ids on a weighted graph.
+// int32 program (the engine's go.shape.int32 instantiation), a float64
+// program that reads edge weights and source ids on a weighted graph, and
+// fakeSSSP on that graph, whose moving frontier drives the
+// non-always-active paths (activation flags and vertex-cut notices).
 func TestSteadyStateSuperstepAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; counts are meaningless")
@@ -144,6 +147,7 @@ func TestSteadyStateSuperstepAllocFree(t *testing.T) {
 				checkSteadyAllocFree(t, mode, workers, tiny, Program[float64, float64](fakePR{}))
 				checkSteadyAllocFree(t, mode, workers, tiny, Program[int32, int32](fakeMin{}))
 				checkSteadyAllocFree(t, mode, workers, road, Program[float64, float64](&fakeWeighted{}))
+				checkSteadyAllocFree(t, mode, workers, road, Program[float64, float64](fakeSSSP{}))
 			}
 		})
 	}
@@ -168,6 +172,50 @@ func checkSteadyAllocFree[V, A any](t *testing.T, mode Mode, workers int, g *gra
 	}
 	if avg := testing.AllocsPerRun(5, step); avg != 0 {
 		t.Errorf("%v %s workers=%d steady-state superstep allocates %.1f times per iteration, want 0", mode, prog.Name(), workers, avg)
+	}
+}
+
+// TestPersistAllocBudget pins what a warm superstep followed by
+// persistSuperstep allocates under the two persisting strategies: a
+// checkpoint every superstep, and the superstep log. The DFS keeps what it
+// is given, so each node's file is one exact copy; the encode buffers come
+// from the pool and go back to it. A checkpoint writer that kept its pooled
+// buffer made 51 allocations a step instead of 11.
+func TestPersistAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates; counts are meaningless")
+	}
+	// A collection empties the runtime's per-P caches, and a channel hand-off
+	// after one allocates; the DFS keeps every file, so collections land in
+	// the measured steps.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	g := datasets.Tiny(400, 2400, 4242)
+	for _, mode := range []Mode{EdgeCutMode, VertexCutMode} {
+		for _, tc := range []struct {
+			rec    RecoveryKind
+			budget float64
+		}{{RecoverCheckpoint, 11}, {RecoverLogged, 9}} {
+			cfg := DefaultConfig(mode, 4)
+			cfg.Recovery, cfg.Checkpoint = tc.rec, CheckpointConfig{Interval: 1}
+			cfg.HostParallelism = 1 // nodes draw pooled buffers in one order
+			cl, err := NewCluster[float64, float64](cfg, g, fakePR{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			step := manualStep(t, cl)
+			persist := func() {
+				step()
+				cl.iter++
+				cl.persistSuperstep()
+			}
+			for range 3 {
+				persist()
+			}
+			if avg := testing.AllocsPerRun(5, persist); avg > tc.budget {
+				t.Errorf("%v %v: superstep + persist allocates %.1f times, budget %.0f", mode, tc.rec, avg, tc.budget)
+			}
+			cl.stopWorkers()
+		}
 	}
 }
 

@@ -113,11 +113,9 @@ func (n *node[V, A]) batchInEdges(b *edgeBatch, dp int32, re *rawEdges) error {
 
 // phaseFns holds the cluster-level pre-bound phase functions, built once by
 // bindPhases and handed to runPhase by the superstep drivers. Pre-binding
-// keeps the steady-state loop from allocating a closure per phase, and the
-// annotation makes every literal assigned to these fields a hotalloc root —
-// the analyzer then walks exactly the code the zero-alloc discipline covers.
-//
-//imitator:hotpath
+// keeps the steady-state loop from allocating a closure per phase
+// (TestSteadyStateSuperstepAllocFree), and hostrace checks every literal
+// assigned to these fields as a parallel phase body.
 type phaseFns[V, A any] struct {
 	flushSend   func(*node[V, A])
 	flushNotice func(*node[V, A])
@@ -381,12 +379,10 @@ func (c *Cluster[V, A]) ensureWorkers() {
 	// Workers range over a captured local, never the c.work field: a worker
 	// that received no work before stopWorkers nils the field would otherwise
 	// race with that write (and could block forever on a nil channel).
-	//imitator:hotalloc-ok one-time pool spawn, guarded by the c.work nil check above
 	work := make(chan *node[V, A], c.cfg.NumNodes)
 	c.work = work
 	c.workersDone.Add(c.phaseWidth)
 	for i := 0; i < c.phaseWidth; i++ {
-		//imitator:hotalloc-ok one-time pool spawn, guarded by the c.work nil check above
 		go func() {
 			defer c.workersDone.Done()
 			for nd := range work {

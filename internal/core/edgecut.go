@@ -15,8 +15,6 @@ import (
 //
 // All phases run through pre-bound functions (bindEdgeCutPhases) so the
 // steady-state loop allocates nothing.
-//
-//imitator:hotpath
 func (c *Cluster[V, A]) superstepEdgeCut(iter int) error {
 	c.curIter = iter
 

@@ -91,8 +91,10 @@ func TestRebirthPreservesLayout(t *testing.T) {
 // slots at its position (§5.1.2) as the fault-free run holds it there, so
 // after the job every slot on the reborn node equals the fault-free run's
 // slot, under an always-active program and under one whose activity replay
-// rebuilds (§5.1.3). Only lastTouchedIter (read by logged recovery alone)
-// and the staged fields, which commit does not clear, are left out.
+// rebuilds (§5.1.3). Only lastTouchedIter (read by logged recovery alone),
+// the staged fields, which commit does not clear, and a non-master's active
+// flag are left out: vertex-cut's R1 rewrites a replica's flag before any
+// read, and edge-cut reads the flag only on masters.
 func TestRebirthRestoresSlots(t *testing.T) {
 	g := datasets.Tiny(300, 1500, 7)
 	for _, prog := range []Program[float64, float64]{fakePR{}, fakeSSSP{}} {
@@ -121,6 +123,9 @@ func TestRebirthRestoresSlots(t *testing.T) {
 					for i := range s {
 						s[i].lastTouchedIter = 0
 						s[i].hasPending, s[i].pendingActive, s[i].pendingScatter, s[i].pendingValue = false, false, false, 0
+						if !s[i].isMaster() {
+							s[i].active = false
+						}
 					}
 					return s
 				}

@@ -28,7 +28,6 @@ type scatterRoute struct {
 // when its capacity falls short.
 func sized[T any](s []T, n int) []T {
 	if cap(s) < n {
-		//imitator:hotalloc-ok route tables are rebuilt only after load or a recovery, then reused every superstep
 		return make([]T, n)
 	}
 	return s[:n]

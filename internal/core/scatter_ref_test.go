@@ -72,7 +72,9 @@ func checkScatterRoutes[V, A any](t *testing.T, cl *Cluster[V, A], when string) 
 }
 
 // fakeSSSP is a single-source shortest-path program: not always-active, so
-// only the frontier computes and scatter feeds pendingActive.
+// only the frontier computes and scatter feeds pendingActive. Every vertex
+// starts active, as algorithms.SSSP does, so the first superstep relaxes the
+// source's out-edges and the frontier moves.
 type fakeSSSP struct{}
 
 func (fakeSSSP) Name() string              { return "fake-sssp" }
@@ -82,7 +84,7 @@ func (fakeSSSP) Init(id graph.VertexID, _ VertexInfo) (float64, bool) {
 	if id == 0 {
 		return 0, true
 	}
-	return math.Inf(1), false
+	return math.Inf(1), true
 }
 func (fakeSSSP) Gather(_ graph.VertexID, in InEdges[float64]) float64 {
 	best := in.Value(0) + in.Weight(0)

@@ -16,7 +16,6 @@ type gatherPartial[A any] struct {
 // backing array when capacity allows.
 func ensurePartials[A any](p []gatherPartial[A], n int) []gatherPartial[A] {
 	if cap(p) < n {
-		//imitator:hotalloc-ok grows monotonically to the peak entry count, then reused every superstep
 		return make([]gatherPartial[A], n)
 	}
 	p = p[:n]
@@ -39,8 +38,6 @@ func ensurePartials[A any](p []gatherPartial[A], n int) []gatherPartial[A] {
 // All phases run through pre-bound functions so the steady-state loop
 // allocates nothing; the gather scratch (localPart/mergedPart) is
 // retained on the node and cleared per superstep.
-//
-//imitator:hotpath
 func (c *Cluster[V, A]) superstepVertexCut(iter int) error {
 	c.curIter = iter
 

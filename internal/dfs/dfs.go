@@ -104,7 +104,7 @@ func (d *DFS) List(prefix string) []string {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	var out []string
-	for p := range d.files { //imitator:nondet-ok collected set is sorted before use
+	for p := range d.files {
 		if strings.HasPrefix(p, prefix) {
 			out = append(out, p)
 		}

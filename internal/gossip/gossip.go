@@ -359,8 +359,6 @@ func (d *Detector) Close() error { return nil }
 // unanswered probe or probe-schedule wraparound. Once its buffers have grown
 // it allocates nothing but the omission layer's entries for lossy links that
 // carry their first datagram.
-//
-//imitator:hotpath
 func (d *Detector) RunPeriod() {
 	d.startPeriod()
 	for sub := 0; sub < 6; sub++ {

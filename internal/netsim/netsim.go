@@ -156,8 +156,6 @@ func (n *Network) Err() error { return n.err }
 // Send enqueues payload from one node to another. Messages to or from
 // failed nodes are silently dropped (fail-stop). The payload is retained;
 // callers must not reuse the slice.
-//
-//imitator:hotpath
 func (n *Network) Send(from, to int, kind Kind, payload []byte) {
 	if n.failed[from] || n.failed[to] {
 		return
@@ -217,8 +215,6 @@ const headerBytes = 16
 // duration is the larger of the slowest node and the fabric term, so even
 // well-spread extra traffic (like fault-tolerance sync records) costs time.
 // The returned costs slice is reused by the next FinishRound call.
-//
-//imitator:hotpath
 func (n *Network) FinishRound() (costs []float64, fabric float64) {
 	for from := 0; from < n.numNodes; from++ {
 		if !n.failed[from] {
@@ -270,8 +266,6 @@ func (n *Network) FinishRound() (costs []float64, fabric float64) {
 // Receive drains node `to`'s round in deterministic sender order. The
 // returned slice is valid until the same node's next Receive; payload
 // ownership transfers to the caller (the engine recycles them).
-//
-//imitator:hotpath
 func (n *Network) Receive(to int) []Message {
 	return n.backend.Collect(to)
 }
@@ -331,8 +325,6 @@ func newMemBackend(numNodes int) *memBackend {
 }
 
 // Send implements Backend.
-//
-//imitator:hotpath
 func (b *memBackend) Send(to int, m Message) {
 	box := &b.boxes[to]
 	box.mu.Lock()
@@ -346,8 +338,6 @@ func (b *memBackend) EndRound(int, []bool) {}
 // Collect implements Backend. The returned slice is reused by the same
 // receiver's Collect after next; its payload references are dropped at the
 // next one, since delivery handed the payloads to the caller.
-//
-//imitator:hotpath
 func (b *memBackend) Collect(to int) []Message {
 	box := &b.boxes[to]
 	box.mu.Lock()

@@ -2,6 +2,8 @@ package partition
 
 import (
 	"math/bits"
+	"runtime"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -316,5 +318,40 @@ func TestSingleNodeDegenerate(t *testing.T) {
 	}
 	if s.NoReplicaTotal != g.NumVertices() {
 		t.Errorf("all vertices should lack replicas on 1 node")
+	}
+}
+
+// TestPartitionWidthInvariance: the hash-style partitioners fill their
+// assignments from hostpar.Blocks bodies that each write only their own
+// range, so the result must not depend on the host width. The graph has
+// more than two parMinBlock blocks of vertices and of edges, so width 2
+// splits every loop.
+func TestPartitionWidthInvariance(t *testing.T) {
+	g := datasets.Tiny(2*parMinBlock+1000, 2*parMinBlock+5000, 11)
+	assign := func(width int) [][]int32 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(width))
+		ec, err := HashEdgeCut(g, 6)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := [][]int32{ec.Owner}
+		for _, cut := range []func() (*VertexCut, error){
+			func() (*VertexCut, error) { return RandomVertexCut(g, 6) },
+			func() (*VertexCut, error) { return GridVertexCut(g, 6) },
+			func() (*VertexCut, error) { return HybridVertexCut(g, 6, DefaultHybridCutConfig()) },
+		} {
+			vc, err := cut()
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, vc.Master, vc.EdgeOwner)
+		}
+		return out
+	}
+	want, got := assign(1), assign(2)
+	for i := range want {
+		if !slices.Equal(got[i], want[i]) {
+			t.Errorf("assignment %d differs between host widths 1 and 2", i)
+		}
 	}
 }
