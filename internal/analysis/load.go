@@ -17,7 +17,6 @@ import (
 // Package is one loaded, type-checked package ready for analysis.
 type Package struct {
 	Path  string
-	Dir   string
 	Fset  *token.FileSet
 	Files []*ast.File
 	Types *types.Package
@@ -105,11 +104,7 @@ func CheckFiles(fset *token.FileSet, imp types.Importer, path string, files []*a
 	if err != nil {
 		return nil, fmt.Errorf("typecheck %s: %w", path, err)
 	}
-	dir := ""
-	if len(files) > 0 {
-		dir = filepath.Dir(fset.Position(files[0].Pos()).Filename)
-	}
-	return &Package{Path: path, Dir: dir, Fset: fset, Files: files, Types: tpkg, Info: info}, nil
+	return &Package{Path: path, Fset: fset, Files: files, Types: tpkg, Info: info}, nil
 }
 
 // chainImporter resolves module-local packages from the already-checked set

@@ -1,8 +1,11 @@
 package chaos
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash"
+	"hash/fnv"
 	"math"
 	"strconv"
 	"strings"
@@ -94,7 +97,12 @@ type Report struct {
 	// answers served from an FT replica because the master was down.
 	Queries      int
 	ReplicaReads int
-	Failures     []RoundFailure
+	// QueryDigest is an FNV-64a fold, in round order, of every live query
+	// the rounds issued (kind, vertex, K) and whether it was answered: the
+	// main stream and the recovery-window reads alike. It is a function of
+	// the seed, so a query stream drawn from anything else changes it.
+	QueryDigest uint64
+	Failures    []RoundFailure
 }
 
 // RoundFailure is one failed round with a deterministic repro line.
@@ -150,6 +158,7 @@ func (c Campaign) baseConfig(mode core.Mode) core.Config {
 func (c Campaign) Run() (*Report, error) {
 	c = c.normalized()
 	rep := &Report{Rounds: c.Rounds, Strategies: make(map[string]int), Memberships: make(map[string]int)}
+	digest := fnv.New64a()
 	g := datasets.Tiny(c.Vertices, c.Edges, rng.Hash64(c.Seed))
 	// Fault-free baselines, one per mode: recovery settings and chaos
 	// schedules must not change converged values, so one baseline serves
@@ -177,6 +186,7 @@ func (c Campaign) Run() (*Report, error) {
 			rep.Fenced += out.fenced
 			rep.Queries += out.queries
 			rep.ReplicaReads += out.replicaReads
+			digest.Write(binary.LittleEndian.AppendUint64(nil, out.digest))
 			rep.Strategies[out.ft]++
 			rep.Memberships[out.mem]++
 			if out.err != nil {
@@ -187,6 +197,7 @@ func (c Campaign) Run() (*Report, error) {
 			}
 		}
 	}
+	rep.QueryDigest = digest.Sum64()
 	return rep, nil
 }
 
@@ -202,6 +213,7 @@ type roundOutcome struct {
 	fenced         int
 	queries        int
 	replicaReads   int
+	digest         uint64 // FNV-64a of the round's live queries (digestQuery)
 }
 
 // runRound generates round's schedule from its seed and runs it against
@@ -353,6 +365,7 @@ func (c Campaign) runRound(round int, mode core.Mode, g *coreGraph, baseline []f
 	// recovery phases, exactly where serving must keep answering while the
 	// engine rebuilds the failed node.
 	type liveRead struct {
+		q   core.Query
 		ans core.Answer
 		err error
 	}
@@ -360,7 +373,7 @@ func (c Campaign) runRound(round int, mode core.Mode, g *coreGraph, baseline []f
 	cl.SetRecoveryHook(func(phase string) {
 		q := core.Query{Kind: core.QueryValue, Vertex: graph.VertexID(hr.Intn(len(baseline)))}
 		ans, err := cl.Query(q)
-		hookReads = append(hookReads, liveRead{ans, err})
+		hookReads = append(hookReads, liveRead{q, ans, err})
 	})
 	// Run the fault schedule in the background and serve a deterministic
 	// query stream against the live cluster: reads land before, during and
@@ -373,12 +386,14 @@ func (c Campaign) runRound(round int, mode core.Mode, g *coreGraph, baseline []f
 		defer close(done)
 		res, runErr = cl.Run()
 	}()
+	qh := fnv.New64a()
 	for i := 0; i < roundQueries; i++ {
 		q := core.Query{Kind: core.QueryValue, Vertex: graph.VertexID(qr.Intn(len(baseline)))}
 		if i%8 == 7 {
 			q = core.Query{Kind: core.QueryTopK, K: 5}
 		}
 		ans, qerr := cl.Query(q)
+		digestQuery(qh, q, qerr == nil)
 		if qerr != nil {
 			// An honest refusal — the master is down and its replicas are
 			// selfish or dead — is allowed; a wrong answer is not.
@@ -398,6 +413,12 @@ func (c Campaign) runRound(round int, mode core.Mode, g *coreGraph, baseline []f
 		}
 	}
 	<-done
+	// hookReads is written only on the engine goroutine; the done channel
+	// orders it before these reads.
+	for _, rd := range hookReads {
+		digestQuery(qh, rd.q, rd.err == nil)
+	}
+	out.digest = qh.Sum64()
 	if runErr != nil {
 		out.err = runErr
 		return out
@@ -405,8 +426,6 @@ func (c Campaign) runRound(round int, mode core.Mode, g *coreGraph, baseline []f
 	if out.err != nil {
 		return out
 	}
-	// hookReads is written only on the engine goroutine; the done channel
-	// orders it before these reads.
 	for i, rd := range hookReads {
 		if rd.err != nil {
 			if errors.Is(rd.err, core.ErrVertexUnavailable) {
@@ -549,6 +568,19 @@ type coreGraph = graph.Graph
 // stream is a pure function of the round seed; only the epoch each answer
 // observes depends on where the run happens to be when the read lands.
 const roundQueries = 48
+
+// digestQuery folds one issued live query into h: its kind, vertex and K,
+// and whether it was answered.
+func digestQuery(h hash.Hash64, q core.Query, answered bool) {
+	var b [18]byte
+	b[0] = byte(q.Kind)
+	binary.LittleEndian.PutUint64(b[1:], uint64(q.Vertex))
+	binary.LittleEndian.PutUint64(b[9:], uint64(q.K))
+	if answered {
+		b[17] = 1
+	}
+	h.Write(b[:])
+}
 
 // newPageRank builds one PageRank cluster.
 func newPageRank(cfg core.Config, g *coreGraph) (*core.Cluster[float64, float64], error) {

@@ -133,12 +133,12 @@ func TestCampaign(t *testing.T) {
 	// a round drawn from anything but the seed fails here; how many live
 	// reads a replica served depends on host timing, so it gets its own line.
 	summary := fmt.Sprintf("%d runs, %d during-recovery, %d exhaustion, %d lossy, %d fenced, "+
-		"%d live queries, memberships %v, 0 failures",
+		"%d live queries (digest %016x), memberships %v, 0 failures",
 		rep.Runs, rep.DuringRecovery, rep.Exhaustion, rep.Lossy, rep.Fenced,
-		rep.Queries, rep.Memberships)
+		rep.Queries, rep.QueryDigest, rep.Memberships)
 	t.Logf("campaign: %s", summary)
 	const want = "100 runs, 20 during-recovery, 20 exhaustion, 20 lossy, 20 fenced, " +
-		"5218 live queries, memberships map[centralized:50 gossip:50], 0 failures"
+		"5218 live queries (digest 0b04ff85bebef591), memberships map[centralized:50 gossip:50], 0 failures"
 	if *campaignSeed == 1 && *campaignRounds == 50 && summary != want {
 		t.Errorf("campaign summary for the default seed is\n  %s\nwant\n  %s", summary, want)
 	}

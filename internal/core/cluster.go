@@ -112,7 +112,7 @@ func (n *node[V, A]) batchInEdges(b *edgeBatch, dp int32, re *rawEdges) error {
 }
 
 // phaseFns holds the cluster-level pre-bound phase functions, built once by
-// bindPhases and handed to runPhase by the superstep drivers. Pre-binding
+// bindPhases and handed to runPhase by superstep and the rounds. Pre-binding
 // keeps the steady-state loop from allocating a closure per phase
 // (TestSteadyStateSuperstepAllocFree), and hostrace checks every literal
 // assigned to these fields as a parallel phase body.
@@ -286,33 +286,8 @@ func NewCluster[V, A any](cfg Config, g *graph.Graph, prog Program[V, A]) (*Clus
 
 // bindPhases builds the cluster-level pre-bound phase functions once.
 func (c *Cluster[V, A]) bindPhases() {
-	c.fns.flushSend = func(nd *node[V, A]) {
-		for dst, buf := range nd.sendBuf {
-			if len(buf) == 0 {
-				continue
-			}
-			if c.net.Failed(dst) {
-				// Send would silently drop it; reclaim the buffer instead.
-				c.pool.Put(buf)
-			} else {
-				c.net.Send(nd.id, dst, c.flushKind, buf)
-			}
-			nd.sendBuf[dst] = nil
-		}
-	}
-	c.fns.flushNotice = func(nd *node[V, A]) {
-		for dst, buf := range nd.noticeBuf {
-			if len(buf) == 0 {
-				continue
-			}
-			if c.net.Failed(dst) {
-				c.pool.Put(buf)
-			} else {
-				c.net.Send(nd.id, dst, netsim.KindActivation, buf)
-			}
-			nd.noticeBuf[dst] = nil
-		}
-	}
+	c.fns.flushSend = func(nd *node[V, A]) { c.flush(nd, nd.sendBuf, c.flushKind) }
+	c.fns.flushNotice = func(nd *node[V, A]) { c.flush(nd, nd.noticeBuf, netsim.KindActivation) }
 	c.fns.commit = func(nd *node[V, A]) {
 		iter := int32(c.curIter)
 		always := c.always
@@ -444,6 +419,23 @@ func (c *Cluster[V, A]) barrier() (coord.BarrierState, error) {
 		return coord.BarrierState{}, fmt.Errorf("%w: every node has failed, none is left to reach the barrier", ErrTooManyFailures)
 	}
 	return c.coord.Release(), nil
+}
+
+// flush sends each of nd's non-empty per-destination buffers in bufs as one
+// kind message and empties its slot. Send would silently drop a buffer to a
+// failed node, so that one goes back to the pool instead.
+func (c *Cluster[V, A]) flush(nd *node[V, A], bufs [][]byte, kind netsim.Kind) {
+	for dst, buf := range bufs {
+		if len(buf) == 0 {
+			continue
+		}
+		if c.net.Failed(dst) {
+			c.pool.Put(buf)
+		} else {
+			c.net.Send(nd.id, dst, kind, buf)
+		}
+		bufs[dst] = nil
+	}
 }
 
 // flushSendRound transmits every node's pending per-destination buffers with
@@ -640,9 +632,7 @@ func (c *Cluster[V, A]) Run() (*Result[V], error) {
 		c.chaosIterStart(iter)
 
 		start := c.clock.Now()
-		if err := c.superstep(iter); err != nil {
-			return nil, err
-		}
+		c.superstep(iter)
 		if err := c.net.Err(); err != nil {
 			return nil, fmt.Errorf("core: transport: %w", err)
 		}
@@ -679,15 +669,53 @@ func (c *Cluster[V, A]) Run() (*Result[V], error) {
 	return c.result(), nil
 }
 
-// superstep dispatches on mode.
-func (c *Cluster[V, A]) superstep(iter int) error {
-	switch c.cfg.Mode {
-	case EdgeCutMode:
-		return c.superstepEdgeCut(iter)
-	case VertexCutMode:
-		return c.superstepVertexCut(iter)
-	default:
-		return fmt.Errorf("core: unknown mode %v", c.cfg.Mode)
+// superstep runs one superstep of Algorithm 1 under either engine, as the
+// rounds of the GAS message structure Cyclops edge-cut and PowerLyra
+// vertex-cut share:
+//
+//	R1  activation broadcast (vertex-cut, skipped for always-active
+//	    programs): masters tell replica hosts which vertices gather;
+//	R2  gather: vertex-cut nodes partial-gather over their local in-edges
+//	    and ship the accumulators to masters, which merge them (ascending
+//	    node order) and apply. An edge-cut master holds all its in-edges,
+//	    so it gathers and applies in one local compute phase;
+//	R3  sync: masters broadcast new values + scatter flags to replicas,
+//	    which stage them and mark their local out-targets;
+//	R4  activation notices (vertex-cut): nodes forward scatter activations
+//	    to the masters of the activated vertices. An edge-cut edge lives on
+//	    its target's master, so activation there is local.
+//
+// All phases run through pre-bound functions (bindPhases), so the
+// steady-state loop allocates nothing; the vertex-cut gather scratch
+// (localPart/mergedPart) is retained on the node and cleared per superstep.
+func (c *Cluster[V, A]) superstep(iter int) {
+	c.curIter = iter
+	vertexCut := c.cfg.Mode == VertexCutMode
+	if vertexCut {
+		if !c.always {
+			c.runPhase(c.fns.vcR1Stage)
+			c.flushSendRound(netsim.KindActivation)
+			c.runPhase(c.fns.vcR1Recv)
+		}
+		c.runPhase(c.fns.vcGather)
+		c.advanceComputeSpan()
+		c.flushSendRound(netsim.KindGather)
+		c.runPhase(c.fns.vcMerge)
+	} else {
+		c.runPhase(c.fns.ecCompute) // Algorithm 1 line 5
+	}
+	c.advanceComputeSpan()
+
+	// R3 (line 6) stages in its own phase, after every node's merge: a
+	// node's sync buffers to m are the gather buffers m hands back to
+	// their wire slot in its merge.
+	c.runPhase(c.fns.syncStage)
+	c.flushSendRound(netsim.KindSync)
+	c.runPhase(c.fns.syncRecv)
+
+	if vertexCut {
+		c.flushNoticeRound()
+		c.runPhase(c.fns.vcNotice)
 	}
 }
 

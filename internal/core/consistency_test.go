@@ -20,9 +20,7 @@ func TestReplicaConsistencyInvariant(t *testing.T) {
 			t.Fatal(err)
 		}
 		for iter := 0; iter < 4; iter++ {
-			if err := cl.superstep(iter); err != nil {
-				t.Fatal(err)
-			}
+			cl.superstep(iter)
 			cl.barrier()
 			cl.commit(iter)
 			cl.iter++
@@ -60,9 +58,7 @@ func TestRollbackRestoresCommittedState(t *testing.T) {
 		t.Fatal(err)
 	}
 	// One committed superstep, then an aborted one.
-	if err := cl.superstep(0); err != nil {
-		t.Fatal(err)
-	}
+	cl.superstep(0)
 	cl.barrier()
 	cl.commit(0)
 	cl.iter++
@@ -74,9 +70,7 @@ func TestRollbackRestoresCommittedState(t *testing.T) {
 		}
 		snapshot[nd.id] = vals
 	}
-	if err := cl.superstep(1); err != nil {
-		t.Fatal(err)
-	}
+	cl.superstep(1)
 	cl.rollback()
 	for _, nd := range cl.nodes {
 		for i := range nd.hot {
@@ -105,9 +99,7 @@ func TestReplicaScatterStampFollowsSteppedIter(t *testing.T) {
 		}
 		defer cl.stopWorkers()
 		for iter := 0; iter < 3; iter++ {
-			if err := cl.superstep(iter); err != nil {
-				t.Fatal(err)
-			}
+			cl.superstep(iter)
 			cl.barrier()
 			cl.commit(iter)
 			for _, nd := range cl.nodes {

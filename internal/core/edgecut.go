@@ -7,33 +7,8 @@ import (
 	"imitator/internal/netsim"
 )
 
-// superstepEdgeCut runs one Cyclops-style superstep: every active master
-// gathers over its (entirely local) in-edges, applies, then synchronizes
-// the new value and scatter flag to its replicas in a single batched round.
-// Activation propagates locally on every node that holds the scattering
-// vertex (master or replica), so no extra messaging round is needed.
-//
-// All phases run through pre-bound functions (bindEdgeCutPhases) so the
-// steady-state loop allocates nothing.
-func (c *Cluster[V, A]) superstepEdgeCut(iter int) error {
-	c.curIter = iter
-
-	// Compute phase (Algorithm 1 line 5).
-	c.runPhase(c.fns.ecCompute)
-	c.advanceComputeSpan()
-
-	// Send phase (line 6): one sync record per (computed master, replica).
-	c.runPhase(c.fns.syncStage)
-	c.flushSendRound(netsim.KindSync)
-
-	// Receive phase: replicas stage the new value and propagate scatter
-	// activation to their local out-targets.
-	c.runPhase(c.fns.syncRecv)
-	return nil
-}
-
-// bindEdgeCutPhases builds the cluster-level edge-cut phase functions.
-// fns.syncStage and fns.syncRecv double as the vertex-cut R3 phases.
+// bindEdgeCutPhases builds the edge-cut compute phase and the R3 sync
+// phases both engines share (see superstep).
 func (c *Cluster[V, A]) bindEdgeCutPhases() {
 	c.fns.ecCompute = func(nd *node[V, A]) {
 		iter := c.curIter
@@ -47,14 +22,8 @@ func (c *Cluster[V, A]) bindEdgeCutPhases() {
 				}
 				acc, has, n := c.gather(nd, i)
 				edges += n
-				newV, scatter := c.prog.Apply(e.id, e.info(), e.value, acc, has, iter)
-				e.pendingValue = newV
-				e.hasPending = true
-				e.pendingScatter = scatter
+				c.apply(nd, i, acc, has, iter)
 				applies++
-				if scatter {
-					c.scatterMark(nd, int32(i))
-				}
 			}
 			busy.add(float64(edges)*c.cfg.Cost.ComputePerEdge +
 				float64(applies)*c.cfg.Cost.ComputePerVertex)
@@ -133,6 +102,20 @@ func (c *Cluster[V, A]) gather(nd *node[V, A], i int) (acc A, has bool, edges in
 		return acc, false, 0
 	}
 	return c.prog.Gather(nd.hot[i].id, InEdges[V]{hot: nd.hot, nbr: nbr, wt: wt}), true, len(nbr)
+}
+
+// apply runs Program.Apply on master slot i over its gathered accumulator,
+// stages the new value and scatter flag for commit, and marks the slot's
+// out-targets when it scatters.
+func (c *Cluster[V, A]) apply(nd *node[V, A], i int, acc A, has bool, iter int) {
+	e := &nd.hot[i]
+	newV, scatter := c.prog.Apply(e.id, e.info(), e.value, acc, has, iter)
+	e.pendingValue = newV
+	e.hasPending = true
+	e.pendingScatter = scatter
+	if scatter {
+		c.scatterMark(nd, int32(i))
+	}
 }
 
 // applySync decodes a batch of sync records into local slots, staging each

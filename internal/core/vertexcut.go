@@ -1,10 +1,6 @@
 package core
 
-import (
-	"encoding/binary"
-
-	"imitator/internal/netsim"
-)
+import "encoding/binary"
 
 // gatherPartial is one node's partial accumulator for a vertex.
 type gatherPartial[A any] struct {
@@ -23,52 +19,8 @@ func ensurePartials[A any](p []gatherPartial[A], n int) []gatherPartial[A] {
 	return p
 }
 
-// superstepVertexCut runs one PowerLyra-style GAS superstep:
-//
-//	R1  activation broadcast: masters tell replica hosts which vertices
-//	    gather this superstep (skipped for always-active programs);
-//	R2  gather: every node partial-gathers over its local in-edges and
-//	    ships accumulators to masters;
-//	    apply: masters merge partials (ascending node order) and apply;
-//	R3  sync: masters broadcast new values + scatter flags to replicas,
-//	    which stage them and mark local out-targets;
-//	R4  activation notices: nodes forward scatter activations to the
-//	    masters of the activated vertices.
-//
-// All phases run through pre-bound functions so the steady-state loop
-// allocates nothing; the gather scratch (localPart/mergedPart) is
-// retained on the node and cleared per superstep.
-func (c *Cluster[V, A]) superstepVertexCut(iter int) error {
-	c.curIter = iter
-
-	// R1: activation broadcast.
-	if !c.always {
-		c.runPhase(c.fns.vcR1Stage)
-		c.flushSendRound(netsim.KindActivation)
-		c.runPhase(c.fns.vcR1Recv)
-	}
-
-	// R2 gather: local partials; replicas ship them to masters.
-	c.runPhase(c.fns.vcGather)
-	c.advanceComputeSpan()
-	c.flushSendRound(netsim.KindGather)
-
-	// Merge + apply on masters.
-	c.runPhase(c.fns.vcMerge)
-	c.advanceComputeSpan()
-
-	// R3 sync: masters broadcast new values + scatter bits.
-	c.runPhase(c.fns.syncStage)
-	c.flushSendRound(netsim.KindSync)
-	c.runPhase(c.fns.syncRecv)
-
-	// R4 activation notices to the masters of activated vertices.
-	c.flushNoticeRound()
-	c.runPhase(c.fns.vcNotice)
-	return nil
-}
-
-// bindVertexCutPhases builds the cluster-level vertex-cut phase functions.
+// bindVertexCutPhases builds the vertex-cut R1, gather, merge and R4
+// notice phases (see superstep).
 func (c *Cluster[V, A]) bindVertexCutPhases() {
 	c.fns.vcR1Stage = func(nd *node[V, A]) {
 		tb := &nd.tables
@@ -168,14 +120,8 @@ func (c *Cluster[V, A]) bindVertexCutPhases() {
 				if !e.isMaster() || !e.active {
 					continue
 				}
-				newV, scatter := c.prog.Apply(e.id, e.info(), e.value, nd.mergedPart[i].acc, nd.mergedPart[i].has, iter)
-				e.pendingValue = newV
-				e.hasPending = true
-				e.pendingScatter = scatter
+				c.apply(nd, i, nd.mergedPart[i].acc, nd.mergedPart[i].has, iter)
 				applies++
-				if scatter {
-					c.scatterMark(nd, int32(i))
-				}
 			}
 			busy.add(float64(applies) * c.cfg.Cost.ComputePerVertex)
 		}

@@ -51,13 +51,6 @@ type Params struct {
 	// DetectMissedBeats * HeartbeatInterval.
 	HeartbeatInterval float64
 	DetectMissedBeats int
-	// SuspectMissedBeats is the earlier suspicion threshold of the
-	// two-stage failure detector: after this many missed intervals a node
-	// is *suspected* (the cluster stops waiting on it) and only after
-	// DetectMissedBeats is the failure *confirmed* and announced. 0 picks
-	// the default of DetectMissedBeats-1 (minimum 1); the value must not
-	// exceed DetectMissedBeats.
-	SuspectMissedBeats int
 	// ComputeSerialFrac is the fraction of each compute phase that cannot
 	// parallelize across a node's simulated cores (dispatch, cache
 	// contention, reduction). The rest is charged as if it ran on the
@@ -100,28 +93,21 @@ func (p Params) Validate() error {
 	if p.DFSReplication < 1 {
 		return fmt.Errorf("costmodel: DFS replication %d < 1", p.DFSReplication)
 	}
-	if p.LogBandwidth < 0 || p.LogWriteLatency < 0 {
-		return fmt.Errorf("costmodel: log-write parameters must be non-negative")
+	if p.LogBandwidth <= 0 || p.LogWriteLatency < 0 {
+		return fmt.Errorf("costmodel: LogBandwidth must be positive and LogWriteLatency non-negative")
 	}
 	if p.ComputeSerialFrac < 0 || p.ComputeSerialFrac >= 1 {
 		return fmt.Errorf("costmodel: ComputeSerialFrac %g outside [0, 1)", p.ComputeSerialFrac)
 	}
-	if p.SuspectMissedBeats < 0 || p.SuspectMissedBeats > p.DetectMissedBeats {
-		return fmt.Errorf("costmodel: SuspectMissedBeats %d outside [0, %d]", p.SuspectMissedBeats, p.DetectMissedBeats)
-	}
 	return nil
 }
 
-// SuspectBeats resolves the effective suspicion threshold: the configured
-// SuspectMissedBeats, or DetectMissedBeats-1 (minimum 1) when unset.
+// SuspectBeats is the earlier suspicion threshold of the two-stage failure
+// detector: after this many missed intervals a node is *suspected* (the
+// cluster stops waiting on it), and only after DetectMissedBeats is the
+// failure *confirmed* and announced. It is DetectMissedBeats-1, minimum 1.
 func (p Params) SuspectBeats() int {
-	if p.SuspectMissedBeats > 0 {
-		return p.SuspectMissedBeats
-	}
-	if p.DetectMissedBeats > 1 {
-		return p.DetectMissedBeats - 1
-	}
-	return 1
+	return max(1, p.DetectMissedBeats-1)
 }
 
 // ComputeTime converts one node's compute phase into simulated seconds when
@@ -168,16 +154,12 @@ func (p Params) DFSWrite(bytes int64) float64 {
 // LogWrite returns the simulated seconds for one node to append and seal an
 // n-byte superstep-log file: the fixed seal cost plus the slower of the
 // local streamed append and the (replication-1) remote copies, pipelined
-// like DFSWrite. A zero LogBandwidth falls back to DiskBandwidth.
+// like DFSWrite.
 func (p Params) LogWrite(bytes int64) float64 {
 	if bytes <= 0 {
 		return p.LogWriteLatency
 	}
-	bw := p.LogBandwidth
-	if bw <= 0 {
-		bw = p.DiskBandwidth
-	}
-	disk := float64(bytes) / bw
+	disk := float64(bytes) / p.LogBandwidth
 	net := float64(bytes) * float64(p.DFSReplication-1) / p.NetBandwidth
 	if net > disk {
 		return p.LogWriteLatency + net
