@@ -9,8 +9,8 @@
 //
 // Expectations are written on the offending line:
 //
-//	c.total += i           // want `writes a captured variable`
-//	out := make([]byte, n) // want "no dominating bound check"
+//	c.total += i      // want `writes a captured variable`
+//	return uint32(n)  // want "conversion narrows"
 //
 // Each quoted string is a regexp that must match one diagnostic reported on
 // that line; diagnostics with no matching want, and wants with no matching
@@ -34,7 +34,7 @@ import (
 )
 
 // Run loads each named package from testdata/src and checks the analyzer's
-// diagnostics (after suppression directives) against its want comments.
+// diagnostics against its want comments.
 func Run(t *testing.T, testdata string, a *analysis.Analyzer, pkgPaths ...string) {
 	t.Helper()
 	fset := token.NewFileSet()

@@ -1,30 +1,9 @@
-// Package bounds holds the two bound-check analyzers, wirebounds and
-// narrowing. Both ask one question — does a value from a source reach a
-// sink with no dominating bound check in between? — and share one taint
-// walker; a rule says where each looks, what taints and what is reported.
-//
-// wirebounds guards bytes that come back over the wire or from DFS. In any
-// decode-shaped function (name matching decode/read/parse/unmarshal), a
-// length read by encoding/binary or the sticky reader's u16/u32/u64 methods
-// is tainted; passing it to make(), or looping to it around append, is
-// reported:
-//
-//	n := int(r.u32())
-//	if n*14 > r.remaining() { // ← this is the dominating bound
-//		r.fail()
-//		return &rawEdges{}
-//	}
-//	e.src = make([]graph.VertexID, n) // ok
-//
-// Without the bound, a 4-byte frame header can demand a multi-gigabyte
-// allocation before any payload byte is read, and after truncation the
-// sticky reader yields zeros while a count-driven loop keeps appending.
-//
-// narrowing guards sizes in the packages that build the compact SoA/CSR
-// layout (graph, gen, partition, ftlog). A value derived from len() or cap()
-// — an element count, a byte length, a loop index bounded by one — is
-// tainted; converting it to a strictly narrower integer type (int → int32,
-// int → uint32, ...) is reported:
+// Package bounds holds the narrowing analyzer. It guards sizes in the
+// packages that build the compact SoA/CSR layout (graph, gen, partition,
+// ftlog): a value derived from len() or cap() — an element count, a byte
+// length, a loop index bounded by one — is tainted, and converting it to a
+// strictly narrower integer type (int → int32, int → uint32, ...) with no
+// dominating bound check is reported:
 //
 //	if len(keys) > math.MaxInt32 {
 //		panic("csr: edge count overflows int32")
@@ -35,23 +14,20 @@
 //
 // At the paper's Twitter scale (1.47B edges) the edge count sits within 1.5×
 // of int32 overflow: an unchecked int32(i) over the edge array wraps
-// negative and corrupts the CSR silently instead of failing loudly.
+// negative and corrupts the CSR silently instead of failing loudly. No test
+// runs a graph that large, so this check has no run-time stand-in.
 //
 // Taint flows through assignment, arithmetic, conversions, loop induction
 // variables, range keys and container or field writes. It clears on a
 // comparison of the value (or of len(container)) inside an if whose body
 // diverges — ordered (<, <=, >, >=) or !=; `n == 0` rules out zero and caps
 // nothing — and on a reduction: x % m, x & mask, min().
-//
-// Exceptions carry //imitator:wirebounds-ok <reason> or
-// //imitator:narrowing-ok <reason>.
 package bounds
 
 import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"regexp"
 
 	"imitator/internal/analysis"
 )
@@ -65,72 +41,22 @@ var NarrowingPackages = []string{
 	"imitator/internal/ftlog",
 }
 
-// decoderName matches functions whose input is wire- or file-shaped.
-var decoderName = regexp.MustCompile(`(?i)(decode|read|parse|unmarshal)`)
-
-// wireReadNames are the wire rule's source callees: encoding/binary reads
-// and the sticky-reader methods. u8/bool are excluded — a byte-sized count
-// cannot demand a harmful allocation.
-var wireReadNames = map[string]bool{
-	"Uint16": true, "Uint32": true, "Uint64": true,
-	"Varint": true, "Uvarint": true, "ReadVarint": true, "ReadUvarint": true,
-	"u16": true, "u32": true, "u64": true, "i16": true, "i32": true, "i64": true,
-	"varint": true, "uvarint": true,
-}
-
-// rule is everything that tells the two analyzers apart.
-type rule struct {
-	// scope selects the functions to walk.
-	scope func(pkgPath string, fd *ast.FuncDecl) bool
-	// sizes selects the sources: len/cap of a container whose length was
-	// never bound-checked, and range keys over one, when true; the
-	// wireReadNames calls when false.
-	sizes bool
-	// sink reports a call that consumes a tainted value.
-	sink func(w *walker, call *ast.CallExpr)
-	// loopMsg, when set, is reported at a loop whose bound is tainted and
-	// whose body appends.
-	loopMsg string
-}
-
-// Wirebounds returns the analyzer that bounds decoded lengths before they
-// size an allocation.
-func Wirebounds() *analysis.Analyzer {
-	return newAnalyzer("wirebounds",
-		"require a dominating sanity bound before allocating with lengths decoded from wire input",
-		rule{
-			scope:   func(_ string, fd *ast.FuncDecl) bool { return decoderName.MatchString(fd.Name.Name) },
-			sink:    checkMake,
-			loopMsg: "loop bound derives from decoded input and the body appends; bound the count against the remaining payload first, or annotate //imitator:wirebounds-ok <reason>",
-		})
-}
-
 // Narrowing returns the analyzer that bounds len/cap-derived sizes before
 // they are narrowed, in NarrowingPackages.
 func Narrowing() *analysis.Analyzer {
-	return newAnalyzer("narrowing",
-		"require a dominating bound check before narrowing a len/cap-derived value to a smaller integer type",
-		rule{
-			scope: func(path string, _ *ast.FuncDecl) bool { return analysis.InPackages(path, NarrowingPackages) },
-			sizes: true,
-			sink:  checkConversion,
-		})
-}
-
-func newAnalyzer(name, doc string, r rule) *analysis.Analyzer {
 	return &analysis.Analyzer{
-		Name:      name,
-		Directive: name,
-		Doc:       doc,
+		Name: "narrowing",
+		Doc:  "require a dominating bound check before narrowing a len/cap-derived value to a smaller integer type",
 		Run: func(pass *analysis.Pass) error {
+			if !analysis.InPackages(pass.Pkg.Path(), NarrowingPackages) {
+				return nil
+			}
 			for _, f := range pass.Files {
 				for _, decl := range f.Decls {
-					fd, ok := decl.(*ast.FuncDecl)
-					if !ok || fd.Body == nil || !r.scope(pass.Pkg.Path(), fd) {
-						continue
+					if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
+						w := &walker{pass: pass, tainted: map[*types.Var]bool{}, bounded: map[*types.Var]bool{}}
+						w.walkStmts(fd.Body.List)
 					}
-					w := &walker{pass: pass, rule: &r, tainted: map[*types.Var]bool{}, bounded: map[*types.Var]bool{}}
-					w.walkStmts(fd.Body.List)
 				}
 			}
 			return nil
@@ -138,29 +64,15 @@ func newAnalyzer(name, doc string, r rule) *analysis.Analyzer {
 	}
 }
 
-// checkMake is the wire rule's sink: make() sized by a tainted length.
-func checkMake(w *walker, call *ast.CallExpr) {
-	if builtin(w.pass.TypesInfo, call) != "make" {
-		return
-	}
-	for _, size := range call.Args[1:] {
-		if w.taintedExpr(size) {
-			w.pass.Reportf(call.Pos(),
-				"make sized by a length decoded from wire input with no dominating bound check; compare it against the remaining payload (see decodeRawEdges) or annotate //imitator:wirebounds-ok <reason>")
-			return
-		}
-	}
-}
-
-// checkConversion is the narrowing rule's sink: an integer conversion that
-// narrows a tainted value.
-func checkConversion(w *walker, call *ast.CallExpr) {
+// checkConversion reports an integer conversion that narrows a tainted
+// value.
+func (w *walker) checkConversion(call *ast.CallExpr) {
 	tv, ok := w.pass.TypesInfo.Types[call.Fun]
 	if !ok || !tv.IsType() || len(call.Args) != 1 || !w.narrows(tv.Type, call.Args[0]) || !w.taintedExpr(call.Args[0]) {
 		return
 	}
 	w.pass.Reportf(call.Pos(),
-		"%s conversion narrows a len/cap-derived value and can overflow silently at scale; add a dominating bound check (compare it or len(...) against the target's max first) or annotate //imitator:narrowing-ok <reason>",
+		"%s conversion narrows a len/cap-derived value and can overflow silently at scale; add a dominating bound check (compare it or len(...) against the target's max first)",
 		types.TypeString(tv.Type, types.RelativeTo(w.pass.Pkg)))
 }
 
@@ -188,7 +100,6 @@ func (w *walker) narrows(target types.Type, arg ast.Expr) bool {
 // heuristic, and the dominating-bound idiom here is straight-line).
 type walker struct {
 	pass    *analysis.Pass
-	rule    *rule
 	tainted map[*types.Var]bool
 	// bounded marks containers of known size: built by make() with clean
 	// sizes or a literal, or whose len was compared in a diverging if. After
@@ -250,7 +161,6 @@ func (w *walker) walkStmt(s ast.Stmt) {
 		w.walkStmt(s.Init)
 		if s.Cond != nil {
 			w.checkExpr(s.Cond)
-			w.checkLoop(s, w.comparesTainted(s.Cond), s.Body)
 			w.taintInduction(s.Cond)
 		}
 		w.walkStmts(s.Body.List)
@@ -258,7 +168,6 @@ func (w *walker) walkStmt(s ast.Stmt) {
 	case *ast.RangeStmt:
 		w.checkExpr(s.X)
 		key := w.rangeKeyTainted(s.X)
-		w.checkLoop(s, key, s.Body)
 		if id, ok := s.Key.(*ast.Ident); ok {
 			w.assign(id, key, false)
 		}
@@ -299,14 +208,6 @@ func (w *walker) assign(id *ast.Ident, tainted, bounded bool) {
 	}
 }
 
-// checkLoop reports, under the wire rule, a loop whose bound is tainted and
-// whose body appends.
-func (w *walker) checkLoop(loop ast.Stmt, tainted bool, body *ast.BlockStmt) {
-	if w.rule.loopMsg != "" && tainted && containsAppend(body) {
-		w.pass.Reportf(loop.Pos(), "%s", w.rule.loopMsg)
-	}
-}
-
 // taintInduction taints a loop variable compared against a tainted bound:
 // `for i := 0; i < n; i++` taints i when n is.
 func (w *walker) taintInduction(cond ast.Expr) {
@@ -323,15 +224,15 @@ func (w *walker) taintInduction(cond ast.Expr) {
 }
 
 // rangeKeyTainted decides whether the key of `range x` is tainted: for an
-// integer range, when x is; under the size rule, also for a container whose
-// length was never bound-checked.
+// integer range, when x is; for a container, when its length was never
+// bound-checked.
 func (w *walker) rangeKeyTainted(x ast.Expr) bool {
 	if tv, ok := w.pass.TypesInfo.Types[x]; ok {
 		if b, ok := tv.Type.Underlying().(*types.Basic); ok && b.Info()&types.IsInteger != 0 {
 			return w.taintedExpr(x)
 		}
 	}
-	return w.rule.sizes && !w.bounded[rootObject(w.pass.TypesInfo, x)]
+	return !w.bounded[rootObject(w.pass.TypesInfo, x)]
 }
 
 func (w *walker) checkExprs(exprs []ast.Expr) {
@@ -340,8 +241,8 @@ func (w *walker) checkExprs(exprs []ast.Expr) {
 	}
 }
 
-// checkExpr hands every call in e to the rule's sink and walks the bodies
-// of function literals in place.
+// checkExpr checks every conversion in e and walks the bodies of function
+// literals in place.
 func (w *walker) checkExpr(e ast.Expr) {
 	ast.Inspect(e, func(n ast.Node) bool {
 		switch n := n.(type) {
@@ -349,7 +250,7 @@ func (w *walker) checkExpr(e ast.Expr) {
 			w.walkStmts(n.Body.List)
 			return false
 		case *ast.CallExpr:
-			w.rule.sink(w, n)
+			w.checkConversion(n)
 		}
 		return true
 	})
@@ -380,7 +281,7 @@ func (w *walker) boundedExpr(e ast.Expr) bool {
 	return false
 }
 
-// taintedExpr reports whether e's value derives from the rule's sources.
+// taintedExpr reports whether e's value derives from a len or cap.
 func (w *walker) taintedExpr(e ast.Expr) bool {
 	switch e := ast.Unparen(e).(type) {
 	case *ast.Ident:
@@ -411,26 +312,14 @@ func (w *walker) taintedExpr(e ast.Expr) bool {
 	return false
 }
 
-// taintedCall classifies calls: conversions propagate, the rule's sources
-// taint, and min() clamps.
+// taintedCall classifies calls: conversions propagate, len/cap of an
+// unbounded container taints, and min() clamps.
 func (w *walker) taintedCall(call *ast.CallExpr) bool {
 	if tv, ok := w.pass.TypesInfo.Types[call.Fun]; ok && tv.IsType() && len(call.Args) == 1 {
 		return w.taintedExpr(call.Args[0])
 	}
-	switch builtin(w.pass.TypesInfo, call) {
-	case "len", "cap":
-		return w.rule.sizes && !w.bounded[rootObject(w.pass.TypesInfo, call.Args[0])]
-	case "":
-		var name string
-		switch fun := ast.Unparen(call.Fun).(type) {
-		case *ast.Ident:
-			name = fun.Name
-		case *ast.SelectorExpr:
-			name = fun.Sel.Name
-		}
-		return !w.rule.sizes && wireReadNames[name]
-	}
-	return false
+	b := builtin(w.pass.TypesInfo, call)
+	return (b == "len" || b == "cap") && !w.bounded[rootObject(w.pass.TypesInfo, call.Args[0])]
 }
 
 // clearCompared handles the diverging-if bound: every variable on either
@@ -462,18 +351,6 @@ func (w *walker) clearCompared(cond ast.Expr) {
 	})
 }
 
-// comparesTainted reports whether cond compares a tainted value.
-func (w *walker) comparesTainted(cond ast.Expr) bool {
-	found := false
-	ast.Inspect(cond, func(n ast.Node) bool {
-		if be, ok := n.(*ast.BinaryExpr); ok && isComparison(be.Op) && (w.taintedExpr(be.X) || w.taintedExpr(be.Y)) {
-			found = true
-		}
-		return !found
-	})
-	return found
-}
-
 func isComparison(op token.Token) bool {
 	switch op {
 	case token.LSS, token.LEQ, token.GTR, token.GEQ, token.NEQ, token.EQL:
@@ -487,20 +364,6 @@ func isComparison(op token.Token) bool {
 // nothing.
 func clears(op token.Token) bool {
 	return isComparison(op) && op != token.EQL
-}
-
-// containsAppend reports whether a block grows a slice with append.
-func containsAppend(b *ast.BlockStmt) bool {
-	found := false
-	ast.Inspect(b, func(n ast.Node) bool {
-		if call, ok := n.(*ast.CallExpr); ok {
-			if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok && id.Name == "append" {
-				found = true
-			}
-		}
-		return !found
-	})
-	return found
 }
 
 // builtin names the builtin function a call invokes, or "".

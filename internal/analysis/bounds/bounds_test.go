@@ -7,10 +7,6 @@ import (
 	"imitator/internal/analysis/bounds"
 )
 
-func TestWirebounds(t *testing.T) {
-	analysistest.Run(t, "testdata", bounds.Wirebounds(), "wdecode")
-}
-
 func TestNarrowing(t *testing.T) {
 	analysistest.Run(t, "testdata", bounds.Narrowing(), "imitator/internal/graph", "imitator/internal/other")
 }

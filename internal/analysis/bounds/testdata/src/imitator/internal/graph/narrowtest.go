@@ -83,8 +83,3 @@ func cleanSources(xs []int, h uint64, numNodes int) []int32 {
 func widening(xs []byte) (int64, uint64) {
 	return int64(len(xs)), uint64(len(xs))
 }
-
-// suppressed shows the escape hatch for a justified narrowing.
-func suppressed(xs []int) uint8 {
-	return uint8(len(xs)) //imitator:narrowing-ok fixture exercises the suppression path
-}

@@ -1,21 +1,20 @@
-// Package hostrace flags unsynchronized writes to shared state from
-// closures that run in parallel: the bodies passed to hostpar.For /
-// hostpar.Blocks and to the core phase pool (runPhase, and exchange, whose
-// record callback runs once per receiving node). An argument that names a
-// struct field (runPhase(c.fns.commit), a pre-bound phase) stands for every
-// func literal the package assigns to that field. go test -race only
-// catches these when the schedule cooperates; the lint catches them
-// statically.
+// Package hostrace flags unsynchronized writes to shared state from the
+// closures hostpar.For and hostpar.Blocks run in parallel. go test -race
+// catches these only when the schedule cooperates: hostpar hands indices
+// out through one atomic counter, so one goroutine may take every block and
+// leave nothing for the detector to see. The lint catches them statically.
+// The core phase pool (runPhase, exchange) is out of scope: its bodies run
+// once per node on every superstep, and a package-wide -race run over
+// internal/core reports their cross-node writes.
 //
 // The contract a parallel body must follow is the one hostpar documents:
 // write only state owned by the invocation. Ownership is derived from the
-// body's parameters (the shard or node index and anything computed from
-// it). A write to a captured variable is reported unless it is
+// body's parameters (the shard index or block bounds and anything computed
+// from them). A write to a captured variable is reported unless it is
 //
 //   - index-disjoint: the access path indexes a slice/array with an
-//     owned-derived expression (counts[s] = cnt; c.nodes[n] = nd), or the
-//     root local was itself derived from an owned value (nd := c.nodes[n];
-//     nd.phaseCost = cost), or
+//     owned-derived expression (counts[s] = cnt), or the root local was
+//     itself derived from an owned value (row := rows[s]; row.n = cnt), or
 //   - mutex-guarded: it executes between x.Lock() and x.Unlock() (a
 //     deferred Unlock guards to the end of the body), or
 //   - invisible to assignment syntax entirely — sync/atomic calls mutate
@@ -29,8 +28,6 @@
 // invoked with values derived from the owned range. Function results are
 // treated as fresh (pool getters return distinct buffers); mutation hidden
 // behind method calls is out of scope.
-//
-// Exceptions carry //imitator:hostrace-ok <reason>.
 package hostrace
 
 import (
@@ -42,28 +39,16 @@ import (
 	"imitator/internal/analysis"
 )
 
-// executorMethods are the core phase-pool entry points whose func-literal
-// arguments run concurrently.
-var executorMethods = map[string]bool{
-	"runPhase": true,
-	"exchange": true,
-}
-
 // New returns the hostrace analyzer.
 func New() *analysis.Analyzer {
-	a := &analysis.Analyzer{
-		Name:      "hostrace",
-		Directive: "hostrace",
-		Doc:       "forbid unsynchronized writes to captured variables inside parallel closure bodies",
+	return &analysis.Analyzer{
+		Name: "hostrace",
+		Doc:  "forbid unsynchronized writes to captured variables inside hostpar.For/Blocks bodies",
+		Run:  run,
 	}
-	a.Run = run
-	return a
 }
 
 func run(pass *analysis.Pass) error {
-	var bodies []parBody
-	bound := map[*types.Var][]parBody{} // the func literals assigned to each struct field
-	var handed []*types.Var             // struct fields passed to an executor
 	for _, f := range pass.Files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
@@ -74,87 +59,41 @@ func run(pass *analysis.Pass) error {
 			// follow calls to them.
 			locals := localFuncLits(pass, fd.Body)
 			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				switch n := n.(type) {
-				case *ast.AssignStmt:
-					for i, lhs := range n.Lhs {
-						sel, ok := ast.Unparen(lhs).(*ast.SelectorExpr)
-						if !ok || i >= len(n.Rhs) {
-							continue
+				call, ok := n.(*ast.CallExpr)
+				if !ok || !isParallel(pass, call) {
+					return true
+				}
+				for _, arg := range call.Args {
+					if lit, ok := ast.Unparen(arg).(*ast.FuncLit); ok {
+						w := &walker{
+							pass:    pass,
+							owned:   map[*types.Var]bool{},
+							aliases: map[*types.Var]bool{},
+							locals:  locals,
+							visited: map[*ast.FuncLit]bool{},
 						}
-						lit, ok := n.Rhs[i].(*ast.FuncLit)
-						if field := fieldOf(pass, sel); ok && field != nil {
-							bound[field] = append(bound[field], parBody{lit, locals})
-						}
-					}
-				case *ast.CallExpr:
-					if !isExecutor(pass, n) {
-						return true
-					}
-					for _, arg := range n.Args {
-						switch arg := ast.Unparen(arg).(type) {
-						case *ast.FuncLit:
-							bodies = append(bodies, parBody{arg, locals})
-						case *ast.SelectorExpr:
-							handed = append(handed, fieldOf(pass, arg))
-						}
+						w.analyzeBody(lit, true)
 					}
 				}
 				return true
 			})
 		}
 	}
-	for _, field := range handed {
-		bodies = append(bodies, bound[field]...)
-		delete(bound, field) // a body handed over twice is checked once
-	}
-	for _, b := range bodies {
-		w := &walker{
-			pass:    pass,
-			owned:   map[*types.Var]bool{},
-			aliases: map[*types.Var]bool{},
-			locals:  b.locals,
-			visited: map[*ast.FuncLit]bool{},
-		}
-		w.analyzeBody(b.lit, true)
-	}
 	return nil
 }
 
-// parBody is a parallel body with the closures of the function that
-// defines it.
-type parBody struct {
-	lit    *ast.FuncLit
-	locals map[*types.Var]*ast.FuncLit
-}
-
-// fieldOf resolves a selector to the struct field it names, as declared
-// (the generic origin, so every instantiation maps to one field), or nil.
-func fieldOf(pass *analysis.Pass, sel *ast.SelectorExpr) *types.Var {
-	s, ok := pass.TypesInfo.Selections[sel]
-	if !ok || s.Kind() != types.FieldVal {
-		return nil
-	}
-	v, _ := s.Obj().(*types.Var)
-	if v == nil {
-		return nil
-	}
-	return v.Origin()
-}
-
-// isExecutor recognizes hostpar.For/Blocks and the phase-pool methods.
-func isExecutor(pass *analysis.Pass, call *ast.CallExpr) bool {
+// isParallel recognizes hostpar.For and hostpar.Blocks.
+func isParallel(pass *analysis.Pass, call *ast.CallExpr) bool {
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	if !ok || (sel.Sel.Name != "For" && sel.Sel.Name != "Blocks") {
+		return false
+	}
+	pkg, ok := ast.Unparen(sel.X).(*ast.Ident)
 	if !ok {
 		return false
 	}
-	if pkg, ok := ast.Unparen(sel.X).(*ast.Ident); ok {
-		if pn, ok := pass.TypesInfo.Uses[pkg].(*types.PkgName); ok {
-			path := pn.Imported().Path()
-			return strings.HasSuffix(path, "internal/hostpar") &&
-				(sel.Sel.Name == "For" || sel.Sel.Name == "Blocks")
-		}
-	}
-	return executorMethods[sel.Sel.Name]
+	pn, ok := pass.TypesInfo.Uses[pkg].(*types.PkgName)
+	return ok && strings.HasSuffix(pn.Imported().Path(), "internal/hostpar")
 }
 
 // localFuncLits maps variables holding closures defined in the enclosing
@@ -391,7 +330,7 @@ func (w *walker) setClass(id *ast.Ident, cls class) {
 
 // classifyExpr decides what a local initialized from e becomes. Anything
 // touched by an owned value is owned (the index-disjointness contract
-// extends through derivation: nd := c.nodes[n]). A direct alias of
+// extends through derivation: row := rows[s]). A direct alias of
 // captured state (s := c.buf, p := &shared) without an owned index is an
 // alias. Call results are fresh. Everything else is plain.
 func (w *walker) classifyExpr(e ast.Expr) class {
@@ -426,34 +365,31 @@ func (w *walker) walkExpr(e ast.Expr) {
 	ast.Inspect(e, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.CallExpr:
-			if isExecutor(w.pass, n) {
+			if isParallel(w.pass, n) {
 				// A nested parallel section is analyzed on its own by run.
 				return false
 			}
-			switch fun := ast.Unparen(n.Fun).(type) {
-			case *ast.SelectorExpr:
-				if isLockCall(n, "Lock", "RLock") {
-					w.lockDepth++
-				}
-				if isLockCall(n, "Unlock", "RUnlock") && w.lockDepth > 0 {
-					w.lockDepth--
-				}
-				_ = fun
-			case *ast.Ident:
-				if v := analysis.ObjectOf(w.pass.TypesInfo, fun); v != nil {
-					if lit, ok := w.locals[v]; ok {
-						// A helper closure from the enclosing function:
-						// its body runs here. Parameters inherit
-						// ownership when every argument is owned.
-						owned := true
-						for _, a := range n.Args {
-							if w.classifyExpr(a) != clsOwned {
-								owned = false
-							}
-						}
-						w.analyzeBody(lit, owned)
+			if isLockCall(n, "Lock", "RLock") {
+				w.lockDepth++
+			}
+			if isLockCall(n, "Unlock", "RUnlock") && w.lockDepth > 0 {
+				w.lockDepth--
+			}
+			fun, ok := ast.Unparen(n.Fun).(*ast.Ident)
+			if !ok {
+				break
+			}
+			if lit, ok := w.locals[analysis.ObjectOf(w.pass.TypesInfo, fun)]; ok {
+				// A helper closure from the enclosing function: its body
+				// runs here. Parameters inherit ownership when every
+				// argument is owned.
+				owned := true
+				for _, a := range n.Args {
+					if w.classifyExpr(a) != clsOwned {
+						owned = false
 					}
 				}
+				w.analyzeBody(lit, owned)
 			}
 		case *ast.FuncLit:
 			// A callback literal (EachEdgeRange-style): its body executes
@@ -535,7 +471,7 @@ loop:
 
 func (w *walker) report(at ast.Expr, name, what string) {
 	w.pass.Reportf(at.Pos(),
-		"parallel body writes %s (%s) without an index-disjoint slot, atomic, or lock; shard it by the invocation index or annotate //imitator:hostrace-ok <reason>",
+		"parallel body writes %s (%s) without an index-disjoint slot, atomic, or lock; shard it by the invocation index",
 		what, name)
 }
 

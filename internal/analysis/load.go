@@ -81,7 +81,7 @@ func Load(dir string, patterns []string) ([]*Package, error) {
 func check(fset *token.FileSet, imp types.Importer, path, dir string, goFiles []string) (*Package, error) {
 	var files []*ast.File
 	for _, name := range goFiles {
-		f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.ParseComments)
+		f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, 0)
 		if err != nil {
 			return nil, err
 		}

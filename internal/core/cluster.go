@@ -114,8 +114,8 @@ func (n *node[V, A]) batchInEdges(b *edgeBatch, dp int32, re *rawEdges) error {
 // phaseFns holds the cluster-level pre-bound phase functions, built once by
 // bindPhases and handed to runPhase by superstep and the rounds. Pre-binding
 // keeps the steady-state loop from allocating a closure per phase
-// (TestSteadyStateSuperstepAllocFree), and hostrace checks every literal
-// assigned to these fields as a parallel phase body.
+// (TestSteadyStateSuperstepAllocFree). The bodies run on every node in
+// parallel; `go test -race ./internal/core/` gates their cross-node writes.
 type phaseFns[V, A any] struct {
 	flushSend   func(*node[V, A])
 	flushNotice func(*node[V, A])
@@ -560,11 +560,17 @@ func (c *Cluster[V, A]) exchange(notice bool, apply func(nd *node[V, A], from in
 
 // exchangeRecords is exchange for a round of recovery records: every
 // receiver decodes its whole round at once (decodeRecords), so it can size
-// what the records add before apply places them. A malformed payload fails
-// the round with no record applied on its receiver.
-func (c *Cluster[V, A]) exchangeRecords(apply func(nd *node[V, A], recs []recoveryRecord[V])) error {
+// what the records add before apply places them. placed says the records
+// land at their positions in the receiver's slot table. A malformed payload,
+// or a placed record outside that table, fails the round with no record
+// applied on its receiver.
+func (c *Cluster[V, A]) exchangeRecords(placed bool, apply func(nd *node[V, A], recs []recoveryRecord[V])) error {
 	return c.receiveRound(false, func(nd *node[V, A], msgs []netsim.Message) error {
-		recs, err := decodeRecords(msgs, c.vc)
+		slots := -1
+		if placed {
+			slots = len(nd.hot)
+		}
+		recs, err := decodeRecords(msgs, c.vc, slots)
 		if err == nil {
 			apply(nd, recs)
 		}

@@ -95,7 +95,7 @@ func FuzzRecoveryRecordDecode(f *testing.F) {
 
 // decodeRecordsOf decodes buf as one round's recovery payload.
 func decodeRecordsOf[V any](buf []byte, vc Codec[V]) ([]recoveryRecord[V], error) {
-	return decodeRecords([]netsim.Message{{Kind: netsim.KindRecovery, Payload: buf}}, vc)
+	return decodeRecords([]netsim.Message{{Kind: netsim.KindRecovery, Payload: buf}}, vc, -1)
 }
 
 // decodeTwice runs decode over data as decodeRecords does: a count pass,
@@ -155,6 +155,7 @@ func FuzzRawEdgesDecode(f *testing.F) {
 		wt:  []float64{1, 1, 2.5, 1},
 	}).encode(nil))
 	f.Add([]byte{1, 0, 0, 0, 4, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0xf0, 0x3f, 2, 0}) // a set master slot
+	f.Add([]byte{1, 0, 0, 0, 0, 0, 0, 0, 0, 0})                               // one edge, 6 of its 14 bytes
 	f.Fuzz(func(t *testing.T, data []byte) {
 		e, r := decodeTwice(data, decodeRawEdges)
 		if r.err != nil {
@@ -377,5 +378,77 @@ func TestExchangeFailsOnTruncatedRecord(t *testing.T) {
 				t.Errorf("cut at %d/%d: record %d applied = %v, want %v", cut, len(payload), pos, got, want)
 			}
 		}
+	}
+}
+
+// TestRecoveryRoundsBoundSlotPositions forges, for every recovery receive
+// site that addresses a slot by a decoded position, one record whose
+// position lies outside the receiver's slot table. The round must fail with
+// errSlotRange and leave every slot as it was; an unchecked position indexes
+// past nd.hot and panics the node's goroutine.
+func TestRecoveryRoundsBoundSlotPositions(t *testing.T) {
+	cl, err := NewCluster[float64, float64](DefaultConfig(EdgeCutMode, 3), datasets.Tiny(60, 300, 5), fakePR{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.stopWorkers()
+	type N = *node[float64, float64]
+	nd := cl.nodes[0]
+	past := int32(len(nd.hot))
+	slot := nd.hot[0]
+	for _, row := range []struct {
+		name    string
+		payload []byte
+		round   func() error
+	}{
+		{"move notice", putI32(putI16(putI32(nil, past), 1), 0),
+			func() error { return cl.exchange(false, N.applyMoveNotice) }},
+		{"master reply", putI32(putI32(nil, past), 0),
+			func() error { return cl.exchange(true, N.applyMasterReply) }},
+		{"mirror drop", putI32(nil, past),
+			func() error { return cl.exchange(true, N.applyMirrorDrop) }},
+		{"activation", putI32(nil, past),
+			func() error { return cl.exchange(true, N.applyActivation) }},
+		{"activation, negative", putI32(nil, -1),
+			func() error { return cl.exchange(true, N.applyActivation) }},
+		{"FT repair record", encodeRecoveryRecord(nil, Float64Codec{}, past, &slot, nil, nil),
+			func() error { return cl.exchangeRecords(true, N.landMirrors) }},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			before := slices.Clone(nd.hot)
+			cl.net.Send(1, 0, netsim.KindRecovery, row.payload)
+			if err := row.round(); !errors.Is(err, errSlotRange) {
+				t.Errorf("err = %v, want %v", err, errSlotRange)
+			}
+			if !slices.Equal(nd.hot, before) {
+				t.Error("a rejected round changed the receiver's slots")
+			}
+		})
+	}
+}
+
+// TestRebirthRejectsForgedRecordPosition slips a recovery record addressed
+// one past the newbie's slot table into the rebirth round. Run must return
+// errSlotRange instead of placing it.
+func TestRebirthRejectsForgedRecordPosition(t *testing.T) {
+	const failed = 1
+	cfg := DefaultConfig(EdgeCutMode, 3)
+	cfg.MaxIter = 4
+	cfg.Recovery = RecoverRebirth
+	cfg.Chaos = []ChaosEvent{{Kind: ChaosCrash, Iteration: 2, Phase: FailBeforeBarrier, Nodes: []int{failed}}}
+	cl, err := NewCluster[float64, float64](cfg, datasets.Tiny(60, 300, 5), fakePR{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl.SetRecoveryHook(func(phase string) {
+		if phase == "rebirth:reload" {
+			nd := cl.nodes[failed]
+			slot := cl.nodes[0].hot[0]
+			cl.net.Send(0, failed, netsim.KindRecovery,
+				encodeRecoveryRecord(nil, Float64Codec{}, int32(len(nd.hot)), &slot, nil, nil))
+		}
+	})
+	if _, err := cl.Run(); !errors.Is(err, errSlotRange) {
+		t.Fatalf("Run: err = %v, want %v", err, errSlotRange)
 	}
 }

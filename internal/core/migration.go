@@ -117,13 +117,7 @@ func (c *Cluster[V, A]) recoverMigration(p *recoveryPass[V, A]) error {
 			}
 		})
 	})
-	if err := c.exchange(false, func(nd *node[V, A], _ int, r *reader) {
-		pos, mn, mp := r.i32(), r.i16(), r.i32()
-		if r.err == nil {
-			e := &nd.hot[pos]
-			e.masterNode, e.masterPos = mn, mp
-		}
-	}); err != nil {
+	if err := c.exchange(false, (*node[V, A]).applyMoveNotice); err != nil {
 		return err
 	}
 	// Reconciliation (restart attempts only). A replica whose master died
@@ -187,13 +181,7 @@ func (c *Cluster[V, A]) recoverMigration(p *recoveryPass[V, A]) error {
 		}); err != nil {
 			return err
 		}
-		if err := c.exchange(true, func(nd *node[V, A], from int, r *reader) {
-			rpos, mpos := r.i32(), r.i32()
-			if r.err == nil {
-				e := &nd.hot[rpos]
-				e.masterNode, e.masterPos = int16(from), mpos
-			}
-		}); err != nil {
+		if err := c.exchange(true, (*node[V, A]).applyMasterReply); err != nil {
 			return err
 		}
 	}
@@ -547,29 +535,57 @@ func (c *Cluster[V, A]) repairFTInvariants(nodes []*node[V, A]) error {
 		})
 		nd.clearFlag(flagStale)
 	}
-	if err := c.exchangeRecords(func(nd *node[V, A], recs []recoveryRecord[V]) {
-		fresh := 0
-		for k := range recs {
-			if nd.mirror(recs[k].pos) == nil {
-				fresh++
-			}
-		}
-		nd.mirrors = slices.Grow(nd.mirrors, fresh)
-		for k := range recs {
-			rec := &recs[k]
-			nd.ensureMirror(rec.pos)
-			nd.hot[rec.pos].flags |= flagMirror
-		}
-		nd.landRecords(recs)
-	}); err != nil {
+	if err := c.exchangeRecords(true, (*node[V, A]).landMirrors); err != nil {
 		return err
 	}
-	return c.exchange(true, func(nd *node[V, A], _ int, r *reader) {
-		if rpos := r.i32(); r.err == nil {
-			nd.hot[rpos].flags &^= flagMirror
-			nd.dropMirror(rpos)
+	return c.exchange(true, (*node[V, A]).applyMirrorDrop)
+}
+
+// applyMoveNotice applies one move notice: the replica at its position now
+// follows the promoted master it names.
+func (nd *node[V, A]) applyMoveNotice(_ int, r *reader) {
+	pos, mn, mp := r.slot(len(nd.hot)), r.i16(), r.i32()
+	if r.err == nil {
+		e := &nd.hot[pos]
+		e.masterNode, e.masterPos = mn, mp
+	}
+}
+
+// applyMasterReply applies one re-promoted master's reply to an orphan's
+// registration: the orphan at its position follows the master at from.
+func (nd *node[V, A]) applyMasterReply(from int, r *reader) {
+	rpos, mpos := r.slot(len(nd.hot)), r.i32()
+	if r.err == nil {
+		e := &nd.hot[rpos]
+		e.masterNode, e.masterPos = int16(from), mpos
+	}
+}
+
+// landMirrors makes the replicas that FT repair's records name mirrors and
+// lands the records' table copies and edge lists.
+func (nd *node[V, A]) landMirrors(recs []recoveryRecord[V]) {
+	fresh := 0
+	for k := range recs {
+		if nd.mirror(recs[k].pos) == nil {
+			fresh++
 		}
-	})
+	}
+	nd.mirrors = slices.Grow(nd.mirrors, fresh)
+	for k := range recs {
+		rec := &recs[k]
+		nd.ensureMirror(rec.pos)
+		nd.hot[rec.pos].flags |= flagMirror
+	}
+	nd.landRecords(recs)
+}
+
+// applyMirrorDrop applies one FT repair demotion: the replica at its
+// position stops being a mirror.
+func (nd *node[V, A]) applyMirrorDrop(_ int, r *reader) {
+	if rpos := r.slot(len(nd.hot)); r.err == nil {
+		nd.hot[rpos].flags &^= flagMirror
+		nd.dropMirror(rpos)
+	}
 }
 
 // ftCreatePlan schedules, during invariant repair, one FT replica of the
@@ -587,7 +603,7 @@ type ftCreatePlan struct {
 // It returns how many replicas were created.
 func (c *Cluster[V, A]) createReplicas(ftOnly, count bool) (int, error) {
 	createdPerNode := make([]int, c.cfg.NumNodes)
-	if err := c.exchangeRecords(func(nd *node[V, A], recs []recoveryRecord[V]) {
+	if err := c.exchangeRecords(false, func(nd *node[V, A], recs []recoveryRecord[V]) {
 		nd.reserve(len(recs))
 		newPos := make([]int32, len(recs))
 		for k := range recs {

@@ -131,7 +131,7 @@ func (c *Cluster[V, A]) recoverRebirth(p *recoveryPass[V, A]) error {
 			// restarts with the union.
 			continue
 		}
-		recs, err := decodeRecords(received[f], c.vc)
+		recs, err := decodeRecords(received[f], c.vc, len(nd.hot))
 		if err != nil {
 			return fmt.Errorf("core: rebirth decode on node %d: %w", f, err)
 		}

@@ -62,9 +62,13 @@ func (c *Cluster[V, A]) replayActivation(iter int, isTarget func(masterNode int1
 			}
 		})
 	})
-	return c.exchange(true, func(nd *node[V, A], _ int, r *reader) {
-		if pos := r.u32(); r.err == nil {
-			nd.hot[pos].active = true
-		}
-	})
+	return c.exchange(true, (*node[V, A]).applyActivation)
+}
+
+// applyActivation applies one regenerated activation notice: the master at
+// its position is active.
+func (nd *node[V, A]) applyActivation(_ int, r *reader) {
+	if pos := r.slot(len(nd.hot)); r.err == nil {
+		nd.hot[pos].active = true
+	}
 }

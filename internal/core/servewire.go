@@ -9,8 +9,8 @@ import (
 // Serve wire codec: the query protocol a remote client would speak. The
 // in-process load generator and the CLI round-trip every query and answer
 // through these so the encode/decode paths are exercised end to end; the
-// decode side is bounds-checked like every other wire decoder in this
-// package (wirebounds).
+// decode side bounds every count against the remaining payload before it
+// sizes anything (TestDecodeAnswerRankCountAllocFree, FuzzAnswerDecode).
 
 // EncodeQuery appends q's wire form to buf.
 func EncodeQuery(buf []byte, q Query) []byte {

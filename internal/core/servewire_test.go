@@ -102,6 +102,20 @@ func FuzzQueryDecode(f *testing.F) {
 	})
 }
 
+// TestDecodeAnswerRankCountAllocFree sends a whole answer header whose rank
+// count (1<<20) is far past the payload. DecodeAnswer must refuse it before
+// sizing anything: an error, and no allocation.
+func TestDecodeAnswerRankCountAllocFree(t *testing.T) {
+	hdr := EncodeAnswer(nil, Answer{Kind: QueryTopK})
+	buf := append(hdr[:len(hdr)-8:len(hdr)-8], 0, 0, 16, 0, 1, 2, 3, 4)
+	if _, err := DecodeAnswer(buf); err == nil {
+		t.Fatal("DecodeAnswer accepted 1<<20 rank entries in an 8-byte payload")
+	}
+	if allocs := testing.AllocsPerRun(10, func() { DecodeAnswer(buf) }); allocs != 0 {
+		t.Errorf("DecodeAnswer allocated %.0f times before refusing the rank count, want 0", allocs)
+	}
+}
+
 // FuzzAnswerDecode hardens the answer decoder: never panic, never allocate
 // beyond the payload's sanity bound, and a successful decode survives an
 // encode/decode round trip with lengths intact.

@@ -13,6 +13,10 @@ import (
 // errTruncated reports a malformed recovery or checkpoint payload.
 var errTruncated = errors.New("core: truncated payload")
 
+// errSlotRange reports a recovery record whose slot position lies outside
+// the receiving node's slot table.
+var errSlotRange = errors.New("core: slot position out of range")
+
 // writer-side primitives (append-style, little endian).
 
 func putU8(buf []byte, v uint8) []byte   { return append(buf, v) }
@@ -74,6 +78,16 @@ func (r *reader) u32() uint32 {
 
 func (r *reader) i16() int16 { return int16(r.u16()) }
 func (r *reader) i32() int32 { return int32(r.u32()) }
+
+// slot reads a slot position and fails the reader unless it indexes a table
+// of n slots.
+func (r *reader) slot(n int) int32 {
+	pos := r.i32()
+	if r.err == nil && (pos < 0 || int(pos) >= n) {
+		r.err = errSlotRange
+	}
+	return pos
+}
 
 func (r *reader) f64() float64 {
 	if r.err != nil || len(r.buf) < 8 {
@@ -195,11 +209,18 @@ type recoveryRecord[V any] struct {
 
 // decodeRecoveryRecord reads one record, carving its table and edge list off
 // a (on a's count pass it only sums what they need).
-func decodeRecoveryRecord[V any](r *reader, vc Codec[V], a *recArena) recoveryRecord[V] {
+// A record lands at its position in a table of slots slots, so a position
+// outside it fails r; slots < 0 leaves the position unchecked, for records
+// that land at a fresh slot instead (replica creation stages -1).
+func decodeRecoveryRecord[V any](r *reader, vc Codec[V], a *recArena, slots int) recoveryRecord[V] {
 	var rec recoveryRecord[V]
 	s := &rec.slot
 	r.u8() // role byte
-	rec.pos = r.i32()
+	if slots < 0 {
+		rec.pos = r.i32()
+	} else {
+		rec.pos = r.slot(slots)
+	}
 	s.id = graph.VertexID(r.u32())
 	s.flags = entryFlags(r.u8())
 	r.i16() // rank slot
@@ -224,8 +245,9 @@ func decodeRecoveryRecord[V any](r *reader, vc Codec[V], a *recArena) recoveryRe
 // the records and what their tables and edge lists need, then the fill pass
 // decodes into a record list and a recArena of exactly that size. Everything
 // is copied out of the payloads, so the caller may recycle them. A malformed
-// payload fails the count pass, and no record is returned.
-func decodeRecords[V any](msgs []netsim.Message, vc Codec[V]) ([]recoveryRecord[V], error) {
+// payload, or a position outside slots (decodeRecoveryRecord), fails the
+// count pass, and no record is returned.
+func decodeRecords[V any](msgs []netsim.Message, vc Codec[V], slots int) ([]recoveryRecord[V], error) {
 	a := &recArena{}
 	var recs []recoveryRecord[V]
 	for {
@@ -235,7 +257,7 @@ func decodeRecords[V any](msgs []netsim.Message, vc Codec[V]) ([]recoveryRecord[
 			}
 			r := &reader{buf: m.Payload}
 			for r.remaining() > 0 {
-				rec := decodeRecoveryRecord(r, vc, a)
+				rec := decodeRecoveryRecord(r, vc, a, slots)
 				if r.err != nil {
 					return nil, r.err
 				}

@@ -299,6 +299,11 @@ type Stats struct {
 // ComputeStats derives Stats from presence masks and the per-node edge
 // placement implied by the partitioning.
 func ComputeStats(g *graph.Graph, masks []uint64, edgesPerNode []int, numNodes int) Stats {
+	// One mask per vertex, and the graph constructors reject |V| beyond the
+	// uint32 endpoint width (ErrGraphTooLarge), so every index fits VertexID.
+	if len(masks) != g.NumVertices() {
+		panic("partition: ComputeStats needs one mask per vertex")
+	}
 	s := Stats{NumNodes: numNodes}
 	presences := 0
 	perNode := make([]int, numNodes)
@@ -307,10 +312,7 @@ func ComputeStats(g *graph.Graph, masks []uint64, edgesPerNode []int, numNodes i
 		presences += c
 		if c == 1 {
 			s.NoReplicaTotal++
-			// masks has one slot per vertex, and the graph constructors
-			// reject |V| beyond the uint32 endpoint width (ErrGraphTooLarge),
-			// so the index always fits VertexID.
-			if g.IsSelfish(graph.VertexID(v)) { //imitator:narrowing-ok |V| bounded by graph's ErrGraphTooLarge guard
+			if g.IsSelfish(graph.VertexID(v)) {
 				s.NoReplicaSelfish++
 			}
 		}
