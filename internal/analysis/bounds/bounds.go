@@ -18,14 +18,19 @@
 // runs a graph that large, so this check has no run-time stand-in.
 //
 // Taint flows through assignment, arithmetic, conversions, loop induction
-// variables, range keys and container or field writes. It clears on a
-// comparison of the value (or of len(container)) inside an if whose body
-// diverges — ordered (<, <=, >, >=) or !=; `n == 0` rules out zero and caps
-// nothing — and on a reduction: x % m, x & mask, min().
+// variables, range keys and container or field writes. A comparison of the
+// value (or of len(container)) inside an if whose body diverges — ordered
+// (<, <=, >, >=) or !=; `n == 0` rules out zero and caps nothing — bounds it
+// to the width of what it is compared with: a constant bound keeps its bit
+// length, so after an int32 backstop int32(i) passes and int16(i) is still
+// reported, while a comparison with a variable trusts the variable and
+// clears the value. A reduction x % m or x & m takes m's width; min()
+// clears.
 package bounds
 
 import (
 	"go/ast"
+	"go/constant"
 	"go/token"
 	"go/types"
 
@@ -54,7 +59,7 @@ func Narrowing() *analysis.Analyzer {
 			for _, f := range pass.Files {
 				for _, decl := range f.Decls {
 					if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
-						w := &walker{pass: pass, tainted: map[*types.Var]bool{}, bounded: map[*types.Var]bool{}}
+						w := &walker{pass: pass, taint: map[*types.Var]width{}, sized: map[*types.Var]width{}}
 						w.walkStmts(fd.Body.List)
 					}
 				}
@@ -64,11 +69,21 @@ func Narrowing() *analysis.Analyzer {
 	}
 }
 
+// width is the number of value bits a len/cap-derived value may need: 0
+// for a clean value (no len or cap reaches it, or a comparison with a
+// variable cleared it), unbounded for one no check bounds, and a constant
+// bound's bit length after a diverging comparison with it.
+type width int
+
+// unbounded is wider than any integer conversion target.
+const unbounded width = 64
+
 // checkConversion reports an integer conversion that narrows a tainted
-// value.
+// value to fewer value bits than its bound.
 func (w *walker) checkConversion(call *ast.CallExpr) {
 	tv, ok := w.pass.TypesInfo.Types[call.Fun]
-	if !ok || !tv.IsType() || len(call.Args) != 1 || !w.narrows(tv.Type, call.Args[0]) || !w.taintedExpr(call.Args[0]) {
+	if !ok || !tv.IsType() || len(call.Args) != 1 || !w.narrows(tv.Type, call.Args[0]) ||
+		w.widthOf(call.Args[0]) <= valueBits(tv.Type) {
 		return
 	}
 	w.pass.Reportf(call.Pos(),
@@ -79,6 +94,17 @@ func (w *walker) checkConversion(call *ast.CallExpr) {
 // amd64 models the 64-bit targets the scale argument is about; on them a
 // plain int is 8 bytes, so int→int32 is a narrowing.
 var amd64 = types.SizesFor("gc", "amd64")
+
+// valueBits returns how many value bits an integer type holds: 31 for
+// int32, 32 for uint32.
+func valueBits(t types.Type) width {
+	b := t.Underlying().(*types.Basic)
+	bits := width(8 * amd64.Sizeof(b))
+	if b.Info()&types.IsUnsigned == 0 {
+		bits--
+	}
+	return bits
+}
 
 // narrows reports whether converting arg to target loses integer width.
 func (w *walker) narrows(target types.Type, arg ast.Expr) bool {
@@ -99,13 +125,15 @@ func (w *walker) narrows(target types.Type, arg ast.Expr) bool {
 // established in a branch (deliberately permissive — this is a vet
 // heuristic, and the dominating-bound idiom here is straight-line).
 type walker struct {
-	pass    *analysis.Pass
-	tainted map[*types.Var]bool
-	// bounded marks containers of known size: built by make() with clean
-	// sizes or a literal, or whose len was compared in a diverging if. After
-	// `if len(keys) > limit { return err }`, len(keys) and range keys over
-	// keys are clean.
-	bounded map[*types.Var]bool
+	pass *analysis.Pass
+	// taint holds each tainted variable's width; a clean one is absent.
+	taint map[*types.Var]width
+	// sized holds the width of len() for containers of known size: built by
+	// make() with bounded sizes or a literal (width 0), or whose len was
+	// compared in a diverging if. After `if len(keys) > maxInt32 { return
+	// err }`, len(keys) and range keys over keys are 31 bits wide. A
+	// container of unknown size is absent.
+	sized map[*types.Var]width
 }
 
 func (w *walker) walkStmts(stmts []ast.Stmt) {
@@ -123,17 +151,17 @@ func (w *walker) walkStmt(s ast.Stmt) {
 			break
 		}
 		for i, lhs := range s.Lhs {
-			t := w.taintedExpr(s.Rhs[i])
+			t := w.widthOf(s.Rhs[i])
 			if s.Tok != token.ASSIGN && s.Tok != token.DEFINE {
-				t = t || w.taintedExpr(lhs) // op-assign keeps existing taint
+				t = max(t, w.widthOf(lhs)) // op-assign keeps existing taint
 			}
 			if id, ok := ast.Unparen(lhs).(*ast.Ident); ok {
-				w.assign(id, t, w.boundedExpr(s.Rhs[i]))
-			} else if obj := rootObject(w.pass.TypesInfo, lhs); t && obj != nil {
+				w.assign(id, t, w.sizeOf(s.Rhs[i]))
+			} else if obj := rootObject(w.pass.TypesInfo, lhs); t > 0 && obj != nil {
 				// A tainted element or field write taints its container, so
 				// taint survives round-trips through slices and structs
 				// (bounds[s] = [2]int{lo, hi}; ... bounds[s][1]).
-				w.tainted[obj] = true
+				w.taint[obj] = max(w.taint[obj], t)
 			}
 		}
 	case *ast.DeclStmt:
@@ -143,7 +171,7 @@ func (w *walker) walkStmt(s ast.Stmt) {
 					w.checkExprs(vs.Values)
 					for i, name := range vs.Names {
 						if i < len(vs.Values) {
-							w.assign(name, w.taintedExpr(vs.Values[i]), w.boundedExpr(vs.Values[i]))
+							w.assign(name, w.widthOf(vs.Values[i]), w.sizeOf(vs.Values[i]))
 						}
 					}
 				}
@@ -167,12 +195,12 @@ func (w *walker) walkStmt(s ast.Stmt) {
 		w.walkStmt(s.Post)
 	case *ast.RangeStmt:
 		w.checkExpr(s.X)
-		key := w.rangeKeyTainted(s.X)
+		key := w.rangeKeyWidth(s.X)
 		if id, ok := s.Key.(*ast.Ident); ok {
-			w.assign(id, key, false)
+			w.assign(id, key, unbounded)
 		}
 		if id, ok := s.Value.(*ast.Ident); ok {
-			w.assign(id, false, false) // element values are data, not sizes
+			w.assign(id, 0, unbounded) // element values are data, not sizes
 		}
 		w.walkStmts(s.Body.List)
 	case *ast.ExprStmt:
@@ -201,38 +229,59 @@ func (w *walker) walkStmt(s ast.Stmt) {
 	}
 }
 
-func (w *walker) assign(id *ast.Ident, tainted, bounded bool) {
+// assign records a variable's taint width and, for a container, the width
+// of its len (unbounded when its size is unknown).
+func (w *walker) assign(id *ast.Ident, taint, size width) {
 	if obj := analysis.ObjectOf(w.pass.TypesInfo, id); obj != nil {
-		w.tainted[obj] = tainted
-		w.bounded[obj] = bounded
+		w.setWidths(obj, taint, size)
 	}
 }
 
+func (w *walker) setWidths(obj *types.Var, taint, size width) {
+	if taint > 0 {
+		w.taint[obj] = taint
+	} else {
+		delete(w.taint, obj)
+	}
+	if size < unbounded {
+		w.sized[obj] = size
+	} else {
+		delete(w.sized, obj)
+	}
+}
+
+// lenWidth returns the width of len(obj).
+func (w *walker) lenWidth(obj *types.Var) width {
+	if n, ok := w.sized[obj]; ok {
+		return n
+	}
+	return unbounded
+}
+
 // taintInduction taints a loop variable compared against a tainted bound:
-// `for i := 0; i < n; i++` taints i when n is.
+// `for i := 0; i < n; i++` gives i the width of n when n is tainted.
 func (w *walker) taintInduction(cond ast.Expr) {
 	be, ok := ast.Unparen(cond).(*ast.BinaryExpr)
 	if !ok || !isComparison(be.Op) {
 		return
 	}
-	if id, ok := ast.Unparen(be.X).(*ast.Ident); ok && w.taintedExpr(be.Y) {
-		w.assign(id, true, false)
+	if id, ok := ast.Unparen(be.X).(*ast.Ident); ok && w.widthOf(be.Y) > 0 {
+		w.assign(id, w.widthOf(be.Y), unbounded)
 	}
-	if id, ok := ast.Unparen(be.Y).(*ast.Ident); ok && w.taintedExpr(be.X) {
-		w.assign(id, true, false)
+	if id, ok := ast.Unparen(be.Y).(*ast.Ident); ok && w.widthOf(be.X) > 0 {
+		w.assign(id, w.widthOf(be.X), unbounded)
 	}
 }
 
-// rangeKeyTainted decides whether the key of `range x` is tainted: for an
-// integer range, when x is; for a container, when its length was never
-// bound-checked.
-func (w *walker) rangeKeyTainted(x ast.Expr) bool {
+// rangeKeyWidth gives the key of `range x` its width: for an integer range,
+// x's; for a container, its len's.
+func (w *walker) rangeKeyWidth(x ast.Expr) width {
 	if tv, ok := w.pass.TypesInfo.Types[x]; ok {
 		if b, ok := tv.Type.Underlying().(*types.Basic); ok && b.Info()&types.IsInteger != 0 {
-			return w.taintedExpr(x)
+			return w.widthOf(x)
 		}
 	}
-	return !w.bounded[rootObject(w.pass.TypesInfo, x)]
+	return w.lenWidth(rootObject(w.pass.TypesInfo, x))
 }
 
 func (w *walker) checkExprs(exprs []ast.Expr) {
@@ -256,75 +305,78 @@ func (w *walker) checkExpr(e ast.Expr) {
 	})
 }
 
-// boundedExpr reports whether an expression yields a container of known,
-// untainted size: make() with clean size args, a composite literal, or a
-// slice of (or alias to) a bounded container.
-func (w *walker) boundedExpr(e ast.Expr) bool {
+// sizeOf returns the width of len() of the container e yields: make()'s
+// widest size arg, 0 for a composite literal, its source's for a slice of
+// (or alias to) a container, and unbounded when the size is unknown.
+func (w *walker) sizeOf(e ast.Expr) width {
 	switch e := ast.Unparen(e).(type) {
 	case *ast.CompositeLit:
-		return true
+		return 0
 	case *ast.Ident:
-		return w.bounded[analysis.ObjectOf(w.pass.TypesInfo, e)]
+		return w.lenWidth(analysis.ObjectOf(w.pass.TypesInfo, e))
 	case *ast.SliceExpr:
-		return w.boundedExpr(e.X)
+		return w.sizeOf(e.X)
 	case *ast.CallExpr:
 		if builtin(w.pass.TypesInfo, e) != "make" {
-			return false
+			return unbounded
 		}
-		for _, size := range e.Args[1:] {
-			if w.taintedExpr(size) {
-				return false
-			}
+		size := width(0)
+		for _, arg := range e.Args[1:] {
+			size = max(size, w.widthOf(arg))
 		}
-		return true
+		return size
 	}
-	return false
+	return unbounded
 }
 
-// taintedExpr reports whether e's value derives from a len or cap.
-func (w *walker) taintedExpr(e ast.Expr) bool {
+// widthOf returns the width of e's value: 0 unless it derives from a len or
+// cap.
+func (w *walker) widthOf(e ast.Expr) width {
 	switch e := ast.Unparen(e).(type) {
 	case *ast.Ident:
-		return w.tainted[analysis.ObjectOf(w.pass.TypesInfo, e)]
+		return w.taint[analysis.ObjectOf(w.pass.TypesInfo, e)]
 	case *ast.BinaryExpr:
-		if (e.Op == token.REM || e.Op == token.AND) && !w.taintedExpr(e.Y) {
-			return false // x % m and x & mask are bounded by a clean m or mask
+		if e.Op == token.REM || e.Op == token.AND {
+			return w.widthOf(e.Y) // x % m and x & mask are bounded by m or mask
 		}
-		return w.taintedExpr(e.X) || w.taintedExpr(e.Y)
+		return max(w.widthOf(e.X), w.widthOf(e.Y))
 	case *ast.UnaryExpr:
-		return w.taintedExpr(e.X)
+		return w.widthOf(e.X)
 	case *ast.CallExpr:
-		return w.taintedCall(e)
+		return w.callWidth(e)
 	case *ast.IndexExpr:
 		// Elements of a container that received tainted writes are tainted;
 		// the index itself is not part of the value.
-		return w.taintedExpr(e.X)
+		return w.widthOf(e.X)
 	case *ast.CompositeLit:
+		n := width(0)
 		for _, el := range e.Elts {
-			if w.taintedExpr(el) {
-				return true
-			}
+			n = max(n, w.widthOf(el))
 		}
+		return n
 	case *ast.SelectorExpr:
 		obj, _ := w.pass.TypesInfo.Uses[e.Sel].(*types.Var)
-		return w.tainted[obj]
+		return w.taint[obj]
 	}
-	return false
+	return 0
 }
 
-// taintedCall classifies calls: conversions propagate, len/cap of an
-// unbounded container taints, and min() clamps.
-func (w *walker) taintedCall(call *ast.CallExpr) bool {
+// callWidth classifies calls: conversions propagate, len/cap take their
+// container's size width, and min() clamps.
+func (w *walker) callWidth(call *ast.CallExpr) width {
 	if tv, ok := w.pass.TypesInfo.Types[call.Fun]; ok && tv.IsType() && len(call.Args) == 1 {
-		return w.taintedExpr(call.Args[0])
+		return w.widthOf(call.Args[0])
 	}
-	b := builtin(w.pass.TypesInfo, call)
-	return (b == "len" || b == "cap") && !w.bounded[rootObject(w.pass.TypesInfo, call.Args[0])]
+	if b := builtin(w.pass.TypesInfo, call); b == "len" || b == "cap" {
+		return w.lenWidth(rootObject(w.pass.TypesInfo, call.Args[0]))
+	}
+	return 0
 }
 
 // clearCompared handles the diverging-if bound: every variable on either
-// side of a clearing comparison in cond is untainted, and every container
-// whose len/cap is compared becomes bounded.
+// side of a clearing comparison in cond, and the len/cap of every container
+// compared there, is narrowed to the comparison's bound width (never
+// widened).
 func (w *walker) clearCompared(cond ast.Expr) {
 	info := w.pass.TypesInfo
 	ast.Inspect(cond, func(n ast.Node) bool {
@@ -332,15 +384,18 @@ func (w *walker) clearCompared(cond ast.Expr) {
 		if !ok || !clears(be.Op) {
 			return true
 		}
+		bound := w.boundWidth(be)
 		for _, side := range []ast.Expr{be.X, be.Y} {
 			ast.Inspect(side, func(m ast.Node) bool {
 				switch m := m.(type) {
 				case *ast.Ident:
-					delete(w.tainted, analysis.ObjectOf(info, m))
+					if obj := analysis.ObjectOf(info, m); obj != nil {
+						w.setWidths(obj, min(w.taint[obj], bound), w.lenWidth(obj))
+					}
 				case *ast.CallExpr:
 					if b := builtin(info, m); b == "len" || b == "cap" {
 						if obj := rootObject(info, m.Args[0]); obj != nil {
-							w.bounded[obj] = true
+							w.setWidths(obj, w.taint[obj], min(w.lenWidth(obj), bound))
 						}
 					}
 				}
@@ -349,6 +404,27 @@ func (w *walker) clearCompared(cond ast.Expr) {
 		}
 		return true
 	})
+}
+
+// boundWidth returns the width a diverging comparison bounds its operands
+// to: the bit length of a constant side's magnitude, or 0 — a comparison
+// with a variable trusts the variable's own bound.
+func (w *walker) boundWidth(be *ast.BinaryExpr) width {
+	for _, side := range []ast.Expr{be.X, be.Y} {
+		tv, ok := w.pass.TypesInfo.Types[side]
+		if !ok || tv.Value == nil {
+			continue
+		}
+		v := constant.ToInt(tv.Value)
+		if v.Kind() != constant.Int {
+			continue
+		}
+		if constant.Sign(v) < 0 {
+			v = constant.UnaryOp(token.SUB, v, 0)
+		}
+		return width(constant.BitLen(v))
+	}
+	return 0
 }
 
 func isComparison(op token.Token) bool {

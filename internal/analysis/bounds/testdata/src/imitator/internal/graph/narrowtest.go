@@ -32,6 +32,32 @@ func guardedBuild(keys []uint16) []int32 {
 	return idx
 }
 
+// backstopWidth: an int32 backstop bounds the count, and so every index
+// derived from it, to 31 bits. A conversion to int32 passes; one narrower
+// than the bound is still reported, also when it is widened again.
+func backstopWidth(keys []uint16) []int32 {
+	n := len(keys)
+	if int64(n) > maxInt32 {
+		panic("too many keys")
+	}
+	idx := make([]int32, n)
+	for i := 0; i < n; i++ {
+		idx[i] = int32(i)        // ok: 31 bits fit int32
+		idx[i] = int32(int16(i)) // want `int16 conversion narrows a len/cap-derived value`
+	}
+	for i := range idx {
+		_ = uint16(i) // want `uint16 conversion narrows a len/cap-derived value`
+	}
+	if len(keys) > 1<<16-1 {
+		panic("too many keys for uint16")
+	}
+	for i := range keys {
+		_ = uint16(i) // ok: len(keys) fits 16 bits
+		_ = int16(i)  // want `int16 conversion narrows a len/cap-derived value`
+	}
+	return idx
+}
+
 // equalGuard pins len(keys) to a caller-checked n with a diverging !=, which
 // bounds keys as well as an ordered comparison would.
 func equalGuard(keys []uint16, n int) []int32 {

@@ -92,9 +92,11 @@ func TestLoadAllocBudget(t *testing.T) {
 // superstep after NewCluster allocates on the benchmark graph: it builds the
 // scatter route and the gather partials and sizes every wire buffer. The
 // route rebuild reserves each notice buffer for the most notices the route
-// can send, so notices do not grow by doubling through the superstep; when
-// they did the superstep allocated 35.4 MB. Measured 24.3 MB, budget about
-// 10 % above.
+// can send, and each round buffer for the larger of its gather and sync
+// rounds, so no buffer grows by doubling through the superstep: with
+// doubling notices it allocated 35.4 MB, with doubling round buffers 21.0.
+// An always-active program's route has no position column. Measured
+// 14.3 MB, budget about 10 % above.
 func TestFirstSuperstepAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; counts are meaningless")
@@ -114,8 +116,10 @@ func TestFirstSuperstepAllocBudget(t *testing.T) {
 	runtime.ReadMemStats(&before)
 	step()
 	runtime.ReadMemStats(&after)
-	const budgetMB = 27
-	if b := after.TotalAlloc - before.TotalAlloc; b > budgetMB*1e6 {
+	const budgetMB = 16
+	b := after.TotalAlloc - before.TotalAlloc
+	t.Logf("first vertex-cut superstep allocated %.1f MB", float64(b)/1e6)
+	if b > budgetMB*1e6 {
 		t.Errorf("first vertex-cut superstep allocated %.1f MB, budget %d MB", float64(b)/1e6, budgetMB)
 	}
 }

@@ -38,7 +38,6 @@ func (c *Cluster[V, A]) bindEdgeCutPhases() {
 		}
 	}
 	c.fns.syncRecv = func(nd *node[V, A]) {
-		c.routeReady(nd) // vertex-cut applySync scatters through the route
 		msgs := c.net.Receive(nd.id)
 		if c.flog != nil {
 			c.flogCapture(nd, msgs)
@@ -49,6 +48,9 @@ func (c *Cluster[V, A]) bindEdgeCutPhases() {
 			}
 		}
 		c.handBack(nd, msgs, slotSend)
+		if c.vcut != nil && c.always {
+			c.countNotices(nd) // every slot's pendingScatter is final here
+		}
 	}
 }
 
@@ -113,7 +115,7 @@ func (c *Cluster[V, A]) apply(nd *node[V, A], i int, acc A, has bool, iter int) 
 	e.pendingValue = newV
 	e.hasPending = true
 	e.pendingScatter = scatter
-	if scatter {
+	if scatter && !c.always {
 		c.scatterMark(nd, int32(i))
 	}
 }
@@ -134,7 +136,7 @@ func (c *Cluster[V, A]) applySync(nd *node[V, A], buf []byte) {
 		e.pendingValue = val
 		e.hasPending = true
 		e.pendingScatter = flags&1 != 0
-		if e.pendingScatter {
+		if e.pendingScatter && !c.always {
 			c.scatterMark(nd, pos)
 		}
 	}
@@ -145,15 +147,14 @@ func (c *Cluster[V, A]) applySync(nd *node[V, A], buf []byte) {
 // activation notice to their master's node, both streamed from the node's
 // precomputed scatter route in out-list order. Commit ORs a master's
 // pendingActive with Program.AlwaysActive, so for an always-active program
-// the flags have no reader and are not set; the notices are wire traffic
-// and go out either way.
+// neither the flags nor the notices' content have a reader and its callers
+// skip the mark; its notices are still wire traffic, which countNotices
+// stages by length once the superstep's scatter flags are final.
 func (c *Cluster[V, A]) scatterMark(nd *node[V, A], i int32) {
 	if c.ec != nil {
 		// An edge lives on its target's master node: all masters, no notices.
-		if !c.always {
-			for _, w := range nd.out(int(i)) {
-				nd.hot[w].pendingActive = true
-			}
+		for _, w := range nd.out(int(i)) {
+			nd.hot[w].pendingActive = true
 		}
 		return
 	}

@@ -68,14 +68,18 @@ func (c *Cluster[V, A]) handBack(nd *node[V, A], msgs []netsim.Message, class in
 // an empty one from the role's wire slot. Callers append records and store
 // the result back.
 func (c *Cluster[V, A]) wireBuf(nd *node[V, A], dst, class int) []byte {
-	bufs := nd.sendBuf
-	if class == slotNotice {
-		bufs = nd.noticeBuf
-	}
-	if b := bufs[dst]; b != nil {
+	if b := nd.bufs(class)[dst]; b != nil {
 		return b
 	}
 	return c.pool.GetSlot(c.wireSlot(nd.id, dst, class))
+}
+
+// bufs returns nd's per-destination buffers of a wire-slot class.
+func (n *node[V, A]) bufs(class int) [][]byte {
+	if class == slotNotice {
+		return n.noticeBuf
+	}
+	return n.sendBuf
 }
 
 // chunks returns the WorkersPerNode chunk bounds over [0, n) in nd's

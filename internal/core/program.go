@@ -90,6 +90,17 @@ type Codec[T any] interface {
 	Size(v T) int
 }
 
+// fixedSize returns the encoded size shared by every value of c, for the
+// shipped codecs whose size does not depend on the value.
+func fixedSize[T any](c Codec[T]) (int, bool) {
+	switch any(c).(type) {
+	case Float64Codec, Int32Codec, VecCodec:
+		var zero T
+		return c.Size(zero), true
+	}
+	return 0, false
+}
+
 var errShortBuffer = fmt.Errorf("core: short buffer decoding value")
 
 // Float64Codec encodes a float64 (PageRank rank, SSSP distance).

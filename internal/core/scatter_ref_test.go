@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math"
+	"slices"
 	"testing"
 
 	"imitator/internal/graph"
@@ -31,10 +32,13 @@ func refScatterMark[V, A any](c *Cluster[V, A], nd *node[V, A], active []bool, n
 }
 
 // checkScatterRoutes scatters every slot of every alive node once through
-// scatterMark and once through the reference walk, and requires the same
-// per-destination notice bytes, activation flags and activation metrics.
-// scatterMark writes into the node itself, so the cluster is not run
-// afterwards.
+// the engine and once through the reference walk, and requires the same
+// per-destination notices, activation flags and activation metrics. A
+// frontier program scatters through scatterMark and must stage the walk's
+// bytes exactly. An always-active program's notices are staged by length
+// (countNotices, with every slot's pendingScatter set): each destination's
+// payload must be all zeros, as long as the walk's. Both write into the node
+// itself, so the cluster is not run afterwards.
 func checkScatterRoutes[V, A any](t *testing.T, cl *Cluster[V, A], when string) {
 	t.Helper()
 	for _, nd := range cl.aliveNodes() {
@@ -48,13 +52,27 @@ func checkScatterRoutes[V, A any](t *testing.T, cl *Cluster[V, A], when string) 
 		}
 		clear(nd.noticeBuf)
 		*nd.met = metrics.Node{}
-		for i := range nd.hot {
-			cl.scatterMark(nd, int32(i))
+		if cl.always {
+			for i := range nd.hot {
+				nd.hot[i].pendingScatter = true
+			}
+			cl.countNotices(nd)
+		} else {
+			for i := range nd.hot {
+				cl.scatterMark(nd, int32(i))
+			}
 		}
-		for dst := range wantNotice {
-			if !bytes.Equal(nd.noticeBuf[dst], wantNotice[dst]) {
+		for dst, want := range wantNotice {
+			got := nd.noticeBuf[dst]
+			switch {
+			case cl.always && len(got) != len(want):
+				t.Errorf("%s: node %d -> %d: %d notice bytes counted, per-edge walk %d",
+					when, nd.id, dst, len(got), len(want))
+			case cl.always && slices.ContainsFunc(got, func(b byte) bool { return b != 0 }):
+				t.Errorf("%s: node %d -> %d: counted notices carry nonzero bytes", when, nd.id, dst)
+			case !cl.always && !bytes.Equal(got, want):
 				t.Errorf("%s: node %d -> %d: notice bytes differ from the per-edge walk (%d vs %d bytes)",
-					when, nd.id, dst, len(nd.noticeBuf[dst]), len(wantNotice[dst]))
+					when, nd.id, dst, len(got), len(want))
 			}
 		}
 		for i := range nd.hot {

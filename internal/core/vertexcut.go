@@ -59,6 +59,7 @@ func (c *Cluster[V, A]) bindVertexCutPhases() {
 		c.handBack(nd, msgs, slotSend)
 	}
 	c.fns.vcGather = func(nd *node[V, A]) {
+		c.routeReady(nd)
 		nd.localPart = ensurePartials(nd.localPart, len(nd.hot))
 		var busy busySpan
 		for _, b := range c.chunks(nd, len(nd.hot)) {
@@ -94,7 +95,6 @@ func (c *Cluster[V, A]) bindVertexCutPhases() {
 		// Contributions merge in ascending sender-id order, with the
 		// master's own local partial taking its node's slot, so
 		// floating-point folds are deterministic.
-		c.routeReady(nd) // apply scatters
 		nd.mergedPart = ensurePartials(nd.mergedPart, len(nd.hot))
 		msgs := c.net.Receive(nd.id)
 		localMerged := false
