@@ -1,6 +1,6 @@
-// Command imitatorvet runs the repository's two static analyzers, hostrace
-// and narrowing (see DESIGN.md "Static invariants"), over Go packages, which
-// it loads and type-checks itself:
+// Command imitatorvet runs the repository's static analyzer, narrowing (see
+// DESIGN.md "Static invariants"), over Go packages, which it loads and
+// type-checks itself:
 //
 //	go run ./cmd/imitatorvet ./...
 //
@@ -14,7 +14,6 @@ import (
 
 	"imitator/internal/analysis"
 	"imitator/internal/analysis/bounds"
-	"imitator/internal/analysis/hostrace"
 )
 
 func main() {
@@ -27,7 +26,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "imitatorvet:", err)
 		os.Exit(1)
 	}
-	analyzers := []*analysis.Analyzer{hostrace.New(), bounds.Narrowing()}
+	analyzers := []*analysis.Analyzer{bounds.Narrowing()}
 	total := 0
 	for _, pkg := range pkgs {
 		diags, err := analysis.Run(pkg, analyzers)

@@ -6,11 +6,11 @@
 // Diagnostic) closely enough that the suite can be ported to the real
 // framework by swapping import paths if x/tools ever becomes available.
 //
-// The suite's two analyzers live in subpackages and are wired together by
-// cmd/imitatorvet: hostrace and narrowing (in bounds). Helpers they share
-// (InPackages, ObjectOf, Diverges) live here. See DESIGN.md ("Static
-// invariants") for the contracts they enforce. Neither takes a suppression
-// directive: code they flag is rewritten until it holds.
+// The suite's one analyzer, narrowing, lives in the bounds subpackage and is
+// run by cmd/imitatorvet; the helpers it uses (InPackages, ObjectOf,
+// Diverges) live here. See DESIGN.md ("Static invariants") for the contract
+// it enforces. It takes no suppression directive: code it flags is
+// rewritten until it holds.
 package analysis
 
 import (
@@ -23,7 +23,7 @@ import (
 
 // Analyzer describes one static check.
 type Analyzer struct {
-	// Name identifies the analyzer in diagnostics ("hostrace").
+	// Name identifies the analyzer in diagnostics ("narrowing").
 	Name string
 	// Doc is the analyzer's one-paragraph contract.
 	Doc string

@@ -19,13 +19,14 @@
 //
 // Taint flows through assignment, arithmetic, conversions, loop induction
 // variables, range keys and container or field writes. A comparison of the
-// value (or of len(container)) inside an if whose body diverges — ordered
-// (<, <=, >, >=) or !=; `n == 0` rules out zero and caps nothing — bounds it
-// to the width of what it is compared with: a constant bound keeps its bit
-// length, so after an int32 backstop int32(i) passes and int16(i) is still
-// reported, while a comparison with a variable trusts the variable and
-// clears the value. A reduction x % m or x & m takes m's width; min()
-// clears.
+// value (or of len(container)) inside an if whose body diverges caps it by
+// what it is compared with when the comparison's negation is an upper bound:
+// `n > C` and `C < n` cap n, `n != C` caps both sides, while `n < 1` rules
+// out small values and `n == 0` rules out zero, and neither caps anything. A
+// constant cap keeps its bit length, so after an int32 backstop int32(i)
+// passes and int16(i) is still reported, while a cap by a variable trusts
+// the variable and clears the value. A reduction x % m or x & m takes m's
+// width; min() clears.
 package bounds
 
 import (
@@ -373,58 +374,64 @@ func (w *walker) callWidth(call *ast.CallExpr) width {
 	return 0
 }
 
-// clearCompared handles the diverging-if bound: every variable on either
-// side of a clearing comparison in cond, and the len/cap of every container
-// compared there, is narrowed to the comparison's bound width (never
-// widened).
+// clearCompared handles the diverging-if bound. Past `if a OP b { diverge }`
+// the negation holds, so a > b (or a >= b) caps a by b, a < b (or a <= b)
+// caps b by a, and a != b caps each by the other. Every variable on a capped
+// side, and the len/cap of every container there, is narrowed to the cap's
+// width (never widened).
 func (w *walker) clearCompared(cond ast.Expr) {
-	info := w.pass.TypesInfo
 	ast.Inspect(cond, func(n ast.Node) bool {
 		be, ok := n.(*ast.BinaryExpr)
 		if !ok || !clears(be.Op) {
 			return true
 		}
-		bound := w.boundWidth(be)
-		for _, side := range []ast.Expr{be.X, be.Y} {
-			ast.Inspect(side, func(m ast.Node) bool {
-				switch m := m.(type) {
-				case *ast.Ident:
-					if obj := analysis.ObjectOf(info, m); obj != nil {
-						w.setWidths(obj, min(w.taint[obj], bound), w.lenWidth(obj))
-					}
-				case *ast.CallExpr:
-					if b := builtin(info, m); b == "len" || b == "cap" {
-						if obj := rootObject(info, m.Args[0]); obj != nil {
-							w.setWidths(obj, w.taint[obj], min(w.lenWidth(obj), bound))
-						}
-					}
-				}
-				return true
-			})
+		if be.Op != token.LSS && be.Op != token.LEQ {
+			w.capSide(be.X, w.capWidth(be.Y))
+		}
+		if be.Op != token.GTR && be.Op != token.GEQ {
+			w.capSide(be.Y, w.capWidth(be.X))
 		}
 		return true
 	})
 }
 
-// boundWidth returns the width a diverging comparison bounds its operands
-// to: the bit length of a constant side's magnitude, or 0 — a comparison
-// with a variable trusts the variable's own bound.
-func (w *walker) boundWidth(be *ast.BinaryExpr) width {
-	for _, side := range []ast.Expr{be.X, be.Y} {
-		tv, ok := w.pass.TypesInfo.Types[side]
-		if !ok || tv.Value == nil {
-			continue
+// capSide narrows every variable in side, and the len/cap of every container
+// compared there, to bound.
+func (w *walker) capSide(side ast.Expr, bound width) {
+	info := w.pass.TypesInfo
+	ast.Inspect(side, func(m ast.Node) bool {
+		switch m := m.(type) {
+		case *ast.Ident:
+			if obj := analysis.ObjectOf(info, m); obj != nil {
+				w.setWidths(obj, min(w.taint[obj], bound), w.lenWidth(obj))
+			}
+		case *ast.CallExpr:
+			if b := builtin(info, m); b == "len" || b == "cap" {
+				if obj := rootObject(info, m.Args[0]); obj != nil {
+					w.setWidths(obj, w.taint[obj], min(w.lenWidth(obj), bound))
+				}
+			}
 		}
-		v := constant.ToInt(tv.Value)
-		if v.Kind() != constant.Int {
-			continue
-		}
-		if constant.Sign(v) < 0 {
-			v = constant.UnaryOp(token.SUB, v, 0)
-		}
-		return width(constant.BitLen(v))
+		return true
+	})
+}
+
+// capWidth returns the width the cap e sets: the bit length of a constant's
+// magnitude, or 0 — a comparison with a variable trusts the variable's own
+// bound.
+func (w *walker) capWidth(e ast.Expr) width {
+	tv, ok := w.pass.TypesInfo.Types[e]
+	if !ok || tv.Value == nil {
+		return 0
 	}
-	return 0
+	v := constant.ToInt(tv.Value)
+	if v.Kind() != constant.Int {
+		return 0
+	}
+	if constant.Sign(v) < 0 {
+		v = constant.UnaryOp(token.SUB, v, 0)
+	}
+	return width(constant.BitLen(v))
 }
 
 func isComparison(op token.Token) bool {
@@ -436,7 +443,7 @@ func isComparison(op token.Token) bool {
 }
 
 // clears is the one clearing predicate: an ordered comparison or != in a
-// diverging if bounds its operands; `n == 0` rules out zero and caps
+// diverging if caps one or both operands; `n == 0` rules out zero and caps
 // nothing.
 func clears(op token.Token) bool {
 	return isComparison(op) && op != token.EQL

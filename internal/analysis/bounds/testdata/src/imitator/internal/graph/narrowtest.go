@@ -80,6 +80,16 @@ func guardedVar(buf []byte) (uint32, bool) {
 	return uint32(n), true // ok: n was checked
 }
 
+// lowerGuard: a diverging `n < 1` rules out small values only; past it n is
+// still unbounded above.
+func lowerGuard(xs []int) int8 {
+	n := len(xs)
+	if n < 1 {
+		return 0
+	}
+	return int8(n) // want `int8 conversion narrows a len/cap-derived value`
+}
+
 // inductionTaint propagates len-taint through a classic for loop.
 func inductionTaint(xs []int) []int32 {
 	out := make([]int32, 0, 8)

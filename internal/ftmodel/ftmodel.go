@@ -50,15 +50,6 @@ func (s Scenario) OptimalEfficiency() float64 {
 	return s.Efficiency(s.OptimalInterval())
 }
 
-// MTBFForCluster scales a single-machine MTBF to an n-machine cluster
-// (failures are independent, so the cluster MTBF divides by n).
-func MTBFForCluster(singleMachineMTBF float64, n int) float64 {
-	if n < 1 {
-		return singleMachineMTBF
-	}
-	return singleMachineMTBF / float64(n)
-}
-
 // PaperMTBF is the 50-node cluster MTBF the paper assumes: about 7.3 days.
 const PaperMTBF = 7.3 * 24 * 3600
 

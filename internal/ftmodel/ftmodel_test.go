@@ -51,15 +51,6 @@ func TestEfficiencyMonotoneInCost(t *testing.T) {
 	}
 }
 
-func TestMTBFForCluster(t *testing.T) {
-	if got := MTBFForCluster(100, 50); got != 2 {
-		t.Errorf("MTBFForCluster = %v, want 2", got)
-	}
-	if got := MTBFForCluster(100, 0); got != 100 {
-		t.Errorf("degenerate cluster size should keep MTBF, got %v", got)
-	}
-}
-
 func TestValidate(t *testing.T) {
 	if (Scenario{CostPerInterval: 0, MTBF: 1}).Validate() == nil {
 		t.Error("zero cost accepted")

@@ -372,62 +372,3 @@ func Community(cfg CommunityConfig) (*graph.Graph, error) {
 	}
 	return graph.New(n, edges)
 }
-
-// UniformConfig parameterizes Erdős–Rényi generation for UniformGraph.
-type UniformConfig struct {
-	NumVertices int
-	NumEdges    int
-	Seed        uint64
-	// Workers: 0 = sequential legacy path (identical to Uniform), >= 1 =
-	// deterministic parallel path (output independent of the worker count).
-	Workers int
-}
-
-// UniformGraph is the config form of Uniform, adding the parallel path.
-func UniformGraph(cfg UniformConfig) (*graph.Graph, error) {
-	if cfg.Workers != 0 {
-		if cfg.NumVertices <= 1 {
-			return nil, fmt.Errorf("gen: uniform needs >= 2 vertices, got %d", cfg.NumVertices)
-		}
-		return uniformParallel(cfg)
-	}
-	return Uniform(cfg.NumVertices, cfg.NumEdges, cfg.Seed)
-}
-
-// Uniform generates a uniform random directed graph (Erdős–Rényi G(n, m)),
-// useful for tests where skew is unwanted.
-func Uniform(numVertices, numEdges int, seed uint64) (*graph.Graph, error) {
-	if numVertices <= 1 {
-		return nil, fmt.Errorf("gen: uniform needs >= 2 vertices, got %d", numVertices)
-	}
-	r := rng.New(seed)
-	edges := make([]graph.Edge, 0, numEdges)
-	for len(edges) < numEdges {
-		src := graph.VertexID(r.Intn(numVertices))
-		dst := graph.VertexID(r.Intn(numVertices))
-		if src != dst {
-			edges = append(edges, graph.Edge{Src: src, Dst: dst, Weight: 1})
-		}
-	}
-	return graph.New(numVertices, edges)
-}
-
-// WithLogNormalWeights returns a copy of g whose edge weights are redrawn
-// from LogNormal(mu, sigma); used to make unweighted graphs usable by SSSP
-// as the paper does for RoadCA.
-func WithLogNormalWeights(g *graph.Graph, mu, sigma float64, seed uint64) *graph.Graph {
-	r := rng.New(seed)
-	m := g.NumEdges()
-	src := make([]graph.VertexID, m)
-	dst := make([]graph.VertexID, m)
-	wt := make([]float64, m)
-	g.EachEdge(func(i int, e graph.Edge) {
-		src[i], dst[i] = e.Src, e.Dst
-		wt[i] = r.LogNormal(mu, sigma)
-	})
-	out, err := graph.NewFromSOA(g.NumVertices(), src, dst, wt)
-	if err != nil {
-		panic(err) // endpoints come from a valid graph
-	}
-	return out
-}

@@ -275,41 +275,3 @@ func TestCommunityValidation(t *testing.T) {
 		t.Error("expected error for more communities than vertices")
 	}
 }
-
-func TestUniform(t *testing.T) {
-	g, err := Uniform(100, 500, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.NumEdges() != 500 {
-		t.Errorf("NumEdges = %d", g.NumEdges())
-	}
-	s := g.ComputeStats()
-	if s.MaxInDeg > 30 {
-		t.Errorf("uniform graph too skewed: max in-degree %d", s.MaxInDeg)
-	}
-}
-
-func TestWithLogNormalWeights(t *testing.T) {
-	g, _ := Uniform(50, 200, 1)
-	w := WithLogNormalWeights(g, 0.4, 1.2, 2)
-	if w.NumEdges() != g.NumEdges() || w.NumVertices() != g.NumVertices() {
-		t.Fatal("topology changed")
-	}
-	varied := false
-	for i := range w.NumEdges() {
-		e := w.Edge(i)
-		if e.Src != g.Edge(i).Src || e.Dst != g.Edge(i).Dst {
-			t.Fatal("edge endpoints changed")
-		}
-		if e.Weight <= 0 || math.IsNaN(e.Weight) {
-			t.Fatal("bad weight")
-		}
-		if e.Weight != 1 {
-			varied = true
-		}
-	}
-	if !varied {
-		t.Error("weights were not redrawn")
-	}
-}

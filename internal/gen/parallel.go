@@ -45,7 +45,6 @@ const (
 	tagEmit     uint64 = 0x656d697401 // power-law per-shard emission
 	tagRow      uint64 = 0x726f7701   // road per-row lattice weights
 	tagShortcut uint64 = 0x73686f7201 // road shortcut blocks
-	tagUniform  uint64 = 0x756e696601 // uniform edge blocks
 	tagComm     uint64 = 0x636f6d6d01 // community per-shard emission
 )
 
@@ -258,32 +257,6 @@ func roadParallel(cfg RoadConfig) (*graph.Graph, error) {
 		}
 	})
 	return graph.NewFromSOA(n, src, dst, wt)
-}
-
-// uniformParallel fills fixed edge blocks, redrawing self-loops in place.
-func uniformParallel(cfg UniformConfig) (*graph.Graph, error) {
-	n, m := cfg.NumVertices, cfg.NumEdges
-	src := make([]graph.VertexID, m)
-	dst := make([]graph.VertexID, m)
-	blocks := numShards(m, genShardEdges)
-	hostpar.For(blocks, cfg.Workers, func(b int) {
-		r := rng.New(streamSeed(cfg.Seed, tagUniform, uint64(b)))
-		lo, hi := b*genShardEdges, (b+1)*genShardEdges
-		if hi > m {
-			hi = m
-		}
-		for i := lo; i < hi; i++ {
-			for {
-				s := graph.VertexID(r.Intn(n))
-				d := graph.VertexID(r.Intn(n))
-				if s != d {
-					src[i], dst[i] = s, d
-					break
-				}
-			}
-		}
-	})
-	return graph.NewFromSOA(n, src, dst, nil)
 }
 
 // communityParallel assigns communities sequentially (cheap O(n)), then

@@ -1,6 +1,7 @@
 package gen
 
 import (
+	"runtime"
 	"testing"
 
 	"imitator/internal/graph"
@@ -23,12 +24,26 @@ func fingerprint(g *graph.Graph) uint64 {
 
 var workerSweep = []int{1, 2, 8}
 
+// twoProcs raises GOMAXPROCS to at least 2 for the rest of the test, so a
+// width above 1 runs its shards on two threads even where GOMAXPROCS is 1:
+// on one thread the first goroutine may take every shard before the next
+// one starts, and -race then sees no overlap between them.
+func twoProcs(t *testing.T) {
+	if prev := runtime.GOMAXPROCS(0); prev < 2 {
+		runtime.GOMAXPROCS(2)
+		t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+	}
+}
+
 // TestParallelPowerLawDeterminism: the sharded path returns the identical
 // graph for every worker count, honors an exact edge target, and keeps the
-// sink (selfish) vertices edge-free.
+// sink (selfish) vertices edge-free. It spans more than two genShardVerts
+// shards, so the emit body runs on more than one goroutine at every width
+// above 1.
 func TestParallelPowerLawDeterminism(t *testing.T) {
+	twoProcs(t)
 	cfg := PowerLawConfig{
-		NumVertices: 5000, NumEdges: 40000, Alpha: 2.0,
+		NumVertices: 2*genShardVerts + 1000, NumEdges: 80000, Alpha: 2.0,
 		SelfishFraction: 0.1, Seed: 42,
 	}
 	var want uint64
@@ -62,11 +77,16 @@ func TestParallelPowerLawDeterminism(t *testing.T) {
 	}
 }
 
+// TestParallelRoadDeterminism builds more than two genShardEdges blocks of
+// shortcut pairs, so both the row and the shortcut bodies run on more than
+// one goroutine at every width above 1.
 func TestParallelRoadDeterminism(t *testing.T) {
+	twoProcs(t)
 	cfg := RoadConfig{
-		Width: 120, Height: 80, ShortcutFrac: 0.05,
+		Width: 120, Height: 80, ShortcutFrac: 0.9,
 		WeightMu: 0.4, WeightSigma: 1.2, Seed: 7,
 	}
+	lattice := 2 * ((cfg.Width-1)*cfg.Height + cfg.Width*(cfg.Height-1))
 	var want uint64
 	var wantEdges int
 	for i, workers := range workerSweep {
@@ -81,49 +101,22 @@ func TestParallelRoadDeterminism(t *testing.T) {
 		fp := fingerprint(g)
 		if i == 0 {
 			want, wantEdges = fp, g.NumEdges()
+			if pairs := (wantEdges - lattice) / 2; pairs <= 2*genShardEdges {
+				t.Fatalf("%d shortcut pairs fill at most two blocks of %d", pairs, genShardEdges)
+			}
 		} else if fp != want || g.NumEdges() != wantEdges {
 			t.Fatalf("workers=%d graph differs from workers=1", workers)
 		}
 	}
 }
 
-func TestParallelUniformDeterminism(t *testing.T) {
-	cfg := UniformConfig{NumVertices: 3000, NumEdges: 25000, Seed: 11}
-	var want uint64
-	for i, workers := range workerSweep {
-		cfg.Workers = workers
-		g, err := UniformGraph(cfg)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if g.NumEdges() != cfg.NumEdges {
-			t.Fatalf("workers=%d: got %d edges, want %d", workers, g.NumEdges(), cfg.NumEdges)
-		}
-		fp := fingerprint(g)
-		if i == 0 {
-			want = fp
-		} else if fp != want {
-			t.Fatalf("workers=%d graph differs from workers=1", workers)
-		}
-	}
-	// Workers == 0 dispatches to the legacy sequential generator.
-	cfg.Workers = 0
-	g, err := UniformGraph(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	legacy, err := Uniform(cfg.NumVertices, cfg.NumEdges, cfg.Seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fingerprint(g) != fingerprint(legacy) {
-		t.Fatal("UniformGraph with Workers=0 differs from Uniform")
-	}
-}
-
+// TestParallelCommunityDeterminism spans more than two genShardVerts shards
+// of vertices, so both community bodies run on more than one goroutine at
+// every width above 1.
 func TestParallelCommunityDeterminism(t *testing.T) {
+	twoProcs(t)
 	cfg := CommunityConfig{
-		NumVertices: 4000, NumCommunities: 20,
+		NumVertices: 2*genShardVerts + 1000, NumCommunities: 20,
 		IntraDegree: 6, InterDegree: 1.5, Seed: 5,
 	}
 	var want uint64

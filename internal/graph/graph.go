@@ -20,7 +20,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 
 	"imitator/internal/hostpar"
 )
@@ -428,8 +427,7 @@ func (g *Graph) NumSelfish() int {
 	return n
 }
 
-// MaxDegree returns the maximum total (in+out) degree; used by tests and by
-// hybrid-cut threshold heuristics.
+// MaxDegree returns the maximum total (in+out) degree.
 func (g *Graph) MaxDegree() int {
 	best := 0
 	for v := VertexID(0); int(v) < g.numVertices; v++ {
@@ -438,25 +436,6 @@ func (g *Graph) MaxDegree() int {
 		}
 	}
 	return best
-}
-
-// DegreeHistogram returns sorted (degree, count) pairs of the in-degree
-// distribution; used to validate power-law generators.
-func (g *Graph) DegreeHistogram() (degrees []int, counts []int) {
-	hist := make(map[int]int)
-	for v := VertexID(0); int(v) < g.numVertices; v++ {
-		hist[g.InDegree(v)]++
-	}
-	degrees = make([]int, 0, len(hist))
-	for d := range hist {
-		degrees = append(degrees, d)
-	}
-	sort.Ints(degrees)
-	counts = make([]int, len(degrees))
-	for i, d := range degrees {
-		counts[i] = hist[d]
-	}
-	return degrees, counts
 }
 
 // Stats summarizes a graph for reports and DESIGN/EXPERIMENTS tables.

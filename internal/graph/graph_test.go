@@ -2,6 +2,7 @@ package graph
 
 import (
 	"errors"
+	"runtime"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -149,11 +150,23 @@ func TestMaxDegree(t *testing.T) {
 	}
 }
 
-func TestDegreeHistogram(t *testing.T) {
-	degrees, counts := sample().DegreeHistogram()
-	// in-degrees: [0,1,1,3,0] -> {0:2, 1:2, 3:1}
-	if len(degrees) != 3 || degrees[0] != 0 || counts[0] != 2 || degrees[2] != 3 || counts[2] != 1 {
-		t.Errorf("histogram = %v %v", degrees, counts)
+// TestBuildCSRKeysWidthInvariance sorts more than two csrMinShard shards of
+// keys at host widths 1 and 2, so both hostpar bodies of buildCSRKeys run on
+// two goroutines, and checks that the CSR does not depend on the width.
+func TestBuildCSRKeysWidthInvariance(t *testing.T) {
+	const n = 1000
+	r := rng.New(5)
+	keys := make([]uint16, 2*csrMinShard+1000)
+	for i := range keys {
+		keys[i] = uint16(r.Intn(n))
+	}
+	build := func(width int) csr {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(width))
+		return buildCSRKeys(n, keys)
+	}
+	want, got := build(1), build(2)
+	if !slices.Equal(got.offsets, want.offsets) || !slices.Equal(got.edgeIdx, want.edgeIdx) {
+		t.Fatal("CSR differs between host widths 1 and 2")
 	}
 }
 

@@ -7,6 +7,11 @@
 // random numbers are involved, derives one rng stream per fixed-size shard
 // rather than per worker.
 //
+// That contract is gated at run time. CI's "Host-parallel bodies under race,
+// repeated" step runs, under go test -race -count=10, the width-invariance
+// test that TestCallSitesCovered names for each call site; each sizes its
+// input past two shards or blocks, so every body runs on two goroutines.
+//
 // hostpar's width is pure host scheduling and must never leak into
 // simulated results; internal/core's Config.WorkersPerNode chunks are a
 // cost-model input and run on no hostpar worker.

@@ -176,8 +176,3 @@ func AXPY(alpha float64, x, y []float64) {
 		y[i] += alpha * x[i]
 	}
 }
-
-// Norm2 returns the Euclidean norm of x.
-func Norm2(x []float64) float64 {
-	return math.Sqrt(Dot(x, x))
-}

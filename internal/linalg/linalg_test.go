@@ -149,9 +149,6 @@ func TestDotAXPYNorm(t *testing.T) {
 	if y[0] != 7 || y[1] != 9 {
 		t.Errorf("AXPY -> %v", y)
 	}
-	if !almostEq(Norm2([]float64{3, 4}), 5, 1e-12) {
-		t.Error("Norm2 wrong")
-	}
 }
 
 func TestDotPanicsOnDim(t *testing.T) {
