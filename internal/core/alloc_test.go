@@ -88,15 +88,17 @@ func TestLoadAllocBudget(t *testing.T) {
 	}
 }
 
-// TestFirstSuperstepAllocBudget pins, in bytes, what the first vertex-cut
-// superstep after NewCluster allocates on the benchmark graph: it builds the
-// scatter route and the gather partials and sizes every wire buffer. The
-// route rebuild reserves each notice buffer for the most notices the route
-// can send, and each round buffer for the larger of its gather and sync
-// rounds, so no buffer grows by doubling through the superstep: with
-// doubling notices it allocated 35.4 MB, with doubling round buffers 21.0.
-// An always-active program's route has no position column. Measured
-// 14.3 MB, budget about 10 % above.
+// TestFirstSuperstepAllocBudget pins, in bytes, what the first superstep
+// after NewCluster allocates on the benchmark graph. Under vertex-cut it
+// builds the scatter route and the gather partials; under both engines it
+// sizes every wire buffer. The compute phase's prologue reserves each round
+// buffer for the larger of its gather and sync rounds, and under vertex-cut
+// each notice buffer for the most notices the route can send, so no buffer
+// grows by doubling through the superstep: vertex-cut allocated 35.4 MB with
+// doubling notices and 21.0 with doubling round buffers, edge-cut 9.9 with
+// doubling round buffers. An always-active program's route has no position
+// column. Measured 14.3 MB vertex-cut and 2.5 edge-cut, budgets about 10 %
+// above.
 func TestFirstSuperstepAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; counts are meaningless")
@@ -104,23 +106,31 @@ func TestFirstSuperstepAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds the 923 k-edge benchmark graph")
 	}
-	cfg := DefaultConfig(VertexCutMode, 8) // as vc-steady
-	cfg.HostParallelism = 1
-	cl, err := NewCluster[float64, float64](cfg, benchmarkGraph(t), fakePR{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.stopWorkers()
-	step := manualStep(t, cl)
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	step()
-	runtime.ReadMemStats(&after)
-	const budgetMB = 16
-	b := after.TotalAlloc - before.TotalAlloc
-	t.Logf("first vertex-cut superstep allocated %.1f MB", float64(b)/1e6)
-	if b > budgetMB*1e6 {
-		t.Errorf("first vertex-cut superstep allocated %.1f MB, budget %d MB", float64(b)/1e6, budgetMB)
+	g := benchmarkGraph(t)
+	for _, tc := range []struct {
+		mode     Mode // as ec-steady / vc-steady
+		budgetMB float64
+	}{
+		{EdgeCutMode, 2.8},
+		{VertexCutMode, 16},
+	} {
+		cfg := DefaultConfig(tc.mode, 8)
+		cfg.HostParallelism = 1
+		cl, err := NewCluster[float64, float64](cfg, g, fakePR{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		step := manualStep(t, cl)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		step()
+		runtime.ReadMemStats(&after)
+		cl.stopWorkers()
+		mb := float64(after.TotalAlloc-before.TotalAlloc) / 1e6
+		t.Logf("first %s superstep allocated %.2f MB", tc.mode, mb)
+		if mb > tc.budgetMB {
+			t.Errorf("first %s superstep allocated %.2f MB, budget %.1f MB", tc.mode, mb, tc.budgetMB)
+		}
 	}
 }
 

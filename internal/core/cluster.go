@@ -50,9 +50,10 @@ type node[V, A any] struct {
 	bounds [][2]int
 
 	// scatter is the vertex-cut scatter route (slot -> its out-targets'
-	// masters); routeDirty forces a rebuild before the next phase that
-	// scatters (load and recovery reshape the out-lists and move masters).
-	// Edge-cut builds no route and never sets routeDirty.
+	// masters); routeDirty forces routeReady to rebuild it and to reserve the
+	// round buffers again before the next compute phase (load and recovery
+	// reshape the out-lists, the replica tables and move masters). Edge-cut
+	// builds no route but reserves its round buffers the same way.
 	scatter    scatterRoute
 	routeDirty bool
 
@@ -340,7 +341,7 @@ func (c *Cluster[V, A]) initNodeScratch(nd *node[V, A]) {
 	width := c.cfg.NumNodes
 	nd.sendBuf = make([][]byte, width)
 	nd.noticeBuf = make([][]byte, width)
-	nd.routeDirty = c.vcut != nil
+	nd.routeDirty = true
 	c.aliveDirty = true
 }
 

@@ -11,6 +11,7 @@ import (
 // phases both engines share (see superstep).
 func (c *Cluster[V, A]) bindEdgeCutPhases() {
 	c.fns.ecCompute = func(nd *node[V, A]) {
+		c.routeReady(nd)
 		iter := c.curIter
 		var busy busySpan
 		for _, b := range c.chunks(nd, len(nd.hot)) {

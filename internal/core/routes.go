@@ -37,8 +37,8 @@ func sized[T any](s []T, n int) []T {
 }
 
 // rebuildScatter derives nd.scatter from the out-lists and the targets' hot
-// slots and clears routeDirty: a count pass sizes every array and counts
-// each node's notices, a second pass fills them.
+// slots: a count pass sizes every array and counts each node's notices, a
+// second pass fills them.
 func (c *Cluster[V, A]) rebuildScatter(nd *node[V, A]) {
 	sr := &nd.scatter
 	sr.notices = sized(sr.notices, c.cfg.NumNodes)
@@ -71,22 +71,25 @@ func (c *Cluster[V, A]) rebuildScatter(nd *node[V, A]) {
 		}
 	}
 	sr.start[n] = int32(k)
-	nd.routeDirty = false
 }
 
-// routeReady rebuilds the scatter route, and reserves the notice and round
-// buffers the route and the replica tables size, if load or a recovery
-// invalidated it. vcGather, the first phase of every vertex-cut superstep
-// to stage gather records, calls it in its per-node prologue, before any
-// record of the superstep that needs the reservation is staged and while no
-// receiver hands a buffer back to nd's wire slots, so each node's rebuild
-// runs on the goroutine that owns it.
+// routeReady rebuilds the vertex-cut scatter route and reserves the notice
+// buffers it sizes, and reserves the round buffers the replica tables size,
+// if load or a recovery invalidated them. Each engine's compute phase
+// (ecCompute, vcGather), the first of a superstep to stage records, calls it
+// in its per-node prologue, before any record of the superstep that needs
+// the reservation is staged and while no receiver hands a buffer back to
+// nd's wire slots, so each node's rebuild runs on the goroutine that owns it.
 func (c *Cluster[V, A]) routeReady(nd *node[V, A]) {
-	if nd.routeDirty {
+	if !nd.routeDirty {
+		return
+	}
+	if c.vcut != nil {
 		c.rebuildScatter(nd)
 		c.reserveNotices(nd)
-		c.reserveSends(nd)
 	}
+	c.reserveSends(nd)
+	nd.routeDirty = false
 }
 
 // reserveNotices gives nd's notice buffer to each node room for the most
@@ -173,14 +176,14 @@ func (c *Cluster[V, A]) countNotices(nd *node[V, A]) {
 	nd.met.ActivationBytes += 4 * notices
 }
 
-// markRoutesDirty invalidates every alive vertex-cut node's scatter route
-// (used by recoveries that may move masters, add slots or add out-edges on
-// any node, like Migration's promotion, replica creation and edge
-// attachment). Edge-cut has no route to invalidate.
+// markRoutesDirty invalidates every alive node's scatter route and buffer
+// reservations (used by recoveries that may move masters, add slots or add
+// out-edges on any node, like Migration's promotion, replica creation and
+// edge attachment).
 func (c *Cluster[V, A]) markRoutesDirty() {
 	for _, n := range c.nodes {
 		if n != nil && n.alive {
-			n.routeDirty = c.vcut != nil
+			n.routeDirty = true
 		}
 	}
 }

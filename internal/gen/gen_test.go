@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"imitator/internal/graph"
 	"imitator/internal/rng"
 )
 
@@ -204,8 +205,10 @@ func TestRoadStructure(t *testing.T) {
 		}
 	}
 	// Road graphs are low-degree.
-	if g.MaxDegree() > 10 {
-		t.Errorf("road max degree %d too high", g.MaxDegree())
+	for v := graph.VertexID(0); int(v) < g.NumVertices(); v++ {
+		if d := g.InDegree(v) + g.OutDegree(v); d > 10 {
+			t.Errorf("road vertex %d has degree %d, want at most 10", v, d)
+		}
 	}
 }
 

@@ -2,15 +2,16 @@ package gossip
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 	"unsafe"
 )
 
 // TestMemberRowSize: a detector holds n² view rows, so the row's size is the
-// detector's memory at scale: 12 MB of rows at n = 1024.
+// detector's memory at scale: 8 MiB of rows at n = 1024.
 func TestMemberRowSize(t *testing.T) {
-	if sz := unsafe.Sizeof(member{}); sz > 12 {
-		t.Errorf("a view row takes %d bytes, want at most 12", sz)
+	if sz := unsafe.Sizeof(member{}); sz > 8 {
+		t.Errorf("a view row takes %d bytes, want at most 8", sz)
 	}
 }
 
@@ -85,6 +86,33 @@ func TestSteadyPeriodAllocFree(t *testing.T) {
 			}
 			checkClean(t, d)
 		})
+	}
+}
+
+// TestDetectHeapBudget pins the live heap of the benchmark's detect shape
+// before its first period: New(1024) and 20% drop on every link touching 32
+// members. The views (8 B a row), the probe schedules (4 B an id) and the
+// omission layer's link table (2 B a link) are most of it; 12 B view rows
+// and a map entry per lossy link held 24.4 MB, 8 B rows and the dense table
+// 17.0 MB.
+func TestDetectHeapBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates; counts are meaningless")
+	}
+	const budgetMB = 18
+	live := func() uint64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := live()
+	d := lossyDetector(t, 1024, 32)
+	b := live() - before
+	runtime.KeepAlive(d)
+	t.Logf("detector and link table hold %.1f MB live", float64(b)/1e6)
+	if b > budgetMB*1e6 {
+		t.Errorf("detector and link table hold %.1f MB live, budget %d MB", float64(b)/1e6, budgetMB)
 	}
 }
 

@@ -31,10 +31,10 @@ func foldState(h *fnv, d *Detector) {
 	for _, nd := range d.nodes {
 		for j := range nd.view {
 			mv := &nd.view[j]
-			h.mix(uint64(mv.status))
+			h.mix(uint64(mv.status()))
 			h.mix(uint64(mv.inc))
-			h.mix(uint64(mv.since))
-			if mv.final {
+			h.mix(uint64(mv.since()))
+			if mv.final() {
 				h.mix(1)
 			} else {
 				h.mix(0)

@@ -60,19 +60,43 @@ func suspicionPeriods(n int) int {
 	return max(3, int(math.Ceil(4*math.Log10(float64(n)+1))))
 }
 
-// member is one row of a node's local membership view: 12 bytes, and a
-// detector holds n² of them.
+// member is one row of a node's local membership view: 8 bytes, and a
+// detector holds n² of them. word packs three fields, read and written
+// through the methods below:
+//   - since, bits 0-28: the period of the last status change (the suspicion
+//     timer base), so periods stop at maxPeriod (see RunPeriod);
+//   - status, bits 29-30: UpdAlive, UpdSuspect, or UpdConfirm;
+//   - final, bit 31: an expired suspicion awaiting its confirm-before-kill
+//     probe. The owner must get one dedicated direct/indirect probe of this
+//     member before the suspicion may be confirmed. A first-hand ack
+//     restarts the suspicion window instead, giving the (incarnation-gated)
+//     refutation rumor more time to arrive.
 type member struct {
-	inc    uint32
-	since  int32      // period of the last status change (suspicion timer base)
-	status UpdateKind // UpdAlive, UpdSuspect, or UpdConfirm
-	// final marks an expired suspicion awaiting its confirm-before-kill
-	// probe: the owner must get one dedicated direct/indirect probe of
-	// this member before the suspicion may be confirmed. A first-hand ack
-	// restarts the suspicion window instead, giving the (incarnation-
-	// gated) refutation rumor more time to arrive.
-	final bool
+	inc  uint32
+	word uint32
 }
+
+const (
+	sinceBits   = 29
+	maxPeriod   = 1<<sinceBits - 1
+	statusShift = sinceBits
+	statusMask  = 3 << statusShift
+	finalBit    = 1 << 31
+)
+
+func newMember(inc uint32, status UpdateKind, period int) member {
+	return member{inc: inc, word: uint32(status)<<statusShift | uint32(period)}
+}
+
+func (m member) since() int         { return int(m.word & maxPeriod) }
+func (m member) status() UpdateKind { return UpdateKind(m.word & statusMask >> statusShift) }
+func (m member) final() bool        { return m.word&finalBit != 0 }
+
+// restart stamps a status change at period: a new suspicion timer base, and
+// no confirm-before-kill probe owed.
+func (m *member) restart(period int) { m.word = m.word&statusMask | uint32(period) }
+
+func (m *member) markFinal() { m.word |= finalBit }
 
 // queued is one dissemination-queue entry: an update plus its remaining
 // transmission budget (SWIM's "gossip at most O(log n) times").
@@ -116,7 +140,7 @@ type node struct {
 // the per-period suspicion scans touch suspects only.
 func (nd *node) setStatus(j int, status UpdateKind) {
 	mv := &nd.view[j]
-	if was, is := mv.status == UpdSuspect, status == UpdSuspect; was != is {
+	if was, is := mv.status() == UpdSuspect, status == UpdSuspect; was != is {
 		i, _ := slices.BinarySearch(nd.suspects, int32(j))
 		if is {
 			nd.suspects = slices.Insert(nd.suspects, i, int32(j))
@@ -124,7 +148,7 @@ func (nd *node) setStatus(j int, status UpdateKind) {
 			nd.suspects = slices.Delete(nd.suspects, i, i+1)
 		}
 	}
-	mv.status = status
+	mv.word = mv.word&^statusMask | uint32(status)<<statusShift
 }
 
 // Stats summarizes detector activity since construction.
@@ -160,6 +184,7 @@ type Detector struct {
 	messages        int64
 	wireErr         error // first undecodable datagram, received by wireErrNode
 	wireErrNode     int
+	periodErr       error // RunPeriod was called at maxPeriod
 
 	// outbox is every member's staged datagrams and stageBuf their encoded
 	// bytes. A datagram is delivered in the sub-round it is flushed in or
@@ -178,10 +203,11 @@ type Detector struct {
 // lossy netsim network (omission enabled, control frames in datagram
 // mode). Chaos — drop rates, partitions — is injected through Net.
 //
-// The state is a fixed number of slabs whatever n: the n² view rows at 12
+// The state is a fixed number of slabs whatever n: the n² view rows at 8
 // bytes each, the n² probe-schedule ids at 4 bytes each, the nodes with
 // their RNG sources, and the queue and suspect-list room below, so New's
-// allocation count does not grow with n and its bytes grow as 16·n².
+// allocation count does not grow with n and its bytes grow as 12·n². The
+// network's link table is made on the first fault or cut, not here.
 func New(n int, p Params) (*Detector, error) {
 	if n < 2 {
 		return nil, fmt.Errorf("gossip: need at least 2 nodes, got %d", n)
@@ -213,7 +239,7 @@ func New(n int, p Params) (*Detector, error) {
 	queues := make([]queued, n*queueSlots)
 	suspects := make([]int32, n*suspectSlots)
 	for i := range views {
-		views[i].status = UpdAlive
+		views[i] = newMember(0, UpdAlive, 0)
 	}
 	for id := range d.nodes {
 		nd := &d.nodes[id]
@@ -272,7 +298,7 @@ func (d *Detector) Revive(id int) {
 	for i := range d.nodes {
 		nd := &d.nodes[i]
 		nd.setStatus(id, UpdAlive)
-		nd.view[id] = member{status: UpdAlive, inc: inc, since: int32(d.period)}
+		nd.view[id] = newMember(inc, UpdAlive, d.period)
 		q := nd.queue[:0]
 		for _, e := range nd.queue {
 			if int(e.upd.Node) != id {
@@ -295,9 +321,9 @@ func (d *Detector) ForceConfirm(id int) {
 		if i == id {
 			continue
 		}
-		if nd.view[id].status != UpdConfirm {
+		if nd.view[id].status() != UpdConfirm {
 			nd.setStatus(id, UpdConfirm)
-			nd.view[id].since = int32(d.period)
+			nd.view[id].restart(d.period)
 		}
 	}
 	if !d.everConfirmed[id] {
@@ -312,7 +338,7 @@ func (d *Detector) StatusAt(observer, id int) UpdateKind {
 	if observer == id {
 		return UpdAlive
 	}
-	return d.nodes[observer].view[id].status
+	return d.nodes[observer].view[id].status()
 }
 
 // TakeConfirms drains the ids whose first confirmation (by any view,
@@ -333,12 +359,16 @@ func (d *Detector) Stats() Stats {
 	}
 }
 
-// Err surfaces any network or codec error recorded during simulation.
-// Both indicate a simulator bug: the closed system never produces
-// genuinely malformed frames.
+// Err surfaces any network or codec error recorded during simulation, and a
+// run that reached the last period a view row can stamp. Network and codec
+// errors indicate a simulator bug: the closed system never produces genuinely
+// malformed frames.
 func (d *Detector) Err() error {
 	if err := d.net.Err(); err != nil {
 		return err
+	}
+	if d.periodErr != nil {
+		return d.periodErr
 	}
 	if d.wireErr != nil {
 		return fmt.Errorf("gossip: node %d: %w", d.wireErrNode, d.wireErr)
@@ -358,8 +388,15 @@ func (d *Detector) Close() error { return nil }
 // links: a period costs O(n + suspects), O(queue) per datagram and O(n) per
 // unanswered probe or probe-schedule wraparound. Once its buffers have grown
 // it allocates nothing but the omission layer's entries for lossy links that
-// carry their first datagram.
+// carry their first datagram. A view row stamps periods up to maxPeriod, so
+// at that period RunPeriod runs nothing and reports the limit through Err.
 func (d *Detector) RunPeriod() {
+	if d.period >= maxPeriod {
+		if d.periodErr == nil {
+			d.periodErr = fmt.Errorf("gossip: period %d is the last a view row can stamp", d.period)
+		}
+		return
+	}
 	d.startPeriod()
 	for sub := 0; sub < 6; sub++ {
 		d.flush()
@@ -405,10 +442,10 @@ func (nd *node) pickFinal() int {
 	best := -1
 	for _, j := range nd.suspects {
 		mv := &nd.view[j]
-		if !mv.final {
+		if !mv.final() {
 			continue
 		}
-		if best < 0 || mv.since < nd.view[best].since {
+		if best < 0 || mv.since() < nd.view[best].since() {
 			best = int(j)
 		}
 	}
@@ -434,7 +471,7 @@ func (nd *node) pickTarget(n int) int {
 		}
 		t := int(nd.order[nd.next])
 		nd.next++
-		if t != nd.id && nd.view[t].status != UpdConfirm {
+		if t != nd.id && nd.view[t].status() != UpdConfirm {
 			return t
 		}
 	}
@@ -452,7 +489,7 @@ func (d *Detector) stagePingReqs() {
 		}
 		cands := d.cands[:0]
 		for j := 0; j < d.n; j++ {
-			if j != id && j != nd.target && nd.view[j].status != UpdConfirm {
+			if j != id && j != nd.target && nd.view[j].status() != UpdConfirm {
 				cands = append(cands, int32(j))
 			}
 		}
@@ -584,7 +621,7 @@ func (d *Detector) endPeriod() {
 		if !d.up[id] {
 			continue
 		}
-		if t := nd.target; t >= 0 && !nd.gotAck && nd.view[t].status == UpdAlive {
+		if t := nd.target; t >= 0 && !nd.gotAck && nd.view[t].status() == UpdAlive {
 			d.transition(nd, Update{Kind: UpdSuspect, Node: int32(t), Inc: nd.view[t].inc}, true)
 		}
 		// Resolve a completed confirm-before-kill probe: a failed final
@@ -592,11 +629,10 @@ func (d *Detector) endPeriod() {
 		// ack restarts its suspicion window instead. The restart is
 		// local-only — without the suspect's own incarnation bump there
 		// is nothing sound to gossip.
-		if t := nd.target; t >= 0 && nd.isFinal && nd.view[t].status == UpdSuspect {
+		if t := nd.target; t >= 0 && nd.isFinal && nd.view[t].status() == UpdSuspect {
 			mv := &nd.view[t]
 			if nd.gotAck {
-				mv.since = int32(d.period)
-				mv.final = false
+				mv.restart(d.period)
 			} else {
 				d.transition(nd, Update{Kind: UpdConfirm, Node: int32(t), Inc: mv.inc}, false)
 			}
@@ -607,8 +643,8 @@ func (d *Detector) endPeriod() {
 		// dissemination race.
 		for _, j := range nd.suspects {
 			mv := &nd.view[j]
-			if !mv.final && d.period-int(mv.since) >= d.susp {
-				mv.final = true
+			if !mv.final() && d.period-mv.since() >= d.susp {
+				mv.markFinal()
 			}
 		}
 	}
@@ -660,30 +696,27 @@ func (d *Detector) transition(nd *node, u Update, originated bool) {
 	changed := false
 	switch u.Kind {
 	case UpdAlive:
-		if mv.status != UpdConfirm && u.Inc > mv.inc {
+		if mv.status() != UpdConfirm && u.Inc > mv.inc {
 			nd.setStatus(j, UpdAlive)
 			mv.inc = u.Inc
-			mv.since = int32(d.period)
-			mv.final = false
+			mv.restart(d.period)
 			changed = true
 		}
 	case UpdSuspect:
-		if mv.status != UpdConfirm &&
-			(u.Inc > mv.inc || (u.Inc == mv.inc && mv.status == UpdAlive)) {
+		if mv.status() != UpdConfirm &&
+			(u.Inc > mv.inc || (u.Inc == mv.inc && mv.status() == UpdAlive)) {
 			nd.setStatus(j, UpdSuspect)
 			mv.inc = u.Inc
-			mv.since = int32(d.period)
-			mv.final = false
+			mv.restart(d.period)
 			changed = true
 			if originated && d.up[j] {
 				d.falseSuspicions++
 			}
 		}
 	case UpdConfirm:
-		if mv.status != UpdConfirm && u.Inc >= mv.inc {
+		if mv.status() != UpdConfirm && u.Inc >= mv.inc {
 			nd.setStatus(j, UpdConfirm)
-			mv.since = int32(d.period)
-			mv.final = false
+			mv.restart(d.period)
 			changed = true
 			if !d.everConfirmed[j] {
 				d.everConfirmed[j] = true
@@ -692,6 +725,6 @@ func (d *Detector) transition(nd *node, u Update, originated bool) {
 		}
 	}
 	if changed {
-		d.queueUpdate(nd, Update{Kind: mv.status, Node: int32(j), Inc: mv.inc})
+		d.queueUpdate(nd, Update{Kind: mv.status(), Node: int32(j), Inc: mv.inc})
 	}
 }

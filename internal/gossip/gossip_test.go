@@ -1,6 +1,7 @@
 package gossip
 
 import (
+	"strings"
 	"testing"
 )
 
@@ -247,4 +248,31 @@ func TestLargeClusterDetects(t *testing.T) {
 		t.Logf("node %d confirmed at period %d", id, p)
 	}
 	checkClean(t, d)
+}
+
+// TestPeriodLimitReported: a view row stamps periods in 29 bits. The last
+// period it can stamp runs and keeps every field of the row; the next
+// RunPeriod runs nothing and Err reports it, so no stamp wraps to period 0.
+func TestPeriodLimitReported(t *testing.T) {
+	d := newDetector(t, 8, Params{Seed: 1})
+	defer d.Close()
+	d.period = maxPeriod - 1
+	d.ForceConfirm(3)
+	d.RunPeriod()
+	checkClean(t, d)
+	if mv := d.nodes[0].view[3]; mv.since() != maxPeriod-1 || mv.status() != UpdConfirm || mv.final() {
+		t.Fatalf("row stamped at period %d reads since %d, status %d, final %v", maxPeriod-1, mv.since(), mv.status(), mv.final())
+	}
+	d.RunPeriod()
+	if d.Period() != maxPeriod {
+		t.Fatalf("period %d after a run at the limit, want %d", d.Period(), maxPeriod)
+	}
+	if err := d.Err(); err == nil || !strings.Contains(err.Error(), "last a view row can stamp") {
+		t.Fatalf("Err() = %v at the period limit", err)
+	}
+	m := newMember(7, UpdSuspect, maxPeriod)
+	m.markFinal()
+	if m.inc != 7 || m.status() != UpdSuspect || m.since() != maxPeriod || !m.final() {
+		t.Fatalf("packed row %+v reads inc %d, status %d, since %d, final %v", m, m.inc, m.status(), m.since(), m.final())
+	}
 }

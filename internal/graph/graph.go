@@ -427,17 +427,6 @@ func (g *Graph) NumSelfish() int {
 	return n
 }
 
-// MaxDegree returns the maximum total (in+out) degree.
-func (g *Graph) MaxDegree() int {
-	best := 0
-	for v := VertexID(0); int(v) < g.numVertices; v++ {
-		if d := g.InDegree(v) + g.OutDegree(v); d > best {
-			best = d
-		}
-	}
-	return best
-}
-
 // Stats summarizes a graph for reports and DESIGN/EXPERIMENTS tables.
 type Stats struct {
 	NumVertices int

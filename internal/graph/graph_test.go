@@ -144,12 +144,6 @@ func TestStats(t *testing.T) {
 	}
 }
 
-func TestMaxDegree(t *testing.T) {
-	if got := sample().MaxDegree(); got != 4 { // vertex 3: in 3 + out 1
-		t.Errorf("MaxDegree = %d, want 4", got)
-	}
-}
-
 // TestBuildCSRKeysWidthInvariance sorts more than two csrMinShard shards of
 // keys at host widths 1 and 2, so both hostpar bodies of buildCSRKeys run on
 // two goroutines, and checks that the CSR does not depend on the width.

@@ -24,6 +24,7 @@ package netsim
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 	"sync/atomic"
 
@@ -80,6 +81,14 @@ type linkFaults struct {
 
 func (f linkFaults) none() bool { return f.drop == 0 && f.dup == 0 && f.reorder == 0 }
 
+// A link table entry indexes its link's faults in lossyBackend.cfgs in the
+// low 15 bits (0: none) and marks a cut link with the top bit, so the table
+// indexes at most maxConfigs distinct configs, the fault-free one included.
+const (
+	linkCut    = 1 << 15
+	maxConfigs = linkCut
+)
+
 // lossyFrame is one frame on the link m.From -> to: queued at its sender
 // for the round, or parked in the cable by a partition.
 type lossyFrame struct {
@@ -133,12 +142,20 @@ type lossyBackend struct {
 	n     int
 	seed  uint64
 
-	// Per-link state, keyed by linkKey. The fate streams are kept apart from
-	// the fault probabilities: a link's stream outlives clearing and
-	// reinstalling its faults, and the fault map stays small.
-	faults map[uint64]linkFaults
-	rngs   map[uint64]rng.Source
-	cut    map[uint64]bool
+	// links is the dense table of directed links, entry from*n+to: an index
+	// into cfgs plus the cut bit (see linkCut). It is made on the first fault
+	// or cut, so a network that never has one pays nothing. cfgs holds each
+	// distinct fault config once, cfgs[0] the fault-free one; cfgIdx interns
+	// the others by their float bits, so a rate installed on every link of a
+	// member costs one entry and NaN matches itself.
+	links  []uint16
+	cfgs   []linkFaults
+	cfgIdx map[[3]uint64]uint16
+
+	// rngs holds the per-link fate streams, keyed by linkKey, apart from the
+	// fault configs: a link's stream outlives clearing and reinstalling its
+	// faults.
+	rngs map[uint64]rng.Source
 
 	// epochs mirrors the coordinator's membership incarnations; frames
 	// are stamped at Send and fenced at Collect against these.
@@ -172,9 +189,8 @@ func newLossyBackend(inner Backend, net *Network, seed uint64) *lossyBackend {
 		net:      net,
 		n:        n,
 		seed:     seed,
-		faults:   make(map[uint64]linkFaults),
+		cfgs:     []linkFaults{{}},
 		rngs:     make(map[uint64]rng.Source),
-		cut:      make(map[uint64]bool),
 		epochs:   make([]uint32, n),
 		nextSeq:  make([]map[int]uint32, n),
 		recvNext: make([]map[int]uint32, n),
@@ -189,9 +205,46 @@ func newLossyBackend(inner Backend, net *Network, seed uint64) *lossyBackend {
 	return b
 }
 
-// linkKey packs the directed link from->to into one word, so the per-link
-// maps take Go's 8-byte-key fast path.
+// linkKey packs the directed link from->to into one word, so the fate-stream
+// map takes Go's 8-byte-key fast path.
 func linkKey(from, to int) uint64 { return uint64(from)<<32 | uint64(uint32(to)) }
+
+// link returns the from->to link table entry; 0 (no faults, not cut) before
+// the table is made.
+func (b *lossyBackend) link(from, to int) uint16 {
+	if b.links == nil {
+		return 0
+	}
+	return b.links[from*b.n+to]
+}
+
+// table returns the link table, making it on first use.
+func (b *lossyBackend) table() []uint16 {
+	if b.links == nil {
+		b.links = make([]uint16, b.n*b.n)
+		b.cfgIdx = make(map[[3]uint64]uint16)
+	}
+	return b.links
+}
+
+// intern returns f's index in cfgs, adding it on first sight; ok is false
+// when the table indexes maxConfigs configs already.
+func (b *lossyBackend) intern(f linkFaults) (i uint16, ok bool) {
+	if f.none() {
+		return 0, true
+	}
+	key := [3]uint64{math.Float64bits(f.drop), math.Float64bits(f.dup), math.Float64bits(f.reorder)}
+	if i, ok := b.cfgIdx[key]; ok {
+		return i, true
+	}
+	if len(b.cfgs) == maxConfigs {
+		return 0, false
+	}
+	i = uint16(len(b.cfgs))
+	b.cfgs = append(b.cfgs, f)
+	b.cfgIdx[key] = i
+	return i, true
+}
 
 // linkRNG returns the per-link fate stream, created on first use from
 // the chaos seed and the link endpoints so every link draws an
@@ -267,8 +320,8 @@ func (b *lossyBackend) EndRound(from int, failed []bool) {
 
 // flushLink transmits one link's round of frames in order.
 func (b *lossyBackend) flushLink(from, to int, alive bool, q []lossyFrame) {
-	link := linkKey(from, to)
-	if b.cut[link] {
+	e := b.link(from, to)
+	if e&linkCut != 0 {
 		for i := range q {
 			if b.isDatagram(q[i].m.Kind) {
 				// A datagram in a cut cable is simply gone; parking and
@@ -287,7 +340,8 @@ func (b *lossyBackend) flushLink(from, to int, alive bool, q []lossyFrame) {
 		b.stats.droppedDead.Add(int64(len(q)))
 		return
 	}
-	f := b.faults[link]
+	f := b.cfgs[e&^linkCut]
+	link := linkKey(from, to)
 	var src *rng.Source
 	if !f.none() {
 		fates := b.linkRNG(link)
@@ -494,14 +548,17 @@ func (b *lossyBackend) setEpoch(node int, epoch uint64) {
 		delete(b.nextSeq[p], node)
 		delete(b.recvNext[p], node)
 		b.out[p] = slices.DeleteFunc(b.out[p], func(fr lossyFrame) bool { return fr.to == node })
-		delete(b.cut, linkKey(node, p))
-		delete(b.cut, linkKey(p, node))
+		if b.links != nil {
+			b.links[node*b.n+p] &^= linkCut
+			b.links[p*b.n+node] &^= linkCut
+		}
 	}
 }
 
 // partition cuts every link between the given set and the rest of the
 // cluster, in both directions.
 func (b *lossyBackend) partition(nodes []int) {
+	links := b.table()
 	inSet := make([]bool, b.n)
 	for _, s := range nodes {
 		inSet[s] = true
@@ -511,8 +568,8 @@ func (b *lossyBackend) partition(nodes []int) {
 			if inSet[t] {
 				continue
 			}
-			b.cut[linkKey(s, t)] = true
-			b.cut[linkKey(t, s)] = true
+			links[s*b.n+t] |= linkCut
+			links[t*b.n+s] |= linkCut
 		}
 	}
 }
@@ -522,6 +579,7 @@ func (b *lossyBackend) partition(nodes []int) {
 // for when they were sent; they re-enter the receiver's mailbox and face
 // the fence at its next Collect.
 func (b *lossyBackend) heal(nodes []int) {
+	links := b.table()
 	inSet := make([]bool, b.n)
 	for _, s := range nodes {
 		inSet[s] = true
@@ -531,13 +589,13 @@ func (b *lossyBackend) heal(nodes []int) {
 			if inSet[t] {
 				continue
 			}
-			delete(b.cut, linkKey(s, t))
-			delete(b.cut, linkKey(t, s))
+			links[s*b.n+t] &^= linkCut
+			links[t*b.n+s] &^= linkCut
 		}
 	}
 	kept := b.parked[:0]
 	for _, pf := range b.parked {
-		if b.cut[linkKey(pf.m.From, pf.to)] {
+		if links[pf.m.From*b.n+pf.to]&linkCut != 0 {
 			kept = append(kept, pf)
 			continue
 		}
@@ -558,16 +616,19 @@ func (b *lossyBackend) takeDelay(node int) float64 {
 	return d
 }
 
-// setFault updates one probability field of a link's fault config.
-func (b *lossyBackend) setFault(from, to int, update func(*linkFaults)) {
-	link := linkKey(from, to)
-	f := b.faults[link]
-	update(&f)
-	if f.none() {
-		delete(b.faults, link)
+// setFault updates one probability field of a link's fault config. A config
+// the full table cannot index leaves the link as it was and is reported
+// through Network.Err.
+func (b *lossyBackend) setFault(from, to int, update func(linkFaults) linkFaults) {
+	e := &b.table()[from*b.n+to]
+	i, ok := b.intern(update(b.cfgs[*e&^linkCut]))
+	if !ok {
+		if b.net.err == nil {
+			b.net.err = fmt.Errorf("netsim: link %d->%d: the link table already indexes %d distinct fault configs", from, to, maxConfigs)
+		}
 		return
 	}
-	b.faults[link] = f
+	*e = *e&linkCut | i
 }
 
 var _ Backend = (*lossyBackend)(nil)
@@ -604,17 +665,17 @@ func (n *Network) SetDatagramKind(k Kind) {
 // SetDropRate installs the loss probability of the from->to link
 // (0 clears it). Requires EnableOmission.
 func (n *Network) SetDropRate(from, to int, p float64) {
-	n.omission.setFault(from, to, func(f *linkFaults) { f.drop = p })
+	n.omission.setFault(from, to, func(f linkFaults) linkFaults { f.drop = p; return f })
 }
 
 // SetDupRate installs the duplication probability of the from->to link.
 func (n *Network) SetDupRate(from, to int, p float64) {
-	n.omission.setFault(from, to, func(f *linkFaults) { f.dup = p })
+	n.omission.setFault(from, to, func(f linkFaults) linkFaults { f.dup = p; return f })
 }
 
 // SetReorderRate installs the reordering probability of the from->to link.
 func (n *Network) SetReorderRate(from, to int, p float64) {
-	n.omission.setFault(from, to, func(f *linkFaults) { f.reorder = p })
+	n.omission.setFault(from, to, func(f linkFaults) linkFaults { f.reorder = p; return f })
 }
 
 // Partition cuts the given node set off from the rest of the cluster:

@@ -101,8 +101,9 @@ type Network struct {
 	// unless EnableOmission installed it; when set it aliases backend.
 	omission *lossyBackend
 
-	// err is the omission layer's first error. Only FinishRound's serial
-	// transmit loop records one, so it needs no lock.
+	// err is the omission layer's first error. FinishRound's serial transmit
+	// loop and the fault setters record one, never concurrently with each
+	// other, so it needs no lock.
 	err error
 }
 
@@ -150,7 +151,8 @@ func (n *Network) SetFailed(node int, failed bool) {
 func (n *Network) Failed(node int) bool { return n.failed[node] }
 
 // Err returns the omission layer's first error: a frame that the transmit
-// loop could not get across its link. Receives cannot fail.
+// loop could not get across its link, or a fault config that the full link
+// table could not index. Receives cannot fail.
 func (n *Network) Err() error { return n.err }
 
 // Send enqueues payload from one node to another. Messages to or from
