@@ -507,11 +507,44 @@ func TestCodecAllocBudgets(t *testing.T) {
 		mirrorOf: []int16{2},
 	}
 	rec := make([]byte, 0, 256)
-	s := &hot[float64]{id: 42, flags: flagMaster, masterNode: 3, masterPos: 7, inDeg: 5, outDeg: 2,
+	s := &recSlot[float64]{id: 42, flags: flagMaster, masterNode: 3, masterPos: 7, inDeg: 5, outDeg: 2,
 		value: 3.14, lastActivate: true, lastActivateIter: 9}
 	if avg := testing.AllocsPerRun(100, func() {
 		rec = encodeRecoveryRecord(rec[:0], fc, 7, s, table, nil)
 	}); avg != 0 {
 		t.Errorf("encodeRecoveryRecord allocates %.1f/op into a warm buffer, want 0", avg)
+	}
+}
+
+// TestServePublishAllocFree: once the retired list holds a snapshot, a
+// publish refills it instead of allocating, and a value query allocates
+// nothing in the engine, pin and release included.
+func TestServePublishAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates; counts are meaningless")
+	}
+	g := datasets.Tiny(300, 1800, 41)
+	cfg := DefaultConfig(EdgeCutMode, 5)
+	cfg.FT.K = 2
+	cfg.Serve.Enabled = true
+	cl, err := NewCluster[float64, float64](cfg, g, fakePR{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	publish := func() {
+		cl.iter++
+		cl.servePublish()
+	}
+	publish() // the load snapshot retires
+	if avg := testing.AllocsPerRun(100, publish); avg != 0 {
+		t.Errorf("a warm publish allocates %.1f/op, want 0", avg)
+	}
+	q := Query{Kind: QueryValue, Vertex: 7}
+	if avg := testing.AllocsPerRun(100, func() {
+		if _, err := cl.Query(q); err != nil {
+			t.Fatal(err)
+		}
+	}); avg != 0 {
+		t.Errorf("a value query allocates %.1f/op, want 0", avg)
 	}
 }

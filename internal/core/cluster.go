@@ -730,6 +730,9 @@ func (c *Cluster[V, A]) superstep(iter int) {
 // restarting when additional failures strike during recovery (§5.3.2).
 func (c *Cluster[V, A]) recover(failed []int, iter int) error {
 	pending := append([]int(nil), failed...)
+	// Only Migration moves masters and reshapes replica tables: Rebirth,
+	// checkpoint and logged recovery rebuild every failed slot where it was.
+	moved := c.cfg.Recovery == RecoverMigration
 	for attempt := 0; ; attempt++ {
 		if attempt > 2*c.cfg.NumNodes {
 			return fmt.Errorf("%w: recovery restarted too many times", ErrTooManyFailures)
@@ -751,6 +754,7 @@ func (c *Cluster[V, A]) recover(failed []int, iter int) error {
 				}
 			}
 			more, err = c.recoverPass(RecoverMigration, pending, iter)
+			moved = true
 			if err == nil && len(more) == 0 {
 				c.recoveries[len(c.recoveries)-1].Fallback = true
 			}
@@ -759,10 +763,12 @@ func (c *Cluster[V, A]) recover(failed []int, iter int) error {
 			return err
 		}
 		if len(more) == 0 {
-			// Recovery reshaped the master directory and replica tables;
+			// Migration reshaped the master directory and replica tables;
 			// republish the routing view so queries stop falling back from
 			// the old master locations.
-			c.serveRefreshRoute()
+			if moved {
+				c.serveRefreshRoute()
+			}
 			return nil
 		}
 		for _, n := range more {

@@ -52,7 +52,7 @@ func BenchmarkRecoveryRecordEncode(b *testing.B) {
 		mirrorOf: []int16{2},
 	}
 	buf := make([]byte, 0, 256)
-	s := &hot[float64]{id: 42, flags: flagMaster, masterNode: 3, masterPos: 7, inDeg: 5, outDeg: 2,
+	s := &recSlot[float64]{id: 42, flags: flagMaster, masterNode: 3, masterPos: 7, inDeg: 5, outDeg: 2,
 		value: 3.14, lastActivate: true, lastActivateIter: 9}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -68,7 +68,7 @@ func BenchmarkRecoveryRecordDecode(b *testing.B) {
 		ftOnly:   []bool{false, false, true},
 		mirrorOf: []int16{2},
 	}
-	buf := encodeRecoveryRecord(nil, Float64Codec{}, 7, &hot[float64]{id: 42, flags: flagMaster,
+	buf := encodeRecoveryRecord(nil, Float64Codec{}, 7, &recSlot[float64]{id: 42, flags: flagMaster,
 		masterNode: 3, masterPos: 7, inDeg: 5, outDeg: 2, value: 3.14, lastActivate: true, lastActivateIter: 9}, table, nil)
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -68,7 +68,7 @@ func FuzzRecoveryRecordDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0})
 	f.Add([]byte{1, 2, 3})
-	f.Add(encodeRecoveryRecord(nil, Float64Codec{}, 3, &hot[float64]{id: 7, flags: flagMaster | flagSelfish,
+	f.Add(encodeRecoveryRecord(nil, Float64Codec{}, 3, &recSlot[float64]{id: 7, flags: flagMaster | flagSelfish,
 		masterNode: 2, masterPos: 3, inDeg: 4, outDeg: 5, value: 0.25, lastActivate: true, lastActivateIter: 6},
 		&replicaTable{nodes: []int16{1}, pos: []int32{9}, ftOnly: []bool{true}, mirrorOf: []int16{0}},
 		&rawEdges{src: []graph.VertexID{4}, wt: []float64{1.5}}))
@@ -395,7 +395,7 @@ func TestRecoveryRoundsBoundSlotPositions(t *testing.T) {
 	type N = *node[float64, float64]
 	nd := cl.nodes[0]
 	past := int32(len(nd.hot))
-	slot := nd.hot[0]
+	slot := nd.hot[0].carried()
 	for _, row := range []struct {
 		name    string
 		payload []byte
@@ -443,7 +443,7 @@ func TestRebirthRejectsForgedRecordPosition(t *testing.T) {
 	cl.SetRecoveryHook(func(phase string) {
 		if phase == "rebirth:reload" {
 			nd := cl.nodes[failed]
-			slot := cl.nodes[0].hot[0]
+			slot := cl.nodes[0].hot[0].carried()
 			cl.net.Send(0, failed, netsim.KindRecovery,
 				encodeRecoveryRecord(nil, Float64Codec{}, int32(len(nd.hot)), &slot, nil, nil))
 		}

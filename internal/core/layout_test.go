@@ -24,6 +24,15 @@ func TestHotSlotFitsACacheLine(t *testing.T) {
 	}
 }
 
+// TestRecoveryRecordHoldsTravellingFields pins a decoded recovery record's
+// size: it keeps only the fields that travel (recSlot), not a whole hot slot,
+// whose staged fields would cost 16 more bytes a record.
+func TestRecoveryRecordHoldsTravellingFields(t *testing.T) {
+	if sz := unsafe.Sizeof(recoveryRecord[float64]{}); sz > 56 {
+		t.Errorf("recoveryRecord[float64] is %d bytes, want <= 56", sz)
+	}
+}
+
 // TestSuperstepNeverTouchesMeta is the point of the hot/metadata split: a
 // failure-free superstep (compute, sync stage, receive, barrier, commit —
 // both engines, replication on) reads a master's own table handle and rows,
@@ -216,7 +225,7 @@ func TestReplicaTableArena(t *testing.T) {
 			rt.nodes, rt.pos, rt.ftOnly = append(rt.nodes, 3), append(rt.pos, int32(k)), append(rt.ftOnly, true)
 			ed.src = append(ed.src, graph.VertexID(k))
 		}
-		buf = encodeRecoveryRecord(buf, Float64Codec{}, int32(i), &hot[float64]{id: e.id, flags: e.flags,
+		buf = encodeRecoveryRecord(buf, Float64Codec{}, int32(i), &recSlot[float64]{id: e.id, flags: e.flags,
 			masterNode: e.masterNode, masterPos: e.masterPos, inDeg: e.inDeg, outDeg: e.outDeg, value: e.value}, &rt, &ed)
 	}
 	recs, err := decodeRecordsOf(buf, Float64Codec{})

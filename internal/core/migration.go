@@ -649,7 +649,7 @@ type replicaRequest struct {
 // stageReplicaOf stages on nd the record creating a plain replica of its
 // master at pos on node dst.
 func (c *Cluster[V, A]) stageReplicaOf(s *recSink, nd *node[V, A], pos int32, dst int, flags entryFlags) {
-	r := nd.hot[pos]
+	r := nd.hot[pos].carried()
 	r.flags = flags | r.flags&flagSelfish
 	r.masterNode, r.masterPos = int16(nd.id), pos
 	c.putRecord(s, dst, -1, &r, nil, nil)
@@ -658,7 +658,7 @@ func (c *Cluster[V, A]) stageReplicaOf(s *recSink, nd *node[V, A], pos int32, ds
 // addReplica creates the local slot a replica recovery record describes
 // (cooperative replica creation, FT repair) and returns its position.
 func (c *Cluster[V, A]) addReplica(nd *node[V, A], rec *recoveryRecord[V]) int32 {
-	s := rec.slot
+	s := rec.slot.slot()
 	s.active = c.always
 	return nd.add(s)
 }

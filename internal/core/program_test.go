@@ -163,7 +163,7 @@ func TestWireRoundTrip(t *testing.T) {
 		wt:  []float64{0.5, 1.5, 2.5},
 	}
 	vc := Float64Codec{}
-	want := hot[float64]{id: 42, flags: flagMaster | flagSelfish, masterNode: 3, masterPos: 7,
+	want := recSlot[float64]{id: 42, flags: flagMaster | flagSelfish, masterNode: 3, masterPos: 7,
 		inDeg: 5, outDeg: 0, value: 3.14, lastActivate: true, lastActivateIter: 9}
 	buf := encodeRecoveryRecord(nil, vc, 7, &want, table, edges)
 	// The role byte repeats the master flag; the rank slot holds noNode.
@@ -191,7 +191,7 @@ func TestWireRoundTrip(t *testing.T) {
 
 func TestWireTruncated(t *testing.T) {
 	vc := Float64Codec{}
-	buf := encodeRecoveryRecord(nil, vc, 1, &hot[float64]{id: 2, value: 1.0}, nil, nil)
+	buf := encodeRecoveryRecord(nil, vc, 1, &recSlot[float64]{id: 2, value: 1.0}, nil, nil)
 	for cut := 1; cut < len(buf); cut++ {
 		if _, err := decodeRecordsOf(buf[:cut], vc); err == nil {
 			t.Errorf("cut at %d decoded without error", cut)
@@ -209,12 +209,12 @@ func TestRecoveryRecordSize(t *testing.T) {
 	weighted := &rawEdges{src: []graph.VertexID{5, 6, 7}, wt: []float64{1, 0.5, 2}}
 	for _, tab := range []*replicaTable{nil, {}, table} {
 		for _, edges := range []*rawEdges{nil, {}, unweighted, weighted} {
-			f := encodeRecoveryRecord(nil, Float64Codec{}, 7, &hot[float64]{id: 42, flags: flagMaster, masterNode: 3,
+			f := encodeRecoveryRecord(nil, Float64Codec{}, 7, &recSlot[float64]{id: 42, flags: flagMaster, masterNode: 3,
 				masterPos: 7, inDeg: 5, outDeg: 2, value: 0.25, lastActivate: true, lastActivateIter: 9}, tab, edges)
 			if got := recoveryRecordSize[float64](Float64Codec{}, 0.25, tab, edges); got != len(f) {
 				t.Errorf("float64, table %v, edges %v: size %d, encoding %d bytes", tab, edges, got, len(f))
 			}
-			i := encodeRecoveryRecord(nil, Int32Codec{}, 7, &hot[int32]{id: 42, masterNode: 3, masterPos: 7,
+			i := encodeRecoveryRecord(nil, Int32Codec{}, 7, &recSlot[int32]{id: 42, masterNode: 3, masterPos: 7,
 				inDeg: 5, outDeg: 2, value: -4, lastActivateIter: 9}, tab, edges)
 			if got := recoveryRecordSize[int32](Int32Codec{}, -4, tab, edges); got != len(i) {
 				t.Errorf("int32, table %v, edges %v: size %d, encoding %d bytes", tab, edges, got, len(i))

@@ -228,7 +228,7 @@ func (c *Cluster[V, A]) recoverRebirth(p *recoveryPass[V, A]) error {
 // replica was a mirror, the record carries the full state (table and, for
 // edge-cut, the master's in-edges) so the mirror can be recreated intact.
 func (c *Cluster[V, A]) stageReplicaRecovery(nd *node[V, A], s *recSink, i int, table *replicaTable, ri, rn int) {
-	r := nd.hot[i]
+	r := nd.hot[i].carried()
 	r.flags &= flagSelfish
 	if table.ftOnly[ri] {
 		r.flags |= flagFTOnly
@@ -252,7 +252,7 @@ func (c *Cluster[V, A]) stageReplicaRecovery(nd *node[V, A], s *recSink, i int, 
 
 // putRecord stages for dst the record that recreates slot r at pos, with
 // the table and edge list it keeps (nil when it keeps none).
-func (c *Cluster[V, A]) putRecord(s *recSink, dst int, pos int32, r *hot[V], table *replicaTable, edges *rawEdges) {
+func (c *Cluster[V, A]) putRecord(s *recSink, dst int, pos int32, r *recSlot[V], table *replicaTable, edges *rawEdges) {
 	s.put(dst, recoveryRecordSize(c.vc, r.value, table, edges), func(buf []byte) []byte {
 		return encodeRecoveryRecord(buf, c.vc, pos, r, table, edges)
 	})
@@ -262,7 +262,7 @@ func (c *Cluster[V, A]) putRecord(s *recSink, dst int, pos int32, r *hot[V], tab
 // a mirror of master slot pos: the master's state, its replica table and,
 // for edge-cut, its in-edges encoded straight from its topology.
 func (c *Cluster[V, A]) putMirrorRecord(s *recSink, nd *node[V, A], pos int32, dst int, rpos int32, flags entryFlags) {
-	r, table := nd.hot[pos], nd.replicas(pos)
+	r, table := nd.hot[pos].carried(), nd.replicas(pos)
 	r.flags = flags
 	size := recoveryRecordSize(c.vc, r.value, &table, nil)
 	if c.ec != nil {
@@ -280,7 +280,7 @@ func (c *Cluster[V, A]) putMirrorRecord(s *recSink, nd *node[V, A], pos int32, d
 // stageMasterRecovery emits the record recreating the master that lived on
 // the failed node, from the full state m of this surviving mirror on nd.
 func (c *Cluster[V, A]) stageMasterRecovery(s *recSink, nd *node[V, A], e *hot[V], m *mirrorState, dst int) {
-	r := *e
+	r := e.carried()
 	r.flags = flagMaster | e.flags&flagSelfish
 	table := nd.tables.at(m.table)
 	var edges *rawEdges
@@ -308,7 +308,7 @@ func (n *node[V, A]) appendTopoEdges(buf []byte, i int32) []byte {
 // role slabs and lands the records' tables and edge lists before, and
 // rebuilds the id index after all placements land.
 func (c *Cluster[V, A]) placeRecovered(nd *node[V, A], rec *recoveryRecord[V]) {
-	s := rec.slot
+	s := rec.slot.slot()
 	// Masters: replay re-derives activity. Replicas: the next superstep's
 	// activation broadcast refreshes them, except under always-active
 	// programs, which never broadcast.

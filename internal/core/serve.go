@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -12,12 +13,13 @@ import (
 )
 
 // This file is the serving layer's epoch-consistent read seam. The engine
-// publishes an immutable snapshot of the committed vertex values after each
-// superstep's global barrier (and only then), so concurrent readers never
-// observe a torn superstep: staged pendingValue state, rollback, and
-// checkpoint replay all happen strictly between publishes. Queries are a
-// host-side read path — they advance no simulated time and touch no wire
-// buffers, so enabling Serve leaves sim_seconds and msg_bytes bit-identical.
+// publishes a snapshot of the committed vertex values after each superstep's
+// global barrier (and only then), immutable while a reader pins it, so
+// concurrent readers never observe a torn superstep: staged pendingValue
+// state, rollback, and checkpoint replay all happen strictly between
+// publishes. Queries are a host-side read path — they advance no simulated
+// time and touch no wire buffers, so enabling Serve leaves sim_seconds and
+// msg_bytes bit-identical.
 //
 // Staleness contract: the frontier is the superstep the engine is currently
 // executing (in epochs, where epoch N = "N supersteps committed"). An
@@ -36,7 +38,8 @@ type ServeConfig struct {
 	Enabled bool
 	// KeepHistory retains every published value snapshot, indexed by epoch
 	// (EpochValues). Validation harnesses use it as per-epoch ground truth;
-	// costs one []float64 per published epoch.
+	// costs one []float64 per published epoch, since a retained snapshot is
+	// never refilled for a later one.
 	KeepHistory bool
 }
 
@@ -134,18 +137,27 @@ var (
 	ErrVertexUnavailable = errors.New("core: vertex unavailable")
 )
 
-// serveSnapshot is one published epoch: immutable after Store.
+// serveSnapshot is one published epoch. It is immutable while it is current
+// or pinned: a reader pins it (serveState.pin) before reading epoch and
+// vals, and the engine refills it for a later epoch only once it has been
+// replaced and every pin is released.
 type serveSnapshot struct {
 	epoch int64
 	vals  []float64
+	pins  atomic.Int32
 }
+
+// serveRetiredCap bounds the retired list. A replaced snapshot that finds
+// the list full is left to the collector, pinned or not; it takes more
+// long-lived concurrent readers than that for a publish to allocate.
+const serveRetiredCap = 4
 
 // serveRoute is the published routing view: where each vertex's master
 // lives and which hosts hold replicas (flattened, in replica-rank order).
-// Rebuilt after load and after every completed recovery pass; liveness and
-// suspicion are checked against the coordinator at query time, so a stale
-// view between rebuilds only ever routes away from more nodes, never onto
-// a dead one.
+// Built after load and rebuilt after a recovery that moved masters
+// (Migration); liveness and suspicion are checked against the coordinator at
+// query time, so a stale view between rebuilds only ever routes away from
+// more nodes, never onto a dead one.
 type serveRoute struct {
 	masterLoc []int16
 	start     []int32
@@ -156,7 +168,7 @@ type serveRoute struct {
 // serveState is the cluster's serving runtime. The engine goroutine is the
 // only writer (publishes happen at barrier-committed points); queries run
 // on arbitrary goroutines and read exclusively through the atomic pointers
-// and counters.
+// and counters, pinning the snapshot they read.
 type serveState[V any] struct {
 	cfg    ServeConfig
 	scalar func(*V) float64
@@ -170,10 +182,47 @@ type serveState[V any] struct {
 	unavailable  atomic.Int64
 	maxStaleness atomic.Int64
 
+	// retired holds replaced snapshots, oldest first, for the next publish
+	// to refill once unpinned. Only the engine goroutine touches it, and
+	// KeepHistory snapshots never join it.
+	retired []*serveSnapshot
+
 	// mu guards the KeepHistory trajectory (engine appends, harnesses read).
 	mu         sync.Mutex
 	histEpochs []int
 	hist       [][]float64
+}
+
+// pin returns the current snapshot with a reference held, or nil before the
+// first publish. The second load closes the window in which the engine
+// replaced and refilled the snapshot between the first load and the pin: a
+// snapshot still current after the pin is one the engine will not refill
+// until unpin. Epoch and values are read only from the pinned snapshot.
+func (s *serveState[V]) pin() *serveSnapshot {
+	for {
+		snap := s.snap.Load()
+		if snap == nil {
+			return nil
+		}
+		snap.pins.Add(1)
+		if s.snap.Load() == snap {
+			return snap
+		}
+		snap.pins.Add(-1)
+	}
+}
+
+// recycled returns a snapshot to refill for the next epoch: the oldest
+// retired one with no pins, or a new one when every retired snapshot is
+// pinned or none is retired yet.
+func (s *serveState[V]) recycled(n int) *serveSnapshot {
+	for i, r := range s.retired {
+		if r.pins.Load() == 0 {
+			s.retired = slices.Delete(s.retired, i, i+1)
+			return r
+		}
+	}
+	return &serveSnapshot{vals: make([]float64, n)}
 }
 
 // serveScalar resolves V's scalar projection once per cluster; the
@@ -217,9 +266,11 @@ func (c *Cluster[V, A]) serveFrontier(f int) {
 }
 
 // servePublish snapshots the committed master values at the current epoch
-// (c.iter = supersteps committed), after load and after every commit.
-// Publishes are monotonic in epoch: a checkpoint-recovery replay
-// re-commits earlier iterations without regressing the served view.
+// (c.iter = supersteps committed), after load and after every commit, into
+// a recycled snapshot: once a snapshot has been replaced and released, a
+// publish allocates nothing. Publishes are monotonic in epoch: a
+// checkpoint-recovery replay re-commits earlier iterations without
+// regressing the served view.
 func (c *Cluster[V, A]) servePublish() {
 	s := c.serve
 	if s == nil {
@@ -229,30 +280,34 @@ func (c *Cluster[V, A]) servePublish() {
 	if cur := s.snap.Load(); cur != nil && cur.epoch >= epoch {
 		return
 	}
-	vals := make([]float64, c.g.NumVertices())
+	next := s.recycled(c.g.NumVertices())
+	next.epoch = epoch
 	for _, nd := range c.aliveNodes() {
 		for i := range nd.hot {
 			if e := &nd.hot[i]; e.isMaster() {
-				vals[e.id] = s.scalar(&e.value)
+				next.vals[e.id] = s.scalar(&e.value)
 			}
 		}
 	}
-	s.snap.Store(&serveSnapshot{epoch: epoch, vals: vals})
+	old := s.snap.Swap(next)
 	if epoch > s.frontier.Load() {
 		s.frontier.Store(epoch)
 	}
 	if s.cfg.KeepHistory {
 		s.mu.Lock()
 		s.histEpochs = append(s.histEpochs, int(epoch))
-		s.hist = append(s.hist, vals)
+		s.hist = append(s.hist, next.vals)
 		s.mu.Unlock()
+	} else if old != nil && len(s.retired) < serveRetiredCap {
+		s.retired = append(s.retired, old)
 	}
 }
 
 // serveRefreshRoute republishes the routing view from the current master
-// directory and replica tables. Called after load and after every
-// completed recovery pass (rebirth, migration, checkpoint rebuild and
-// logged replay all reshape the tables).
+// directory and replica tables. Called after load and after a recovery that
+// ran Migration, the one pass that moves masters and reshapes the tables:
+// rebirth, checkpoint rebuild and logged replay recreate every failed slot
+// where it was (TestServeRouteAfterRecovery).
 func (c *Cluster[V, A]) serveRefreshRoute() {
 	s := c.serve
 	if s == nil {
@@ -337,9 +392,13 @@ func (c *Cluster[V, A]) Query(q Query) (Answer, error) {
 	// the two loads then only makes the snapshot newer than the frontier
 	// (clamped below), never spuriously staler.
 	frontier := s.frontier.Load()
-	snap := s.snap.Load()
+	snap := s.pin()
+	if snap == nil {
+		return Answer{}, ErrServeDisabled
+	}
+	defer snap.pins.Add(-1)
 	rv := s.route.Load()
-	if snap == nil || rv == nil {
+	if rv == nil {
 		return Answer{}, ErrServeDisabled
 	}
 	s.queries.Add(1)
@@ -462,7 +521,8 @@ func (c *Cluster[V, A]) PublishedEpochs() []int {
 
 // EpochValues returns the scalar values published at the given epoch when
 // Serve.KeepHistory retained them, or nil. The returned slice is the
-// published snapshot itself: callers must not mutate it.
+// published snapshot itself, which a KeepHistory run never refills: callers
+// must not mutate it.
 func (c *Cluster[V, A]) EpochValues(epoch int) []float64 {
 	s := c.serve
 	if s == nil {

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -346,5 +347,89 @@ func TestServePublishCadence(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestServeRouteAfterRecovery: a recovery rebuilds the serving route only
+// when it moved masters. Rebirth, checkpoint and logged recovery rebuild
+// every failed slot where it was, so the route kept from load must equal a
+// fresh rebuild afterwards; Migration, and a Rebirth that fell back to it,
+// publish a new one, which must equal a fresh rebuild too.
+func TestServeRouteAfterRecovery(t *testing.T) {
+	g := datasets.Tiny(300, 1800, 41)
+	for _, mode := range []Mode{EdgeCutMode, VertexCutMode} {
+		for _, k := range []int{1, 2} {
+			for _, tc := range []struct {
+				name     string
+				kind     RecoveryKind
+				fallback bool
+			}{
+				{"rebirth", RecoverRebirth, false},
+				{"checkpoint", RecoverCheckpoint, false},
+				{"logged", RecoverLogged, false},
+				{"migration", RecoverMigration, true},
+				{"rebirth-fallback", RecoverRebirth, true},
+			} {
+				t.Run(fmt.Sprintf("%v/k=%d/%s", mode, k, tc.name), func(t *testing.T) {
+					cfg := serveFTConfig(mode, 5, 6, k, tc.kind)
+					cfg.Checkpoint.Interval = 2
+					cfg.Chaos = []ChaosEvent{{Kind: ChaosCrash, Iteration: 3, Phase: FailBeforeBarrier, Nodes: []int{1}}}
+					if tc.name == "rebirth-fallback" {
+						cfg.MaxRebirths, cfg.RebirthFallback = 0, true
+					}
+					cl := serveTestCluster(t, cfg, g)
+					loaded := cl.serve.route.Load()
+					if _, err := cl.Run(); err != nil {
+						t.Fatal(err)
+					}
+					if len(cl.recoveries) != 1 {
+						t.Fatalf("%d recoveries, want 1", len(cl.recoveries))
+					}
+					kept := cl.serve.route.Load()
+					if rebuilt := kept != loaded; rebuilt != tc.fallback {
+						t.Errorf("route rebuilt: %v, want %v", rebuilt, tc.fallback)
+					}
+					cl.serveRefreshRoute()
+					if fresh := cl.serve.route.Load(); !reflect.DeepEqual(kept, fresh) {
+						t.Error("the route kept after recovery differs from a fresh rebuild")
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestServePinnedSnapshotNotRefilled: a publish never refills a snapshot a
+// reader has pinned, and refills the oldest unpinned retired one.
+func TestServePinnedSnapshotNotRefilled(t *testing.T) {
+	g := datasets.Tiny(300, 1800, 41)
+	cl := serveTestCluster(t, serveFTConfig(EdgeCutMode, 5, 4, 1, RecoverRebirth), g)
+	s := cl.serve
+	publish := func() *serveSnapshot {
+		cl.iter++
+		cl.servePublish()
+		return s.snap.Load()
+	}
+	pinned := s.pin()
+	want := append([]float64(nil), pinned.vals...)
+	for _, nd := range cl.aliveNodes() {
+		for i := range nd.hot {
+			nd.hot[i].value += 1 // every later epoch publishes other values
+		}
+	}
+	first := publish()
+	second := publish()
+	if first == pinned || second == pinned {
+		t.Fatal("a publish refilled the pinned snapshot")
+	}
+	if pinned.epoch != 0 || !reflect.DeepEqual(pinned.vals, want) {
+		t.Fatalf("pinned snapshot changed: epoch %d", pinned.epoch)
+	}
+	pinned.pins.Add(-1)
+	if got := publish(); got != pinned {
+		t.Error("the released snapshot was not refilled first")
+	}
+	if got := publish(); got != first {
+		t.Error("the next publish did not refill the oldest retired snapshot")
 	}
 }

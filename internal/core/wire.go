@@ -144,7 +144,7 @@ func eachEdgeCkpt(data []byte, fn func(src, dst graph.VertexID, wt float64) erro
 // one vertex slot s at position pos on the recovering node: the slot's
 // identity and dynamic state, and — when the slot is a master or mirror —
 // the replica location table and (edge-cut) the raw in-edge list.
-func encodeRecoveryRecord[V any](buf []byte, vc Codec[V], pos int32, s *hot[V], table *replicaTable, edges *rawEdges) []byte {
+func encodeRecoveryRecord[V any](buf []byte, vc Codec[V], pos int32, s *recSlot[V], table *replicaTable, edges *rawEdges) []byte {
 	buf = encodeRecordHead(buf, vc, pos, s, table)
 	if edges == nil {
 		return putU8(buf, 0)
@@ -156,9 +156,9 @@ func encodeRecoveryRecord[V any](buf []byte, vc Codec[V], pos int32, s *hot[V], 
 // record whose list the caller appends itself (putMirrorRecord). The role
 // byte repeats the flags' master bit and the rank slot holds noNode; no
 // decoder reads either, and both stay only to keep the record's length.
-// s's flags travel whole, so a stager passes a copy of its slot with flags
-// built from the roles: the recovery-work flags stay home (entry.go).
-func encodeRecordHead[V any](buf []byte, vc Codec[V], pos int32, s *hot[V], table *replicaTable) []byte {
+// s's flags travel whole, so a stager builds them from the slot's roles:
+// the recovery-work flags stay home (entry.go).
+func encodeRecordHead[V any](buf []byte, vc Codec[V], pos int32, s *recSlot[V], table *replicaTable) []byte {
 	buf = putU8(buf, uint8(s.flags&flagMaster))
 	buf = putI32(buf, pos)
 	buf = putU32(buf, uint32(s.id))
@@ -197,12 +197,42 @@ func recoveryRecordSize[V any](vc Codec[V], value V, table *replicaTable, edges 
 // edgeListSize is the encoded length of an n-edge rawEdges list.
 func edgeListSize(n int) int { return 4 + 14*n }
 
+// recSlot is what a recovery record carries of the slot it recreates: the
+// fields that travel, 32 bytes for V = float64 against hot's 48. The
+// receiver builds the slot from it (slot); the staged and per-superstep
+// fields start zero there.
+type recSlot[V any] struct {
+	value            V
+	id               graph.VertexID
+	inDeg, outDeg    int32
+	masterPos        int32
+	lastActivateIter int32
+	masterNode       int16
+	flags            entryFlags
+	lastActivate     bool
+}
+
+// carried returns the travelling fields of slot e, flags included: a stager
+// rebuilds the flags from the roles before it encodes.
+func (e *hot[V]) carried() recSlot[V] {
+	return recSlot[V]{value: e.value, id: e.id, inDeg: e.inDeg, outDeg: e.outDeg, masterPos: e.masterPos,
+		lastActivateIter: e.lastActivateIter, masterNode: e.masterNode, flags: e.flags, lastActivate: e.lastActivate}
+}
+
+// slot returns the slot s recreates.
+func (s *recSlot[V]) slot() hot[V] {
+	return hot[V]{value: s.value, id: s.id, inDeg: s.inDeg, outDeg: s.outDeg, masterPos: s.masterPos,
+		lastActivateIter: s.lastActivateIter, masterNode: s.masterNode, flags: s.flags, lastActivate: s.lastActivate}
+}
+
+func (s *recSlot[V]) isMaster() bool { return s.flags&flagMaster != 0 }
+
 // recoveryRecord is the decoded form: the slot it recreates at pos, with
 // the table and edge list that slot keeps. A record recreates a master
 // exactly when the slot's flags carry flagMaster.
 type recoveryRecord[V any] struct {
 	pos   int32
-	slot  hot[V]
+	slot  recSlot[V]
 	table *replicaTable
 	edges *rawEdges
 }

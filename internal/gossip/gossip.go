@@ -509,33 +509,35 @@ func (d *Detector) stage(nd *node, to int, kind MsgKind, about int32) {
 	// and, critically, refutations — outrank rumors that have already had
 	// their airtime, so they never starve behind a long queue. The sort is
 	// stable, so equal budgets keep queue order and stay deterministic; it is
-	// an insertion sort because the last stage left the queue sorted but for
-	// the few entries it sent and any update queued since.
-	for i := 1; i < len(nd.queue); i++ {
-		e, j := nd.queue[i], i
-		for ; j > 0 && nd.queue[j-1].left < e.left; j-- {
-			nd.queue[j] = nd.queue[j-1]
+	// an insertion sort that moves only an entry out of order, because the
+	// last stage left the queue sorted but for the few entries it sent and
+	// any update queued since.
+	q := nd.queue
+	for i := 1; i < len(q); i++ {
+		e := q[i]
+		if q[i-1].left >= e.left {
+			continue
 		}
-		nd.queue[j] = e
+		j := i
+		for ; j > 0 && q[j-1].left < e.left; j-- {
+			q[j] = q[j-1]
+		}
+		q[j] = e
 	}
+	// Every queued entry has budget left (queueUpdate starts it at
+	// d.budget, and a spent one leaves below), so only an entry sent here
+	// can run out, and the queue is compacted only then.
 	upd := d.upd[:0]
-	for i := range nd.queue {
-		if len(upd) >= maxPiggyback {
-			break
-		}
-		if nd.queue[i].left > 0 {
-			upd = append(upd, nd.queue[i].upd)
-			nd.queue[i].left--
-		}
+	spent := false
+	for i := range min(len(q), maxPiggyback) {
+		upd = append(upd, q[i].upd)
+		q[i].left--
+		spent = spent || q[i].left == 0
 	}
 	d.upd = upd
-	q := nd.queue[:0]
-	for _, e := range nd.queue {
-		if e.left > 0 {
-			q = append(q, e)
-		}
+	if spent {
+		nd.queue = slices.DeleteFunc(q, func(e queued) bool { return e.left == 0 })
 	}
-	nd.queue = q
 	off := len(d.stageBuf)
 	d.stageBuf = AppendMessage(d.stageBuf, &Message{Kind: kind, From: int32(nd.id), About: about, Updates: upd})
 	d.outbox = append(d.outbox, outMsg{from: nd.id, to: to, off: off, end: len(d.stageBuf)})
