@@ -91,16 +91,20 @@ type Report struct {
 	// alternate centralized and gossip, so both detectors carry every
 	// scenario over a long campaign.
 	Memberships map[string]int
-	// Queries counts live serve-mode reads answered while rounds were still
-	// executing their fault schedules; every one was validated against the
-	// fault-free trajectory at its declared epoch. ReplicaReads counts the
-	// answers served from an FT replica because the master was down.
+	// Queries counts the live serve-mode reads the rounds issued: a fixed
+	// stream per round, read beside the running job, and one read inside
+	// every recovery window, on the engine goroutine. Answered counts the
+	// stream's reads answered and ReplicaReads every answer an FT replica
+	// served because the master was down; both depend on where the job was
+	// when a stream read landed, that is on host timing. Every answer was
+	// validated against the fault-free trajectory at the epoch it declared.
 	Queries      int
+	Answered     int
 	ReplicaReads int
 	// QueryDigest is an FNV-64a fold, in round order, of every live query
-	// the rounds issued (kind, vertex, K) and whether it was answered: the
-	// main stream and the recovery-window reads alike. It is a function of
-	// the seed, so a query stream drawn from anything else changes it.
+	// the rounds issued (kind, vertex, K), and for a recovery-window read
+	// whether it was answered. It is a function of the seed, so a query
+	// stream drawn from anything else changes it.
 	QueryDigest uint64
 	Failures    []RoundFailure
 }
@@ -185,6 +189,7 @@ func (c Campaign) Run() (*Report, error) {
 			rep.Lossy += out.lossy
 			rep.Fenced += out.fenced
 			rep.Queries += out.queries
+			rep.Answered += out.answered
 			rep.ReplicaReads += out.replicaReads
 			digest.Write(binary.LittleEndian.AppendUint64(nil, out.digest))
 			rep.Strategies[out.ft]++
@@ -212,6 +217,7 @@ type roundOutcome struct {
 	lossy          int
 	fenced         int
 	queries        int
+	answered       int
 	replicaReads   int
 	digest         uint64 // FNV-64a of the round's live queries (digestQuery)
 }
@@ -393,7 +399,8 @@ func (c Campaign) runRound(round int, mode core.Mode, g *coreGraph, baseline []f
 			q = core.Query{Kind: core.QueryTopK, K: 5}
 		}
 		ans, qerr := cl.Query(q)
-		digestQuery(qh, q, qerr == nil)
+		out.queries++
+		digestQuery(qh, q)
 		if qerr != nil {
 			// An honest refusal — the master is down and its replicas are
 			// selfish or dead — is allowed; a wrong answer is not.
@@ -407,16 +414,23 @@ func (c Campaign) runRound(round int, mode core.Mode, g *coreGraph, baseline []f
 			out.err = fmt.Errorf("live query %d: %w", i, verr)
 			break
 		}
-		out.queries++
+		out.answered++
 		if ans.FromReplica {
 			out.replicaReads++
 		}
 	}
 	<-done
 	// hookReads is written only on the engine goroutine; the done channel
-	// orders it before these reads.
+	// orders it before these reads. Whether a window read was answered is a
+	// function of the schedule, so it joins the digest.
+	out.queries += len(hookReads)
 	for _, rd := range hookReads {
-		digestQuery(qh, rd.q, rd.err == nil)
+		digestQuery(qh, rd.q)
+		answered := []byte{0}
+		if rd.err == nil {
+			answered[0] = 1
+		}
+		qh.Write(answered)
 	}
 	out.digest = qh.Sum64()
 	if runErr != nil {
@@ -438,7 +452,6 @@ func (c Campaign) runRound(round int, mode core.Mode, g *coreGraph, baseline []f
 			out.err = fmt.Errorf("recovery-window query %d: %w", i, verr)
 			return out
 		}
-		out.queries++
 		if rd.ans.FromReplica {
 			out.replicaReads++
 		}
@@ -569,16 +582,12 @@ type coreGraph = graph.Graph
 // observes depends on where the run happens to be when the read lands.
 const roundQueries = 48
 
-// digestQuery folds one issued live query into h: its kind, vertex and K,
-// and whether it was answered.
-func digestQuery(h hash.Hash64, q core.Query, answered bool) {
-	var b [18]byte
+// digestQuery folds one issued live query into h: its kind, vertex and K.
+func digestQuery(h hash.Hash64, q core.Query) {
+	var b [17]byte
 	b[0] = byte(q.Kind)
 	binary.LittleEndian.PutUint64(b[1:], uint64(q.Vertex))
 	binary.LittleEndian.PutUint64(b[9:], uint64(q.K))
-	if answered {
-		b[17] = 1
-	}
 	h.Write(b[:])
 }
 

@@ -89,20 +89,22 @@ func AppendRecordPrefix(buf []byte, pos uint32, flags byte, stamp int32) ([]byte
 // PatchValLen records that the value bytes run from the valLen slot's end
 // to the current end of buf.
 func PatchValLen(buf []byte, at int) {
-	n := len(buf) - at - 4
-	if int64(n) > math.MaxUint32 {
-		panic("ftlog: value length overflows the u32 length field")
-	}
-	binary.LittleEndian.PutUint32(buf[at:at+4], uint32(n))
+	binary.LittleEndian.PutUint32(buf[at:at+4], u32Len(len(buf)-at-4))
 }
 
 // AppendMessage appends one length-prefixed message payload.
 func AppendMessage(buf, payload []byte) []byte {
-	if len(payload) > math.MaxUint32 {
-		panic("ftlog: message payload overflows the u32 length prefix")
-	}
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
+	buf = binary.LittleEndian.AppendUint32(buf, u32Len(len(payload)))
 	return append(buf, payload...)
+}
+
+// u32Len narrows a byte length to its u32 wire field, panicking past 4 GiB
+// rather than letting the prefix wrap.
+func u32Len(n int) uint32 {
+	if int64(n) > math.MaxUint32 {
+		panic("ftlog: length overflows its u32 wire field")
+	}
+	return uint32(n)
 }
 
 // Record is one decoded state record. Val aliases the decoder's input

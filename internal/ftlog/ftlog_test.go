@@ -3,6 +3,7 @@ package ftlog
 import (
 	"bytes"
 	"encoding/binary"
+	"math"
 	"testing"
 )
 
@@ -133,6 +134,21 @@ func TestCorruptInputs(t *testing.T) {
 	if _, _, err := d.NextMessage(); err == nil {
 		t.Error("NextMessage accepted inflated length")
 	}
+}
+
+// TestU32LenBound: the length prefixes stop at 4 GiB. A longer record value
+// or message would wrap its u32 field and misframe every later entry, so
+// u32Len panics there instead; no buffer that size is needed to check it.
+func TestU32LenBound(t *testing.T) {
+	if got := u32Len(math.MaxUint32); got != math.MaxUint32 {
+		t.Fatalf("u32Len(MaxUint32) = %d", got)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("u32Len(1<<32) returned; want a panic")
+		}
+	}()
+	u32Len(1 << 32)
 }
 
 // FuzzLogDecode drives the decoder with arbitrary bytes: it must never

@@ -83,7 +83,7 @@ const (
 )
 
 // checkSize validates the counts against the layout limits before any
-// allocation; both constructors call it first.
+// allocation; both constructors call it first, and buildCSRKeys again.
 func checkSize(numVertices, numEdges int) error {
 	if int64(numVertices) > maxVertices {
 		return fmt.Errorf("%w: %d vertices exceed the uint32 endpoint width (max %d)",
@@ -239,11 +239,11 @@ const csrMinShard = 1 << 19
 // worker count.
 func buildCSRKeys[K uint16 | VertexID](n int, keys []K) csr {
 	m := len(keys)
-	// Backstop for the int32 index width: the public constructors already
-	// reject |E| > MaxInt32 (ErrGraphTooLarge), so this can only fire for a
-	// future internal caller that skips them — fail loudly, never wrap.
-	if int64(m) > maxEdges {
-		panic("graph: edge count overflows the int32 CSR index width")
+	// Backstop for the int32 index width: the constructors already return
+	// ErrGraphTooLarge, so this fires only for an internal caller that skips
+	// them. Fail loudly, never wrap.
+	if err := checkSize(n, m); err != nil {
+		panic(err)
 	}
 	offsets := make([]int32, n+1)
 	if m == 0 {

@@ -7,11 +7,12 @@ import (
 )
 
 // The compact layout's index widths are hard limits at paper scale: Twitter
-// (1.47B edges) is within 1.5x of int32 overflow, so the constructors must
-// reject oversized inputs loudly instead of letting a narrowing conversion
-// wrap. The |V| path is testable for real (a huge count with zero edges
-// allocates nothing); the |E| path would need >2^31 edges of backing memory,
-// so it is exercised white-box through checkSize.
+// (1.47B edges) is within 1.5x of int32 overflow, so oversized inputs must
+// fail loudly instead of letting a narrowing conversion wrap. checkSize is
+// the one home of both limits: the constructors return its error and
+// buildCSRKeys panics with it. The |V| path is testable for real (a huge
+// count with zero edges allocates nothing); the |E| path would need >2^31
+// edges of backing memory, so it is exercised white-box through checkSize.
 
 func TestNewRejectsTooManyVertices(t *testing.T) {
 	_, err := New(1<<33, nil)
@@ -49,9 +50,9 @@ func TestCheckSizeLimits(t *testing.T) {
 	}
 }
 
-func TestBuildCSRBackstopPanics(t *testing.T) {
-	// The panic guard itself can't be tripped without >2^31 keys, but it
-	// must not fire on legitimate inputs near the boundary path.
+func TestBuildCSRKeysSmallInputNoPanic(t *testing.T) {
+	// buildCSRKeys runs checkSize as its backstop (TestCheckSizeLimits trips
+	// it); the backstop must pass a legitimate small input.
 	defer func() {
 		if r := recover(); r != nil {
 			t.Fatalf("buildCSRKeys panicked on a small input: %v", r)

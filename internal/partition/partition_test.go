@@ -256,6 +256,25 @@ func TestStatsNoReplicaSplit(t *testing.T) {
 	}
 }
 
+// TestComputeStatsMaskCount: ComputeStats takes exactly one mask per
+// vertex. Too few would leave vertices uncounted, and a surplus mask would
+// add presences of a vertex that does not exist; neither may pass silently.
+// The surplus mask has two bits set, so only the count check can catch it (a
+// one-bit mask would reach IsSelfish past |V|, which panics on its own).
+func TestComputeStatsMaskCount(t *testing.T) {
+	g := graph.MustNew(3, []graph.Edge{{Src: 0, Dst: 1, Weight: 1}})
+	for _, masks := range [][]uint64{{1, 1}, {1, 1, 2, 3}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("ComputeStats with %d masks for 3 vertices returned; want a panic", len(masks))
+				}
+			}()
+			ComputeStats(g, masks, []int{1, 0}, 2)
+		}()
+	}
+}
+
 // Property: every partitioning keeps the replication factor >= 1 and every
 // vertex present somewhere; every edge is assigned exactly once.
 func TestPartitionInvariants(t *testing.T) {
